@@ -57,8 +57,9 @@ impl Aggregator {
         }
         self.flushes += 1;
         self.packets += self.buf.len() as u64;
-        let batch = std::mem::take(&mut self.buf);
-        dv.send_packets(ctx, batch, self.mode)
+        let delivered = dv.send_packets(ctx, &self.buf, self.mode);
+        self.buf.clear();
+        delivered
     }
 
     /// Packets currently buffered.

@@ -47,7 +47,7 @@ pub fn allreduce_sum_f64(dv: &DvCtx, ctx: &SimCtx, x: f64) -> f64 {
         ));
         packets.push(Packet::new(PacketHeader::dv_memory(me, d, base + 1, SCRATCH_GC), 1));
     }
-    dv.send_packets(ctx, packets, SendMode::DirectWrite { cached_headers: true });
+    dv.send_packets(ctx, &packets, SendMode::DirectWrite { cached_headers: true });
 
     // Poll the pushed status page until all peers' flags are set.
     let mut sum = x;

@@ -1,7 +1,6 @@
 //! The per-node Data Vortex API handle.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dv_core::packet::{Packet, PacketHeader, GROUP_COUNTERS, PAYLOAD_BYTES};
@@ -67,6 +66,29 @@ pub struct Backpressure {
     pub credit: i64,
 }
 
+/// Stable counting sort of `items` into one exact-capacity batch per
+/// destination: ascending destination, input order within one — so the
+/// transmit sequence is deterministic by construction. `counts[d]` is
+/// the number of items bound for `d`.
+fn group_by_dest<T>(
+    mut counts: Vec<usize>,
+    items: impl Iterator<Item = T>,
+    dest_of: impl Fn(&T) -> NodeId,
+) -> Vec<(NodeId, Vec<T>)> {
+    let mut batches = Vec::with_capacity(counts.iter().filter(|&&c| c > 0).count());
+    for (dest, count) in counts.iter_mut().enumerate() {
+        if *count > 0 {
+            batches.push((dest, Vec::with_capacity(*count)));
+            // From here on the entry is the destination's batch index.
+            *count = batches.len() - 1;
+        }
+    }
+    for item in items {
+        batches[counts[dest_of(&item)]].1.push(item);
+    }
+    batches
+}
+
 /// One node's view of the Data Vortex system.
 pub struct DvCtx {
     world: Arc<DvWorld>,
@@ -104,42 +126,42 @@ impl DvCtx {
     // Packet transmission
     // ------------------------------------------------------------------
 
-    /// Send a batch of packets (possibly to many destinations). Returns
-    /// the estimated delivery time of the last packet.
-    ///
-    /// Blocking semantics follow the hardware: direct writes occupy the
-    /// CPU for the whole PCIe transfer; DMA returns after descriptor
-    /// enqueue and overlaps with computation.
-    pub fn send_packets(&self, ctx: &SimCtx, packets: Vec<Packet>, mode: SendMode) -> Time {
-        if packets.is_empty() {
-            return ctx.now();
-        }
-        let t0 = ctx.now();
-        let n = packets.len() as u64;
+    /// Move `words` packet payloads from host memory to the VIC; returns
+    /// when they are ready there. Blocking semantics follow the hardware:
+    /// direct writes occupy the CPU for the whole PCIe transfer; DMA
+    /// returns after descriptor enqueue and overlaps with computation.
+    fn cross_pcie(&self, ctx: &SimCtx, words: u64, mode: SendMode) -> Time {
         let pcie = &self.world.pcie[self.node];
-        let vic_ready = match mode {
+        match mode {
             SendMode::DirectWrite { cached_headers } => {
-                let (_, end) = pcie.pio_send(ctx.now(), n, cached_headers);
+                let (_, end) = pcie.pio_send(ctx.now(), words, cached_headers);
                 // The CPU performs the stores itself.
                 ctx.wait_until(end);
                 end
             }
             SendMode::Dma { cached_headers } => {
                 let bytes =
-                    n * if cached_headers { PAYLOAD_BYTES } else { 2 * PAYLOAD_BYTES };
+                    words * if cached_headers { PAYLOAD_BYTES } else { 2 * PAYLOAD_BYTES };
                 let (_, end) = pcie.dma_to_vic(ctx.now(), bytes);
                 ctx.delay(DMA_ENQUEUE);
                 end
             }
-        };
-
-        // Group by destination; BTreeMap drains in key order, so the
-        // transmit sequence is deterministic by construction.
-        let mut groups: BTreeMap<NodeId, Vec<Packet>> = BTreeMap::new();
-        for p in packets {
-            groups.entry(p.header.dest).or_default().push(p);
         }
+    }
 
+    /// Send a batch of packets (possibly to many destinations). Returns
+    /// the estimated delivery time of the last packet.
+    pub fn send_packets(&self, ctx: &SimCtx, packets: &[Packet], mode: SendMode) -> Time {
+        if packets.is_empty() {
+            return ctx.now();
+        }
+        let t0 = ctx.now();
+        let vic_ready = self.cross_pcie(ctx, packets.len() as u64, mode);
+        let mut counts = vec![0; self.nodes()];
+        for p in packets {
+            counts[p.header.dest] += 1;
+        }
+        let groups = group_by_dest(counts, packets.iter().copied(), |p| p.header.dest);
         let mut last = vic_ready;
         ctx.with_kernel(|k| {
             for (dst, batch) in groups {
@@ -161,14 +183,14 @@ impl DvCtx {
         gc: u8,
         mode: SendMode,
     ) -> Time {
-        let packets = words
+        let packets: Vec<Packet> = words
             .iter()
             .enumerate()
             .map(|(i, &w)| {
                 Packet::new(PacketHeader::dv_memory(self.node, dest, address + i as u32, gc), w)
             })
             .collect();
-        self.send_packets(ctx, packets, mode)
+        self.send_packets(ctx, &packets, mode)
     }
 
     /// Bulk write: many contiguous block writes (possibly to many
@@ -188,25 +210,12 @@ impl DvCtx {
             return ctx.now();
         }
         let t0 = ctx.now();
-        let pcie = &self.world.pcie[self.node];
-        let vic_ready = match mode {
-            SendMode::DirectWrite { cached_headers } => {
-                let (_, end) = pcie.pio_send(ctx.now(), total_words, cached_headers);
-                ctx.wait_until(end);
-                end
-            }
-            SendMode::Dma { cached_headers } => {
-                let bytes = total_words
-                    * if cached_headers { PAYLOAD_BYTES } else { 2 * PAYLOAD_BYTES };
-                let (_, end) = pcie.dma_to_vic(ctx.now(), bytes);
-                ctx.delay(DMA_ENQUEUE);
-                end
-            }
-        };
-        let mut groups: BTreeMap<NodeId, Vec<crate::world::BlockWrite>> = BTreeMap::new();
-        for b in blocks {
-            groups.entry(b.dest).or_default().push(b);
+        let vic_ready = self.cross_pcie(ctx, total_words, mode);
+        let mut counts = vec![0; self.nodes()];
+        for b in &blocks {
+            counts[b.dest] += 1;
         }
+        let groups = group_by_dest(counts, blocks.into_iter(), |b| b.dest);
         let mut last = vic_ready;
         ctx.with_kernel(|k| {
             for (dst, batch) in groups {
@@ -226,11 +235,9 @@ impl DvCtx {
         gc: u8,
         mode: SendMode,
     ) -> Time {
-        let packets = words
-            .iter()
-            .map(|&w| Packet::new(PacketHeader::fifo(self.node, dest, gc), w))
-            .collect();
-        self.send_packets(ctx, packets, mode)
+        let packets: Vec<Packet> =
+            words.iter().map(|&w| Packet::new(PacketHeader::fifo(self.node, dest, gc), w)).collect();
+        self.send_packets(ctx, &packets, mode)
     }
 
     /// Credit-checked FIFO send: consult the destination's visible credit
@@ -276,7 +283,7 @@ impl DvCtx {
     /// set/decrement race of Section III when data packets overtake it.
     pub fn gc_set_remote(&self, ctx: &SimCtx, dest: NodeId, gc: u8, expected: u64, mode: SendMode) {
         let pkt = Packet::new(PacketHeader::gc_set(self.node, dest, gc), expected);
-        self.send_packets(ctx, vec![pkt], mode);
+        self.send_packets(ctx, &[pkt], mode);
     }
 
     /// Current value of a local group counter (free: the VIC pushes
@@ -349,7 +356,7 @@ impl DvCtx {
             PacketHeader::query(self.node, dest, remote_addr),
             return_header.encode(),
         );
-        self.send_packets(ctx, vec![pkt], mode);
+        self.send_packets(ctx, &[pkt], mode);
     }
 
     /// Blocking remote read: query `dest` and wait for the reply in our
@@ -509,21 +516,19 @@ impl DvCtx {
     /// (the background-DMA circular buffer of Section III).
     pub fn fifo_drain(&self, ctx: &SimCtx, max: usize) -> Vec<Word> {
         let mut out = Vec::new();
-        {
-            let mut vic = self.world.vics[self.node].lock();
-            while out.len() < max {
-                match vic.fifo.pop() {
-                    Some((_, w)) => out.push(w),
-                    None => break,
-                }
-            }
-        }
-        if !out.is_empty() {
-            let (_, end) = self.world.pcie[self.node]
-                .dma_from_vic(ctx.now(), out.len() as u64 * PAYLOAD_BYTES);
+        self.fifo_drain_into(ctx, max, &mut out);
+        out
+    }
+
+    /// [`DvCtx::fifo_drain`] appending to `out`; returns the packets moved.
+    pub fn fifo_drain_into(&self, ctx: &SimCtx, max: usize, out: &mut Vec<Word>) -> usize {
+        let n = self.world.vics[self.node].lock().fifo.drain_into(max, out);
+        if n > 0 {
+            let (_, end) =
+                self.world.pcie[self.node].dma_from_vic(ctx.now(), n as u64 * PAYLOAD_BYTES);
             ctx.wait_until(end);
         }
-        out
+        n
     }
 
     /// Packets dropped by this node's FIFO due to overflow.
@@ -595,7 +600,7 @@ impl DvCtx {
             .filter(|&d| d != self.node)
             .map(|d| Packet::new(PacketHeader::dv_memory(self.node, d, 0, gc), 0))
             .collect();
-        self.send_packets(ctx, packets, SendMode::DirectWrite { cached_headers: true });
+        self.send_packets(ctx, &packets, SendMode::DirectWrite { cached_headers: true });
         let ok = self.gc_wait_zero(ctx, gc, None);
         debug_assert!(ok, "fast barrier counter must reach zero");
         // Re-arm this parity for its next use (safe: nobody can re-enter

@@ -79,7 +79,7 @@ impl GlobalArray {
     pub fn put(&self, dv: &DvCtx, ctx: &SimCtx, i: usize, value: Word, gc: u8) {
         let (owner, addr) = self.locate(i);
         let pkt = Packet::new(PacketHeader::dv_memory(dv.node(), owner, addr, gc), value);
-        dv.send_packets(ctx, vec![pkt], SendMode::DirectWrite { cached_headers: true });
+        dv.send_packets(ctx, &[pkt], SendMode::DirectWrite { cached_headers: true });
     }
 
     /// One-sided fetch of one word (a "return header" query round trip).

@@ -272,22 +272,13 @@ impl DvWorld {
                 world.fifo_inflight[dst].fetch_sub(fifo_n, Ordering::Relaxed);
             }
             let mut replies: Vec<Packet> = Vec::new();
-            {
-                let mut vic = world.vics[dst].lock();
-                for pkt in deliver {
-                    if let Some(reply) = vic.deliver(k, k.now(), pkt) {
-                        replies.push(reply);
-                    }
-                }
-            }
-            if !replies.is_empty() {
-                // Replies are formed by the VIC itself (no host or PCIe
-                // involvement) and re-enter the switch from `dst`.
-                for reply in replies {
-                    let rdst = reply.header.dest;
-                    let now = k.now();
-                    world.transmit(k, dst, rdst, vec![reply], now);
-                }
+            world.vics[dst].lock().deliver_batch(k, k.now(), &deliver, &mut replies);
+            // Replies are formed by the VIC itself (no host or PCIe
+            // involvement) and re-enter the switch from `dst`.
+            for reply in replies {
+                let rdst = reply.header.dest;
+                let now = k.now();
+                world.transmit(k, dst, rdst, vec![reply], now);
             }
         });
         for (when, pkt) in delayed {

@@ -162,7 +162,7 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
                     )
                 })
                 .collect();
-            dv.send_packets(ctx, posts, SendMode::DirectWrite { cached_headers: true });
+            dv.send_packets(ctx, &posts, SendMode::DirectWrite { cached_headers: true });
 
             // --- drain until every promised visit arrived ---------------
             // Promises are posted post-verification, so every expected
@@ -196,7 +196,7 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
                     )
                 })
                 .collect();
-            dv.send_packets(ctx, fs_posts, SendMode::DirectWrite { cached_headers: true });
+            dv.send_packets(ctx, &fs_posts, SendMode::DirectWrite { cached_headers: true });
             let total_next;
             loop {
                 let slots = dv.peek_local(ctx, FS_BASE, p);

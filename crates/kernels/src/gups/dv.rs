@@ -161,7 +161,7 @@ pub fn run_ablate(cfg: GupsConfig, spec: SimSpec, aggregate: bool) -> GupsResult
                 )
             })
             .collect();
-        dv.send_packets(ctx, count_packets, SendMode::DirectWrite { cached_headers: true });
+        dv.send_packets(ctx, &count_packets, SendMode::DirectWrite { cached_headers: true });
 
         // Drain until all peers posted and all promised updates arrived.
         // Peers post counts only after their own verification, so every

@@ -55,6 +55,14 @@ impl SurpriseFifo {
         self.queue.pop_front()
     }
 
+    /// Pop up to `max` of the oldest buffered payloads onto the end of
+    /// `out`, in arrival order; returns how many moved.
+    pub fn drain_into(&mut self, max: usize, out: &mut Vec<Word>) -> usize {
+        let n = max.min(self.queue.len());
+        out.extend(self.queue.drain(..n).map(|(_, w)| w));
+        n
+    }
+
     /// Buffered packet count.
     pub fn len(&self) -> usize {
         self.queue.len()

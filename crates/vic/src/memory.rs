@@ -4,17 +4,19 @@
 //! commit 1 GB of host RAM up front; unwritten words read as zero, the
 //! reset state of the SRAM.
 
-use std::collections::BTreeMap;
-
 use dv_core::packet::DV_MEMORY_WORDS;
 use dv_core::Word;
 
 const PAGE_WORDS: usize = 4096;
 
+type Page = Box<[Word; PAGE_WORDS]>;
+
 /// Word-addressable DV memory with lazy page allocation.
 #[derive(Debug, Default)]
 pub struct DvMemory {
-    pages: BTreeMap<u32, Box<[Word; PAGE_WORDS]>>,
+    /// Flat page directory indexed by page number, grown to the highest
+    /// page written; `None` is a page still in its all-zero reset state.
+    pages: Vec<Option<Page>>,
 }
 
 impl DvMemory {
@@ -28,45 +30,67 @@ impl DvMemory {
         DV_MEMORY_WORDS
     }
 
-    fn split(addr: u32) -> (u32, usize) {
+    /// Split the `len`-word range at `addr` into (page, offset).
+    fn split(addr: u32, len: usize) -> (usize, usize) {
         assert!(
-            (addr as usize) < DV_MEMORY_WORDS,
-            "DV memory address {addr:#x} out of range (max {DV_MEMORY_WORDS:#x} words)"
+            addr as usize + len <= DV_MEMORY_WORDS,
+            "DV memory address {addr:#x} (+{len} words) out of range (max {DV_MEMORY_WORDS:#x} words)"
         );
-        (addr / PAGE_WORDS as u32, addr as usize % PAGE_WORDS)
+        (addr as usize / PAGE_WORDS, addr as usize % PAGE_WORDS)
+    }
+
+    fn page_mut(&mut self, page: usize) -> &mut [Word; PAGE_WORDS] {
+        if page >= self.pages.len() {
+            self.pages.resize_with(page + 1, || None);
+        }
+        self.pages[page].get_or_insert_with(|| Box::new([0; PAGE_WORDS]))
     }
 
     /// Read one word (0 if never written — SRAM reset state).
     pub fn read(&self, addr: u32) -> Word {
-        let (page, off) = Self::split(addr);
-        self.pages.get(&page).map_or(0, |p| p[off])
+        let (page, off) = Self::split(addr, 1);
+        self.pages.get(page).and_then(Option::as_ref).map_or(0, |p| p[off])
+    }
+
+    /// The slot at `addr`, for a read-modify-write in one lookup.
+    pub fn word_mut(&mut self, addr: u32) -> &mut Word {
+        let (page, off) = Self::split(addr, 1);
+        &mut self.page_mut(page)[off]
     }
 
     /// Write one word. A slot stores a single word: the previous value is
     /// unrecoverable (the overwrite hazard the surprise FIFO exists to
     /// avoid).
     pub fn write(&mut self, addr: u32, value: Word) {
-        let (page, off) = Self::split(addr);
-        self.pages.entry(page).or_insert_with(|| Box::new([0; PAGE_WORDS]))[off] = value;
+        *self.word_mut(addr) = value;
     }
 
     /// Read `out.len()` consecutive words starting at `addr`.
-    pub fn read_range(&self, addr: u32, out: &mut [Word]) {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.read(addr + i as u32);
+    pub fn read_range(&self, addr: u32, mut out: &mut [Word]) {
+        let (mut page, mut off) = Self::split(addr, out.len());
+        while !out.is_empty() {
+            let (head, rest) = out.split_at_mut(out.len().min(PAGE_WORDS - off));
+            match self.pages.get(page).and_then(Option::as_ref) {
+                Some(p) => head.copy_from_slice(&p[off..off + head.len()]),
+                None => head.fill(0),
+            }
+            (out, page, off) = (rest, page + 1, 0);
         }
     }
 
     /// Write consecutive words starting at `addr`.
-    pub fn write_range(&mut self, addr: u32, values: &[Word]) {
-        for (i, &v) in values.iter().enumerate() {
-            self.write(addr + i as u32, v);
+    pub fn write_range(&mut self, addr: u32, mut values: &[Word]) {
+        let (mut page, mut off) = Self::split(addr, values.len());
+        while !values.is_empty() {
+            let (head, rest) = values.split_at(values.len().min(PAGE_WORDS - off));
+            self.page_mut(page)[off..off + head.len()].copy_from_slice(head);
+            (values, page, off) = (rest, page + 1, 0);
         }
     }
 
     /// Number of resident (allocated) pages — for memory-footprint tests.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.pages.iter().flatten().count()
     }
 }
 
@@ -107,6 +131,35 @@ mod tests {
         m.read_range(base, &mut out);
         assert_eq!(out, data);
         assert_eq!(m.resident_pages(), 2);
+    }
+
+    #[test]
+    fn range_ops_span_whole_pages_and_stay_lazy() {
+        let mut m = DvMemory::new();
+        // Tail of page 1, all of page 2, head of page 3.
+        let base = 2 * PAGE_WORDS as u32 - 3;
+        let data: Vec<Word> = (1..=PAGE_WORDS as Word + 6).collect();
+        m.write_range(base, &data);
+        assert_eq!(m.resident_pages(), 3);
+        assert_eq!(m.read(base - 1), 0);
+        assert_eq!(m.read(base), 1);
+        assert_eq!(m.read(base + data.len() as u32), 0);
+        // A read from reset page 0 through to page 4 (beyond the
+        // directory) sees zeros around the data and allocates nothing.
+        let mut out = vec![7; 4 * PAGE_WORDS];
+        m.read_range(5, &mut out);
+        let start = base as usize - 5;
+        assert!(out[..start].iter().all(|&w| w == 0));
+        assert_eq!(out[start..start + data.len()], data);
+        assert!(out[start + data.len()..].iter().all(|&w| w == 0));
+        assert_eq!(m.resident_pages(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn range_past_the_end_panics_before_writing() {
+        let mut m = DvMemory::new();
+        m.write_range(DV_MEMORY_WORDS as u32 - 2, &[1, 2, 3]);
     }
 
     #[test]

@@ -196,6 +196,34 @@ impl Vic {
     /// with data silently missing. The only traces it leaves are the drop
     /// counters ([`VicStats::fifo_drops`], [`SurpriseFifo::dropped`]).
     pub fn deliver(&mut self, kernel: &mut Kernel, at: Time, pkt: Packet) -> Option<Packet> {
+        self.deliver_one(kernel, at, pkt, &mut false)
+    }
+
+    /// Apply a batch that arrived together, as [`Vic::deliver`] would one
+    /// packet at a time, collecting query replies into `replies`. FIFO
+    /// waiters are woken on the batch's first accepted push only: the
+    /// caller holds this VIC for the whole batch, so nobody can register
+    /// between pushes and every later wake would find the list empty.
+    pub fn deliver_batch(
+        &mut self,
+        kernel: &mut Kernel,
+        at: Time,
+        packets: &[Packet],
+        replies: &mut Vec<Packet>,
+    ) {
+        let mut fifo_woken = false;
+        for &pkt in packets {
+            replies.extend(self.deliver_one(kernel, at, pkt, &mut fifo_woken));
+        }
+    }
+
+    fn deliver_one(
+        &mut self,
+        kernel: &mut Kernel,
+        at: Time,
+        pkt: Packet,
+        fifo_woken: &mut bool,
+    ) -> Option<Packet> {
         debug_assert_eq!(pkt.header.dest, self.node, "packet routed to the wrong VIC");
         let mut reply = None;
         match pkt.header.space {
@@ -227,10 +255,11 @@ impl Vic {
                 if pkt.header.src < FIFO_RECV_SLOTS {
                     let src =
                         u32::try_from(pkt.header.src).expect("guarded: src < FIFO_RECV_SLOTS");
-                    let slot = FIFO_RECV_BASE + src;
-                    self.memory.write(slot, self.memory.read(slot) + 1);
+                    *self.memory.word_mut(FIFO_RECV_BASE + src) += 1;
                 }
-                self.fifo.waiters().wake_all(kernel);
+                if !std::mem::replace(fifo_woken, true) {
+                    self.fifo.waiters().wake_all(kernel);
+                }
             }
             AddressSpace::GroupCounterSet => {
                 let idx = (pkt.header.address as usize) % GROUP_COUNTERS;

@@ -1,56 +1,32 @@
 //! The disabled metrics path must be free: no locks (beyond one relaxed
-//! atomic load) and, checked here, no heap allocation. A counting global
-//! allocator wraps the system one; the disabled-registry hot loop must
-//! leave the counter untouched.
+//! atomic load) and, checked here, no heap allocation. The per-thread
+//! counting allocator of `tests/common` wraps the system one; the
+//! disabled-registry hot loop must leave the counter untouched.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
+use common::allocations_in;
 use datavortex::core::metrics::MetricsRegistry;
 use datavortex::core::stats::Log2Histogram;
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: pure pass-through to the System allocator plus one relaxed
-// counter bump; all GlobalAlloc contract obligations are System's own.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: layout is forwarded unchanged to the System allocator.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: ptr/layout came from the matching System.alloc above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-// One test function: the allocation counter is process-global, so a
-// second test running on a sibling thread would bump it mid-measurement.
 #[test]
 fn disabled_registry_never_allocates() {
     let m = MetricsRegistry::disabled();
     let mut hist = Log2Histogram::new(16);
     hist.push(7);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for i in 0..10_000u64 {
-        m.incr("bench.counter", 1);
-        m.incr_labeled("bench.labeled", &[("node", i.into()), ("path", "eager".into())], 1);
-        m.gauge("bench.gauge", i as f64);
-        m.gauge_max("bench.gauge_max", &[("node", i.into())], i as f64);
-        m.observe("bench.hist", i);
-        m.observe_labeled("bench.hist_labeled", &[("op", "sum".into())], i);
-        m.observe_histogram("bench.hist_bulk", &[], &hist);
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(after, before, "disabled metrics path allocated {} times", after - before);
+    let allocated = allocations_in(|| {
+        for i in 0..10_000u64 {
+            m.incr("bench.counter", 1);
+            m.incr_labeled("bench.labeled", &[("node", i.into()), ("path", "eager".into())], 1);
+            m.gauge("bench.gauge", i as f64);
+            m.gauge_max("bench.gauge_max", &[("node", i.into())], i as f64);
+            m.observe("bench.hist", i);
+            m.observe_labeled("bench.hist_labeled", &[("op", "sum".into())], i);
+            m.observe_histogram("bench.hist_bulk", &[], &hist);
+        }
+    });
+    assert_eq!(allocated, 0, "disabled metrics path allocated");
     assert!(m.snapshot().is_empty());
 
     // Sanity: the same calls on an enabled registry must produce data

@@ -1,39 +1,17 @@
 //! The rebuilt routed-network simulator's hot path must be allocation-free
 //! in steady state: one `step` touches only the packet arena, the free
 //! list, the fixed-capacity ring queues, the bitmap worklists, and the
-//! caller's reused delivery buffer. A counting global allocator wraps the
-//! system one (the same technique as `tests/switch_alloc.rs`); a measured
+//! caller's reused delivery buffer. The per-thread counting allocator of
+//! `tests/common` wraps the system one; a measured
 //! drain of a backlog identical to a warm-up backlog must leave the
 //! counter untouched — the warm-up drives every buffer to the exact
 //! high-water mark the measured phase needs.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
+use common::allocations_in;
 use datavortex::core::rng::SplitMix64;
 use datavortex::switch::{AnyTopology, RoutedNetSim, TopoKind};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: pure pass-through to the System allocator plus one relaxed
-// counter bump; all GlobalAlloc contract obligations are System's own.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: layout is forwarded unchanged to the System allocator.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: ptr/layout came from the matching System.alloc above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Enqueue the seeded backlog used by both the warm-up and measured
 /// phases: `depth` packets per port, destinations from `seed`.
@@ -46,8 +24,6 @@ fn enqueue_backlog(sim: &mut RoutedNetSim, ports: usize, depth: u64, seed: u64) 
     }
 }
 
-// One test function: the allocation counter is process-global, so a
-// second test running on a sibling thread would bump it mid-measurement.
 #[test]
 fn steady_state_step_never_allocates() {
     for kind in [TopoKind::FatTree, TopoKind::MinPath, TopoKind::Vortex] {
@@ -70,19 +46,14 @@ fn steady_state_step_never_allocates() {
         // outside the window — injection FIFOs legitimately grow there).
         enqueue_backlog(&mut sim, ports, 64, 0xA110C);
         let mut delivered = 0u64;
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        while sim.outstanding() > 0 {
-            out.clear();
-            sim.step_into(&mut out);
-            delivered += out.len() as u64;
-        }
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        assert_eq!(
-            after,
-            before,
-            "{kind:?}: step_into allocated {} times across the measured drain",
-            after - before
-        );
+        let allocated = allocations_in(|| {
+            while sim.outstanding() > 0 {
+                out.clear();
+                sim.step_into(&mut out);
+                delivered += out.len() as u64;
+            }
+        });
+        assert_eq!(allocated, 0, "{kind:?}: step_into allocated across the measured drain");
 
         // The window did real work and repeated the warm-up exactly.
         assert_eq!(delivered, (ports * 64) as u64);

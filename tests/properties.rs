@@ -6,9 +6,15 @@
 //! replayed exactly; the streams are fixed-seed, so runs are fully
 //! deterministic (no `DV-W003` non-seeded randomness).
 
-use datavortex::core::packet::{AddressSpace, PacketHeader};
+use std::sync::Arc;
+
+use datavortex::api::{DvCluster, SendMode};
+use datavortex::core::packet::{AddressSpace, Packet, PacketHeader, PACKET_BYTES, SCRATCH_GC};
 use datavortex::core::rng::{hpcc_starts, HpccStream, SplitMix64};
+use datavortex::core::spec::SimSpec;
 use datavortex::core::stats::harmonic_mean;
+use datavortex::core::time::us;
+use datavortex::core::trace::Tracer;
 use datavortex::kernels::fft::{fft_in_place, ifft_in_place, max_error, naive_dft, Complex};
 use datavortex::kernels::graph::{scramble, serial_bfs, validate_bfs, Csr};
 use datavortex::kernels::util::BlockDist;
@@ -295,4 +301,55 @@ fn snap_backends_match_serial_for_random_configs() {
         assert_eq!(&assemble_phi(&cfg, &d.fields), &serial.phi, "case {case}");
         assert_eq!(&assemble_phi(&cfg, &m.fields), &serial.phi, "case {case}");
     }
+}
+
+/// `send_packets` on a mixed-destination batch: one network batch per
+/// destination, transmitted in ascending destination order, each in send
+/// order. A batch pre-sorted that way must therefore be indistinguishable
+/// from the shuffled one — same event trace at every shard count.
+#[test]
+fn send_packets_groups_a_shuffled_batch_by_ascending_destination() {
+    const NODES: usize = 8;
+    let mut r = SplitMix64::new(0xA00B);
+    let shuffled: Vec<Packet> = (0..1024u64)
+        .map(|i| {
+            let dest = 1 + r.next_below(NODES as u64 - 1) as usize;
+            Packet::new(PacketHeader::fifo(0, dest, SCRATCH_GC), i)
+        })
+        .collect();
+    let mut sorted = shuffled.clone();
+    sorted.sort_by_key(|p| p.header.dest); // stable: send order within a destination
+
+    let run = |packets: &[Packet], shards: usize| {
+        let packets = packets.to_vec();
+        let tracer = Arc::new(Tracer::enabled());
+        let spec = SimSpec::new(NODES).shards(shards).tracer(Arc::clone(&tracer));
+        let report = DvCluster::from_spec(spec).run(move |dv, ctx| {
+            if dv.node() == 0 {
+                dv.send_packets(ctx, &packets, SendMode::Dma { cached_headers: true });
+            }
+            ctx.delay(us(100));
+            dv.fifo_drain(ctx, usize::MAX)
+        });
+        // Node 0's network batches as (destination, packets): its injection
+        // port serializes them, so send-time order is transmit order.
+        let batches: Vec<(usize, u64)> =
+            tracer.messages().iter().map(|m| (m.dst, m.bytes / PACKET_BYTES)).collect();
+        (report.elapsed, report.trace_hash, report.result, batches)
+    };
+
+    let baseline = run(&sorted, 1);
+    for (what, packets, shards) in
+        [("shuffled", &shuffled, 1), ("shuffled", &shuffled, 4), ("sorted", &sorted, 4)]
+    {
+        assert_eq!(run(packets, shards), baseline, "{what} batch at shards={shards}");
+    }
+    let (_, _, received, batches) = baseline;
+    let expect: Vec<Vec<u64>> = (0..NODES)
+        .map(|d| shuffled.iter().filter(|p| p.header.dest == d).map(|p| p.payload).collect())
+        .collect();
+    assert_eq!(received, expect, "each FIFO holds its words in send order");
+    let expect_batches: Vec<(usize, u64)> =
+        (1..NODES).map(|d| (d, expect[d].len() as u64)).filter(|&(_, n)| n > 0).collect();
+    assert_eq!(batches, expect_batches, "one batch per destination, ascending");
 }

@@ -2,40 +2,18 @@
 //! a warmed `Port` send/recv cycle runs entirely on the pooled per-port
 //! timer, the preallocated shard heaps, and the self-resume fast path
 //! (parking *is* dispatching — no scheduler thread, no context switch).
-//! A counting global allocator wraps the system one (the same technique
-//! as `tests/switch_alloc.rs`); a measured window of thousands of
-//! deliveries must leave the counter untouched.
+//! The per-thread counting allocator of `tests/common` wraps the system
+//! one; a measured window of thousands of deliveries must leave the
+//! counter untouched.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use common::allocations_in;
 use datavortex::core::time::us;
 use datavortex::sim::{Engine, Port, Sim};
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: pure pass-through to the System allocator plus one relaxed
-// counter bump; all GlobalAlloc contract obligations are System's own.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: layout is forwarded unchanged to the System allocator.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: ptr/layout came from the matching System.alloc above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-// One test function: the allocation counter is process-global, so a
-// second test running on a sibling thread would bump it mid-measurement.
 #[test]
 fn steady_state_dispatch_never_allocates() {
     let sim = Sim::with_engine(Engine::Sharded, 4);
@@ -57,15 +35,15 @@ fn steady_state_dispatch_never_allocates() {
         // Measured window: every cycle is a pooled timer commit riding the
         // self-resume fast path. Nothing may allocate.
         let start = ctx.now();
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for i in 0..4096u64 {
-            port.send_delayed(ctx, us(1), i);
-            let (at, got) = port.recv(ctx);
-            assert_eq!(got, i);
-            assert!(at > start);
-        }
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        measured_in.store(after - before, Ordering::Relaxed);
+        let allocated = allocations_in(|| {
+            for i in 0..4096u64 {
+                port.send_delayed(ctx, us(1), i);
+                let (at, got) = port.recv(ctx);
+                assert_eq!(got, i);
+                assert!(at > start);
+            }
+        });
+        measured_in.store(allocated, Ordering::Relaxed);
 
         // The window did real virtual-time work.
         assert!(ctx.now() >= start + us(4096), "virtual clock must advance");

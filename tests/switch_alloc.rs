@@ -1,40 +1,15 @@
 //! The switch simulator's hot path must be allocation-free: one `step`
 //! touches only the preallocated double-buffered arena, the per-cylinder
-//! worklists, and the caller's reused delivery buffer. A counting global
-//! allocator wraps the system one (the same technique as
-//! `tests/metrics_alloc.rs`); a saturated measurement window of steps must
-//! leave the counter untouched.
+//! worklists, and the caller's reused delivery buffer. The per-thread
+//! counting allocator of `tests/common` wraps the system one; a saturated
+//! measurement window of steps must leave the counter untouched.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
+use common::allocations_in;
 use datavortex::core::rng::SplitMix64;
 use datavortex::switch::{SwitchSim, Topology};
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: pure pass-through to the System allocator plus one relaxed
-// counter bump; all GlobalAlloc contract obligations are System's own.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: layout is forwarded unchanged to the System allocator.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: ptr/layout came from the matching System.alloc above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-// One test function: the allocation counter is process-global, so a
-// second test running on a sibling thread would bump it mid-measurement.
 #[test]
 fn saturated_step_never_allocates() {
     // A 64-port switch (H=16, A=4) under a deep saturating backlog: every
@@ -51,20 +26,15 @@ fn saturated_step_never_allocates() {
     }
     let mut out = Vec::with_capacity(ports);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
     let mut delivered = 0u64;
-    for _ in 0..100 {
-        out.clear();
-        sw.step_into(&mut out);
-        delivered += out.len() as u64;
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(
-        after,
-        before,
-        "step_into allocated {} times across 100 saturated cycles",
-        after - before
-    );
+    let allocated = allocations_in(|| {
+        for _ in 0..100 {
+            out.clear();
+            sw.step_into(&mut out);
+            delivered += out.len() as u64;
+        }
+    });
+    assert_eq!(allocated, 0, "step_into allocated across 100 saturated cycles");
 
     // The window did real work: packets flowed and contention occurred.
     assert!(delivered > 0, "saturated window must deliver packets");
