@@ -2,18 +2,15 @@
 
 use std::sync::Arc;
 
-use dv_core::config::MachineConfig;
-use dv_core::metrics::{record_state_totals, MetricsRegistry};
-use dv_core::spec::{Engine, RunReport, SimSpec};
+use dv_core::spec::{RunReport, SimSpec};
 use dv_core::time::Time;
-use dv_core::trace::Tracer;
-use dv_sim::{JoinSlot, Sim, SimCtx};
+use dv_sim::{Sim, SimCtx};
 
 use crate::ctx::{DvCtx, FAST_BARRIER_GC};
 use crate::world::DvWorld;
 
-/// Configuration + entry point for a Data Vortex run. Built from a
-/// [`SimSpec`]; [`DvCluster::run`] returns a [`RunReport`].
+/// Entry point for a Data Vortex run: a [`SimSpec`] in,
+/// [`DvCluster::run`] returns a [`RunReport`].
 ///
 /// ```
 /// use dv_api::{DvCluster, SendMode};
@@ -34,100 +31,62 @@ use crate::world::DvWorld;
 /// assert!(report.elapsed > 0); // virtual time elapsed deterministically
 /// ```
 pub struct DvCluster {
-    /// Number of nodes (one VIC each).
-    pub nodes: usize,
-    /// Machine parameters.
-    pub config: MachineConfig,
-    /// Trace recorder (disabled by default).
-    pub tracer: Arc<Tracer>,
-    /// Metrics registry (disabled by default).
-    pub metrics: Arc<MetricsRegistry>,
-    /// Scheduler engine (sharded by default).
-    pub engine: Engine,
-    /// Event-queue shards (0 = auto). Never changes results.
-    pub shards: usize,
+    spec: SimSpec,
 }
 
 impl DvCluster {
-    /// Build a cluster from a [`SimSpec`] — the only non-deprecated
-    /// constructor. Arms the spec's telemetry stream, if one was set.
+    /// Build a cluster from a [`SimSpec`]. Arms the spec's telemetry
+    /// stream, if one was set.
     pub fn from_spec(mut spec: SimSpec) -> Self {
         spec.arm_stream();
-        Self {
-            nodes: spec.nodes,
-            config: spec.machine,
-            tracer: spec.tracer,
-            metrics: spec.metrics,
-            engine: spec.engine,
-            shards: spec.shards,
-        }
+        Self { spec }
     }
 
-    /// Run `body` on every node; returns the per-node results (node
-    /// order) together with the run evidence: elapsed virtual time, the
-    /// event-trace hash (see [`dv_sim::OrderAudit`]; identical
-    /// configurations and bodies must produce identical hashes — asserted
-    /// by `tests/determinism.rs`), and a snapshot of the attached metrics
-    /// registry.
+    /// Run `body` on every node (one VIC each); per-node results come
+    /// back in node order inside the [`RunReport`] of
+    /// [`Sim::run_spmd`], after the VIC and PCIe counters are published.
     pub fn run<T, F>(&self, body: F) -> RunReport<Vec<T>>
     where
         T: Send + 'static,
         F: Fn(&DvCtx, &SimCtx) -> T + Send + Sync + 'static,
     {
-        let mut sim = Sim::with_engine(self.engine, self.shards);
-        sim.set_metrics(Arc::clone(&self.metrics));
-        let world = DvWorld::from_parts(
-            self.nodes,
-            self.config.clone(),
-            Arc::clone(&self.tracer),
-            Arc::clone(&self.metrics),
-        );
+        let spec = &self.spec;
+        let sim = Sim::from_spec(spec);
+        let world = DvWorld::from_spec(spec);
         // Pre-arm the FastBarrier counters before any process runs, so the
         // first fast_barrier call has no set/decrement race.
         sim.with_kernel(|k| {
             for vic in &world.vics {
                 let mut vic = vic.lock();
                 for &gc in &FAST_BARRIER_GC {
-                    vic.set_counter(k, gc, (self.nodes - 1) as u64);
+                    vic.set_counter(k, gc, (spec.nodes - 1) as u64);
                 }
             }
         });
-        let body = Arc::new(body);
-        let slots: Vec<JoinSlot<T>> = (0..self.nodes).map(|_| JoinSlot::new()).collect();
-        #[allow(clippy::needless_range_loop)] // node is also the program's identity
-        for node in 0..self.nodes {
-            let dv = DvCtx::new(Arc::clone(&world), node);
-            let body = Arc::clone(&body);
-            let slot = slots[node].clone();
-            sim.spawn(format!("node{node}"), move |ctx| {
-                slot.put(body(&dv, ctx));
-            });
-        }
-        let (elapsed, trace_hash) = sim.run_hashed();
-        if self.metrics.is_enabled() {
+        let publish = |elapsed: Time| {
+            if !spec.metrics.is_enabled() {
+                return;
+            }
             for (node, vic) in world.vics.iter().enumerate() {
-                vic.lock().publish_metrics(&self.metrics);
+                vic.lock().publish_metrics(&spec.metrics);
                 let pcie = &world.pcie[node];
                 if elapsed > 0 {
                     let label = [("node", (node as u64).into())];
                     let util = |busy: Time| (busy as f64 / elapsed as f64).min(1.0);
-                    self.metrics.gauge_labeled(
+                    spec.metrics.gauge_labeled(
                         "pcie.to_vic_util",
                         &label,
                         util(pcie.to_vic_busy()),
                     );
-                    self.metrics.gauge_labeled(
+                    spec.metrics.gauge_labeled(
                         "pcie.from_vic_util",
                         &label,
                         util(pcie.from_vic_busy()),
                     );
                 }
             }
-            record_state_totals(&self.tracer, &self.metrics);
-        }
-        let results =
-            slots.into_iter().map(|s| s.take().expect("node did not finish")).collect();
-        RunReport { result: results, elapsed, trace_hash, snapshot: self.metrics.snapshot() }
+        };
+        sim.run_spmd(spec, "node", |node| DvCtx::new(Arc::clone(&world), node), body, publish)
     }
 }
 
@@ -136,7 +95,7 @@ mod tests {
     use super::*;
     use crate::ctx::{SendMode, QUERY_GC};
     use dv_core::packet::{Packet, PacketHeader, SCRATCH_GC};
-    use dv_core::time::{us, Time};
+    use dv_core::time::us;
 
     /// `(elapsed, results)` convenience over the spec-built cluster.
     fn run_n<T: Send + 'static>(
@@ -312,7 +271,7 @@ mod tests {
     #[test]
     fn fifo_deadline_times_out_cleanly() {
         let (_, results) = run_n(1, |dv, ctx| {
-            dv.fifo_recv_deadline(ctx, ctx.now() + us(5)).is_none()
+            dv.fifo_recv_deadline(ctx, Some(ctx.now() + us(5))).is_none()
         });
         assert!(results[0]);
     }

@@ -475,22 +475,12 @@ impl DvCtx {
 
     /// Blocking pop of one surprise packet.
     pub fn fifo_recv(&self, ctx: &SimCtx) -> Word {
-        loop {
-            {
-                let mut vic = self.world.vics[self.node].lock();
-                if let Some((_, w)) = vic.fifo.pop() {
-                    drop(vic);
-                    ctx.delay(FIFO_POP);
-                    return w;
-                }
-                vic.fifo.waiters().register(ctx);
-            }
-            ctx.park();
-        }
+        self.fifo_recv_deadline(ctx, None).expect("a pop without a deadline only returns a word")
     }
 
-    /// Blocking pop with a deadline.
-    pub fn fifo_recv_deadline(&self, ctx: &SimCtx, deadline: Time) -> Option<Word> {
+    /// Blocking pop; with a deadline, `None` once it passes with the FIFO
+    /// still empty (same contract as [`DvCtx::gc_wait_zero`]).
+    pub fn fifo_recv_deadline(&self, ctx: &SimCtx, deadline: Option<Time>) -> Option<Word> {
         loop {
             {
                 let mut vic = self.world.vics[self.node].lock();
@@ -499,15 +489,17 @@ impl DvCtx {
                     ctx.delay(FIFO_POP);
                     return Some(w);
                 }
-                if ctx.now() >= deadline {
+                if deadline.is_some_and(|d| ctx.now() >= d) {
                     return None;
                 }
                 vic.fifo.waiters().register(ctx);
             }
-            ctx.with_kernel(|k| {
-                let w = k.waker_for(ctx.pid());
-                k.wake_at(deadline, w);
-            });
+            if let Some(d) = deadline {
+                ctx.with_kernel(|k| {
+                    let w = k.waker_for(ctx.pid());
+                    k.wake_at(d, w);
+                });
+            }
             ctx.park();
         }
     }

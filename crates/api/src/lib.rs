@@ -38,7 +38,6 @@
 pub mod aggregate;
 pub mod cluster;
 pub mod coll;
-pub mod compat;
 pub mod ctx;
 pub mod gas;
 pub mod reliable;

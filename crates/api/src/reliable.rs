@@ -265,7 +265,7 @@ impl ReliableFifo {
         deadline: Time,
     ) -> Option<Word> {
         loop {
-            let w = dv.fifo_recv_deadline(ctx, deadline)?;
+            let w = dv.fifo_recv_deadline(ctx, Some(deadline))?;
             if self.seen_in.insert(w) {
                 return Some(w);
             }

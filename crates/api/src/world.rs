@@ -7,7 +7,7 @@ use dv_core::sync::Mutex;
 
 use dv_core::config::MachineConfig;
 use dv_core::metrics::MetricsRegistry;
-use dv_core::packet::{AddressSpace, Packet, PACKET_BYTES, PAYLOAD_BYTES};
+use dv_core::packet::{AddressSpace, Packet, PACKET_BYTES};
 use dv_core::time::Time;
 use dv_core::trace::Tracer;
 use dv_core::{NodeId, Word};
@@ -192,17 +192,7 @@ impl DvWorld {
         if n == 0 {
             return ready;
         }
-        let word_time = self.config.dv.word_time();
-        // Serialize onto the source port.
-        let (inj_start, inj_end) = self.inject[src].reserve_duration(ready, n * word_time);
-        // Switch traversal of the head packet at the current load.
-        let load = self.load();
-        let traversal = self.switch.traversal(src, dst, load);
-        self.record_net(n, n * PACKET_BYTES, load);
-        // Ejection port serializes arrivals at the destination.
-        let head_at_dst = inj_start + traversal;
-        let (_, eject_end) = self.eject[dst].reserve_duration(head_at_dst, n * word_time);
-        let mut eject_end = eject_end.max(inj_end + traversal);
+        let (inj_start, mut eject_end) = self.cross_switch(src, dst, n, ready);
 
         // Fault application. Pipe/switch costs above are for the offered
         // batch: a packet lost in flight still occupied the wire.
@@ -318,11 +308,20 @@ impl DvWorld {
         m.observe("switch.model.deflection_hops", self.switch.deflection_hops(load).round() as u64);
     }
 
-    /// Host-side PCIe + network cost for a batch in one call; returns the
-    /// time the batch is fully delivered. `by_dest` groups per-destination
-    /// packet runs.
-    pub fn wire_bytes(packets: usize, cached_headers: bool) -> u64 {
-        packets as u64 * if cached_headers { PAYLOAD_BYTES } else { PACKET_BYTES }
+    /// The network leg both transmit paths share: `n` one-word packets
+    /// available at `src`'s VIC at `ready` serialize onto its injection
+    /// port, the head traverses the switch at the current load, and the
+    /// ejection port serializes arrivals at `dst`. Returns the injection
+    /// start and the time the last packet has left the ejection port.
+    fn cross_switch(&self, src: NodeId, dst: NodeId, n: u64, ready: Time) -> (Time, Time) {
+        let word_time = self.config.dv.word_time();
+        let (inj_start, inj_end) = self.inject[src].reserve_duration(ready, n * word_time);
+        let load = self.load();
+        let traversal = self.switch.traversal(src, dst, load);
+        self.record_net(n, n * PACKET_BYTES, load);
+        let head_at_dst = inj_start + traversal;
+        let (_, eject_end) = self.eject[dst].reserve_duration(head_at_dst, n * word_time);
+        (inj_start, eject_end.max(inj_end + traversal))
     }
 
     /// Bulk-transmission fast path: a set of contiguous DV-memory block
@@ -341,14 +340,7 @@ impl DvWorld {
         if n == 0 {
             return ready;
         }
-        let word_time = self.config.dv.word_time();
-        let (inj_start, inj_end) = self.inject[src].reserve_duration(ready, n * word_time);
-        let load = self.load();
-        let traversal = self.switch.traversal(src, dst, load);
-        self.record_net(n, n * PACKET_BYTES, load);
-        let head_at_dst = inj_start + traversal;
-        let (_, eject_end) = self.eject[dst].reserve_duration(head_at_dst, n * word_time);
-        let eject_end = eject_end.max(inj_end + traversal);
+        let (inj_start, eject_end) = self.cross_switch(src, dst, n, ready);
 
         self.in_flight.fetch_add(n as i64, Ordering::Relaxed);
         self.tracer.message(src, dst, inj_start, eject_end, n * PACKET_BYTES);

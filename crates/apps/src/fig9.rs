@@ -1,6 +1,8 @@
 //! Figure 9: application speedup of the Data Vortex implementations over
 //! the MPI-over-InfiniBand implementations.
 
+use dv_core::spec::SimSpec;
+
 use crate::heat::{self, Halo, HeatConfig};
 use crate::snap::{self, SnapConfig};
 use crate::vorticity::{dist as vort, VortConfig};
@@ -68,13 +70,13 @@ impl Fig9Sizes {
 
 /// Run all three applications on both networks and report the speedups.
 pub fn speedups(sizes: &Fig9Sizes) -> Vec<Speedup> {
-    let snap_mpi = snap::mpi::run(sizes.snap);
-    let snap_dv = snap::dv::run(sizes.snap);
-    let vort_nodes = sizes.snap.nodes(); // same cluster for all three
-    let vort_mpi = vort::run_mpi(sizes.vorticity, vort_nodes);
-    let vort_dv = vort::run_dv(sizes.vorticity, vort_nodes);
-    let heat_mpi = heat::mpi::run(sizes.heat);
-    let heat_dv = heat::dv::run(sizes.heat);
+    let spec = || SimSpec::new(sizes.snap.nodes()); // same cluster for all three
+    let snap_mpi = snap::mpi::run_spec(sizes.snap, spec());
+    let snap_dv = snap::dv::run_spec(sizes.snap, spec());
+    let vort_mpi = vort::run_mpi(sizes.vorticity, spec());
+    let vort_dv = vort::run_dv(sizes.vorticity, spec());
+    let heat_mpi = heat::mpi::run_spec(sizes.heat, spec());
+    let heat_dv = heat::dv::run_spec(sizes.heat, spec());
     vec![
         Speedup { name: "SNAP", mpi: snap_mpi.elapsed, dv: snap_dv.elapsed },
         Speedup { name: "Vorticity", mpi: vort_mpi.elapsed, dv: vort_dv.elapsed },

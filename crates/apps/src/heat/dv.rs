@@ -11,10 +11,9 @@
 
 use dv_api::world::BlockWrite;
 use dv_api::SendMode;
-use dv_core::config::ComputeParams;
+use dv_api::coll as dvcoll;
+use dv_core::spec::SimSpec;
 use dv_kernels::util::{charge, charge_mem_bytes};
-
-use crate::dvcoll;
 
 use super::mpi::HeatRunResult;
 use super::{Face, HeatConfig, LocalBlock};
@@ -35,20 +34,15 @@ fn face_region(cfg: &HeatConfig, f: Face, parity: usize) -> u32 {
     FACE_BASE + (parity as u32 * 6 + f.index() as u32) * max_face(cfg)
 }
 
-/// Run the heat solver on the Data Vortex.
-pub fn run(cfg: HeatConfig) -> HeatRunResult {
-    run_spec(cfg, dv_core::spec::SimSpec::new(cfg.nodes()))
-}
-
-/// [`run`] on the cluster described by `spec` — metrics and streaming come
-/// from the spec, so streaming benches can watch halo-exchange traffic at
-/// virtual-time intervals.
-pub fn run_spec(cfg: HeatConfig, spec: dv_core::spec::SimSpec) -> HeatRunResult {
+/// Run the heat solver on the Data Vortex cluster described by `spec` —
+/// compute rates, metrics and streaming come from the spec, so streaming
+/// benches can watch halo-exchange traffic at virtual-time intervals.
+pub fn run_spec(cfg: HeatConfig, spec: SimSpec) -> HeatRunResult {
     assert_eq!(spec.nodes, cfg.nodes(), "spec.nodes must match the grid");
+    let compute = spec.machine.compute.clone();
     let cluster = dv_api::DvCluster::from_spec(spec);
     let report = cluster.run(move |dv, ctx| {
         let me = dv.node();
-        let compute = ComputeParams::default();
         let mut block = LocalBlock::new(&cfg, me);
         let c = block.coords;
         let neighbor = |f: Face| {
@@ -126,13 +120,13 @@ pub fn run_spec(cfg: HeatConfig, spec: dv_core::spec::SimSpec) -> HeatRunResult 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heat::mpi::assemble;
+    use crate::heat::mpi::{self, assemble};
     use crate::heat::{Halo, SerialHeat};
 
     #[test]
     fn dv_heat_matches_serial_exactly() {
         let cfg = HeatConfig::test_small();
-        let r = run(cfg);
+        let r = run_spec(cfg, SimSpec::new(cfg.nodes()));
         let mut serial = SerialHeat::new(&cfg);
         for _ in 0..cfg.steps {
             serial.step();
@@ -143,8 +137,8 @@ mod tests {
     #[test]
     fn dv_and_mpi_agree_bitwise() {
         let cfg = HeatConfig { n: (16, 16, 8), grid: (2, 2, 2), r: 0.09, steps: 5, report_every: 2, halo: Halo::Line };
-        let dv = run(cfg);
-        let mpi = super::super::mpi::run(cfg);
+        let dv = run_spec(cfg, SimSpec::new(cfg.nodes()));
+        let mpi = mpi::run(cfg);
         assert_eq!(assemble(&cfg, &dv.fields), assemble(&cfg, &mpi.fields));
         assert!((dv.last_heat - mpi.last_heat).abs() < 1e-9);
     }
@@ -153,8 +147,8 @@ mod tests {
     fn dv_heat_is_faster_than_mpi() {
         // Figure 9's "Heat" bar (~2.46x at 32 nodes); any clear win here.
         let cfg = HeatConfig { n: (16, 16, 16), grid: (2, 2, 2), r: 0.1, steps: 8, report_every: 4, halo: Halo::Line };
-        let dv = run(cfg);
-        let mpi = super::super::mpi::run(cfg);
+        let dv = run_spec(cfg, SimSpec::new(cfg.nodes()));
+        let mpi = mpi::run(cfg);
         assert!(dv.elapsed < mpi.elapsed, "dv {} mpi {}", dv.elapsed, mpi.elapsed);
     }
 }

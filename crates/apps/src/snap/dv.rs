@@ -13,7 +13,7 @@
 
 use dv_api::world::BlockWrite;
 use dv_api::SendMode;
-use dv_core::config::ComputeParams;
+use dv_core::spec::SimSpec;
 use dv_kernels::util::{charge, charge_mem_bytes};
 
 use super::mpi::SnapRunResult;
@@ -43,12 +43,12 @@ struct SeqEntry {
     first_of_octant: bool,
 }
 
-/// Run one full sweep on the Data Vortex.
-pub fn run(cfg: SnapConfig) -> SnapRunResult {
-    let spec = dv_core::spec::SimSpec::new(cfg.nodes());
+/// Run one full sweep on the Data Vortex cluster described by `spec`.
+pub fn run_spec(cfg: SnapConfig, spec: SimSpec) -> SnapRunResult {
+    assert_eq!(spec.nodes, cfg.nodes(), "spec.nodes must match the grid");
+    let compute = spec.machine.compute.clone();
     let report = dv_api::DvCluster::from_spec(spec).run(move |dv, ctx| {
         let me = dv.node();
-        let compute = ComputeParams::default();
         let (cy, cz) = cfg.coords(me);
         let (_, nyl, nzl) = cfg.local();
         let y_words = (cfg.chunk * nzl) as u64;
@@ -229,7 +229,7 @@ mod tests {
     #[test]
     fn dv_snap_matches_serial_exactly() {
         let cfg = SnapConfig::test_small();
-        let r = run(cfg);
+        let r = run_spec(cfg, SimSpec::new(cfg.nodes()));
         let mut serial = SerialSnap::new(cfg);
         serial.sweep_all();
         assert_eq!(assemble_phi(&cfg, &r.fields), serial.phi);
@@ -239,8 +239,8 @@ mod tests {
     fn dv_and_mpi_snap_agree_bitwise() {
         let cfg =
             SnapConfig { n: (12, 8, 4), grid: (2, 2), groups: 2, angles: 2, chunk: 4, sigma: 0.6 };
-        let dv = run(cfg);
-        let mpi = super::super::mpi::run(cfg);
+        let dv = run_spec(cfg, SimSpec::new(cfg.nodes()));
+        let mpi = super::super::mpi::run_spec(cfg, SimSpec::new(cfg.nodes()));
         assert_eq!(assemble_phi(&cfg, &dv.fields), assemble_phi(&cfg, &mpi.fields));
     }
 
@@ -250,8 +250,8 @@ mod tests {
         // the paper). Accept anything in [1.0, 2.0) here.
         let cfg =
             SnapConfig { n: (16, 8, 8), grid: (2, 2), groups: 2, angles: 8, chunk: 4, sigma: 0.7 };
-        let dv = run(cfg);
-        let mpi = super::super::mpi::run(cfg);
+        let dv = run_spec(cfg, SimSpec::new(cfg.nodes()));
+        let mpi = super::super::mpi::run_spec(cfg, SimSpec::new(cfg.nodes()));
         let speedup = mpi.elapsed as f64 / dv.elapsed as f64;
         assert!(speedup > 0.95, "speedup {speedup}");
         assert!(speedup < 2.5, "suspiciously large SNAP speedup {speedup}");
@@ -268,8 +268,8 @@ mod probe {
     fn snap_breakdown() {
         let cfg =
             SnapConfig { n: (16, 8, 8), grid: (2, 2), groups: 2, angles: 8, chunk: 4, sigma: 0.7 };
-        let dv = run(cfg);
-        let mpi = super::super::mpi::run(cfg);
+        let dv = run_spec(cfg, SimSpec::new(cfg.nodes()));
+        let mpi = super::super::mpi::run_spec(cfg, SimSpec::new(cfg.nodes()));
         println!("dv {} us   mpi {} us", as_us_f64(dv.elapsed), as_us_f64(mpi.elapsed));
     }
 }

@@ -1,6 +1,6 @@
 //! SNAP over MPI: the reference pipelined KBA sweep.
 
-use dv_core::config::ComputeParams;
+use dv_core::spec::SimSpec;
 use dv_core::time::Time;
 use dv_kernels::util::{charge, charge_mem_bytes};
 use mini_mpi::{MpiCluster, Payload};
@@ -20,12 +20,13 @@ fn face_tag(g: usize, o: usize, chunk_pos: usize, dir: usize) -> u64 {
     (((g * 8 + o) * 4096 + chunk_pos) * 2 + dir) as u64
 }
 
-/// Run one full sweep (all groups × octants) over MPI.
-pub fn run(cfg: SnapConfig) -> SnapRunResult {
-    let spec = dv_core::spec::SimSpec::new(cfg.nodes());
+/// Run one full sweep (all groups × octants) over MPI on the cluster
+/// described by `spec`.
+pub fn run_spec(cfg: SnapConfig, spec: SimSpec) -> SnapRunResult {
+    assert_eq!(spec.nodes, cfg.nodes(), "spec.nodes must match the grid");
+    let compute = spec.machine.compute.clone();
     let report = MpiCluster::from_spec(spec).run(move |comm, ctx| {
         let me = comm.rank();
-        let compute = ComputeParams::default();
         let (cy, cz) = cfg.coords(me);
         let (_, nyl, nzl) = cfg.local();
         let mut local = LocalSweep::new(&cfg);
@@ -90,7 +91,7 @@ mod tests {
     #[test]
     fn mpi_snap_matches_serial_exactly() {
         let cfg = SnapConfig::test_small();
-        let r = run(cfg);
+        let r = run_spec(cfg, SimSpec::new(cfg.nodes()));
         let mut serial = SerialSnap::new(cfg);
         serial.sweep_all();
         assert_eq!(assemble_phi(&cfg, &r.fields), serial.phi);
@@ -100,7 +101,7 @@ mod tests {
     fn asymmetric_grids_work() {
         let cfg =
             SnapConfig { n: (12, 8, 4), grid: (4, 2), groups: 1, angles: 2, chunk: 5, sigma: 0.5 };
-        let r = run(cfg);
+        let r = run_spec(cfg, SimSpec::new(cfg.nodes()));
         let mut serial = SerialSnap::new(cfg);
         serial.sweep_all();
         assert_eq!(assemble_phi(&cfg, &r.fields), serial.phi);

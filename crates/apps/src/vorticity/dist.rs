@@ -1,13 +1,12 @@
 //! Distributed vorticity solver, generic over the transpose engine.
 
-use dv_core::config::ComputeParams;
+use dv_core::spec::{RunReport, SimSpec};
 use dv_core::time::{as_secs_f64, Time};
 use dv_kernels::fft::twod::fft2d_dist;
 use dv_kernels::fft::Complex;
+use dv_kernels::transpose::{DvTranspose, MpiTranspose, TransposeEngine};
 use dv_kernels::util::{charge_flops, charge_mem_bytes};
 use dv_sim::SimCtx;
-
-use crate::transpose::{DvTranspose, MpiTranspose, TransposeEngine};
 
 use super::{initial_vorticity, velocity_and_gradient_hat, VortConfig};
 
@@ -41,21 +40,21 @@ pub fn solve<E: TransposeEngine>(
     let p = eng.nodes();
     let rows = m / p;
     let row0 = eng.node() * rows;
-    let compute = ComputeParams::default();
+    let compute = eng.compute().clone();
     let mut ffts = 0u64;
     for _ in 0..cfg.steps {
         let (mut u, mut v, mut wx, mut wy) = velocity_and_gradient_hat(&omega_hat, m, row0);
         charge_flops(ctx, &compute, 20 * omega_hat.len() as u64);
-        fft2d_dist(eng, ctx, &compute, &mut u, m, true);
-        fft2d_dist(eng, ctx, &compute, &mut v, m, true);
-        fft2d_dist(eng, ctx, &compute, &mut wx, m, true);
-        fft2d_dist(eng, ctx, &compute, &mut wy, m, true);
+        fft2d_dist(eng, ctx, &mut u, m, true);
+        fft2d_dist(eng, ctx, &mut v, m, true);
+        fft2d_dist(eng, ctx, &mut wx, m, true);
+        fft2d_dist(eng, ctx, &mut wy, m, true);
         let mut nonlin: Vec<Complex> = (0..rows * m)
             .map(|i| Complex::new(u[i].re * wx[i].re + v[i].re * wy[i].re, 0.0))
             .collect();
         charge_flops(ctx, &compute, 3 * nonlin.len() as u64);
         charge_mem_bytes(ctx, &compute, (5 * 16 * nonlin.len()) as u64);
-        fft2d_dist(eng, ctx, &compute, &mut nonlin, m, false);
+        fft2d_dist(eng, ctx, &mut nonlin, m, false);
         ffts += 5;
         for (w, n) in omega_hat.iter_mut().zip(&nonlin) {
             w.re -= cfg.dt * n.re;
@@ -84,29 +83,31 @@ pub fn initial_rows(cfg: &VortConfig, nodes: usize, node: usize) -> Vec<Complex>
     omega[node * rows * m..(node + 1) * rows * m].to_vec()
 }
 
-/// Run over MPI.
-pub fn run_mpi(cfg: VortConfig, nodes: usize) -> VortRunResult {
-    let report = mini_mpi::MpiCluster::from_spec(dv_core::spec::SimSpec::new(nodes)).run(move |comm, ctx| {
-        let local = initial_rows(&cfg, comm.size(), comm.rank());
-        comm.barrier(ctx);
-        let mut eng = MpiTranspose::new(comm);
-        solve(&mut eng, ctx, &cfg, local)
-    });
-    let (elapsed, results) = (report.elapsed, report.result);
-    let fft2d_count = results.iter().map(|(_, f)| f).sum();
-    VortRunResult { elapsed, omega_hat: results.into_iter().map(|(o, _)| o).collect(), fft2d_count }
+fn summarize(report: RunReport<Vec<(Vec<Complex>, u64)>>) -> VortRunResult {
+    let fft2d_count = report.result.iter().map(|(_, f)| f).sum();
+    let omega_hat = report.result.into_iter().map(|(o, _)| o).collect();
+    VortRunResult { elapsed: report.elapsed, omega_hat, fft2d_count }
 }
 
-/// Run on the Data Vortex.
-pub fn run_dv(cfg: VortConfig, nodes: usize) -> VortRunResult {
-    let report = dv_api::DvCluster::from_spec(dv_core::spec::SimSpec::new(nodes)).run(move |dv, ctx| {
-        let local = initial_rows(&cfg, dv.nodes(), dv.node());
-        let mut eng = DvTranspose::new(dv, ctx, 4096, local.len());
+/// Run over MPI on the cluster described by `spec`.
+pub fn run_mpi(cfg: VortConfig, spec: SimSpec) -> VortRunResult {
+    let compute = spec.machine.compute.clone();
+    summarize(mini_mpi::MpiCluster::from_spec(spec).run(move |comm, ctx| {
+        let local = initial_rows(&cfg, comm.size(), comm.rank());
+        comm.barrier(ctx);
+        let mut eng = MpiTranspose::new(comm, compute.clone());
         solve(&mut eng, ctx, &cfg, local)
-    });
-    let (elapsed, results) = (report.elapsed, report.result);
-    let fft2d_count = results.iter().map(|(_, f)| f).sum();
-    VortRunResult { elapsed, omega_hat: results.into_iter().map(|(o, _)| o).collect(), fft2d_count }
+    }))
+}
+
+/// Run on the Data Vortex cluster described by `spec`.
+pub fn run_dv(cfg: VortConfig, spec: SimSpec) -> VortRunResult {
+    let compute = spec.machine.compute.clone();
+    summarize(dv_api::DvCluster::from_spec(spec).run(move |dv, ctx| {
+        let local = initial_rows(&cfg, dv.nodes(), dv.node());
+        let mut eng = DvTranspose::new(dv, ctx, compute.clone(), 4096, local.len());
+        solve(&mut eng, ctx, &cfg, local)
+    }))
 }
 
 #[cfg(test)]
@@ -137,7 +138,7 @@ mod tests {
     #[test]
     fn mpi_solver_matches_serial() {
         let cfg = VortConfig::test_small();
-        let r = run_mpi(cfg, 4);
+        let r = run_mpi(cfg, SimSpec::new(4));
         assert_matches_serial(&r, &cfg);
         assert_eq!(r.fft2d_count, 4 * 5 * cfg.steps as u64);
     }
@@ -145,7 +146,7 @@ mod tests {
     #[test]
     fn dv_solver_matches_serial() {
         let cfg = VortConfig::test_small();
-        let r = run_dv(cfg, 4);
+        let r = run_dv(cfg, SimSpec::new(4));
         assert_matches_serial(&r, &cfg);
     }
 
@@ -154,8 +155,8 @@ mod tests {
         // The Figure 9 "Vorticity" bar (~3.4x at 32 nodes; any clear win
         // at this small test size).
         let cfg = VortConfig { m: 64, dt: 1e-3, steps: 2 };
-        let dv = run_dv(cfg, 8);
-        let mpi = run_mpi(cfg, 8);
+        let dv = run_dv(cfg, SimSpec::new(8));
+        let mpi = run_mpi(cfg, SimSpec::new(8));
         assert!(
             dv.elapsed < mpi.elapsed,
             "dv {} mpi {}",

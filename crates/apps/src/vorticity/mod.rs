@@ -21,7 +21,8 @@
 
 pub mod dist;
 
-use dv_kernels::fft::{fft_in_place, ifft_in_place, Complex};
+use dv_kernels::fft::twod::fft2d_serial as fft2d;
+use dv_kernels::fft::Complex;
 
 /// Problem description.
 #[derive(Debug, Clone, Copy)]
@@ -61,36 +62,6 @@ pub fn initial_vorticity(x: f64, y: f64) -> f64 {
         -((y - 3.0 * std::f64::consts::FRAC_PI_2) / delta).cosh().powi(-2) / delta
     };
     shear * 0.5 + 0.1 * (x).cos()
-}
-
-/// Serial 2-D FFT via row FFTs and explicit transposes — the *same*
-/// operation sequence as the distributed solver, so results are
-/// bit-identical.
-pub fn fft2d(data: &mut Vec<Complex>, m: usize, inverse: bool) {
-    let run_rows = |d: &mut [Complex]| {
-        for row in d.chunks_mut(m) {
-            if inverse {
-                ifft_in_place(row);
-            } else {
-                fft_in_place(row);
-            }
-        }
-    };
-    run_rows(data);
-    *data = transpose_sq(data, m);
-    run_rows(data);
-    *data = transpose_sq(data, m);
-}
-
-/// Square transpose of a row-major m×m matrix.
-pub fn transpose_sq(data: &[Complex], m: usize) -> Vec<Complex> {
-    let mut out = vec![Complex::zero(); m * m];
-    for r in 0..m {
-        for c in 0..m {
-            out[c * m + r] = data[r * m + c];
-        }
-    }
-    out
 }
 
 /// One spectral step's pointwise math, shared verbatim by the serial and
@@ -184,25 +155,6 @@ impl SerialVorticity {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fft2d_inverse_round_trips() {
-        let m = 16;
-        let orig: Vec<Complex> =
-            (0..m * m).map(|i| Complex::new((i as f64).sin(), (i as f64).cos())).collect();
-        let mut x = orig.clone();
-        fft2d(&mut x, m, false);
-        fft2d(&mut x, m, true);
-        let err = dv_kernels::fft::max_error(&x, &orig);
-        assert!(err < 1e-10, "{err}");
-    }
-
-    #[test]
-    fn transpose_is_involutive() {
-        let m = 8;
-        let x: Vec<Complex> = (0..m * m).map(|i| Complex::new(i as f64, 0.0)).collect();
-        assert_eq!(transpose_sq(&transpose_sq(&x, m), m), x);
-    }
 
     #[test]
     fn mean_vorticity_is_conserved() {

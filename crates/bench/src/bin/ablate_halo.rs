@@ -10,6 +10,7 @@
 
 use dv_apps::heat::{self, Halo, HeatConfig};
 use dv_bench::{f2, quick, Report};
+use dv_core::spec::SimSpec;
 use dv_core::time::as_us_f64;
 
 fn main() {
@@ -29,12 +30,12 @@ fn main() {
             .expect("--stream was passed");
         let r = heat::dv::run_spec(
             c,
-            dv_core::spec::SimSpec::new(c.nodes()).metrics(std::sync::Arc::clone(&metrics)),
+            SimSpec::new(c.nodes()).metrics(std::sync::Arc::clone(&metrics)),
         );
         streamer.finish(r.elapsed);
         r
     } else {
-        heat::dv::run(cfg(Halo::Face))
+        heat::dv::run_spec(cfg(Halo::Face), SimSpec::new(cfg(Halo::Face).nodes()))
     };
     let mut rows = Vec::new();
     for (name, halo) in [
@@ -42,7 +43,7 @@ fn main() {
         ("sequential face exchange (textbook)", Halo::Face),
         ("overlapped face sends (strong baseline)", Halo::FaceOverlapped),
     ] {
-        let mpi = heat::mpi::run(cfg(halo));
+        let mpi = heat::mpi::run_spec(cfg(halo), SimSpec::new(cfg(halo).nodes()));
         // All strategies compute identical physics.
         assert_eq!(
             heat::mpi::assemble(&cfg(halo), &mpi.fields),

@@ -6,7 +6,8 @@
 
 use dv_api::SendMode;
 use dv_bench::{f2, quick, serial, Report, Streamer};
-use dv_kernels::pingpong::{dv_pingpong, dv_pingpong_spec, mpi_pingpong};
+use dv_core::spec::SimSpec;
+use dv_kernels::pingpong::{dv_pingpong_spec, mpi_pingpong};
 
 fn main() {
     let max_log = if quick() { 14 } else { 18 };
@@ -21,7 +22,7 @@ fn main() {
             words,
             2,
             SendMode::Dma { cached_headers: true },
-            dv_core::spec::SimSpec::new(2).metrics(std::sync::Arc::clone(&metrics)),
+            SimSpec::new(2).metrics(std::sync::Arc::clone(&metrics)),
         );
         streamer.finish(r.elapsed);
     }
@@ -33,10 +34,11 @@ fn main() {
     // are assembled in input order — byte-identical to `--serial`.
     let measure = |words: usize| {
         let r = reps(words);
-        let nc = dv_pingpong(words, r, SendMode::DirectWrite { cached_headers: false });
-        let ca = dv_pingpong(words, r, SendMode::DirectWrite { cached_headers: true });
-        let dm = dv_pingpong(words, r, SendMode::Dma { cached_headers: true });
-        let mp = mpi_pingpong(words, r);
+        let dv = |mode| dv_pingpong_spec(words, r, mode, SimSpec::new(2));
+        let nc = dv(SendMode::DirectWrite { cached_headers: false });
+        let ca = dv(SendMode::DirectWrite { cached_headers: true });
+        let dm = dv(SendMode::Dma { cached_headers: true });
+        let mp = mpi_pingpong(words, r, SimSpec::new(2));
         [nc.bandwidth_gbps(), ca.bandwidth_gbps(), dm.bandwidth_gbps(), mp.bandwidth_gbps()]
     };
     let curves: Vec<[f64; 4]> = if serial() {

@@ -1,8 +1,9 @@
 //! Figure 4: global barrier latency vs node count.
 
 use dv_bench::{f3, quick, Report, Streamer};
+use dv_core::spec::SimSpec;
 use dv_core::time::as_us_f64;
-use dv_kernels::barrier::{barrier_latency, barrier_latency_spec, BarrierKind};
+use dv_kernels::barrier::{barrier_latency_spec, BarrierKind};
 
 fn main() {
     let reps = if quick() { 100 } else { 1000 };
@@ -13,16 +14,17 @@ fn main() {
         let streamer = Streamer::attach(&metrics, "fig4", 32).expect("--stream was passed");
         let per_barrier = barrier_latency_spec(
             BarrierKind::DvIntrinsic,
-            dv_core::spec::SimSpec::new(32).metrics(std::sync::Arc::clone(&metrics)),
+            SimSpec::new(32).metrics(std::sync::Arc::clone(&metrics)),
             reps,
         );
         streamer.finish(per_barrier * reps as u64);
     }
     let mut rows = Vec::new();
     for nodes in [2usize, 4, 8, 16, 32] {
-        let dv = barrier_latency(BarrierKind::DvIntrinsic, nodes, reps);
-        let fast = barrier_latency(BarrierKind::DvFast, nodes, reps);
-        let mpi = barrier_latency(BarrierKind::Mpi, nodes, reps);
+        let latency = |kind| barrier_latency_spec(kind, SimSpec::new(nodes), reps);
+        let dv = latency(BarrierKind::DvIntrinsic);
+        let fast = latency(BarrierKind::DvFast);
+        let mpi = latency(BarrierKind::Mpi);
         rows.push(vec![
             nodes.to_string(),
             f3(as_us_f64(dv)),

@@ -5,7 +5,7 @@
 //! MPI, gap widening with node count) is the reproduction target.
 
 use dv_bench::{f2, quick, Report, Streamer};
-use dv_core::config::MachineConfig;
+use dv_core::spec::SimSpec;
 use dv_kernels::fft::{dv, mpi};
 
 fn main() {
@@ -17,17 +17,15 @@ fn main() {
         let streamer = Streamer::attach(&metrics, "fig7", 8).expect("--stream was passed");
         let r = dv::run_spec(
             n,
-            dv_core::spec::SimSpec::new(8)
-                .machine(MachineConfig::paper_cluster())
-                .metrics(std::sync::Arc::clone(&metrics)),
+            SimSpec::new(8).metrics(std::sync::Arc::clone(&metrics)),
             false,
         );
         streamer.finish(r.elapsed);
     }
     let mut rows = Vec::new();
     for nodes in [2usize, 4, 8, 16, 32] {
-        let d = dv::run(n, nodes, false);
-        let m = mpi::run(n, nodes, false);
+        let d = dv::run_spec(n, SimSpec::new(nodes), false);
+        let m = mpi::run_spec(n, SimSpec::new(nodes), false);
         rows.push(vec![
             nodes.to_string(),
             f2(d.gflops()),

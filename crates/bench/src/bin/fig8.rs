@@ -5,7 +5,7 @@
 //! roots. Harmonic-mean TEPS is the Graph500 reporting rule.
 
 use dv_bench::{f2, faults, quick, Report};
-use dv_core::config::MachineConfig;
+use dv_core::spec::SimSpec;
 use dv_core::stats::harmonic_mean;
 use dv_kernels::graph::{dv, kronecker_edges, mpi, partition_csr, pick_roots, validate_bfs, Csr, GraphConfig, VertexPart};
 
@@ -25,14 +25,12 @@ fn main() {
         let metrics = std::sync::Arc::new(dv_core::metrics::MetricsRegistry::enabled());
         let streamer = dv_bench::Streamer::attach(&metrics, "fig8", 8).expect("--stream was passed");
         let locals = partition_csr(&csr, VertexPart { nodes: 8 });
-        let mut machine = MachineConfig::paper_cluster();
-        machine.faults = fault_plan.clone();
         let d = dv::run_spec(
             &locals,
             gcfg.vertices(),
             roots[0],
-            dv_core::spec::SimSpec::new(8)
-                .machine(machine)
+            SimSpec::new(8)
+                .faults_opt(fault_plan.clone())
                 .metrics(std::sync::Arc::clone(&metrics)),
         );
         streamer.finish(d.elapsed);
@@ -53,12 +51,10 @@ fn main() {
                     let csr = &csr;
                     let fault_plan = fault_plan.clone();
                     s.spawn(move || {
-                        let mut machine = MachineConfig::paper_cluster();
-                        machine.faults = fault_plan;
-                        let d = dv::run(locals, gcfg.vertices(), root, machine);
+                        let spec = SimSpec::new(nodes).faults_opt(fault_plan);
+                        let d = dv::run_spec(locals, gcfg.vertices(), root, spec);
                         validate_bfs(csr, root, &d.parents).expect("DV BFS tree invalid");
-                        let m =
-                            mpi::run(locals, gcfg.vertices(), root, MachineConfig::paper_cluster());
+                        let m = mpi::run_spec(locals, gcfg.vertices(), root, SimSpec::new(nodes));
                         validate_bfs(csr, root, &m.parents).expect("MPI BFS tree invalid");
                         (d.teps(), m.teps())
                     })

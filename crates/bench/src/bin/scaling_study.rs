@@ -27,8 +27,9 @@ use std::sync::Arc;
 
 use dv_bench::{f2, f3, quick, serial, Report};
 use dv_core::metrics::MetricsRegistry;
+use dv_core::spec::SimSpec;
 use dv_core::time::as_us_f64;
-use dv_kernels::barrier::{barrier_latency, BarrierKind};
+use dv_kernels::barrier::{barrier_latency_spec, BarrierKind};
 use dv_kernels::gups::{self, GupsConfig};
 use dv_switch::traffic::{LoadSweep, Pattern, SweepPoint};
 use dv_switch::{AnyTopology, NetworkTopology, TopoKind, Topology};
@@ -205,8 +206,8 @@ fn main() {
     let reps = if quick() { 50 } else { 200 };
     let mut rows = Vec::new();
     for &nodes in sizes {
-        let dv = barrier_latency(BarrierKind::DvIntrinsic, nodes, reps);
-        let mpi = barrier_latency(BarrierKind::Mpi, nodes, reps);
+        let dv = barrier_latency_spec(BarrierKind::DvIntrinsic, SimSpec::new(nodes), reps);
+        let mpi = barrier_latency_spec(BarrierKind::Mpi, SimSpec::new(nodes), reps);
         rows.push(vec![
             nodes.to_string(),
             f3(as_us_f64(dv)),
@@ -231,8 +232,8 @@ fn main() {
     };
     let mut rows = Vec::new();
     for &nodes in sizes {
-        let d = gups::dv::run(cfg, nodes);
-        let m = gups::mpi::run(cfg, nodes);
+        let d = gups::dv::run_spec(cfg, SimSpec::new(nodes));
+        let m = gups::mpi::run_spec(cfg, SimSpec::new(nodes));
         rows.push(vec![
             nodes.to_string(),
             f2(d.mups_per_node()),

@@ -1,9 +1,10 @@
 //! # dv-bench — regenerates every figure of the paper's evaluation
 //!
 //! One binary per figure (the paper's evaluation has no numbered tables;
-//! its results are Figures 3–9):
+//! its results are Figures 3–9), plus the studies, perf smokes and
+//! artifact tools around them — all 16 bins:
 //!
-//! | binary | paper figure | content |
+//! | binary | role | content |
 //! |---|---|---|
 //! | `fig3` | Fig. 3a/3b | ping-pong bandwidth vs message size, 4 curves |
 //! | `fig4` | Fig. 4 | barrier latency vs node count, 3 curves |
@@ -12,14 +13,23 @@
 //! | `fig7` | Fig. 7 | FFT-1D aggregate GFLOPS vs node count |
 //! | `fig8` | Fig. 8 | Graph500 BFS harmonic-mean GTEPS vs node count |
 //! | `fig9` | Fig. 9 | application speedups (SNAP / Vorticity / Heat) |
-//! | `switch_study` | (supplementary) | cycle-accurate switch load sweeps |
-//! | `ablate_aggregation` | (ablation) | GUPS with source aggregation on/off |
-//! | `perf_smoke` | (perf trajectory) | simulator cycles/sec vs the frozen reference |
+//! | `switch_study` | supplementary | cycle-accurate switch load sweeps, DV vs rival topologies at 32 ports |
+//! | `scaling_study` | Section IX | barrier, GUPS and switch behaviour past 32 nodes; `--topo dv\|fattree\|minpath` pattern sweeps to 4096 ports |
+//! | `ablate_aggregation` | ablation | GUPS with source aggregation on/off |
+//! | `ablate_halo` | ablation | heat speedup vs the MPI baseline's halo strategy |
+//! | `perf_smoke` | perf trajectory | `SwitchSim` cycles/sec vs the frozen reference → `BENCH_switch.json` |
+//! | `net_smoke` | perf trajectory | `RoutedNetSim` cycles/sec vs the frozen reference → `BENCH_net.json` |
+//! | `sched_smoke` | perf trajectory | sharded vs reference scheduler dispatch rate → `BENCH_sim.json` |
+//! | `dv-report` | artifact tool | renders `BENCH_*.json`, `--timeline` for streams, `--gate` for CI |
+//! | `dv-top` | artifact tool | live / `--replay` dashboard over a `dv-events-v1` stream |
 //!
-//! All binaries accept `--quick` for reduced problem sizes; the sweep
-//! binaries accept `--serial` to disable the parallel sweep driver (CI
-//! `cmp`s serial vs parallel output for byte equality). Criterion
-//! micro-benchmarks of the hot substrates live in `benches/micro.rs`.
+//! The figure, study and ablation binaries accept `--quick` for reduced
+//! problem sizes, `--json <path>` for a `dv-bench-v1` artifact and
+//! `--stream <path>` for `dv-events-v1` telemetry; the sweep binaries
+//! accept `--serial` to disable the parallel sweep driver (CI `cmp`s
+//! serial vs parallel output for byte equality). Wall-clock
+//! micro-benchmarks of the hot substrates live in `benches/micro.rs`, a
+//! dependency-free harness (`cargo bench -p dv-bench`).
 
 use std::fmt::Write as _;
 

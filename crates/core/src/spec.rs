@@ -1,14 +1,10 @@
 //! `SimSpec` — the one builder every simulation backend consumes.
 //!
-//! Historically each backend grew its own constructor family
-//! (`DvCluster::new/with_metrics/with_tracer`, `MpiCluster::…`,
-//! `DvWorld::new/new_with_metrics`, `Vic::new/with_faults`,
-//! `World::new/new_with_metrics`) and each kernel grew three parallel entry
-//! points (`run` / `run_hashed` / `run_instrumented`). [`SimSpec`] collapses
-//! all of it: one value describes the cluster size, the engine and shard
-//! count, the machine cost model, fault injection, tracing, metrics, and
-//! telemetry streaming; `DvCluster::from_spec` / `MpiCluster::from_spec`
-//! consume it, and their unified `run()` returns a [`RunReport`].
+//! One value describes the cluster size, the engine and shard count, the
+//! machine cost model, fault injection, tracing, metrics, and telemetry
+//! streaming; `DvCluster::from_spec` / `MpiCluster::from_spec` and every
+//! kernel and application entry point consume it, and a run returns a
+//! [`RunReport`].
 //!
 //! ```
 //! use dv_core::spec::SimSpec;
@@ -43,17 +39,6 @@ pub enum Engine {
 type SeriesSink = Box<dyn FnMut(&TimeseriesSample) + Send + 'static>;
 
 /// Everything needed to set up a simulated cluster, in one builder.
-///
-/// Field-by-field migration from the old constructor sprawl:
-///
-/// | old | new |
-/// |---|---|
-/// | `DvCluster::new(n)` | `DvCluster::from_spec(SimSpec::new(n))` |
-/// | `.with_config(m)` | `SimSpec::machine(m)` (or `.dv(..)`, `.ib(..)`, …) |
-/// | `.with_metrics(m)` | `SimSpec::metrics(m)` / `SimSpec::instrumented()` |
-/// | `.with_tracer(t)` | `SimSpec::tracer(t)` |
-/// | `Vic::with_faults(..)` | `SimSpec::faults(plan)` → `Vic::from_spec` |
-/// | `Streamer` interval plumbing | `SimSpec::stream(interval, capacity)` |
 pub struct SimSpec {
     /// Number of simulated nodes (one process per node).
     pub nodes: usize,

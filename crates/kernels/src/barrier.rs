@@ -17,13 +17,8 @@ pub enum BarrierKind {
 }
 
 /// Mean latency of one barrier, measured over `reps` back-to-back
-/// barriers on `nodes` nodes.
-pub fn barrier_latency(kind: BarrierKind, nodes: usize, reps: usize) -> Time {
-    barrier_latency_spec(kind, SimSpec::new(nodes), reps)
-}
-
-/// [`barrier_latency`] on the cluster described by `spec`, so streaming
-/// benches can watch barrier traffic at virtual-time intervals.
+/// barriers on the cluster described by `spec` (streaming benches watch
+/// the barrier traffic at virtual-time intervals through it).
 pub fn barrier_latency_spec(kind: BarrierKind, spec: SimSpec, reps: usize) -> Time {
     assert!(reps > 0);
     let elapsed = match kind {
@@ -62,6 +57,10 @@ pub fn barrier_latency_spec(kind: BarrierKind, spec: SimSpec, reps: usize) -> Ti
 mod tests {
     use super::*;
     use dv_core::time::as_us_f64;
+
+    fn barrier_latency(kind: BarrierKind, nodes: usize, reps: usize) -> Time {
+        barrier_latency_spec(kind, SimSpec::new(nodes), reps)
+    }
 
     #[test]
     fn dv_barrier_stays_flat_while_mpi_grows() {

@@ -1,134 +1,34 @@
 //! Distributed 1-D FFT over MPI: transposes by `alltoall`.
 
-use dv_core::config::ComputeParams;
 use dv_core::spec::SimSpec;
-use dv_core::time::{as_secs_f64, Time};
-use mini_mpi::{Comm, MpiCluster, Payload};
-use dv_sim::SimCtx;
+use mini_mpi::MpiCluster;
 
-use crate::util::{charge_flops, charge_mem_bytes};
+use crate::transpose::MpiTranspose;
 
-use super::plan::{from_interleaved, gather_block, scatter_block, to_interleaved, FftPlan};
-use super::Complex;
+use super::plan::{FftPlan, FftRunResult};
 
-/// Result of a distributed FFT run.
-#[derive(Debug, Clone, Copy)]
-pub struct FftRunResult {
-    /// Nodes participating.
-    pub nodes: usize,
-    /// Transform size.
-    pub n: usize,
-    /// FLOPs executed (HPCC convention), summed over nodes.
-    pub flops: u64,
-    /// Elapsed virtual time.
-    pub elapsed: Time,
-    /// Max |error| versus the serial reference, if validation ran.
-    pub max_error: f64,
-}
-
-impl FftRunResult {
-    /// Aggregate GFLOP/s — Figure 7's metric.
-    pub fn gflops(&self) -> f64 {
-        self.flops as f64 / as_secs_f64(self.elapsed) / 1e9
-    }
-}
-
-/// One distributed transpose over MPI: `local` is `rows` rows of length
-/// `row_len`; returns my `new_rows` rows of length `new_row_len`.
-pub fn transpose_mpi(
-    comm: &Comm,
-    ctx: &SimCtx,
-    compute: &ComputeParams,
-    local: &[Complex],
-    row_len: usize,
-    new_row_len: usize,
-) -> Vec<Complex> {
-    let p = comm.size();
-    let rows = local.len() / row_len;
-    let my_new_rows = row_len / p; // my columns become rows
-    let mut blocks: Vec<Payload> = Vec::with_capacity(p);
-    for dst in 0..p {
-        let block = gather_block(local, row_len, dst * my_new_rows, my_new_rows);
-        blocks.push(Payload::C64(to_interleaved(&block)));
-    }
-    // Packing cost: one pass over the local data.
-    charge_mem_bytes(ctx, compute, (local.len() * 16) as u64);
-    let incoming = comm.alltoall(ctx, blocks);
-    let mut out = vec![Complex::zero(); my_new_rows * new_row_len];
-    for (src, payload) in incoming.into_iter().enumerate() {
-        let block = from_interleaved(&payload.into_c64());
-        scatter_block(&mut out, new_row_len, src * rows, &block, my_new_rows);
-    }
-    // Unpacking cost: one pass over the received data.
-    charge_mem_bytes(ctx, compute, (out.len() * 16) as u64);
-    out
-}
-
-/// Run the four-step FFT over MPI. `validate` computes the serial
-/// reference and reports the max error (only for small N).
-pub fn run(n: usize, nodes: usize, validate: bool) -> FftRunResult {
-    run_spec(n, SimSpec::new(nodes), validate)
-}
-
-/// [`run`] on the cluster described by `spec`.
+/// Run the four-step FFT over MPI on the cluster described by `spec`.
+/// `validate` computes the serial reference and reports the max error
+/// (only for small N).
 pub fn run_spec(n: usize, spec: SimSpec, validate: bool) -> FftRunResult {
-    let nodes = spec.nodes;
-    let plan = FftPlan::new(n, nodes);
-    let input = move |i: usize| {
-        // A deterministic pseudo-random but cheap-to-generate signal.
-        let x = i as f64;
-        Complex::new((x * 0.7311).sin(), (x * 0.394).cos() * 0.5)
-    };
-    let compute_cfg = spec.machine.compute.clone();
+    let plan = FftPlan::new(n, spec.nodes);
+    let compute = spec.machine.compute.clone();
     let report = MpiCluster::from_spec(spec).run(move |comm, ctx| {
-        let me = comm.rank();
-        let compute = compute_cfg.clone();
-        let mut flops = 0u64;
-        let local = plan.local_input(me, input);
         comm.barrier(ctx);
-
-        // Step 1: transpose R×C -> C×R.
-        let mut t1 = transpose_mpi(comm, ctx, &compute, &local, plan.c, plan.r);
-        // Step 2: length-R row FFTs.
-        let f = FftPlan::row_ffts(&mut t1, plan.r);
-        charge_flops(ctx, &compute, f);
-        flops += f;
-        // Step 3: twiddles (one complex multiply per point: 6 flops).
-        plan.twiddle_local(me, &mut t1);
-        let tw = 6 * t1.len() as u64;
-        charge_flops(ctx, &compute, tw);
-        flops += tw;
-        // Step 4: transpose back C×R -> R×C.
-        let mut t2 = transpose_mpi(comm, ctx, &compute, &t1, plan.r, plan.c);
-        // Step 5: length-C row FFTs.
-        let f = FftPlan::row_ffts(&mut t2, plan.c);
-        charge_flops(ctx, &compute, f);
-        flops += f;
-
+        let out = plan.execute(&mut MpiTranspose::new(comm, compute.clone()), ctx);
         comm.barrier(ctx);
-        (flops, t2)
+        out
     });
-
-    let (elapsed, results) = (report.elapsed, report.result);
-    let flops: u64 = results.iter().map(|(f, _)| f).sum();
-    let max_error = if validate {
-        let reference = plan.serial_reference(input);
-        let rp = plan.rows_per_node();
-        let mut err = 0.0f64;
-        for (node, (_, out)) in results.iter().enumerate() {
-            let lo = node * rp * plan.c;
-            err = err.max(super::max_error(out, &reference[lo..lo + out.len()]));
-        }
-        err
-    } else {
-        f64::NAN
-    };
-    FftRunResult { nodes, n, flops, elapsed, max_error }
+    plan.summarize(report, validate)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(n: usize, nodes: usize, validate: bool) -> FftRunResult {
+        run_spec(n, SimSpec::new(nodes), validate)
+    }
 
     #[test]
     fn distributed_fft_matches_serial_reference() {

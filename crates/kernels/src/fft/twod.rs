@@ -8,7 +8,7 @@
 //! transpose back, generic over the [`TransposeEngine`] so the same code
 //! runs on both networks.
 
-use dv_core::config::ComputeParams;
+use dv_core::spec::{RunReport, SimSpec};
 use dv_core::time::{as_secs_f64, Time};
 use dv_sim::SimCtx;
 
@@ -47,16 +47,16 @@ pub fn fft2d_serial(data: &mut Vec<Complex>, m: usize, inverse: bool) {
 }
 
 /// Distributed 2-D FFT over a row-distributed m×m matrix: `local` holds
-/// this node's `m / p` rows. Returns the transformed local rows and the
-/// flops executed (per node).
+/// this node's `m / p` rows, transformed in place. Returns the flops
+/// executed (per node), charged at the engine's compute rates.
 pub fn fft2d_dist<E: TransposeEngine>(
     eng: &mut E,
     ctx: &SimCtx,
-    compute: &ComputeParams,
     local: &mut Vec<Complex>,
     m: usize,
     inverse: bool,
 ) -> u64 {
+    let compute = eng.compute().clone();
     let mut flops = 0u64;
     let run_rows = |d: &mut [Complex], ctx: &SimCtx, flops: &mut u64| {
         for row in d.chunks_mut(m) {
@@ -67,7 +67,7 @@ pub fn fft2d_dist<E: TransposeEngine>(
             }
         }
         let f = (d.len() / m) as u64 * fft_flops(m as u64);
-        charge_flops(ctx, compute, f);
+        charge_flops(ctx, &compute, f);
         *flops += f;
     };
     run_rows(local, ctx, &mut flops);
@@ -108,35 +108,35 @@ fn local_rows(m: usize, nodes: usize, node: usize) -> Vec<Complex> {
     (0..rows * m).map(|i| f(node * rows + i / m, i % m)).collect()
 }
 
-/// Benchmark entry: 2-D FFT of an m×m matrix over MPI.
-pub fn run_mpi(m: usize, nodes: usize) -> Fft2dResult {
-    let spec = dv_core::spec::SimSpec::new(nodes);
-    let report = mini_mpi::MpiCluster::from_spec(spec).run(move |comm, ctx| {
-        let compute = ComputeParams::default();
-        let mut local = local_rows(m, comm.size(), comm.rank());
-        comm.barrier(ctx);
-        let mut eng = MpiTranspose::new(comm);
-        let flops = fft2d_dist(&mut eng, ctx, &compute, &mut local, m, false);
-        (flops, local)
-    });
-    let (elapsed, results) = (report.elapsed, report.result);
-    let flops = results.iter().map(|(f, _)| f).sum();
-    Fft2dResult { elapsed, flops, local_out: results.into_iter().map(|(_, l)| l).collect() }
+fn summarize(report: RunReport<Vec<(u64, Vec<Complex>)>>) -> Fft2dResult {
+    let flops = report.result.iter().map(|(f, _)| f).sum();
+    let local_out = report.result.into_iter().map(|(_, l)| l).collect();
+    Fft2dResult { elapsed: report.elapsed, flops, local_out }
 }
 
-/// Benchmark entry: 2-D FFT of an m×m matrix on the Data Vortex.
-pub fn run_dv(m: usize, nodes: usize) -> Fft2dResult {
-    let spec = dv_core::spec::SimSpec::new(nodes);
-    let report = dv_api::DvCluster::from_spec(spec).run(move |dv, ctx| {
-        let compute = ComputeParams::default();
-        let mut local = local_rows(m, dv.nodes(), dv.node());
-        let mut eng = DvTranspose::new(dv, ctx, 4096, local.len());
-        let flops = fft2d_dist(&mut eng, ctx, &compute, &mut local, m, false);
+/// Benchmark entry: 2-D FFT of an m×m matrix over MPI on the cluster
+/// described by `spec`.
+pub fn run_mpi(m: usize, spec: SimSpec) -> Fft2dResult {
+    let compute = spec.machine.compute.clone();
+    summarize(mini_mpi::MpiCluster::from_spec(spec).run(move |comm, ctx| {
+        let mut local = local_rows(m, comm.size(), comm.rank());
+        comm.barrier(ctx);
+        let mut eng = MpiTranspose::new(comm, compute.clone());
+        let flops = fft2d_dist(&mut eng, ctx, &mut local, m, false);
         (flops, local)
-    });
-    let (elapsed, results) = (report.elapsed, report.result);
-    let flops = results.iter().map(|(f, _)| f).sum();
-    Fft2dResult { elapsed, flops, local_out: results.into_iter().map(|(_, l)| l).collect() }
+    }))
+}
+
+/// Benchmark entry: 2-D FFT of an m×m matrix on the Data Vortex cluster
+/// described by `spec`.
+pub fn run_dv(m: usize, spec: SimSpec) -> Fft2dResult {
+    let compute = spec.machine.compute.clone();
+    summarize(dv_api::DvCluster::from_spec(spec).run(move |dv, ctx| {
+        let mut local = local_rows(m, dv.nodes(), dv.node());
+        let mut eng = DvTranspose::new(dv, ctx, compute.clone(), 4096, local.len());
+        let flops = fft2d_dist(&mut eng, ctx, &mut local, m, false);
+        (flops, local)
+    }))
 }
 
 #[cfg(test)]
@@ -184,22 +184,22 @@ mod tests {
 
     #[test]
     fn mpi_2d_fft_matches_serial() {
-        let r = run_mpi(32, 4);
+        let r = run_mpi(32, SimSpec::new(4));
         check(&r, 32);
         assert!(r.gflops() > 0.0);
     }
 
     #[test]
     fn dv_2d_fft_matches_serial() {
-        let r = run_dv(32, 4);
+        let r = run_dv(32, SimSpec::new(4));
         check(&r, 32);
     }
 
     #[test]
     fn dv_2d_fft_wins_at_scale() {
         let m = 128;
-        let d = run_dv(m, 16);
-        let p = run_mpi(m, 16);
+        let d = run_dv(m, SimSpec::new(16));
+        let p = run_mpi(m, SimSpec::new(16));
         check(&d, m);
         assert!(
             d.elapsed < p.elapsed * 3 / 2,

@@ -21,7 +21,6 @@
 
 use std::sync::Arc;
 
-use dv_core::config::MachineConfig;
 use dv_core::spec::SimSpec;
 use dv_core::packet::{Packet, PacketHeader, SCRATCH_GC};
 use dv_api::{Aggregator, DvCluster, DvCtx, ReliableFifo, SendMode};
@@ -71,14 +70,9 @@ fn drain(
     words.len() as u64
 }
 
-/// Run one BFS from `root` on the Data Vortex.
-pub fn run(locals: &[Csr], n: usize, root: u32, machine: MachineConfig) -> BfsRunResult {
-    let spec = SimSpec::new(locals.len()).machine(machine);
-    run_spec(locals, n, root, spec)
-}
-
-/// Run one BFS on the cluster described by `spec` — metrics, tracing,
-/// faults, engine, and streaming all come from the spec.
+/// Run one BFS from `root` on the Data Vortex cluster described by `spec`
+/// — machine config, metrics, tracing, faults, engine, and streaming all
+/// come from the spec.
 pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunResult {
     let nodes = locals.len();
     assert_eq!(spec.nodes, nodes, "spec.nodes must match the partition");
@@ -258,7 +252,7 @@ mod tests {
     fn dv_bfs_produces_valid_trees() {
         let (cfg, csr, locals) = setup(4);
         for root in pick_roots(&csr, 2, 3) {
-            let r = run(&locals, cfg.vertices(), root, MachineConfig::paper_cluster());
+            let r = run_spec(&locals, cfg.vertices(), root, SimSpec::new(locals.len()));
             validate_bfs(&csr, root, &r.parents).expect("invalid BFS tree");
         }
     }
@@ -267,8 +261,8 @@ mod tests {
     fn dv_and_mpi_visit_identical_vertex_sets() {
         let (cfg, csr, locals) = setup(4);
         let root = pick_roots(&csr, 1, 9)[0];
-        let dv = run(&locals, cfg.vertices(), root, MachineConfig::paper_cluster());
-        let mpi = super::super::mpi::run(&locals, cfg.vertices(), root, MachineConfig::paper_cluster());
+        let dv = run_spec(&locals, cfg.vertices(), root, SimSpec::new(locals.len()));
+        let mpi = super::super::mpi::run_spec(&locals, cfg.vertices(), root, SimSpec::new(locals.len()));
         let dv_visited: Vec<bool> = dv.parents.iter().map(|&p| p >= 0).collect();
         let mpi_visited: Vec<bool> = mpi.parents.iter().map(|&p| p >= 0).collect();
         assert_eq!(dv_visited, mpi_visited);
@@ -280,8 +274,8 @@ mod tests {
         // Figure 8's ordering.
         let (cfg, csr, locals) = setup(8);
         let root = pick_roots(&csr, 1, 5)[0];
-        let dv = run(&locals, cfg.vertices(), root, MachineConfig::paper_cluster());
-        let mpi = super::super::mpi::run(&locals, cfg.vertices(), root, MachineConfig::paper_cluster());
+        let dv = run_spec(&locals, cfg.vertices(), root, SimSpec::new(locals.len()));
+        let mpi = super::super::mpi::run_spec(&locals, cfg.vertices(), root, SimSpec::new(locals.len()));
         assert!(dv.teps() > mpi.teps(), "dv {} mpi {}", dv.teps(), mpi.teps());
     }
 }

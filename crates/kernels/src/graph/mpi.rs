@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use dv_core::config::MachineConfig;
+use dv_core::spec::SimSpec;
 use dv_core::time::{as_secs_f64, Time};
 use mini_mpi::{MpiCluster, Payload, ReduceOp};
 
@@ -37,20 +37,10 @@ impl BfsRunResult {
     }
 }
 
-/// Run one BFS from `root` over MPI. `locals` are the per-node CSRs from
-/// [`super::partition_csr`]; `n` is the global vertex count.
-pub fn run(
-    locals: &[Csr],
-    n: usize,
-    root: u32,
-    machine: MachineConfig,
-) -> BfsRunResult {
-    let spec = dv_core::spec::SimSpec::new(locals.len()).machine(machine);
-    run_spec(locals, n, root, spec)
-}
-
-/// [`run`] on the cluster described by `spec`.
-pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: dv_core::spec::SimSpec) -> BfsRunResult {
+/// Run one BFS from `root` over MPI on the cluster described by `spec`.
+/// `locals` are the per-node CSRs from [`super::partition_csr`]; `n` is
+/// the global vertex count.
+pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunResult {
     let nodes = locals.len();
     assert_eq!(spec.nodes, nodes, "spec.nodes must match the partition");
     let part = VertexPart { nodes };
@@ -145,7 +135,7 @@ mod tests {
         let csr = Csr::build(cfg.vertices(), &edges);
         let locals = partition_csr(&csr, VertexPart { nodes: 4 });
         for root in pick_roots(&csr, 2, 1) {
-            let r = run(&locals, cfg.vertices(), root, MachineConfig::paper_cluster());
+            let r = run_spec(&locals, cfg.vertices(), root, SimSpec::new(locals.len()));
             validate_bfs(&csr, root, &r.parents).expect("invalid BFS tree");
             assert!(r.teps() > 0.0);
         }

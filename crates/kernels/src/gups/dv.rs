@@ -63,11 +63,6 @@ fn drain_and_apply(
     apply_updates(ctx, &words, dist, me, table, compute)
 }
 
-/// Run GUPS on the Data Vortex with `nodes` nodes, defaults everywhere.
-pub fn run(cfg: GupsConfig, nodes: usize) -> GupsResult {
-    run_spec(cfg, SimSpec::new(nodes))
-}
-
 /// Run GUPS on the cluster described by `spec` — machine config, tracing,
 /// metrics, faults, engine, and streaming all come from the spec. The one
 /// entry point the benchmark binaries use.
@@ -211,7 +206,7 @@ mod tests {
     fn dv_gups_matches_serial_reference_exactly() {
         let cfg = GupsConfig::test_small();
         for nodes in [2usize, 4] {
-            let r = run(cfg, nodes);
+            let r = run_spec(cfg, SimSpec::new(nodes));
             let (_, expect) = serial_reference(&cfg, nodes);
             assert_eq!(r.checksum, expect, "nodes={nodes}");
             assert_eq!(r.total_updates, (cfg.updates_per_node * nodes) as u64);
@@ -221,8 +216,8 @@ mod tests {
     #[test]
     fn dv_and_mpi_compute_identical_tables() {
         let cfg = GupsConfig::test_small();
-        let dv = run(cfg, 4);
-        let mpi = super::super::mpi::run(cfg, 4);
+        let dv = run_spec(cfg, SimSpec::new(4));
+        let mpi = super::super::mpi::run_spec(cfg, SimSpec::new(4));
         assert_eq!(dv.checksum, mpi.checksum);
     }
 
@@ -231,8 +226,8 @@ mod tests {
         // Figure 6a's Data Vortex curve. HPCC sizing (updates = 4x table)
         // keeps the LFSR warm-up transient from dominating.
         let cfg = GupsConfig { table_per_node: 1 << 11, updates_per_node: 1 << 13, bucket: 1024, stream_offset: 0 };
-        let r4 = run(cfg, 4);
-        let r16 = run(cfg, 16);
+        let r4 = run_spec(cfg, SimSpec::new(4));
+        let r16 = run_spec(cfg, SimSpec::new(16));
         let ratio = r16.mups_per_node() / r4.mups_per_node();
         assert!(ratio > 0.6, "per-node rate collapsed: {ratio}");
     }
@@ -244,8 +239,8 @@ mod tests {
         // the sparse-polynomial transient at the head of the LFSR streams.
         let cfg = GupsConfig { table_per_node: 1 << 13, updates_per_node: 4 << 13, bucket: 1024, stream_offset: 0 };
         for nodes in [4usize, 8, 16, 32] {
-            let dv = run(cfg, nodes);
-            let mpi = super::super::mpi::run(cfg, nodes);
+            let dv = run_spec(cfg, SimSpec::new(nodes));
+            let mpi = super::super::mpi::run_spec(cfg, SimSpec::new(nodes));
             println!(
                 "nodes={nodes:2}  DV {:7.2} MUPS/node ({:8.1} total)   MPI {:7.2} MUPS/node ({:8.1} total)",
                 dv.mups_per_node(),
@@ -260,8 +255,8 @@ mod tests {
     fn dv_beats_mpi_at_scale() {
         // Figure 6b's gap.
         let cfg = GupsConfig { table_per_node: 1 << 11, updates_per_node: 1 << 13, bucket: 1024, stream_offset: 0 };
-        let dv = run(cfg, 16);
-        let mpi = super::super::mpi::run(cfg, 16);
+        let dv = run_spec(cfg, SimSpec::new(16));
+        let mpi = super::super::mpi::run_spec(cfg, SimSpec::new(16));
         assert!(
             dv.mups_total() > mpi.mups_total(),
             "dv {} mpi {}",

@@ -15,15 +15,9 @@ use super::{locate, GupsConfig, GupsResult};
 /// Random-number generation rate (values/s) — a shift and a xor per value.
 const GEN_RATE: f64 = 600e6;
 
-/// Run GUPS over MPI on `nodes` ranks. Returns performance and the
-/// distributed table checksum (XOR over all nodes).
-pub fn run(cfg: GupsConfig, nodes: usize) -> GupsResult {
-    run_spec(cfg, SimSpec::new(nodes))
-}
-
-/// Run GUPS on the cluster described by `spec` — machine config, tracing,
-/// metrics, faults, engine, and streaming all come from the spec. The one
-/// entry point the benchmark binaries use.
+/// Run GUPS over MPI on the cluster described by `spec` — machine config,
+/// tracing, metrics, engine, and streaming all come from the spec. Returns
+/// performance and the distributed table checksum (XOR over all nodes).
 pub fn run_spec(cfg: GupsConfig, spec: SimSpec) -> GupsResult {
     let nodes = spec.nodes;
     let dist = BlockDist::new(cfg.global_words(nodes), nodes);
@@ -95,7 +89,7 @@ mod tests {
     fn mpi_gups_matches_serial_reference_exactly() {
         let cfg = GupsConfig::test_small();
         for nodes in [2usize, 4] {
-            let r = run(cfg, nodes);
+            let r = run_spec(cfg, SimSpec::new(nodes));
             let (_, expect) = serial_reference(&cfg, nodes);
             assert_eq!(r.checksum, expect, "nodes={nodes}");
             assert_eq!(r.total_updates, (cfg.updates_per_node * nodes) as u64);
@@ -106,8 +100,8 @@ mod tests {
     fn per_node_rate_falls_with_scale() {
         // Figure 6a's MPI curve.
         let cfg = GupsConfig { table_per_node: 1 << 11, updates_per_node: 1 << 13, bucket: 1024, stream_offset: 0 };
-        let r4 = run(cfg, 4);
-        let r16 = run(cfg, 16);
+        let r4 = run_spec(cfg, SimSpec::new(4));
+        let r16 = run_spec(cfg, SimSpec::new(16));
         assert!(
             r16.mups_per_node() < r4.mups_per_node(),
             "4n {} 16n {}",

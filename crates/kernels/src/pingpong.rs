@@ -14,6 +14,7 @@
 
 use dv_api::world::BlockWrite;
 use dv_api::{DvCluster, DvCtx, SendMode};
+use dv_core::spec::SimSpec;
 use dv_core::time::{as_secs_f64, Time};
 use dv_core::Word;
 use dv_sim::SimCtx;
@@ -107,20 +108,15 @@ fn arm(dv: &DvCtx, ctx: &SimCtx, words: usize) {
     }
 }
 
-/// Run the Data Vortex ping-pong in one of the Figure 3 modes.
-pub fn dv_pingpong(words: usize, reps: usize, mode: SendMode) -> PingPongResult {
-    dv_pingpong_spec(words, reps, mode, dv_core::spec::SimSpec::new(2))
-}
-
-/// [`dv_pingpong`] on the two-node cluster described by `spec` — metrics
-/// and streaming come from the spec, so streaming benches can sample
-/// `api.net.*` / `vic.*` counters at virtual-time intervals while the
-/// ping-pong runs.
+/// Run the Data Vortex ping-pong in one of the Figure 3 modes on the
+/// two-node cluster described by `spec` — metrics and streaming come from
+/// the spec, so streaming benches can sample `api.net.*` / `vic.*`
+/// counters at virtual-time intervals while the ping-pong runs.
 pub fn dv_pingpong_spec(
     words: usize,
     reps: usize,
     mode: SendMode,
-    spec: dv_core::spec::SimSpec,
+    spec: SimSpec,
 ) -> PingPongResult {
     assert_eq!(spec.nodes, 2, "ping-pong is a two-node kernel");
     assert!(words * 8 <= 30 << 20, "message must fit in DV memory");
@@ -134,7 +130,6 @@ pub fn dv_pingpong_spec(
         let data: Vec<Word> = (0..words as u64).map(|i| i * 3 + me as u64).collect();
         arm(dv, ctx, words);
         dv.barrier(ctx);
-        let t0 = ctx.now();
         let mut checksum = 0u64;
         for _ in 0..reps {
             if me == 0 {
@@ -148,19 +143,15 @@ pub fn dv_pingpong_spec(
             }
         }
         dv.barrier(ctx);
-        let _ = t0;
         checksum
     });
-    // Functional check: each side XOR-accumulated the other's payload sums
-    // `reps` times; with even reps they cancel, odd reps they equal the
-    // peer's sum. Just assert both sides agree on having moved real data.
-    let _ = &report.result;
     PingPongResult { words, reps, elapsed: report.elapsed }
 }
 
-/// Run the MPI ping-pong.
-pub fn mpi_pingpong(words: usize, reps: usize) -> PingPongResult {
-    let report = MpiCluster::from_spec(dv_core::spec::SimSpec::new(2)).run(move |comm, ctx| {
+/// Run the MPI ping-pong on the two-node cluster described by `spec`.
+pub fn mpi_pingpong(words: usize, reps: usize, spec: SimSpec) -> PingPongResult {
+    assert_eq!(spec.nodes, 2, "ping-pong is a two-node kernel");
+    let report = MpiCluster::from_spec(spec).run(move |comm, ctx| {
         let me = comm.rank();
         let data: Vec<u64> = (0..words as u64).map(|i| i * 3 + me as u64).collect();
         comm.barrier(ctx);
@@ -185,6 +176,14 @@ pub fn mpi_pingpong(words: usize, reps: usize) -> PingPongResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn dv_pingpong(words: usize, reps: usize, mode: SendMode) -> PingPongResult {
+        dv_pingpong_spec(words, reps, mode, SimSpec::new(2))
+    }
+
+    fn mpi_pingpong(words: usize, reps: usize) -> PingPongResult {
+        super::mpi_pingpong(words, reps, SimSpec::new(2))
+    }
 
     #[test]
     fn dv_direct_write_is_pcie_bound() {

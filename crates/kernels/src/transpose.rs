@@ -20,7 +20,7 @@ use mini_mpi::{Comm, Payload};
 
 use dv_api::coll as dvcoll;
 
-/// A distributed square-matrix transpose between row-distributed layouts.
+/// A distributed matrix transpose between row-distributed layouts.
 pub trait TransposeEngine {
     /// Transpose `local` (my `rows` rows of length `row_len`, row-major)
     /// into my rows of the transposed matrix (length `new_row_len`).
@@ -40,6 +40,10 @@ pub trait TransposeEngine {
 
     /// Node count.
     fn nodes(&self) -> usize;
+
+    /// Host compute rates of the machine this engine runs on (the
+    /// spec's), so drivers written over the engine charge the same model.
+    fn compute(&self) -> &ComputeParams;
 }
 
 /// MPI-backed engine.
@@ -50,9 +54,9 @@ pub struct MpiTranspose<'a> {
 }
 
 impl<'a> MpiTranspose<'a> {
-    /// Wrap a communicator.
-    pub fn new(comm: &'a Comm) -> Self {
-        Self { comm, compute: ComputeParams::default() }
+    /// Wrap a communicator; `compute` is the spec's `machine.compute`.
+    pub fn new(comm: &'a Comm, compute: ComputeParams) -> Self {
+        Self { comm, compute }
     }
 }
 
@@ -66,12 +70,13 @@ impl TransposeEngine for MpiTranspose<'_> {
     ) -> Vec<Complex> {
         let p = self.comm.size();
         let rows = local.len() / row_len;
-        let my_new_rows = row_len / p;
+        let my_new_rows = row_len / p; // my columns become rows
         let mut blocks: Vec<Payload> = Vec::with_capacity(p);
         for dst in 0..p {
             let block = gather_block(local, row_len, dst * my_new_rows, my_new_rows);
             blocks.push(Payload::C64(to_interleaved(&block)));
         }
+        // Packing cost: one pass over the local data.
         charge_mem_bytes(ctx, &self.compute, (local.len() * 16) as u64);
         let incoming = self.comm.alltoall(ctx, blocks);
         let mut out = vec![Complex::zero(); my_new_rows * new_row_len];
@@ -79,6 +84,7 @@ impl TransposeEngine for MpiTranspose<'_> {
             let block = from_interleaved(&payload.into_c64());
             scatter_block(&mut out, new_row_len, src * rows, &block, my_new_rows);
         }
+        // Unpacking cost: one pass over the received data.
         charge_mem_bytes(ctx, &self.compute, (out.len() * 16) as u64);
         out
     }
@@ -95,76 +101,130 @@ impl TransposeEngine for MpiTranspose<'_> {
     fn nodes(&self) -> usize {
         self.comm.size()
     }
+    fn compute(&self) -> &ComputeParams {
+        &self.compute
+    }
 }
 
 /// Data Vortex engine: element-addressed scatter transposes through DV
-/// memory, two alternating regions, each split into pipeline chunks with
-/// their own group counters so the host drains row-range *k* while range
-/// *k+1* is still arriving.
+/// memory. Two receive regions alternate by transpose parity; each is
+/// split into pipeline chunks (row ranges) with their own group counters,
+/// so the host drains row-range *k* while range *k+1* is still arriving —
+/// the multi-buffered overlap the paper credits for DV FFT performance.
 pub struct DvTranspose<'a> {
     /// The API handle.
     pub dv: &'a DvCtx,
     compute: ComputeParams,
-    region: [u32; 2],
-    expected_rows: usize,
+    /// What each parity's transposes deliver to this node.
+    halves: [Half; 2],
+    /// Re-arm a chunk's counter as it is consumed (an engine reused
+    /// across many transposes) or not (armed once, one transpose per
+    /// parity). The re-arm is a PIO write: it costs virtual time.
+    rearm: bool,
     epoch: usize,
+}
+
+/// The receive side of one parity.
+#[derive(Clone, Copy)]
+struct Half {
+    /// DV-memory word address of the receive region.
+    region: u32,
+    /// First of the [`CHUNKS`] group counters.
+    gc_base: u8,
+    /// My rows of the transposed matrix.
+    rows: usize,
+    /// Their length.
+    row_len: usize,
 }
 
 /// Pipeline chunks per transpose.
 const CHUNKS: usize = 4;
 
+/// Split `rows` local rows into up to [`CHUNKS`] contiguous ranges.
 fn row_chunks(rows: usize) -> Vec<(usize, usize)> {
     let k = CHUNKS.min(rows).max(1);
     (0..k).map(|c| (c * rows / k, (c + 1) * rows / k)).filter(|(a, b)| b > a).collect()
 }
 
+/// Inverse of the [`row_chunks`] partition.
 fn chunk_of(row: usize, rows: usize) -> usize {
     let k = CHUNKS.min(rows).max(1);
     (0..k).find(|&c| row < (c + 1) * rows / k).unwrap_or(k - 1)
 }
 
 impl<'a> DvTranspose<'a> {
-    /// First group counter; parities use `GC_BASE + parity·CHUNKS + chunk`.
+    /// First group counter of [`DvTranspose::new`] engines; parities use
+    /// `GC_BASE + parity·CHUNKS + chunk`.
     pub const GC_BASE: u8 = 24;
 
-    fn gc(parity: usize, chunk: usize) -> u8 {
-        Self::GC_BASE + (parity * CHUNKS + chunk) as u8
-    }
-
-    fn arm(&self, ctx: &SimCtx, parity: usize, new_row_len: usize) {
-        // Own columns bypass the VIC, so each chunk expects only the
-        // remote share of its rows.
-        let remote_cols = new_row_len - self.expected_rows;
-        for (c, (r0, r1)) in row_chunks(self.expected_rows).into_iter().enumerate() {
-            self.dv.gc_set_local(ctx, Self::gc(parity, c), ((r1 - r0) * remote_cols * 2) as u64);
-        }
-    }
-
-    /// Build the engine and arm both parities. **Collective**: every node
-    /// must construct it at the same point; it ends with a barrier.
-    /// `max_local_elems` is the per-node transpose payload in complex
-    /// elements (square matrices only: rows × new_row_len is constant).
-    pub fn new(dv: &'a DvCtx, ctx: &SimCtx, region_base: u32, max_local_elems: usize) -> Self {
-        let expected_words = 2 * max_local_elems as u64;
-        let region = [region_base, region_base + expected_words as u32];
-        // Rows per node: inferred lazily at first transpose; counters are
-        // armed against row ranges, so we need the row count now — derive
-        // it from the square assumption m·(m/p) = elems with m = p·rows:
-        // callers pass elems = rows · m.
+    /// Build an engine for any number of square transposes and arm both
+    /// parities. **Collective**: every node must construct it at the same
+    /// point; it ends with a barrier. `max_local_elems` is the per-node
+    /// transpose payload in complex elements (rows × row length);
+    /// `compute` is the spec's `machine.compute`.
+    pub fn new(
+        dv: &'a DvCtx,
+        ctx: &SimCtx,
+        compute: ComputeParams,
+        region_base: u32,
+        max_local_elems: usize,
+    ) -> Self {
         let p = dv.nodes();
         let m = ((max_local_elems * p) as f64).sqrt().round() as usize;
-        assert_eq!(m * m, max_local_elems * p, "DvTranspose requires a square matrix");
-        let this = Self {
-            dv,
-            compute: ComputeParams::default(),
-            region,
-            expected_rows: m / p,
-            epoch: 0,
+        assert_eq!(m * m, max_local_elems * p, "DvTranspose::new requires a square matrix");
+        Self::armed(dv, ctx, compute, region_base, Self::GC_BASE, [(m / p, m); 2], true)
+    }
+
+    /// Build an engine for exactly two transposes — the first delivers
+    /// `shapes[0] = (my rows, row length)` to this node, the second
+    /// `shapes[1]` — whose counters `gc_base..gc_base + 2·CHUNKS` are
+    /// armed here, once, and never again. **Collective**, ends with a
+    /// barrier, like [`DvTranspose::new`].
+    pub fn one_shot(
+        dv: &'a DvCtx,
+        ctx: &SimCtx,
+        compute: ComputeParams,
+        region_base: u32,
+        gc_base: u8,
+        shapes: [(usize, usize); 2],
+    ) -> Self {
+        Self::armed(dv, ctx, compute, region_base, gc_base, shapes, false)
+    }
+
+    /// Arm both parities' chunk counters, then synchronize so no data can
+    /// outrun a preset (the discipline Section III prescribes).
+    fn armed(
+        dv: &'a DvCtx,
+        ctx: &SimCtx,
+        compute: ComputeParams,
+        region_base: u32,
+        gc_base: u8,
+        shapes: [(usize, usize); 2],
+        rearm: bool,
+    ) -> Self {
+        let elems = shapes[0].0 * shapes[0].1;
+        assert_eq!(elems, shapes[1].0 * shapes[1].1, "both transposes move the same payload");
+        let half = |parity: usize| Half {
+            region: region_base + (parity * 2 * elems) as u32,
+            gc_base: gc_base + (parity * CHUNKS) as u8,
+            rows: shapes[parity].0,
+            row_len: shapes[parity].1,
         };
-        this.arm(ctx, 0, m);
-        this.arm(ctx, 1, m);
+        let this = Self { dv, compute, halves: [half(0), half(1)], rearm, epoch: 0 };
+        for half in &this.halves {
+            for (c, (r0, r1)) in row_chunks(half.rows).into_iter().enumerate() {
+                dv.gc_set_local(ctx, half.gc_base + c as u8, this.chunk_words(half, r0, r1));
+            }
+        }
         dv.barrier(ctx);
         this
+    }
+
+    /// Words a chunk's counter expects: its row range × the *remote* part
+    /// of each row (own columns bypass the VIC).
+    fn chunk_words(&self, half: &Half, r0: usize, r1: usize) -> u64 {
+        let remote_cols = half.row_len - half.row_len / self.dv.nodes();
+        ((r1 - r0) * remote_cols * 2) as u64
     }
 }
 
@@ -176,21 +236,25 @@ impl TransposeEngine for DvTranspose<'_> {
         row_len: usize,
         new_row_len: usize,
     ) -> Vec<Complex> {
-        let p = self.dv.nodes();
+        assert!(self.rearm || self.epoch < 2, "a one-shot DvTranspose serves two transposes");
+        let half = self.halves[self.epoch % 2];
+        self.epoch += 1;
         let me = self.dv.node();
         let rows = local.len() / row_len;
-        debug_assert_eq!(rows, self.expected_rows);
-        let new_rows_per_node = row_len / p;
-        debug_assert_eq!(new_rows_per_node, self.expected_rows);
-        let parity = self.epoch % 2;
-        self.epoch += 1;
+        let new_rows_per_node = row_len / self.dv.nodes();
+        debug_assert_eq!((new_rows_per_node, new_row_len), (half.rows, half.row_len));
+        // My rows become columns `my_col_offset..my_col_offset + rows` of
+        // every new row.
+        let my_col_offset = me * rows;
 
         // Scatter: column `col` of my block lands contiguously in the
         // destination's new row, at my column offset; the group counter is
         // chosen by the destination row chunk, each chunk shipping as its
-        // own PCIe batch so injection overlaps DMA. Own columns are a
-        // plain host copy.
+        // own PCIe batch so network injection of chunk k overlaps the DMA
+        // of chunk k+1. Columns that stay on this node never touch the
+        // VIC: they are a plain host copy.
         let mut out = vec![Complex::zero(); new_rows_per_node * new_row_len];
+        // One pass over the local data to form the scatter.
         charge_mem_bytes(ctx, &self.compute, (local.len() * 16) as u64);
         for c in 0..row_chunks(new_rows_per_node).len() {
             let mut blocks = Vec::new();
@@ -202,7 +266,7 @@ impl TransposeEngine for DvTranspose<'_> {
                 }
                 if dest == me {
                     for r in 0..rows {
-                        out[new_row * new_row_len + me * rows + r] = local[r * row_len + col];
+                        out[new_row * new_row_len + my_col_offset + r] = local[r * row_len + col];
                     }
                     continue;
                 }
@@ -212,32 +276,33 @@ impl TransposeEngine for DvTranspose<'_> {
                         [v.re.to_bits(), v.im.to_bits()]
                     })
                     .collect();
-                let address =
-                    self.region[parity] + ((new_row * new_row_len + me * rows) * 2) as u32;
-                blocks.push(BlockWrite { dest, address, gc: Self::gc(parity, c), words: column });
+                let address = half.region + ((new_row * new_row_len + my_col_offset) * 2) as u32;
+                blocks.push(BlockWrite { dest, address, gc: half.gc_base + c as u8, words: column });
             }
             self.dv.write_blocks(ctx, blocks, SendMode::Dma { cached_headers: true });
         }
 
-        // Collect chunk by chunk, overlapping drain with arrival; re-arm
-        // each chunk for this parity's next use (safe: a peer reaches its
-        // next same-parity transpose only after consuming data we send
+        // Collect chunk by chunk, overlapping the PCIe drain of range k
+        // with the arrival of range k+1. A reusable engine re-arms each
+        // chunk for this parity's next use (safe: a peer reaches its next
+        // same-parity transpose only after consuming data we send
         // strictly later than this point).
-        let remote_cols = new_row_len - rows;
         for (c, (r0, r1)) in row_chunks(new_rows_per_node).into_iter().enumerate() {
-            let gc = Self::gc(parity, c);
+            let gc = half.gc_base + c as u8;
             let ok = self.dv.gc_wait_zero(ctx, gc, None);
             assert!(ok, "transpose chunk never completed");
-            self.dv.gc_set_local(ctx, gc, ((r1 - r0) * remote_cols * 2) as u64);
+            if self.rearm {
+                self.dv.gc_set_local(ctx, gc, self.chunk_words(&half, r0, r1));
+            }
             let words = self.dv.read_local(
                 ctx,
-                self.region[parity] + (r0 * new_row_len * 2) as u32,
+                half.region + (r0 * new_row_len * 2) as u32,
                 (r1 - r0) * new_row_len * 2,
             );
             for (i, pair) in words.chunks_exact(2).enumerate() {
                 let row = r0 + i / new_row_len;
                 let col = i % new_row_len;
-                if col >= me * rows && col < (me + 1) * rows {
+                if col >= my_col_offset && col < my_col_offset + rows {
                     continue; // self columns were copied host-side
                 }
                 out[row * new_row_len + col] =
@@ -256,6 +321,9 @@ impl TransposeEngine for DvTranspose<'_> {
     }
     fn nodes(&self) -> usize {
         self.dv.nodes()
+    }
+    fn compute(&self) -> &ComputeParams {
+        &self.compute
     }
 }
 
@@ -294,11 +362,29 @@ mod tests {
     }
 
     #[test]
+    fn row_chunk_partition_is_exact() {
+        for rows in [1usize, 2, 3, 4, 7, 16, 33] {
+            let chunks = row_chunks(rows);
+            assert_eq!(chunks[0].0, 0);
+            assert_eq!(chunks.last().unwrap().1, rows);
+            for w in chunks.windows(2) {
+                assert_eq!(w[0].1, w[1].0);
+            }
+            // chunk_of agrees with the partition.
+            for r in 0..rows {
+                let c = chunk_of(r, rows);
+                let (a, b) = chunks[c];
+                assert!(r >= a && r < b, "rows={rows} r={r} c={c}");
+            }
+        }
+    }
+
+    #[test]
     fn mpi_transpose_is_correct() {
         let (m, p) = (16usize, 4usize);
         let outs = MpiCluster::from_spec(SimSpec::new(p))
             .run(move |comm, ctx| {
-                let mut eng = MpiTranspose::new(comm);
+                let mut eng = MpiTranspose::new(comm, ComputeParams::default());
                 eng.transpose(ctx, &local_input(comm.rank(), m, p), m, m)
             })
             .result;
@@ -310,7 +396,7 @@ mod tests {
         let (m, p) = (16usize, 4usize);
         let outs = DvCluster::from_spec(SimSpec::new(p))
             .run(move |dv, ctx| {
-                let mut eng = DvTranspose::new(dv, ctx, 4096, m * m / p);
+                let mut eng = DvTranspose::new(dv, ctx, ComputeParams::default(), 4096, m * m / p);
                 eng.transpose(ctx, &local_input(dv.node(), m, p), m, m)
             })
             .result;
@@ -322,7 +408,7 @@ mod tests {
         let (m, p) = (16usize, 4usize);
         let ok = DvCluster::from_spec(SimSpec::new(p))
             .run(move |dv, ctx| {
-                let mut eng = DvTranspose::new(dv, ctx, 4096, m * m / p);
+                let mut eng = DvTranspose::new(dv, ctx, ComputeParams::default(), 4096, m * m / p);
                 let input = local_input(dv.node(), m, p);
                 let t = eng.transpose(ctx, &input, m, m);
                 let tt = eng.transpose(ctx, &t, m, m);
@@ -338,7 +424,7 @@ mod tests {
         let (m, p) = (8usize, 2usize);
         let ok = DvCluster::from_spec(SimSpec::new(p))
             .run(move |dv, ctx| {
-                let mut eng = DvTranspose::new(dv, ctx, 4096, m * m / p);
+                let mut eng = DvTranspose::new(dv, ctx, ComputeParams::default(), 4096, m * m / p);
                 let input = local_input(dv.node(), m, p);
                 let mut cur = input.clone();
                 for _ in 0..5 {

@@ -1,7 +1,7 @@
 //! Shared helpers: compute-time charging, data distribution, packing.
 
 use dv_core::config::ComputeParams;
-use dv_core::time::{secs_f64, Time};
+use dv_core::time::secs_f64;
 use dv_sim::SimCtx;
 
 /// Charge virtual time for `ops` operations at `rate_per_sec`.
@@ -31,11 +31,6 @@ pub fn charge_edges(ctx: &SimCtx, compute: &ComputeParams, edges: u64) {
 /// Charge for streaming `bytes` through host memory.
 pub fn charge_mem_bytes(ctx: &SimCtx, compute: &ComputeParams, bytes: u64) {
     charge(ctx, bytes, compute.mem_gbps * 1e9);
-}
-
-/// Duration (not charged) of `ops` at a rate, for overlap bookkeeping.
-pub fn duration_of(ops: u64, rate_per_sec: f64) -> Time {
-    secs_f64(ops as f64 / rate_per_sec)
 }
 
 /// Block distribution of `total` items over `parts` owners: item `i`

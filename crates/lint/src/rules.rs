@@ -415,54 +415,6 @@ fn w012_nested_lock_guards(f: &AnalyzedFile) -> Vec<(usize, String)> {
         .collect()
 }
 
-/// Deprecated constructor/configurator spellings DV-W014 flags: since the
-/// SimSpec redesign every cluster/world/VIC is built from a spec, and the
-/// old entry points survive only as `#[deprecated]` shims in `compat.rs`
-/// modules. Each entry is `(needle, replacement)`.
-const LEGACY_CONSTRUCTORS: &[(&str, &str)] = &[
-    ("DvCluster::new(", "DvCluster::from_spec(SimSpec::new(n))"),
-    ("MpiCluster::new(", "MpiCluster::from_spec(SimSpec::new(n))"),
-    ("DvWorld::new(", "DvWorld::from_spec(&spec)"),
-    ("DvWorld::new_with_metrics(", "DvWorld::from_spec(&spec)"),
-    ("Vic::new(", "Vic::from_spec(node, &spec) or Vic::from_parts(..)"),
-    ("Vic::with_faults(", "Vic::from_parts(node, &params, Some(plan))"),
-    ("World::new(", "World::from_spec(&spec)"),
-    ("World::new_with_metrics(", "World::from_spec(&spec)"),
-    (".with_config(", "SimSpec::machine(..)"),
-    (".with_metrics(", "SimSpec::metrics(..)"),
-    (".with_tracer(", "SimSpec::tracer(..)"),
-];
-
-/// DV-W014: a deprecated pre-SimSpec constructor (or builder-style
-/// configurator) outside the `compat.rs` shim modules that define them.
-/// rustc's own deprecation warnings cover in-workspace callers; this rule
-/// also catches spellings rustc cannot see (macro-generated calls, paths
-/// behind `#[allow(deprecated)]`) and keeps fixture-driven coverage of
-/// the migration in the lint suite.
-fn w014_legacy_constructor(f: &AnalyzedFile) -> Vec<(usize, String)> {
-    // The shims themselves — and only they — may spell the old names.
-    if f.src.path.ends_with("compat.rs") {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (line_no, code_line) in f.src.code_lines() {
-        for (needle, replacement) in LEGACY_CONSTRUCTORS {
-            let Some(at) = code_line.find(needle) else { continue };
-            // Token boundary on the left: `MyDvCluster::new(` is not ours.
-            let clean = at == 0
-                || !code_line[..at]
-                    .chars()
-                    .next_back()
-                    .is_some_and(|c| c.is_alphanumeric() || c == '_');
-            if clean {
-                let name = needle.trim_end_matches('(');
-                out.push((line_no, format!("`{name}` is deprecated; use {replacement}")));
-            }
-        }
-    }
-    out
-}
-
 /// DV-W013 (per-file mode): lock-order cycles among this file's named
 /// mutexes. `run_lint` replaces these with whole-workspace graph results.
 fn w013_lock_order_cycle(f: &AnalyzedFile) -> Vec<(usize, String)> {
@@ -661,19 +613,6 @@ pub static RULES: &[Rule] = &[
         skip_tests: true,
         matcher: Matcher::File(w013_lock_order_cycle),
     },
-    Rule {
-        id: "DV-W014",
-        severity: Severity::Warning,
-        summary: "deprecated pre-SimSpec constructor: cluster/world/VIC setup goes \
-                  through one SimSpec now, and the old entry points are shims slated \
-                  for removal",
-        hint: "build a dv_core::spec::SimSpec (nodes, machine, metrics, tracer, \
-               faults, shards) and call from_spec/from_parts; only compat.rs shim \
-               modules may use the old spellings",
-        crates: EVERYWHERE,
-        skip_tests: false,
-        matcher: Matcher::File(w014_legacy_constructor),
-    },
 ];
 
 /// Look up a rule by id.
@@ -815,12 +754,6 @@ mod tests {
             include_str!("../fixtures/w013_pos.rs"),
             include_str!("../fixtures/w013_neg.rs"),
         ),
-        (
-            "DV-W014",
-            "bench",
-            include_str!("../fixtures/w014_pos.rs"),
-            include_str!("../fixtures/w014_neg.rs"),
-        ),
     ];
 
     fn findings_for(crate_name: &str, src: &str, id: &str) -> Vec<Finding> {
@@ -927,7 +860,6 @@ fn ok() {
             ("DV-W011", Severity::Warning),
             ("DV-W012", Severity::Warning),
             ("DV-W013", Severity::Error),
-            ("DV-W014", Severity::Warning),
         ];
         assert_eq!(expect.len(), RULES.len());
         for (id, sev) in expect {
@@ -1000,37 +932,6 @@ fn ok() {
         let hits = findings_for("switch", bad, "DV-W011");
         assert_eq!(hits.len(), 1);
         assert!(hits[0].note.contains("port as u8"));
-    }
-
-    #[test]
-    fn w014_exempts_compat_shim_modules() {
-        // The same legacy spelling trips everywhere except the compat.rs
-        // shims that implement the deprecated surface.
-        let src = "pub fn new(n: usize) -> Self { DvCluster::new(n) }\n";
-        assert!(
-            scan_source("api", "crates/api/src/cluster.rs", src)
-                .iter()
-                .any(|f| f.rule == "DV-W014"),
-            "legacy constructor outside compat.rs must trip DV-W014"
-        );
-        assert!(
-            scan_source("api", "crates/api/src/compat.rs", src)
-                .iter()
-                .all(|f| f.rule != "DV-W014"),
-            "compat.rs shims may spell the deprecated names"
-        );
-    }
-
-    #[test]
-    fn w014_fires_in_test_code_too() {
-        // skip_tests is off: tests must migrate with the rest of the tree.
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { let c = \
-                   MpiCluster::new(4).with_metrics(m); }\n}\n";
-        let hits: Vec<_> = scan_source("mpi", "crates/mpi/src/cluster.rs", src)
-            .into_iter()
-            .filter(|f| f.rule == "DV-W014")
-            .collect();
-        assert_eq!(hits.len(), 2, "{hits:?}");
     }
 
     #[test]

@@ -1,18 +1,12 @@
 //! SPMD harness: run one closure per rank on the simulated cluster.
 
-use std::sync::Arc;
-
-use dv_core::config::MachineConfig;
-use dv_core::metrics::{record_state_totals, MetricsRegistry};
-use dv_core::spec::{Engine, RunReport, SimSpec};
-use dv_core::trace::Tracer;
-use dv_sim::{JoinSlot, Sim, SimCtx};
+use dv_core::spec::{RunReport, SimSpec};
+use dv_sim::{Sim, SimCtx};
 
 use crate::comm::{Comm, World};
-use crate::fabric::IbFabric;
 
-/// Configuration + entry point for an MPI run. Built from a
-/// [`SimSpec`]; [`MpiCluster::run`] returns a [`RunReport`].
+/// Entry point for an MPI run: a [`SimSpec`] in, [`MpiCluster::run`]
+/// returns a [`RunReport`].
 ///
 /// ```
 /// use dv_core::spec::SimSpec;
@@ -25,73 +19,27 @@ use crate::fabric::IbFabric;
 /// assert!(report.result.iter().all(|&r| r == 0 + 1 + 2 + 3));
 /// ```
 pub struct MpiCluster {
-    /// Number of ranks (one per node, as in the paper's runs).
-    pub nodes: usize,
-    /// Machine parameters.
-    pub config: MachineConfig,
-    /// Trace recorder (disabled by default).
-    pub tracer: Arc<Tracer>,
-    /// Metrics registry (disabled by default).
-    pub metrics: Arc<MetricsRegistry>,
-    /// Scheduler engine (sharded by default).
-    pub engine: Engine,
-    /// Event-queue shards (0 = auto). Never changes results.
-    pub shards: usize,
+    spec: SimSpec,
 }
 
 impl MpiCluster {
-    /// Build a cluster from a [`SimSpec`] — the only non-deprecated
-    /// constructor. Arms the spec's telemetry stream, if one was set.
+    /// Build a cluster from a [`SimSpec`] (one rank per node, as in the
+    /// paper's runs). Arms the spec's telemetry stream, if one was set.
     pub fn from_spec(mut spec: SimSpec) -> Self {
         spec.arm_stream();
-        Self {
-            nodes: spec.nodes,
-            config: spec.machine,
-            tracer: spec.tracer,
-            metrics: spec.metrics,
-            engine: spec.engine,
-            shards: spec.shards,
-        }
+        Self { spec }
     }
 
-    /// Run `body` on every rank; returns the per-rank results (rank
-    /// order) together with the run evidence: elapsed virtual time, the
-    /// event-trace hash (see [`dv_sim::OrderAudit`]; identical
-    /// configurations and bodies must produce identical hashes — asserted
-    /// by `tests/determinism.rs`), and a snapshot of the attached metrics
-    /// registry.
+    /// Run `body` on every rank; per-rank results come back in rank order
+    /// inside the [`RunReport`] of [`Sim::run_spmd`].
     pub fn run<T, F>(&self, body: F) -> RunReport<Vec<T>>
     where
         T: Send + 'static,
         F: Fn(&Comm, &SimCtx) -> T + Send + Sync + 'static,
     {
-        let mut sim = Sim::with_engine(self.engine, self.shards);
-        sim.set_metrics(Arc::clone(&self.metrics));
-        let fabric = IbFabric::new(self.nodes, self.config.ib.clone());
-        let world = World::from_parts(
-            fabric,
-            self.config.mpi.clone(),
-            Arc::clone(&self.tracer),
-            Arc::clone(&self.metrics),
-        );
-        let body = Arc::new(body);
-        let slots: Vec<JoinSlot<T>> = (0..self.nodes).map(|_| JoinSlot::new()).collect();
-        #[allow(clippy::needless_range_loop)] // rank is also the program's identity
-        for rank in 0..self.nodes {
-            let comm = world.comm(rank);
-            let body = Arc::clone(&body);
-            let slot = slots[rank].clone();
-            sim.spawn(format!("rank{rank}"), move |ctx| {
-                slot.put(body(&comm, ctx));
-            });
-        }
-        let (elapsed, trace_hash) = sim.run_hashed();
-        record_state_totals(&self.tracer, &self.metrics);
-        let results = slots
-            .into_iter()
-            .map(|s| s.take().expect("rank did not produce a result"))
-            .collect();
-        RunReport { result: results, elapsed, trace_hash, snapshot: self.metrics.snapshot() }
+        let spec = &self.spec;
+        let world = World::from_spec(spec);
+        Sim::from_spec(spec).run_spmd(spec, "rank", |rank| world.comm(rank), body, |_| {})
     }
 }
 

@@ -30,7 +30,6 @@
 pub mod cluster;
 pub mod coll;
 pub mod comm;
-mod compat;
 pub mod fabric;
 pub mod payload;
 

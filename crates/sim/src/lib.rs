@@ -36,6 +36,8 @@
 //! * [`WaitSet`] — virtual-time condition variable.
 //! * [`Pipe`] — a FIFO bandwidth server (PCIe bus, NIC link, switch port).
 //! * [`JoinSlot`] — collect a value from a finished process.
+//! * [`Sim::run_spmd`] — the one-process-per-node harness under both
+//!   cluster front ends: a `SimSpec` in, a `RunReport` out.
 //! * [`OrderAudit`] — rolling hash of the committed event trace; the
 //!   runtime determinism check behind [`Sim::run_hashed`].
 
@@ -47,6 +49,7 @@ mod kernel;
 mod parker;
 mod reference;
 mod sim;
+mod spmd;
 mod sync;
 
 pub use audit::OrderAudit;

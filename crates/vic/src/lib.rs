@@ -29,7 +29,6 @@ pub mod counters;
 pub mod fifo;
 pub mod memory;
 pub mod pcie;
-mod compat;
 mod vic;
 
 pub use counters::GroupCounter;

@@ -8,6 +8,7 @@
 //! Run with: `cargo run --release --example fluid_sim`
 
 use datavortex::apps::vorticity::{dist, initial_vorticity, SerialVorticity, VortConfig};
+use datavortex::core::spec::SimSpec;
 use datavortex::core::time::as_us_f64;
 use datavortex::kernels::fft::max_error;
 
@@ -30,8 +31,8 @@ fn main() {
 
     // Distributed on both networks.
     let nodes = 8;
-    let dv = dist::run_dv(cfg, nodes);
-    let mpi = dist::run_mpi(cfg, nodes);
+    let dv = dist::run_dv(cfg, SimSpec::new(nodes));
+    let mpi = dist::run_mpi(cfg, SimSpec::new(nodes));
     let rows = cfg.m / nodes;
     let mut err: f64 = 0.0;
     for (node, local) in dv.omega_hat.iter().enumerate() {

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example graph_search`
 
-use datavortex::core::config::MachineConfig;
+use datavortex::core::spec::SimSpec;
 use datavortex::kernels::graph::{
     dv, kronecker_edges, mpi, partition_csr, pick_roots, serial_bfs, validate_bfs, Csr,
     GraphConfig, VertexPart,
@@ -31,9 +31,9 @@ fn main() {
         let reached = levels.iter().filter(|&&l| l >= 0).count();
         let depth = levels.iter().max().unwrap();
 
-        let d = dv::run(&locals, gcfg.vertices(), root, MachineConfig::paper_cluster());
+        let d = dv::run_spec(&locals, gcfg.vertices(), root, SimSpec::new(nodes));
         validate_bfs(&csr, root, &d.parents).expect("DV BFS produced an invalid tree");
-        let m = mpi::run(&locals, gcfg.vertices(), root, MachineConfig::paper_cluster());
+        let m = mpi::run_spec(&locals, gcfg.vertices(), root, SimSpec::new(nodes));
         validate_bfs(&csr, root, &m.parents).expect("MPI BFS produced an invalid tree");
 
         println!(

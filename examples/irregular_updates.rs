@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --release --example irregular_updates`
 
+use datavortex::core::spec::SimSpec;
 use datavortex::kernels::gups::{dv, mpi, serial_reference, GupsConfig};
 
 fn main() {
@@ -18,8 +19,8 @@ fn main() {
         cfg.updates_per_node
     );
     for nodes in [4usize, 8, 16] {
-        let d = dv::run(cfg, nodes);
-        let m = mpi::run(cfg, nodes);
+        let d = dv::run_spec(cfg, SimSpec::new(nodes));
+        let m = mpi::run_spec(cfg, SimSpec::new(nodes));
         let (_, expect) = serial_reference(&cfg, nodes);
         assert_eq!(d.checksum, expect, "DV table diverged from the serial reference");
         assert_eq!(m.checksum, expect, "MPI table diverged from the serial reference");

@@ -130,7 +130,7 @@ fn dv_gups_matches_mpi_under_chaos() {
     // The cross-backend check fig6 --faults relies on, in miniature: the
     // MPI backend never sees the plan, so agreement proves recovery.
     let (dv_checksum, _) = gups_chaos_run(4, "seed=3,fifodrop=0.015");
-    let m = gups_mpi::run(GUPS, 4);
+    let m = gups_mpi::run_spec(GUPS, SimSpec::new(4));
     assert_eq!(dv_checksum, m.checksum);
 }
 
@@ -141,8 +141,8 @@ fn bfs_trees_validate_under_injected_fifo_drops() {
     let csr = Csr::build(gcfg.vertices(), &edges);
     let locals = partition_csr(&csr, VertexPart { nodes: 4 });
     for root in pick_roots(&csr, 2, 99) {
-        let machine = chaos_machine("seed=13,fifodrop=0.02");
-        let r = datavortex::kernels::graph::dv::run(&locals, gcfg.vertices(), root, machine);
+        let spec = SimSpec::new(4).machine(chaos_machine("seed=13,fifodrop=0.02"));
+        let r = datavortex::kernels::graph::dv::run_spec(&locals, gcfg.vertices(), root, spec);
         validate_bfs(&csr, root, &r.parents).expect("BFS tree invalid under chaos");
     }
 }

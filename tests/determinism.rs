@@ -5,7 +5,6 @@
 use std::sync::Arc;
 
 use datavortex::api::{DvCluster, SendMode};
-use datavortex::core::config::MachineConfig;
 use datavortex::core::metrics::MetricsRegistry;
 use datavortex::core::packet::SCRATCH_GC;
 use datavortex::core::spec::SimSpec;
@@ -20,24 +19,24 @@ use datavortex::mpi::{MpiCluster, Payload, ReduceOp};
 #[test]
 fn gups_is_fully_deterministic_on_both_backends() {
     let cfg = GupsConfig { table_per_node: 1 << 10, updates_per_node: 1 << 11, bucket: 512, stream_offset: 0 };
-    let a = gups::dv::run(cfg, 8);
-    let b = gups::dv::run(cfg, 8);
+    let a = gups::dv::run_spec(cfg, SimSpec::new(8));
+    let b = gups::dv::run_spec(cfg, SimSpec::new(8));
     assert_eq!(a.elapsed, b.elapsed, "virtual time must reproduce exactly");
     assert_eq!(a.checksum, b.checksum);
-    let c = gups::mpi::run(cfg, 8);
-    let d = gups::mpi::run(cfg, 8);
+    let c = gups::mpi::run_spec(cfg, SimSpec::new(8));
+    let d = gups::mpi::run_spec(cfg, SimSpec::new(8));
     assert_eq!(c.elapsed, d.elapsed);
     assert_eq!(c.checksum, d.checksum);
 }
 
 #[test]
 fn fft_times_reproduce_exactly() {
-    let a = fft::dv::run(1 << 12, 4, false);
-    let b = fft::dv::run(1 << 12, 4, false);
+    let a = fft::dv::run_spec(1 << 12, SimSpec::new(4), false);
+    let b = fft::dv::run_spec(1 << 12, SimSpec::new(4), false);
     assert_eq!(a.elapsed, b.elapsed);
     assert_eq!(a.flops, b.flops);
-    let c = fft::mpi::run(1 << 12, 4, false);
-    let d = fft::mpi::run(1 << 12, 4, false);
+    let c = fft::mpi::run_spec(1 << 12, SimSpec::new(4), false);
+    let d = fft::mpi::run_spec(1 << 12, SimSpec::new(4), false);
     assert_eq!(c.elapsed, d.elapsed);
 }
 
@@ -48,8 +47,8 @@ fn bfs_times_and_trees_reproduce_exactly() {
     let csr = graph::Csr::build(gcfg.vertices(), &edges);
     let locals = graph::partition_csr(&csr, graph::VertexPart { nodes: 4 });
     let root = graph::pick_roots(&csr, 1, 3)[0];
-    let a = graph::dv::run(&locals, gcfg.vertices(), root, MachineConfig::paper_cluster());
-    let b = graph::dv::run(&locals, gcfg.vertices(), root, MachineConfig::paper_cluster());
+    let a = graph::dv::run_spec(&locals, gcfg.vertices(), root, SimSpec::new(4));
+    let b = graph::dv::run_spec(&locals, gcfg.vertices(), root, SimSpec::new(4));
     assert_eq!(a.elapsed, b.elapsed);
     assert_eq!(a.parents, b.parents);
     assert_eq!(a.edges_scanned, b.edges_scanned);
@@ -62,8 +61,8 @@ fn barrier_measurements_reproduce_exactly() {
         barrier::BarrierKind::DvFast,
         barrier::BarrierKind::Mpi,
     ] {
-        let a = barrier::barrier_latency(kind, 16, 25);
-        let b = barrier::barrier_latency(kind, 16, 25);
+        let a = barrier::barrier_latency_spec(kind, SimSpec::new(16), 25);
+        let b = barrier::barrier_latency_spec(kind, SimSpec::new(16), 25);
         assert_eq!(a, b, "{kind:?}");
     }
 }

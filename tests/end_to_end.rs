@@ -3,10 +3,10 @@
 
 use datavortex::api::{DvCluster, SendMode};
 use datavortex::apps::{heat, snap, vorticity};
-use datavortex::core::config::MachineConfig;
+use datavortex::core::config::ComputeParams;
 use datavortex::core::spec::SimSpec;
-use datavortex::core::time::{as_us_f64, us};
-use datavortex::kernels::barrier::{barrier_latency, BarrierKind};
+use datavortex::core::time::{as_us_f64, us, Time};
+use datavortex::kernels::barrier::{barrier_latency_spec, BarrierKind};
 use datavortex::kernels::gups::{self, GupsConfig};
 use datavortex::kernels::pingpong;
 use datavortex::kernels::{fft, graph};
@@ -15,10 +15,11 @@ use datavortex::mpi::{MpiCluster, Payload, ReduceOp};
 #[test]
 fn figure3_shape_dma_beats_pio_and_mpi_wins_raw_bandwidth() {
     let words = 64 * 1024;
-    let pio = pingpong::dv_pingpong(words, 1, SendMode::DirectWrite { cached_headers: false });
-    let cached = pingpong::dv_pingpong(words, 1, SendMode::DirectWrite { cached_headers: true });
-    let dma = pingpong::dv_pingpong(words, 1, SendMode::Dma { cached_headers: true });
-    let mpi = pingpong::mpi_pingpong(words, 1);
+    let dv = |mode| pingpong::dv_pingpong_spec(words, 1, mode, SimSpec::new(2));
+    let pio = dv(SendMode::DirectWrite { cached_headers: false });
+    let cached = dv(SendMode::DirectWrite { cached_headers: true });
+    let dma = dv(SendMode::Dma { cached_headers: true });
+    let mpi = pingpong::mpi_pingpong(words, 1, SimSpec::new(2));
     assert!(pio.bandwidth_gbps() < cached.bandwidth_gbps());
     assert!(cached.bandwidth_gbps() < dma.bandwidth_gbps());
     assert!(dma.bandwidth_gbps() < mpi.bandwidth_gbps(), "IB peak is higher; MPI wins ping-pong");
@@ -28,10 +29,13 @@ fn figure3_shape_dma_beats_pio_and_mpi_wins_raw_bandwidth() {
 fn figure4_shape_dv_flat_mpi_growing() {
     let dv: Vec<_> = [2, 8, 32]
         .iter()
-        .map(|&n| barrier_latency(BarrierKind::DvIntrinsic, n, 30))
+        .map(|&n| barrier_latency_spec(BarrierKind::DvIntrinsic, SimSpec::new(n), 30))
         .collect();
     let mpi: Vec<_> =
-        [2, 8, 32].iter().map(|&n| barrier_latency(BarrierKind::Mpi, n, 30)).collect();
+        [2, 8, 32]
+        .iter()
+        .map(|&n| barrier_latency_spec(BarrierKind::Mpi, SimSpec::new(n), 30))
+        .collect();
     assert!(dv[2] < dv[0] * 3 / 2, "DV barrier must stay nearly flat: {dv:?}");
     assert!(mpi[2] > mpi[0] * 2, "MPI barrier must grow: {mpi:?}");
     assert!(dv[2] < mpi[2]);
@@ -41,8 +45,8 @@ fn figure4_shape_dv_flat_mpi_growing() {
 fn figure6_shape_gups_gap_widens_with_scale() {
     let cfg = GupsConfig { table_per_node: 1 << 11, updates_per_node: 1 << 13, bucket: 1024, stream_offset: 0 };
     let gap = |nodes| {
-        let d = gups::dv::run(cfg, nodes);
-        let m = gups::mpi::run(cfg, nodes);
+        let d = gups::dv::run_spec(cfg, SimSpec::new(nodes));
+        let m = gups::mpi::run_spec(cfg, SimSpec::new(nodes));
         assert_eq!(d.checksum, m.checksum);
         d.ups() / m.ups()
     };
@@ -55,8 +59,8 @@ fn figure6_shape_gups_gap_widens_with_scale() {
 #[test]
 fn figure7_shape_fft_dv_wins_at_scale_with_valid_numerics() {
     let n = 1 << 14;
-    let d = fft::dv::run(n, 16, true);
-    let m = fft::mpi::run(n, 16, true);
+    let d = fft::dv::run_spec(n, SimSpec::new(16), true);
+    let m = fft::mpi::run_spec(n, SimSpec::new(16), true);
     assert!(d.max_error < 1e-8 && m.max_error < 1e-8);
     assert!(d.gflops() > m.gflops(), "dv {} mpi {}", d.gflops(), m.gflops());
 }
@@ -68,8 +72,8 @@ fn figure8_shape_bfs_dv_wins_with_valid_trees() {
     let csr = graph::Csr::build(gcfg.vertices(), &edges);
     let locals = graph::partition_csr(&csr, graph::VertexPart { nodes: 8 });
     let root = graph::pick_roots(&csr, 1, 5)[0];
-    let d = graph::dv::run(&locals, gcfg.vertices(), root, MachineConfig::paper_cluster());
-    let m = graph::mpi::run(&locals, gcfg.vertices(), root, MachineConfig::paper_cluster());
+    let d = graph::dv::run_spec(&locals, gcfg.vertices(), root, SimSpec::new(8));
+    let m = graph::mpi::run_spec(&locals, gcfg.vertices(), root, SimSpec::new(8));
     graph::validate_bfs(&csr, root, &d.parents).unwrap();
     graph::validate_bfs(&csr, root, &m.parents).unwrap();
     assert!(d.teps() > m.teps(), "dv {} mpi {}", d.teps(), m.teps());
@@ -79,26 +83,51 @@ fn figure8_shape_bfs_dv_wins_with_valid_trees() {
 fn figure9_shape_apps_validate_and_dv_wins_where_the_paper_says() {
     // Heat: bit-exact + DV faster.
     let hcfg = heat::HeatConfig { n: (16, 16, 16), grid: (2, 2, 2), r: 0.1, steps: 6, report_every: 3, halo: heat::Halo::Line };
-    let hd = heat::dv::run(hcfg);
-    let hm = heat::mpi::run(hcfg);
+    let hd = heat::dv::run_spec(hcfg, SimSpec::new(8));
+    let hm = heat::mpi::run_spec(hcfg, SimSpec::new(8));
     assert_eq!(heat::mpi::assemble(&hcfg, &hd.fields), heat::mpi::assemble(&hcfg, &hm.fields));
     assert!(hd.elapsed < hm.elapsed, "heat: dv {} mpi {}", hd.elapsed, hm.elapsed);
 
     // SNAP: bit-exact, speedup modest either way.
     let scfg = snap::SnapConfig { n: (16, 8, 8), grid: (2, 2), groups: 2, angles: 6, chunk: 4, sigma: 0.7 };
-    let sd = snap::dv::run(scfg);
-    let sm = snap::mpi::run(scfg);
+    let sd = snap::dv::run_spec(scfg, SimSpec::new(4));
+    let sm = snap::mpi::run_spec(scfg, SimSpec::new(4));
     assert_eq!(snap::assemble_phi(&scfg, &sd.fields), snap::assemble_phi(&scfg, &sm.fields));
     let snap_speedup = sm.elapsed as f64 / sd.elapsed as f64;
     assert!((0.9..2.5).contains(&snap_speedup), "snap speedup {snap_speedup}");
 
     // Vorticity: numerically matched + DV faster.
     let vcfg = vorticity::VortConfig { m: 64, dt: 1e-3, steps: 2 };
-    let vd = vorticity::dist::run_dv(vcfg, 8);
-    let vm = vorticity::dist::run_mpi(vcfg, 8);
+    let vd = vorticity::dist::run_dv(vcfg, SimSpec::new(8));
+    let vm = vorticity::dist::run_mpi(vcfg, SimSpec::new(8));
     assert!(vd.elapsed < vm.elapsed, "vorticity: dv {} mpi {}", vd.elapsed, vm.elapsed);
     for (a, b) in vd.omega_hat.iter().zip(&vm.omega_hat) {
         assert!(datavortex::kernels::fft::max_error(a, b) < 1e-9);
+    }
+}
+
+#[test]
+fn spec_compute_rates_reach_every_run_body() {
+    // Half the stencil and memory-streaming rates: every run body that
+    // charges them must take the slower machine from the spec, not from
+    // `ComputeParams::default()`. (The FLOP rate is left alone so the FFT
+    // rows can only grow through the transposes' pack/unpack passes.)
+    let slow = || {
+        let fast = ComputeParams::default();
+        ComputeParams { stencil_mcups: fast.stencil_mcups / 2.0, mem_gbps: fast.mem_gbps / 2.0, ..fast }
+    };
+    type Door = fn(SimSpec) -> Time;
+    let doors: [(&str, usize, Door); 5] = [
+        ("heat::dv", 8, |spec| heat::dv::run_spec(heat::HeatConfig::test_small(), spec).elapsed),
+        ("heat::mpi", 8, |spec| heat::mpi::run_spec(heat::HeatConfig::test_small(), spec).elapsed),
+        ("fft::dv", 4, |spec| fft::dv::run_spec(1 << 12, spec, false).elapsed),
+        ("fft::twod/dv", 4, |spec| fft::twod::run_dv(32, spec).elapsed),
+        ("fft::twod/mpi", 4, |spec| fft::twod::run_mpi(32, spec).elapsed),
+    ];
+    for (name, nodes, run) in doors {
+        let paper = run(SimSpec::new(nodes));
+        let slowed = run(SimSpec::new(nodes).compute(slow()));
+        assert!(slowed > paper, "{name} ignored SimSpec::compute: {paper} -> {slowed}");
     }
 }
 

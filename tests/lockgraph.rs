@@ -22,6 +22,7 @@
 
 use std::path::Path;
 
+use datavortex::core::spec::SimSpec;
 use datavortex::core::sync::{lock_order_conflicts, lock_order_edges};
 use datavortex::kernels::gups::{self, GupsConfig};
 use dv_lint::{run_lint, Allowlist};
@@ -32,8 +33,8 @@ fn static_lock_graph_agrees_with_runtime_audit() {
     // VIC, barrier, and MPI lock pairs a real workload takes.
     let cfg =
         GupsConfig { table_per_node: 1 << 9, updates_per_node: 1 << 9, bucket: 256, stream_offset: 0 };
-    let dv = gups::dv::run(cfg, 4);
-    let mpi = gups::mpi::run(cfg, 4);
+    let dv = gups::dv::run_spec(cfg, SimSpec::new(4));
+    let mpi = gups::mpi::run_spec(cfg, SimSpec::new(4));
     assert!(dv.checksum != 0 && mpi.checksum != 0, "workloads must actually run");
 
     // Static pass over the workspace that produced this binary.

@@ -198,8 +198,8 @@ fn gups_backends_match_serial_for_random_configs() {
         };
         let nodes = 1 << (1 + r.next_below(2) as u32);
         let (_, expect) = serial_reference(&cfg, nodes);
-        assert_eq!(dv::run(cfg, nodes).checksum, expect, "case {case}");
-        assert_eq!(mpi::run(cfg, nodes).checksum, expect, "case {case}");
+        assert_eq!(dv::run_spec(cfg, SimSpec::new(nodes)).checksum, expect, "case {case}");
+        assert_eq!(mpi::run_spec(cfg, SimSpec::new(nodes)).checksum, expect, "case {case}");
     }
 }
 
@@ -264,8 +264,8 @@ fn heat_backends_match_serial_for_random_configs() {
         for _ in 0..steps {
             serial.step();
         }
-        let d = dv::run(cfg);
-        let m = mpi::run(cfg);
+        let d = dv::run_spec(cfg, SimSpec::new(cfg.nodes()));
+        let m = mpi::run_spec(cfg, SimSpec::new(cfg.nodes()));
         assert_eq!(&mpi::assemble(&cfg, &d.fields), &serial.u, "case {case}");
         assert_eq!(&mpi::assemble(&cfg, &m.fields), &serial.u, "case {case}");
     }
@@ -296,8 +296,8 @@ fn snap_backends_match_serial_for_random_configs() {
         let cfg = SnapConfig { grid: (py, pz), ..cfg };
         let mut serial = SerialSnap::new(cfg);
         serial.sweep_all();
-        let d = dv::run(cfg);
-        let m = mpi::run(cfg);
+        let d = dv::run_spec(cfg, SimSpec::new(cfg.nodes()));
+        let m = mpi::run_spec(cfg, SimSpec::new(cfg.nodes()));
         assert_eq!(&assemble_phi(&cfg, &d.fields), &serial.phi, "case {case}");
         assert_eq!(&assemble_phi(&cfg, &m.fields), &serial.phi, "case {case}");
     }

@@ -11,12 +11,16 @@
 use std::sync::Arc;
 
 use datavortex::api::{DvCluster, SendMode};
+use datavortex::apps::heat::{self, HeatConfig};
+use datavortex::apps::snap::{self, SnapConfig};
+use datavortex::apps::vorticity::{dist as vort, VortConfig};
 use datavortex::core::fault::FaultPlan;
 use datavortex::core::metrics::MetricsRegistry;
 use datavortex::core::packet::SCRATCH_GC;
 use datavortex::core::spec::{Engine, SimSpec};
 use datavortex::core::time::{us, Time};
 use datavortex::core::trace::Tracer;
+use datavortex::kernels::fft::{twod, Complex};
 use datavortex::kernels::gups::{self, GupsConfig};
 use datavortex::mpi::{MpiCluster, Payload, ReduceOp};
 
@@ -200,5 +204,64 @@ fn shard_counts_beyond_the_node_count_still_agree() {
     let baseline = dv_workload(SimSpec::new(4).shards(1));
     for shards in [3usize, 7, 16] {
         assert_eq!(dv_workload(SimSpec::new(4).shards(shards)), baseline, "shards={shards}");
+    }
+}
+
+/// The entry points that only became spec-aware with the one-door
+/// cleanup, each reduced to `(elapsed, result bits)` and told which
+/// counter family its backend must have published.
+type Door = (&'static str, usize, &'static str, fn(SimSpec) -> (Time, Vec<u64>));
+
+fn f64_bits(fields: Vec<Vec<f64>>) -> Vec<u64> {
+    fields.into_iter().flatten().map(f64::to_bits).collect()
+}
+
+fn c64_bits(fields: &[Vec<Complex>]) -> Vec<u64> {
+    fields.iter().flatten().flat_map(|c| [c.re.to_bits(), c.im.to_bits()]).collect()
+}
+
+const NEW_DOORS: &[Door] = &[
+    ("fft::twod/dv", 4, "api.net.packets", |spec| {
+        let r = twod::run_dv(32, spec);
+        (r.elapsed, c64_bits(&r.local_out))
+    }),
+    ("fft::twod/mpi", 4, "mpi.bytes", |spec| {
+        let r = twod::run_mpi(32, spec);
+        (r.elapsed, c64_bits(&r.local_out))
+    }),
+    ("vorticity/dv", 4, "api.net.packets", |spec| {
+        let r = vort::run_dv(VortConfig { m: 32, dt: 1e-3, steps: 1 }, spec);
+        (r.elapsed, c64_bits(&r.omega_hat))
+    }),
+    ("vorticity/mpi", 4, "mpi.bytes", |spec| {
+        let r = vort::run_mpi(VortConfig { m: 32, dt: 1e-3, steps: 1 }, spec);
+        (r.elapsed, c64_bits(&r.omega_hat))
+    }),
+    ("snap/dv", 4, "api.net.packets", |spec| {
+        let r = snap::dv::run_spec(SnapConfig::test_small(), spec);
+        (r.elapsed, f64_bits(r.fields))
+    }),
+    ("snap/mpi", 4, "mpi.bytes", |spec| {
+        let r = snap::mpi::run_spec(SnapConfig::test_small(), spec);
+        (r.elapsed, f64_bits(r.fields))
+    }),
+    ("heat/mpi", 8, "mpi.bytes", |spec| {
+        let r = heat::mpi::run_spec(HeatConfig::test_small(), spec);
+        (r.elapsed, f64_bits(r.fields))
+    }),
+];
+
+#[test]
+fn newly_spec_aware_doors_honour_metrics_shards_and_engine() {
+    for &(name, nodes, counter, run) in NEW_DOORS {
+        let metrics = Arc::new(MetricsRegistry::enabled());
+        let reference =
+            run(SimSpec::new(nodes).engine(Engine::Reference).metrics(Arc::clone(&metrics)));
+        let snap = metrics.snapshot();
+        assert!(snap.counter_total(counter) > 0, "{name}: {counter} not published");
+        assert!(snap.counter_total("sim.sched.resumes") > 0, "{name}: scheduler not published");
+        for shards in [1usize, 4] {
+            assert_eq!(run(SimSpec::new(nodes).shards(shards)), reference, "{name} shards={shards}");
+        }
     }
 }
