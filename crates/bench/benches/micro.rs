@@ -18,7 +18,7 @@ use dv_core::rng::{HpccStream, SplitMix64};
 use dv_kernels::fft::{fft_in_place, Complex};
 use dv_kernels::graph::{kronecker_edges, Csr, GraphConfig};
 use dv_sim::{Port, Sim};
-use dv_switch::{SwitchSim, Topology};
+use dv_switch::{CycleEngine, SwitchSim, Topology};
 
 /// Time `f` adaptively: warm up, pick an iteration count that fills the
 /// budget, report mean ns/iter (and per-element throughput if `elems` set).

@@ -5,128 +5,77 @@
 //! Usage:
 //!   `dv-report <file.json> [more.json ...]`
 //!   `dv-report --gate <current.json> <previous.json> [--max-regress PCT]`
-//!   `dv-report --gate <BENCH_sim.json> [--min-speedup X]`
-//!   `dv-report --gate <BENCH_switch.json> [--min-speedup X]`
+//!   `dv-report --gate <BENCH_net.json | BENCH_sim.json> [--min-speedup X]`
 //!
-//! `--gate` is the CI perf check, in two shapes keyed on what it is
-//! given:
+//! `--gate` is the CI perf check over the `FIGURES` table, in two
+//! shapes keyed on what it is given:
 //!
 //! * **Two artifacts** — the perf-trajectory check (current build vs the
-//!   previous run's uploaded artifact): it extracts the artifact's
-//!   trajectory figure — the `arena+worklist` cycles/sec row for
-//!   `perf_smoke`, the `net cycles/sec speedup` summary row for
-//!   `net_smoke` — and exits nonzero if the current number regressed by
-//!   more than `PCT` percent (default 10). Improvements always pass.
-//! * **One artifact** — an absolute floor, dispatched on the artifact's
-//!   `bench` field: `perf_smoke` gates the batched wide movement
-//!   kernel's speedup over the frozen scalar kernel at H=2048 (default
-//!   floor 3); `net_smoke` gates the rebuilt rival-topology routed
-//!   engine's cycles/sec speedup over the frozen pre-rebuild reference
-//!   on sparse 4096-port traffic (default floor 3); anything else is
-//!   the scheduler floor — the sharded engine's 1024-node pump speedup
-//!   over the frozen pre-sharding reference (default floor 4).
+//!   previous run's uploaded artifact): every figure of the artifact's
+//!   `bench` is extracted from both, and the gate exits nonzero if any
+//!   current number regressed by more than `PCT` percent (default 10).
+//!   Improvements always pass; a figure the previous artifact predates is
+//!   skipped.
+//! * **One artifact** — the absolute floors: every figure of the
+//!   artifact's `bench` that carries one (speedups over a frozen in-tree
+//!   reference, stable across runner hardware).
+//!
+//! An artifact whose `bench` has no figure in the table is an error, not
+//! a pass.
 
 use dv_bench::report::render_report;
 use dv_core::json::Json;
 
-/// The cycles/sec value of the `arena+worklist` row in a `perf_smoke`
-/// artifact (`dv-bench-v1` schema).
-fn arena_cycles_per_sec(doc: &Json) -> Result<f64, String> {
+/// `(bench, row, column, floor)`: the cell under `column` in the row whose
+/// first cell is `row`, and the least it may read in a one-artifact gate.
+type Figure = (&'static str, &'static str, &'static str, Option<f64>);
+
+/// The gated figures.
+const FIGURES: [Figure; 4] = [
+    // Absolute rates of the two DV movement kernels the figures run.
+    ("perf_smoke", "arena+worklist", "cycles/sec", None),
+    ("perf_smoke", "wide batched (rotating origin)", "cycles/sec", None),
+    // Rebuilt routed engine over the frozen reference, sparse 4096 ports.
+    ("net_smoke", "net cycles/sec speedup", "value", Some(3.0)),
+    // Sharded scheduler over the frozen reference: the dispatch-throughput
+    // row (the ring rows are context-switch bound and not gated).
+    ("sched_smoke", "pump@1024", "speedup", Some(4.0)),
+];
+
+/// The numeric cell under `column` in the first row named `row` of a
+/// `dv-bench-v1` artifact.
+fn cell(doc: &Json, row: &str, column: &str) -> Result<f64, String> {
     if doc.get("schema").and_then(Json::as_str) != Some("dv-bench-v1") {
         return Err("not a dv-bench-v1 artifact".into());
     }
-    let results = doc.get("results").and_then(Json::as_arr).unwrap_or_default();
-    for section in results {
+    for section in doc.get("results").and_then(Json::as_arr).unwrap_or_default() {
         let headers = section.get("headers").and_then(Json::as_arr).unwrap_or_default();
-        let Some(col) =
-            headers.iter().position(|h| h.as_str() == Some("cycles/sec"))
-        else {
+        let Some(col) = headers.iter().position(|h| h.as_str() == Some(column)) else {
             continue;
         };
-        for row in section.get("rows").and_then(Json::as_arr).unwrap_or_default() {
-            let cells = row.as_arr().unwrap_or_default();
-            if cells.first().and_then(Json::as_str) == Some("arena+worklist") {
+        for cells in section.get("rows").and_then(Json::as_arr).unwrap_or_default() {
+            let cells = cells.as_arr().unwrap_or_default();
+            if cells.first().and_then(Json::as_str) == Some(row) {
                 return cells
                     .get(col)
                     .and_then(Json::as_str)
                     .and_then(|s| s.parse::<f64>().ok())
-                    .ok_or_else(|| "arena+worklist row has no numeric cycles/sec".into());
+                    .ok_or_else(|| format!("{row} row has no numeric {column}"));
             }
         }
     }
-    Err("no section with an arena+worklist cycles/sec row".into())
+    Err(format!("no section with a {row} {column} cell"))
 }
 
-/// The sharded-over-reference speedup for the `pump` workload at `nodes`
-/// in a `sched_smoke` artifact (`dv-bench-v1` schema). The pump row is
-/// the dispatch-throughput figure; the ring rows are context-switch
-/// bound and deliberately not gated.
-fn sched_speedup_at(doc: &Json, nodes: usize) -> Result<f64, String> {
-    if doc.get("schema").and_then(Json::as_str) != Some("dv-bench-v1") {
-        return Err("not a dv-bench-v1 artifact".into());
+/// The [`FIGURES`] rows of an artifact's `bench`; an unknown bench is an
+/// error.
+fn figures(doc: &Json) -> Result<Vec<&'static Figure>, String> {
+    let bench = doc.get("bench").and_then(Json::as_str).unwrap_or("<none>");
+    let rows: Vec<_> = FIGURES.iter().filter(|f| f.0 == bench).collect();
+    if rows.is_empty() {
+        return Err(format!("no gated figure is defined for bench {bench:?}"));
     }
-    if doc.get("bench").and_then(Json::as_str) != Some("sched_smoke") {
-        return Err("not a sched_smoke artifact".into());
-    }
-    let want = format!("pump@{nodes}");
-    let results = doc.get("results").and_then(Json::as_arr).unwrap_or_default();
-    for section in results {
-        let headers = section.get("headers").and_then(Json::as_arr).unwrap_or_default();
-        let Some(col) = headers.iter().position(|h| h.as_str() == Some("speedup")) else {
-            continue;
-        };
-        for row in section.get("rows").and_then(Json::as_arr).unwrap_or_default() {
-            let cells = row.as_arr().unwrap_or_default();
-            if cells.first().and_then(Json::as_str) == Some(&want) {
-                return cells
-                    .get(col)
-                    .and_then(Json::as_str)
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .ok_or_else(|| format!("pump@{nodes} row has no numeric speedup"));
-            }
-        }
-    }
-    Err(format!("no section with a pump@{nodes} speedup row"))
-}
-
-/// A named figure from a metric/value summary section of a `dv-bench-v1`
-/// artifact: the cell in the `value` column of the row whose first cell
-/// is `metric` (how `perf_smoke` reports `wide cycles/sec speedup` and
-/// `net_smoke` reports `net cycles/sec speedup`).
-fn summary_figure(doc: &Json, metric: &str) -> Result<f64, String> {
-    if doc.get("schema").and_then(Json::as_str) != Some("dv-bench-v1") {
-        return Err("not a dv-bench-v1 artifact".into());
-    }
-    let results = doc.get("results").and_then(Json::as_arr).unwrap_or_default();
-    for section in results {
-        let headers = section.get("headers").and_then(Json::as_arr).unwrap_or_default();
-        let Some(col) = headers.iter().position(|h| h.as_str() == Some("value")) else {
-            continue;
-        };
-        for row in section.get("rows").and_then(Json::as_arr).unwrap_or_default() {
-            let cells = row.as_arr().unwrap_or_default();
-            if cells.first().and_then(Json::as_str) == Some(metric) {
-                return cells
-                    .get(col)
-                    .and_then(Json::as_str)
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .ok_or_else(|| format!("{metric} row has no numeric value"));
-            }
-        }
-    }
-    Err(format!("no section with a {metric} row"))
-}
-
-/// The perf-trajectory figure of an artifact, dispatched on its `bench`
-/// field: `perf_smoke` tracks the absolute `arena+worklist` cycles/sec,
-/// `net_smoke` tracks the routed-path speedup over its frozen in-tree
-/// reference (a ratio, so it is stable across runner hardware).
-fn trajectory_figure(doc: &Json) -> Result<(f64, &'static str), String> {
-    match doc.get("bench").and_then(Json::as_str) {
-        Some("net_smoke") => summary_figure(doc, "net cycles/sec speedup")
-            .map(|x| (x, "net cycles/sec speedup")),
-        _ => arena_cycles_per_sec(doc).map(|x| (x, "arena+worklist cycles/sec")),
-    }
+    Ok(rows)
 }
 
 /// Load and parse one artifact, mapping errors to readable messages.
@@ -135,8 +84,18 @@ fn load(path: &str) -> Result<Json, String> {
     Json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Run the perf-trajectory gate; returns the process exit code.
+/// Run the perf gate; returns the process exit code (2 for unusable
+/// input, 1 for a failed gate).
 fn run_gate(args: &[String]) -> i32 {
+    gate(args).unwrap_or_else(|e| {
+        eprintln!("gate: {e}");
+        2
+    })
+}
+
+const USAGE: &str = "usage: dv-report --gate <current.json> <previous.json> [--max-regress PCT] | dv-report --gate <BENCH_net.json | BENCH_sim.json> [--min-speedup X]";
+
+fn gate(args: &[String]) -> Result<i32, String> {
     let mut max_regress_pct = 10.0;
     let mut min_speedup: Option<f64> = None;
     let mut files: Vec<&String> = Vec::new();
@@ -146,90 +105,52 @@ fn run_gate(args: &[String]) -> i32 {
             match it.next().and_then(|v| v.parse::<f64>().ok()) {
                 Some(v) if a == "--max-regress" => max_regress_pct = v,
                 Some(v) => min_speedup = Some(v),
-                None => {
-                    eprintln!("{a} needs a numeric value");
-                    return 2;
-                }
+                None => return Err(format!("{a} needs a numeric value")),
             }
         } else {
             files.push(a);
         }
     }
-    if let [single_path] = files[..] {
-        let doc = match load(single_path) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("gate: {e}");
-                return 2;
-            }
-        };
-        // Dispatch on the artifact: perf_smoke gates the wide movement
-        // kernel, net_smoke the rival-topology routed engine, anything
-        // else is the scheduler floor.
-        let (name, figure, floor) = match doc.get("bench").and_then(Json::as_str) {
-            Some("perf_smoke") => {
-                let figure = summary_figure(&doc, "wide cycles/sec speedup")
-                    .map(|x| (x, "batched wide-kernel movement speedup at H=2048"));
-                ("wide", figure, min_speedup.unwrap_or(3.0))
-            }
-            Some("net_smoke") => {
-                let figure = summary_figure(&doc, "net cycles/sec speedup").map(|x| {
-                    (x, "routed-path speedup over the frozen reference at 4096 ports")
-                });
-                ("net", figure, min_speedup.unwrap_or(3.0))
-            }
-            _ => {
-                let figure = sched_speedup_at(&doc, 1024)
-                    .map(|x| (x, "sharded speedup at 1024 nodes"));
-                ("sched", figure, min_speedup.unwrap_or(4.0))
-            }
-        };
-        let (speedup, what) = match figure {
-            Ok(x) => x,
-            Err(e) => {
-                eprintln!("gate: {e}");
-                return 2;
-            }
-        };
-        println!("{name} gate: {what} = {speedup:.2}x");
-        if speedup < floor {
-            eprintln!("{name} gate FAILED: below the {floor:.2}x floor");
-            return 1;
-        }
-        println!("{name} gate passed (floor: {floor:.2}x)");
-        return 0;
-    }
-    let [current_path, previous_path] = files[..] else {
-        eprintln!(
-            "usage: dv-report --gate <current.json> <previous.json> [--max-regress PCT] | dv-report --gate <BENCH_sim.json> [--min-speedup X]"
-        );
-        return 2;
+    let (current, previous) = match files[..] {
+        [one] => (load(one)?, None),
+        [current, previous] => (load(current)?, Some(load(previous)?)),
+        _ => return Err(USAGE.into()),
     };
-    let figure = |path: &str| load(path).and_then(|doc| trajectory_figure(&doc));
-    let ((current, label), (previous, prev_label)) =
-        match (figure(current_path), figure(previous_path)) {
-            (Ok(c), Ok(p)) => (c, p),
-            (c, p) => {
-                for r in [c, p] {
-                    if let Err(e) = r {
-                        eprintln!("gate: {e}");
-                    }
-                }
-                return 2;
+    let rows = figures(&current)?;
+    let Some(previous) = previous else {
+        // One artifact: the absolute floors.
+        let floors: Vec<_> =
+            rows.iter().filter_map(|&&(_, row, col, floor)| Some((row, col, floor?))).collect();
+        if floors.is_empty() {
+            return Err("this bench has trajectory figures only; pass the previous artifact".into());
+        }
+        for (row, col, floor) in floors {
+            let floor = min_speedup.unwrap_or(floor);
+            let speedup = cell(&current, row, col)?;
+            println!("gate: {row} = {speedup:.2}x");
+            if speedup < floor {
+                eprintln!("gate FAILED: below the {floor:.2}x floor");
+                return Ok(1);
             }
+            println!("gate passed (floor: {floor:.2}x)");
+        }
+        return Ok(0);
+    };
+    for &(_, row, col, _) in rows {
+        let now = cell(&current, row, col)?;
+        let Ok(was) = cell(&previous, row, col) else {
+            println!("perf gate: previous artifact has no {row} {col}; skipped");
+            continue;
         };
-    if label != prev_label {
-        eprintln!("gate: artifacts track different figures ({label} vs {prev_label})");
-        return 2;
-    }
-    let change_pct = (current - previous) / previous * 100.0;
-    println!("perf gate: {label} {previous:.2} -> {current:.2} ({change_pct:+.1}%)");
-    if change_pct < -max_regress_pct {
-        eprintln!("perf gate FAILED: regression exceeds {max_regress_pct:.1}% budget");
-        return 1;
+        let change_pct = (now - was) / was * 100.0;
+        println!("perf gate: {row} {col} {was:.2} -> {now:.2} ({change_pct:+.1}%)");
+        if change_pct < -max_regress_pct {
+            eprintln!("perf gate FAILED: regression exceeds {max_regress_pct:.1}% budget");
+            return Ok(1);
+        }
     }
     println!("perf gate passed (budget: -{max_regress_pct:.1}%)");
-    0
+    Ok(0)
 }
 
 /// Render dv-events-v1 streams as virtual-time timelines; returns the

@@ -2,9 +2,9 @@
 //! trajectory artifact.
 //!
 //! Measures `RoutedNetSim`'s cycles/sec against the frozen pre-rebuild
-//! reference (`ReferenceNetSim::step_into`) on 4096-port rival fabrics
-//! (fat tree and min-path graph), in the two regimes that matter for the
-//! paper's irregular-application story:
+//! reference (`ReferenceNetSim`) on 4096-port rival fabrics (fat tree and
+//! min-path graph), in the two regimes that matter for the paper's
+//! irregular-application story:
 //!
 //! * **Sparse uniform traffic** (0.2% offered load) — the gated figure.
 //!   Irregular applications offer low sustained rates, so most of the
@@ -26,168 +26,32 @@
 //! delivered stream) can be written separately with `--verify <path>`;
 //! CI `cmp`s that companion across a repeat run.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
+use dv_bench::replay::{build_trace, race};
 use dv_bench::{arg_value, f2, quick, Report};
-use dv_core::rng::SplitMix64;
-use dv_switch::{AnyTopology, Delivered, ReferenceNetSim, RoutedNetSim, TopoKind};
+use dv_switch::{AnyTopology, ReferenceNetSim, RoutedNetSim, TopoKind};
 
-/// The two routed-engine generations under one driver.
-trait Net {
-    fn enqueue(&mut self, src: usize, dst: usize, tag: u64);
-    fn outstanding(&self) -> usize;
-    fn step_into(&mut self, out: &mut Vec<Delivered>);
-    fn ejected(&self) -> u64;
-}
-
-impl Net for RoutedNetSim {
-    fn enqueue(&mut self, src: usize, dst: usize, tag: u64) {
-        RoutedNetSim::enqueue(self, src, dst, tag);
-    }
-    fn outstanding(&self) -> usize {
-        RoutedNetSim::outstanding(self)
-    }
-    fn step_into(&mut self, out: &mut Vec<Delivered>) {
-        RoutedNetSim::step_into(self, out);
-    }
-    fn ejected(&self) -> u64 {
-        RoutedNetSim::ejected(self)
-    }
-}
-
-impl Net for ReferenceNetSim {
-    fn enqueue(&mut self, src: usize, dst: usize, tag: u64) {
-        ReferenceNetSim::enqueue(self, src, dst, tag);
-    }
-    fn outstanding(&self) -> usize {
-        ReferenceNetSim::outstanding(self)
-    }
-    fn step_into(&mut self, out: &mut Vec<Delivered>) {
-        ReferenceNetSim::step_into(self, out);
-    }
-    fn ejected(&self) -> u64 {
-        ReferenceNetSim::ejected(self)
-    }
-}
-
-/// Seeded uniform non-self arrivals, generated once and replayed into both
-/// engine generations (`offsets[c]..offsets[c + 1]` indexes cycle `c`'s
-/// arrivals), so the comparison measures the engines, not the RNG.
-fn build_trace(ports: usize, cycles: u64, load: f64) -> (Vec<u32>, Vec<(u16, u16)>) {
-    let mut rng = SplitMix64::new(0x0E70_5303);
-    let mut offsets = Vec::with_capacity(cycles as usize + 1);
-    let mut arrivals = Vec::new();
-    offsets.push(0u32);
-    for _ in 0..cycles {
-        for src in 0..ports {
-            if rng.next_f64() >= load {
-                continue;
-            }
-            let mut dst = rng.next_below(ports as u64 - 1) as usize;
-            if dst >= src {
-                dst += 1;
-            }
-            arrivals.push((src as u16, dst as u16));
-        }
-        offsets.push(arrivals.len() as u32);
-    }
-    (offsets, arrivals)
-}
-
-/// One FNV-1a 64 step.
-fn fnv(h: u64, x: u64) -> u64 {
-    (h ^ x).wrapping_mul(0x0000_0100_0000_01B3)
-}
-
-/// Replay a pre-generated offered stream (see [`build_trace`]). The
-/// backlog throttle is x2 port depth — deep enough to exercise blocking,
-/// below the sustained store-and-forward deadlock regime (x4 wedges the
-/// min-path graph within a few hundred cycles of saturated flow; see
-/// `tests/net_equivalence.rs` on the wedge mechanics). Returns delivered
-/// count, wall seconds, and an order-sensitive digest of the delivered
-/// stream.
-fn drive<S: Net>(
-    sim: &mut S,
-    ports: usize,
-    offsets: &[u32],
-    arrivals: &[(u16, u16)],
-) -> (u64, f64, u64) {
-    let mut out = Vec::with_capacity(ports);
-    let mut digest = 0xCBF2_9CE4_8422_2325u64;
-    let t0 = Instant::now();
-    for w in offsets.windows(2) {
-        for &(src, dst) in &arrivals[w[0] as usize..w[1] as usize] {
-            if sim.outstanding() <= ports * 2 {
-                sim.enqueue(src as usize, dst as usize, 0);
-            }
-        }
-        out.clear();
-        sim.step_into(&mut out);
-        for d in &out {
-            digest = fnv(digest, d.src_port as u64);
-            digest = fnv(digest, d.dst_port as u64);
-            digest = fnv(digest, d.enqueue_cycle ^ d.eject_cycle.rotate_left(32));
-            digest = fnv(digest, d.hops as u64);
-        }
-    }
-    (sim.ejected(), t0.elapsed().as_secs_f64(), digest)
-}
-
-/// Best-of-`reps` measurement of one topology at one load. The reference
-/// replays the first `ref_cycles` cycles of the exact stream the rebuilt
-/// path replays in full; rates normalize the comparison. The two engines
-/// alternate so host-load transients hit both.
-struct Measured {
-    ref_cps: f64,
-    new_cps: f64,
-    ref_delivered: u64,
-    new_delivered: u64,
-    new_pps: f64,
-    digest: u64,
-}
-
-fn measure(
-    net: &AnyTopology,
-    ports: usize,
-    ref_cycles: u64,
-    new_cycles: u64,
-    load: f64,
-    reps: usize,
-) -> Measured {
-    let (offsets, arrivals) = build_trace(ports, new_cycles, load);
-    let mut ref_secs = f64::INFINITY;
-    let mut new_secs = f64::INFINITY;
-    let mut ref_delivered = 0;
-    let mut new_delivered = 0;
-    let mut digest = 0;
-    for _ in 0..reps {
-        let mut ref_sim = ReferenceNetSim::new(net.clone());
-        let (d, s, _) = drive(&mut ref_sim, ports, &offsets[..=ref_cycles as usize], &arrivals);
-        ref_delivered = d;
-        ref_secs = ref_secs.min(s);
-
-        let mut new_sim = RoutedNetSim::new(net.clone());
-        let (d, s, h) = drive(&mut new_sim, ports, &offsets, &arrivals);
-        new_delivered = d;
-        new_secs = new_secs.min(s);
-        digest = h;
-    }
-    Measured {
-        ref_cps: ref_cycles as f64 / ref_secs,
-        new_cps: new_cycles as f64 / new_secs,
-        ref_delivered,
-        new_delivered,
-        new_pps: new_delivered as f64 / new_secs,
-        digest,
-    }
-}
+/// Backlog throttle, in packets per port: deep enough to exercise
+/// blocking, below the sustained store-and-forward deadlock regime (x4
+/// wedges the min-path graph within a few hundred cycles of saturated
+/// flow; see `tests/equivalence.rs` on the wedge mechanics).
+const DEPTH: usize = 2;
 
 fn main() {
     let mut report = Report::new("net_smoke");
     let ports = 4096;
     let reps = if quick() { 3 } else { 5 };
     let mut verify = String::new();
+    let measure = |kind: TopoKind, load: f64, ref_cycles, new_cycles| {
+        let net = AnyTopology::for_ports(kind, ports);
+        let trace = build_trace(0x0E70_5303, ports, new_cycles, load);
+        race(
+            reps,
+            (|| ReferenceNetSim::new(net.clone()), ref_cycles),
+            (|| RoutedNetSim::new(net.clone()), new_cycles),
+            DEPTH,
+            &trace,
+        )
+    };
 
     // Sparse uniform traffic on both rival topologies: the gated figure.
     // At 0.2% offered load (the irregular-application regime) most of
@@ -199,38 +63,18 @@ fn main() {
     let mut best_speedup = 0.0f64;
     let mut best_kind = TopoKind::FatTree;
     for kind in [TopoKind::FatTree, TopoKind::MinPath] {
-        let net = AnyTopology::for_ports(kind, ports);
-        let m = measure(&net, ports, sparse_ref_cycles, sparse_new_cycles, 0.002, reps);
-        let speedup = m.new_cps / m.ref_cps;
+        let (old, new) = measure(kind, 0.002, sparse_ref_cycles, sparse_new_cycles);
+        let speedup = new.cps() / old.cps();
         if speedup > best_speedup {
             best_speedup = speedup;
             best_kind = kind;
         }
         report.section(
             &format!("Sparse uniform traffic, {} @ {ports} ports, offered 0.002", kind.name()),
-            &["impl", "cycles", "delivered", "cycles/sec"],
-            vec![
-                vec![
-                    "reference (pre-rebuild)".into(),
-                    sparse_ref_cycles.to_string(),
-                    m.ref_delivered.to_string(),
-                    f2(m.ref_cps),
-                ],
-                vec![
-                    "lut+arena+bitmap".into(),
-                    sparse_new_cycles.to_string(),
-                    m.new_delivered.to_string(),
-                    f2(m.new_cps),
-                ],
-            ],
+            &["impl", "cycles", "delivered", "cycles/sec", "packets/sec"],
+            vec![old.row("reference (pre-rebuild)"), new.row("lut+arena+bitmap")],
         );
-        let _ = writeln!(
-            verify,
-            "{}@{ports} load=0.002 cycles={sparse_new_cycles} delivered={} fnv={:#018x}",
-            kind.name(),
-            m.new_delivered,
-            m.digest
-        );
+        verify += &new.verify_line(&format!("{}@{ports} load=0.002", kind.name()));
     }
 
     // Loaded uniform traffic: reported, not gated. Offered loads sit
@@ -243,36 +87,14 @@ fn main() {
     let (ref_cycles, new_cycles) = if quick() { (60, 600) } else { (300, 3_000) };
     let mut loaded_speedup = 0.0f64;
     for (kind, load) in [(TopoKind::FatTree, 0.6), (TopoKind::MinPath, 0.3)] {
-        let net = AnyTopology::for_ports(kind, ports);
-        let m = measure(&net, ports, ref_cycles, new_cycles, load, reps);
-        loaded_speedup = loaded_speedup.max(m.new_cps / m.ref_cps);
+        let (old, new) = measure(kind, load, ref_cycles, new_cycles);
+        loaded_speedup = loaded_speedup.max(new.cps() / old.cps());
         report.section(
             &format!("Loaded uniform traffic, {} @ {ports} ports, offered {load}", kind.name()),
             &["impl", "cycles", "delivered", "cycles/sec", "packets/sec"],
-            vec![
-                vec![
-                    "reference (pre-rebuild)".into(),
-                    ref_cycles.to_string(),
-                    m.ref_delivered.to_string(),
-                    f2(m.ref_cps),
-                    f2(m.ref_delivered as f64 * m.ref_cps / ref_cycles as f64),
-                ],
-                vec![
-                    "lut+arena+bitmap".into(),
-                    new_cycles.to_string(),
-                    m.new_delivered.to_string(),
-                    f2(m.new_cps),
-                    f2(m.new_pps),
-                ],
-            ],
+            vec![old.row("reference (pre-rebuild)"), new.row("lut+arena+bitmap")],
         );
-        let _ = writeln!(
-            verify,
-            "{}@{ports} load={load:.2} cycles={new_cycles} delivered={} fnv={:#018x}",
-            kind.name(),
-            m.new_delivered,
-            m.digest
-        );
+        verify += &new.verify_line(&format!("{}@{ports} load={load:.2}", kind.name()));
     }
 
     report.section(

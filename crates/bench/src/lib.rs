@@ -17,7 +17,7 @@
 //! | `scaling_study` | Section IX | barrier, GUPS and switch behaviour past 32 nodes; `--topo dv\|fattree\|minpath` pattern sweeps to 4096 ports |
 //! | `ablate_aggregation` | ablation | GUPS with source aggregation on/off |
 //! | `ablate_halo` | ablation | heat speedup vs the MPI baseline's halo strategy |
-//! | `perf_smoke` | perf trajectory | `SwitchSim` cycles/sec vs the frozen reference → `BENCH_switch.json` |
+//! | `perf_smoke` | perf trajectory | `SwitchSim` cycles/sec: narrow kernel vs the frozen reference, batched kernel at 4096 ports → `BENCH_switch.json` |
 //! | `net_smoke` | perf trajectory | `RoutedNetSim` cycles/sec vs the frozen reference → `BENCH_net.json` |
 //! | `sched_smoke` | perf trajectory | sharded vs reference scheduler dispatch rate → `BENCH_sim.json` |
 //! | `dv-report` | artifact tool | renders `BENCH_*.json`, `--timeline` for streams, `--gate` for CI |
@@ -27,12 +27,17 @@
 //! problem sizes, `--json <path>` for a `dv-bench-v1` artifact and
 //! `--stream <path>` for `dv-events-v1` telemetry; the sweep binaries
 //! accept `--serial` to disable the parallel sweep driver (CI `cmp`s
-//! serial vs parallel output for byte equality). Wall-clock
-//! micro-benchmarks of the hot substrates live in `benches/micro.rs`, a
-//! dependency-free harness (`cargo bench -p dv-bench`).
+//! serial vs parallel output for byte equality). `perf_smoke` and
+//! `net_smoke` share [`replay`] — one seeded trace, one `drive` loop over
+//! any `dv_switch::CycleEngine`, one alternating best-of-reps — and both
+//! take `--verify <path>` for the deterministic half of their output.
+//! Wall-clock micro-benchmarks of the hot substrates live in
+//! `benches/micro.rs`, a dependency-free harness (`cargo bench -p
+//! dv-bench`).
 
 use std::fmt::Write as _;
 
+pub mod replay;
 pub mod report;
 pub mod stream;
 

@@ -168,11 +168,11 @@ mod tests {
 
     #[test]
     fn kernel_suppression_shapes_cover_their_findings_exactly() {
-        // The shapes the batched wide kernel uses (crates/switch/src/
-        // cycle.rs): same-line DV-W011 allows on back-to-back cast lines,
-        // and a standalone DV-W002 allow above the movement-phase
-        // wall-clock read. Each must pair 1:1 with a finding — leftovers
-        // on either side fail `--deny-warnings` (DV-S002 or the finding).
+        // The two suppression shapes: same-line DV-W011 allows on
+        // back-to-back cast lines (crates/switch/src/cycle.rs's inject
+        // loop), and a standalone DV-W002 allow above a wall-clock
+        // read. Each must pair 1:1 with a finding — leftovers on either
+        // side fail `--deny-warnings` (DV-S002 or the finding).
         let src = include_str!("../fixtures/suppress_kernel.rs");
         let path = "crates/switch/src/fixture.rs";
         let (sups, bad) = collect(&SourceFile::parse(path, src));

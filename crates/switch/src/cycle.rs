@@ -14,7 +14,7 @@
 //!
 //! ## Hot-path layout
 //!
-//! [`SwitchSim::step_into`] is the throughput bottleneck of every load
+//! [`SwitchSim`]'s `step_into` is the throughput bottleneck of every load
 //! sweep, so it is built to do zero heap allocation per cycle
 //! (`tests/switch_alloc.rs` proves it with a counting global allocator):
 //!
@@ -46,30 +46,18 @@
 //!   `hops = eject_cycle − inject_cycle − 1` (the equivalence suite checks
 //!   this reproduces the reference's per-packet counts exactly).
 
-use std::collections::VecDeque;
-
 use dv_core::metrics::MetricsRegistry;
 use dv_core::stats::Log2Histogram;
 
+use crate::engine::{hist, CycleEngine, Ingress, Names, Tally};
 use crate::topology::Topology;
-
-/// A queued packet, as compact as an input FIFO entry can be: the
-/// destination coordinates and injection cycle are derived when the
-/// packet actually enters the switch.
-#[derive(Debug, Clone, Copy)]
-struct Queued {
-    src_port: u32,
-    dst_port: u32,
-    tag: u64,
-    enqueue_cycle: u64,
-}
 
 /// A packet's routing-invariant payload: written into the pool once at
 /// injection, read back once at ejection. Nothing here changes while the
 /// packet is in flight, so hops never copy it.
-/// Port indices are `u16` (ports are bounded far below 2^16 by the
-/// cylinder construction) so the record is exactly 32 bytes: a random
-/// ejection-time pool read then touches one cache line, never two.
+/// Port indices are `u16` (`Ingress::new` rejects switches past 2^16
+/// ports) so the record is exactly 32 bytes: a random ejection-time pool
+/// read then touches one cache line, never two.
 #[derive(Debug, Clone, Copy)]
 struct Flit {
     src_port: u16,
@@ -149,32 +137,21 @@ impl Delivered {
     }
 }
 
-/// Which movement kernel serves switches wider than 64 ports.
-///
-/// The two kernels make identical routing decisions and produce
-/// bit-identical [`Delivered`] streams (`tests/equivalence.rs`); they
-/// differ only in throughput. [`SwitchSim::new`] picks
-/// [`WideKernel::Batched`]; [`WideKernel::Scalar`] exists as the frozen
-/// pre-batching baseline for the perf gate and as the fallback for wide
-/// switches whose height is under 64 (where a bitmap word spans several
-/// angles and the word-parallel pass does not apply).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WideKernel {
-    /// Word-parallel movement: one descend/deflect decision per 64-cell
-    /// occupancy word (FastLanes-style bit-plane arithmetic).
-    Batched,
-    /// The original flit-at-a-time wide loop.
-    Scalar,
-}
-
-/// Resolved movement path (per-switch, fixed at construction).
+/// Movement kernel, resolved from the topology alone at construction. The
+/// three make identical routing decisions and deliver bit-identical
+/// [`Delivered`] streams (`tests/equivalence.rs`); each exists because it
+/// is the only one, or the measurably fastest one, for its shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// ≤ 64 ports: whole cylinder bitmap in one register.
     Narrow,
-    /// > 64 ports, flit-at-a-time.
+    /// Over 64 ports with height < 64, flit-at-a-time: a bitmap word
+    /// spans several angles there, so the word-parallel pass does not
+    /// apply.
     WideScalar,
-    /// > 64 ports and height ≥ 64: word-parallel bit-plane kernel.
+    /// Over 64 ports and height ≥ 64: word-parallel bit-plane kernel, one
+    /// descend/deflect decision per 64-cell occupancy word
+    /// (FastLanes-style bit-plane arithmetic).
     WideBatched,
 }
 
@@ -624,7 +601,7 @@ fn batched_move<H: PoolHandle>(
 /// The cycle-accurate switch.
 ///
 /// ```
-/// use dv_switch::{SwitchSim, Topology};
+/// use dv_switch::{CycleEngine, SwitchSim, Topology};
 ///
 /// let topo = Topology::new(8, 4); // H=8, A=4 -> 32 ports, 4 cylinders
 /// let mut sw = SwitchSim::new(topo);
@@ -712,75 +689,39 @@ pub struct SwitchSim {
     /// Narrow and scalar-wide modes only — the batched kernel mutates
     /// `occ_cur` in place (empty then).
     occ_nxt: Vec<u64>,
-    /// Ports with a non-empty injection queue, as a bitmap (`words` words).
-    /// Injection scans `!occ_nxt & q_bits` — the ports that both hold a
-    /// packet and face a free outermost-cylinder cell — instead of probing
-    /// every port.
-    q_bits: Vec<u64>,
+    /// Injection FIFOs. Injection scans `!occ_nxt & pending` — the ports
+    /// that both hold a packet and face a free outermost-cylinder cell —
+    /// instead of probing every port.
+    ingress: Ingress,
     /// Stable packet-payload pool; slots refer into it by handle. Sized to
     /// the cell count (the maximum possible in-flight population), so a
     /// free handle always exists when injection finds a free cell.
     pool: Vec<Flit>,
     /// Free pool handles (LIFO).
     free: Vec<u32>,
-    queues: Vec<VecDeque<Queued>>,
-    /// Total packets across all input queues (kept so
-    /// [`SwitchSim::outstanding`] is O(1) — sweeps call it per arrival).
-    queued: usize,
-    cycle: u64,
-    injected: u64,
-    ejected: u64,
-    in_flight: usize,
-    /// Cumulative wall-clock nanoseconds spent in the movement phase.
-    /// Wide modes only (narrow steps are too short to clock without
-    /// skewing them); see [`SwitchSim::move_nanos`].
-    move_nanos: u64,
-    // Instrumentation kept as plain accumulators (no registry calls in the
-    // per-cycle loop); [`SwitchSim::publish_metrics`] folds them into a
-    // `MetricsRegistry` once at the end of a run.
-    hop_hist: Log2Histogram,
+    tally: Tally,
+    // The deflection network's own accumulators, published beside the
+    // tally's; like its histogram they cover the span since the last flush.
     deflection_hist: Log2Histogram,
     contention_deflections: u64,
     /// Per-cylinder sum of occupied cells over all cycles (cell-cycles).
     occupancy_sum: Vec<u64>,
-    /// Accumulator state at the last [`SwitchSim::flush_metrics`] call, so
-    /// interval flushes publish deltas that sum to the run totals.
-    flushed: Option<Box<Flushed>>,
 }
 
-/// Snapshot of the instrumentation accumulators at the previous
-/// incremental flush (boxed: streaming runs only; one-shot publishing
-/// sweeps never allocate it).
-struct Flushed {
-    cycle: u64,
-    injected: u64,
-    ejected: u64,
-    contention_deflections: u64,
-    hop_hist: Log2Histogram,
-    deflection_hist: Log2Histogram,
-    occupancy_sum: Vec<u64>,
-}
+const NAMES: Names =
+    ["switch.cycle.cycles", "switch.cycle.injected", "switch.cycle.ejected", "switch.cycle.hops"];
 
 impl SwitchSim {
-    /// A switch with the given topology, empty. Wide switches (over 64
-    /// ports) with `height >= 64` get the batched movement kernel; see
-    /// [`SwitchSim::with_wide_kernel`] to force the scalar baseline.
+    /// A switch with the given topology, empty. At most 2^16 ports.
     pub fn new(topo: Topology) -> Self {
-        Self::with_wide_kernel(topo, WideKernel::Batched)
-    }
-
-    /// A switch with the given topology and an explicit wide-path kernel
-    /// choice (narrow switches ignore it). Both kernels produce
-    /// bit-identical `Delivered` streams; `Scalar` is the frozen
-    /// pre-batching baseline the perf gate measures against.
-    pub fn with_wide_kernel(topo: Topology, kernel: WideKernel) -> Self {
         let ports = topo.ports();
+        let ingress = Ingress::new(ports);
         let cylinders = topo.cylinders();
         let cells = ports * cylinders;
         let words = ports.div_ceil(64);
         let mode = if words == 1 {
             Mode::Narrow
-        } else if topo.height >= 64 && kernel == WideKernel::Batched {
+        } else if topo.height >= 64 {
             Mode::WideBatched
         } else {
             Mode::WideScalar
@@ -826,22 +767,14 @@ impl SwitchSim {
             words,
             occ_cur: vec![0; ports.div_ceil(64) * cylinders],
             occ_nxt: vec![0; if batched { 0 } else { ports.div_ceil(64) * cylinders }],
-            q_bits: vec![0; ports.div_ceil(64)],
+            ingress,
             pool: vec![EMPTY_FLIT; cells],
             free: (0..cells as u32).collect(),
-            queues: vec![VecDeque::new(); ports],
-            queued: 0,
             topo,
-            cycle: 0,
-            injected: 0,
-            ejected: 0,
-            in_flight: 0,
-            move_nanos: 0,
-            hop_hist: Log2Histogram::new(12),
-            deflection_hist: Log2Histogram::new(12),
+            tally: Tally::new(&NAMES),
+            deflection_hist: hist(),
             contention_deflections: 0,
             occupancy_sum: vec![0; cylinders],
-            flushed: None,
         }
     }
 
@@ -849,78 +782,46 @@ impl SwitchSim {
     pub fn topology(&self) -> &Topology {
         &self.topo
     }
+}
 
-    /// Current cycle number.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
+impl CycleEngine for SwitchSim {
+    fn cycle(&self) -> u64 {
+        self.tally.cycle
     }
 
-    /// Packets queued at input ports plus in flight (O(1): both sides are
-    /// maintained incrementally).
-    pub fn outstanding(&self) -> usize {
-        self.in_flight + self.queued
+    fn outstanding(&self) -> usize {
+        self.tally.in_flight + self.ingress.queued()
     }
 
-    /// Packets accepted into the outermost cylinder so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
+    fn injected(&self) -> u64 {
+        self.tally.injected
     }
 
-    /// Packets delivered so far.
-    pub fn ejected(&self) -> u64 {
-        self.ejected
+    fn ejected(&self) -> u64 {
+        self.tally.ejected
     }
 
-    /// Cumulative wall-clock nanoseconds this switch has spent in its
-    /// movement phase (the wide-kernel hot pass), excluding injection and
-    /// input queueing. `perf_smoke` rates the wide kernels on movement
-    /// cycles/sec with this — the phase the batched rebuild targets —
-    /// without the enqueue-side driver diluting the comparison. Always 0
-    /// for narrow switches (≤ 64 ports): their sub-microsecond steps
-    /// would be skewed by the clock reads, so they are not timed.
-    pub fn move_nanos(&self) -> u64 {
-        self.move_nanos
+    fn enqueue(&mut self, src_port: usize, dst_port: usize, tag: u64) {
+        self.ingress.push(src_port, dst_port, tag, self.tally.cycle);
     }
 
-    /// Queue a packet at `src_port` bound for `dst_port`.
-    pub fn enqueue(&mut self, src_port: usize, dst_port: usize, tag: u64) {
-        assert!(src_port < self.ports && dst_port < self.ports);
-        self.queues[src_port].push_back(Queued {
-            src_port: u32::try_from(src_port).expect("port index fits in u32"),
-            dst_port: u32::try_from(dst_port).expect("port index fits in u32"),
-            tag,
-            enqueue_cycle: self.cycle,
-        });
-        self.q_bits[src_port >> 6] |= 1 << (src_port & 63);
-        self.queued += 1;
-    }
-
-    /// Advance one cycle, appending the packets ejected during it to
-    /// `out`. This is the allocation-free hot path: with `out` capacity
-    /// pre-grown (one port can eject at most one packet per cycle), a step
-    /// performs no heap allocation at all.
-    pub fn step_into(&mut self, out: &mut Vec<Delivered>) {
+    /// The allocation-free hot path: with `out` capacity pre-grown (one
+    /// port can eject at most one packet per cycle), a step performs no
+    /// heap allocation at all.
+    fn step_into(&mut self, out: &mut Vec<Delivered>) {
         let words = self.words;
-        if self.mode == Mode::Narrow {
-            self.move_flits(out);
-        } else {
-            // Wide switches accumulate the movement phase's wall clock
-            // (see [`SwitchSim::move_nanos`]): a wide movement pass runs
-            // for microseconds, so the two clock reads are noise here,
-            // while a narrow switch's sub-microsecond step would be
-            // visibly skewed by them.
-            // dv-lint: allow(DV-W002, reason = "host-side profiling accumulator: the wall-clock total feeds perf_smoke's movement-phase rate and never reaches virtual time, the Delivered stream, or any simulated result")
-            let t0 = std::time::Instant::now();
-            self.move_flits(out);
-            self.move_nanos += t0.elapsed().as_nanos() as u64;
+        match self.mode {
+            Mode::Narrow => self.move_flits_narrow(out),
+            Mode::WideScalar => self.move_flits_wide_scalar(out),
+            Mode::WideBatched => self.move_flits_wide_batched(out),
         }
 
         // Injection last: an input port only fires into an empty cell of
         // the outermost cylinder (backpressure otherwise). Port index ==
         // cell index in cylinder 0 (`position_port(h, a) = a*H + h`), so
-        // the free-port scan is `!occ & q_bits` over the post-movement
+        // the free-port scan is `!occ & pending` over the post-movement
         // occupancy of cylinder 0.
-        if self.queued > 0 {
+        if self.ingress.queued() > 0 {
             let batched = self.mode == Mode::WideBatched;
             let h16 = !self.handles16_cur.is_empty();
             let n_planes = self.h_shift as usize + self.a_bits as usize;
@@ -941,7 +842,7 @@ impl SwitchSim {
                     lw
                 };
                 let occ_w = if batched { self.occ_cur[pw] } else { self.occ_nxt[lw] };
-                let mut bits = !occ_w & self.q_bits[lw];
+                let mut bits = !occ_w & self.ingress.pending()[lw];
                 if bits == 0 {
                     continue;
                 }
@@ -956,23 +857,18 @@ impl SwitchSim {
                     let lane = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     let port = (lw << 6) | lane;
-                    let q = self.queues[port].pop_front().unwrap();
-                    if self.queues[port].is_empty() {
-                        self.q_bits[lw] &= !(1u64 << lane);
-                    }
-                    self.queued -= 1;
-                    self.injected += 1;
-                    self.in_flight += 1;
+                    let q = self.ingress.pop(port);
+                    self.tally.injected += 1;
+                    self.tally.in_flight += 1;
                     let dst = q.dst_port as usize;
                     let handle = self.free.pop().expect("pool is sized to the cell count");
                     self.pool[handle as usize] = Flit {
-                        // Port indices are < ports <= 2^16 by construction;
-                        // checked conversions would put branches in the
+                        // Checked conversions would put branches in the
                         // per-flit inject loop.
-                        src_port: q.src_port as u16, // dv-lint: allow(DV-W011, reason = "src_port < ports <= 2^16 by construction (Topology::new rejects more)")
-                        dst_port: q.dst_port as u16, // dv-lint: allow(DV-W011, reason = "dst_port < ports <= 2^16 by construction (Topology::new rejects more)")
+                        src_port: port as u16, // dv-lint: allow(DV-W011, reason = "port < ports <= 2^16: Ingress::new rejects wider switches")
+                        dst_port: q.dst_port as u16, // dv-lint: allow(DV-W011, reason = "dst_port < ports <= 2^16: Ingress::push checks the port, Ingress::new the bound")
                         tag: q.tag,
-                        inject_cycle: self.cycle,
+                        inject_cycle: self.tally.cycle,
                         enqueue_cycle: q.enqueue_cycle,
                         deflections: 0,
                     };
@@ -996,9 +892,9 @@ impl SwitchSim {
                             // `port_position` via the hoisted mask/shift:
                             // height is a power of two, but a runtime `%`/`/`
                             // would still compile to real divisions.
-                            // dv-lint: allow(DV-W011, reason = "masked to h_mask, and height <= ports <= 2^16 by construction; checked conversion would put a branch in the per-cycle inject loop")
+                            // dv-lint: allow(DV-W011, reason = "masked to h_mask, and height <= ports <= 2^16 (Ingress::new); checked conversion would put a branch in the per-cycle inject loop")
                             dst_h: (dst & self.h_mask) as u16,
-                            // dv-lint: allow(DV-W011, reason = "dst >> h_shift is an angle index < angles <= ports <= 2^16; checked conversion would put a branch in the per-cycle inject loop")
+                            // dv-lint: allow(DV-W011, reason = "dst >> h_shift is an angle index < angles <= ports <= 2^16 (Ingress::new); checked conversion would put a branch in the per-cycle inject loop")
                             dst_a: (dst >> self.h_shift) as u16,
                         };
                     }
@@ -1041,19 +937,32 @@ impl SwitchSim {
                     .sum::<u64>();
             }
         }
-        self.cycle += 1;
+        self.tally.cycle += 1;
     }
 
-    /// The movement phase of one cycle: walk every cylinder's occupancy
-    /// bitmap innermost-first, moving (or ejecting) each live flit.
-    fn move_flits(&mut self, out: &mut Vec<Delivered>) {
-        match self.mode {
-            Mode::Narrow => self.move_flits_narrow(out),
-            Mode::WideScalar => self.move_flits_wide_scalar(out),
-            Mode::WideBatched => self.move_flits_wide_batched(out),
+    /// Statistics go under `switch.cycle.*`. Histograms cover delivered
+    /// packets; occupancy is reported per cylinder both as raw cell-cycles
+    /// and as the mean fraction of occupied cells per cycle.
+    fn publish_metrics(&self, metrics: &MetricsRegistry) {
+        if let Some(cycles) = self.tally.publish(metrics) {
+            self.publish_deflection(metrics, cycles);
         }
     }
 
+    fn flush_metrics(&mut self, metrics: &MetricsRegistry) {
+        if let Some(cycles) = self.tally.flush(metrics) {
+            self.publish_deflection(metrics, cycles);
+            self.deflection_hist = hist();
+            self.contention_deflections = 0;
+            self.occupancy_sum.fill(0);
+        }
+    }
+}
+
+/// The movement phase of one cycle — walk every cylinder's occupancy
+/// bitmap innermost-first, moving (or ejecting) each live flit — once per
+/// [`Mode`].
+impl SwitchSim {
     /// Movement phase for switches of at most 64 ports (`words == 1`),
     /// where a cylinder's whole occupancy bitmap is a single `u64`.
     ///
@@ -1078,14 +987,14 @@ impl SwitchSim {
         let h_shift = self.h_shift;
         let angles = self.angles;
         let ports = self.ports;
-        let cycle = self.cycle;
+        let cycle = self.tally.cycle;
         let cur = &self.cur[..];
         let nxt = &mut self.nxt[..];
         let occ_cur = &mut self.occ_cur[..];
         let occ_nxt = &mut self.occ_nxt[..];
         let pool = &self.pool[..];
         let free_list = &mut self.free;
-        let hop_hist = &mut self.hop_hist;
+        let hop_hist = &mut self.tally.hop_hist;
         let deflection_hist = &mut self.deflection_hist;
         let occupancy_sum = &mut self.occupancy_sum[..];
         let mut ejected = 0u64;
@@ -1170,8 +1079,8 @@ impl SwitchSim {
             occ_inner = occ_this;
         }
         occ_nxt[0] = occ_inner;
-        self.ejected += ejected;
-        self.in_flight -= ejected as usize;
+        self.tally.ejected += ejected;
+        self.tally.in_flight -= ejected as usize;
         self.contention_deflections += contended;
     }
 
@@ -1181,10 +1090,7 @@ impl SwitchSim {
     /// written in memory. See that method for the layout and codegen
     /// commentary.
     ///
-    /// Frozen as the [`WideKernel::Scalar`] baseline: `perf_smoke`'s
-    /// "wide" figure and `dv-report --gate --min-speedup` measure the
-    /// batched kernel against this loop, and it still serves wide
-    /// switches with `height < 64` (see [`Mode`]).
+    /// Serves wide switches with `height < 64` (see [`Mode`]).
     #[inline(never)]
     fn move_flits_wide_scalar(&mut self, out: &mut Vec<Delivered>) {
         let words = self.words;
@@ -1192,7 +1098,7 @@ impl SwitchSim {
         let h_shift = self.h_shift;
         let angles = self.angles;
         let ports = self.ports;
-        let cycle = self.cycle;
+        let cycle = self.tally.cycle;
         // Disjoint local reborrows: every data pointer stays in a register
         // (a store through one slice provably cannot alias another, which
         // indexing through `self` would not guarantee).
@@ -1202,7 +1108,7 @@ impl SwitchSim {
         let occ_nxt = &mut self.occ_nxt[..];
         let pool = &self.pool[..];
         let free_list = &mut self.free;
-        let hop_hist = &mut self.hop_hist;
+        let hop_hist = &mut self.tally.hop_hist;
         let deflection_hist = &mut self.deflection_hist;
         let mut ejected = 0u64;
         let mut contended = 0u64;
@@ -1292,14 +1198,14 @@ impl SwitchSim {
                 }
             }
         }
-        self.ejected += ejected;
-        self.in_flight -= ejected as usize;
+        self.tally.ejected += ejected;
+        self.tally.in_flight -= ejected as usize;
         self.contention_deflections += contended;
     }
 
-    /// Word-parallel movement phase for wide switches with `height >= 64`
-    /// ([`WideKernel::Batched`]): one descend/deflect decision per
-    /// 64-cell occupancy word instead of per flit.
+    /// Word-parallel movement phase for wide switches with `height >= 64`:
+    /// one descend/deflect decision per 64-cell occupancy word instead of
+    /// per flit.
     ///
     /// With `height >= 64` every occupancy word lies inside a single
     /// angle, heights ascending LSB-first along it, so a cylinder's
@@ -1336,7 +1242,7 @@ impl SwitchSim {
             a_bits: self.a_bits as usize,
             angles: self.angles,
             ports: self.ports,
-            cycle: self.cycle,
+            cycle: self.tally.cycle,
             rot: self.rot,
             plane_base: &self.plane_base,
             occ: &mut self.occ_cur,
@@ -1344,7 +1250,7 @@ impl SwitchSim {
             pool: &mut self.pool,
             free_list: &mut self.free,
             defl_counts: &mut self.defl_counts,
-            hop_hist: &mut self.hop_hist,
+            hop_hist: &mut self.tally.hop_hist,
             deflection_hist: &mut self.deflection_hist,
         };
         let (ejected, contended) = if self.handles16_cur.is_empty() {
@@ -1358,40 +1264,20 @@ impl SwitchSim {
         if self.rot == self.angles {
             self.rot = 0;
         }
-        self.ejected += ejected;
-        self.in_flight -= ejected as usize;
+        self.tally.ejected += ejected;
+        self.tally.in_flight -= ejected as usize;
         self.contention_deflections += contended;
     }
 
-    /// Advance one cycle; returns the packets ejected during it.
-    ///
-    /// Convenience wrapper over [`SwitchSim::step_into`]; throughput-bound
-    /// callers should reuse a buffer via `step_into` instead (this
-    /// allocates a fresh `Vec` whenever packets eject).
-    pub fn step(&mut self) -> Vec<Delivered> {
-        let mut out = Vec::new();
-        self.step_into(&mut out);
-        out
-    }
-
-    /// Fold the switch's accumulated statistics into a registry under
-    /// `switch.cycle.*`. Histograms cover delivered packets; occupancy is
-    /// reported per cylinder both as raw cell-cycles and as the mean
-    /// fraction of occupied cells per cycle.
-    pub fn publish_metrics(&self, metrics: &MetricsRegistry) {
-        if !metrics.is_enabled() {
-            return;
-        }
-        metrics.incr("switch.cycle.cycles", self.cycle);
-        metrics.incr("switch.cycle.injected", self.injected);
-        metrics.incr("switch.cycle.ejected", self.ejected);
+    /// The deflection network's own statistics over a span of `cycles`
+    /// cycles (see [`CycleEngine::publish_metrics`]).
+    fn publish_deflection(&self, metrics: &MetricsRegistry, cycles: u64) {
         metrics.incr("switch.cycle.contention_deflections", self.contention_deflections);
-        metrics.observe_histogram("switch.cycle.hops", &[], &self.hop_hist);
         metrics.observe_histogram("switch.cycle.deflections", &[], &self.deflection_hist);
         for (c, &sum) in self.occupancy_sum.iter().enumerate() {
             metrics.incr_labeled("switch.cycle.occupancy_cell_cycles", &[("cyl", c.into())], sum);
-            if self.cycle > 0 {
-                let cells = (self.ports * self.cycle as usize) as f64;
+            if cycles > 0 {
+                let cells = (self.ports as u64 * cycles) as f64;
                 metrics.gauge_labeled(
                     "switch.cycle.mean_occupancy",
                     &[("cyl", c.into())],
@@ -1400,198 +1286,15 @@ impl SwitchSim {
             }
         }
     }
-
-    /// Incremental counterpart of [`SwitchSim::publish_metrics`] for
-    /// streaming runs: fold in only what accumulated since the previous
-    /// `flush_metrics` call, so repeated interval flushes sum to exactly
-    /// the totals a single end-of-run `publish_metrics` would report.
-    /// Gauges (`mean_occupancy`) are instantaneous over the interval.
-    /// The two publishing paths must not be mixed on one switch.
-    pub fn flush_metrics(&mut self, metrics: &MetricsRegistry) {
-        if !metrics.is_enabled() {
-            return;
-        }
-        let was = self.flushed.get_or_insert_with(|| {
-            Box::new(Flushed {
-                cycle: 0,
-                injected: 0,
-                ejected: 0,
-                contention_deflections: 0,
-                hop_hist: Log2Histogram::new(12),
-                deflection_hist: Log2Histogram::new(12),
-                occupancy_sum: vec![0; self.occupancy_sum.len()],
-            })
-        });
-        let cycles = self.cycle - was.cycle;
-        metrics.incr("switch.cycle.cycles", cycles);
-        metrics.incr("switch.cycle.injected", self.injected - was.injected);
-        metrics.incr("switch.cycle.ejected", self.ejected - was.ejected);
-        metrics.incr(
-            "switch.cycle.contention_deflections",
-            self.contention_deflections - was.contention_deflections,
-        );
-        metrics.observe_histogram("switch.cycle.hops", &[], &self.hop_hist.delta(&was.hop_hist));
-        metrics.observe_histogram(
-            "switch.cycle.deflections",
-            &[],
-            &self.deflection_hist.delta(&was.deflection_hist),
-        );
-        for (c, (&sum, &prev)) in
-            self.occupancy_sum.iter().zip(was.occupancy_sum.iter()).enumerate()
-        {
-            metrics.incr_labeled(
-                "switch.cycle.occupancy_cell_cycles",
-                &[("cyl", c.into())],
-                sum - prev,
-            );
-            if cycles > 0 {
-                let cells = (self.ports as u64 * cycles) as f64;
-                metrics.gauge_labeled(
-                    "switch.cycle.mean_occupancy",
-                    &[("cyl", c.into())],
-                    (sum - prev) as f64 / cells,
-                );
-            }
-        }
-        **was = Flushed {
-            cycle: self.cycle,
-            injected: self.injected,
-            ejected: self.ejected,
-            contention_deflections: self.contention_deflections,
-            hop_hist: self.hop_hist.clone(),
-            deflection_hist: self.deflection_hist.clone(),
-            occupancy_sum: self.occupancy_sum.clone(),
-        };
-    }
-
-    /// Step until all queued and in-flight packets are delivered, or until
-    /// `max_cycles` elapse. Returns everything delivered.
-    pub fn drain(&mut self, max_cycles: u64) -> Vec<Delivered> {
-        let mut all = Vec::new();
-        let deadline = self.cycle + max_cycles;
-        while self.outstanding() > 0 && self.cycle < deadline {
-            self.step_into(&mut all);
-        }
-        all
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn topo32() -> Topology {
-        Topology::new(8, 4)
-    }
-
-    #[test]
-    fn single_packet_reaches_destination() {
-        let mut sw = SwitchSim::new(topo32());
-        sw.enqueue(0, 21, 7);
-        let delivered = sw.drain(1_000);
-        assert_eq!(delivered.len(), 1);
-        let d = delivered[0];
-        assert_eq!((d.src_port, d.dst_port, d.tag), (0, 21, 7));
-        assert_eq!(d.deflections, 0, "empty switch never deflects by contention");
-        assert_eq!(d.hops as usize, sw.topology().min_hops(0, 21));
-    }
-
-    #[test]
-    fn every_pair_routes_correctly() {
-        let topo = topo32();
-        for src in 0..topo.ports() {
-            for dst in 0..topo.ports() {
-                let mut sw = SwitchSim::new(topo.clone());
-                sw.enqueue(src, dst, 0);
-                let d = sw.drain(1_000);
-                assert_eq!(d.len(), 1, "{src}->{dst} not delivered");
-                assert_eq!(d[0].dst_port, dst);
-                assert_eq!(d[0].hops as usize, topo.min_hops(src, dst));
-            }
-        }
-    }
-
-    #[test]
-    fn self_send_works() {
-        // The API explicitly allows sending to your own VIC.
-        let mut sw = SwitchSim::new(topo32());
-        sw.enqueue(5, 5, 1);
-        let d = sw.drain(1_000);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].dst_port, 5);
-    }
-
-    #[test]
-    fn permutation_traffic_all_delivered_exactly_once() {
-        let topo = topo32();
-        let n = topo.ports();
-        let mut sw = SwitchSim::new(topo);
-        // A full permutation: every port sends 10 packets to (p*7+3) % n.
-        for round in 0..10u64 {
-            for p in 0..n {
-                sw.enqueue(p, (p * 7 + 3) % n, round * n as u64 + p as u64);
-            }
-        }
-        let delivered = sw.drain(100_000);
-        assert_eq!(delivered.len(), 10 * n);
-        let mut tags: Vec<u64> = delivered.iter().map(|d| d.tag).collect();
-        tags.sort_unstable();
-        tags.dedup();
-        assert_eq!(tags.len(), 10 * n, "no packet lost or duplicated");
-        for d in &delivered {
-            assert_eq!(d.dst_port, (d.src_port * 7 + 3) % n);
-        }
-    }
-
-    #[test]
-    fn hotspot_traffic_is_lossless_and_serialized() {
-        let topo = topo32();
-        let n = topo.ports();
-        let mut sw = SwitchSim::new(topo);
-        // Everyone hammers port 0.
-        for p in 0..n {
-            for k in 0..8u64 {
-                sw.enqueue(p, 0, (p as u64) << 8 | k);
-            }
-        }
-        let delivered = sw.drain(1_000_000);
-        assert_eq!(delivered.len(), 8 * n);
-        // Output port 0 can eject at most one packet per cycle.
-        let mut eject_cycles: Vec<u64> = delivered.iter().map(|d| d.eject_cycle).collect();
-        eject_cycles.sort_unstable();
-        for w in eject_cycles.windows(2) {
-            assert!(w[1] > w[0], "two ejections in one cycle at the same port");
-        }
-    }
-
-    #[test]
-    fn contention_causes_deflections_not_loss() {
-        let topo = topo32();
-        let n = topo.ports();
-        let mut sw = SwitchSim::new(topo.clone());
-        // Saturating uniform-random-ish load: every port sends to several
-        // destinations at once.
-        let mut rng = dv_core::rng::SplitMix64::new(42);
-        for p in 0..n {
-            for k in 0..50 {
-                sw.enqueue(p, rng.next_below(n as u64) as usize, (p * 50 + k) as u64);
-            }
-        }
-        let delivered = sw.drain(1_000_000);
-        assert_eq!(delivered.len(), 50 * n);
-        let total_deflections: u64 = delivered.iter().map(|d| d.deflections as u64).sum();
-        assert!(total_deflections > 0, "saturated switch should deflect sometimes");
-        // Hops = min_hops + deflection detours; each contention deflection
-        // costs at most one full height-group revisit (2 extra hops here).
-        for d in delivered.iter() {
-            let min = topo.min_hops(d.src_port, d.dst_port) as u32;
-            assert!(d.hops >= min, "hops below minimum");
-        }
-    }
-
     #[test]
     fn publish_metrics_reports_hops_and_occupancy() {
-        let mut sw = SwitchSim::new(topo32());
+        let mut sw = SwitchSim::new(Topology::new(8, 4));
         sw.enqueue(0, 21, 7);
         sw.enqueue(3, 9, 8);
         let delivered = sw.drain(1_000);
@@ -1623,60 +1326,10 @@ mod tests {
     }
 
     #[test]
-    fn step_is_deterministic() {
-        let run = || {
-            let mut sw = SwitchSim::new(topo32());
-            let mut rng = dv_core::rng::SplitMix64::new(7);
-            let mut log = Vec::new();
-            for cycle in 0..500 {
-                if cycle % 3 == 0 {
-                    let s = rng.next_below(32) as usize;
-                    let d = rng.next_below(32) as usize;
-                    sw.enqueue(s, d, cycle);
-                }
-                for dv in sw.step() {
-                    log.push((dv.tag, dv.eject_cycle, dv.hops));
-                }
-            }
-            log
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn outstanding_counter_tracks_queues_and_flight() {
-        let mut sw = SwitchSim::new(topo32());
-        assert_eq!(sw.outstanding(), 0);
-        for p in 0..8 {
-            sw.enqueue(p, (p + 5) % 32, p as u64);
-        }
-        assert_eq!(sw.outstanding(), 8);
-        let mut delivered = 0;
-        while sw.outstanding() > 0 {
-            delivered += sw.step().len();
-            // Conservation: whatever is no longer outstanding was ejected.
-            assert_eq!(sw.outstanding() + delivered, 8);
-        }
-        assert_eq!(delivered, 8);
-    }
-
-    #[test]
-    fn arena_empties_after_drain() {
-        // Generation stamps must not resurrect stale flits: after a full
-        // drain every worklist is empty and a further step delivers nothing.
-        let mut sw = SwitchSim::new(topo32());
-        let mut rng = dv_core::rng::SplitMix64::new(3);
-        for p in 0..32 {
-            for k in 0..4 {
-                sw.enqueue(p, rng.next_below(32) as usize, (p * 4 + k) as u64);
-            }
-        }
-        let delivered = sw.drain(100_000);
-        assert_eq!(delivered.len(), 32 * 4);
-        assert_eq!(sw.outstanding(), 0);
-        for _ in 0..100 {
-            assert!(sw.step().is_empty(), "stale slot produced a packet");
-        }
-        assert_eq!(sw.ejected(), 32 * 4);
+    #[should_panic(expected = "at most 65536 ports")]
+    fn more_than_65536_ports_is_rejected() {
+        // 131072 ports used to build and then truncate port indices to
+        // `u16` in flight: 70000 -> 100001 arrived as 4464 -> 34465.
+        SwitchSim::new(Topology::new(32, 4096));
     }
 }

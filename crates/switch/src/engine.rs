@@ -1,0 +1,221 @@
+//! The one cycle-engine interface and the substrate every engine shares.
+//!
+//! [`CycleEngine`] is the whole surface a driver needs — queue a packet,
+//! advance a cycle, read the conservation counters, publish statistics —
+//! so load sweeps, replay benches and the equivalence / conservation /
+//! allocation harnesses are each written once, generic over the trait,
+//! for the deflection switch ([`crate::SwitchSim`]), the store-and-forward
+//! rival engine ([`crate::RoutedNetSim`]) and their two frozen oracles.
+//!
+//! Two private building blocks carry what the optimized engines used to
+//! copy from each other: [`Ingress`] (per-port injection FIFOs plus the
+//! pending-port bitmap the injection scans walk) and [`Tally`] (cycle and
+//! conservation counters, the hop histogram, and their one-shot and
+//! interval publication). What differs per engine — routing, arenas,
+//! movement kernels — stays in the engine.
+
+use std::collections::VecDeque;
+
+use dv_core::metrics::MetricsRegistry;
+use dv_core::stats::Log2Histogram;
+
+use crate::cycle::Delivered;
+
+/// A cycle-stepped network simulator: packets are queued at input ports,
+/// move one hop per cycle, and leave as [`Delivered`] records.
+///
+/// Every implementor keeps `injected() == ejected() + in flight` and
+/// `enqueued == ejected() + outstanding()` on every cycle
+/// (`crates/switch/tests/conservation.rs`).
+pub trait CycleEngine {
+    /// Queue a packet at `src_port` bound for `dst_port`.
+    fn enqueue(&mut self, src_port: usize, dst_port: usize, tag: u64);
+
+    /// Advance one cycle, appending the packets ejected during it to
+    /// `out`. The optimized engines allocate nothing here once `out` has
+    /// grown to a cycle's worth (`tests/switch_alloc.rs`).
+    fn step_into(&mut self, out: &mut Vec<Delivered>);
+
+    /// Current cycle number.
+    fn cycle(&self) -> u64;
+
+    /// Packets queued at input ports plus in flight.
+    fn outstanding(&self) -> usize;
+
+    /// Packets accepted into the network so far.
+    fn injected(&self) -> u64;
+
+    /// Packets delivered so far.
+    fn ejected(&self) -> u64;
+
+    /// Fold the run's accumulated statistics into `metrics` (one shot, at
+    /// the end of a run). The frozen oracles keep none and publish
+    /// nothing.
+    fn publish_metrics(&self, metrics: &MetricsRegistry);
+
+    /// Streaming counterpart of [`CycleEngine::publish_metrics`]: fold in
+    /// only what accumulated since the previous flush, so interval
+    /// flushes sum to exactly the one-shot totals (gauges are per
+    /// interval). The two publishing paths must not be mixed on one
+    /// engine.
+    fn flush_metrics(&mut self, metrics: &MetricsRegistry);
+
+    /// Advance one cycle; returns the packets ejected during it.
+    /// Throughput-bound callers reuse a buffer via
+    /// [`CycleEngine::step_into`] instead.
+    fn step(&mut self) -> Vec<Delivered> {
+        let mut out = Vec::new();
+        self.step_into(&mut out);
+        out
+    }
+
+    /// Step until everything queued and in flight is delivered, or until
+    /// `max_cycles` elapse. Returns everything delivered.
+    fn drain(&mut self, max_cycles: u64) -> Vec<Delivered> {
+        let mut all = Vec::new();
+        let deadline = self.cycle() + max_cycles;
+        while self.outstanding() > 0 && self.cycle() < deadline {
+            self.step_into(&mut all);
+        }
+        all
+    }
+}
+
+/// A queued packet, as compact as an input FIFO entry can be: the source
+/// is the FIFO it sits in, and destination coordinates and the injection
+/// cycle are derived when it actually enters the network.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Queued {
+    pub(crate) dst_port: u32,
+    pub(crate) tag: u64,
+    pub(crate) enqueue_cycle: u64,
+}
+
+/// The injection side of an engine: one unbounded FIFO per input port
+/// (sweeps bound them through [`CycleEngine::outstanding`]) and a bitmap
+/// of the ports that hold a packet, so injection visits only those.
+pub(crate) struct Ingress {
+    queues: Vec<VecDeque<Queued>>,
+    /// Bit `port % 64` of word `port / 64` is set iff the port's FIFO is
+    /// non-empty.
+    pending: Vec<u64>,
+    /// Total packets across all FIFOs (keeps `outstanding()` O(1) —
+    /// sweeps call it per arrival).
+    queued: usize,
+}
+
+impl Ingress {
+    /// Empty FIFOs for `ports` input ports. Both optimized engines narrow
+    /// port indices to 16 bits in flight (`Flit`, ring entries), so this
+    /// is where the bound is enforced.
+    pub(crate) fn new(ports: usize) -> Self {
+        assert!(
+            ports <= 1 << 16,
+            "cycle engines pack port indices into 16 bits: at most 65536 ports, got {ports}"
+        );
+        Self {
+            queues: vec![VecDeque::new(); ports],
+            pending: vec![0; ports.div_ceil(64)],
+            queued: 0,
+        }
+    }
+
+    pub(crate) fn push(&mut self, src_port: usize, dst_port: usize, tag: u64, cycle: u64) {
+        let ports = self.queues.len();
+        assert!(src_port < ports && dst_port < ports);
+        self.queues[src_port].push_back(Queued {
+            dst_port: u32::try_from(dst_port).expect("port index fits in u32"),
+            tag,
+            enqueue_cycle: cycle,
+        });
+        self.pending[src_port >> 6] |= 1 << (src_port & 63);
+        self.queued += 1;
+    }
+
+    /// Pop the head of `port`'s FIFO (the port must be pending).
+    #[inline]
+    pub(crate) fn pop(&mut self, port: usize) -> Queued {
+        let fifo = &mut self.queues[port];
+        let q = fifo.pop_front().expect("pending port has a queued packet");
+        if fifo.is_empty() {
+            self.pending[port >> 6] &= !(1 << (port & 63));
+        }
+        self.queued -= 1;
+        q
+    }
+
+    /// The pending-port bitmap, one word per 64 ports.
+    #[inline]
+    pub(crate) fn pending(&self) -> &[u64] {
+        &self.pending
+    }
+
+    #[inline]
+    pub(crate) fn queued(&self) -> usize {
+        self.queued
+    }
+}
+
+/// Metric names of one engine family: `[cycles, injected, ejected, hops]`.
+pub(crate) type Names = [&'static str; 4];
+
+/// The accounting every engine keeps, as plain accumulators (no registry
+/// calls in the per-cycle loop), and its publication under the family's
+/// [`Names`].
+pub(crate) struct Tally {
+    pub(crate) cycle: u64,
+    pub(crate) injected: u64,
+    pub(crate) ejected: u64,
+    pub(crate) in_flight: usize,
+    /// Hops of delivered packets since the last flush (the whole run when
+    /// never flushed).
+    pub(crate) hop_hist: Log2Histogram,
+    names: &'static Names,
+    /// `(cycle, injected, ejected)` at the previous [`Tally::flush`].
+    flushed: (u64, u64, u64),
+}
+
+impl Tally {
+    pub(crate) fn new(names: &'static Names) -> Self {
+        Self {
+            cycle: 0,
+            injected: 0,
+            ejected: 0,
+            in_flight: 0,
+            hop_hist: hist(),
+            names,
+            flushed: (0, 0, 0),
+        }
+    }
+
+    /// One-shot publication of the run totals. Returns the cycles covered
+    /// (`None` when `metrics` is disabled) so the engine can publish its
+    /// own accumulators over the same span.
+    pub(crate) fn publish(&self, metrics: &MetricsRegistry) -> Option<u64> {
+        metrics.is_enabled().then(|| self.emit(metrics, (0, 0, 0)))
+    }
+
+    /// Publish what accumulated since the previous flush and start the
+    /// next interval: the counters keep a snapshot, the histogram restarts
+    /// empty. Returns the interval's cycles like [`Tally::publish`].
+    pub(crate) fn flush(&mut self, metrics: &MetricsRegistry) -> Option<u64> {
+        let cycles = metrics.is_enabled().then(|| self.emit(metrics, self.flushed))?;
+        self.flushed = (self.cycle, self.injected, self.ejected);
+        self.hop_hist = hist();
+        Some(cycles)
+    }
+
+    fn emit(&self, metrics: &MetricsRegistry, was: (u64, u64, u64)) -> u64 {
+        let [cycles, injected, ejected, hops] = *self.names;
+        metrics.incr(cycles, self.cycle - was.0);
+        metrics.incr(injected, self.injected - was.1);
+        metrics.incr(ejected, self.ejected - was.2);
+        metrics.observe_histogram(hops, &[], &self.hop_hist);
+        self.cycle - was.0
+    }
+}
+
+/// An empty per-packet histogram at the depth every engine publishes.
+pub(crate) fn hist() -> Log2Histogram {
+    Log2Histogram::new(12)
+}

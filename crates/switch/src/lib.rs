@@ -18,14 +18,22 @@
 //! bursty) for the robustness studies the paper cites (refs [14][15]).
 //! [`faults`] applies a `dv_core::fault::FaultPlan` to the injection and
 //! ejection sides of the switch with deterministic per-link sequencing.
-//! [`reference`] freezes the pre-refactor simulator as the golden
-//! equivalence target and perf baseline for the optimized hot path;
-//! [`net_reference`] does the same for the rival-topology routed engine.
+//! [`net`] adds the rival topologies (fat tree, min-path graph) and their
+//! store-and-forward cycle engine.
+//!
+//! Every cycle engine is driven through one trait, [`CycleEngine`]: the
+//! optimized [`SwitchSim`] and [`RoutedNetSim`], which share their
+//! injection FIFOs and accounting (the private `engine` module), and the
+//! two frozen oracles the test suites compare them against —
+//! [`reference`] keeps the pre-refactor switch simulator, [`net_reference`]
+//! the pre-rebuild routed engine. The oracles are also the denominators of
+//! the `perf_smoke` / `net_smoke` speedup figures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cycle;
+mod engine;
 pub mod faults;
 pub mod model;
 pub mod net;
@@ -34,7 +42,8 @@ pub mod reference;
 pub mod topology;
 pub mod traffic;
 
-pub use cycle::{Delivered, SwitchSim, WideKernel};
+pub use cycle::{Delivered, SwitchSim};
+pub use engine::CycleEngine;
 pub use net::{AnyTopology, FatTree, MinPathGraph, NetworkTopology, RoutedNetSim, TopoKind};
 pub use net_reference::ReferenceNetSim;
 pub use reference::ReferenceSwitchSim;

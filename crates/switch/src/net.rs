@@ -19,9 +19,9 @@
 //! [`AnyTopology`] is the closed enum the sweep driver and bench bins
 //! thread around (static dispatch, `Clone + Send + Sync`), and
 //! [`RoutedNetSim`] is a deterministic store-and-forward cycle simulator
-//! for the rival graphs, exposing the same `enqueue`/`step_into`/
-//! [`Delivered`] surface as the Data Vortex [`crate::cycle::SwitchSim`]
-//! so `LoadSweep` treats the two engines uniformly.
+//! for the rival graphs, behind the same [`CycleEngine`] surface as the
+//! Data Vortex [`crate::cycle::SwitchSim`] so `LoadSweep` treats the two
+//! engines uniformly.
 //!
 //! ## Determinism rules (seeded random-regular graph)
 //!
@@ -39,9 +39,9 @@ use std::collections::{BTreeMap, VecDeque};
 
 use dv_core::metrics::MetricsRegistry;
 use dv_core::rng::SplitMix64;
-use dv_core::stats::Log2Histogram;
 
 use crate::cycle::Delivered;
+use crate::engine::{CycleEngine, Ingress, Names, Tally};
 use crate::topology::Topology;
 
 /// Seed for the [`MinPathGraph`] edge-swap stream. Fixed so every build
@@ -663,15 +663,6 @@ impl NetworkTopology for AnyTopology {
     }
 }
 
-/// A queued arrival at an input port (rival engine).
-#[derive(Debug, Clone, Copy)]
-struct RoutedQueued {
-    src_port: u32,
-    dst_port: u32,
-    tag: u64,
-    enqueue_cycle: u64,
-}
-
 /// An in-flight packet: one fixed-width arena slot. Slots live in
 /// [`RoutedNetSim::slots`] and move between node queues as packed ring
 /// entries (see [`RoutedNetSim::ring`]) — the packet body is written once
@@ -684,15 +675,6 @@ struct RoutedPkt {
     tag: u64,
     enqueue_cycle: u64,
     inject_cycle: u64,
-}
-
-/// Counter snapshot at the previous incremental flush (see
-/// [`RoutedNetSim::flush_metrics`]).
-struct RoutedFlushed {
-    cycle: u64,
-    injected: u64,
-    ejected: u64,
-    hop_hist: Log2Histogram,
 }
 
 /// Deterministic store-and-forward cycle simulator for the rival graphs.
@@ -752,7 +734,6 @@ struct RoutedFlushed {
 ///   injection scan over ports.
 pub struct RoutedNetSim {
     net: AnyTopology,
-    ports: usize,
     /// Next hop per `(node, destination column)` as an index into the
     /// node's `adj` row, flat `node_count × lut_cols`. One byte per
     /// entry keeps the table L2-resident at sweep sizes (the resolved
@@ -808,32 +789,28 @@ pub struct RoutedNetSim {
     /// Nodes set in `used_links` this scan (dirty list for O(degree)
     /// clearing).
     used_set: Vec<u32>,
-    /// One bit per port with a non-empty injection FIFO.
-    port_active: Vec<u64>,
-    /// Per-port injection FIFOs (unbounded; sweeps bound them via
-    /// [`RoutedNetSim::outstanding`], as with the DV engine).
-    queues: Vec<VecDeque<RoutedQueued>>,
-    queued: usize,
-    in_flight: usize,
+    /// Per-port injection FIFOs and the pending-port bitmap the injection
+    /// scan walks.
+    ingress: Ingress,
     /// `cycle + 1` of each output port's last ejection (0 = never): the
     /// one-ejection-per-port-per-cycle bound.
     last_eject: Vec<u64>,
     /// Scratch: ring entries blocked this cycle, re-queued in order.
     keep: Vec<u64>,
-    cycle: u64,
-    injected: u64,
-    ejected: u64,
-    hop_hist: Log2Histogram,
-    flushed: Option<Box<RoutedFlushed>>,
+    tally: Tally,
 }
+
+const NAMES: Names =
+    ["rival.cycle.cycles", "rival.cycle.injected", "rival.cycle.ejected", "rival.cycle.hops"];
 
 impl RoutedNetSim {
     /// An empty simulator for `net`, with the routing LUTs built up
     /// front (one [`NetworkTopology::route_one_hop`] call per
-    /// `(node, dst_port)` pair — paid once, not per hop).
+    /// `(node, dst_port)` pair — paid once, not per hop). At most 2^16
+    /// ports: ring entries pack `dst_port` into 16 bits.
     pub fn new(net: AnyTopology) -> Self {
         let ports = net.ports();
-        assert!(ports <= 1 << 16, "ring entries pack dst_port into 16 bits");
+        let ingress = Ingress::new(ports);
         let nodes = net.node_count();
         let node_words = nodes.div_ceil(64);
         let inject_at: Vec<u32> = (0..ports)
@@ -890,7 +867,6 @@ impl RoutedNetSim {
             adj[node * max_deg..node * max_deg + row.len()].copy_from_slice(row);
         }
         Self {
-            ports,
             next_idx,
             adj,
             max_deg,
@@ -909,17 +885,10 @@ impl RoutedNetSim {
             scan: vec![0; node_words],
             used_links: vec![0; node_words],
             used_set: Vec::new(),
-            port_active: vec![0; ports.div_ceil(64)],
-            queues: vec![VecDeque::new(); ports],
-            queued: 0,
-            in_flight: 0,
+            ingress,
             last_eject: vec![0; ports],
             keep: Vec::new(),
-            cycle: 0,
-            injected: 0,
-            ejected: 0,
-            hop_hist: Log2Histogram::new(12),
-            flushed: None,
+            tally: Tally::new(&NAMES),
             net,
         }
     }
@@ -941,41 +910,29 @@ impl RoutedNetSim {
         &self.net
     }
 
-    /// Current cycle number.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
+}
+
+impl CycleEngine for RoutedNetSim {
+    fn cycle(&self) -> u64 {
+        self.tally.cycle
     }
 
-    /// Packets queued at input ports plus in flight (O(1)).
-    pub fn outstanding(&self) -> usize {
-        self.queued + self.in_flight
+    fn outstanding(&self) -> usize {
+        self.ingress.queued() + self.tally.in_flight
     }
 
-    /// Packets accepted into the network so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
+    fn injected(&self) -> u64 {
+        self.tally.injected
     }
 
-    /// Packets delivered so far.
-    pub fn ejected(&self) -> u64 {
-        self.ejected
+    fn ejected(&self) -> u64 {
+        self.tally.ejected
     }
 
-    /// Queue a packet at `src_port` bound for `dst_port`.
-    pub fn enqueue(&mut self, src_port: usize, dst_port: usize, tag: u64) {
-        assert!(src_port < self.ports && dst_port < self.ports);
-        self.queues[src_port].push_back(RoutedQueued {
-            src_port: u32::try_from(src_port).expect("port index fits in u32"),
-            dst_port: u32::try_from(dst_port).expect("port index fits in u32"),
-            tag,
-            enqueue_cycle: self.cycle,
-        });
-        self.port_active[src_port >> 6] |= 1 << (src_port & 63);
-        self.queued += 1;
+    fn enqueue(&mut self, src_port: usize, dst_port: usize, tag: u64) {
+        self.ingress.push(src_port, dst_port, tag, self.tally.cycle);
     }
 
-    /// Advance one cycle, appending the packets ejected during it.
-    ///
     /// Bit-identical to [`crate::net_reference::ReferenceNetSim::step_into`]
     /// (see `tests/net_equivalence.rs`): set bits are visited LSB-first,
     /// which is the reference's ascending node order, and the worklist is
@@ -987,8 +944,8 @@ impl RoutedNetSim {
     /// arrivals append at the tail, and a node pushes only to other
     /// nodes), so `q_len - fresh` from the front is exactly the set the
     /// reference walks before its `moved_cycle == cycle` break.
-    pub fn step_into(&mut self, out: &mut Vec<Delivered>) {
-        let cycle = self.cycle;
+    fn step_into(&mut self, out: &mut Vec<Delivered>) {
+        let cycle = self.tally.cycle;
         let lut_cols = self.lut_cols;
         let max_deg = self.max_deg;
         // Split borrows once: indexing through `self` makes every write
@@ -1012,9 +969,7 @@ impl RoutedNetSim {
             used_set,
             last_eject,
             keep,
-            ejected,
-            in_flight,
-            hop_hist,
+            tally: Tally { ejected, in_flight, hop_hist, .. },
             ..
         } = self;
         scan.copy_from_slice(active);
@@ -1102,9 +1057,9 @@ impl RoutedNetSim {
 
         // Injection after movement: one packet per port per cycle, if the
         // entry node has room.
-        if self.queued > 0 {
-            for word_idx in 0..self.port_active.len() {
-                let mut word = self.port_active[word_idx];
+        if self.ingress.queued() > 0 {
+            for word_idx in 0..self.ingress.pending().len() {
+                let mut word = self.ingress.pending()[word_idx];
                 while word != 0 {
                     let port = (word_idx << 6) | word.trailing_zeros() as usize;
                     word &= word - 1;
@@ -1112,15 +1067,11 @@ impl RoutedNetSim {
                     if self.q_len[entry] as usize >= NODE_QUEUE_CAP {
                         continue;
                     }
-                    let q = self.queues[port].pop_front().expect("active port is non-empty");
-                    if self.queues[port].is_empty() {
-                        self.port_active[word_idx] &= !(1 << (port & 63));
-                    }
-                    self.queued -= 1;
-                    self.injected += 1;
-                    self.in_flight += 1;
+                    let q = self.ingress.pop(port);
+                    self.tally.injected += 1;
+                    self.tally.in_flight += 1;
                     let slot = self.alloc_slot(RoutedPkt {
-                        src_port: q.src_port,
+                        src_port: u32::try_from(port).expect("port index fits in u32"),
                         tag: q.tag,
                         enqueue_cycle: q.enqueue_cycle,
                         inject_cycle: cycle,
@@ -1140,64 +1091,16 @@ impl RoutedNetSim {
                 }
             }
         }
-        self.cycle += 1;
+        self.tally.cycle += 1;
     }
 
-    /// Advance one cycle; returns the packets ejected during it.
-    pub fn step(&mut self) -> Vec<Delivered> {
-        let mut out = Vec::new();
-        self.step_into(&mut out);
-        out
+    /// Statistics go under `rival.cycle.*`.
+    fn publish_metrics(&self, metrics: &MetricsRegistry) {
+        self.tally.publish(metrics);
     }
 
-    /// Step until everything queued and in flight is delivered, or until
-    /// `max_cycles` elapse.
-    pub fn drain(&mut self, max_cycles: u64) -> Vec<Delivered> {
-        let mut all = Vec::new();
-        let deadline = self.cycle + max_cycles;
-        while self.outstanding() > 0 && self.cycle < deadline {
-            self.step_into(&mut all);
-        }
-        all
-    }
-
-    /// Fold accumulated statistics into a registry under `rival.cycle.*`.
-    pub fn publish_metrics(&self, metrics: &MetricsRegistry) {
-        if !metrics.is_enabled() {
-            return;
-        }
-        metrics.incr("rival.cycle.cycles", self.cycle);
-        metrics.incr("rival.cycle.injected", self.injected);
-        metrics.incr("rival.cycle.ejected", self.ejected);
-        metrics.observe_histogram("rival.cycle.hops", &[], &self.hop_hist);
-    }
-
-    /// Incremental counterpart of [`RoutedNetSim::publish_metrics`] for
-    /// streaming runs: publishes only what accumulated since the previous
-    /// flush, so interval flushes sum to the run totals.
-    pub fn flush_metrics(&mut self, metrics: &MetricsRegistry) {
-        if !metrics.is_enabled() {
-            return;
-        }
-        let was = self.flushed.get_or_insert_with(|| {
-            Box::new(RoutedFlushed {
-                cycle: 0,
-                injected: 0,
-                ejected: 0,
-                hop_hist: Log2Histogram::new(12),
-            })
-        });
-        metrics.incr("rival.cycle.cycles", self.cycle - was.cycle);
-        metrics.incr("rival.cycle.injected", self.injected - was.injected);
-        metrics.incr("rival.cycle.ejected", self.ejected - was.ejected);
-        let delta = self.hop_hist.delta(&was.hop_hist);
-        metrics.observe_histogram("rival.cycle.hops", &[], &delta);
-        // Fold the delta forward instead of cloning the whole histogram
-        // on every flush.
-        was.hop_hist.merge(&delta);
-        was.cycle = self.cycle;
-        was.injected = self.injected;
-        was.ejected = self.ejected;
+    fn flush_metrics(&mut self, metrics: &MetricsRegistry) {
+        self.tally.flush(metrics);
     }
 }
 
@@ -1317,48 +1220,9 @@ mod tests {
     }
 
     #[test]
-    fn routed_sim_permutation_is_lossless_and_deterministic() {
-        let run = |kind| {
-            let net = AnyTopology::for_ports(kind, 64);
-            let n = net.ports();
-            let mut sim = RoutedNetSim::new(net);
-            for round in 0..10u64 {
-                for p in 0..n {
-                    sim.enqueue(p, (p * 7 + 3) % n, round * n as u64 + p as u64);
-                }
-            }
-            let delivered = sim.drain(1_000_000);
-            assert_eq!(delivered.len(), 10 * n);
-            let mut tags: Vec<u64> = delivered.iter().map(|d| d.tag).collect();
-            tags.sort_unstable();
-            tags.dedup();
-            assert_eq!(tags.len(), 10 * n, "no packet lost or duplicated");
-            assert_eq!(sim.outstanding(), 0);
-            delivered
-        };
-        for kind in [TopoKind::FatTree, TopoKind::MinPath] {
-            let a: Vec<_> = run(kind).iter().map(|d| (d.tag, d.eject_cycle, d.hops)).collect();
-            let b: Vec<_> = run(kind).iter().map(|d| (d.tag, d.eject_cycle, d.hops)).collect();
-            assert_eq!(a, b, "{kind:?} must replay exactly");
-        }
-    }
-
-    #[test]
-    fn routed_sim_hotspot_serializes_at_the_hot_port() {
-        let net = AnyTopology::for_ports(TopoKind::FatTree, 64);
-        let mut sim = RoutedNetSim::new(net);
-        for p in 0..64usize {
-            for k in 0..4u64 {
-                sim.enqueue(p, 0, (p as u64) << 8 | k);
-            }
-        }
-        let delivered = sim.drain(1_000_000);
-        assert_eq!(delivered.len(), 64 * 4);
-        let mut eject_cycles: Vec<u64> = delivered.iter().map(|d| d.eject_cycle).collect();
-        eject_cycles.sort_unstable();
-        for w in eject_cycles.windows(2) {
-            assert!(w[1] > w[0], "two ejections in one cycle at the same port");
-        }
+    #[should_panic(expected = "at most 65536 ports")]
+    fn more_than_65536_ports_is_rejected() {
+        RoutedNetSim::new(AnyTopology::for_ports(TopoKind::FatTree, (1 << 16) + 1));
     }
 
     #[test]

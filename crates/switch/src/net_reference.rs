@@ -24,7 +24,10 @@
 
 use std::collections::VecDeque;
 
+use dv_core::metrics::MetricsRegistry;
+
 use crate::cycle::Delivered;
+use crate::engine::CycleEngine;
 use crate::net::{AnyTopology, NetworkTopology, NODE_QUEUE_CAP};
 
 /// A queued arrival at an input port (frozen engine).
@@ -93,29 +96,26 @@ impl ReferenceNetSim {
             net,
         }
     }
+}
 
-    /// Current cycle number.
-    pub fn cycle(&self) -> u64 {
+impl CycleEngine for ReferenceNetSim {
+    fn cycle(&self) -> u64 {
         self.cycle
     }
 
-    /// Packets queued at input ports plus in flight.
-    pub fn outstanding(&self) -> usize {
+    fn outstanding(&self) -> usize {
         self.queued + self.in_flight
     }
 
-    /// Packets accepted into the network so far.
-    pub fn injected(&self) -> u64 {
+    fn injected(&self) -> u64 {
         self.injected
     }
 
-    /// Packets delivered so far.
-    pub fn ejected(&self) -> u64 {
+    fn ejected(&self) -> u64 {
         self.ejected
     }
 
-    /// Queue a packet at `src_port` bound for `dst_port`.
-    pub fn enqueue(&mut self, src_port: usize, dst_port: usize, tag: u64) {
+    fn enqueue(&mut self, src_port: usize, dst_port: usize, tag: u64) {
         assert!(src_port < self.ports && dst_port < self.ports);
         self.queues[src_port].push_back(RefQueued {
             src_port: u32::try_from(src_port).expect("port index fits in u32"),
@@ -126,9 +126,8 @@ impl ReferenceNetSim {
         self.queued += 1;
     }
 
-    /// Advance one cycle with the frozen step body, appending the packets
-    /// ejected during it.
-    pub fn step_into(&mut self, out: &mut Vec<Delivered>) {
+    /// The frozen step body.
+    fn step_into(&mut self, out: &mut Vec<Delivered>) {
         let cycle = self.cycle;
         for node in 0..self.node_q.len() {
             if self.node_q[node].is_empty() {
@@ -213,21 +212,7 @@ impl ReferenceNetSim {
         self.cycle += 1;
     }
 
-    /// Advance one cycle; returns the packets ejected during it.
-    pub fn step(&mut self) -> Vec<Delivered> {
-        let mut out = Vec::new();
-        self.step_into(&mut out);
-        out
-    }
+    fn publish_metrics(&self, _: &MetricsRegistry) {}
 
-    /// Step until everything queued and in flight is delivered, or until
-    /// `max_cycles` elapse.
-    pub fn drain(&mut self, max_cycles: u64) -> Vec<Delivered> {
-        let mut all = Vec::new();
-        let deadline = self.cycle + max_cycles;
-        while self.outstanding() > 0 && self.cycle < deadline {
-            self.step_into(&mut all);
-        }
-        all
-    }
+    fn flush_metrics(&mut self, _: &MetricsRegistry) {}
 }

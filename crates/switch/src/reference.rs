@@ -21,7 +21,10 @@
 
 use std::collections::VecDeque;
 
+use dv_core::metrics::MetricsRegistry;
+
 use crate::cycle::Delivered;
+use crate::engine::CycleEngine;
 use crate::topology::Topology;
 
 /// A packet in flight through the reference switch.
@@ -71,51 +74,13 @@ impl ReferenceSwitchSim {
         &self.topo
     }
 
-    /// Current cycle number.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Packets queued at input ports plus in flight (the original O(ports)
-    /// queue scan).
-    pub fn outstanding(&self) -> usize {
-        self.in_flight + self.queues.iter().map(VecDeque::len).sum::<usize>()
-    }
-
-    /// Packets accepted into the outermost cylinder so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
-    /// Packets delivered so far.
-    pub fn ejected(&self) -> u64 {
-        self.ejected
-    }
-
-    /// Queue a packet at `src_port` bound for `dst_port`.
-    pub fn enqueue(&mut self, src_port: usize, dst_port: usize, tag: u64) {
-        assert!(src_port < self.topo.ports() && dst_port < self.topo.ports());
-        let (dst_h, dst_a) = self.topo.port_position(dst_port);
-        self.queues[src_port].push_back(Flit {
-            dst_h,
-            dst_a,
-            src_port,
-            dst_port,
-            tag,
-            inject_cycle: 0,
-            enqueue_cycle: self.cycle,
-            hops: 0,
-            deflections: 0,
-        });
-    }
-
     fn cell(&self, h: usize, a: usize) -> usize {
         a * self.topo.height + h
     }
 
     /// Advance one cycle with the pre-refactor step body; returns the
     /// packets ejected during it.
-    pub fn step_reference(&mut self) -> Vec<Delivered> {
+    fn step_reference(&mut self) -> Vec<Delivered> {
         let topo = self.topo.clone();
         let cylinders = topo.cylinders();
         let angles = topo.angles;
@@ -207,15 +172,47 @@ impl ReferenceSwitchSim {
         self.cycle += 1;
         out
     }
+}
 
-    /// Step until all queued and in-flight packets are delivered, or until
-    /// `max_cycles` elapse. Returns everything delivered.
-    pub fn drain(&mut self, max_cycles: u64) -> Vec<Delivered> {
-        let mut all = Vec::new();
-        let deadline = self.cycle + max_cycles;
-        while self.outstanding() > 0 && self.cycle < deadline {
-            all.extend(self.step_reference());
-        }
-        all
+impl CycleEngine for ReferenceSwitchSim {
+    fn cycle(&self) -> u64 {
+        self.cycle
     }
+
+    /// The original O(ports) queue scan.
+    fn outstanding(&self) -> usize {
+        self.in_flight + self.queues.iter().map(VecDeque::len).sum::<usize>()
+    }
+
+    fn injected(&self) -> u64 {
+        self.injected
+    }
+
+    fn ejected(&self) -> u64 {
+        self.ejected
+    }
+
+    fn enqueue(&mut self, src_port: usize, dst_port: usize, tag: u64) {
+        assert!(src_port < self.topo.ports() && dst_port < self.topo.ports());
+        let (dst_h, dst_a) = self.topo.port_position(dst_port);
+        self.queues[src_port].push_back(Flit {
+            dst_h,
+            dst_a,
+            src_port,
+            dst_port,
+            tag,
+            inject_cycle: 0,
+            enqueue_cycle: self.cycle,
+            hops: 0,
+            deflections: 0,
+        });
+    }
+
+    fn step_into(&mut self, out: &mut Vec<Delivered>) {
+        out.extend(self.step_reference());
+    }
+
+    fn publish_metrics(&self, _: &MetricsRegistry) {}
+
+    fn flush_metrics(&mut self, _: &MetricsRegistry) {}
 }

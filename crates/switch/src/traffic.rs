@@ -13,7 +13,8 @@ use dv_core::metrics::MetricsRegistry;
 use dv_core::rng::SplitMix64;
 use dv_core::stats::{Log2Histogram, OnlineStats};
 
-use crate::cycle::SwitchSim;
+use crate::cycle::{Delivered, SwitchSim};
+use crate::engine::CycleEngine;
 use crate::net::{AnyTopology, NetworkTopology, RoutedNetSim};
 use crate::topology::Topology;
 
@@ -84,66 +85,10 @@ pub struct SweepPoint {
 /// identical to the serial path.
 struct RunArtifacts {
     point: SweepPoint,
-    sim: Engine,
+    /// The point's engine, kept for publication only.
+    sim: Box<dyn CycleEngine + Send>,
     lat_hist: Log2Histogram,
     fault_drops: u64,
-}
-
-/// The cycle engine behind one sweep point: the Data Vortex simulator
-/// for [`AnyTopology::Vortex`], the routed store-and-forward simulator
-/// for the rival graphs. Both expose the same enqueue/step/metrics
-/// surface, so the sweep loop is engine-agnostic.
-// One Engine exists per sweep point, held by value for the whole run;
-// boxing the larger variant would buy nothing but a pointer chase in
-// the per-cycle step dispatch.
-#[allow(clippy::large_enum_variant)]
-enum Engine {
-    Vortex(SwitchSim),
-    Routed(RoutedNetSim),
-}
-
-impl Engine {
-    fn for_net(net: &AnyTopology) -> Self {
-        match net {
-            AnyTopology::Vortex(topo) => Engine::Vortex(SwitchSim::new(topo.clone())),
-            other => Engine::Routed(RoutedNetSim::new(other.clone())),
-        }
-    }
-
-    fn enqueue(&mut self, src: usize, dst: usize, tag: u64) {
-        match self {
-            Engine::Vortex(s) => s.enqueue(src, dst, tag),
-            Engine::Routed(s) => s.enqueue(src, dst, tag),
-        }
-    }
-
-    fn step_into(&mut self, out: &mut Vec<crate::cycle::Delivered>) {
-        match self {
-            Engine::Vortex(s) => s.step_into(out),
-            Engine::Routed(s) => s.step_into(out),
-        }
-    }
-
-    fn outstanding(&self) -> usize {
-        match self {
-            Engine::Vortex(s) => s.outstanding(),
-            Engine::Routed(s) => s.outstanding(),
-        }
-    }
-
-    fn publish_metrics(&self, metrics: &MetricsRegistry) {
-        match self {
-            Engine::Vortex(s) => s.publish_metrics(metrics),
-            Engine::Routed(s) => s.publish_metrics(metrics),
-        }
-    }
-
-    fn flush_metrics(&mut self, metrics: &MetricsRegistry) {
-        match self {
-            Engine::Vortex(s) => s.flush_metrics(metrics),
-            Engine::Routed(s) => s.flush_metrics(metrics),
-        }
-    }
 }
 
 /// Offered-load sweep driver.
@@ -241,7 +186,7 @@ impl LoadSweep {
     /// to `cycle × hop_time_ps`, so an attached `Timeseries` sees the
     /// switch evolve live. The point's `switch.sweep.*` summary metrics
     /// publish at the end as usual; the final interval flush replaces the
-    /// one-shot [`SwitchSim::publish_metrics`], so totals still match a
+    /// one-shot [`CycleEngine::publish_metrics`], so totals still match a
     /// plain [`LoadSweep::run`] exactly.
     pub fn run_streamed(&self, offered: f64, hop_time_ps: u64, flush_cycles: u64) -> SweepPoint {
         let m = Arc::clone(self.metrics.as_ref().expect("run_streamed requires metrics"));
@@ -267,14 +212,29 @@ impl LoadSweep {
     /// [`LoadSweep::run_core`] with a per-cycle observer, invoked with the
     /// simulator and the cycle index after each cycle's movement phase
     /// (streamed runs flush metrics from it; the plain path passes a
-    /// no-op).
+    /// no-op). Picks the engine once — the Data Vortex simulator for
+    /// [`AnyTopology::Vortex`], the routed store-and-forward simulator for
+    /// the rival graphs — so the cycle loop is monomorphic in it.
     fn run_core_with(
         &self,
         offered: f64,
-        mut on_cycle: impl FnMut(&mut Engine, u64),
+        on_cycle: impl FnMut(&mut dyn CycleEngine, u64),
+    ) -> RunArtifacts {
+        match &self.net {
+            AnyTopology::Vortex(topo) => {
+                self.run_on(SwitchSim::new(topo.clone()), offered, on_cycle)
+            }
+            net => self.run_on(RoutedNetSim::new(net.clone()), offered, on_cycle),
+        }
+    }
+
+    fn run_on<E: CycleEngine + Send + 'static>(
+        &self,
+        mut sw: E,
+        offered: f64,
+        mut on_cycle: impl FnMut(&mut dyn CycleEngine, u64),
     ) -> RunArtifacts {
         let ports = self.net.ports();
-        let mut sw = Engine::for_net(&self.net);
         let mut rng = SplitMix64::new(self.seed);
         let mut perm: Vec<usize> = (0..ports).collect();
         // Fisher–Yates with the seeded generator (used by Permutation).
@@ -313,7 +273,7 @@ impl LoadSweep {
         // Reused per-cycle delivery buffer: with its capacity warmed up the
         // whole measurement loop stays off the allocator (a port ejects at
         // most one packet per cycle, so `ports` bounds a cycle's batch).
-        let mut delivered_buf: Vec<crate::cycle::Delivered> = Vec::with_capacity(ports);
+        let mut delivered_buf: Vec<Delivered> = Vec::with_capacity(ports);
 
         let total_cycles = self.warmup + self.measure;
         for cycle in 0..total_cycles {
@@ -390,7 +350,7 @@ impl LoadSweep {
             delivered: delivered_count,
             total_latency_p99_log2: lat_hist.quantile_log2(0.99),
         };
-        RunArtifacts { point, sim: sw, lat_hist, fault_drops }
+        RunArtifacts { point, sim: Box::new(sw), lat_hist, fault_drops }
     }
 
     /// The publication half of [`LoadSweep::run`]: folds one point's

@@ -1,12 +1,19 @@
-//! Golden equivalence: the zero-allocation arena/worklist hot path must
-//! deliver *exactly* the packet stream of the frozen pre-refactor
-//! implementation — same tags, same cycles, same hops, same deflections,
-//! in the same order — across every traffic pattern, with and without
-//! injected link faults, on multiple topologies.
+//! Golden equivalence: each optimized engine must deliver *exactly* the
+//! packet stream of its frozen oracle — same tags, same cycles, same
+//! hops, same deflections, in the same order — across every topology and
+//! traffic pattern, with and without injected link faults, including the
+//! drain tails. One lock-step harness, generic over [`CycleEngine`],
+//! serves both pairs: [`SwitchSim`] against [`ReferenceSwitchSim`] (every
+//! movement kernel: narrow, scalar-wide, batched with `u16` and `u32`
+//! handles) and [`RoutedNetSim`] against [`ReferenceNetSim`] (all three
+//! topologies, rivals up to 4096 ports).
 
 use dv_core::fault::FaultPlan;
 use dv_core::rng::SplitMix64;
-use dv_switch::{LinkFaultInjector, ReferenceSwitchSim, SwitchSim, Topology, WideKernel};
+use dv_switch::{
+    AnyTopology, CycleEngine, LinkFaultInjector, NetworkTopology, ReferenceNetSim,
+    ReferenceSwitchSim, RoutedNetSim, SwitchSim, TopoKind, Topology,
+};
 
 /// How one cycle's arrivals pick destinations.
 #[derive(Clone, Copy)]
@@ -32,57 +39,78 @@ impl Workload {
     }
 }
 
-/// Drive the optimized and reference sims with identical traffic for
-/// `cycles` cycles and assert the per-cycle `Delivered` batches match
-/// exactly. Fault decisions (when `faults` is set) are made once per
-/// arrival through a [`LinkFaultInjector`] and applied to both sims.
-fn assert_equivalent(topo: Topology, workload: Workload, load: f64, cycles: u64, faults: Option<FaultPlan>) {
-    // `SwitchSim::new` resolves the kernel itself (narrow, or batched on
-    // wide switches with H >= 64); the explicit-scalar tests below pin
-    // the frozen baseline separately.
-    assert_equivalent_kernel(topo, WideKernel::Batched, workload, load, cycles, faults);
+/// What differs between the two engine families' runs.
+struct Family {
+    seed: u64,
+    /// Arrivals are skipped while `outstanding > ports × backlog`.
+    backlog: usize,
+    drain_budget: u64,
 }
 
-fn assert_equivalent_kernel(
-    topo: Topology,
-    kernel: WideKernel,
-    workload: Workload,
-    load: f64,
-    cycles: u64,
-    faults: Option<FaultPlan>,
-) {
-    let ports = topo.ports();
-    let injector = faults.map(|plan| LinkFaultInjector::new(plan, ports));
-    let mut new_sim = SwitchSim::with_wide_kernel(topo.clone(), kernel);
-    let mut ref_sim = ReferenceSwitchSim::new(topo);
-    let mut rng = SplitMix64::new(0x51CA_FFE5);
-    let mut out = Vec::with_capacity(ports);
-    let mut total = 0u64;
+/// The bufferless switch deflects instead of wedging, so its backlog may
+/// run as deep as `LoadSweep` lets it.
+const DV: Family = Family { seed: 0x51CA_FFE5, backlog: 64, drain_budget: 1_000_000 };
 
+/// x4 keeps the backlog deep enough to exercise blocking and
+/// keep/re-queue paths, but below the store-and-forward deadlock regime
+/// (finite FIFO queues + head-of-line blocking around cyclic buffer
+/// dependencies wedge every topology here once outstanding grows past
+/// ~x8 port depth). `deadlocked_backlog_is_bit_equivalent` covers the
+/// wedged regime with a bounded run; every other probed workload clears
+/// in well under 1k cycles.
+const ROUTED: Family = Family { seed: 0x0DD5_EED5, backlog: 4, drain_budget: 50_000 };
+
+/// Drive both sims with identical traffic for `cycles` cycles and assert
+/// the per-cycle `Delivered` batches match exactly; returns how many
+/// packets were delivered. Fault decisions are made once per arrival and
+/// applied to both sims.
+fn lockstep(
+    new_sim: &mut impl CycleEngine,
+    ref_sim: &mut impl CycleEngine,
+    ports: usize,
+    rng: &mut SplitMix64,
+    (workload, load, cycles): (Workload, f64, u64),
+    backlog: usize,
+    injector: Option<&LinkFaultInjector>,
+) -> u64 {
+    let mut out = Vec::with_capacity(ports);
+    let mut expected = Vec::with_capacity(ports);
+    let mut total = 0;
     for cycle in 0..cycles {
         for src in 0..ports {
-            if rng.next_f64() >= load {
+            if rng.next_f64() >= load || new_sim.outstanding() > ports * backlog {
                 continue;
             }
-            if new_sim.outstanding() > ports * 64 {
+            let dst = workload.dst(rng, ports, src);
+            if injector.is_some_and(|inj| inj.packet_fault(src, dst).drop) {
                 continue;
-            }
-            let dst = workload.dst(&mut rng, ports, src);
-            if let Some(inj) = &injector {
-                if inj.packet_fault(src, dst).drop {
-                    continue;
-                }
             }
             let tag = cycle << 16 | src as u64;
             new_sim.enqueue(src, dst, tag);
             ref_sim.enqueue(src, dst, tag);
         }
         out.clear();
+        expected.clear();
         new_sim.step_into(&mut out);
-        let expected = ref_sim.step_reference();
+        ref_sim.step_into(&mut expected);
         assert_eq!(out, expected, "cycle {cycle}: delivered batches diverge");
         total += out.len() as u64;
     }
+    total
+}
+
+fn assert_equivalent(
+    family: &Family,
+    mut new_sim: impl CycleEngine,
+    mut ref_sim: impl CycleEngine,
+    ports: usize,
+    run: (Workload, f64, u64),
+    faults: Option<FaultPlan>,
+) {
+    let injector = faults.map(|plan| LinkFaultInjector::new(plan, ports));
+    let mut rng = SplitMix64::new(family.seed);
+    let (backlog, injector) = (family.backlog, injector.as_ref());
+    let total = lockstep(&mut new_sim, &mut ref_sim, ports, &mut rng, run, backlog, injector);
     assert_eq!(new_sim.outstanding(), ref_sim.outstanding());
     assert_eq!(new_sim.injected(), ref_sim.injected());
     assert_eq!(new_sim.ejected(), ref_sim.ejected());
@@ -91,42 +119,151 @@ fn assert_equivalent_kernel(
 
     // Drain the tail too: backlog clearance must also match packet for
     // packet.
-    let new_tail = new_sim.drain(1_000_000);
-    let ref_tail = ref_sim.drain(1_000_000);
+    let new_tail = new_sim.drain(family.drain_budget);
+    let ref_tail = ref_sim.drain(family.drain_budget);
     assert_eq!(new_tail, ref_tail, "drain tails diverge");
     assert_eq!(new_sim.outstanding(), 0);
 }
 
-fn topologies() -> [Topology; 2] {
+/// `SwitchSim` (whichever kernel the topology resolves to) against its
+/// oracle.
+fn dv(topo: Topology, workload: Workload, load: f64, cycles: u64, faults: Option<FaultPlan>) {
+    let (ports, run) = (topo.ports(), (workload, load, cycles));
+    let (new_sim, ref_sim) = (SwitchSim::new(topo.clone()), ReferenceSwitchSim::new(topo));
+    assert_equivalent(&DV, new_sim, ref_sim, ports, run, faults);
+}
+
+/// `RoutedNetSim` against its oracle.
+fn routed(net: AnyTopology, workload: Workload, load: f64, cycles: u64, faults: Option<FaultPlan>) {
+    let (ports, run) = (net.ports(), (workload, load, cycles));
+    let (new_sim, ref_sim) = (RoutedNetSim::new(net.clone()), ReferenceNetSim::new(net));
+    assert_equivalent(&ROUTED, new_sim, ref_sim, ports, run, faults);
+}
+
+/// Everything enqueued up front (deep queues, maximum contention), then
+/// the network drains with no further arrivals.
+fn burst_then_silence(
+    mut new_sim: impl CycleEngine,
+    mut ref_sim: impl CycleEngine,
+    ports: usize,
+    depth: u64,
+) {
+    let mut rng = SplitMix64::new(99);
+    for src in 0..ports {
+        for k in 0..depth {
+            let dst = rng.next_below(ports as u64) as usize;
+            let tag = (src as u64) << 16 | k;
+            new_sim.enqueue(src, dst, tag);
+            ref_sim.enqueue(src, dst, tag);
+        }
+    }
+    let mut out = Vec::with_capacity(ports);
+    let mut expected = Vec::with_capacity(ports);
+    while ref_sim.outstanding() > 0 {
+        assert!(ref_sim.cycle() < 50_000, "burst drain did not converge");
+        out.clear();
+        expected.clear();
+        new_sim.step_into(&mut out);
+        ref_sim.step_into(&mut expected);
+        assert_eq!(out, expected);
+    }
+    assert_eq!(new_sim.outstanding(), 0);
+    assert_eq!(new_sim.ejected(), ports as u64 * depth);
+}
+
+/// The two narrow (≤ 64-port) switches.
+fn narrow() -> [Topology; 2] {
     [Topology::new(8, 4), Topology::new(16, 4)]
 }
 
+/// Fat tree, min-path graph, and the DV graph routed store-and-forward.
+fn nets(ports: usize) -> [AnyTopology; 3] {
+    TopoKind::ALL.map(|kind| AnyTopology::for_ports(kind, ports))
+}
+
+fn rivals(ports: usize) -> [AnyTopology; 2] {
+    [TopoKind::FatTree, TopoKind::MinPath].map(|kind| AnyTopology::for_ports(kind, ports))
+}
+
 #[test]
-fn wide_switch_is_bit_equivalent() {
+fn uniform_traffic_is_bit_equivalent() {
+    for topo in narrow() {
+        dv(topo, Workload::Uniform, 0.8, 600, None);
+    }
+    for net in nets(64) {
+        routed(net, Workload::Uniform, 0.8, 400, None);
+    }
+}
+
+#[test]
+fn hotspot_traffic_is_bit_equivalent() {
+    for topo in narrow() {
+        dv(topo, Workload::Hotspot, 0.6, 600, None);
+    }
+    for net in nets(64) {
+        routed(net, Workload::Hotspot, 0.5, 400, None);
+    }
+}
+
+#[test]
+fn tornado_traffic_is_bit_equivalent() {
+    for topo in narrow() {
+        dv(topo, Workload::Tornado, 0.9, 600, None);
+    }
+    for net in nets(64) {
+        routed(net, Workload::Tornado, 0.9, 400, None);
+    }
+}
+
+#[test]
+fn faulted_traffic_is_bit_equivalent() {
+    let plan = FaultPlan { seed: 17, link_drop: 0.1, ..Default::default() };
+    for topo in narrow() {
+        dv(topo, Workload::Uniform, 0.8, 600, Some(plan.clone()));
+    }
+    for net in nets(64) {
+        routed(net, Workload::Uniform, 0.8, 400, Some(plan.clone()));
+    }
+}
+
+#[test]
+fn saturated_burst_then_silence_is_bit_equivalent() {
+    for topo in narrow() {
+        let ports = topo.ports();
+        burst_then_silence(SwitchSim::new(topo.clone()), ReferenceSwitchSim::new(topo), ports, 40);
+    }
+    // Burst depth 4 per port: the deepest backlog probed to still clear
+    // on every rival topology.
+    for net in rivals(64) {
+        burst_then_silence(RoutedNetSim::new(net.clone()), ReferenceNetSim::new(net), 64, 4);
+    }
+}
+
+#[test]
+fn scalar_wide_switch_is_bit_equivalent() {
     // More than 64 ports but H < 64: multi-word occupancy bitmaps served
-    // by the scalar wide path (a word spans two angles here, so the
-    // batched kernel does not apply — `with_wide_kernel` ignores the
-    // request and both spellings must agree with the reference).
-    assert_equivalent(Topology::new(32, 4), Workload::Uniform, 0.7, 400, None);
-    assert_equivalent(Topology::new(32, 4), Workload::Tornado, 0.9, 400, None);
+    // by the scalar wide kernel (a word spans two angles here, so the
+    // batched kernel does not apply).
+    dv(Topology::new(32, 4), Workload::Uniform, 0.7, 400, None);
+    dv(Topology::new(32, 4), Workload::Tornado, 0.9, 400, None);
 }
 
 #[test]
 fn batched_wide_h128_is_bit_equivalent() {
     // H = 128 (512 ports, A = 4): the batched word-parallel kernel, all
-    // three workloads, including the drain tail in assert_equivalent.
+    // three workloads, including the drain tail.
     let topo = || Topology::new(128, 4);
-    assert_equivalent(topo(), Workload::Uniform, 0.7, 200, None);
-    assert_equivalent(topo(), Workload::Hotspot, 0.5, 200, None);
-    assert_equivalent(topo(), Workload::Tornado, 0.9, 150, None);
+    dv(topo(), Workload::Uniform, 0.7, 200, None);
+    dv(topo(), Workload::Hotspot, 0.5, 200, None);
+    dv(topo(), Workload::Tornado, 0.9, 150, None);
 }
 
 #[test]
 fn batched_wide_h256_is_bit_equivalent() {
-    // H = 256 (1024 ports): the scale the perf gate measures at.
+    // H = 256 (1024 ports): the largest switch `switch_sweep` times.
     let topo = || Topology::new(256, 4);
-    assert_equivalent(topo(), Workload::Uniform, 0.7, 150, None);
-    assert_equivalent(topo(), Workload::Tornado, 0.9, 120, None);
+    dv(topo(), Workload::Uniform, 0.7, 150, None);
+    dv(topo(), Workload::Tornado, 0.9, 120, None);
 }
 
 #[test]
@@ -137,87 +274,73 @@ fn batched_wide_u32_handles_is_bit_equivalent() {
     // reference is the per-flit scalar baseline and this is the largest
     // topology in the suite.
     let topo = || Topology::new(2048, 4);
-    assert_equivalent(topo(), Workload::Uniform, 0.4, 60, None);
-    assert_equivalent(topo(), Workload::Tornado, 0.6, 50, None);
+    dv(topo(), Workload::Uniform, 0.4, 60, None);
+    dv(topo(), Workload::Tornado, 0.6, 50, None);
 }
 
 #[test]
 fn batched_wide_faulted_is_bit_equivalent() {
     // Seeded fault drops thin the batched kernel's words irregularly.
     let plan = FaultPlan { seed: 17, link_drop: 0.1, ..Default::default() };
-    assert_equivalent(Topology::new(128, 4), Workload::Uniform, 0.7, 250, Some(plan.clone()));
-    assert_equivalent(Topology::new(256, 4), Workload::Hotspot, 0.5, 150, Some(plan));
+    dv(Topology::new(128, 4), Workload::Uniform, 0.7, 250, Some(plan.clone()));
+    dv(Topology::new(256, 4), Workload::Hotspot, 0.5, 150, Some(plan));
 }
 
 #[test]
-fn scalar_wide_kernel_is_bit_equivalent_at_h128() {
-    // The frozen pre-batching baseline must also still match the
-    // reference at the new heights (it is the perf gate's denominator).
-    assert_equivalent_kernel(
-        Topology::new(128, 4),
-        WideKernel::Scalar,
-        Workload::Uniform,
-        0.7,
-        150,
-        None,
-    );
-}
-
-#[test]
-fn uniform_traffic_is_bit_equivalent() {
-    for topo in topologies() {
-        assert_equivalent(topo, Workload::Uniform, 0.8, 600, None);
+fn rivals_at_256_are_bit_equivalent() {
+    for net in rivals(256) {
+        routed(net.clone(), Workload::Uniform, 0.6, 150, None);
+        routed(net, Workload::Tornado, 0.9, 120, None);
     }
 }
 
 #[test]
-fn hotspot_traffic_is_bit_equivalent() {
-    for topo in topologies() {
-        assert_equivalent(topo, Workload::Hotspot, 0.6, 600, None);
+fn rivals_at_1024_are_bit_equivalent() {
+    for net in rivals(1024) {
+        routed(net, Workload::Uniform, 0.5, 60, None);
     }
 }
 
 #[test]
-fn tornado_traffic_is_bit_equivalent() {
-    for topo in topologies() {
-        assert_equivalent(topo, Workload::Tornado, 0.9, 600, None);
+fn rivals_at_4096_are_bit_equivalent() {
+    // The largest sweep size in the figure suite. Short runs: the
+    // reference re-routes every hop through the virtual dispatch and this
+    // test also runs in debug builds.
+    for net in rivals(4096) {
+        routed(net, Workload::Uniform, 0.3, 25, None);
     }
 }
 
 #[test]
-fn faulted_traffic_is_bit_equivalent() {
-    let plan = FaultPlan { seed: 17, link_drop: 0.1, ..Default::default() };
-    for topo in topologies() {
-        assert_equivalent(topo, Workload::Uniform, 0.8, 600, Some(plan.clone()));
+fn rivals_at_4096_faulted_is_bit_equivalent() {
+    // Uniform, not hotspot: at 4096 ports a single hot ejection port
+    // drains at one packet per cycle, which turns the drain tail into
+    // tens of thousands of full-fabric cycles on the (deliberately slow)
+    // reference. Hotspot coverage lives in the 64/256-port tests.
+    let plan = FaultPlan { seed: 23, link_drop: 0.05, ..Default::default() };
+    for net in rivals(4096) {
+        routed(net, Workload::Uniform, 0.25, 20, Some(plan.clone()));
     }
 }
 
 #[test]
-fn saturated_burst_then_silence_is_bit_equivalent() {
-    // Everything enqueued up front (deep queues, maximum contention), then
-    // the switch drains with no further arrivals.
-    for topo in topologies() {
-        let ports = topo.ports();
-        let mut new_sim = SwitchSim::new(topo.clone());
-        let mut ref_sim = ReferenceSwitchSim::new(topo);
-        let mut rng = SplitMix64::new(99);
-        for src in 0..ports {
-            for k in 0..40u64 {
-                let dst = rng.next_below(ports as u64) as usize;
-                let tag = (src as u64) << 16 | k;
-                new_sim.enqueue(src, dst, tag);
-                ref_sim.enqueue(src, dst, tag);
-            }
-        }
-        let mut out = Vec::with_capacity(ports);
-        while ref_sim.outstanding() > 0 {
-            out.clear();
-            new_sim.step_into(&mut out);
-            assert_eq!(out, ref_sim.step_reference());
-        }
-        assert_eq!(new_sim.outstanding(), 0);
-        assert_eq!(new_sim.ejected(), (ports * 40) as u64);
-    }
+fn deadlocked_backlog_is_bit_equivalent() {
+    // Past ~x8 port depth the buffered store-and-forward protocol wedges:
+    // finite per-node FIFOs plus head-of-line blocking form a cycle of
+    // full queues that never clears (the frozen semantics since the rival
+    // engine landed — the bufferless DV switch deflects instead of
+    // wedging). The rebuilt engine must reproduce the wedged trajectory
+    // packet for packet, and wedge at the same outstanding count.
+    let net = AnyTopology::for_ports(TopoKind::MinPath, 64);
+    let mut new_sim = RoutedNetSim::new(net.clone());
+    let mut ref_sim = ReferenceNetSim::new(net);
+    let mut rng = SplitMix64::new(ROUTED.seed);
+    lockstep(&mut new_sim, &mut ref_sim, 64, &mut rng, (Workload::Uniform, 0.8, 400), 64, None);
+    // Bounded drain attempt (no arrivals): both must stall identically,
+    // still loaded.
+    lockstep(&mut new_sim, &mut ref_sim, 64, &mut rng, (Workload::Uniform, 0.0, 1_000), 64, None);
+    assert_eq!(new_sim.outstanding(), ref_sim.outstanding());
+    assert!(new_sim.outstanding() > 0, "this workload is expected to wedge");
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example switch_explorer`
 
 use datavortex::switch::traffic::{LoadSweep, Pattern};
-use datavortex::switch::{SwitchSim, Topology};
+use datavortex::switch::{CycleEngine, SwitchSim, Topology};
 
 fn main() {
     let topo = Topology::new(8, 4);

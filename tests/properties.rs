@@ -18,7 +18,7 @@ use datavortex::core::trace::Tracer;
 use datavortex::kernels::fft::{fft_in_place, ifft_in_place, max_error, naive_dft, Complex};
 use datavortex::kernels::graph::{scramble, serial_bfs, validate_bfs, Csr};
 use datavortex::kernels::util::BlockDist;
-use datavortex::switch::{SwitchSim, Topology};
+use datavortex::switch::{CycleEngine, SwitchSim, Topology};
 
 /// Number of random cases per lightweight property.
 const CASES: usize = 64;

@@ -89,3 +89,33 @@ fn parallel_sweep_replays_byte_identically() {
     let s = base_sweep(Topology::new(8, 4));
     assert_eq!(render(&s, &loads, true), render(&s, &loads, true));
 }
+
+#[test]
+fn streamed_interval_flushes_sum_to_the_one_shot_totals() {
+    // `run_streamed` documents that its interval flushes "still match a
+    // plain `LoadSweep::run` exactly": every counter and histogram, on
+    // each movement kernel's engine and the routed one, at a flush
+    // interval that does not divide the 500-cycle run (gauges are per
+    // interval by design, so they are excluded).
+    let nets = [
+        AnyTopology::for_ports(TopoKind::Vortex, 64),
+        AnyTopology::for_ports(TopoKind::Vortex, 256),
+        AnyTopology::for_ports(TopoKind::FatTree, 64),
+    ];
+    for net in nets {
+        let snapshot = |streamed: bool| {
+            let metrics = Arc::new(MetricsRegistry::enabled());
+            let mut s = LoadSweep::for_net(net.clone());
+            (s.warmup, s.measure) = (100, 400);
+            s.metrics = Some(Arc::clone(&metrics));
+            let point = if streamed { s.run_streamed(0.6, 1_000, 37) } else { s.run(0.6) };
+            (point, metrics.snapshot())
+        };
+        let (plain_point, plain) = snapshot(false);
+        let (streamed_point, streamed) = snapshot(true);
+        assert_eq!(plain_point, streamed_point, "{:?}", net.kind());
+        assert_eq!(plain.counters(), streamed.counters(), "{:?}", net.kind());
+        assert_eq!(plain.histograms(), streamed.histograms(), "{:?}", net.kind());
+        assert!(plain.counter_total("switch.sweep.delivered") > 0);
+    }
+}
