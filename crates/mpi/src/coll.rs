@@ -104,7 +104,7 @@ impl Comm {
         let n = self.size();
         let me = self.rank();
         let vr = (me + n - root) % n;
-        let mut payload = if me == root {
+        let payload = if me == root {
             data.expect("root must supply the broadcast payload")
         } else {
             let mut mask = 1usize;
@@ -139,7 +139,7 @@ impl Comm {
         while mask > 0 {
             if vr + mask < n {
                 let dst = ((vr + mask) + root) % n;
-                reqs.push(self.isend(ctx, dst, BCAST_TAG, payload_clone(&mut payload)));
+                reqs.push(self.isend(ctx, dst, BCAST_TAG, payload.clone()));
             }
             mask >>= 1;
         }
@@ -249,7 +249,7 @@ impl Comm {
         for step in 0..n.saturating_sub(1) {
             let send_idx = (me + n - step) % n;
             let recv_idx = (me + n - step - 1) % n;
-            let out = payload_clone(&mut blocks[send_idx]);
+            let out = blocks[send_idx].clone();
             let env = self.sendrecv(
                 ctx,
                 right,
@@ -286,9 +286,4 @@ impl Comm {
         self.record_coll(ctx, "alltoall", t0);
         out
     }
-}
-
-/// Clone a payload out of a slot without leaving a type-confused hole.
-fn payload_clone(p: &mut Payload) -> Payload {
-    p.clone()
 }

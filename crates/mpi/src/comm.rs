@@ -15,10 +15,17 @@
 //! Matching is `(source, tag)` with wildcard support, serviced in arrival
 //! order from the unexpected queue (per-pair ordering is preserved by the
 //! FIFO fabric pipes).
+//!
+//! As in a real MPI library, matching happens where the message arrives,
+//! not in the receiving process: each rank has one *posted-receive* slot
+//! next to its unexpected queue, and the port's arrival hook (kernel
+//! context) hands a matching message straight to it. The receiver is
+//! resumed once per message, `overhead_recv` after the arrival; an arrival
+//! nobody posted for waits in the unexpected queue and wakes nobody.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use dv_core::sync::Mutex;
 
@@ -26,7 +33,7 @@ use dv_core::config::MpiParams;
 use dv_core::metrics::MetricsRegistry;
 use dv_core::time::{self, Time};
 use dv_core::trace::{State, Tracer};
-use dv_sim::{Port, SimCtx, WaitSet};
+use dv_sim::{Kernel, Port, SimCtx, Waker};
 
 use crate::fabric::IbFabric;
 use crate::payload::Payload;
@@ -48,29 +55,56 @@ pub struct Envelope {
 enum Wire {
     Eager(Envelope),
     Rts { src: usize, tag: Tag, msg_id: u64 },
-    Data { msg_id: u64, env: Envelope },
+    /// The payload of a rendezvous transfer; `done` is the sender's request.
+    Data { msg_id: u64, env: Envelope, done: Arc<Mutex<ReqState>> },
 }
 
+impl Wire {
+    /// Whether a receive posted for `(src, tag)` takes this message. Data
+    /// is never matched by envelope: it answers one specific CTS.
+    fn matches(&self, src: Option<usize>, tag: Option<Tag>) -> bool {
+        let (from, tagged) = match self {
+            Wire::Eager(env) => (env.src, env.tag),
+            Wire::Rts { src, tag, .. } => (*src, *tag),
+            Wire::Data { .. } => return false,
+        };
+        src.is_none_or(|s| s == from) && tag.is_none_or(|t| t == tagged)
+    }
+}
+
+/// What a rank's blocked `recv` is waiting for.
+enum Posted {
+    /// The first eager message or RTS from `(src, tag)`.
+    Match { src: Option<usize>, tag: Option<Tag> },
+    /// The data of the rendezvous transfer it already answered.
+    Data(u64),
+}
+
+/// One rank's posted-receive slot: written by its `recv` when it blocks,
+/// filled by the arrival hook. The unexpected queue beside it is the
+/// rank's `Port` queue.
+#[derive(Default)]
+struct RecvSlot {
+    posted: Option<(Posted, Waker)>,
+    /// The matched message and when its receive completes.
+    delivered: Option<(Time, Envelope)>,
+}
+
+#[derive(Default)]
 struct ReqState {
     done: bool,
-    waiters: WaitSet,
+    /// The owner, once it blocked in [`Comm::wait`].
+    waiter: Option<Waker>,
 }
 
-/// Handle for a nonblocking send; complete it with [`Comm::wait`].
-pub struct Request {
-    state: Arc<Mutex<ReqState>>,
-}
+/// Handle for a nonblocking send; complete it with [`Comm::wait`]. `None`
+/// is a request that was complete when it was made (every eager send).
+pub struct Request(Option<Arc<Mutex<ReqState>>>);
 
 impl Request {
-    fn completed() -> Self {
-        Self { state: Arc::new(Mutex::new(ReqState { done: true, waiters: WaitSet::new() })) }
-    }
-    fn pending() -> Self {
-        Self { state: Arc::new(Mutex::new(ReqState { done: false, waiters: WaitSet::new() })) }
-    }
     /// True once the operation completed.
     pub fn is_done(&self) -> bool {
-        self.state.lock().done
+        self.0.as_ref().is_none_or(|s| s.lock().done)
     }
 }
 
@@ -87,6 +121,7 @@ pub struct World {
     fabric: IbFabric,
     params: MpiParams,
     ports: Vec<Port<Wire>>,
+    slots: Vec<Mutex<RecvSlot>>,
     pending: Mutex<BTreeMap<u64, PendingSend>>,
     next_id: AtomicU64,
     tracer: Arc<Tracer>,
@@ -117,10 +152,23 @@ impl World {
         metrics: Arc<MetricsRegistry>,
     ) -> Arc<Self> {
         let nodes = fabric.nodes();
-        Arc::new(Self {
+        // Each port's arrival hook needs the world it belongs to (a CTS
+        // ends in a delivery to that very port), hence the weak cycle.
+        Arc::new_cyclic(|world: &Weak<Self>| Self {
             fabric,
             params,
-            ports: (0..nodes).map(|_| Port::new()).collect(),
+            ports: (0..nodes)
+                .map(|rank| {
+                    let world = Weak::clone(world);
+                    Port::with_handler(move |k, _at, wire| match world.upgrade() {
+                        Some(world) => world.arrive(k, rank, wire),
+                        None => Some(wire),
+                    })
+                })
+                .collect(),
+            slots: (0..nodes)
+                .map(|_| Mutex::new_named("mpi.recv_slot", RecvSlot::default()))
+                .collect(),
             pending: Mutex::new_named("mpi.pending", BTreeMap::new()),
             next_id: AtomicU64::new(1),
             tracer,
@@ -136,7 +184,77 @@ impl World {
     /// Per-rank communicator.
     pub fn comm(self: &Arc<Self>, rank: usize) -> Comm {
         assert!(rank < self.ports.len());
-        Comm { world: Arc::clone(self), rank, unexpected: Mutex::new(Vec::new()) }
+        Comm { world: Arc::clone(self), rank }
+    }
+
+    /// Arrival hook of `rank`'s port (kernel context): hand `wire` to the
+    /// posted receive if it is the one that receive waits for, else leave
+    /// it to the unexpected queue (`Some`), waking nobody.
+    fn arrive(self: &Arc<Self>, k: &mut Kernel, rank: usize, wire: Wire) -> Option<Wire> {
+        let done = {
+            let mut slot = self.slots[rank].lock();
+            let posted = slot.posted.take_if(|(posted, _)| match (posted, &wire) {
+                (Posted::Match { src, tag }, wire) => wire.matches(*src, *tag),
+                (Posted::Data(want), Wire::Data { msg_id, .. }) => want == msg_id,
+                (Posted::Data(_), _) => false,
+            });
+            let Some((_, waker)) = posted else {
+                assert!(!matches!(wire, Wire::Data { .. }), "rendezvous data nobody asked for");
+                return Some(wire);
+            };
+            let (env, done) = match wire {
+                Wire::Rts { msg_id, .. } => {
+                    slot.posted = Some((Posted::Data(msg_id), waker));
+                    // Answer one event later at this instant, where a
+                    // receiver woken by the RTS would run, so the CTS keeps
+                    // that place among same-time ties.
+                    let world = Arc::clone(self);
+                    k.call_at(k.now(), move |k| world.send_cts(k, msg_id));
+                    return None;
+                }
+                Wire::Eager(env) => (env, None),
+                Wire::Data { env, done, .. } => (env, Some(done)),
+            };
+            let overhead = self.params.overhead_recv;
+            slot.delivered = Some((k.now() + overhead, env));
+            // A hop, not `wake_at(now + overhead)`: order-exact with a
+            // receiver that wakes now and charges the overhead itself.
+            k.wake_after(k.now(), waker, overhead);
+            done
+        };
+        // The sender's MPI_Send returns when its buffer is free — when the
+        // data has fully left the sender.
+        if let Some(done) = done {
+            let mut req = done.lock();
+            req.done = true;
+            if let Some(w) = req.waiter.take() {
+                k.wake(w);
+            }
+        }
+        None
+    }
+
+    /// Release a rendezvous transfer (kernel context): the CTS flies back
+    /// to the sender's NIC, which then streams the data in registered
+    /// chunks.
+    fn send_cts(self: &Arc<Self>, k: &mut Kernel, msg_id: u64) {
+        let world = Arc::clone(self);
+        let at = k.now() + self.fabric.params().wire_latency;
+        k.call_at(at, move |k| {
+            let Some(p) = world.pending.lock().remove(&msg_id) else {
+                panic!("CTS for unknown rendezvous message {msg_id}");
+            };
+            let params = &world.params;
+            // Pipeline inefficiency: the data streams at
+            // rndv_efficiency x link rate, plus the handshake.
+            let wire = time::transfer_time(p.bytes, world.fabric.params().link_gbps);
+            let slowdown = (wire as f64 * (1.0 / params.rndv_efficiency - 1.0)) as Time;
+            let extra = slowdown + params.rndv_handshake;
+            let arrival = world.fabric.transfer(k.now(), p.src, p.dst, p.bytes, extra);
+            world.tracer.message(p.src, p.dst, p.env.sent_at, arrival, p.bytes);
+            let data = Wire::Data { msg_id, env: p.env, done: p.req };
+            world.ports[p.dst].deliver_at(k, arrival, data);
+        });
     }
 }
 
@@ -144,7 +262,6 @@ impl World {
 pub struct Comm {
     world: Arc<World>,
     rank: usize,
-    unexpected: Mutex<Vec<(Time, Wire)>>,
 }
 
 impl Comm {
@@ -173,8 +290,13 @@ impl Comm {
         &self.world.params
     }
 
+    /// This rank's port; its visible queue is the unexpected queue.
     fn port(&self) -> &Port<Wire> {
         &self.world.ports[self.rank]
+    }
+
+    fn slot(&self) -> &Mutex<RecvSlot> {
+        &self.world.slots[self.rank]
     }
 
     /// Nonblocking send. Eager messages complete immediately; rendezvous
@@ -182,10 +304,13 @@ impl Comm {
     pub fn isend(&self, ctx: &SimCtx, dst: usize, tag: Tag, payload: Payload) -> Request {
         let t0 = ctx.now();
         let p = &self.world.params;
-        ctx.delay(p.overhead_send);
         let bytes = payload.len_bytes();
         let env_bytes = bytes + 64; // header/envelope on the wire
         let eager = bytes <= p.eager_limit;
+        // Software overhead, then (eager) the bounce-buffer copy on the
+        // send side; nothing happens in between, so it is one resume.
+        let copy = if eager { time::transfer_time(bytes, p.copy_gbps) } else { 0 };
+        ctx.delay2(p.overhead_send, copy);
         {
             let m = &self.world.metrics;
             let path = [("path", if eager { "eager" } else { "rndv" }.into())];
@@ -194,14 +319,12 @@ impl Comm {
             m.observe("mpi.msg_bytes", bytes);
         }
         let req = if eager {
-            // Bounce-buffer copy on the send side.
-            ctx.delay(time::transfer_time(bytes, p.copy_gbps));
             let sent_at = ctx.now();
             let arrival = self.world.fabric.transfer(sent_at, self.rank, dst, env_bytes, 0);
             let env = Envelope { src: self.rank, tag, payload, sent_at };
             ctx.with_kernel(|k| self.world.ports[dst].deliver_at(k, arrival, Wire::Eager(env)));
             self.world.tracer.message(self.rank, dst, sent_at, arrival, env_bytes);
-            Request::completed()
+            Request(None)
         } else {
             let msg_id = self.world.next_id.fetch_add(1, Ordering::Relaxed);
             let sent_at = ctx.now();
@@ -213,7 +336,7 @@ impl Comm {
                     Wire::Rts { src: self.rank, tag, msg_id },
                 )
             });
-            let req = Request::pending();
+            let req = Arc::new(Mutex::new(ReqState::default()));
             self.world.pending.lock().insert(
                 msg_id,
                 PendingSend {
@@ -221,10 +344,10 @@ impl Comm {
                     dst,
                     env: Envelope { src: self.rank, tag, payload, sent_at },
                     bytes: env_bytes,
-                    req: Arc::clone(&req.state),
+                    req: Arc::clone(&req),
                 },
             );
-            req
+            Request(Some(req))
         };
         self.world.tracer.span(self.rank, State::Send, t0, ctx.now());
         req
@@ -239,14 +362,17 @@ impl Comm {
 
     /// Wait for a request to complete.
     pub fn wait(&self, ctx: &SimCtx, req: Request) {
+        let Some(state) = req.0 else { return };
         let t0 = ctx.now();
         loop {
+            // Waker first: completion locks the request under the kernel.
+            let waker = ctx.waker();
             {
-                let s = req.state.lock();
+                let mut s = state.lock();
                 if s.done {
                     break;
                 }
-                s.waiters.register(ctx);
+                s.waiter = Some(waker);
             }
             ctx.park();
         }
@@ -262,97 +388,45 @@ impl Comm {
         }
     }
 
-    fn drain(&self) {
-        let mut unex = self.unexpected.lock();
-        while let Some(m) = self.port().try_recv() {
-            unex.push(m);
-        }
-    }
-
-    fn find_match(&self, src: Option<usize>, tag: Option<Tag>) -> Option<(Time, Wire)> {
-        let mut unex = self.unexpected.lock();
-        let idx = unex.iter().position(|(_, w)| match w {
-            Wire::Eager(env) => {
-                src.is_none_or(|s| s == env.src) && tag.is_none_or(|t| t == env.tag)
-            }
-            Wire::Rts { src: s, tag: t, .. } => {
-                src.is_none_or(|x| x == *s) && tag.is_none_or(|x| x == *t)
-            }
-            Wire::Data { .. } => false,
-        })?;
-        Some(unex.remove(idx))
-    }
-
-    fn take_data(&self, msg_id: u64) -> Option<Envelope> {
-        let mut unex = self.unexpected.lock();
-        let idx = unex.iter().position(
-            |(_, w)| matches!(w, Wire::Data { msg_id: m, .. } if *m == msg_id),
-        )?;
-        match unex.remove(idx).1 {
-            Wire::Data { env, .. } => Some(env),
-            _ => unreachable!(),
-        }
-    }
-
-    /// Release a rendezvous transfer: the CTS flies back to the sender's
-    /// NIC, which then streams the data in registered chunks.
-    fn send_cts(&self, ctx: &SimCtx, msg_id: u64) {
-        let world = Arc::clone(&self.world);
-        let cts_flight = self.world.fabric.params().wire_latency;
-        ctx.with_kernel(move |k| {
-            let at = k.now() + cts_flight;
-            k.call_at(at, move |k| {
-                let Some(p) = world.pending.lock().remove(&msg_id) else {
-                    panic!("CTS for unknown rendezvous message {msg_id}");
-                };
-                let params = &world.params;
-                // Pipeline inefficiency: the data streams at
-                // rndv_efficiency x link rate, plus the handshake.
-                let wire = dv_core::time::transfer_time(p.bytes, world.fabric.params().link_gbps);
-                let slowdown = (wire as f64 * (1.0 / params.rndv_efficiency - 1.0)) as dv_core::time::Time;
-                let extra = slowdown + params.rndv_handshake;
-                let arrival = world.fabric.transfer(k.now(), p.src, p.dst, p.bytes, extra);
-                world.tracer.message(p.src, p.dst, p.env.sent_at, arrival, p.bytes);
-                world.ports[p.dst].deliver_at(k, arrival, Wire::Data { msg_id, env: p.env });
-                // The sender's MPI_Send returns when its buffer is free —
-                // when the data has fully left the sender.
-                let req = p.req;
-                k.call_at(arrival, move |k| {
-                    let mut r = req.lock();
-                    r.done = true;
-                    r.waiters.wake_all(k);
-                });
-            });
-        });
-    }
-
     /// Blocking receive with optional source/tag wildcards.
     pub fn recv(&self, ctx: &SimCtx, src: Option<usize>, tag: Option<Tag>) -> Envelope {
-        let t0 = ctx.now();
-        let env = loop {
-            self.drain();
-            if let Some((_, wire)) = self.find_match(src, tag) {
-                match wire {
-                    Wire::Eager(env) => break env,
-                    Wire::Rts { msg_id, .. } => {
-                        self.send_cts(ctx, msg_id);
-                        // Wait for this specific transfer's data.
-                        break loop {
-                            self.drain();
-                            if let Some(env) = self.take_data(msg_id) {
-                                break env;
-                            }
-                            let (at, m) = self.port().recv(ctx);
-                            self.unexpected.lock().push((at, m));
-                        };
+        // Waker first: the arrival hook locks the slot under the kernel, so
+        // the kernel is never locked under the slot.
+        let (t0, waker) = ctx.with_kernel(|k| (k.now(), k.waker_for(ctx.pid())));
+        let unexpected = self.port().take_first(|w| w.matches(src, tag)).map(|(_, w)| w);
+        let env = match unexpected {
+            Some(Wire::Eager(env)) => {
+                ctx.delay(self.world.params.overhead_recv);
+                env
+            }
+            // Post (answering an RTS that was already waiting) and sleep
+            // until the arrival hook has delivered: one resume, receive
+            // overhead included.
+            other => {
+                let rts = match other {
+                    Some(Wire::Rts { msg_id, .. }) => Some(msg_id),
+                    _ => None,
+                };
+                let posted = rts.map_or(Posted::Match { src, tag }, Posted::Data);
+                self.slot().lock().posted = Some((posted, waker));
+                if let Some(msg_id) = rts {
+                    ctx.with_kernel(|k| self.world.send_cts(k, msg_id));
+                }
+                loop {
+                    ctx.park();
+                    let delivered = self.slot().lock().delivered.take();
+                    if let Some((ready, env)) = delivered {
+                        ctx.wait_until(ready);
+                        break env;
                     }
-                    Wire::Data { .. } => unreachable!("data never matches a posted recv"),
+                    // Woken by a waker left in some wait set: post afresh.
+                    let waker = ctx.waker();
+                    if let Some((_, posted)) = self.slot().lock().posted.as_mut() {
+                        *posted = waker;
+                    }
                 }
             }
-            let (at, m) = self.port().recv(ctx);
-            self.unexpected.lock().push((at, m));
         };
-        ctx.delay(self.world.params.overhead_recv);
         self.world.tracer.span(self.rank, State::Recv, t0, ctx.now());
         env
     }
@@ -366,24 +440,10 @@ impl Comm {
     /// if one already arrived. (Rendezvous messages need the blocking path
     /// to run the CTS exchange.)
     pub fn try_recv(&self, ctx: &SimCtx, src: Option<usize>, tag: Option<Tag>) -> Option<Envelope> {
-        self.drain();
-        let pos = {
-            let unex = self.unexpected.lock();
-            unex.iter().position(|(_, w)| match w {
-                Wire::Eager(env) => {
-                    src.is_none_or(|s| s == env.src) && tag.is_none_or(|t| t == env.tag)
-                }
-                _ => false,
-            })?
-        };
-        let (_, wire) = self.unexpected.lock().remove(pos);
-        match wire {
-            Wire::Eager(env) => {
-                ctx.delay(self.world.params.overhead_recv);
-                Some(env)
-            }
-            _ => unreachable!(),
-        }
+        let eager = |w: &Wire| matches!(w, Wire::Eager(_)) && w.matches(src, tag);
+        let Some((_, Wire::Eager(env))) = self.port().take_first(eager) else { return None };
+        ctx.delay(self.world.params.overhead_recv);
+        Some(env)
     }
 
     /// Combined send+receive (deadlock-free pairwise exchange).

@@ -10,13 +10,14 @@
 //!   links, per-NIC full-duplex pipes, and an aggregate core pipe whose
 //!   efficiency for unstructured traffic decays with cluster size
 //!   (static-routing losses).
-//! * [`comm`] — two-sided point-to-point with tag matching, unexpected
-//!   message queue, **eager** protocol below the eager limit (bounce-buffer
+//! * [`comm`] — two-sided point-to-point with tag matching done where the
+//!   message arrives (a posted-receive slot next to the unexpected message
+//!   queue), **eager** protocol below the eager limit (bounce-buffer
 //!   copies, fire-and-forget) and **rendezvous** above it (RTS/CTS
 //!   handshake, chunked pipelined transfer — which is what caps large
 //!   message efficiency at ~72 % of peak, as Figure 3 of the paper shows).
 //! * [`coll`] — collectives built from point-to-point algorithms:
-//!   dissemination barrier, binomial bcast/reduce, recursive-doubling
+//!   dissemination barrier, binomial bcast/reduce, reduce + bcast
 //!   allreduce, ring allgather, pairwise-exchange alltoall(v).
 //! * [`cluster`] — an SPMD harness: run one closure per rank on the
 //!   simulated cluster and collect results.

@@ -55,6 +55,10 @@ pub(crate) enum EventKind {
     Resume(Waker),
     Call(Box<dyn FnOnce(&mut Kernel) + Send>),
     Timer(TimerId),
+    /// A *hop* (see [`Kernel::wake_after`]): committing it schedules
+    /// `Resume(waker)` this much later. Consumed inside `pop_valid`; the
+    /// dispatchers never see one.
+    Hop(Waker, Time),
 }
 
 struct Event {
@@ -89,9 +93,10 @@ impl Ord for Event {
 pub struct SchedStats {
     /// Committed `Resume` events (process wakeups that actually ran).
     pub resumes: u64,
-    /// Committed `Call` and `Timer` events (kernel closures).
+    /// Committed `Call`, `Timer` and hop events (kernel-side work).
     pub calls: u64,
-    /// Resume events discarded because their waker generation was stale.
+    /// Resume and hop events discarded because their waker generation was
+    /// stale.
     pub stale_wakeups: u64,
     /// Processes registered with the kernel.
     pub processes: u64,
@@ -113,6 +118,11 @@ pub struct Kernel {
     /// Rolling hash of every committed event (see [`OrderAudit`]).
     audit: OrderAudit,
     stats: SchedStats,
+    /// Every commit as `(time, seq, kind)`, kind one of `b"rch"` (resume,
+    /// call/timer, hop) — the evidence the hop-exactness property test
+    /// compares.
+    #[cfg(test)]
+    pub(crate) commits: Vec<(Time, u64, u8)>,
 }
 
 impl Kernel {
@@ -128,6 +138,8 @@ impl Kernel {
             timer_hooks: Vec::new(),
             audit: OrderAudit::new(),
             stats: SchedStats::default(),
+            #[cfg(test)]
+            commits: Vec::new(),
         }
     }
 
@@ -171,7 +183,7 @@ impl Kernel {
         // commit order is a total-order merge over shard heads, so routing
         // affects locality only, never the committed order.
         let shard = match &kind {
-            EventKind::Resume(w) => w.pid % self.shards.len(),
+            EventKind::Resume(w) | EventKind::Hop(w, _) => w.pid % self.shards.len(),
             _ => (seq as usize) % self.shards.len(),
         };
         self.shards[shard].push(Event { time, seq, kind });
@@ -235,6 +247,23 @@ impl Kernel {
         self.wake_at(self.now, waker);
     }
 
+    /// Fire a waker at `at + then`, by way of a *hop* at `at` — the exact
+    /// kernel-side replacement for a process that is woken at `at` only to
+    /// call [`SimCtx::delay`](crate::SimCtx::delay)`(then)` straight away.
+    ///
+    /// The hop is an event of its own: it commits at `at` in the queue
+    /// position the intermediate resume would have had, and that commit
+    /// pushes the final resume — so the final resume gets the sequence
+    /// number the process's own `wake_at` would have drawn, and every
+    /// same-picosecond tie resolves as it did with the process in the
+    /// loop. (A plain `wake_at(at + then)` issued up front draws an earlier
+    /// sequence number and reorders those ties.) A hop hashes and counts
+    /// like a [`Kernel::call_at`] closure, allocates nothing, and runs on no
+    /// thread; a hop whose waker went stale is dropped like a stale resume.
+    pub fn wake_after(&mut self, at: Time, waker: Waker, then: Time) {
+        self.push(at, EventKind::Hop(waker, then));
+    }
+
     /// Current waker for a process (see [`Waker`] for staleness rules).
     pub fn waker_for(&self, pid: Pid) -> Waker {
         Waker { pid, generation: self.park_generation[pid] }
@@ -251,6 +280,8 @@ impl Kernel {
     /// Pop the next *valid* event, advancing the clock. Stale resumes are
     /// discarded. For a valid resume, the target's park generation is
     /// advanced so any duplicate wakeups for the same park become stale.
+    /// Hops are committed here and never returned: a valid one pushes its
+    /// resume and the loop moves on.
     pub(crate) fn pop_valid(&mut self) -> Option<(Time, EventKind)> {
         while let Some(shard) = self.min_shard() {
             let ev = match self.shards[shard].pop() {
@@ -266,15 +297,31 @@ impl Kernel {
                         self.now = ev.time;
                         self.audit.record_resume(ev.time, w.pid, w.generation);
                         self.stats.resumes += 1;
+                        #[cfg(test)]
+                        self.commits.push((ev.time, ev.seq, b'r'));
                         return Some((ev.time, EventKind::Resume(w)));
                     }
                     // Stale wakeup: drop silently (but count it).
                     self.stats.stale_wakeups += 1;
                 }
+                EventKind::Hop(w, then) => {
+                    if self.park_generation[w.pid] == w.generation {
+                        self.now = ev.time;
+                        self.audit.record_call(ev.time, ev.seq);
+                        self.stats.calls += 1;
+                        #[cfg(test)]
+                        self.commits.push((ev.time, ev.seq, b'h'));
+                        self.push(ev.time + then, EventKind::Resume(w));
+                    } else {
+                        self.stats.stale_wakeups += 1;
+                    }
+                }
                 kind @ (EventKind::Call(_) | EventKind::Timer(_)) => {
                     self.now = ev.time;
                     self.audit.record_call(ev.time, ev.seq);
                     self.stats.calls += 1;
+                    #[cfg(test)]
+                    self.commits.push((ev.time, ev.seq, b'c'));
                     return Some((ev.time, kind));
                 }
             }
@@ -347,6 +394,48 @@ mod tests {
         // The duplicate is now stale.
         assert!(k.pop_valid().is_none());
         assert_eq!(k.now(), 10, "stale events should not advance the clock past valid ones");
+    }
+
+    /// A hop whose process was already resumed by another waker of the same
+    /// park is dropped and counted, never a second resume.
+    #[test]
+    fn stale_hops_are_dropped_and_counted() {
+        let mut k = Kernel::new(2);
+        let pid = k.register_process("p".into());
+        let w = k.waker_for(pid);
+        k.wake_after(10, w, 5);
+        k.wake_at(7, w);
+        assert!(matches!(k.pop_valid(), Some((7, EventKind::Resume(_)))));
+        assert!(k.pop_valid().is_none(), "the hop must not resume the process again");
+        assert_eq!(k.now(), 7, "a stale hop does not advance the clock");
+        let stats = k.sched_stats();
+        assert_eq!((stats.resumes, stats.calls, stats.stale_wakeups), (1, 0, 1));
+
+        // The other way round: the hop commits, then a duplicate wake-up
+        // pre-empts its resume, which goes stale in turn.
+        let w = k.waker_for(pid);
+        k.wake_after(20, w, 5);
+        k.wake_at(22, w);
+        assert!(matches!(k.pop_valid(), Some((22, EventKind::Resume(_)))));
+        assert!(k.pop_valid().is_none());
+        let stats = k.sched_stats();
+        assert_eq!((stats.resumes, stats.calls, stats.stale_wakeups), (2, 1, 2));
+    }
+
+    #[test]
+    fn hops_commit_like_calls_and_push_the_resume() {
+        let mut k = Kernel::new(3);
+        let pid = k.register_process("p".into());
+        let w = k.waker_for(pid);
+        k.wake_after(10, w, 5);
+        k.call_at(12, |_| {});
+        // The hop at 10 is consumed inside pop_valid; the call at 12 is the
+        // first event handed out, the hop's resume at 15 the second.
+        assert!(matches!(k.pop_valid(), Some((12, EventKind::Call(_)))));
+        assert_eq!(k.sched_stats().calls, 2, "a hop counts as a call");
+        assert_eq!(k.trace_events(), 2);
+        assert!(matches!(k.pop_valid(), Some((15, EventKind::Resume(_)))));
+        assert_eq!(k.sched_stats().resumes, 1);
     }
 
     #[test]

@@ -28,6 +28,10 @@
 //!   ended) are dropped by the scheduler. Blocking primitives therefore
 //!   follow the standard re-check loop and tolerate spurious wakeups by
 //!   construction.
+//! * A process that would be woken only to call `delay` again is not woken:
+//!   [`Kernel::wake_after`] / [`SimCtx::delay2`] put a *hop* in the queue
+//!   where the intermediate resume would have been, and committing the hop
+//!   schedules the final resume — same event order, one thread handoff less.
 //!
 //! ## Building blocks
 //!

@@ -12,7 +12,8 @@
 //! The only change from the historical code is the `Timer` arm: `Port`
 //! delivery now commits through pooled timer events on *both* engines, and
 //! a timer commit hashes and counts exactly like the `call_at` closure it
-//! replaced.
+//! replaced. Hops (`Kernel::wake_after`) are committed inside the shared
+//! `Kernel::pop_valid`, so this loop never sees one.
 //!
 //! [`OrderAudit`]: crate::audit::OrderAudit
 
@@ -58,6 +59,7 @@ impl Sim {
                         k.put_timer_hook(id, hook);
                     }
                 }
+                Some((_t, EventKind::Hop(..))) => unreachable!("pop_valid consumes hops"),
                 Some((_t, EventKind::Resume(w))) => {
                     {
                         let reg = self.shared.registry.lock();

@@ -123,8 +123,8 @@ pub(crate) struct Shared {
     pub(crate) engine: Engine,
     pub(crate) kernel: Mutex<Kernel>,
     pub(crate) registry: Mutex<Registry>,
-    /// Swappable so `set_metrics` can arrive after construction; read once
-    /// per dispatch stint.
+    /// Swappable so `set_metrics` can arrive after construction; it cannot
+    /// change once the run has started, so each thread reads it once.
     pub(crate) metrics: Mutex<Arc<MetricsRegistry>>,
     /// Reference engine only: park/finish/panic reports to the scheduler.
     pub(crate) report_tx: Sender<Report>,
@@ -264,7 +264,8 @@ impl Sim {
         }
         // Drive until the first handoff (or straight to the end for runs
         // with no resumable process), then sleep until a driver reports.
-        let _ = drive(&self.shared, None);
+        let metrics = self.shared.metrics.lock().clone();
+        let _ = drive(&self.shared, &metrics, None);
         let outcome = self.shared.outcome.wait();
         match outcome {
             Outcome::Done => {
@@ -376,8 +377,7 @@ fn prewake_pays() -> bool {
 /// resume hands the token to a process (or the queue drains). Exactly one
 /// thread runs this at a time — the token holder — which is what keeps the
 /// commit order, and therefore the audit hash, deterministic.
-fn drive(shared: &Shared, self_pid: Option<Pid>) -> Driven {
-    let metrics = shared.metrics.lock().clone();
+fn drive(shared: &Shared, metrics: &MetricsRegistry, self_pid: Option<Pid>) -> Driven {
     loop {
         // Pop the next committed event and, for resumes, peek the one
         // after it as a pre-wake hint — one kernel lock for both.
@@ -423,6 +423,7 @@ fn drive(shared: &Shared, self_pid: Option<Pid>) -> Driven {
                     k.put_timer_hook(id, hook);
                 }
             }
+            Some((_t, EventKind::Hop(..))) => unreachable!("pop_valid consumes hops"),
             Some((_t, EventKind::Resume(w))) => {
                 let reg = shared.registry.lock();
                 let slot = &reg.slots[w.pid()];
@@ -483,18 +484,21 @@ fn spawn_inner(
             (SlotWake::Channel(resume_tx), CtxWait::Channel(resume_rx))
         }
     };
-    let ctx = SimCtx { pid, shared: Arc::clone(shared), wait };
+    let thread_shared = Arc::clone(shared);
     let handle = std::thread::Builder::new()
         .name(format!("sim-{name}"))
         .spawn(move || {
             // Wait for the initial resume before touching anything.
-            let started = match &ctx.wait {
+            let started = match &wait {
                 CtxWait::Parker(p) => p.wait().is_ok(),
                 CtxWait::Channel(rx) => rx.recv().is_ok(),
             };
             if !started {
                 return; // simulation torn down before we started
             }
+            // The run has started, so the registry is final.
+            let metrics = thread_shared.metrics.lock().clone();
+            let ctx = SimCtx { pid, shared: thread_shared, metrics, wait };
             let result = panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
             match result {
                 Ok(()) => on_finished(&ctx),
@@ -547,7 +551,7 @@ fn on_finished(ctx: &SimCtx) {
             } else {
                 // This thread holds the run token: keep driving until the
                 // token moves on, then let the thread exit.
-                let _ = drive(&ctx.shared, None);
+                let _ = drive(&ctx.shared, &ctx.metrics, None);
             }
         }
     }
@@ -581,6 +585,8 @@ enum CtxWait {
 pub struct SimCtx {
     pid: Pid,
     shared: Arc<Shared>,
+    /// The run's registry, read once when the process starts.
+    metrics: Arc<MetricsRegistry>,
     wait: CtxWait,
 }
 
@@ -617,7 +623,7 @@ impl SimCtx {
     /// switches).
     pub fn park(&self) {
         match &self.wait {
-            CtxWait::Parker(p) => match drive(&self.shared, Some(self.pid)) {
+            CtxWait::Parker(p) => match drive(&self.shared, &self.metrics, Some(self.pid)) {
                 Driven::RunSelf => {}
                 Driven::HandedOff | Driven::Ended => {
                     if p.wait().is_err() {
@@ -639,16 +645,14 @@ impl SimCtx {
     /// Block until virtual time `t` (no-op if already past).
     pub fn wait_until(&self, t: Time) {
         loop {
-            let waker = {
+            {
                 let mut k = self.shared.kernel.lock();
                 if k.now() >= t {
                     return;
                 }
                 let w = k.waker_for(self.pid);
                 k.wake_at(t, w);
-                w
-            };
-            debug_assert_eq!(waker.pid(), self.pid);
+            }
             self.park();
         }
     }
@@ -656,10 +660,31 @@ impl SimCtx {
     /// Advance virtual time by `d` — the standard way to charge compute
     /// cost for work the process just (really) performed.
     pub fn delay(&self, d: Time) {
-        if d == 0 {
+        self.delay2(d, 0);
+    }
+
+    /// `delay(d1); delay(d2)` for a process that does nothing in between,
+    /// at one resume instead of two: the first leg is a kernel-side hop
+    /// (see [`Kernel::wake_after`]), so every other process observes the
+    /// same event order, to the sequence number, as with the two calls.
+    pub fn delay2(&self, d1: Time, d2: Time) {
+        if d1 + d2 == 0 {
             return;
         }
-        let target = self.now() + d;
+        let target = {
+            let mut k = self.shared.kernel.lock();
+            let now = k.now();
+            let w = k.waker_for(self.pid);
+            if d1 == 0 || d2 == 0 {
+                k.wake_at(now + d1 + d2, w);
+            } else {
+                k.wake_after(now + d1, w, d2);
+            }
+            now + d1 + d2
+        };
+        self.park();
+        // Re-check, as every blocking primitive does: a waker this process
+        // left in some wait queue before calling may have fired first.
         self.wait_until(target);
     }
 

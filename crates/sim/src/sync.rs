@@ -94,9 +94,13 @@ impl<T> Ord for Staged<T> {
     }
 }
 
+/// See [`Port::with_handler`].
+type ArrivalHandler<T> = Box<dyn FnMut(&mut Kernel, Time, T) -> Option<T> + Send>;
+
 struct PortState<T> {
     queue: VecDeque<(Time, T)>,
     waiters: Vec<Waker>,
+    handler: Option<ArrivalHandler<T>>,
     /// Messages in flight, ordered by `(at, seq)`.
     staged: BinaryHeap<Staged<T>>,
     stage_seq: u64,
@@ -131,10 +135,27 @@ impl<T: Send + 'static> Default for Port<T> {
 impl<T: Send + 'static> Port<T> {
     /// New empty port.
     pub fn new() -> Self {
+        Self::build(None)
+    }
+
+    /// A port whose arrivals pass through `handler` first. It runs in
+    /// kernel context at the delivery commit, with the arrival time and the
+    /// message: `None` means it consumed the message (handed it to a posted
+    /// receive, say, and scheduled the wake-up itself); `Some(msg)` makes
+    /// `msg` visible in the queue as on a plain port. The port is locked
+    /// while the handler runs, so it must not call back into this port.
+    pub fn with_handler(
+        handler: impl FnMut(&mut Kernel, Time, T) -> Option<T> + Send + 'static,
+    ) -> Self {
+        Self::build(Some(Box::new(handler)))
+    }
+
+    fn build(handler: Option<ArrivalHandler<T>>) -> Self {
         Self {
             state: Arc::new(Mutex::new(PortState {
                 queue: VecDeque::new(),
                 waiters: Vec::new(),
+                handler,
                 staged: BinaryHeap::new(),
                 stage_seq: 0,
                 timer: None,
@@ -167,9 +188,14 @@ impl<T: Send + 'static> Port<T> {
                 let state = Arc::clone(&self.state);
                 let id = kernel.register_timer(Box::new(move |k: &mut Kernel| {
                     let mut s = state.lock();
-                    if let Some(staged) = s.staged.pop() {
-                        let arrived = k.now();
-                        s.queue.push_back((arrived, staged.msg));
+                    let Some(staged) = s.staged.pop() else { return };
+                    let arrived = k.now();
+                    let msg = match s.handler.as_mut() {
+                        Some(handler) => handler(k, arrived, staged.msg),
+                        None => Some(staged.msg),
+                    };
+                    if let Some(msg) = msg {
+                        s.queue.push_back((arrived, msg));
                         for w in s.waiters.drain(..) {
                             k.wake(w);
                         }
@@ -193,6 +219,14 @@ impl<T: Send + 'static> Port<T> {
     /// Non-blocking receive; returns the message and its arrival time.
     pub fn try_recv(&self) -> Option<(Time, T)> {
         self.state.lock().queue.pop_front()
+    }
+
+    /// Non-blocking selective receive: the earliest-arrived visible message
+    /// `pred` accepts, with its arrival time.
+    pub fn take_first(&self, mut pred: impl FnMut(&T) -> bool) -> Option<(Time, T)> {
+        let mut s = self.state.lock();
+        let i = s.queue.iter().position(|(_, m)| pred(m))?;
+        s.queue.remove(i)
     }
 
     /// Blocking receive.

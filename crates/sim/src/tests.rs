@@ -258,3 +258,186 @@ fn simulation_is_deterministic() {
     let c = run_once(99);
     assert_ne!(a, c, "different seeds should change the trace");
 }
+
+#[test]
+fn delay2_lands_where_two_delays_do() {
+    let sim = Sim::new();
+    let seen = JoinSlot::new();
+    let seen2 = seen.clone();
+    sim.spawn("p", move |ctx| {
+        let mut at = Vec::new();
+        for (a, b) in [(us(2), us(3)), (0, us(1)), (us(1), 0), (0, 0)] {
+            ctx.delay2(a, b);
+            at.push(ctx.now());
+        }
+        seen2.put(at);
+    });
+    assert_eq!(sim.run(), us(7));
+    assert_eq!(seen.take().unwrap(), vec![us(5), us(6), us(7), us(7)]);
+}
+
+#[test]
+fn port_handler_consumes_or_passes_on() {
+    let sim = Sim::new();
+    let consumed = Arc::new(Mutex::new(Vec::new()));
+    let sink = consumed.clone();
+    // Evens are consumed in the kernel; odds become visible as usual.
+    let port: Port<u32> = Port::with_handler(move |_k, at, n| {
+        if n % 2 == 0 {
+            sink.lock().push((at, n));
+            None
+        } else {
+            Some(n)
+        }
+    });
+    let got = JoinSlot::new();
+    let got2 = got.clone();
+    sim.spawn("p", move |ctx| {
+        for n in 1..=5 {
+            port.send_delayed(ctx, us(n as u64), n);
+        }
+        let first = port.recv(ctx);
+        ctx.delay(us(10));
+        // Selective receive skips the earlier 3 and leaves it in place.
+        let five = port.take_first(|&n| n == 5);
+        got2.put((first, five, port.try_recv(), port.is_empty()));
+    });
+    sim.run();
+    assert_eq!(*consumed.lock(), vec![(us(2), 2), (us(4), 4)]);
+    assert_eq!(got.take().unwrap(), ((us(1), 1), Some((us(5), 5)), Some((us(3), 3)), true));
+}
+
+/// One step of a random SPMD program (see `hops_are_order_exact`).
+#[derive(Clone, Copy)]
+enum Op {
+    Delay(u64),
+    /// `delay(a); delay(b)` in the split run, `delay2(a, b)` in the fused.
+    Pair(u64, u64),
+    Send { dst: usize, after: u64, word: u64 },
+    RecvDeadline(u64),
+    Signal,
+    /// Register with the shared wait set, arm a timeout, park.
+    TimedWait(u64),
+}
+
+type Commits = Vec<(u64, u64, u8)>;
+
+/// What a process saw after a step: `now()`, the word it received (if the
+/// step was a receive), and its ticket from a global counter — the order in
+/// which the processes got to run, which is what same-time ties decide.
+type Seen = (u64, u64, u64);
+
+/// Run `programs` (one per process); returns what every process saw after
+/// each step and the kernel's commit log.
+fn run_programs(
+    programs: &[Vec<Op>],
+    fused: bool,
+    engine: crate::Engine,
+    shards: usize,
+) -> (Vec<Vec<Seen>>, Commits) {
+    let sim = Sim::with_engine(engine, shards);
+    let shared = Arc::clone(&sim.shared);
+    let ports: Vec<Port<u64>> = programs.iter().map(|_| Port::new()).collect();
+    let signal = WaitSet::new();
+    let tickets = Arc::new(Mutex::new(0u64));
+    let seen: Vec<JoinSlot<Vec<Seen>>> = programs.iter().map(|_| JoinSlot::new()).collect();
+    for (me, program) in programs.iter().enumerate() {
+        let (program, ports, signal, tickets, out) =
+            (program.clone(), ports.clone(), signal.clone(), tickets.clone(), seen[me].clone());
+        sim.spawn(format!("p{me}"), move |ctx| {
+            let mut log = Vec::new();
+            for op in program {
+                let mut word = 0;
+                match op {
+                    Op::Delay(d) => ctx.delay(d),
+                    Op::Pair(a, b) if fused => ctx.delay2(a, b),
+                    Op::Pair(a, b) => {
+                        ctx.delay(a);
+                        ctx.delay(b);
+                    }
+                    Op::Send { dst, after, word } => ports[dst].send_delayed(ctx, after, word),
+                    Op::RecvDeadline(d) => {
+                        let deadline = ctx.now() + d;
+                        word = ports[me].recv_deadline(ctx, deadline).map_or(u64::MAX, |m| m.1);
+                    }
+                    Op::Signal => signal.wake_all_ctx(ctx),
+                    Op::TimedWait(d) => {
+                        signal.register(ctx);
+                        ctx.with_kernel(|k| {
+                            let w = k.waker_for(ctx.pid());
+                            k.wake_at(k.now() + d, w);
+                        });
+                        ctx.park();
+                    }
+                }
+                let mut next = tickets.lock();
+                *next += 1;
+                log.push((ctx.now(), word, *next));
+            }
+            out.put(log);
+        });
+    }
+    sim.run();
+    let commits = shared.kernel.lock().commits.clone();
+    (seen.iter().map(|s| s.take().expect("process finished")).collect(), commits)
+}
+
+/// The hop contract: `delay2(a, b)` is `delay(a); delay(b)` minus one
+/// resume and *nothing else*. Over seeded random programs whose delays are
+/// drawn from four values (so same-picosecond ties are the norm), both
+/// variants give every process the same `now()` after every step and the
+/// same turn among the processes running at that instant, and the kernel
+/// commits the same `(time, seq)` list — the hop sits exactly where
+/// the intermediate resume sat, so every other event keeps its sequence
+/// number. The fused run is the same on every engine and shard count.
+#[test]
+fn hops_are_order_exact() {
+    use crate::Engine::{Reference, Sharded};
+    for seed in 0..24u64 {
+        let mut rng = dv_core::rng::SplitMix64::new(0x686f70 ^ seed);
+        let procs = 2 + (seed % 5) as usize;
+        let mut tick = || ns(10 * rng.next_below(4));
+        let mut pick = dv_core::rng::SplitMix64::new(seed);
+        let programs: Vec<Vec<Op>> = (0..procs)
+            .map(|_| {
+                (0..40)
+                    .map(|i| match pick.next_below(8) {
+                        0 => Op::Delay(tick()),
+                        1..=3 => Op::Pair(tick(), tick()),
+                        4 => Op::Send {
+                            dst: pick.next_below(procs as u64) as usize,
+                            after: tick(),
+                            word: i,
+                        },
+                        5 => Op::RecvDeadline(tick()),
+                        6 => Op::Signal,
+                        _ => Op::TimedWait(tick()),
+                    })
+                    .collect()
+            })
+            .collect();
+        let hops = programs
+            .iter()
+            .flatten()
+            .filter(|op| matches!(op, Op::Pair(a, b) if *a > 0 && *b > 0))
+            .count();
+
+        let (split_seen, split) = run_programs(&programs, false, Sharded, 3);
+        let (fused_seen, fused) = run_programs(&programs, true, Sharded, 3);
+        assert_eq!(fused_seen, split_seen, "seed {seed}: a process saw a different clock or turn");
+        assert_eq!(fused.len(), split.len(), "seed {seed}");
+        for (f, s) in fused.iter().zip(&split) {
+            assert_eq!((f.0, f.1), (s.0, s.1), "seed {seed}: (time, seq) moved");
+            // A hop replaces a resume; every other event keeps its kind.
+            assert!(f.2 == s.2 || (f.2, s.2) == (b'h', b'r'), "seed {seed}: {f:?} vs {s:?}");
+        }
+        assert_eq!(fused.iter().filter(|c| c.2 == b'h').count(), hops, "seed {seed}");
+        assert!(split.iter().all(|c| c.2 != b'h'));
+
+        for (engine, shards) in [(Reference, 1), (Sharded, 1), (Sharded, 7)] {
+            let (seen, commits) = run_programs(&programs, true, engine, shards);
+            assert_eq!(seen, fused_seen, "seed {seed} {engine:?}/{shards}");
+            assert_eq!(commits, fused, "seed {seed} {engine:?}/{shards}");
+        }
+    }
+}

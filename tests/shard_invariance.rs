@@ -77,6 +77,74 @@ fn faulted_workload(spec: SimSpec) -> (Time, u64, Vec<u64>) {
     (report.elapsed, report.trace_hash, report.result)
 }
 
+/// An engine-level workload built on hops: every process fuses its delays
+/// with `delay2`, and every message is consumed by a port arrival handler
+/// that wakes the receiver through `Kernel::wake_after` — the two ways
+/// mini-mpi uses them. Delays collide on purpose, so ties are everywhere.
+fn hop_workload(engine: Engine, shards: usize) -> (Time, u64, Vec<Vec<Time>>) {
+    use datavortex::sim::{JoinSlot, Port, Sim, Waker};
+    const PROCS: usize = 5;
+    let sim = Sim::with_engine(engine, shards);
+    /// The receiver's waker if it is parked, and how many messages beat it.
+    type Parked = Arc<std::sync::Mutex<(Option<Waker>, u32)>>;
+    let parked: Vec<Parked> = (0..PROCS).map(|_| Parked::default()).collect();
+    let ports: Vec<Port<u64>> = parked
+        .iter()
+        .map(|slot| {
+            let slot = Arc::clone(slot);
+            Port::with_handler(move |k, at, _word| {
+                let mut slot = slot.lock().unwrap();
+                match slot.0.take() {
+                    Some(w) => k.wake_after(at, w, us(2)),
+                    None => slot.1 += 1,
+                }
+                None
+            })
+        })
+        .collect();
+    let seen: Vec<JoinSlot<Vec<Time>>> = (0..PROCS).map(|_| JoinSlot::new()).collect();
+    for me in 0..PROCS {
+        let (ports, slot, out) = (ports.clone(), Arc::clone(&parked[me]), seen[me].clone());
+        sim.spawn(format!("p{me}"), move |ctx| {
+            let mut at = Vec::new();
+            for round in 0..6u64 {
+                ctx.delay2(us(1 + (me as u64 + round) % 2), us(1 + round % 3));
+                at.push(ctx.now());
+                ports[(me + 1) % PROCS].send_delayed(ctx, us(1 + round % 2), round);
+                let waker = ctx.waker();
+                let early = {
+                    let mut slot = slot.lock().unwrap();
+                    let early = slot.1 > 0;
+                    if early {
+                        slot.1 -= 1;
+                    } else {
+                        slot.0 = Some(waker);
+                    }
+                    early
+                };
+                if early {
+                    ctx.delay(us(2));
+                } else {
+                    ctx.park();
+                }
+                at.push(ctx.now());
+            }
+            out.put(at);
+        });
+    }
+    let (elapsed, hash) = sim.run_hashed();
+    (elapsed, hash, seen.iter().map(|s| s.take().expect("process finished")).collect())
+}
+
+#[test]
+fn hop_trace_hash_is_engine_and_shard_count_invariant() {
+    let reference = hop_workload(Engine::Reference, 1);
+    assert!(reference.0 > 0);
+    for shards in [1usize, 2, 7] {
+        assert_eq!(hop_workload(Engine::Sharded, shards), reference, "shards={shards}");
+    }
+}
+
 #[test]
 fn dv_trace_hash_is_shard_count_invariant() {
     let baseline = dv_workload(SimSpec::new(8).shards(1));

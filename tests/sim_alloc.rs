@@ -4,7 +4,9 @@
 //! (parking *is* dispatching — no scheduler thread, no context switch).
 //! The per-thread counting allocator of `tests/common` wraps the system
 //! one; a measured window of thousands of deliveries must leave the
-//! counter untouched.
+//! counter untouched. So must a window of hops (`delay2`, `wake_after`):
+//! a hop is a plain copyable event, and the resume it pushes at commit
+//! reuses the shard heap.
 
 mod common;
 
@@ -57,4 +59,37 @@ fn steady_state_dispatch_never_allocates() {
         0,
         "sharded dispatch allocated inside the steady-state window"
     );
+}
+
+#[test]
+fn steady_state_hops_never_allocate() {
+    let sim = Sim::with_engine(Engine::Sharded, 4);
+    let measured = std::sync::Arc::new(AtomicU64::new(u64::MAX));
+    let measured_in = std::sync::Arc::clone(&measured);
+
+    sim.spawn("hopper", move |ctx| {
+        let cycle = || {
+            ctx.delay2(us(1), us(2));
+            ctx.with_kernel(|k| {
+                let w = k.waker_for(ctx.pid());
+                k.wake_after(k.now() + us(1), w, us(1));
+            });
+            ctx.park();
+        };
+        // Warm the shard heaps past their high-water mark.
+        for _ in 0..512 {
+            cycle();
+        }
+        let start = ctx.now();
+        let allocated = allocations_in(|| {
+            for _ in 0..4096 {
+                cycle();
+            }
+        });
+        measured_in.store(allocated, Ordering::Relaxed);
+        assert_eq!(ctx.now(), start + us(5 * 4096), "each cycle is 3 + 2 virtual microseconds");
+    });
+
+    assert_eq!(sim.run(), us(5 * 4608));
+    assert_eq!(measured.load(Ordering::Relaxed), 0, "a hop allocated in steady state");
 }
