@@ -15,6 +15,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use dv_core::rng::{HpccStream, SplitMix64};
+use dv_kernels::fft::plan::FftPlan;
 use dv_kernels::fft::{fft_in_place, Complex};
 use dv_kernels::graph::{kronecker_edges, Csr, GraphConfig};
 use dv_sim::{Port, Sim};
@@ -98,6 +99,21 @@ fn bench_fft_kernel() {
     }
 }
 
+fn bench_fft_planned_rows() {
+    // What a node of the distributed FFT runs: many rows, one set of
+    // tables. Transformed in place over and over: the values only grow
+    // (by 32× a pass, never far enough to overflow within the budget), and
+    // the arithmetic costs the same whatever they are.
+    let (rows, len) = (1024, 1024);
+    let mut rng = SplitMix64::new(1);
+    let mut data: Vec<Complex> =
+        (0..rows * len).map(|_| Complex::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5)).collect();
+    bench("fft/planned_rows_1024x2^10", Some((rows * len) as u64), || {
+        FftPlan::row_ffts(&mut data, len);
+        data[0]
+    });
+}
+
 fn bench_graph_substrate() {
     let cfg = GraphConfig { scale: 14, edgefactor: 8, seed: 3 };
     bench("graph/kronecker_scale14", Some(cfg.edges() as u64), || kronecker_edges(&cfg).len());
@@ -122,6 +138,7 @@ fn main() {
     bench_des_engine();
     bench_switch_cycle();
     bench_fft_kernel();
+    bench_fft_planned_rows();
     bench_graph_substrate();
     bench_hpcc_stream();
 }

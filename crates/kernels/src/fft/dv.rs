@@ -37,13 +37,16 @@ pub fn run_spec(n: usize, spec: SimSpec, validate: bool) -> FftRunResult {
         "N/p too large for the VIC's 32 MB DV memory"
     );
     let compute = spec.machine.compute.clone();
-    let report = DvCluster::from_spec(spec).run(move |dv, ctx| {
-        let shapes = [(plan.cols_per_node(), plan.r), (plan.rows_per_node(), plan.c)];
-        let mut eng =
-            DvTranspose::one_shot(dv, ctx, compute.clone(), REGION_BASE, GC_BASE, shapes);
-        let out = plan.execute(&mut eng, ctx);
-        dv.fast_barrier(ctx);
-        out
+    let report = DvCluster::from_spec(spec).run({
+        let plan = plan.clone();
+        move |dv, ctx| {
+            let shapes = [(plan.cols_per_node(), plan.r), (plan.rows_per_node(), plan.c)];
+            let mut eng =
+                DvTranspose::one_shot(dv, ctx, compute.clone(), REGION_BASE, GC_BASE, shapes);
+            let out = plan.execute(&mut eng, ctx);
+            dv.fast_barrier(ctx);
+            out
+        }
     });
     plan.summarize(report, validate)
 }

@@ -13,11 +13,14 @@ use super::plan::{FftPlan, FftRunResult};
 pub fn run_spec(n: usize, spec: SimSpec, validate: bool) -> FftRunResult {
     let plan = FftPlan::new(n, spec.nodes);
     let compute = spec.machine.compute.clone();
-    let report = MpiCluster::from_spec(spec).run(move |comm, ctx| {
-        comm.barrier(ctx);
-        let out = plan.execute(&mut MpiTranspose::new(comm, compute.clone()), ctx);
-        comm.barrier(ctx);
-        out
+    let report = MpiCluster::from_spec(spec).run({
+        let plan = plan.clone();
+        move |comm, ctx| {
+            comm.barrier(ctx);
+            let out = plan.execute(&mut MpiTranspose::new(comm, compute.clone()), ctx);
+            comm.barrier(ctx);
+            out
+        }
     });
     plan.summarize(report, validate)
 }

@@ -15,22 +15,14 @@ use dv_sim::SimCtx;
 use crate::transpose::{DvTranspose, MpiTranspose, TransposeEngine};
 use crate::util::charge_flops;
 
-use super::{fft_flops, fft_in_place, ifft_in_place, Complex};
+use super::{fft_flops, Complex, Twiddles};
 
 /// Serial 2-D FFT on a full m×m matrix (row-major), via row FFTs and
 /// explicit transposes — the same operation sequence as the distributed
 /// kernel, so results are bit-identical.
 pub fn fft2d_serial(data: &mut Vec<Complex>, m: usize, inverse: bool) {
     assert_eq!(data.len(), m * m);
-    let run_rows = |d: &mut [Complex]| {
-        for row in d.chunks_mut(m) {
-            if inverse {
-                ifft_in_place(row);
-            } else {
-                fft_in_place(row);
-            }
-        }
-    };
+    let mut twiddles = Twiddles::new(m);
     let transpose = |d: &[Complex]| {
         let mut out = vec![Complex::zero(); m * m];
         for r in 0..m {
@@ -40,9 +32,9 @@ pub fn fft2d_serial(data: &mut Vec<Complex>, m: usize, inverse: bool) {
         }
         out
     };
-    run_rows(data);
+    twiddles.rows(data, inverse);
     *data = transpose(data);
-    run_rows(data);
+    twiddles.rows(data, inverse);
     *data = transpose(data);
 }
 
@@ -58,14 +50,9 @@ pub fn fft2d_dist<E: TransposeEngine>(
 ) -> u64 {
     let compute = eng.compute().clone();
     let mut flops = 0u64;
-    let run_rows = |d: &mut [Complex], ctx: &SimCtx, flops: &mut u64| {
-        for row in d.chunks_mut(m) {
-            if inverse {
-                ifft_in_place(row);
-            } else {
-                fft_in_place(row);
-            }
-        }
+    let mut twiddles = Twiddles::new(m);
+    let mut run_rows = |d: &mut [Complex], ctx: &SimCtx, flops: &mut u64| {
+        twiddles.rows(d, inverse);
         let f = (d.len() / m) as u64 * fft_flops(m as u64);
         charge_flops(ctx, &compute, f);
         *flops += f;

@@ -12,7 +12,6 @@ use dv_api::world::BlockWrite;
 use dv_api::{DvCtx, SendMode};
 use dv_core::config::ComputeParams;
 use dv_core::Word;
-use crate::fft::plan::{from_interleaved, gather_block, scatter_block, to_interleaved};
 use crate::fft::Complex;
 use crate::util::charge_mem_bytes;
 use dv_sim::SimCtx;
@@ -71,18 +70,30 @@ impl TransposeEngine for MpiTranspose<'_> {
         let p = self.comm.size();
         let rows = local.len() / row_len;
         let my_new_rows = row_len / p; // my columns become rows
-        let mut blocks: Vec<Payload> = Vec::with_capacity(p);
-        for dst in 0..p {
-            let block = gather_block(local, row_len, dst * my_new_rows, my_new_rows);
-            blocks.push(Payload::C64(to_interleaved(&block)));
-        }
+        // Columns `dst·my_new_rows..` of every local row, row-major,
+        // interleaved straight into the message.
+        let blocks: Vec<Payload> = (0..p)
+            .map(|dst| {
+                let cols = dst * my_new_rows..(dst + 1) * my_new_rows;
+                let mut block = Vec::with_capacity(2 * rows * my_new_rows);
+                for row in local.chunks_exact(row_len) {
+                    block.extend(row[cols.clone()].iter().flat_map(|v| [v.re, v.im]));
+                }
+                Payload::C64(block)
+            })
+            .collect();
         // Packing cost: one pass over the local data.
         charge_mem_bytes(ctx, &self.compute, (local.len() * 16) as u64);
         let incoming = self.comm.alltoall(ctx, blocks);
+        // `src`'s row `i` becomes column `src·rows + i` of my new rows.
         let mut out = vec![Complex::zero(); my_new_rows * new_row_len];
         for (src, payload) in incoming.into_iter().enumerate() {
-            let block = from_interleaved(&payload.into_c64());
-            scatter_block(&mut out, new_row_len, src * rows, &block, my_new_rows);
+            let block = payload.into_c64();
+            for (i, row) in block.chunks_exact(2 * my_new_rows).enumerate() {
+                for (new_row, v) in row.chunks_exact(2).enumerate() {
+                    out[new_row * new_row_len + src * rows + i] = Complex::new(v[0], v[1]);
+                }
+            }
         }
         // Unpacking cost: one pass over the received data.
         charge_mem_bytes(ctx, &self.compute, (out.len() * 16) as u64);
@@ -144,12 +155,6 @@ const CHUNKS: usize = 4;
 fn row_chunks(rows: usize) -> Vec<(usize, usize)> {
     let k = CHUNKS.min(rows).max(1);
     (0..k).map(|c| (c * rows / k, (c + 1) * rows / k)).filter(|(a, b)| b > a).collect()
-}
-
-/// Inverse of the [`row_chunks`] partition.
-fn chunk_of(row: usize, rows: usize) -> usize {
-    let k = CHUNKS.min(rows).max(1);
-    (0..k).find(|&c| row < (c + 1) * rows / k).unwrap_or(k - 1)
 }
 
 impl<'a> DvTranspose<'a> {
@@ -242,7 +247,13 @@ impl TransposeEngine for DvTranspose<'_> {
         let me = self.dv.node();
         let rows = local.len() / row_len;
         let new_rows_per_node = row_len / self.dv.nodes();
-        debug_assert_eq!((new_rows_per_node, new_row_len), (half.rows, half.row_len));
+        // Armed for another shape, the scatter below would land on wrong
+        // DV-memory addresses and the counters would still reach zero.
+        assert_eq!(
+            (new_rows_per_node, new_row_len),
+            (half.rows, half.row_len),
+            "transpose shape differs from the one its receive region was armed for"
+        );
         // My rows become columns `my_col_offset..my_col_offset + rows` of
         // every new row.
         let my_col_offset = me * rows;
@@ -256,28 +267,25 @@ impl TransposeEngine for DvTranspose<'_> {
         let mut out = vec![Complex::zero(); new_rows_per_node * new_row_len];
         // One pass over the local data to form the scatter.
         charge_mem_bytes(ctx, &self.compute, (local.len() * 16) as u64);
-        for c in 0..row_chunks(new_rows_per_node).len() {
-            let mut blocks = Vec::new();
-            for col in 0..row_len {
-                let dest = col / new_rows_per_node;
-                let new_row = col % new_rows_per_node;
-                if chunk_of(new_row, new_rows_per_node) != c {
-                    continue;
-                }
-                if dest == me {
-                    for r in 0..rows {
-                        out[new_row * new_row_len + my_col_offset + r] = local[r * row_len + col];
+        for (c, (r0, r1)) in row_chunks(new_rows_per_node).into_iter().enumerate() {
+            let mut blocks = Vec::with_capacity((self.dv.nodes() - 1) * (r1 - r0));
+            // Ascending column order, as the receivers' traces expect.
+            for dest in 0..self.dv.nodes() {
+                for new_row in r0..r1 {
+                    let col = dest * new_rows_per_node + new_row;
+                    let column = local[col..].iter().step_by(row_len);
+                    let at = new_row * new_row_len + my_col_offset;
+                    if dest == me {
+                        for (o, v) in out[at..at + rows].iter_mut().zip(column) {
+                            *o = *v;
+                        }
+                        continue;
                     }
-                    continue;
+                    let mut words: Vec<Word> = Vec::with_capacity(2 * rows);
+                    words.extend(column.flat_map(|v| [v.re.to_bits(), v.im.to_bits()]));
+                    let address = half.region + (at * 2) as u32;
+                    blocks.push(BlockWrite { dest, address, gc: half.gc_base + c as u8, words });
                 }
-                let column: Vec<Word> = (0..rows)
-                    .flat_map(|r| {
-                        let v = local[r * row_len + col];
-                        [v.re.to_bits(), v.im.to_bits()]
-                    })
-                    .collect();
-                let address = half.region + ((new_row * new_row_len + my_col_offset) * 2) as u32;
-                blocks.push(BlockWrite { dest, address, gc: half.gc_base + c as u8, words: column });
             }
             self.dv.write_blocks(ctx, blocks, SendMode::Dma { cached_headers: true });
         }
@@ -299,14 +307,16 @@ impl TransposeEngine for DvTranspose<'_> {
                 half.region + (r0 * new_row_len * 2) as u32,
                 (r1 - r0) * new_row_len * 2,
             );
-            for (i, pair) in words.chunks_exact(2).enumerate() {
-                let row = r0 + i / new_row_len;
-                let col = i % new_row_len;
-                if col >= my_col_offset && col < my_col_offset + rows {
-                    continue; // self columns were copied host-side
+            // Row by row, around the self columns copied host-side.
+            let own = my_col_offset..my_col_offset + rows;
+            for (row, words) in (r0..r1).zip(words.chunks_exact(2 * new_row_len)) {
+                let out_row = &mut out[row * new_row_len..(row + 1) * new_row_len];
+                for cols in [0..own.start, own.end..new_row_len] {
+                    let pairs = words[2 * cols.start..2 * cols.end].chunks_exact(2);
+                    for (o, pair) in out_row[cols].iter_mut().zip(pairs) {
+                        *o = Complex::new(f64::from_bits(pair[0]), f64::from_bits(pair[1]));
+                    }
                 }
-                out[row * new_row_len + col] =
-                    Complex::new(f64::from_bits(pair[0]), f64::from_bits(pair[1]));
             }
         }
         out
@@ -333,6 +343,7 @@ mod tests {
     use dv_api::DvCluster;
     use mini_mpi::MpiCluster;
     use dv_core::spec::SimSpec;
+    use dv_core::time::Time;
 
     /// Full distributed transpose equals the local transpose, both engines.
     fn check_roundtrip_values(outs: Vec<Vec<Complex>>, m: usize, p: usize) {
@@ -369,12 +380,6 @@ mod tests {
             assert_eq!(chunks.last().unwrap().1, rows);
             for w in chunks.windows(2) {
                 assert_eq!(w[0].1, w[1].0);
-            }
-            // chunk_of agrees with the partition.
-            for r in 0..rows {
-                let c = chunk_of(r, rows);
-                let (a, b) = chunks[c];
-                assert!(r >= a && r < b, "rows={rows} r={r} c={c}");
             }
         }
     }
@@ -416,6 +421,80 @@ mod tests {
             })
             .result;
         assert!(ok.into_iter().all(|b| b));
+    }
+
+    fn elem(i: usize, j: usize, c: usize) -> Complex {
+        let x = (i * c + j) as f64;
+        Complex::new(x, -x - 0.5)
+    }
+
+    /// Node `me`'s rows of the `r × c` matrix `elem`.
+    fn rect_input(me: usize, r: usize, c: usize, p: usize) -> Vec<Complex> {
+        let rows = r / p;
+        (0..rows * c).map(|i| elem(me * rows + i / c, i % c, c)).collect()
+    }
+
+    /// Node `me`'s rows of its plain `c × r` transpose.
+    fn rect_transposed(me: usize, r: usize, c: usize, p: usize) -> Vec<Complex> {
+        let rows = c / p;
+        (0..rows * r).map(|i| elem(i % r, me * rows + i / r, c)).collect()
+    }
+
+    #[test]
+    fn both_engines_match_the_plain_transpose_on_non_square_shapes() {
+        // `(p, r, c)`, then `(elapsed, OrderAudit hash)` of an r×c → c×r →
+        // r×c round trip on each engine, as captured on the commit before
+        // the pack/unpack loops were rewritten: the rewrite may not move a
+        // block, a word or an event. The last two shapes leave a node one
+        // row (fewer than `CHUNKS` receive chunks) on the way forth / back.
+        type Pin = (Time, u64);
+        const CASES: [(usize, usize, usize, Pin, Pin); 5] = [
+            (2, 4, 16, (7770799, 0xd08cb8f0864c53ba), (3599766, 0x33c0a74b67cd2ef8)),
+            (4, 8, 32, (8144679, 0xb8c21ca80b247745), (10763815, 0x085fef4476e5394c)),
+            (8, 16, 64, (8950809, 0xda968c926c8b64a1), (25080935, 0xbea10c03feaaa63f)),
+            (8, 32, 8, (7300238, 0x450a76da5244f6c1), (24223386, 0x2e3bdb239b22de4b)),
+            (4, 4, 64, (7619231, 0xbd83965613bee1e6), (10763815, 0x085fef4476e5394c)),
+        ];
+        let mut actual = String::new();
+        let mut moved = false;
+        for (p, r, c, dv_pin, mpi_pin) in CASES {
+            let dv = DvCluster::from_spec(SimSpec::new(p)).run(move |dv, ctx| {
+                let shapes = [(c / p, r), (r / p, c)];
+                let compute = ComputeParams::default();
+                let mut eng = DvTranspose::one_shot(dv, ctx, compute, 4096, 16, shapes);
+                let input = rect_input(dv.node(), r, c, p);
+                let t = eng.transpose(ctx, &input, c, r);
+                assert_eq!(t, rect_transposed(dv.node(), r, c, p), "dv p={p} {r}x{c}");
+                assert_eq!(eng.transpose(ctx, &t, r, c), input, "dv back p={p} {r}x{c}");
+            });
+            let mpi = MpiCluster::from_spec(SimSpec::new(p)).run(move |comm, ctx| {
+                let mut eng = MpiTranspose::new(comm, ComputeParams::default());
+                let input = rect_input(comm.rank(), r, c, p);
+                let t = eng.transpose(ctx, &input, c, r);
+                assert_eq!(t, rect_transposed(comm.rank(), r, c, p), "mpi p={p} {r}x{c}");
+                assert_eq!(eng.transpose(ctx, &t, r, c), input, "mpi back p={p} {r}x{c}");
+            });
+            let (dv, mpi) = ((dv.elapsed, dv.trace_hash), (mpi.elapsed, mpi.trace_hash));
+            moved |= (dv, mpi) != (dv_pin, mpi_pin);
+            actual += &format!(
+                "            ({p}, {r}, {c}, ({}, {:#018x}), ({}, {:#018x})),\n",
+                dv.0, dv.1, mpi.0, mpi.1
+            );
+        }
+        assert!(!moved, "virtual time or event trace moved; actual:\n{actual}");
+    }
+
+    #[test]
+    #[should_panic(expected = "armed for")]
+    fn one_shot_shapes_in_the_wrong_order_are_rejected() {
+        // Release builds included: the check is an `assert!`.
+        let (p, r, c) = (2usize, 4usize, 16usize);
+        DvCluster::from_spec(SimSpec::new(p)).run(move |dv, ctx| {
+            let swapped = [(r / p, c), (c / p, r)];
+            let compute = ComputeParams::default();
+            let mut eng = DvTranspose::one_shot(dv, ctx, compute, 4096, 16, swapped);
+            eng.transpose(ctx, &rect_input(dv.node(), r, c, p), c, r);
+        });
     }
 
     #[test]
