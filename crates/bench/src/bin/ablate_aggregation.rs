@@ -9,6 +9,7 @@ use dv_core::config::MachineConfig;
 use dv_kernels::gups::{dv, GupsConfig};
 
 fn main() {
+    let mut report = Report::new("ablate_aggregation");
     let cfg = if quick() {
         GupsConfig { table_per_node: 1 << 10, updates_per_node: 1 << 11, bucket: 1024, stream_offset: 0 }
     } else {
@@ -43,7 +44,6 @@ fn main() {
             f2(with.mups_total() / without.mups_total()),
         ]);
     }
-    let mut report = Report::new("ablate_aggregation");
     report.section(
         "Ablation — GUPS aggregate MUPS with and without source aggregation",
         &["nodes", "aggregated", "per-packet PIO", "gain"],

@@ -14,6 +14,7 @@ use dv_core::spec::SimSpec;
 use dv_core::time::as_us_f64;
 
 fn main() {
+    let mut report = Report::new("ablate_halo");
     let cfg = |halo| {
         if quick() {
             HeatConfig { n: (16, 16, 16), grid: (2, 2, 2), r: 0.1, steps: 8, report_every: 4, halo }
@@ -55,7 +56,6 @@ fn main() {
             f2(mpi.elapsed as f64 / dv.elapsed as f64),
         ]);
     }
-    let mut report = Report::new("ablate_halo");
     report.section(
         &format!(
             "Ablation — heat equation: MPI halo strategy vs the fixed DV implementation ({:.2} µs)",

@@ -37,7 +37,7 @@ const FIGURES: [Figure; 4] = [
     ("perf_smoke", "wide batched (rotating origin)", "cycles/sec", None),
     // Rebuilt routed engine over the frozen reference, sparse 4096 ports.
     ("net_smoke", "net cycles/sec speedup", "value", Some(3.0)),
-    // Sharded scheduler over the frozen reference: the dispatch-throughput
+    // Cooperative scheduler over the frozen reference: the dispatch-throughput
     // row (the ring rows are context-switch bound and not gated).
     ("sched_smoke", "pump@1024", "speedup", Some(4.0)),
 ];

@@ -10,6 +10,7 @@ use dv_core::spec::SimSpec;
 use dv_kernels::pingpong::{dv_pingpong_spec, mpi_pingpong};
 
 fn main() {
+    let mut report = Report::new("fig3");
     let max_log = if quick() { 14 } else { 18 };
     // `--stream`: run one representative instrumented ping-pong (largest
     // size, DMA/Cached — the headline curve) and emit its dv-events-v1
@@ -70,7 +71,6 @@ fn main() {
         ]);
     }
 
-    let mut report = Report::new("fig3");
     report.section(
         "Figure 3a — ping-pong bandwidth (GB/s)",
         &["words", "DWr/NoCached", "DWr/Cached", "DMA/Cached", "MPI"],

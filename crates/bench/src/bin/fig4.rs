@@ -6,6 +6,7 @@ use dv_core::time::as_us_f64;
 use dv_kernels::barrier::{barrier_latency_spec, BarrierKind};
 
 fn main() {
+    let mut report = Report::new("fig4");
     let reps = if quick() { 100 } else { 1000 };
     // `--stream`: one representative instrumented run (32-node hardware
     // barrier) emits dv-events-v1 telemetry before the sweep proper.
@@ -32,7 +33,6 @@ fn main() {
             f3(as_us_f64(mpi)),
         ]);
     }
-    let mut report = Report::new("fig4");
     report.section(
         &format!("Figure 4 — global barrier latency (µs, mean of {reps} barriers)"),
         &["nodes", "Data Vortex", "FastBarrier", "Infiniband"],

@@ -16,6 +16,7 @@ use dv_core::trace::Tracer;
 use dv_kernels::gups::{dv, mpi, GupsConfig};
 
 fn main() {
+    let mut report = Report::new("fig5");
     let nodes = 8;
     let cfg = if quick() {
         GupsConfig { table_per_node: 1 << 10, updates_per_node: 2 << 10, bucket: 1024, stream_offset: 0 }
@@ -80,7 +81,6 @@ fn main() {
         result.mups_total()
     );
 
-    let mut report = Report::new("fig5");
     report.add_run(&format!("mpi.n{nodes}"), &metrics);
     report.add_run(&format!("dv.n{nodes}"), &dv_metrics);
     report.set_trace(dump);

@@ -9,6 +9,7 @@ use dv_core::spec::SimSpec;
 use dv_kernels::fft::{dv, mpi};
 
 fn main() {
+    let mut report = Report::new("fig7");
     let n: usize = if quick() { 1 << 16 } else { 1 << 20 };
     // `--stream`: one representative instrumented run (8-node DV FFT)
     // emits dv-events-v1 telemetry before the sweep proper.
@@ -33,7 +34,6 @@ fn main() {
             f2(d.gflops() / m.gflops()),
         ]);
     }
-    let mut report = Report::new("fig7");
     report.section(
         &format!("Figure 7 — FFT-1D aggregate GFLOPS, N = 2^{}", n.trailing_zeros()),
         &["nodes", "Data Vortex", "Infiniband", "DV/IB"],

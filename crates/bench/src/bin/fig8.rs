@@ -10,6 +10,7 @@ use dv_core::stats::harmonic_mean;
 use dv_kernels::graph::{dv, kronecker_edges, mpi, partition_csr, pick_roots, validate_bfs, Csr, GraphConfig, VertexPart};
 
 fn main() {
+    let mut report = Report::new("fig8");
     let (scale, roots_n) = if quick() { (12, 4) } else { (14, 8) };
     // Optional chaos mode for the Data Vortex searches; every tree is
     // still validated, so recovery correctness is checked per root.
@@ -66,7 +67,6 @@ fn main() {
         let m = harmonic_mean(&mpi_teps) / 1e6;
         rows.push(vec![nodes.to_string(), f2(d), f2(m), f2(d / m)]);
     }
-    let mut report = Report::new("fig8");
     report.section(
         &format!(
             "Figure 8 — BFS harmonic-mean MTEPS, scale {scale}, edgefactor 16, {} roots (validated)",

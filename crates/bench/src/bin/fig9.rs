@@ -6,6 +6,7 @@ use dv_bench::{f2, quick, Report};
 use dv_core::time::as_us_f64;
 
 fn main() {
+    let mut report = Report::new("fig9");
     let sizes = if quick() { Fig9Sizes::for_tests() } else { Fig9Sizes::for_nodes_32() };
     // `--stream`: one representative instrumented run (the restructured
     // Heat solver) emits dv-events-v1 telemetry before the figure proper.
@@ -32,7 +33,6 @@ fn main() {
             ]
         })
         .collect();
-    let mut report = Report::new("fig9");
     report.section(
         "Figure 9 — application speedup w.r.t. MPI-over-Infiniband",
         &["app", "MPI (µs)", "DV (µs)", "speedup"],

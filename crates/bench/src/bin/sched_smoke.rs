@@ -1,4 +1,4 @@
-//! Scheduler-throughput smoke test: the sharded engine's perf artifact.
+//! Scheduler-throughput smoke test: the cooperative engine's perf artifact.
 //!
 //! Two workloads, both pure scheduler work (pooled timer commit + resume
 //! per message, no model computation), both run on both engine
@@ -11,8 +11,8 @@
 //!   switches); the pre-sharding engine pays its full channel round-trip
 //!   (two context switches, two allocating sends) per resume regardless.
 //!   This is the dispatch-throughput figure, and the one
-//!   `dv-report --gate BENCH_sim.json` enforces: the sharded engine must
-//!   clear 4x the reference at 1024 nodes.
+//!   `dv-report --gate BENCH_sim.json` enforces: the cooperative engine
+//!   must clear 4x the reference at 1024 nodes.
 //! * **Ring** — every node sends to its right neighbor and blocks on its
 //!   own port, in lockstep. Every message forces a real thread handoff
 //!   on *both* engines, so this row is bounded by the host's context
@@ -38,7 +38,7 @@ use dv_sim::{Port, Sim};
 /// `i * (msgs + 16) us`, so windows never overlap and every commit's next
 /// event belongs to the process that just parked.
 fn pump(engine: Engine, nodes: usize, msgs: u64) -> (u64, f64) {
-    let sim = Sim::with_engine(engine, 0);
+    let sim = Sim::with_engine(engine);
     let window = msgs + 16;
     for me in 0..nodes {
         sim.spawn(format!("pump{me}"), move |ctx| {
@@ -59,7 +59,7 @@ fn pump(engine: Engine, nodes: usize, msgs: u64) -> (u64, f64) {
 /// Lockstep message ring: node `i` sends one word to node `i+1`'s port
 /// and blocks on its own. Every hop is a cross-process handoff.
 fn ring(engine: Engine, nodes: usize, msgs: u64) -> (u64, f64) {
-    let sim = Sim::with_engine(engine, 0);
+    let sim = Sim::with_engine(engine);
     let ports: Arc<Vec<Port<u64>>> = Arc::new((0..nodes).map(|_| Port::new()).collect());
     for me in 0..nodes {
         let ports = Arc::clone(&ports);
@@ -78,7 +78,7 @@ fn ring(engine: Engine, nodes: usize, msgs: u64) -> (u64, f64) {
 }
 
 /// Best-of-REPS for one workload shape at one node count, both engines.
-/// Returns table rows plus the sharded-over-reference speedup.
+/// Returns table rows plus the cooperative-over-reference speedup.
 fn measure(
     shape: &str,
     run: impl Fn(Engine, usize, u64) -> (u64, f64),
@@ -86,10 +86,10 @@ fn measure(
     msgs: u64,
     reps: usize,
 ) -> (Vec<Vec<String>>, f64) {
-    let mut secs = [f64::INFINITY; 2]; // [reference, sharded]
+    let mut secs = [f64::INFINITY; 2]; // [reference, cooperative]
     let mut virt = [0u64; 2];
     for _ in 0..reps {
-        for (i, engine) in [Engine::Reference, Engine::Sharded].into_iter().enumerate() {
+        for (i, engine) in [Engine::Reference, Engine::Cooperative].into_iter().enumerate() {
             let (elapsed, s) = run(engine, nodes, msgs);
             virt[i] = elapsed;
             secs[i] = secs[i].min(s);
@@ -98,7 +98,7 @@ fn measure(
     assert_eq!(virt[0], virt[1], "engines disagreed on virtual elapsed time");
     let total = nodes as u64 * msgs;
     let rate = |s: f64| total as f64 / s;
-    let rows = [("reference (pre-sharding)", secs[0]), ("sharded", secs[1])]
+    let rows = [("reference (pre-sharding)", secs[0]), ("cooperative", secs[1])]
         .into_iter()
         .map(|(name, s)| {
             vec![
@@ -142,7 +142,7 @@ fn main() {
         rows,
     );
     report.section(
-        "Sharded engine speedup over pre-sharding reference",
+        "Cooperative engine speedup over pre-sharding reference",
         &["workload", "speedup"],
         speedups
             .iter()
@@ -154,7 +154,7 @@ fn main() {
     let &(_, at_1024) = &speedups[1];
     assert_eq!(speedups[1].0, "pump@1024");
     if at_1024 < 4.0 {
-        println!("WARNING: sharded pump speedup {at_1024:.2}x at 1024 nodes below the 4x target");
+        println!("WARNING: pump speedup {at_1024:.2}x at 1024 nodes below the 4x target");
     }
     report.finish();
 }

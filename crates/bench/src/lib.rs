@@ -19,7 +19,7 @@
 //! | `ablate_halo` | ablation | heat speedup vs the MPI baseline's halo strategy |
 //! | `perf_smoke` | perf trajectory | `SwitchSim` cycles/sec: narrow kernel vs the frozen reference, batched kernel at 4096 ports → `BENCH_switch.json` |
 //! | `net_smoke` | perf trajectory | `RoutedNetSim` cycles/sec vs the frozen reference → `BENCH_net.json` |
-//! | `sched_smoke` | perf trajectory | sharded vs reference scheduler dispatch rate → `BENCH_sim.json` |
+//! | `sched_smoke` | perf trajectory | cooperative vs reference scheduler dispatch rate → `BENCH_sim.json` |
 //! | `dv-report` | artifact tool | renders `BENCH_*.json`, `--timeline` for streams, `--gate` for CI |
 //! | `dv-top` | artifact tool | live / `--replay` dashboard over a `dv-events-v1` stream |
 //!

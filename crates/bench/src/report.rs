@@ -20,6 +20,7 @@
 //! commits the same way `tests/determinism.rs` compares trace hashes.
 
 use std::path::PathBuf;
+use std::time::Instant;
 
 use dv_core::json::Json;
 use dv_core::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -41,8 +42,11 @@ pub fn json_path() -> Option<PathBuf> {
 
 /// Collects a benchmark's tables, instrumented runs, and optional trace,
 /// printing tables to stdout as it goes; [`Report::finish`] writes the
-/// JSON artifact when `--json` was passed.
+/// JSON artifact when `--json` was passed and reports the run's host
+/// wall-clock on stderr — never stdout or the artifact, which stay
+/// byte-reproducible.
 pub struct Report {
+    started: Instant,
     bench: &'static str,
     quick: bool,
     results: Vec<Json>,
@@ -53,7 +57,14 @@ pub struct Report {
 impl Report {
     /// Start a report for the named benchmark binary.
     pub fn new(bench: &'static str) -> Self {
-        Self { bench, quick: crate::quick(), results: Vec::new(), runs: Vec::new(), trace: None }
+        Self {
+            started: Instant::now(),
+            bench,
+            quick: crate::quick(),
+            results: Vec::new(),
+            runs: Vec::new(),
+            trace: None,
+        }
     }
 
     /// Print a titled table to stdout and record it in the document.
@@ -111,7 +122,8 @@ impl Report {
         Json::Obj(members)
     }
 
-    /// Write the document if `--json <path>` was passed. Call last.
+    /// Write the document if `--json <path>` was passed, then print the
+    /// `wall: <s> s` line to stderr. Call last.
     pub fn finish(self) {
         if let Some(path) = json_path() {
             let doc = self.to_json();
@@ -121,6 +133,7 @@ impl Report {
             }
             println!("wrote {}", path.display());
         }
+        eprintln!("wall: {:.3} s", self.started.elapsed().as_secs_f64());
     }
 }
 

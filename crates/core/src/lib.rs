@@ -33,7 +33,7 @@
 //! * [`json`] — a dependency-free JSON tree with a deterministic renderer
 //!   and parser, used for `BENCH_*.json` benchmark artifacts.
 //! * [`spec`] — [`spec::SimSpec`], the single builder every simulation
-//!   backend consumes (nodes, engine + shards, machine model, faults,
+//!   backend consumes (nodes, engine, machine model, faults,
 //!   tracer, metrics, telemetry stream), and [`spec::RunReport`], what the
 //!   unified `run()` entry points return.
 

@@ -1,15 +1,14 @@
 //! `SimSpec` — the one builder every simulation backend consumes.
 //!
-//! One value describes the cluster size, the engine and shard count, the
-//! machine cost model, fault injection, tracing, metrics, and telemetry
-//! streaming; `DvCluster::from_spec` / `MpiCluster::from_spec` and every
-//! kernel and application entry point consume it, and a run returns a
-//! [`RunReport`].
+//! One value describes the cluster size, the engine, the machine cost
+//! model, fault injection, tracing, metrics, and telemetry streaming;
+//! `DvCluster::from_spec` / `MpiCluster::from_spec` and every kernel and
+//! application entry point consume it, and a run returns a [`RunReport`].
 //!
 //! ```
 //! use dv_core::spec::SimSpec;
 //!
-//! let spec = SimSpec::new(8).instrumented().shards(4);
+//! let spec = SimSpec::new(8).instrumented();
 //! assert_eq!(spec.nodes, 8);
 //! assert!(spec.metrics.is_enabled());
 //! ```
@@ -25,11 +24,10 @@ use crate::trace::Tracer;
 /// Which scheduler executes the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The sharded cooperative engine: per-shard event queues merged in a
-    /// conservative total order, direct process-to-process handoff. The
-    /// default.
+    /// The cooperative engine: no scheduler thread, the run token is
+    /// handed directly from process to process. The default.
     #[default]
-    Sharded,
+    Cooperative,
     /// The frozen pre-sharding scheduler (central dispatch thread, one
     /// mpsc round-trip per event). Kept as the determinism oracle: both
     /// engines must produce bit-identical `OrderAudit` hashes.
@@ -42,12 +40,7 @@ type SeriesSink = Box<dyn FnMut(&TimeseriesSample) + Send + 'static>;
 pub struct SimSpec {
     /// Number of simulated nodes (one process per node).
     pub nodes: usize,
-    /// Event-queue shards for the sharded engine; `0` (default) picks one
-    /// per available core, capped. Shard count never changes results —
-    /// `tests/shard_invariance.rs` proves trace hashes identical across
-    /// shard counts.
-    pub shards: usize,
-    /// Scheduler choice (sharded by default; reference for audits).
+    /// Scheduler choice (cooperative by default; reference for audits).
     pub engine: Engine,
     /// Machine cost model; defaults to the paper's cluster.
     pub machine: MachineConfig,
@@ -64,12 +57,11 @@ pub struct SimSpec {
 
 impl SimSpec {
     /// A cluster of `nodes` nodes on the paper's machine, defaults
-    /// everywhere else: sharded engine, auto shard count, no tracing, no
-    /// metrics, no faults.
+    /// everywhere else: cooperative engine, no tracing, no metrics, no
+    /// faults.
     pub fn new(nodes: usize) -> Self {
         Self {
             nodes,
-            shards: 0,
             engine: Engine::default(),
             machine: MachineConfig::paper_cluster(),
             tracer: Arc::new(Tracer::disabled()),
@@ -79,9 +71,9 @@ impl SimSpec {
         }
     }
 
-    /// Set the shard count (0 = auto).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
+    /// Ignored: the engine has one event queue. Kept only because the
+    /// frozen `benchmark/` package calls it; goes when that package thaws.
+    pub fn shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -194,7 +186,7 @@ pub struct RunReport<T> {
     /// Final virtual time of the run.
     pub elapsed: Time,
     /// `OrderAudit` hash of the committed event trace — identical inputs
-    /// must produce identical hashes, on either engine, at any shard count.
+    /// must produce identical hashes, on either engine.
     pub trace_hash: u64,
     /// Snapshot of the attached metrics registry after end-of-run
     /// publication (empty if metrics were disabled).
@@ -221,8 +213,7 @@ mod tests {
     fn defaults_match_the_paper_cluster() {
         let spec = SimSpec::new(32);
         assert_eq!(spec.nodes, 32);
-        assert_eq!(spec.shards, 0);
-        assert_eq!(spec.engine, Engine::Sharded);
+        assert_eq!(spec.engine, Engine::Cooperative);
         assert!(!spec.metrics.is_enabled());
         assert!(!spec.tracer.is_enabled());
         assert!(spec.machine.faults.is_none());
@@ -231,12 +222,7 @@ mod tests {
     #[test]
     fn builder_methods_compose() {
         let plan = FaultPlan::parse("seed=7,fifodrop=0.02").expect("valid plan");
-        let spec = SimSpec::new(4)
-            .shards(2)
-            .engine(Engine::Reference)
-            .instrumented()
-            .faults(plan);
-        assert_eq!(spec.shards, 2);
+        let spec = SimSpec::new(4).engine(Engine::Reference).instrumented().faults(plan);
         assert_eq!(spec.engine, Engine::Reference);
         assert!(spec.metrics.is_enabled());
         assert!(spec.machine.faults.is_some());

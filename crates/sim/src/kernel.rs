@@ -1,13 +1,10 @@
-//! The event kernel: virtual clock, sharded event queues, wakers, timers.
+//! The event kernel: virtual clock, event queue, wakers, timers.
 //!
-//! Events live in *shards* — independent binary heaps, one per shard-worker
-//! of the engine. Resume events are routed to the shard that owns their
-//! target process (`pid % shards`); kernel calls and timers are spread by
-//! sequence number. The dispatcher commits events through a conservative
-//! merge: the globally earliest `(time, seq)` event across all shard heads
-//! commits next, so the committed order — and therefore the
-//! [`OrderAudit`] trace hash — is identical for any shard count, including
-//! the pre-sharding single-queue engine.
+//! Pending events live in one binary heap keyed by `(time, seq)`, where
+//! `seq` is the insertion sequence number. The earliest key commits next,
+//! so the committed order — and therefore the [`OrderAudit`] trace hash —
+//! is a pure function of the order in which events were scheduled, on
+//! either engine.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -102,14 +99,13 @@ pub struct SchedStats {
     pub processes: u64,
 }
 
-/// The discrete-event kernel: the virtual clock plus the sharded
-/// pending-event queues. Shared behind a mutex; only one simulated process
-/// commits events at a time, so the lock is uncontended in steady state.
+/// The discrete-event kernel: the virtual clock plus the pending-event
+/// queue. Shared behind a mutex; only one simulated process commits events
+/// at a time, so the lock is uncontended in steady state.
 pub struct Kernel {
     now: Time,
     seq: u64,
-    shards: Vec<BinaryHeap<Event>>,
-    pending: usize,
+    queue: BinaryHeap<Event>,
     /// Park generation per process; a `Resume` event only fires if its
     /// waker's generation matches.
     pub(crate) park_generation: Vec<u64>,
@@ -126,13 +122,11 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    pub(crate) fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
+    pub(crate) fn new() -> Self {
         Self {
             now: 0,
             seq: 0,
-            shards: (0..shards).map(|_| BinaryHeap::new()).collect(),
-            pending: 0,
+            queue: BinaryHeap::new(),
             park_generation: Vec::new(),
             proc_names: Vec::new(),
             timer_hooks: Vec::new(),
@@ -141,11 +135,6 @@ impl Kernel {
             #[cfg(test)]
             commits: Vec::new(),
         }
-    }
-
-    /// Number of event shards this kernel was built with.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Scheduler activity counters accumulated so far.
@@ -169,39 +158,11 @@ impl Kernel {
         self.audit.events()
     }
 
-    /// Number of events still pending across all shards.
-    pub fn pending_events(&self) -> usize {
-        self.pending
-    }
-
     fn push(&mut self, time: Time, kind: EventKind) {
         let time = time.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        // Shared-nothing routing: a resume belongs to its target process's
-        // shard; calls and timers are spread round-robin by sequence. The
-        // commit order is a total-order merge over shard heads, so routing
-        // affects locality only, never the committed order.
-        let shard = match &kind {
-            EventKind::Resume(w) | EventKind::Hop(w, _) => w.pid % self.shards.len(),
-            _ => (seq as usize) % self.shards.len(),
-        };
-        self.shards[shard].push(Event { time, seq, kind });
-        self.pending += 1;
-    }
-
-    /// Index of the shard holding the globally earliest pending event.
-    fn min_shard(&self) -> Option<usize> {
-        let mut best: Option<(Time, u64, usize)> = None;
-        for (i, heap) in self.shards.iter().enumerate() {
-            if let Some(e) = heap.peek() {
-                let key = (e.time, e.seq, i);
-                if best.is_none_or(|b| (key.0, key.1) < (b.0, b.1)) {
-                    best = Some(key);
-                }
-            }
-        }
-        best.map(|(_, _, i)| i)
+        self.queue.push(Event { time, seq, kind });
     }
 
     /// Schedule a closure to run inside the kernel at virtual time `at`
@@ -283,12 +244,7 @@ impl Kernel {
     /// Hops are committed here and never returned: a valid one pushes its
     /// resume and the loop moves on.
     pub(crate) fn pop_valid(&mut self) -> Option<(Time, EventKind)> {
-        while let Some(shard) = self.min_shard() {
-            let ev = match self.shards[shard].pop() {
-                Some(ev) => ev,
-                None => break,
-            };
-            self.pending -= 1;
+        while let Some(ev) = self.queue.pop() {
             debug_assert!(ev.time >= self.now, "time went backwards");
             match ev.kind {
                 EventKind::Resume(w) => {
@@ -328,23 +284,6 @@ impl Kernel {
         }
         None
     }
-
-    /// Peek the pid of the next event *if* it is a currently-valid resume
-    /// for a process. Pure read — commits nothing, advances nothing — used
-    /// by the dispatcher as a pre-wake hint so the next-to-run process can
-    /// start waking while the current one executes. A wrong hint costs a
-    /// wasted wakeup, never correctness.
-    pub(crate) fn peek_next_resume(&self) -> Option<Pid> {
-        let shard = self.min_shard()?;
-        match self.shards[shard].peek() {
-            Some(Event { kind: EventKind::Resume(w), .. })
-                if self.park_generation[w.pid] == w.generation =>
-            {
-                Some(w.pid)
-            }
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -353,25 +292,23 @@ mod tests {
 
     #[test]
     fn events_pop_in_time_then_fifo_order() {
-        for shards in [1, 2, 4] {
-            let mut k = Kernel::new(shards);
-            let order = std::sync::Arc::new(dv_core::sync::Mutex::new(Vec::new()));
-            for (tag, t) in [(0u32, 50u64), (1, 10), (2, 10), (3, 30)] {
-                let order = order.clone();
-                k.call_at(t, move |_| order.lock().push(tag));
-            }
-            while let Some((_, EventKind::Call(f))) = k.pop_valid() {
-                f(&mut k);
-            }
-            // t=10 events in insertion order (1 before 2), then 30, then 50.
-            assert_eq!(*order.lock(), vec![1, 2, 3, 0], "shards={shards}");
-            assert_eq!(k.now(), 50);
+        let mut k = Kernel::new();
+        let order = std::sync::Arc::new(dv_core::sync::Mutex::new(Vec::new()));
+        for (tag, t) in [(0u32, 50u64), (1, 10), (2, 10), (3, 30)] {
+            let order = order.clone();
+            k.call_at(t, move |_| order.lock().push(tag));
         }
+        while let Some((_, EventKind::Call(f))) = k.pop_valid() {
+            f(&mut k);
+        }
+        // t=10 events in insertion order (1 before 2), then 30, then 50.
+        assert_eq!(*order.lock(), vec![1, 2, 3, 0]);
+        assert_eq!(k.now(), 50);
     }
 
     #[test]
     fn clock_clamps_past_times_to_now() {
-        let mut k = Kernel::new(1);
+        let mut k = Kernel::new();
         k.call_at(100, |_| {});
         let _ = k.pop_valid();
         assert_eq!(k.now(), 100);
@@ -383,7 +320,7 @@ mod tests {
 
     #[test]
     fn stale_wakers_are_dropped() {
-        let mut k = Kernel::new(4);
+        let mut k = Kernel::new();
         let pid = k.register_process("p".into());
         let w = k.waker_for(pid);
         k.wake_at(10, w);
@@ -400,7 +337,7 @@ mod tests {
     /// park is dropped and counted, never a second resume.
     #[test]
     fn stale_hops_are_dropped_and_counted() {
-        let mut k = Kernel::new(2);
+        let mut k = Kernel::new();
         let pid = k.register_process("p".into());
         let w = k.waker_for(pid);
         k.wake_after(10, w, 5);
@@ -424,7 +361,7 @@ mod tests {
 
     #[test]
     fn hops_commit_like_calls_and_push_the_resume() {
-        let mut k = Kernel::new(3);
+        let mut k = Kernel::new();
         let pid = k.register_process("p".into());
         let w = k.waker_for(pid);
         k.wake_after(10, w, 5);
@@ -440,7 +377,7 @@ mod tests {
 
     #[test]
     fn wakers_for_new_generation_fire() {
-        let mut k = Kernel::new(1);
+        let mut k = Kernel::new();
         let pid = k.register_process("p".into());
         let w0 = k.waker_for(pid);
         k.wake_at(10, w0);
@@ -453,7 +390,7 @@ mod tests {
 
     #[test]
     fn timers_commit_like_calls() {
-        let mut k = Kernel::new(2);
+        let mut k = Kernel::new();
         let fired = std::sync::Arc::new(dv_core::sync::Mutex::new(0u32));
         let f2 = fired.clone();
         let id = k.register_timer(Box::new(move |_| *f2.lock() += 1));
@@ -474,40 +411,34 @@ mod tests {
         assert_eq!(k.now(), 30);
     }
 
-    /// The pillar of shard-count invariance: the committed (time, seq)
-    /// order — and hence the audit hash — is identical for any shard count.
+    /// A seeded script of pushes and interleaved commits, with stale wakers
+    /// and same-time ties, pinned to what the kernel of PR 16 (ad04f41)
+    /// committed for it. That kernel split its queue over up to seven heaps
+    /// and merged their heads; one heap commits the same `(time, seq)` order.
     #[test]
-    fn commit_order_is_shard_count_invariant() {
-        fn trace(shards: usize) -> (u64, Vec<Time>) {
-            let mut k = Kernel::new(shards);
-            let pids: Vec<Pid> = (0..8).map(|i| k.register_process(format!("p{i}"))).collect();
-            let mut rng = dv_core::rng::SplitMix64::new(42);
-            for step in 0..200u64 {
-                let pid = pids[rng.next_below(8) as usize];
-                let at = rng.next_below(1000);
-                if step % 3 == 0 {
-                    k.call_at(at, |_| {});
-                } else {
-                    let w = k.waker_for(pid);
-                    k.wake_at(at, w);
-                }
-                // Commit a couple of events between pushes so generations
-                // advance and some wakers go stale.
-                if step % 5 == 0 {
-                    let _ = k.pop_valid();
-                }
+    fn commit_order_matches_the_pinned_script() {
+        let mut k = Kernel::new();
+        let pids: Vec<Pid> = (0..8).map(|i| k.register_process(format!("p{i}"))).collect();
+        let mut rng = dv_core::rng::SplitMix64::new(42);
+        for step in 0..200u64 {
+            let pid = pids[rng.next_below(8) as usize];
+            let at = rng.next_below(1000);
+            if step % 3 == 0 {
+                k.call_at(at, |_| {});
+            } else {
+                let w = k.waker_for(pid);
+                k.wake_at(at, w);
             }
-            let mut times = Vec::new();
-            while let Some((t, _)) = k.pop_valid() {
-                times.push(t);
+            // Commit a couple of events between pushes so generations
+            // advance and some wakers go stale.
+            if step % 5 == 0 {
+                let _ = k.pop_valid();
             }
-            (k.trace_hash(), times)
         }
-        let (h1, t1) = trace(1);
-        for shards in [2, 3, 4, 7] {
-            let (h, t) = trace(shards);
-            assert_eq!(h, h1, "hash must not depend on shard count (shards={shards})");
-            assert_eq!(t, t1);
+        let mut drained = 0;
+        while k.pop_valid().is_some() {
+            drained += 1;
         }
+        assert_eq!((k.trace_hash(), drained), (0x9761_1c30_69b8_5c41, 61));
     }
 }

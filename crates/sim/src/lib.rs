@@ -13,16 +13,16 @@
 //!   event trace out — while letting node programs be written as
 //!   straight-line imperative code with blocking calls (`recv`,
 //!   `wait_until`, `barrier`).
-//! * On the default **sharded cooperative engine** ([`Engine::Sharded`])
+//! * On the default **cooperative engine** ([`Engine::Cooperative`])
 //!   there is no scheduler thread: a single *run token* circulates among
 //!   the process threads, and whichever thread parks becomes the
-//!   dispatcher — it commits events from per-shard queues in a
-//!   conservative global merge and hands the token directly to the next
-//!   process (see `sim.rs` module docs). The frozen pre-sharding scheduler
-//!   is kept behind [`Engine::Reference`] as the determinism oracle.
+//!   dispatcher — it commits events from the kernel's queue and hands the
+//!   token directly to the next process (see `sim.rs` module docs). The
+//!   frozen pre-sharding scheduler is kept behind [`Engine::Reference`] as
+//!   the determinism oracle.
 //! * Events are committed in `(virtual time, insertion sequence)` order;
 //!   ties resolve in insertion order, so no ordering depends on OS thread
-//!   scheduling, shard count, or engine choice.
+//!   scheduling or engine choice.
 //! * Wakeups are *generation-stamped*: a [`Waker`] captures the target
 //!   process's park generation, and stale wakeups (for parks that already
 //!   ended) are dropped by the scheduler. Blocking primitives therefore

@@ -6,15 +6,9 @@
 //! engine's single-active-process invariant), so the parker is a one-shot
 //! token cell, not a counting semaphore.
 //!
-//! Two fast paths keep steady-state handoffs cheap:
-//!
-//! * A grant that lands before the process reaches `wait()` is consumed
-//!   with one atomic exchange — no lock, no syscall.
-//! * [`Parker::prewake`] lifts a sleeping process into a short spin loop
-//!   *before* its resume commits, so when the grant arrives the handoff is
-//!   a store observed by a spinning core instead of a futex wake. The
-//!   dispatcher uses the next pending event as the hint; a wrong hint
-//!   costs a bounded spin, never correctness.
+//! A grant that lands before the process reaches `wait()` is consumed with
+//! one atomic exchange — no lock, no syscall; otherwise the owner sleeps on
+//! the condvar and the grant is one futex wake. The owner never spins.
 //!
 //! All flag transitions use acquire/release ordering; the condvar mutex
 //! carries no data (the flag is the protocol) and exists only so sleeps
@@ -29,16 +23,8 @@ const EMPTY: u32 = 0;
 const SLEEPING: u32 = 1;
 /// A grant is pending; the next `wait` returns immediately.
 const GRANTED: u32 = 2;
-/// Hint that a grant is imminent: owner spins briefly instead of sleeping.
-const STANDBY: u32 = 3;
 /// Simulation is tearing down; `wait` returns `Err` forever.
-const SHUTDOWN: u32 = 4;
-
-/// Spin iterations a pre-woken process burns before going back to sleep.
-/// Sized for the gap between a pre-wake hint and the actual grant: one
-/// process timeslice (typically well under a microsecond of user code plus
-/// one event commit).
-const STANDBY_SPINS: u32 = 8_192;
+const SHUTDOWN: u32 = 3;
 
 /// Returned by [`Parker::wait`] when the simulation is shutting down; the
 /// caller unwinds its thread.
@@ -67,33 +53,6 @@ impl Parker {
         }
     }
 
-    /// Best-effort hint that a grant is coming soon: lift the owner out of
-    /// its condvar sleep into a spin loop. Never overrides a pending grant
-    /// or shutdown.
-    pub(crate) fn prewake(&self) {
-        let mut cur = self.flag.load(Ordering::Acquire);
-        loop {
-            if cur != EMPTY && cur != SLEEPING {
-                return;
-            }
-            match self.flag.compare_exchange_weak(
-                cur,
-                STANDBY,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(prev) => {
-                    if prev == SLEEPING {
-                        let _g = self.lock.lock().unwrap_or_else(|p| p.into_inner());
-                        self.cv.notify_one();
-                    }
-                    return;
-                }
-                Err(now) => cur = now,
-            }
-        }
-    }
-
     /// Tear down: every current and future `wait` returns `Err(Torn)`.
     pub(crate) fn shutdown(&self) {
         let prev = self.flag.swap(SHUTDOWN, Ordering::AcqRel);
@@ -105,7 +64,6 @@ impl Parker {
 
     /// Block until granted (or shutdown). Consumes the grant.
     pub(crate) fn wait(&self) -> Result<(), Torn> {
-        let mut spins = 0u32;
         loop {
             match self.flag.compare_exchange(
                 GRANTED,
@@ -115,35 +73,18 @@ impl Parker {
             ) {
                 Ok(_) => return Ok(()),
                 Err(SHUTDOWN) => return Err(Torn),
-                Err(STANDBY) => {
-                    // Pre-woken: the grant should be close. Spin, then give
-                    // up and fall through to a real sleep.
-                    spins += 1;
-                    if spins < STANDBY_SPINS {
-                        std::hint::spin_loop();
-                        continue;
-                    }
-                    spins = 0;
-                    let _ = self.flag.compare_exchange(
-                        STANDBY,
-                        EMPTY,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    );
-                    continue;
-                }
                 Err(_) => {}
             }
             // Slow path: publish that we are sleeping, then wait. The
-            // re-check under the lock pairs with grant/prewake/shutdown
-            // taking the same lock before notifying.
+            // re-check under the lock pairs with grant/shutdown taking the
+            // same lock before notifying.
             let mut g = self.lock.lock().unwrap_or_else(|p| p.into_inner());
             if self
                 .flag
                 .compare_exchange(EMPTY, SLEEPING, Ordering::AcqRel, Ordering::Acquire)
                 .is_err()
             {
-                // A grant/standby/shutdown raced in; handle it above.
+                // A grant/shutdown raced in; handle it above.
                 continue;
             }
             while self.flag.load(Ordering::Acquire) == SLEEPING {
@@ -184,25 +125,6 @@ mod tests {
         p.shutdown();
         assert!(h.join().unwrap());
         assert!(p.wait().is_err(), "shutdown is sticky");
-    }
-
-    #[test]
-    fn prewake_then_grant_hands_off() {
-        let p = Arc::new(Parker::new());
-        let p2 = Arc::clone(&p);
-        let h = std::thread::spawn(move || p2.wait().is_ok());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        p.prewake();
-        p.grant();
-        assert!(h.join().unwrap());
-    }
-
-    #[test]
-    fn prewake_does_not_clobber_a_grant() {
-        let p = Parker::new();
-        p.grant();
-        p.prewake();
-        assert!(p.wait().is_ok());
     }
 
     #[test]

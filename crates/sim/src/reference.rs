@@ -1,12 +1,12 @@
 //! The frozen pre-sharding scheduler, kept as the determinism oracle.
 //!
-//! This is the engine the crate shipped with before the sharded cooperative
+//! This is the engine the crate shipped with before the cooperative
 //! rewrite: the host thread is a central scheduler that pops one event at a
 //! time and, for resumes, performs a full `Sender<()>` / report-channel
 //! round-trip with the target process (two context switches and two
 //! allocating channel sends per handoff). It is deliberately left alone —
 //! the same role `ReferenceSwitchSim` plays for the switch hot path — so
-//! `tests/shard_invariance.rs` can prove the sharded engine bit-identical
+//! the root invariance tests can prove the cooperative engine bit-identical
 //! against it: same workload, same [`OrderAudit`] hash, same metrics.
 //!
 //! The only change from the historical code is the `Timer` arm: `Port`
@@ -72,7 +72,7 @@ impl Sim {
                                 tx.send(()).expect("process thread vanished")
                             }
                             SlotWake::Parker(_) => {
-                                unreachable!("sharded slots cannot appear in the reference loop")
+                                unreachable!("parker slots cannot appear in the reference loop")
                             }
                         }
                     }

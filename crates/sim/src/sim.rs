@@ -1,12 +1,12 @@
 //! The simulator driver: process threads, cooperative dispatch, `SimCtx`.
 //!
-//! ## The sharded cooperative engine
+//! ## The cooperative engine
 //!
 //! The engine keeps the one-process-at-a-time execution model (that is what
 //! makes the simulation deterministic) but eliminates the central scheduler
 //! thread of the original design. There is a single *run token*; whoever
-//! holds it is the **driver** and commits events from the sharded kernel
-//! queues in global `(time, seq)` order:
+//! holds it is the **driver** and commits events from the kernel queue in
+//! `(time, seq)` order:
 //!
 //! * When a process parks, *its own thread* becomes the driver: it commits
 //!   `Call`/`Timer` events inline (zero context switches), and on a `Resume`
@@ -14,14 +14,12 @@
 //!   grants the target's [`Parker`] and goes passive (one wake, versus the
 //!   old engine's two context switches and two allocating channel sends
 //!   per event).
-//! * The driver also *pre-wakes* the process named by the next pending
-//!   event, so that thread's wakeup overlaps the current process's
-//!   execution; by the time its grant arrives it is spinning, and the
-//!   handoff is a single atomic store. Hints never commit anything — a
-//!   wrong hint costs a bounded spin, never determinism.
 //! * The host thread drives until the first handoff, then sleeps until a
 //!   driver reports the run's outcome (all foreground processes finished,
 //!   deadlock, or a process panic).
+//!
+//! Nothing here looks at the host: the same code runs on one core and on
+//! many.
 //!
 //! The frozen pre-sharding scheduler is kept verbatim behind
 //! [`Engine::Reference`] (see [`crate::reference`]) as the determinism
@@ -59,7 +57,7 @@ pub(crate) enum Report {
 
 /// How the engine hands a process the run token.
 pub(crate) enum SlotWake {
-    /// Sharded engine: direct grant on the process's parker.
+    /// Cooperative engine: direct grant on the process's parker.
     Parker(Arc<Parker>),
     /// Reference engine: the historical `Sender<()>` resume handshake.
     Channel(Sender<()>),
@@ -77,7 +75,7 @@ pub(crate) struct Registry {
     pub(crate) live_foreground: usize,
 }
 
-/// Terminal state of a sharded-engine run, reported by whichever thread
+/// Terminal state of a cooperative-engine run, reported by whichever thread
 /// discovers it.
 #[derive(Clone)]
 enum Outcome {
@@ -128,7 +126,7 @@ pub(crate) struct Shared {
     pub(crate) metrics: Mutex<Arc<MetricsRegistry>>,
     /// Reference engine only: park/finish/panic reports to the scheduler.
     pub(crate) report_tx: Sender<Report>,
-    /// Sharded engine only: terminal state, host sleeps on it.
+    /// Cooperative engine only: terminal state, host sleeps on it.
     outcome: OutcomeCell,
 }
 
@@ -165,37 +163,20 @@ impl Default for Sim {
     }
 }
 
-/// Default shard count: one event queue per available core, capped — the
-/// merge scans every shard head, so very wide shard arrays stop paying off.
-fn auto_shards() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).clamp(1, 16)
-}
-
 impl Sim {
-    /// Fresh simulation at virtual time zero on the sharded engine with an
-    /// automatic shard count.
+    /// Fresh simulation at virtual time zero on the cooperative engine.
     pub fn new() -> Self {
-        Self::with_engine(Engine::Sharded, 0)
+        Self::with_engine(Engine::Cooperative)
     }
 
-    /// Fresh simulation on a specific engine; `shards` of `0` means auto.
-    /// Shard count and engine choice never change results — only the trace
-    /// hash proves it, and `tests/shard_invariance.rs` holds that proof.
-    pub fn with_engine(engine: Engine, shards: usize) -> Self {
-        let shards = match engine {
-            Engine::Reference => 1,
-            Engine::Sharded => {
-                if shards == 0 {
-                    auto_shards()
-                } else {
-                    shards
-                }
-            }
-        };
+    /// Fresh simulation on a specific engine. The choice never changes
+    /// results — only the trace hash proves it, and the root invariance
+    /// tests hold that proof.
+    pub fn with_engine(engine: Engine) -> Self {
         let (report_tx, report_rx) = channel();
         let shared = Arc::new(Shared {
             engine,
-            kernel: Mutex::new_named("sim.kernel", Kernel::new(shards)),
+            kernel: Mutex::new_named("sim.kernel", Kernel::new()),
             registry: Mutex::new_named(
                 "sim.registry",
                 Registry { slots: Vec::new(), live_foreground: 0 },
@@ -205,11 +186,6 @@ impl Sim {
             outcome: OutcomeCell::new(),
         });
         Self { shared, report_rx }
-    }
-
-    /// Which engine this simulation runs on.
-    pub fn engine(&self) -> Engine {
-        self.shared.engine
     }
 
     /// Attach a metrics registry; at the end of [`Sim::run_hashed`] the
@@ -254,8 +230,8 @@ impl Sim {
 
     /// [`Sim::run`], additionally returning the [`OrderAudit`] trace hash
     /// (see [`crate::audit`]): identical workloads must return identical
-    /// hashes, regardless of host scheduling, thread count, shard count,
-    /// or engine choice.
+    /// hashes, regardless of host scheduling, thread count, or engine
+    /// choice.
     ///
     /// [`OrderAudit`]: crate::audit::OrderAudit
     pub fn run_hashed(self) -> (Time, u64) {
@@ -363,33 +339,13 @@ enum Driven {
     Ended,
 }
 
-/// Whether pre-wake spinning can possibly help: it burns one core to save
-/// a futex wake, so on a single-core host it only steals the CPU from the
-/// process that actually holds the run token.
-fn prewake_pays() -> bool {
-    static MULTICORE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *MULTICORE.get_or_init(|| {
-        std::thread::available_parallelism().map(|n| n.get() > 1).unwrap_or(false)
-    })
-}
-
-/// One dispatch stint: commit events in global `(time, seq)` order until a
+/// One dispatch stint: commit events in `(time, seq)` order until a
 /// resume hands the token to a process (or the queue drains). Exactly one
 /// thread runs this at a time — the token holder — which is what keeps the
 /// commit order, and therefore the audit hash, deterministic.
 fn drive(shared: &Shared, metrics: &MetricsRegistry, self_pid: Option<Pid>) -> Driven {
     loop {
-        // Pop the next committed event and, for resumes, peek the one
-        // after it as a pre-wake hint — one kernel lock for both.
-        let (next, hint) = {
-            let mut k = shared.kernel.lock();
-            let next = k.pop_valid();
-            let hint = match &next {
-                Some((_, EventKind::Resume(_))) => k.peek_next_resume(),
-                _ => None,
-            };
-            (next, hint)
-        };
+        let next = shared.kernel.lock().pop_valid();
         // Virtual-time telemetry sampling: advance the registry's sampler
         // to the event we are about to dispatch, so a sample at boundary
         // `b` captures exactly the events committed before the first
@@ -435,23 +391,10 @@ fn drive(shared: &Shared, metrics: &MetricsRegistry, self_pid: Option<Pid>) -> D
                 if self_pid == Some(w.pid()) {
                     return Driven::RunSelf;
                 }
-                if let Some(h) = hint {
-                    // Overlap the *next* process's wakeup with the granted
-                    // process's execution.
-                    if h != w.pid() && self_pid != Some(h) && prewake_pays() {
-                        if let Some(hs) = reg.slots.get(h) {
-                            if !hs.finished {
-                                if let SlotWake::Parker(p) = &hs.wake {
-                                    p.prewake();
-                                }
-                            }
-                        }
-                    }
-                }
                 match &slot.wake {
                     SlotWake::Parker(p) => p.grant(),
                     SlotWake::Channel(_) => {
-                        unreachable!("reference slots cannot appear in the sharded dispatcher")
+                        unreachable!("reference slots cannot appear in the cooperative dispatcher")
                     }
                 }
                 return Driven::HandedOff;
@@ -475,7 +418,7 @@ fn spawn_inner(
         pid
     };
     let (wake, wait) = match shared.engine {
-        Engine::Sharded => {
+        Engine::Cooperative => {
             let parker = Arc::new(Parker::new());
             (SlotWake::Parker(Arc::clone(&parker)), CtxWait::Parker(parker))
         }
@@ -617,7 +560,7 @@ impl SimCtx {
     /// wakeups are possible when several wakers were registered; callers
     /// must re-check their condition in a loop.
     ///
-    /// On the sharded engine, parking *is* dispatching: the calling thread
+    /// On the cooperative engine, parking *is* dispatching: the calling thread
     /// drives the kernel until the run token moves to another process (or
     /// comes straight back — the self-resume fast path, zero context
     /// switches).

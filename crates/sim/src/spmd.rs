@@ -12,10 +12,10 @@ use dv_core::time::Time;
 use crate::{JoinSlot, Sim, SimCtx};
 
 impl Sim {
-    /// Fresh simulation on the engine and shard count `spec` asks for,
-    /// publishing scheduler counters into the spec's metrics registry.
+    /// Fresh simulation on the engine `spec` asks for, publishing
+    /// scheduler counters into the spec's metrics registry.
     pub fn from_spec(spec: &SimSpec) -> Self {
-        let mut sim = Self::with_engine(spec.engine, spec.shards);
+        let mut sim = Self::with_engine(spec.engine);
         sim.set_metrics(Arc::clone(&spec.metrics));
         sim
     }

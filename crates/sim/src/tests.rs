@@ -333,9 +333,8 @@ fn run_programs(
     programs: &[Vec<Op>],
     fused: bool,
     engine: crate::Engine,
-    shards: usize,
 ) -> (Vec<Vec<Seen>>, Commits) {
-    let sim = Sim::with_engine(engine, shards);
+    let sim = Sim::with_engine(engine);
     let shared = Arc::clone(&sim.shared);
     let ports: Vec<Port<u64>> = programs.iter().map(|_| Port::new()).collect();
     let signal = WaitSet::new();
@@ -389,10 +388,10 @@ fn run_programs(
 /// same turn among the processes running at that instant, and the kernel
 /// commits the same `(time, seq)` list — the hop sits exactly where
 /// the intermediate resume sat, so every other event keeps its sequence
-/// number. The fused run is the same on every engine and shard count.
+/// number. The fused run is the same on both engines.
 #[test]
 fn hops_are_order_exact() {
-    use crate::Engine::{Reference, Sharded};
+    use crate::Engine::{Cooperative, Reference};
     for seed in 0..24u64 {
         let mut rng = dv_core::rng::SplitMix64::new(0x686f70 ^ seed);
         let procs = 2 + (seed % 5) as usize;
@@ -422,8 +421,8 @@ fn hops_are_order_exact() {
             .filter(|op| matches!(op, Op::Pair(a, b) if *a > 0 && *b > 0))
             .count();
 
-        let (split_seen, split) = run_programs(&programs, false, Sharded, 3);
-        let (fused_seen, fused) = run_programs(&programs, true, Sharded, 3);
+        let (split_seen, split) = run_programs(&programs, false, Cooperative);
+        let (fused_seen, fused) = run_programs(&programs, true, Cooperative);
         assert_eq!(fused_seen, split_seen, "seed {seed}: a process saw a different clock or turn");
         assert_eq!(fused.len(), split.len(), "seed {seed}");
         for (f, s) in fused.iter().zip(&split) {
@@ -434,10 +433,8 @@ fn hops_are_order_exact() {
         assert_eq!(fused.iter().filter(|c| c.2 == b'h').count(), hops, "seed {seed}");
         assert!(split.iter().all(|c| c.2 != b'h'));
 
-        for (engine, shards) in [(Reference, 1), (Sharded, 1), (Sharded, 7)] {
-            let (seen, commits) = run_programs(&programs, true, engine, shards);
-            assert_eq!(seen, fused_seen, "seed {seed} {engine:?}/{shards}");
-            assert_eq!(commits, fused, "seed {seed} {engine:?}/{shards}");
-        }
+        let (seen, commits) = run_programs(&programs, true, Reference);
+        assert_eq!(seen, fused_seen, "seed {seed} on the reference engine");
+        assert_eq!(commits, fused, "seed {seed} on the reference engine");
     }
 }

@@ -1,12 +1,20 @@
-//! Shard-count invariance: the sharded engine's defining contract.
+//! Engine invariance: the cooperative engine's defining contract.
 //!
-//! The engine commits events in global `(time, seq)` order regardless of
-//! how the pending queues are sharded, so the `OrderAudit` trace hash,
-//! every result, every metrics counter, and every dv-events-v1 telemetry
-//! byte must be identical at shards ∈ {1, 2, 4} — and identical to the
-//! frozen pre-sharding reference engine. Clean runs and seeded chaos runs
-//! both. If any of these tests fail, the sharded engine is not a
-//! scheduler optimization anymore; it is a different simulator.
+//! Both engines commit events in `(time, seq)` order, so the `OrderAudit`
+//! trace hash, every result, every metrics counter, and every dv-events-v1
+//! telemetry byte of the default engine must be identical to the frozen
+//! reference engine's. Clean runs and seeded chaos runs both. If any of
+//! these tests fail, the cooperative engine is not a scheduler optimization
+//! anymore; it is a different simulator.
+//!
+//! The `PINNED_*` constants are what `Engine::Reference` returned at PR 16
+//! (ad04f41), whose default engine merged up to 16 per-shard heaps: they
+//! tie today's single `(time, seq)` heap to that commit, not only the two
+//! engines of one commit to each other. Only a PR that changes the model
+//! on purpose may edit them.
+//!
+//! This file and its tests keep the names they had when the shard count was
+//! a knob; what each one compares now is reference against default.
 
 use std::sync::Arc;
 
@@ -24,11 +32,25 @@ use datavortex::kernels::fft::{twod, Complex};
 use datavortex::kernels::gups::{self, GupsConfig};
 use datavortex::mpi::{MpiCluster, Payload, ReduceOp};
 
-const SHARD_COUNTS: &[usize] = &[1, 2, 4];
+/// `(elapsed, trace_hash)` of the first four workloads below.
+const PINNED_HOP: (Time, u64) = (44_000_000, 0x896e_df26_c745_da5e);
+const PINNED_DV: (Time, u64) = (4_366_914, 0xdfdf_3227_8213_ad51);
+const PINNED_MPI: (Time, u64) = (12_975_033, 0x0b13_7b62_a4f4_56b8);
+const PINNED_FAULTED: (Time, u64) = (1_001_158_889, 0x8431_0f83_0b99_f80f);
+/// `(checksum, metrics hash)` of `gups_chaos`.
+const PINNED_GUPS_CHAOS: (u64, u64) = (0xffff_ffff_ffff_fff3, 0x790c_b7ef_5fb5_5a50);
+
+/// `run` on the reference engine, after checking that the default engine
+/// returns the same.
+fn on_both_engines<T: PartialEq + std::fmt::Debug>(run: impl Fn(Engine) -> T) -> T {
+    let reference = run(Engine::Reference);
+    assert_eq!(run(Engine::default()), reference, "default engine diverged from the reference");
+    reference
+}
 
 /// A Data Vortex workload with plenty of interleaving opportunity:
 /// barriers, FIFO ring traffic, and DMA sends (the `tests/determinism.rs`
-/// workload, parameterized by engine and shard count).
+/// workload, parameterized by engine).
 fn dv_workload(spec: SimSpec) -> (Time, u64, Vec<Time>) {
     let nodes = spec.nodes;
     let report = DvCluster::from_spec(spec).run(move |dv, ctx| {
@@ -81,10 +103,10 @@ fn faulted_workload(spec: SimSpec) -> (Time, u64, Vec<u64>) {
 /// with `delay2`, and every message is consumed by a port arrival handler
 /// that wakes the receiver through `Kernel::wake_after` — the two ways
 /// mini-mpi uses them. Delays collide on purpose, so ties are everywhere.
-fn hop_workload(engine: Engine, shards: usize) -> (Time, u64, Vec<Vec<Time>>) {
+fn hop_workload(engine: Engine) -> (Time, u64, Vec<Vec<Time>>) {
     use datavortex::sim::{JoinSlot, Port, Sim, Waker};
     const PROCS: usize = 5;
-    let sim = Sim::with_engine(engine, shards);
+    let sim = Sim::with_engine(engine);
     /// The receiver's waker if it is parked, and how many messages beat it.
     type Parked = Arc<std::sync::Mutex<(Option<Waker>, u32)>>;
     let parked: Vec<Parked> = (0..PROCS).map(|_| Parked::default()).collect();
@@ -138,53 +160,36 @@ fn hop_workload(engine: Engine, shards: usize) -> (Time, u64, Vec<Vec<Time>>) {
 
 #[test]
 fn hop_trace_hash_is_engine_and_shard_count_invariant() {
-    let reference = hop_workload(Engine::Reference, 1);
-    assert!(reference.0 > 0);
-    for shards in [1usize, 2, 7] {
-        assert_eq!(hop_workload(Engine::Sharded, shards), reference, "shards={shards}");
-    }
-}
-
-#[test]
-fn dv_trace_hash_is_shard_count_invariant() {
-    let baseline = dv_workload(SimSpec::new(8).shards(1));
-    for &shards in &SHARD_COUNTS[1..] {
-        let got = dv_workload(SimSpec::new(8).shards(shards));
-        assert_eq!(got, baseline, "shards={shards} diverged from shards=1");
-    }
+    let (elapsed, hash, _) = on_both_engines(hop_workload);
+    assert_eq!((elapsed, hash), PINNED_HOP);
 }
 
 #[test]
 fn dv_sharded_matches_the_frozen_reference_engine() {
-    let reference = dv_workload(SimSpec::new(8).engine(Engine::Reference));
-    for &shards in SHARD_COUNTS {
-        let got = dv_workload(SimSpec::new(8).shards(shards));
-        assert_eq!(
-            got, reference,
-            "sharded engine (shards={shards}) diverged from the reference engine"
-        );
-    }
+    let (elapsed, hash, _) = on_both_engines(|e| dv_workload(SimSpec::new(8).engine(e)));
+    assert_eq!((elapsed, hash), PINNED_DV);
 }
 
 #[test]
 fn mpi_trace_hash_is_shard_count_invariant() {
-    let reference = mpi_workload(SimSpec::new(6).engine(Engine::Reference));
-    for &shards in SHARD_COUNTS {
-        let got = mpi_workload(SimSpec::new(6).shards(shards));
-        assert_eq!(got, reference, "shards={shards}");
-    }
+    let (elapsed, hash, _) = on_both_engines(|e| mpi_workload(SimSpec::new(6).engine(e)));
+    assert_eq!((elapsed, hash), PINNED_MPI);
 }
 
 #[test]
 fn chaos_trace_hash_is_shard_count_invariant() {
-    // Fault injection must not open a shard-count channel: the plan keys
-    // off packet sequence numbers, which the total-order commit fixes.
-    let reference = faulted_workload(SimSpec::new(2).engine(Engine::Reference));
-    assert!(reference.2[1] > 0, "the faulted run must still deliver data");
-    for &shards in SHARD_COUNTS {
-        let got = faulted_workload(SimSpec::new(2).shards(shards));
-        assert_eq!(got, reference, "shards={shards}");
-    }
+    // Fault injection must not open an engine channel: the plan keys off
+    // packet sequence numbers, which the total-order commit fixes.
+    let (elapsed, hash, received) =
+        on_both_engines(|e| faulted_workload(SimSpec::new(2).engine(e)));
+    assert!(received[1] > 0, "the faulted run must still deliver data");
+    assert_eq!((elapsed, hash), PINNED_FAULTED);
+}
+
+/// `SimSpec::shards` survives only as a no-op for the frozen `benchmark/`.
+#[test]
+fn shards_builder_is_an_ignored_no_op() {
+    assert_eq!(dv_workload(SimSpec::new(4).shards(7)), dv_workload(SimSpec::new(4)));
 }
 
 /// A fully instrumented GUPS chaos run; returns (checksum, metrics hash).
@@ -203,12 +208,8 @@ fn gups_chaos(spec: SimSpec) -> (u64, u64) {
 #[test]
 fn gups_chaos_metrics_are_shard_count_invariant() {
     // End to end: recovery-layer retransmissions, VIC fault counters, and
-    // the final table are all byte-identical across engines and shards.
-    let reference = gups_chaos(SimSpec::new(4).engine(Engine::Reference));
-    for &shards in SHARD_COUNTS {
-        let got = gups_chaos(SimSpec::new(4).shards(shards));
-        assert_eq!(got, reference, "shards={shards}");
-    }
+    // the final table are all byte-identical across engines.
+    assert_eq!(on_both_engines(|e| gups_chaos(SimSpec::new(4).engine(e))), PINNED_GUPS_CHAOS);
 }
 
 /// Run an instrumented GUPS with a virtual-time series attached and a
@@ -239,40 +240,22 @@ fn streamed_gups(spec: SimSpec, faults: Option<FaultPlan>) -> String {
 
 #[test]
 fn telemetry_streams_are_shard_count_invariant() {
-    let reference = streamed_gups(SimSpec::new(4).engine(Engine::Reference), None);
-    assert!(!reference.is_empty(), "the run must produce interval samples");
-    for &shards in SHARD_COUNTS {
-        let got = streamed_gups(SimSpec::new(4).shards(shards), None);
-        assert_eq!(got, reference, "dv-events stream diverged at shards={shards}");
-    }
+    let stream = on_both_engines(|e| streamed_gups(SimSpec::new(4).engine(e), None));
+    assert!(!stream.is_empty(), "the run must produce interval samples");
 }
 
 #[test]
 fn chaos_telemetry_streams_are_shard_count_invariant() {
     let plan = FaultPlan::parse("seed=7,fifodrop=0.02").expect("valid fault spec");
     let reference =
-        streamed_gups(SimSpec::new(4).engine(Engine::Reference), Some(plan.clone()));
+        on_both_engines(|e| streamed_gups(SimSpec::new(4).engine(e), Some(plan.clone())));
     assert!(!reference.is_empty());
-    for &shards in SHARD_COUNTS {
-        let got = streamed_gups(SimSpec::new(4).shards(shards), Some(plan.clone()));
-        assert_eq!(got, reference, "chaos dv-events stream diverged at shards={shards}");
-    }
     // Sensitivity: the faults must actually leave a mark in the stream.
     assert_ne!(
         reference,
         streamed_gups(SimSpec::new(4).engine(Engine::Reference), None),
         "fault injection left no trace in the stream"
     );
-}
-
-#[test]
-fn shard_counts_beyond_the_node_count_still_agree() {
-    // Shards is a scheduler knob, not a topology: more shards than nodes
-    // (and a prime count) must change nothing.
-    let baseline = dv_workload(SimSpec::new(4).shards(1));
-    for shards in [3usize, 7, 16] {
-        assert_eq!(dv_workload(SimSpec::new(4).shards(shards)), baseline, "shards={shards}");
-    }
 }
 
 /// The entry points that only became spec-aware with the one-door
@@ -328,8 +311,6 @@ fn newly_spec_aware_doors_honour_metrics_shards_and_engine() {
         let snap = metrics.snapshot();
         assert!(snap.counter_total(counter) > 0, "{name}: {counter} not published");
         assert!(snap.counter_total("sim.sched.resumes") > 0, "{name}: scheduler not published");
-        for shards in [1usize, 4] {
-            assert_eq!(run(SimSpec::new(nodes).shards(shards)), reference, "{name} shards={shards}");
-        }
+        assert_eq!(run(SimSpec::new(nodes)), reference, "{name} on the default engine");
     }
 }

@@ -1,12 +1,12 @@
-//! The sharded engine's steady-state hot loop must be allocation-free:
+//! The cooperative engine's steady-state hot loop must be allocation-free:
 //! a warmed `Port` send/recv cycle runs entirely on the pooled per-port
-//! timer, the preallocated shard heaps, and the self-resume fast path
+//! timer, the warmed event heap, and the self-resume fast path
 //! (parking *is* dispatching — no scheduler thread, no context switch).
 //! The per-thread counting allocator of `tests/common` wraps the system
 //! one; a measured window of thousands of deliveries must leave the
 //! counter untouched. So must a window of hops (`delay2`, `wake_after`):
 //! a hop is a plain copyable event, and the resume it pushes at commit
-//! reuses the shard heap.
+//! reuses the event heap.
 
 mod common;
 
@@ -14,11 +14,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use common::allocations_in;
 use datavortex::core::time::us;
-use datavortex::sim::{Engine, Port, Sim};
+use datavortex::sim::{Port, Sim};
 
 #[test]
 fn steady_state_dispatch_never_allocates() {
-    let sim = Sim::with_engine(Engine::Sharded, 4);
+    let sim = Sim::new();
     let measured = std::sync::Arc::new(AtomicU64::new(0));
     let measured_in = std::sync::Arc::clone(&measured);
 
@@ -26,8 +26,8 @@ fn steady_state_dispatch_never_allocates() {
         let port: Port<u64> = Port::new();
 
         // Warm-up: the first send registers the pooled timer and sizes the
-        // staging heap / mailbox; a few hundred cycles also warm the shard
-        // event heaps past their high-water mark.
+        // staging heap / mailbox; a few hundred cycles also warm the
+        // event heap past its high-water mark.
         for i in 0..512u64 {
             port.send_delayed(ctx, us(1), i);
             let (_, got) = port.recv(ctx);
@@ -57,13 +57,13 @@ fn steady_state_dispatch_never_allocates() {
     assert_eq!(
         measured.load(Ordering::Relaxed),
         0,
-        "sharded dispatch allocated inside the steady-state window"
+        "dispatch allocated inside the steady-state window"
     );
 }
 
 #[test]
 fn steady_state_hops_never_allocate() {
-    let sim = Sim::with_engine(Engine::Sharded, 4);
+    let sim = Sim::new();
     let measured = std::sync::Arc::new(AtomicU64::new(u64::MAX));
     let measured_in = std::sync::Arc::clone(&measured);
 
@@ -76,7 +76,7 @@ fn steady_state_hops_never_allocate() {
             });
             ctx.park();
         };
-        // Warm the shard heaps past their high-water mark.
+        // Warm the event heap past its high-water mark.
         for _ in 0..512 {
             cycle();
         }
