@@ -17,7 +17,8 @@
 //!   own port, in lockstep. Every message forces a real thread handoff
 //!   on *both* engines, so this row is bounded by the host's context
 //!   switch, not the event path; it is reported as the worst case but
-//!   not gated (on a single-core host it measures the OS scheduler).
+//!   not gated (on a single-core host it measures the OS scheduler). Both
+//!   node counts pass the same total number of messages.
 //!
 //! Like `perf_smoke` (and unlike every fig binary), this artifact records
 //! **wall-clock host measurements** — it is deliberately *not*
@@ -116,7 +117,10 @@ fn measure(
 
 fn main() {
     let mut report = Report::new("sched_smoke");
-    let (pump_msgs, ring_msgs): (u64, u64) = if quick() { (100, 50) } else { (500, 200) };
+    // The ring is sized by its total, so both node counts time the same
+    // number of handoffs (at a fixed count per node the 64-node row would
+    // be a < 10 ms run that mostly records host noise).
+    let (pump_msgs, ring_total): (u64, u64) = if quick() { (100, 51_200) } else { (500, 204_800) };
 
     // Alternating engines each repetition so host-load transients hit
     // both; the smallest wall time estimates the unloaded rate. The
@@ -132,12 +136,12 @@ fn main() {
         speedups.push((format!("pump@{nodes}"), s));
     }
     for &nodes in &[64usize, 1024] {
-        let (r, s) = measure("ring", ring, nodes, ring_msgs, REPS);
+        let (r, s) = measure("ring", ring, nodes, ring_total / nodes as u64, REPS);
         rows.extend(r);
         speedups.push((format!("ring@{nodes}"), s));
     }
     report.section(
-        &format!("Scheduler throughput, {pump_msgs} pump / {ring_msgs} ring msgs per node"),
+        &format!("Scheduler throughput, {pump_msgs} pump msgs per node / {ring_total} ring msgs in total"),
         &["workload", "engine", "nodes", "messages", "virtual ps", "msgs/sec"],
         rows,
     );

@@ -151,6 +151,20 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     }
 }
 
+/// Names of the named locks the calling thread holds right now, oldest
+/// first; always empty in release builds (nothing is tracked there, and an
+/// empty `Vec` costs nothing). dv-sim's `Parker::grant` asserts it is empty:
+/// a thread that wakes another while holding a world lock sends the woken
+/// thread straight into that lock (a convoy — on one CPU the wake preempts
+/// the holder), and if the holder then parks, the next process to want the
+/// lock blocks on a mutex whose owner never runs — a host deadlock.
+pub fn held_named_locks() -> Vec<&'static str> {
+    #[cfg(debug_assertions)]
+    return HELD.with(|held| held.borrow().clone());
+    #[cfg(not(debug_assertions))]
+    Vec::new()
+}
+
 /// Every (held → acquired) named-lock pair the runtime audit has observed
 /// so far, sorted. This is the raw edge set [`lock_order_conflicts`] is
 /// derived from; `tests/lockgraph.rs` cross-checks it against the static
@@ -217,7 +231,11 @@ mod tests {
         {
             let _ga = a.lock();
             let _gb = b.lock();
+            let c = Mutex::new(0);
+            let _gc = c.lock(); // anonymous: not tracked
+            assert_eq!(held_named_locks(), ["audit-test-a", "audit-test-b"]);
         }
+        assert!(held_named_locks().is_empty(), "both guards dropped");
         let edges = lock_recover(order_edges());
         assert!(edges.contains(&("audit-test-a", "audit-test-b")));
         // Consistent ordering: no conflict reported for this pair.

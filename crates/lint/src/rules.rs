@@ -921,6 +921,10 @@ fn ok() {
         assert!(findings_for("kernels", ok, "DV-W010").is_empty());
         let bad = "fn f() { std::thread::park(); }\n";
         assert!(!findings_for("kernels", bad, "DV-W010").is_empty());
+        // The engine's own crate is in scope as well: the one `thread::park`
+        // under `Parker::wait` passes by its inline suppression, not by scope.
+        let bad = "fn wait(&self) { while self.sleeping() { thread::park(); } }\n";
+        assert_eq!(findings_for("sim", bad, "DV-W010").len(), 1);
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! * When a process parks, *its own thread* becomes the driver: it commits
 //!   `Call`/`Timer` events inline (zero context switches), and on a `Resume`
 //!   either keeps running (the resume targets itself — zero switches) or
-//!   grants the target's [`Parker`] and goes passive (one wake, versus the
-//!   old engine's two context switches and two allocating channel sends
-//!   per event).
+//!   grants the target's [`Parker`] and goes passive (one futex wake and
+//!   one futex wait, versus the old engine's two context switches and two
+//!   allocating channel sends per event). The wake is issued with no lock
+//!   held — neither `sim.kernel` nor `sim.registry` nor a world lock — so
+//!   the woken thread never queues behind the thread that woke it.
 //! * The host thread drives until the first handoff, then sleeps until a
 //!   driver reports the run's outcome (all foreground processes finished,
 //!   deadlock, or a process panic).
@@ -381,22 +383,26 @@ fn drive(shared: &Shared, metrics: &MetricsRegistry, self_pid: Option<Pid>) -> D
             }
             Some((_t, EventKind::Hop(..))) => unreachable!("pop_valid consumes hops"),
             Some((_t, EventKind::Resume(w))) => {
-                let reg = shared.registry.lock();
-                let slot = &reg.slots[w.pid()];
-                if slot.finished {
-                    // The resume was committed (audit + stats) exactly as
-                    // the reference engine commits it, then skipped.
-                    continue;
-                }
-                if self_pid == Some(w.pid()) {
-                    return Driven::RunSelf;
-                }
-                match &slot.wake {
-                    SlotWake::Parker(p) => p.grant(),
-                    SlotWake::Channel(_) => {
-                        unreachable!("reference slots cannot appear in the cooperative dispatcher")
+                // Take the target's parker and drop the registry guard first:
+                // the wake is issued with no lock held, or the woken thread
+                // queues behind a granter that is no longer running.
+                let target = {
+                    let reg = shared.registry.lock();
+                    let slot = &reg.slots[w.pid()];
+                    if slot.finished {
+                        // The resume was committed (audit + stats) exactly as
+                        // the reference engine commits it, then skipped.
+                        continue;
                     }
-                }
+                    if self_pid == Some(w.pid()) {
+                        return Driven::RunSelf;
+                    }
+                    let SlotWake::Parker(p) = &slot.wake else {
+                        unreachable!("reference slots cannot appear in the cooperative dispatcher")
+                    };
+                    Arc::clone(p)
+                };
+                target.grant();
                 return Driven::HandedOff;
             }
         }

@@ -259,6 +259,32 @@ fn simulation_is_deterministic() {
     assert_ne!(a, c, "different seeds should change the trace");
 }
 
+/// Every message of a lockstep ring is a real cross-thread handoff — the
+/// path on which `drive()` grants the next process's parker after dropping
+/// its registry guard — so the cooperative engine is held to the reference
+/// scheduler on exactly that path.
+#[test]
+fn lockstep_ring_handoffs_match_the_reference_engine() {
+    fn ring(engine: crate::Engine) -> (u64, u64) {
+        const NODES: usize = 32;
+        let sim = Sim::with_engine(engine);
+        let ports: Arc<Vec<Port<u64>>> = Arc::new((0..NODES).map(|_| Port::new()).collect());
+        for me in 0..NODES {
+            let ports = Arc::clone(&ports);
+            sim.spawn(format!("ring{me}"), move |ctx| {
+                for round in 0..100 {
+                    ports[(me + 1) % NODES].send_delayed(ctx, us(1), round);
+                    assert_eq!(ports[me].recv(ctx), ((round + 1) * us(1), round));
+                }
+            });
+        }
+        sim.run_hashed()
+    }
+    let cooperative = ring(crate::Engine::Cooperative);
+    assert_eq!(cooperative.0, us(100));
+    assert_eq!(cooperative, ring(crate::Engine::Reference));
+}
+
 #[test]
 fn delay2_lands_where_two_delays_do() {
     let sim = Sim::new();
