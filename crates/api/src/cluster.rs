@@ -35,10 +35,8 @@ pub struct DvCluster {
 }
 
 impl DvCluster {
-    /// Build a cluster from a [`SimSpec`]. Arms the spec's telemetry
-    /// stream, if one was set.
-    pub fn from_spec(mut spec: SimSpec) -> Self {
-        spec.arm_stream();
+    /// Build a cluster from a [`SimSpec`].
+    pub fn from_spec(spec: SimSpec) -> Self {
         Self { spec }
     }
 

@@ -49,31 +49,20 @@ use crate::ctx::{DvCtx, SendMode};
 /// next round's preset overwrites).
 pub const VERIFY_GC: u8 = (GROUP_COUNTERS - 2) as u8;
 
-/// Tunables of the recovery protocol.
-#[derive(Debug, Clone)]
-pub struct ReliableConfig {
-    /// Words per retransmission window (confirmed stop-and-wait).
-    pub window: usize,
-    /// Deadline for one accepted-count query round trip.
-    pub query_timeout: Time,
-    /// Query attempts before declaring the acknowledgment path dead.
-    pub query_tries: u32,
-    /// Retransmission attempt budget multiplier: a verification tolerates
-    /// `max_rounds ×` the initial window count of (re)attempts per
-    /// destination before declaring the data path dead.
-    pub max_rounds: u32,
-}
-
-impl Default for ReliableConfig {
-    fn default() -> Self {
-        // The timeout must comfortably exceed the worst-case ejection
-        // backlog ahead of a reply (virtual-time waits are free): a
-        // too-short timeout makes retried queries consume *stale* replies
-        // of earlier attempts, which is merely conservative for the
-        // monotonic counts but burns retransmission budget.
-        Self { window: 64, query_timeout: time::ms(10), query_tries: 8, max_rounds: 12 }
-    }
-}
+/// Words per retransmission window (confirmed stop-and-wait).
+const WINDOW: usize = 64;
+/// Deadline for one accepted-count query round trip. It must comfortably
+/// exceed the worst-case ejection backlog ahead of a reply (virtual-time
+/// waits are free): a too-short timeout makes retried queries consume
+/// *stale* replies of earlier attempts, which is merely conservative for
+/// the monotonic counts but burns retransmission budget.
+const QUERY_TIMEOUT: Time = time::ms(10);
+/// Query attempts before declaring the acknowledgment path dead.
+const QUERY_TRIES: u32 = 8;
+/// Retransmission attempt budget multiplier: a verification tolerates
+/// `MAX_ROUNDS ×` the initial window count of (re)attempts per
+/// destination before declaring the data path dead.
+const MAX_ROUNDS: u32 = 12;
 
 /// Per-node counters of the recovery layer (folded into metrics by
 /// [`ReliableFifo::publish`]).
@@ -156,7 +145,6 @@ impl WordSet {
 
 /// Exactly-once word delivery over the lossy surprise FIFO.
 pub struct ReliableFifo {
-    cfg: ReliableConfig,
     me: NodeId,
     nodes: usize,
     /// The current epoch's unique words in send order: the outbound dedup
@@ -175,20 +163,14 @@ pub struct ReliableFifo {
 }
 
 impl ReliableFifo {
-    /// Recovery endpoint for this node with default tunables.
+    /// Recovery endpoint for this node.
     pub fn new(dv: &DvCtx) -> Self {
-        Self::with_config(dv, ReliableConfig::default())
-    }
-
-    /// Recovery endpoint with explicit tunables.
-    pub fn with_config(dv: &DvCtx, cfg: ReliableConfig) -> Self {
         let nodes = dv.nodes();
         assert!(
             nodes <= FIFO_RECV_SLOTS,
             "hardware accepted-count block covers {FIFO_RECV_SLOTS} sources"
         );
         Self {
-            cfg,
             me: dv.node(),
             nodes,
             epoch_log: WordSet::default(),
@@ -312,7 +294,7 @@ impl ReliableFifo {
             .collect();
         self.stats.ack_queries += queries.len() as u64;
         dv.send_packets(ctx, &queries, SendMode::DirectWrite { cached_headers: true });
-        let deadline = ctx.now() + self.cfg.query_timeout;
+        let deadline = ctx.now() + QUERY_TIMEOUT;
         if dv.gc_wait_zero(ctx, VERIFY_GC, Some(deadline)) {
             let lo = base - (self.nodes as u32 - 1);
             let vals = dv.read_local(ctx, lo, self.nodes);
@@ -358,8 +340,7 @@ impl ReliableFifo {
                 .filter(|&(_, &d)| usize::from(d) == dest)
                 .map(|(&w, _)| w)
                 .collect();
-            let window = self.cfg.window.max(1);
-            let windows = log.len().div_ceil(window) as u32;
+            let windows = log.len().div_ceil(WINDOW) as u32;
             // A dead data path shows up as *consecutive* attempts that
             // accept nothing; splitting after a partial loss is normal
             // progress and must not count against it. The total-attempt
@@ -367,10 +348,10 @@ impl ReliableFifo {
             // costs O(log window) attempts per actually-dropped word, so
             // it scales with the log length, not the window count.
             let mut budget =
-                self.cfg.max_rounds.saturating_mul(windows.max(1) + log.len() as u32);
+                MAX_ROUNDS.saturating_mul(windows.max(1) + log.len() as u32);
             let mut stalls = 0u32;
             let mut work: Vec<Vec<Word>> =
-                log.chunks(window).rev().map(|c| c.to_vec()).collect();
+                log.chunks(WINDOW).rev().map(|c| c.to_vec()).collect();
             while let Some(chunk) = work.pop() {
                 assert!(
                     budget > 0,
@@ -399,7 +380,7 @@ impl ReliableFifo {
                 if delta == 0 {
                     stalls += 1;
                     assert!(
-                        stalls < self.cfg.max_rounds,
+                        stalls < MAX_ROUNDS,
                         "node {me}: {stalls} consecutive retransmissions toward node \
                          {dest} accepted nothing (at {hw}, expected {expected}); \
                          the data path is dead",
@@ -431,7 +412,7 @@ impl ReliableFifo {
     /// is monotonic, so an old value is merely conservative.
     fn accepted(&mut self, ctx: &SimCtx, dv: &DvCtx, dest: NodeId, sink: &mut Vec<Word>) -> u64 {
         let addr = FIFO_RECV_BASE + self.me as u32;
-        for _ in 0..self.cfg.query_tries {
+        for _ in 0..QUERY_TRIES {
             // Drain our own FIFO on *every* attempt, not just timeouts:
             // peers verify concurrently, and if every node only pushed
             // retransmissions without popping, the finite FIFOs would
@@ -439,7 +420,7 @@ impl ReliableFifo {
             // livelock where all deltas come back short forever.
             self.drain_into(ctx, dv, sink);
             self.stats.ack_queries += 1;
-            let deadline = ctx.now() + self.cfg.query_timeout;
+            let deadline = ctx.now() + QUERY_TIMEOUT;
             match dv.read_word_deadline(ctx, dest, addr, Some(deadline)) {
                 Some(v) => return v,
                 None => self.stats.ack_query_timeouts += 1,
@@ -449,7 +430,7 @@ impl ReliableFifo {
             "node {me}: accepted-count query to node {dest} timed out {tries} times; \
              the acknowledgment path is dead",
             me = self.me,
-            tries = self.cfg.query_tries,
+            tries = QUERY_TRIES,
         );
     }
 

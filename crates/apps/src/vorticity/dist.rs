@@ -1,7 +1,7 @@
 //! Distributed vorticity solver, generic over the transpose engine.
 
 use dv_core::spec::{RunReport, SimSpec};
-use dv_core::time::{as_secs_f64, Time};
+use dv_core::time::Time;
 use dv_kernels::fft::twod::fft2d_dist;
 use dv_kernels::fft::Complex;
 use dv_kernels::transpose::{DvTranspose, MpiTranspose, TransposeEngine};
@@ -19,13 +19,6 @@ pub struct VortRunResult {
     pub omega_hat: Vec<Vec<Complex>>,
     /// 2-D FFTs performed.
     pub fft2d_count: u64,
-}
-
-impl VortRunResult {
-    /// Steps per second of virtual time for `steps` steps.
-    pub fn steps_per_sec(&self, steps: usize) -> f64 {
-        steps as f64 / as_secs_f64(self.elapsed)
-    }
 }
 
 /// The solver body: runs on every node; `local` spectral rows in, final

@@ -1,10 +1,12 @@
 //! # dv-bench — regenerates every figure of the paper's evaluation
 //!
-//! One binary per figure (the paper's evaluation has no numbered tables;
-//! its results are Figures 3–9), plus the studies, perf smokes and
-//! artifact tools around them — all 16 bins:
+//! One front end, `dv-bench <scenario> [flags]` (`src/main.rs`): one
+//! scenario per figure (the paper's evaluation has no numbered tables;
+//! its results are Figures 3–9), plus the studies, ablations and perf
+//! smokes around them, each a module of `src/scenarios/`. Two artifact
+//! tools are binaries of their own.
 //!
-//! | binary | role | content |
+//! | scenario | role | content |
 //! |---|---|---|
 //! | `fig3` | Fig. 3a/3b | ping-pong bandwidth vs message size, 4 curves |
 //! | `fig4` | Fig. 4 | barrier latency vs node count, 3 curves |
@@ -20,28 +22,33 @@
 //! | `perf_smoke` | perf trajectory | `SwitchSim` cycles/sec: narrow kernel vs the frozen reference, batched kernel at 4096 ports → `BENCH_switch.json` |
 //! | `net_smoke` | perf trajectory | `RoutedNetSim` cycles/sec vs the frozen reference → `BENCH_net.json` |
 //! | `sched_smoke` | perf trajectory | cooperative vs reference scheduler dispatch rate → `BENCH_sim.json` |
+//!
+//! | binary | role | content |
+//! |---|---|---|
+//! | `dv-bench` | front end | parses the command line once ([`Opts`]), looks the scenario up in its table, owns the [`Report`] |
 //! | `dv-report` | artifact tool | renders `BENCH_*.json`, `--timeline` for streams, `--gate` for CI |
 //! | `dv-top` | artifact tool | live / `--replay` dashboard over a `dv-events-v1` stream |
 //!
-//! The figure, study and ablation binaries accept `--quick` for reduced
-//! problem sizes, `--json <path>` for a `dv-bench-v1` artifact and
-//! `--stream <path>` for `dv-events-v1` telemetry; the sweep binaries
-//! accept `--serial` to disable the parallel sweep driver (CI `cmp`s
-//! serial vs parallel output for byte equality). `perf_smoke` and
-//! `net_smoke` share [`replay`] — one seeded trace, one `drive` loop over
-//! any `dv_switch::CycleEngine`, one alternating best-of-reps — and both
-//! take `--verify <path>` for the deterministic half of their output.
-//! Wall-clock micro-benchmarks of the hot substrates live in
-//! `benches/micro.rs`, a dependency-free harness (`cargo bench -p
-//! dv-bench`).
+//! Every scenario accepts `--quick` for reduced problem sizes and `--json
+//! <path>` for a `dv-bench-v1` artifact; the figure, study and ablation
+//! scenarios also take `--stream <path>` for `dv-events-v1` telemetry.
+//! A flag the chosen scenario does not take is an error, not a no-op
+//! (`dv-bench` with no arguments lists what each one takes). `perf_smoke`
+//! and `net_smoke` share [`replay`] — one seeded trace, one `drive` loop
+//! over any `dv_switch::CycleEngine`, one alternating best-of-reps — and
+//! both take `--verify <path>` for the deterministic half of their output.
+//! Host-time costs of the hot substrates are the per-layer probes of the
+//! `benchmark/` package, not a harness here.
 
 use std::fmt::Write as _;
 
+pub mod opts;
 pub mod replay;
 pub mod report;
 pub mod stream;
 
-pub use report::{json_path, Report};
+pub use opts::{Opts, Scenario};
+pub use report::Report;
 pub use stream::Streamer;
 
 /// Render an aligned text table (markdown-flavored).
@@ -72,79 +79,6 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// True when `--quick` was passed (CI-friendly sizes).
-pub fn quick() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// The value of `--flag <value>` / `--flag=<value>` on the command line,
-/// if the flag is present. A flag with no trailing value exits with a
-/// diagnostic — every value-carrying bench flag shares this behavior.
-pub fn arg_value(flag: &str) -> Option<String> {
-    match arg_value_in(std::env::args(), flag) {
-        Ok(v) => v,
-        Err(()) => {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Testable core of [`arg_value`]: `Err(())` means the flag was present
-/// with no value.
-fn arg_value_in(
-    mut args: impl Iterator<Item = String>,
-    flag: &str,
-) -> Result<Option<String>, ()> {
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next().map(Some).ok_or(());
-        }
-        if let Some(v) = a.strip_prefix(flag).and_then(|rest| rest.strip_prefix('=')) {
-            return Ok(Some(v.to_string()));
-        }
-    }
-    Ok(None)
-}
-
-/// Parse `--topo <kind>` into the sweep bins' rival-topology selection
-/// (`dv`, `fattree`, `minpath` — see `dv_switch::TopoKind::parse` for
-/// the accepted spellings). Returns `None` when the flag is absent (bins
-/// default to the Data Vortex); exits with a diagnostic on an unknown
-/// kind.
-pub fn topo() -> Option<dv_switch::TopoKind> {
-    let spec = arg_value("--topo")?;
-    match dv_switch::TopoKind::parse(&spec) {
-        Some(kind) => Some(kind),
-        None => {
-            eprintln!("unknown --topo {spec:?} (expected dv, fattree, or minpath)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// True when `--serial` was passed: run sweeps on the serial driver
-/// instead of the (byte-identical) parallel one. CI uses this to `cmp`
-/// the two paths' JSON artifacts.
-pub fn serial() -> bool {
-    std::env::args().any(|a| a == "--serial")
-}
-
-/// Parse `--faults <spec>` / `--faults=<spec>` into a deterministic fault
-/// plan (see `dv_core::fault::FaultPlan::parse` for the grammar, e.g.
-/// `seed=7,fifodrop=0.02`). Returns `None` when the flag is absent; exits
-/// with a diagnostic on a malformed spec.
-pub fn faults() -> Option<dv_core::fault::FaultPlan> {
-    let spec = arg_value("--faults")?;
-    match dv_core::fault::FaultPlan::parse(&spec) {
-        Ok(plan) => Some(plan),
-        Err(e) => {
-            eprintln!("invalid --faults spec {spec:?}: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// Format a float with 2 decimals.
 pub fn f2(x: f64) -> String {
     format!("{x:.2}")
@@ -158,26 +92,6 @@ pub fn f3(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(list: &[&str]) -> impl Iterator<Item = String> {
-        list.iter().map(|s| s.to_string()).collect::<Vec<_>>().into_iter()
-    }
-
-    #[test]
-    fn arg_value_accepts_both_flag_forms() {
-        assert_eq!(
-            arg_value_in(args(&["bin", "--topo", "fattree"]), "--topo"),
-            Ok(Some("fattree".into()))
-        );
-        assert_eq!(
-            arg_value_in(args(&["bin", "--quick", "--topo=minpath"]), "--topo"),
-            Ok(Some("minpath".into()))
-        );
-        assert_eq!(arg_value_in(args(&["bin", "--quick"]), "--topo"), Ok(None));
-        // `--topology x` must not satisfy a `--topo` lookup.
-        assert_eq!(arg_value_in(args(&["bin", "--topology", "x"]), "--topo"), Ok(None));
-        assert_eq!(arg_value_in(args(&["bin", "--topo"]), "--topo"), Err(()));
-    }
 
     #[test]
     fn table_renders_aligned() {

@@ -1,4 +1,4 @@
-//! Benchmark run reports: the `--json <path>` artifact every binary can
+//! Benchmark run reports: the `--json <path>` artifact every scenario can
 //! emit, and the renderer behind the `dv-report` viewer.
 //!
 //! The document schema (`dv-bench-v1`):
@@ -15,7 +15,7 @@
 //! ```
 //!
 //! Everything in the document is derived from virtual time and
-//! deterministic counters, so running the same binary twice produces
+//! deterministic counters, so running the same scenario twice produces
 //! byte-identical files — CI can diff `BENCH_*.json` artifacts across
 //! commits the same way `tests/determinism.rs` compares trace hashes.
 
@@ -26,19 +26,7 @@ use dv_core::json::Json;
 use dv_core::metrics::{MetricsRegistry, MetricsSnapshot};
 use dv_core::trace::Tracer;
 
-/// The `--json <path>` (or `--json=path`) argument, if present.
-pub fn json_path() -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return args.next().map(PathBuf::from);
-        }
-        if let Some(p) = a.strip_prefix("--json=") {
-            return Some(PathBuf::from(p));
-        }
-    }
-    None
-}
+use crate::Opts;
 
 /// Collects a benchmark's tables, instrumented runs, and optional trace,
 /// printing tables to stdout as it goes; [`Report::finish`] writes the
@@ -49,18 +37,20 @@ pub struct Report {
     started: Instant,
     bench: &'static str,
     quick: bool,
+    json: Option<PathBuf>,
     results: Vec<Json>,
     runs: Vec<Json>,
     trace: Option<String>,
 }
 
 impl Report {
-    /// Start a report for the named benchmark binary.
-    pub fn new(bench: &'static str) -> Self {
+    /// Start the report of one `dv-bench` invocation.
+    pub fn new(opts: &Opts) -> Self {
         Self {
             started: Instant::now(),
-            bench,
-            quick: crate::quick(),
+            bench: opts.bench,
+            quick: opts.quick,
+            json: opts.json.clone(),
             results: Vec::new(),
             runs: Vec::new(),
             trace: None,
@@ -125,9 +115,9 @@ impl Report {
     /// Write the document if `--json <path>` was passed, then print the
     /// `wall: <s> s` line to stderr. Call last.
     pub fn finish(self) {
-        if let Some(path) = json_path() {
+        if let Some(path) = &self.json {
             let doc = self.to_json();
-            if let Err(e) = std::fs::write(&path, doc.render_pretty()) {
+            if let Err(e) = std::fs::write(path, doc.render_pretty()) {
                 eprintln!("failed to write {}: {e}", path.display());
                 std::process::exit(1);
             }
@@ -265,7 +255,7 @@ mod tests {
         metrics.gauge("demo.level", 0.5);
         metrics.observe("demo.sizes", 9);
 
-        let mut r = Report::new("demo");
+        let mut r = Report::new(&Opts::new("demo"));
         r.section(
             "A table",
             &["nodes", "value"],

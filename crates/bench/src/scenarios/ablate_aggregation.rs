@@ -4,31 +4,20 @@
 //! Data Vortex GUPS curve; this bench quantifies it by sending every
 //! remote update as its own PCIe crossing instead of batched DMA.
 
-use dv_bench::{f2, quick, Report};
+use dv_bench::{f2, Opts, Report, Streamer};
 use dv_core::config::MachineConfig;
 use dv_kernels::gups::{dv, GupsConfig};
 
-fn main() {
-    let mut report = Report::new("ablate_aggregation");
-    let cfg = if quick() {
+pub(crate) fn run(opts: &Opts, report: &mut Report) {
+    let cfg = if opts.quick {
         GupsConfig { table_per_node: 1 << 10, updates_per_node: 1 << 11, bucket: 1024, stream_offset: 0 }
     } else {
         GupsConfig { table_per_node: 1 << 12, updates_per_node: 1 << 13, bucket: 1024, stream_offset: 0 }
     };
-    // `--stream`: one representative instrumented run (8-node aggregated
-    // GUPS) emits dv-events-v1 telemetry before the ablation proper.
-    if dv_bench::stream::stream_path().is_some() {
-        let metrics = std::sync::Arc::new(dv_core::metrics::MetricsRegistry::enabled());
-        let streamer = dv_bench::Streamer::attach(&metrics, "ablate_aggregation", 8)
-            .expect("--stream was passed");
-        let r = dv::run_spec(
-            cfg,
-            dv_core::spec::SimSpec::new(8)
-                .machine(MachineConfig::paper_cluster())
-                .metrics(std::sync::Arc::clone(&metrics)),
-        );
-        streamer.finish(r.elapsed);
-    }
+    // `--stream`: the 8-node aggregated GUPS.
+    Streamer::representative_run(opts, 8, |spec| {
+        dv::run_spec(cfg, spec.machine(MachineConfig::paper_cluster())).elapsed
+    });
     let spec = |nodes| {
         dv_core::spec::SimSpec::new(nodes).machine(MachineConfig::paper_cluster())
     };
@@ -49,5 +38,4 @@ fn main() {
         &["nodes", "aggregated", "per-packet PIO", "gain"],
         rows,
     );
-    report.finish();
 }

@@ -9,35 +9,24 @@
 //! in all rows (one source-aggregated DMA batch per step).
 
 use dv_apps::heat::{self, Halo, HeatConfig};
-use dv_bench::{f2, quick, Report};
+use dv_bench::{f2, Opts, Report, Streamer};
 use dv_core::spec::SimSpec;
 use dv_core::time::as_us_f64;
 
-fn main() {
-    let mut report = Report::new("ablate_halo");
+pub(crate) fn run(opts: &Opts, report: &mut Report) {
     let cfg = |halo| {
-        if quick() {
+        if opts.quick {
             HeatConfig { n: (16, 16, 16), grid: (2, 2, 2), r: 0.1, steps: 8, report_every: 4, halo }
         } else {
             HeatConfig { n: (32, 32, 32), grid: (4, 4, 2), r: 0.1, steps: 24, report_every: 4, halo }
         }
     };
-    // `--stream`: the fixed DV heat run emits dv-events-v1 telemetry when
-    // streaming; plain runs take the uninstrumented path.
-    let dv = if dv_bench::stream::stream_path().is_some() {
-        let c = cfg(Halo::Face);
-        let metrics = std::sync::Arc::new(dv_core::metrics::MetricsRegistry::enabled());
-        let streamer = dv_bench::Streamer::attach(&metrics, "ablate_halo", c.nodes())
-            .expect("--stream was passed");
-        let r = heat::dv::run_spec(
-            c,
-            SimSpec::new(c.nodes()).metrics(std::sync::Arc::clone(&metrics)),
-        );
-        streamer.finish(r.elapsed);
-        r
-    } else {
-        heat::dv::run_spec(cfg(Halo::Face), SimSpec::new(cfg(Halo::Face).nodes()))
-    };
+    let dv_cfg = cfg(Halo::Face);
+    // `--stream`: the fixed DV heat run.
+    Streamer::representative_run(opts, dv_cfg.nodes(), |spec| {
+        heat::dv::run_spec(dv_cfg, spec).elapsed
+    });
+    let dv = heat::dv::run_spec(dv_cfg, SimSpec::new(dv_cfg.nodes()));
     let mut rows = Vec::new();
     for (name, halo) in [
         ("per-line messages (paper's description)", Halo::Line),
@@ -65,5 +54,4 @@ fn main() {
         rows,
     );
     println!("paper's measured heat speedup: ~2.46x");
-    report.finish();
 }

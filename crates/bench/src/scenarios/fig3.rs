@@ -5,34 +5,22 @@
 //! `DWr/NoCached`, `DWr/Cached`, `DMA/Cached`, `MPI`.
 
 use dv_api::SendMode;
-use dv_bench::{f2, quick, serial, Report, Streamer};
+use dv_bench::{f2, Opts, Report, Streamer};
 use dv_core::spec::SimSpec;
 use dv_kernels::pingpong::{dv_pingpong_spec, mpi_pingpong};
 
-fn main() {
-    let mut report = Report::new("fig3");
-    let max_log = if quick() { 14 } else { 18 };
-    // `--stream`: run one representative instrumented ping-pong (largest
-    // size, DMA/Cached — the headline curve) and emit its dv-events-v1
-    // telemetry before the sweep proper.
-    if dv_bench::stream::stream_path().is_some() {
-        let metrics = std::sync::Arc::new(dv_core::metrics::MetricsRegistry::enabled());
-        let streamer = Streamer::attach(&metrics, "fig3", 2).expect("--stream was passed");
-        let words = 1usize << max_log;
-        let r = dv_pingpong_spec(
-            words,
-            2,
-            SendMode::Dma { cached_headers: true },
-            SimSpec::new(2).metrics(std::sync::Arc::clone(&metrics)),
-        );
-        streamer.finish(r.elapsed);
-    }
+pub(crate) fn run(opts: &Opts, report: &mut Report) {
+    let max_log = if opts.quick { 14 } else { 18 };
+    // `--stream`: the largest size, DMA/Cached — the headline curve.
+    Streamer::representative_run(opts, 2, |spec| {
+        dv_pingpong_spec(1usize << max_log, 2, SendMode::Dma { cached_headers: true }, spec).elapsed
+    });
     let sizes: Vec<usize> = (0..=max_log).step_by(2).map(|l| 1usize << l).collect();
     let reps = |words: usize| if words >= 1 << 14 { 1 } else { 4 };
 
     // One simulated cluster run per (size, mode): independent, seeded, and
     // deterministic, so the sizes fan out across threads and the curves
-    // are assembled in input order — byte-identical to `--serial`.
+    // are assembled in input order.
     let measure = |words: usize| {
         let r = reps(words);
         let dv = |mode| dv_pingpong_spec(words, r, mode, SimSpec::new(2));
@@ -42,15 +30,7 @@ fn main() {
         let mp = mpi_pingpong(words, r, SimSpec::new(2));
         [nc.bandwidth_gbps(), ca.bandwidth_gbps(), dm.bandwidth_gbps(), mp.bandwidth_gbps()]
     };
-    let curves: Vec<[f64; 4]> = if serial() {
-        sizes.iter().map(|&w| measure(w)).collect()
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> =
-                sizes.iter().map(|&w| s.spawn(move || measure(w))).collect();
-            handles.into_iter().map(|h| h.join().expect("pingpong thread panicked")).collect()
-        })
-    };
+    let curves: Vec<[f64; 4]> = super::fan_out(&sizes, |&w| measure(w));
 
     let mut rows_abs = Vec::new();
     let mut rows_pct = Vec::new();
@@ -81,5 +61,4 @@ fn main() {
         &["words", "DWr/NoCached", "DWr/Cached", "DMA/Cached", "MPI"],
         rows_pct,
     );
-    report.finish();
 }

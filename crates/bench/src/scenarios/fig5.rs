@@ -8,17 +8,16 @@
 
 use std::sync::Arc;
 
-use dv_bench::{quick, Report};
+use dv_bench::{Opts, Report, Streamer};
 use dv_core::config::MachineConfig;
 use dv_core::metrics::MetricsRegistry;
 use dv_core::spec::SimSpec;
 use dv_core::trace::Tracer;
 use dv_kernels::gups::{dv, mpi, GupsConfig};
 
-fn main() {
-    let mut report = Report::new("fig5");
+pub(crate) fn run(opts: &Opts, report: &mut Report) {
     let nodes = 8;
-    let cfg = if quick() {
+    let cfg = if opts.quick {
         GupsConfig { table_per_node: 1 << 10, updates_per_node: 2 << 10, bucket: 1024, stream_offset: 0 }
     } else {
         GupsConfig { table_per_node: 1 << 12, updates_per_node: 8 << 10, bucket: 1024, stream_offset: 0 }
@@ -62,7 +61,7 @@ fn main() {
     let dv_metrics = Arc::new(MetricsRegistry::enabled());
     // `--stream`: the Data Vortex GUPS run emits live dv-events-v1
     // telemetry (the MPI run above stays un-streamed).
-    let streamer = dv_bench::Streamer::attach(&dv_metrics, "fig5", nodes);
+    let streamer = Streamer::attach(opts, &dv_metrics, nodes);
     let dv_result = dv::run_spec(
         cfg,
         SimSpec::new(nodes)
@@ -84,5 +83,4 @@ fn main() {
     report.add_run(&format!("mpi.n{nodes}"), &metrics);
     report.add_run(&format!("dv.n{nodes}"), &dv_metrics);
     report.set_trace(dump);
-    report.finish();
 }

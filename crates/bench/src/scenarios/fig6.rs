@@ -7,15 +7,15 @@
 
 use std::sync::Arc;
 
-use dv_bench::{f2, faults, quick, Report};
+use dv_bench::{f2, Opts, Report, Streamer};
 use dv_core::config::MachineConfig;
 use dv_core::metrics::MetricsRegistry;
 use dv_core::spec::SimSpec;
 use dv_core::trace::Tracer;
 use dv_kernels::gups::{dv, mpi, GupsConfig};
 
-fn main() {
-    let cfg = if quick() {
+pub(crate) fn run(opts: &Opts, report: &mut Report) {
+    let cfg = if opts.quick {
         GupsConfig { table_per_node: 1 << 11, updates_per_node: 1 << 13, bucket: 1024, stream_offset: 0 }
     } else {
         // HPCC convention: updates = 4 × table size.
@@ -24,8 +24,7 @@ fn main() {
     // Optional chaos mode: the Data Vortex runs carry the fault plan (the
     // InfiniBand model is unaffected), so the checksum comparison below
     // doubles as an end-to-end recovery check.
-    let fault_plan = faults();
-    let mut report = Report::new("fig6");
+    let fault_plan = &opts.faults;
     let mut rows_per = Vec::new();
     let mut rows_agg = Vec::new();
     for nodes in [4usize, 8, 16, 32] {
@@ -37,7 +36,7 @@ fn main() {
         // telemetry (one stream per invocation; later runs are summarized
         // in the `--json` artifact as usual).
         let streamer =
-            if nodes == 4 { dv_bench::Streamer::attach(&dv_metrics, "fig6", nodes) } else { None };
+            if nodes == 4 { Streamer::attach(opts, &dv_metrics, nodes) } else { None };
         let d = dv::run_spec(
             cfg,
             SimSpec::new(nodes)
@@ -75,5 +74,4 @@ fn main() {
         rows_per,
     );
     report.section("Figure 6b — aggregate GUPS (MUPS)", &["nodes", "Data Vortex", "Infiniband"], rows_agg);
-    report.finish();
 }

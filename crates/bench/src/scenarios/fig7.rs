@@ -4,25 +4,14 @@
 //! cluster uses 2²⁰ (2¹⁶ with `--quick`) — the curves' *shape* (DV above
 //! MPI, gap widening with node count) is the reproduction target.
 
-use dv_bench::{f2, quick, Report, Streamer};
+use dv_bench::{f2, Opts, Report, Streamer};
 use dv_core::spec::SimSpec;
 use dv_kernels::fft::{dv, mpi};
 
-fn main() {
-    let mut report = Report::new("fig7");
-    let n: usize = if quick() { 1 << 16 } else { 1 << 20 };
-    // `--stream`: one representative instrumented run (8-node DV FFT)
-    // emits dv-events-v1 telemetry before the sweep proper.
-    if dv_bench::stream::stream_path().is_some() {
-        let metrics = std::sync::Arc::new(dv_core::metrics::MetricsRegistry::enabled());
-        let streamer = Streamer::attach(&metrics, "fig7", 8).expect("--stream was passed");
-        let r = dv::run_spec(
-            n,
-            SimSpec::new(8).metrics(std::sync::Arc::clone(&metrics)),
-            false,
-        );
-        streamer.finish(r.elapsed);
-    }
+pub(crate) fn run(opts: &Opts, report: &mut Report) {
+    let n: usize = if opts.quick { 1 << 16 } else { 1 << 20 };
+    // `--stream`: the 8-node DV FFT.
+    Streamer::representative_run(opts, 8, |spec| dv::run_spec(n, spec, false).elapsed);
     let mut rows = Vec::new();
     for nodes in [2usize, 4, 8, 16, 32] {
         let d = dv::run_spec(n, SimSpec::new(nodes), false);
@@ -39,5 +28,4 @@ fn main() {
         &["nodes", "Data Vortex", "Infiniband", "DV/IB"],
         rows,
     );
-    report.finish();
 }

@@ -27,7 +27,7 @@
 //! CI `cmp`s that companion across a repeat run.
 
 use dv_bench::replay::{build_trace, race};
-use dv_bench::{arg_value, f2, quick, Report};
+use dv_bench::{f2, Opts, Report};
 use dv_switch::{AnyTopology, ReferenceNetSim, RoutedNetSim, TopoKind};
 
 /// Backlog throttle, in packets per port: deep enough to exercise
@@ -36,10 +36,10 @@ use dv_switch::{AnyTopology, ReferenceNetSim, RoutedNetSim, TopoKind};
 /// flow; see `tests/equivalence.rs` on the wedge mechanics).
 const DEPTH: usize = 2;
 
-fn main() {
-    let mut report = Report::new("net_smoke");
+pub(crate) fn run(opts: &Opts, report: &mut Report) {
+    let quick = opts.quick;
     let ports = 4096;
-    let reps = if quick() { 3 } else { 5 };
+    let reps = if quick { 3 } else { 5 };
     let mut verify = String::new();
     let measure = |kind: TopoKind, load: f64, ref_cycles, new_cycles| {
         let net = AnyTopology::for_ports(kind, ports);
@@ -59,7 +59,7 @@ fn main() {
     // its nodes and all 4096 injection FIFOs and re-routes each move
     // through enum dispatch, the rebuilt path visits only set bits.
     let (sparse_ref_cycles, sparse_new_cycles) =
-        if quick() { (600, 6_000) } else { (2_000, 20_000) };
+        if quick { (600, 6_000) } else { (2_000, 20_000) };
     let mut best_speedup = 0.0f64;
     let mut best_kind = TopoKind::FatTree;
     for kind in [TopoKind::FatTree, TopoKind::MinPath] {
@@ -84,7 +84,7 @@ fn main() {
     // generations spend most of these cycles re-scanning blocked FIFO
     // entries — cheap in either one — so the gap here is structurally
     // narrower than the sparse figure's.
-    let (ref_cycles, new_cycles) = if quick() { (60, 600) } else { (300, 3_000) };
+    let (ref_cycles, new_cycles) = if quick { (60, 600) } else { (300, 3_000) };
     let mut loaded_speedup = 0.0f64;
     for (kind, load) in [(TopoKind::FatTree, 0.6), (TopoKind::MinPath, 0.3)] {
         let (old, new) = measure(kind, load, ref_cycles, new_cycles);
@@ -108,14 +108,8 @@ fn main() {
         ],
     );
 
-    if let Some(path) = arg_value("--verify") {
-        if let Err(e) = std::fs::write(&path, &verify) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    super::write_verify(opts, &verify);
     if best_speedup < 3.0 {
         println!("WARNING: routed-path speedup {best_speedup:.2}x below the 3x target");
     }
-    report.finish();
 }

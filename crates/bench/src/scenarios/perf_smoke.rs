@@ -26,7 +26,7 @@
 use std::time::Instant;
 
 use dv_bench::replay::{build_trace, drive, race};
-use dv_bench::{arg_value, f2, quick, Report};
+use dv_bench::{f2, Opts, Report};
 use dv_switch::traffic::LoadSweep;
 use dv_switch::{ReferenceSwitchSim, SwitchSim, Topology};
 
@@ -36,14 +36,14 @@ const LOAD: f64 = 0.95;
 const DEPTH: usize = 64;
 const SEED: u64 = 0x5A7A_0064;
 
-fn main() {
-    let mut report = Report::new("perf_smoke");
+pub(crate) fn run(opts: &Opts, report: &mut Report) {
+    let quick = opts.quick;
     let topo = Topology::new(16, 4); // 64 ports, 5 cylinders
     let ports = topo.ports();
 
     // The reference is given proportionally fewer cycles (it is the slow
     // one); rates normalize the comparison.
-    let (ref_cycles, new_cycles) = if quick() { (3_000, 30_000) } else { (20_000, 200_000) };
+    let (ref_cycles, new_cycles) = if quick { (3_000, 30_000) } else { (20_000, 200_000) };
     let trace = build_trace(SEED, ports, new_cycles, LOAD);
     let (old, new) = race(
         5,
@@ -71,7 +71,7 @@ fn main() {
     // included — what a sweep at this size actually pays per cycle.
     let wide_topo = Topology::new(2048, 2);
     let wide_ports = wide_topo.ports();
-    let wide_cycles = if quick() { 1_200 } else { 4_800 };
+    let wide_cycles = if quick { 1_200 } else { 4_800 };
     let wide_trace = build_trace(SEED, wide_ports, wide_cycles, LOAD);
     let run = || drive(&mut SwitchSim::new(wide_topo.clone()), DEPTH, &wide_trace, wide_cycles);
     let wide = (1..5).fold(run(), |best, _| best.best(run()));
@@ -84,7 +84,7 @@ fn main() {
     // Sweep-level wall clock: the parallel driver on the study grid.
     let loads = [0.1, 0.3, 0.5, 0.7, 0.9];
     let mut sweep = LoadSweep::new(topo);
-    sweep.measure = if quick() { 1_000 } else { 5_000 };
+    sweep.measure = if quick { 1_000 } else { 5_000 };
     let t0 = Instant::now();
     let serial = sweep.sweep(&loads);
     let serial_secs = t0.elapsed().as_secs_f64();
@@ -105,16 +105,10 @@ fn main() {
         ],
     );
 
-    if let Some(path) = arg_value("--verify") {
-        let verify = new.verify_line(&format!("dv@{ports} load={LOAD}"))
-            + &wide.verify_line(&format!("dv@{wide_ports} load={LOAD}"));
-        if let Err(e) = std::fs::write(&path, verify) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let verify = new.verify_line(&format!("dv@{ports} load={LOAD}"))
+        + &wide.verify_line(&format!("dv@{wide_ports} load={LOAD}"));
+    super::write_verify(opts, &verify);
     if speedup < 5.0 {
         println!("WARNING: hot-path speedup {speedup:.2}x below the 5x target");
     }
-    report.finish();
 }

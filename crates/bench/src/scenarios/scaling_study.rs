@@ -9,7 +9,7 @@
 //! additional hops would (minimally) increase latency but should not
 //! change overall throughput per node."
 //!
-//! This binary is that simulator: it grows the switch exactly as the
+//! This scenario is that simulator: it grows the switch exactly as the
 //! paper prescribes (H doubles, C = log₂H + 1 cylinders) and measures
 //! barrier latency, per-node GUPS, and cycle-accurate switch behavior at
 //! 32 → 256 ports, testing the paper's scaling conjecture.
@@ -25,7 +25,7 @@
 
 use std::sync::Arc;
 
-use dv_bench::{f2, f3, quick, serial, Report};
+use dv_bench::{f2, f3, Opts, Report};
 use dv_core::metrics::MetricsRegistry;
 use dv_core::spec::SimSpec;
 use dv_core::time::as_us_f64;
@@ -37,18 +37,19 @@ use dv_switch::{AnyTopology, NetworkTopology, TopoKind, Topology};
 /// One rival-sweep point: an independent seeded simulation of `pattern`
 /// on `net` at 0.7 offered load (deterministic in its inputs, so points
 /// can fan out across threads and join in input order).
-fn rival_point(net: &AnyTopology, pattern: Pattern) -> SweepPoint {
+fn rival_point(net: &AnyTopology, pattern: Pattern, measure: u64) -> SweepPoint {
     let mut sweep = LoadSweep::for_net(net.clone());
     sweep.pattern = pattern;
-    sweep.measure = if quick() { 1_000 } else { 3_000 };
+    sweep.measure = measure;
     sweep.run(0.7)
 }
 
 /// The rival-topology sweep: structure and every traffic pattern for one
 /// topology kind at 64 → 4096 ports (the kilo-port scale the batched
 /// wide kernel unlocks; `--quick` stops at 256).
-fn rival_sweep(report: &mut Report, kind: TopoKind) {
-    let sizes: &[usize] = if quick() { &[64, 128, 256] } else { &[64, 256, 1024, 4096] };
+fn rival_sweep(report: &mut Report, kind: TopoKind, quick: bool) {
+    let sizes: &[usize] = if quick { &[64, 128, 256] } else { &[64, 256, 1024, 4096] };
+    let measure = if quick { 1_000 } else { 3_000 };
     let nets: Vec<AnyTopology> =
         sizes.iter().map(|&ports| AnyTopology::for_ports(kind, ports)).collect();
 
@@ -71,26 +72,13 @@ fn rival_sweep(report: &mut Report, kind: TopoKind) {
     );
 
     // Every pattern × every size at 0.7 offered load. The parallel fan
-    // joins in input order, byte-identical to the serial path (`--serial`
-    // forces it for CI's cmp; repeat runs cmp byte-identical either way).
+    // joins in input order, so repeat runs cmp byte-identical.
     let combos: Vec<(Pattern, usize)> = Pattern::ALL
         .iter()
         .flat_map(|&p| (0..nets.len()).map(move |i| (p, i)))
         .collect();
-    let points: Vec<SweepPoint> = if serial() {
-        combos.iter().map(|&(p, i)| rival_point(&nets[i], p)).collect()
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = combos
-                .iter()
-                .map(|&(p, i)| {
-                    let net = &nets[i];
-                    s.spawn(move || rival_point(net, p))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("rival sweep thread panicked")).collect()
-        })
-    };
+    let points: Vec<SweepPoint> =
+        super::fan_out(&combos, |&(p, i)| rival_point(&nets[i], p, measure));
     let rows = combos
         .iter()
         .zip(&points)
@@ -112,36 +100,25 @@ fn rival_sweep(report: &mut Report, kind: TopoKind) {
     );
 }
 
-fn main() {
-    let mut report = Report::new("scaling_study");
-    let kind = dv_bench::topo().unwrap_or(TopoKind::Vortex);
-    let sizes: &[usize] = if quick() { &[32, 64] } else { &[32, 64, 128, 256] };
+pub(crate) fn run(opts: &Opts, report: &mut Report) {
+    let quick = opts.quick;
+    let kind = opts.topo.unwrap_or(TopoKind::Vortex);
+    let sizes: &[usize] = if quick { &[32, 64] } else { &[32, 64, 128, 256] };
+    let measure = if quick { 1_000 } else { 3_000 };
 
     // A rival-only run (`--topo fattree|minpath`) skips the Data Vortex
     // legacy study: barriers and GUPS run on the DV cluster runtime and
     // have no rival-topology counterpart.
     if kind != TopoKind::Vortex {
-        rival_sweep(&mut report, kind);
-        report.finish();
+        rival_sweep(report, kind, quick);
         return;
     }
 
-    // `--stream`: a dedicated serial run on the largest projected switch
-    // streams cycle-level telemetry (virtual time = cycle × hop time).
-    if dv_bench::stream::stream_path().is_some() {
-        let ports = *sizes.last().expect("sizes is non-empty");
-        let metrics = Arc::new(MetricsRegistry::enabled());
-        let streamer = dv_bench::Streamer::attach(&metrics, "scaling_study", ports)
-            .expect("--stream was passed");
-        let hop_ps = dv_core::config::DvParams::default().hop_time;
-        let flush_cycles = (streamer.interval_ps() / hop_ps).max(1);
-        let mut sweep = LoadSweep::new(Topology::for_ports(ports, 4));
-        sweep.measure = if quick() { 1_000 } else { 3_000 };
-        sweep.metrics = Some(Arc::clone(&metrics));
-        let end_cycles = sweep.warmup + sweep.measure;
-        sweep.run_streamed(0.7, hop_ps, flush_cycles);
-        streamer.finish(end_cycles * hop_ps);
-    }
+    // `--stream`: the largest projected switch.
+    let largest = *sizes.last().expect("sizes is non-empty");
+    let mut streamed = LoadSweep::new(Topology::for_ports(largest, 4));
+    streamed.measure = measure;
+    super::stream_sweep(opts, streamed);
 
     // 1. Switch structure growth. `for_ports` is exact-or-panic, so the
     //    reported port count is the topology's own, never the request.
@@ -165,27 +142,18 @@ fn main() {
     // 2. Cycle-accurate uniform-load behavior: throughput per port should
     //    hold, latency should grow only by the extra hops. Each topology
     //    is an independent seeded simulation, so the points fan out across
-    //    threads and are joined — and reported — in input order (bytes
-    //    identical to the serial path; `--serial` forces it for CI's cmp).
+    //    threads and are joined — and reported — in input order.
     let sweep_at = |ports: usize| {
         let metrics = Arc::new(MetricsRegistry::enabled());
         let topo = Topology::for_ports(ports, 4);
         let actual_ports = topo.ports();
         let mut sweep = LoadSweep::new(topo);
-        sweep.measure = if quick() { 1_000 } else { 3_000 };
+        sweep.measure = measure;
         sweep.metrics = Some(Arc::clone(&metrics));
         let p = sweep.run(0.7);
         (metrics, p, actual_ports)
     };
-    let results: Vec<_> = if serial() {
-        sizes.iter().map(|&ports| sweep_at(ports)).collect()
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> =
-                sizes.iter().map(|&ports| s.spawn(move || sweep_at(ports))).collect();
-            handles.into_iter().map(|h| h.join().expect("sweep thread panicked")).collect()
-        })
-    };
+    let results = super::fan_out(sizes, |&ports| sweep_at(ports));
     let mut rows = Vec::new();
     for (metrics, p, actual_ports) in results {
         report.add_run(&format!("sweep.p{actual_ports}"), &metrics);
@@ -203,7 +171,7 @@ fn main() {
     );
 
     // 3. Hardware barrier at scale (the paper's conjecture: ~flat).
-    let reps = if quick() { 50 } else { 200 };
+    let reps = if quick { 50 } else { 200 };
     let mut rows = Vec::new();
     for &nodes in sizes {
         let dv = barrier_latency_spec(BarrierKind::DvIntrinsic, SimSpec::new(nodes), reps);
@@ -225,7 +193,7 @@ fn main() {
     // Sample the stream past its sparse-polynomial head: on >32 nodes the
     // head's node-0 hotspot would overflow any bounded FIFO (see
     // GupsConfig::stream_offset).
-    let cfg = if quick() {
+    let cfg = if quick {
         GupsConfig { table_per_node: 1 << 10, updates_per_node: 1 << 12, bucket: 1024, stream_offset: 1 << 40 }
     } else {
         GupsConfig { table_per_node: 1 << 12, updates_per_node: 1 << 14, bucket: 1024, stream_offset: 1 << 40 }
@@ -249,11 +217,10 @@ fn main() {
 
     // 5. The Data Vortex's own rival-format sweep: row-for-row comparable
     //    with the `--topo fattree` / `--topo minpath` artifacts.
-    rival_sweep(&mut report, TopoKind::Vortex);
+    rival_sweep(report, TopoKind::Vortex, quick);
 
     println!(
         "Conjecture check: DV per-node GUPS and barrier latency should stay ~flat while\n\
          MPI keeps degrading — the additional cylinders only add a few hops of latency."
     );
-    report.finish();
 }

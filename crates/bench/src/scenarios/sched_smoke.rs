@@ -20,7 +20,7 @@
 //!   not gated (on a single-core host it measures the OS scheduler). Both
 //!   node counts pass the same total number of messages.
 //!
-//! Like `perf_smoke` (and unlike every fig binary), this artifact records
+//! Like `perf_smoke` (and unlike every figure scenario), this artifact records
 //! **wall-clock host measurements** — it is deliberately *not*
 //! byte-reproducible across runs or machines. Compare trends, not bytes.
 //! (The virtual elapsed times in the table *are* deterministic and
@@ -29,7 +29,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use dv_bench::{f2, quick, Report};
+use dv_bench::{f2, Opts, Report};
 use dv_core::spec::Engine;
 use dv_core::time::us;
 use dv_sim::{Port, Sim};
@@ -115,12 +115,11 @@ fn measure(
     (rows, rate(secs[1]) / rate(secs[0]))
 }
 
-fn main() {
-    let mut report = Report::new("sched_smoke");
+pub(crate) fn run(opts: &Opts, report: &mut Report) {
     // The ring is sized by its total, so both node counts time the same
     // number of handoffs (at a fixed count per node the 64-node row would
     // be a < 10 ms run that mostly records host noise).
-    let (pump_msgs, ring_total): (u64, u64) = if quick() { (100, 51_200) } else { (500, 204_800) };
+    let (pump_msgs, ring_total): (u64, u64) = if opts.quick { (100, 51_200) } else { (500, 204_800) };
 
     // Alternating engines each repetition so host-load transients hit
     // both; the smallest wall time estimates the unloaded rate. The
@@ -160,5 +159,4 @@ fn main() {
     if at_1024 < 4.0 {
         println!("WARNING: pump speedup {at_1024:.2}x at 1024 nodes below the 4x target");
     }
-    report.finish();
 }

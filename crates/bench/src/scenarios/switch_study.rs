@@ -7,14 +7,13 @@
 
 use std::sync::Arc;
 
-use dv_bench::{f2, f3, faults, quick, serial, Report};
+use dv_bench::{f2, f3, Opts, Report};
 use dv_core::config::DvParams;
 use dv_core::metrics::MetricsRegistry;
 use dv_switch::traffic::{Arrival, LoadSweep, Pattern};
 use dv_switch::{AnyTopology, SwitchModel, TopoKind, Topology};
 
-fn main() {
-    let mut report = Report::new("switch_study");
+pub(crate) fn run(opts: &Opts, report: &mut Report) {
     let topo = Topology::new(8, 4);
     println!(
         "Data Vortex switch: H={} A={} -> C={} cylinders, {} ports, {} switching nodes\n",
@@ -25,27 +24,15 @@ fn main() {
         topo.nodes()
     );
 
-    let measure = if quick() { 1_000 } else { 5_000 };
-    let fault_plan = faults();
+    let measure = if opts.quick { 1_000 } else { 5_000 };
+    let fault_plan = &opts.faults;
     let loads = [0.1, 0.3, 0.5, 0.7, 0.9];
 
-    // `--stream`: a dedicated serial run at 0.7 offered load streams the
-    // switch's cycle-level telemetry, with virtual time = cycle × hop
-    // time, flushed at every sample boundary.
-    if dv_bench::stream::stream_path().is_some() {
-        let metrics = Arc::new(MetricsRegistry::enabled());
-        let streamer = dv_bench::Streamer::attach(&metrics, "switch_study", topo.ports())
-            .expect("--stream was passed");
-        let hop_ps = DvParams::default().hop_time;
-        let flush_cycles = (streamer.interval_ps() / hop_ps).max(1);
-        let mut sweep = LoadSweep::new(topo.clone());
-        sweep.measure = measure;
-        sweep.metrics = Some(Arc::clone(&metrics));
-        sweep.faults = fault_plan.clone();
-        let end_cycles = sweep.warmup + sweep.measure;
-        sweep.run_streamed(0.7, hop_ps, flush_cycles);
-        streamer.finish(end_cycles * hop_ps);
-    }
+    // `--stream`: the uniform Bernoulli sweep's 0.7 point, fault plan included.
+    let mut streamed = LoadSweep::new(topo.clone());
+    streamed.measure = measure;
+    streamed.faults = fault_plan.clone();
+    super::stream_sweep(opts, streamed);
     for pattern in [Pattern::Uniform, Pattern::Hotspot, Pattern::Tornado, Pattern::BitReverse] {
         let metrics = Arc::new(MetricsRegistry::enabled());
         let mut sweep = LoadSweep::new(topo.clone());
@@ -53,10 +40,7 @@ fn main() {
         sweep.measure = measure;
         sweep.metrics = Some(Arc::clone(&metrics));
         sweep.faults = fault_plan.clone();
-        // The parallel driver is byte-identical to the serial one; CI cmps
-        // a --serial run against this output to prove it.
-        let points =
-            if serial() { sweep.sweep(&loads) } else { sweep.sweep_parallel(&loads) };
+        let points = sweep.sweep_parallel(&loads);
         let mut rows = Vec::new();
         for p in points {
             rows.push(vec![
@@ -82,8 +66,8 @@ fn main() {
     sweep.arrival = Arrival::Bursty { mean_burst: 8.0 };
     sweep.measure = measure;
     sweep.metrics = Some(Arc::clone(&metrics));
-    sweep.faults = fault_plan;
-    let points = if serial() { sweep.sweep(&loads) } else { sweep.sweep_parallel(&loads) };
+    sweep.faults = fault_plan.clone();
+    let points = sweep.sweep_parallel(&loads);
     let mut rows = Vec::new();
     for p in points {
         rows.push(vec![f2(p.offered), f3(p.accepted), f2(p.total_latency_mean), f3(p.deflections_mean)]);
@@ -133,5 +117,4 @@ fn main() {
         "analytic model: calibrated saturation deflection penalty = {:.2} hops (paper: \"statistically by two hops\")",
         calibrated
     );
-    report.finish();
 }

@@ -1,5 +1,5 @@
-//! Streaming telemetry: the `dv-events-v1` JSONL stream every benchmark
-//! binary can emit behind `--stream <path|->`.
+//! Streaming telemetry: the `dv-events-v1` JSONL stream the figure,
+//! study and ablation scenarios emit behind `--stream <path|->`.
 //!
 //! The stream is a line-oriented JSON log of delta-compressed metric
 //! samples taken at deterministic **virtual-time** intervals (see
@@ -25,59 +25,19 @@ use std::sync::{Arc, Mutex};
 
 use dv_core::json::Json;
 use dv_core::metrics::{MetricsRegistry, MetricsSnapshot, TimeseriesSample};
+use dv_core::spec::SimSpec;
 use dv_core::time::{us, Time};
+
+use crate::Opts;
 
 /// FNV-1a offset basis (the same constants as `MetricsSnapshot::fnv_hash`).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Default sampling interval: 10 µs of virtual time.
-const DEFAULT_INTERVAL: Time = us(10);
 /// Samples retained in the in-memory ring (the sink sees every sample
 /// regardless; the ring only serves post-run inspection).
 const RING_CAPACITY: usize = 4096;
-
-/// The `--stream <path|->` (or `--stream=path`) argument, if present.
-/// `-` streams to stdout.
-pub fn stream_path() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--stream" {
-            return Some(args.next().unwrap_or_else(|| {
-                eprintln!("--stream requires a path (or `-` for stdout)");
-                std::process::exit(2);
-            }));
-        }
-        if let Some(p) = a.strip_prefix("--stream=") {
-            return Some(p.to_string());
-        }
-    }
-    None
-}
-
-/// The `--stream-interval <us>` argument (virtual microseconds between
-/// samples), defaulting to 10 µs.
-pub fn stream_interval_ps() -> Time {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        let v = if a == "--stream-interval" {
-            args.next()
-        } else {
-            a.strip_prefix("--stream-interval=").map(str::to_string)
-        };
-        if let Some(v) = v {
-            match v.parse::<u64>() {
-                Ok(n) if n > 0 => return us(n),
-                _ => {
-                    eprintln!("--stream-interval requires a positive integer (microseconds)");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    DEFAULT_INTERVAL
-}
 
 /// Shared sink state: the output, plus the running FNV over sample lines.
 struct SinkState {
@@ -115,19 +75,18 @@ impl SinkState {
 pub struct Streamer {
     metrics: Arc<MetricsRegistry>,
     state: Arc<Mutex<SinkState>>,
-    interval_ps: Time,
 }
 
 impl Streamer {
     /// Attach a stream to `metrics` if `--stream` was passed. Writes the
     /// header line immediately; every subsequent virtual-time sample goes
     /// straight to the output as it is taken.
-    pub fn attach(metrics: &Arc<MetricsRegistry>, bench: &str, nodes: usize) -> Option<Self> {
-        let path = stream_path()?;
+    pub fn attach(opts: &Opts, metrics: &Arc<MetricsRegistry>, nodes: usize) -> Option<Self> {
+        let path = opts.stream.as_deref()?;
         let out: Box<dyn std::io::Write + Send> = if path == "-" {
             Box::new(std::io::stdout())
         } else {
-            match std::fs::File::create(&path) {
+            match std::fs::File::create(path) {
                 Ok(f) => Box::new(f),
                 Err(e) => {
                     eprintln!("failed to create stream file {path}: {e}");
@@ -135,12 +94,12 @@ impl Streamer {
                 }
             }
         };
-        let interval_ps = stream_interval_ps();
+        let interval_ps = opts.stream_interval;
         let state = Arc::new(Mutex::new(SinkState { out, fnv: FNV_OFFSET, samples: 0 }));
         let header = Json::Obj(vec![
             ("schema".to_string(), Json::str("dv-events-v1")),
-            ("bench".to_string(), Json::str(bench)),
-            ("quick".to_string(), Json::Bool(crate::quick())),
+            ("bench".to_string(), Json::str(opts.bench)),
+            ("quick".to_string(), Json::Bool(opts.quick)),
             ("interval_ps".to_string(), Json::U64(interval_ps)),
             ("nodes".to_string(), Json::U64(nodes as u64)),
         ]);
@@ -150,17 +109,18 @@ impl Streamer {
         metrics.set_series_sink(move |s| {
             sink_state.lock().unwrap().line(&render_sample(s), true);
         });
-        Some(Self { metrics: Arc::clone(metrics), state, interval_ps })
+        Some(Self { metrics: Arc::clone(metrics), state })
     }
 
-    /// The sampling interval (virtual picoseconds).
-    pub fn interval_ps(&self) -> Time {
-        self.interval_ps
-    }
-
-    /// The registry this stream samples.
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
+    /// `--stream` on a scenario whose sweep proper runs uninstrumented:
+    /// one representative instrumented run on `nodes` nodes emits the
+    /// telemetry first. `run` takes the instrumented spec and returns the
+    /// run's virtual end time; without `--stream` it is never called.
+    pub fn representative_run(opts: &Opts, nodes: usize, run: impl FnOnce(SimSpec) -> Time) {
+        let metrics = Arc::new(MetricsRegistry::enabled());
+        if let Some(streamer) = Self::attach(opts, &metrics, nodes) {
+            streamer.finish(run(SimSpec::new(nodes).metrics(metrics)));
+        }
     }
 
     /// Record the final sample at virtual time `end` (after all
@@ -205,7 +165,7 @@ pub enum StreamLine {
 /// Parsed header record.
 #[derive(Debug, Clone)]
 pub struct StreamHeader {
-    /// The emitting benchmark binary.
+    /// The emitting scenario.
     pub bench: String,
     /// Whether the run used `--quick` sizes.
     pub quick: bool,

@@ -76,17 +76,6 @@ impl DvParams {
     pub fn word_time(&self) -> Time {
         time::transfer_time(crate::packet::PAYLOAD_BYTES, self.link_gbps)
     }
-
-    /// Minimum (uncontended) switch traversal: descend through all C
-    /// cylinders plus half an average rotation at the target cylinder.
-    pub fn base_hops(&self) -> usize {
-        self.cylinders() + self.angles / 2
-    }
-
-    /// Uncontended switch traversal latency.
-    pub fn base_traversal(&self) -> Time {
-        self.base_hops() as Time * self.hop_time
-    }
 }
 
 /// PCI Express path between host memory and the VIC.
@@ -265,19 +254,6 @@ impl MachineConfig {
     pub fn paper_cluster() -> Self {
         Self::default()
     }
-
-    /// A machine config whose Data Vortex switch has at least `nodes`
-    /// ports (doubles H, adding cylinders, exactly as Section IX describes
-    /// scaling: "each doubling of nodes would add an additional cylinder").
-    pub fn with_nodes(nodes: usize) -> Self {
-        let mut cfg = Self::default();
-        let mut h = cfg.dv.height;
-        while cfg.dv.angles * h < nodes {
-            h *= 2;
-        }
-        cfg.dv.height = h;
-        cfg
-    }
 }
 
 #[cfg(test)]
@@ -317,14 +293,6 @@ mod tests {
         }
         assert_eq!(effs[0], 1.0);
         assert!(effs[4] >= ib.core_floor);
-    }
-
-    #[test]
-    fn with_nodes_grows_height() {
-        let cfg = MachineConfig::with_nodes(100);
-        assert!(cfg.dv.ports() >= 100);
-        // Height stays a power of two so C stays integral.
-        assert!(cfg.dv.height.is_power_of_two());
     }
 
     #[test]

@@ -182,11 +182,6 @@ impl Packet {
     pub fn new(header: PacketHeader, payload: Word) -> Self {
         Self { header, payload }
     }
-
-    /// Wire size of this packet in bytes.
-    pub const fn wire_bytes(&self) -> u64 {
-        PACKET_BYTES
-    }
 }
 
 #[cfg(test)]

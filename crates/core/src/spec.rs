@@ -1,7 +1,8 @@
 //! `SimSpec` — the one builder every simulation backend consumes.
 //!
 //! One value describes the cluster size, the engine, the machine cost
-//! model, fault injection, tracing, metrics, and telemetry streaming;
+//! model, fault injection, tracing, and metrics (a telemetry stream is
+//! attached to the metrics registry, not to the spec);
 //! `DvCluster::from_spec` / `MpiCluster::from_spec` and every kernel and
 //! application entry point consume it, and a run returns a [`RunReport`].
 //!
@@ -15,9 +16,9 @@
 
 use std::sync::Arc;
 
-use crate::config::{ComputeParams, DvParams, IbParams, MachineConfig, MpiParams, PcieParams};
+use crate::config::{ComputeParams, MachineConfig};
 use crate::fault::FaultPlan;
-use crate::metrics::{MetricsRegistry, MetricsSnapshot, TimeseriesSample};
+use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::time::Time;
 use crate::trace::Tracer;
 
@@ -34,8 +35,6 @@ pub enum Engine {
     Reference,
 }
 
-type SeriesSink = Box<dyn FnMut(&TimeseriesSample) + Send + 'static>;
-
 /// Everything needed to set up a simulated cluster, in one builder.
 pub struct SimSpec {
     /// Number of simulated nodes (one process per node).
@@ -48,11 +47,6 @@ pub struct SimSpec {
     pub tracer: Arc<Tracer>,
     /// Metrics registry (disabled by default).
     pub metrics: Arc<MetricsRegistry>,
-    /// Virtual-time telemetry series: `(interval, capacity)`, attached to
-    /// the registry when a backend consumes the spec.
-    pub stream: Option<(Time, usize)>,
-    /// Optional sink receiving each telemetry sample as it is sealed.
-    pub sink: Option<SeriesSink>,
 }
 
 impl SimSpec {
@@ -66,8 +60,6 @@ impl SimSpec {
             machine: MachineConfig::paper_cluster(),
             tracer: Arc::new(Tracer::disabled()),
             metrics: MetricsRegistry::disabled_shared(),
-            stream: None,
-            sink: None,
         }
     }
 
@@ -86,30 +78,6 @@ impl SimSpec {
     /// Replace the whole machine cost model.
     pub fn machine(mut self, machine: MachineConfig) -> Self {
         self.machine = machine;
-        self
-    }
-
-    /// Override the Data Vortex switch/link parameters.
-    pub fn dv(mut self, dv: DvParams) -> Self {
-        self.machine.dv = dv;
-        self
-    }
-
-    /// Override the InfiniBand fabric parameters.
-    pub fn ib(mut self, ib: IbParams) -> Self {
-        self.machine.ib = ib;
-        self
-    }
-
-    /// Override the MPI software-stack parameters.
-    pub fn mpi(mut self, mpi: MpiParams) -> Self {
-        self.machine.mpi = mpi;
-        self
-    }
-
-    /// Override the PCIe parameters.
-    pub fn pcie(mut self, pcie: PcieParams) -> Self {
-        self.machine.pcie = pcie;
         self
     }
 
@@ -149,31 +117,6 @@ impl SimSpec {
     pub fn tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.tracer = tracer;
         self
-    }
-
-    /// Record a virtual-time telemetry series at `interval`, ring-buffered
-    /// to `capacity` samples (see `dv_core::metrics::Timeseries`).
-    pub fn stream(mut self, interval: Time, capacity: usize) -> Self {
-        self.stream = Some((interval, capacity));
-        self
-    }
-
-    /// Receive each sealed telemetry sample (e.g. to serialize dv-events-v1
-    /// lines). Implies nothing about `stream`; set both.
-    pub fn stream_sink(mut self, sink: impl FnMut(&TimeseriesSample) + Send + 'static) -> Self {
-        self.sink = Some(Box::new(sink));
-        self
-    }
-
-    /// Apply the streaming configuration to the attached registry. Backends
-    /// call this exactly once when consuming the spec.
-    pub fn arm_stream(&mut self) {
-        if let Some((interval, capacity)) = self.stream.take() {
-            self.metrics.attach_series(interval, capacity);
-        }
-        if let Some(sink) = self.sink.take() {
-            self.metrics.set_series_sink(sink);
-        }
     }
 }
 
@@ -226,14 +169,6 @@ mod tests {
         assert_eq!(spec.engine, Engine::Reference);
         assert!(spec.metrics.is_enabled());
         assert!(spec.machine.faults.is_some());
-    }
-
-    #[test]
-    fn arm_stream_is_idempotent_after_take() {
-        let mut spec = SimSpec::new(2).instrumented().stream(1_000_000, 64);
-        spec.arm_stream();
-        assert!(spec.stream.is_none());
-        spec.arm_stream(); // second call is a no-op
     }
 
     #[test]

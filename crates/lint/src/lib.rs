@@ -15,9 +15,8 @@
 //! two ([`scope`]) builds a lightweight item model — fn boundaries, `use`
 //! imports, test regions, `unsafe` spans, live lock guards — that the
 //! concurrency rules and the whole-workspace lock-order graph
-//! ([`lockgraph`]) consume. Audited exceptions live in `lint.toml` at the
-//! workspace root ([`allowlist`]) or inline next to the code
-//! ([`suppress`]).
+//! ([`lockgraph`]) consume. An audited exception is written one way:
+//! inline, next to the code it excuses, with its reason ([`suppress`]).
 //!
 //! ## Shipped rules
 //!
@@ -37,10 +36,10 @@
 //! | `DV-W012` | warning | nested lock guards from different mutexes in one function |
 //! | `DV-W013` | error | lock-order cycle among named mutexes (whole-workspace graph) |
 //!
-//! Three synthesized diagnostics keep the suppression machinery honest:
-//! `DV-S001` (malformed inline suppression), `DV-S002` (inline
-//! suppression that matched nothing), `DV-S003` (stale `lint.toml`
-//! entry). All are warnings, so `--deny-warnings` CI catches rot.
+//! Two synthesized diagnostics keep the suppression machinery honest:
+//! `DV-S001` (malformed inline suppression) and `DV-S002` (inline
+//! suppression that matched nothing). Both are warnings, so
+//! `--deny-warnings` CI catches rot.
 //!
 //! Run it as `cargo run -p dv-lint` (add `-- --deny-warnings` in CI, and
 //! `--format json` for the machine-readable report), or use [`run_lint`]
@@ -49,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod allowlist;
 pub mod lexer;
 pub mod lockgraph;
 pub mod rules;
@@ -61,7 +59,6 @@ use std::path::{Path, PathBuf};
 
 use dv_core::json::Json;
 
-pub use allowlist::Allowlist;
 pub use lockgraph::LockGraph;
 pub use rules::{AnalyzedFile, Finding, Rule, Severity, RULES};
 pub use scanner::SourceFile;
@@ -69,11 +66,9 @@ pub use scanner::SourceFile;
 /// Result of a workspace lint run.
 #[derive(Debug, Default)]
 pub struct LintReport {
-    /// Findings that survived suppressions and the allowlist, in
-    /// (path, line, rule) order.
+    /// Findings that survived the inline suppressions, in (path, line,
+    /// rule) order.
     pub findings: Vec<Finding>,
-    /// Findings suppressed by `lint.toml`, with the audited reason.
-    pub allowed: Vec<(Finding, String)>,
     /// Findings suppressed inline, with the written reason.
     pub suppressed: Vec<(Finding, String)>,
     /// Number of files scanned.
@@ -109,20 +104,19 @@ impl LintReport {
                 ("note".into(), Json::str(&f.note)),
             ])
         };
-        let silenced_json = |list: &[(Finding, String)]| {
-            Json::Arr(
-                list.iter()
-                    .map(|(f, reason)| {
-                        Json::Obj(vec![
-                            ("rule".into(), Json::str(f.rule)),
-                            ("path".into(), Json::str(&f.path)),
-                            ("line".into(), Json::U64(f.line as u64)),
-                            ("reason".into(), Json::str(reason)),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
+        let suppressed = Json::Arr(
+            self.suppressed
+                .iter()
+                .map(|(f, reason)| {
+                    Json::Obj(vec![
+                        ("rule".into(), Json::str(f.rule)),
+                        ("path".into(), Json::str(&f.path)),
+                        ("line".into(), Json::U64(f.line as u64)),
+                        ("reason".into(), Json::str(reason)),
+                    ])
+                })
+                .collect(),
+        );
         let edges = Json::Arr(
             self.locks
                 .edges
@@ -151,8 +145,7 @@ impl LintReport {
             ("errors".into(), Json::U64(self.errors() as u64)),
             ("warnings".into(), Json::U64(self.warnings() as u64)),
             ("findings".into(), Json::Arr(self.findings.iter().map(finding_json).collect())),
-            ("allowed".into(), silenced_json(&self.allowed)),
-            ("suppressed".into(), silenced_json(&self.suppressed)),
+            ("suppressed".into(), suppressed),
             (
                 "lock_graph".into(),
                 Json::Obj(vec![
@@ -240,10 +233,10 @@ fn meta_finding(
 }
 
 /// Lint every workspace source under `root` against all shipped rules,
-/// applying inline suppressions first, then the allowlist. Per-file
-/// `DV-W013` findings are replaced by the whole-workspace lock graph's
-/// (cross-file cycles are invisible to any single file).
-pub fn run_lint(root: &Path, allow: &Allowlist) -> std::io::Result<LintReport> {
+/// then apply the inline suppressions. Per-file `DV-W013` findings are
+/// replaced by the whole-workspace lock graph's (cross-file cycles are
+/// invisible to any single file).
+pub fn run_lint(root: &Path) -> std::io::Result<LintReport> {
     let mut report = LintReport::default();
     let mut graph = LockGraph::new();
     let mut raw_findings: Vec<Finding> = Vec::new();
@@ -285,22 +278,14 @@ pub fn run_lint(root: &Path, allow: &Allowlist) -> std::io::Result<LintReport> {
         raw_findings.push(f);
     }
 
-    // Inline suppressions first (the justification next to the code wins),
-    // then lint.toml.
-    let mut used_allow = vec![false; allow.entries.len()];
     for finding in raw_findings {
         let inline = suppressions.iter_mut().find(|(path, s, _)| {
             s.rule == finding.rule && s.target_line == finding.line && *path == finding.path
         });
-        if let Some((_, s, used)) = inline {
-            *used = true;
-            report.suppressed.push((finding, s.reason.clone()));
-            continue;
-        }
-        match allow.match_index(&finding) {
-            Some(i) => {
-                used_allow[i] = true;
-                report.allowed.push((finding, allow.entries[i].reason.clone()));
+        match inline {
+            Some((_, s, used)) => {
+                *used = true;
+                report.suppressed.push((finding, s.reason.clone()));
             }
             None => report.findings.push(finding),
         }
@@ -321,30 +306,9 @@ pub fn run_lint(root: &Path, allow: &Allowlist) -> std::io::Result<LintReport> {
             ));
         }
     }
-    for (i, used) in used_allow.iter().enumerate() {
-        if !used {
-            let e = &allow.entries[i];
-            report.findings.push(meta_finding(
-                "DV-S003",
-                "stale lint.toml entry: no finding matches it anymore",
-                "the exception outlived what it excused — delete the [[allow]] block",
-                "lint.toml",
-                e.defined_at,
-                String::new(),
-                format!(
-                    "rule={:?} path={:?} contains={:?} (reason: {})",
-                    e.rule.as_deref().unwrap_or("*"),
-                    e.path.as_deref().unwrap_or("*"),
-                    e.contains.as_deref().unwrap_or("*"),
-                    e.reason
-                ),
-            ));
-        }
-    }
 
     report.locks = graph;
     report.findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    report.allowed.sort_by(|a, b| (&a.0.path, a.0.line, a.0.rule).cmp(&(&b.0.path, b.0.line, b.0.rule)));
     report
         .suppressed
         .sort_by(|a, b| (&a.0.path, a.0.line, a.0.rule).cmp(&(&b.0.path, b.0.line, b.0.rule)));
@@ -364,15 +328,14 @@ mod tests {
     }
 
     #[test]
-    fn workspace_scan_is_clean_of_unallowlisted_findings() {
+    fn workspace_scan_has_no_unsuppressed_findings() {
         // The real workspace must lint clean — the same invariant CI
         // enforces. Walk up from this crate to the workspace root.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let allow = Allowlist::load(&root.join("lint.toml")).unwrap_or_default();
-        let report = run_lint(&root, &allow).expect("scan must succeed");
+        let report = run_lint(&root).expect("scan must succeed");
         assert!(
             report.findings.is_empty(),
-            "workspace has unallowlisted lint findings:\n{}",
+            "workspace has unsuppressed lint findings:\n{}",
             report
                 .findings
                 .iter()
@@ -386,8 +349,7 @@ mod tests {
     #[test]
     fn workspace_lock_graph_is_acyclic_and_names_known_locks(){
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let allow = Allowlist::load(&root.join("lint.toml")).unwrap_or_default();
-        let report = run_lint(&root, &allow).expect("scan must succeed");
+        let report = run_lint(&root).expect("scan must succeed");
         assert!(report.locks.cycles().is_empty(), "{:?}", report.locks.cycles());
         let names = report.locks.names();
         for expected in ["sim.kernel", "sim.registry", "api.vic", "api.barrier", "mpi.pending"] {
@@ -398,9 +360,8 @@ mod tests {
     #[test]
     fn json_report_is_byte_stable() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let allow = Allowlist::load(&root.join("lint.toml")).unwrap_or_default();
-        let a = run_lint(&root, &allow).expect("scan").to_json().render_pretty();
-        let b = run_lint(&root, &allow).expect("scan").to_json().render_pretty();
+        let a = run_lint(&root).expect("scan").to_json().render_pretty();
+        let b = run_lint(&root).expect("scan").to_json().render_pretty();
         assert_eq!(a, b);
         assert!(a.contains("\"schema\": \"dv-lint-v2\""));
     }

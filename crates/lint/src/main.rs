@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dv_lint::{run_lint, Allowlist, RULES};
+use dv_lint::{run_lint, RULES};
 
 const USAGE: &str = "\
 dv-lint — determinism & simulation-safety static analysis
@@ -16,7 +16,6 @@ USAGE:
 
 OPTIONS:
     --root <DIR>        workspace root to scan [default: auto-detected]
-    --allowlist <FILE>  audited exceptions [default: <root>/lint.toml]
     --deny-warnings     exit nonzero on warnings as well as errors
     --format <FMT>      output format: text (default) or json (stdout is
                         the deterministic dv-lint-v2 report, diagnostics
@@ -33,7 +32,6 @@ enum Format {
 
 struct Options {
     root: PathBuf,
-    allowlist: Option<PathBuf>,
     deny_warnings: bool,
     list_rules: bool,
     format: Format,
@@ -42,7 +40,6 @@ struct Options {
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         root: default_root(),
-        allowlist: None,
         deny_warnings: false,
         list_rules: false,
         format: Format::Text,
@@ -52,9 +49,6 @@ fn parse_args() -> Result<Options, String> {
         match arg.as_str() {
             "--root" => {
                 opts.root = PathBuf::from(args.next().ok_or("--root needs a directory")?);
-            }
-            "--allowlist" => {
-                opts.allowlist = Some(PathBuf::from(args.next().ok_or("--allowlist needs a file")?));
             }
             "--deny-warnings" => opts.deny_warnings = true,
             "--format" => {
@@ -102,16 +96,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let allow_path = opts.allowlist.clone().unwrap_or_else(|| opts.root.join("lint.toml"));
-    let allow = match Allowlist::load(&allow_path) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let report = match run_lint(&opts.root, &allow) {
+    let report = match run_lint(&opts.root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: scan failed: {e}");
@@ -126,20 +111,13 @@ fn main() -> ExitCode {
         println!("{}", report.to_json().render_pretty());
         eprintln!(
             "dv-lint: {} files scanned, {errors} error(s), {warnings} warning(s), \
-             {} allowlisted, {} suppressed inline",
+             {} suppressed inline",
             report.files,
-            report.allowed.len(),
             report.suppressed.len()
         );
     } else {
         for finding in &report.findings {
             println!("{}\n", finding.render());
-        }
-        for (finding, reason) in &report.allowed {
-            println!(
-                "allowed {} {}:{} ({reason})",
-                finding.rule, finding.path, finding.line
-            );
         }
         for (finding, reason) in &report.suppressed {
             println!(
@@ -149,9 +127,8 @@ fn main() -> ExitCode {
         }
         println!(
             "dv-lint: {} files scanned, {errors} error(s), {warnings} warning(s), \
-             {} allowlisted, {} suppressed inline",
+             {} suppressed inline",
             report.files,
-            report.allowed.len(),
             report.suppressed.len()
         );
     }

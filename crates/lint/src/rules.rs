@@ -507,7 +507,7 @@ pub static RULES: &[Rule] = &[
                   poisoned lock or closed channel would panic every process and bury \
                   the original error",
         hint: "use dv_core::sync::Mutex (lock() recovers from poisoning), or handle \
-               the Err arm explicitly; allowlist scheduler-fatal cases in lint.toml",
+               the Err arm explicitly; suppress scheduler-fatal cases inline, with the reason",
         crates: HOT_PATHS,
         skip_tests: false,
         matcher: Matcher::Line(w004_unwrap_on_sync),
@@ -529,7 +529,7 @@ pub static RULES: &[Rule] = &[
         summary: "print!/println!/eprint!/eprintln! in a library crate: libraries must \
                   not write to the process's stdout/stderr behind the caller's back",
         hint: "record through dv_core::metrics / dv_core::trace and let the caller \
-               render, or return the text; allowlist diagnostic test probes in lint.toml",
+               render, or return the text; suppress diagnostic test probes inline, with the reason",
         crates: LIBRARY,
         skip_tests: true,
         matcher: Matcher::Line(w006_print_in_library),

@@ -1,9 +1,8 @@
 //! Inline suppressions: `// dv-lint: allow(DV-W0NN, reason = "...")`.
 //!
-//! `lint.toml` is the right place for long-lived audited exceptions; the
-//! inline form exists for findings whose justification belongs next to
-//! the code (a provably-masked cast, a documented lock order). The
-//! grammar is strict on purpose:
+//! This is the one way to audit an exception: the justification sits
+//! next to the code it excuses (a provably-masked cast, a documented lock
+//! order, a scheduler-fatal `expect`). The grammar is strict on purpose:
 //!
 //! * exactly one rule id per comment,
 //! * a `reason` string is mandatory and must be non-empty,

@@ -24,9 +24,8 @@ pub struct MpiCluster {
 
 impl MpiCluster {
     /// Build a cluster from a [`SimSpec`] (one rank per node, as in the
-    /// paper's runs). Arms the spec's telemetry stream, if one was set.
-    pub fn from_spec(mut spec: SimSpec) -> Self {
-        spec.arm_stream();
+    /// paper's runs).
+    pub fn from_spec(spec: SimSpec) -> Self {
         Self { spec }
     }
 

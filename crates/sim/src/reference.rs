@@ -69,14 +69,14 @@ impl Sim {
                         }
                         match &slot.wake {
                             SlotWake::Channel(tx) => {
-                                tx.send(()).expect("process thread vanished")
+                                tx.send(()).expect("process thread vanished") // dv-lint: allow(DV-W004, reason = "scheduler-fatal (frozen reference engine): the process thread owning this channel vanished mid-run, so the simulation state is already unrecoverable and an immediate panic with this message is the clearest failure")
                             }
                             SlotWake::Parker(_) => {
                                 unreachable!("parker slots cannot appear in the reference loop")
                             }
                         }
                     }
-                    match self.report_rx.recv().expect("report channel closed") {
+                    match self.report_rx.recv().expect("report channel closed") { // dv-lint: allow(DV-W004, reason = "scheduler-fatal (frozen reference engine): the report channel closing means every process thread died without reporting; continuing would deadlock the scheduler loop")
                         Report::Parked(_) => {}
                         Report::Finished(pid) => {
                             let live = {

@@ -595,14 +595,6 @@ impl AnyTopology {
             AnyTopology::MinPath(_) => TopoKind::MinPath,
         }
     }
-
-    /// The Data Vortex topology, if this is one.
-    pub fn as_vortex(&self) -> Option<&Topology> {
-        match self {
-            AnyTopology::Vortex(t) => Some(t),
-            _ => None,
-        }
-    }
 }
 
 impl NetworkTopology for AnyTopology {

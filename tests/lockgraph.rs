@@ -25,7 +25,7 @@ use std::path::Path;
 use datavortex::core::spec::SimSpec;
 use datavortex::core::sync::{lock_order_conflicts, lock_order_edges};
 use datavortex::kernels::gups::{self, GupsConfig};
-use dv_lint::{run_lint, Allowlist};
+use dv_lint::run_lint;
 
 #[test]
 fn static_lock_graph_agrees_with_runtime_audit() {
@@ -39,8 +39,7 @@ fn static_lock_graph_agrees_with_runtime_audit() {
 
     // Static pass over the workspace that produced this binary.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let allow = Allowlist::load(&root.join("lint.toml")).expect("lint.toml parses");
-    let report = run_lint(root, &allow).expect("workspace sources readable");
+    let report = run_lint(root).expect("workspace sources readable");
     let static_names = report.locks.names();
     let static_cycles = report.locks.cycles();
 
