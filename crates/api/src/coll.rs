@@ -75,11 +75,6 @@ pub fn allreduce_sum_f64(dv: &DvCtx, ctx: &SimCtx, x: f64) -> f64 {
     sum
 }
 
-/// All-reduce a u64 by summation (same protocol).
-pub fn allreduce_sum_u64(dv: &DvCtx, ctx: &SimCtx, x: u64) -> u64 {
-    allreduce_sum_f64(dv, ctx, x as f64) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,16 +116,5 @@ mod tests {
         let results =
             DvCluster::from_spec(SimSpec::new(1)).run(|dv, ctx| allreduce_sum_f64(dv, ctx, 7.5)).result;
         assert_eq!(results[0], 7.5);
-    }
-
-    #[test]
-    fn u64_wrapper_handles_counts() {
-        let results = DvCluster::from_spec(SimSpec::new(4)).run(|dv, ctx| {
-            allreduce_sum_u64(dv, ctx, dv.node() as u64)
-        })
-        .result;
-        for r in results {
-            assert_eq!(r, 6);
-        }
     }
 }

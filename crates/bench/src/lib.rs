@@ -2,9 +2,9 @@
 //!
 //! One front end, `dv-bench <scenario> [flags]` (`src/main.rs`): one
 //! scenario per figure (the paper's evaluation has no numbered tables;
-//! its results are Figures 3–9), plus the studies, ablations and perf
-//! smokes around them, each a module of `src/scenarios/`. Two artifact
-//! tools are binaries of their own.
+//! its results are Figures 3–9), plus the studies and ablations around
+//! them, each a module of `src/scenarios/`. Two artifact tools are
+//! binaries of their own.
 //!
 //! | scenario | role | content |
 //! |---|---|---|
@@ -19,31 +19,26 @@
 //! | `scaling_study` | Section IX | barrier, GUPS and switch behaviour past 32 nodes; `--topo dv\|fattree\|minpath` pattern sweeps to 4096 ports |
 //! | `ablate_aggregation` | ablation | GUPS with source aggregation on/off |
 //! | `ablate_halo` | ablation | heat speedup vs the MPI baseline's halo strategy |
-//! | `perf_smoke` | perf trajectory | `SwitchSim` cycles/sec: narrow kernel vs the frozen reference, batched kernel at 4096 ports → `BENCH_switch.json` |
-//! | `net_smoke` | perf trajectory | `RoutedNetSim` cycles/sec vs the frozen reference → `BENCH_net.json` |
-//! | `sched_smoke` | perf trajectory | cooperative vs reference scheduler dispatch rate → `BENCH_sim.json` |
 //!
 //! | binary | role | content |
 //! |---|---|---|
 //! | `dv-bench` | front end | parses the command line once ([`Opts`]), looks the scenario up in its table, owns the [`Report`] |
-//! | `dv-report` | artifact tool | renders `BENCH_*.json`, `--timeline` for streams, `--gate` for CI |
+//! | `dv-report` | artifact tool | renders `BENCH_*.json`, `--timeline` for streams |
 //! | `dv-top` | artifact tool | live / `--replay` dashboard over a `dv-events-v1` stream |
 //!
-//! Every scenario accepts `--quick` for reduced problem sizes and `--json
-//! <path>` for a `dv-bench-v1` artifact; the figure, study and ablation
-//! scenarios also take `--stream <path>` for `dv-events-v1` telemetry.
+//! Every scenario accepts `--quick` for reduced problem sizes, `--json
+//! <path>` for a `dv-bench-v1` artifact and `--stream <path>` for
+//! `dv-events-v1` telemetry.
 //! A flag the chosen scenario does not take is an error, not a no-op
-//! (`dv-bench` with no arguments lists what each one takes). `perf_smoke`
-//! and `net_smoke` share [`replay`] — one seeded trace, one `drive` loop
-//! over any `dv_switch::CycleEngine`, one alternating best-of-reps — and
-//! both take `--verify <path>` for the deterministic half of their output.
-//! Host-time costs of the hot substrates are the per-layer probes of the
-//! `benchmark/` package, not a harness here.
+//! (`dv-bench` with no arguments lists what each one takes). Everything
+//! a scenario prints or writes is virtual time; its one host-time number
+//! is the `wall: <s> s` stderr line. What the simulator costs on the
+//! host — end to end and per layer, with a `--compare` that gates it —
+//! is the `benchmark/` package's ledger, not a harness here.
 
 use std::fmt::Write as _;
 
 pub mod opts;
-pub mod replay;
 pub mod report;
 pub mod stream;
 

@@ -1,5 +1,5 @@
 //! `dv-bench <scenario> [flags]` — the one front end to every figure,
-//! study, ablation and perf smoke.
+//! study and ablation.
 //!
 //! The command line is parsed once into [`Opts`] and checked against the
 //! scenario's row of [`SCENARIOS`]; misuse (no or an unknown scenario, an
@@ -13,14 +13,13 @@ use dv_bench::{Opts, Report, Scenario};
 mod scenarios;
 
 use scenarios::{
-    ablate_aggregation, ablate_halo, fig3, fig4, fig5, fig6, fig7, fig8, fig9, net_smoke,
-    perf_smoke, scaling_study, sched_smoke, switch_study,
+    ablate_aggregation, ablate_halo, fig3, fig4, fig5, fig6, fig7, fig8, fig9, scaling_study,
+    switch_study,
 };
 
 const STREAM: &[&str] = &["--stream", "--stream-interval"];
 const STREAM_FAULTS: &[&str] = &["--stream", "--stream-interval", "--faults"];
 const STREAM_TOPO: &[&str] = &["--stream", "--stream-interval", "--topo"];
-const VERIFY: &[&str] = &["--verify"];
 
 /// Every scenario: name, role, the flags it takes beyond `--quick` and
 /// `--json`, body.
@@ -37,9 +36,6 @@ const SCENARIOS: &[Scenario] = &[
     Scenario { name: "scaling_study", role: "Section IX: barrier, GUPS and switch past 32 nodes; --topo sweeps to 4096 ports", flags: STREAM_TOPO, run: scaling_study::run },
     Scenario { name: "ablate_aggregation", role: "ablation: GUPS with source aggregation on/off", flags: STREAM, run: ablate_aggregation::run },
     Scenario { name: "ablate_halo", role: "ablation: heat speedup vs the MPI baseline's halo strategy", flags: STREAM, run: ablate_halo::run },
-    Scenario { name: "perf_smoke", role: "perf trajectory: SwitchSim cycles/sec vs the frozen reference (host wall-clock)", flags: VERIFY, run: perf_smoke::run },
-    Scenario { name: "net_smoke", role: "perf trajectory: RoutedNetSim cycles/sec vs the frozen reference (host wall-clock)", flags: VERIFY, run: net_smoke::run },
-    Scenario { name: "sched_smoke", role: "perf trajectory: cooperative vs reference scheduler dispatch rate (host wall-clock)", flags: &[], run: sched_smoke::run },
 ];
 
 fn main() {

@@ -44,8 +44,6 @@ pub struct Opts {
     pub faults: Option<FaultPlan>,
     /// `--topo <kind>`: `dv`, `fattree` or `minpath`.
     pub topo: Option<TopoKind>,
-    /// `--verify <path>`: write the deterministic half of a perf smoke.
-    pub verify: Option<String>,
 }
 
 impl Opts {
@@ -59,7 +57,6 @@ impl Opts {
             stream_interval: us(10),
             faults: None,
             topo: None,
-            verify: None,
         }
     }
 
@@ -78,21 +75,26 @@ impl Opts {
             .ok_or_else(|| format!("unknown scenario {name:?}"))?;
         let mut opts = Opts::new(scenario.name);
         while let Some(arg) = args.next() {
-            if arg == "--quick" {
-                opts.quick = true;
-                continue;
-            }
             let (flag, inline) = match arg.split_once('=') {
                 Some((flag, value)) => (flag, Some(value.to_string())),
                 None => (arg.as_str(), None),
             };
+            if flag == "--quick" {
+                if inline.is_some() {
+                    return Err("--quick takes no value".into());
+                }
+                opts.quick = true;
+                continue;
+            }
             if flag != "--json" && !scenario.flags.contains(&flag) {
                 return Err(format!("{name} takes no flag {flag:?}"));
             }
             // A following `--flag` is the next flag, not this one's value
-            // (`--stream -` stays valid: one dash).
+            // (`--stream -` stays valid: one dash), and an empty value
+            // (`--json=`) is a forgotten one.
             let value = inline
                 .or_else(|| args.next().filter(|v| !v.starts_with("--")))
+                .filter(|v| !v.is_empty())
                 .ok_or_else(|| format!("{flag} requires a value"))?;
             match flag {
                 "--json" => opts.json = Some(PathBuf::from(value)),
@@ -109,7 +111,6 @@ impl Opts {
                     Some(kind) => opts.topo = Some(kind),
                     None => return Err(format!("unknown --topo {value:?} (expected dv, fattree, or minpath)")),
                 },
-                "--verify" => opts.verify = Some(value),
                 _ => unreachable!("{name} lists {flag}, which the front end does not parse"),
             }
         }

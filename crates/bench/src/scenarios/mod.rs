@@ -19,10 +19,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod net_smoke;
-pub mod perf_smoke;
 pub mod scaling_study;
-pub mod sched_smoke;
 pub mod switch_study;
 
 /// Run `f` on every item, each on its own host thread, and collect the
@@ -35,16 +32,6 @@ fn fan_out<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> 
         let handles: Vec<_> = items.iter().map(|item| s.spawn(move || f(item))).collect();
         handles.into_iter().map(|h| h.join().expect("scenario worker panicked")).collect()
     })
-}
-
-/// `--verify <path>`: write the deterministic half of a perf smoke.
-fn write_verify(opts: &Opts, text: &str) {
-    if let Some(path) = &opts.verify {
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 /// `--stream` on a switch study: a dedicated serial run of `sweep` at 0.7

@@ -51,6 +51,9 @@ fn parse_accepts_both_flag_forms_and_names_every_offender() {
         (&["study", "--quik"], "\"--quik\""),
         (&["study", "--quick", "--json"], "--json requires a value"),
         (&["study", "--json", "--quick"], "--json requires a value"),
+        // An empty inline value is a forgotten one, caught before anything runs.
+        (&["study", "--stream="], "--stream requires a value"),
+        (&["study", "--quick=1"], "--quick takes no value"),
         (&["plain", "--topo", "dv"], "plain takes no flag \"--topo\""),
         (&["study", "--topo", "torus"], "\"torus\""),
         (&["study", "--faults", "bogus"], "\"bogus\""),
@@ -81,9 +84,14 @@ fn misuse_exits_2_naming_the_problem_and_listing_the_scenarios() {
         (&["nope"], "unknown scenario \"nope\""),
         (&["fig6", "--quik"], "fig6 takes no flag \"--quik\""),
         (&["fig6", "--json"], "--json requires a value"),
+        (&["fig4", "--json="], "--json requires a value"),
         (&["fig6", "--topo", "dv"], "fig6 takes no flag \"--topo\""),
         (&["fig4", "--faults", "seed=1"], "fig4 takes no flag \"--faults\""),
-        (&["sched_smoke", "--stream", "-"], "sched_smoke takes no flag \"--stream\""),
+        (&["switch_study", "--topo", "fattree"], "switch_study takes no flag \"--topo\""),
+        // Not scenarios: `benchmark/` is the one perf harness.
+        (&["perf_smoke", "--quick"], "unknown scenario \"perf_smoke\""),
+        (&["net_smoke", "--quick"], "unknown scenario \"net_smoke\""),
+        (&["sched_smoke", "--quick"], "unknown scenario \"sched_smoke\""),
     ] {
         let (code, stdout, stderr) = dv_bench(args);
         assert_eq!(code, Some(2), "{args:?}");
@@ -91,6 +99,18 @@ fn misuse_exits_2_naming_the_problem_and_listing_the_scenarios() {
         assert!(stderr.contains(problem), "{args:?}: {stderr}");
         assert!(listed_scenarios(&stderr).iter().any(|s| s == "fig6"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn dv_report_names_a_flag_it_does_not_take_instead_of_opening_it() {
+    let out = Command::new(env!("CARGO_BIN_EXE_dv-report"))
+        .args(["--gate", "x.json"])
+        .output()
+        .expect("dv-report runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("usage: dv-report"), "{stderr}");
 }
 
 /// The scenario named by each `dv-bench` invocation in `text`: the word
@@ -119,7 +139,7 @@ fn scenarios_named_in(text: &str) -> Vec<String> {
 #[test]
 fn scenario_names_are_unique_and_docs_and_ci_name_only_them() {
     let table = listed_scenarios(&dv_bench(&[]).2);
-    assert_eq!(table.len(), 14, "{table:?}");
+    assert_eq!(table.len(), 11, "{table:?}");
     for (i, name) in table.iter().enumerate() {
         assert!(!table[..i].contains(name), "duplicate scenario {name}");
     }

@@ -85,17 +85,6 @@ fn mix(mut z: u64) -> u64 {
 }
 
 impl FaultPlan {
-    /// True when the plan can produce any fault at all (lets hot paths
-    /// skip fault bookkeeping entirely for the default plan).
-    pub fn is_active(&self) -> bool {
-        self.link_drop > 0.0
-            || self.link_dup > 0.0
-            || self.eject_stall > 0.0
-            || self.gc_set_delay > 0.0
-            || self.fifo_drop > 0.0
-            || (self.fifo_storm_period > 0 && self.fifo_storm_len > 0)
-    }
-
     /// Uniform `[0, 1)` roll for event `seq` of decision stream `stream`
     /// at site `(a, b)` — stateless, so any observer can replay it.
     pub fn roll(&self, stream: u64, a: u64, b: u64, seq: u64) -> f64 {
@@ -252,7 +241,6 @@ mod tests {
     #[test]
     fn default_plan_is_inert() {
         let plan = FaultPlan::default();
-        assert!(!plan.is_active());
         assert!(!plan.link_drops(0, 1, 0));
         assert!(!plan.fifo_forced_drop(0, 0));
         assert!(plan.eject_stall(0, 1, 0).is_none());

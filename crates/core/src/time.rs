@@ -37,18 +37,6 @@ pub const fn ms(v: u64) -> Time {
     v * MS
 }
 
-/// Construct a duration from a floating-point number of nanoseconds.
-#[inline]
-pub fn ns_f64(v: f64) -> Time {
-    (v * NS as f64).round().max(0.0) as Time
-}
-
-/// Construct a duration from a floating-point number of microseconds.
-#[inline]
-pub fn us_f64(v: f64) -> Time {
-    (v * US as f64).round().max(0.0) as Time
-}
-
 /// Construct a duration from a floating point number of seconds.
 #[inline]
 pub fn secs_f64(v: f64) -> Time {
@@ -65,12 +53,6 @@ pub fn as_secs_f64(t: Time) -> f64 {
 #[inline]
 pub fn as_us_f64(t: Time) -> f64 {
     t as f64 / US as f64
-}
-
-/// Convert a duration to floating-point nanoseconds.
-#[inline]
-pub fn as_ns_f64(t: Time) -> f64 {
-    t as f64 / NS as f64
 }
 
 /// Time to move `bytes` at a rate of `gbps` **gigabytes per second**
@@ -114,8 +96,6 @@ mod tests {
         assert_eq!(ns(3), 3_000);
         assert_eq!(us(2), 2_000_000);
         assert_eq!(ms(1), MS);
-        assert_eq!(ns_f64(1.5), 1_500);
-        assert_eq!(us_f64(0.25), 250_000);
         assert_eq!(secs_f64(1e-12), 1);
     }
 
@@ -123,7 +103,6 @@ mod tests {
     fn as_float_conversions() {
         assert!((as_secs_f64(SEC) - 1.0).abs() < 1e-12);
         assert!((as_us_f64(us(7)) - 7.0).abs() < 1e-12);
-        assert!((as_ns_f64(ns(9)) - 9.0).abs() < 1e-12);
     }
 
     #[test]

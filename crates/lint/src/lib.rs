@@ -4,8 +4,7 @@
 //! discrete-event simulation is *deterministic* — same seed in, identical
 //! event trace out. That promise is easy to break silently: one `HashMap`
 //! iteration feeding a send loop, one `Instant::now()` in a cost model,
-//! one `thread_rng()` in a workload generator, and results stop
-//! reproducing while every functional test still passes.
+//! and results stop reproducing while every functional test still passes.
 //!
 //! `dv-lint` is the static half of the enforcement (the runtime halves
 //! are `dv_sim::OrderAudit` and `dv_core::sync::lock_order_conflicts`).
@@ -24,9 +23,7 @@
 //! |----|----------|---------|
 //! | `DV-W001` | error | `HashMap`/`HashSet` in simulation-reachable code (iteration order can leak into simulated sends) — use `BTreeMap`/`BTreeSet` or a sorted drain |
 //! | `DV-W002` | error | wall-clock time (`Instant`, `SystemTime`) inside simulation crates — all time must be virtual |
-//! | `DV-W003` | error | non-seeded randomness (`thread_rng`, `rand::random`, `from_entropy`, `OsRng`) outside `dv-bench` |
 //! | `DV-W004` | warning | `unwrap()`/`expect()` on lock or channel results in sim hot paths — use `dv_core::sync::Mutex` (poison-recovering) or handle the error |
-//! | `DV-W005` | warning | floating-point reduction over a potentially unordered container — float addition is not associative, so order changes bits |
 //! | `DV-W006` | warning | `print!`-family macros in library crates — record through metrics/trace instead |
 //! | `DV-W007` | warning | mixed `Ordering::Relaxed`/`Ordering::SeqCst` atomics in one function |
 //! | `DV-W008` | error | raw `std::thread::spawn` outside the dv-sim scheduler |

@@ -63,9 +63,9 @@ impl AnalyzedFile {
 }
 
 /// Crates whose code runs (or builds data used) inside the simulation:
-/// iteration order and float reduction order there can reach the event
-/// trace. `datavortex` is the root facade crate; `tests` the root
-/// integration tests, which assert bit-exactness and so inherit the rules.
+/// iteration order there can reach the event trace. `datavortex` is the
+/// root facade crate; `tests` the root integration tests, which assert
+/// bit-exactness and so inherit the rules.
 const SIM_REACHABLE: &[&str] =
     &["core", "sim", "switch", "vic", "mpi", "api", "kernels", "apps", "datavortex", "tests"];
 
@@ -73,12 +73,6 @@ const SIM_REACHABLE: &[&str] =
 /// engines) where a panic on a poisoned lock or closed channel would tear
 /// down the run with a misleading secondary error.
 const HOT_PATHS: &[&str] = &["sim", "api", "mpi", "vic", "switch"];
-
-/// Everything except `dv-bench` (the one crate allowed wall-clock and, if
-/// it ever needs it, OS randomness for non-result-bearing purposes).
-const ALL_BUT_BENCH: &[&str] = &[
-    "core", "sim", "switch", "vic", "mpi", "api", "kernels", "apps", "lint", "datavortex", "tests",
-];
 
 /// Library crates: everything a downstream program links against. Binaries
 /// (`dv-bench`) and the lint tool itself own their stdout; libraries do
@@ -196,30 +190,12 @@ fn w002_wall_clock(_: &AnalyzedFile, line: &str) -> bool {
     any_token(line, &["Instant", "SystemTime"])
 }
 
-fn w003_unseeded_rng(_: &AnalyzedFile, line: &str) -> bool {
-    any_token(line, &["thread_rng", "from_entropy", "OsRng", "getrandom"])
-        || line.contains("rand::random")
-}
-
 fn w004_unwrap_on_sync(_: &AnalyzedFile, line: &str) -> bool {
     let unwraps = line.contains(".unwrap()") || line.contains(".expect(");
     let sync_result = [".lock()", ".try_lock()", ".recv()", ".try_recv()", ".send("]
         .iter()
         .any(|p| line.contains(p));
     unwraps && sync_result
-}
-
-fn w005_float_reduce_unordered(file: &AnalyzedFile, line: &str) -> bool {
-    let reduces = [".sum::<f32", ".sum::<f64", ".product::<f32", ".product::<f64",
-        "fold(0.0", "fold(0f32", "fold(0f64"]
-        .iter()
-        .any(|p| line.contains(p));
-    let iterates = [".values()", ".keys()", ".iter()", ".into_iter()", ".drain("]
-        .iter()
-        .any(|p| line.contains(p));
-    reduces
-        && iterates
-        && (file.src.code_contains("HashMap") || file.src.code_contains("HashSet"))
 }
 
 fn w006_print_in_library(_: &AnalyzedFile, line: &str) -> bool {
@@ -491,16 +467,6 @@ pub static RULES: &[Rule] = &[
         matcher: Matcher::Line(w002_wall_clock),
     },
     Rule {
-        id: "DV-W003",
-        severity: Severity::Error,
-        summary: "non-seeded randomness: results would change run to run",
-        hint: "use dv_core::rng::SplitMix64 (or HpccStream) with an explicit seed \
-               threaded from the workload config",
-        crates: ALL_BUT_BENCH,
-        skip_tests: false,
-        matcher: Matcher::Line(w003_unseeded_rng),
-    },
-    Rule {
         id: "DV-W004",
         severity: Severity::Warning,
         summary: "unwrap()/expect() on a lock or channel result in a sim hot path: a \
@@ -511,17 +477,6 @@ pub static RULES: &[Rule] = &[
         crates: HOT_PATHS,
         skip_tests: false,
         matcher: Matcher::Line(w004_unwrap_on_sync),
-    },
-    Rule {
-        id: "DV-W005",
-        severity: Severity::Warning,
-        summary: "floating-point reduction over a possibly unordered container: float \
-                  addition is not associative, so iteration order changes bits",
-        hint: "collect into a Vec and sort (or use a BTree container) before \
-               reducing floats",
-        crates: SIM_REACHABLE,
-        skip_tests: false,
-        matcher: Matcher::Line(w005_float_reduce_unordered),
     },
     Rule {
         id: "DV-W006",
@@ -689,22 +644,10 @@ mod tests {
             include_str!("../fixtures/w002_neg.rs"),
         ),
         (
-            "DV-W003",
-            "kernels",
-            include_str!("../fixtures/w003_pos.rs"),
-            include_str!("../fixtures/w003_neg.rs"),
-        ),
-        (
             "DV-W004",
             "mpi",
             include_str!("../fixtures/w004_pos.rs"),
             include_str!("../fixtures/w004_neg.rs"),
-        ),
-        (
-            "DV-W005",
-            "apps",
-            include_str!("../fixtures/w005_pos.rs"),
-            include_str!("../fixtures/w005_neg.rs"),
         ),
         (
             "DV-W006",
@@ -819,16 +762,13 @@ mod tests {
         assert!(scan_source("bench", "crates/bench/src/x.rs", src).is_empty());
         // ...but not in the sim engine.
         assert!(!scan_source("sim", "crates/sim/src/x.rs", src).is_empty());
-        // Unseeded randomness is flagged even in the lint crate itself.
-        let rng = "fn t() { let x = thread_rng(); }\n";
-        assert!(!scan_source("lint", "crates/lint/src/x.rs", rng).is_empty());
     }
 
     #[test]
     fn comments_and_strings_never_trip_rules() {
         let src = r#"
 // HashMap in a comment is fine; so is Instant::now in prose.
-/// Docs may say thread_rng freely.
+/// Docs may say SystemTime freely.
 fn ok() {
     let s = "HashMap::new() and Instant::now() in a string";
     let _ = s;
@@ -849,9 +789,7 @@ fn ok() {
         let expect = [
             ("DV-W001", Severity::Error),
             ("DV-W002", Severity::Error),
-            ("DV-W003", Severity::Error),
             ("DV-W004", Severity::Warning),
-            ("DV-W005", Severity::Warning),
             ("DV-W006", Severity::Warning),
             ("DV-W007", Severity::Warning),
             ("DV-W008", Severity::Error),

@@ -40,11 +40,6 @@ impl SourceFile {
         self.code.iter().enumerate().map(|(i, l)| (i + 1, l.as_str()))
     }
 
-    /// Does any sanitized line contain `needle`?
-    pub fn code_contains(&self, needle: &str) -> bool {
-        self.code.iter().any(|l| l.contains(needle))
-    }
-
     /// Tokens with comments filtered out — the stream structural analysis
     /// (scopes, lock nesting, cast operands) walks.
     pub fn code_tokens(&self) -> Vec<&Token> {

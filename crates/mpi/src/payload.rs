@@ -83,18 +83,6 @@ impl Payload {
             other => panic!("expected C64 payload, got {other:?}"),
         }
     }
-
-    /// Unwrap as raw bytes.
-    ///
-    /// # Panics
-    /// Panics on type mismatch.
-    pub fn into_bytes(self) -> Vec<u8> {
-        match self {
-            Payload::Bytes(v) => v,
-            Payload::Empty => Vec::new(),
-            other => panic!("expected Bytes payload, got {other:?}"),
-        }
-    }
 }
 
 impl From<Vec<u64>> for Payload {
@@ -130,7 +118,6 @@ mod tests {
     fn unwrap_round_trips() {
         assert_eq!(Payload::from(vec![1u64, 2]).into_u64(), vec![1, 2]);
         assert_eq!(Payload::from(vec![1.5f64]).into_f64(), vec![1.5]);
-        assert_eq!(Payload::from(vec![9u8]).into_bytes(), vec![9]);
         assert_eq!(Payload::Empty.into_u64(), Vec::<u64>::new());
     }
 

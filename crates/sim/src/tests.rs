@@ -259,30 +259,42 @@ fn simulation_is_deterministic() {
     assert_ne!(a, c, "different seeds should change the trace");
 }
 
-/// Every message of a lockstep ring is a real cross-thread handoff — the
+/// Two shapes hold the cooperative engine to the reference scheduler.
+/// Every message of a lockstep *ring* is a real cross-thread handoff — the
 /// path on which `drive()` grants the next process's parker after dropping
-/// its registry guard — so the cooperative engine is held to the reference
-/// scheduler on exactly that path.
+/// its registry guard. Staggered self-delivery *pumps* are the opposite
+/// path: each process talks to its own port inside a virtual-time window
+/// no other process touches, so every commit's next event belongs to the
+/// process that just parked (`Driven::RunSelf`, no handoff at all).
 #[test]
 fn lockstep_ring_handoffs_match_the_reference_engine() {
-    fn ring(engine: crate::Engine) -> (u64, u64) {
-        const NODES: usize = 32;
+    const NODES: usize = 32;
+    const MSGS: u64 = 100;
+    /// `window` 0 is the ring; otherwise process `me` pumps its own port
+    /// from `me × window` on.
+    fn run(engine: crate::Engine, window: u64) -> (u64, u64) {
         let sim = Sim::with_engine(engine);
         let ports: Arc<Vec<Port<u64>>> = Arc::new((0..NODES).map(|_| Port::new()).collect());
         for me in 0..NODES {
             let ports = Arc::clone(&ports);
-            sim.spawn(format!("ring{me}"), move |ctx| {
-                for round in 0..100 {
-                    ports[(me + 1) % NODES].send_delayed(ctx, us(1), round);
-                    assert_eq!(ports[me].recv(ctx), ((round + 1) * us(1), round));
+            sim.spawn(format!("p{me}"), move |ctx| {
+                let start = me as u64 * window;
+                let to = if window == 0 { (me + 1) % NODES } else { me };
+                ctx.wait_until(start);
+                for round in 0..MSGS {
+                    ports[to].send_delayed(ctx, us(1), round);
+                    assert_eq!(ports[me].recv(ctx), (start + (round + 1) * us(1), round));
                 }
             });
         }
         sim.run_hashed()
     }
-    let cooperative = ring(crate::Engine::Cooperative);
-    assert_eq!(cooperative.0, us(100));
-    assert_eq!(cooperative, ring(crate::Engine::Reference));
+    let pump = us(MSGS + 16);
+    for (window, elapsed) in [(0, us(MSGS)), (pump, (NODES as u64 - 1) * pump + us(MSGS))] {
+        let cooperative = run(crate::Engine::Cooperative, window);
+        assert_eq!(cooperative.0, elapsed);
+        assert_eq!(cooperative, run(crate::Engine::Reference, window));
+    }
 }
 
 #[test]

@@ -26,8 +26,7 @@
 //! injection FIFOs and accounting (the private `engine` module), and the
 //! two frozen oracles the test suites compare them against —
 //! [`reference`] keeps the pre-refactor switch simulator, [`net_reference`]
-//! the pre-rebuild routed engine. The oracles are also the denominators of
-//! the `perf_smoke` / `net_smoke` speedup figures.
+//! the pre-rebuild routed engine. The oracles have no other caller.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -83,19 +83,6 @@ impl SwitchModel {
             + self.eject
     }
 
-    /// Average one-way latency over all port pairs (used where per-pair
-    /// resolution doesn't matter, e.g. barrier cost composition).
-    pub fn mean_traversal(&self, load: f64) -> Time {
-        let p = self.net.ports();
-        let mut total = 0u128;
-        for s in 0..p {
-            for d in 0..p {
-                total += self.traversal(s, d, load) as u128;
-            }
-        }
-        (total / (p * p) as u128) as Time
-    }
-
     /// Calibrate the saturation deflection coefficient against the cycle
     /// simulator under uniform traffic: measures mean deflections at high
     /// load and stores them. Returns the calibrated value.
@@ -159,12 +146,5 @@ mod tests {
         let v = m.calibrate(1);
         // "statistically by two hops": accept a generous band.
         assert!(v > 0.05 && v < 6.0, "calibrated deflection hops = {v}");
-    }
-
-    #[test]
-    fn mean_traversal_is_sub_microsecond() {
-        // Sanity: the DV pitch is sub-µs fine-grained messaging.
-        let m = model();
-        assert!(m.mean_traversal(0.5) < dv_core::time::us(1));
     }
 }

@@ -6,16 +6,12 @@
 //! [`NetworkTopology::route_one_hop`] on every hop of every packet
 //! (`MinPathGraph` re-scans its sorted adjacency against the O(n²)
 //! distance table each time), and a linear `used_links.contains` scan per
-//! forwarded packet. It exists for the same two jobs as
-//! [`crate::reference::ReferenceSwitchSim`]:
-//!
-//! * **Equivalence proof.** `crates/switch/tests/net_equivalence.rs`
-//!   drives it and the rebuilt simulator with identical traffic and
-//!   asserts the [`Delivered`] streams are bit-identical — the rebuild
-//!   must not change a single delivered packet on any topology.
-//! * **Perf baseline.** `dv-bench`'s `net_smoke` binary measures its
-//!   cycles/sec against the rebuilt path and records the speedup in
-//!   `BENCH_net.json`, gated ≥ 3× in CI by `dv-report --gate`.
+//! forwarded packet. It exists for the same one job as
+//! [`crate::reference::ReferenceSwitchSim`], the equivalence proof:
+//! `crates/switch/tests/equivalence.rs` drives it and the rebuilt
+//! simulator with identical traffic and asserts the [`Delivered`] streams
+//! are bit-identical — the rebuild must not change a single delivered
+//! packet on any topology. Nothing times it.
 //!
 //! The only deliberate divergence from the original: the hop histogram
 //! and metrics flush seams were dropped (they fed `publish_metrics`,

@@ -3,16 +3,12 @@
 //! This is the original (naive) [`crate::cycle::SwitchSim`] hot path,
 //! kept verbatim: a `Vec<Vec<Option<Flit>>>` grid reallocated every
 //! cycle, a full `cylinders × ports` scan per step, and an O(ports)
-//! [`ReferenceSwitchSim::outstanding`]. It exists for two jobs:
-//!
-//! * **Equivalence proof.** `crates/switch/tests/equivalence.rs` drives it
-//!   and the optimized simulator with identical traffic and asserts the
-//!   `Delivered` streams are bit-identical — the refactor must not change
-//!   a single delivered packet.
-//! * **Perf baseline.** `dv-bench`'s `perf_smoke` binary measures its
-//!   cycles/sec against the optimized path and records the speedup in
-//!   `BENCH_switch.json`, so every future PR has a trajectory to regress
-//!   against.
+//! [`ReferenceSwitchSim::outstanding`]. It exists for one job, the
+//! equivalence proof: `crates/switch/tests/equivalence.rs` drives it and
+//! the optimized simulator with identical traffic and asserts the
+//! `Delivered` streams are bit-identical — the refactor must not change a
+//! single delivered packet. Nothing times it; the optimized path's speed
+//! is tracked in absolute terms by the `benchmark/` ledger.
 //!
 //! The only deliberate divergence from the original: the hop/deflection
 //! histograms and occupancy accumulators were dropped (they fed

@@ -4,7 +4,7 @@
 //! a self-contained replacement for an external property-testing crate.
 //! Failures print the offending case's seed/index so a case can be
 //! replayed exactly; the streams are fixed-seed, so runs are fully
-//! deterministic (no `DV-W003` non-seeded randomness).
+//! deterministic (no non-seeded randomness).
 
 use std::sync::Arc;
 
