@@ -424,6 +424,16 @@ impl DvCtx {
     /// PCIe round trips (~µs each), so anything beyond a couple of words
     /// goes through the 8×-faster DMA path, as the paper's API encourages.
     pub fn read_local(&self, ctx: &SimCtx, address: u32, n: usize) -> Vec<Word> {
+        let mut out = Vec::with_capacity(n);
+        self.lend_local(ctx, address, n, |run| out.extend_from_slice(run));
+        out
+    }
+
+    /// [`DvCtx::read_local`] without the copy: one PCIe charge for all `n`
+    /// words, then `f` sees them in place, in address order, in the
+    /// page-contiguous runs of [`dv_vic::DvMemory::lend_range`]. `f` runs
+    /// with this node's VIC held, so it must not block on `ctx`.
+    pub fn lend_local(&self, ctx: &SimCtx, address: u32, n: usize, f: impl FnMut(&[Word])) {
         let pcie = &self.world.pcie[self.node];
         let end = if n <= 2 {
             pcie.pio_read(ctx.now(), n as u64).1
@@ -431,9 +441,7 @@ impl DvCtx {
             pcie.dma_from_vic(ctx.now(), n as u64 * PAYLOAD_BYTES).1
         };
         ctx.wait_until(end);
-        let mut out = vec![0; n];
-        self.world.vics[self.node].lock().memory.read_range(address, &mut out);
-        out
+        self.world.vics[self.node].lock().memory.lend_range(address, n, f);
     }
 
     /// Poll the host-side shadow of the VIC's *status page* (the first

@@ -111,9 +111,9 @@ impl GlobalArray {
         dv.write_blocks(ctx, blocks, SendMode::Dma { cached_headers: true })
     }
 
-    /// Read this node's local span into host memory.
-    pub fn read_local(&self, dv: &DvCtx, ctx: &SimCtx) -> Vec<Word> {
-        dv.read_local(ctx, self.base, self.per_node)
+    /// Lend this node's local span to `f` ([`DvCtx::lend_local`]).
+    pub fn lend_local(&self, dv: &DvCtx, ctx: &SimCtx, f: impl FnMut(&[Word])) {
+        dv.lend_local(ctx, self.base, self.per_node, f)
     }
 
     /// Initialize this node's local span from host memory.
@@ -187,7 +187,9 @@ mod tests {
             }
             dv.barrier(ctx);
             ctx.delay(us(100));
-            ga.read_local(dv, ctx)
+            let mut mine = Vec::new();
+            ga.lend_local(dv, ctx, |run| mine.extend_from_slice(run));
+            mine
         })
         .result;
         // Reassemble and check the global view.
@@ -207,8 +209,9 @@ mod tests {
                 dv.gc_set_local(ctx, 13, 64);
                 dv.barrier(ctx);
                 let ok = dv.gc_wait_zero(ctx, 13, None);
-                let v = ga.read_local(dv, ctx);
-                ok && v.iter().sum::<u64>() == (0..64).sum::<u64>()
+                let mut sum = 0;
+                ga.lend_local(dv, ctx, |run| sum += run.iter().sum::<u64>());
+                ok && sum == (0..64).sum::<u64>()
             } else {
                 dv.barrier(ctx);
                 let values: Vec<u64> = (0..64).collect();

@@ -59,6 +59,8 @@ pub fn run_spec(cfg: HeatConfig, spec: SimSpec) -> HeatRunResult {
         dv.gc_set_local(ctx, HALO_GC[1], expected);
         dv.barrier(ctx);
         let mut last_heat = 0.0;
+        let ghost_words = 6 * max_face(&cfg) as usize;
+        let mut region = Vec::with_capacity(ghost_words);
 
         for step in 0..cfg.steps {
             let parity = step % 2;
@@ -85,20 +87,18 @@ pub fn run_spec(cfg: HeatConfig, spec: SimSpec) -> HeatRunResult {
             assert!(ok, "halo exchange never completed");
             dv.gc_set_local(ctx, HALO_GC[parity], expected);
             // One DMA drains all six ghost planes (parity-major layout).
-            let region = dv.read_local(
-                ctx,
-                face_region(&cfg, Face::Xm, parity),
-                6 * max_face(&cfg) as usize,
-            );
+            // A plane may straddle the lent runs, so they are gathered
+            // first, into the buffer every step reuses.
+            region.clear();
+            dv.lend_local(ctx, face_region(&cfg, Face::Xm, parity), ghost_words, |run| {
+                region.extend_from_slice(run)
+            });
             for f in Face::ALL {
                 if neighbor(f).is_some() {
                     let off = (f.index() as u32 * max_face(&cfg)) as usize;
-                    let data: Vec<f64> = region[off..off + block.face_len(f)]
-                        .iter()
-                        .map(|&w| f64::from_bits(w))
-                        .collect();
-                    charge_mem_bytes(ctx, &compute, 8 * data.len() as u64);
-                    block.set_ghost(f, &data);
+                    let words = &region[off..off + block.face_len(f)];
+                    charge_mem_bytes(ctx, &compute, 8 * words.len() as u64);
+                    block.set_ghost(f, words.iter().map(|&w| f64::from_bits(w)));
                 }
             }
 

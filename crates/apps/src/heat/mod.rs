@@ -319,10 +319,10 @@ impl LocalBlock {
     }
 
     /// Fill the ghost plane of face `f`.
-    pub fn set_ghost(&mut self, f: Face, data: &[f64]) {
+    pub fn set_ghost(&mut self, f: Face, data: impl ExactSizeIterator<Item = f64>) {
         debug_assert_eq!(data.len(), self.face_len(f));
         let coords: Vec<_> = self.face_coords(f, true).collect();
-        for (c, &v) in coords.into_iter().zip(data) {
+        for (c, v) in coords.into_iter().zip(data) {
             let idx = self.idx(c.0, c.1, c.2);
             self.u[idx] = v;
         }
@@ -436,7 +436,7 @@ mod tests {
             assert_eq!(face.len(), b.face_len(f));
             // Setting a ghost then reading it back through idx works.
             let marked: Vec<f64> = (0..face.len()).map(|i| 1000.0 + i as f64).collect();
-            b.set_ghost(f, &marked);
+            b.set_ghost(f, marked.into_iter());
             let coords: Vec<_> = b.face_coords(f, true).collect();
             for (n, c) in coords.into_iter().enumerate() {
                 assert_eq!(b.u[b.idx(c.0, c.1, c.2)], 1000.0 + n as f64);

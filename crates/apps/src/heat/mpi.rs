@@ -61,7 +61,7 @@ pub fn run_spec(cfg: HeatConfig, spec: SimSpec) -> HeatRunResult {
                             let data =
                                 comm.recv_from(ctx, n, face_tag(f, 0)).payload.into_f64();
                             charge_mem_bytes(ctx, &compute, 8 * data.len() as u64);
-                            block.set_ghost(of, &data);
+                            block.set_ghost(of, data.into_iter());
                         }
                         if let Some(r) = req {
                             comm.wait(ctx, r);
@@ -108,7 +108,7 @@ pub fn run_spec(cfg: HeatConfig, spec: SimSpec) -> HeatRunResult {
                                 buf
                             };
                             charge_mem_bytes(ctx, &compute, 8 * data.len() as u64);
-                            block.set_ghost(f, &data);
+                            block.set_ghost(f, data.into_iter());
                         }
                     }
                     comm.wait_all(ctx, reqs);

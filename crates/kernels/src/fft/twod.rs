@@ -58,9 +58,9 @@ pub fn fft2d_dist<E: TransposeEngine>(
         *flops += f;
     };
     run_rows(local, ctx, &mut flops);
-    *local = eng.transpose(ctx, local, m, m);
+    *local = eng.transpose(ctx, std::mem::take(local), m, m);
     run_rows(local, ctx, &mut flops);
-    *local = eng.transpose(ctx, local, m, m);
+    *local = eng.transpose(ctx, std::mem::take(local), m, m);
     flops
 }
 

@@ -96,7 +96,7 @@ fn recv_message(dv: &DvCtx, ctx: &SimCtx, words: usize) -> Vec<Word> {
         // peer cannot send that chunk before it has our full reply, which
         // we only send after this whole recv, so the re-arm cannot race.
         dv.gc_set_local(ctx, gc, len as u64);
-        out.extend(dv.read_local(ctx, off as u32, len));
+        dv.lend_local(ctx, off as u32, len, |run| out.extend_from_slice(run));
         off += len;
     }
     out

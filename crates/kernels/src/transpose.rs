@@ -7,6 +7,10 @@
 //! (two alternating regions + group counters), which is the paper's
 //! "data reordering and redistribution ... integrated with normal data
 //! transfers without substantial additional overhead".
+//!
+//! The host side of either engine is one buffer: the caller hands its
+//! rows over by value and gets the same allocation back, the delivered
+//! data unpacked over the input once nothing reads from it any more.
 
 use dv_api::world::BlockWrite;
 use dv_api::{DvCtx, SendMode};
@@ -22,11 +26,13 @@ use dv_api::coll as dvcoll;
 /// A distributed matrix transpose between row-distributed layouts.
 pub trait TransposeEngine {
     /// Transpose `local` (my `rows` rows of length `row_len`, row-major)
-    /// into my rows of the transposed matrix (length `new_row_len`).
+    /// into my rows of the transposed matrix (length `new_row_len`),
+    /// returned in `local`'s own allocation: the payload per node is the
+    /// same in both layouts, and the engine owns the buffer in between.
     fn transpose(
         &mut self,
         ctx: &SimCtx,
-        local: &[Complex],
+        local: Vec<Complex>,
         row_len: usize,
         new_row_len: usize,
     ) -> Vec<Complex>;
@@ -50,12 +56,15 @@ pub struct MpiTranspose<'a> {
     /// The communicator.
     pub comm: &'a Comm,
     compute: ComputeParams,
+    /// The blocks the previous transpose received: the next one packs
+    /// into them (the same sizes by construction).
+    spare: Vec<Vec<f64>>,
 }
 
 impl<'a> MpiTranspose<'a> {
     /// Wrap a communicator; `compute` is the spec's `machine.compute`.
     pub fn new(comm: &'a Comm, compute: ComputeParams) -> Self {
-        Self { comm, compute }
+        Self { comm, compute, spare: Vec::new() }
     }
 }
 
@@ -63,19 +72,27 @@ impl TransposeEngine for MpiTranspose<'_> {
     fn transpose(
         &mut self,
         ctx: &SimCtx,
-        local: &[Complex],
+        mut local: Vec<Complex>,
         row_len: usize,
         new_row_len: usize,
     ) -> Vec<Complex> {
         let p = self.comm.size();
         let rows = local.len() / row_len;
+        // Anything else is a slice panic in the pack loop, or silently wrong columns.
+        assert!(
+            row_len.is_multiple_of(p) && rows * row_len == local.len() && new_row_len == rows * p,
+            "{} elements are not rows of {row_len} that {p} ranks transpose into rows of {new_row_len}",
+            local.len()
+        );
         let my_new_rows = row_len / p; // my columns become rows
         // Columns `dst·my_new_rows..` of every local row, row-major,
         // interleaved straight into the message.
         let blocks: Vec<Payload> = (0..p)
             .map(|dst| {
                 let cols = dst * my_new_rows..(dst + 1) * my_new_rows;
-                let mut block = Vec::with_capacity(2 * rows * my_new_rows);
+                let mut block = self.spare.pop().unwrap_or_default();
+                block.clear();
+                block.reserve_exact(2 * rows * my_new_rows);
                 for row in local.chunks_exact(row_len) {
                     block.extend(row[cols.clone()].iter().flat_map(|v| [v.re, v.im]));
                 }
@@ -84,20 +101,21 @@ impl TransposeEngine for MpiTranspose<'_> {
             .collect();
         // Packing cost: one pass over the local data.
         charge_mem_bytes(ctx, &self.compute, (local.len() * 16) as u64);
-        let incoming = self.comm.alltoall(ctx, blocks);
-        // `src`'s row `i` becomes column `src·rows + i` of my new rows.
-        let mut out = vec![Complex::zero(); my_new_rows * new_row_len];
-        for (src, payload) in incoming.into_iter().enumerate() {
-            let block = payload.into_c64();
-            for (i, row) in block.chunks_exact(2 * my_new_rows).enumerate() {
-                for (new_row, v) in row.chunks_exact(2).enumerate() {
-                    out[new_row * new_row_len + src * rows + i] = Complex::new(v[0], v[1]);
+        let incoming: Vec<Vec<f64>> =
+            self.comm.alltoall(ctx, blocks).into_iter().map(Payload::into_c64).collect();
+        // `src`'s row `i` becomes column `src·rows + i` of my new rows:
+        // new-row-major, so each block fills one contiguous run per row.
+        for (new_row, out) in local.chunks_exact_mut(new_row_len).enumerate() {
+            for (out, block) in out.chunks_exact_mut(rows).zip(&incoming) {
+                for (o, row) in out.iter_mut().zip(block.chunks_exact(2 * my_new_rows)) {
+                    *o = Complex::new(row[2 * new_row], row[2 * new_row + 1]);
                 }
             }
         }
+        self.spare = incoming;
         // Unpacking cost: one pass over the received data.
-        charge_mem_bytes(ctx, &self.compute, (out.len() * 16) as u64);
-        out
+        charge_mem_bytes(ctx, &self.compute, (local.len() * 16) as u64);
+        local
     }
 
     fn allreduce_sum(&mut self, ctx: &SimCtx, x: f64) -> f64 {
@@ -122,6 +140,8 @@ impl TransposeEngine for MpiTranspose<'_> {
 /// split into pipeline chunks (row ranges) with their own group counters,
 /// so the host drains row-range *k* while range *k+1* is still arriving —
 /// the multi-buffered overlap the paper credits for DV FFT performance.
+/// Both regions are DV memory; on the host the engine holds nothing
+/// between transposes and, during one, only the caller's vector.
 pub struct DvTranspose<'a> {
     /// The API handle.
     pub dv: &'a DvCtx,
@@ -209,6 +229,9 @@ impl<'a> DvTranspose<'a> {
     ) -> Self {
         let elems = shapes[0].0 * shapes[0].1;
         assert_eq!(elems, shapes[1].0 * shapes[1].1, "both transposes move the same payload");
+        // DV memory is lent back in page-contiguous runs, and pages hold an
+        // even number of words.
+        assert!(region_base.is_multiple_of(2), "a lent run must not split an element's word pair");
         let half = |parity: usize| Half {
             region: region_base + (parity * 2 * elems) as u32,
             gc_base: gc_base + (parity * CHUNKS) as u8,
@@ -237,7 +260,7 @@ impl TransposeEngine for DvTranspose<'_> {
     fn transpose(
         &mut self,
         ctx: &SimCtx,
-        local: &[Complex],
+        mut local: Vec<Complex>,
         row_len: usize,
         new_row_len: usize,
     ) -> Vec<Complex> {
@@ -263,8 +286,8 @@ impl TransposeEngine for DvTranspose<'_> {
         // chosen by the destination row chunk, each chunk shipping as its
         // own PCIe batch so network injection of chunk k overlaps the DMA
         // of chunk k+1. Columns that stay on this node never touch the
-        // VIC: they are a plain host copy.
-        let mut out = vec![Complex::zero(); new_rows_per_node * new_row_len];
+        // VIC: they wait in `own`, new-row-major, until `local` is free.
+        let mut own: Vec<Complex> = Vec::with_capacity(new_rows_per_node * rows);
         // One pass over the local data to form the scatter.
         charge_mem_bytes(ctx, &self.compute, (local.len() * 16) as u64);
         for (c, (r0, r1)) in row_chunks(new_rows_per_node).into_iter().enumerate() {
@@ -274,15 +297,13 @@ impl TransposeEngine for DvTranspose<'_> {
                 for new_row in r0..r1 {
                     let col = dest * new_rows_per_node + new_row;
                     let column = local[col..].iter().step_by(row_len);
-                    let at = new_row * new_row_len + my_col_offset;
                     if dest == me {
-                        for (o, v) in out[at..at + rows].iter_mut().zip(column) {
-                            *o = *v;
-                        }
+                        own.extend(column);
                         continue;
                     }
                     let mut words: Vec<Word> = Vec::with_capacity(2 * rows);
                     words.extend(column.flat_map(|v| [v.re.to_bits(), v.im.to_bits()]));
+                    let at = new_row * new_row_len + my_col_offset;
                     let address = half.region + (at * 2) as u32;
                     blocks.push(BlockWrite { dest, address, gc: half.gc_base + c as u8, words });
                 }
@@ -302,24 +323,24 @@ impl TransposeEngine for DvTranspose<'_> {
             if self.rearm {
                 self.dv.gc_set_local(ctx, gc, self.chunk_words(&half, r0, r1));
             }
-            let words = self.dv.read_local(
-                ctx,
-                half.region + (r0 * new_row_len * 2) as u32,
-                (r1 - r0) * new_row_len * 2,
-            );
-            // Row by row, around the self columns copied host-side.
-            let own = my_col_offset..my_col_offset + rows;
-            for (row, words) in (r0..r1).zip(words.chunks_exact(2 * new_row_len)) {
-                let out_row = &mut out[row * new_row_len..(row + 1) * new_row_len];
-                for cols in [0..own.start, own.end..new_row_len] {
-                    let pairs = words[2 * cols.start..2 * cols.end].chunks_exact(2);
-                    for (o, pair) in out_row[cols].iter_mut().zip(pairs) {
-                        *o = Complex::new(f64::from_bits(pair[0]), f64::from_bits(pair[1]));
-                    }
+            // The row range is one run of DV memory and one run of
+            // `local`, every element of which has been sent or stashed.
+            let mut at = r0 * new_row_len;
+            let address = half.region + (at * 2) as u32;
+            self.dv.lend_local(ctx, address, (r1 - r0) * new_row_len * 2, |run| {
+                let out = &mut local[at..at + run.len() / 2];
+                for (o, pair) in out.iter_mut().zip(run.chunks_exact(2)) {
+                    *o = Complex::new(f64::from_bits(pair[0]), f64::from_bits(pair[1]));
                 }
+                at += out.len();
+            });
+            // Nobody writes my own columns of the region.
+            for row in r0..r1 {
+                let mine = row * new_row_len + my_col_offset;
+                local[mine..mine + rows].copy_from_slice(&own[row * rows..(row + 1) * rows]);
             }
         }
-        out
+        local
     }
 
     fn allreduce_sum(&mut self, ctx: &SimCtx, x: f64) -> f64 {
@@ -390,7 +411,7 @@ mod tests {
         let outs = MpiCluster::from_spec(SimSpec::new(p))
             .run(move |comm, ctx| {
                 let mut eng = MpiTranspose::new(comm, ComputeParams::default());
-                eng.transpose(ctx, &local_input(comm.rank(), m, p), m, m)
+                eng.transpose(ctx, local_input(comm.rank(), m, p), m, m)
             })
             .result;
         check_roundtrip_values(outs, m, p);
@@ -402,7 +423,7 @@ mod tests {
         let outs = DvCluster::from_spec(SimSpec::new(p))
             .run(move |dv, ctx| {
                 let mut eng = DvTranspose::new(dv, ctx, ComputeParams::default(), 4096, m * m / p);
-                eng.transpose(ctx, &local_input(dv.node(), m, p), m, m)
+                eng.transpose(ctx, local_input(dv.node(), m, p), m, m)
             })
             .result;
         check_roundtrip_values(outs, m, p);
@@ -415,8 +436,10 @@ mod tests {
             .run(move |dv, ctx| {
                 let mut eng = DvTranspose::new(dv, ctx, ComputeParams::default(), 4096, m * m / p);
                 let input = local_input(dv.node(), m, p);
-                let t = eng.transpose(ctx, &input, m, m);
-                let tt = eng.transpose(ctx, &t, m, m);
+                // The caller's copy survives: nothing aliases the buffer
+                // the engine owns in between.
+                let t = eng.transpose(ctx, input.clone(), m, m);
+                let tt = eng.transpose(ctx, t, m, m);
                 tt == input
             })
             .result;
@@ -463,16 +486,16 @@ mod tests {
                 let compute = ComputeParams::default();
                 let mut eng = DvTranspose::one_shot(dv, ctx, compute, 4096, 16, shapes);
                 let input = rect_input(dv.node(), r, c, p);
-                let t = eng.transpose(ctx, &input, c, r);
+                let t = eng.transpose(ctx, input.clone(), c, r);
                 assert_eq!(t, rect_transposed(dv.node(), r, c, p), "dv p={p} {r}x{c}");
-                assert_eq!(eng.transpose(ctx, &t, r, c), input, "dv back p={p} {r}x{c}");
+                assert_eq!(eng.transpose(ctx, t, r, c), input, "dv back p={p} {r}x{c}");
             });
             let mpi = MpiCluster::from_spec(SimSpec::new(p)).run(move |comm, ctx| {
                 let mut eng = MpiTranspose::new(comm, ComputeParams::default());
                 let input = rect_input(comm.rank(), r, c, p);
-                let t = eng.transpose(ctx, &input, c, r);
+                let t = eng.transpose(ctx, input.clone(), c, r);
                 assert_eq!(t, rect_transposed(comm.rank(), r, c, p), "mpi p={p} {r}x{c}");
-                assert_eq!(eng.transpose(ctx, &t, r, c), input, "mpi back p={p} {r}x{c}");
+                assert_eq!(eng.transpose(ctx, t, r, c), input, "mpi back p={p} {r}x{c}");
             });
             let (dv, mpi) = ((dv.elapsed, dv.trace_hash), (mpi.elapsed, mpi.trace_hash));
             moved |= (dv, mpi) != (dv_pin, mpi_pin);
@@ -493,7 +516,18 @@ mod tests {
             let swapped = [(r / p, c), (c / p, r)];
             let compute = ComputeParams::default();
             let mut eng = DvTranspose::one_shot(dv, ctx, compute, 4096, 16, swapped);
-            eng.transpose(ctx, &rect_input(dv.node(), r, c, p), c, r);
+            eng.transpose(ctx, rect_input(dv.node(), r, c, p), c, r);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "are not rows of 6")]
+    fn mpi_transpose_rejects_a_shape_it_cannot_split() {
+        // Release builds included, like the DV engine's shape check: six
+        // columns over four ranks used to ship wrong columns silently.
+        MpiCluster::from_spec(SimSpec::new(4)).run(|comm, ctx| {
+            let mut eng = MpiTranspose::new(comm, ComputeParams::default());
+            eng.transpose(ctx, rect_input(comm.rank(), 8, 6, 4), 6, 8);
         });
     }
 
@@ -507,8 +541,8 @@ mod tests {
                 let input = local_input(dv.node(), m, p);
                 let mut cur = input.clone();
                 for _ in 0..5 {
-                    let t = eng.transpose(ctx, &cur, m, m);
-                    cur = eng.transpose(ctx, &t, m, m);
+                    let t = eng.transpose(ctx, cur, m, m);
+                    cur = eng.transpose(ctx, t, m, m);
                 }
                 cur == input
             })

@@ -65,17 +65,28 @@ impl DvMemory {
         *self.word_mut(addr) = value;
     }
 
-    /// Read `out.len()` consecutive words starting at `addr`.
-    pub fn read_range(&self, addr: u32, mut out: &mut [Word]) {
-        let (mut page, mut off) = Self::split(addr, out.len());
-        while !out.is_empty() {
-            let (head, rest) = out.split_at_mut(out.len().min(PAGE_WORDS - off));
-            match self.pages.get(page).and_then(Option::as_ref) {
-                Some(p) => head.copy_from_slice(&p[off..off + head.len()]),
-                None => head.fill(0),
-            }
-            (out, page, off) = (rest, page + 1, 0);
+    /// Lend the `len` consecutive words starting at `addr` to `f`, in
+    /// address order, one page-contiguous run at a time: a run ends at the
+    /// end of the range or of a page (an even number of words). A page
+    /// still in its reset state is lent as zeros and stays unallocated.
+    pub fn lend_range(&self, addr: u32, mut len: usize, mut f: impl FnMut(&[Word])) {
+        static RESET: [Word; PAGE_WORDS] = [0; PAGE_WORDS];
+        let (mut page, mut off) = Self::split(addr, len);
+        while len > 0 {
+            let run = len.min(PAGE_WORDS - off);
+            let words = self.pages.get(page).and_then(Option::as_deref).unwrap_or(&RESET);
+            f(&words[off..off + run]);
+            (len, page, off) = (len - run, page + 1, 0);
         }
+    }
+
+    /// Read `out.len()` consecutive words starting at `addr`.
+    pub fn read_range(&self, addr: u32, out: &mut [Word]) {
+        let mut at = 0;
+        self.lend_range(addr, out.len(), |run| {
+            out[at..at + run.len()].copy_from_slice(run);
+            at += run.len();
+        });
     }
 
     /// Write consecutive words starting at `addr`.

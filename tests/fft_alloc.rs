@@ -5,9 +5,15 @@
 
 mod common;
 
-use common::allocations_in;
+use common::{allocations_in, largest_allocation_in};
+use datavortex::api::DvCluster;
+use datavortex::core::config::ComputeParams;
+use datavortex::core::spec::SimSpec;
 use datavortex::kernels::fft::plan::FftPlan;
 use datavortex::kernels::fft::Complex;
+use datavortex::kernels::transpose::{DvTranspose, MpiTranspose, TransposeEngine};
+use datavortex::mpi::MpiCluster;
+use datavortex::sim::SimCtx;
 
 #[test]
 fn row_ffts_allocate_per_call_not_per_row() {
@@ -22,4 +28,51 @@ fn row_ffts_allocate_per_call_not_per_row() {
     });
     assert!((1..=2).contains(&one_row), "one row allocated {one_row} times");
     assert_eq!(all_rows, one_row, "64 rows allocated more than one row does");
+}
+
+/// Largest single allocation, in bytes and over all nodes, of a
+/// forth-and-back transpose of an `M`×`M` matrix once its input exists,
+/// next to the bytes of one node's rows.
+fn largest_allocation_in_a_round_trip(dv_engine: bool) -> (usize, usize) {
+    // 64 KiB of rows per node: above a 32 KiB `DvMemory` page, which a
+    // node's first delivery into a peer does allocate.
+    const M: usize = 128;
+    const P: usize = 4;
+    fn round_trip(eng: &mut impl TransposeEngine, ctx: &SimCtx) -> usize {
+        let first = eng.node() * M * M / P;
+        let input = |i: usize| Complex::new((first + i) as f64, -(i as f64));
+        let local: Vec<Complex> = (0..M * M / P).map(input).collect();
+        let mut back = Vec::new();
+        let largest = largest_allocation_in(|| {
+            let there = eng.transpose(ctx, local, M, M);
+            back = eng.transpose(ctx, there, M, M);
+        });
+        assert!(back.iter().copied().eq((0..M * M / P).map(input)), "round trip changed the rows");
+        largest
+    }
+    let compute = ComputeParams::default();
+    let per_node = if dv_engine {
+        DvCluster::from_spec(SimSpec::new(P))
+            .run(move |dv, ctx| {
+                round_trip(&mut DvTranspose::new(dv, ctx, compute.clone(), 4096, M * M / P), ctx)
+            })
+            .result
+    } else {
+        MpiCluster::from_spec(SimSpec::new(P))
+            .run(move |comm, ctx| round_trip(&mut MpiTranspose::new(comm, compute.clone()), ctx))
+            .result
+    };
+    (per_node.into_iter().max().expect("P nodes ran"), M * M / P * size_of::<Complex>())
+}
+
+#[test]
+fn a_transpose_round_trip_allocates_no_second_payload() {
+    // The transposes consume and return their input: on either engine the
+    // largest thing a node allocates is a message block or a column stash
+    // (1/P of its rows), never a second copy of them. (The by-reference
+    // engines allocated exactly `payload` bytes for their output.)
+    for dv_engine in [true, false] {
+        let (largest, payload) = largest_allocation_in_a_round_trip(dv_engine);
+        assert!(largest < payload, "dv={dv_engine}: {largest} B allocated for {payload} B of rows");
+    }
 }
