@@ -20,12 +20,7 @@ use crate::net::{AnyTopology, NetworkTopology};
 use crate::topology::Topology;
 use crate::traffic::{Arrival, LoadSweep, Pattern};
 
-/// Closed-form latency model of a switch/network.
-///
-/// Defaults to the Data Vortex cylinder graph; [`SwitchModel::for_net`]
-/// swaps in a rival topology so the same charging scheme (min hops plus a
-/// load-dependent contention penalty) prices a fat tree or min-path
-/// random-regular graph for comparison studies.
+/// Closed-form latency model of the Data Vortex switch.
 #[derive(Debug, Clone)]
 pub struct SwitchModel {
     net: AnyTopology,
@@ -41,17 +36,6 @@ impl SwitchModel {
     pub fn from_params(dv: &DvParams) -> Self {
         Self {
             net: AnyTopology::Vortex(Topology::new(dv.height, dv.angles)),
-            hop_time: dv.hop_time,
-            inject: dv.inject_time,
-            eject: dv.eject_time,
-            deflect_hops_at_saturation: dv.deflect_hops_at_saturation,
-        }
-    }
-
-    /// The same timing parameters over a different network graph.
-    pub fn for_net(net: AnyTopology, dv: &DvParams) -> Self {
-        Self {
-            net,
             hop_time: dv.hop_time,
             inject: dv.inject_time,
             eject: dv.eject_time,

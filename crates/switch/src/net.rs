@@ -36,6 +36,8 @@
 //! purely from that edge set; tie-breaks always pick the lowest node id.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use dv_core::metrics::MetricsRegistry;
 use dv_core::rng::SplitMix64;
@@ -48,18 +50,12 @@ use crate::topology::Topology;
 /// of a given port count is the same graph everywhere.
 pub const MIN_PATH_SEED: u64 = 0xD0_5EED_0009;
 
-/// Per-node queue bound (packets) in [`RoutedNetSim`]: models finite
-/// switch buffers and provides the backpressure that keeps hotspot
-/// sweeps lossless-but-serialized, like the Data Vortex injection FIFOs.
-/// A power of two: the rebuilt engine's per-node ring queues index by
-/// masking (`crate::net_reference` shares the constant so the frozen
-/// oracle blocks at exactly the same depth).
+/// Per-node queue bound (packets, summed over the node's outputs) in
+/// [`RoutedNetSim`]: models finite switch buffers and provides the
+/// backpressure that keeps hotspot sweeps lossless-but-serialized, like
+/// the Data Vortex injection FIFOs (`crate::net_reference` shares the
+/// constant so the frozen oracle blocks at exactly the same depth).
 pub(crate) const NODE_QUEUE_CAP: usize = 64;
-
-/// Ring-index mask for the per-node queues.
-const QMASK: usize = NODE_QUEUE_CAP - 1;
-
-const _: () = assert!(NODE_QUEUE_CAP.is_power_of_two(), "ring queues index by mask");
 
 /// A network seen as a routed graph: ports attach to nodes, packets move
 /// one link per cycle along deterministic routes.
@@ -166,6 +162,7 @@ pub struct FatTree {
     k: usize,
     /// Attached ports (≤ k³/4; ports fill edge switches in index order).
     ports: usize,
+    routes: Routes,
 }
 
 impl FatTree {
@@ -176,7 +173,7 @@ impl FatTree {
         while k * k * k / 4 < ports {
             k += 2;
         }
-        Self { k, ports }
+        Self { k, ports, routes: Routes::default() }
     }
 
     /// Switch radix.
@@ -284,6 +281,7 @@ pub struct MinPathGraph {
     adj: Vec<u32>,
     /// All-pairs BFS distances, `switches × switches`.
     dist: Vec<u16>,
+    routes: Routes,
 }
 
 impl MinPathGraph {
@@ -324,7 +322,7 @@ impl MinPathGraph {
         }
         let adj = sorted_adjacency(switches, degree, &edges);
         let dist = bfs_all_pairs(switches, degree, &adj);
-        Self { switches, degree, conc, ports, adj, dist }
+        Self { switches, degree, conc, ports, adj, dist, routes: Routes::default() }
     }
 
     /// Router degree.
@@ -655,85 +653,20 @@ impl NetworkTopology for AnyTopology {
     }
 }
 
-/// An in-flight packet: one fixed-width arena slot. Slots live in
-/// [`RoutedNetSim::slots`] and move between node queues as packed ring
-/// entries (see [`RoutedNetSim::ring`]) — the packet body is written once
-/// at injection and read once at ejection; the fields a hop actually
-/// needs (`dst_port`, `hops`) travel inside the ring entry, so transit
-/// never touches the arena at all.
-#[derive(Debug, Clone, Copy)]
-struct RoutedPkt {
-    src_port: u32,
-    tag: u64,
-    enqueue_cycle: u64,
-    inject_cycle: u64,
-}
-
-/// Deterministic store-and-forward cycle simulator for the rival graphs.
-///
-/// Semantics, chosen to mirror the Data Vortex simulator's accounting so
-/// a [`crate::traffic::LoadSweep`] point is comparable across engines:
-///
-/// * Every packet moves at most one link per cycle along the
-///   deterministic [`NetworkTopology::route_one_hop`] route.
-/// * Each node forwards from its FIFO in order; at most one packet per
-///   outgoing link per cycle; a full receiver queue
-///   ([`NODE_QUEUE_CAP`]) blocks the packet in place (backpressure, no
-///   loss).
-/// * Each output port ejects at most one packet per cycle.
-/// * Injection (after movement, one packet per port per cycle) enters
-///   the port's [`NetworkTopology::inject_node`] queue if there is room.
-///
-/// Nodes are processed in ascending id order and queues front-to-back,
-/// so the [`Delivered`] stream is deterministic; `hops` counts link
-/// traversals and `deflections` is always 0 (buffered fabrics queue
-/// instead of deflecting).
-///
-/// ## Hot-path layout (the PR 5 playbook, applied to the rival engine)
-///
-/// The step loop is proven bit-identical to the frozen
-/// [`crate::net_reference::ReferenceNetSim`] by
-/// `crates/switch/tests/net_equivalence.rs`; the data structures are
-/// rebuilt for throughput:
-///
-/// * **Next-hop LUT.** `next_idx[node × lut_cols + lut_col[dst_port]]`
-///   is built once from [`NetworkTopology::route_one_hop`], so a hop is
-///   one byte load resolved through the node's (L1-hot) `adj` palette
-///   row instead of enum dispatch into adjacency/BFS-tie-break routing
-///   (`MinPathGraph` re-scans its sorted neighbor list against the
-///   O(n²) distance table on every call). Destination ports whose
-///   entire next-hop column is identical share one column — on the
-///   min-path graph the hop depends only on the destination *switch*,
-///   so the table collapses by the concentration factor — and the
-///   palette packs entries to one byte, keeping the table L2-resident
-///   at sweep sizes. `inject_at`/`eject_at` cache the per-port entry
-///   and exit nodes the same way.
-/// * **Packet arena.** Fixed-width [`RoutedPkt`] slots in one `Vec` with
-///   a free-list; per-node fixed-capacity ring queues
-///   (`ring`/`q_head`/`q_len`, [`NODE_QUEUE_CAP`] entries each) replace
-///   `vec![VecDeque; nodes]`. A ring entry packs
-///   `slot << 32 | dst_port << 16 | hops`, so a hop reads and writes one
-///   `u64` — the arena is touched only at injection and ejection — and
-///   the steady-state loop never allocates (`tests/net_alloc.rs`).
-///   Same-cycle arrivals are held back by a lazy per-node `fresh` tail
-///   count instead of a per-packet `moved_cycle` stamp.
-/// * **Bitmap worklists.** `active` keeps one bit per node with a
-///   non-empty queue; the scan iterates set bits LSB-first (== the
-///   reference's ascending-id order), so sparse cycles skip the full
-///   `0..node_count` walk. `used_links` is a per-scan bitmap replacing
-///   the linear `used_links.contains(&nxt)` probe, cleared via the
-///   `used_set` dirty list; `port_active` does the same for the
-///   injection scan over ports.
-pub struct RoutedNetSim {
-    net: AnyTopology,
+/// Routing state of one graph — everything [`RoutedNetSim`] reads and
+/// never writes — built by [`RouteTable::build`] with one
+/// [`NetworkTopology::route_one_hop`] call per `(node, dst_port)` pair.
+/// [`FatTree`] and [`MinPathGraph`] keep theirs in a [`Routes`] cell that
+/// every clone of the value shares: the first `RoutedNetSim::new` on a
+/// graph builds it, every later one (each `LoadSweep` point, each
+/// `sweep_parallel` worker) reuses it.
+struct RouteTable {
     /// Next hop per `(node, destination column)` as an index into the
     /// node's `adj` row, flat `node_count × lut_cols`. One byte per
     /// entry keeps the table L2-resident at sweep sizes (the resolved
-    /// node id would be 4× larger); the row a scan resolves through is
-    /// the scanning node's own `adj` row, which goes L1-hot on first
-    /// touch. The value at an eject node resolves to the node itself
-    /// and is never read (the eject check consults `eject_at` first,
-    /// like the reference).
+    /// node id would be 4× larger). The value at an eject node resolves
+    /// to the node itself and is never read ([`RouteTable::output`]
+    /// consults `eject_at` first, like the reference).
     next_idx: Vec<u8>,
     /// Distinct next-hop nodes per node (first-seen palette), flat
     /// `node_count × max_deg` rows resolved by `next_idx`.
@@ -750,61 +683,28 @@ pub struct RoutedNetSim {
     inject_at: Vec<u32>,
     /// Exit node per port ([`NetworkTopology::eject_node`], cached).
     eject_at: Vec<u32>,
-    /// The packet arena (see [`RoutedPkt`]).
-    slots: Vec<RoutedPkt>,
-    /// Free slot handles, LIFO.
-    free: Vec<u32>,
-    /// Per-node ring queues, `node_count ×` [`NODE_QUEUE_CAP`]; positions
-    /// index by `q_head` + offset masked with [`QMASK`]. Each entry packs
-    /// `slot << 32 | dst_port << 16 | hops` so the forwarding loop never
-    /// reads the arena.
-    ring: Vec<u64>,
-    /// Ring head cursor per node (free-running, masked on use).
-    q_head: Vec<u32>,
-    /// Ring occupancy per node.
-    q_len: Vec<u32>,
-    /// Entries at the tail of each node's ring that arrived during the
-    /// cycle `fresh_cycle` records — the rebuilt form of the reference's
-    /// per-packet `moved_cycle` stamp: a packet moves at most one link
-    /// per cycle, and same-cycle arrivals are a contiguous tail suffix,
-    /// so the scan simply takes `q_len - fresh` from the front. Stale
-    /// when `fresh_cycle[node] != cycle` (lazy reset; never cleared).
-    fresh: Vec<u32>,
-    /// Cycle `fresh` counts arrivals for, per node.
-    fresh_cycle: Vec<u64>,
-    /// One bit per node with `q_len > 0`.
-    active: Vec<u64>,
-    /// Per-step snapshot of `active` (the worklist actually scanned).
-    scan: Vec<u64>,
-    /// Per-node-scan used-link bitmap, one bit per destination node.
-    used_links: Vec<u64>,
-    /// Nodes set in `used_links` this scan (dirty list for O(degree)
-    /// clearing).
-    used_set: Vec<u32>,
-    /// Per-port injection FIFOs and the pending-port bitmap the injection
-    /// scan walks.
-    ingress: Ingress,
-    /// `cycle + 1` of each output port's last ejection (0 = never): the
-    /// one-ejection-per-port-per-cycle bound.
-    last_eject: Vec<u64>,
-    /// Scratch: ring entries blocked this cycle, re-queued in order.
-    keep: Vec<u64>,
-    tally: Tally,
+    /// Output a packet for each port takes at its exit node: a node's
+    /// local eject ports are outputs `max_deg..outs`, in port order.
+    eject_out: Vec<u32>,
+    /// Outputs per node: the `max_deg` palette entries (one per distinct
+    /// next hop) plus the most local eject ports any node has.
+    outs: usize,
 }
 
-const NAMES: Names =
-    ["rival.cycle.cycles", "rival.cycle.injected", "rival.cycle.ejected", "rival.cycle.hops"];
+/// A graph's lazily built, shared [`RouteTable`].
+type Routes = Arc<OnceLock<RouteTable>>;
 
-impl RoutedNetSim {
-    /// An empty simulator for `net`, with the routing LUTs built up
-    /// front (one [`NetworkTopology::route_one_hop`] call per
-    /// `(node, dst_port)` pair — paid once, not per hop). At most 2^16
-    /// ports: ring entries pack `dst_port` into 16 bits.
-    pub fn new(net: AnyTopology) -> Self {
+impl fmt::Debug for RouteTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RouteTable").field("lut_cols", &self.lut_cols).finish_non_exhaustive()
+    }
+}
+
+impl RouteTable {
+    /// The table for `net`, statically dispatched on the concrete graph.
+    fn build(net: &impl NetworkTopology) -> Self {
         let ports = net.ports();
-        let ingress = Ingress::new(ports);
         let nodes = net.node_count();
-        let node_words = nodes.div_ceil(64);
         let inject_at: Vec<u32> = (0..ports)
             .map(|p| u32::try_from(net.inject_node(p)).expect("node index fits in u32"))
             .collect();
@@ -835,11 +735,10 @@ impl RoutedNetSim {
         }
         let lut_cols = interned.len();
         // Lay out row-major (`node * lut_cols + col`) so one node's
-        // columns share cache lines during its queue scan, and palette
-        // each node's next hops down to one byte per column (the
-        // out-degree is small on every supported graph). The interner is
-        // a BTreeMap so palette layout is deterministic across
-        // processes, not just the resolved node ids.
+        // columns share cache lines, and palette each node's next hops
+        // down to one byte per column (the out-degree is small on every
+        // supported graph). The interner is a BTreeMap so palette layout
+        // is deterministic across processes, not just the resolved ids.
         let mut palette: Vec<Vec<u32>> = vec![Vec::new(); nodes];
         let mut next_idx = vec![0u8; nodes * lut_cols];
         for (column, &col) in &interned {
@@ -858,42 +757,216 @@ impl RoutedNetSim {
         for (node, row) in palette.iter().enumerate() {
             adj[node * max_deg..node * max_deg + row.len()].copy_from_slice(row);
         }
+        let mut local = vec![0usize; nodes];
+        let eject_out = eject_at
+            .iter()
+            .map(|&node| {
+                local[node as usize] += 1;
+                u32::try_from(max_deg + local[node as usize] - 1).expect("output fits in u32")
+            })
+            .collect();
+        let outs = max_deg + local.into_iter().max().unwrap_or(0);
+        Self { next_idx, adj, max_deg, lut_cols, lut_col, inject_at, eject_at, eject_out, outs }
+    }
+
+    /// `net`'s table from its shared cell, built there on first use.
+    fn shared(routes: &Routes, net: &impl NetworkTopology) -> Routes {
+        routes.get_or_init(|| Self::build(net));
+        Arc::clone(routes)
+    }
+
+    /// The output a packet bound for `dst` queues on at `node`.
+    #[inline]
+    fn output(&self, node: usize, dst: usize) -> usize {
+        if self.eject_at[dst] as usize == node {
+            self.eject_out[dst] as usize
+        } else {
+            usize::from(self.next_idx[node * self.lut_cols + self.lut_col[dst] as usize])
+        }
+    }
+}
+
+/// The body of an in-flight packet: one arena slot, written at injection
+/// and read at ejection. What a hop touches lives in the slot's [`Hop`].
+#[derive(Debug, Clone, Copy)]
+struct RoutedPkt {
+    src_port: u32,
+    tag: u64,
+    enqueue_cycle: u64,
+    inject_cycle: u64,
+}
+
+/// The per-hop half of an arena slot (16 bytes): its place in an output
+/// FIFO and what routing and ejection read.
+#[derive(Debug, Clone, Copy, Default)]
+struct Hop {
+    /// Arrival number at the current node, from a `u64` counter that
+    /// never wraps: orders a node's arrivals and marks this cycle's.
+    stamp: u64,
+    /// Next slot in the same output FIFO.
+    next: u32,
+    dst_port: u16,
+    hops: u16,
+}
+
+/// One FIFO per node output, linked through the arena's [`Hop`]s.
+struct Queues {
+    /// Per-hop state per arena slot.
+    hop: Vec<Hop>,
+    /// Oldest and newest slot per `(node, output)`, flat `node_count ×
+    /// outs`; meaningful while the output's `busy` bit is set.
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    /// Non-empty outputs, `words` u64s per node.
+    busy: Vec<u64>,
+    /// Packets per node, all outputs together ([`NODE_QUEUE_CAP`] bound).
+    len: Vec<u32>,
+    outs: usize,
+    words: usize,
+    /// The next arrival's stamp.
+    stamp: u64,
+}
+
+impl Queues {
+    fn new(nodes: usize, outs: usize) -> Self {
+        let words = outs.div_ceil(64);
         Self {
-            next_idx,
-            adj,
-            max_deg,
-            lut_cols,
-            lut_col,
-            inject_at,
-            eject_at,
-            slots: Vec::new(),
-            free: Vec::new(),
-            ring: vec![0; nodes * NODE_QUEUE_CAP],
-            q_head: vec![0; nodes],
-            q_len: vec![0; nodes],
-            fresh: vec![0; nodes],
-            fresh_cycle: vec![0; nodes],
-            active: vec![0; node_words],
-            scan: vec![0; node_words],
-            used_links: vec![0; node_words],
-            used_set: Vec::new(),
-            ingress,
-            last_eject: vec![0; ports],
-            keep: Vec::new(),
-            tally: Tally::new(&NAMES),
-            net,
+            hop: Vec::new(),
+            head: vec![0; nodes * outs],
+            tail: vec![0; nodes * outs],
+            busy: vec![0; nodes * words],
+            len: vec![0; nodes],
+            outs,
+            words,
+            stamp: 0,
         }
     }
 
-    /// Take a slot for `pkt`, reusing the free list before growing the
-    /// arena.
-    fn alloc_slot(&mut self, pkt: RoutedPkt) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            self.slots[slot as usize] = pkt;
-            slot
+    /// Append `slot` to output `o` of `node` as the node's newest arrival.
+    fn push(&mut self, node: usize, o: usize, slot: u32) {
+        self.hop[slot as usize].stamp = self.stamp;
+        self.stamp += 1;
+        let q = node * self.outs + o;
+        let (word, bit) = (&mut self.busy[node * self.words + (o >> 6)], 1 << (o & 63));
+        if *word & bit == 0 {
+            *word |= bit;
+            self.head[q] = slot;
         } else {
-            self.slots.push(pkt);
-            u32::try_from(self.slots.len() - 1).expect("arena stays under 2^32 slots")
+            self.hop[self.tail[q] as usize].next = slot;
+        }
+        self.tail[q] = slot;
+        self.len[node] += 1;
+    }
+
+    /// Remove the head of output `o` of `node` (which must hold one).
+    fn pop(&mut self, node: usize, o: usize) -> u32 {
+        let q = node * self.outs + o;
+        let slot = self.head[q];
+        if slot == self.tail[q] {
+            self.busy[node * self.words + (o >> 6)] &= !(1 << (o & 63));
+        } else {
+            self.head[q] = self.hop[slot as usize].next;
+        }
+        self.len[node] -= 1;
+        slot
+    }
+}
+
+/// Deterministic store-and-forward cycle simulator for the rival graphs.
+///
+/// Semantics, chosen to mirror the Data Vortex simulator's accounting so
+/// a [`crate::traffic::LoadSweep`] point is comparable across engines:
+///
+/// * Every packet moves at most one link per cycle along the
+///   deterministic [`NetworkTopology::route_one_hop`] route.
+/// * Each node forwards from its FIFO in order; at most one packet per
+///   outgoing link per cycle; a full receiver queue
+///   ([`NODE_QUEUE_CAP`]) blocks the packet in place (backpressure, no
+///   loss).
+/// * Each output port ejects at most one packet per cycle.
+/// * Injection (after movement, one packet per port per cycle) enters
+///   the port's [`NetworkTopology::inject_node`] queue if there is room.
+///
+/// Nodes are processed in ascending id order and queues front-to-back,
+/// so the [`Delivered`] stream is deterministic; `hops` counts link
+/// traversals and `deflections` is always 0 (buffered fabrics queue
+/// instead of deflecting).
+///
+/// ## Hot-path layout
+///
+/// `step_into` is proven bit-identical to the frozen
+/// [`crate::net_reference::ReferenceNetSim`] by
+/// `crates/switch/tests/equivalence.rs`:
+///
+/// * **Shared route table.** A hop is one byte load from a
+///   column-deduplicated next-hop LUT (`RouteTable`), built once
+///   per graph and shared by every simulator on it.
+/// * **One FIFO per output.** A node's queue is split by output — one
+///   per palette entry (distinct next hop), one per local eject port —
+///   linked through a free-listed packet arena, and a bitmap marks the
+///   non-empty ones; an arrival queues on the output its destination
+///   resolves to there. The node keeps its total, the
+///   [`NODE_QUEUE_CAP`] bound. A cycle visits only the outputs that hold
+///   packets: a next-hop output forwards its head if the head did not
+///   arrive this cycle and the receiver has room; an eject output ejects
+///   its head. Exact, not an approximation: the reference's FIFO order
+///   *is* arrival order (blocked entries go back to the front in order,
+///   arrivals append), and within one node's scan an output only becomes
+///   blocked by that node's own push — so its "first eligible entry per
+///   output" is the head of that output's queue, and its ejections leave
+///   in arrival order, which per-packet arrival stamps restore.
+/// * **Bitmap worklists.** `active` keeps one bit per node holding
+///   packets; the scan iterates set bits LSB-first (== the reference's
+///   ascending-id order). The steady-state loop never allocates
+///   (`tests/switch_alloc.rs`).
+pub struct RoutedNetSim {
+    net: AnyTopology,
+    routes: Routes,
+    /// Packet bodies (see [`RoutedPkt`]); `queues.hop` is the other half.
+    slots: Vec<RoutedPkt>,
+    /// Free slot handles, LIFO.
+    free: Vec<u32>,
+    queues: Queues,
+    /// One bit per node with packets queued.
+    active: Vec<u64>,
+    /// Per-step snapshot of `active` (the worklist actually scanned).
+    scan: Vec<u64>,
+    /// Per-port injection FIFOs and the pending-port bitmap the injection
+    /// scan walks.
+    ingress: Ingress,
+    /// Scratch: `(stamp, output)` of the scanned node's ejecting heads.
+    ejects: Vec<(u64, usize)>,
+    tally: Tally,
+}
+
+const NAMES: Names =
+    ["rival.cycle.cycles", "rival.cycle.injected", "rival.cycle.ejected", "rival.cycle.hops"];
+
+impl RoutedNetSim {
+    /// An empty simulator for `net`. The route table is the graph's shared
+    /// one, built here on first use (a Data Vortex graph has no cell and
+    /// builds its own). At most 2^16 ports: a queued packet holds
+    /// `dst_port` in 16 bits.
+    pub fn new(net: AnyTopology) -> Self {
+        let ingress = Ingress::new(net.ports());
+        let routes = match &net {
+            AnyTopology::Vortex(t) => Arc::new(OnceLock::from(RouteTable::build(t))),
+            AnyTopology::FatTree(t) => RouteTable::shared(&t.routes, t),
+            AnyTopology::MinPath(t) => RouteTable::shared(&t.routes, t),
+        };
+        let outs = routes.get().expect("built above").outs;
+        let nodes = net.node_count();
+        Self {
+            routes,
+            slots: Vec::new(),
+            free: Vec::new(),
+            queues: Queues::new(nodes, outs),
+            active: vec![0; nodes.div_ceil(64)],
+            scan: vec![0; nodes.div_ceil(64)],
+            ingress,
+            ejects: Vec::new(),
+            tally: Tally::new(&NAMES),
+            net,
         }
     }
 
@@ -901,7 +974,6 @@ impl RoutedNetSim {
     pub fn net(&self) -> &AnyTopology {
         &self.net
     }
-
 }
 
 impl CycleEngine for RoutedNetSim {
@@ -926,164 +998,119 @@ impl CycleEngine for RoutedNetSim {
     }
 
     /// Bit-identical to [`crate::net_reference::ReferenceNetSim::step_into`]
-    /// (see `tests/net_equivalence.rs`): set bits are visited LSB-first,
-    /// which is the reference's ascending node order, and the worklist is
-    /// a snapshot of `active` taken at cycle start — a node that first
-    /// becomes active mid-scan holds only packets that arrived this cycle,
-    /// which the reference scan immediately breaks on, so skipping such
-    /// nodes changes nothing. Same-cycle arrivals always form a
-    /// contiguous tail suffix (blocked packets re-queue at the *front*,
-    /// arrivals append at the tail, and a node pushes only to other
-    /// nodes), so `q_len - fresh` from the front is exactly the set the
-    /// reference walks before its `moved_cycle == cycle` break.
+    /// (see [`RoutedNetSim`]'s exactness argument): set bits are visited
+    /// LSB-first, which is the reference's ascending node order, and the
+    /// worklist is a snapshot of `active` taken at cycle start — a node
+    /// that first becomes active mid-scan holds only packets that arrived
+    /// this cycle, which the reference scan immediately breaks on.
     fn step_into(&mut self, out: &mut Vec<Delivered>) {
         let cycle = self.tally.cycle;
-        let lut_cols = self.lut_cols;
-        let max_deg = self.max_deg;
-        // Split borrows once: indexing through `self` makes every write
-        // a potential alias of every read, forcing reloads around the
-        // queue updates.
-        let Self {
-            next_idx,
-            adj,
-            lut_col,
-            eject_at,
-            slots,
-            free,
-            ring,
-            q_head,
-            q_len,
-            fresh,
-            fresh_cycle,
-            active,
-            scan,
-            used_links,
-            used_set,
-            last_eject,
-            keep,
-            tally: Tally { ejected, in_flight, hop_hist, .. },
-            ..
-        } = self;
+        let Self { routes, slots, free, queues: qs, active, scan, ingress, ejects, tally, .. } =
+            self;
+        let rt = routes.get().expect("RoutedNetSim::new builds the route table");
+        // Every stamp from here on is an arrival of this cycle.
+        let fresh = qs.stamp;
         scan.copy_from_slice(active);
         for (word_idx, word) in scan.iter_mut().enumerate() {
             while *word != 0 {
                 let node = (word_idx << 6) | word.trailing_zeros() as usize;
                 *word &= *word - 1;
-                let held = if fresh_cycle[node] == cycle { fresh[node] } else { 0 };
-                let mut head = q_head[node];
-                let mut len = q_len[node];
-                let take = (len - held) as usize;
-                let base = node * NODE_QUEUE_CAP;
-                for _ in 0..take {
-                    let entry = ring[base + (head as usize & QMASK)];
-                    head = head.wrapping_add(1);
-                    len -= 1;
-                    let dst = (entry >> 16) as usize & 0xFFFF;
-                    if node == eject_at[dst] as usize {
-                        if last_eject[dst] != cycle + 1 {
-                            last_eject[dst] = cycle + 1;
-                            *ejected += 1;
-                            *in_flight -= 1;
-                            let hops = (entry & 0xFFFF) as u32;
-                            hop_hist.push(hops as u64);
-                            let slot = (entry >> 32) as u32;
-                            let pkt = &slots[slot as usize];
-                            out.push(Delivered {
-                                src_port: pkt.src_port as usize,
-                                dst_port: dst,
-                                tag: pkt.tag,
-                                enqueue_cycle: pkt.enqueue_cycle,
-                                inject_cycle: pkt.inject_cycle,
-                                eject_cycle: cycle,
-                                hops,
-                                deflections: 0,
-                            });
-                            free.push(slot);
-                        } else {
-                            keep.push(entry); // output port busy this cycle
+                for w in 0..qs.words {
+                    let mut bits = qs.busy[node * qs.words + w];
+                    while bits != 0 {
+                        let o = (w << 6) | bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let slot = qs.head[node * qs.outs + o];
+                        let stamp = qs.hop[slot as usize].stamp;
+                        if stamp >= fresh {
+                            continue; // arrived this cycle, as did all behind it
                         }
-                        continue;
-                    }
-                    let idx = next_idx[node * lut_cols + lut_col[dst] as usize];
-                    let nxt = adj[node * max_deg + idx as usize] as usize;
-                    debug_assert_ne!(nxt, node, "route must progress until the eject node");
-                    if used_links[nxt >> 6] & (1 << (nxt & 63)) != 0
-                        || q_len[nxt] as usize >= NODE_QUEUE_CAP
-                    {
-                        keep.push(entry); // link busy or receiver full
-                        continue;
-                    }
-                    used_links[nxt >> 6] |= 1 << (nxt & 63);
-                    used_set.push(u32::try_from(nxt).expect("node index fits in u32"));
-                    debug_assert_ne!(entry & 0xFFFF, 0xFFFF, "hop count fits in 16 bits");
-                    let tail = q_head[nxt].wrapping_add(q_len[nxt]) as usize & QMASK;
-                    ring[nxt * NODE_QUEUE_CAP + tail] = entry + 1;
-                    if fresh_cycle[nxt] == cycle {
-                        fresh[nxt] += 1;
-                    } else {
-                        fresh_cycle[nxt] = cycle;
-                        fresh[nxt] = 1;
-                    }
-                    if q_len[nxt] == 0 {
+                        if o >= rt.max_deg {
+                            ejects.push((stamp, o));
+                            continue;
+                        }
+                        let nxt = rt.adj[node * rt.max_deg + o] as usize;
+                        debug_assert_ne!(nxt, node, "route must progress until the eject node");
+                        if qs.len[nxt] as usize >= NODE_QUEUE_CAP {
+                            continue; // receiver full
+                        }
+                        qs.pop(node, o);
+                        let hop = &mut qs.hop[slot as usize];
+                        debug_assert_ne!(hop.hops, u16::MAX, "hop count fits in 16 bits");
+                        hop.hops += 1;
+                        let next_out = rt.output(nxt, usize::from(hop.dst_port));
+                        qs.push(nxt, next_out, slot);
                         active[nxt >> 6] |= 1 << (nxt & 63);
                     }
-                    q_len[nxt] += 1;
                 }
-                // Blocked packets return to the front in their original order.
-                for &entry in keep.iter().rev() {
-                    head = head.wrapping_sub(1);
-                    ring[base + (head as usize & QMASK)] = entry;
+                // The reference ejects in its one FIFO's order.
+                ejects.sort_unstable();
+                for &(_, o) in ejects.iter() {
+                    let slot = qs.pop(node, o);
+                    let (hop, pkt) = (qs.hop[slot as usize], &slots[slot as usize]);
+                    tally.ejected += 1;
+                    tally.in_flight -= 1;
+                    tally.hop_hist.push(u64::from(hop.hops));
+                    out.push(Delivered {
+                        src_port: pkt.src_port as usize,
+                        dst_port: usize::from(hop.dst_port),
+                        tag: pkt.tag,
+                        enqueue_cycle: pkt.enqueue_cycle,
+                        inject_cycle: pkt.inject_cycle,
+                        eject_cycle: cycle,
+                        hops: u32::from(hop.hops),
+                        deflections: 0,
+                    });
+                    free.push(slot);
                 }
-                len += u32::try_from(keep.len()).expect("keep fits the ring");
-                keep.clear();
-                q_head[node] = head;
-                q_len[node] = len;
-                if len == 0 {
+                ejects.clear();
+                if qs.len[node] == 0 {
                     active[node >> 6] &= !(1 << (node & 63));
-                }
-                for nxt in used_set.drain(..) {
-                    used_links[nxt as usize >> 6] &= !(1 << (nxt & 63));
                 }
             }
         }
 
         // Injection after movement: one packet per port per cycle, if the
-        // entry node has room.
-        if self.ingress.queued() > 0 {
-            for word_idx in 0..self.ingress.pending().len() {
-                let mut word = self.ingress.pending()[word_idx];
+        // entry node has room. Its stamp is past `fresh`, but the next
+        // cycle's scan starts from a later one, so it moves then.
+        if ingress.queued() > 0 {
+            for word_idx in 0..ingress.pending().len() {
+                let mut word = ingress.pending()[word_idx];
                 while word != 0 {
                     let port = (word_idx << 6) | word.trailing_zeros() as usize;
                     word &= word - 1;
-                    let entry = self.inject_at[port] as usize;
-                    if self.q_len[entry] as usize >= NODE_QUEUE_CAP {
+                    let entry = rt.inject_at[port] as usize;
+                    if qs.len[entry] as usize >= NODE_QUEUE_CAP {
                         continue;
                     }
-                    let q = self.ingress.pop(port);
-                    self.tally.injected += 1;
-                    self.tally.in_flight += 1;
-                    let slot = self.alloc_slot(RoutedPkt {
+                    let q = ingress.pop(port);
+                    tally.injected += 1;
+                    tally.in_flight += 1;
+                    let pkt = RoutedPkt {
                         src_port: u32::try_from(port).expect("port index fits in u32"),
                         tag: q.tag,
                         enqueue_cycle: q.enqueue_cycle,
                         inject_cycle: cycle,
-                    });
-                    let tail =
-                        self.q_head[entry].wrapping_add(self.q_len[entry]) as usize & QMASK;
-                    // Injection happens after every node scan, so the new
-                    // entry needs no `fresh` bump: by the next cycle's
-                    // scan `fresh_cycle` is stale and it moves, exactly
-                    // like the reference's `moved_cycle = cycle` stamp.
-                    self.ring[entry * NODE_QUEUE_CAP + tail] =
-                        (slot as u64) << 32 | (q.dst_port as u64) << 16;
-                    if self.q_len[entry] == 0 {
-                        self.active[entry >> 6] |= 1 << (entry & 63);
-                    }
-                    self.q_len[entry] += 1;
+                    };
+                    let slot = match free.pop() {
+                        Some(slot) => {
+                            slots[slot as usize] = pkt;
+                            slot
+                        }
+                        None => {
+                            slots.push(pkt);
+                            qs.hop.push(Hop::default());
+                            u32::try_from(slots.len() - 1).expect("arena stays under 2^32 slots")
+                        }
+                    };
+                    let dst_port = u16::try_from(q.dst_port).expect("port index fits in u16");
+                    qs.hop[slot as usize] = Hop { dst_port, ..Hop::default() };
+                    qs.push(entry, rt.output(entry, usize::from(dst_port)), slot);
+                    active[entry >> 6] |= 1 << (entry & 63);
                 }
             }
         }
-        self.tally.cycle += 1;
+        tally.cycle += 1;
     }
 
     /// Statistics go under `rival.cycle.*`.

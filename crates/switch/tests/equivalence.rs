@@ -11,7 +11,7 @@
 use dv_core::fault::FaultPlan;
 use dv_core::rng::SplitMix64;
 use dv_switch::{
-    AnyTopology, CycleEngine, LinkFaultInjector, NetworkTopology, ReferenceNetSim,
+    AnyTopology, CycleEngine, LinkFaultInjector, MinPathGraph, NetworkTopology, ReferenceNetSim,
     ReferenceSwitchSim, RoutedNetSim, SwitchSim, TopoKind, Topology,
 };
 
@@ -341,6 +341,33 @@ fn deadlocked_backlog_is_bit_equivalent() {
     lockstep(&mut new_sim, &mut ref_sim, 64, &mut rng, (Workload::Uniform, 0.0, 1_000), 64, None);
     assert_eq!(new_sim.outstanding(), ref_sim.outstanding());
     assert!(new_sim.outstanding() > 0, "this workload is expected to wedge");
+}
+
+#[test]
+fn rivals_at_the_benchmark_load_and_backlog_are_bit_equivalent() {
+    // `switch_sweep`'s rival points: 1024 ports, `LoadSweep`'s 0.9 offered
+    // at speedup 4, its x64 backlog bound. The hotspot rows and the fat
+    // tree's uniform row wedge with tens of thousands of packets
+    // outstanding, so the run is bounded rather than drained.
+    for net in rivals(1024) {
+        for workload in [Workload::Uniform, Workload::Hotspot] {
+            let mut new_sim = RoutedNetSim::new(net.clone());
+            let mut ref_sim = ReferenceNetSim::new(net.clone());
+            let mut rng = SplitMix64::new(ROUTED.seed);
+            let run = (workload, 0.225, 300);
+            lockstep(&mut new_sim, &mut ref_sim, 1024, &mut rng, run, 64, None);
+            assert_eq!(new_sim.outstanding(), ref_sim.outstanding());
+        }
+    }
+}
+
+#[test]
+fn nodes_with_more_than_64_outputs_are_bit_equivalent() {
+    // Degree 72 plus two local eject ports: each node's outputs span two
+    // bitmap words.
+    let net = || AnyTopology::MinPath(MinPathGraph::new(128, 72, 2, 256));
+    routed(net(), Workload::Uniform, 0.6, 150, None);
+    routed(net(), Workload::Hotspot, 0.5, 150, None);
 }
 
 #[test]

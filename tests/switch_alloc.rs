@@ -1,18 +1,23 @@
 //! The optimized cycle engines' hot path must be allocation-free: one
-//! `step_into` touches only preallocated arenas, rings, bitmaps and free
-//! lists, plus the caller's reused delivery buffer. The per-thread
+//! `step_into` touches only preallocated arenas, queue heads, bitmaps and
+//! free lists, plus the caller's reused delivery buffer. The per-thread
 //! counting allocator of `tests/common` wraps the system one and counts
 //! what two drains of one seeded backlog allocate: the second drain must
 //! leave the counter untouched on every engine — the first drives every
 //! buffer to the exact high-water mark the second needs — and the Data
 //! Vortex switch, whose arenas are sized at construction, must not
-//! allocate in the first either.
+//! allocate in the first either. Construction is checked once: a rival
+//! graph's route table is built by its first `RoutedNetSim` only.
 
 mod common;
 
-use common::allocations_in;
+use std::collections::BTreeSet;
+
+use common::{allocations_in, largest_allocation_in};
 use datavortex::core::rng::SplitMix64;
-use datavortex::switch::{AnyTopology, CycleEngine, RoutedNetSim, SwitchSim, TopoKind, Topology};
+use datavortex::switch::{
+    AnyTopology, CycleEngine, NetworkTopology, RoutedNetSim, SwitchSim, TopoKind, Topology,
+};
 
 /// Allocations inside a cold and then a warm drain of the same backlog of
 /// `depth` packets per port (enqueueing is outside both windows —
@@ -60,5 +65,34 @@ fn steady_state_step_never_allocates() {
     for kind in TopoKind::ALL {
         let sim = RoutedNetSim::new(AnyTopology::for_ports(kind, 64));
         assert_eq!(drain_allocations(sim, 64, 64)[1], 0, "{kind:?}");
+    }
+}
+
+/// `node_count × lut_cols`: the size of `net`'s one-byte next-hop table,
+/// one column per distinct next-hop column over destination ports (the
+/// eject node's own entry is the node itself, as `RoutedNetSim` builds it).
+fn route_table_bytes(net: &AnyTopology) -> usize {
+    let nodes = net.node_count();
+    let columns: BTreeSet<Vec<usize>> = (0..net.ports())
+        .map(|dst| {
+            let out = net.eject_node(dst);
+            (0..nodes).map(|n| if n == out { n } else { net.route_one_hop(n, dst) }).collect()
+        })
+        .collect();
+    nodes * columns.len()
+}
+
+#[test]
+fn a_second_simulator_on_a_graph_reuses_its_route_table() {
+    // The table is built once per graph and shared by every clone of the
+    // topology value, so only the first `RoutedNetSim::new` allocates it.
+    for kind in [TopoKind::FatTree, TopoKind::MinPath] {
+        let net = AnyTopology::for_ports(kind, 1024);
+        let table = route_table_bytes(&net);
+        let (first, second) = (net.clone(), net.clone());
+        let largest = largest_allocation_in(|| drop(RoutedNetSim::new(first)));
+        assert!(largest >= table, "{kind:?}: the first build allocates the {table}-byte table");
+        let largest = largest_allocation_in(|| drop(RoutedNetSim::new(second)));
+        assert!(largest < table, "{kind:?}: a {largest}-byte allocation, table {table} bytes");
     }
 }
