@@ -42,16 +42,31 @@ impl SplitMix64 {
 
     /// Uniform value in `[0, bound)`; `bound` must be non-zero.
     pub fn next_below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
-        // Multiply-shift rejection-free mapping (slight bias acceptable for
-        // workload generation; not used for cryptography or statistics).
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
+        below(self.next_u64(), bound)
     }
 
     /// Uniform `f64` in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
+
+    /// Fill `out` with what `out.len()` [`SplitMix64::next_u64`] calls return.
+    pub fn fill(&mut self, out: &mut [u64]) {
+        out.fill_with(|| self.next_u64());
+    }
+}
+
+/// What [`SplitMix64::next_below`] makes of the raw draw `v`.
+pub fn below(v: u64, bound: u64) -> u64 {
+    debug_assert!(bound > 0);
+    // Multiply-shift rejection-free mapping (slight bias acceptable for
+    // workload generation; not used for cryptography or statistics).
+    ((v as u128 * bound as u128) >> 64) as u64
+}
+
+/// What [`SplitMix64::next_f64`] makes of the raw draw `v`.
+pub fn unit_f64(v: u64) -> f64 {
+    (v >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// The HPCC RandomAccess update stream.

@@ -8,13 +8,11 @@
 //! rival engine ([`crate::RoutedNetSim`]) and their two frozen oracles.
 //!
 //! Two private building blocks carry what the optimized engines used to
-//! copy from each other: [`Ingress`] (per-port injection FIFOs plus the
-//! pending-port bitmap the injection scans walk) and [`Tally`] (cycle and
-//! conservation counters, the hop histogram, and their one-shot and
-//! interval publication). What differs per engine — routing, arenas,
-//! movement kernels — stays in the engine.
-
-use std::collections::VecDeque;
+//! copy from each other: [`Ingress`] (per-port injection FIFOs in one
+//! free-listed slab, plus the pending-port bitmap the injection scans
+//! walk) and [`Tally`] (cycle and conservation counters, the hop
+//! histogram, and their one-shot and interval publication). What differs
+//! per engine — routing, arenas, movement kernels — stays in the engine.
 
 use dv_core::metrics::MetricsRegistry;
 use dv_core::stats::Log2Histogram;
@@ -81,21 +79,32 @@ pub trait CycleEngine {
     }
 }
 
-/// A queued packet, as compact as an input FIFO entry can be: the source
-/// is the FIFO it sits in, and destination coordinates and the injection
-/// cycle are derived when it actually enters the network.
+/// A queued packet, as compact as an input FIFO entry can be (24 bytes):
+/// the source is the FIFO it sits in, and destination coordinates and the
+/// injection cycle are derived when it actually enters the network.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Queued {
     pub(crate) dst_port: u32,
+    /// The next entry of the same FIFO, or of the free list.
+    next: u32,
     pub(crate) tag: u64,
     pub(crate) enqueue_cycle: u64,
 }
 
+/// The end of the free list.
+const NIL: u32 = u32::MAX;
+
 /// The injection side of an engine: one unbounded FIFO per input port
 /// (sweeps bound them through [`CycleEngine::outstanding`]) and a bitmap
-/// of the ports that hold a packet, so injection visits only those.
+/// of the ports that hold a packet, so injection visits only those. The
+/// FIFOs and a free list are linked through one slab: pops never allocate.
 pub(crate) struct Ingress {
-    queues: Vec<VecDeque<Queued>>,
+    /// Entry `port` is that port's sentinel: its `next` is the FIFO's head.
+    slab: Vec<Queued>,
+    /// The newest entry per port, or the port's sentinel while it is empty.
+    tail: Vec<usize>,
+    /// The most recently freed entry, or [`NIL`].
+    free: u32,
     /// Bit `port % 64` of word `port / 64` is set iff the port's FIFO is
     /// non-empty.
     pending: Vec<u64>,
@@ -114,20 +123,28 @@ impl Ingress {
             "cycle engines pack port indices into 16 bits: at most 65536 ports, got {ports}"
         );
         Self {
-            queues: vec![VecDeque::new(); ports],
+            slab: vec![Queued { dst_port: 0, next: NIL, tag: 0, enqueue_cycle: 0 }; ports],
+            tail: (0..ports).collect(),
+            free: NIL,
             pending: vec![0; ports.div_ceil(64)],
             queued: 0,
         }
     }
 
     pub(crate) fn push(&mut self, src_port: usize, dst_port: usize, tag: u64, cycle: u64) {
-        let ports = self.queues.len();
+        let ports = self.tail.len();
         assert!(src_port < ports && dst_port < ports);
-        self.queues[src_port].push_back(Queued {
-            dst_port: u32::try_from(dst_port).expect("port index fits in u32"),
-            tag,
-            enqueue_cycle: cycle,
-        });
+        let dst_port = u32::try_from(dst_port).expect("port index fits in u32");
+        let entry = Queued { dst_port, next: NIL, tag, enqueue_cycle: cycle };
+        if self.free == NIL {
+            // Grow the free list by one entry, which `entry` then takes.
+            self.free = u32::try_from(self.slab.len()).expect("slab stays under 2^32 entries");
+            self.slab.push(entry);
+        }
+        let slot = self.free;
+        self.free = std::mem::replace(&mut self.slab[slot as usize], entry).next;
+        self.slab[self.tail[src_port]].next = slot;
+        self.tail[src_port] = slot as usize;
         self.pending[src_port >> 6] |= 1 << (src_port & 63);
         self.queued += 1;
     }
@@ -135,11 +152,16 @@ impl Ingress {
     /// Pop the head of `port`'s FIFO (the port must be pending).
     #[inline]
     pub(crate) fn pop(&mut self, port: usize) -> Queued {
-        let fifo = &mut self.queues[port];
-        let q = fifo.pop_front().expect("pending port has a queued packet");
-        if fifo.is_empty() {
+        debug_assert!(self.tail[port] != port, "pop from empty port {port}");
+        let slot = self.slab[port].next;
+        let q = self.slab[slot as usize];
+        self.slab[port].next = q.next;
+        if slot as usize == self.tail[port] {
+            self.tail[port] = port;
             self.pending[port >> 6] &= !(1 << (port & 63));
         }
+        self.slab[slot as usize].next = self.free;
+        self.free = slot;
         self.queued -= 1;
         q
     }

@@ -5,12 +5,14 @@
 //! architecture under nonuniform and bursty traffic"; Iliadis et al.):
 //! inject Bernoulli or bursty traffic at each port at a given offered load
 //! and measure accepted throughput, latency, and deflection statistics.
+//! Arrivals jump from fired port to fired port over a bitmap of a block-drawn
+//! stream, in the draw order of a per-port loop (`tests/sweep_golden.rs`).
 
 use std::sync::Arc;
 
 use dv_core::fault::{FaultPlan, STREAM_SWEEP};
 use dv_core::metrics::MetricsRegistry;
-use dv_core::rng::SplitMix64;
+use dv_core::rng::{below, unit_f64, SplitMix64};
 use dv_core::stats::{Log2Histogram, OnlineStats};
 
 use crate::cycle::{Delivered, SwitchSim};
@@ -46,7 +48,7 @@ impl Pattern {
 /// Arrival process at each input port.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Arrival {
-    /// Independent Bernoulli arrivals with probability = offered load.
+    /// Independent Bernoulli arrivals, with probability `offered / speedup` per switch cycle.
     Bernoulli,
     /// Two-state Markov on/off source with the given mean burst length;
     /// the on-state injection probability is scaled to keep the long-run
@@ -89,6 +91,56 @@ struct RunArtifacts {
     sim: Box<dyn CycleEngine + Send>,
     lat_hist: Log2Histogram,
     fault_drops: u64,
+}
+
+/// A sweep's random stream, drawn ahead in blocks: `vals[pos..]` are the
+/// seeded [`SplitMix64`]'s next values, taken in stream order. Bit `i % 64` of
+/// `fires[i / 64]` is the Bernoulli fire test `unit_f64(vals[i]) < p`.
+struct Draws {
+    rng: SplitMix64,
+    vals: Vec<u64>,
+    fires: Vec<u64>,
+    pos: usize,
+}
+
+impl Draws {
+    /// Keep more than `need` values unread, so no cycle refills midway: move
+    /// them, from `pos`'s word on, to the front; draw the rest; fire on `Some(p)`.
+    fn refill(&mut self, need: usize, p: Option<f64>) {
+        if self.vals.len() - self.pos > need {
+            return;
+        }
+        let from = self.pos & !63;
+        let kept = self.vals.len() - from;
+        self.vals.copy_within(from.., 0);
+        self.fires.copy_within(from / 64.., 0);
+        self.pos -= from;
+        self.rng.fill(&mut self.vals[kept..]);
+        let Some(p) = p else { return };
+        for (word, vals) in self.fires[kept / 64..].iter_mut().zip(self.vals[kept..].chunks(64)) {
+            let fire = |(i, &v): (usize, &u64)| u64::from(unit_f64(v) < p) << i;
+            *word = vals.iter().enumerate().map(fire).fold(0, |w, bit| w | bit);
+        }
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.pos += 1;
+        self.vals[self.pos - 1]
+    }
+
+    /// Bernoulli arrivals: the first port in `from..ports` whose value fires.
+    /// Each port up to it takes its one value; `None` takes one per port left.
+    fn next_fire(&mut self, from: usize, ports: usize) -> Option<usize> {
+        let (start, end, mut word) = (self.pos, self.pos + ports - from, self.pos >> 6);
+        let mut bits = self.fires[word] & (!0 << (start & 63));
+        while bits == 0 && (word + 1) << 6 < end {
+            word += 1;
+            bits = self.fires[word];
+        }
+        let i = (word << 6) + bits.trailing_zeros() as usize;
+        self.pos = end.min(i + 1);
+        (i < end).then(|| from + i - start)
+    }
 }
 
 /// Offered-load sweep driver.
@@ -149,14 +201,14 @@ impl LoadSweep {
         }
     }
 
-    /// Uniform destination excluding self. A 1-port switch has no
-    /// non-self destination, so it degenerates to self-traffic — the only
-    /// traffic a single port can offer (`next_below(0)` would be invalid).
-    fn uniform_dst(rng: &mut SplitMix64, ports: usize, src: usize) -> usize {
+    /// Uniform destination excluding self, from one `draw`. A 1-port switch
+    /// has no non-self destination, so it degenerates to self-traffic — the
+    /// only traffic a single port can offer — and draws nothing.
+    fn uniform_dst(draw: impl FnOnce() -> u64, ports: usize, src: usize) -> usize {
         if ports <= 1 {
             return 0;
         }
-        let mut d = rng.next_below(ports as u64 - 1) as usize;
+        let mut d = below(draw(), ports as u64 - 1) as usize;
         if d >= src {
             d += 1;
         }
@@ -260,6 +312,10 @@ impl LoadSweep {
             }
         };
         let mut on_state = vec![false; ports];
+        // A cycle's worst case per port: fire draw(s), hotspot coin, destination.
+        let need = ports * if self.arrival == Arrival::Bernoulli { 3 } else { 4 };
+        let len = (2 * need).next_multiple_of(64) + 64; // two cycles' worth, plus a word
+        let mut draws = Draws { rng, vals: vec![0; len], fires: vec![0; len / 64], pos: len };
 
         let mut lat = OnlineStats::new();
         let mut total_lat = OnlineStats::new();
@@ -277,24 +333,21 @@ impl LoadSweep {
 
         let total_cycles = self.warmup + self.measure;
         for cycle in 0..total_cycles {
-            for src in 0..ports {
-                // Arrival process.
-                let fire = match self.arrival {
-                    Arrival::Bernoulli => rng.next_f64() < p_inject_on,
-                    Arrival::Bursty { .. } => {
-                        if on_state[src] {
-                            if rng.next_f64() < p_on_to_off {
-                                on_state[src] = false;
-                            }
-                        } else if rng.next_f64() < p_off_to_on {
-                            on_state[src] = true;
-                        }
-                        on_state[src] && rng.next_f64() < p_inject_on
-                    }
+            draws.refill(need, (self.arrival == Arrival::Bernoulli).then_some(p_inject_on));
+            let mut next = 0;
+            loop {
+                // Arrival process: the next port that fires this cycle.
+                let fired = match self.arrival {
+                    Arrival::Bernoulli => draws.next_fire(next, ports),
+                    Arrival::Bursty { .. } => (next..ports).find(|&src| {
+                        let on = &mut on_state[src];
+                        let flip = if *on { p_on_to_off } else { p_off_to_on };
+                        *on ^= unit_f64(draws.next_u64()) < flip;
+                        *on && unit_f64(draws.next_u64()) < p_inject_on
+                    }),
                 };
-                if !fire {
-                    continue;
-                }
+                let Some(src) = fired else { break };
+                next = src + 1;
                 // Keep source queues bounded: drop when badly backlogged
                 // (models finite injection FIFOs; drops don't count as
                 // accepted traffic).
@@ -302,12 +355,12 @@ impl LoadSweep {
                     continue;
                 }
                 let dst = match self.pattern {
-                    Pattern::Uniform => Self::uniform_dst(&mut rng, ports, src),
+                    Pattern::Uniform => Self::uniform_dst(|| draws.next_u64(), ports, src),
                     Pattern::Hotspot => {
-                        if rng.next_f64() < 0.5 {
+                        if unit_f64(draws.next_u64()) < 0.5 {
                             0
                         } else {
-                            Self::uniform_dst(&mut rng, ports, src)
+                            Self::uniform_dst(|| draws.next_u64(), ports, src)
                         }
                     }
                     Pattern::Tornado => (src + ports / 2) % ports,
@@ -398,8 +451,8 @@ impl LoadSweep {
     /// collected — and published into the optional metrics registry — in
     /// input order. The returned points and every registry side effect are
     /// therefore byte-identical to [`LoadSweep::sweep`], regardless of
-    /// core count or scheduling; `tests/sweep_parallel.rs` and CI's
-    /// serial-vs-parallel `cmp` hold that line.
+    /// core count or scheduling; `tests/sweep_parallel.rs` holds that line
+    /// (CI only `cmp`s two parallel `switch_study` runs).
     pub fn sweep_parallel(&self, loads: &[f64]) -> Vec<SweepPoint> {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -537,15 +590,15 @@ mod tests {
 
     #[test]
     fn uniform_dst_handles_the_single_port_degenerate_case() {
-        // ports == 1 used to hit `next_below(0)` (a debug-assert
-        // violation); it now degenerates to self-traffic, the only
-        // destination a 1-port switch has.
+        // ports == 1 would need `below(_, 0)` (a debug-assert
+        // violation); it degenerates to self-traffic instead, the only
+        // destination a 1-port switch has, and draws nothing.
         let mut rng = SplitMix64::new(1);
-        assert_eq!(LoadSweep::uniform_dst(&mut rng, 1, 0), 0);
+        assert_eq!(LoadSweep::uniform_dst(|| unreachable!("no draw"), 1, 0), 0);
         for ports in [2usize, 3, 8] {
             for src in 0..ports {
                 for _ in 0..200 {
-                    let d = LoadSweep::uniform_dst(&mut rng, ports, src);
+                    let d = LoadSweep::uniform_dst(|| rng.next_u64(), ports, src);
                     assert_ne!(d, src, "ports={ports}");
                     assert!(d < ports);
                 }

@@ -1,8 +1,8 @@
 //! Serial vs parallel sweep determinism, end to end: `sweep_parallel`
 //! must be indistinguishable from `sweep` — identical `SweepPoint`s in
-//! input order and byte-identical metrics snapshots (the exact property
-//! CI checks by `cmp`-ing `switch_study --serial` against the default
-//! parallel run's JSON artifact).
+//! input order and byte-identical metrics snapshots. This suite is what
+//! holds serial against parallel; CI only `cmp`s two parallel
+//! `switch_study --quick --json` runs against each other.
 
 use std::sync::Arc;
 

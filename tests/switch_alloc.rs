@@ -15,6 +15,7 @@ use std::collections::BTreeSet;
 
 use common::{allocations_in, largest_allocation_in};
 use datavortex::core::rng::SplitMix64;
+use datavortex::switch::traffic::{LoadSweep, Pattern};
 use datavortex::switch::{
     AnyTopology, CycleEngine, NetworkTopology, RoutedNetSim, SwitchSim, TopoKind, Topology,
 };
@@ -95,4 +96,16 @@ fn a_second_simulator_on_a_graph_reuses_its_route_table() {
         let largest = largest_allocation_in(|| drop(RoutedNetSim::new(second)));
         assert!(largest < table, "{kind:?}: a {largest}-byte allocation, table {table} bytes");
     }
+}
+
+#[test]
+fn a_backlogged_sweep_point_allocates_per_run_not_per_port() {
+    // Hotspot 0.9 on 256 ports backs every input FIFO up to `LoadSweep`'s
+    // `ports × 64` cap. The FIFOs share one slab, so the point allocates
+    // its engine, its buffers and the slab's doublings — not a queue per
+    // port that receives traffic, and again each time one doubles.
+    let mut s = LoadSweep::new(Topology::new(64, 4));
+    s.pattern = Pattern::Hotspot;
+    let allocated = allocations_in(|| assert!(s.run(0.9).delivered > 0));
+    assert!(allocated < 64, "{allocated} allocations for one sweep point");
 }
