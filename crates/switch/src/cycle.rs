@@ -140,7 +140,12 @@ impl Delivered {
 /// Movement kernel, resolved from the topology alone at construction. The
 /// three make identical routing decisions and deliver bit-identical
 /// [`Delivered`] streams (`tests/equivalence.rs`); each exists because it
-/// is the only one, or the measurably fastest one, for its shapes.
+/// is the only one, or the measurably fastest one, for its shapes. Two
+/// merges were timed and rejected (`switch_sweep`'s four points per
+/// network, best of 5, one pinned core): routing Vortex 64 through
+/// `WideScalar` is 21–37 % slower (29.5 → 35.8 ms; 32 → 44 ms), and
+/// u32-only pool handles cost Vortex 4096 up to 5 % (61 → 64.5 ms; within
+/// noise on a re-run) — u32 stays as the only width past 2^16 cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// ≤ 64 ports: whole cylinder bitmap in one register.
@@ -190,6 +195,78 @@ fn move_handles<T: Copy>(dst: &mut [T], src: &[T], mask: u64) {
             dst[i] = src[i];
         }
     }
+}
+
+/// Straight down: the `mask` lanes of one word's planes and 64 handles land
+/// on the same lanes one cylinder in, dropping the just-resolved plane `b`
+/// — a blend, because the inner word's own pass already wrote there.
+#[inline(always)]
+fn descend<H: Copy>(
+    dst_planes: &mut [u64],
+    src_planes: &[u64],
+    b: usize,
+    dst_handles: &mut [H],
+    src_handles: &[H],
+    mask: u64,
+) {
+    let npl = src_planes.len();
+    move_planes(&mut dst_planes[..b], &src_planes[..b], mask);
+    move_planes(&mut dst_planes[b..npl - 1], &src_planes[b + 1..], mask);
+    move_handles(&mut dst_handles[..64], src_handles, mask);
+}
+
+/// Charge a contention deflection to every `blocked` lane of one word's
+/// 64 `handles`. The low byte lives in `defl_counts` — a handle-indexed
+/// `u8` array the size of the cell count, small enough to stay
+/// cache-resident, so the counts never touch the plane streams (the kernel
+/// is bandwidth-bound; count planes would cost ~25% extra plane traffic).
+/// A wrap past 255 — vanishingly rare even at saturation — spills 256 into
+/// the pool. Callers run it before a deflection swap rewrites the handles.
+#[inline(always)]
+fn charge_blocked<H: PoolHandle>(
+    blocked: u64,
+    handles: &[H],
+    defl_counts: &mut [u8],
+    pool: &mut [Flit],
+) {
+    let mut bits = blocked;
+    while bits != 0 {
+        let h = handles[bits.trailing_zeros() as usize].idx();
+        bits &= bits - 1;
+        defl_counts[h] = defl_counts[h].wrapping_add(1);
+        if defl_counts[h] == 0 {
+            pool[h].deflections += 256;
+        }
+    }
+}
+
+/// Eject flit `p` at `cycle` with its exact `deflections`: both histogram
+/// pushes and the [`Delivered`] record, shared by the three kernels.
+#[inline(always)]
+fn retire(
+    p: &Flit,
+    deflections: u32,
+    cycle: u64,
+    hop_hist: &mut Log2Histogram,
+    deflection_hist: &mut Log2Histogram,
+    out: &mut Vec<Delivered>,
+) {
+    // A flit moves exactly one hop per in-flight cycle, and the ejecting
+    // cycle is not a hop.
+    // dv-lint: allow(DV-W011, reason = "flight time is bounded by the run's cycle count, far below 2^32; Delivered.hops is u32 and this is the per-ejection hot loop")
+    let hops = (cycle - p.inject_cycle - 1) as u32;
+    hop_hist.push(hops as u64);
+    deflection_hist.push(deflections as u64);
+    out.push(Delivered {
+        src_port: p.src_port as usize,
+        dst_port: p.dst_port as usize,
+        tag: p.tag,
+        enqueue_cycle: p.enqueue_cycle,
+        inject_cycle: p.inject_cycle,
+        eject_cycle: cycle,
+        hops,
+        deflections,
+    });
 }
 
 /// Pool-handle storage width for the batched kernel. The per-cell handle
@@ -376,29 +453,16 @@ fn batched_move<H: PoolHandle>(
                     let i = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     let handle = handles[src_cells + i];
-                    let p = pool[handle.idx()];
-                    // dv-lint: allow(DV-W011, reason = "flight time is bounded by the run's cycle count, far below 2^32; Delivered.hops is u32 and this is the per-ejection hot loop")
-                    let hops = (cycle - p.inject_cycle - 1) as u32;
+                    let h = handle.idx();
                     // Reassemble the exact deflection count: pool
                     // spills (multiples of 256) plus the low byte from
                     // the counts side array, cleared here so the handle
                     // re-enters the free list with a zero count.
-                    let deflections = p.deflections | defl_counts[handle.idx()] as u32;
-                    defl_counts[handle.idx()] = 0;
+                    let deflections = pool[h].deflections | defl_counts[h] as u32;
+                    defl_counts[h] = 0;
+                    retire(&pool[h], deflections, cycle, hop_hist, deflection_hist, out);
                     ejected += 1;
                     free_list.push(handle.widen());
-                    hop_hist.push(hops as u64);
-                    deflection_hist.push(deflections as u64);
-                    out.push(Delivered {
-                        src_port: p.src_port as usize,
-                        dst_port: p.dst_port as usize,
-                        tag: p.tag,
-                        enqueue_cycle: p.enqueue_cycle,
-                        inject_cycle: p.inject_cycle,
-                        eject_cycle: cycle,
-                        hops,
-                        deflections,
-                    });
                 }
             }
         }
@@ -417,175 +481,84 @@ fn batched_move<H: PoolHandle>(
         // destination (the next one in, `hi`) simultaneously.
         let (pl_lo, pl_hi) = planes.split_at_mut(plane_base[c + 1]);
         let (hn_lo, hn_hi) = handles.split_at_mut((c + 1) * ports);
-        if b < 6 {
-            let s = 1usize << b;
-            let pat = PLANE_PAT[b];
-            for w in 0..words {
+        // Deflection toggles height bit `b`. For `b < 6` it lies inside a
+        // word, which is then its own partner: the deflection swaps its
+        // `1 << b`-strided lane halves in place. For `b >= 6` deflections
+        // from word `w` land at identical lanes of the partner word
+        // `hw ^ (1 << (b - 6))` in the same angle column, and vice versa:
+        // each pair is processed jointly, so the exchange is one full swap
+        // after both sides' descents have consumed their sources.
+        let in_word = b < 6;
+        let m = if in_word { 0 } else { 1usize << (b - 6) };
+        let sides = if in_word { 1 } else { 2 };
+        for w0 in 0..words {
+            if w0 & m != 0 {
+                continue; // the low sibling drives the pair
+            }
+            let w1 = w0 | m;
+            if occ[wbase + w0] | occ[wbase + w1] == 0 {
+                continue;
+            }
+            let mut defl = [0u64; 2];
+            for (side, w) in [w0, w1].into_iter().enumerate().take(sides) {
                 let occ_w = occ[wbase + w];
-                if occ_w == 0 {
-                    continue;
-                }
                 let spl = pbase + w * npl;
-                // The current heights' bit `b` across this word is the
-                // constant pattern; XOR against the destinations' plane
-                // splits the word into matched and mismatched lanes.
+                // The current heights' bit `b` across this word is a
+                // constant pattern ([`PLANE_PAT`] in-word; all-zeros on
+                // the low sibling, all-ones on the high one); XOR against
+                // the destinations' plane splits the word into matched
+                // and mismatched lanes.
+                let pat = if in_word { PLANE_PAT[b] } else { (side as u64).wrapping_neg() };
                 let mism = (pat ^ pl_lo[spl + b]) & occ_w;
                 let matched = occ_w & !mism;
                 let t_in = wbase + words + w; // (c+1, same column)
                 let inner = occ[t_in];
                 let desc = matched & !inner;
                 let blocked = matched & inner;
-                let defl = blocked | mism;
+                defl[side] = blocked | mism;
                 contended += blocked.count_ones() as u64;
                 occ[t_in] = inner | desc;
-                let src_cells = cbase + (w << 6);
+                let cells = cbase + (w << 6);
+                let src_hn = &hn_lo[cells..cells + 64];
                 if desc != 0 {
-                    // Straight down: same word index one cylinder in,
-                    // dropping the just-resolved plane `b` — a masked
-                    // blend (the inner word's own pass already wrote it).
-                    let dpl = w * (npl - 1);
-                    move_planes(&mut pl_hi[dpl..dpl + b], &pl_lo[spl..spl + b], desc);
-                    move_planes(
-                        &mut pl_hi[dpl + b..dpl + npl - 1],
-                        &pl_lo[spl + b + 1..spl + npl],
-                        desc,
-                    );
-                    move_handles(
-                        &mut hn_hi[w << 6..(w << 6) + 64],
-                        &hn_lo[src_cells..src_cells + 64],
+                    descend(
+                        &mut pl_hi[w * (npl - 1)..],
+                        &pl_lo[spl..spl + npl],
+                        b,
+                        &mut hn_hi[w << 6..],
+                        src_hn,
                         desc,
                     );
                 }
-                if blocked != 0 {
-                    // Blocked descents charge a contention deflection in
-                    // `defl_counts` — a handle-indexed `u8` array the
-                    // size of the cell count, small enough to stay
-                    // cache-resident, so the counts never touch the
-                    // plane streams (the kernel is bandwidth-bound;
-                    // count planes would cost ~25% extra plane traffic).
-                    // A wrap past 255 — vanishingly rare even at
-                    // saturation — spills 256 into the pool. Read before
-                    // the deflection swap below rewrites the handles.
-                    let mut bits = blocked;
-                    while bits != 0 {
-                        let i = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let h = hn_lo[src_cells + i].idx();
-                        defl_counts[h] = defl_counts[h].wrapping_add(1);
-                        if defl_counts[h] == 0 {
-                            pool[h].deflections += 256;
-                        }
-                    }
-                }
-                // Deflection toggles the in-word height bit `b`: swap the
-                // `1 << b`-strided lane halves in place. Lanes without a
-                // deflected flit come along as garbage (occupancy
-                // contract); the descend blend above already consumed
-                // the source, so the rewrite is safe.
-                occ[wbase + w] = ((defl & pat) >> s) | ((defl & !pat) << s);
-                if defl != 0 {
-                    for p in &mut pl_lo[spl..spl + npl] {
+                charge_blocked(blocked, src_hn, defl_counts, pool);
+            }
+            // Lanes without a deflected flit come along as garbage
+            // (occupancy contract); the descents above already consumed
+            // the sources, so the rewrite is safe.
+            let (spl0, cells0) = (pbase + w0 * npl, cbase + (w0 << 6));
+            if in_word {
+                let (s, pat) = (1usize << b, PLANE_PAT[b]);
+                occ[wbase + w0] = ((defl[0] & pat) >> s) | ((defl[0] & !pat) << s);
+                if defl[0] != 0 {
+                    for p in &mut pl_lo[spl0..spl0 + npl] {
                         let x = *p;
                         *p = ((x & pat) >> s) | ((x & !pat) << s);
                     }
                     // In-place block swap of the `s`-strided lane halves
                     // (`out[i] = in[i ^ s]`), no gathers and no temporary.
-                    for blk in hn_lo[src_cells..src_cells + 64].chunks_exact_mut(2 * s) {
+                    for blk in hn_lo[cells0..cells0 + 64].chunks_exact_mut(2 * s) {
                         let (lo, hi) = blk.split_at_mut(s);
                         lo.swap_with_slice(hi);
                     }
                 }
-            }
-        } else {
-            // `b >= 6` toggles an inter-word height bit: deflections from
-            // word `w` land at identical lanes of the partner word
-            // `hw ^ (1 << (b - 6))` in the same angle column, and vice
-            // versa. Process each pair jointly so the exchange is one
-            // full swap after both sides' descents have consumed their
-            // sources.
-            let m = 1usize << (b - 6);
-            for w0 in 0..words {
-                if w0 & m != 0 {
-                    continue; // the low sibling drives the pair
-                }
-                let w1 = w0 | m;
-                let occ0 = occ[wbase + w0];
-                let occ1 = occ[wbase + w1];
-                if occ0 | occ1 == 0 {
-                    continue;
-                }
-                let spl0 = pbase + w0 * npl;
-                let spl1 = pbase + w1 * npl;
-                // Height bit `b` is 0 across the low sibling and 1 across
-                // the high one.
-                let mism0 = pl_lo[spl0 + b] & occ0;
-                let mism1 = !pl_lo[spl1 + b] & occ1;
-                let matched0 = occ0 & !mism0;
-                let matched1 = occ1 & !mism1;
-                let t0 = wbase + words + w0;
-                let t1 = wbase + words + w1;
-                let inner0 = occ[t0];
-                let inner1 = occ[t1];
-                let desc0 = matched0 & !inner0;
-                let desc1 = matched1 & !inner1;
-                let blocked0 = matched0 & inner0;
-                let blocked1 = matched1 & inner1;
-                let defl0 = blocked0 | mism0;
-                let defl1 = blocked1 | mism1;
-                contended += (blocked0.count_ones() + blocked1.count_ones()) as u64;
-                occ[t0] = inner0 | desc0;
-                occ[t1] = inner1 | desc1;
-                let cells0 = cbase + (w0 << 6);
-                let cells1 = cbase + (w1 << 6);
-                if desc0 != 0 {
-                    let dpl = w0 * (npl - 1);
-                    move_planes(&mut pl_hi[dpl..dpl + b], &pl_lo[spl0..spl0 + b], desc0);
-                    move_planes(
-                        &mut pl_hi[dpl + b..dpl + npl - 1],
-                        &pl_lo[spl0 + b + 1..spl0 + npl],
-                        desc0,
-                    );
-                    move_handles(
-                        &mut hn_hi[w0 << 6..(w0 << 6) + 64],
-                        &hn_lo[cells0..cells0 + 64],
-                        desc0,
-                    );
-                }
-                if desc1 != 0 {
-                    let dpl = w1 * (npl - 1);
-                    move_planes(&mut pl_hi[dpl..dpl + b], &pl_lo[spl1..spl1 + b], desc1);
-                    move_planes(
-                        &mut pl_hi[dpl + b..dpl + npl - 1],
-                        &pl_lo[spl1 + b + 1..spl1 + npl],
-                        desc1,
-                    );
-                    move_handles(
-                        &mut hn_hi[w1 << 6..(w1 << 6) + 64],
-                        &hn_lo[cells1..cells1 + 64],
-                        desc1,
-                    );
-                }
-                // Contention counts, read before the exchange moves the
-                // handles (see the `b < 6` arm for the side-array story).
-                for (blocked, cells) in [(blocked0, cells0), (blocked1, cells1)] {
-                    let mut bits = blocked;
-                    while bits != 0 {
-                        let i = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let h = hn_lo[cells + i].idx();
-                        defl_counts[h] = defl_counts[h].wrapping_add(1);
-                        if defl_counts[h] == 0 {
-                            pool[h].deflections += 256;
-                        }
-                    }
-                }
+            } else {
                 // The exchange: each side's deflected lanes land at the
                 // same lane of the partner, so a full swap of the plane
-                // runs and handle groups is exact on live lanes and
-                // garbage elsewhere (allowed).
-                occ[wbase + w0] = defl1;
-                occ[wbase + w1] = defl0;
-                if defl0 | defl1 != 0 {
+                // runs and handle groups is exact on live lanes.
+                occ[wbase + w0] = defl[1];
+                occ[wbase + w1] = defl[0];
+                if defl[0] | defl[1] != 0 {
+                    let (spl1, cells1) = (pbase + w1 * npl, cbase + (w1 << 6));
                     let (pa0, pa1) = pl_lo[spl0..spl1 + npl].split_at_mut(spl1 - spl0);
                     pa0[..npl].swap_with_slice(&mut pa1[..npl]);
                     let (ha0, ha1) = hn_lo[cells0..cells1 + 64].split_at_mut(cells1 - cells0);
@@ -1019,23 +992,10 @@ impl SwitchSim {
                     let a1 = if a + 1 == angles { 0 } else { a + 1 };
                     debug_assert_eq!(h, slot.dst_h as usize);
                     if a == slot.dst_a as usize {
-                        let p = pool[slot.handle as usize];
-                        // dv-lint: allow(DV-W011, reason = "flight time is bounded by the run's cycle count, far below 2^32; Delivered.hops is u32 and this is the per-ejection hot loop")
-                        let hops = (cycle - p.inject_cycle - 1) as u32;
+                        let p = &pool[slot.handle as usize];
+                        retire(p, slot.deflections, cycle, hop_hist, deflection_hist, out);
                         ejected += 1;
                         free_list.push(slot.handle);
-                        hop_hist.push(hops as u64);
-                        deflection_hist.push(slot.deflections as u64);
-                        out.push(Delivered {
-                            src_port: p.src_port as usize,
-                            dst_port: p.dst_port as usize,
-                            tag: p.tag,
-                            enqueue_cycle: p.enqueue_cycle,
-                            inject_cycle: p.inject_cycle,
-                            eject_cycle: cycle,
-                            hops,
-                            deflections: slot.deflections,
-                        });
                     } else {
                         let tgt = (a1 << h_shift) | h;
                         debug_assert_eq!(occ_this >> tgt & 1, 0);
@@ -1141,25 +1101,10 @@ impl SwitchSim {
                             "innermost height must be matched"
                         );
                         if a == slot.dst_a as usize {
-                            let p = pool[slot.handle as usize];
-                            // A flit moves exactly one hop per in-flight
-                            // cycle, and the ejecting cycle is not a hop.
-                            // dv-lint: allow(DV-W011, reason = "flight time is bounded by the run's cycle count, far below 2^32; Delivered.hops is u32 and this is the per-ejection hot loop")
-                            let hops = (cycle - p.inject_cycle - 1) as u32;
+                            let p = &pool[slot.handle as usize];
+                            retire(p, slot.deflections, cycle, hop_hist, deflection_hist, out);
                             ejected += 1;
                             free_list.push(slot.handle);
-                            hop_hist.push(hops as u64);
-                            deflection_hist.push(slot.deflections as u64);
-                            out.push(Delivered {
-                                src_port: p.src_port as usize,
-                                dst_port: p.dst_port as usize,
-                                tag: p.tag,
-                                enqueue_cycle: p.enqueue_cycle,
-                                inject_cycle: p.inject_cycle,
-                                eject_cycle: cycle,
-                                hops,
-                                deflections: slot.deflections,
-                            });
                         } else {
                             // Circle toward the output angle.
                             let tgt = (a1 << h_shift) | h;

@@ -246,6 +246,9 @@ fn scalar_wide_switch_is_bit_equivalent() {
     // batched kernel does not apply).
     dv(Topology::new(32, 4), Workload::Uniform, 0.7, 400, None);
     dv(Topology::new(32, 4), Workload::Tornado, 0.9, 400, None);
+    dv(Topology::new(32, 4), Workload::Hotspot, 0.5, 400, None);
+    let plan = FaultPlan { seed: 17, link_drop: 0.1, ..Default::default() };
+    dv(Topology::new(32, 4), Workload::Uniform, 0.7, 400, Some(plan));
 }
 
 #[test]
