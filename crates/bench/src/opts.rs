@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 
 use dv_core::fault::FaultPlan;
-use dv_core::time::{us, Time};
+use dv_core::time::{us, Time, US};
 use dv_switch::TopoKind;
 
 /// One row of the front end's scenario table.
@@ -99,8 +99,8 @@ impl Opts {
             match flag {
                 "--json" => opts.json = Some(PathBuf::from(value)),
                 "--stream" => opts.stream = Some(value),
-                "--stream-interval" => match value.parse::<u64>() {
-                    Ok(n) if n > 0 => opts.stream_interval = us(n),
+                "--stream-interval" => match value.parse::<u64>().ok().and_then(|n| n.checked_mul(US)) {
+                    Some(ps) if ps > 0 => opts.stream_interval = ps,
                     _ => return Err(format!("--stream-interval takes microseconds > 0, got {value:?}")),
                 },
                 "--faults" => match FaultPlan::parse(&value) {

@@ -47,11 +47,18 @@ fn rival_point(net: &AnyTopology, pattern: Pattern, measure: u64) -> SweepPoint 
 /// The rival-topology sweep: structure and every traffic pattern for one
 /// topology kind at 64 → 4096 ports (the kilo-port scale the batched
 /// wide kernel unlocks; `--quick` stops at 256).
-fn rival_sweep(report: &mut Report, kind: TopoKind, quick: bool) {
+/// `stream` carries the options of a rival-only run, whose `--stream`
+/// follows the largest network.
+fn rival_sweep(report: &mut Report, kind: TopoKind, quick: bool, stream: Option<&Opts>) {
     let sizes: &[usize] = if quick { &[64, 128, 256] } else { &[64, 256, 1024, 4096] };
     let measure = if quick { 1_000 } else { 3_000 };
     let nets: Vec<AnyTopology> =
         sizes.iter().map(|&ports| AnyTopology::for_ports(kind, ports)).collect();
+    if let Some(opts) = stream {
+        let mut streamed = LoadSweep::for_net(nets.last().expect("sizes is non-empty").clone());
+        streamed.measure = measure;
+        super::stream_sweep(opts, streamed);
+    }
 
     // Structure at scale: router count and the contention-free path
     // profile (mean path length is the Deng et al. figure of merit).
@@ -110,7 +117,7 @@ pub(crate) fn run(opts: &Opts, report: &mut Report) {
     // legacy study: barriers and GUPS run on the DV cluster runtime and
     // have no rival-topology counterpart.
     if kind != TopoKind::Vortex {
-        rival_sweep(report, kind, quick);
+        rival_sweep(report, kind, quick, Some(opts));
         return;
     }
 
@@ -217,7 +224,7 @@ pub(crate) fn run(opts: &Opts, report: &mut Report) {
 
     // 5. The Data Vortex's own rival-format sweep: row-for-row comparable
     //    with the `--topo fattree` / `--topo minpath` artifacts.
-    rival_sweep(report, TopoKind::Vortex, quick);
+    rival_sweep(report, TopoKind::Vortex, quick, None);
 
     println!(
         "Conjecture check: DV per-node GUPS and barrier latency should stay ~flat while\n\

@@ -3,8 +3,8 @@
 //!
 //! The stream is a line-oriented JSON log of delta-compressed metric
 //! samples taken at deterministic **virtual-time** intervals (see
-//! `dv_core::metrics::Timeseries`): one header line, one line per
-//! non-empty sample, one end line.
+//! `dv_core::metrics::MetricsRegistry::attach_series`): one header
+//! line, one line per non-empty sample, one end line.
 //!
 //! ```json
 //! {"schema":"dv-events-v1","bench":"fig6","quick":true,"interval_ps":10000000,"nodes":4}
@@ -23,26 +23,18 @@
 use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 
+use dv_core::fnv::Fnv1a;
 use dv_core::json::Json;
-use dv_core::metrics::{MetricsRegistry, MetricsSnapshot, TimeseriesSample};
+use dv_core::metrics::{MetricsRegistry, MetricsSnapshot};
 use dv_core::spec::SimSpec;
 use dv_core::time::{us, Time};
 
 use crate::Opts;
 
-/// FNV-1a offset basis (the same constants as `MetricsSnapshot::fnv_hash`).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Samples retained in the in-memory ring (the sink sees every sample
-/// regardless; the ring only serves post-run inspection).
-const RING_CAPACITY: usize = 4096;
-
 /// Shared sink state: the output, plus the running FNV over sample lines.
 struct SinkState {
     out: Box<dyn std::io::Write + Send>,
-    fnv: u64,
+    fnv: Fnv1a,
     samples: u64,
 }
 
@@ -52,10 +44,8 @@ impl SinkState {
     /// end line *carries* the hash).
     fn line(&mut self, text: &str, hashed: bool) {
         if hashed {
-            for b in text.bytes().chain(std::iter::once(b'\n')) {
-                self.fnv ^= b as u64;
-                self.fnv = self.fnv.wrapping_mul(FNV_PRIME);
-            }
+            self.fnv.bytes(text.as_bytes());
+            self.fnv.bytes(b"\n");
             self.samples += 1;
         }
         if writeln!(self.out, "{text}").and_then(|_| self.out.flush()).is_err() {
@@ -69,9 +59,9 @@ impl SinkState {
 /// A live `dv-events-v1` emitter bound to one registry.
 ///
 /// Created by [`Streamer::attach`] when `--stream` was passed: writes the
-/// header, attaches a virtual-time series to the registry, and points the
-/// series sink at the output. The benchmark runs its instrumented
-/// workload, then calls [`Streamer::finish`] with the run's end time.
+/// header and attaches a virtual-time series whose sink is the output.
+/// The benchmark runs its instrumented workload, then calls
+/// [`Streamer::finish`] with the run's end time.
 pub struct Streamer {
     metrics: Arc<MetricsRegistry>,
     state: Arc<Mutex<SinkState>>,
@@ -95,7 +85,7 @@ impl Streamer {
             }
         };
         let interval_ps = opts.stream_interval;
-        let state = Arc::new(Mutex::new(SinkState { out, fnv: FNV_OFFSET, samples: 0 }));
+        let state = Arc::new(Mutex::new(SinkState { out, fnv: Fnv1a::default(), samples: 0 }));
         let header = Json::Obj(vec![
             ("schema".to_string(), Json::str("dv-events-v1")),
             ("bench".to_string(), Json::str(opts.bench)),
@@ -104,10 +94,9 @@ impl Streamer {
             ("nodes".to_string(), Json::U64(nodes as u64)),
         ]);
         state.lock().unwrap().line(&header.render(), false);
-        metrics.attach_series(interval_ps, RING_CAPACITY);
         let sink_state = Arc::clone(&state);
-        metrics.set_series_sink(move |s| {
-            sink_state.lock().unwrap().line(&render_sample(s), true);
+        metrics.attach_series(interval_ps, move |s| {
+            sink_state.lock().unwrap().line(&s.to_json().render(), true);
         });
         Some(Self { metrics: Arc::clone(metrics), state })
     }
@@ -124,32 +113,21 @@ impl Streamer {
     }
 
     /// Record the final sample at virtual time `end` (after all
-    /// end-of-run publishes) and write the end line. Consumes the
-    /// streamer; the registry keeps its cumulative totals for `--json`.
+    /// end-of-run publishes), detach the series and write the end line.
+    /// Consumes the streamer; the registry keeps its cumulative totals
+    /// for `--json`.
     pub fn finish(self, end: Time) {
         self.metrics.finish_series(end);
-        self.metrics.take_series();
         let mut st = self.state.lock().unwrap();
         let line = Json::Obj(vec![
             ("event".to_string(), Json::str("end")),
             ("t_ps".to_string(), Json::U64(end)),
             ("samples".to_string(), Json::U64(st.samples)),
-            ("fnv".to_string(), Json::U64(st.fnv)),
+            ("fnv".to_string(), Json::U64(st.fnv.finish())),
         ])
         .render();
         st.line(&line, false);
     }
-}
-
-/// Canonical sample line: `{"event":"sample","seq":…,"t_ps":…,"delta":…}`.
-fn render_sample(s: &TimeseriesSample) -> String {
-    Json::Obj(vec![
-        ("event".to_string(), Json::str("sample")),
-        ("seq".to_string(), Json::U64(s.seq)),
-        ("t_ps".to_string(), Json::U64(s.t_ps)),
-        ("delta".to_string(), s.delta.to_json()),
-    ])
-    .render()
 }
 
 /// One parsed line of a `dv-events-v1` stream.

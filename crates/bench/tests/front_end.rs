@@ -58,6 +58,8 @@ fn parse_accepts_both_flag_forms_and_names_every_offender() {
         (&["study", "--topo", "torus"], "\"torus\""),
         (&["study", "--faults", "bogus"], "\"bogus\""),
         (&["study", "--stream-interval", "0"], "--stream-interval"),
+        // 2^58 µs does not fit in u64 picoseconds: it must not wrap to 0 ps.
+        (&["study", "--stream-interval", "288230376151711744"], "--stream-interval"),
     ] {
         let err = parse(args).expect_err("misuse must not parse");
         assert!(err.contains(offender), "{args:?}: {err:?} does not name {offender:?}");

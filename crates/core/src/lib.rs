@@ -30,6 +30,8 @@
 //!   log₂ histograms keyed by name + sorted labels) every layer records
 //!   into; snapshots render as canonical JSON and FNV-hash bit-identically
 //!   across runs.
+//! * [`fnv`] — the one FNV-1a hasher behind the trace, snapshot and
+//!   stream hashes.
 //! * [`json`] — a dependency-free JSON tree with a deterministic renderer
 //!   and parser, used for `BENCH_*.json` benchmark artifacts.
 //! * [`spec`] — [`spec::SimSpec`], the single builder every simulation
@@ -42,6 +44,7 @@
 
 pub mod config;
 pub mod fault;
+pub mod fnv;
 pub mod json;
 pub mod metrics;
 pub mod packet;

@@ -21,20 +21,16 @@
 //! `vic.gc.decrements`, `switch.cycle.hops`, `mpi.coll.time_ps`).
 //! Durations are recorded in picoseconds with a `_ps` suffix.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::fnv::Fnv1a;
 use crate::json::Json;
 use crate::stats::Log2Histogram;
 use crate::sync::Mutex;
 use crate::time::Time;
 use crate::trace::Tracer;
-
-/// FNV-1a offset basis (shared with `dv_sim::OrderAudit`).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Default histogram depth: log₂ buckets up to 2^47 (enough for any
 /// picosecond duration the simulations produce).
@@ -109,7 +105,7 @@ struct Inner {
 }
 
 /// A component's interval-flush callback: invoked with the registry and
-/// the current virtual time just before each [`Timeseries`] sample is
+/// the current virtual time just before each series sample is
 /// taken, so locally-accumulated counters (VIC stats, switch arenas) can
 /// be folded in incrementally. Hooks must be idempotent under repeated
 /// calls at the same state (flushing nothing new must record nothing).
@@ -127,7 +123,7 @@ struct SamplerState {
 /// same way they thread a `Tracer`; benchmarks create an enabled one,
 /// run, then call [`MetricsRegistry::snapshot`].
 ///
-/// With a [`Timeseries`] attached (see [`MetricsRegistry::attach_series`])
+/// With a series attached (see [`MetricsRegistry::attach_series`])
 /// the registry additionally self-samples at deterministic virtual-time
 /// boundaries: the scheduler calls [`MetricsRegistry::tick`] with the
 /// virtual timestamp of every event it dispatches, and the registry emits
@@ -284,26 +280,18 @@ impl MetricsRegistry {
         }
     }
 
-    /// Attach a [`Timeseries`]: from now on, [`MetricsRegistry::tick`]
-    /// emits one delta-compressed sample per crossed `interval_ps`
-    /// boundary of virtual time (the first boundary is at `interval_ps`,
-    /// covering `[0, interval_ps)`). The ring keeps the most recent
-    /// `capacity` non-empty samples; an attached sink (see
-    /// [`MetricsRegistry::set_series_sink`]) sees every sample.
-    pub fn attach_series(&self, interval_ps: Time, capacity: usize) {
+    /// Attach a time series: from now on, [`MetricsRegistry::tick`] emits
+    /// one delta-compressed sample per crossed `interval_ps` boundary of
+    /// virtual time (the first boundary is at `interval_ps`, covering
+    /// `[0, interval_ps)`), and `sink` sees every sample as it is taken
+    /// (the bench harness points it at a `dv-events-v1` JSONL writer).
+    /// The series lives until [`MetricsRegistry::finish_series`].
+    pub fn attach_series(&self, interval_ps: Time, sink: impl FnMut(&TimeseriesSample) + Send + 'static) {
         assert!(interval_ps > 0, "sample interval must be positive");
-        let mut sampler = self.sampler.lock();
-        sampler.series = Some(Timeseries::new(interval_ps, capacity));
+        let series =
+            Timeseries { interval_ps, prev: MetricsSnapshot::default(), next_seq: 0, sink: Box::new(sink) };
+        self.sampler.lock().series = Some(series);
         self.next_sample_ps.store(interval_ps, Ordering::Relaxed);
-    }
-
-    /// Stream every recorded sample to `sink` as it is taken (the bench
-    /// harness points this at a `dv-events-v1` JSONL writer). Requires an
-    /// attached series.
-    pub fn set_series_sink(&self, sink: impl FnMut(&TimeseriesSample) + Send + 'static) {
-        let mut sampler = self.sampler.lock();
-        let series = sampler.series.as_mut().expect("set_series_sink without attach_series");
-        series.sink = Some(Box::new(sink));
     }
 
     /// Register an interval-flush hook, run (in registration order) just
@@ -329,7 +317,7 @@ impl MetricsRegistry {
     }
 
     /// Record the final sample of a run at virtual time `end` (after all
-    /// end-of-run publishes) and stop the sampler. Subsequent ticks are
+    /// end-of-run publishes) and detach the series. Subsequent ticks are
     /// no-ops until a new series is attached.
     pub fn finish_series(&self, end: Time) {
         self.sample_at(end, true);
@@ -348,9 +336,10 @@ impl MetricsRegistry {
         let series = sampler.series.as_mut().expect("checked above");
         if finishing {
             series.record(now, snap);
+            sampler.series = None;
             return;
         }
-        let interval = series.interval_ps();
+        let interval = series.interval_ps;
         let mut boundary = self.next_sample_ps.load(Ordering::Relaxed);
         if now < boundary {
             return;
@@ -363,16 +352,9 @@ impl MetricsRegistry {
         }
         self.next_sample_ps.store(boundary, Ordering::Relaxed);
     }
-
-    /// Detach and return the attached series (post-run inspection). The
-    /// sampler stops; `None` if no series was attached.
-    pub fn take_series(&self) -> Option<Timeseries> {
-        self.next_sample_ps.store(u64::MAX, Ordering::Relaxed);
-        self.sampler.lock().series.take()
-    }
 }
 
-/// One delta-compressed sample of a [`Timeseries`].
+/// One delta-compressed sample of an attached series, as its sink sees it.
 pub struct TimeseriesSample {
     /// Monotonic index of this sample within its series (0-based; empty
     /// deltas are skipped and consume no index).
@@ -385,9 +367,11 @@ pub struct TimeseriesSample {
 }
 
 impl TimeseriesSample {
-    /// Canonical JSON form: `{"seq":…,"t_ps":…,"delta":{…}}`.
+    /// The `dv-events-v1` sample line:
+    /// `{"event":"sample","seq":…,"t_ps":…,"delta":{…}}`.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
+            ("event".to_string(), Json::str("sample")),
             ("seq".to_string(), Json::U64(self.seq)),
             ("t_ps".to_string(), Json::U64(self.t_ps)),
             ("delta".to_string(), self.delta.to_json()),
@@ -395,107 +379,38 @@ impl TimeseriesSample {
     }
 }
 
-/// A streaming consumer of samples (sees every sample, ring eviction
-/// notwithstanding).
+/// A streaming consumer of samples.
 type SampleSink = Box<dyn FnMut(&TimeseriesSample) + Send>;
 
-/// A bounded ring of delta-compressed [`MetricsSnapshot`] samples taken
-/// at deterministic virtual-time intervals.
+/// Delta-compressed [`MetricsSnapshot`] samples taken at deterministic
+/// virtual-time intervals, each handed to the sink as it is taken; the
+/// series keeps only the baseline of the next delta.
 ///
 /// Samples are pure functions of the simulated event sequence: the same
-/// workload produces bit-identical series (checked by `fnv_hash`, exactly
-/// like snapshots). Empty deltas — intervals in which nothing was
-/// recorded — are skipped, so `t_ps` gaps between consecutive samples
-/// are meaningful and renderers must not assume uniform spacing.
-pub struct Timeseries {
+/// workload produces bit-identical samples. Empty deltas — intervals in
+/// which nothing was recorded — are skipped, so `t_ps` gaps between
+/// consecutive samples are meaningful and renderers must not assume
+/// uniform spacing.
+struct Timeseries {
     interval_ps: Time,
-    capacity: usize,
-    samples: VecDeque<TimeseriesSample>,
-    /// Samples evicted from the ring (the sink saw them; the ring forgot).
-    evicted: u64,
     /// Cumulative state at the previous sample (delta baseline).
     prev: MetricsSnapshot,
     next_seq: u64,
-    sink: Option<SampleSink>,
+    sink: SampleSink,
 }
 
 impl Timeseries {
-    /// An empty series sampling every `interval_ps` of virtual time,
-    /// retaining at most `capacity` samples in memory.
-    pub fn new(interval_ps: Time, capacity: usize) -> Self {
-        assert!(interval_ps > 0 && capacity > 0);
-        Self {
-            interval_ps,
-            capacity,
-            samples: VecDeque::new(),
-            evicted: 0,
-            prev: MetricsSnapshot::default(),
-            next_seq: 0,
-            sink: None,
-        }
-    }
-
-    /// The sampling interval in picoseconds.
-    pub fn interval_ps(&self) -> Time {
-        self.interval_ps
-    }
-
-    /// Samples still held by the ring, oldest first.
-    pub fn samples(&self) -> impl Iterator<Item = &TimeseriesSample> {
-        self.samples.iter()
-    }
-
-    /// Total samples recorded, including any evicted from the ring.
-    pub fn recorded(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Samples the bounded ring has evicted.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// The cumulative snapshot reconstructed so far (the fold of every
-    /// delta recorded, byte-identical to the registry snapshot at the
-    /// last sample).
-    pub fn cumulative(&self) -> &MetricsSnapshot {
-        &self.prev
-    }
-
-    /// FNV-1a hash over the canonical rendering of every retained sample
-    /// — the series counterpart of [`MetricsSnapshot::fnv_hash`].
-    pub fn fnv_hash(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for s in &self.samples {
-            for b in s.to_json().render().bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            h ^= b'\n' as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
-    }
-
     /// Record the state `snap` observed at virtual time `t_ps`: the delta
-    /// against the previous sample becomes the new sample. Empty deltas
-    /// (idle intervals) are skipped entirely.
+    /// against the previous sample goes to the sink. Empty deltas (idle
+    /// intervals) are skipped entirely.
     fn record(&mut self, t_ps: Time, snap: MetricsSnapshot) {
         let delta = snap.delta(&self.prev);
         if delta.is_empty() {
             return;
         }
         self.prev = snap;
-        let sample = TimeseriesSample { seq: self.next_seq, t_ps, delta };
+        (self.sink)(&TimeseriesSample { seq: self.next_seq, t_ps, delta });
         self.next_seq += 1;
-        if let Some(sink) = &mut self.sink {
-            sink(&sample);
-        }
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-            self.evicted += 1;
-        }
-        self.samples.push_back(sample);
     }
 }
 
@@ -631,12 +546,9 @@ impl MetricsSnapshot {
     /// FNV-1a hash over the canonical rendering — the metrics counterpart
     /// of `OrderAudit::hash`.
     pub fn fnv_hash(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for b in self.render().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        let mut h = Fnv1a::default();
+        h.bytes(self.render().as_bytes());
+        h.finish()
     }
 
     /// Rebuild a snapshot from its [`MetricsSnapshot::to_json`] form
@@ -702,13 +614,8 @@ impl MetricsSnapshot {
     ///   debug-asserted and saturates to zero in release builds.
     /// * **Gauges** appear when their bits changed (last write wins on
     ///   reconstruction).
-    /// * **Histograms** appear with the interval's bucket counts (see
-    ///   [`crate::stats::Log2Histogram::delta`]); quiet histograms are
-    ///   omitted.
-    ///
-    /// The inverse is [`MetricsSnapshot::accumulate`]: folding every
-    /// interval delta into an empty snapshot reproduces the final
-    /// snapshot exactly.
+    /// * **Histograms** appear with the interval's bucket counts; quiet
+    ///   histograms are omitted.
     pub fn delta(&self, prev: &Self) -> Self {
         let mut out = MetricsSnapshot::default();
         for (k, &v) in &self.counters {
@@ -757,32 +664,6 @@ impl MetricsSnapshot {
             }
         }
         out
-    }
-
-    /// Fold an interval `delta` (from [`MetricsSnapshot::delta`]) into
-    /// this snapshot: counters and histogram buckets add, gauges take the
-    /// delta's value. Folding a run's deltas in order into an empty
-    /// snapshot rebuilds the final snapshot byte-for-byte.
-    pub fn accumulate(&mut self, delta: &Self) {
-        for (k, &v) in &delta.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, &v) in &delta.gauges {
-            self.gauges.insert(k.clone(), v);
-        }
-        for (k, d) in &delta.histograms {
-            let h = self
-                .histograms
-                .entry(k.clone())
-                .or_insert_with(|| HistogramSnapshot { buckets: Vec::new(), total: 0 });
-            if h.buckets.len() < d.buckets.len() {
-                h.buckets.resize(d.buckets.len(), 0);
-            }
-            for (slot, &c) in h.buckets.iter_mut().zip(&d.buckets) {
-                *slot += c;
-            }
-            h.total += d.total;
-        }
     }
 }
 
@@ -892,10 +773,9 @@ mod tests {
     }
 
     #[test]
-    fn delta_and_accumulate_round_trip_byte_for_byte() {
+    fn delta_isolates_the_interval() {
         let m = sample_registry();
         let at_boundary = m.snapshot();
-        let d0 = at_boundary.delta(&MetricsSnapshot::default());
         // More activity after the boundary, including a fresh zero-valued
         // counter and a gauge rewrite.
         m.incr("a.b.count", 5);
@@ -903,26 +783,36 @@ mod tests {
         m.gauge_labeled("pcie.util", &[("node", 1usize.into())], 0.25);
         m.observe("lat_ps", 1 << 20);
         let fin = m.snapshot();
-        let d1 = fin.delta(&at_boundary);
-        // The interval delta carries only what happened in the interval.
-        assert_eq!(d1.counter("a.b.count", &[]), Some(5));
-        assert_eq!(d1.counter("vic.gc.sets", &[("node", "0")]), None);
-        assert_eq!(d1.counter("vic.fifo.drops", &[("node", "0")]), Some(0));
-        // Folding the deltas rebuilds the final snapshot exactly.
-        let mut rebuilt = MetricsSnapshot::default();
-        rebuilt.accumulate(&d0);
-        rebuilt.accumulate(&d1);
-        assert_eq!(rebuilt, fin);
-        assert_eq!(rebuilt.render(), fin.render());
-        assert_eq!(rebuilt.fnv_hash(), fin.fnv_hash());
-        // An idle interval is an empty delta.
+        let d = fin.delta(&at_boundary);
+        // The interval delta carries only what happened in the interval:
+        // one increase, one new counter at zero, one gauge, one sample.
+        assert_eq!(d.counter("a.b.count", &[]), Some(5));
+        assert_eq!(d.counter("vic.gc.sets", &[("node", "0")]), None);
+        assert_eq!(d.counter("vic.fifo.drops", &[("node", "0")]), Some(0));
+        assert_eq!(d.gauges().len(), 1);
+        let lat = d.histograms().values().next().expect("lat_ps moved");
+        assert_eq!((lat.total, lat.buckets.len()), (1, 21));
+        // The first delta is the whole snapshot; an idle interval is empty.
+        assert_eq!(at_boundary.delta(&MetricsSnapshot::default()), at_boundary);
         assert!(fin.delta(&fin).is_empty());
+    }
+
+    type Samples = Arc<std::sync::Mutex<Vec<(u64, Time, MetricsSnapshot)>>>;
+
+    /// Attach a series whose sink keeps every sample as `(seq, t_ps, delta)`.
+    fn attach_collecting(m: &MetricsRegistry, interval_ps: Time) -> Samples {
+        let samples = Samples::default();
+        let sink = Arc::clone(&samples);
+        m.attach_series(interval_ps, move |s| {
+            sink.lock().unwrap().push((s.seq, s.t_ps, s.delta.clone()));
+        });
+        samples
     }
 
     #[test]
     fn series_samples_at_virtual_time_boundaries() {
         let m = MetricsRegistry::enabled();
-        m.attach_series(100, 64);
+        let samples = attach_collecting(&m, 100);
         m.incr("work", 1);
         m.tick(40); // before the first boundary: no sample
         m.incr("work", 2);
@@ -930,74 +820,71 @@ mod tests {
         m.incr("work", 4);
         m.tick(460); // crosses t=200..400 in one hop: one sample, no empties
         m.finish_series(500);
-        let series = m.take_series().expect("series attached");
-        let samples: Vec<_> = series.samples().collect();
+        let samples = samples.lock().unwrap();
         // Two samples: t=100 and t=200. The t=400 boundary and the final
         // sample at t=500 saw nothing new, and empty deltas are skipped.
-        assert_eq!(
-            samples.iter().map(|s| s.t_ps).collect::<Vec<_>>(),
-            vec![100, 200]
-        );
-        assert_eq!(samples[0].delta.counter("work", &[]), Some(3));
-        assert_eq!(samples[1].delta.counter("work", &[]), Some(4));
-        assert_eq!(series.cumulative().counter("work", &[]), Some(7));
-        assert_eq!(series.cumulative().render(), m.snapshot().render());
+        assert_eq!(samples.iter().map(|s| s.1).collect::<Vec<_>>(), vec![100, 200]);
+        assert_eq!(samples[0].2.counter("work", &[]), Some(3));
+        assert_eq!(samples[1].2.counter("work", &[]), Some(4));
     }
 
     #[test]
-    fn series_ring_is_bounded_and_sink_sees_everything() {
-        use std::sync::{Arc as StdArc, Mutex as StdMutex};
+    fn sink_sees_every_sample_in_seq_order_until_the_series_finishes() {
         let m = MetricsRegistry::enabled();
-        m.attach_series(10, 4);
-        let seen = StdArc::new(StdMutex::new(Vec::new()));
-        let seen2 = StdArc::clone(&seen);
-        m.set_series_sink(move |s| seen2.lock().unwrap().push((s.seq, s.t_ps)));
+        let samples = attach_collecting(&m, 10);
         for i in 0..8u64 {
             m.incr("w", 1);
             m.tick(10 * (i + 1));
         }
-        let series = m.take_series().unwrap();
-        assert_eq!(series.recorded(), 8);
-        assert_eq!(series.evicted(), 4);
-        assert_eq!(series.samples().count(), 4);
-        assert_eq!(seen.lock().unwrap().len(), 8);
-        assert_eq!(seen.lock().unwrap()[0], (0, 10));
+        m.incr("w", 1);
+        m.finish_series(85);
+        // Detached: later activity reaches no sink.
+        m.incr("w", 1);
+        m.tick(1_000);
+        m.finish_series(1_000);
+        let seen: Vec<(u64, Time)> = samples.lock().unwrap().iter().map(|s| (s.0, s.1)).collect();
+        let expect: Vec<(u64, Time)> = (0..8).map(|i| (i, 10 * (i + 1))).chain([(8, 85)]).collect();
+        assert_eq!(seen, expect);
     }
 
     #[test]
     fn flush_hooks_run_before_each_sample() {
         let m = MetricsRegistry::enabled();
-        m.attach_series(100, 16);
+        let samples = attach_collecting(&m, 100);
         m.register_flush(|reg, _now| reg.incr("hook.flushes", 1));
         m.incr("w", 1);
         m.tick(120);
         m.incr("w", 1);
         m.tick(220);
-        let series = m.take_series().unwrap();
-        let samples: Vec<_> = series.samples().collect();
+        let samples = samples.lock().unwrap();
         assert_eq!(samples.len(), 2);
-        assert_eq!(samples[0].delta.counter("hook.flushes", &[]), Some(1));
-        assert_eq!(samples[1].delta.counter("hook.flushes", &[]), Some(1));
+        assert_eq!(samples[0].2.counter("hook.flushes", &[]), Some(1));
+        assert_eq!(samples[1].2.counter("hook.flushes", &[]), Some(1));
     }
 
     #[test]
-    fn identical_series_hash_identically() {
+    fn identical_series_render_identically() {
         let run = || {
             let m = MetricsRegistry::enabled();
-            m.attach_series(50, 32);
+            let lines = Arc::new(std::sync::Mutex::new(String::new()));
+            let sink = Arc::clone(&lines);
+            m.attach_series(50, move |s| {
+                let mut out = sink.lock().unwrap();
+                out.push_str(&s.to_json().render());
+                out.push('\n');
+            });
             for i in 1..6u64 {
                 m.incr_labeled("w", &[("node", (i % 2).into())], i);
                 m.observe("h", i * 100);
                 m.tick(40 * i);
             }
             m.finish_series(300);
-            m.take_series().unwrap()
+            let out = lines.lock().unwrap().clone();
+            out
         };
         let (a, b) = (run(), run());
-        assert_eq!(a.fnv_hash(), b.fnv_hash());
-        let ra: Vec<String> = a.samples().map(|s| s.to_json().render()).collect();
-        let rb: Vec<String> = b.samples().map(|s| s.to_json().render()).collect();
-        assert_eq!(ra, rb);
+        assert!(a.starts_with(r#"{"event":"sample","seq":0,"t_ps":50,"delta":{"#), "{a}");
+        assert_eq!(a, b);
     }
 
     #[test]

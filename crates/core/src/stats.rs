@@ -164,32 +164,6 @@ impl Log2Histogram {
         }
         self.total += other.total;
     }
-
-    /// The samples counted since `prev`, as a histogram of the same depth:
-    /// `self` minus `prev`, bucket by bucket. `prev` must be an earlier
-    /// state of the same monotonically-growing histogram — pushes only add
-    /// counts, so every bucket of `prev` is a lower bound. That invariant
-    /// is debug-asserted; release builds saturate instead of wrapping, so
-    /// a violated precondition can never send per-interval quantiles
-    /// negative (they clamp to empty).
-    pub fn delta(&self, prev: &Self) -> Self {
-        debug_assert_eq!(
-            self.buckets.len(),
-            prev.buckets.len(),
-            "delta requires histograms of the same depth"
-        );
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .zip(prev.buckets.iter().chain(std::iter::repeat(&0)))
-            .map(|(&now, &was)| {
-                debug_assert!(was <= now, "histogram bucket shrank: {was} -> {now}");
-                now.saturating_sub(was)
-            })
-            .collect();
-        let total = buckets.iter().sum();
-        Self { buckets, total }
-    }
 }
 
 #[cfg(test)]
@@ -280,29 +254,6 @@ mod tests {
         assert_eq!(narrow.total(), 2);
         assert_eq!(narrow.buckets()[1], 1); // the 2
         assert_eq!(narrow.buckets()[3], 1); // clamped tail
-    }
-
-    #[test]
-    fn histogram_delta_isolates_the_interval() {
-        let mut h = Log2Histogram::new(8);
-        for x in [1, 5, 900] {
-            h.push(x);
-        }
-        let at_boundary = h.clone();
-        for x in [2, 5, 70_000] {
-            h.push(x);
-        }
-        let d = h.delta(&at_boundary);
-        let mut expect = Log2Histogram::new(8);
-        for x in [2, 5, 70_000] {
-            expect.push(x);
-        }
-        assert_eq!(d.buckets(), expect.buckets());
-        assert_eq!(d.total(), 3);
-        // Quantiles of the interval delta are well-defined and can never
-        // go negative: an idle interval is simply empty.
-        assert_eq!(h.delta(&h).total(), 0);
-        assert_eq!(h.delta(&h).quantile_log2(0.5), usize::MAX);
     }
 
     #[test]

@@ -13,10 +13,8 @@
 //! the root `tests/determinism.rs` asserts equality across repeated runs
 //! and across host thread counts.
 
+use dv_core::fnv::Fnv1a;
 use dv_core::time::Time;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Tag for a process-resume event record.
 const TAG_RESUME: u64 = 1;
@@ -26,7 +24,7 @@ const TAG_CALL: u64 = 2;
 /// Rolling FNV-1a hash over the committed event trace.
 #[derive(Debug, Clone)]
 pub struct OrderAudit {
-    hash: u64,
+    hash: Fnv1a,
     events: u64,
 }
 
@@ -39,40 +37,32 @@ impl Default for OrderAudit {
 impl OrderAudit {
     /// Fresh auditor (hash of the empty trace).
     pub fn new() -> Self {
-        Self { hash: FNV_OFFSET, events: 0 }
-    }
-
-    #[inline]
-    fn absorb_u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.hash ^= byte as u64;
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
+        Self { hash: Fnv1a::default(), events: 0 }
     }
 
     /// Absorb a committed resume: the scheduler is about to run process
     /// `pid` at `time` (generation disambiguates re-parks at equal times).
     #[inline]
     pub fn record_resume(&mut self, time: Time, pid: usize, generation: u64) {
-        self.absorb_u64(TAG_RESUME);
-        self.absorb_u64(time);
-        self.absorb_u64(pid as u64);
-        self.absorb_u64(generation);
+        self.hash.word(TAG_RESUME);
+        self.hash.word(time);
+        self.hash.word(pid as u64);
+        self.hash.word(generation);
         self.events += 1;
     }
 
     /// Absorb a committed kernel closure: event `seq` fires at `time`.
     #[inline]
     pub fn record_call(&mut self, time: Time, seq: u64) {
-        self.absorb_u64(TAG_CALL);
-        self.absorb_u64(time);
-        self.absorb_u64(seq);
+        self.hash.word(TAG_CALL);
+        self.hash.word(time);
+        self.hash.word(seq);
         self.events += 1;
     }
 
     /// The trace hash so far.
     pub fn hash(&self) -> u64 {
-        self.hash
+        self.hash.finish()
     }
 
     /// Number of events absorbed so far.

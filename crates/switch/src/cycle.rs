@@ -916,12 +916,6 @@ impl CycleEngine for SwitchSim {
     /// Statistics go under `switch.cycle.*`. Histograms cover delivered
     /// packets; occupancy is reported per cylinder both as raw cell-cycles
     /// and as the mean fraction of occupied cells per cycle.
-    fn publish_metrics(&self, metrics: &MetricsRegistry) {
-        if let Some(cycles) = self.tally.publish(metrics) {
-            self.publish_deflection(metrics, cycles);
-        }
-    }
-
     fn flush_metrics(&mut self, metrics: &MetricsRegistry) {
         if let Some(cycles) = self.tally.flush(metrics) {
             self.publish_deflection(metrics, cycles);
@@ -1214,8 +1208,8 @@ impl SwitchSim {
         self.contention_deflections += contended;
     }
 
-    /// The deflection network's own statistics over a span of `cycles`
-    /// cycles (see [`CycleEngine::publish_metrics`]).
+    /// The deflection network's own statistics over the `cycles` since
+    /// the previous [`CycleEngine::flush_metrics`].
     fn publish_deflection(&self, metrics: &MetricsRegistry, cycles: u64) {
         metrics.incr("switch.cycle.contention_deflections", self.contention_deflections);
         metrics.observe_histogram("switch.cycle.deflections", &[], &self.deflection_hist);
@@ -1238,14 +1232,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn publish_metrics_reports_hops_and_occupancy() {
+    fn flush_metrics_reports_hops_and_occupancy() {
         let mut sw = SwitchSim::new(Topology::new(8, 4));
         sw.enqueue(0, 21, 7);
         sw.enqueue(3, 9, 8);
         let delivered = sw.drain(1_000);
         assert_eq!(delivered.len(), 2);
         let m = MetricsRegistry::enabled();
-        sw.publish_metrics(&m);
+        sw.flush_metrics(&m);
         let s = m.snapshot();
         assert_eq!(s.counter("switch.cycle.injected", &[]), Some(2));
         assert_eq!(s.counter("switch.cycle.ejected", &[]), Some(2));
@@ -1266,7 +1260,7 @@ mod tests {
         assert_eq!(occ, cyls);
         // A disabled registry stays empty.
         let off = MetricsRegistry::disabled();
-        sw.publish_metrics(&off);
+        sw.flush_metrics(&off);
         assert!(off.snapshot().is_empty());
     }
 

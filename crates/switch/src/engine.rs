@@ -1,7 +1,7 @@
 //! The one cycle-engine interface and the substrate every engine shares.
 //!
 //! [`CycleEngine`] is the whole surface a driver needs — queue a packet,
-//! advance a cycle, read the conservation counters, publish statistics —
+//! advance a cycle, read the conservation counters, flush statistics —
 //! so load sweeps, replay benches and the equivalence / conservation /
 //! allocation harnesses are each written once, generic over the trait,
 //! for the deflection switch ([`crate::SwitchSim`]), the store-and-forward
@@ -11,7 +11,7 @@
 //! copy from each other: [`Ingress`] (per-port injection FIFOs in one
 //! free-listed slab, plus the pending-port bitmap the injection scans
 //! walk) and [`Tally`] (cycle and conservation counters, the hop
-//! histogram, and their one-shot and interval publication). What differs
+//! histogram, and their one publication path, the flush). What differs
 //! per engine — routing, arenas, movement kernels — stays in the engine.
 
 use dv_core::metrics::MetricsRegistry;
@@ -46,16 +46,11 @@ pub trait CycleEngine {
     /// Packets delivered so far.
     fn ejected(&self) -> u64;
 
-    /// Fold the run's accumulated statistics into `metrics` (one shot, at
-    /// the end of a run). The frozen oracles keep none and publish
-    /// nothing.
-    fn publish_metrics(&self, metrics: &MetricsRegistry);
-
-    /// Streaming counterpart of [`CycleEngine::publish_metrics`]: fold in
-    /// only what accumulated since the previous flush, so interval
-    /// flushes sum to exactly the one-shot totals (gauges are per
-    /// interval). The two publishing paths must not be mixed on one
-    /// engine.
+    /// Fold the statistics accumulated since the previous flush — the
+    /// whole run at the first — into `metrics` and start the next
+    /// interval. A run flushed once at its end publishes its totals;
+    /// interval flushes sum to exactly the same totals (gauges are per
+    /// interval). The frozen oracles keep none and publish nothing.
     fn flush_metrics(&mut self, metrics: &MetricsRegistry);
 
     /// Advance one cycle; returns the packets ejected during it.
@@ -210,30 +205,24 @@ impl Tally {
         }
     }
 
-    /// One-shot publication of the run totals. Returns the cycles covered
-    /// (`None` when `metrics` is disabled) so the engine can publish its
-    /// own accumulators over the same span.
-    pub(crate) fn publish(&self, metrics: &MetricsRegistry) -> Option<u64> {
-        metrics.is_enabled().then(|| self.emit(metrics, (0, 0, 0)))
-    }
-
-    /// Publish what accumulated since the previous flush and start the
-    /// next interval: the counters keep a snapshot, the histogram restarts
-    /// empty. Returns the interval's cycles like [`Tally::publish`].
+    /// Publish what accumulated since the previous flush (the whole run at
+    /// the first) and start the next interval: the counters keep a
+    /// snapshot, the histogram restarts empty. Returns the interval's
+    /// cycles (`None` when `metrics` is disabled) so the engine can
+    /// publish its own accumulators over the same span.
     pub(crate) fn flush(&mut self, metrics: &MetricsRegistry) -> Option<u64> {
-        let cycles = metrics.is_enabled().then(|| self.emit(metrics, self.flushed))?;
-        self.flushed = (self.cycle, self.injected, self.ejected);
-        self.hop_hist = hist();
-        Some(cycles)
-    }
-
-    fn emit(&self, metrics: &MetricsRegistry, was: (u64, u64, u64)) -> u64 {
+        if !metrics.is_enabled() {
+            return None;
+        }
         let [cycles, injected, ejected, hops] = *self.names;
+        let was = self.flushed;
         metrics.incr(cycles, self.cycle - was.0);
         metrics.incr(injected, self.injected - was.1);
         metrics.incr(ejected, self.ejected - was.2);
         metrics.observe_histogram(hops, &[], &self.hop_hist);
-        self.cycle - was.0
+        self.flushed = (self.cycle, self.injected, self.ejected);
+        self.hop_hist = hist();
+        Some(self.cycle - was.0)
     }
 }
 

@@ -1114,10 +1114,6 @@ impl CycleEngine for RoutedNetSim {
     }
 
     /// Statistics go under `rival.cycle.*`.
-    fn publish_metrics(&self, metrics: &MetricsRegistry) {
-        self.tally.publish(metrics);
-    }
-
     fn flush_metrics(&mut self, metrics: &MetricsRegistry) {
         self.tally.flush(metrics);
     }

@@ -14,9 +14,8 @@
 //! packet on any topology. Nothing times it.
 //!
 //! The only deliberate divergence from the original: the hop histogram
-//! and metrics flush seams were dropped (they fed `publish_metrics`,
-//! which the reference does not expose, and they have no effect on the
-//! packet stream).
+//! and metrics flush seams were dropped (`flush_metrics` is a no-op
+//! here; they have no effect on the packet stream).
 
 use std::collections::VecDeque;
 
@@ -207,8 +206,6 @@ impl CycleEngine for ReferenceNetSim {
         }
         self.cycle += 1;
     }
-
-    fn publish_metrics(&self, _: &MetricsRegistry) {}
 
     fn flush_metrics(&mut self, _: &MetricsRegistry) {}
 }

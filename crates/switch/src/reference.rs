@@ -12,8 +12,8 @@
 //!
 //! The only deliberate divergence from the original: the hop/deflection
 //! histograms and occupancy accumulators were dropped (they fed
-//! `publish_metrics`, which the reference does not expose, and they have
-//! no effect on the packet stream).
+//! `flush_metrics`, a no-op here, and they have no effect on the packet
+//! stream).
 
 use std::collections::VecDeque;
 
@@ -207,8 +207,6 @@ impl CycleEngine for ReferenceSwitchSim {
     fn step_into(&mut self, out: &mut Vec<Delivered>) {
         out.extend(self.step_reference());
     }
-
-    fn publish_metrics(&self, _: &MetricsRegistry) {}
 
     fn flush_metrics(&mut self, _: &MetricsRegistry) {}
 }

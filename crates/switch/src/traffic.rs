@@ -87,7 +87,7 @@ pub struct SweepPoint {
 /// identical to the serial path.
 struct RunArtifacts {
     point: SweepPoint,
-    /// The point's engine, kept for publication only.
+    /// The point's engine, kept for its final [`CycleEngine::flush_metrics`].
     sim: Box<dyn CycleEngine + Send>,
     lat_hist: Log2Histogram,
     fault_drops: u64,
@@ -168,9 +168,10 @@ pub struct LoadSweep {
     /// spans several internal hops. Offered/accepted loads are expressed
     /// per port *slot*.
     pub speedup: u32,
-    /// Optional metrics sink; when set, each [`LoadSweep::run`] publishes
-    /// the switch's `switch.cycle.*` statistics plus per-point
-    /// `switch.sweep.*` metrics labeled by the offered load.
+    /// Optional metrics sink; when set, each point flushes its engine's
+    /// statistics (`switch.cycle.*` on the Vortex, `rival.cycle.*` on the
+    /// rivals) into it, then adds per-point `switch.sweep.*` metrics
+    /// labeled by the offered load.
     pub metrics: Option<Arc<MetricsRegistry>>,
     /// Optional fault plan: its `drop` rate loses packets at the
     /// injection port (decided on the deterministic [`STREAM_SWEEP`]
@@ -227,19 +228,18 @@ impl LoadSweep {
 
     /// Run one offered-load point.
     pub fn run(&self, offered: f64) -> SweepPoint {
-        let art = self.run_core(offered);
-        self.publish(&art);
+        let mut art = self.run_core(offered);
+        self.publish(&mut art);
         art.point
     }
 
     /// Run one offered-load point while streaming: every `flush_cycles`
     /// cycles the switch's accumulators are flushed incrementally into
     /// the registry and the registry's virtual-time sampler is advanced
-    /// to `cycle × hop_time_ps`, so an attached `Timeseries` sees the
-    /// switch evolve live. The point's `switch.sweep.*` summary metrics
-    /// publish at the end as usual; the final interval flush replaces the
-    /// one-shot [`CycleEngine::publish_metrics`], so totals still match a
-    /// plain [`LoadSweep::run`] exactly.
+    /// to `cycle × hop_time_ps`, so an attached series sees the switch
+    /// evolve live. The run ends like [`LoadSweep::run`]: its last flush,
+    /// then the point's `switch.sweep.*` summary, so totals match a plain
+    /// run exactly.
     pub fn run_streamed(&self, offered: f64, hop_time_ps: u64, flush_cycles: u64) -> SweepPoint {
         let m = Arc::clone(self.metrics.as_ref().expect("run_streamed requires metrics"));
         let flush_cycles = flush_cycles.max(1);
@@ -249,8 +249,7 @@ impl LoadSweep {
                 m.tick((cycle + 1) * hop_time_ps);
             }
         });
-        art.sim.flush_metrics(&m);
-        self.publish_summary(&art);
+        self.publish(&mut art);
         art.point
     }
 
@@ -406,25 +405,16 @@ impl LoadSweep {
         RunArtifacts { point, sim: Box::new(sw), lat_hist, fault_drops }
     }
 
-    /// The publication half of [`LoadSweep::run`]: folds one point's
-    /// instrumented state into the shared registry. Call order across
-    /// points is the only registry-visible ordering, so publishing joined
-    /// parallel points in input order reproduces the serial bytes exactly.
-    fn publish(&self, art: &RunArtifacts) {
+    /// The publication half of [`LoadSweep::run`]: flushes one point's
+    /// engine into the shared registry, then adds the point's
+    /// `switch.sweep.*` summary. Call order across points is the only
+    /// registry-visible ordering, so publishing joined parallel points in
+    /// input order reproduces the serial bytes exactly.
+    fn publish(&self, art: &mut RunArtifacts) {
         let Some(m) = &self.metrics else {
             return;
         };
-        art.sim.publish_metrics(m);
-        self.publish_summary(art);
-    }
-
-    /// The per-point `switch.sweep.*` summary metrics (everything but the
-    /// switch's own accumulators, which streamed runs publish via
-    /// incremental flushes instead).
-    fn publish_summary(&self, art: &RunArtifacts) {
-        let Some(m) = &self.metrics else {
-            return;
-        };
+        art.sim.flush_metrics(m);
         // Label by offered load in permille so the label is an integer
         // (stable text) rather than a formatted float.
         let load =
@@ -492,8 +482,8 @@ impl LoadSweep {
         slots
             .into_iter()
             .map(|slot| {
-                let art = slot.expect("every sweep point was claimed by a worker");
-                self.publish(&art);
+                let mut art = slot.expect("every sweep point was claimed by a worker");
+                self.publish(&mut art);
                 art.point
             })
             .collect()

@@ -210,10 +210,9 @@ fn streamed_gups(nodes: usize, faults: Option<datavortex::core::fault::FaultPlan
     let cfg =
         GupsConfig { table_per_node: 1 << 9, updates_per_node: 1 << 10, bucket: 512, stream_offset: 0 };
     let metrics = Arc::new(MetricsRegistry::enabled());
-    metrics.attach_series(us(1), 4096);
     let lines = Arc::new(std::sync::Mutex::new(String::new()));
     let sink = Arc::clone(&lines);
-    metrics.set_series_sink(move |s| {
+    metrics.attach_series(us(1), move |s| {
         let mut out = sink.lock().unwrap();
         out.push_str(&s.to_json().render());
         out.push('\n');

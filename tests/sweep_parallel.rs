@@ -92,17 +92,21 @@ fn parallel_sweep_replays_byte_identically() {
 
 #[test]
 fn streamed_interval_flushes_sum_to_the_one_shot_totals() {
-    // `run_streamed` documents that its interval flushes "still match a
-    // plain `LoadSweep::run` exactly": every counter and histogram, on
-    // each movement kernel's engine and the routed one, at a flush
-    // interval that does not divide the 500-cycle run (gauges are per
-    // interval by design, so they are excluded).
+    // `run_streamed` documents that its interval flushes match a plain
+    // `LoadSweep::run` exactly: every counter and histogram, on each
+    // movement kernel's engine and both routed ones, at a flush interval
+    // that does not divide the 500-cycle run (gauges are per interval by
+    // design, so they are excluded). The plain snapshot's FNV is pinned
+    // per network to what the engines published before a single flush
+    // became their only publication path, so the one-shot bytes cannot
+    // move either.
     let nets = [
-        AnyTopology::for_ports(TopoKind::Vortex, 64),
-        AnyTopology::for_ports(TopoKind::Vortex, 256),
-        AnyTopology::for_ports(TopoKind::FatTree, 64),
+        (AnyTopology::for_ports(TopoKind::Vortex, 64), 0xb6e0_bd99_3489_9d38),
+        (AnyTopology::for_ports(TopoKind::Vortex, 256), 0x58de_e067_d36c_cf05),
+        (AnyTopology::for_ports(TopoKind::FatTree, 64), 0xe4aa_af9a_5bfe_b5e8),
+        (AnyTopology::for_ports(TopoKind::MinPath, 64), 0x3d56_ddc6_cda5_ce0d),
     ];
-    for net in nets {
+    for (net, pinned) in nets {
         let snapshot = |streamed: bool| {
             let metrics = Arc::new(MetricsRegistry::enabled());
             let mut s = LoadSweep::for_net(net.clone());
@@ -113,6 +117,7 @@ fn streamed_interval_flushes_sum_to_the_one_shot_totals() {
         };
         let (plain_point, plain) = snapshot(false);
         let (streamed_point, streamed) = snapshot(true);
+        assert_eq!(plain.fnv_hash(), pinned, "{:?}: the one-shot snapshot moved", net.kind());
         assert_eq!(plain_point, streamed_point, "{:?}", net.kind());
         assert_eq!(plain.counters(), streamed.counters(), "{:?}", net.kind());
         assert_eq!(plain.histograms(), streamed.histograms(), "{:?}", net.kind());
