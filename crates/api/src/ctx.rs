@@ -293,26 +293,14 @@ impl DvCtx {
     /// timeout path is how real programs survive the set/decrement race.
     pub fn gc_wait_zero(&self, ctx: &SimCtx, gc: u8, deadline: Option<Time>) -> bool {
         let t0 = ctx.now();
-        let ok = loop {
-            {
-                let vic = self.world.vics[self.node].lock();
-                let counter = vic.counter(gc);
-                if counter.is_zero() {
-                    break true;
-                }
-                if deadline.is_some_and(|d| ctx.now() >= d) {
-                    break false;
-                }
-                counter.waiters().register(ctx);
-            }
-            if let Some(d) = deadline {
-                ctx.with_kernel(|k| {
-                    let w = k.waker_for(ctx.pid());
-                    k.wake_at(d, w);
-                });
-            }
-            ctx.park();
-        };
+        let vic = &self.world.vics[self.node];
+        let ok = ctx
+            .wait_for(
+                deadline,
+                || vic.lock().counter(gc).is_zero().then_some(()),
+                |w| vic.lock().counter(gc).waiters().register(w),
+            )
+            .is_some();
         if ctx.now() > t0 {
             self.world.tracer.span(self.node, State::Wait, t0, ctx.now());
         }
@@ -477,27 +465,14 @@ impl DvCtx {
     /// Blocking pop; with a deadline, `None` once it passes with the FIFO
     /// still empty (same contract as [`DvCtx::gc_wait_zero`]).
     pub fn fifo_recv_deadline(&self, ctx: &SimCtx, deadline: Option<Time>) -> Option<Word> {
-        loop {
-            {
-                let mut vic = self.world.vics[self.node].lock();
-                if let Some((_, w)) = vic.fifo.pop() {
-                    drop(vic);
-                    ctx.delay(FIFO_POP);
-                    return Some(w);
-                }
-                if deadline.is_some_and(|d| ctx.now() >= d) {
-                    return None;
-                }
-                vic.fifo.waiters().register(ctx);
-            }
-            if let Some(d) = deadline {
-                ctx.with_kernel(|k| {
-                    let w = k.waker_for(ctx.pid());
-                    k.wake_at(d, w);
-                });
-            }
-            ctx.park();
-        }
+        let vic = &self.world.vics[self.node];
+        let (_, w) = ctx.wait_for(
+            deadline,
+            || vic.lock().fifo.pop(),
+            |w| vic.lock().fifo.waiters().register(w),
+        )?;
+        ctx.delay(FIFO_POP);
+        Some(w)
     }
 
     /// Drain up to `max` buffered surprise packets in one host transfer
@@ -555,16 +530,14 @@ impl DvCtx {
                 ctx.with_kernel(|k| k.call_at(release_at, move |k| ws.wake_all(k)));
                 ctx.wait_until(release_at);
             }
-            None => loop {
-                {
-                    let b = self.world.barrier.lock();
-                    if b.epoch != my_epoch {
-                        break;
-                    }
-                    b.waiters.register(ctx);
-                }
-                ctx.park();
-            },
+            None => {
+                let barrier = &self.world.barrier;
+                ctx.wait_for(
+                    None,
+                    || (barrier.lock().epoch != my_epoch).then_some(()),
+                    |w| barrier.lock().waiters.register(w),
+                );
+            }
         }
         self.world.tracer.span(self.node, State::Barrier, t0, ctx.now());
     }

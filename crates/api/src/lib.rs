@@ -39,13 +39,11 @@ pub mod aggregate;
 pub mod cluster;
 pub mod coll;
 pub mod ctx;
-pub mod gas;
 pub mod reliable;
 pub mod world;
 
 pub use aggregate::Aggregator;
 pub use cluster::DvCluster;
 pub use ctx::{Backpressure, DvCtx, SendMode};
-pub use gas::GlobalArray;
 pub use reliable::ReliableFifo;
 pub use world::DvWorld;

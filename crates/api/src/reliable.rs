@@ -33,6 +33,13 @@
 //! before a likely overflow; this layer is the *correctness* half — no
 //! loss survives verification. Kernels use pacing/credit for throughput
 //! and verification for the guarantee.
+//!
+//! [`ReliableFifo::complete_epoch`] closes an epoch the way Section III's
+//! kernels close a phase: verify, post every peer the count of words it
+//! is owed into its DV memory, then drain until every peer has posted and
+//! every promised word has arrived. The owed counts come from the epoch
+//! log, the received count is the layer's own, so the kernels keep no
+//! tally of either.
 
 use dv_core::packet::{Packet, PacketHeader, GROUP_COUNTERS, SCRATCH_GC};
 use dv_core::time::{self, Time};
@@ -159,6 +166,8 @@ pub struct ReliableFifo {
     /// Inbound dedup for the whole run (duplicates arrive only from our
     /// peers' retransmissions, which can span epoch boundaries).
     seen_in: WordSet,
+    /// New words handed out this epoch by the drain and receive calls.
+    received: u64,
     stats: ReliableStats,
 }
 
@@ -178,6 +187,7 @@ impl ReliableFifo {
             wire_epoch: vec![0; nodes],
             hw_confirmed: vec![0; nodes],
             seen_in: WordSet::default(),
+            received: 0,
             stats: ReliableStats::default(),
         }
     }
@@ -234,6 +244,7 @@ impl ReliableFifo {
                 }
             }
             self.stats.dup_discarded += (out.len() - kept) as u64;
+            self.received += (kept - start) as u64;
             out.truncate(kept);
         }
     }
@@ -249,6 +260,7 @@ impl ReliableFifo {
         loop {
             let w = dv.fifo_recv_deadline(ctx, Some(deadline))?;
             if self.seen_in.insert(w) {
+                self.received += 1;
                 return Some(w);
             }
             self.stats.dup_discarded += 1;
@@ -434,14 +446,72 @@ impl ReliableFifo {
         );
     }
 
+    /// Complete the current epoch with the sent-count handshake and return
+    /// the new words this node received in it (the count then restarts at
+    /// zero). Every received word goes to `deliver`, in arrival order:
+    ///
+    /// 1. flush `agg`, [`ReliableFifo::verify_epoch`] (only verified sends
+    ///    back a promise), deliver what verification drained;
+    /// 2. post every peer the words this epoch owed it, as count + 1 (zero
+    ///    means "not posted") at DV-memory slot `slots + me`, in one
+    ///    direct-write batch;
+    /// 3. drain and deliver until every peer has posted and the words
+    ///    received this epoch add up to their counts, waiting up to 2 µs
+    ///    for the next word between checks.
+    ///
+    /// Peers post only after their own verification, so every promised
+    /// word is already accepted or in flight: loss shows up as
+    /// retransmission in step 1, never as a hang in step 3. The caller
+    /// zeroes the `slots` block before the next epoch posts into it.
+    pub fn complete_epoch(
+        &mut self,
+        ctx: &SimCtx,
+        dv: &DvCtx,
+        agg: &mut Aggregator,
+        slots: u32,
+        mut deliver: impl FnMut(&[Word]),
+    ) -> u64 {
+        let mut owed = vec![0u64; self.nodes];
+        for &d in &self.epoch_dest {
+            owed[usize::from(d)] += 1;
+        }
+        agg.flush(ctx, dv);
+        let mut recovered = Vec::new();
+        self.verify_epoch(ctx, dv, &mut recovered);
+        deliver(&recovered);
+        let (me, nodes) = (self.me, self.nodes);
+        let peers = move || (0..nodes).filter(move |&s| s != me);
+        let posts: Vec<Packet> = peers()
+            .map(|d| {
+                let header = PacketHeader::dv_memory(me, d, slots + me as u32, SCRATCH_GC);
+                Packet::new(header, owed[d] + 1)
+            })
+            .collect();
+        dv.send_packets(ctx, &posts, SendMode::DirectWrite { cached_headers: true });
+        loop {
+            deliver(&self.drain_unique(ctx, dv));
+            let posted = dv.peek_local(ctx, slots, nodes);
+            if peers().all(|s| posted[s] != 0) {
+                let expected: u64 = peers().map(|s| posted[s] - 1).sum();
+                if self.received == expected {
+                    return std::mem::take(&mut self.received);
+                }
+                debug_assert!(self.received < expected, "received more than promised");
+            }
+            if let Some(w) = self.recv_unique_deadline(ctx, dv, ctx.now() + time::us(2)) {
+                deliver(&[w]);
+            }
+        }
+    }
+
     /// Close the current epoch: outbound dedup resets so the next epoch
-    /// may legitimately resend equal words. Call after [`ReliableFifo::
-    /// verify_epoch`]; inbound dedup persists for the whole run.
+    /// may legitimately resend equal words; inbound dedup persists for the
+    /// whole run.
     ///
     /// # Panics
     /// Panics if some destination is still unverified: the dedup set is
     /// the retransmission log, so clearing it would lose those words.
-    pub fn end_epoch(&mut self) {
+    fn end_epoch(&mut self) {
         assert!(self.wire_epoch.iter().all(|&w| w == 0), "end_epoch before verify_epoch");
         self.epoch_log.clear();
         self.epoch_dest.clear();

@@ -12,7 +12,7 @@ use dv_core::time::Time;
 use dv_core::trace::Tracer;
 use dv_core::{NodeId, Word};
 use dv_sim::{Kernel, Pipe, WaitSet};
-use dv_switch::{LinkFaultInjector, NetworkTopology, SwitchModel};
+use dv_switch::{LinkFaultInjector, SwitchModel};
 use dv_vic::{PciePath, Vic};
 
 /// State of the hardware barrier engine (implemented with the two reserved
@@ -83,7 +83,10 @@ impl DvWorld {
     ) -> Arc<Self> {
         assert!(nodes >= 1);
         let mut config = config;
-        // Grow the switch if the requested cluster exceeds its ports.
+        // Grow the switch if the requested cluster exceeds its ports; a
+        // zero-port switch never grows.
+        assert!(config.dv.angles >= 1, "dv.angles must be at least 1");
+        assert!(config.dv.height >= 1, "dv.height must be at least 1");
         while config.dv.ports() < nodes {
             config.dv.height *= 2;
         }
@@ -156,7 +159,7 @@ impl DvWorld {
     /// Instantaneous switch load estimate in `[0, 1]`: in-flight packets
     /// over the number of switching cells.
     pub fn load(&self) -> f64 {
-        let cells = self.switch.net().node_count() as f64;
+        let cells = self.switch.net().nodes() as f64;
         (self.in_flight.load(Ordering::Relaxed).max(0) as f64 / cells).min(1.0)
     }
 

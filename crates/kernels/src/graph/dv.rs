@@ -6,25 +6,24 @@
 //! happen efficiently. This 'source aggregation' ... is sufficient to
 //! hide most PCIe latency." (Section VI)
 //!
-//! Remote visits are single FIFO packets `(vertex, parent)`; levels
-//! complete with the DV-memory sent-count protocol; termination uses
-//! all-to-all frontier-count posts.
+//! Remote visits are single FIFO packets `(vertex, parent)`; termination
+//! uses all-to-all frontier-count posts.
 //!
 //! Visits ride the `dv-api` recovery layer ([`ReliableFifo`]), one epoch
-//! per BFS level: visits lost to FIFO overflow (or an injected fault
-//! plan) are retransmitted against the hardware accepted counts *before*
-//! the sent counts are posted, so levels complete exactly. Parallel edges
-//! produce duplicate `(vertex, parent)` words; the layer's outbound dedup
-//! absorbs them (each logical pair crosses the wire once per level), and
-//! pairs are unique across levels because a vertex joins the frontier at
-//! most once.
+//! per BFS level, and a level completes with the DV-memory sent-count
+//! protocol of [`ReliableFifo::complete_epoch`] at `CNT_BASE`: visits
+//! lost to FIFO overflow (or an injected fault plan) are retransmitted
+//! against the hardware accepted counts *before* the sent counts are
+//! posted, so levels complete exactly. Parallel edges produce duplicate
+//! `(vertex, parent)` words; the layer's outbound dedup absorbs them
+//! (each logical pair crosses the wire once per level), and pairs are
+//! unique across levels because a vertex joins the frontier at most once.
 
 use std::sync::Arc;
 
 use dv_core::spec::SimSpec;
 use dv_core::packet::{Packet, PacketHeader, SCRATCH_GC};
-use dv_api::{Aggregator, DvCluster, DvCtx, ReliableFifo, SendMode};
-use dv_sim::SimCtx;
+use dv_api::{Aggregator, DvCluster, ReliableFifo, SendMode};
 
 use crate::util::{charge_edges, pack2, unpack2};
 
@@ -55,19 +54,6 @@ fn apply_visits(part: &VertexPart, me: usize, st: &mut LevelState, words: &[u64]
             st.next.push(v);
         }
     }
-}
-
-fn drain(
-    rel: &mut ReliableFifo,
-    dv: &DvCtx,
-    ctx: &SimCtx,
-    part: &VertexPart,
-    me: usize,
-    st: &mut LevelState,
-) -> u64 {
-    let words = rel.drain_unique(ctx, dv);
-    apply_visits(part, me, st, &words);
-    words.len() as u64
 }
 
 /// Run one BFS from `root` on the Data Vortex cluster described by `spec`
@@ -102,9 +88,7 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
         loop {
             // --- scan + stream remote visits ---------------------------
             let mut agg = Aggregator::new(AGG);
-            let mut sent = vec![0u64; p];
             let mut since_drain = 0usize;
-            let mut received = 0u64;
             for &u in &frontier {
                 let lu = part.local(u);
                 for &v in locals[me].neighbors(lu as u32) {
@@ -117,10 +101,10 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
                             st.parents[lv] = u as i64;
                             st.next.push(v);
                         }
-                    } else if rel.send(ctx, dv, &mut agg, owner, pack2(v, u)) {
+                    } else {
                         // Parallel edges dedup at the send side: only
                         // words actually on the wire count as promises.
-                        sent[owner] += 1;
+                        rel.send(ctx, dv, &mut agg, owner, pack2(v, u));
                     }
                     since_drain += 1;
                     if since_drain >= AGG / 2 {
@@ -130,54 +114,17 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
                         // while peers flood it.
                         charge_edges(ctx, &compute, since_drain as u64);
                         since_drain = 0;
-                        received += drain(&mut rel, dv, ctx, &part, me, &mut st);
+                        apply_visits(&part, me, &mut st, &rel.drain_unique(ctx, dv));
                     }
                 }
             }
             charge_edges(ctx, &compute, frontier.len() as u64 + since_drain as u64);
-            received += drain(&mut rel, dv, ctx, &part, me, &mut st);
-            agg.flush(ctx, dv);
+            apply_visits(&part, me, &mut st, &rel.drain_unique(ctx, dv));
 
-            // Reconcile this level's sends against the hardware accepted
-            // counts, retransmitting losses; only verified sends back the
-            // promises posted below.
-            let mut recovered = Vec::new();
-            rel.verify_epoch(ctx, dv, &mut recovered);
-            apply_visits(&part, me, &mut st, &recovered);
-            received += recovered.len() as u64;
-
-            // --- post per-peer sent counts ------------------------------
-            let posts: Vec<Packet> = (0..p)
-                .filter(|&d| d != me)
-                .map(|d| {
-                    Packet::new(
-                        PacketHeader::dv_memory(me, d, CNT_BASE + me as u32, SCRATCH_GC),
-                        sent[d] + 1,
-                    )
-                })
-                .collect();
-            dv.send_packets(ctx, &posts, SendMode::DirectWrite { cached_headers: true });
-
-            // --- drain until every promised visit arrived ---------------
-            // Promises are posted post-verification, so every expected
-            // visit is already accepted into our FIFO (loss surfaced as
-            // retransmission on the sender, never as a hang here).
-            loop {
-                received += drain(&mut rel, dv, ctx, &part, me, &mut st);
-                let slots = dv.peek_local(ctx, CNT_BASE, p);
-                let all_posted = (0..p).filter(|&s| s != me).all(|s| slots[s] != 0);
-                if all_posted {
-                    let expected: u64 = (0..p).filter(|&s| s != me).map(|s| slots[s] - 1).sum();
-                    if received == expected {
-                        break;
-                    }
-                }
-                if let Some(w) = rel.recv_unique_deadline(ctx, dv, ctx.now() + dv_core::time::us(2))
-                {
-                    apply_visits(&part, me, &mut st, &[w]);
-                    received += 1;
-                }
-            }
+            // --- verify, post sent counts, drain every promised visit ----
+            let received = rel.complete_epoch(ctx, dv, &mut agg, CNT_BASE, |words| {
+                apply_visits(&part, me, &mut st, words)
+            });
             charge_edges(ctx, &compute, received);
 
             // --- agree on termination -----------------------------------
@@ -210,7 +157,6 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
             dv.write_local(ctx, CNT_BASE, &vec![0u64; p]);
             dv.write_local(ctx, FS_BASE, &vec![0u64; p]);
             dv.fast_barrier(ctx);
-            rel.end_epoch();
 
             frontier = std::mem::take(&mut st.next);
             if total_next == 0 {

@@ -5,11 +5,12 @@
 //! using the global-address mapping it keeps in DV memory). Up to 1024
 //! packets — to *any* mix of destinations — ride one PCIe DMA batch
 //! ("aggregation at source"); the switch routes them without congesting.
-//! Completion uses per-peer sent counts written into DV memory, the
-//! coordination idiom Section III describes.
+//! The run is one epoch of the `dv-api` recovery layer ([`ReliableFifo`]),
+//! closed by [`ReliableFifo::complete_epoch`] at `COUNT_BASE`: the
+//! per-peer sent counts written into DV memory, the coordination idiom
+//! Section III describes.
 //!
-//! FIFO sends ride the `dv-api` recovery layer ([`ReliableFifo`]):
-//! updates lost to FIFO overflow (or an injected fault plan) are detected
+//! Updates lost to FIFO overflow (or an injected fault plan) are detected
 //! against the VIC's hardware accepted counts and retransmitted before
 //! the per-peer sent counts are posted, so the kernel completes with the
 //! exact answer instead of asserting that loss never happens. Update
@@ -17,10 +18,9 @@
 //! and never repeat within a run), which the layer's exactly-once dedup
 //! relies on.
 
-use dv_core::packet::{Packet, PacketHeader, SCRATCH_GC};
 use dv_core::spec::SimSpec;
 use dv_core::Word;
-use dv_api::{Aggregator, DvCluster, DvCtx, ReliableFifo, SendMode};
+use dv_api::{Aggregator, DvCluster, ReliableFifo, SendMode};
 use dv_sim::SimCtx;
 
 use crate::util::{charge, charge_updates, BlockDist};
@@ -40,27 +40,13 @@ fn apply_updates(
     me: usize,
     table: &mut [u64],
     compute: &dv_core::config::ComputeParams,
-) -> u64 {
+) {
     for &ran in words {
         let (owner, idx) = locate(dist, ran);
         debug_assert_eq!(owner, me, "update routed to the wrong node");
         table[idx] ^= ran;
     }
     charge_updates(ctx, compute, words.len() as u64);
-    words.len() as u64
-}
-
-fn drain_and_apply(
-    rel: &mut ReliableFifo,
-    dv: &DvCtx,
-    ctx: &SimCtx,
-    dist: &BlockDist,
-    me: usize,
-    table: &mut [u64],
-    compute: &dv_core::config::ComputeParams,
-) -> u64 {
-    let words = rel.drain_unique(ctx, dv);
-    apply_updates(ctx, &words, dist, me, table, compute)
 }
 
 /// Run GUPS on the cluster described by `spec` — machine config, tracing,
@@ -84,13 +70,11 @@ pub fn run_ablate(cfg: GupsConfig, spec: SimSpec, aggregate: bool) -> GupsResult
     let cluster = DvCluster::from_spec(spec);
     let report = cluster.run(move |dv, ctx| {
         let me = dv.node();
-        let p = dv.nodes();
         let compute = compute.clone();
         let my_start = dist.start(me) as u64;
         let mut table: Vec<u64> = (my_start..my_start + dist.count(me) as u64).collect();
         let mut stream = cfg.stream_for(me);
         let mut applied = 0u64;
-        let mut sent = vec![0u64; p];
         // The 1024-access HPCC buffering cap applies to the aggregator.
         let threshold = if aggregate { cfg.bucket } else { 1 };
         let mode = if aggregate {
@@ -102,7 +86,6 @@ pub fn run_ablate(cfg: GupsConfig, spec: SimSpec, aggregate: bool) -> GupsResult
         let mut rel = ReliableFifo::new(dv);
 
         dv.barrier(ctx);
-        let mut received_remote = 0u64;
         let rounds = cfg.updates_per_node.div_ceil(cfg.bucket);
         for round in 0..rounds {
             let round_start = ctx.now();
@@ -115,15 +98,14 @@ pub fn run_ablate(cfg: GupsConfig, spec: SimSpec, aggregate: bool) -> GupsResult
                     table[idx] ^= ran;
                     local_count += 1;
                     applied += 1;
-                } else if rel.send(ctx, dv, &mut agg, owner, ran) {
-                    sent[owner] += 1;
+                } else {
+                    rel.send(ctx, dv, &mut agg, owner, ran);
                 }
             }
             charge(ctx, batch as u64, GEN_RATE);
             charge_updates(ctx, &compute, local_count);
             // Interleave draining so nobody's FIFO backs up.
-            received_remote +=
-                drain_and_apply(&mut rel, dv, ctx, &dist, me, &mut table, &compute);
+            apply_updates(ctx, &rel.drain_unique(ctx, dv), &dist, me, &mut table, &compute);
             dv.world().tracer.span(me, dv_core::trace::State::Compute, round_start, ctx.now());
             // Coarse pacing: bound sender/receiver skew so the surprise
             // FIFO (capacity "thousands of messages") rarely overflows.
@@ -133,59 +115,14 @@ pub fn run_ablate(cfg: GupsConfig, spec: SimSpec, aggregate: bool) -> GupsResult
             if (round + 1) % 2 == 0 {
                 agg.flush(ctx, dv);
                 dv.fast_barrier(ctx);
-                received_remote +=
-                    drain_and_apply(&mut rel, dv, ctx, &dist, me, &mut table, &compute);
+                apply_updates(ctx, &rel.drain_unique(ctx, dv), &dist, me, &mut table, &compute);
             }
         }
-        agg.flush(ctx, dv);
-
-        // Reconcile against the hardware accepted counts: retransmit any
-        // update the FIFOs dropped. Only *then* are the sent counts below
-        // trustworthy promises.
-        let mut recovered = Vec::new();
-        rel.verify_epoch(ctx, dv, &mut recovered);
-        received_remote += apply_updates(ctx, &recovered, &dist, me, &mut table, &compute);
-
-        // Post per-peer sent counts (count+1; zero = not posted).
-        let count_packets: Vec<Packet> = (0..p)
-            .filter(|&d| d != me)
-            .map(|d| {
-                Packet::new(
-                    PacketHeader::dv_memory(me, d, COUNT_BASE + me as u32, SCRATCH_GC),
-                    sent[d] + 1,
-                )
-            })
-            .collect();
-        dv.send_packets(ctx, &count_packets, SendMode::DirectWrite { cached_headers: true });
-
-        // Drain until all peers posted and all promised updates arrived.
-        // Peers post counts only after their own verification, so every
-        // promised update is already accepted (or in flight) — loss shows
-        // up as retransmission above, never as a hang here.
-        loop {
-            received_remote +=
-                drain_and_apply(&mut rel, dv, ctx, &dist, me, &mut table, &compute);
-            let slots = dv.peek_local(ctx, COUNT_BASE, p);
-            let posted = (0..p).filter(|&s| s != me).all(|s| slots[s] != 0);
-            if posted {
-                let expected: u64 =
-                    (0..p).filter(|&s| s != me).map(|s| slots[s] - 1).sum();
-                if received_remote == expected {
-                    break;
-                }
-                debug_assert!(received_remote < expected, "received more than promised");
-            }
-            // Wait for more arrivals (bounded poll).
-            if let Some(w) = rel.recv_unique_deadline(ctx, dv, ctx.now() + dv_core::time::us(2)) {
-                let (owner, idx) = locate(&dist, w);
-                debug_assert_eq!(owner, me);
-                table[idx] ^= w;
-                charge_updates(ctx, &compute, 1);
-                received_remote += 1;
-            }
-        }
-        applied += received_remote;
-        rel.end_epoch();
+        // Retransmit whatever the FIFOs dropped, post the per-peer sent
+        // counts, and apply updates until every promised one arrived.
+        applied += rel.complete_epoch(ctx, dv, &mut agg, COUNT_BASE, |words| {
+            apply_updates(ctx, words, &dist, me, &mut table, &compute)
+        });
         rel.publish(dv);
         dv.fast_barrier(ctx);
         let checksum = table.iter().fold(0u64, |a, &b| a ^ b);

@@ -528,8 +528,8 @@ pub static RULES: &[Rule] = &[
         severity: Severity::Error,
         summary: "host-blocking call in virtual-time code: sleep/park/yield_now/\
                   recv_timeout consume wall-clock, which the simulation clock never sees",
-        hint: "block on virtual time instead (SimCtx::park / advance_to); host \
-               waiting belongs only in the bench harness",
+        hint: "block on virtual time instead (SimCtx::wait_until / wait_for); \
+               host waiting belongs only in the bench harness",
         crates: SIM_REACHABLE,
         skip_tests: true,
         matcher: Matcher::Line(w010_blocking_in_virtual_time),

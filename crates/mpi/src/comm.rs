@@ -364,18 +364,7 @@ impl Comm {
     pub fn wait(&self, ctx: &SimCtx, req: Request) {
         let Some(state) = req.0 else { return };
         let t0 = ctx.now();
-        loop {
-            // Waker first: completion locks the request under the kernel.
-            let waker = ctx.waker();
-            {
-                let mut s = state.lock();
-                if s.done {
-                    break;
-                }
-                s.waiter = Some(waker);
-            }
-            ctx.park();
-        }
+        ctx.wait_for(None, || state.lock().done.then_some(()), |w| state.lock().waiter = Some(w));
         if ctx.now() > t0 {
             self.world.tracer.span(self.rank, State::Wait, t0, ctx.now());
         }
@@ -412,19 +401,22 @@ impl Comm {
                 if let Some(msg_id) = rts {
                     ctx.with_kernel(|k| self.world.send_cts(k, msg_id));
                 }
-                loop {
-                    ctx.park();
-                    let delivered = self.slot().lock().delivered.take();
-                    if let Some((ready, env)) = delivered {
-                        ctx.wait_until(ready);
-                        break env;
-                    }
-                    // Woken by a waker left in some wait set: post afresh.
-                    let waker = ctx.waker();
-                    if let Some((_, posted)) = self.slot().lock().posted.as_mut() {
-                        *posted = waker;
-                    }
-                }
+                // Nothing is delivered before the first park (`send_cts`
+                // only schedules), so the first re-post is a no-op; after a
+                // wake by a waker left in some wait set it posts afresh.
+                let (ready, env) = ctx
+                    .wait_for(
+                        None,
+                        || self.slot().lock().delivered.take(),
+                        |w| {
+                            if let Some((_, posted)) = self.slot().lock().posted.as_mut() {
+                                *posted = w;
+                            }
+                        },
+                    )
+                    .expect("a wait without a deadline only returns when ready");
+                ctx.wait_until(ready);
+                env
             }
         };
         self.world.tracer.span(self.rank, State::Recv, t0, ctx.now());

@@ -124,7 +124,7 @@ fn a_posted_receive_tolerates_spurious_wakeups() {
                     comm.send(ctx, 1, 7, words(16));
                 }
                 1 => {
-                    signal.register(ctx);
+                    signal.register(ctx.waker());
                     assert_eq!(comm.recv_from(ctx, 0, 7).payload, words(16));
                 }
                 _ => {

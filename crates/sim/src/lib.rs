@@ -35,7 +35,9 @@
 //!
 //! ## Building blocks
 //!
-//! * [`Sim`] / [`SimCtx`] — the kernel and the per-process capability.
+//! * [`Sim`] / [`SimCtx`] — the kernel and the per-process capability;
+//!   [`SimCtx::wait_for`] is the one check-and-park loop every blocking
+//!   wait runs on.
 //! * [`Port`] — a typed message queue in virtual time (the basis for NICs).
 //! * [`WaitSet`] — virtual-time condition variable.
 //! * [`Pipe`] — a FIFO bandwidth server (PCIe bus, NIC link, switch port).

@@ -555,8 +555,8 @@ impl SimCtx {
         f(&mut self.shared.kernel.lock())
     }
 
-    /// A waker for this process's *current* park generation. Hand it to a
-    /// wait queue, then call [`SimCtx::park`].
+    /// A waker for this process's *current* park generation (what
+    /// [`SimCtx::wait_for`] hands its `register`).
     pub fn waker(&self) -> Waker {
         let k = self.shared.kernel.lock();
         k.waker_for(self.pid)
@@ -591,19 +591,38 @@ impl SimCtx {
         }
     }
 
-    /// Block until virtual time `t` (no-op if already past).
-    pub fn wait_until(&self, t: Time) {
+    /// The one check-and-park loop under every blocking wait. Each turn:
+    /// `ready()` first (a condition met at the deadline wins); then, past
+    /// `deadline`, `None` with no waker registered and no event pushed (a
+    /// stale wake would still draw a sequence number the trace hashes);
+    /// else the current waker goes to `register`, the deadline is armed,
+    /// and the process parks.
+    pub fn wait_for<R>(
+        &self,
+        deadline: Option<Time>,
+        mut ready: impl FnMut() -> Option<R>,
+        mut register: impl FnMut(Waker),
+    ) -> Option<R> {
         loop {
-            {
-                let mut k = self.shared.kernel.lock();
-                if k.now() >= t {
-                    return;
-                }
-                let w = k.waker_for(self.pid);
-                k.wake_at(t, w);
+            if let Some(r) = ready() {
+                return Some(r);
+            }
+            let (now, waker) = self.with_kernel(|k| (k.now(), k.waker_for(self.pid)));
+            if deadline.is_some_and(|d| now >= d) {
+                return None;
+            }
+            register(waker);
+            if let Some(d) = deadline {
+                self.with_kernel(|k| k.wake_at(d, waker));
             }
             self.park();
         }
+    }
+
+    /// Block until virtual time `t` (no-op if already past): a wait for a
+    /// condition that never holds.
+    pub fn wait_until(&self, t: Time) {
+        self.wait_for(Some(t), || None::<()>, |_| {});
     }
 
     /// Advance virtual time by `d` — the standard way to charge compute

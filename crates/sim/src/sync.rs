@@ -10,10 +10,10 @@ use dv_core::time::{self, Time};
 use crate::kernel::{Kernel, TimerId, Waker};
 use crate::sim::SimCtx;
 
-/// A virtual-time condition variable: processes register their waker and
-/// park; anyone (a process or a kernel closure) can wake all registered
-/// waiters. Stale wakers are harmless, so waiters simply re-register on
-/// every iteration of their re-check loop.
+/// A virtual-time condition variable: a [`SimCtx::wait_for`] registers its
+/// waker here; anyone (a process or a kernel closure) can wake all
+/// registered waiters. Stale wakers are harmless, so waiters simply
+/// re-register on every turn of the re-check loop.
 #[derive(Clone, Default)]
 pub struct WaitSet {
     waiters: Arc<Mutex<Vec<Waker>>>,
@@ -25,9 +25,10 @@ impl WaitSet {
         Self::default()
     }
 
-    /// Register the calling process. Follow with [`SimCtx::park`].
-    pub fn register(&self, ctx: &SimCtx) {
-        self.waiters.lock().push(ctx.waker());
+    /// Register a waker (the one [`SimCtx::wait_for`] hands its
+    /// `register`).
+    pub fn register(&self, waker: Waker) {
+        self.waiters.lock().push(waker);
     }
 
     /// Wake every registered waiter at the kernel's current time.
@@ -40,16 +41,6 @@ impl WaitSet {
     /// Wake every registered waiter, from process context.
     pub fn wake_all_ctx(&self, ctx: &SimCtx) {
         ctx.with_kernel(|k| self.wake_all(k));
-    }
-
-    /// Block the calling process until `pred` returns true. `pred` runs
-    /// with no locks held by this module; it should check shared state.
-    pub fn wait_while(&self, ctx: &SimCtx, mut pred: impl FnMut() -> bool) {
-        // `pred` is "still waiting?" — loop while true.
-        while pred() {
-            self.register(ctx);
-            ctx.park();
-        }
     }
 
     /// Number of currently registered wakers (stale ones included).
@@ -231,38 +222,17 @@ impl<T: Send + 'static> Port<T> {
 
     /// Blocking receive.
     pub fn recv(&self, ctx: &SimCtx) -> (Time, T) {
-        loop {
-            {
-                let mut s = self.state.lock();
-                if let Some(m) = s.queue.pop_front() {
-                    return m;
-                }
-                s.waiters.push(ctx.waker());
-            }
-            ctx.park();
-        }
+        self.recv_by(ctx, None).expect("a receive without a deadline only returns a message")
     }
 
     /// Blocking receive with a deadline; `None` if virtual time reaches
     /// `deadline` first.
     pub fn recv_deadline(&self, ctx: &SimCtx, deadline: Time) -> Option<(Time, T)> {
-        loop {
-            {
-                let mut s = self.state.lock();
-                if let Some(m) = s.queue.pop_front() {
-                    return Some(m);
-                }
-                if ctx.now() >= deadline {
-                    return None;
-                }
-                s.waiters.push(ctx.waker());
-            }
-            ctx.with_kernel(|k| {
-                let w = k.waker_for(ctx.pid());
-                k.wake_at(deadline, w);
-            });
-            ctx.park();
-        }
+        self.recv_by(ctx, Some(deadline))
+    }
+
+    fn recv_by(&self, ctx: &SimCtx, deadline: Option<Time>) -> Option<(Time, T)> {
+        ctx.wait_for(deadline, || self.try_recv(), |w| self.state.lock().waiters.push(w))
     }
 
     /// Messages currently visible.

@@ -135,7 +135,7 @@ fn waitset_wakes_all_waiters() {
     for i in 0..4 {
         let (ws, flag, done) = (ws.clone(), flag.clone(), done.clone());
         sim.spawn(format!("w{i}"), move |ctx| {
-            ws.wait_while(ctx, || !*flag.lock());
+            ctx.wait_for(None, || flag.lock().then_some(()), |w| ws.register(w));
             *done.lock() += 1;
         });
     }
@@ -399,7 +399,7 @@ fn run_programs(
                     }
                     Op::Signal => signal.wake_all_ctx(ctx),
                     Op::TimedWait(d) => {
-                        signal.register(ctx);
+                        signal.register(ctx.waker());
                         ctx.with_kernel(|k| {
                             let w = k.waker_for(ctx.pid());
                             k.wake_at(k.now() + d, w);

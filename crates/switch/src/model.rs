@@ -16,14 +16,13 @@
 use dv_core::config::DvParams;
 use dv_core::time::Time;
 
-use crate::net::{AnyTopology, NetworkTopology};
 use crate::topology::Topology;
 use crate::traffic::{Arrival, LoadSweep, Pattern};
 
 /// Closed-form latency model of the Data Vortex switch.
 #[derive(Debug, Clone)]
 pub struct SwitchModel {
-    net: AnyTopology,
+    net: Topology,
     hop_time: Time,
     inject: Time,
     eject: Time,
@@ -35,7 +34,7 @@ impl SwitchModel {
     /// Model with the parameters of a [`DvParams`] machine description.
     pub fn from_params(dv: &DvParams) -> Self {
         Self {
-            net: AnyTopology::Vortex(Topology::new(dv.height, dv.angles)),
+            net: Topology::new(dv.height, dv.angles),
             hop_time: dv.hop_time,
             inject: dv.inject_time,
             eject: dv.eject_time,
@@ -44,7 +43,7 @@ impl SwitchModel {
     }
 
     /// The modeled network.
-    pub fn net(&self) -> &AnyTopology {
+    pub fn net(&self) -> &Topology {
         &self.net
     }
 
@@ -71,7 +70,7 @@ impl SwitchModel {
     /// simulator under uniform traffic: measures mean deflections at high
     /// load and stores them. Returns the calibrated value.
     pub fn calibrate(&mut self, seed: u64) -> f64 {
-        let mut sweep = LoadSweep::for_net(self.net.clone());
+        let mut sweep = LoadSweep::new(self.net.clone());
         sweep.pattern = Pattern::Uniform;
         sweep.arrival = Arrival::Bernoulli;
         sweep.warmup = 300;

@@ -124,3 +124,21 @@ fn deadlocked_programs_are_diagnosed_not_hung() {
         .unwrap_or_default();
     assert!(msg.contains("deadlock"), "diagnostic should name the condition: {msg}");
 }
+
+/// A switch with no ports never grows to fit the cluster: the world
+/// rejects each zero dimension by name instead of looping forever.
+#[test]
+#[should_panic(expected = "dv.angles")]
+fn a_switch_with_zero_angles_is_rejected() {
+    let mut cfg = MachineConfig::paper_cluster();
+    cfg.dv.angles = 0;
+    DvCluster::from_spec(SimSpec::new(4).machine(cfg)).run(|_, _| ());
+}
+
+#[test]
+#[should_panic(expected = "dv.height")]
+fn a_switch_with_zero_height_is_rejected() {
+    let mut cfg = MachineConfig::paper_cluster();
+    cfg.dv.height = 0;
+    DvCluster::from_spec(SimSpec::new(4).machine(cfg)).run(|_, _| ());
+}
