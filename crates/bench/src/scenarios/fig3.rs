@@ -23,12 +23,9 @@ pub(crate) fn run(opts: &Opts, report: &mut Report) {
     // are assembled in input order.
     let measure = |words: usize| {
         let r = reps(words);
-        let dv = |mode| dv_pingpong_spec(words, r, mode, SimSpec::new(2));
-        let nc = dv(SendMode::DirectWrite { cached_headers: false });
-        let ca = dv(SendMode::DirectWrite { cached_headers: true });
-        let dm = dv(SendMode::Dma { cached_headers: true });
-        let mp = mpi_pingpong(words, r, SimSpec::new(2));
-        [nc.bandwidth_gbps(), ca.bandwidth_gbps(), dm.bandwidth_gbps(), mp.bandwidth_gbps()]
+        let [nc, ca, dm] = SendMode::FIGURE3
+            .map(|mode| dv_pingpong_spec(words, r, mode, SimSpec::new(2)).bandwidth_gbps());
+        [nc, ca, dm, mpi_pingpong(words, r, SimSpec::new(2)).bandwidth_gbps()]
     };
     let curves: Vec<[f64; 4]> = super::fan_out(&sizes, |&w| measure(w));
 

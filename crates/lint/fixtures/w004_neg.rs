@@ -18,3 +18,8 @@ fn drain(state: &Mutex<Vec<u64>>, rx: &std::sync::mpsc::Receiver<u64>) {
     let parsed = "7".parse::<u64>().unwrap();
     guard.push(parsed);
 }
+
+// A dv-sim port's recv takes the context: a virtual-time wait, not a channel.
+fn first_word(port: &Port, ctx: &SimCtx) -> u64 {
+    port.recv(ctx).expect("port closed")
+}

@@ -9,8 +9,8 @@
 //! `dv-lint` is the static half of the enforcement (the runtime halves
 //! are `dv_sim::OrderAudit` and `dv_core::sync::lock_order_conflicts`).
 //! It is a two-pass analyzer with no external dependencies: pass one is a
-//! real lexer ([`lexer`]) producing a spanned token stream, from which
-//! [`scanner`] derives the sanitized line view rules match against; pass
+//! real lexer ([`lexer`]) producing the spanned token stream that
+//! [`scanner`] holds as the one source model every rule reads; pass
 //! two ([`scope`]) builds a lightweight item model — fn boundaries, `use`
 //! imports, test regions, `unsafe` spans, live lock guards — that the
 //! concurrency rules and the whole-workspace lock-order graph
@@ -158,11 +158,12 @@ impl LintReport {
     }
 }
 
-/// Rust sources under `root` that the lint scans: workspace crates
-/// (`crates/*/src`), the root crate (`src`), and the root integration
-/// tests (`tests`). Benches and fixtures are intentionally not scanned —
-/// fixtures *contain* violations by design, and `dv-bench` is the one
-/// crate allowed to touch the host clock.
+/// Rust sources under `root` that the lint scans: workspace crates and
+/// their integration tests (`crates/*/src`, `crates/*/tests`, linted in
+/// their crate's scope), the root crate (`src`), and the root integration
+/// tests (`tests`). Benches, fixtures and examples are intentionally not
+/// scanned — benches own the host clock, fixtures *contain* violations by
+/// design, and examples are binaries with no crate scope of their own.
 pub fn workspace_sources(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     let crates = root.join("crates");
@@ -171,6 +172,7 @@ pub fn workspace_sources(root: &Path) -> Vec<PathBuf> {
         dirs.sort();
         for dir in dirs {
             collect_rs(&dir.join("src"), &mut out);
+            collect_rs(&dir.join("tests"), &mut out);
         }
     }
     collect_rs(&root.join("src"), &mut out);
@@ -258,7 +260,7 @@ pub fn run_lint(root: &Path) -> std::io::Result<LintReport> {
                  non-empty quoted reason",
                 &rel,
                 m.line,
-                file.src.raw.get(m.line - 1).map(|l| l.trim().to_string()).unwrap_or_default(),
+                file.src.line_text(m.line),
                 m.message,
             ));
         }
@@ -267,12 +269,13 @@ pub fn run_lint(root: &Path) -> std::io::Result<LintReport> {
     }
 
     graph.resolve();
-    for mut f in rules::cycle_findings(&graph) {
-        // Fill in the source text the per-file scanner would have had.
-        if let Some(file) = files.iter().find(|x| x.src.path == f.path) {
-            f.text = file.src.raw.get(f.line - 1).map(|l| l.trim().to_string()).unwrap_or_default();
+    if let Some(w013) = rules::rule("DV-W013") {
+        for (path, line, note) in rules::cycle_findings(&graph) {
+            // Every witness comes from a scanned file.
+            if let Some(file) = files.iter().find(|x| x.src.path == path) {
+                raw_findings.push(w013.finding(&file.src, line, note));
+            }
         }
-        raw_findings.push(f);
     }
 
     for finding in raw_findings {

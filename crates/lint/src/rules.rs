@@ -1,15 +1,13 @@
 //! The rule engine and the shipped `DV-W***` rules.
 //!
-//! v2 runs two passes per file: the lexer/scanner pass produces the
-//! spanned token stream and the sanitized line view (comments and string
-//! contents blanked — see [`crate::scanner`]), and the scope pass builds
-//! the item model ([`crate::scope`]). Rules come in two shapes:
-//!
-//! * [`Matcher::Line`] — a predicate over one sanitized line (the v1
-//!   shape; still right for single-token hazards like `HashMap`), and
-//! * [`Matcher::File`] — a whole-file analysis returning `(line, note)`
-//!   pairs, for rules that need scopes, token structure, or cross-line
-//!   state (mixed atomic orderings, nested lock guards, cast operands).
+//! Two passes run per file: the lexer pass produces the spanned token
+//! stream (see [`crate::scanner`]), and the scope pass builds the item
+//! model ([`crate::scope`]). Every rule has one shape: a whole-file
+//! analysis over both, returning `(line, note)` pairs. Single-token
+//! hazards like `HashMap` are predicates over one line's code tokens
+//! (`lines_where`); rules that need scopes, token structure, or
+//! cross-line state (mixed atomic orderings, nested lock guards, cast
+//! operands) walk the whole stream.
 //!
 //! A rule also carries a crate scope (determinism rules only fire in
 //! crates whose code can run *inside* the simulation) and a `skip_tests`
@@ -21,6 +19,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::lexer::{Token, TokenKind};
 use crate::lockgraph::LockGraph;
 use crate::scanner::SourceFile;
 use crate::scope::{ScopeModel, UnsafeKind};
@@ -47,7 +46,7 @@ impl std::fmt::Display for Severity {
 /// scope model every rule reads.
 #[derive(Debug)]
 pub struct AnalyzedFile {
-    /// Pass one: raw/sanitized lines and the token stream.
+    /// Pass one: raw lines and the token stream.
     pub src: SourceFile,
     /// Pass two: fns, uses, test regions, unsafes, lock nesting.
     pub scopes: ScopeModel,
@@ -96,14 +95,6 @@ const NO_RAW_THREADS: &[&str] =
 /// flow through narrow integer fields.
 const PACKET_PATHS: &[&str] = &["switch", "vic"];
 
-/// How a rule inspects a file.
-pub enum Matcher {
-    /// Per-line predicate over the sanitized source.
-    Line(fn(&AnalyzedFile, &str) -> bool),
-    /// Whole-file analysis returning `(1-based line, note)` findings.
-    File(fn(&AnalyzedFile) -> Vec<(usize, String)>),
-}
-
 /// A single static-analysis rule.
 pub struct Rule {
     /// Stable identifier (`DV-W001`...).
@@ -118,7 +109,8 @@ pub struct Rule {
     pub crates: &'static [&'static str],
     /// Whether findings inside test-only code are dropped.
     pub skip_tests: bool,
-    matcher: Matcher,
+    /// The analysis: `(1-based line, note)` per violation.
+    check: fn(&AnalyzedFile) -> Vec<(usize, String)>,
 }
 
 /// One rule violation at one source line.
@@ -159,47 +151,60 @@ impl Finding {
     }
 }
 
-/// `needle` occurs in `hay` as a full token (no identifier char on either
-/// side).
-fn contains_token(hay: &str, needle: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = hay[start..].find(needle) {
-        let at = start + pos;
-        let before_ok = at == 0
-            || !hay[..at].chars().next_back().is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after = at + needle.len();
-        let after_ok = after >= hay.len()
-            || !hay[after..].chars().next().is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return true;
-        }
-        start = at + needle.len().max(1);
-    }
-    false
+/// A per-line rule's findings: the lines whose code tokens satisfy
+/// `pred`, each seen alone (tokens grouped by their start line).
+fn lines_where(f: &AnalyzedFile, pred: impl Fn(&[&Token]) -> bool) -> Vec<(usize, String)> {
+    f.src
+        .code_tokens()
+        .chunk_by(|a, b| a.line == b.line)
+        .filter(|line| pred(line))
+        .map(|line| (line[0].line, String::new()))
+        .collect()
 }
 
-fn any_token(hay: &str, needles: &[&str]) -> bool {
-    needles.iter().any(|n| contains_token(hay, n))
+/// The line names one of the identifiers `names`.
+fn has_ident(line: &[&Token], names: &[&str]) -> bool {
+    line.iter().any(|t| names.iter().any(|n| t.is_ident(n)))
 }
 
-fn w001_hash_containers(_: &AnalyzedFile, line: &str) -> bool {
-    any_token(line, &["HashMap", "HashSet"])
+/// The line spells the path `a::b`.
+fn has_path(line: &[&Token], a: &str, b: &str) -> bool {
+    line.windows(3).any(|w| w[0].is_ident(a) && w[1].is_punct("::") && w[2].is_ident(b))
 }
 
-fn w002_wall_clock(_: &AnalyzedFile, line: &str) -> bool {
-    any_token(line, &["Instant", "SystemTime"])
+/// The line calls method `name`: `.name(`, or only `.name()` when
+/// `no_args`.
+fn has_call(line: &[&Token], name: &str, no_args: bool) -> bool {
+    line.windows(3 + usize::from(no_args)).any(|w| {
+        w[0].is_punct(".")
+            && w[1].is_ident(name)
+            && w[2].is_punct("(")
+            && (!no_args || w[3].is_punct(")"))
+    })
 }
 
-fn w004_unwrap_on_sync(_: &AnalyzedFile, line: &str) -> bool {
-    let unwraps = line.contains(".unwrap()") || line.contains(".expect(");
-    let sync_result = [".lock()", ".try_lock()", ".recv()", ".try_recv()", ".send("]
-        .iter()
-        .any(|p| line.contains(p));
-    unwraps && sync_result
+fn w001_hash_containers(f: &AnalyzedFile) -> Vec<(usize, String)> {
+    lines_where(f, |l| has_ident(l, &["HashMap", "HashSet"]))
 }
 
-fn w006_print_in_library(_: &AnalyzedFile, line: &str) -> bool {
-    any_token(line, &["println", "eprintln", "print", "eprint"])
+fn w002_wall_clock(f: &AnalyzedFile) -> Vec<(usize, String)> {
+    lines_where(f, |l| has_ident(l, &["Instant", "SystemTime"]))
+}
+
+/// Lock and channel calls whose `Result` DV-W004 watches, and whether
+/// the call takes no arguments.
+const SYNC_CALLS: &[(&str, bool)] =
+    &[("lock", true), ("try_lock", true), ("recv", true), ("try_recv", true), ("send", false)];
+
+fn w004_unwrap_on_sync(f: &AnalyzedFile) -> Vec<(usize, String)> {
+    lines_where(f, |l| {
+        (has_call(l, "unwrap", true) || has_call(l, "expect", false))
+            && SYNC_CALLS.iter().any(|&(name, no_args)| has_call(l, name, no_args))
+    })
+}
+
+fn w006_print_in_library(f: &AnalyzedFile) -> Vec<(usize, String)> {
+    lines_where(f, |l| has_ident(l, &["println", "eprintln", "print", "eprint"]))
 }
 
 /// The memory orderings `std::sync::atomic::Ordering` offers.
@@ -250,10 +255,11 @@ fn w007_mixed_atomic_orderings(f: &AnalyzedFile) -> Vec<(usize, String)> {
 }
 
 /// DV-W008: raw `std::thread::spawn` outside the dv-sim scheduler.
-fn w008_raw_thread_spawn(f: &AnalyzedFile, line: &str) -> bool {
-    line.contains("thread::spawn")
-        || (contains_token(line, "spawn")
-            && f.scopes.uses.iter().any(|u| u.contains("std::thread")))
+fn w008_raw_thread_spawn(f: &AnalyzedFile) -> Vec<(usize, String)> {
+    let imports_thread = f.scopes.uses.iter().any(|u| u.contains("std::thread"));
+    lines_where(f, |l| {
+        has_path(l, "thread", "spawn") || (imports_thread && has_ident(l, &["spawn"]))
+    })
 }
 
 /// DV-W009: `unsafe` blocks/impls without an adjacent `// SAFETY:`
@@ -296,10 +302,10 @@ fn has_safety_comment(src: &SourceFile, line: usize) -> bool {
 
 /// DV-W010: host-blocking calls in virtual-time code. `ctx.park()` (the
 /// sim's own virtual-time park) is fine; `thread::park` is not.
-fn w010_blocking_in_virtual_time(_: &AnalyzedFile, line: &str) -> bool {
-    any_token(line, &["yield_now", "recv_timeout"])
-        || contains_token(line, "sleep")
-        || line.contains("thread::park")
+fn w010_blocking_in_virtual_time(f: &AnalyzedFile) -> Vec<(usize, String)> {
+    lines_where(f, |l| {
+        has_ident(l, &["yield_now", "recv_timeout", "sleep"]) || has_path(l, "thread", "park")
+    })
 }
 
 /// Narrowing `as` targets DV-W011 watches.
@@ -338,8 +344,7 @@ fn w011_lossy_packet_cast(f: &AnalyzedFile) -> Vec<(usize, String)> {
 /// Identifiers feeding the cast whose `as` precedes index `j`: the
 /// immediately preceding identifier, or — when the operand is a call or
 /// index expression — the identifiers inside that group plus its callee.
-fn cast_operand_idents(toks: &[&crate::lexer::Token], j: usize) -> Vec<String> {
-    use crate::lexer::TokenKind;
+fn cast_operand_idents(toks: &[&Token], j: usize) -> Vec<String> {
     let t = toks[j];
     if t.kind == TokenKind::Ident {
         return vec![t.text.clone()];
@@ -397,15 +402,12 @@ fn w013_lock_order_cycle(f: &AnalyzedFile) -> Vec<(usize, String)> {
     let mut g = LockGraph::new();
     g.add_file(f);
     g.resolve();
-    cycle_findings(&g).into_iter().map(|fi| (fi.line, fi.note)).collect()
+    cycle_findings(&g).into_iter().map(|(_, line, note)| (line, note)).collect()
 }
 
-/// Render a lock graph's cycles as DV-W013 findings (text left empty —
-/// callers that hold the sources fill it in).
-pub fn cycle_findings(g: &LockGraph) -> Vec<Finding> {
-    let Some(r) = rule("DV-W013") else {
-        return Vec::new();
-    };
+/// A lock graph's cycles as DV-W013 `(path, line, note)` triples, each
+/// anchored at the first witnessed edge along the cycle.
+pub(crate) fn cycle_findings(g: &LockGraph) -> Vec<(String, usize, String)> {
     let mut out = Vec::new();
     for cycle in g.cycles() {
         let mut route = cycle.clone();
@@ -414,29 +416,19 @@ pub fn cycle_findings(g: &LockGraph) -> Vec<Finding> {
         }
         // Every edge along the cycle, with its first witness.
         let mut legs = Vec::new();
-        let mut anchor: Option<(&String, &crate::lockgraph::EdgeWitness)> = None;
+        let mut anchor = None;
         for pair in route.windows(2) {
             if let Some(w) = g.edges.get(&(pair[0].clone(), pair[1].clone())) {
                 legs.push(format!(
                     "holds `{}` then takes `{}` at {}:{} (fn {})",
                     pair[0], pair[1], w.path, w.line, w.in_fn
                 ));
-                if anchor.is_none() {
-                    anchor = Some((&pair[0], w));
-                }
+                anchor.get_or_insert(w);
             }
         }
-        if let Some((_, w)) = anchor {
-            out.push(Finding {
-                rule: r.id,
-                severity: r.severity,
-                path: w.path.clone(),
-                line: w.line,
-                text: String::new(),
-                message: r.summary,
-                hint: r.hint,
-                note: format!("cycle {}; {}", route.join(" -> "), legs.join("; ")),
-            });
+        if let Some(w) = anchor {
+            let note = format!("cycle {}; {}", route.join(" -> "), legs.join("; "));
+            out.push((w.path.clone(), w.line, note));
         }
     }
     out
@@ -453,7 +445,7 @@ pub static RULES: &[Rule] = &[
                order-sensitive (sends, packet batches, float accumulation)",
         crates: SIM_REACHABLE,
         skip_tests: false,
-        matcher: Matcher::Line(w001_hash_containers),
+        check: w001_hash_containers,
     },
     Rule {
         id: "DV-W002",
@@ -464,7 +456,7 @@ pub static RULES: &[Rule] = &[
                belongs only in dv-bench harness code",
         crates: &["core", "sim", "switch", "vic", "mpi", "api", "kernels", "apps", "datavortex"],
         skip_tests: false,
-        matcher: Matcher::Line(w002_wall_clock),
+        check: w002_wall_clock,
     },
     Rule {
         id: "DV-W004",
@@ -476,7 +468,7 @@ pub static RULES: &[Rule] = &[
                the Err arm explicitly; suppress scheduler-fatal cases inline, with the reason",
         crates: HOT_PATHS,
         skip_tests: false,
-        matcher: Matcher::Line(w004_unwrap_on_sync),
+        check: w004_unwrap_on_sync,
     },
     Rule {
         id: "DV-W006",
@@ -487,7 +479,7 @@ pub static RULES: &[Rule] = &[
                render, or return the text; suppress diagnostic test probes inline, with the reason",
         crates: LIBRARY,
         skip_tests: true,
-        matcher: Matcher::Line(w006_print_in_library),
+        check: w006_print_in_library,
     },
     Rule {
         id: "DV-W007",
@@ -499,7 +491,7 @@ pub static RULES: &[Rule] = &[
                the protocol",
         crates: SIM_REACHABLE,
         skip_tests: false,
-        matcher: Matcher::File(w007_mixed_atomic_orderings),
+        check: w007_mixed_atomic_orderings,
     },
     Rule {
         id: "DV-W008",
@@ -510,7 +502,7 @@ pub static RULES: &[Rule] = &[
                so execution interleaving stays deterministic",
         crates: NO_RAW_THREADS,
         skip_tests: true,
-        matcher: Matcher::Line(w008_raw_thread_spawn),
+        check: w008_raw_thread_spawn,
     },
     Rule {
         id: "DV-W009",
@@ -521,7 +513,7 @@ pub static RULES: &[Rule] = &[
                the unsafe keyword",
         crates: EVERYWHERE,
         skip_tests: false,
-        matcher: Matcher::File(w009_unsafe_without_safety_comment),
+        check: w009_unsafe_without_safety_comment,
     },
     Rule {
         id: "DV-W010",
@@ -532,7 +524,7 @@ pub static RULES: &[Rule] = &[
                host waiting belongs only in the bench harness",
         crates: SIM_REACHABLE,
         skip_tests: true,
-        matcher: Matcher::Line(w010_blocking_in_virtual_time),
+        check: w010_blocking_in_virtual_time,
     },
     Rule {
         id: "DV-W011",
@@ -543,7 +535,7 @@ pub static RULES: &[Rule] = &[
                for narrowing, or mask explicitly and say why the range fits",
         crates: PACKET_PATHS,
         skip_tests: true,
-        matcher: Matcher::File(w011_lossy_packet_cast),
+        check: w011_lossy_packet_cast,
     },
     Rule {
         id: "DV-W012",
@@ -554,7 +546,7 @@ pub static RULES: &[Rule] = &[
                document the global order and keep every path consistent with it",
         crates: SIM_REACHABLE,
         skip_tests: true,
-        matcher: Matcher::File(w012_nested_lock_guards),
+        check: w012_nested_lock_guards,
     },
     Rule {
         id: "DV-W013",
@@ -566,7 +558,7 @@ pub static RULES: &[Rule] = &[
                interleavings, so fix the order rather than suppressing",
         crates: EVERYWHERE,
         skip_tests: true,
-        matcher: Matcher::File(w013_lock_order_cycle),
+        check: w013_lock_order_cycle,
     },
 ];
 
@@ -575,45 +567,36 @@ pub fn rule(id: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.id == id)
 }
 
+impl Rule {
+    /// This rule's finding at `line` of `src`, quoting the raw line.
+    pub(crate) fn finding(&self, src: &SourceFile, line: usize, note: String) -> Finding {
+        Finding {
+            rule: self.id,
+            severity: self.severity,
+            path: src.path.clone(),
+            line,
+            text: src.line_text(line),
+            message: self.summary,
+            hint: self.hint,
+            note,
+        }
+    }
+}
+
 /// Apply every in-scope rule to an analyzed file, returning findings in
 /// (line, rule) order. `crate_name` selects rule scopes (see
 /// [`crate::crate_of`]).
 pub fn scan_file(crate_name: &str, file: &AnalyzedFile) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for rule in RULES {
-        if !rule.crates.contains(&crate_name) {
-            continue;
-        }
-        let push = |line: usize, note: String, findings: &mut Vec<Finding>| {
-            if rule.skip_tests && file.scopes.is_test_line(line) {
-                return;
-            }
-            findings.push(Finding {
-                rule: rule.id,
-                severity: rule.severity,
-                path: file.src.path.clone(),
-                line,
-                text: file.src.raw.get(line - 1).map(|l| l.trim().to_string()).unwrap_or_default(),
-                message: rule.summary,
-                hint: rule.hint,
-                note,
-            });
-        };
-        match rule.matcher {
-            Matcher::Line(m) => {
-                for (line_no, code_line) in file.src.code_lines() {
-                    if m(file, code_line) {
-                        push(line_no, String::new(), &mut findings);
-                    }
-                }
-            }
-            Matcher::File(m) => {
-                for (line_no, note) in m(file) {
-                    push(line_no, note, &mut findings);
-                }
-            }
-        }
-    }
+    let mut findings: Vec<Finding> = RULES
+        .iter()
+        .filter(|rule| rule.crates.contains(&crate_name))
+        .flat_map(|rule| {
+            (rule.check)(file)
+                .into_iter()
+                .filter(|&(line, _)| !(rule.skip_tests && file.scopes.is_test_line(line)))
+                .map(|(line, note)| rule.finding(&file.src, line, note))
+        })
+        .collect();
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     findings
 }
@@ -627,75 +610,88 @@ pub fn scan_source(crate_name: &str, rel_path: &str, source: &str) -> Vec<Findin
 mod tests {
     use super::*;
 
-    /// (rule id, in-scope crate, positive fixture, negative fixture).
-    /// Every shipped rule must appear here — checked by
+    /// (rule id, in-scope crate, positive fixture, negative fixture, every
+    /// `(rule, line)` the positive fixture reports in that crate). Every
+    /// shipped rule must appear here — checked by
     /// `every_rule_has_fixture_coverage`.
-    const FIXTURES: &[(&str, &str, &str, &str)] = &[
+    type Pins = &'static [(&'static str, usize)];
+    const FIXTURES: &[(&str, &str, &str, &str, Pins)] = &[
         (
             "DV-W001",
             "api",
             include_str!("../fixtures/w001_pos.rs"),
             include_str!("../fixtures/w001_neg.rs"),
+            &[("DV-W001", 2), ("DV-W001", 4), ("DV-W001", 5), ("DV-W001", 10), ("DV-W001", 11)],
         ),
         (
             "DV-W002",
             "sim",
             include_str!("../fixtures/w002_pos.rs"),
             include_str!("../fixtures/w002_neg.rs"),
+            &[("DV-W002", 2), ("DV-W002", 5), ("DV-W002", 10), ("DV-W002", 11)],
         ),
         (
             "DV-W004",
             "mpi",
             include_str!("../fixtures/w004_pos.rs"),
             include_str!("../fixtures/w004_neg.rs"),
+            &[("DV-W004", 7), ("DV-W004", 8), ("DV-W004", 9), ("DV-W004", 13)],
         ),
         (
             "DV-W006",
             "core",
             include_str!("../fixtures/w006_pos.rs"),
             include_str!("../fixtures/w006_neg.rs"),
+            &[("DV-W006", 5), ("DV-W006", 7), ("DV-W006", 9), ("DV-W006", 10)],
         ),
         (
             "DV-W007",
             "api",
             include_str!("../fixtures/w007_pos.rs"),
             include_str!("../fixtures/w007_neg.rs"),
+            &[("DV-W007", 7)],
         ),
         (
             "DV-W008",
             "api",
             include_str!("../fixtures/w008_pos.rs"),
             include_str!("../fixtures/w008_neg.rs"),
+            &[("DV-W008", 3)],
         ),
         (
             "DV-W009",
             "vic",
             include_str!("../fixtures/w009_pos.rs"),
             include_str!("../fixtures/w009_neg.rs"),
+            &[("DV-W009", 3)],
         ),
         (
             "DV-W010",
             "kernels",
             include_str!("../fixtures/w010_pos.rs"),
             include_str!("../fixtures/w010_neg.rs"),
+            &[("DV-W010", 3), ("DV-W010", 4), ("DV-W010", 5)],
         ),
         (
             "DV-W011",
             "switch",
             include_str!("../fixtures/w011_pos.rs"),
             include_str!("../fixtures/w011_neg.rs"),
+            &[("DV-W011", 3), ("DV-W011", 4)],
         ),
         (
             "DV-W012",
             "api",
             include_str!("../fixtures/w012_pos.rs"),
             include_str!("../fixtures/w012_neg.rs"),
+            &[("DV-W012", 4)],
         ),
         (
             "DV-W013",
             "sim",
             include_str!("../fixtures/w013_pos.rs"),
             include_str!("../fixtures/w013_neg.rs"),
+            &[("DV-W012", 17), ("DV-W013", 17), ("DV-W012", 24)],
         ),
     ];
 
@@ -719,20 +715,18 @@ mod tests {
     }
 
     #[test]
-    fn positive_fixtures_trip_their_rule() {
-        for (id, scope, pos, _) in FIXTURES {
-            let hits = findings_for(scope, pos, id);
-            assert!(!hits.is_empty(), "{id} positive fixture produced no findings");
-            for f in &hits {
-                assert_eq!(f.rule, *id);
-                assert!(!f.text.is_empty());
-            }
+    fn positive_fixtures_report_exactly_their_pinned_lines() {
+        for (id, scope, pos, _, expect) in FIXTURES {
+            let hits = scan_source(scope, &format!("crates/{scope}/src/fixture.rs"), pos);
+            let got: Vec<(&str, usize)> = hits.iter().map(|f| (f.rule, f.line)).collect();
+            assert_eq!(got, *expect, "{id} positive fixture");
+            assert!(hits.iter().all(|f| !f.text.is_empty()), "{id}: a finding quotes no text");
         }
     }
 
     #[test]
     fn negative_fixtures_stay_clean() {
-        for (id, scope, _, neg) in FIXTURES {
+        for (id, scope, _, neg, _) in FIXTURES {
             let hits = findings_for(scope, neg, id);
             assert!(
                 hits.is_empty(),
@@ -765,16 +759,36 @@ mod tests {
     }
 
     #[test]
-    fn comments_and_strings_never_trip_rules() {
-        let src = r#"
-// HashMap in a comment is fine; so is Instant::now in prose.
-/// Docs may say SystemTime freely.
-fn ok() {
-    let s = "HashMap::new() and Instant::now() in a string";
-    let _ = s;
-}
-"#;
-        assert!(scan_source("sim", "crates/sim/src/x.rs", src).is_empty());
+    fn comments_and_literals_hide_names_but_not_the_code_around_them() {
+        // (source, every `(rule, line)` it reports in dv-sim).
+        let cases: &[(&str, &[(&str, usize)])] = &[
+            (
+                "// HashMap in a comment is fine; so is Instant::now in prose.\n\
+                 /// Docs may say SystemTime freely.\n\
+                 fn ok() { let s = \"HashMap::new() and Instant::now() in a string\"; }",
+                &[],
+            ),
+            ("let x = 1; // HashMap here\n/// HashMap doc\nlet y = 2;", &[]),
+            ("a /* HashMap\n still /* nested */ Instant\n end */ b", &[]),
+            ("let s = \"HashMap::new()\"; let t = 5;", &[]),
+            (r##"let s = r#"Instant::now()"#; let u = 1;"##, &[]),
+            (r#"let s = "a\"HashMap\"b"; thread_rng();"#, &[]),
+            ("let s = \"start\nHashMap inside\nend\"; let z = 9;", &[]),
+            ("fn f<'a>(x: &'a str) { let q = '\"'; let h = 1; }", &[]),
+            // Code after a literal, on its line or the next, is code.
+            ("let s = \"HashMap\"; let m = HashMap::new();", &[("DV-W001", 1)]),
+            (r##"let s = r#"x"#; let t = Instant::now();"##, &[("DV-W002", 1)]),
+            ("let s = \"start\nend\"; let t = Instant::now();", &[("DV-W002", 2)]),
+            (
+                "let c = '\"';\nlet m = HashMap::new();\nInstant::now();",
+                &[("DV-W001", 2), ("DV-W002", 3)],
+            ),
+        ];
+        for (src, expect) in cases {
+            let hits = scan_source("sim", "crates/sim/src/x.rs", src);
+            let got: Vec<(&str, usize)> = hits.iter().map(|f| (f.rule, f.line)).collect();
+            assert_eq!(got, *expect, "{src:?}");
+        }
     }
 
     #[test]

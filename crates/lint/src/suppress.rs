@@ -13,6 +13,7 @@
 //! suppression that matched nothing (`DV-S002`): silencers that rot must
 //! not outlive what they silenced.
 
+use crate::lexer::TokenKind;
 use crate::scanner::SourceFile;
 
 /// One parsed inline suppression.
@@ -44,11 +45,12 @@ const MARKER: &str = "dv-lint:";
 pub fn collect(file: &SourceFile) -> (Vec<Suppression>, Vec<Malformed>) {
     let mut found = Vec::new();
     let mut bad = Vec::new();
+    let marks = code_marks(file);
     for t in &file.tokens {
         // Only plain `//` line comments: doc comments are prose (they may
         // quote the grammar), and a directive buried mid-sentence is not
         // a directive.
-        if t.kind != crate::lexer::TokenKind::LineComment {
+        if t.kind != TokenKind::LineComment {
             continue;
         }
         let content = t.text.trim_start_matches('/');
@@ -62,8 +64,10 @@ pub fn collect(file: &SourceFile) -> (Vec<Suppression>, Vec<Malformed>) {
         let body = rest.trim();
         match parse_body(body) {
             Ok((rule, reason)) => {
-                let target_line = if comment_alone_on_line(file, t.line, t.col) {
-                    next_code_line(file, t.line).unwrap_or(t.line)
+                // Alone on its line, it targets the next line with code.
+                let alone = !marks.iter().any(|&(line, col)| line == t.line && col < t.col);
+                let target_line = if alone {
+                    marks.iter().map(|&(line, _)| line).find(|&n| n > t.line).unwrap_or(t.line)
                 } else {
                     t.line
                 };
@@ -105,17 +109,18 @@ fn parse_body(body: &str) -> Result<(String, String), String> {
     Ok((rule.to_string(), reason.to_string()))
 }
 
-/// Is the comment starting at `col` the only thing on its line?
-fn comment_alone_on_line(file: &SourceFile, line: usize, col: usize) -> bool {
-    file.code
-        .get(line - 1)
-        .map(|code| code[..col.min(code.len())].trim().is_empty())
-        .unwrap_or(true)
-}
-
-/// The next line after `line` whose sanitized form contains code.
-fn next_code_line(file: &SourceFile, line: usize) -> Option<usize> {
-    (line + 1..=file.code.len()).find(|&n| !file.code[n - 1].trim().is_empty())
+/// Where a line holds code, as `(line, col)` in source order: each code
+/// token's start, and the closing quote of each string literal that
+/// closes on a later line than it opened.
+fn code_marks(file: &SourceFile) -> Vec<(usize, usize)> {
+    let mut marks = Vec::new();
+    for t in file.code_tokens() {
+        marks.push((t.line, t.col));
+        if t.kind == TokenKind::Str && t.end_line > t.line && t.text.rfind('"') > t.text.find('"') {
+            marks.push((t.end_line, t.end_col.saturating_sub(1)));
+        }
+    }
+    marks
 }
 
 #[cfg(test)]
@@ -145,6 +150,21 @@ mod tests {
         );
         assert_eq!(s[0].at_line, 1);
         assert_eq!(s[0].target_line, 3);
+    }
+
+    #[test]
+    fn standalone_suppression_skips_a_block_comment_line() {
+        let (s, _) = run(
+            "// dv-lint: allow(DV-W001, reason = \"r\")\n/* block */\nlet m = HashMap::new();\n",
+        );
+        assert_eq!(s[0].target_line, 3);
+    }
+
+    #[test]
+    fn suppression_after_a_multiline_string_targets_its_closing_line() {
+        // The closing quote is code: the comment is not alone on its line.
+        let (s, _) = run("let s = \"a\nb\" // dv-lint: allow(DV-W001, reason = \"r\")\n.len();\n");
+        assert_eq!((s[0].at_line, s[0].target_line), (2, 2));
     }
 
     #[test]

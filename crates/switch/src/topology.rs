@@ -15,17 +15,6 @@
 //! the height equals the destination height and the packet circles to its
 //! output angle.
 
-/// Coordinates of one switching node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Coord {
-    /// Cylinder (0 = outermost, `cylinders()-1` = innermost).
-    pub c: usize,
-    /// Height within the cylinder, `0..H`.
-    pub h: usize,
-    /// Rotation angle, `0..A`.
-    pub a: usize,
-}
-
 /// Static description of a Data Vortex switch.
 #[derive(Debug, Clone)]
 pub struct Topology {

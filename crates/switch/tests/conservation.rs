@@ -5,7 +5,7 @@
 //! graph at each movement kernel's shape (narrow, scalar-wide, batched)
 //! and on the rival graphs.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use dv_core::rng::SplitMix64;
 use dv_switch::{
@@ -17,7 +17,7 @@ use dv_switch::{
 struct Ledger<'a> {
     net: &'a AnyTopology,
     /// tag → destination of every packet still owed.
-    owed: HashMap<u64, usize>,
+    owed: BTreeMap<u64, usize>,
     enqueued: u64,
     delivered: u64,
     deflections: u64,
@@ -66,7 +66,7 @@ fn assert_conserves(
     let ports = net.ports();
     let mut rng = SplitMix64::new(seed);
     let mut ledger =
-        Ledger { net, owed: HashMap::new(), enqueued: 0, delivered: 0, deflections: 0 };
+        Ledger { net, owed: BTreeMap::new(), enqueued: 0, delivered: 0, deflections: 0 };
     let mut out = Vec::new();
     for cycle in 0..cycles {
         for src in 0..ports {
