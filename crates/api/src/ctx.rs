@@ -54,6 +54,10 @@ const FIFO_POP: Time = time::ns(40);
 /// coordination slots of every protocol in this workspace up to 256-node
 /// clusters (8 KiB of push traffic, well within idle-cycle budgets).
 pub const STATUS_PAGE_WORDS: usize = 1024;
+/// The status page's hardware accepted-count block (see `dv-vic`): protocol
+/// slots must end at or below `FIFO_RECV_BASE`, and no cluster exceeds
+/// `FIFO_RECV_SLOTS` nodes.
+pub use dv_vic::{FIFO_RECV_BASE, FIFO_RECV_SLOTS};
 /// Cost of polling the pushed status page (a local read + fence).
 const STATUS_POLL: Time = time::ns(120);
 

@@ -61,28 +61,14 @@ pub struct DvWorld {
 impl DvWorld {
     /// Build a world from a [`SimSpec`](dv_core::spec::SimSpec): nodes,
     /// machine model (the switch is grown if the cluster exceeds its
-    /// ports), tracer, and metrics all come from the spec.
+    /// ports), tracer, and metrics all come from the spec. Network
+    /// batches, packet and byte counts, batch-size histograms, and the
+    /// analytic model's per-traversal deflection estimate are recorded
+    /// under `api.net.*` / `switch.model.*` when the registry is enabled.
     pub fn from_spec(spec: &dv_core::spec::SimSpec) -> Arc<Self> {
-        Self::from_parts(
-            spec.nodes,
-            spec.machine.clone(),
-            Arc::clone(&spec.tracer),
-            Arc::clone(&spec.metrics),
-        )
-    }
-
-    /// [`DvWorld::from_spec`] from explicit parts: network batches, packet
-    /// and byte counts, batch-size histograms, and the analytic model's
-    /// per-traversal deflection estimate are recorded under `api.net.*` /
-    /// `switch.model.*` when `metrics` is enabled.
-    pub fn from_parts(
-        nodes: usize,
-        config: MachineConfig,
-        tracer: Arc<Tracer>,
-        metrics: Arc<MetricsRegistry>,
-    ) -> Arc<Self> {
+        let nodes = spec.nodes;
         assert!(nodes >= 1);
-        let mut config = config;
+        let mut config = spec.machine.clone();
         // Grow the switch if the requested cluster exceeds its ports; a
         // zero-port switch never grows.
         assert!(config.dv.angles >= 1, "dv.angles must be at least 1");
@@ -110,8 +96,8 @@ impl DvWorld {
             fault_injector,
             fifo_inflight: (0..nodes).map(|_| AtomicI64::new(0)).collect(),
             barrier: Mutex::new_named("api.barrier", BarrierState { epoch: 0, count: 0, waiters: WaitSet::new() }),
-            tracer,
-            metrics,
+            tracer: Arc::clone(&spec.tracer),
+            metrics: Arc::clone(&spec.metrics),
             switch,
             config,
             nodes,

@@ -7,6 +7,7 @@
 use dv_api::SendMode;
 use dv_bench::{f2, Opts, Report, Streamer};
 use dv_core::spec::SimSpec;
+use dv_core::sync::fan_out;
 use dv_kernels::pingpong::{dv_pingpong_spec, mpi_pingpong};
 
 pub(crate) fn run(opts: &Opts, report: &mut Report) {
@@ -27,7 +28,7 @@ pub(crate) fn run(opts: &Opts, report: &mut Report) {
             .map(|mode| dv_pingpong_spec(words, r, mode, SimSpec::new(2)).bandwidth_gbps());
         [nc, ca, dm, mpi_pingpong(words, r, SimSpec::new(2)).bandwidth_gbps()]
     };
-    let curves: Vec<[f64; 4]> = super::fan_out(&sizes, |&w| measure(w));
+    let curves: Vec<[f64; 4]> = fan_out(&sizes, |&w| measure(w));
 
     let mut rows_abs = Vec::new();
     let mut rows_pct = Vec::new();

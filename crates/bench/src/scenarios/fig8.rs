@@ -6,6 +6,7 @@
 
 use dv_bench::{f2, Opts, Report, Streamer};
 use dv_core::spec::SimSpec;
+use dv_core::sync::fan_out;
 use dv_core::stats::harmonic_mean;
 use dv_kernels::graph::{dv, kronecker_edges, mpi, partition_csr, pick_roots, validate_bfs, Csr, GraphConfig, VertexPart};
 
@@ -32,7 +33,7 @@ pub(crate) fn run(opts: &Opts, report: &mut Report) {
         // sweep parallelizes across host threads without touching results
         // (results are collected in root order, so host scheduling cannot
         // change the output — tests/determinism.rs checks this property).
-        let (dv_teps, mpi_teps): (Vec<f64>, Vec<f64>) = super::fan_out(&roots, |&root| {
+        let (dv_teps, mpi_teps): (Vec<f64>, Vec<f64>) = fan_out(&roots, |&root| {
             let spec = SimSpec::new(nodes).faults_opt(fault_plan.clone());
             let d = dv::run_spec(&locals, gcfg.vertices(), root, spec);
             validate_bfs(&csr, root, &d.parents).expect("DV BFS tree invalid");

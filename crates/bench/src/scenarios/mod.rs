@@ -22,18 +22,6 @@ pub mod fig9;
 pub mod scaling_study;
 pub mod switch_study;
 
-/// Run `f` on every item, each on its own host thread, and collect the
-/// results in input order. Every item is an independent seeded
-/// simulation, so host scheduling cannot change the output
-/// (`tests/determinism.rs` and `tests/sweep_parallel.rs` check that).
-fn fan_out<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items.iter().map(|item| s.spawn(move || f(item))).collect();
-        handles.into_iter().map(|h| h.join().expect("scenario worker panicked")).collect()
-    })
-}
-
 /// `--stream` on a switch study: a dedicated serial run of `sweep` at 0.7
 /// offered load streams the switch's cycle-level telemetry, with virtual
 /// time = cycle × hop time, flushed at every sample boundary. Does

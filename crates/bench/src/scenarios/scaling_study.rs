@@ -28,6 +28,7 @@ use std::sync::Arc;
 use dv_bench::{f2, f3, Opts, Report};
 use dv_core::metrics::MetricsRegistry;
 use dv_core::spec::SimSpec;
+use dv_core::sync::fan_out;
 use dv_core::time::as_us_f64;
 use dv_kernels::barrier::{barrier_latency_spec, BarrierKind};
 use dv_kernels::gups::{self, GupsConfig};
@@ -85,7 +86,7 @@ fn rival_sweep(report: &mut Report, kind: TopoKind, quick: bool, stream: Option<
         .flat_map(|&p| (0..nets.len()).map(move |i| (p, i)))
         .collect();
     let points: Vec<SweepPoint> =
-        super::fan_out(&combos, |&(p, i)| rival_point(&nets[i], p, measure));
+        fan_out(&combos, |&(p, i)| rival_point(&nets[i], p, measure));
     let rows = combos
         .iter()
         .zip(&points)
@@ -160,7 +161,7 @@ pub(crate) fn run(opts: &Opts, report: &mut Report) {
         let p = sweep.run(0.7);
         (metrics, p, actual_ports)
     };
-    let results = super::fan_out(sizes, |&ports| sweep_at(ports));
+    let results = fan_out(sizes, |&ports| sweep_at(ports));
     let mut rows = Vec::new();
     for (metrics, p, actual_ports) in results {
         report.add_run(&format!("sweep.p{actual_ports}"), &metrics);

@@ -13,7 +13,7 @@
 //! * **Deterministic when on.** Metrics are keyed by a static `&str`
 //!   name plus a `BTreeMap` of labels, so iteration order — and therefore
 //!   the rendered JSON — is stable. A [`MetricsSnapshot`] is FNV-hashable
-//!   like an [`OrderAudit`] trace: two runs of the same workload must
+//!   like a `dv_sim::OrderAudit` trace: two runs of the same workload must
 //!   produce bit-identical snapshots, and `tests/determinism.rs` asserts
 //!   exactly that.
 //!

@@ -8,7 +8,7 @@
 //! * [`HpccStream`] — the exact random-number stream of the HPC Challenge
 //!   RandomAccess (GUPS) benchmark: the sequence `x_{k+1} = (x_k << 1) ^
 //!   (poly if the top bit of x_k was set)`, i.e. multiplication by `x` in
-//!   GF(2)[x] modulo the primitive polynomial `x^63 + x^2 + x + 1`
+//!   `GF(2)[x]` modulo the primitive polynomial `x^63 + x^2 + x + 1`
 //!   (0x...7). Implementing the real stream (including the log-time
 //!   `starts(n)` jump function) keeps our GUPS runs bit-compatible with the
 //!   reference benchmark's update pattern.

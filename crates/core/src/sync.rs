@@ -17,6 +17,9 @@
 //!   named locks that has been taken in *both* orders — the classic
 //!   deadlock precondition. The root `tests/determinism.rs` asserts the
 //!   report stays empty across the whole suite's workloads.
+//!
+//! [`fan_out`] is the one way to run independent simulations on several
+//! host threads; dv-sim's process spawn is the only other thread start.
 
 use std::collections::BTreeSet;
 use std::sync::{Mutex as StdMutex, MutexGuard as StdMutexGuard, OnceLock};
@@ -189,9 +192,38 @@ pub fn lock_order_conflicts() -> Vec<(String, String)> {
         .collect()
 }
 
+/// Run `f` on every item, each on its own scoped host thread, and return
+/// the results in input order. This is how the workspace fans independent
+/// seeded simulations (sweep points, figure rows) across host threads:
+/// each item must be a simulation of its own, so host scheduling cannot
+/// change any result. A panicking item re-raises its own payload here.
+pub fn fan_out<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let f = &f;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = items.iter().map(|item| s.spawn(move || f(item))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fan_out_runs_every_item_at_once_and_keeps_input_order() {
+        // Each item waits until all have started, so a serial run (or a
+        // pool narrower than the input) could never finish.
+        let items: Vec<u64> = (0..6).rev().collect();
+        let gate = std::sync::Barrier::new(items.len());
+        let out = fan_out(&items, |&x| {
+            gate.wait();
+            x * 10
+        });
+        assert_eq!(out, [50, 40, 30, 20, 10, 0]);
+    }
 
     #[test]
     fn lock_round_trips_value() {

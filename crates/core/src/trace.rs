@@ -123,12 +123,6 @@ pub struct Tracer {
     inner: Mutex<Inner>,
 }
 
-impl Default for Tracer {
-    fn default() -> Self {
-        Self::enabled()
-    }
-}
-
 impl Tracer {
     /// A tracer that records everything.
     pub fn enabled() -> Self {

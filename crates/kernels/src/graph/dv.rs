@@ -32,8 +32,8 @@ use super::{Csr, VertexPart};
 
 /// DV-memory slots: per-peer sent counts for the current level.
 const CNT_BASE: u32 = 64;
-/// DV-memory slots: per-peer next-frontier sizes.
-const FS_BASE: u32 = 128;
+/// DV-memory slots: per-peer next-frontier sizes, past every sent count.
+const FS_BASE: u32 = CNT_BASE + dv_api::ctx::FIFO_RECV_SLOTS as u32;
 /// Aggregation threshold (packets per PCIe batch).
 const AGG: usize = 1024;
 
@@ -63,8 +63,8 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
     let nodes = locals.len();
     assert_eq!(spec.nodes, nodes, "spec.nodes must match the partition");
     assert!(
-        FS_BASE as usize + nodes <= dv_api::ctx::STATUS_PAGE_WORDS,
-        "BFS coordination slots exceed the VIC status page ({nodes} nodes)"
+        FS_BASE as usize + nodes <= dv_api::ctx::FIFO_RECV_BASE as usize,
+        "BFS coordination slots overlap the accepted-count block ({nodes} nodes)"
     );
     let part = VertexPart { nodes };
     let locals: Arc<Vec<Csr>> = Arc::new(locals.to_vec());

@@ -132,31 +132,16 @@ impl World {
     /// Build the world described by a [`SimSpec`](dv_core::spec::SimSpec):
     /// the InfiniBand fabric comes from `spec.machine.ib`, MPI tuning from
     /// `spec.machine.mpi`, tracing and metrics from the spec's attachments.
+    /// Point-to-point traffic is recorded under `mpi.*` and collectives
+    /// under `mpi.coll.*` when the registry is enabled.
     pub fn from_spec(spec: &dv_core::spec::SimSpec) -> Arc<Self> {
         let fabric = IbFabric::new(spec.nodes, spec.machine.ib.clone());
-        Self::from_parts(
-            fabric,
-            spec.machine.mpi.clone(),
-            Arc::clone(&spec.tracer),
-            Arc::clone(&spec.metrics),
-        )
-    }
-
-    /// Build a world from explicit parts; point-to-point traffic is
-    /// recorded under `mpi.*` and collectives under `mpi.coll.*` when the
-    /// registry is enabled.
-    pub fn from_parts(
-        fabric: IbFabric,
-        params: MpiParams,
-        tracer: Arc<Tracer>,
-        metrics: Arc<MetricsRegistry>,
-    ) -> Arc<Self> {
         let nodes = fabric.nodes();
         // Each port's arrival hook needs the world it belongs to (a CTS
         // ends in a delivery to that very port), hence the weak cycle.
         Arc::new_cyclic(|world: &Weak<Self>| Self {
             fabric,
-            params,
+            params: spec.machine.mpi.clone(),
             ports: (0..nodes)
                 .map(|rank| {
                     let world = Weak::clone(world);
@@ -171,8 +156,8 @@ impl World {
                 .collect(),
             pending: Mutex::new_named("mpi.pending", BTreeMap::new()),
             next_id: AtomicU64::new(1),
-            tracer,
-            metrics,
+            tracer: Arc::clone(&spec.tracer),
+            metrics: Arc::clone(&spec.metrics),
         })
     }
 

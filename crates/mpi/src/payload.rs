@@ -10,8 +10,6 @@
 pub enum Payload {
     /// No data (control messages, barrier tokens).
     Empty,
-    /// Raw bytes.
-    Bytes(Vec<u8>),
     /// 64-bit words (GUPS updates, graph vertex ids).
     U64(Vec<u64>),
     /// Doubles (stencil halos, reductions).
@@ -25,7 +23,6 @@ impl Payload {
     pub fn len_bytes(&self) -> u64 {
         match self {
             Payload::Empty => 0,
-            Payload::Bytes(v) => v.len() as u64,
             Payload::U64(v) => 8 * v.len() as u64,
             Payload::F64(v) => 8 * v.len() as u64,
             Payload::C64(v) => 8 * v.len() as u64,
@@ -36,7 +33,6 @@ impl Payload {
     pub fn len(&self) -> usize {
         match self {
             Payload::Empty => 0,
-            Payload::Bytes(v) => v.len(),
             Payload::U64(v) => v.len(),
             Payload::F64(v) => v.len(),
             Payload::C64(v) => v.len() / 2,
@@ -95,11 +91,6 @@ impl From<Vec<f64>> for Payload {
         Payload::F64(v)
     }
 }
-impl From<Vec<u8>> for Payload {
-    fn from(v: Vec<u8>) -> Self {
-        Payload::Bytes(v)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -108,7 +99,6 @@ mod tests {
     #[test]
     fn sizes_are_element_times_width() {
         assert_eq!(Payload::Empty.len_bytes(), 0);
-        assert_eq!(Payload::Bytes(vec![0; 10]).len_bytes(), 10);
         assert_eq!(Payload::U64(vec![0; 10]).len_bytes(), 80);
         assert_eq!(Payload::F64(vec![0.0; 10]).len_bytes(), 80);
         assert_eq!(Payload::C64(vec![0.0; 10]).len(), 5);

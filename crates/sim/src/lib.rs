@@ -7,8 +7,10 @@
 //!
 //! ## Execution model
 //!
-//! * Each simulated process (one per cluster node, plus helper daemons) runs
-//!   on its own OS thread, but **exactly one process executes at a time**.
+//! * Each simulated process (one per cluster node) runs on its own OS
+//!   thread, but **exactly one process executes at a time**. A [`Sim`]'s
+//!   processes are all spawned before [`Sim::run`], and the run ends when
+//!   the last one finishes.
 //!   This makes the simulation fully deterministic — same seeds in, same
 //!   event trace out — while letting node programs be written as
 //!   straight-line imperative code with blocking calls (`recv`,

@@ -9,22 +9,23 @@
 //! the root invariance tests can prove the cooperative engine bit-identical
 //! against it: same workload, same [`OrderAudit`] hash, same metrics.
 //!
-//! The only change from the historical code is the `Timer` arm: `Port`
-//! delivery now commits through pooled timer events on *both* engines, and
-//! a timer commit hashes and counts exactly like the `call_at` closure it
-//! replaced. Hops (`Kernel::wake_after`) are committed inside the shared
-//! `Kernel::pop_valid`, so this loop never sees one.
+//! The changes from the historical code: the `Timer` arm (`Port` delivery
+//! now commits through pooled timer events on *both* engines, and a timer
+//! commit hashes and counts exactly like the `call_at` closure it
+//! replaced), and the bookkeeping both engines share — `Registry::finish`
+//! and the deadlock message. Hops (`Kernel::wake_after`) are committed
+//! inside the shared `Kernel::pop_valid`, so this loop never sees one.
 //!
 //! [`OrderAudit`]: crate::audit::OrderAudit
 
 use crate::kernel::EventKind;
-use crate::sim::{publish_and_hash, Report, Sim, SlotWake};
+use crate::sim::{deadlock_message, publish_and_hash, Report, Sim, SlotWake};
 use dv_core::time::Time;
 
 impl Sim {
     /// The historical scheduler loop, verbatim (see module docs).
     pub(crate) fn run_reference(self) -> (Time, u64) {
-        let metrics = self.shared.metrics.lock().clone();
+        let metrics = &self.shared.metrics;
         loop {
             let next = self.shared.kernel.lock().pop_valid();
             // Virtual-time telemetry sampling: advance the registry's
@@ -38,14 +39,9 @@ impl Sim {
             }
             match next {
                 None => {
-                    let live = self.shared.registry.lock().live_foreground;
-                    if live > 0 {
-                        let parked = self.parked_foreground_names_ref();
+                    if let Some(msg) = deadlock_message(&self.shared) {
                         self.shutdown();
-                        panic!(
-                            "simulation deadlock: no pending events but {live} foreground \
-                             process(es) still parked: {parked:?}"
-                        );
+                        panic!("{msg}");
                     }
                     break;
                 }
@@ -77,20 +73,11 @@ impl Sim {
                         }
                     }
                     match self.report_rx.recv().expect("report channel closed") { // dv-lint: allow(DV-W004, reason = "scheduler-fatal (frozen reference engine): the report channel closing means every process thread died without reporting; continuing would deadlock the scheduler loop")
-                        Report::Parked(_) => {}
+                        Report::Parked => {}
                         Report::Finished(pid) => {
-                            let live = {
-                                let mut reg = self.shared.registry.lock();
-                                let slot = &mut reg.slots[pid];
-                                slot.finished = true;
-                                if !slot.daemon {
-                                    reg.live_foreground -= 1;
-                                }
-                                reg.live_foreground
-                            };
-                            if live == 0 {
-                                // All foreground work done; any remaining
-                                // events belong to daemons and are dropped.
+                            if self.shared.registry.lock().finish(pid) == 0 {
+                                // All work done; events still queued are
+                                // never committed.
                                 break;
                             }
                         }
@@ -106,22 +93,5 @@ impl Sim {
         let (now, hash) = publish_and_hash(&self.shared);
         self.shutdown();
         (now, hash)
-    }
-
-    fn parked_foreground_names_ref(&self) -> Vec<String> {
-        // Take the pids under the registry lock alone, then resolve names
-        // under the kernel lock alone — holding both invites lock-order
-        // trouble (DV-W012) for no benefit on this cold error path.
-        let pids: Vec<usize> = {
-            let reg = self.shared.registry.lock();
-            reg.slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.daemon && !s.finished)
-                .map(|(pid, _)| pid)
-                .collect()
-        };
-        let kernel = self.shared.kernel.lock();
-        pids.into_iter().map(|pid| kernel.proc_names[pid].clone()).collect()
     }
 }

@@ -1,5 +1,9 @@
 //! The simulator driver: process threads, cooperative dispatch, `SimCtx`.
 //!
+//! A [`Sim`] runs a fixed set of processes: every one is spawned before
+//! [`Sim::run`], each on its own OS thread, and the run ends when the last
+//! of them finishes. The metrics registry is fixed when the `Sim` is built.
+//!
 //! ## The cooperative engine
 //!
 //! The engine keeps the one-process-at-a-time execution model (that is what
@@ -17,8 +21,8 @@
 //!   held — neither `sim.kernel` nor `sim.registry` nor a world lock — so
 //!   the woken thread never queues behind the thread that woke it.
 //! * The host thread drives until the first handoff, then sleeps until a
-//!   driver reports the run's outcome (all foreground processes finished,
-//!   deadlock, or a process panic).
+//!   driver reports the run's outcome (every process finished, deadlock,
+//!   or a process panic).
 //!
 //! Nothing here looks at the host: the same code runs on one core and on
 //! many.
@@ -49,10 +53,9 @@ use crate::parker::Parker;
 pub(crate) struct Shutdown;
 
 pub(crate) enum Report {
-    // The pid is implicit (the scheduler resumes one process at a time)
-    // but kept for debuggability of scheduler traces.
-    #[allow(dead_code)]
-    Parked(Pid),
+    /// The resumed process parked again (the scheduler resumes one
+    /// process at a time, so which one is implicit).
+    Parked,
     Finished(Pid),
     Panicked(Pid, String),
 }
@@ -68,20 +71,50 @@ pub(crate) enum SlotWake {
 pub(crate) struct ProcSlot {
     pub(crate) wake: SlotWake,
     pub(crate) handle: Option<JoinHandle<()>>,
-    pub(crate) daemon: bool,
     pub(crate) finished: bool,
 }
 
 pub(crate) struct Registry {
     pub(crate) slots: Vec<ProcSlot>,
-    pub(crate) live_foreground: usize,
+    /// Processes spawned and not yet finished.
+    live: usize,
+}
+
+impl Registry {
+    /// Mark `pid` finished; returns how many processes are still live.
+    pub(crate) fn finish(&mut self, pid: Pid) -> usize {
+        self.slots[pid].finished = true;
+        self.live -= 1;
+        self.live
+    }
+}
+
+/// The deadlock report for a drained queue: `None` when every process
+/// finished, else a message naming the unfinished ones (both engines).
+/// Takes the pids under the registry lock alone, then resolves names under
+/// the kernel lock alone — holding both invites lock-order trouble
+/// (DV-W012) for no benefit on this cold error path.
+pub(crate) fn deadlock_message(shared: &Shared) -> Option<String> {
+    let pids: Vec<Pid> = {
+        let reg = shared.registry.lock();
+        if reg.live == 0 {
+            return None;
+        }
+        reg.slots.iter().enumerate().filter(|(_, s)| !s.finished).map(|(pid, _)| pid).collect()
+    };
+    let kernel = shared.kernel.lock();
+    let parked: Vec<&str> = pids.iter().map(|&pid| kernel.proc_names[pid].as_str()).collect();
+    Some(format!(
+        "simulation deadlock: no pending events but {} process(es) still parked: {parked:?}",
+        parked.len()
+    ))
 }
 
 /// Terminal state of a cooperative-engine run, reported by whichever thread
 /// discovers it.
 #[derive(Clone)]
 enum Outcome {
-    /// Every foreground process finished.
+    /// Every process finished.
     Done,
     /// Deadlock or simulated-process panic; the message is pre-formatted
     /// and re-panicked on the host thread.
@@ -123,9 +156,8 @@ pub(crate) struct Shared {
     pub(crate) engine: Engine,
     pub(crate) kernel: Mutex<Kernel>,
     pub(crate) registry: Mutex<Registry>,
-    /// Swappable so `set_metrics` can arrive after construction; it cannot
-    /// change once the run has started, so each thread reads it once.
-    pub(crate) metrics: Mutex<Arc<MetricsRegistry>>,
+    /// Fixed when the `Sim` is built; scheduler counters land here.
+    pub(crate) metrics: Arc<MetricsRegistry>,
     /// Reference engine only: park/finish/panic reports to the scheduler.
     pub(crate) report_tx: Sender<Report>,
     /// Cooperative engine only: terminal state, host sleeps on it.
@@ -175,42 +207,28 @@ impl Sim {
     /// results — only the trace hash proves it, and the root invariance
     /// tests hold that proof.
     pub fn with_engine(engine: Engine) -> Self {
+        Self::build(engine, MetricsRegistry::disabled_shared())
+    }
+
+    /// A fresh simulation whose scheduler counters are published into
+    /// `metrics` as `sim.sched.*` at the end of [`Sim::run_hashed`].
+    pub(crate) fn build(engine: Engine, metrics: Arc<MetricsRegistry>) -> Self {
         let (report_tx, report_rx) = channel();
         let shared = Arc::new(Shared {
             engine,
             kernel: Mutex::new_named("sim.kernel", Kernel::new()),
-            registry: Mutex::new_named(
-                "sim.registry",
-                Registry { slots: Vec::new(), live_foreground: 0 },
-            ),
-            metrics: Mutex::new(MetricsRegistry::disabled_shared()),
+            registry: Mutex::new_named("sim.registry", Registry { slots: Vec::new(), live: 0 }),
+            metrics,
             report_tx,
             outcome: OutcomeCell::new(),
         });
         Self { shared, report_rx }
     }
 
-    /// Attach a metrics registry; at the end of [`Sim::run_hashed`] the
-    /// kernel's scheduler counters are published into it as `sim.sched.*`.
-    pub fn set_metrics(&mut self, metrics: Arc<MetricsRegistry>) {
-        *self.shared.metrics.lock() = metrics;
-    }
-
-    /// Spawn a foreground process. The simulation runs until every
-    /// foreground process has finished.
+    /// Spawn a process. Every process is spawned before [`Sim::run`], and
+    /// the simulation runs until each one has finished.
     pub fn spawn(&self, name: impl Into<String>, body: impl FnOnce(&SimCtx) + Send + 'static) -> Pid {
-        spawn_inner(&self.shared, name.into(), false, body)
-    }
-
-    /// Spawn a daemon process: it may block forever (e.g. a NIC engine
-    /// polling loop); the simulation ends without it and the process is
-    /// unwound during shutdown.
-    pub fn spawn_daemon(
-        &self,
-        name: impl Into<String>,
-        body: impl FnOnce(&SimCtx) + Send + 'static,
-    ) -> Pid {
-        spawn_inner(&self.shared, name.into(), true, body)
+        spawn_inner(&self.shared, name.into(), body)
     }
 
     /// Access the kernel before/after the run (e.g. to pre-schedule events).
@@ -223,7 +241,7 @@ impl Sim {
     /// # Panics
     ///
     /// * If a simulated process panics (the panic message is propagated).
-    /// * If all events drain while a foreground process is still parked —
+    /// * If all events drain while a process is still parked —
     ///   a deadlock in the simulated program; the panic message names the
     ///   parked processes.
     pub fn run(self) -> Time {
@@ -242,8 +260,7 @@ impl Sim {
         }
         // Drive until the first handoff (or straight to the end for runs
         // with no resumable process), then sleep until a driver reports.
-        let metrics = self.shared.metrics.lock().clone();
-        let _ = drive(&self.shared, &metrics, None);
+        let _ = drive(&self.shared, None);
         let outcome = self.shared.outcome.wait();
         match outcome {
             Outcome::Done => {
@@ -298,7 +315,7 @@ impl Drop for Sim {
 
 /// End-of-run metrics publication + final clock/hash read (both engines).
 pub(crate) fn publish_and_hash(shared: &Shared) -> (Time, u64) {
-    let metrics = shared.metrics.lock().clone();
+    let metrics = &shared.metrics;
     let k = shared.kernel.lock();
     if metrics.is_enabled() {
         let s = k.sched_stats();
@@ -310,24 +327,6 @@ pub(crate) fn publish_and_hash(shared: &Shared) -> (Time, u64) {
         metrics.incr("sim.clock.end_ps", k.now());
     }
     (k.now(), k.trace_hash())
-}
-
-/// Names of foreground processes that have not finished (deadlock report).
-/// Takes the pids under the registry lock alone, then resolves names under
-/// the kernel lock alone — holding both invites lock-order trouble
-/// (DV-W012) for no benefit on this cold error path.
-fn parked_foreground_names(shared: &Shared) -> Vec<String> {
-    let pids: Vec<usize> = {
-        let reg = shared.registry.lock();
-        reg.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.daemon && !s.finished)
-            .map(|(pid, _)| pid)
-            .collect()
-    };
-    let kernel = shared.kernel.lock();
-    pids.into_iter().map(|pid| kernel.proc_names[pid].clone()).collect()
 }
 
 /// What the dispatch stint told the calling thread to do next.
@@ -345,7 +344,7 @@ enum Driven {
 /// resume hands the token to a process (or the queue drains). Exactly one
 /// thread runs this at a time — the token holder — which is what keeps the
 /// commit order, and therefore the audit hash, deterministic.
-fn drive(shared: &Shared, metrics: &MetricsRegistry, self_pid: Option<Pid>) -> Driven {
+fn drive(shared: &Shared, self_pid: Option<Pid>) -> Driven {
     loop {
         let next = shared.kernel.lock().pop_valid();
         // Virtual-time telemetry sampling: advance the registry's sampler
@@ -355,20 +354,11 @@ fn drive(shared: &Shared, metrics: &MetricsRegistry, self_pid: Option<Pid>) -> D
         // to the event sequence, never the host clock); one relaxed
         // atomic load when no series is attached.
         if let Some((t, _)) = &next {
-            metrics.tick(*t);
+            shared.metrics.tick(*t);
         }
         match next {
             None => {
-                let live = shared.registry.lock().live_foreground;
-                if live > 0 {
-                    let parked = parked_foreground_names(shared);
-                    shared.outcome.set(Outcome::Abort(format!(
-                        "simulation deadlock: no pending events but {live} foreground \
-                         process(es) still parked: {parked:?}"
-                    )));
-                } else {
-                    shared.outcome.set(Outcome::Done);
-                }
+                shared.outcome.set(deadlock_message(shared).map_or(Outcome::Done, Outcome::Abort));
                 return Driven::Ended;
             }
             Some((_t, EventKind::Call(f))) => {
@@ -412,7 +402,6 @@ fn drive(shared: &Shared, metrics: &MetricsRegistry, self_pid: Option<Pid>) -> D
 fn spawn_inner(
     shared: &Arc<Shared>,
     name: String,
-    daemon: bool,
     body: impl FnOnce(&SimCtx) + Send + 'static,
 ) -> Pid {
     let pid = {
@@ -445,9 +434,7 @@ fn spawn_inner(
             if !started {
                 return; // simulation torn down before we started
             }
-            // The run has started, so the registry is final.
-            let metrics = thread_shared.metrics.lock().clone();
-            let ctx = SimCtx { pid, shared: thread_shared, metrics, wait };
+            let ctx = SimCtx { pid, shared: thread_shared, wait };
             let result = panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
             match result {
                 Ok(()) => on_finished(&ctx),
@@ -469,10 +456,8 @@ fn spawn_inner(
 
     let mut reg = shared.registry.lock();
     debug_assert_eq!(reg.slots.len(), pid);
-    reg.slots.push(ProcSlot { wake, handle: Some(handle), daemon, finished: false });
-    if !daemon {
-        reg.live_foreground += 1;
-    }
+    reg.slots.push(ProcSlot { wake, handle: Some(handle), finished: false });
+    reg.live += 1;
     pid
 }
 
@@ -483,24 +468,15 @@ fn on_finished(ctx: &SimCtx) {
             let _ = ctx.shared.report_tx.send(Report::Finished(ctx.pid));
         }
         CtxWait::Parker(_) => {
-            let live = {
-                let mut reg = ctx.shared.registry.lock();
-                let slot = &mut reg.slots[ctx.pid];
-                slot.finished = true;
-                if !slot.daemon {
-                    reg.live_foreground -= 1;
-                }
-                reg.live_foreground
-            };
+            let live = ctx.shared.registry.lock().finish(ctx.pid);
             if live == 0 {
-                // All foreground work done; any remaining events belong to
-                // daemons and are dropped (same cut as the reference
-                // engine's scheduler loop).
+                // All work done; events still queued are never committed
+                // (same cut as the reference engine's scheduler loop).
                 ctx.shared.outcome.set(Outcome::Done);
             } else {
                 // This thread holds the run token: keep driving until the
                 // token moves on, then let the thread exit.
-                let _ = drive(&ctx.shared, &ctx.metrics, None);
+                let _ = drive(&ctx.shared, None);
             }
         }
     }
@@ -534,8 +510,6 @@ enum CtxWait {
 pub struct SimCtx {
     pid: Pid,
     shared: Arc<Shared>,
-    /// The run's registry, read once when the process starts.
-    metrics: Arc<MetricsRegistry>,
     wait: CtxWait,
 }
 
@@ -572,7 +546,7 @@ impl SimCtx {
     /// switches).
     pub fn park(&self) {
         match &self.wait {
-            CtxWait::Parker(p) => match drive(&self.shared, &self.metrics, Some(self.pid)) {
+            CtxWait::Parker(p) => match drive(&self.shared, Some(self.pid)) {
                 Driven::RunSelf => {}
                 Driven::HandedOff | Driven::Ended => {
                     if p.wait().is_err() {
@@ -582,7 +556,7 @@ impl SimCtx {
                 }
             },
             CtxWait::Channel(rx) => {
-                let _ = self.shared.report_tx.send(Report::Parked(self.pid));
+                let _ = self.shared.report_tx.send(Report::Parked);
                 if rx.recv().is_err() {
                     // Simulation is shutting down: unwind this thread.
                     panic::panic_any(Shutdown);
@@ -654,19 +628,5 @@ impl SimCtx {
         // Re-check, as every blocking primitive does: a waker this process
         // left in some wait queue before calling may have fired first.
         self.wait_until(target);
-    }
-
-    /// Spawn a foreground process from inside the simulation.
-    pub fn spawn(&self, name: impl Into<String>, body: impl FnOnce(&SimCtx) + Send + 'static) -> Pid {
-        spawn_inner(&self.shared, name.into(), false, body)
-    }
-
-    /// Spawn a daemon process from inside the simulation.
-    pub fn spawn_daemon(
-        &self,
-        name: impl Into<String>,
-        body: impl FnOnce(&SimCtx) + Send + 'static,
-    ) -> Pid {
-        spawn_inner(&self.shared, name.into(), true, body)
     }
 }

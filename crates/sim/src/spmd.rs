@@ -15,9 +15,7 @@ impl Sim {
     /// Fresh simulation on the engine `spec` asks for, publishing
     /// scheduler counters into the spec's metrics registry.
     pub fn from_spec(spec: &SimSpec) -> Self {
-        let mut sim = Self::with_engine(spec.engine);
-        sim.set_metrics(Arc::clone(&spec.metrics));
-        sim
+        Self::build(spec.engine, Arc::clone(&spec.metrics))
     }
 
     /// Spawn `body` once per node of `spec` (process `{name}{node}`, given

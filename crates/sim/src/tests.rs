@@ -164,48 +164,23 @@ fn pipe_serializes_transfers() {
     assert_eq!(pipe.busy_time(), ns(1600));
 }
 
+/// Both engines diagnose a drained queue with a process still parked, and
+/// name that process (not the one that finished).
 #[test]
-fn spawned_children_run() {
-    let sim = Sim::new();
-    let count = Arc::new(Mutex::new(0usize));
-    let c2 = count.clone();
-    sim.spawn("parent", move |ctx| {
-        for i in 0..3 {
-            let c = c2.clone();
-            ctx.spawn(format!("child{i}"), move |cctx| {
-                cctx.delay(us(1));
-                *c.lock() += 1;
-            });
-        }
-        ctx.delay(us(10));
-    });
-    sim.run();
-    assert_eq!(*count.lock(), 3);
-}
-
-#[test]
-fn daemons_do_not_block_termination() {
-    let sim = Sim::new();
-    let port: Port<u32> = Port::new();
-    let p2 = port.clone();
-    sim.spawn_daemon("poller", move |ctx| {
-        // Blocks forever: no one ever sends.
-        let _ = p2.recv(ctx);
-        unreachable!("daemon should be torn down while parked");
-    });
-    sim.spawn("worker", |ctx| ctx.delay(us(3)));
-    assert_eq!(sim.run(), us(3));
-}
-
-#[test]
-#[should_panic(expected = "deadlock")]
 fn deadlock_is_reported() {
-    let sim = Sim::new();
-    let port: Port<u32> = Port::new();
-    sim.spawn("stuck", move |ctx| {
-        let _ = port.recv(ctx);
-    });
-    sim.run();
+    for engine in [crate::Engine::Cooperative, crate::Engine::Reference] {
+        let sim = Sim::with_engine(engine);
+        let port: Port<u32> = Port::new();
+        sim.spawn("stuck", move |ctx| {
+            let _ = port.recv(ctx);
+        });
+        sim.spawn("done", |ctx| ctx.delay(us(1)));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+            .expect_err("deadlock must be detected");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        let named = msg.ends_with(r#"1 process(es) still parked: ["stuck"]"#);
+        assert!(msg.contains("deadlock") && named, "{engine:?}: {msg}");
+    }
 }
 
 #[test]

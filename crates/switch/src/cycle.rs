@@ -41,7 +41,7 @@
 //! * The routing-invariant payload (ports, tag, timestamps) lives in a
 //!   stable pool written once at injection and read once at ejection; the
 //!   arena moves only a 12-byte `{pool handle, deflections, destination}`
-//!   [`Slot`] per hop. Hop counts are not carried at all — a flit moves
+//!   `Slot` per hop. Hop counts are not carried at all — a flit moves
 //!   exactly one hop per in-flight cycle, so
 //!   `hops = eject_cycle − inject_cycle − 1` (the equivalence suite checks
 //!   this reproduces the reference's per-packet counts exactly).

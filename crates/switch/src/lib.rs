@@ -15,7 +15,7 @@
 //!
 //! [`traffic`] provides the synthetic patterns from the original Data
 //! Vortex evaluation literature (uniform, hotspot, tornado, bit-reverse,
-//! bursty) for the robustness studies the paper cites (refs [14][15]).
+//! bursty) for the robustness studies the paper cites (refs \[14\]\[15\]).
 //! [`faults`] applies a `dv_core::fault::FaultPlan` to the injection and
 //! ejection sides of the switch with deterministic per-link sequencing.
 //! [`net`] adds the rival topologies (fat tree, min-path graph) and their
@@ -25,7 +25,7 @@
 //! optimized [`SwitchSim`] and [`RoutedNetSim`], which share their
 //! injection FIFOs and accounting (the private `engine` module), and the
 //! two frozen oracles the test suites compare them against —
-//! [`reference`] keeps the pre-refactor switch simulator, [`net_reference`]
+//! [`reference`](mod@reference) keeps the pre-refactor switch simulator, [`net_reference`]
 //! the pre-rebuild routed engine. The oracles have no other caller.
 
 #![forbid(unsafe_code)]

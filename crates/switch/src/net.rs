@@ -64,8 +64,6 @@ pub(crate) const NODE_QUEUE_CAP: usize = 64;
 /// parameters yield the same graph and the same routes on every platform
 /// (sweeps are `cmp`-checked byte-identical in CI).
 pub trait NetworkTopology {
-    /// Short stable name for reports and artifact labels.
-    fn kind_name(&self) -> &'static str;
     /// Number of attachable end-point ports.
     fn ports(&self) -> usize;
     /// Number of switching nodes (graph vertices).
@@ -101,10 +99,6 @@ pub trait NetworkTopology {
 }
 
 impl NetworkTopology for Topology {
-    fn kind_name(&self) -> &'static str {
-        "dv"
-    }
-
     fn ports(&self) -> usize {
         Topology::ports(self)
     }
@@ -197,10 +191,6 @@ impl FatTree {
 }
 
 impl NetworkTopology for FatTree {
-    fn kind_name(&self) -> &'static str {
-        "fattree"
-    }
-
     fn ports(&self) -> usize {
         self.ports
     }
@@ -341,10 +331,6 @@ impl MinPathGraph {
 }
 
 impl NetworkTopology for MinPathGraph {
-    fn kind_name(&self) -> &'static str {
-        "minpath"
-    }
-
     fn ports(&self) -> usize {
         self.ports
     }
@@ -596,14 +582,6 @@ impl AnyTopology {
 }
 
 impl NetworkTopology for AnyTopology {
-    fn kind_name(&self) -> &'static str {
-        match self {
-            AnyTopology::Vortex(t) => t.kind_name(),
-            AnyTopology::FatTree(t) => t.kind_name(),
-            AnyTopology::MinPath(t) => t.kind_name(),
-        }
-    }
-
     fn ports(&self) -> usize {
         match self {
             AnyTopology::Vortex(t) => NetworkTopology::ports(t),
@@ -658,8 +636,8 @@ impl NetworkTopology for AnyTopology {
 /// [`NetworkTopology::route_one_hop`] call per `(node, dst_port)` pair.
 /// [`FatTree`] and [`MinPathGraph`] keep theirs in a [`Routes`] cell that
 /// every clone of the value shares: the first `RoutedNetSim::new` on a
-/// graph builds it, every later one (each `LoadSweep` point, each
-/// `sweep_parallel` worker) reuses it.
+/// graph builds it, every later one (each `LoadSweep` point, serial or
+/// on a `sweep_parallel` thread) reuses it.
 struct RouteTable {
     /// Next hop per `(node, destination column)` as an index into the
     /// node's `adj` row, flat `node_count × lut_cols`. One byte per
@@ -881,7 +859,7 @@ impl Queues {
 ///   deterministic [`NetworkTopology::route_one_hop`] route.
 /// * Each node forwards from its FIFO in order; at most one packet per
 ///   outgoing link per cycle; a full receiver queue
-///   ([`NODE_QUEUE_CAP`]) blocks the packet in place (backpressure, no
+///   (`NODE_QUEUE_CAP`) blocks the packet in place (backpressure, no
 ///   loss).
 /// * Each output port ejects at most one packet per cycle.
 /// * Injection (after movement, one packet per port per cycle) enters
@@ -906,7 +884,7 @@ impl Queues {
 ///   linked through a free-listed packet arena, and a bitmap marks the
 ///   non-empty ones; an arrival queues on the output its destination
 ///   resolves to there. The node keeps its total, the
-///   [`NODE_QUEUE_CAP`] bound. A cycle visits only the outputs that hold
+///   `NODE_QUEUE_CAP` bound. A cycle visits only the outputs that hold
 ///   packets: a next-hop output forwards its head if the head did not
 ///   arrive this cycle and the receiver has room; an eject output ejects
 ///   its head. Exact, not an approximation: the reference's FIFO order

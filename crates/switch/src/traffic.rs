@@ -14,6 +14,7 @@ use dv_core::fault::{FaultPlan, STREAM_SWEEP};
 use dv_core::metrics::MetricsRegistry;
 use dv_core::rng::{below, unit_f64, SplitMix64};
 use dv_core::stats::{Log2Histogram, OnlineStats};
+use dv_core::sync::fan_out;
 
 use crate::cycle::{Delivered, SwitchSim};
 use crate::engine::CycleEngine;
@@ -433,56 +434,20 @@ impl LoadSweep {
         loads.iter().map(|&l| self.run(l)).collect()
     }
 
-    /// Run a whole sweep with the points fanned out across OS threads.
+    /// Run a whole sweep with one host thread per point.
     ///
     /// Each point is an independent simulation seeded exactly as in the
-    /// serial path ([`LoadSweep::run_core`] re-seeds from `self.seed` per
-    /// point), workers claim points from a shared index, and results are
-    /// collected — and published into the optional metrics registry — in
-    /// input order. The returned points and every registry side effect are
-    /// therefore byte-identical to [`LoadSweep::sweep`], regardless of
-    /// core count or scheduling; `tests/sweep_parallel.rs` holds that line
-    /// (CI only `cmp`s two parallel `switch_study` runs).
+    /// serial path (`LoadSweep::run_core` re-seeds from `self.seed` per
+    /// point); [`fan_out`] returns the points in input order, and they are
+    /// published into the optional metrics registry in that order. The
+    /// returned points and every registry side effect are therefore
+    /// byte-identical to [`LoadSweep::sweep`], regardless of core count or
+    /// scheduling; `tests/sweep_parallel.rs` holds that line (CI only
+    /// `cmp`s two parallel `switch_study` runs).
     pub fn sweep_parallel(&self, loads: &[f64]) -> Vec<SweepPoint> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        if loads.len() <= 1 {
-            return self.sweep(loads);
-        }
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(loads.len());
-        let next = AtomicUsize::new(0);
-        let per_worker: Vec<Vec<(usize, RunArtifacts)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    s.spawn(move || {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&load) = loads.get(i) else {
-                                break;
-                            };
-                            mine.push((i, self.run_core(load)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
-        });
-
-        let mut slots: Vec<Option<RunArtifacts>> = Vec::with_capacity(loads.len());
-        slots.resize_with(loads.len(), || None);
-        for (i, art) in per_worker.into_iter().flatten() {
-            slots[i] = Some(art);
-        }
-        slots
+        fan_out(loads, |&load| self.run_core(load))
             .into_iter()
-            .map(|slot| {
-                let mut art = slot.expect("every sweep point was claimed by a worker");
+            .map(|mut art| {
                 self.publish(&mut art);
                 art.point
             })

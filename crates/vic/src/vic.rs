@@ -70,17 +70,9 @@ pub struct Vic {
 }
 
 impl Vic {
-    /// A VIC for `node` built from a [`SimSpec`](dv_core::spec::SimSpec):
-    /// hardware parameters come from `spec.machine.dv`, fault injection
-    /// from `spec.machine.faults`.
-    pub fn from_spec(node: NodeId, spec: &dv_core::spec::SimSpec) -> Self {
-        Self::from_parts(node, &spec.machine.dv, spec.machine.faults.clone())
-    }
-
-    /// A VIC from explicit parts; with a fault plan, each FIFO arrival
-    /// consumes one sequence number of the plan's FIFO stream and may be
-    /// rejected as if the queue were full. (`DvWorld` uses this directly
-    /// because it grows the switch parameters before building VICs.)
+    /// A VIC for `node`; with a fault plan, each FIFO arrival consumes one
+    /// sequence number of the plan's FIFO stream and may be rejected as if
+    /// the queue were full. (`DvWorld` passes its grown switch parameters.)
     pub fn from_parts(node: NodeId, dv: &DvParams, faults: Option<FaultPlan>) -> Self {
         Self {
             node,

@@ -79,6 +79,19 @@ fn figure8_shape_bfs_dv_wins_with_valid_trees() {
     assert!(d.teps() > m.teps(), "dv {} mpi {}", d.teps(), m.teps());
 }
 
+/// Past 64 nodes: DV BFS keeps one sent-count and one frontier-size slot
+/// per node, and the two ranges must not meet, or no level completes.
+#[test]
+fn dv_bfs_validates_past_64_nodes() {
+    let gcfg = graph::GraphConfig { scale: 10, edgefactor: 8, seed: 0x5EED };
+    let edges = graph::kronecker_edges(&gcfg);
+    let csr = graph::Csr::build(gcfg.vertices(), &edges);
+    let locals = graph::partition_csr(&csr, graph::VertexPart { nodes: 72 });
+    let root = graph::pick_roots(&csr, 1, 3)[0];
+    let d = graph::dv::run_spec(&locals, gcfg.vertices(), root, SimSpec::new(72));
+    graph::validate_bfs(&csr, root, &d.parents).unwrap();
+}
+
 #[test]
 fn figure9_shape_apps_validate_and_dv_wins_where_the_paper_says() {
     // Heat: bit-exact + DV faster.
