@@ -6,8 +6,7 @@ use dv_core::spec::{RunReport, SimSpec};
 use dv_core::time::Time;
 use dv_sim::{Sim, SimCtx};
 
-use crate::ctx::{DvCtx, FAST_BARRIER_GC};
-use crate::world::DvWorld;
+use crate::{ctx::DvCtx, layout::FAST_BARRIER_GC, world::DvWorld};
 
 /// Entry point for a Data Vortex run: a [`SimSpec`] in,
 /// [`DvCluster::run`] returns a [`RunReport`].
@@ -91,7 +90,7 @@ impl DvCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::{SendMode, QUERY_GC};
+    use crate::{ctx::SendMode, layout::QUERY_GC};
     use dv_core::packet::{Packet, PacketHeader, SCRATCH_GC};
     use dv_core::time::us;
 

@@ -7,9 +7,10 @@
 //! compose them from DV-memory writes, group counters, and the status-page
 //! push (Section III). These are the idioms our applications share.
 //!
-//! Slot layout (all within the VIC's pushed status page, so polls are
-//! host-local): each collective uses a region of `2 p` words on every
-//! node — `(flag, value)` pairs per peer — plus an epoch discipline:
+//! Slot layout (the [`Layout::reduce_scratch`](crate::Layout::reduce_scratch)
+//! block of the VIC's pushed status page, so polls are host-local): each
+//! collective uses `2 p` words on every node — `(value, flag)` pairs per
+//! peer — plus an epoch discipline:
 //! regions are cleared by their *owner* after use and a FastBarrier fences
 //! the next round.
 
@@ -17,10 +18,6 @@ use crate::ctx::{DvCtx, SendMode};
 use dv_core::packet::{Packet, PacketHeader, SCRATCH_GC};
 use dv_core::time::us;
 use dv_sim::SimCtx;
-
-/// Status-page base address for the reduce scratch region (2 words per
-/// peer: flag, value).
-pub const REDUCE_BASE: u32 = 160;
 
 /// All-reduce a single f64 by summation. `epoch_fence` must be true on
 /// every node or none (collective call discipline, like MPI).
@@ -30,17 +27,14 @@ pub fn allreduce_sum_f64(dv: &DvCtx, ctx: &SimCtx, x: f64) -> f64 {
     if p == 1 {
         return x;
     }
-    assert!(
-        REDUCE_BASE as usize + 2 * p <= crate::ctx::STATUS_PAGE_WORDS,
-        "allreduce slots exceed the VIC status page ({p} nodes)"
-    );
+    let scratch = dv.layout().reduce_scratch;
 
     // Everyone posts (value, flag) into every peer's region — an
     // all-to-all broadcast of one word; each node then sums locally.
     // p−1 packets per node: one PCIe batch.
     let mut packets = Vec::with_capacity(2 * (p - 1));
     for d in (0..p).filter(|&d| d != me) {
-        let base = REDUCE_BASE + 2 * me as u32;
+        let base = scratch + 2 * me as u32;
         packets.push(Packet::new(
             PacketHeader::dv_memory(me, d, base, SCRATCH_GC),
             x.to_bits(),
@@ -55,7 +49,7 @@ pub fn allreduce_sum_f64(dv: &DvCtx, ctx: &SimCtx, x: f64) -> f64 {
     seen[me] = true;
     let mut remaining = p - 1;
     while remaining > 0 {
-        let region = dv.peek_local(ctx, REDUCE_BASE, 2 * p);
+        let region = dv.peek_local(ctx, scratch, 2 * p);
         for s in 0..p {
             if !seen[s] && region[2 * s + 1] != 0 {
                 seen[s] = true;
@@ -70,7 +64,7 @@ pub fn allreduce_sum_f64(dv: &DvCtx, ctx: &SimCtx, x: f64) -> f64 {
     }
 
     // Clear our region locally and fence the epoch.
-    dv.write_local(ctx, REDUCE_BASE, &vec![0u64; 2 * p]);
+    dv.write_local(ctx, scratch, &vec![0u64; 2 * p]);
     dv.fast_barrier(ctx);
     sum
 }

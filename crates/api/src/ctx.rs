@@ -3,19 +3,14 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use dv_core::packet::{Packet, PacketHeader, GROUP_COUNTERS, PAYLOAD_BYTES};
+use dv_core::packet::{Packet, PacketHeader, PAYLOAD_BYTES};
 use dv_core::time::{self, Time};
 use dv_core::trace::State;
 use dv_core::{NodeId, Word};
 use dv_sim::SimCtx;
 
+use crate::layout::{Layout, FAST_BARRIER_GC, QUERY_GC};
 use crate::world::DvWorld;
-
-/// Group counters used by the in-house FastBarrier (regular counters; the
-/// *intrinsic* barrier uses the two reserved ones in hardware).
-pub const FAST_BARRIER_GC: [u8; 2] = [3, 4];
-/// Group counter used by the blocking `read_word` convenience call.
-pub const QUERY_GC: u8 = (GROUP_COUNTERS - 1) as u8;
 
 /// How packets cross the PCIe bus from host memory to the VIC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,15 +44,6 @@ impl SendMode {
 const DMA_ENQUEUE: Time = time::ns(250);
 /// Host-side cost of popping one surprise packet from the drain buffer.
 const FIFO_POP: Time = time::ns(40);
-/// Words of DV memory mirrored to host memory by the VIC's idle-cycle
-/// reverse bus-master push (the "status page"). Sized to hold the
-/// coordination slots of every protocol in this workspace up to 256-node
-/// clusters (8 KiB of push traffic, well within idle-cycle budgets).
-pub const STATUS_PAGE_WORDS: usize = 1024;
-/// The status page's hardware accepted-count block (see `dv-vic`): protocol
-/// slots must end at or below `FIFO_RECV_BASE`, and no cluster exceeds
-/// `FIFO_RECV_SLOTS` nodes.
-pub use dv_vic::{FIFO_RECV_BASE, FIFO_RECV_SLOTS};
 /// Cost of polling the pushed status page (a local read + fence).
 const STATUS_POLL: Time = time::ns(120);
 
@@ -114,6 +100,11 @@ impl DvCtx {
     /// Cluster size.
     pub fn nodes(&self) -> usize {
         self.world.nodes()
+    }
+
+    /// Where this run's DV-memory blocks and group counters live.
+    pub fn layout(&self) -> &Layout {
+        &self.world.layout
     }
 
     /// The shared world (for tests and benchmarks).
@@ -347,8 +338,7 @@ impl DvCtx {
     }
 
     /// Blocking remote read: query `dest` and wait for the reply in our
-    /// own DV memory (uses [`QUERY_GC`] and DV-memory slot 0 of the last
-    /// page as a scratch reply slot).
+    /// own DV memory (uses [`QUERY_GC`] and [`Layout::query_reply`]).
     pub fn read_word(&self, ctx: &SimCtx, dest: NodeId, remote_addr: u32) -> Word {
         self.read_word_deadline(ctx, dest, remote_addr, None)
             .expect("read_word without a deadline cannot time out")
@@ -369,7 +359,7 @@ impl DvCtx {
         remote_addr: u32,
         deadline: Option<Time>,
     ) -> Option<Word> {
-        let reply_addr = (dv_vic::DvMemory::words() - 1) as u32;
+        let reply_addr = self.layout().query_reply;
         self.gc_set_local(ctx, QUERY_GC, 1);
         self.query_to(
             ctx,
@@ -432,15 +422,16 @@ impl DvCtx {
     }
 
     /// Poll the host-side shadow of the VIC's *status page* (the first
-    /// [`STATUS_PAGE_WORDS`] words of DV memory). The VIC pushes this page
+    /// [`Layout::status_page_words`] words of DV memory). The VIC pushes this page
     /// to host memory during idle PCIe cycles via reverse bus-master DMA —
     /// the mechanism Section III describes for checking end-of-transmission
     /// state "without incurring the latency of an explicit PCIe read" —
     /// so a poll costs only a local memory fence, not a PCIe round trip.
     pub fn peek_local(&self, ctx: &SimCtx, address: u32, n: usize) -> Vec<Word> {
+        let page = self.layout().status_page_words;
         assert!(
-            (address as usize + n) <= STATUS_PAGE_WORDS,
-            "peek_local only covers the pushed status page (first {STATUS_PAGE_WORDS} words)"
+            (address as usize + n) <= page,
+            "peek_local only covers the pushed status page (first {page} words)"
         );
         ctx.delay(STATUS_POLL);
         let mut out = vec![0; n];
@@ -563,7 +554,7 @@ impl DvCtx {
         // the API explicitly supports sending to your own VIC).
         let packets: Vec<Packet> = (0..n)
             .filter(|&d| d != self.node)
-            .map(|d| Packet::new(PacketHeader::dv_memory(self.node, d, 0, gc), 0))
+            .map(|d| Packet::new(PacketHeader::dv_memory(self.node, d, self.layout().fast_barrier_sink, gc), 0))
             .collect();
         self.send_packets(ctx, &packets, SendMode::DirectWrite { cached_headers: true });
         let ok = self.gc_wait_zero(ctx, gc, None);

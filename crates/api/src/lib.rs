@@ -39,11 +39,13 @@ pub mod aggregate;
 pub mod cluster;
 pub mod coll;
 pub mod ctx;
+pub mod layout;
 pub mod reliable;
 pub mod world;
 
 pub use aggregate::Aggregator;
 pub use cluster::DvCluster;
 pub use ctx::{Backpressure, DvCtx, SendMode};
+pub use layout::Layout;
 pub use reliable::ReliableFifo;
 pub use world::DvWorld;

@@ -8,8 +8,8 @@
 //! with the acknowledgment substrate the hardware already provides:
 //!
 //! * The destination VIC maintains, in hardware, a per-source count of
-//!   packets *accepted* into its FIFO (`FIFO_RECV_BASE + src` in the
-//!   status page).
+//!   packets *accepted* into its FIFO, in the status page at
+//!   [`Layout::accepted`](crate::Layout::accepted) `+ src`.
 //! * A sender logs every word of the current epoch with its destination
 //!   and, at verification time, reads its accepted count back with a query
 //!   packet (timeout + bounded retries — queries and replies can be lost
@@ -41,20 +41,14 @@
 //! log, the received count is the layer's own, so the kernels keep no
 //! tally of either.
 
-use dv_core::packet::{Packet, PacketHeader, GROUP_COUNTERS, SCRATCH_GC};
+use dv_core::packet::{Packet, PacketHeader, SCRATCH_GC};
 use dv_core::time::{self, Time};
 use dv_core::{NodeId, Word};
 use dv_sim::SimCtx;
-use dv_vic::{DvMemory, FIFO_RECV_BASE, FIFO_RECV_SLOTS};
 
 use crate::aggregate::Aggregator;
 use crate::ctx::{DvCtx, SendMode};
-
-/// Group counter tracking the parallel acknowledgment round of
-/// [`ReliableFifo::verify_epoch`] (one below the blocking-read counter;
-/// late replies of a timed-out round may drive it negative, which the
-/// next round's preset overwrites).
-pub const VERIFY_GC: u8 = (GROUP_COUNTERS - 2) as u8;
+use crate::layout::VERIFY_GC;
 
 /// Words per retransmission window (confirmed stop-and-wait).
 const WINDOW: usize = 64;
@@ -175,10 +169,6 @@ impl ReliableFifo {
     /// Recovery endpoint for this node.
     pub fn new(dv: &DvCtx) -> Self {
         let nodes = dv.nodes();
-        assert!(
-            nodes <= FIFO_RECV_SLOTS,
-            "hardware accepted-count block covers {FIFO_RECV_SLOTS} sources"
-        );
         Self {
             me: dv.node(),
             nodes,
@@ -212,8 +202,7 @@ impl ReliableFifo {
         if !self.epoch_log.insert(word) {
             return false;
         }
-        // `nodes <= FIFO_RECV_SLOTS` (checked at construction) fits u16.
-        self.epoch_dest.push(u16::try_from(dest).expect("destination beyond the accepted-count block"));
+        self.epoch_dest.push(u16::try_from(dest).expect("node ids fit the header's 12 bits"));
         self.wire_epoch[dest] += 1;
         self.stats.sent += 1;
         agg.push(ctx, dv, Packet::new(PacketHeader::fifo(self.me, dest, SCRATCH_GC), word));
@@ -275,10 +264,10 @@ impl ReliableFifo {
     ///
     /// The common (loss-free) case costs one *parallel* acknowledgment
     /// round: every destination is queried at once on [`VERIFY_GC`], with
-    /// replies landing in per-destination scratch slots, so verification
-    /// latency is one round trip regardless of cluster size. Only
-    /// destinations whose count comes back short (or unknown, after a
-    /// timeout) pay the serial retransmission path.
+    /// replies landing in [`Layout::verify_replies`](crate::Layout::verify_replies),
+    /// so verification latency is one round trip regardless of cluster
+    /// size. Only destinations whose count comes back short (or unknown,
+    /// after a timeout) pay the serial retransmission path.
     ///
     /// # Panics
     /// Panics when the retry budget is exhausted — the acknowledgment or
@@ -290,17 +279,17 @@ impl ReliableFifo {
             self.end_epoch();
             return;
         }
-        // Parallel acknowledgment round. Reply slots sit just below the
-        // blocking-read scratch slot (stale values from earlier rounds
+        // Parallel acknowledgment round (stale replies of earlier rounds
         // are monotonic-safe: an old count can only look like a
-        // shortfall, which the serial path then re-checks).
-        let base = DvMemory::words() as u32 - 2;
-        let my_slot = FIFO_RECV_BASE + self.me as u32;
+        // shortfall, which the serial path then re-checks; late ones may
+        // drive VERIFY_GC negative, which the next preset overwrites).
+        let replies = dv.layout().verify_replies;
+        let my_slot = dv.layout().accepted + self.me as u32;
         dv.gc_set_local(ctx, VERIFY_GC, dests.len() as u64);
         let queries: Vec<Packet> = dests
             .iter()
             .map(|&d| {
-                let ret = PacketHeader::dv_memory(d, self.me, base - d as u32, VERIFY_GC);
+                let ret = PacketHeader::dv_memory(d, self.me, replies + d as u32, VERIFY_GC);
                 Packet::new(PacketHeader::query(self.me, d, my_slot), ret.encode())
             })
             .collect();
@@ -308,10 +297,9 @@ impl ReliableFifo {
         dv.send_packets(ctx, &queries, SendMode::DirectWrite { cached_headers: true });
         let deadline = ctx.now() + QUERY_TIMEOUT;
         if dv.gc_wait_zero(ctx, VERIFY_GC, Some(deadline)) {
-            let lo = base - (self.nodes as u32 - 1);
-            let vals = dv.read_local(ctx, lo, self.nodes);
+            let vals = dv.read_local(ctx, replies, self.nodes);
             for &d in &dests {
-                let hw = vals[(base - d as u32 - lo) as usize];
+                let hw = vals[d];
                 if hw == self.hw_confirmed[d] + self.wire_epoch[d] {
                     self.hw_confirmed[d] = hw;
                     self.wire_epoch[d] = 0;
@@ -423,7 +411,7 @@ impl ReliableFifo {
     /// retries. Stale replies from timed-out attempts are safe: the count
     /// is monotonic, so an old value is merely conservative.
     fn accepted(&mut self, ctx: &SimCtx, dv: &DvCtx, dest: NodeId, sink: &mut Vec<Word>) -> u64 {
-        let addr = FIFO_RECV_BASE + self.me as u32;
+        let addr = dv.layout().accepted + self.me as u32;
         for _ in 0..QUERY_TRIES {
             // Drain our own FIFO on *every* attempt, not just timeouts:
             // peers verify concurrently, and if every node only pushed
@@ -453,22 +441,21 @@ impl ReliableFifo {
     /// 1. flush `agg`, [`ReliableFifo::verify_epoch`] (only verified sends
     ///    back a promise), deliver what verification drained;
     /// 2. post every peer the words this epoch owed it, as count + 1 (zero
-    ///    means "not posted") at DV-memory slot `slots + me`, in one
-    ///    direct-write batch;
+    ///    means "not posted"), at its [`Layout::epoch_counts`](crate::Layout::epoch_counts)
+    ///    `+ me`, in one direct-write batch;
     /// 3. drain and deliver until every peer has posted and the words
     ///    received this epoch add up to their counts, waiting up to 2 µs
     ///    for the next word between checks.
     ///
     /// Peers post only after their own verification, so every promised
     /// word is already accepted or in flight: loss shows up as
-    /// retransmission in step 1, never as a hang in step 3. The caller
-    /// zeroes the `slots` block before the next epoch posts into it.
+    /// retransmission in step 1, never as a hang in step 3. A caller that
+    /// runs another epoch zeroes its own epoch counts and fences first.
     pub fn complete_epoch(
         &mut self,
         ctx: &SimCtx,
         dv: &DvCtx,
         agg: &mut Aggregator,
-        slots: u32,
         mut deliver: impl FnMut(&[Word]),
     ) -> u64 {
         let mut owed = vec![0u64; self.nodes];
@@ -479,7 +466,7 @@ impl ReliableFifo {
         let mut recovered = Vec::new();
         self.verify_epoch(ctx, dv, &mut recovered);
         deliver(&recovered);
-        let (me, nodes) = (self.me, self.nodes);
+        let (me, nodes, slots) = (self.me, self.nodes, dv.layout().epoch_counts);
         let peers = move || (0..nodes).filter(move |&s| s != me);
         let posts: Vec<Packet> = peers()
             .map(|d| {

@@ -15,6 +15,8 @@ use dv_sim::{Kernel, Pipe, WaitSet};
 use dv_switch::{LinkFaultInjector, SwitchModel};
 use dv_vic::{PciePath, Vic};
 
+use crate::layout::Layout;
+
 /// State of the hardware barrier engine (implemented with the two reserved
 /// group counters on the real system; modeled centrally here).
 pub struct BarrierState {
@@ -55,6 +57,8 @@ pub struct DvWorld {
     pub tracer: Arc<Tracer>,
     /// Metrics registry (disabled unless the cluster attached one).
     pub metrics: Arc<MetricsRegistry>,
+    /// Where this run's DV-memory blocks and group counters live.
+    pub layout: Layout,
     nodes: usize,
 }
 
@@ -100,6 +104,7 @@ impl DvWorld {
             metrics: Arc::clone(&spec.metrics),
             switch,
             config,
+            layout: Layout::new(nodes),
             nodes,
         });
         // Interval telemetry: when a timeseries is attached to the

@@ -18,20 +18,9 @@ use dv_kernels::util::{charge, charge_mem_bytes};
 use super::mpi::HeatRunResult;
 use super::{Face, HeatConfig, LocalBlock};
 
-/// Per-parity halo group counters.
-const HALO_GC: [u8; 2] = [32, 33];
-/// DV-memory base of the ghost-face regions (above the status page).
-const FACE_BASE: u32 = 1024;
-
 fn max_face(cfg: &HeatConfig) -> u32 {
     let (nxl, nyl, nzl) = cfg.local();
     (nyl * nzl).max(nxl * nzl).max(nxl * nyl) as u32
-}
-
-/// Parity-major layout: each parity's six face regions are contiguous so
-/// the receiver drains the whole step's ghosts in **one** DMA read.
-fn face_region(cfg: &HeatConfig, f: Face, parity: usize) -> u32 {
-    FACE_BASE + (parity as u32 * 6 + f.index() as u32) * max_face(cfg)
 }
 
 /// Run the heat solver on the Data Vortex cluster described by `spec` —
@@ -43,6 +32,12 @@ pub fn run_spec(cfg: HeatConfig, spec: SimSpec) -> HeatRunResult {
     let cluster = dv_api::DvCluster::from_spec(spec);
     let report = cluster.run(move |dv, ctx| {
         let me = dv.node();
+        // Parity-major ghost faces: each parity's six face regions are
+        // contiguous so the receiver drains a step's ghosts in **one** DMA
+        // read. One group counter per parity.
+        let faces = dv.layout().bulk(12 * max_face(&cfg) as usize);
+        let face_region = |f: Face, parity: usize| faces + (parity * 6 + f.index()) as u32 * max_face(&cfg);
+        let halo_gc = dv.layout().kernel_gcs(2).start;
         let mut block = LocalBlock::new(&cfg, me);
         let c = block.coords;
         let neighbor = |f: Face| {
@@ -55,8 +50,8 @@ pub fn run_spec(cfg: HeatConfig, spec: SimSpec) -> HeatRunResult {
             .filter(|&&f| neighbor(f).is_some())
             .map(|&f| block.face_len(f) as u64)
             .sum();
-        dv.gc_set_local(ctx, HALO_GC[0], expected);
-        dv.gc_set_local(ctx, HALO_GC[1], expected);
+        dv.gc_set_local(ctx, halo_gc, expected);
+        dv.gc_set_local(ctx, halo_gc + 1, expected);
         dv.barrier(ctx);
         let mut last_heat = 0.0;
         let ghost_words = 6 * max_face(&cfg) as usize;
@@ -64,6 +59,7 @@ pub fn run_spec(cfg: HeatConfig, spec: SimSpec) -> HeatRunResult {
 
         for step in 0..cfg.steps {
             let parity = step % 2;
+            let gc = halo_gc + parity as u8;
             // One DMA batch carrying all six outgoing faces.
             let mut blocks = Vec::new();
             for f in Face::ALL {
@@ -74,8 +70,8 @@ pub fn run_spec(cfg: HeatConfig, spec: SimSpec) -> HeatRunResult {
                         dest: n,
                         // It lands in the neighbor's ghost region for the
                         // opposite face.
-                        address: face_region(&cfg, f.opposite(), parity),
-                        gc: HALO_GC[parity],
+                        address: face_region(f.opposite(), parity),
+                        gc,
                         words: face.iter().map(|v| v.to_bits()).collect(),
                     });
                 }
@@ -83,14 +79,14 @@ pub fn run_spec(cfg: HeatConfig, spec: SimSpec) -> HeatRunResult {
             dv.write_blocks(ctx, blocks, SendMode::Dma { cached_headers: true });
 
             // Wait for my halos, re-arm the parity, pull ghosts to host.
-            let ok = dv.gc_wait_zero(ctx, HALO_GC[parity], None);
+            let ok = dv.gc_wait_zero(ctx, gc, None);
             assert!(ok, "halo exchange never completed");
-            dv.gc_set_local(ctx, HALO_GC[parity], expected);
+            dv.gc_set_local(ctx, gc, expected);
             // One DMA drains all six ghost planes (parity-major layout).
             // A plane may straddle the lent runs, so they are gathered
             // first, into the buffer every step reuses.
             region.clear();
-            dv.lend_local(ctx, face_region(&cfg, Face::Xm, parity), ghost_words, |run| {
+            dv.lend_local(ctx, face_region(Face::Xm, parity), ghost_words, |run| {
                 region.extend_from_slice(run)
             });
             for f in Face::ALL {

@@ -21,19 +21,6 @@ use super::{octant_dirs, LocalSweep, SnapConfig};
 
 /// Ring depth: in-flight chunks per direction.
 const SLOTS: usize = 4;
-/// Group counters for the y-face ring.
-const Y_GC: [u8; SLOTS] = [40, 41, 42, 43];
-/// Group counters for the z-face ring.
-const Z_GC: [u8; SLOTS] = [44, 45, 46, 47];
-/// Status-page progress slots: each grid neighbor publishes its global
-/// consumed-sequence count into the slot matching its position relative
-/// to me (flow-control credits that survive octant changes).
-const PROG_FROM_YM: u32 = 210;
-const PROG_FROM_YP: u32 = 211;
-const PROG_FROM_ZM: u32 = 212;
-const PROG_FROM_ZP: u32 = 213;
-/// DV-memory base of the face rings.
-const RING_BASE: u32 = 2048;
 
 /// One entry of the flattened sweep schedule.
 struct SeqEntry {
@@ -56,7 +43,15 @@ pub fn run_spec(cfg: SnapConfig, spec: SimSpec) -> SnapRunResult {
         // Slot-major layout: a chunk's y-face and z-face are contiguous,
         // so both drain to host in one DMA read.
         let slot_words = (y_words + z_words) as u32;
-        let y_slot = |s: usize| RING_BASE + (s % SLOTS) as u32 * slot_words;
+        let ring = dv.layout().bulk(SLOTS * slot_words as usize);
+        let y_slot = |s: usize| ring + (s % SLOTS) as u32 * slot_words;
+        // Ring slot `s` counts its y-face on `gcs + s`, its z-face on `gcs + SLOTS + s`.
+        let gcs = dv.layout().kernel_gcs(2 * SLOTS).start;
+        let (y_gc, z_gc) = (|s: usize| gcs + s as u8, |s: usize| gcs + (SLOTS + s) as u8);
+        // Status-page progress slots: each grid neighbor publishes its global consumed-
+        // sequence count into the slot matching its position relative to me (flow-control
+        // credits that survive octant changes).
+        let [from_ym, from_yp, from_zm, from_zp] = [0, 1, 2, 3].map(|i| dv.layout().credits + i);
         let mut local = LocalSweep::new(&cfg);
 
         // Flatten the whole sweep into one global sequence so the ring
@@ -98,8 +93,8 @@ pub fn run_spec(cfg: SnapConfig, spec: SimSpec) -> SnapRunResult {
         // Arm the first window of slots, then one fence before any data.
         for s in 0..SLOTS {
             let (ey, ez) = expected(s);
-            dv.gc_set_local(ctx, Y_GC[s], ey);
-            dv.gc_set_local(ctx, Z_GC[s], ez);
+            dv.gc_set_local(ctx, y_gc(s), ey);
+            dv.gc_set_local(ctx, z_gc(s), ez);
         }
         dv.fast_barrier(ctx);
 
@@ -116,14 +111,14 @@ pub fn run_spec(cfg: SnapConfig, spec: SimSpec) -> SnapRunResult {
             // Wait for upstream faces, re-arm the slot for seq+SLOTS,
             // drain both faces with one DMA read.
             if y_up.is_some() {
-                assert!(dv.gc_wait_zero(ctx, Y_GC[slot], None));
+                assert!(dv.gc_wait_zero(ctx, y_gc(slot), None));
             }
             if z_up.is_some() {
-                assert!(dv.gc_wait_zero(ctx, Z_GC[slot], None));
+                assert!(dv.gc_wait_zero(ctx, z_gc(slot), None));
             }
             let (ey, ez) = expected(seq + SLOTS);
-            dv.gc_set_local(ctx, Y_GC[slot], ey);
-            dv.gc_set_local(ctx, Z_GC[slot], ez);
+            dv.gc_set_local(ctx, y_gc(slot), ey);
+            dv.gc_set_local(ctx, z_gc(slot), ez);
             let (yface, zface): (Vec<f64>, Vec<f64>) = if y_up.is_some() || z_up.is_some() {
                 let raw = dv.read_local(ctx, y_slot(seq), slot_words as usize);
                 let y = if y_up.is_some() {
@@ -150,10 +145,10 @@ pub fn run_spec(cfg: SnapConfig, spec: SimSpec) -> SnapRunResult {
             // am without any barrier.
             let mut posts = Vec::new();
             for (n, slot_addr) in [
-                (cfg.node_at(cy as isize - 1, cz as isize), PROG_FROM_YP),
-                (cfg.node_at(cy as isize + 1, cz as isize), PROG_FROM_YM),
-                (cfg.node_at(cy as isize, cz as isize - 1), PROG_FROM_ZP),
-                (cfg.node_at(cy as isize, cz as isize + 1), PROG_FROM_ZM),
+                (cfg.node_at(cy as isize - 1, cz as isize), from_yp),
+                (cfg.node_at(cy as isize + 1, cz as isize), from_ym),
+                (cfg.node_at(cy as isize, cz as isize - 1), from_zp),
+                (cfg.node_at(cy as isize, cz as isize + 1), from_zm),
             ] {
                 if let Some(n) = n {
                     posts.push(BlockWrite {
@@ -178,7 +173,7 @@ pub fn run_spec(cfg: SnapConfig, spec: SimSpec) -> SnapRunResult {
             let (_, ry, rz) = octant_dirs(entry.o);
             let mut outgoing = Vec::new();
             if let Some(n) = y_dn {
-                let prog_slot = if ry { PROG_FROM_YM } else { PROG_FROM_YP };
+                let prog_slot = if ry { from_ym } else { from_yp };
                 while seq + 1 > dv.peek_local(ctx, prog_slot, 1)[0] as usize + SLOTS {
                     ctx.delay(dv_core::time::us(1));
                 }
@@ -186,12 +181,12 @@ pub fn run_spec(cfg: SnapConfig, spec: SimSpec) -> SnapRunResult {
                 outgoing.push(BlockWrite {
                     dest: n,
                     address: y_slot(seq),
-                    gc: Y_GC[slot],
+                    gc: y_gc(slot),
                     words: oy.iter().map(|v| v.to_bits()).collect(),
                 });
             }
             if let Some(n) = z_dn {
-                let prog_slot = if rz { PROG_FROM_ZM } else { PROG_FROM_ZP };
+                let prog_slot = if rz { from_zm } else { from_zp };
                 while seq + 1 > dv.peek_local(ctx, prog_slot, 1)[0] as usize + SLOTS {
                     ctx.delay(dv_core::time::us(1));
                 }
@@ -199,7 +194,7 @@ pub fn run_spec(cfg: SnapConfig, spec: SimSpec) -> SnapRunResult {
                 outgoing.push(BlockWrite {
                     dest: n,
                     address: y_slot(seq) + y_words as u32,
-                    gc: Z_GC[slot],
+                    gc: z_gc(slot),
                     words: oz.iter().map(|v| v.to_bits()).collect(),
                 });
             }

@@ -98,7 +98,7 @@ pub fn run_dv(cfg: VortConfig, spec: SimSpec) -> VortRunResult {
     let compute = spec.machine.compute.clone();
     summarize(dv_api::DvCluster::from_spec(spec).run(move |dv, ctx| {
         let local = initial_rows(&cfg, dv.nodes(), dv.node());
-        let mut eng = DvTranspose::new(dv, ctx, compute.clone(), 4096, local.len());
+        let mut eng = DvTranspose::new(dv, ctx, compute.clone(), local.len());
         solve(&mut eng, ctx, &cfg, local)
     }))
 }

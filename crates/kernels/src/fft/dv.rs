@@ -20,29 +20,16 @@ use crate::transpose::DvTranspose;
 
 use super::plan::{FftPlan, FftRunResult};
 
-/// Group counters: transpose 1 uses the first chunk set from here,
-/// transpose 2 the next.
-const GC_BASE: u8 = 16;
-/// DV-memory word address of the first receive region.
-const REGION_BASE: u32 = 4096;
-
 /// Run the four-step FFT on the cluster described by `spec`. `validate`
 /// computes the serial reference and reports the max error (small N only).
 pub fn run_spec(n: usize, spec: SimSpec, validate: bool) -> FftRunResult {
     let plan = FftPlan::new(n, spec.nodes);
-    // Two regions (2 words per element each) plus the low scratch page
-    // must fit in the 4 Mi-word DV memory.
-    assert!(
-        REGION_BASE as usize + 4 * (n / spec.nodes) <= dv_core::packet::DV_MEMORY_WORDS,
-        "N/p too large for the VIC's 32 MB DV memory"
-    );
     let compute = spec.machine.compute.clone();
     let report = DvCluster::from_spec(spec).run({
         let plan = plan.clone();
         move |dv, ctx| {
             let shapes = [(plan.cols_per_node(), plan.r), (plan.rows_per_node(), plan.c)];
-            let mut eng =
-                DvTranspose::one_shot(dv, ctx, compute.clone(), REGION_BASE, GC_BASE, shapes);
+            let mut eng = DvTranspose::one_shot(dv, ctx, compute.clone(), shapes);
             let out = plan.execute(&mut eng, ctx);
             dv.fast_barrier(ctx);
             out

@@ -120,7 +120,7 @@ pub fn run_dv(m: usize, spec: SimSpec) -> Fft2dResult {
     let compute = spec.machine.compute.clone();
     summarize(dv_api::DvCluster::from_spec(spec).run(move |dv, ctx| {
         let mut local = local_rows(m, dv.nodes(), dv.node());
-        let mut eng = DvTranspose::new(dv, ctx, compute.clone(), 4096, local.len());
+        let mut eng = DvTranspose::new(dv, ctx, compute.clone(), local.len());
         let flops = fft2d_dist(&mut eng, ctx, &mut local, m, false);
         (flops, local)
     }))

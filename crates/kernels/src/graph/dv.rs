@@ -11,10 +11,10 @@
 //!
 //! Visits ride the `dv-api` recovery layer ([`ReliableFifo`]), one epoch
 //! per BFS level, and a level completes with the DV-memory sent-count
-//! protocol of [`ReliableFifo::complete_epoch`] at `CNT_BASE`: visits
-//! lost to FIFO overflow (or an injected fault plan) are retransmitted
-//! against the hardware accepted counts *before* the sent counts are
-//! posted, so levels complete exactly. Parallel edges produce duplicate
+//! protocol of [`ReliableFifo::complete_epoch`]: visits lost to FIFO
+//! overflow (or an injected fault plan) are retransmitted against the
+//! hardware accepted counts *before* the sent counts are posted, so
+//! levels complete exactly. Parallel edges produce duplicate
 //! `(vertex, parent)` words; the layer's outbound dedup absorbs them
 //! (each logical pair crosses the wire once per level), and pairs are
 //! unique across levels because a vertex joins the frontier at most once.
@@ -30,10 +30,6 @@ use crate::util::{charge_edges, pack2, unpack2};
 use super::mpi::BfsRunResult;
 use super::{Csr, VertexPart};
 
-/// DV-memory slots: per-peer sent counts for the current level.
-const CNT_BASE: u32 = 64;
-/// DV-memory slots: per-peer next-frontier sizes, past every sent count.
-const FS_BASE: u32 = CNT_BASE + dv_api::ctx::FIFO_RECV_SLOTS as u32;
 /// Aggregation threshold (packets per PCIe batch).
 const AGG: usize = 1024;
 
@@ -62,10 +58,6 @@ fn apply_visits(part: &VertexPart, me: usize, st: &mut LevelState, words: &[u64]
 pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunResult {
     let nodes = locals.len();
     assert_eq!(spec.nodes, nodes, "spec.nodes must match the partition");
-    assert!(
-        FS_BASE as usize + nodes <= dv_api::ctx::FIFO_RECV_BASE as usize,
-        "BFS coordination slots overlap the accepted-count block ({nodes} nodes)"
-    );
     let part = VertexPart { nodes };
     let locals: Arc<Vec<Csr>> = Arc::new(locals.to_vec());
     let compute = spec.machine.compute.clone();
@@ -73,6 +65,7 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
     let report = cluster.run(move |dv, ctx| {
         let me = dv.node();
         let p = dv.nodes();
+        let (counts, sizes) = (dv.layout().epoch_counts, dv.layout().frontier_sizes);
         let compute = compute.clone();
         let csr = &locals[me];
         let mut st = LevelState { parents: vec![-1i64; csr.vertices()], next: Vec::new(), applied: 0 };
@@ -122,7 +115,7 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
             apply_visits(&part, me, &mut st, &rel.drain_unique(ctx, dv));
 
             // --- verify, post sent counts, drain every promised visit ----
-            let received = rel.complete_epoch(ctx, dv, &mut agg, CNT_BASE, |words| {
+            let received = rel.complete_epoch(ctx, dv, &mut agg, |words| {
                 apply_visits(&part, me, &mut st, words)
             });
             charge_edges(ctx, &compute, received);
@@ -132,7 +125,7 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
                 .filter(|&d| d != me)
                 .map(|d| {
                     Packet::new(
-                        PacketHeader::dv_memory(me, d, FS_BASE + me as u32, SCRATCH_GC),
+                        PacketHeader::dv_memory(me, d, sizes + me as u32, SCRATCH_GC),
                         st.next.len() as u64 + 1,
                     )
                 })
@@ -140,7 +133,7 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
             dv.send_packets(ctx, &fs_posts, SendMode::DirectWrite { cached_headers: true });
             let total_next;
             loop {
-                let slots = dv.peek_local(ctx, FS_BASE, p);
+                let slots = dv.peek_local(ctx, sizes, p);
                 if (0..p).filter(|&s| s != me).all(|s| slots[s] != 0) {
                     total_next = (0..p)
                         .map(|s| if s == me { st.next.len() as u64 } else { slots[s] - 1 })
@@ -154,8 +147,8 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
             }
 
             // --- reset level slots, then fence ---------------------------
-            dv.write_local(ctx, CNT_BASE, &vec![0u64; p]);
-            dv.write_local(ctx, FS_BASE, &vec![0u64; p]);
+            dv.write_local(ctx, counts, &vec![0u64; p]);
+            dv.write_local(ctx, sizes, &vec![0u64; p]);
             dv.fast_barrier(ctx);
 
             frontier = std::mem::take(&mut st.next);

@@ -6,9 +6,8 @@
 //! packets — to *any* mix of destinations — ride one PCIe DMA batch
 //! ("aggregation at source"); the switch routes them without congesting.
 //! The run is one epoch of the `dv-api` recovery layer ([`ReliableFifo`]),
-//! closed by [`ReliableFifo::complete_epoch`] at `COUNT_BASE`: the
-//! per-peer sent counts written into DV memory, the coordination idiom
-//! Section III describes.
+//! closed by [`ReliableFifo::complete_epoch`]: the per-peer sent counts
+//! written into DV memory, the coordination idiom Section III describes.
 //!
 //! Updates lost to FIFO overflow (or an injected fault plan) are detected
 //! against the VIC's hardware accepted counts and retransmitted before
@@ -27,9 +26,6 @@ use crate::util::{charge, charge_updates, BlockDist};
 
 use super::{locate, GupsConfig, GupsResult};
 
-/// DV-memory address where peer `src` posts how many updates it sent us
-/// (encoded as count+1 so zero means "not posted yet").
-const COUNT_BASE: u32 = 8;
 /// Random-number generation rate (values/s).
 const GEN_RATE: f64 = 600e6;
 
@@ -62,10 +58,6 @@ pub fn run_spec(cfg: GupsConfig, spec: SimSpec) -> GupsResult {
 pub fn run_ablate(cfg: GupsConfig, spec: SimSpec, aggregate: bool) -> GupsResult {
     let nodes = spec.nodes;
     let dist = BlockDist::new(cfg.global_words(nodes), nodes);
-    assert!(
-        COUNT_BASE as usize + nodes <= dv_api::ctx::STATUS_PAGE_WORDS,
-        "GUPS completion slots exceed the VIC status page ({nodes} nodes)"
-    );
     let compute = spec.machine.compute.clone();
     let cluster = DvCluster::from_spec(spec);
     let report = cluster.run(move |dv, ctx| {
@@ -120,7 +112,7 @@ pub fn run_ablate(cfg: GupsConfig, spec: SimSpec, aggregate: bool) -> GupsResult
         }
         // Retransmit whatever the FIFOs dropped, post the per-peer sent
         // counts, and apply updates until every promised one arrived.
-        applied += rel.complete_epoch(ctx, dv, &mut agg, COUNT_BASE, |words| {
+        applied += rel.complete_epoch(ctx, dv, &mut agg, |words| {
             apply_updates(ctx, words, &dist, me, &mut table, &compute)
         });
         rel.publish(dv);

@@ -22,16 +22,11 @@ use mini_mpi::{MpiCluster, Payload};
 
 /// Chunk size (words) for pipelined large messages.
 const CHUNK_WORDS: usize = 8 * 1024;
-/// First of the 32 group counters used for in-flight chunks (one per
-/// chunk index; re-armed for the next message as each chunk is consumed).
-const PING_GC_BASE: u8 = 16;
-/// Number of chunk counters — bounds the message size to
-/// `PING_GC_COUNT × CHUNK_WORDS` words (256 Ki words, the largest point
-/// in Figure 3).
-const PING_GC_COUNT: usize = 32;
 
-fn chunk_gc(i: usize) -> u8 {
-    PING_GC_BASE + (i % PING_GC_COUNT) as u8
+/// A `words`-word message's bulk region and first chunk counter: chunk `i`
+/// has counter `gc + i`, re-armed for the next message as it is consumed.
+fn message_slots(dv: &DvCtx, words: usize) -> (u32, u8) {
+    (dv.layout().bulk(words), dv.layout().kernel_gcs(chunks_of(words).len()).start)
 }
 
 /// Result of one ping-pong measurement.
@@ -69,12 +64,13 @@ fn chunks_of(words: usize) -> Vec<usize> {
 /// in pipelined chunks, one group counter per chunk index. The receiver
 /// mirror is [`recv_message`].
 fn send_message(dv: &DvCtx, ctx: &SimCtx, peer: usize, data: &[Word], mode: SendMode) {
+    let (buf, gc) = message_slots(dv, data.len());
     let mut off = 0usize;
     for (i, len) in chunks_of(data.len()).into_iter().enumerate() {
         let block = BlockWrite {
             dest: peer,
-            address: off as u32,
-            gc: chunk_gc(i),
+            address: buf + off as u32,
+            gc: gc + i as u8,
             words: data[off..off + len].to_vec(),
         };
         dv.write_blocks(ctx, vec![block], mode);
@@ -85,26 +81,28 @@ fn send_message(dv: &DvCtx, ctx: &SimCtx, peer: usize, data: &[Word], mode: Send
 /// Receive `words` words into host memory, overlapping the PCIe drain of
 /// chunk *k* with the network arrival of chunk *k+1*.
 fn recv_message(dv: &DvCtx, ctx: &SimCtx, words: usize) -> Vec<Word> {
+    let (buf, gc0) = message_slots(dv, words);
     let chunks = chunks_of(words);
     let mut out = Vec::with_capacity(words);
     let mut off = 0usize;
     for (i, &len) in chunks.iter().enumerate() {
-        let gc = chunk_gc(i);
+        let gc = gc0 + i as u8;
         let ok = dv.gc_wait_zero(ctx, gc, None);
         debug_assert!(ok, "chunk counter never drained");
         // Re-arm this counter for the *next message's* chunk `i`. The
         // peer cannot send that chunk before it has our full reply, which
         // we only send after this whole recv, so the re-arm cannot race.
         dv.gc_set_local(ctx, gc, len as u64);
-        dv.lend_local(ctx, off as u32, len, |run| out.extend_from_slice(run));
+        dv.lend_local(ctx, buf + off as u32, len, |run| out.extend_from_slice(run));
         off += len;
     }
     out
 }
 
 fn arm(dv: &DvCtx, ctx: &SimCtx, words: usize) {
+    let (_, gc) = message_slots(dv, words);
     for (i, len) in chunks_of(words).into_iter().enumerate() {
-        dv.gc_set_local(ctx, chunk_gc(i), len as u64);
+        dv.gc_set_local(ctx, gc + i as u8, len as u64);
     }
 }
 
@@ -119,11 +117,6 @@ pub fn dv_pingpong_spec(
     spec: SimSpec,
 ) -> PingPongResult {
     assert_eq!(spec.nodes, 2, "ping-pong is a two-node kernel");
-    assert!(words * 8 <= 30 << 20, "message must fit in DV memory");
-    assert!(
-        chunks_of(words).len() <= PING_GC_COUNT,
-        "message exceeds the {PING_GC_COUNT}-chunk pipeline window"
-    );
     let report = DvCluster::from_spec(spec).run(move |dv, ctx| {
         let me = dv.node();
         let peer = 1 - me;

@@ -136,7 +136,8 @@ impl TransposeEngine for MpiTranspose<'_> {
 }
 
 /// Data Vortex engine: element-addressed scatter transposes through DV
-/// memory. Two receive regions alternate by transpose parity; each is
+/// memory. Two receive regions, the run's bulk region of the
+/// [`Layout`](dv_api::Layout), alternate by transpose parity; each is
 /// split into pipeline chunks (row ranges) with their own group counters,
 /// so the host drains row-range *k* while range *k+1* is still arriving —
 /// the multi-buffered overlap the paper credits for DV FFT performance.
@@ -178,60 +179,35 @@ fn row_chunks(rows: usize) -> Vec<(usize, usize)> {
 }
 
 impl<'a> DvTranspose<'a> {
-    /// First group counter of [`DvTranspose::new`] engines; parities use
-    /// `GC_BASE + parity·CHUNKS + chunk`.
-    pub const GC_BASE: u8 = 24;
-
     /// Build an engine for any number of square transposes and arm both
     /// parities. **Collective**: every node must construct it at the same
     /// point; it ends with a barrier. `max_local_elems` is the per-node
     /// transpose payload in complex elements (rows × row length);
     /// `compute` is the spec's `machine.compute`.
-    pub fn new(
-        dv: &'a DvCtx,
-        ctx: &SimCtx,
-        compute: ComputeParams,
-        region_base: u32,
-        max_local_elems: usize,
-    ) -> Self {
+    pub fn new(dv: &'a DvCtx, ctx: &SimCtx, compute: ComputeParams, max_local_elems: usize) -> Self {
         let p = dv.nodes();
         let m = ((max_local_elems * p) as f64).sqrt().round() as usize;
         assert_eq!(m * m, max_local_elems * p, "DvTranspose::new requires a square matrix");
-        Self::armed(dv, ctx, compute, region_base, Self::GC_BASE, [(m / p, m); 2], true)
+        Self::armed(dv, ctx, compute, [(m / p, m); 2], true)
     }
 
     /// Build an engine for exactly two transposes — the first delivers
     /// `shapes[0] = (my rows, row length)` to this node, the second
-    /// `shapes[1]` — whose counters `gc_base..gc_base + 2·CHUNKS` are
-    /// armed here, once, and never again. **Collective**, ends with a
-    /// barrier, like [`DvTranspose::new`].
-    pub fn one_shot(
-        dv: &'a DvCtx,
-        ctx: &SimCtx,
-        compute: ComputeParams,
-        region_base: u32,
-        gc_base: u8,
-        shapes: [(usize, usize); 2],
-    ) -> Self {
-        Self::armed(dv, ctx, compute, region_base, gc_base, shapes, false)
+    /// `shapes[1]` — whose counters are armed here, once, and never
+    /// again. **Collective**, ends with a barrier, like
+    /// [`DvTranspose::new`].
+    pub fn one_shot(dv: &'a DvCtx, ctx: &SimCtx, compute: ComputeParams, shapes: [(usize, usize); 2]) -> Self {
+        Self::armed(dv, ctx, compute, shapes, false)
     }
 
     /// Arm both parities' chunk counters, then synchronize so no data can
     /// outrun a preset (the discipline Section III prescribes).
-    fn armed(
-        dv: &'a DvCtx,
-        ctx: &SimCtx,
-        compute: ComputeParams,
-        region_base: u32,
-        gc_base: u8,
-        shapes: [(usize, usize); 2],
-        rearm: bool,
-    ) -> Self {
+    fn armed(dv: &'a DvCtx, ctx: &SimCtx, compute: ComputeParams, shapes: [(usize, usize); 2], rearm: bool) -> Self {
         let elems = shapes[0].0 * shapes[0].1;
         assert_eq!(elems, shapes[1].0 * shapes[1].1, "both transposes move the same payload");
-        // DV memory is lent back in page-contiguous runs, and pages hold an
-        // even number of words.
-        assert!(region_base.is_multiple_of(2), "a lent run must not split an element's word pair");
+        // Page-aligned, so no lent run splits an element's word pair.
+        let region_base = dv.layout().bulk(4 * elems);
+        let gc_base = dv.layout().kernel_gcs(2 * CHUNKS).start;
         let half = |parity: usize| Half {
             region: region_base + (parity * 2 * elems) as u32,
             gc_base: gc_base + (parity * CHUNKS) as u8,
@@ -422,7 +398,7 @@ mod tests {
         let (m, p) = (16usize, 4usize);
         let outs = DvCluster::from_spec(SimSpec::new(p))
             .run(move |dv, ctx| {
-                let mut eng = DvTranspose::new(dv, ctx, ComputeParams::default(), 4096, m * m / p);
+                let mut eng = DvTranspose::new(dv, ctx, ComputeParams::default(), m * m / p);
                 eng.transpose(ctx, local_input(dv.node(), m, p), m, m)
             })
             .result;
@@ -434,7 +410,7 @@ mod tests {
         let (m, p) = (16usize, 4usize);
         let ok = DvCluster::from_spec(SimSpec::new(p))
             .run(move |dv, ctx| {
-                let mut eng = DvTranspose::new(dv, ctx, ComputeParams::default(), 4096, m * m / p);
+                let mut eng = DvTranspose::new(dv, ctx, ComputeParams::default(), m * m / p);
                 let input = local_input(dv.node(), m, p);
                 // The caller's copy survives: nothing aliases the buffer
                 // the engine owns in between.
@@ -484,7 +460,7 @@ mod tests {
             let dv = DvCluster::from_spec(SimSpec::new(p)).run(move |dv, ctx| {
                 let shapes = [(c / p, r), (r / p, c)];
                 let compute = ComputeParams::default();
-                let mut eng = DvTranspose::one_shot(dv, ctx, compute, 4096, 16, shapes);
+                let mut eng = DvTranspose::one_shot(dv, ctx, compute, shapes);
                 let input = rect_input(dv.node(), r, c, p);
                 let t = eng.transpose(ctx, input.clone(), c, r);
                 assert_eq!(t, rect_transposed(dv.node(), r, c, p), "dv p={p} {r}x{c}");
@@ -515,7 +491,7 @@ mod tests {
         DvCluster::from_spec(SimSpec::new(p)).run(move |dv, ctx| {
             let swapped = [(r / p, c), (c / p, r)];
             let compute = ComputeParams::default();
-            let mut eng = DvTranspose::one_shot(dv, ctx, compute, 4096, 16, swapped);
+            let mut eng = DvTranspose::one_shot(dv, ctx, compute, swapped);
             eng.transpose(ctx, rect_input(dv.node(), r, c, p), c, r);
         });
     }
@@ -537,7 +513,7 @@ mod tests {
         let (m, p) = (8usize, 2usize);
         let ok = DvCluster::from_spec(SimSpec::new(p))
             .run(move |dv, ctx| {
-                let mut eng = DvTranspose::new(dv, ctx, ComputeParams::default(), 4096, m * m / p);
+                let mut eng = DvTranspose::new(dv, ctx, ComputeParams::default(), m * m / p);
                 let input = local_input(dv.node(), m, p);
                 let mut cur = input.clone();
                 for _ in 0..5 {

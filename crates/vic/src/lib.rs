@@ -35,4 +35,4 @@ pub use counters::GroupCounter;
 pub use fifo::SurpriseFifo;
 pub use memory::DvMemory;
 pub use pcie::PciePath;
-pub use vic::{Vic, VicStats, FIFO_RECV_BASE, FIFO_RECV_SLOTS};
+pub use vic::{Vic, VicStats, FIFO_RECV_BASE};

@@ -7,7 +7,8 @@
 use dv_core::packet::DV_MEMORY_WORDS;
 use dv_core::Word;
 
-const PAGE_WORDS: usize = 4096;
+/// Words per lazily allocated page (a lent run never crosses one).
+pub const PAGE_WORDS: usize = 4096;
 
 type Page = Box<[Word; PAGE_WORDS]>;
 

@@ -12,15 +12,11 @@ use crate::counters::GroupCounter;
 use crate::fifo::SurpriseFifo;
 use crate::memory::DvMemory;
 
-/// First status-page slot of the per-source accepted-FIFO counts: the VIC
-/// maintains, in hardware, how many surprise packets from each source it
-/// has *accepted* into the FIFO (drops excluded) at
-/// `FIFO_RECV_BASE + src`. Senders read their slot back with a query
-/// packet — the acknowledgment substrate of the `dv-api` recovery layer.
+/// The VIC counts, in hardware, the surprise packets from each source it
+/// has *accepted* into the FIFO (drops excluded) at `FIFO_RECV_BASE + src`
+/// — the ack substrate of the `dv-api` recovery layer, whose `Layout`
+/// places every other DV-memory block around this one.
 pub const FIFO_RECV_BASE: u32 = 768;
-/// Sources tracked by the hardware accepted-count block (bounded by the
-/// status page; larger clusters fall back to software acks).
-pub const FIFO_RECV_SLOTS: usize = 256;
 
 /// Per-VIC activity counters, accumulated as plain integers on the
 /// delivery path (no registry overhead per packet) and folded into a
@@ -244,11 +240,8 @@ impl Vic {
                 // Hardware-maintained per-source accepted count in the
                 // status page (the recovery layer's ack substrate). Not a
                 // software memory write, so not counted in `mem_writes`.
-                if pkt.header.src < FIFO_RECV_SLOTS {
-                    let src =
-                        u32::try_from(pkt.header.src).expect("guarded: src < FIFO_RECV_SLOTS");
-                    *self.memory.word_mut(FIFO_RECV_BASE + src) += 1;
-                }
+                let src = u32::try_from(pkt.header.src).expect("node ids fit the header's 12 bits");
+                *self.memory.word_mut(FIFO_RECV_BASE + src) += 1;
                 if !std::mem::replace(fifo_woken, true) {
                     self.fifo.waiters().wake_all(kernel);
                 }

@@ -16,8 +16,6 @@ use datavortex::core::Word;
 const NODES: usize = 3;
 /// The node that sends nothing.
 const SILENT: usize = 2;
-/// DV-memory slots the handshake posts its counts into.
-const SLOTS: u32 = 16;
 
 /// Words each sender addresses to each peer in `epoch`.
 fn per_peer(epoch: usize) -> u64 {
@@ -61,10 +59,10 @@ fn each_epoch_returns_exactly_the_words_addressed_to_the_node() {
             }
             let mut delivered = Vec::new();
             let received =
-                rel.complete_epoch(ctx, dv, &mut agg, SLOTS, |w| delivered.extend_from_slice(w));
+                rel.complete_epoch(ctx, dv, &mut agg, |w| delivered.extend_from_slice(w));
             // Every peer has posted into our slots: clear them, then fence
             // so no peer posts the next epoch's counts before we did.
-            dv.write_local(ctx, SLOTS, &[0; NODES]);
+            dv.write_local(ctx, dv.layout().epoch_counts, &[0; NODES]);
             dv.fast_barrier(ctx);
             delivered.sort_unstable();
             epochs.push((received, delivered));

@@ -54,7 +54,7 @@ fn largest_allocation_in_a_round_trip(dv_engine: bool) -> (usize, usize) {
     let per_node = if dv_engine {
         DvCluster::from_spec(SimSpec::new(P))
             .run(move |dv, ctx| {
-                round_trip(&mut DvTranspose::new(dv, ctx, compute.clone(), 4096, M * M / P), ctx)
+                round_trip(&mut DvTranspose::new(dv, ctx, compute.clone(), M * M / P), ctx)
             })
             .result
     } else {
