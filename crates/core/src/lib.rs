@@ -35,8 +35,8 @@
 //! * [`json`] — a dependency-free JSON tree with a deterministic renderer
 //!   and parser, used for `BENCH_*.json` benchmark artifacts.
 //! * [`spec`] — [`spec::SimSpec`], the single builder every simulation
-//!   backend consumes (nodes, engine, machine model, faults,
-//!   tracer, metrics, telemetry stream), and [`spec::RunReport`], what the
+//!   backend consumes (nodes, machine model, faults, tracer, metrics,
+//!   telemetry stream), and [`spec::RunReport`], what the
 //!   unified `run()` entry points return.
 
 #![forbid(unsafe_code)]
@@ -57,7 +57,7 @@ pub mod trace;
 
 pub use config::MachineConfig;
 pub use packet::{AddressSpace, Packet, PacketHeader};
-pub use spec::{Engine, RunReport, SimSpec};
+pub use spec::{RunReport, SimSpec};
 pub use time::Time;
 
 /// Identifier of a cluster node (and of its VIC / MPI rank — the paper's

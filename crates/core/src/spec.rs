@@ -1,8 +1,8 @@
 //! `SimSpec` — the one builder every simulation backend consumes.
 //!
-//! One value describes the cluster size, the engine, the machine cost
-//! model, fault injection, tracing, and metrics (a telemetry stream is
-//! attached to the metrics registry, not to the spec);
+//! One value describes the cluster size, the machine cost model, fault
+//! injection, tracing, and metrics (a telemetry stream is attached to the
+//! metrics registry, not to the spec);
 //! `DvCluster::from_spec` / `MpiCluster::from_spec` and every kernel and
 //! application entry point consume it, and a run returns a [`RunReport`].
 //!
@@ -22,25 +22,10 @@ use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::time::Time;
 use crate::trace::Tracer;
 
-/// Which scheduler executes the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The cooperative engine: no scheduler thread, the run token is
-    /// handed directly from process to process. The default.
-    #[default]
-    Cooperative,
-    /// The frozen pre-sharding scheduler (central dispatch thread, one
-    /// mpsc round-trip per event). Kept as the determinism oracle: both
-    /// engines must produce bit-identical `OrderAudit` hashes.
-    Reference,
-}
-
 /// Everything needed to set up a simulated cluster, in one builder.
 pub struct SimSpec {
     /// Number of simulated nodes (one process per node).
     pub nodes: usize,
-    /// Scheduler choice (cooperative by default; reference for audits).
-    pub engine: Engine,
     /// Machine cost model; defaults to the paper's cluster.
     pub machine: MachineConfig,
     /// Trace recorder (disabled by default).
@@ -51,12 +36,10 @@ pub struct SimSpec {
 
 impl SimSpec {
     /// A cluster of `nodes` nodes on the paper's machine, defaults
-    /// everywhere else: cooperative engine, no tracing, no metrics, no
-    /// faults.
+    /// everywhere else: no tracing, no metrics, no faults.
     pub fn new(nodes: usize) -> Self {
         Self {
             nodes,
-            engine: Engine::default(),
             machine: MachineConfig::paper_cluster(),
             tracer: Arc::new(Tracer::disabled()),
             metrics: MetricsRegistry::disabled_shared(),
@@ -66,12 +49,6 @@ impl SimSpec {
     /// Ignored: the engine has one event queue. Kept only because the
     /// frozen `benchmark/` package calls it; goes when that package thaws.
     pub fn shards(self, _shards: usize) -> Self {
-        self
-    }
-
-    /// Select the scheduler engine.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -129,7 +106,7 @@ pub struct RunReport<T> {
     /// Final virtual time of the run.
     pub elapsed: Time,
     /// `OrderAudit` hash of the committed event trace — identical inputs
-    /// must produce identical hashes, on either engine.
+    /// must produce identical hashes.
     pub trace_hash: u64,
     /// Snapshot of the attached metrics registry after end-of-run
     /// publication (empty if metrics were disabled).
@@ -156,7 +133,6 @@ mod tests {
     fn defaults_match_the_paper_cluster() {
         let spec = SimSpec::new(32);
         assert_eq!(spec.nodes, 32);
-        assert_eq!(spec.engine, Engine::Cooperative);
         assert!(!spec.metrics.is_enabled());
         assert!(!spec.tracer.is_enabled());
         assert!(spec.machine.faults.is_none());
@@ -165,8 +141,7 @@ mod tests {
     #[test]
     fn builder_methods_compose() {
         let plan = FaultPlan::parse("seed=7,fifodrop=0.02").expect("valid plan");
-        let spec = SimSpec::new(4).engine(Engine::Reference).instrumented().faults(plan);
-        assert_eq!(spec.engine, Engine::Reference);
+        let spec = SimSpec::new(4).instrumented().faults(plan);
         assert!(spec.metrics.is_enabled());
         assert!(spec.machine.faults.is_some());
     }

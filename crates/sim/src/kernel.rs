@@ -3,8 +3,7 @@
 //! Pending events live in one binary heap keyed by `(time, seq)`, where
 //! `seq` is the insertion sequence number. The earliest key commits next,
 //! so the committed order — and therefore the [`OrderAudit`] trace hash —
-//! is a pure function of the order in which events were scheduled, on
-//! either engine.
+//! is a pure function of the order in which events were scheduled.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

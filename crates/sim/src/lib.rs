@@ -15,16 +15,15 @@
 //!   event trace out — while letting node programs be written as
 //!   straight-line imperative code with blocking calls (`recv`,
 //!   `wait_until`, `barrier`).
-//! * On the default **cooperative engine** ([`Engine::Cooperative`])
-//!   there is no scheduler thread: a single *run token* circulates among
-//!   the process threads, and whichever thread parks becomes the
-//!   dispatcher — it commits events from the kernel's queue and hands the
-//!   token directly to the next process (see `sim.rs` module docs). The
-//!   frozen pre-sharding scheduler is kept behind [`Engine::Reference`] as
-//!   the determinism oracle.
+//! * There is one engine, the **cooperative engine**, and no scheduler
+//!   thread: a single *run token* circulates among the process threads,
+//!   and whichever thread parks becomes the dispatcher — it commits events
+//!   from the kernel's queue and hands the token directly to the next
+//!   process (see `sim.rs` module docs). The order it commits in is pinned
+//!   to the original central scheduler's by digest tables in the tests.
 //! * Events are committed in `(virtual time, insertion sequence)` order;
 //!   ties resolve in insertion order, so no ordering depends on OS thread
-//!   scheduling or engine choice.
+//!   scheduling.
 //! * Wakeups are *generation-stamped*: a [`Waker`] captures the target
 //!   process's park generation, and stale wakeups (for parks that already
 //!   ended) are dropped by the scheduler. Blocking primitives therefore
@@ -55,13 +54,11 @@
 pub mod audit;
 mod kernel;
 mod parker;
-mod reference;
 mod sim;
 mod spmd;
 mod sync;
 
 pub use audit::OrderAudit;
-pub use dv_core::spec::Engine;
 pub use kernel::{Kernel, Pid, SchedStats, TimerId, Waker};
 pub use sim::{Sim, SimCtx};
 pub use sync::{JoinSlot, Pipe, Port, WaitSet};

@@ -16,10 +16,11 @@
 //!   `Call`/`Timer` events inline (zero context switches), and on a `Resume`
 //!   either keeps running (the resume targets itself — zero switches) or
 //!   grants the target's [`Parker`] and goes passive (one futex wake and
-//!   one futex wait, versus the old engine's two context switches and two
-//!   allocating channel sends per event). The wake is issued with no lock
-//!   held — neither `sim.kernel` nor `sim.registry` nor a world lock — so
-//!   the woken thread never queues behind the thread that woke it.
+//!   one futex wait, versus the original central scheduler's two context
+//!   switches and two allocating channel sends per event). The wake is
+//!   issued with no lock held — neither `sim.kernel` nor `sim.registry`
+//!   nor a world lock — so the woken thread never queues behind the
+//!   thread that woke it.
 //! * The host thread drives until the first handoff, then sleeps until a
 //!   driver reports the run's outcome (every process finished, deadlock,
 //!   or a process panic).
@@ -27,9 +28,9 @@
 //! Nothing here looks at the host: the same code runs on one core and on
 //! many.
 //!
-//! The frozen pre-sharding scheduler is kept verbatim behind
-//! [`Engine::Reference`] (see [`crate::reference`]) as the determinism
-//! oracle: both engines must produce bit-identical [`OrderAudit`] traces.
+//! The engine commits events in exactly the order the original central
+//! scheduler did: the root `tests/shard_invariance.rs` pins [`OrderAudit`]
+//! hashes, results, metrics and telemetry streams that scheduler returned.
 //!
 //! [`OrderAudit`]: crate::audit::OrderAudit
 
@@ -38,10 +39,7 @@ use std::sync::Arc;
 use std::sync::{Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
 
-use std::sync::mpsc::{channel, Receiver, Sender};
-
 use dv_core::metrics::MetricsRegistry;
-use dv_core::spec::Engine;
 use dv_core::sync::Mutex;
 
 use dv_core::time::Time;
@@ -50,39 +48,24 @@ use crate::kernel::{EventKind, Kernel, Pid, Waker};
 use crate::parker::Parker;
 
 /// Sentinel panic payload used to unwind parked processes at shutdown.
-pub(crate) struct Shutdown;
+struct Shutdown;
 
-pub(crate) enum Report {
-    /// The resumed process parked again (the scheduler resumes one
-    /// process at a time, so which one is implicit).
-    Parked,
-    Finished(Pid),
-    Panicked(Pid, String),
+struct ProcSlot {
+    /// The process takes the run token through a direct grant here.
+    parker: Arc<Parker>,
+    handle: Option<JoinHandle<()>>,
+    finished: bool,
 }
 
-/// How the engine hands a process the run token.
-pub(crate) enum SlotWake {
-    /// Cooperative engine: direct grant on the process's parker.
-    Parker(Arc<Parker>),
-    /// Reference engine: the historical `Sender<()>` resume handshake.
-    Channel(Sender<()>),
-}
-
-pub(crate) struct ProcSlot {
-    pub(crate) wake: SlotWake,
-    pub(crate) handle: Option<JoinHandle<()>>,
-    pub(crate) finished: bool,
-}
-
-pub(crate) struct Registry {
-    pub(crate) slots: Vec<ProcSlot>,
+struct Registry {
+    slots: Vec<ProcSlot>,
     /// Processes spawned and not yet finished.
     live: usize,
 }
 
 impl Registry {
     /// Mark `pid` finished; returns how many processes are still live.
-    pub(crate) fn finish(&mut self, pid: Pid) -> usize {
+    fn finish(&mut self, pid: Pid) -> usize {
         self.slots[pid].finished = true;
         self.live -= 1;
         self.live
@@ -90,11 +73,11 @@ impl Registry {
 }
 
 /// The deadlock report for a drained queue: `None` when every process
-/// finished, else a message naming the unfinished ones (both engines).
+/// finished, else a message naming the unfinished ones.
 /// Takes the pids under the registry lock alone, then resolves names under
 /// the kernel lock alone — holding both invites lock-order trouble
 /// (DV-W012) for no benefit on this cold error path.
-pub(crate) fn deadlock_message(shared: &Shared) -> Option<String> {
+fn deadlock_message(shared: &Shared) -> Option<String> {
     let pids: Vec<Pid> = {
         let reg = shared.registry.lock();
         if reg.live == 0 {
@@ -110,8 +93,7 @@ pub(crate) fn deadlock_message(shared: &Shared) -> Option<String> {
     ))
 }
 
-/// Terminal state of a cooperative-engine run, reported by whichever thread
-/// discovers it.
+/// Terminal state of a run, reported by whichever thread discovers it.
 #[derive(Clone)]
 enum Outcome {
     /// Every process finished.
@@ -153,14 +135,11 @@ impl OutcomeCell {
 }
 
 pub(crate) struct Shared {
-    pub(crate) engine: Engine,
     pub(crate) kernel: Mutex<Kernel>,
-    pub(crate) registry: Mutex<Registry>,
+    registry: Mutex<Registry>,
     /// Fixed when the `Sim` is built; scheduler counters land here.
-    pub(crate) metrics: Arc<MetricsRegistry>,
-    /// Reference engine only: park/finish/panic reports to the scheduler.
-    pub(crate) report_tx: Sender<Report>,
-    /// Cooperative engine only: terminal state, host sleeps on it.
+    metrics: Arc<MetricsRegistry>,
+    /// Terminal state; the host sleeps on it.
     outcome: OutcomeCell,
 }
 
@@ -188,7 +167,6 @@ pub(crate) struct Shared {
 /// ```
 pub struct Sim {
     pub(crate) shared: Arc<Shared>,
-    pub(crate) report_rx: Receiver<Report>,
 }
 
 impl Default for Sim {
@@ -198,31 +176,21 @@ impl Default for Sim {
 }
 
 impl Sim {
-    /// Fresh simulation at virtual time zero on the cooperative engine.
+    /// Fresh simulation at virtual time zero.
     pub fn new() -> Self {
-        Self::with_engine(Engine::Cooperative)
-    }
-
-    /// Fresh simulation on a specific engine. The choice never changes
-    /// results — only the trace hash proves it, and the root invariance
-    /// tests hold that proof.
-    pub fn with_engine(engine: Engine) -> Self {
-        Self::build(engine, MetricsRegistry::disabled_shared())
+        Self::build(MetricsRegistry::disabled_shared())
     }
 
     /// A fresh simulation whose scheduler counters are published into
     /// `metrics` as `sim.sched.*` at the end of [`Sim::run_hashed`].
-    pub(crate) fn build(engine: Engine, metrics: Arc<MetricsRegistry>) -> Self {
-        let (report_tx, report_rx) = channel();
+    pub(crate) fn build(metrics: Arc<MetricsRegistry>) -> Self {
         let shared = Arc::new(Shared {
-            engine,
             kernel: Mutex::new_named("sim.kernel", Kernel::new()),
             registry: Mutex::new_named("sim.registry", Registry { slots: Vec::new(), live: 0 }),
             metrics,
-            report_tx,
             outcome: OutcomeCell::new(),
         });
-        Self { shared, report_rx }
+        Self { shared }
     }
 
     /// Spawn a process. Every process is spawned before [`Sim::run`], and
@@ -250,14 +218,10 @@ impl Sim {
 
     /// [`Sim::run`], additionally returning the [`OrderAudit`] trace hash
     /// (see [`crate::audit`]): identical workloads must return identical
-    /// hashes, regardless of host scheduling, thread count, or engine
-    /// choice.
+    /// hashes, regardless of host scheduling or thread count.
     ///
     /// [`OrderAudit`]: crate::audit::OrderAudit
     pub fn run_hashed(self) -> (Time, u64) {
-        if matches!(self.shared.engine, Engine::Reference) {
-            return self.run_reference();
-        }
         // Drive until the first handoff (or straight to the end for runs
         // with no resumable process), then sleep until a driver reports.
         let _ = drive(&self.shared, None);
@@ -277,20 +241,12 @@ impl Sim {
 
     /// Unblock every parked thread (their `park()` unwinds with a private
     /// sentinel) and join them. Idempotent.
-    pub(crate) fn shutdown(&self) {
+    fn shutdown(&self) {
         let mut handles = Vec::new();
         {
             let mut reg = self.shared.registry.lock();
             for slot in reg.slots.iter_mut() {
-                match &mut slot.wake {
-                    SlotWake::Parker(p) => p.shutdown(),
-                    SlotWake::Channel(tx) => {
-                        // Dropping the sender makes the thread's recv()
-                        // fail, which park() turns into a Shutdown unwind.
-                        let (dead_tx, _) = channel();
-                        *tx = dead_tx;
-                    }
-                }
+                slot.parker.shutdown();
                 if let Some(h) = slot.handle.take() {
                     handles.push(h);
                 }
@@ -299,8 +255,6 @@ impl Sim {
         for h in handles {
             let _ = h.join();
         }
-        // Drain any reports raced in during shutdown.
-        while self.report_rx.try_recv().is_ok() {}
     }
 }
 
@@ -313,8 +267,8 @@ impl Drop for Sim {
     }
 }
 
-/// End-of-run metrics publication + final clock/hash read (both engines).
-pub(crate) fn publish_and_hash(shared: &Shared) -> (Time, u64) {
+/// End-of-run metrics publication + final clock/hash read.
+fn publish_and_hash(shared: &Shared) -> (Time, u64) {
     let metrics = &shared.metrics;
     let k = shared.kernel.lock();
     if metrics.is_enabled() {
@@ -380,17 +334,14 @@ fn drive(shared: &Shared, self_pid: Option<Pid>) -> Driven {
                     let reg = shared.registry.lock();
                     let slot = &reg.slots[w.pid()];
                     if slot.finished {
-                        // The resume was committed (audit + stats) exactly as
-                        // the reference engine commits it, then skipped.
+                        // The resume was committed (audit + stats), then
+                        // skipped.
                         continue;
                     }
                     if self_pid == Some(w.pid()) {
                         return Driven::RunSelf;
                     }
-                    let SlotWake::Parker(p) = &slot.wake else {
-                        unreachable!("reference slots cannot appear in the cooperative dispatcher")
-                    };
-                    Arc::clone(p)
+                    Arc::clone(&slot.parker)
                 };
                 target.grant();
                 return Driven::HandedOff;
@@ -412,29 +363,17 @@ fn spawn_inner(
         kernel.wake(waker);
         pid
     };
-    let (wake, wait) = match shared.engine {
-        Engine::Cooperative => {
-            let parker = Arc::new(Parker::new());
-            (SlotWake::Parker(Arc::clone(&parker)), CtxWait::Parker(parker))
-        }
-        Engine::Reference => {
-            let (resume_tx, resume_rx) = channel::<()>();
-            (SlotWake::Channel(resume_tx), CtxWait::Channel(resume_rx))
-        }
-    };
+    let parker = Arc::new(Parker::new());
+    let thread_parker = Arc::clone(&parker);
     let thread_shared = Arc::clone(shared);
     let handle = std::thread::Builder::new()
         .name(format!("sim-{name}"))
         .spawn(move || {
             // Wait for the initial resume before touching anything.
-            let started = match &wait {
-                CtxWait::Parker(p) => p.wait().is_ok(),
-                CtxWait::Channel(rx) => rx.recv().is_ok(),
-            };
-            if !started {
+            if thread_parker.wait().is_err() {
                 return; // simulation torn down before we started
             }
-            let ctx = SimCtx { pid, shared: thread_shared, wait };
+            let ctx = SimCtx { pid, shared: thread_shared, parker: thread_parker };
             let result = panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
             match result {
                 Ok(()) => on_finished(&ctx),
@@ -456,52 +395,28 @@ fn spawn_inner(
 
     let mut reg = shared.registry.lock();
     debug_assert_eq!(reg.slots.len(), pid);
-    reg.slots.push(ProcSlot { wake, handle: Some(handle), finished: false });
+    reg.slots.push(ProcSlot { parker, handle: Some(handle), finished: false });
     reg.live += 1;
     pid
 }
 
 /// A process body returned normally.
 fn on_finished(ctx: &SimCtx) {
-    match ctx.wait {
-        CtxWait::Channel(_) => {
-            let _ = ctx.shared.report_tx.send(Report::Finished(ctx.pid));
-        }
-        CtxWait::Parker(_) => {
-            let live = ctx.shared.registry.lock().finish(ctx.pid);
-            if live == 0 {
-                // All work done; events still queued are never committed
-                // (same cut as the reference engine's scheduler loop).
-                ctx.shared.outcome.set(Outcome::Done);
-            } else {
-                // This thread holds the run token: keep driving until the
-                // token moves on, then let the thread exit.
-                let _ = drive(&ctx.shared, None);
-            }
-        }
+    let live = ctx.shared.registry.lock().finish(ctx.pid);
+    if live == 0 {
+        // All work done; events still queued are never committed.
+        ctx.shared.outcome.set(Outcome::Done);
+    } else {
+        // This thread holds the run token: keep driving until the token
+        // moves on, then let the thread exit.
+        let _ = drive(&ctx.shared, None);
     }
 }
 
 /// A process body panicked (with a non-shutdown payload).
 fn on_panicked(ctx: &SimCtx, msg: String) {
-    match ctx.wait {
-        CtxWait::Channel(_) => {
-            let _ = ctx.shared.report_tx.send(Report::Panicked(ctx.pid, msg));
-        }
-        CtxWait::Parker(_) => {
-            let name = ctx.shared.kernel.lock().proc_names[ctx.pid].clone();
-            ctx.shared
-                .outcome
-                .set(Outcome::Abort(format!("simulated process '{name}' panicked: {msg}")));
-        }
-    }
-}
-
-/// How a process waits for its resume — the per-engine half of
-/// [`SlotWake`].
-enum CtxWait {
-    Parker(Arc<Parker>),
-    Channel(Receiver<()>),
+    let name = ctx.shared.kernel.lock().proc_names[ctx.pid].clone();
+    ctx.shared.outcome.set(Outcome::Abort(format!("simulated process '{name}' panicked: {msg}")));
 }
 
 /// Per-process capability: the handle a simulated process uses to read the
@@ -510,7 +425,7 @@ enum CtxWait {
 pub struct SimCtx {
     pid: Pid,
     shared: Arc<Shared>,
-    wait: CtxWait,
+    parker: Arc<Parker>,
 }
 
 impl SimCtx {
@@ -540,24 +455,14 @@ impl SimCtx {
     /// wakeups are possible when several wakers were registered; callers
     /// must re-check their condition in a loop.
     ///
-    /// On the cooperative engine, parking *is* dispatching: the calling thread
-    /// drives the kernel until the run token moves to another process (or
-    /// comes straight back — the self-resume fast path, zero context
-    /// switches).
+    /// Parking *is* dispatching: the calling thread drives the kernel until
+    /// the run token moves to another process (or comes straight back —
+    /// the self-resume fast path, zero context switches).
     pub fn park(&self) {
-        match &self.wait {
-            CtxWait::Parker(p) => match drive(&self.shared, Some(self.pid)) {
-                Driven::RunSelf => {}
-                Driven::HandedOff | Driven::Ended => {
-                    if p.wait().is_err() {
-                        // Simulation is shutting down: unwind this thread.
-                        panic::panic_any(Shutdown);
-                    }
-                }
-            },
-            CtxWait::Channel(rx) => {
-                let _ = self.shared.report_tx.send(Report::Parked);
-                if rx.recv().is_err() {
+        match drive(&self.shared, Some(self.pid)) {
+            Driven::RunSelf => {}
+            Driven::HandedOff | Driven::Ended => {
+                if self.parker.wait().is_err() {
                     // Simulation is shutting down: unwind this thread.
                     panic::panic_any(Shutdown);
                 }

@@ -12,10 +12,10 @@ use dv_core::time::Time;
 use crate::{JoinSlot, Sim, SimCtx};
 
 impl Sim {
-    /// Fresh simulation on the engine `spec` asks for, publishing
-    /// scheduler counters into the spec's metrics registry.
+    /// Fresh simulation publishing scheduler counters into the spec's
+    /// metrics registry.
     pub fn from_spec(spec: &SimSpec) -> Self {
-        Self::build(spec.engine, Arc::clone(&spec.metrics))
+        Self::build(Arc::clone(&spec.metrics))
     }
 
     /// Spawn `body` once per node of `spec` (process `{name}{node}`, given

@@ -30,10 +30,10 @@
 //!   probe of the routing decision is a register-resident bit test instead
 //!   of a random load into the next cylinder's arena. Iterating set bits
 //!   LSB-first yields cells in ascending index order, which reproduces the
-//!   `(a, h)` scan of the frozen reference implementation
-//!   ([`crate::reference::ReferenceSwitchSim`]) bit-for-bit — the
-//!   `Delivered` stream is identical, as `crates/switch/tests/equivalence.rs`
-//!   asserts — without ever sorting anything. Words are consumed (zeroed)
+//!   `(a, h)` scan of the pre-refactor reference implementation
+//!   bit-for-bit — the `Delivered` stream is the one it delivered, as the
+//!   digests pinned in `crates/switch/tests/equivalence.rs` assert —
+//!   without ever sorting anything. Words are consumed (zeroed)
 //!   as they are scanned, so after the end-of-cycle swap the scratch side
 //!   is already clear.
 //! * Occupancy statistics are tracked by popcounting the bitmaps instead of
@@ -377,7 +377,8 @@ struct BatchedCtx<'a> {
 /// the inner cylinder's post-move occupancy, and ejections walk the
 /// innermost cylinder in *logical* angle order (the rotation maps each
 /// logical angle back to its physical column), so the `Delivered` stream
-/// stays bit-identical to [`crate::reference::ReferenceSwitchSim`].
+/// stays bit-identical to the pre-refactor reference's (pinned in
+/// `tests/equivalence.rs`).
 /// (Earlier shapes measured on the way here: a double-buffered
 /// first-writer/pure-store pass peaked ~2.8x over the scalar wide loop,
 /// and a two-pass decide/gather split that assembled each target word
@@ -1167,8 +1168,8 @@ impl SwitchSim {
     /// cell order within a cylinder (words ascending, ejections
     /// LSB-first), same descend/deflect predicate, and same-cylinder
     /// claims are injective, so word-batching cannot reorder contention.
-    /// `tests/equivalence.rs` pins the `Delivered` stream bit-identical
-    /// against the frozen reference at H = 128/256.
+    /// `tests/equivalence.rs` pins the `Delivered` stream to the
+    /// pre-refactor reference's at H = 128/256.
     fn move_flits_wide_batched(&mut self, out: &mut Vec<Delivered>) {
         // Disjoint field borrows for the generic core, as in the scalar
         // kernels; the handle width (see [`PoolHandle`]) picks the

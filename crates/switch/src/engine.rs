@@ -4,10 +4,10 @@
 //! advance a cycle, read the conservation counters, flush statistics —
 //! so load sweeps, replay benches and the equivalence / conservation /
 //! allocation harnesses are each written once, generic over the trait,
-//! for the deflection switch ([`crate::SwitchSim`]), the store-and-forward
-//! rival engine ([`crate::RoutedNetSim`]) and their two frozen oracles.
+//! for the deflection switch ([`crate::SwitchSim`]) and the
+//! store-and-forward rival engine ([`crate::RoutedNetSim`]).
 //!
-//! Two private building blocks carry what the optimized engines used to
+//! Two private building blocks carry what the engines used to
 //! copy from each other: [`Ingress`] (per-port injection FIFOs in one
 //! free-listed slab, plus the pending-port bitmap the injection scans
 //! walk) and [`Tally`] (cycle and conservation counters, the hop
@@ -30,7 +30,7 @@ pub trait CycleEngine {
     fn enqueue(&mut self, src_port: usize, dst_port: usize, tag: u64);
 
     /// Advance one cycle, appending the packets ejected during it to
-    /// `out`. The optimized engines allocate nothing here once `out` has
+    /// `out`. Neither engine allocates here once `out` has
     /// grown to a cycle's worth (`tests/switch_alloc.rs`).
     fn step_into(&mut self, out: &mut Vec<Delivered>);
 
@@ -50,7 +50,7 @@ pub trait CycleEngine {
     /// whole run at the first — into `metrics` and start the next
     /// interval. A run flushed once at its end publishes its totals;
     /// interval flushes sum to exactly the same totals (gauges are per
-    /// interval). The frozen oracles keep none and publish nothing.
+    /// interval).
     fn flush_metrics(&mut self, metrics: &MetricsRegistry);
 
     /// Advance one cycle; returns the packets ejected during it.
@@ -109,7 +109,7 @@ pub(crate) struct Ingress {
 }
 
 impl Ingress {
-    /// Empty FIFOs for `ports` input ports. Both optimized engines narrow
+    /// Empty FIFOs for `ports` input ports. Both engines narrow
     /// port indices to 16 bits in flight (`Flit`, ring entries), so this
     /// is where the bound is enforced.
     pub(crate) fn new(ports: usize) -> Self {

@@ -21,12 +21,13 @@
 //! [`net`] adds the rival topologies (fat tree, min-path graph) and their
 //! store-and-forward cycle engine.
 //!
-//! Every cycle engine is driven through one trait, [`CycleEngine`]: the
-//! optimized [`SwitchSim`] and [`RoutedNetSim`], which share their
-//! injection FIFOs and accounting (the private `engine` module), and the
-//! two frozen oracles the test suites compare them against —
-//! [`reference`](mod@reference) keeps the pre-refactor switch simulator, [`net_reference`]
-//! the pre-rebuild routed engine. The oracles have no other caller.
+//! One engine per job, both driven through one trait, [`CycleEngine`]:
+//! [`SwitchSim`] for the deflection network and [`RoutedNetSim`] for the
+//! store-and-forward graphs, sharing their injection FIFOs and accounting
+//! (the private `engine` module). What their frozen oracles — the
+//! pre-refactor switch simulator and the pre-rebuild routed engine —
+//! delivered survives as pinned digest tables in
+//! `tests/equivalence.rs`, which both engines must reproduce.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,16 +37,12 @@ mod engine;
 pub mod faults;
 pub mod model;
 pub mod net;
-pub mod net_reference;
-pub mod reference;
 pub mod topology;
 pub mod traffic;
 
 pub use cycle::{Delivered, SwitchSim};
 pub use engine::CycleEngine;
 pub use net::{AnyTopology, FatTree, MinPathGraph, NetworkTopology, RoutedNetSim, TopoKind};
-pub use net_reference::ReferenceNetSim;
-pub use reference::ReferenceSwitchSim;
 pub use faults::{LinkFaultInjector, PacketFault};
 pub use model::SwitchModel;
 pub use topology::Topology;

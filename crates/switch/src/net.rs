@@ -53,8 +53,7 @@ pub const MIN_PATH_SEED: u64 = 0xD0_5EED_0009;
 /// Per-node queue bound (packets, summed over the node's outputs) in
 /// [`RoutedNetSim`]: models finite switch buffers and provides the
 /// backpressure that keeps hotspot sweeps lossless-but-serialized, like
-/// the Data Vortex injection FIFOs (`crate::net_reference` shares the
-/// constant so the frozen oracle blocks at exactly the same depth).
+/// the Data Vortex injection FIFOs.
 pub(crate) const NODE_QUEUE_CAP: usize = 64;
 
 /// A network seen as a routed graph: ports attach to nodes, packets move
@@ -872,9 +871,9 @@ impl Queues {
 ///
 /// ## Hot-path layout
 ///
-/// `step_into` is proven bit-identical to the frozen
-/// [`crate::net_reference::ReferenceNetSim`] by
-/// `crates/switch/tests/equivalence.rs`:
+/// `step_into` delivers bit for bit what the pre-rebuild reference engine
+/// (a per-node `VecDeque` scanned in node order) delivered, as the digests
+/// pinned in `crates/switch/tests/equivalence.rs` assert:
 ///
 /// * **Shared route table.** A hop is one byte load from a
 ///   column-deduplicated next-hop LUT (`RouteTable`), built once
@@ -975,8 +974,8 @@ impl CycleEngine for RoutedNetSim {
         self.ingress.push(src_port, dst_port, tag, self.tally.cycle);
     }
 
-    /// Bit-identical to [`crate::net_reference::ReferenceNetSim::step_into`]
-    /// (see [`RoutedNetSim`]'s exactness argument): set bits are visited
+    /// Bit-identical to the pre-rebuild reference's `step_into` (see
+    /// [`RoutedNetSim`]'s exactness argument): set bits are visited
     /// LSB-first, which is the reference's ascending node order, and the
     /// worklist is a snapshot of `active` taken at cycle start — a node
     /// that first becomes active mid-scan holds only packets that arrived

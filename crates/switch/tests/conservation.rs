@@ -1,16 +1,16 @@
-//! Seeded conservation properties, one case table over all four
+//! Seeded conservation properties, one case table over both
 //! [`CycleEngine`] implementors: no packet is ever created, duplicated,
-//! misrouted or lost — by the optimized engines' arenas, rings and bitmaps
-//! or by the oracles' naive grids. Checked every cycle, on the Data Vortex
-//! graph at each movement kernel's shape (narrow, scalar-wide, batched)
-//! and on the rival graphs.
+//! misrouted or lost by [`SwitchSim`]'s or [`RoutedNetSim`]'s arenas,
+//! rings and bitmaps. Checked every cycle, on the Data Vortex graph at
+//! each movement kernel's shape (narrow, scalar-wide, batched) and on the
+//! rival graphs.
 
 use std::collections::BTreeMap;
 
 use dv_core::rng::SplitMix64;
 use dv_switch::{
-    AnyTopology, CycleEngine, Delivered, NetworkTopology, ReferenceNetSim, ReferenceSwitchSim,
-    RoutedNetSim, SwitchSim, TopoKind, Topology,
+    AnyTopology, CycleEngine, Delivered, NetworkTopology, RoutedNetSim, SwitchSim, TopoKind,
+    Topology,
 };
 
 /// Per-cycle bookkeeping: what was enqueued and not yet delivered.
@@ -110,20 +110,26 @@ fn vortex_shapes() -> [Topology; 3] {
     [Topology::new(16, 4), Topology::new(32, 4), Topology::new(128, 4)]
 }
 
+/// Contention deflections of `deflection_engines_conserve_packets`' six
+/// runs, [`vortex_shapes`] × its two loads in order, as the pre-refactor
+/// switch simulator counted them.
+const DEFLECTIONS: [u64; 6] = [32416, 10967, 78161, 48606, 411491, 797946];
+
 #[test]
 fn deflection_engines_conserve_packets() {
     // Offered past what the switch accepts, so the injection FIFOs back
     // up and contention deflections fire throughout.
+    let mut totals = Vec::new();
     for (i, topo) in vortex_shapes().into_iter().enumerate() {
         let net = AnyTopology::Vortex(topo.clone());
         let seed = 0xD0 + i as u64;
         for run in [(0.9, false, 150), (0.6, true, 20)] {
             let deflections = assert_conserves(SwitchSim::new(topo.clone()), &net, run, seed);
             assert!(deflections > 0, "a saturated switch should deflect sometimes");
-            let oracle = assert_conserves(ReferenceSwitchSim::new(topo.clone()), &net, run, seed);
-            assert_eq!(deflections, oracle);
+            totals.push(deflections);
         }
     }
+    assert_eq!(totals, DEFLECTIONS, "deflection totals moved");
 }
 
 #[test]
@@ -141,7 +147,6 @@ fn store_and_forward_engines_conserve_packets() {
         let hotspot = (net.kind() == TopoKind::FatTree).then_some((0.05, true, cycles));
         for run in [(0.3, false, cycles)].into_iter().chain(hotspot) {
             assert_conserves(RoutedNetSim::new(net.clone()), &net, run, seed);
-            assert_conserves(ReferenceNetSim::new(net.clone()), &net, run, seed);
         }
     }
 }

@@ -9,6 +9,7 @@
 //! as well as the engines.
 
 use dv_core::fault::FaultPlan;
+use dv_core::fnv::Fnv1a;
 use dv_switch::traffic::{Arrival, LoadSweep, Pattern, SweepPoint};
 use dv_switch::{AnyTopology, TopoKind, Topology};
 
@@ -28,7 +29,7 @@ fn nets() -> [AnyTopology; 5] {
 
 /// FNV-1a over the little-endian bytes of every field of every point.
 fn digest(points: &[SweepPoint]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv1a::default();
     for p in points {
         let fields = [
             p.offered.to_bits(),
@@ -39,11 +40,9 @@ fn digest(points: &[SweepPoint]) -> u64 {
             p.delivered,
             p.total_latency_p99_log2 as u64,
         ];
-        for byte in fields.iter().flat_map(|f| f.to_le_bytes()) {
-            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        fields.into_iter().for_each(|f| h.word(f));
     }
-    h
+    h.finish()
 }
 
 fn sweep(net: AnyTopology, pattern: Pattern, arrival: Arrival, drop: bool, cycles: u64) -> u64 {

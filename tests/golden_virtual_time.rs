@@ -15,6 +15,7 @@ use datavortex::apps::heat::{self, Halo, HeatConfig};
 use datavortex::apps::snap::{self, SnapConfig};
 use datavortex::apps::vorticity::{dist as vort, VortConfig};
 use datavortex::core::fault::FaultPlan;
+use datavortex::core::fnv::Fnv1a;
 use datavortex::core::spec::SimSpec;
 use datavortex::kernels::barrier::{barrier_latency_spec, BarrierKind};
 use datavortex::kernels::fft::{self, Complex};
@@ -57,13 +58,9 @@ const GOLDEN: &[Row] = &[
 
 /// FNV-1a over a stream of words.
 fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    let mut h = Fnv1a::default();
+    words.into_iter().for_each(|w| h.word(w));
+    h.finish()
 }
 
 fn f64s(fields: &[Vec<f64>]) -> impl Iterator<Item = u64> + '_ {

@@ -1,20 +1,19 @@
-//! Engine invariance: the cooperative engine's defining contract.
+//! Pinned traces: the cooperative engine's defining contract.
 //!
-//! Both engines commit events in `(time, seq)` order, so the `OrderAudit`
+//! The engine commits events in `(time, seq)` order, so the `OrderAudit`
 //! trace hash, every result, every metrics counter, and every dv-events-v1
-//! telemetry byte of the default engine must be identical to the frozen
-//! reference engine's. Clean runs and seeded chaos runs both. If any of
-//! these tests fail, the cooperative engine is not a scheduler optimization
-//! anymore; it is a different simulator.
+//! telemetry byte of these workloads are constants. Clean runs and seeded
+//! chaos runs both. If any of these tests fail, the engine is not a
+//! scheduler optimization anymore; it is a different simulator.
 //!
-//! The `PINNED_*` constants are what `Engine::Reference` returned at PR 16
-//! (ad04f41), whose default engine merged up to 16 per-shard heaps: they
-//! tie today's single `(time, seq)` heap to that commit, not only the two
-//! engines of one commit to each other. Only a PR that changes the model
-//! on purpose may edit them.
+//! Every pin is what the frozen pre-sharding scheduler returned. The
+//! `PINNED_*` constants were captured from it at commit ad04f41, whose
+//! default engine merged up to 16 per-shard heaps; the stream hashes and
+//! `NEW_DOORS`' pins were captured from it just before it was deleted.
+//! Only a PR that changes the model on purpose may edit them.
 //!
-//! This file and its tests keep the names they had when the shard count was
-//! a knob; what each one compares now is reference against default.
+//! The file and its `*_shard_count_invariant` tests keep the names they
+//! had when the shard count was a knob.
 
 use std::sync::Arc;
 
@@ -23,9 +22,10 @@ use datavortex::apps::heat::{self, HeatConfig};
 use datavortex::apps::snap::{self, SnapConfig};
 use datavortex::apps::vorticity::{dist as vort, VortConfig};
 use datavortex::core::fault::FaultPlan;
+use datavortex::core::fnv::Fnv1a;
 use datavortex::core::metrics::MetricsRegistry;
 use datavortex::core::packet::SCRATCH_GC;
-use datavortex::core::spec::{Engine, SimSpec};
+use datavortex::core::spec::SimSpec;
 use datavortex::core::time::{us, Time};
 use datavortex::core::trace::Tracer;
 use datavortex::kernels::fft::{twod, Complex};
@@ -39,18 +39,13 @@ const PINNED_MPI: (Time, u64) = (12_975_033, 0x0b13_7b62_a4f4_56b8);
 const PINNED_FAULTED: (Time, u64) = (1_001_158_889, 0x8431_0f83_0b99_f80f);
 /// `(checksum, metrics hash)` of `gups_chaos`.
 const PINNED_GUPS_CHAOS: (u64, u64) = (0xffff_ffff_ffff_fff3, 0x790c_b7ef_5fb5_5a50);
-
-/// `run` on the reference engine, after checking that the default engine
-/// returns the same.
-fn on_both_engines<T: PartialEq + std::fmt::Debug>(run: impl Fn(Engine) -> T) -> T {
-    let reference = run(Engine::Reference);
-    assert_eq!(run(Engine::default()), reference, "default engine diverged from the reference");
-    reference
-}
+/// [`stream_hash`] of `streamed_gups` without and with its fault plan.
+const PINNED_STREAM: u64 = 0x75bb_1976_bdf4_ab91;
+const PINNED_CHAOS_STREAM: u64 = 0x575f_0ef1_25bb_59aa;
 
 /// A Data Vortex workload with plenty of interleaving opportunity:
 /// barriers, FIFO ring traffic, and DMA sends (the `tests/determinism.rs`
-/// workload, parameterized by engine).
+/// workload).
 fn dv_workload(spec: SimSpec) -> (Time, u64, Vec<Time>) {
     let nodes = spec.nodes;
     let report = DvCluster::from_spec(spec).run(move |dv, ctx| {
@@ -81,8 +76,7 @@ fn mpi_workload(spec: SimSpec) -> (Time, u64, Vec<u64>) {
     (report.elapsed, report.trace_hash, report.result)
 }
 
-/// A two-node chaos workload under link drop/dup faults whose trace hash
-/// and per-node results are compared across engines.
+/// A two-node chaos workload under link drop/dup faults.
 fn faulted_workload(spec: SimSpec) -> (Time, u64, Vec<u64>) {
     let plan = FaultPlan::parse("seed=5,drop=0.1,dup=0.1").expect("valid fault spec");
     let report = DvCluster::from_spec(spec.faults(plan)).run(move |dv, ctx| {
@@ -103,10 +97,10 @@ fn faulted_workload(spec: SimSpec) -> (Time, u64, Vec<u64>) {
 /// with `delay2`, and every message is consumed by a port arrival handler
 /// that wakes the receiver through `Kernel::wake_after` — the two ways
 /// mini-mpi uses them. Delays collide on purpose, so ties are everywhere.
-fn hop_workload(engine: Engine) -> (Time, u64, Vec<Vec<Time>>) {
+fn hop_workload() -> (Time, u64, Vec<Vec<Time>>) {
     use datavortex::sim::{JoinSlot, Port, Sim, Waker};
     const PROCS: usize = 5;
-    let sim = Sim::with_engine(engine);
+    let sim = Sim::new();
     /// The receiver's waker if it is parked, and how many messages beat it.
     type Parked = Arc<std::sync::Mutex<(Option<Waker>, u32)>>;
     let parked: Vec<Parked> = (0..PROCS).map(|_| Parked::default()).collect();
@@ -159,29 +153,28 @@ fn hop_workload(engine: Engine) -> (Time, u64, Vec<Vec<Time>>) {
 }
 
 #[test]
-fn hop_trace_hash_is_engine_and_shard_count_invariant() {
-    let (elapsed, hash, _) = on_both_engines(hop_workload);
+fn hop_trace_hash_matches_its_pin() {
+    let (elapsed, hash, _) = hop_workload();
     assert_eq!((elapsed, hash), PINNED_HOP);
 }
 
 #[test]
-fn dv_sharded_matches_the_frozen_reference_engine() {
-    let (elapsed, hash, _) = on_both_engines(|e| dv_workload(SimSpec::new(8).engine(e)));
+fn dv_trace_hash_matches_its_pin() {
+    let (elapsed, hash, _) = dv_workload(SimSpec::new(8));
     assert_eq!((elapsed, hash), PINNED_DV);
 }
 
 #[test]
 fn mpi_trace_hash_is_shard_count_invariant() {
-    let (elapsed, hash, _) = on_both_engines(|e| mpi_workload(SimSpec::new(6).engine(e)));
+    let (elapsed, hash, _) = mpi_workload(SimSpec::new(6));
     assert_eq!((elapsed, hash), PINNED_MPI);
 }
 
 #[test]
 fn chaos_trace_hash_is_shard_count_invariant() {
-    // Fault injection must not open an engine channel: the plan keys off
+    // Fault injection must not open an ordering channel: the plan keys off
     // packet sequence numbers, which the total-order commit fixes.
-    let (elapsed, hash, received) =
-        on_both_engines(|e| faulted_workload(SimSpec::new(2).engine(e)));
+    let (elapsed, hash, received) = faulted_workload(SimSpec::new(2));
     assert!(received[1] > 0, "the faulted run must still deliver data");
     assert_eq!((elapsed, hash), PINNED_FAULTED);
 }
@@ -208,8 +201,8 @@ fn gups_chaos(spec: SimSpec) -> (u64, u64) {
 #[test]
 fn gups_chaos_metrics_are_shard_count_invariant() {
     // End to end: recovery-layer retransmissions, VIC fault counters, and
-    // the final table are all byte-identical across engines.
-    assert_eq!(on_both_engines(|e| gups_chaos(SimSpec::new(4).engine(e))), PINNED_GUPS_CHAOS);
+    // the final table are all pinned.
+    assert_eq!(gups_chaos(SimSpec::new(4)), PINNED_GUPS_CHAOS);
 }
 
 /// Run an instrumented GUPS with a virtual-time series attached and a
@@ -237,30 +230,35 @@ fn streamed_gups(spec: SimSpec, faults: Option<FaultPlan>) -> String {
     out
 }
 
+/// FNV-1a of a stream's bytes.
+fn stream_hash(stream: &str) -> u64 {
+    let mut h = Fnv1a::default();
+    h.bytes(stream.as_bytes());
+    h.finish()
+}
+
 #[test]
 fn telemetry_streams_are_shard_count_invariant() {
-    let stream = on_both_engines(|e| streamed_gups(SimSpec::new(4).engine(e), None));
+    let stream = streamed_gups(SimSpec::new(4), None);
     assert!(!stream.is_empty(), "the run must produce interval samples");
+    assert_eq!(stream_hash(&stream), PINNED_STREAM);
 }
 
 #[test]
 fn chaos_telemetry_streams_are_shard_count_invariant() {
     let plan = FaultPlan::parse("seed=7,fifodrop=0.02").expect("valid fault spec");
-    let reference =
-        on_both_engines(|e| streamed_gups(SimSpec::new(4).engine(e), Some(plan.clone())));
-    assert!(!reference.is_empty());
+    let stream = streamed_gups(SimSpec::new(4), Some(plan));
+    assert!(!stream.is_empty());
+    assert_eq!(stream_hash(&stream), PINNED_CHAOS_STREAM);
     // Sensitivity: the faults must actually leave a mark in the stream.
-    assert_ne!(
-        reference,
-        streamed_gups(SimSpec::new(4).engine(Engine::Reference), None),
-        "fault injection left no trace in the stream"
-    );
+    assert_ne!(PINNED_CHAOS_STREAM, PINNED_STREAM, "fault injection left no trace in the stream");
 }
 
 /// The entry points that only became spec-aware with the one-door
-/// cleanup, each reduced to `(elapsed, result bits)` and told which
-/// counter family its backend must have published.
-type Door = (&'static str, usize, &'static str, fn(SimSpec) -> (Time, Vec<u64>));
+/// cleanup, each reduced to `(elapsed, result bits)`, told which counter
+/// family its backend must have published, and pinned to
+/// `(elapsed, FNV-1a of the result bits)`.
+type Door = (&'static str, usize, &'static str, fn(SimSpec) -> (Time, Vec<u64>), (Time, u64));
 
 fn f64_bits(fields: Vec<Vec<f64>>) -> Vec<u64> {
     fields.into_iter().flatten().map(f64::to_bits).collect()
@@ -274,42 +272,49 @@ const NEW_DOORS: &[Door] = &[
     ("fft::twod/dv", 4, "api.net.packets", |spec| {
         let r = twod::run_dv(32, spec);
         (r.elapsed, c64_bits(&r.local_out))
-    }),
+    }, (12_978_804, 0xdfa9_20a6_fc27_3133)),
     ("fft::twod/mpi", 4, "mpi.bytes", |spec| {
         let r = twod::run_mpi(32, spec);
         (r.elapsed, c64_bits(&r.local_out))
-    }),
+    }, (16_611_002, 0xdfa9_20a6_fc27_3133)),
     ("vorticity/dv", 4, "api.net.packets", |spec| {
         let r = vort::run_dv(VortConfig { m: 32, dt: 1e-3, steps: 1 }, spec);
         (r.elapsed, c64_bits(&r.omega_hat))
-    }),
+    }, (58_316_546, 0x5079_9cf3_f0b9_0f05)),
     ("vorticity/mpi", 4, "mpi.bytes", |spec| {
         let r = vort::run_mpi(VortConfig { m: 32, dt: 1e-3, steps: 1 }, spec);
         (r.elapsed, c64_bits(&r.omega_hat))
-    }),
+    }, (76_981_315, 0x5079_9cf3_f0b9_0f05)),
     ("snap/dv", 4, "api.net.packets", |spec| {
         let r = snap::dv::run_spec(SnapConfig::test_small(), spec);
         (r.elapsed, f64_bits(r.fields))
-    }),
+    }, (114_961_583, 0x8033_bcb2_d743_83aa)),
     ("snap/mpi", 4, "mpi.bytes", |spec| {
         let r = snap::mpi::run_spec(SnapConfig::test_small(), spec);
         (r.elapsed, f64_bits(r.fields))
-    }),
+    }, (112_550_812, 0x8033_bcb2_d743_83aa)),
     ("heat/mpi", 8, "mpi.bytes", |spec| {
         let r = heat::mpi::run_spec(HeatConfig::test_small(), spec);
         (r.elapsed, f64_bits(r.fields))
-    }),
+    }, (137_078_504, 0x6e3b_1184_5823_e6eb)),
 ];
 
+/// `(elapsed, FNV-1a of the result bits)`.
+fn door_digest((elapsed, bits): (Time, Vec<u64>)) -> (Time, u64) {
+    let mut h = Fnv1a::default();
+    bits.into_iter().for_each(|w| h.word(w));
+    (elapsed, h.finish())
+}
+
 #[test]
-fn newly_spec_aware_doors_honour_metrics_shards_and_engine() {
-    for &(name, nodes, counter, run) in NEW_DOORS {
+fn spec_aware_doors_match_their_pins_with_metrics_on_and_off() {
+    for &(name, nodes, counter, run, pinned) in NEW_DOORS {
         let metrics = Arc::new(MetricsRegistry::enabled());
-        let reference =
-            run(SimSpec::new(nodes).engine(Engine::Reference).metrics(Arc::clone(&metrics)));
+        let instrumented = door_digest(run(SimSpec::new(nodes).metrics(Arc::clone(&metrics))));
         let snap = metrics.snapshot();
         assert!(snap.counter_total(counter) > 0, "{name}: {counter} not published");
         assert!(snap.counter_total("sim.sched.resumes") > 0, "{name}: scheduler not published");
-        assert_eq!(run(SimSpec::new(nodes)), reference, "{name} on the default engine");
+        assert_eq!(instrumented, pinned, "{name} with metrics: actual {instrumented:#x?}");
+        assert_eq!(door_digest(run(SimSpec::new(nodes))), pinned, "{name} without metrics");
     }
 }
