@@ -15,19 +15,26 @@
 //!   packet (timeout + bounded retries — queries and replies can be lost
 //!   too). Per-link ejection is serialized, so the reply reflects every
 //!   data packet the sender put on that link first: no quiescence wait.
-//! * Within an epoch the sender's words are unique (the epoch log is an
-//!   insertion-ordered set, so it absorbs app-level duplicates like
-//!   multi-edges), so `accepted == sent` if and only if nothing was
-//!   dropped. On a shortfall the sender retransmits that destination's
-//!   part of the log in windows, each window confirmed by an exact
-//!   accepted-count delta (stop-and-wait), until every word is in —
-//!   bounded by a retry budget that panics with diagnostics instead of
-//!   looping forever.
-//! * Retransmission can duplicate words the FIFO had in fact accepted;
-//!   the receiver carries a run-long inbound dedup set, so applications
-//!   observe each logical word exactly once. Payloads must therefore be
-//!   globally unique across the run — GUPS uses disjoint LFSR windows,
-//!   BFS packs `(vertex, parent)` pairs that each cross the wire once.
+//! * The sender's words are unique across the run, so `accepted == sent`
+//!   if and only if nothing was dropped. The *caller* owns that rule, and
+//!   the epoch log is a plain `Vec` that checks nothing: GUPS draws each
+//!   node's words from its own window of the LFSR stream, and BFS skips
+//!   the repeats of its own multi-edges before sending. (A word sent twice
+//!   anyway surfaces at epoch completion as a stall that panics, see
+//!   [`ReliableFifo::complete_epoch`].) On a shortfall the sender
+//!   retransmits that destination's part of the log in windows, each
+//!   window confirmed by an exact accepted-count delta (stop-and-wait),
+//!   until every word is in — bounded by a retry budget that panics with
+//!   diagnostics instead of looping forever.
+//! * Retransmission can duplicate words the FIFO had in fact accepted,
+//!   and so can a link-duplication fault plan; the receiver keeps every
+//!   word of the run, so applications observe each logical word exactly
+//!   once. While no word can arrive twice that record is a plain log and
+//!   admission does no hashing. A set-once flag of the
+//!   [`DvWorld`](crate::DvWorld), raised at construction under a `dup`
+//!   plan or by the first retransmission anywhere, switches it over:
+//!   the next word admitted indexes the whole log, and every later one is
+//!   checked against it.
 //!
 //! Credit ([`DvCtx::fifo_try_send`]) is the *avoidance* half — back off
 //! before a likely overflow; this layer is the *correctness* half — no
@@ -85,17 +92,20 @@ pub struct ReliableStats {
     pub ack_query_timeouts: u64,
 }
 
-/// An insertion-ordered set of words: a `Vec<Word>` arena in insertion
-/// order plus an open-addressing index of 4-byte arena positions. Flat
-/// and allocation-stable — one probe and one push per new word, no node
-/// allocation — at ≤ 16.5 B/word. It is only ever iterated through the
-/// arena, never in hash order, so nothing observable depends on the hash.
+/// An insertion-ordered set of words, indexed only on demand: a
+/// `Vec<Word>` arena in insertion order plus an open-addressing index of
+/// 4-byte arena positions. Until the first [`WordSet::insert`] the arena
+/// is a plain log ([`WordSet::log`], no hashing, 8 B/word); that insert
+/// indexes every word logged so far, and from then on each new word costs
+/// one probe and one push, at ≤ 16.5 B/word. It is only ever iterated
+/// through the arena, never in hash order, so nothing observable depends
+/// on the hash.
 #[derive(Debug, Default)]
 struct WordSet {
     /// The members, in insertion order.
     words: Vec<Word>,
     /// Power-of-two table of `arena position + 1` (0 = empty slot), linear
-    /// probing, kept at most half full.
+    /// probing, kept at most half full; empty until the first insert.
     index: Vec<u32>,
 }
 
@@ -106,7 +116,15 @@ impl WordSet {
         (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - slots.trailing_zeros())) as usize
     }
 
-    /// Add `word`; `false` if it was already a member.
+    /// Append `words` without checking membership: only before the first
+    /// [`WordSet::insert`], and only when none of them can be a member.
+    fn log(&mut self, words: &[Word]) {
+        debug_assert!(self.index.is_empty(), "log after the index was built");
+        self.words.extend_from_slice(words);
+    }
+
+    /// Add `word`; `false` if it was already a member. The first call
+    /// indexes every word logged before it.
     fn insert(&mut self, word: Word) -> bool {
         if (self.words.len() + 1) * 2 > self.index.len() {
             self.grow();
@@ -124,9 +142,10 @@ impl WordSet {
         true
     }
 
-    /// Double the index and re-enter every member.
+    /// Size the index for one more member (doubling it, or building it
+    /// over the logged arena) and re-enter every member.
     fn grow(&mut self) {
-        let slots = (self.index.len() * 2).max(16);
+        let slots = ((self.words.len() + 1) * 2).next_power_of_two().max(16);
         self.index = vec![0; slots];
         for (i, &w) in self.words.iter().enumerate() {
             let mut slot = Self::home(w, slots);
@@ -136,29 +155,24 @@ impl WordSet {
             self.index[slot] = i as u32 + 1;
         }
     }
-
-    /// Remove every member, keeping the storage for the next epoch.
-    fn clear(&mut self) {
-        self.words.clear();
-        self.index.fill(0);
-    }
 }
 
 /// Exactly-once word delivery over the lossy surprise FIFO.
 pub struct ReliableFifo {
     me: NodeId,
     nodes: usize,
-    /// The current epoch's unique words in send order: the outbound dedup
-    /// set *is* the retransmission log (cleared when the epoch verifies).
-    epoch_log: WordSet,
-    /// Destination of each word of `epoch_log`, in step with its arena.
+    /// The current epoch's words in send order: the retransmission log
+    /// (cleared when the epoch verifies).
+    epoch_log: Vec<Word>,
+    /// Destination of each word of `epoch_log`, in step with it.
     epoch_dest: Vec<u16>,
     /// Words put on the wire toward each destination this epoch.
     wire_epoch: Vec<u64>,
     /// Last accepted count observed (and reconciled) per destination.
     hw_confirmed: Vec<u64>,
-    /// Inbound dedup for the whole run (duplicates arrive only from our
-    /// peers' retransmissions, which can span epoch boundaries).
+    /// Every word received this run: a log while no word can arrive twice,
+    /// inbound dedup once one can (duplicates come from link faults and
+    /// from our peers' retransmissions, which can span epoch boundaries).
     seen_in: WordSet,
     /// New words handed out this epoch by the drain and receive calls.
     received: u64,
@@ -172,7 +186,7 @@ impl ReliableFifo {
         Self {
             me: dv.node(),
             nodes,
-            epoch_log: WordSet::default(),
+            epoch_log: Vec::new(),
             epoch_dest: Vec::new(),
             wire_epoch: vec![0; nodes],
             hw_confirmed: vec![0; nodes],
@@ -188,9 +202,10 @@ impl ReliableFifo {
     }
 
     /// Send one word to `dest`'s FIFO through `agg`, logging it for
-    /// recovery. Returns `false` (word not sent) when the word already
-    /// went out this epoch — app-level duplicates (e.g. parallel edges)
-    /// are absorbed here so accepted-count accounting stays exact.
+    /// recovery. The caller guarantees `word` is unique across the run:
+    /// nothing here checks it (a repeat surfaces as a stall that panics in
+    /// [`ReliableFifo::complete_epoch`]), so app-level duplicates such as
+    /// parallel edges must be skipped before this call.
     pub fn send(
         &mut self,
         ctx: &SimCtx,
@@ -198,15 +213,23 @@ impl ReliableFifo {
         agg: &mut Aggregator,
         dest: NodeId,
         word: Word,
-    ) -> bool {
-        if !self.epoch_log.insert(word) {
-            return false;
-        }
+    ) {
+        self.epoch_log.push(word);
         self.epoch_dest.push(u16::try_from(dest).expect("node ids fit the header's 12 bits"));
         self.wire_epoch[dest] += 1;
         self.stats.sent += 1;
         agg.push(ctx, dv, Packet::new(PacketHeader::fifo(self.me, dest, SCRATCH_GC), word));
-        true
+    }
+
+    /// Record an inbound word; `false` if it is a duplicate. Hashes
+    /// nothing until the world says a word may arrive twice.
+    fn admit(&mut self, dv: &DvCtx, word: Word) -> bool {
+        if dv.world().fifo_repeats() {
+            self.seen_in.insert(word)
+        } else {
+            self.seen_in.log(&[word]);
+            true
+        }
     }
 
     /// Drain every currently buffered surprise word, duplicates removed.
@@ -217,12 +240,18 @@ impl ReliableFifo {
     }
 
     /// [`ReliableFifo::drain_unique`], appending to `out`: each 4096-word
-    /// host transfer lands at the tail and is deduplicated in place.
+    /// host transfer lands at the tail and is deduplicated in place (or
+    /// only logged, while no word can arrive twice).
     fn drain_into(&mut self, ctx: &SimCtx, dv: &DvCtx, out: &mut Vec<Word>) {
         loop {
             let start = out.len();
             if dv.fifo_drain_into(ctx, 4096, out) == 0 {
                 break;
+            }
+            if !dv.world().fifo_repeats() {
+                self.seen_in.log(&out[start..]);
+                self.received += (out.len() - start) as u64;
+                continue;
             }
             let mut kept = start;
             for i in start..out.len() {
@@ -248,7 +277,7 @@ impl ReliableFifo {
     ) -> Option<Word> {
         loop {
             let w = dv.fifo_recv_deadline(ctx, Some(deadline))?;
-            if self.seen_in.insert(w) {
+            if self.admit(dv, w) {
                 self.received += 1;
                 return Some(w);
             }
@@ -330,11 +359,13 @@ impl ReliableFifo {
             // attempt budget is spent on the words that actually keep
             // dropping instead of on clean ones.
             self.stats.retx_rounds += 1;
+            // What we are about to resend may already sit in `dest`'s
+            // FIFO: from here on every receiver must check for repeats.
+            dv.world().allow_fifo_repeats();
             // This destination's words, in send order (the rare path:
             // the shared epoch log is filtered only on a shortfall).
             let log: Vec<Word> = self
                 .epoch_log
-                .words
                 .iter()
                 .zip(&self.epoch_dest)
                 .filter(|&(_, &d)| usize::from(d) == dest)
@@ -451,6 +482,12 @@ impl ReliableFifo {
     /// word is already accepted or in flight: loss shows up as
     /// retransmission in step 1, never as a hang in step 3. A caller that
     /// runs another epoch zeroes its own epoch counts and fences first.
+    ///
+    /// # Panics
+    /// Panics when every peer has posted but the count stays short of the
+    /// promise for a whole query timeout of virtual time: some word was
+    /// sent twice in the run, and the receiver's dedup swallowed the
+    /// repeat that its sender counted.
     pub fn complete_epoch(
         &mut self,
         ctx: &SimCtx,
@@ -475,6 +512,9 @@ impl ReliableFifo {
             })
             .collect();
         dv.send_packets(ctx, &posts, SendMode::DirectWrite { cached_headers: true });
+        // Once every peer has posted: the received count and when it last
+        // moved. Every promised word is in our FIFO by then.
+        let mut progress: Option<(u64, Time)> = None;
         loop {
             deliver(&self.drain_unique(ctx, dv));
             let posted = dv.peek_local(ctx, slots, nodes);
@@ -484,6 +524,16 @@ impl ReliableFifo {
                     return std::mem::take(&mut self.received);
                 }
                 debug_assert!(self.received < expected, "received more than promised");
+                match progress {
+                    Some((count, since)) if count == self.received => assert!(
+                        ctx.now() - since < QUERY_TIMEOUT,
+                        "node {me}: received {received} of {expected} promised words and \
+                         nothing more arrives; a word was sent twice, but every word must \
+                         be unique across the run",
+                        received = self.received,
+                    ),
+                    _ => progress = Some((self.received, ctx.now())),
+                }
             }
             if let Some(w) = self.recv_unique_deadline(ctx, dv, ctx.now() + time::us(2)) {
                 deliver(&[w]);
@@ -491,13 +541,12 @@ impl ReliableFifo {
         }
     }
 
-    /// Close the current epoch: outbound dedup resets so the next epoch
-    /// may legitimately resend equal words; inbound dedup persists for the
-    /// whole run.
+    /// Close the current epoch: the retransmission log resets; the inbound
+    /// record persists for the whole run.
     ///
     /// # Panics
-    /// Panics if some destination is still unverified: the dedup set is
-    /// the retransmission log, so clearing it would lose those words.
+    /// Panics if some destination is still unverified: clearing the log
+    /// would lose its words.
     fn end_epoch(&mut self) {
         assert!(self.wire_epoch.iter().all(|&w| w == 0), "end_epoch before verify_epoch");
         self.epoch_log.clear();
@@ -533,9 +582,9 @@ mod tests {
     #[test]
     fn word_set_matches_an_ordered_set_oracle() {
         let mut r = SplitMix64::new(0xD0D0);
-        let mut set = WordSet::default();
         let mut resizes = 0;
         for epoch in 0..4 {
+            let mut set = WordSet::default();
             let mut oracle = BTreeSet::new();
             let mut order = Vec::new();
             // Draws from a small range so duplicates are common, word 0
@@ -554,11 +603,24 @@ mod tests {
             }
             assert!(oracle.contains(&0), "word 0 must be exercised");
             assert_eq!(set.words, order, "epoch {epoch}: insertion order");
-            set.clear();
-            assert!(set.words.is_empty());
-            assert!(set.insert(0) && !set.insert(0), "clear forgets every member");
-            set.clear();
         }
         assert!(resizes >= 3, "only {resizes} index resizes exercised");
+    }
+
+    #[test]
+    fn the_first_insert_indexes_every_logged_word() {
+        for logged in [0u64, 1, 7, 8, 1000] {
+            let mut set = WordSet::default();
+            let words: Vec<Word> =
+                (0..logged).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+            set.log(&words);
+            assert!(set.index.is_empty(), "logging must not hash");
+            for &w in &words {
+                assert!(!set.insert(w), "logged {logged}: word {w:#x} forgotten");
+            }
+            assert!(set.insert(u64::MAX) && !set.insert(u64::MAX));
+            assert!(set.words.len() * 2 <= set.index.len(), "index over half full");
+            assert_eq!(set.words[..words.len()], words[..], "arena order kept");
+        }
     }
 }

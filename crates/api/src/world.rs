@@ -1,6 +1,6 @@
 //! Shared state of a Data Vortex cluster run: VICs, pipes, switch model.
 
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 
 use dv_core::sync::Mutex;
@@ -51,6 +51,10 @@ pub struct DvWorld {
     /// Surprise-FIFO packets in flight toward each node (transmitted but
     /// not yet delivered) — the basis of sender-side credit.
     fifo_inflight: Vec<AtomicI64>,
+    /// Set once a surprise-FIFO word may arrive twice: at construction
+    /// under a link-duplication fault plan, else by the first
+    /// retransmission. Never cleared.
+    fifo_repeats: AtomicBool,
     /// Hardware barrier engine.
     pub barrier: Mutex<BarrierState>,
     /// Trace recorder.
@@ -99,6 +103,7 @@ impl DvWorld {
             in_flight: AtomicI64::new(0),
             fault_injector,
             fifo_inflight: (0..nodes).map(|_| AtomicI64::new(0)).collect(),
+            fifo_repeats: AtomicBool::new(config.faults.as_ref().is_some_and(|p| p.link_dup > 0.0)),
             barrier: Mutex::new_named("api.barrier", BarrierState { epoch: 0, count: 0, waiters: WaitSet::new() }),
             tracer: Arc::clone(&spec.tracer),
             metrics: Arc::clone(&spec.metrics),
@@ -284,6 +289,18 @@ impl DvWorld {
         let capacity = self.config.dv.fifo_capacity as i64;
         let queued = self.vics[dst].lock().fifo.len() as i64;
         capacity - queued - self.fifo_inflight[dst].load(Ordering::Relaxed)
+    }
+
+    /// Whether a surprise-FIFO word may now arrive twice (a link
+    /// duplicate, or a retransmission of a word the FIFO had accepted).
+    pub(crate) fn fifo_repeats(&self) -> bool {
+        self.fifo_repeats.load(Ordering::Relaxed)
+    }
+
+    /// Declare that surprise-FIFO words may arrive twice from now on:
+    /// called before anything is retransmitted.
+    pub(crate) fn allow_fifo_repeats(&self) {
+        self.fifo_repeats.store(true, Ordering::Relaxed);
     }
 
     /// Record one network batch: counts, batch-size histogram, and the

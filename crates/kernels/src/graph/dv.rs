@@ -14,10 +14,11 @@
 //! protocol of [`ReliableFifo::complete_epoch`]: visits lost to FIFO
 //! overflow (or an injected fault plan) are retransmitted against the
 //! hardware accepted counts *before* the sent counts are posted, so
-//! levels complete exactly. Parallel edges produce duplicate
-//! `(vertex, parent)` words; the layer's outbound dedup absorbs them
-//! (each logical pair crosses the wire once per level), and pairs are
-//! unique across levels because a vertex joins the frontier at most once.
+//! levels complete exactly. The layer needs every word unique across the
+//! run. A vertex joins the frontier at most once, so its row is scanned at
+//! most once and `(vertex, parent)` pairs of different rows differ; parallel
+//! edges repeat a pair *within* a row, and the scan skips those repeats
+//! (`mark_repeats`), so each logical pair crosses the wire once.
 
 use std::sync::Arc;
 
@@ -37,6 +38,26 @@ struct LevelState {
     parents: Vec<i64>,
     next: Vec<u32>,
     applied: u64,
+}
+
+/// Mark in `repeat` (resized to the row) every entry of `row` equal to an
+/// earlier entry of the same row; the first occurrence stays unmarked and
+/// `row` is not reordered. Sorts `(target, position)` keys in `keys`, a
+/// stable sort by target in O(row) memory.
+fn mark_repeats(row: &[u32], keys: &mut Vec<u64>, repeat: &mut Vec<bool>) {
+    repeat.clear();
+    repeat.resize(row.len(), false);
+    if row.len() < 2 {
+        return;
+    }
+    keys.clear();
+    keys.extend(row.iter().enumerate().map(|(i, &v)| u64::from(v) << 32 | i as u64));
+    keys.sort_unstable();
+    for pair in keys.windows(2) {
+        if pair[0] >> 32 == pair[1] >> 32 {
+            repeat[pair[1] as u32 as usize] = true;
+        }
+    }
 }
 
 fn apply_visits(part: &VertexPart, me: usize, st: &mut LevelState, words: &[u64]) {
@@ -76,6 +97,7 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
             frontier.push(root);
         }
         let mut rel = ReliableFifo::new(dv);
+        let (mut keys, mut repeat) = (Vec::new(), Vec::new());
         dv.barrier(ctx);
 
         loop {
@@ -83,8 +105,9 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
             let mut agg = Aggregator::new(AGG);
             let mut since_drain = 0usize;
             for &u in &frontier {
-                let lu = part.local(u);
-                for &v in locals[me].neighbors(lu as u32) {
+                let row = csr.neighbors(part.local(u) as u32);
+                mark_repeats(row, &mut keys, &mut repeat);
+                for (&v, &again) in row.iter().zip(&repeat) {
                     scanned += 1;
                     let owner = part.owner(v);
                     if owner == me {
@@ -94,9 +117,9 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
                             st.parents[lv] = u as i64;
                             st.next.push(v);
                         }
-                    } else {
-                        // Parallel edges dedup at the send side: only
-                        // words actually on the wire count as promises.
+                    } else if !again {
+                        // A parallel edge's repeat is scanned but not
+                        // sent: words must be unique across the run.
                         rel.send(ctx, dv, &mut agg, owner, pack2(v, u));
                     }
                     since_drain += 1;
@@ -185,6 +208,53 @@ mod tests {
         let csr = Csr::build(cfg.vertices(), &edges);
         let locals = partition_csr(&csr, VertexPart { nodes });
         (cfg, csr, locals)
+    }
+
+    #[test]
+    fn mark_repeats_keeps_first_occurrences_in_row_order() {
+        let (mut keys, mut repeat) = (Vec::new(), vec![true; 3]);
+        let row = [7u32, 3, 7, 9, 3, 3, 0, 7];
+        mark_repeats(&row, &mut keys, &mut repeat);
+        assert_eq!(repeat, [false, false, true, false, true, true, false, true]);
+        assert_eq!(row, [7, 3, 7, 9, 3, 3, 0, 7], "row order untouched");
+        for row in [&[][..], &[5], &[5, 6], &[u32::MAX, u32::MAX]] {
+            mark_repeats(row, &mut keys, &mut repeat);
+            let expect: Vec<bool> = (0..row.len()).map(|i| row[..i].contains(&row[i])).collect();
+            assert_eq!(repeat, expect, "row {row:?}");
+        }
+    }
+
+    #[test]
+    fn each_remote_pair_of_a_multigraph_is_sent_once() {
+        use std::collections::BTreeSet;
+        use dv_core::metrics::MetricsRegistry;
+
+        const NODES: usize = 2;
+        let n = 8;
+        // Parallel edges in both directions and both owners' rows.
+        let edges = [
+            (0, 1), (1, 0), (0, 1), (1, 2), (2, 3), (3, 2), (2, 3), (3, 4),
+            (4, 5), (5, 6), (6, 7), (7, 6), (7, 0), (0, 2), (2, 0), (2, 4),
+        ];
+        let part = VertexPart { nodes: NODES };
+        let remote: BTreeSet<(u32, u32)> = edges
+            .iter()
+            .flat_map(|&(a, b)| [(a, b), (b, a)])
+            .filter(|&(a, b)| part.owner(a) != part.owner(b))
+            .collect();
+        let remote_entries =
+            2 * edges.iter().filter(|&&(a, b)| part.owner(a) != part.owner(b)).count();
+        assert!(remote.len() < remote_entries, "the graph must repeat remote pairs");
+        let csr = Csr::build(n, &edges);
+        let locals = partition_csr(&csr, part);
+        let metrics = Arc::new(MetricsRegistry::enabled());
+        let spec = SimSpec::new(NODES).metrics(Arc::clone(&metrics));
+        let r = run_spec(&locals, n, 0, spec);
+        validate_bfs(&csr, 0, &r.parents).expect("invalid BFS tree");
+        assert!(r.parents.iter().all(|&p| p >= 0), "every vertex is reached");
+        assert_eq!(r.edges_scanned, 2 * edges.len() as u64, "every entry is scanned");
+        let sent = metrics.snapshot().counter_total("api.fifo.reliable_sent");
+        assert_eq!(sent, remote.len() as u64);
     }
 
     #[test]

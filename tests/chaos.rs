@@ -59,6 +59,24 @@ fn gups_is_exact_under_injected_fifo_drops() {
     let snap = metrics.snapshot();
     assert!(snap.counter_total("vic.fifo.forced_drops") > 0, "the plan must actually fire");
     assert!(snap.counter_total("api.fifo.retx_words") > 0, "drops must trigger retransmission");
+    // Retransmission switches the receivers' dedup on mid-run: the words
+    // re-shipped after the FIFO had in fact accepted them are discarded.
+    assert!(snap.counter_total("api.fifo.dup_discarded") > 0, "retransmission must overshoot");
+}
+
+#[test]
+fn gups_is_exact_under_link_duplication() {
+    // Under a `dup` plan a word may arrive twice from the first packet on,
+    // so inbound dedup is live for the whole run.
+    let nodes = 4;
+    let metrics = Arc::new(MetricsRegistry::enabled());
+    let spec = SimSpec::new(nodes).machine(chaos_machine("seed=5,dup=0.05"));
+    let r = gups_dv::run_spec(GUPS, spec.metrics(Arc::clone(&metrics)));
+    let (_, expect) = serial_reference(&GUPS, nodes);
+    assert_eq!(r.checksum, expect, "duplicates must be applied once");
+    assert_eq!(r.total_updates, (GUPS.updates_per_node * nodes) as u64);
+    assert_eq!(metrics.snapshot().counter_total("api.fifo.dup_discarded"), 579);
+    assert_eq!(r.elapsed, 10_118_182_583, "virtual time moved");
 }
 
 #[test]

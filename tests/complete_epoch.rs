@@ -2,7 +2,9 @@
 //! two epochs, one node that only receives. Each node's return value is
 //! exactly the words addressed to it in that epoch (the count restarts
 //! every epoch), `deliver` sees each of them once, and the drops were
-//! repaired by retransmission rather than never happening.
+//! repaired by retransmission rather than never happening. A word sent
+//! twice in one run breaks the layer's uniqueness rule and must panic,
+//! not hang.
 
 use std::sync::Arc;
 
@@ -53,7 +55,7 @@ fn each_epoch_returns_exactly_the_words_addressed_to_the_node() {
             if me != SILENT {
                 for dest in (0..NODES).filter(|&d| d != me) {
                     for i in 0..per_peer(epoch) {
-                        assert!(rel.send(ctx, dv, &mut agg, dest, word(epoch, me, dest, i)));
+                        rel.send(ctx, dv, &mut agg, dest, word(epoch, me, dest, i));
                     }
                 }
             }
@@ -82,4 +84,31 @@ fn each_epoch_returns_exactly_the_words_addressed_to_the_node() {
     assert!(snap.counter_total("vic.fifo.forced_drops") > 0, "the plan must fire");
     assert!(snap.counter_total("api.fifo.retx_rounds") > 0, "drops must be found");
     assert!(snap.counter_total("api.fifo.retx_words") > 0, "drops must be retransmitted");
+}
+
+#[test]
+#[should_panic(expected = "every word must be unique across the run")]
+fn a_word_repeated_in_a_later_epoch_panics_instead_of_hanging() {
+    // Epoch 0's drops are retransmitted, so inbound dedup is live when
+    // epoch 1 repeats a word of epoch 0: the receiver discards it, and
+    // the count its sender promised can never be met.
+    let mut machine = MachineConfig::paper_cluster();
+    machine.faults = Some(FaultPlan::parse("seed=11,fifodrop=0.05").expect("valid fault spec"));
+    DvCluster::from_spec(SimSpec::new(2).machine(machine)).run(|dv, ctx| {
+        let (me, peer) = (dv.node(), 1 - dv.node());
+        let mut rel = ReliableFifo::new(dv);
+        let mut agg = Aggregator::new(256);
+        dv.barrier(ctx);
+        for epoch in 0..2 {
+            for i in 0..per_peer(epoch) {
+                rel.send(ctx, dv, &mut agg, peer, word(epoch, me, peer, i));
+            }
+            if epoch == 1 {
+                rel.send(ctx, dv, &mut agg, peer, word(0, me, peer, 0));
+            }
+            rel.complete_epoch(ctx, dv, &mut agg, |_| {});
+            dv.write_local(ctx, dv.layout().epoch_counts, &[0; 2]);
+            dv.fast_barrier(ctx);
+        }
+    });
 }
