@@ -6,12 +6,20 @@
 //! alltoall(v). Their costs *emerge* from the point-to-point model — e.g.
 //! the ⌈log₂ p⌉ rounds of the dissemination barrier are what makes the
 //! MPI barrier in Figure 4 grow with node count.
+//!
+//! Each collective is laid out as one plan of point-to-point steps —
+//! `isend`, `recv`, `wait`, in the order the textbook algorithm issues
+//! them — and run by the op machine (`comm/op.rs`) as one blocking call: the
+//! rank's thread parks once per collective, and every point-to-point step
+//! in between runs in the kernel at the resume where the thread-run call
+//! would have continued. An allreduce is the reduce plan followed by the
+//! bcast plan, still two `mpi.coll.calls` records.
 
-use dv_core::time::Time;
 use dv_core::trace::State;
 use dv_sim::SimCtx;
 
 use crate::comm::Comm;
+use crate::comm::op::{listed, rounds, Data, Instr, Op, Sink};
 use crate::payload::Payload;
 use crate::{Tag, RESERVED_TAG_BASE};
 
@@ -68,55 +76,36 @@ impl ReduceOp {
 }
 
 impl Comm {
-    /// Record one finished collective: a `mpi.coll.calls{op}` count and the
-    /// call's virtual duration into the `mpi.coll.time_ps{op}` histogram.
-    fn record_coll(&self, ctx: &SimCtx, op: &'static str, t0: Time) {
-        let m = self.metrics();
-        let label = [("op", op.into())];
-        m.incr_labeled("mpi.coll.calls", &label, 1);
-        m.observe_labeled("mpi.coll.time_ps", &label, ctx.now() - t0);
-    }
-
     /// Dissemination barrier: ⌈log₂ p⌉ rounds of pairwise token exchange.
     pub fn barrier(&self, ctx: &SimCtx) {
-        let t0 = ctx.now();
         let n = self.size();
         let me = self.rank();
-        let mut k = 1usize;
-        let mut round = 0;
-        while k < n {
-            let to = (me + k) % n;
-            let from = (me + n - k) % n;
-            let tag = BARRIER_TAG + round;
-            let req = self.isend(ctx, to, tag, Payload::Empty);
-            let _ = self.recv_from(ctx, from, tag);
-            self.wait(ctx, req);
-            k <<= 1;
-            round += 1;
-        }
-        self.tracer().span(me, State::Barrier, t0, ctx.now());
-        self.record_coll(ctx, "barrier", t0);
+        let count = n.next_power_of_two().trailing_zeros() as usize;
+        let round = move |i: usize| {
+            let (k, tag) = (1 << i, BARRIER_TAG + i as Tag);
+            let send = Instr::Send { dst: (me + k) % n, tag, data: Data::Empty };
+            (send, Instr::Recv { src: Some((me + n - k) % n), tag: Some(tag), sink: Sink::Discard })
+        };
+        let end = Instr::End { op: "barrier", span: Some(State::Barrier) };
+        Op::new(self, ctx, Vec::new(), rounds(count, round, end)).run(ctx);
     }
 
-    /// Binomial-tree broadcast from `root`.
-    pub fn bcast(&self, ctx: &SimCtx, root: usize, data: Option<Payload>) -> Payload {
-        let t0 = ctx.now();
+    /// Binomial-tree broadcast of slot 0 from `root`, appended to `plan`.
+    fn plan_bcast(&self, plan: &mut Vec<Instr>, root: usize) {
         let n = self.size();
-        let me = self.rank();
-        let vr = (me + n - root) % n;
-        let payload = if me == root {
-            data.expect("root must supply the broadcast payload")
-        } else {
+        let vr = (self.rank() + n - root) % n;
+        if vr != 0 {
             let mut mask = 1usize;
             loop {
                 assert!(mask < n, "non-root rank never received in bcast");
                 if vr & mask != 0 {
                     let src = ((vr ^ mask) + root) % n;
-                    break self.recv_from(ctx, src, BCAST_TAG).payload;
+                    plan.push(Instr::Recv { src: Some(src), tag: Some(BCAST_TAG), sink: Sink::Slot(0) });
+                    break;
                 }
                 mask <<= 1;
             }
-        };
+        }
         // Forward to children.
         let mut mask = {
             let mut m = 1usize;
@@ -135,155 +124,152 @@ impl Comm {
             }
         };
         mask >>= 1;
-        let mut reqs = Vec::new();
         while mask > 0 {
             if vr + mask < n {
                 let dst = ((vr + mask) + root) % n;
-                reqs.push(self.isend(ctx, dst, BCAST_TAG, payload.clone()));
+                plan.push(Instr::Send { dst, tag: BCAST_TAG, data: Data::Copy(0) });
             }
             mask >>= 1;
         }
-        self.wait_all(ctx, reqs);
-        self.tracer().span(me, State::Collective, t0, ctx.now());
-        self.record_coll(ctx, "bcast", t0);
-        payload
+        plan.push(Instr::WaitAll);
+        plan.push(Instr::End { op: "bcast", span: Some(State::Collective) });
     }
 
-    /// Binomial-tree reduction to `root`; returns `Some(result)` on root.
-    pub fn reduce(&self, ctx: &SimCtx, root: usize, op: ReduceOp, contribution: Payload) -> Option<Payload> {
-        let t0 = ctx.now();
+    /// Binomial-tree reduction of slot 0 to `root`, appended to `plan`.
+    fn plan_reduce(&self, plan: &mut Vec<Instr>, root: usize, op: ReduceOp) {
         let n = self.size();
-        let me = self.rank();
-        let vr = (me + n - root) % n;
-        let mut acc = contribution;
+        let vr = (self.rank() + n - root) % n;
         let mut mask = 1usize;
-        let mut is_root_path = true;
         while mask < n {
+            let tag = REDUCE_TAG + mask as Tag;
             if vr & mask == 0 {
                 let peer = vr | mask;
                 if peer < n {
-                    let env = self.recv_from(ctx, (peer + root) % n, REDUCE_TAG + mask as Tag);
-                    op.combine(&mut acc, env.payload);
+                    let src = Some((peer + root) % n);
+                    plan.push(Instr::Recv { src, tag: Some(tag), sink: Sink::Combine(0, op) });
                 }
             } else {
                 let dst = ((vr ^ mask) + root) % n;
-                self.send(ctx, dst, REDUCE_TAG + mask as Tag, acc);
-                acc = Payload::Empty;
-                is_root_path = false;
+                plan.push(Instr::Send { dst, tag, data: Data::Take(0) });
+                plan.push(Instr::WaitAll);
                 break;
             }
             mask <<= 1;
         }
-        self.tracer().span(me, State::Collective, t0, ctx.now());
-        self.record_coll(ctx, "reduce", t0);
-        if me == root {
-            debug_assert!(is_root_path);
-            Some(acc)
+        plan.push(Instr::End { op: "reduce", span: Some(State::Collective) });
+    }
+
+    /// Binomial-tree broadcast from `root`.
+    pub fn bcast(&self, ctx: &SimCtx, root: usize, data: Option<Payload>) -> Payload {
+        let data = if self.rank() == root {
+            data.expect("root must supply the broadcast payload")
         } else {
-            None
-        }
+            Payload::Empty
+        };
+        let mut plan = Vec::new();
+        self.plan_bcast(&mut plan, root);
+        let mut op = Op::new(self, ctx, vec![data], listed(plan)).run(ctx);
+        op.bufs.swap_remove(0)
+    }
+
+    /// Binomial-tree reduction to `root`; returns `Some(result)` on root.
+    pub fn reduce(&self, ctx: &SimCtx, root: usize, op: ReduceOp, contribution: Payload) -> Option<Payload> {
+        let mut plan = Vec::new();
+        self.plan_reduce(&mut plan, root, op);
+        let mut op = Op::new(self, ctx, vec![contribution], listed(plan)).run(ctx);
+        (self.rank() == root).then(|| op.bufs.swap_remove(0))
     }
 
     /// Allreduce = reduce to 0 + broadcast (openmpi's default composition
-    /// at these sizes).
+    /// at these sizes), as one call.
     pub fn allreduce(&self, ctx: &SimCtx, op: ReduceOp, contribution: Payload) -> Payload {
-        let reduced = self.reduce(ctx, 0, op, contribution);
-        self.bcast(ctx, 0, reduced)
+        let mut plan = Vec::new();
+        self.plan_reduce(&mut plan, 0, op);
+        self.plan_bcast(&mut plan, 0);
+        let mut op = Op::new(self, ctx, vec![contribution], listed(plan)).run(ctx);
+        op.bufs.swap_remove(0)
     }
 
     /// Gather all contributions at `root` (linear); `Some(vec)` on root,
     /// indexed by rank.
     pub fn gather(&self, ctx: &SimCtx, root: usize, contribution: Payload) -> Option<Vec<Payload>> {
-        let t0 = ctx.now();
         let n = self.size();
         let me = self.rank();
-        let out = if me == root {
+        let end = Instr::End { op: "gather", span: None };
+        if me == root {
             let mut out: Vec<Payload> = (0..n).map(|_| Payload::Empty).collect();
             out[me] = contribution;
-            for _ in 0..n - 1 {
-                let env = self.recv(ctx, None, Some(GATHER_TAG));
-                out[env.src] = env.payload;
-            }
-            Some(out)
+            let recv = Instr::Recv { src: None, tag: Some(GATHER_TAG), sink: Sink::BySource };
+            // n − 1 receives, in arrival order, then the end.
+            let plan = move |pc: usize| if pc + 1 < n { Some(recv) } else { (pc + 1 == n).then_some(end) };
+            Some(Op::new(self, ctx, out, plan).run(ctx).bufs)
         } else {
-            self.send(ctx, root, GATHER_TAG, contribution);
+            let send = Instr::Send { dst: root, tag: GATHER_TAG, data: Data::Take(0) };
+            Op::new(self, ctx, vec![contribution], listed([send, Instr::WaitAll, end])).run(ctx);
             None
-        };
-        self.record_coll(ctx, "gather", t0);
-        out
+        }
     }
 
     /// Scatter per-rank payloads from `root` (linear).
     pub fn scatter(&self, ctx: &SimCtx, root: usize, data: Option<Vec<Payload>>) -> Payload {
-        let t0 = ctx.now();
         let n = self.size();
         let me = self.rank();
-        let mine = if me == root {
+        let end = Instr::End { op: "scatter", span: None };
+        if me == root {
             let mut data = data.expect("root must supply scatter data");
             assert_eq!(data.len(), n);
             let mine = std::mem::replace(&mut data[me], Payload::Empty);
-            let mut reqs = Vec::new();
-            for (dst, p) in data.into_iter().enumerate() {
-                if dst != me {
-                    reqs.push(self.isend(ctx, dst, SCATTER_TAG, p));
-                }
-            }
-            self.wait_all(ctx, reqs);
+            let mut plan: Vec<Instr> = (0..n)
+                .filter(|&dst| dst != me)
+                .map(|dst| Instr::Send { dst, tag: SCATTER_TAG, data: Data::Take(dst) })
+                .collect();
+            plan.extend([Instr::WaitAll, end]);
+            Op::new(self, ctx, data, listed(plan)).run(ctx);
             mine
         } else {
-            self.recv_from(ctx, root, SCATTER_TAG).payload
-        };
-        self.record_coll(ctx, "scatter", t0);
-        mine
+            let recv = Instr::Recv { src: Some(root), tag: Some(SCATTER_TAG), sink: Sink::Slot(0) };
+            let mut op = Op::new(self, ctx, vec![Payload::Empty], listed([recv, end])).run(ctx);
+            op.bufs.swap_remove(0)
+        }
     }
 
     /// Ring allgather: p−1 steps, each forwarding one block.
     pub fn allgather(&self, ctx: &SimCtx, contribution: Payload) -> Vec<Payload> {
-        let t0 = ctx.now();
         let n = self.size();
         let me = self.rank();
         let mut blocks: Vec<Payload> = (0..n).map(|_| Payload::Empty).collect();
         blocks[me] = contribution;
-        let right = (me + 1) % n;
-        let left = (me + n - 1) % n;
-        for step in 0..n.saturating_sub(1) {
+        let (right, left) = ((me + 1) % n, (me + n - 1) % n);
+        let round = move |step: usize| {
+            let tag = ALLGATHER_TAG + step as Tag;
             let send_idx = (me + n - step) % n;
             let recv_idx = (me + n - step - 1) % n;
-            let out = blocks[send_idx].clone();
-            let env = self.sendrecv(
-                ctx,
-                right,
-                ALLGATHER_TAG + step as Tag,
-                out,
-                left,
-                ALLGATHER_TAG + step as Tag,
-            );
-            blocks[recv_idx] = env.payload;
-        }
-        self.tracer().span(me, State::Collective, t0, ctx.now());
-        self.record_coll(ctx, "allgather", t0);
-        blocks
+            let send = Instr::Send { dst: right, tag, data: Data::Copy(send_idx) };
+            (send, Instr::Recv { src: Some(left), tag: Some(tag), sink: Sink::Slot(recv_idx) })
+        };
+        let end = Instr::End { op: "allgather", span: Some(State::Collective) };
+        Op::new(self, ctx, blocks, rounds(n.saturating_sub(1), round, end)).run(ctx).bufs
     }
 
     /// Pairwise-exchange alltoall: `blocks[d]` goes to rank `d`; returns
     /// the blocks received, indexed by source. Handles unequal block sizes
     /// (alltoallv) for free.
     pub fn alltoall(&self, ctx: &SimCtx, mut blocks: Vec<Payload>) -> Vec<Payload> {
-        let t0 = ctx.now();
         let n = self.size();
         let me = self.rank();
         assert_eq!(blocks.len(), n);
-        let mut out: Vec<Payload> = (0..n).map(|_| Payload::Empty).collect();
-        out[me] = std::mem::replace(&mut blocks[me], Payload::Empty);
-        for step in 1..n {
-            let dst = (me + step) % n;
-            let src = (me + n - step) % n;
-            let payload = std::mem::replace(&mut blocks[dst], Payload::Empty);
-            let env = self.sendrecv(ctx, dst, ALLTOALL_TAG + step as Tag, payload, src, ALLTOALL_TAG + step as Tag);
-            out[src] = env.payload;
-        }
-        self.tracer().span(me, State::Collective, t0, ctx.now());
-        self.record_coll(ctx, "alltoall", t0);
-        out
+        // Slots 0..n are the outgoing blocks, n..2n the received ones.
+        blocks.extend((0..n).map(|_| Payload::Empty));
+        blocks.swap(me, n + me);
+        let round = move |i: usize| {
+            let step = i + 1;
+            let tag = ALLTOALL_TAG + step as Tag;
+            let (dst, src) = ((me + step) % n, (me + n - step) % n);
+            let send = Instr::Send { dst, tag, data: Data::Take(dst) };
+            (send, Instr::Recv { src: Some(src), tag: Some(tag), sink: Sink::Slot(n + src) })
+        };
+        let end = Instr::End { op: "alltoall", span: Some(State::Collective) };
+        let mut op = Op::new(self, ctx, blocks, rounds(n - 1, round, end)).run(ctx);
+        op.bufs.split_off(n)
     }
 }

@@ -22,9 +22,15 @@
 //! context) hands a matching message straight to it. The receiver is
 //! resumed once per message, `overhead_recv` after the arrival; an arrival
 //! nobody posted for waits in the unexpected queue and wakes nobody.
+//!
+//! The blocking calls here (`isend`, `send`, `wait`, `recv`, `sendrecv`)
+//! and every collective run as plans of the one kernel-context op machine
+//! in `op`: the resumes above are committed as before, but they run
+//! that machine in the kernel, and the rank's thread runs again once per
+//! blocking call or collective, not once per resume.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Weak};
 
 use dv_core::sync::Mutex;
@@ -32,10 +38,13 @@ use dv_core::sync::Mutex;
 use dv_core::config::MpiParams;
 use dv_core::metrics::MetricsRegistry;
 use dv_core::time::{self, Time};
-use dv_core::trace::{State, Tracer};
+use dv_core::trace::Tracer;
 use dv_sim::{Kernel, Port, SimCtx, Waker};
 
 use crate::fabric::IbFabric;
+pub(crate) mod op;
+
+use op::{listed, Data, Instr, Op, Sink};
 use crate::payload::Payload;
 use crate::Tag;
 
@@ -275,137 +284,40 @@ impl Comm {
         &self.world.params
     }
 
-    /// This rank's port; its visible queue is the unexpected queue.
-    fn port(&self) -> &Port<Wire> {
-        &self.world.ports[self.rank]
-    }
-
-    fn slot(&self) -> &Mutex<RecvSlot> {
-        &self.world.slots[self.rank]
-    }
-
     /// Nonblocking send. Eager messages complete immediately; rendezvous
-    /// sends complete when the CTS arrives and the data has left.
+    /// sends complete when the CTS arrives and the data has left. The
+    /// call itself charges the send overhead (and, eager, the bounce
+    /// copy).
     pub fn isend(&self, ctx: &SimCtx, dst: usize, tag: Tag, payload: Payload) -> Request {
-        let t0 = ctx.now();
-        let p = &self.world.params;
-        let bytes = payload.len_bytes();
-        let env_bytes = bytes + 64; // header/envelope on the wire
-        let eager = bytes <= p.eager_limit;
-        // Software overhead, then (eager) the bounce-buffer copy on the
-        // send side; nothing happens in between, so it is one resume.
-        let copy = if eager { time::transfer_time(bytes, p.copy_gbps) } else { 0 };
-        ctx.delay2(p.overhead_send, copy);
-        {
-            let m = &self.world.metrics;
-            let path = [("path", if eager { "eager" } else { "rndv" }.into())];
-            m.incr_labeled("mpi.msgs", &path, 1);
-            m.incr_labeled("mpi.bytes", &path, env_bytes);
-            m.observe("mpi.msg_bytes", bytes);
-        }
-        let req = if eager {
-            let sent_at = ctx.now();
-            let arrival = self.world.fabric.transfer(sent_at, self.rank, dst, env_bytes, 0);
-            let env = Envelope { src: self.rank, tag, payload, sent_at };
-            ctx.with_kernel(|k| self.world.ports[dst].deliver_at(k, arrival, Wire::Eager(env)));
-            self.world.tracer.message(self.rank, dst, sent_at, arrival, env_bytes);
-            Request(None)
-        } else {
-            let msg_id = self.world.next_id.fetch_add(1, Ordering::Relaxed);
-            let sent_at = ctx.now();
-            let rts_arrival = self.world.fabric.transfer(sent_at, self.rank, dst, 64, 0);
-            ctx.with_kernel(|k| {
-                self.world.ports[dst].deliver_at(
-                    k,
-                    rts_arrival,
-                    Wire::Rts { src: self.rank, tag, msg_id },
-                )
-            });
-            let req = Arc::new(Mutex::new(ReqState::default()));
-            self.world.pending.lock().insert(
-                msg_id,
-                PendingSend {
-                    src: self.rank,
-                    dst,
-                    env: Envelope { src: self.rank, tag, payload, sent_at },
-                    bytes: env_bytes,
-                    req: Arc::clone(&req),
-                },
-            );
-            Request(Some(req))
-        };
-        self.world.tracer.span(self.rank, State::Send, t0, ctx.now());
-        req
+        let send = Instr::Send { dst, tag, data: Data::Take(0) };
+        let mut op = Op::new(self, ctx, vec![payload], listed([send])).run(ctx);
+        op.reqs.pop_back().unwrap_or(Request(None))
     }
 
     /// Blocking send (true `MPI_Send` semantics: a rendezvous send does
     /// not return until the receiver has posted the matching recv).
     pub fn send(&self, ctx: &SimCtx, dst: usize, tag: Tag, payload: Payload) {
-        let req = self.isend(ctx, dst, tag, payload);
-        self.wait(ctx, req);
+        let send = Instr::Send { dst, tag, data: Data::Take(0) };
+        Op::new(self, ctx, vec![payload], listed([send, Instr::WaitAll])).run(ctx);
     }
 
     /// Wait for a request to complete.
     pub fn wait(&self, ctx: &SimCtx, req: Request) {
-        let Some(state) = req.0 else { return };
-        let t0 = ctx.now();
-        ctx.wait_for(None, || state.lock().done.then_some(()), |w| state.lock().waiter = Some(w));
-        if ctx.now() > t0 {
-            self.world.tracer.span(self.rank, State::Wait, t0, ctx.now());
-        }
+        self.wait_all(ctx, vec![req]);
     }
 
-    /// Wait for all requests.
+    /// Wait for all requests, in order.
     pub fn wait_all(&self, ctx: &SimCtx, reqs: Vec<Request>) {
-        for r in reqs {
-            self.wait(ctx, r);
-        }
+        let mut op = Op::new(self, ctx, Vec::new(), listed([Instr::WaitAll]));
+        op.reqs.extend(reqs);
+        op.run(ctx);
     }
 
     /// Blocking receive with optional source/tag wildcards.
     pub fn recv(&self, ctx: &SimCtx, src: Option<usize>, tag: Option<Tag>) -> Envelope {
-        // Waker first: the arrival hook locks the slot under the kernel, so
-        // the kernel is never locked under the slot.
-        let (t0, waker) = ctx.with_kernel(|k| (k.now(), k.waker_for(ctx.pid())));
-        let unexpected = self.port().take_first(|w| w.matches(src, tag)).map(|(_, w)| w);
-        let env = match unexpected {
-            Some(Wire::Eager(env)) => {
-                ctx.delay(self.world.params.overhead_recv);
-                env
-            }
-            // Post (answering an RTS that was already waiting) and sleep
-            // until the arrival hook has delivered: one resume, receive
-            // overhead included.
-            other => {
-                let rts = match other {
-                    Some(Wire::Rts { msg_id, .. }) => Some(msg_id),
-                    _ => None,
-                };
-                let posted = rts.map_or(Posted::Match { src, tag }, Posted::Data);
-                self.slot().lock().posted = Some((posted, waker));
-                if let Some(msg_id) = rts {
-                    ctx.with_kernel(|k| self.world.send_cts(k, msg_id));
-                }
-                // Nothing is delivered before the first park (`send_cts`
-                // only schedules), so the first re-post is a no-op; after a
-                // wake by a waker left in some wait set it posts afresh.
-                let (ready, env) = ctx
-                    .wait_for(
-                        None,
-                        || self.slot().lock().delivered.take(),
-                        |w| {
-                            if let Some((_, posted)) = self.slot().lock().posted.as_mut() {
-                                *posted = w;
-                            }
-                        },
-                    )
-                    .expect("a wait without a deadline only returns when ready");
-                ctx.wait_until(ready);
-                env
-            }
-        };
-        self.world.tracer.span(self.rank, State::Recv, t0, ctx.now());
-        env
+        let recv = Instr::Recv { src, tag, sink: Sink::Keep };
+        let op = Op::new(self, ctx, Vec::new(), listed([recv])).run(ctx);
+        op.kept.expect("a receive keeps its envelope")
     }
 
     /// Convenience: blocking receive from a specific source and tag.
@@ -418,7 +330,7 @@ impl Comm {
     /// to run the CTS exchange.)
     pub fn try_recv(&self, ctx: &SimCtx, src: Option<usize>, tag: Option<Tag>) -> Option<Envelope> {
         let eager = |w: &Wire| matches!(w, Wire::Eager(_)) && w.matches(src, tag);
-        let Some((_, Wire::Eager(env))) = self.port().take_first(eager) else { return None };
+        let Some((_, Wire::Eager(env))) = self.world.ports[self.rank].take_first(eager) else { return None };
         ctx.delay(self.world.params.overhead_recv);
         Some(env)
     }
@@ -433,9 +345,12 @@ impl Comm {
         src: usize,
         recv_tag: Tag,
     ) -> Envelope {
-        let req = self.isend(ctx, dst, send_tag, payload);
-        let env = self.recv_from(ctx, src, recv_tag);
-        self.wait(ctx, req);
-        env
+        let plan = [
+            Instr::Send { dst, tag: send_tag, data: Data::Take(0) },
+            Instr::Recv { src: Some(src), tag: Some(recv_tag), sink: Sink::Keep },
+            Instr::WaitAll,
+        ];
+        let op = Op::new(self, ctx, vec![payload], listed(plan)).run(ctx);
+        op.kept.expect("a receive keeps its envelope")
     }
 }

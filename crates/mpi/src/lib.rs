@@ -22,6 +22,10 @@
 //! * [`cluster`] — an SPMD harness: run one closure per rank on the
 //!   simulated cluster and collect results.
 //!
+//! Every blocking call of [`comm`] and every collective of [`coll`] runs on
+//! one op machine (the private `comm::op`): a plan of point-to-point steps
+//! executed in kernel context, one thread handoff per call.
+//!
 //! Timing is virtual; payloads are real data (`Payload`), so algorithms
 //! built on this runtime compute real answers that tests can validate.
 

@@ -54,6 +54,29 @@ fn alltoall_commits_two_resumes_per_message() {
     assert_eq!(resumes, 2 * msgs);
 }
 
+/// The resumes above mostly run as kernel steps: a collective hands each
+/// rank's thread the run token at most once, however many peers it
+/// exchanges with. Counted with the host-side `thread_resumes`, which no
+/// artifact publishes; the per-peer handoffs of a thread-run alltoall
+/// (two per message) fail this test.
+#[test]
+fn an_alltoall_hands_each_rank_thread_the_token_once() {
+    let thread_resumes = |calls: usize| {
+        let r = run(32, move |comm, ctx| {
+            for _ in 0..calls {
+                let blocks = (0..comm.size()).map(|_| words(128)).collect();
+                comm.alltoall(ctx, blocks);
+            }
+            // Each rank reads last thing; the last reader sees every rank's
+            // final resume.
+            ctx.with_kernel(|k| k.sched_stats().thread_resumes)
+        });
+        r.result.into_iter().max().expect("32 ranks")
+    };
+    let added = thread_resumes(3) - thread_resumes(1);
+    assert!(added <= 2 * 32, "{added} thread resumes for 2 x 32 rank-collectives");
+}
+
 #[test]
 fn rendezvous_commits_three_resumes_per_message() {
     let pingpongs = |rounds: usize| {

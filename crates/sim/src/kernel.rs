@@ -5,6 +5,7 @@
 //! so the committed order — and therefore the [`OrderAudit`] trace hash —
 //! is a pure function of the order in which events were scheduled.
 
+use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -47,8 +48,32 @@ pub struct TimerId(u32);
 
 type TimerHook = Box<dyn FnMut(&mut Kernel) + Send>;
 
+/// The remainder of a blocking call a parked process left to the kernel
+/// (see [`SimCtx::wait_in_kernel`](crate::SimCtx::wait_in_kernel)).
+pub(crate) trait Step: Send {
+    /// Run at one of the process's resumes; `true` once the call has
+    /// finished and holds its result.
+    fn resume(&mut self, k: &mut Kernel) -> bool;
+
+    /// The finished step, for its owner to take the result out of.
+    fn into_any(self: Box<Self>) -> Box<dyn Any>;
+}
+
+/// Where a process's kernel step is.
+enum StepSlot {
+    /// The process waits in no step.
+    Empty,
+    /// Each resume of the process runs this step.
+    Waiting(Box<dyn Step>),
+    /// The step finished; its owner's thread takes the result.
+    Finished(Box<dyn Step>),
+}
+
 pub(crate) enum EventKind {
     Resume(Waker),
+    /// A valid resume of a process that waits in a kernel step: returned
+    /// by `pop_valid` in place of its `Resume`, never queued.
+    Step(Pid),
     Call(Box<dyn FnOnce(&mut Kernel) + Send>),
     Timer(TimerId),
     /// A *hop* (see [`Kernel::wake_after`]): committing it schedules
@@ -96,6 +121,11 @@ pub struct SchedStats {
     pub stale_wakeups: u64,
     /// Processes registered with the kernel.
     pub processes: u64,
+    /// Committed resumes that ran a process's thread — a grant, or the
+    /// self-resume fast path — rather than only a kernel step. Host-side
+    /// evidence of thread handoffs: never published, so no `sim.sched.*`
+    /// artifact depends on how a wait is executed.
+    pub thread_resumes: u64,
 }
 
 /// The discrete-event kernel: the virtual clock plus the pending-event
@@ -110,6 +140,8 @@ pub struct Kernel {
     pub(crate) park_generation: Vec<u64>,
     pub(crate) proc_names: Vec<String>,
     timer_hooks: Vec<Option<TimerHook>>,
+    /// Each process's kernel step, if any.
+    steps: Vec<StepSlot>,
     /// Rolling hash of every committed event (see [`OrderAudit`]).
     audit: OrderAudit,
     stats: SchedStats,
@@ -129,6 +161,7 @@ impl Kernel {
             park_generation: Vec::new(),
             proc_names: Vec::new(),
             timer_hooks: Vec::new(),
+            steps: Vec::new(),
             audit: OrderAudit::new(),
             stats: SchedStats::default(),
             #[cfg(test)]
@@ -224,24 +257,78 @@ impl Kernel {
         self.push(at, EventKind::Hop(waker, then));
     }
 
+    /// Schedule `pid`'s resume for [`SimCtx::delay2`](crate::SimCtx::delay2)`(d1, d2)`
+    /// — a hop at `now + d1` when both legs are non-zero, else a plain
+    /// wake-up — and return when the delay ends: the time the process,
+    /// once parked and resumed, waits until (it re-checks; an earlier
+    /// wake-up left in some wait set may resume it first). `None`, with
+    /// nothing scheduled, for a zero delay.
+    pub fn arm_delay(&mut self, pid: Pid, d1: Time, d2: Time) -> Option<Time> {
+        if d1 + d2 == 0 {
+            return None;
+        }
+        let w = self.waker_for(pid);
+        if d1 == 0 || d2 == 0 {
+            self.wake_at(self.now + d1 + d2, w);
+        } else {
+            self.wake_after(self.now + d1, w, d2);
+        }
+        Some(self.now + d1 + d2)
+    }
+
     /// Current waker for a process (see [`Waker`] for staleness rules).
     pub fn waker_for(&self, pid: Pid) -> Waker {
         Waker { pid, generation: self.park_generation[pid] }
+    }
+
+    /// Leave the rest of `pid`'s blocking call to the kernel: `step` runs
+    /// at each of its resumes until it reports that it finished.
+    pub(crate) fn set_step(&mut self, pid: Pid, step: Box<dyn Step>) {
+        debug_assert!(matches!(self.steps[pid], StepSlot::Empty), "one kernel step at a time");
+        self.steps[pid] = StepSlot::Waiting(step);
+    }
+
+    /// Run `pid`'s kernel step for a resume that `pop_valid` returned as
+    /// [`EventKind::Step`]; `true` when it finished, and the resume goes
+    /// on to the process's thread.
+    pub(crate) fn run_step(&mut self, pid: Pid) -> bool {
+        let StepSlot::Waiting(mut step) = std::mem::replace(&mut self.steps[pid], StepSlot::Empty)
+        else {
+            unreachable!("a Step event has a step to run")
+        };
+        let done = step.resume(self);
+        self.steps[pid] = if done {
+            self.stats.thread_resumes += 1;
+            StepSlot::Finished(step)
+        } else {
+            StepSlot::Waiting(step)
+        };
+        done
+    }
+
+    /// Take `pid`'s finished step (its thread runs again).
+    pub(crate) fn take_finished_step(&mut self, pid: Pid) -> Box<dyn Any> {
+        match std::mem::replace(&mut self.steps[pid], StepSlot::Empty) {
+            StepSlot::Finished(step) => step.into_any(),
+            _ => unreachable!("the thread runs again only once its step has finished"),
+        }
     }
 
     pub(crate) fn register_process(&mut self, name: String) -> Pid {
         let pid = self.park_generation.len();
         self.park_generation.push(0);
         self.proc_names.push(name);
+        self.steps.push(StepSlot::Empty);
         self.stats.processes += 1;
         pid
     }
 
     /// Pop the next *valid* event, advancing the clock. Stale resumes are
     /// discarded. For a valid resume, the target's park generation is
-    /// advanced so any duplicate wakeups for the same park become stale.
-    /// Hops are committed here and never returned: a valid one pushes its
-    /// resume and the loop moves on.
+    /// advanced so any duplicate wakeups for the same park become stale;
+    /// it comes back as [`EventKind::Step`] when the target waits in a
+    /// kernel step. Hops are committed here and never returned: a valid one
+    /// pushes its resume and the loop moves on.
     pub(crate) fn pop_valid(&mut self) -> Option<(Time, EventKind)> {
         while let Some(ev) = self.queue.pop() {
             debug_assert!(ev.time >= self.now, "time went backwards");
@@ -254,6 +341,10 @@ impl Kernel {
                         self.stats.resumes += 1;
                         #[cfg(test)]
                         self.commits.push((ev.time, ev.seq, b'r'));
+                        if matches!(self.steps[w.pid], StepSlot::Waiting(_)) {
+                            return Some((ev.time, EventKind::Step(w.pid)));
+                        }
+                        self.stats.thread_resumes += 1;
                         return Some((ev.time, EventKind::Resume(w)));
                     }
                     // Stale wakeup: drop silently (but count it).
@@ -271,6 +362,7 @@ impl Kernel {
                         self.stats.stale_wakeups += 1;
                     }
                 }
+                EventKind::Step(_) => unreachable!("steps are never queued"),
                 kind @ (EventKind::Call(_) | EventKind::Timer(_)) => {
                     self.now = ev.time;
                     self.audit.record_call(ev.time, ev.seq);

@@ -33,12 +33,19 @@
 //!   [`Kernel::wake_after`] / [`SimCtx::delay2`] put a *hop* in the queue
 //!   where the intermediate resume would have been, and committing the hop
 //!   schedules the final resume — same event order, one thread handoff less.
+//! * A resume may run in the kernel instead of on the process's thread: a
+//!   process blocked in [`SimCtx::wait_in_kernel`] left the rest of its call
+//!   to a *step* closure, which the dispatcher runs inline at each of its
+//!   resumes until the call has finished. The resume is committed, hashed
+//!   and counted as ever; only the thread handoff is gone. mini-mpi runs
+//!   every blocking call and collective this way.
 //!
 //! ## Building blocks
 //!
 //! * [`Sim`] / [`SimCtx`] — the kernel and the per-process capability;
-//!   [`SimCtx::wait_for`] is the one check-and-park loop every blocking
-//!   wait runs on.
+//!   [`SimCtx::wait_for`] is the one check-and-park loop every thread-run
+//!   blocking wait runs on, [`SimCtx::wait_in_kernel`] the way to run one
+//!   in the kernel.
 //! * [`Port`] — a typed message queue in virtual time (the basis for NICs).
 //! * [`WaitSet`] — virtual-time condition variable.
 //! * [`Pipe`] — a FIFO bandwidth server (PCIe bus, NIC link, switch port).

@@ -21,9 +21,18 @@
 //!   issued with no lock held — neither `sim.kernel` nor `sim.registry`
 //!   nor a world lock — so the woken thread never queues behind the
 //!   thread that woke it.
+//! * A resume of a process that waits in a kernel step
+//!   ([`SimCtx::wait_in_kernel`]) does not grant anything: the driver runs
+//!   the step inline, under the kernel lock, and keeps driving. Only the
+//!   resume on which the step finishes grants the process's thread (or
+//!   returns `RunSelf` to it). Such a resume is popped, audited,
+//!   generation-bumped and counted like any other, so steps change which
+//!   thread does the work, never what is committed.
 //! * The host thread drives until the first handoff, then sleeps until a
 //!   driver reports the run's outcome (every process finished, deadlock,
-//!   or a process panic).
+//!   or a panic — a process's, or a kernel event's: kernel-context work
+//!   runs under `catch_unwind` and is blamed on its owner, never on the
+//!   thread that happened to be driving).
 //!
 //! Nothing here looks at the host: the same code runs on one core and on
 //! many.
@@ -34,6 +43,7 @@
 //!
 //! [`OrderAudit`]: crate::audit::OrderAudit
 
+use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex as StdMutex};
@@ -44,7 +54,7 @@ use dv_core::sync::Mutex;
 
 use dv_core::time::Time;
 
-use crate::kernel::{EventKind, Kernel, Pid, Waker};
+use crate::kernel::{EventKind, Kernel, Pid, Step, Waker};
 use crate::parker::Parker;
 
 /// Sentinel panic payload used to unwind parked processes at shutdown.
@@ -297,7 +307,14 @@ enum Driven {
 /// One dispatch stint: commit events in `(time, seq)` order until a
 /// resume hands the token to a process (or the queue drains). Exactly one
 /// thread runs this at a time — the token holder — which is what keeps the
-/// commit order, and therefore the audit hash, deterministic.
+/// commit order, and therefore the audit hash, deterministic. A resume of
+/// a process that waits in a kernel step runs the step here, inline, and
+/// reaches the process's thread only when the step has finished.
+///
+/// Kernel-context work runs under `catch_unwind`: a panic in a `Call`
+/// closure or a timer hook is reported as that kernel event's, and one in
+/// a step as its owner's, never as a panic of whichever process thread
+/// happened to be driving.
 fn drive(shared: &Shared, self_pid: Option<Pid>) -> Driven {
     loop {
         let next = shared.kernel.lock().pop_valid();
@@ -310,44 +327,83 @@ fn drive(shared: &Shared, self_pid: Option<Pid>) -> Driven {
         if let Some((t, _)) = &next {
             shared.metrics.tick(*t);
         }
-        match next {
+        let pid = match next {
             None => {
                 shared.outcome.set(deadlock_message(shared).map_or(Outcome::Done, Outcome::Abort));
                 return Driven::Ended;
             }
-            Some((_t, EventKind::Call(f))) => {
-                f(&mut shared.kernel.lock());
-            }
-            Some((_t, EventKind::Timer(id))) => {
-                let mut k = shared.kernel.lock();
-                if let Some(mut hook) = k.take_timer_hook(id) {
-                    hook(&mut k);
-                    k.put_timer_hook(id, hook);
+            Some((t, EventKind::Call(f))) => {
+                if !kernel_event(shared, t, || f(&mut shared.kernel.lock())) {
+                    return Driven::Ended;
                 }
+                continue;
+            }
+            Some((t, EventKind::Timer(id))) => {
+                let fired = kernel_event(shared, t, || {
+                    let mut k = shared.kernel.lock();
+                    if let Some(mut hook) = k.take_timer_hook(id) {
+                        hook(&mut k);
+                        k.put_timer_hook(id, hook);
+                    }
+                });
+                if !fired {
+                    return Driven::Ended;
+                }
+                continue;
             }
             Some((_t, EventKind::Hop(..))) => unreachable!("pop_valid consumes hops"),
-            Some((_t, EventKind::Resume(w))) => {
-                // Take the target's parker and drop the registry guard first:
-                // the wake is issued with no lock held, or the woken thread
-                // queues behind a granter that is no longer running.
-                let target = {
-                    let reg = shared.registry.lock();
-                    let slot = &reg.slots[w.pid()];
-                    if slot.finished {
-                        // The resume was committed (audit + stats), then
-                        // skipped.
-                        continue;
+            Some((_t, EventKind::Step(pid))) => {
+                match panic::catch_unwind(AssertUnwindSafe(|| shared.kernel.lock().run_step(pid))) {
+                    Ok(false) => continue,
+                    Ok(true) => pid,
+                    Err(payload) => {
+                        process_panicked(shared, pid, payload.as_ref());
+                        return Driven::Ended;
                     }
-                    if self_pid == Some(w.pid()) {
-                        return Driven::RunSelf;
-                    }
-                    Arc::clone(&slot.parker)
-                };
-                target.grant();
-                return Driven::HandedOff;
+                }
             }
+            Some((_t, EventKind::Resume(w))) => w.pid(),
+        };
+        // Take the target's parker and drop the registry guard first:
+        // the wake is issued with no lock held, or the woken thread
+        // queues behind a granter that is no longer running.
+        let target = {
+            let reg = shared.registry.lock();
+            let slot = &reg.slots[pid];
+            if slot.finished {
+                // The resume was committed (audit + stats), then skipped.
+                continue;
+            }
+            if self_pid == Some(pid) {
+                return Driven::RunSelf;
+            }
+            Arc::clone(&slot.parker)
+        };
+        target.grant();
+        return Driven::HandedOff;
+    }
+}
+
+/// Run a committed `Call` or timer event; `false` if it panicked, after
+/// reporting the panic as the kernel event's, at its virtual time `t`.
+fn kernel_event(shared: &Shared, t: Time, run: impl FnOnce()) -> bool {
+    match panic::catch_unwind(AssertUnwindSafe(run)) {
+        Ok(()) => true,
+        Err(payload) => {
+            let msg = panic_message(payload.as_ref());
+            shared.outcome.set(Outcome::Abort(format!("kernel event at {t} ps panicked: {msg}")));
+            false
         }
     }
+}
+
+/// The text of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic payload>".into())
 }
 
 fn spawn_inner(
@@ -382,12 +438,7 @@ fn spawn_inner(
                         // Normal teardown of a parked process.
                         return;
                     }
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic payload>".into());
-                    on_panicked(&ctx, msg);
+                    process_panicked(&ctx.shared, ctx.pid, payload.as_ref());
                 }
             }
         })
@@ -413,10 +464,34 @@ fn on_finished(ctx: &SimCtx) {
     }
 }
 
-/// A process body panicked (with a non-shutdown payload).
-fn on_panicked(ctx: &SimCtx, msg: String) {
-    let name = ctx.shared.kernel.lock().proc_names[ctx.pid].clone();
-    ctx.shared.outcome.set(Outcome::Abort(format!("simulated process '{name}' panicked: {msg}")));
+/// Process `pid` panicked (with a non-shutdown payload), on its thread or
+/// in its kernel step.
+fn process_panicked(shared: &Shared, pid: Pid, payload: &(dyn Any + Send)) {
+    let name = shared.kernel.lock().proc_names[pid].clone();
+    let msg = panic_message(payload);
+    shared.outcome.set(Outcome::Abort(format!("simulated process '{name}' panicked: {msg}")));
+}
+
+/// A [`SimCtx::wait_in_kernel`] in progress: the caller's step and, once
+/// it returned `Some`, the result.
+struct KernelWait<F, R> {
+    step: F,
+    result: Option<R>,
+}
+
+impl<F, R> Step for KernelWait<F, R>
+where
+    F: FnMut(&mut Kernel) -> Option<R> + Send + 'static,
+    R: Send + 'static,
+{
+    fn resume(&mut self, k: &mut Kernel) -> bool {
+        self.result = (self.step)(k);
+        self.result.is_some()
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
 }
 
 /// Per-process capability: the handle a simulated process uses to read the
@@ -498,6 +573,40 @@ impl SimCtx {
         }
     }
 
+    /// Finish a blocking call in the kernel instead of on this thread.
+    /// `step` runs now, inline, and then at every later resume of this
+    /// process — each time with the kernel locked, in whichever thread is
+    /// dispatching — until it returns `Some(result)`; only then does this
+    /// thread run again, and the call returns `result`. A `None` from the
+    /// first run parks the process.
+    ///
+    /// A resume that runs the step is popped, audited, generation-bumped
+    /// and counted exactly like one that grants the thread, so a step that
+    /// does what the thread would have done between the same two parks —
+    /// the re-check and re-register of [`SimCtx::wait_for`] after an early
+    /// wake-up included — commits the same events in the same order, and
+    /// saves one thread handoff per resume. Like every kernel closure,
+    /// `step` must not block; it builds its wakers with
+    /// [`Kernel::waker_for`]`(ctx.pid())`. A panic in it is reported as
+    /// this process's.
+    pub fn wait_in_kernel<F, R>(&self, mut step: F) -> R
+    where
+        F: FnMut(&mut Kernel) -> Option<R> + Send + 'static,
+        R: Send + 'static,
+    {
+        {
+            let mut k = self.shared.kernel.lock();
+            if let Some(r) = step(&mut k) {
+                return r;
+            }
+            k.set_step(self.pid, Box::new(KernelWait { step, result: None }));
+        }
+        self.park();
+        let finished = self.shared.kernel.lock().take_finished_step(self.pid);
+        let wait = finished.downcast::<KernelWait<F, R>>().expect("a process's own step comes back");
+        wait.result.expect("a finished step holds its result")
+    }
+
     /// Block until virtual time `t` (no-op if already past): a wait for a
     /// condition that never holds.
     pub fn wait_until(&self, t: Time) {
@@ -515,20 +624,7 @@ impl SimCtx {
     /// (see [`Kernel::wake_after`]), so every other process observes the
     /// same event order, to the sequence number, as with the two calls.
     pub fn delay2(&self, d1: Time, d2: Time) {
-        if d1 + d2 == 0 {
-            return;
-        }
-        let target = {
-            let mut k = self.shared.kernel.lock();
-            let now = k.now();
-            let w = k.waker_for(self.pid);
-            if d1 == 0 || d2 == 0 {
-                k.wake_at(now + d1 + d2, w);
-            } else {
-                k.wake_after(now + d1, w, d2);
-            }
-            now + d1 + d2
-        };
+        let Some(target) = self.with_kernel(|k| k.arm_delay(self.pid, d1, d2)) else { return };
         self.park();
         // Re-check, as every blocking primitive does: a waker this process
         // left in some wait queue before calling may have fired first.

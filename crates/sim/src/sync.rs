@@ -232,7 +232,12 @@ impl<T: Send + 'static> Port<T> {
     }
 
     fn recv_by(&self, ctx: &SimCtx, deadline: Option<Time>) -> Option<(Time, T)> {
-        ctx.wait_for(deadline, || self.try_recv(), |w| self.state.lock().waiters.push(w))
+        ctx.wait_for(deadline, || self.try_recv(), |w| self.register(w))
+    }
+
+    /// Leave `waker` for the next message to become visible.
+    pub(crate) fn register(&self, waker: Waker) {
+        self.state.lock().waiters.push(waker);
     }
 
     /// Messages currently visible.

@@ -338,9 +338,23 @@ type Commits = Vec<(u64, u64, u8)>;
 /// which the processes got to run, which is what same-time ties decide.
 type Seen = (u64, u64, u64);
 
-/// Run `programs` (one per process); returns what every process saw after
-/// each step and the kernel's commit log.
-fn run_programs(programs: &[Vec<Op>], fused: bool) -> (Vec<Vec<Seen>>, Commits) {
+/// How `run_programs` executes each program.
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    /// On the process's thread, `Pair` as two `delay`s.
+    Split,
+    /// On the process's thread, `Pair` as one `delay2`.
+    Fused,
+    /// As one kernel step ([`KernelScript`]), `Pair` as `delay2`'s delay.
+    Kernel,
+}
+
+/// What a run of `run_programs` returns: what every process saw after each
+/// step, the kernel's commit log, the trace hash and the scheduler stats.
+type Run = (Vec<Vec<Seen>>, Commits, u64, crate::SchedStats);
+
+/// Run `programs` (one per process) in `mode`.
+fn run_programs(programs: &[Vec<Op>], mode: Mode) -> Run {
     let sim = Sim::new();
     let shared = Arc::clone(&sim.shared);
     let ports: Vec<Port<u64>> = programs.iter().map(|_| Port::new()).collect();
@@ -351,12 +365,31 @@ fn run_programs(programs: &[Vec<Op>], fused: bool) -> (Vec<Vec<Seen>>, Commits) 
         let (program, ports, signal, tickets, out) =
             (program.clone(), ports.clone(), signal.clone(), tickets.clone(), seen[me].clone());
         sim.spawn(format!("p{me}"), move |ctx| {
+            if mode == Mode::Kernel {
+                let mut script = Some(KernelScript {
+                    me,
+                    pid: ctx.pid(),
+                    program,
+                    pc: 0,
+                    ports,
+                    signal,
+                    tickets,
+                    log: Vec::new(),
+                    blocked: None,
+                });
+                let log = ctx.wait_in_kernel(move |k| {
+                    let done = script.as_mut().expect("resumed after it finished").advance(k);
+                    done.then(|| script.take().expect("finishes once").log)
+                });
+                out.put(log);
+                return;
+            }
             let mut log = Vec::new();
             for op in program {
                 let mut word = 0;
                 match op {
                     Op::Delay(d) => ctx.delay(d),
-                    Op::Pair(a, b) if fused => ctx.delay2(a, b),
+                    Op::Pair(a, b) if mode == Mode::Fused => ctx.delay2(a, b),
                     Op::Pair(a, b) => {
                         ctx.delay(a);
                         ctx.delay(b);
@@ -383,9 +416,151 @@ fn run_programs(programs: &[Vec<Op>], fused: bool) -> (Vec<Vec<Seen>>, Commits) 
             out.put(log);
         });
     }
-    sim.run();
-    let commits = shared.kernel.lock().commits.clone();
-    (seen.iter().map(|s| s.take().expect("process finished")).collect(), commits)
+    let (_, hash) = sim.run_hashed();
+    let (commits, stats) = {
+        let k = shared.kernel.lock();
+        (k.commits.clone(), k.sched_stats())
+    };
+    (seen.iter().map(|s| s.take().expect("process finished")).collect(), commits, hash, stats)
+}
+
+/// What a [`KernelScript`] waits for; each is one wait of the thread run.
+enum Blocked {
+    /// The end of a `delay` / `delay2`: re-armed when woken early.
+    Until(u64),
+    /// `recv_deadline`: a message, or the deadline.
+    Recv(u64),
+    /// `TimedWait`: any one resume.
+    Parked,
+}
+
+/// A program run as one kernel step: between two resumes it does what the
+/// `Fused` thread run does between the same two parks.
+struct KernelScript {
+    me: usize,
+    pid: crate::Pid,
+    program: Vec<Op>,
+    pc: usize,
+    ports: Vec<Port<u64>>,
+    signal: WaitSet,
+    tickets: Arc<Mutex<u64>>,
+    log: Vec<Seen>,
+    blocked: Option<Blocked>,
+}
+
+impl KernelScript {
+    fn advance(&mut self, k: &mut crate::Kernel) -> bool {
+        match self.blocked.take() {
+            None => {}
+            Some(Blocked::Until(t)) => {
+                if !self.until(k, t) {
+                    return false;
+                }
+                self.logged(k, 0);
+            }
+            Some(Blocked::Recv(deadline)) => match self.recv_turn(k, deadline) {
+                Some(word) => self.logged(k, word),
+                None => return false,
+            },
+            Some(Blocked::Parked) => self.logged(k, 0),
+        }
+        while let Some(&op) = self.program.get(self.pc) {
+            self.pc += 1;
+            let word = match op {
+                Op::Delay(d) => self.delay(k, d, 0),
+                Op::Pair(a, b) => self.delay(k, a, b),
+                Op::Send { dst, after, word } => {
+                    let at = k.now() + after;
+                    self.ports[dst].deliver_at(k, at, word);
+                    Some(0)
+                }
+                Op::RecvDeadline(d) => {
+                    let deadline = k.now() + d;
+                    self.recv_turn(k, deadline)
+                }
+                Op::Signal => {
+                    self.signal.wake_all(k);
+                    Some(0)
+                }
+                Op::TimedWait(d) => {
+                    let w = k.waker_for(self.pid);
+                    self.signal.register(w);
+                    k.wake_at(k.now() + d, w);
+                    self.blocked = Some(Blocked::Parked);
+                    None
+                }
+            };
+            match word {
+                Some(word) => self.logged(k, word),
+                None => return false,
+            }
+        }
+        true
+    }
+
+    /// `delay2(d1, d2)` up to its park (`None`), or `Some(0)` for a zero
+    /// delay.
+    fn delay(&mut self, k: &mut crate::Kernel, d1: u64, d2: u64) -> Option<u64> {
+        let Some(until) = k.arm_delay(self.pid, d1, d2) else { return Some(0) };
+        self.blocked = Some(Blocked::Until(until));
+        None
+    }
+
+    /// One turn of `wait_until(t)`.
+    fn until(&mut self, k: &mut crate::Kernel, t: u64) -> bool {
+        if k.now() >= t {
+            return true;
+        }
+        let w = k.waker_for(self.pid);
+        k.wake_at(t, w);
+        self.blocked = Some(Blocked::Until(t));
+        false
+    }
+
+    /// One turn of `recv_deadline`'s `wait_for`: the word, `u64::MAX` at
+    /// the deadline, or `None` after registering and arming.
+    fn recv_turn(&mut self, k: &mut crate::Kernel, deadline: u64) -> Option<u64> {
+        if let Some((_, word)) = self.ports[self.me].try_recv() {
+            return Some(word);
+        }
+        if k.now() >= deadline {
+            return Some(u64::MAX);
+        }
+        let w = k.waker_for(self.pid);
+        self.ports[self.me].register(w);
+        k.wake_at(deadline, w);
+        self.blocked = Some(Blocked::Recv(deadline));
+        None
+    }
+
+    fn logged(&mut self, k: &crate::Kernel, word: u64) {
+        let mut next = self.tickets.lock();
+        *next += 1;
+        self.log.push((k.now(), word, *next));
+    }
+}
+
+/// Seeded random programs for the order-exactness tests: delays drawn from
+/// four values, so same-picosecond ties are the norm.
+fn random_programs(seed: u64) -> Vec<Vec<Op>> {
+    let mut rng = dv_core::rng::SplitMix64::new(0x686f70 ^ seed);
+    let procs = 2 + (seed % 5) as usize;
+    let mut tick = || ns(10 * rng.next_below(4));
+    let mut pick = dv_core::rng::SplitMix64::new(seed);
+    (0..procs)
+        .map(|_| {
+            (0..40)
+                .map(|i| match pick.next_below(8) {
+                    0 => Op::Delay(tick()),
+                    1..=3 => Op::Pair(tick(), tick()),
+                    4 => Op::Send { dst: pick.next_below(procs as u64) as usize, after: tick(), word: i },
+                    5 => Op::RecvDeadline(tick()),
+                    6 => Op::Signal,
+                    _ => Op::TimedWait(tick()),
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// The hop contract: `delay2(a, b)` is `delay(a); delay(b)` minus one
@@ -401,36 +576,15 @@ fn run_programs(programs: &[Vec<Op>], fused: bool) -> (Vec<Vec<Seen>>, Commits) 
 fn hops_are_order_exact() {
     let mut digest = dv_core::fnv::Fnv1a::default();
     for seed in 0..24u64 {
-        let mut rng = dv_core::rng::SplitMix64::new(0x686f70 ^ seed);
-        let procs = 2 + (seed % 5) as usize;
-        let mut tick = || ns(10 * rng.next_below(4));
-        let mut pick = dv_core::rng::SplitMix64::new(seed);
-        let programs: Vec<Vec<Op>> = (0..procs)
-            .map(|_| {
-                (0..40)
-                    .map(|i| match pick.next_below(8) {
-                        0 => Op::Delay(tick()),
-                        1..=3 => Op::Pair(tick(), tick()),
-                        4 => Op::Send {
-                            dst: pick.next_below(procs as u64) as usize,
-                            after: tick(),
-                            word: i,
-                        },
-                        5 => Op::RecvDeadline(tick()),
-                        6 => Op::Signal,
-                        _ => Op::TimedWait(tick()),
-                    })
-                    .collect()
-            })
-            .collect();
+        let programs = random_programs(seed);
         let hops = programs
             .iter()
             .flatten()
             .filter(|op| matches!(op, Op::Pair(a, b) if *a > 0 && *b > 0))
             .count();
 
-        let (split_seen, split) = run_programs(&programs, false);
-        let (fused_seen, fused) = run_programs(&programs, true);
+        let (split_seen, split, ..) = run_programs(&programs, Mode::Split);
+        let (fused_seen, fused, ..) = run_programs(&programs, Mode::Fused);
         assert_eq!(fused_seen, split_seen, "seed {seed}: a process saw a different clock or turn");
         assert_eq!(fused.len(), split.len(), "seed {seed}");
         for (f, s) in fused.iter().zip(&split) {
@@ -451,4 +605,95 @@ fn hops_are_order_exact() {
         fused.iter().flat_map(|&(t, seq, kind)| [t, seq, kind.into()]).for_each(|w| digest.word(w));
     }
     assert_eq!(digest.finish(), 0xfefb_6e1d_a700_aae9, "actual: {:#018x}", digest.finish());
+}
+
+/// The kernel-step contract: a wait that a process leaves to
+/// [`SimCtx::wait_in_kernel`](crate::SimCtx::wait_in_kernel) commits
+/// exactly what the same wait run on its thread commits. Over the seeded
+/// programs of `hops_are_order_exact`, each process run as one kernel step
+/// sees the same clock and the same turn after every step, and the kernel
+/// commits the same `(time, seq, kind)` list with the same trace hash and
+/// the same resume counts, as the thread run — while each thread runs at
+/// most twice (its start, and the step's end).
+#[test]
+fn kernel_steps_are_order_exact() {
+    for seed in 0..24u64 {
+        let programs = random_programs(seed);
+        let (thread_seen, thread, thread_hash, thread_stats) = run_programs(&programs, Mode::Fused);
+        let (kernel_seen, kernel, kernel_hash, kernel_stats) = run_programs(&programs, Mode::Kernel);
+        assert_eq!(kernel_seen, thread_seen, "seed {seed}: a process saw a different clock or turn");
+        assert_eq!(kernel, thread, "seed {seed}: the commit log moved");
+        assert_eq!(kernel_hash, thread_hash, "seed {seed}");
+        let counts = |s: crate::SchedStats| (s.resumes, s.calls, s.stale_wakeups, s.processes);
+        assert_eq!(counts(kernel_stats), counts(thread_stats), "seed {seed}");
+        let procs = programs.len() as u64;
+        assert_eq!(thread_stats.thread_resumes, thread_stats.resumes, "seed {seed}");
+        assert!(kernel_stats.thread_resumes <= 2 * procs, "seed {seed}: {kernel_stats:?}");
+    }
+}
+
+/// A process parked in a kernel step that never finishes is named by the
+/// deadlock report like any parked process.
+#[test]
+fn a_step_that_never_finishes_is_named_in_the_deadlock_report() {
+    let sim = Sim::new();
+    sim.spawn("stepping", |ctx| ctx.wait_in_kernel(|_| None::<()>));
+    sim.spawn("done", |ctx| ctx.delay(us(1)));
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+        .expect_err("deadlock must be detected");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.ends_with(r#"1 process(es) still parked: ["stepping"]"#), "{msg}");
+}
+
+/// Run `sim` to its panic and return the reported message.
+fn panic_report(sim: Sim) -> String {
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+        .expect_err("the run must fail");
+    err.downcast_ref::<String>().cloned().unwrap_or_default()
+}
+
+/// A step that panics while another process's thread is dispatching is
+/// reported as its owner's panic, not the dispatcher's.
+#[test]
+fn a_step_panic_is_blamed_on_the_steps_owner() {
+    let sim = Sim::new();
+    let signal = WaitSet::new();
+    let ws = signal.clone();
+    sim.spawn("owner", move |ctx| {
+        let pid = ctx.pid();
+        let mut first = true;
+        ctx.wait_in_kernel(move |k| {
+            assert!(std::mem::take(&mut first), "step blew up");
+            ws.register(k.waker_for(pid));
+            None::<()>
+        });
+    });
+    sim.spawn("driver", move |ctx| {
+        ctx.delay(us(1));
+        signal.wake_all_ctx(ctx);
+        // Parking makes this thread the dispatcher of the owner's resume.
+        ctx.delay(us(1));
+    });
+    assert_eq!(panic_report(sim), "simulated process 'owner' panicked: step blew up");
+}
+
+/// A panicking `call_at` closure or timer hook belongs to no process: it
+/// is reported as a kernel event at its virtual time, not as a panic of
+/// the process whose thread was dispatching.
+#[test]
+fn kernel_event_panics_are_reported_as_kernel_events() {
+    let sim = Sim::new();
+    sim.spawn("bystander", |ctx| {
+        ctx.with_kernel(|k| k.call_at(us(3), |_| panic!("call failed")));
+        ctx.delay(us(5));
+    });
+    assert_eq!(panic_report(sim), "kernel event at 3000000 ps panicked: call failed");
+
+    let sim = Sim::new();
+    let port: Port<u32> = Port::with_handler(|_k, _at, n| panic!("handler refused {n}"));
+    sim.spawn("bystander", move |ctx| {
+        port.send_delayed(ctx, us(2), 7);
+        ctx.delay(us(5));
+    });
+    assert_eq!(panic_report(sim), "kernel event at 2000000 ps panicked: handler refused 7");
 }
