@@ -231,7 +231,10 @@ fn parse_prob(key: &str, s: &str) -> Result<f64, String> {
 fn parse_prob_ns(key: &str, s: &str) -> Result<(f64, Time), String> {
     let (p, ns) =
         s.split_once(':').ok_or_else(|| format!("{key} wants prob:ns, got {s:?}"))?;
-    Ok((parse_prob(key, p)?, crate::time::ns(parse_u64(ns)?)))
+    let time = parse_u64(ns)?
+        .checked_mul(crate::time::NS)
+        .ok_or_else(|| format!("{key} duration {ns:?} ns overflows virtual time"))?;
+    Ok((parse_prob(key, p)?, time))
 }
 
 #[cfg(test)]
@@ -301,6 +304,8 @@ mod tests {
         assert!(FaultPlan::parse("wibble=1").is_err());
         assert!(FaultPlan::parse("stall=0.5").is_err());
         assert!(FaultPlan::parse("fifostorm=10").is_err());
+        assert!(FaultPlan::parse("stall=0.1:20000000000000000").is_err());
+        assert!(FaultPlan::parse("gcrace=0.1:20000000000000000").is_err());
         // Empty spec = default (inert) plan.
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
     }

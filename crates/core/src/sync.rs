@@ -8,8 +8,9 @@
 //!   poisoning instead of panicking: a poisoned lock means a simulated
 //!   process panicked *while holding it*, and the scheduler is already
 //!   unwinding the run — secondary panics from every other process would
-//!   only bury the original error. `dv-lint` rule `DV-W004` flags raw
-//!   `.lock().unwrap()` in sim hot paths and points here.
+//!   only bury the original error. Rule `DV-W004` (clippy's
+//!   `disallowed-types` in the hot paths' `clippy.toml`) bans
+//!   `std::sync::Mutex` there and points here.
 //! * **Debug-mode lock-order auditing.** When compiled with
 //!   `debug_assertions`, every acquisition is recorded against the locks
 //!   the acquiring thread already holds (for locks constructed with
@@ -200,6 +201,10 @@ pub fn lock_order_conflicts() -> Vec<(String, String)> {
 pub fn fan_out<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     let f = &f;
     std::thread::scope(|s| {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the workspace's one fan-out: each item is a simulation of its own, joined in input order"
+        )]
         let handles: Vec<_> = items.iter().map(|item| s.spawn(move || f(item))).collect();
         handles
             .into_iter()
@@ -246,6 +251,7 @@ mod tests {
     fn poisoned_lock_recovers_instead_of_panicking() {
         let m = std::sync::Arc::new(Mutex::new(1));
         let m2 = std::sync::Arc::clone(&m);
+        #[expect(clippy::disallowed_methods, reason = "test harness: a host thread poisons the lock")]
         let _ = std::thread::spawn(move || {
             let _g = m2.lock();
             panic!("poison it");

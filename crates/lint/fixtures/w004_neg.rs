@@ -1,25 +1,9 @@
-// Negative fixture for DV-W004: poison-recovering lock shim and handled
-// channel errors. Calling .lock().unwrap() here would be flagged.
+// Negative fixture for DV-W004: dv-core's poison-recovering lock, whose
+// lock() returns the guard; std::sync::Mutex named in prose is fine.
+use dv_core::sync::Mutex;
 
-struct Mutex<T>(std::sync::Mutex<T>);
-
-impl<T> Mutex<T> {
-    fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-fn drain(state: &Mutex<Vec<u64>>, rx: &std::sync::mpsc::Receiver<u64>) {
+fn drain(state: &Mutex<Vec<u64>>, incoming: &[u64]) -> usize {
     let mut guard = state.lock();
-    match rx.recv() {
-        Ok(v) => guard.push(v),
-        Err(_) => guard.clear(),
-    }
-    let parsed = "7".parse::<u64>().unwrap();
-    guard.push(parsed);
-}
-
-// A dv-sim port's recv takes the context: a virtual-time wait, not a channel.
-fn first_word(port: &Port, ctx: &SimCtx) -> u64 {
-    port.recv(ctx).expect("port closed")
+    guard.extend_from_slice(incoming);
+    guard.len()
 }

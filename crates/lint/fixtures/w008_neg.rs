@@ -1,14 +1,6 @@
-//! DV-W008 negative: workers go through the sim scheduler; test code may
-//! use raw threads for harness plumbing.
-fn run_worker(sim: &mut Sim) {
-    sim.spawn_process("worker", |ctx| step(ctx));
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn harness_thread_is_fine_in_tests() {
-        let handle = std::thread::spawn(|| 1);
-        handle.join().ok();
-    }
+//! DV-W008 negative: independent seeded simulations fan out through
+//! `dv_core::sync::fan_out`, which joins them in input order; simulated
+//! workers are dv-sim processes.
+fn run_points(seeds: &[u64]) -> Vec<u64> {
+    crate::sync::fan_out(seeds, |&seed| seed.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }

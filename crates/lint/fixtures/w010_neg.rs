@@ -1,7 +1,9 @@
 //! DV-W010 negative: waiting goes through virtual time. `ctx.park()` is
 //! the sim's own descheduling call, not `std::thread::park`.
-fn wait_for_data(ctx: &SimCtx, arrivals: &WaitSet) -> Option<u64> {
+use dv_sim::SimCtx;
+
+fn wait_for_data(ctx: &SimCtx) {
     ctx.park();
+    ctx.delay(5);
     ctx.wait_until(ctx.now() + 5);
-    ctx.wait_for(Some(ctx.now() + 5), || ctx.try_take(), |w| arrivals.register(w))
 }

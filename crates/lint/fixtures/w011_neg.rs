@@ -1,9 +1,10 @@
-//! DV-W011 negative: plain counts may narrow, routed values go through
-//! checked conversions, and widening casts are always fine.
-fn tally(cells: u64, words: u64, port: u64, cycle: u64) -> (u32, u16, u8, u64) {
-    let c = cells as u32;
-    let w = words as u16;
+//! DV-W011 negative: routed values go through checked conversions,
+//! widening casts are always fine, and a hot-path cast whose range is
+//! proved carries the proof in an `#[expect]`.
+fn tally(port: u64, cycle: u32, dst: usize, h_mask: usize) -> (u8, u64, u16) {
     let p = u8::try_from(port).expect("ports are 0..=255 by construction");
-    let wide = cycle as u64;
-    (c, w, p, wide)
+    let wide = u64::from(cycle);
+    #[expect(clippy::cast_possible_truncation, reason = "masked to h_mask < 2^16")]
+    let h = (dst & h_mask) as u16;
+    (p, wide, h)
 }

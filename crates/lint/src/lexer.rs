@@ -377,6 +377,15 @@ mod tests {
     }
 
     #[test]
+    fn a_quote_char_literal_does_not_open_a_string() {
+        // The code on the line after `'"'` is code, not string contents.
+        let t = kinds("let quote = '\"';\nlet m = std::collections::HashMap::new();\n");
+        assert!(t.contains(&(TokenKind::Char, "'\"'".into())));
+        assert!(t.contains(&(TokenKind::Ident, "HashMap".into())));
+        assert!(t.iter().all(|(k, _)| *k != TokenKind::Str));
+    }
+
+    #[test]
     fn escaped_and_unicode_chars() {
         let t = kinds(r"let a = '\''; let b = '\u{1F600}'; let c = 'é';");
         let chars: Vec<_> =

@@ -6,37 +6,35 @@
 //! iteration feeding a send loop, one `Instant::now()` in a cost model,
 //! and results stop reproducing while every functional test still passes.
 //!
-//! `dv-lint` is the static half of the enforcement (the runtime halves
-//! are `dv_sim::OrderAudit` and `dv_core::sync::lock_order_conflicts`).
-//! It is a two-pass analyzer with no external dependencies: pass one is a
-//! real lexer ([`lexer`]) producing the spanned token stream that
-//! [`scanner`] holds as the one source model every rule reads; pass
-//! two ([`scope`]) builds a lightweight item model — fn boundaries, `use`
-//! imports, test regions, `unsafe` spans, live lock guards — that the
-//! concurrency rules and the whole-workspace lock-order graph
-//! ([`lockgraph`]) consume. An audited exception is written one way:
-//! inline, next to the code it excuses, with its reason ([`suppress`]).
+//! `dv-lint` is the static half of the lock and atomic discipline (the
+//! runtime halves are `dv_sim::OrderAudit` and
+//! `dv_core::sync::lock_order_conflicts`). It is a two-pass analyzer with
+//! no external dependencies: pass one is a real lexer ([`lexer`])
+//! producing the spanned token stream that [`scanner`] holds as the one
+//! source model every rule reads; pass two ([`scope`]) builds a
+//! lightweight item model — fn boundaries, test regions, live lock
+//! guards — that the rules and the whole-workspace lock-order graph
+//! ([`lockgraph`]) consume.
+//!
+//! The rest of the determinism policy is clippy config: `HashMap`/`HashSet`
+//! (DV-W001), the wall clock (DV-W002), std locks and channels in the hot
+//! paths (DV-W004), raw threads (DV-W008) and host-blocking calls
+//! (DV-W010) are `disallowed-types` / `disallowed-methods` in the root
+//! `clippy.toml` and its per-crate copies; prints in libraries (DV-W006) and unsafe without a
+//! `// SAFETY:` comment (DV-W009) are `[workspace.lints.clippy]`; lossy
+//! casts in dv-switch and dv-vic (DV-W011) are `cast_possible_truncation`,
+//! `cast_possible_wrap` and `cast_sign_loss`.
+//! An audited exception to those is `#[expect(clippy::…, reason = "…")]`.
 //!
 //! ## Shipped rules
 //!
 //! | id | severity | meaning |
 //! |----|----------|---------|
-//! | `DV-W001` | error | `HashMap`/`HashSet` in simulation-reachable code (iteration order can leak into simulated sends) — use `BTreeMap`/`BTreeSet` or a sorted drain |
-//! | `DV-W002` | error | wall-clock time (`Instant`, `SystemTime`) inside simulation crates — all time must be virtual |
-//! | `DV-W004` | warning | `unwrap()`/`expect()` on lock or channel results in sim hot paths — use `dv_core::sync::Mutex` (poison-recovering) or handle the error |
-//! | `DV-W006` | warning | `print!`-family macros in library crates — record through metrics/trace instead |
 //! | `DV-W007` | warning | mixed `Ordering::Relaxed`/`Ordering::SeqCst` atomics in one function |
-//! | `DV-W008` | error | raw `std::thread::spawn` outside the dv-sim scheduler |
-//! | `DV-W009` | warning | `unsafe` block/impl without an adjacent `// SAFETY:` comment |
-//! | `DV-W010` | error | host-blocking call (`sleep`, `thread::park`, `yield_now`, `recv_timeout`) in virtual-time code |
-//! | `DV-W011` | warning | narrowing `as` cast on a port/address/cycle value on the packet path |
 //! | `DV-W012` | warning | nested lock guards from different mutexes in one function |
 //! | `DV-W013` | error | lock-order cycle among named mutexes (whole-workspace graph) |
 //!
-//! Two synthesized diagnostics keep the suppression machinery honest:
-//! `DV-S001` (malformed inline suppression) and `DV-S002` (inline
-//! suppression that matched nothing). Both are warnings, so
-//! `--deny-warnings` CI catches rot.
+//! dv-lint has no suppression path: a finding is fixed, not silenced.
 //!
 //! Run it as `cargo run -p dv-lint` (add `-- --deny-warnings` in CI, and
 //! `--format json` for the machine-readable report), or use [`run_lint`]
@@ -50,7 +48,6 @@ pub mod lockgraph;
 pub mod rules;
 pub mod scanner;
 pub mod scope;
-pub mod suppress;
 
 use std::path::{Path, PathBuf};
 
@@ -63,11 +60,8 @@ pub use scanner::SourceFile;
 /// Result of a workspace lint run.
 #[derive(Debug, Default)]
 pub struct LintReport {
-    /// Findings that survived the inline suppressions, in (path, line,
-    /// rule) order.
+    /// Every finding, in (path, line, rule) order.
     pub findings: Vec<Finding>,
-    /// Findings suppressed inline, with the written reason.
-    pub suppressed: Vec<(Finding, String)>,
     /// Number of files scanned.
     pub files: usize,
     /// The whole-workspace lock-order graph (bindings resolved, edges
@@ -101,19 +95,6 @@ impl LintReport {
                 ("note".into(), Json::str(&f.note)),
             ])
         };
-        let suppressed = Json::Arr(
-            self.suppressed
-                .iter()
-                .map(|(f, reason)| {
-                    Json::Obj(vec![
-                        ("rule".into(), Json::str(f.rule)),
-                        ("path".into(), Json::str(&f.path)),
-                        ("line".into(), Json::U64(f.line as u64)),
-                        ("reason".into(), Json::str(reason)),
-                    ])
-                })
-                .collect(),
-        );
         let edges = Json::Arr(
             self.locks
                 .edges
@@ -137,12 +118,11 @@ impl LintReport {
                 .collect(),
         );
         Json::Obj(vec![
-            ("schema".into(), Json::str("dv-lint-v2")),
+            ("schema".into(), Json::str("dv-lint-v3")),
             ("files".into(), Json::U64(self.files as u64)),
             ("errors".into(), Json::U64(self.errors() as u64)),
             ("warnings".into(), Json::U64(self.warnings() as u64)),
             ("findings".into(), Json::Arr(self.findings.iter().map(finding_json).collect())),
-            ("suppressed".into(), suppressed),
             (
                 "lock_graph".into(),
                 Json::Obj(vec![
@@ -207,40 +187,12 @@ pub fn crate_of(rel_path: &str) -> &str {
     }
 }
 
-/// Severity of every synthesized `DV-S***` diagnostic.
-const META_SEVERITY: Severity = Severity::Warning;
-
-fn meta_finding(
-    rule: &'static str,
-    message: &'static str,
-    hint: &'static str,
-    path: &str,
-    line: usize,
-    text: String,
-    note: String,
-) -> Finding {
-    Finding {
-        rule,
-        severity: META_SEVERITY,
-        path: path.to_string(),
-        line,
-        text,
-        message,
-        hint,
-        note,
-    }
-}
-
-/// Lint every workspace source under `root` against all shipped rules,
-/// then apply the inline suppressions. Per-file `DV-W013` findings are
-/// replaced by the whole-workspace lock graph's (cross-file cycles are
-/// invisible to any single file).
+/// Lint every workspace source under `root` against all shipped rules.
+/// Per-file `DV-W013` findings are replaced by the whole-workspace lock
+/// graph's (cross-file cycles are invisible to any single file).
 pub fn run_lint(root: &Path) -> std::io::Result<LintReport> {
     let mut report = LintReport::default();
     let mut graph = LockGraph::new();
-    let mut raw_findings: Vec<Finding> = Vec::new();
-    // (file path, suppression, used) across the workspace.
-    let mut suppressions: Vec<(String, suppress::Suppression, bool)> = Vec::new();
     let mut files: Vec<AnalyzedFile> = Vec::new();
 
     for path in workspace_sources(root) {
@@ -249,22 +201,9 @@ pub fn run_lint(root: &Path) -> std::io::Result<LintReport> {
         report.files += 1;
         let file = AnalyzedFile::parse(&rel, &source);
         graph.add_file(&file);
-        raw_findings
+        report
+            .findings
             .extend(rules::scan_file(crate_of(&rel), &file).into_iter().filter(|f| f.rule != "DV-W013"));
-        let (found, malformed) = suppress::collect(&file.src);
-        for m in malformed {
-            raw_findings.push(meta_finding(
-                "DV-S001",
-                "malformed dv-lint suppression comment",
-                "write `dv-lint: allow(DV-XNNN, reason = \"...\")` — one rule id, \
-                 non-empty quoted reason",
-                &rel,
-                m.line,
-                file.src.line_text(m.line),
-                m.message,
-            ));
-        }
-        suppressions.extend(found.into_iter().map(|s| (rel.clone(), s, false)));
         files.push(file);
     }
 
@@ -273,45 +212,13 @@ pub fn run_lint(root: &Path) -> std::io::Result<LintReport> {
         for (path, line, note) in rules::cycle_findings(&graph) {
             // Every witness comes from a scanned file.
             if let Some(file) = files.iter().find(|x| x.src.path == path) {
-                raw_findings.push(w013.finding(&file.src, line, note));
+                report.findings.push(w013.finding(&file.src, line, note));
             }
-        }
-    }
-
-    for finding in raw_findings {
-        let inline = suppressions.iter_mut().find(|(path, s, _)| {
-            s.rule == finding.rule && s.target_line == finding.line && *path == finding.path
-        });
-        match inline {
-            Some((_, s, used)) => {
-                *used = true;
-                report.suppressed.push((finding, s.reason.clone()));
-            }
-            None => report.findings.push(finding),
-        }
-    }
-
-    // Silencers that silenced nothing are findings themselves.
-    for (path, s, used) in &suppressions {
-        if !used {
-            report.findings.push(meta_finding(
-                "DV-S002",
-                "inline suppression matched no finding",
-                "the code it silenced is gone or the rule no longer fires — delete \
-                 the comment",
-                path,
-                s.at_line,
-                String::new(),
-                format!("allow({}, reason = \"{}\")", s.rule, s.reason),
-            ));
         }
     }
 
     report.locks = graph;
     report.findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    report
-        .suppressed
-        .sort_by(|a, b| (&a.0.path, a.0.line, a.0.rule).cmp(&(&b.0.path, b.0.line, b.0.rule)));
     Ok(report)
 }
 
@@ -328,14 +235,14 @@ mod tests {
     }
 
     #[test]
-    fn workspace_scan_has_no_unsuppressed_findings() {
+    fn workspace_scan_has_no_findings() {
         // The real workspace must lint clean — the same invariant CI
         // enforces. Walk up from this crate to the workspace root.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let report = run_lint(&root).expect("scan must succeed");
         assert!(
             report.findings.is_empty(),
-            "workspace has unsuppressed lint findings:\n{}",
+            "workspace has lint findings:\n{}",
             report
                 .findings
                 .iter()
@@ -363,6 +270,6 @@ mod tests {
         let a = run_lint(&root).expect("scan").to_json().render_pretty();
         let b = run_lint(&root).expect("scan").to_json().render_pretty();
         assert_eq!(a, b);
-        assert!(a.contains("\"schema\": \"dv-lint-v2\""));
+        assert!(a.contains("\"schema\": \"dv-lint-v3\""));
     }
 }

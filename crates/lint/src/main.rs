@@ -3,13 +3,15 @@
 //! Exit status is 0 when clean, 1 when findings remain (errors always;
 //! warnings too under `--deny-warnings`), 2 on usage or I/O problems.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "a CLI's report is its output")]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use dv_lint::{run_lint, RULES};
 
 const USAGE: &str = "\
-dv-lint — determinism & simulation-safety static analysis
+dv-lint — lock and atomic discipline (DV-W007, DV-W012, DV-W013)
 
 USAGE:
     cargo run -p dv-lint [-- OPTIONS]
@@ -18,7 +20,7 @@ OPTIONS:
     --root <DIR>        workspace root to scan [default: auto-detected]
     --deny-warnings     exit nonzero on warnings as well as errors
     --format <FMT>      output format: text (default) or json (stdout is
-                        the deterministic dv-lint-v2 report, diagnostics
+                        the deterministic dv-lint-v3 report, diagnostics
                         go to stderr)
     --list-rules        print the rule table and exit
     -h, --help          show this help
@@ -107,30 +109,16 @@ fn main() -> ExitCode {
     let errors = report.errors();
     let warnings = report.warnings();
 
+    let summary =
+        format!("dv-lint: {} files scanned, {errors} error(s), {warnings} warning(s)", report.files);
     if opts.format == Format::Json {
         println!("{}", report.to_json().render_pretty());
-        eprintln!(
-            "dv-lint: {} files scanned, {errors} error(s), {warnings} warning(s), \
-             {} suppressed inline",
-            report.files,
-            report.suppressed.len()
-        );
+        eprintln!("{summary}");
     } else {
         for finding in &report.findings {
             println!("{}\n", finding.render());
         }
-        for (finding, reason) in &report.suppressed {
-            println!(
-                "suppressed {} {}:{} ({reason})",
-                finding.rule, finding.path, finding.line
-            );
-        }
-        println!(
-            "dv-lint: {} files scanned, {errors} error(s), {warnings} warning(s), \
-             {} suppressed inline",
-            report.files,
-            report.suppressed.len()
-        );
+        println!("{summary}");
     }
 
     if errors > 0 || (opts.deny_warnings && warnings > 0) {

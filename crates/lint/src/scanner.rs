@@ -1,12 +1,11 @@
 //! Source model: the spanned token stream of one Rust file.
 //!
-//! Rules must match *code*, not prose: a doc comment explaining why
-//! `HashMap` is banned must not trip the `HashMap` rule. The lexer
+//! Rules must match *code*, not prose: a comment that names
+//! `Ordering::SeqCst` must not trip the mixed-ordering rule. The lexer
 //! ([`crate::lexer`]) decides that once: comments and string/char
 //! literals are tokens of their own kinds, so a rule that reads only
 //! [`SourceFile::code_tokens`] never sees what they contain. The raw
-//! lines are kept for quoting a finding's line and for the `// SAFETY:`
-//! look-behind, nothing else.
+//! lines are kept for quoting a finding's line, nothing else.
 
 use crate::lexer::{self, Token};
 

@@ -3,10 +3,10 @@
 //!
 //! This is deliberately not a parser — it answers exactly the questions
 //! the concurrency rules ask: where do functions begin and end (brace
-//! tracking from the `fn` keyword), what does the file `use`, which lines
-//! are test-only (`#[cfg(test)]` / `#[test]` items, and whole files under
-//! `tests/`), where are `unsafe` blocks and impls, and which lock guards
-//! are live at each `.lock()` call inside a function body.
+//! tracking from the `fn` keyword), which lines are test-only
+//! (`#[cfg(test)]` / `#[test]` items, and whole files under `tests/`), and
+//! which lock guards are live at each `.lock()` call inside a function
+//! body.
 
 use crate::lexer::{Token, TokenKind};
 use crate::scanner::SourceFile;
@@ -23,24 +23,6 @@ pub struct FnScope {
     pub body: Option<(usize, usize)>,
     /// Inclusive 1-based line range of the body braces.
     pub body_lines: (usize, usize),
-}
-
-/// Where an `unsafe` keyword introduces code that needs a safety audit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnsafeKind {
-    /// An `unsafe { ... }` block.
-    Block,
-    /// An `unsafe impl`.
-    Impl,
-}
-
-/// One `unsafe` block or impl.
-#[derive(Debug, Clone)]
-pub struct UnsafeSpan {
-    /// Block or impl.
-    pub kind: UnsafeKind,
-    /// 1-based line of the `unsafe` keyword.
-    pub line: usize,
 }
 
 /// A `.lock()` call observed while other lock guards were live in the
@@ -62,14 +44,10 @@ pub struct LockAcquire {
 pub struct ScopeModel {
     /// Every `fn` item, in source order.
     pub fns: Vec<FnScope>,
-    /// Flattened `use` declarations (`std::thread::spawn`, ...).
-    pub uses: Vec<String>,
     /// Inclusive 1-based line ranges of test-only items.
     pub test_ranges: Vec<(usize, usize)>,
     /// Whether the whole file is test code (under `tests/`).
     pub all_tests: bool,
-    /// Every `unsafe` block/impl.
-    pub unsafes: Vec<UnsafeSpan>,
     /// Every nested lock acquisition, across all fns.
     pub lock_acquires: Vec<LockAcquire>,
 }
@@ -101,7 +79,7 @@ impl ScopeModel {
             .min_by_key(|f| f.body_lines.1 - f.body_lines.0)
     }
 
-    /// Single walk collecting fns, uses, test regions, and unsafes.
+    /// Single walk collecting fns and test regions.
     fn collect_items(&mut self, toks: &[&Token]) {
         let mut k = 0;
         while k < toks.len() {
@@ -117,25 +95,6 @@ impl ScopeModel {
                             .map(|(o, c)| (toks[o].line, toks[c].line))
                             .unwrap_or((t.line, t.line)),
                     });
-                }
-            } else if t.is_ident("use") {
-                let mut path = String::new();
-                let mut j = k + 1;
-                while j < toks.len() && !toks[j].is_punct(";") {
-                    path.push_str(&toks[j].text);
-                    j += 1;
-                }
-                self.uses.push(path);
-                k = j;
-            } else if t.is_ident("unsafe") {
-                match toks.get(k + 1) {
-                    Some(n) if n.is_punct("{") => {
-                        self.unsafes.push(UnsafeSpan { kind: UnsafeKind::Block, line: t.line });
-                    }
-                    Some(n) if n.is_ident("impl") => {
-                        self.unsafes.push(UnsafeSpan { kind: UnsafeKind::Impl, line: t.line });
-                    }
-                    _ => {} // `unsafe fn` / `unsafe trait` declarations
                 }
             } else if t.is_punct("#") && toks.get(k + 1).is_some_and(|n| n.is_punct("[")) {
                 if let Some((end, is_test)) = attribute_extent(toks, k + 1) {
@@ -404,21 +363,6 @@ mod tests {
     fn integration_test_files_are_all_test() {
         let f = SourceFile::parse("tests/determinism.rs", "fn x() {}\n");
         assert!(ScopeModel::build(&f).is_test_line(1));
-    }
-
-    #[test]
-    fn uses_are_flattened() {
-        let m = model("use std::thread::spawn;\nuse std::sync::{Arc, Mutex};\n");
-        assert_eq!(m.uses[0], "std::thread::spawn");
-        assert!(m.uses[1].contains("Mutex"));
-    }
-
-    #[test]
-    fn unsafe_blocks_and_impls_are_recorded() {
-        let m = model("unsafe impl Send for X {}\nfn f() { unsafe { y(); } }\nunsafe fn decl() {}\n");
-        assert_eq!(m.unsafes.len(), 2);
-        assert_eq!(m.unsafes[0].kind, UnsafeKind::Impl);
-        assert_eq!(m.unsafes[1].kind, UnsafeKind::Block);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Runtime ordering auditor: a rolling hash of the event trace.
 //!
-//! The static pass (`dv-lint`) keeps order-dependent constructs out of the
-//! code; this module is the *runtime* half of the determinism contract. The
-//! kernel feeds every event it commits — `(virtual time, event kind,
-//! process/sequence identity)` — through an FNV-1a hash. Two runs of the
+//! The static pass (the workspace's clippy config and `dv-lint`) keeps
+//! order-dependent constructs out of the code; this module is the
+//! *runtime* half of the determinism contract. The kernel feeds every
+//! event it commits — `(virtual time, event kind, process/sequence
+//! identity)` — through an FNV-1a hash. Two runs of the
 //! same workload must produce the same [`OrderAudit::hash`] bit-for-bit:
 //! any divergence means scheduling leaked host-side nondeterminism (hash
 //! iteration order, thread timing, wall-clock) into the event stream.

@@ -95,7 +95,11 @@ impl Parker {
             }
             debug_assert_eq!(owner.id(), thread::current().id(), "a parker has one owner");
             while self.flag.load(Ordering::Acquire) == SLEEPING {
-                thread::park(); // dv-lint: allow(DV-W010, reason = "the scheduler's own sleep: a passive process thread waits here for the run token; ctx.park() is built on it")
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the scheduler's own sleep: a passive process thread waits here for the run token; ctx.park() is built on it"
+                )]
+                thread::park();
             }
         }
     }
@@ -121,6 +125,7 @@ mod tests {
         let p = Arc::new(Parker::new());
         let p2 = Arc::clone(&p);
         let h = std::thread::spawn(move || p2.wait().is_ok());
+        #[expect(clippy::disallowed_methods, reason = "test harness: give the waiter time to sleep")]
         std::thread::sleep(std::time::Duration::from_millis(20));
         p.grant();
         assert!(h.join().unwrap());
@@ -131,6 +136,7 @@ mod tests {
         let p = Arc::new(Parker::new());
         let p2 = Arc::clone(&p);
         let h = std::thread::spawn(move || p2.wait().is_err());
+        #[expect(clippy::disallowed_methods, reason = "test harness: give the waiter time to sleep")]
         std::thread::sleep(std::time::Duration::from_millis(20));
         p.shutdown();
         assert!(h.join().unwrap());
@@ -170,10 +176,12 @@ mod tests {
             granted
         });
         while p.flag.load(Ordering::Acquire) != SLEEPING {
+            #[expect(clippy::disallowed_methods, reason = "test harness: spin until the owner sleeps")]
             thread::yield_now(); // until the owner has announced its sleep
         }
         for _ in 0..1000 {
             h.thread().unpark(); // and a stream of them during it
+            #[expect(clippy::disallowed_methods, reason = "test harness: let the owner run")]
             thread::yield_now();
             assert!(!released.load(Ordering::SeqCst), "a stray unpark released the waiter");
         }
@@ -216,6 +224,7 @@ mod tests {
         const THREADS: usize = 64;
         const PASSES: usize = 100_000;
         let ring: Arc<Vec<Parker>> = Arc::new((0..THREADS).map(|_| Parker::new()).collect());
+        #[expect(clippy::disallowed_methods, reason = "test harness: the host watchdog's channel")]
         let (done_tx, done_rx) = channel();
         let handles: Vec<_> = (0..THREADS)
             .map(|me| {
@@ -238,6 +247,7 @@ mod tests {
         ring[0].grant();
         // The watchdog: a lost wake-up stops the token, and the suite fails
         // here in a minute instead of hanging.
+        #[expect(clippy::disallowed_methods, reason = "test harness: a host watchdog, not simulated time")]
         let finished = done_rx.recv_timeout(Duration::from_secs(60));
         ring.iter().for_each(Parker::shutdown);
         for h in handles {

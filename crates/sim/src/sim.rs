@@ -45,8 +45,7 @@
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
-use std::sync::{Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 
 use dv_core::metrics::MetricsRegistry;
@@ -112,6 +111,13 @@ enum Outcome {
     /// and re-panicked on the host thread.
     Abort(String),
 }
+
+/// The host's own lock, under [`OutcomeCell`] only.
+#[expect(
+    clippy::disallowed_types,
+    reason = "Condvar::wait takes std's guard; the host thread, not a simulated process, waits here"
+)]
+type StdMutex<T> = std::sync::Mutex<T>;
 
 /// One-shot outcome cell the host sleeps on while processes drive.
 struct OutcomeCell {

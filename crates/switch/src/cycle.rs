@@ -253,7 +253,10 @@ fn retire(
 ) {
     // A flit moves exactly one hop per in-flight cycle, and the ejecting
     // cycle is not a hop.
-    // dv-lint: allow(DV-W011, reason = "flight time is bounded by the run's cycle count, far below 2^32; Delivered.hops is u32 and this is the per-ejection hot loop")
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "flight time is bounded by the run's cycle count, far below 2^32; Delivered.hops is u32 and this is the per-ejection hot loop"
+    )]
     let hops = (cycle - p.inject_cycle - 1) as u32;
     hop_hist.push(hops as u64);
     deflection_hist.push(deflections as u64);
@@ -290,9 +293,11 @@ impl PoolHandle for u16 {
         self as usize
     }
     #[inline(always)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u16 handle storage is only constructed when the pool size fits 2^16 (see `SwitchSim::new`), so every allocated handle fits"
+    )]
     fn of(handle: u32) -> Self {
-        // u16 handle storage is only constructed when the pool size fits
-        // 2^16 (see `SwitchSim::new`), so every allocated handle fits.
         handle as u16
     }
     #[inline(always)]
@@ -743,7 +748,8 @@ impl SwitchSim {
             occ_nxt: vec![0; if batched { 0 } else { ports.div_ceil(64) * cylinders }],
             ingress,
             pool: vec![EMPTY_FLIT; cells],
-            free: (0..cells as u32).collect(),
+            free: (0..u32::try_from(cells).expect("cells = ports × cylinders, ports <= 2^16 (Ingress::new)"))
+                .collect(),
             topo,
             tally: Tally::new(&NAMES),
             deflection_hist: hist(),
@@ -839,8 +845,16 @@ impl CycleEngine for SwitchSim {
                     self.pool[handle as usize] = Flit {
                         // Checked conversions would put branches in the
                         // per-flit inject loop.
-                        src_port: port as u16, // dv-lint: allow(DV-W011, reason = "port < ports <= 2^16: Ingress::new rejects wider switches")
-                        dst_port: q.dst_port as u16, // dv-lint: allow(DV-W011, reason = "dst_port < ports <= 2^16: Ingress::push checks the port, Ingress::new the bound")
+                        #[expect(
+                            clippy::cast_possible_truncation,
+                            reason = "port < ports <= 2^16: Ingress::new rejects wider switches"
+                        )]
+                        src_port: port as u16,
+                        #[expect(
+                            clippy::cast_possible_truncation,
+                            reason = "dst_port < ports <= 2^16: Ingress::push checks the port, Ingress::new the bound"
+                        )]
+                        dst_port: q.dst_port as u16,
                         tag: q.tag,
                         inject_cycle: self.tally.cycle,
                         enqueue_cycle: q.enqueue_cycle,
@@ -866,9 +880,15 @@ impl CycleEngine for SwitchSim {
                             // `port_position` via the hoisted mask/shift:
                             // height is a power of two, but a runtime `%`/`/`
                             // would still compile to real divisions.
-                            // dv-lint: allow(DV-W011, reason = "masked to h_mask, and height <= ports <= 2^16 (Ingress::new); checked conversion would put a branch in the per-cycle inject loop")
+                            #[expect(
+                                clippy::cast_possible_truncation,
+                                reason = "masked to h_mask, and height <= ports <= 2^16 (Ingress::new); checked conversion would put a branch in the per-cycle inject loop"
+                            )]
                             dst_h: (dst & self.h_mask) as u16,
-                            // dv-lint: allow(DV-W011, reason = "dst >> h_shift is an angle index < angles <= ports <= 2^16 (Ingress::new); checked conversion would put a branch in the per-cycle inject loop")
+                            #[expect(
+                                clippy::cast_possible_truncation,
+                                reason = "dst >> h_shift is an angle index < angles <= ports <= 2^16 (Ingress::new); checked conversion would put a branch in the per-cycle inject loop"
+                            )]
                             dst_a: (dst >> self.h_shift) as u16,
                         };
                     }
@@ -1034,8 +1054,20 @@ impl SwitchSim {
             occ_inner = occ_this;
         }
         occ_nxt[0] = occ_inner;
+        self.end_movement(ejected, contended);
+    }
+
+    /// A movement phase's tally: `ejected` flits left the network and
+    /// `contended` deflections were forced by contention.
+    #[inline(always)]
+    fn end_movement(&mut self, ejected: u64, contended: u64) {
         self.tally.ejected += ejected;
-        self.tally.in_flight -= ejected as usize;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a cycle ejects at most the in-flight count, a usize"
+        )]
+        let ejected = ejected as usize;
+        self.tally.in_flight -= ejected;
         self.contention_deflections += contended;
     }
 
@@ -1138,9 +1170,7 @@ impl SwitchSim {
                 }
             }
         }
-        self.tally.ejected += ejected;
-        self.tally.in_flight -= ejected as usize;
-        self.contention_deflections += contended;
+        self.end_movement(ejected, contended);
     }
 
     /// Word-parallel movement phase for wide switches with `height >= 64`:
@@ -1204,9 +1234,7 @@ impl SwitchSim {
         if self.rot == self.angles {
             self.rot = 0;
         }
-        self.tally.ejected += ejected;
-        self.tally.in_flight -= ejected as usize;
-        self.contention_deflections += contended;
+        self.end_movement(ejected, contended);
     }
 
     /// The deflection network's own statistics over the `cycles` since

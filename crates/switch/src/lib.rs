@@ -31,6 +31,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// DV-W011: a cast that silently truncates, wraps or drops a sign
+// corrupts a route or a timestamp.
+#![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap, clippy::cast_sign_loss)]
 
 pub mod cycle;
 mod engine;

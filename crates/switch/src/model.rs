@@ -61,8 +61,14 @@ impl SwitchModel {
         let p = self.net.ports();
         let hops = self.net.min_hops(src_port % p, dst_port % p);
         let extra = self.deflection_hops(load);
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "a one-way traversal in ps: non-negative, far below 2^64; per-packet cost path"
+        )]
+        let hops_time = ((hops as f64 + extra) * self.hop_time as f64).round() as Time;
         self.inject
-            + ((hops as f64 + extra) * self.hop_time as f64).round() as Time
+            + hops_time
             + self.eject
     }
 

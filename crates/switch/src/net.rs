@@ -398,15 +398,16 @@ impl NetworkTopology for MinPathGraph {
 /// Connected by construction (offset 1 is a Hamiltonian cycle; `d == 1`
 /// degenerates to the perfect matching `i ↔ i + n/2`).
 fn circulant_edges(n: usize, d: usize) -> Vec<(u32, u32)> {
+    let id = |v: usize| u32::try_from(v).expect("vertex ids are u32");
     let mut edges = Vec::with_capacity(n * d / 2);
     for off in 1..=d / 2 {
         for i in 0..n {
-            edges.push((i as u32, ((i + off) % n) as u32));
+            edges.push((id(i), id((i + off) % n)));
         }
     }
     if d % 2 == 1 {
         for i in 0..n / 2 {
-            edges.push((i as u32, (i + n / 2) as u32));
+            edges.push((id(i), id(i + n / 2)));
         }
     }
     edges
@@ -421,8 +422,8 @@ fn double_edge_swaps(edges: &mut [(u32, u32)], rng: &mut SplitMix64, swaps: usiz
         edges.iter().map(|&(a, b)| norm(a, b)).collect();
     let m = edges.len();
     for _ in 0..swaps {
-        let i = rng.next_below(m as u64) as usize;
-        let j = rng.next_below(m as u64) as usize;
+        #[expect(clippy::cast_possible_truncation, reason = "next_below(m) < m, a usize")]
+        let (i, j) = (rng.next_below(m as u64) as usize, rng.next_below(m as u64) as usize);
         if i == j {
             continue;
         }

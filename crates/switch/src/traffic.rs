@@ -210,6 +210,10 @@ impl LoadSweep {
         if ports <= 1 {
             return 0;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "below(x, ports - 1) < ports, a usize; per-arrival path"
+        )]
         let mut d = below(draw(), ports as u64 - 1) as usize;
         if d >= src {
             d += 1;
@@ -291,6 +295,7 @@ impl LoadSweep {
         let mut perm: Vec<usize> = (0..ports).collect();
         // Fisher–Yates with the seeded generator (used by Permutation).
         for i in (1..ports).rev() {
+            #[expect(clippy::cast_possible_truncation, reason = "next_below(i + 1) <= i, a usize")]
             let j = rng.next_below(i as u64 + 1) as usize;
             perm.swap(i, j);
         }
@@ -418,8 +423,13 @@ impl LoadSweep {
         art.sim.flush_metrics(m);
         // Label by offered load in permille so the label is an integer
         // (stable text) rather than a formatted float.
-        let load =
-            [("offered_permille", ((art.point.offered * 1000.0).round() as u64).into())];
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "an offered load in permille: non-negative and small"
+        )]
+        let permille = (art.point.offered * 1000.0).round() as u64;
+        let load = [("offered_permille", permille.into())];
         m.incr_labeled("switch.sweep.delivered", &load, art.point.delivered);
         if self.faults.is_some() {
             m.incr_labeled("switch.sweep.fault_drops", &load, art.fault_drops);

@@ -32,7 +32,9 @@ impl GroupCounter {
     /// Preset the expected number of packets. Overwrites the current value
     /// unconditionally — including any decrements that raced ahead.
     pub fn set(&mut self, expected: u64) {
-        self.value = expected as i64;
+        #[expect(clippy::cast_possible_wrap, reason = "a packet count, far below 2^63")]
+        let expected = expected as i64;
+        self.value = expected;
         // A set to zero satisfies waiters immediately; handled by the
         // caller waking through `waiters_if_zero`.
     }
@@ -45,7 +47,9 @@ impl GroupCounter {
     /// Decrement by a whole batch of arrivals at once (the simulator's
     /// bulk-delivery fast path; semantically identical to `n` packets).
     pub fn decrement_by(&mut self, n: u64) {
-        self.value -= n as i64;
+        #[expect(clippy::cast_possible_wrap, reason = "a batch's packet count, far below 2^63")]
+        let n = n as i64;
+        self.value -= n;
     }
 
     /// Current value (negative when packets outran the preset).

@@ -107,6 +107,7 @@ impl DvMemory {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, reason = "DV-W011 skips test code")]
 mod tests {
     use super::*;
 

@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --release --example fluid_sim`
 
+#![allow(clippy::print_stdout, reason = "an example reports on its terminal")]
+
 use datavortex::apps::vorticity::{dist, initial_vorticity, SerialVorticity, VortConfig};
 use datavortex::core::spec::SimSpec;
 use datavortex::core::time::as_us_f64;

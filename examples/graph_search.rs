@@ -6,6 +6,8 @@
 //!
 //! Run with: `cargo run --release --example graph_search`
 
+#![allow(clippy::print_stdout, reason = "an example reports on its terminal")]
+
 use datavortex::core::spec::SimSpec;
 use datavortex::kernels::graph::{
     dv, kronecker_edges, mpi, partition_csr, pick_roots, serial_bfs, validate_bfs, Csr,

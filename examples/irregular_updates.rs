@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --release --example irregular_updates`
 
+#![allow(clippy::print_stdout, reason = "an example reports on its terminal")]
+
 use datavortex::core::spec::SimSpec;
 use datavortex::kernels::gups::{dv, mpi, serial_reference, GupsConfig};
 

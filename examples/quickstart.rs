@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+#![allow(clippy::print_stdout, reason = "an example reports on its terminal")]
+
 use datavortex::api::{DvCluster, SendMode};
 use datavortex::core::packet::SCRATCH_GC;
 use datavortex::core::spec::SimSpec;

@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --release --example switch_explorer`
 
+#![allow(clippy::print_stdout, reason = "an example reports on its terminal")]
+
 use datavortex::switch::traffic::{LoadSweep, Pattern};
 use datavortex::switch::{CycleEngine, SwitchSim, Topology};
 

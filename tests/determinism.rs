@@ -121,6 +121,7 @@ fn mpi_trace_hash_reproduces_exactly() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "concurrent host threads are what this test adds")]
 fn trace_hash_is_stable_under_host_parallelism() {
     // Several host threads each run the same simulation concurrently,
     // fighting over cores and skewing every thread-scheduling decision
@@ -169,6 +170,7 @@ fn metrics_snapshot_reproduces_byte_identically() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "concurrent host threads are what this test adds")]
 fn metrics_snapshot_is_stable_under_host_parallelism() {
     // Instrumentation must not open a nondeterminism channel: concurrent
     // host threads racing over cores cannot change what gets counted.
