@@ -1,0 +1,257 @@
+//! Every Data Vortex wait that parks more than once, pinned by its trace
+//! at 2, 3, 7 and 32 nodes, loss-free, under forced FIFO drops (the
+//! recovery layer's retransmission path) and under link duplication (its
+//! inbound dedup path).
+//!
+//! * DV GUPS (at 2, 4, 8 and 32 nodes: it needs a power of two) and DV
+//!   BFS through their kernels' entry points: `(elapsed,
+//!   FNV-1a of the tracer's spans and messages, FNV-1a of the metrics
+//!   snapshot, result digest)`. The snapshot carries the scheduler's
+//!   resume, call, stale-wakeup and trace-event counts.
+//! * A node program of its own, with the `OrderAudit` trace hash as well:
+//!   `barrier` and `fast_barrier` loops, two reliable epochs closed by
+//!   `ReliableFifo::complete_epoch` with `drain_unique` between their
+//!   sends, and a `read_word_deadline` that times out. The nodes pause for
+//!   seeded delays between calls, so every call starts skewed, and a
+//!   seeded half of the calls begin with the node's waker left in a shared
+//!   wait set that other nodes fire: a node parked inside a call is then
+//!   resumed early and must re-check and re-arm exactly as before.
+//!
+//! The pins were captured while every one of these waits ran on its
+//! node's thread; a change to how a wait is executed must leave every one
+//! of them unedited.
+
+use std::sync::Arc;
+
+use datavortex::api::{Aggregator, DvCluster, DvCtx, ReliableFifo};
+use datavortex::core::config::MachineConfig;
+use datavortex::core::fault::FaultPlan;
+use datavortex::core::fnv::Fnv1a;
+use datavortex::core::rng::SplitMix64;
+use datavortex::core::spec::SimSpec;
+use datavortex::core::time::{ns, us, Time};
+use datavortex::core::trace::Tracer;
+use datavortex::kernels::graph::{self, GraphConfig, VertexPart};
+use datavortex::kernels::gups::{self, GupsConfig};
+use datavortex::sim::{SimCtx, WaitSet};
+
+const NODES: [usize; 4] = [2, 3, 7, 32];
+
+/// GUPS needs a power-of-two node count.
+const GUPS_NODES: [usize; 4] = [2, 4, 8, 32];
+
+/// Loss-free, the chaos suite's forced-drop plan, and link duplication.
+/// Duplication runs at 0.2 %, not the chaos suite's 5 %: a duplicated
+/// barrier decrement or count post hangs most of these rows at 5 % (and
+/// some at 0.2 % on other seeds), because only surprise-FIFO words have a
+/// recovery layer (ROADMAP item 15). Every row ends on this seed.
+const PLANS: [Option<&str>; 3] = [None, Some("seed=7,fifodrop=0.02"), Some("seed=2,dup=0.002")];
+
+const GUPS: GupsConfig =
+    GupsConfig { table_per_node: 1 << 8, updates_per_node: 1 << 10, bucket: 256, stream_offset: 0 };
+
+const GRAPH: GraphConfig = GraphConfig { scale: 9, edgefactor: 8, seed: 29 };
+
+/// A spec with every recorder on, under `plan`.
+fn spec(nodes: usize, plan: Option<&str>, tracer: &Arc<Tracer>) -> SimSpec {
+    let mut machine = MachineConfig::paper_cluster();
+    machine.faults = plan.map(|p| FaultPlan::parse(p).expect("valid fault spec"));
+    SimSpec::new(nodes).machine(machine).instrumented().tracer(Arc::clone(tracer))
+}
+
+fn fnv_of(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::default();
+    h.bytes(bytes);
+    h.finish()
+}
+
+/// `(elapsed, tracer digest, metrics digest, result digest)` of DV GUPS.
+fn gups_row(nodes: usize, plan: Option<&str>) -> (Time, u64, u64, u64) {
+    let tracer = Arc::new(Tracer::enabled());
+    let spec = spec(nodes, plan, &tracer);
+    let metrics = Arc::clone(&spec.metrics);
+    let r = gups::dv::run_spec(GUPS, spec);
+    assert_eq!(r.total_updates, (GUPS.updates_per_node * nodes) as u64);
+    let mut d = Fnv1a::default();
+    d.word(r.total_updates);
+    d.word(r.checksum);
+    (r.elapsed, fnv_of(tracer.dump().as_bytes()), metrics.snapshot().fnv_hash(), d.finish())
+}
+
+/// `(elapsed, tracer digest, metrics digest, result digest)` of DV BFS.
+fn bfs_row(nodes: usize, plan: Option<&str>) -> (Time, u64, u64, u64) {
+    let edges = graph::kronecker_edges(&GRAPH);
+    let csr = graph::Csr::build(GRAPH.vertices(), &edges);
+    let locals = graph::partition_csr(&csr, VertexPart { nodes });
+    let root = graph::pick_roots(&csr, 1, 3)[0];
+    let tracer = Arc::new(Tracer::enabled());
+    let spec = spec(nodes, plan, &tracer);
+    let metrics = Arc::clone(&spec.metrics);
+    let r = graph::dv::run_spec(&locals, GRAPH.vertices(), root, spec);
+    graph::validate_bfs(&csr, root, &r.parents).expect("invalid BFS tree");
+    let mut d = Fnv1a::default();
+    d.word(r.edges_scanned);
+    r.parents.iter().for_each(|&p| d.word(p as u64));
+    (r.elapsed, fnv_of(tracer.dump().as_bytes()), metrics.snapshot().fnv_hash(), d.finish())
+}
+
+/// One node's program; returns a digest of everything it received.
+fn program(dv: &DvCtx, ctx: &SimCtx, signal: &WaitSet) -> u64 {
+    let (n, me) = (dv.nodes(), dv.node());
+    let mut rng = SplitMix64::new(0xd7_3a17 ^ me as u64);
+    let mut h = Fnv1a::default();
+    // Before each call: a seeded 0, 0.5, 1 or 1.5 µs pause, then maybe
+    // leave this node's waker in the wait set, then maybe fire everybody's.
+    let between = |ctx: &SimCtx, rng: &mut SplitMix64| {
+        ctx.delay(ns(rng.next_below(4) * 500));
+        if rng.next_below(2) == 0 {
+            signal.register(ctx.waker());
+        }
+        if rng.next_below(3) == 0 {
+            signal.wake_all_ctx(ctx);
+        }
+    };
+
+    for _ in 0..3 {
+        between(ctx, &mut rng);
+        dv.barrier(ctx);
+        between(ctx, &mut rng);
+        dv.fast_barrier(ctx);
+    }
+
+    // Two reliable epochs: words unique across the run, to seeded peers.
+    let mut rel = ReliableFifo::new(dv);
+    let mut agg = Aggregator::new(48);
+    let mut next = (me as u64) << 40;
+    for epoch in 0..2 {
+        for _ in 0..2 {
+            let count = 20 + rng.next_below(60);
+            for _ in 0..count {
+                let dest = (me + 1 + rng.next_below(n as u64 - 1) as usize) % n;
+                next += 1;
+                rel.send(ctx, dv, &mut agg, dest, next);
+            }
+            between(ctx, &mut rng);
+            rel.drain_unique(ctx, dv).iter().for_each(|&w| h.word(w));
+        }
+        between(ctx, &mut rng);
+        let received = rel.complete_epoch(ctx, dv, &mut agg, |words| {
+            words.iter().for_each(|&w| h.word(w));
+        });
+        h.word(received);
+        between(ctx, &mut rng);
+        if epoch == 0 {
+            // The next epoch starts from cleared posts, behind a fence.
+            dv.write_local(ctx, dv.layout().epoch_counts, &vec![0; n]);
+            dv.fast_barrier(ctx);
+        }
+    }
+    rel.publish(dv);
+
+    // A remote read that times out (its reply lands after the deadline),
+    // then one that does not.
+    between(ctx, &mut rng);
+    let peer = (me + 1) % n;
+    let addr = dv.layout().accepted + me as u32;
+    // The deadline falls after the query is on the wire, before its reply.
+    let late = dv.read_word_deadline(ctx, peer, addr, Some(ctx.now() + ns(400)));
+    assert_eq!(late, None, "a 400 ns deadline cannot cover a query round trip");
+    between(ctx, &mut rng);
+    dv.barrier(ctx);
+    h.word(dv.read_word_deadline(ctx, peer, addr, Some(ctx.now() + us(500))).unwrap_or(u64::MAX));
+    between(ctx, &mut rng);
+    dv.barrier(ctx);
+    h.finish()
+}
+
+/// `(elapsed, trace hash, tracer digest, metrics digest, result digest)`
+/// of the node program.
+fn program_row(nodes: usize, plan: Option<&str>) -> (Time, u64, u64, u64, u64) {
+    let tracer = Arc::new(Tracer::enabled());
+    let spec = spec(nodes, plan, &tracer);
+    let metrics = Arc::clone(&spec.metrics);
+    let signal = WaitSet::new();
+    let report = DvCluster::from_spec(spec).run(move |dv, ctx| program(dv, ctx, &signal));
+    let mut r = Fnv1a::default();
+    report.result.iter().for_each(|&d| r.word(d));
+    (report.elapsed, report.trace_hash, fnv_of(tracer.dump().as_bytes()), metrics.snapshot().fnv_hash(), r.finish())
+}
+
+/// Compare a table of actual rows against its pins, naming what moved.
+fn check<T: PartialEq + std::fmt::Debug>(what: &str, nodes: [usize; 4], actual: &[T], pins: &[T]) {
+    let moved: Vec<String> = actual
+        .iter()
+        .zip(pins)
+        .enumerate()
+        .filter(|(_, (a, p))| a != p)
+        .map(|(i, _)| format!("{} nodes, plan {:?}", nodes[i % 4], PLANS[i / 4]))
+        .collect();
+    assert!(moved.is_empty(), "{what}: traces moved at {moved:?}; actual table:\n{actual:#x?}");
+}
+
+/// Rows in plan-major order: each plan at each node count.
+fn table<T>(nodes: [usize; 4], row: impl Fn(usize, Option<&str>) -> T) -> Vec<T> {
+    PLANS.iter().flat_map(|&plan| nodes.map(move |n| (n, plan))).map(|(n, p)| row(n, p)).collect()
+}
+
+/// Rows in plan-major order, as `table` builds them.
+const GUPS_PINS: [(Time, u64, u64, u64); 12] = [
+    (0x1f71947, 0x1784c98f22aa4311, 0x4f1545b333d76262, 0xfd0a2ca334fbf9e9),
+    (0x26d5acf, 0xba48809985826d35, 0xc2c4936876c825e3, 0xe5bf2b84e59279b1),
+    (0x3acd3bd, 0x61bba48aca392221, 0x0b559e25ca897a43, 0x8d1b57bb080f0af9),
+    (0x70f9445, 0x307d2f26c002f958, 0x5cad7d5ab82ffa20, 0x1c3d099d950fa516),
+    (0xab840d0, 0x98e17758a945c01d, 0x83377a44fb10405c, 0xfd0a2ca334fbf9e9),
+    (0xcff8823, 0x038d0e1211a7eaa6, 0x9de55cb7759b585d, 0xe5bf2b84e59279b1),
+    (0xec4c25c, 0x1257eeee0dd65bdc, 0x0d36d2b6c75dde24, 0x8d1b57bb080f0af9),
+    (0x12475256, 0xcc9855b18eb20a1a, 0x4cefd884abab571a, 0x1c3d099d950fa516),
+    (0x2118e29, 0x45cfc58c87efe684, 0x564f2fd7ca1ddfb1, 0xfd0a2ca334fbf9e9),
+    (0x29cae9e, 0x9f6b28de660da49d, 0x1ac25468263f1637, 0xe5bf2b84e59279b1),
+    (0x3cd36b6, 0xed845c1b3b6c7574, 0xe84612ed18537381, 0x8d1b57bb080f0af9),
+    (0x7129320, 0xfc7ff07bbc62bbe8, 0x9f396b7ebe3f60df, 0x1c3d099d950fa516),
+];
+
+const BFS_PINS: [(Time, u64, u64, u64); 12] = [
+    (0x499371f, 0x45acf7b5352f659b, 0xf929cb45396ebd50, 0x5be009a0f186dae3),
+    (0x3d19a86, 0x2b01445e880f00fa, 0x331688823e1e3977, 0x6f0ec66515db73aa),
+    (0x34c8f57, 0x6abcb4120ad22a4d, 0xc6cf248d7a02bab8, 0x1b5bdcf711938c48),
+    (0x3075913, 0x323269fe0e527a4c, 0x24b8c7d0d58053d2, 0x78fca191b3b15f36),
+    (0x13b0ce87, 0xb6383b26de0861ed, 0x376788ad3cdbf615, 0x299595ff79b1d9e3),
+    (0x149b9dc9, 0x6175475c30615ced, 0x3fa41f1adaedb35a, 0x3151e594a6cfc504),
+    (0x12d14181, 0x7865f8cff2a2d452, 0x950a8d4bba8423fb, 0xa595df774c52cddc),
+    (0x12d08e15, 0xbf0cf393142508d2, 0x1ee825e6df360b51, 0xebbc103e2f755b65),
+    (0x4edef74, 0xd3904b8336b6ba05, 0xb59cbbe8c477c60b, 0x5be009a0f186dae3),
+    (0x455317b, 0xa7a8ff169d7a63c8, 0x3e5c1892133b0cc0, 0x577c29fde35f0021),
+    (0x3b063c6, 0xfd1fb2e7f456e901, 0xed46f7e9c8dc0ad7, 0x1b5bdcf711938c48),
+    (0x38a526a, 0x02f73d380ee75b9b, 0xd7b13b8a46e70a68, 0xa4f240e5bd396b39),
+];
+
+const PROGRAM_PINS: [(Time, u64, u64, u64, u64); 12] = [
+    (0x24b4719, 0x70437df0df20233a, 0x48300dce8c644a71, 0xb135e023767b049d, 0x0ae9e479b6dbbf96),
+    (0x2718714, 0x3d71ea59ca9026cc, 0x7323f5e4f4db2b96, 0xd4ef584399ff5dde, 0xa07d277b56dc1c39),
+    (0x2ccee4e, 0xb1056b75e1716488, 0x078cb94c7a3355c2, 0x3b95ea933c82ea46, 0xf47277d0cc750f88),
+    (0x37501d9, 0x788ef3b0ae4d4642, 0x696d664c5e7855d6, 0x1e688cc3a709e967, 0x98a6e946da2530c0),
+    (0x6bf7503, 0xf8ac7392006f599e, 0x123f1242b7947932, 0x5bc4f6dfdffdb6ab, 0x6c34d3f42d2ea922),
+    (0x6967f70, 0x455d5c117ce16fc3, 0x8a9110936e8e26a3, 0x365761bd4571801c, 0xb1bea005396dbbfb),
+    (0x5741c87, 0x2ee22464361eabd3, 0x3a63597e1350d232, 0x0d591cfd1c39aee4, 0xc13bc58598fd4d1b),
+    (0x6c497d0, 0xa1c5490475d82e24, 0x6dc0e98c31244ea4, 0x1cb656bbc9e9adbe, 0x14d67d6e0e91d63f),
+    (0x262789a, 0x899abd5730cbfc43, 0xf12e972e026b17a9, 0x857b3f105856f551, 0xea3811ef1db98265),
+    (0x28d1d4f, 0xf7b82971ff6563fb, 0xd564cdeae1106086, 0xfed0fa429be7cf0e, 0x67d356c7ee732cec),
+    (0x30da0c7, 0x6e5ee68bc4135544, 0x1527b8546743be03, 0x9ed01ab67fcf3682, 0x17d465320b5a0916),
+    (0x39e700c, 0xf4f0888170fe92b6, 0x6493264ea196f43a, 0x52ec7fa347587b80, 0x7e42a3c79a52ea64),
+];
+
+#[test]
+fn dv_gups_keeps_its_pinned_trace() {
+    check("DV GUPS", GUPS_NODES, &table(GUPS_NODES, gups_row), &GUPS_PINS);
+}
+
+#[test]
+fn dv_bfs_keeps_its_pinned_trace() {
+    check("DV BFS", NODES, &table(NODES, bfs_row), &BFS_PINS);
+}
+
+#[test]
+fn barriers_epochs_and_timed_out_reads_keep_their_pinned_traces() {
+    check("node program", NODES, &table(NODES, program_row), &PROGRAM_PINS);
+}
+
