@@ -62,6 +62,24 @@ impl Aggregator {
         delivered
     }
 
+    /// What [`Aggregator::flush`] would send, for a caller that sends it
+    /// itself: the buffered packets (counted as a flush when there are
+    /// any) and the send mode. [`Aggregator::restore`] gives the buffer
+    /// back, emptied.
+    pub(crate) fn take_batch(&mut self) -> (Vec<Packet>, SendMode) {
+        if !self.buf.is_empty() {
+            self.flushes += 1;
+            self.packets += self.buf.len() as u64;
+        }
+        (std::mem::take(&mut self.buf), self.mode)
+    }
+
+    /// Take back the buffer of [`Aggregator::take_batch`], once sent.
+    pub(crate) fn restore(&mut self, buf: Vec<Packet>) {
+        debug_assert!(buf.is_empty() && self.buf.is_empty(), "restore an unsent buffer");
+        self.buf = buf;
+    }
+
     /// Packets currently buffered.
     pub fn buffered(&self) -> usize {
         self.buf.len()

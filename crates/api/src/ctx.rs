@@ -10,6 +10,7 @@ use dv_core::{NodeId, Word};
 use dv_sim::SimCtx;
 
 use crate::layout::{Layout, FAST_BARRIER_GC, QUERY_GC};
+use crate::op::{self, At};
 use crate::world::DvWorld;
 
 /// How packets cross the PCIe bus from host memory to the VIC.
@@ -41,11 +42,11 @@ impl SendMode {
 
 /// Host-side cost of queuing a DMA descriptor batch (the CPU returns as
 /// soon as the doorbell rings; the transfer itself overlaps).
-const DMA_ENQUEUE: Time = time::ns(250);
+pub(crate) const DMA_ENQUEUE: Time = time::ns(250);
 /// Host-side cost of popping one surprise packet from the drain buffer.
-const FIFO_POP: Time = time::ns(40);
+pub(crate) const FIFO_POP: Time = time::ns(40);
 /// Cost of polling the pushed status page (a local read + fence).
-const STATUS_POLL: Time = time::ns(120);
+pub(crate) const STATUS_POLL: Time = time::ns(120);
 
 /// A credit-checked FIFO send was refused: the destination's surprise
 /// FIFO cannot be assumed to have room for the batch.
@@ -60,7 +61,7 @@ pub struct Backpressure {
 /// destination: ascending destination, input order within one — so the
 /// transmit sequence is deterministic by construction. `counts[d]` is
 /// the number of items bound for `d`.
-fn group_by_dest<T>(
+pub(crate) fn group_by_dest<T>(
     mut counts: Vec<usize>,
     items: impl Iterator<Item = T>,
     dest_of: impl Fn(&T) -> NodeId,
@@ -116,50 +117,15 @@ impl DvCtx {
     // Packet transmission
     // ------------------------------------------------------------------
 
-    /// Move `words` packet payloads from host memory to the VIC; returns
-    /// when they are ready there. Blocking semantics follow the hardware:
-    /// direct writes occupy the CPU for the whole PCIe transfer; DMA
-    /// returns after descriptor enqueue and overlaps with computation.
-    fn cross_pcie(&self, ctx: &SimCtx, words: u64, mode: SendMode) -> Time {
-        let pcie = &self.world.pcie[self.node];
-        match mode {
-            SendMode::DirectWrite { cached_headers } => {
-                let (_, end) = pcie.pio_send(ctx.now(), words, cached_headers);
-                // The CPU performs the stores itself.
-                ctx.wait_until(end);
-                end
-            }
-            SendMode::Dma { cached_headers } => {
-                let bytes =
-                    words * if cached_headers { PAYLOAD_BYTES } else { 2 * PAYLOAD_BYTES };
-                let (_, end) = pcie.dma_to_vic(ctx.now(), bytes);
-                ctx.delay(DMA_ENQUEUE);
-                end
-            }
-        }
-    }
-
     /// Send a batch of packets (possibly to many destinations). Returns
     /// the estimated delivery time of the last packet.
     pub fn send_packets(&self, ctx: &SimCtx, packets: &[Packet], mode: SendMode) -> Time {
         if packets.is_empty() {
             return ctx.now();
         }
-        let t0 = ctx.now();
-        let vic_ready = self.cross_pcie(ctx, packets.len() as u64, mode);
-        let mut counts = vec![0; self.nodes()];
-        for p in packets {
-            counts[p.header.dest] += 1;
-        }
-        let groups = group_by_dest(counts, packets.iter().copied(), |p| p.header.dest);
-        let mut last = vic_ready;
-        ctx.with_kernel(|k| {
-            for (dst, batch) in groups {
-                last = last.max(self.world.transmit(k, self.node, dst, batch, vic_ready));
-            }
-        });
-        self.world.tracer.span(self.node, State::Send, t0, ctx.now());
-        last
+        let sending = self.world.start_send(ctx.now(), self.node, packets, mode);
+        ctx.wait_until(sending.until);
+        ctx.with_kernel(|k| self.world.finish_send(k, self.node, sending))
     }
 
     /// Write `words` into `dest`'s DV memory starting at `address`; each
@@ -200,7 +166,8 @@ impl DvCtx {
             return ctx.now();
         }
         let t0 = ctx.now();
-        let vic_ready = self.cross_pcie(ctx, total_words, mode);
+        let (until, vic_ready) = self.world.charge_pcie(t0, self.node, total_words, mode);
+        ctx.wait_until(until);
         let mut counts = vec![0; self.nodes()];
         for b in &blocks {
             counts[b.dest] += 1;
@@ -288,26 +255,11 @@ impl DvCtx {
     /// timeout path is how real programs survive the set/decrement race.
     pub fn gc_wait_zero(&self, ctx: &SimCtx, gc: u8, deadline: Option<Time>) -> bool {
         let t0 = ctx.now();
-        let vic = &self.world.vics[self.node];
+        let (world, node) = (&self.world, self.node);
         let ok = ctx
-            .wait_for(
-                deadline,
-                || vic.lock().counter(gc).is_zero().then_some(()),
-                |w| vic.lock().counter(gc).waiters().register(w),
-            )
+            .wait_for(deadline, || world.gc_zero(node, gc), |w| world.gc_register(node, gc, w))
             .is_some();
-        if ctx.now() > t0 {
-            self.world.tracer.span(self.node, State::Wait, t0, ctx.now());
-        }
-        if !ok {
-            // Timeouts are how programs survive the set/decrement race, so
-            // they are a first-class health signal.
-            self.world.metrics.incr_labeled(
-                "api.gc.wait_timeouts",
-                &[("node", (self.node as u64).into())],
-                1,
-            );
-        }
+        world.gc_waited(node, t0, ctx.now(), ok);
         ok
     }
 
@@ -411,13 +363,7 @@ impl DvCtx {
     /// page-contiguous runs of [`dv_vic::DvMemory::lend_range`]. `f` runs
     /// with this node's VIC held, so it must not block on `ctx`.
     pub fn lend_local(&self, ctx: &SimCtx, address: u32, n: usize, f: impl FnMut(&[Word])) {
-        let pcie = &self.world.pcie[self.node];
-        let end = if n <= 2 {
-            pcie.pio_read(ctx.now(), n as u64).1
-        } else {
-            pcie.dma_from_vic(ctx.now(), n as u64 * PAYLOAD_BYTES).1
-        };
-        ctx.wait_until(end);
+        ctx.wait_until(self.world.read_end(ctx.now(), self.node, n));
         self.world.vics[self.node].lock().memory.lend_range(address, n, f);
     }
 
@@ -428,15 +374,8 @@ impl DvCtx {
     /// state "without incurring the latency of an explicit PCIe read" —
     /// so a poll costs only a local memory fence, not a PCIe round trip.
     pub fn peek_local(&self, ctx: &SimCtx, address: u32, n: usize) -> Vec<Word> {
-        let page = self.layout().status_page_words;
-        assert!(
-            (address as usize + n) <= page,
-            "peek_local only covers the pushed status page (first {page} words)"
-        );
         ctx.delay(STATUS_POLL);
-        let mut out = vec![0; n];
-        self.world.vics[self.node].lock().memory.read_range(address, &mut out);
-        out
+        self.world.status_words(self.node, address, n)
     }
 
     // ------------------------------------------------------------------
@@ -460,12 +399,8 @@ impl DvCtx {
     /// Blocking pop; with a deadline, `None` once it passes with the FIFO
     /// still empty (same contract as [`DvCtx::gc_wait_zero`]).
     pub fn fifo_recv_deadline(&self, ctx: &SimCtx, deadline: Option<Time>) -> Option<Word> {
-        let vic = &self.world.vics[self.node];
-        let (_, w) = ctx.wait_for(
-            deadline,
-            || vic.lock().fifo.pop(),
-            |w| vic.lock().fifo.waiters().register(w),
-        )?;
+        let (world, node) = (&self.world, self.node);
+        let (_, w) = ctx.wait_for(deadline, || world.fifo_pop(node), |w| world.fifo_register(node, w))?;
         ctx.delay(FIFO_POP);
         Some(w)
     }
@@ -480,13 +415,11 @@ impl DvCtx {
 
     /// [`DvCtx::fifo_drain`] appending to `out`; returns the packets moved.
     pub fn fifo_drain_into(&self, ctx: &SimCtx, max: usize, out: &mut Vec<Word>) -> usize {
-        let n = self.world.vics[self.node].lock().fifo.drain_into(max, out);
-        if n > 0 {
-            let (_, end) =
-                self.world.pcie[self.node].dma_from_vic(ctx.now(), n as u64 * PAYLOAD_BYTES);
+        let start = out.len();
+        if let Some(end) = self.world.drain_start(ctx.now(), self.node, max, out) {
             ctx.wait_until(end);
         }
-        n
+        out.len() - start
     }
 
     /// Packets dropped by this node's FIFO due to overflow.
@@ -500,49 +433,18 @@ impl DvCtx {
 
     /// The API's intrinsic whole-system barrier: hardware group-counter
     /// wave through the switch, nearly independent of node count
-    /// (Figure 4, "Data Vortex").
+    /// (Figure 4, "Data Vortex"). The setup charge and the release wait
+    /// run as one kernel step: one thread handoff per call.
     pub fn barrier(&self, ctx: &SimCtx) {
-        let t0 = ctx.now();
-        ctx.delay(self.world.config.dv.barrier_setup);
-        let n = self.world.nodes();
-        let my_epoch;
-        let complete = {
-            let mut b = self.world.barrier.lock();
-            my_epoch = b.epoch;
-            b.count += 1;
-            if b.count == n {
-                b.count = 0;
-                b.epoch += 1;
-                let release_at = ctx.now() + self.world.config.dv.barrier_hw;
-                let ws = std::mem::take(&mut b.waiters);
-                Some((release_at, ws))
-            } else {
-                None
-            }
-        };
-        match complete {
-            Some((release_at, ws)) => {
-                ctx.with_kernel(|k| k.call_at(release_at, move |k| ws.wake_all(k)));
-                ctx.wait_until(release_at);
-            }
-            None => {
-                let barrier = &self.world.barrier;
-                ctx.wait_for(
-                    None,
-                    || (barrier.lock().epoch != my_epoch).then_some(()),
-                    |w| barrier.lock().waiters.register(w),
-                );
-            }
-        }
-        self.world.tracer.span(self.node, State::Barrier, t0, ctx.now());
+        op::run(op::Barrier::new(self.at(ctx)), ctx);
     }
 
     /// The in-house "FastBarrier" of Section V: all-to-all group-counter
     /// decrements on two alternating regular counters. Slightly more work
     /// per node (p−1 packets over PCIe) but no dependence on the reserved
-    /// hardware counters.
+    /// hardware counters. The sends and the counter wait run as one kernel
+    /// step: one thread handoff per call.
     pub fn fast_barrier(&self, ctx: &SimCtx) {
-        let t0 = ctx.now();
         let n = self.world.nodes();
         if n == 1 {
             return;
@@ -556,13 +458,11 @@ impl DvCtx {
             .filter(|&d| d != self.node)
             .map(|d| Packet::new(PacketHeader::dv_memory(self.node, d, self.layout().fast_barrier_sink, gc), 0))
             .collect();
-        self.send_packets(ctx, &packets, SendMode::DirectWrite { cached_headers: true });
-        let ok = self.gc_wait_zero(ctx, gc, None);
-        debug_assert!(ok, "fast barrier counter must reach zero");
-        // Re-arm this parity for its next use (safe: nobody can re-enter
-        // the same parity before every node passed the *other* one).
-        let vic = Arc::clone(&self.world.vics[self.node]);
-        ctx.with_kernel(|k| vic.lock().set_counter(k, gc, (n - 1) as u64));
-        self.world.tracer.span(self.node, State::Barrier, t0, ctx.now());
+        op::run(op::FastBarrier::new(self.at(ctx), gc, packets), ctx);
+    }
+
+    /// This node, as the calling process, for a call run as a kernel step.
+    pub(crate) fn at(&self, ctx: &SimCtx) -> At {
+        At::new(&self.world, self.node, ctx)
     }
 }

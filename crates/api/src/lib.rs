@@ -40,6 +40,7 @@ pub mod cluster;
 pub mod coll;
 pub mod ctx;
 pub mod layout;
+mod op;
 pub mod reliable;
 pub mod world;
 

@@ -31,7 +31,7 @@
 //!   word of the run, so applications observe each logical word exactly
 //!   once. While no word can arrive twice that record is a plain log and
 //!   admission does no hashing. A set-once flag of the
-//!   [`DvWorld`](crate::DvWorld), raised at construction under a `dup`
+//!   [`DvWorld`], raised at construction under a `dup`
 //!   plan or by the first retransmission anywhere, switches it over:
 //!   the next word admitted indexes the whole log, and every later one is
 //!   checked against it.
@@ -46,7 +46,12 @@
 //! is owed into its DV memory, then drain until every peer has posted and
 //! every promised word has arrived. The owed counts come from the epoch
 //! log, the received count is the layer's own, so the kernels keep no
-//! tally of either.
+//! tally of either. [`ReliableFifo::await_posts`] is the wait that closes
+//! a phase on posted values alone (BFS's frontier sizes).
+//!
+//! The calls that park more than once — the drain, the acknowledgment
+//! round, the epoch close and the post wait — run as kernel steps
+//! (`crate::op`); the retransmission path stays on the node's thread.
 
 use dv_core::packet::{Packet, PacketHeader, SCRATCH_GC};
 use dv_core::time::{self, Time};
@@ -55,8 +60,11 @@ use dv_sim::SimCtx;
 
 use crate::aggregate::Aggregator;
 use crate::ctx::{DvCtx, SendMode};
-use crate::layout::VERIFY_GC;
+use crate::op::{self, Close, Closed, Drain, Posts, Verify};
+use crate::world::DvWorld;
 
+/// Words per host transfer of a drain.
+pub(crate) const DRAIN_CHUNK: usize = 4096;
 /// Words per retransmission window (confirmed stop-and-wait).
 const WINDOW: usize = 64;
 /// Deadline for one accepted-count query round trip. It must comfortably
@@ -64,7 +72,7 @@ const WINDOW: usize = 64;
 /// waits are free): a too-short timeout makes retried queries consume
 /// *stale* replies of earlier attempts, which is merely conservative for
 /// the monotonic counts but burns retransmission budget.
-const QUERY_TIMEOUT: Time = time::ms(10);
+pub(crate) const QUERY_TIMEOUT: Time = time::ms(10);
 /// Query attempts before declaring the acknowledgment path dead.
 const QUERY_TRIES: u32 = 8;
 /// Retransmission attempt budget multiplier: a verification tolerates
@@ -158,25 +166,29 @@ impl WordSet {
 }
 
 /// Exactly-once word delivery over the lossy surprise FIFO.
+///
+/// Its calls that park more than once run as kernel steps
+/// (`crate::op`), which take the endpoint along and give it back.
+#[derive(Default)]
 pub struct ReliableFifo {
-    me: NodeId,
-    nodes: usize,
+    pub(crate) me: NodeId,
+    pub(crate) nodes: usize,
     /// The current epoch's words in send order: the retransmission log
     /// (cleared when the epoch verifies).
     epoch_log: Vec<Word>,
     /// Destination of each word of `epoch_log`, in step with it.
-    epoch_dest: Vec<u16>,
+    pub(crate) epoch_dest: Vec<u16>,
     /// Words put on the wire toward each destination this epoch.
-    wire_epoch: Vec<u64>,
+    pub(crate) wire_epoch: Vec<u64>,
     /// Last accepted count observed (and reconciled) per destination.
-    hw_confirmed: Vec<u64>,
+    pub(crate) hw_confirmed: Vec<u64>,
     /// Every word received this run: a log while no word can arrive twice,
     /// inbound dedup once one can (duplicates come from link faults and
     /// from our peers' retransmissions, which can span epoch boundaries).
     seen_in: WordSet,
     /// New words handed out this epoch by the drain and receive calls.
-    received: u64,
-    stats: ReliableStats,
+    pub(crate) received: u64,
+    pub(crate) stats: ReliableStats,
 }
 
 impl ReliableFifo {
@@ -223,13 +235,35 @@ impl ReliableFifo {
 
     /// Record an inbound word; `false` if it is a duplicate. Hashes
     /// nothing until the world says a word may arrive twice.
-    fn admit(&mut self, dv: &DvCtx, word: Word) -> bool {
-        if dv.world().fifo_repeats() {
+    pub(crate) fn admit(&mut self, world: &DvWorld, word: Word) -> bool {
+        if world.fifo_repeats() {
             self.seen_in.insert(word)
         } else {
             self.seen_in.log(&[word]);
             true
         }
+    }
+
+    /// Admit the words a host transfer landed at `out[start..]`:
+    /// deduplicated in place, or only logged while no word can arrive
+    /// twice.
+    pub(crate) fn admit_drained(&mut self, world: &DvWorld, out: &mut Vec<Word>, start: usize) {
+        if !world.fifo_repeats() {
+            self.seen_in.log(&out[start..]);
+            self.received += (out.len() - start) as u64;
+            return;
+        }
+        let mut kept = start;
+        for i in start..out.len() {
+            let w = out[i];
+            if self.seen_in.insert(w) {
+                out[kept] = w;
+                kept += 1;
+            }
+        }
+        self.stats.dup_discarded += (out.len() - kept) as u64;
+        self.received += (kept - start) as u64;
+        out.truncate(kept);
     }
 
     /// Drain every currently buffered surprise word, duplicates removed.
@@ -239,50 +273,29 @@ impl ReliableFifo {
         out
     }
 
-    /// [`ReliableFifo::drain_unique`], appending to `out`: each 4096-word
-    /// host transfer lands at the tail and is deduplicated in place (or
-    /// only logged, while no word can arrive twice).
+    /// [`ReliableFifo::drain_unique`], appending to `out`: each
+    /// [`DRAIN_CHUNK`]-word host transfer lands at the tail and is admitted
+    /// there. An empty FIFO costs nothing; a draining one is one kernel
+    /// step.
     fn drain_into(&mut self, ctx: &SimCtx, dv: &DvCtx, out: &mut Vec<Word>) {
-        loop {
-            let start = out.len();
-            if dv.fifo_drain_into(ctx, 4096, out) == 0 {
-                break;
-            }
-            if !dv.world().fifo_repeats() {
-                self.seen_in.log(&out[start..]);
-                self.received += (out.len() - start) as u64;
-                continue;
-            }
-            let mut kept = start;
-            for i in start..out.len() {
-                let w = out[i];
-                if self.seen_in.insert(w) {
-                    out[kept] = w;
-                    kept += 1;
-                }
-            }
-            self.stats.dup_discarded += (out.len() - kept) as u64;
-            self.received += (kept - start) as u64;
-            out.truncate(kept);
+        let queued = dv.world().vics[self.me].lock().fifo.len();
+        if queued == 0 {
+            return;
         }
-    }
-
-    /// Blocking pop of the next *new* surprise word, or `None` at the
-    /// deadline (duplicates are discarded without satisfying the call).
-    pub fn recv_unique_deadline(
-        &mut self,
-        ctx: &SimCtx,
-        dv: &DvCtx,
-        deadline: Time,
-    ) -> Option<Word> {
-        loop {
-            let w = dv.fifo_recv_deadline(ctx, Some(deadline))?;
-            if self.admit(dv, w) {
-                self.received += 1;
-                return Some(w);
-            }
-            self.stats.dup_discarded += 1;
+        // A step runs on whichever thread dispatches, and allocates from
+        // that thread's malloc arena. The first transfer's buffers grow
+        // here instead, on the node's own thread, by what the thread-run
+        // drain grew them: scattered over every arena they put ≈ 1.5 MiB
+        // (5 %) on `dv_irregular`'s peak RSS.
+        let first = queued.min(DRAIN_CHUNK);
+        out.reserve(first);
+        if !dv.world().fifo_repeats() {
+            self.seen_in.words.reserve(first);
         }
+        let (drain, ()) =
+            op::run(Drain::new(dv.at(ctx), std::mem::take(self), std::mem::take(out)), ctx);
+        *self = drain.rel;
+        *out = drain.out;
     }
 
     /// Verify this epoch's sends to every destination, retransmitting
@@ -292,7 +305,8 @@ impl ReliableFifo {
     /// FIFO from backing up. Callers flush their aggregator first.
     ///
     /// The common (loss-free) case costs one *parallel* acknowledgment
-    /// round: every destination is queried at once on [`VERIFY_GC`], with
+    /// round: every destination is queried at once on
+    /// [`VERIFY_GC`](crate::layout::VERIFY_GC), with
     /// replies landing in [`Layout::verify_replies`](crate::Layout::verify_replies),
     /// so verification latency is one round trip regardless of cluster
     /// size. Only destinations whose count comes back short (or unknown,
@@ -303,42 +317,18 @@ impl ReliableFifo {
     /// data path is persistently dead, which the fault plans used for
     /// chaos runs never produce.
     pub fn verify_epoch(&mut self, ctx: &SimCtx, dv: &DvCtx, sink: &mut Vec<Word>) {
-        let dests: Vec<NodeId> = (0..self.nodes).filter(|&d| self.wire_epoch[d] > 0).collect();
-        if dests.is_empty() {
-            self.end_epoch();
-            return;
-        }
-        // Parallel acknowledgment round (stale replies of earlier rounds
-        // are monotonic-safe: an old count can only look like a
-        // shortfall, which the serial path then re-checks; late ones may
-        // drive VERIFY_GC negative, which the next preset overwrites).
-        let replies = dv.layout().verify_replies;
-        let my_slot = dv.layout().accepted + self.me as u32;
-        dv.gc_set_local(ctx, VERIFY_GC, dests.len() as u64);
-        let queries: Vec<Packet> = dests
-            .iter()
-            .map(|&d| {
-                let ret = PacketHeader::dv_memory(d, self.me, replies + d as u32, VERIFY_GC);
-                Packet::new(PacketHeader::query(self.me, d, my_slot), ret.encode())
-            })
-            .collect();
-        self.stats.ack_queries += queries.len() as u64;
-        dv.send_packets(ctx, &queries, SendMode::DirectWrite { cached_headers: true });
-        let deadline = ctx.now() + QUERY_TIMEOUT;
-        if dv.gc_wait_zero(ctx, VERIFY_GC, Some(deadline)) {
-            let vals = dv.read_local(ctx, replies, self.nodes);
-            for &d in &dests {
-                let hw = vals[d];
-                if hw == self.hw_confirmed[d] + self.wire_epoch[d] {
-                    self.hw_confirmed[d] = hw;
-                    self.wire_epoch[d] = 0;
-                }
-            }
-        } else {
-            self.stats.ack_query_timeouts += 1;
-            self.drain_into(ctx, dv, sink);
-        }
-        for &d in &dests {
+        let call = Verify::new(dv.at(ctx), std::mem::take(self), std::mem::take(sink));
+        let (call, dests) = op::run(call, ctx);
+        *self = call.rel;
+        *sink = call.sink;
+        self.retransmit(ctx, dv, &dests, sink);
+    }
+
+    /// The serial path after the acknowledgment round: every destination
+    /// of `dests` whose count came back short (or unknown) is verified on
+    /// its own, then the epoch log closes.
+    fn retransmit(&mut self, ctx: &SimCtx, dv: &DvCtx, dests: &[NodeId], sink: &mut Vec<Word>) {
+        for &d in dests {
             if self.wire_epoch[d] > 0 {
                 self.verify_dest(ctx, dv, d, sink);
             }
@@ -467,7 +457,8 @@ impl ReliableFifo {
 
     /// Complete the current epoch with the sent-count handshake and return
     /// the new words this node received in it (the count then restarts at
-    /// zero). Every received word goes to `deliver`, in arrival order:
+    /// zero). Every received word goes to `deliver`, in arrival order, in
+    /// non-empty runs — `deliver` is never called with an empty slice:
     ///
     /// 1. flush `agg`, [`ReliableFifo::verify_epoch`] (only verified sends
     ///    back a promise), deliver what verification drained;
@@ -483,6 +474,11 @@ impl ReliableFifo {
     /// retransmission in step 1, never as a hang in step 3. A caller that
     /// runs another epoch zeroes its own epoch counts and fences first.
     ///
+    /// The whole close runs as one kernel step (`crate::op`): the node's
+    /// thread runs again only to `deliver` — which may charge virtual time,
+    /// as GUPS's updates do — to retransmit after a shortfall, and to
+    /// return, not at each poll of step 3.
+    ///
     /// # Panics
     /// Panics when every peer has posted but the count stays short of the
     /// promise for a whole query timeout of virtual time: some word was
@@ -495,50 +491,36 @@ impl ReliableFifo {
         agg: &mut Aggregator,
         mut deliver: impl FnMut(&[Word]),
     ) -> u64 {
-        let mut owed = vec![0u64; self.nodes];
-        for &d in &self.epoch_dest {
-            owed[usize::from(d)] += 1;
-        }
-        agg.flush(ctx, dv);
-        let mut recovered = Vec::new();
-        self.verify_epoch(ctx, dv, &mut recovered);
-        deliver(&recovered);
-        let (me, nodes, slots) = (self.me, self.nodes, dv.layout().epoch_counts);
-        let peers = move || (0..nodes).filter(move |&s| s != me);
-        let posts: Vec<Packet> = peers()
-            .map(|d| {
-                let header = PacketHeader::dv_memory(me, d, slots + me as u32, SCRATCH_GC);
-                Packet::new(header, owed[d] + 1)
-            })
-            .collect();
-        dv.send_packets(ctx, &posts, SendMode::DirectWrite { cached_headers: true });
-        // Once every peer has posted: the received count and when it last
-        // moved. Every promised word is in our FIFO by then.
-        let mut progress: Option<(u64, Time)> = None;
+        let (flush, mode) = agg.take_batch();
+        let mut close = Close::new(dv.at(ctx), std::mem::take(self), flush, mode);
         loop {
-            deliver(&self.drain_unique(ctx, dv));
-            let posted = dv.peek_local(ctx, slots, nodes);
-            if peers().all(|s| posted[s] != 0) {
-                let expected: u64 = peers().map(|s| posted[s] - 1).sum();
-                if self.received == expected {
-                    return std::mem::take(&mut self.received);
+            let (mut next, out) = op::run(close, ctx);
+            match out {
+                Closed::Deliver => {
+                    // Freed, not kept: a parked node holds no drain buffer.
+                    deliver(&std::mem::take(&mut next.batch));
                 }
-                debug_assert!(self.received < expected, "received more than promised");
-                match progress {
-                    Some((count, since)) if count == self.received => assert!(
-                        ctx.now() - since < QUERY_TIMEOUT,
-                        "node {me}: received {received} of {expected} promised words and \
-                         nothing more arrives; a word was sent twice, but every word must \
-                         be unique across the run",
-                        received = self.received,
-                    ),
-                    _ => progress = Some((self.received, ctx.now())),
+                Closed::Shortfall(dests) => next.rel.retransmit(ctx, dv, &dests, &mut next.batch),
+                Closed::Done(received) => {
+                    *self = next.rel;
+                    agg.restore(next.flush);
+                    return received;
                 }
             }
-            if let Some(w) = self.recv_unique_deadline(ctx, dv, ctx.now() + time::us(2)) {
-                deliver(&[w]);
-            }
+            close = next;
         }
+    }
+
+    /// Wait until every peer has posted into the status-page block at
+    /// `address` — a non-zero word at `address + peer` — and return the
+    /// block. Surprise words that arrive meanwhile can only be
+    /// retransmission duplicates of an epoch already complete, and are
+    /// discarded: the wait that ends a BFS level on the peers' frontier
+    /// sizes, after [`ReliableFifo::complete_epoch`] drained every new word.
+    pub fn await_posts(&mut self, ctx: &SimCtx, dv: &DvCtx, address: u32) -> Vec<Word> {
+        let (posts, slots) = op::run(Posts::new(dv.at(ctx), std::mem::take(self), address), ctx);
+        *self = posts.rel;
+        slots
     }
 
     /// Close the current epoch: the retransmission log resets; the inbound
@@ -547,7 +529,7 @@ impl ReliableFifo {
     /// # Panics
     /// Panics if some destination is still unverified: clearing the log
     /// would lose its words.
-    fn end_epoch(&mut self) {
+    pub(crate) fn end_epoch(&mut self) {
         assert!(self.wire_epoch.iter().all(|&w| w == 0), "end_epoch before verify_epoch");
         self.epoch_log.clear();
         self.epoch_dest.clear();

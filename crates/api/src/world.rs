@@ -198,7 +198,7 @@ impl DvWorld {
         let mut delayed: Vec<(Time, Packet)> = Vec::new();
         let deliver = if let Some(inj) = &self.fault_injector {
             if let Some(stall) = inj.batch_stall(src, dst) {
-                eject_end += stall;
+                eject_end = eject_end.checked_add(stall).expect("an ejection stall overflows virtual time");
                 if self.metrics.is_enabled() {
                     self.metrics.incr("fault.eject.stalls", 1);
                     self.metrics.incr("fault.eject.stall_ps", stall);
@@ -215,7 +215,8 @@ impl DvWorld {
                 if pkt.header.space == AddressSpace::GroupCounterSet {
                     if let Some(d) = f.gc_set_delay {
                         delayed_sets += 1;
-                        delayed.push((eject_end + d, pkt));
+                        let when = eject_end.checked_add(d).expect("a delayed set overflows virtual time");
+                        delayed.push((when, pkt));
                         continue;
                     }
                 }

@@ -144,8 +144,8 @@ impl FaultPlan {
     /// | `seed` | u64 (decimal or `0x…`) | decision seed |
     /// | `drop` | probability | per-packet link drop |
     /// | `dup` | probability | per-packet link duplication |
-    /// | `stall` | `prob:ns` | per-batch ejection stall + duration |
-    /// | `gcrace` | `prob:ns` | group-counter-set delay + duration |
+    /// | `stall` | `prob:ns` | per-batch ejection stall + duration (≤ [`MAX_FAULT_DELAY_NS`]) |
+    /// | `gcrace` | `prob:ns` | group-counter-set delay + duration (≤ [`MAX_FAULT_DELAY_NS`]) |
     /// | `fifodrop` | probability | per-push forced FIFO overflow |
     /// | `fifostorm` | `period:len` | drop `len` consecutive pushes every `period` |
     ///
@@ -228,13 +228,19 @@ fn parse_prob(key: &str, s: &str) -> Result<f64, String> {
     Ok(p)
 }
 
+/// Longest `stall` or `gcrace` duration a spec may give: one second of
+/// virtual time, far past any run's length, so a fault time added to a
+/// delivery time can never overflow it.
+pub const MAX_FAULT_DELAY_NS: u64 = 1_000_000_000;
+
 fn parse_prob_ns(key: &str, s: &str) -> Result<(f64, Time), String> {
     let (p, ns) =
         s.split_once(':').ok_or_else(|| format!("{key} wants prob:ns, got {s:?}"))?;
-    let time = parse_u64(ns)?
-        .checked_mul(crate::time::NS)
-        .ok_or_else(|| format!("{key} duration {ns:?} ns overflows virtual time"))?;
-    Ok((parse_prob(key, p)?, time))
+    let ns = parse_u64(ns)?;
+    if ns > MAX_FAULT_DELAY_NS {
+        return Err(format!("{key} duration {ns} ns exceeds the {MAX_FAULT_DELAY_NS} ns cap"));
+    }
+    Ok((parse_prob(key, p)?, ns * crate::time::NS))
 }
 
 #[cfg(test)]
@@ -306,6 +312,12 @@ mod tests {
         assert!(FaultPlan::parse("fifostorm=10").is_err());
         assert!(FaultPlan::parse("stall=0.1:20000000000000000").is_err());
         assert!(FaultPlan::parse("gcrace=0.1:20000000000000000").is_err());
+        // Fits virtual time, but a delivery time plus it would not.
+        assert!(FaultPlan::parse("seed=7,stall=0.5:18446744073709551").is_err());
+        assert!(FaultPlan::parse("gcrace=0.5:18446744073709551").is_err());
+        let cap = format!("stall=0.5:{MAX_FAULT_DELAY_NS}");
+        assert_eq!(FaultPlan::parse(&cap).unwrap().eject_stall_time, MAX_FAULT_DELAY_NS * crate::time::NS);
+        assert!(FaultPlan::parse(&format!("stall=0.5:{}", MAX_FAULT_DELAY_NS + 1)).is_err());
         // Empty spec = default (inert) plan.
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
     }

@@ -7,7 +7,8 @@
 //! hide most PCIe latency." (Section VI)
 //!
 //! Remote visits are single FIFO packets `(vertex, parent)`; termination
-//! uses all-to-all frontier-count posts.
+//! uses all-to-all frontier-count posts, awaited with
+//! [`ReliableFifo::await_posts`].
 //!
 //! Visits ride the `dv-api` recovery layer ([`ReliableFifo`]), one epoch
 //! per BFS level, and a level completes with the DV-memory sent-count
@@ -154,20 +155,10 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
                 })
                 .collect();
             dv.send_packets(ctx, &fs_posts, SendMode::DirectWrite { cached_headers: true });
-            let total_next;
-            loop {
-                let slots = dv.peek_local(ctx, sizes, p);
-                if (0..p).filter(|&s| s != me).all(|s| slots[s] != 0) {
-                    total_next = (0..p)
-                        .map(|s| if s == me { st.next.len() as u64 } else { slots[s] - 1 })
-                        .sum::<u64>();
-                    break;
-                }
-                // Anything buffered here is a retransmission duplicate
-                // (all unique visits were drained above); discard it.
-                let stray = rel.recv_unique_deadline(ctx, dv, ctx.now() + dv_core::time::us(1));
-                debug_assert!(stray.is_none(), "new visit arrived after level completion");
-            }
+            let slots = rel.await_posts(ctx, dv, sizes);
+            let total_next = (0..p)
+                .map(|s| if s == me { st.next.len() as u64 } else { slots[s] - 1 })
+                .sum::<u64>();
 
             // --- reset level slots, then fence ---------------------------
             dv.write_local(ctx, counts, &vec![0u64; p]);
