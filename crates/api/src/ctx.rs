@@ -436,7 +436,7 @@ impl DvCtx {
     /// (Figure 4, "Data Vortex"). The setup charge and the release wait
     /// run as one kernel step: one thread handoff per call.
     pub fn barrier(&self, ctx: &SimCtx) {
-        op::run(op::Barrier::new(self.at(ctx)), ctx);
+        op::run(op::Barrier::new(self.at()), ctx);
     }
 
     /// The in-house "FastBarrier" of Section V: all-to-all group-counter
@@ -458,11 +458,11 @@ impl DvCtx {
             .filter(|&d| d != self.node)
             .map(|d| Packet::new(PacketHeader::dv_memory(self.node, d, self.layout().fast_barrier_sink, gc), 0))
             .collect();
-        op::run(op::FastBarrier::new(self.at(ctx), gc, packets), ctx);
+        op::run(op::FastBarrier::new(self.at(), gc, packets), ctx);
     }
 
-    /// This node, as the calling process, for a call run as a kernel step.
-    pub(crate) fn at(&self, ctx: &SimCtx) -> At {
-        At::new(&self.world, self.node, ctx)
+    /// This node, for a call run as a kernel step.
+    pub(crate) fn at(&self) -> At {
+        At { world: Arc::clone(&self.world), node: self.node }
     }
 }

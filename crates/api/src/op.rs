@@ -14,11 +14,11 @@
 //! between the same two parks, side effect for side effect: the same
 //! events in the same order, the same PCIe and port reservations, VIC
 //! reads, tracer spans and `api.*` metrics, and the same panics. Each
-//! blocked state is one [`SimCtx::wait_for`] turn and re-checks like it on
-//! every resume: a charged delay or transfer re-arms its end after an early
-//! wake-up ([`At::until`]), and a condition wait re-registers the current
-//! waker and re-arms its deadline ([`At::turn`]). `tests/dv_wait_traces.rs`
-//! pins the traces the thread-run calls produced.
+//! blocked state is one dv-sim turn, re-run on every resume: a charged
+//! delay or transfer is a [`Kernel::until`], a condition wait a
+//! [`Kernel::turn`] — the turn [`SimCtx::wait_for`] loops over on the
+//! thread. `tests/dv_wait_traces.rs` pins the traces the thread-run calls
+//! produced.
 //!
 //! Waits that park once (`gc_wait_zero`, `fifo_recv_deadline`, `delay`,
 //! `wait_until`, a single send) stay on the thread: a step would save
@@ -31,82 +31,23 @@ use dv_core::packet::{Packet, PacketHeader, PAYLOAD_BYTES, SCRATCH_GC};
 use dv_core::time::{self, Time};
 use dv_core::trace::State;
 use dv_core::{NodeId, Word};
-use dv_sim::{Kernel, Pid, SimCtx, Waker};
+use dv_sim::{Call, Kernel, Pid, SimCtx, Waker};
 
 use crate::ctx::{group_by_dest, SendMode, DMA_ENQUEUE, FIFO_POP, STATUS_POLL};
 use crate::layout::VERIFY_GC;
 use crate::reliable::{ReliableFifo, DRAIN_CHUNK, QUERY_TIMEOUT};
 use crate::world::DvWorld;
 
-/// A blocking call as a kernel step: [`Call::step`] runs at the call and
-/// at each later resume of the node, with the kernel locked, until it
-/// returns the call's output.
-pub(crate) trait Call: Send + 'static {
-    /// What the call returns to the node's thread.
-    type Out: Send + 'static;
-
-    /// Run on until the call blocks (`None`) or returns.
-    fn step(&mut self, k: &mut Kernel) -> Option<Self::Out>;
-}
-
 /// Run `call` until it returns, the calling thread parked throughout;
 /// gives the call back with its output.
 pub(crate) fn run<C: Call>(call: C, ctx: &SimCtx) -> (C, C::Out) {
-    let mut call = Some(call);
-    ctx.wait_in_kernel(move |k| {
-        let out = call.as_mut().expect("a returned call is not resumed").step(k)?;
-        Some((call.take().expect("a call returns once"), out))
-    })
+    ctx.wait_in_kernel(call)
 }
 
 /// The node a call runs for.
 pub(crate) struct At {
     pub(crate) world: Arc<DvWorld>,
     pub(crate) node: NodeId,
-    pid: Pid,
-}
-
-impl At {
-    /// The calling process, as node `node` of `world`.
-    pub(crate) fn new(world: &Arc<DvWorld>, node: NodeId, ctx: &SimCtx) -> Self {
-        Self { world: Arc::clone(world), node, pid: ctx.pid() }
-    }
-
-    /// One turn of [`SimCtx::wait_until`]`(t)`: `true` once `t` has come,
-    /// else the resume at `t` is armed.
-    fn until(&self, k: &mut Kernel, t: Time) -> bool {
-        if k.now() >= t {
-            return true;
-        }
-        let w = k.waker_for(self.pid);
-        k.wake_at(t, w);
-        false
-    }
-
-    /// One turn of [`SimCtx::wait_for`]: `ready()` first; then, past
-    /// `deadline`, `Some(None)` with nothing registered or pushed; else the
-    /// current waker goes to `register`, the deadline is armed, and `None`
-    /// says the call is parked.
-    fn turn<R>(
-        &self,
-        k: &mut Kernel,
-        deadline: Option<Time>,
-        ready: impl FnOnce() -> Option<R>,
-        register: impl FnOnce(Waker),
-    ) -> Option<Option<R>> {
-        if let Some(r) = ready() {
-            return Some(Some(r));
-        }
-        let (now, w) = (k.now(), k.waker_for(self.pid));
-        if deadline.is_some_and(|d| now >= d) {
-            return Some(None);
-        }
-        register(w);
-        if let Some(d) = deadline {
-            k.wake_at(d, w);
-        }
-        None
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -243,9 +184,9 @@ impl SendStep {
         Self(Some(at.world.start_send(k.now(), at.node, packets, mode)))
     }
 
-    fn poll(&mut self, at: &At, k: &mut Kernel) -> Option<()> {
+    fn poll(&mut self, at: &At, k: &mut Kernel, pid: Pid) -> Option<()> {
         let until = self.0.as_ref().expect("a finished send is not polled").until;
-        if !at.until(k, until) {
+        if !k.until(pid, until) {
             return None;
         }
         at.world.finish_send(k, at.node, self.0.take().expect("checked above"));
@@ -261,11 +202,9 @@ struct GcStep {
 }
 
 impl GcStep {
-    fn poll(&self, at: &At, k: &mut Kernel) -> Option<bool> {
+    fn poll(&self, at: &At, k: &mut Kernel, pid: Pid) -> Option<bool> {
         let (world, node, gc) = (&at.world, at.node, self.gc);
-        let ok = at
-            .turn(k, self.deadline, || world.gc_zero(node, gc), |w| world.gc_register(node, gc, w))?
-            .is_some();
+        let ok = k.turn(pid, self.deadline, || world.gc_zero(node, gc), |w| world.gc_register(node, gc, w))?.is_some();
         world.gc_waited(node, self.t0, k.now(), ok);
         Some(ok)
     }
@@ -279,9 +218,9 @@ struct PeekStep {
 }
 
 impl PeekStep {
-    fn poll(&mut self, at: &At, k: &mut Kernel, address: u32, n: usize) -> Option<Vec<Word>> {
+    fn poll(&mut self, at: &At, k: &mut Kernel, pid: Pid, address: u32, n: usize) -> Option<Vec<Word>> {
         let until = *self.until.get_or_insert(k.now() + STATUS_POLL);
-        at.until(k, until).then(|| at.world.status_words(at.node, address, n))
+        k.until(pid, until).then(|| at.world.status_words(at.node, address, n))
     }
 }
 
@@ -294,10 +233,10 @@ struct DrainStep {
 }
 
 impl DrainStep {
-    fn poll(&mut self, at: &At, k: &mut Kernel, rel: &mut ReliableFifo, out: &mut Vec<Word>) -> Option<()> {
+    fn poll(&mut self, at: &At, k: &mut Kernel, pid: Pid, rel: &mut ReliableFifo, out: &mut Vec<Word>) -> Option<()> {
         loop {
             if let Some((start, end)) = self.chunk {
-                if !at.until(k, end) {
+                if !k.until(pid, end) {
                     return None;
                 }
                 self.chunk = None;
@@ -327,11 +266,11 @@ impl RecvStep {
         Self { within, deadline: None, popped: None }
     }
 
-    fn poll(&mut self, at: &At, k: &mut Kernel, rel: &mut ReliableFifo) -> Option<Option<Word>> {
+    fn poll(&mut self, at: &At, k: &mut Kernel, pid: Pid, rel: &mut ReliableFifo) -> Option<Option<Word>> {
         let deadline = *self.deadline.get_or_insert(k.now() + self.within);
         loop {
             if let Some((until, w)) = self.popped {
-                if !at.until(k, until) {
+                if !k.until(pid, until) {
                     return None;
                 }
                 self.popped = None;
@@ -343,7 +282,7 @@ impl RecvStep {
                 continue;
             }
             let (world, node) = (&at.world, at.node);
-            let Some((_, w)) = at.turn(k, Some(deadline), || world.fifo_pop(node), |w| world.fifo_register(node, w))?
+            let Some((_, w)) = k.turn(pid, Some(deadline), || world.fifo_pop(node), |w| world.fifo_register(node, w))?
             else {
                 return Some(None);
             };
@@ -375,7 +314,14 @@ enum AckWait {
 }
 
 impl AckStep {
-    fn poll(&mut self, at: &At, k: &mut Kernel, rel: &mut ReliableFifo, sink: &mut Vec<Word>) -> Option<Vec<NodeId>> {
+    fn poll(
+        &mut self,
+        at: &At,
+        k: &mut Kernel,
+        pid: Pid,
+        rel: &mut ReliableFifo,
+        sink: &mut Vec<Word>,
+    ) -> Option<Vec<NodeId>> {
         let (me, nodes) = (rel.me, rel.nodes);
         let replies = at.world.layout.verify_replies;
         loop {
@@ -388,7 +334,7 @@ impl AckStep {
                     self.wait = AckWait::Preset(k.now() + at.world.config.pcie.pio_write_latency);
                 }
                 AckWait::Preset(until) => {
-                    if !at.until(k, *until) {
+                    if !k.until(pid, *until) {
                         return None;
                     }
                     at.world.vics[me].lock().set_counter(k, VERIFY_GC, self.dests.len() as u64);
@@ -410,12 +356,12 @@ impl AckStep {
                     self.wait = AckWait::Query(SendStep::start(at, k, &queries, mode));
                 }
                 AckWait::Query(send) => {
-                    send.poll(at, k)?;
+                    send.poll(at, k, pid)?;
                     let deadline = Some(k.now() + QUERY_TIMEOUT);
                     self.wait = AckWait::Replies(GcStep { gc: VERIFY_GC, deadline, t0: k.now() });
                 }
                 AckWait::Replies(gc) => {
-                    if gc.poll(at, k)? {
+                    if gc.poll(at, k, pid)? {
                         self.wait = AckWait::Read(at.world.read_end(k.now(), me, nodes));
                     } else {
                         rel.stats.ack_query_timeouts += 1;
@@ -423,7 +369,7 @@ impl AckStep {
                     }
                 }
                 AckWait::Read(until) => {
-                    if !at.until(k, *until) {
+                    if !k.until(pid, *until) {
                         return None;
                     }
                     let mut vals = Vec::with_capacity(nodes);
@@ -438,7 +384,7 @@ impl AckStep {
                     return Some(std::mem::take(&mut self.dests));
                 }
                 AckWait::Drain(drain) => {
-                    drain.poll(at, k, rel, sink)?;
+                    drain.poll(at, k, pid, rel, sink)?;
                     return Some(std::mem::take(&mut self.dests));
                 }
             }
@@ -475,7 +421,7 @@ impl Barrier {
 impl Call for Barrier {
     type Out = ();
 
-    fn step(&mut self, k: &mut Kernel) -> Option<()> {
+    fn step(&mut self, k: &mut Kernel, pid: Pid) -> Option<()> {
         let at = &self.at;
         loop {
             self.wait = match self.wait {
@@ -484,7 +430,7 @@ impl Call for Barrier {
                     BarrierWait::Setup(k.now() + at.world.config.dv.barrier_setup)
                 }
                 BarrierWait::Setup(t) => {
-                    if !at.until(k, t) {
+                    if !k.until(pid, t) {
                         return None;
                     }
                     let mut b = at.world.barrier.lock();
@@ -503,15 +449,15 @@ impl Call for Barrier {
                     }
                 }
                 BarrierWait::Release(t) => {
-                    if !at.until(k, t) {
+                    if !k.until(pid, t) {
                         return None;
                     }
                     break;
                 }
                 BarrierWait::Epoch(my_epoch) => {
                     let barrier = &at.world.barrier;
-                    at.turn(
-                        k,
+                    k.turn(
+                        pid,
                         None,
                         || (barrier.lock().epoch != my_epoch).then_some(()),
                         |w| barrier.lock().waiters.register(w),
@@ -550,7 +496,7 @@ impl FastBarrier {
 impl Call for FastBarrier {
     type Out = ();
 
-    fn step(&mut self, k: &mut Kernel) -> Option<()> {
+    fn step(&mut self, k: &mut Kernel, pid: Pid) -> Option<()> {
         let at = &self.at;
         loop {
             match &mut self.wait {
@@ -560,11 +506,11 @@ impl Call for FastBarrier {
                     self.wait = FastWait::Send(SendStep::start(at, k, &self.packets, mode));
                 }
                 FastWait::Send(send) => {
-                    send.poll(at, k)?;
+                    send.poll(at, k, pid)?;
                     self.wait = FastWait::Zero(GcStep { gc: self.gc, deadline: None, t0: k.now() });
                 }
                 FastWait::Zero(gc) => {
-                    let ok = gc.poll(at, k)?;
+                    let ok = gc.poll(at, k, pid)?;
                     debug_assert!(ok, "fast barrier counter must reach zero");
                     break;
                 }
@@ -596,8 +542,8 @@ impl Drain {
 impl Call for Drain {
     type Out = ();
 
-    fn step(&mut self, k: &mut Kernel) -> Option<()> {
-        self.drain.poll(&self.at, k, &mut self.rel, &mut self.out)
+    fn step(&mut self, k: &mut Kernel, pid: Pid) -> Option<()> {
+        self.drain.poll(&self.at, k, pid, &mut self.rel, &mut self.out)
     }
 }
 
@@ -619,8 +565,8 @@ impl Verify {
 impl Call for Verify {
     type Out = Vec<NodeId>;
 
-    fn step(&mut self, k: &mut Kernel) -> Option<Vec<NodeId>> {
-        self.ack.poll(&self.at, k, &mut self.rel, &mut self.sink)
+    fn step(&mut self, k: &mut Kernel, pid: Pid) -> Option<Vec<NodeId>> {
+        self.ack.poll(&self.at, k, pid, &mut self.rel, &mut self.sink)
     }
 }
 
@@ -679,7 +625,7 @@ impl Close {
 impl Call for Close {
     type Out = Closed;
 
-    fn step(&mut self, k: &mut Kernel) -> Option<Closed> {
+    fn step(&mut self, k: &mut Kernel, pid: Pid) -> Option<Closed> {
         let at = &self.at;
         let rel = &mut self.rel;
         let (me, nodes, slots) = (rel.me, rel.nodes, at.world.layout.epoch_counts);
@@ -692,12 +638,12 @@ impl Call for Close {
                         self.flush.clear();
                     }
                     if let Some(send) = send {
-                        send.poll(at, k)?;
+                        send.poll(at, k, pid)?;
                     }
                     self.phase = Phase::Ack(AckStep::default());
                 }
                 Phase::Ack(ack) => {
-                    let dests = ack.poll(at, k, rel, &mut self.batch)?;
+                    let dests = ack.poll(at, k, pid, rel, &mut self.batch)?;
                     self.phase = Phase::Verified;
                     if dests.iter().any(|&d| rel.wire_epoch[d] > 0) {
                         return Some(Closed::Shortfall(dests));
@@ -723,18 +669,18 @@ impl Call for Close {
                     };
                 }
                 Phase::Post(send) => {
-                    send.poll(at, k)?;
+                    send.poll(at, k, pid)?;
                     self.phase = Phase::Drain(DrainStep::default());
                 }
                 Phase::Drain(drain) => {
-                    drain.poll(at, k, rel, &mut self.batch)?;
+                    drain.poll(at, k, pid, rel, &mut self.batch)?;
                     self.phase = Phase::Peek(PeekStep::default());
                     if !self.batch.is_empty() {
                         return Some(Closed::Deliver);
                     }
                 }
                 Phase::Peek(peek) => {
-                    let posted = peek.poll(at, k, slots, nodes)?;
+                    let posted = peek.poll(at, k, pid, slots, nodes)?;
                     if peers().all(|s| posted[s] != 0) {
                         let expected: u64 = peers().map(|s| posted[s] - 1).sum();
                         if rel.received == expected {
@@ -755,7 +701,7 @@ impl Call for Close {
                     self.phase = Phase::Recv(RecvStep::new(time::us(2)));
                 }
                 Phase::Recv(recv) => {
-                    let word = recv.poll(at, k, rel)?;
+                    let word = recv.poll(at, k, pid, rel)?;
                     self.phase = Phase::Drain(DrainStep::default());
                     if let Some(w) = word {
                         self.batch.push(w);
@@ -790,13 +736,13 @@ impl Posts {
 impl Call for Posts {
     type Out = Vec<Word>;
 
-    fn step(&mut self, k: &mut Kernel) -> Option<Vec<Word>> {
+    fn step(&mut self, k: &mut Kernel, pid: Pid) -> Option<Vec<Word>> {
         let (at, rel) = (&self.at, &mut self.rel);
         let (me, nodes) = (rel.me, rel.nodes);
         loop {
             self.phase = match &mut self.phase {
                 PostsPhase::Peek(peek) => {
-                    let slots = peek.poll(at, k, self.address, nodes)?;
+                    let slots = peek.poll(at, k, pid, self.address, nodes)?;
                     if (0..nodes).filter(|&s| s != me).all(|s| slots[s] != 0) {
                         return Some(slots);
                     }
@@ -805,7 +751,7 @@ impl Call for Posts {
                 PostsPhase::Recv(recv) => {
                     // Anything buffered here is a retransmission duplicate:
                     // every new word was drained before the posts went out.
-                    let stray = recv.poll(at, k, rel)?;
+                    let stray = recv.poll(at, k, pid, rel)?;
                     debug_assert!(stray.is_none(), "new word arrived after its epoch completed");
                     PostsPhase::Peek(PeekStep::default())
                 }

@@ -292,8 +292,7 @@ impl ReliableFifo {
         if !dv.world().fifo_repeats() {
             self.seen_in.words.reserve(first);
         }
-        let (drain, ()) =
-            op::run(Drain::new(dv.at(ctx), std::mem::take(self), std::mem::take(out)), ctx);
+        let (drain, ()) = op::run(Drain::new(dv.at(), std::mem::take(self), std::mem::take(out)), ctx);
         *self = drain.rel;
         *out = drain.out;
     }
@@ -317,7 +316,7 @@ impl ReliableFifo {
     /// data path is persistently dead, which the fault plans used for
     /// chaos runs never produce.
     pub fn verify_epoch(&mut self, ctx: &SimCtx, dv: &DvCtx, sink: &mut Vec<Word>) {
-        let call = Verify::new(dv.at(ctx), std::mem::take(self), std::mem::take(sink));
+        let call = Verify::new(dv.at(), std::mem::take(self), std::mem::take(sink));
         let (call, dests) = op::run(call, ctx);
         *self = call.rel;
         *sink = call.sink;
@@ -492,7 +491,7 @@ impl ReliableFifo {
         mut deliver: impl FnMut(&[Word]),
     ) -> u64 {
         let (flush, mode) = agg.take_batch();
-        let mut close = Close::new(dv.at(ctx), std::mem::take(self), flush, mode);
+        let mut close = Close::new(dv.at(), std::mem::take(self), flush, mode);
         loop {
             let (mut next, out) = op::run(close, ctx);
             match out {
@@ -518,7 +517,7 @@ impl ReliableFifo {
     /// discarded: the wait that ends a BFS level on the peers' frontier
     /// sizes, after [`ReliableFifo::complete_epoch`] drained every new word.
     pub fn await_posts(&mut self, ctx: &SimCtx, dv: &DvCtx, address: u32) -> Vec<Word> {
-        let (posts, slots) = op::run(Posts::new(dv.at(ctx), std::mem::take(self), address), ctx);
+        let (posts, slots) = op::run(Posts::new(dv.at(), std::mem::take(self), address), ctx);
         *self = posts.rel;
         slots
     }

@@ -147,7 +147,7 @@ impl FaultPlan {
     /// | `stall` | `prob:ns` | per-batch ejection stall + duration (≤ [`MAX_FAULT_DELAY_NS`]) |
     /// | `gcrace` | `prob:ns` | group-counter-set delay + duration (≤ [`MAX_FAULT_DELAY_NS`]) |
     /// | `fifodrop` | probability | per-push forced FIFO overflow |
-    /// | `fifostorm` | `period:len` | drop `len` consecutive pushes every `period` |
+    /// | `fifostorm` | `period:len` | drop `len` consecutive pushes every `period` (`1 <= period`, `len < period`) |
     ///
     /// Example: `seed=7,fifodrop=0.02,fifostorm=257:3,stall=0.01:500`.
     pub fn parse(spec: &str) -> Result<Self, String> {
@@ -175,8 +175,15 @@ impl FaultPlan {
                     let (period, len) = value
                         .split_once(':')
                         .ok_or_else(|| format!("fifostorm wants period:len, got {value:?}"))?;
-                    plan.fifo_storm_period = parse_u64(period)?;
-                    plan.fifo_storm_len = parse_u64(len)?;
+                    let (period, len) = (parse_u64(period)?, parse_u64(len)?);
+                    if period == 0 || len >= period {
+                        return Err(format!(
+                            "fifostorm wants period >= 1 and len < period (period 0 is no storm, len >= period \
+                             drops every push), got {value:?}"
+                        ));
+                    }
+                    plan.fifo_storm_period = period;
+                    plan.fifo_storm_len = len;
                 }
                 _ => return Err(format!("unknown fault key {key:?}")),
             }
@@ -310,6 +317,12 @@ mod tests {
         assert!(FaultPlan::parse("wibble=1").is_err());
         assert!(FaultPlan::parse("stall=0.5").is_err());
         assert!(FaultPlan::parse("fifostorm=10").is_err());
+        // A storm as long as its period drops every push; period 0 is none.
+        for storm in ["fifostorm=4:4", "fifostorm=4:5", "fifostorm=0:5", "fifostorm=0:0"] {
+            let err = FaultPlan::parse(storm).unwrap_err();
+            assert!(err.contains("period >= 1 and len < period"), "{storm}: {err}");
+        }
+        assert_eq!(FaultPlan::parse("fifostorm=4:3").unwrap().fifo_storm_len, 3);
         assert!(FaultPlan::parse("stall=0.1:20000000000000000").is_err());
         assert!(FaultPlan::parse("gcrace=0.1:20000000000000000").is_err());
         // Fits virtual time, but a delivery time plus it would not.

@@ -87,7 +87,7 @@ impl Comm {
             (send, Instr::Recv { src: Some((me + n - k) % n), tag: Some(tag), sink: Sink::Discard })
         };
         let end = Instr::End { op: "barrier", span: Some(State::Barrier) };
-        Op::new(self, ctx, Vec::new(), rounds(count, round, end)).run(ctx);
+        Op::new(self, Vec::new(), rounds(count, round, end)).run(ctx);
     }
 
     /// Binomial-tree broadcast of slot 0 from `root`, appended to `plan`.
@@ -168,7 +168,7 @@ impl Comm {
         };
         let mut plan = Vec::new();
         self.plan_bcast(&mut plan, root);
-        let mut op = Op::new(self, ctx, vec![data], listed(plan)).run(ctx);
+        let mut op = Op::new(self, vec![data], listed(plan)).run(ctx);
         op.bufs.swap_remove(0)
     }
 
@@ -176,7 +176,7 @@ impl Comm {
     pub fn reduce(&self, ctx: &SimCtx, root: usize, op: ReduceOp, contribution: Payload) -> Option<Payload> {
         let mut plan = Vec::new();
         self.plan_reduce(&mut plan, root, op);
-        let mut op = Op::new(self, ctx, vec![contribution], listed(plan)).run(ctx);
+        let mut op = Op::new(self, vec![contribution], listed(plan)).run(ctx);
         (self.rank() == root).then(|| op.bufs.swap_remove(0))
     }
 
@@ -186,7 +186,7 @@ impl Comm {
         let mut plan = Vec::new();
         self.plan_reduce(&mut plan, 0, op);
         self.plan_bcast(&mut plan, 0);
-        let mut op = Op::new(self, ctx, vec![contribution], listed(plan)).run(ctx);
+        let mut op = Op::new(self, vec![contribution], listed(plan)).run(ctx);
         op.bufs.swap_remove(0)
     }
 
@@ -202,10 +202,10 @@ impl Comm {
             let recv = Instr::Recv { src: None, tag: Some(GATHER_TAG), sink: Sink::BySource };
             // n − 1 receives, in arrival order, then the end.
             let plan = move |pc: usize| if pc + 1 < n { Some(recv) } else { (pc + 1 == n).then_some(end) };
-            Some(Op::new(self, ctx, out, plan).run(ctx).bufs)
+            Some(Op::new(self, out, plan).run(ctx).bufs)
         } else {
             let send = Instr::Send { dst: root, tag: GATHER_TAG, data: Data::Take(0) };
-            Op::new(self, ctx, vec![contribution], listed([send, Instr::WaitAll, end])).run(ctx);
+            Op::new(self, vec![contribution], listed([send, Instr::WaitAll, end])).run(ctx);
             None
         }
     }
@@ -224,11 +224,11 @@ impl Comm {
                 .map(|dst| Instr::Send { dst, tag: SCATTER_TAG, data: Data::Take(dst) })
                 .collect();
             plan.extend([Instr::WaitAll, end]);
-            Op::new(self, ctx, data, listed(plan)).run(ctx);
+            Op::new(self, data, listed(plan)).run(ctx);
             mine
         } else {
             let recv = Instr::Recv { src: Some(root), tag: Some(SCATTER_TAG), sink: Sink::Slot(0) };
-            let mut op = Op::new(self, ctx, vec![Payload::Empty], listed([recv, end])).run(ctx);
+            let mut op = Op::new(self, vec![Payload::Empty], listed([recv, end])).run(ctx);
             op.bufs.swap_remove(0)
         }
     }
@@ -248,7 +248,7 @@ impl Comm {
             (send, Instr::Recv { src: Some(left), tag: Some(tag), sink: Sink::Slot(recv_idx) })
         };
         let end = Instr::End { op: "allgather", span: Some(State::Collective) };
-        Op::new(self, ctx, blocks, rounds(n.saturating_sub(1), round, end)).run(ctx).bufs
+        Op::new(self, blocks, rounds(n.saturating_sub(1), round, end)).run(ctx).bufs
     }
 
     /// Pairwise-exchange alltoall: `blocks[d]` goes to rank `d`; returns
@@ -269,7 +269,7 @@ impl Comm {
             (send, Instr::Recv { src: Some(src), tag: Some(tag), sink: Sink::Slot(n + src) })
         };
         let end = Instr::End { op: "alltoall", span: Some(State::Collective) };
-        let mut op = Op::new(self, ctx, blocks, rounds(n - 1, round, end)).run(ctx);
+        let mut op = Op::new(self, blocks, rounds(n - 1, round, end)).run(ctx);
         op.bufs.split_off(n)
     }
 }

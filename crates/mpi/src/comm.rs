@@ -290,7 +290,7 @@ impl Comm {
     /// copy).
     pub fn isend(&self, ctx: &SimCtx, dst: usize, tag: Tag, payload: Payload) -> Request {
         let send = Instr::Send { dst, tag, data: Data::Take(0) };
-        let mut op = Op::new(self, ctx, vec![payload], listed([send])).run(ctx);
+        let mut op = Op::new(self, vec![payload], listed([send])).run(ctx);
         op.reqs.pop_back().unwrap_or(Request(None))
     }
 
@@ -298,7 +298,7 @@ impl Comm {
     /// not return until the receiver has posted the matching recv).
     pub fn send(&self, ctx: &SimCtx, dst: usize, tag: Tag, payload: Payload) {
         let send = Instr::Send { dst, tag, data: Data::Take(0) };
-        Op::new(self, ctx, vec![payload], listed([send, Instr::WaitAll])).run(ctx);
+        Op::new(self, vec![payload], listed([send, Instr::WaitAll])).run(ctx);
     }
 
     /// Wait for a request to complete.
@@ -308,7 +308,7 @@ impl Comm {
 
     /// Wait for all requests, in order.
     pub fn wait_all(&self, ctx: &SimCtx, reqs: Vec<Request>) {
-        let mut op = Op::new(self, ctx, Vec::new(), listed([Instr::WaitAll]));
+        let mut op = Op::new(self, Vec::new(), listed([Instr::WaitAll]));
         op.reqs.extend(reqs);
         op.run(ctx);
     }
@@ -316,7 +316,7 @@ impl Comm {
     /// Blocking receive with optional source/tag wildcards.
     pub fn recv(&self, ctx: &SimCtx, src: Option<usize>, tag: Option<Tag>) -> Envelope {
         let recv = Instr::Recv { src, tag, sink: Sink::Keep };
-        let op = Op::new(self, ctx, Vec::new(), listed([recv])).run(ctx);
+        let op = Op::new(self, Vec::new(), listed([recv])).run(ctx);
         op.kept.expect("a receive keeps its envelope")
     }
 
@@ -350,7 +350,7 @@ impl Comm {
             Instr::Recv { src: Some(src), tag: Some(recv_tag), sink: Sink::Keep },
             Instr::WaitAll,
         ];
-        let op = Op::new(self, ctx, vec![payload], listed(plan)).run(ctx);
+        let op = Op::new(self, vec![payload], listed(plan)).run(ctx);
         op.kept.expect("a receive keeps its envelope")
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! A blocking call — `isend`, `send`, `recv`, `wait`, `sendrecv`, and every
 //! collective — is an [`Op`]: a plan of point-to-point [`Instr`]s over a
-//! buffer of payloads, executed by [`SimCtx::wait_in_kernel`]. The
+//! buffer of payloads, a dv-sim [`Call`] executed by
+//! [`SimCtx::wait_in_kernel`]. The
 //! calling thread parks once; each resume of the rank runs the plan on in
 //! kernel context, and the thread runs again only when the whole call has
 //! returned. A 32-rank pairwise alltoall is one handoff per rank instead
@@ -14,13 +15,14 @@
 //! reservations, tracer records and metrics. So the commit order, every
 //! trace hash and every artifact are the same as if the rank's thread ran
 //! each step (`tests/collective_traces.rs` pins them). Each blocked state
-//! is one [`SimCtx::wait_for`] turn and re-checks like it on every resume:
+//! is one dv-sim turn, re-run on every resume — the turn
+//! [`SimCtx::wait_for`] loops over on the thread:
 //!
 //! * a charged delay (the send overhead and bounce copy, the receive
-//!   overhead) re-arms its end when the rank was woken early;
-//! * a posted receive re-posts the current waker until the arrival hook
-//!   has delivered;
-//! * a rendezvous `wait` re-registers until the request is done.
+//!   overhead) is a [`Kernel::until`];
+//! * a posted receive is a [`Kernel::turn`] that posts the current waker
+//!   until the arrival hook has delivered;
+//! * a rendezvous `wait` is one that registers until the request is done.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -29,7 +31,7 @@ use std::sync::Arc;
 use dv_core::sync::Mutex;
 use dv_core::time::{self, Time};
 use dv_core::trace::State;
-use dv_sim::{Kernel, Pid, SimCtx};
+use dv_sim::{Call, Kernel, Pid, SimCtx};
 
 use crate::coll::ReduceOp;
 use super::{Comm, Envelope, PendingSend, Posted, ReqState, Request, Wire, World};
@@ -76,7 +78,7 @@ pub(crate) enum Instr {
     End { op: &'static str, span: Option<State> },
 }
 
-/// What a blocked call waits for; each is one [`SimCtx::wait_for`].
+/// What a blocked call waits for; each is one turn.
 enum Blocked {
     /// A send's charged overhead and copy end at `until`; then the message
     /// leaves.
@@ -120,7 +122,6 @@ pub(crate) fn rounds(
 pub(crate) struct Op<P> {
     world: Arc<World>,
     rank: usize,
-    pid: Pid,
     plan: P,
     pc: usize,
     /// Payload slots the plan sends from and receives into.
@@ -136,11 +137,10 @@ pub(crate) struct Op<P> {
 
 impl<P: Fn(usize) -> Option<Instr> + Send + 'static> Op<P> {
     /// A blocking call of `comm`'s rank: `plan` over `bufs`.
-    pub(crate) fn new(comm: &Comm, ctx: &SimCtx, bufs: Vec<Payload>, plan: P) -> Self {
+    pub(crate) fn new(comm: &Comm, bufs: Vec<Payload>, plan: P) -> Self {
         Self {
             world: Arc::clone(&comm.world),
             rank: comm.rank(),
-            pid: ctx.pid(),
             plan,
             pc: 0,
             bufs,
@@ -152,22 +152,21 @@ impl<P: Fn(usize) -> Option<Instr> + Send + 'static> Op<P> {
     }
 
     /// Run the plan to its end, the calling thread parked throughout;
-    /// returns the op with its buffers, requests and envelope. The op
-    /// waits on the heap, so the kernel step moves a pointer, not the op.
+    /// returns the op with its buffers, requests and envelope.
     pub(crate) fn run(self, ctx: &SimCtx) -> Self {
-        let mut op = Some(Box::new(self));
-        *ctx.wait_in_kernel(move |k| {
-            let done = op.as_mut().expect("a finished op is not resumed").advance(k);
-            done.then(|| op.take().expect("an op finishes once"))
-        })
+        ctx.wait_in_kernel(self).0
     }
+}
 
-    /// Run the plan on until a call blocks (`false`) or the plan ends.
-    fn advance(&mut self, k: &mut Kernel) -> bool {
+impl<P: Fn(usize) -> Option<Instr> + Send + 'static> Call for Op<P> {
+    type Out = ();
+
+    /// Run the plan on until a call blocks (`None`) or the plan ends.
+    fn step(&mut self, k: &mut Kernel, pid: Pid) -> Option<()> {
         self.coll_t0.get_or_insert(k.now());
         if let Some(blocked) = self.blocked.take() {
-            if !self.resume(k, blocked) {
-                return false;
+            if !self.resume(k, pid, blocked) {
+                return None;
             }
         }
         while let Some(instr) = (self.plan)(self.pc) {
@@ -179,15 +178,15 @@ impl<P: Fn(usize) -> Option<Instr> + Send + 'static> Op<P> {
                         Data::Copy(i) => self.bufs[i].clone(),
                         Data::Empty => Payload::Empty,
                     };
-                    self.start_send(k, dst, tag, payload)
+                    self.start_send(k, pid, dst, tag, payload)
                 }
                 Instr::Recv { src, tag, sink } => {
                     self.pc += 1;
-                    self.start_recv(k, src, tag, sink)
+                    self.start_recv(k, pid, src, tag, sink)
                 }
                 // Stays at this instruction until no request is left.
                 Instr::WaitAll => match self.reqs.pop_front() {
-                    Some(req) => self.start_wait(k, req),
+                    Some(req) => self.start_wait(k, pid, req),
                     None => {
                         self.pc += 1;
                         true
@@ -200,51 +199,54 @@ impl<P: Fn(usize) -> Option<Instr> + Send + 'static> Op<P> {
                 }
             };
             if !ran {
-                return false;
+                return None;
             }
         }
-        true
+        Some(())
     }
+}
 
+impl<P: Fn(usize) -> Option<Instr> + Send + 'static> Op<P> {
     /// A resume of a blocked call: `true` once the call has returned.
-    fn resume(&mut self, k: &mut Kernel, blocked: Blocked) -> bool {
+    fn resume(&mut self, k: &mut Kernel, pid: Pid, blocked: Blocked) -> bool {
         match blocked {
             Blocked::Send { t0, until, dst, tag, payload } => {
-                if !self.wait_until(k, until) {
+                if !k.until(pid, until) {
                     self.blocked = Some(Blocked::Send { t0, until, dst, tag, payload });
                     return false;
                 }
                 self.finish_send(k, t0, dst, tag, payload);
             }
             Blocked::Recv { t0, until, env, sink } => {
-                if !self.wait_until(k, until) {
+                if !k.until(pid, until) {
                     self.blocked = Some(Blocked::Recv { t0, until, env, sink });
                     return false;
                 }
                 self.finish_recv(k, t0, env, sink);
             }
             Blocked::Posted { t0, sink } => {
-                let mut slot = self.world.slots[self.rank].lock();
-                let Some((ready, env)) = slot.delivered.take() else {
-                    // Woken before the arrival: post afresh.
-                    if let Some((_, waker)) = slot.posted.as_mut() {
-                        *waker = k.waker_for(self.pid);
+                let slot = &self.world.slots[self.rank];
+                // Woken before the arrival: post afresh.
+                let repost = |w| {
+                    if let Some((_, waker)) = slot.lock().posted.as_mut() {
+                        *waker = w;
                     }
-                    drop(slot);
+                };
+                let Some(Some((ready, env))) = k.turn(pid, None, || slot.lock().delivered.take(), repost) else {
                     self.blocked = Some(Blocked::Posted { t0, sink });
                     return false;
                 };
-                drop(slot);
                 // Woken between the arrival and the end of the receive
                 // overhead: wait out the rest.
-                if !self.wait_until(k, ready) {
+                if !k.until(pid, ready) {
                     self.blocked = Some(Blocked::Recv { t0, until: ready, env, sink });
                     return false;
                 }
                 self.finish_recv(k, t0, env, sink);
             }
             Blocked::Req { t0, state } => {
-                if !self.req_done(k, &state) {
+                let done = || state.lock().done.then_some(());
+                if k.turn(pid, None, done, |w| state.lock().waiter = Some(w)).is_none() {
                     self.blocked = Some(Blocked::Req { t0, state });
                     return false;
                 }
@@ -254,35 +256,14 @@ impl<P: Fn(usize) -> Option<Instr> + Send + 'static> Op<P> {
         true
     }
 
-    /// One turn of `wait_until(t)`: `true` when `t` has come, else the
-    /// resume at `t` is re-armed.
-    fn wait_until(&self, k: &mut Kernel, t: Time) -> bool {
-        if k.now() >= t {
-            return true;
-        }
-        let w = k.waker_for(self.pid);
-        k.wake_at(t, w);
-        false
-    }
-
-    /// One turn of a `wait`: `true` when the request is done, else the
-    /// current waker is left with it.
-    fn req_done(&self, k: &mut Kernel, state: &Mutex<ReqState>) -> bool {
-        let mut s = state.lock();
-        if !s.done {
-            s.waiter = Some(k.waker_for(self.pid));
-        }
-        s.done
-    }
-
     /// `isend` up to its first park: software overhead, then (eager) the
     /// bounce-buffer copy, as one charged delay.
-    fn start_send(&mut self, k: &mut Kernel, dst: usize, tag: Tag, payload: Payload) -> bool {
+    fn start_send(&mut self, k: &mut Kernel, pid: Pid, dst: usize, tag: Tag, payload: Payload) -> bool {
         let t0 = k.now();
         let p = &self.world.params;
         let eager = payload.len_bytes() <= p.eager_limit;
         let copy = if eager { time::transfer_time(payload.len_bytes(), p.copy_gbps) } else { 0 };
-        match k.arm_delay(self.pid, p.overhead_send, copy) {
+        match k.arm_delay(pid, p.overhead_send, copy) {
             Some(until) => {
                 self.blocked = Some(Blocked::Send { t0, until, dst, tag, payload });
                 false
@@ -335,13 +316,13 @@ impl<P: Fn(usize) -> Option<Instr> + Send + 'static> Op<P> {
     /// A receive up to its first park: take a match from the unexpected
     /// queue and charge the receive overhead, or post the receive
     /// (answering an RTS that was already waiting) for the arrival hook.
-    fn start_recv(&mut self, k: &mut Kernel, src: Option<usize>, tag: Option<Tag>, sink: Sink) -> bool {
+    fn start_recv(&mut self, k: &mut Kernel, pid: Pid, src: Option<usize>, tag: Option<Tag>, sink: Sink) -> bool {
         let t0 = k.now();
         let world = Arc::clone(&self.world);
         let unexpected = world.ports[self.rank].take_first(|w| w.matches(src, tag)).map(|(_, w)| w);
         let rts = match unexpected {
             Some(Wire::Eager(env)) => {
-                return match k.arm_delay(self.pid, world.params.overhead_recv, 0) {
+                return match k.arm_delay(pid, world.params.overhead_recv, 0) {
                     Some(until) => {
                         self.blocked = Some(Blocked::Recv { t0, until, env, sink });
                         false
@@ -356,12 +337,15 @@ impl<P: Fn(usize) -> Option<Instr> + Send + 'static> Op<P> {
             _ => None,
         };
         let posted = rts.map_or(Posted::Match { src, tag }, Posted::Data);
-        world.slots[self.rank].lock().posted = Some((posted, k.waker_for(self.pid)));
+        // The arrival hook delivers only to a posted receive, so the first
+        // turn's condition cannot hold yet: it posts the waker. Nor is
+        // anything delivered before the park (`send_cts` only schedules):
+        // the receive is resumed by the arrival hook.
+        let slot = &world.slots[self.rank];
+        k.turn(pid, None, || None::<()>, |w| slot.lock().posted = Some((posted, w)));
         if let Some(msg_id) = rts {
             world.send_cts(k, msg_id);
         }
-        // Nothing is delivered before the park (`send_cts` only
-        // schedules): the receive is resumed by the arrival hook.
         self.blocked = Some(Blocked::Posted { t0, sink });
         false
     }
@@ -378,16 +362,10 @@ impl<P: Fn(usize) -> Option<Instr> + Send + 'static> Op<P> {
         }
     }
 
-    /// A `wait` up to its park; an eager request is already done.
-    fn start_wait(&mut self, k: &mut Kernel, req: Request) -> bool {
+    /// A `wait`: its first turn; an eager request is already done.
+    fn start_wait(&mut self, k: &mut Kernel, pid: Pid, req: Request) -> bool {
         let Some(state) = req.0 else { return true };
-        let t0 = k.now();
-        if !self.req_done(k, &state) {
-            self.blocked = Some(Blocked::Req { t0, state });
-            return false;
-        }
-        self.finish_wait(k, t0);
-        true
+        self.resume(k, pid, Blocked::Req { t0: k.now(), state })
     }
 
     fn finish_wait(&self, k: &Kernel, t0: Time) {
@@ -409,4 +387,3 @@ impl<P: Fn(usize) -> Option<Instr> + Send + 'static> Op<P> {
         m.observe_labeled("mpi.coll.time_ps", &label, now - t0);
     }
 }
-

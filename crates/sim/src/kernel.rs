@@ -48,15 +48,34 @@ pub struct TimerId(u32);
 
 type TimerHook = Box<dyn FnMut(&mut Kernel) + Send>;
 
-/// The remainder of a blocking call a parked process left to the kernel
-/// (see [`SimCtx::wait_in_kernel`](crate::SimCtx::wait_in_kernel)).
-pub(crate) trait Step: Send {
-    /// Run at one of the process's resumes; `true` once the call has
-    /// finished and holds its result.
-    fn resume(&mut self, k: &mut Kernel) -> bool;
+/// A blocking call run in the kernel (see
+/// [`SimCtx::wait_in_kernel`](crate::SimCtx::wait_in_kernel)): [`Call::step`]
+/// runs at the call and at each later resume of process `pid`, with the
+/// kernel locked, until it returns the call's output. Like a future's
+/// `poll`, a step that returns `None` has left a waker (one
+/// [`Kernel::turn`] or [`Kernel::until`] per blocked state) for the resume
+/// that runs it again.
+pub trait Call: Send + 'static {
+    /// What the call returns to the process's thread.
+    type Out: Send + 'static;
 
-    /// The finished step, for its owner to take the result out of.
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
+    /// Run on until the call blocks (`None`) or returns.
+    fn step(&mut self, k: &mut Kernel, pid: Pid) -> Option<Self::Out>;
+}
+
+/// A parked [`Call`], type-erased: the call and, once it returned, its
+/// output. Its owner takes it back as `dyn Any` and downcasts.
+pub(crate) trait Step: Any + Send {
+    /// Run at one of the process's resumes; `true` once the call has
+    /// returned.
+    fn resume(&mut self, k: &mut Kernel, pid: Pid) -> bool;
+}
+
+impl<C: Call> Step for (C, Option<C::Out>) {
+    fn resume(&mut self, k: &mut Kernel, pid: Pid) -> bool {
+        self.1 = self.0.step(k, pid);
+        self.1.is_some()
+    }
 }
 
 /// Where a process's kernel step is.
@@ -281,6 +300,44 @@ impl Kernel {
         Waker { pid, generation: self.park_generation[pid] }
     }
 
+    /// One turn of a blocking wait of process `pid` — the one place that
+    /// holds the order every wait depends on. `ready()` first: a condition
+    /// met at or past the deadline wins, `Some(Some(r))`. Then, past
+    /// `deadline`, `Some(None)` with no waker registered and no event
+    /// pushed (a stale wake would still draw a sequence number the trace
+    /// hashes). Else the current waker goes to `register`, the deadline is
+    /// armed, and `None` says the process is to park; it re-runs the turn
+    /// at its next resume, which may be an early one. `ready` and
+    /// `register` run with the kernel locked: they must not call back into
+    /// it.
+    pub fn turn<R>(
+        &mut self,
+        pid: Pid,
+        deadline: Option<Time>,
+        ready: impl FnOnce() -> Option<R>,
+        register: impl FnOnce(Waker),
+    ) -> Option<Option<R>> {
+        if let Some(r) = ready() {
+            return Some(Some(r));
+        }
+        if deadline.is_some_and(|d| self.now >= d) {
+            return Some(None);
+        }
+        let w = self.waker_for(pid);
+        register(w);
+        if let Some(d) = deadline {
+            self.wake_at(d, w);
+        }
+        None
+    }
+
+    /// One turn of a wait of `pid` until virtual time `t`: `true` once `t`
+    /// has come, else its resume at `t` is armed (again, after an early
+    /// wake-up).
+    pub fn until(&mut self, pid: Pid, t: Time) -> bool {
+        self.turn(pid, Some(t), || None::<()>, |_| {}).is_some()
+    }
+
     /// Leave the rest of `pid`'s blocking call to the kernel: `step` runs
     /// at each of its resumes until it reports that it finished.
     pub(crate) fn set_step(&mut self, pid: Pid, step: Box<dyn Step>) {
@@ -296,7 +353,7 @@ impl Kernel {
         else {
             unreachable!("a Step event has a step to run")
         };
-        let done = step.resume(self);
+        let done = step.resume(self, pid);
         self.steps[pid] = if done {
             self.stats.thread_resumes += 1;
             StepSlot::Finished(step)
@@ -309,7 +366,7 @@ impl Kernel {
     /// Take `pid`'s finished step (its thread runs again).
     pub(crate) fn take_finished_step(&mut self, pid: Pid) -> Box<dyn Any> {
         match std::mem::replace(&mut self.steps[pid], StepSlot::Empty) {
-            StepSlot::Finished(step) => step.into_any(),
+            StepSlot::Finished(step) => step,
             _ => unreachable!("the thread runs again only once its step has finished"),
         }
     }

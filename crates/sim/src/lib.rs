@@ -34,18 +34,20 @@
 //!   where the intermediate resume would have been, and committing the hop
 //!   schedules the final resume — same event order, one thread handoff less.
 //! * A resume may run in the kernel instead of on the process's thread: a
-//!   process blocked in [`SimCtx::wait_in_kernel`] left the rest of its call
-//!   to a *step* closure, which the dispatcher runs inline at each of its
-//!   resumes until the call has finished. The resume is committed, hashed
-//!   and counted as ever; only the thread handoff is gone. mini-mpi runs
-//!   every blocking call and collective this way.
+//!   process blocked in [`SimCtx::wait_in_kernel`] left the rest of its
+//!   [`Call`] to the kernel, whose dispatcher runs the call's step inline at
+//!   each of its resumes until the call has returned. The resume is
+//!   committed, hashed and counted as ever; only the thread handoff is
+//!   gone. mini-mpi runs every blocking call and collective this way, and
+//!   dv-api its barriers and the recovery layer's multi-park waits.
 //!
 //! ## Building blocks
 //!
 //! * [`Sim`] / [`SimCtx`] — the kernel and the per-process capability;
-//!   [`SimCtx::wait_for`] is the one check-and-park loop every thread-run
-//!   blocking wait runs on, [`SimCtx::wait_in_kernel`] the way to run one
-//!   in the kernel.
+//!   [`Kernel::turn`] is the one turn of every blocking wait, which
+//!   [`SimCtx::wait_for`] loops over on the thread and a [`Call`]'s step
+//!   runs once per blocked state in the kernel
+//!   ([`SimCtx::wait_in_kernel`]).
 //! * [`Port`] — a typed message queue in virtual time (the basis for NICs).
 //! * [`WaitSet`] — virtual-time condition variable.
 //! * [`Pipe`] — a FIFO bandwidth server (PCIe bus, NIC link, switch port).
@@ -66,7 +68,7 @@ mod spmd;
 mod sync;
 
 pub use audit::OrderAudit;
-pub use kernel::{Kernel, Pid, SchedStats, TimerId, Waker};
+pub use kernel::{Call, Kernel, Pid, SchedStats, TimerId, Waker};
 pub use sim::{Sim, SimCtx};
 pub use sync::{JoinSlot, Pipe, Port, WaitSet};
 

@@ -53,7 +53,7 @@ use dv_core::sync::Mutex;
 
 use dv_core::time::Time;
 
-use crate::kernel::{EventKind, Kernel, Pid, Step, Waker};
+use crate::kernel::{Call, EventKind, Kernel, Pid, Waker};
 use crate::parker::Parker;
 
 /// Sentinel panic payload used to unwind parked processes at shutdown.
@@ -317,7 +317,7 @@ enum Driven {
 /// a process that waits in a kernel step runs the step here, inline, and
 /// reaches the process's thread only when the step has finished.
 ///
-/// Kernel-context work runs under `catch_unwind`: a panic in a `Call`
+/// Kernel-context work runs under `catch_unwind`: a panic in a `call_at`
 /// closure or a timer hook is reported as that kernel event's, and one in
 /// a step as its owner's, never as a panic of whichever process thread
 /// happened to be driving.
@@ -478,28 +478,6 @@ fn process_panicked(shared: &Shared, pid: Pid, payload: &(dyn Any + Send)) {
     shared.outcome.set(Outcome::Abort(format!("simulated process '{name}' panicked: {msg}")));
 }
 
-/// A [`SimCtx::wait_in_kernel`] in progress: the caller's step and, once
-/// it returned `Some`, the result.
-struct KernelWait<F, R> {
-    step: F,
-    result: Option<R>,
-}
-
-impl<F, R> Step for KernelWait<F, R>
-where
-    F: FnMut(&mut Kernel) -> Option<R> + Send + 'static,
-    R: Send + 'static,
-{
-    fn resume(&mut self, k: &mut Kernel) -> bool {
-        self.result = (self.step)(k);
-        self.result.is_some()
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
 /// Per-process capability: the handle a simulated process uses to read the
 /// clock, advance time, park, and schedule events. One per process; not
 /// shareable across processes.
@@ -544,19 +522,18 @@ impl SimCtx {
             Driven::RunSelf => {}
             Driven::HandedOff | Driven::Ended => {
                 if self.parker.wait().is_err() {
-                    // Simulation is shutting down: unwind this thread.
-                    panic::panic_any(Shutdown);
+                    // Simulation is shutting down: unwind this thread,
+                    // past the panic hook (this is no failure to report).
+                    panic::resume_unwind(Box::new(Shutdown));
                 }
             }
         }
     }
 
-    /// The one check-and-park loop under every blocking wait. Each turn:
-    /// `ready()` first (a condition met at the deadline wins); then, past
-    /// `deadline`, `None` with no waker registered and no event pushed (a
-    /// stale wake would still draw a sequence number the trace hashes);
-    /// else the current waker goes to `register`, the deadline is armed,
-    /// and the process parks.
+    /// The one check-and-park loop under every blocking wait: a
+    /// [`Kernel::turn`] (see there for the order it keeps), then a park,
+    /// until the turn returns. `ready` and `register` run with the kernel
+    /// locked.
     pub fn wait_for<R>(
         &self,
         deadline: Option<Time>,
@@ -564,53 +541,39 @@ impl SimCtx {
         mut register: impl FnMut(Waker),
     ) -> Option<R> {
         loop {
-            if let Some(r) = ready() {
-                return Some(r);
-            }
-            let (now, waker) = self.with_kernel(|k| (k.now(), k.waker_for(self.pid)));
-            if deadline.is_some_and(|d| now >= d) {
-                return None;
-            }
-            register(waker);
-            if let Some(d) = deadline {
-                self.with_kernel(|k| k.wake_at(d, waker));
+            if let Some(r) = self.with_kernel(|k| k.turn(self.pid, deadline, &mut ready, &mut register)) {
+                return r;
             }
             self.park();
         }
     }
 
     /// Finish a blocking call in the kernel instead of on this thread.
-    /// `step` runs now, inline, and then at every later resume of this
-    /// process — each time with the kernel locked, in whichever thread is
-    /// dispatching — until it returns `Some(result)`; only then does this
-    /// thread run again, and the call returns `result`. A `None` from the
-    /// first run parks the process.
+    /// [`Call::step`] runs now, inline, and then at every later resume of
+    /// this process — each time with the kernel locked, in whichever thread
+    /// is dispatching — until it returns the call's output; only then does
+    /// this thread run again, and it gets the call back with the output. A
+    /// `None` from the first step parks the process, the call boxed once.
     ///
     /// A resume that runs the step is popped, audited, generation-bumped
     /// and counted exactly like one that grants the thread, so a step that
     /// does what the thread would have done between the same two parks —
-    /// the re-check and re-register of [`SimCtx::wait_for`] after an early
-    /// wake-up included — commits the same events in the same order, and
-    /// saves one thread handoff per resume. Like every kernel closure,
-    /// `step` must not block; it builds its wakers with
-    /// [`Kernel::waker_for`]`(ctx.pid())`. A panic in it is reported as
-    /// this process's.
-    pub fn wait_in_kernel<F, R>(&self, mut step: F) -> R
-    where
-        F: FnMut(&mut Kernel) -> Option<R> + Send + 'static,
-        R: Send + 'static,
-    {
+    /// one [`Kernel::turn`] per blocked state, re-run after an early
+    /// wake-up — commits the same events in the same order, and saves one
+    /// thread handoff per resume. Like every kernel closure, a step must
+    /// not block. A panic in it is reported as this process's.
+    pub fn wait_in_kernel<C: Call>(&self, mut call: C) -> (C, C::Out) {
         {
             let mut k = self.shared.kernel.lock();
-            if let Some(r) = step(&mut k) {
-                return r;
+            if let Some(out) = call.step(&mut k, self.pid) {
+                return (call, out);
             }
-            k.set_step(self.pid, Box::new(KernelWait { step, result: None }));
+            k.set_step(self.pid, Box::new((call, None::<C::Out>)));
         }
         self.park();
         let finished = self.shared.kernel.lock().take_finished_step(self.pid);
-        let wait = finished.downcast::<KernelWait<F, R>>().expect("a process's own step comes back");
-        wait.result.expect("a finished step holds its result")
+        let (call, out) = *finished.downcast::<(C, Option<C::Out>)>().expect("a process's own call comes back");
+        (call, out.expect("a finished call holds its output"))
     }
 
     /// Block until virtual time `t` (no-op if already past): a wait for a

@@ -1,4 +1,5 @@
-//! The contract every blocking wait shares (`SimCtx::wait_for`): a
+//! The contract every blocking wait shares (`Kernel::turn`, which
+//! `SimCtx::wait_for` and every kernel step run): a
 //! condition already met wins even past the deadline, and a wait whose
 //! deadline has passed fails at once, registering no waker and pushing no
 //! event. A stale waker or timer left there would still draw a sequence
@@ -33,6 +34,9 @@ fn a_wait_past_its_deadline_succeeds_when_ready_and_otherwise_leaves_no_trace() 
         assert!(dv.gc_wait_zero(ctx, GC, Some(past)));
         assert_eq!(dv.fifo_recv_deadline(ctx, Some(past)), Some(42));
         assert_eq!(port.recv_deadline(ctx, past).map(|(_, m)| m), Some(7));
+        // The turn they share, called directly.
+        let turn = ctx.with_kernel(|k| k.turn(ctx.pid(), Some(past), || Some(9), |_| panic!("a met turn registered")));
+        assert_eq!(turn, Some(Some(9)));
 
         // Not met: the counter is armed, the FIFO and the port are empty.
         dv.gc_set_local(ctx, GC, 1);
@@ -42,6 +46,9 @@ fn a_wait_past_its_deadline_succeeds_when_ready_and_otherwise_leaves_no_trace() 
         assert!(!dv.gc_wait_zero(ctx, GC, Some(past)));
         assert_eq!(dv.fifo_recv_deadline(ctx, Some(past)), None);
         assert_eq!(port.recv_deadline(ctx, past), None);
+        let turn =
+            ctx.with_kernel(|k| k.turn(ctx.pid(), Some(past), || None::<()>, |_| panic!("an expired turn registered")));
+        assert_eq!(turn, Some(None), "an unmet turn past its deadline expires");
         assert_eq!(ctx.now(), now, "an expired wait takes no virtual time");
         assert_eq!(trace(ctx), before, "an expired wait commits nothing");
         {
