@@ -570,6 +570,48 @@ impl Call for Verify {
     }
 }
 
+/// How long a wait on the peers' posts may go without a new post or a
+/// new word before it names the peers that never posted: a hundred
+/// accepted-count query timeouts. A peer's acknowledgment round panics on
+/// its own sooner (eight timeouts per query, twelve empty retransmission
+/// windows in a row), so a peer silent for this long is stuck, not slow,
+/// and a run that would poll for it forever ends here instead.
+pub(crate) const POST_STALL: Time = 100 * QUERY_TIMEOUT;
+
+/// What a wait on the peers' posts ([`Close`], [`Posts`]) last saw move:
+/// how many peers had posted, how many new words were in, and since when.
+/// Watching it adds no event, so a run that never stalls is unchanged.
+#[derive(Default)]
+struct Progress(Option<(usize, u64, Time)>);
+
+impl Progress {
+    /// Note one poll of the post slots (`posted[s] != 0` once peer `s`
+    /// has posted) and return how long neither count has moved.
+    ///
+    /// # Panics
+    /// When some peer has still not posted after [`POST_STALL`] without a
+    /// new post or word, naming the peers that never posted.
+    fn poll(&mut self, now: Time, me: NodeId, posted: &[Word], received: u64) -> Time {
+        let missing = || (0..posted.len()).filter(move |&s| s != me && posted[s] == 0);
+        let seen = (posted.len() - 1 - missing().count(), received);
+        let idle = match self.0 {
+            Some((count, words, since)) if (count, words) == seen => now - since,
+            _ => {
+                self.0 = Some((seen.0, seen.1, now));
+                0
+            }
+        };
+        assert!(
+            idle < POST_STALL || missing().next().is_none(),
+            "node {me}: nodes {never:?} never posted their counts; nothing was posted or \
+             received for {ms} ms ({received} new words in)",
+            never = missing().collect::<Vec<_>>(),
+            ms = idle / time::ms(1),
+        );
+        idle
+    }
+}
+
 /// Where [`Close`] hands its node's thread the token.
 pub(crate) enum Closed {
     /// Deliver [`Close::batch`] (never empty) and empty it, then run on.
@@ -594,9 +636,7 @@ pub(crate) struct Close {
     owed: Vec<u64>,
     /// Words for the thread to deliver.
     pub(crate) batch: Vec<Word>,
-    /// Once every peer has posted: the received count and when it last
-    /// moved.
-    progress: Option<(u64, Time)>,
+    progress: Progress,
     phase: Phase,
 }
 
@@ -618,7 +658,7 @@ impl Close {
         for &d in &rel.epoch_dest {
             owed[usize::from(d)] += 1;
         }
-        Self { at, rel, flush, mode, owed, batch: Vec::new(), progress: None, phase: Phase::Flush(None) }
+        Self { at, rel, flush, mode, owed, batch: Vec::new(), progress: Progress::default(), phase: Phase::Flush(None) }
     }
 }
 
@@ -681,22 +721,20 @@ impl Call for Close {
                 }
                 Phase::Peek(peek) => {
                     let posted = peek.poll(at, k, pid, slots, nodes)?;
+                    let idle = self.progress.poll(k.now(), me, &posted, rel.received);
                     if peers().all(|s| posted[s] != 0) {
                         let expected: u64 = peers().map(|s| posted[s] - 1).sum();
                         if rel.received == expected {
                             return Some(Closed::Done(std::mem::take(&mut rel.received)));
                         }
                         debug_assert!(rel.received < expected, "received more than promised");
-                        match self.progress {
-                            Some((count, since)) if count == rel.received => assert!(
-                                k.now() - since < QUERY_TIMEOUT,
-                                "node {me}: received {received} of {expected} promised words and \
-                                 nothing more arrives; a word was sent twice, but every word must \
-                                 be unique across the run",
-                                received = rel.received,
-                            ),
-                            _ => self.progress = Some((rel.received, k.now())),
-                        }
+                        assert!(
+                            idle < QUERY_TIMEOUT,
+                            "node {me}: received {received} of {expected} promised words and \
+                             nothing more arrives; a word was sent twice, but every word must \
+                             be unique across the run",
+                            received = rel.received,
+                        );
                     }
                     self.phase = Phase::Recv(RecvStep::new(time::us(2)));
                 }
@@ -719,6 +757,7 @@ pub(crate) struct Posts {
     at: At,
     pub(crate) rel: ReliableFifo,
     address: u32,
+    progress: Progress,
     phase: PostsPhase,
 }
 
@@ -729,7 +768,7 @@ enum PostsPhase {
 
 impl Posts {
     pub(crate) fn new(at: At, rel: ReliableFifo, address: u32) -> Self {
-        Self { at, rel, address, phase: PostsPhase::Peek(PeekStep::default()) }
+        Self { at, rel, address, progress: Progress::default(), phase: PostsPhase::Peek(PeekStep::default()) }
     }
 }
 
@@ -746,6 +785,7 @@ impl Call for Posts {
                     if (0..nodes).filter(|&s| s != me).all(|s| slots[s] != 0) {
                         return Some(slots);
                     }
+                    self.progress.poll(k.now(), me, &slots, rel.received);
                     PostsPhase::Recv(RecvStep::new(time::us(1)))
                 }
                 PostsPhase::Recv(recv) => {

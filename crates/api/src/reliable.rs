@@ -482,7 +482,10 @@ impl ReliableFifo {
     /// Panics when every peer has posted but the count stays short of the
     /// promise for a whole query timeout of virtual time: some word was
     /// sent twice in the run, and the receiver's dedup swallowed the
-    /// repeat that its sender counted.
+    /// repeat that its sender counted. Panics, naming the peers that never
+    /// posted, when some have not and neither a post nor a new word has
+    /// arrived for a hundred query timeouts: such a peer is stuck, not
+    /// slow (a duplicated barrier decrement or count post can do that).
     pub fn complete_epoch(
         &mut self,
         ctx: &SimCtx,
@@ -516,6 +519,10 @@ impl ReliableFifo {
     /// retransmission duplicates of an epoch already complete, and are
     /// discarded: the wait that ends a BFS level on the peers' frontier
     /// sizes, after [`ReliableFifo::complete_epoch`] drained every new word.
+    ///
+    /// # Panics
+    /// Panics, naming the peers that never posted, when no new post has
+    /// arrived for a hundred query timeouts of virtual time.
     pub fn await_posts(&mut self, ctx: &SimCtx, dv: &DvCtx, address: u32) -> Vec<Word> {
         let (posts, slots) = op::run(Posts::new(dv.at(), std::mem::take(self), address), ctx);
         *self = posts.rel;

@@ -7,9 +7,13 @@
 //! and scattered to many destination nodes very efficiently." (Section VI)
 //!
 //! Concretely: the four-step driver ([`FftPlan`]) runs over a
-//! [`DvTranspose`], which writes every element *directly to its
-//! transposed position* in the destination VIC's DV memory and drains the
-//! receive region chunk by chunk while later chunks are still arriving.
+//! [`DvTranspose`], which scatters one tile of its columns per pipeline
+//! chunk into each destination VIC's DV memory and drains the receive
+//! region chunk by chunk while later chunks are still arriving. Each
+//! element reaches its transposed position in that drain's copy out of DV
+//! memory, which the read-out makes and charges per word anyway; the
+//! network's costs depend only on word counts and batch order, so placing
+//! elements there instead of in the network write moves no virtual time.
 //! The two transposes have different shapes when N is not a square, and
 //! each happens once, so their chunk counters are armed once up front.
 

@@ -2,11 +2,16 @@
 //!
 //! The vorticity solver (and any other transpose-dominated spectral code)
 //! is written once against [`TransposeEngine`]; the MPI engine exchanges
-//! blocks with `alltoall`, the Data Vortex engine scatters every element
-//! straight to its transposed position in the destination VICs' DV memory
-//! (two alternating regions + group counters), which is the paper's
-//! "data reordering and redistribution ... integrated with normal data
-//! transfers without substantial additional overhead".
+//! blocks with `alltoall`, the Data Vortex engine scatters its columns into
+//! the destination VICs' DV memory (two alternating regions + group
+//! counters), which is the paper's "data reordering and redistribution ...
+//! integrated with normal data transfers without substantial additional
+//! overhead". Each pipeline chunk ships one tile per destination, and the
+//! destination puts every element in its transposed position as it copies
+//! the chunk out of DV memory — a copy it makes anyway, charged per word
+//! either way. PCIe, switch and delivery costs depend only on word counts
+//! and batch order, which the tiles keep, so where the placement happens
+//! moves no virtual time.
 //!
 //! The host side of either engine is one buffer: the caller hands its
 //! rows over by value and gets the same allocation back, the delivered
@@ -135,12 +140,13 @@ impl TransposeEngine for MpiTranspose<'_> {
     }
 }
 
-/// Data Vortex engine: element-addressed scatter transposes through DV
-/// memory. Two receive regions, the run's bulk region of the
-/// [`Layout`](dv_api::Layout), alternate by transpose parity; each is
-/// split into pipeline chunks (row ranges) with their own group counters,
-/// so the host drains row-range *k* while range *k+1* is still arriving —
-/// the multi-buffered overlap the paper credits for DV FFT performance.
+/// Data Vortex engine: scatter transposes through DV memory, one tile per
+/// pipeline chunk and destination. Two receive regions, the run's bulk
+/// region of the [`Layout`](dv_api::Layout), alternate by transpose
+/// parity; each is split into pipeline chunks (row ranges) with their own
+/// group counters, so the host drains row-range *k* while range *k+1* is
+/// still arriving — the multi-buffered overlap the paper credits for DV
+/// FFT performance.
 /// Both regions are DV memory; on the host the engine holds nothing
 /// between transposes and, during one, only the caller's vector.
 pub struct DvTranspose<'a> {
@@ -257,32 +263,36 @@ impl TransposeEngine for DvTranspose<'_> {
         // every new row.
         let my_col_offset = me * rows;
 
-        // Scatter: column `col` of my block lands contiguously in the
-        // destination's new row, at my column offset; the group counter is
-        // chosen by the destination row chunk, each chunk shipping as its
-        // own PCIe batch so network injection of chunk k overlaps the DMA
-        // of chunk k+1. Columns that stay on this node never touch the
+        // Scatter: each destination row chunk ships as its own PCIe batch,
+        // so network injection of chunk k overlaps the DMA of chunk k+1,
+        // and carries one block per destination: the tile of my columns
+        // for its new rows `r0..r1`, new-row-major, `rows` elements per new
+        // row. It lands as tile `me` of the chunk's DV-memory range, which
+        // holds the nodes' tiles in node order; the read-out below puts
+        // each element in its transposed place. The chunk's words and
+        // counter total are what `chunk_words` arms, and costs count only
+        // words and batches, so how the tiles lie within the range moves
+        // no virtual time. Columns that stay on this node never touch the
         // VIC: they wait in `own`, new-row-major, until `local` is free.
         let mut own: Vec<Complex> = Vec::with_capacity(new_rows_per_node * rows);
         // One pass over the local data to form the scatter.
         charge_mem_bytes(ctx, &self.compute, (local.len() * 16) as u64);
         for (c, (r0, r1)) in row_chunks(new_rows_per_node).into_iter().enumerate() {
-            let mut blocks = Vec::with_capacity((self.dv.nodes() - 1) * (r1 - r0));
-            // Ascending column order, as the receivers' traces expect.
+            let tile = (r1 - r0) * rows;
+            let mut blocks = Vec::with_capacity(self.dv.nodes() - 1);
             for dest in 0..self.dv.nodes() {
-                for new_row in r0..r1 {
-                    let col = dest * new_rows_per_node + new_row;
-                    let column = local[col..].iter().step_by(row_len);
-                    if dest == me {
-                        own.extend(column);
-                        continue;
-                    }
-                    let mut words: Vec<Word> = Vec::with_capacity(2 * rows);
-                    words.extend(column.flat_map(|v| [v.re.to_bits(), v.im.to_bits()]));
-                    let at = new_row * new_row_len + my_col_offset;
-                    let address = half.region + (at * 2) as u32;
-                    blocks.push(BlockWrite { dest, address, gc: half.gc_base + c as u8, words });
+                let cols = dest * new_rows_per_node + r0..dest * new_rows_per_node + r1;
+                let column = |col: usize| local[col..].iter().step_by(row_len);
+                if dest == me {
+                    cols.for_each(|col| own.extend(column(col)));
+                    continue;
                 }
+                let mut words: Vec<Word> = Vec::with_capacity(2 * tile);
+                for col in cols {
+                    words.extend(column(col).flat_map(|v| [v.re.to_bits(), v.im.to_bits()]));
+                }
+                let address = half.region + (2 * (r0 * new_row_len + me * tile)) as u32;
+                blocks.push(BlockWrite { dest, address, gc: half.gc_base + c as u8, words });
             }
             self.dv.write_blocks(ctx, blocks, SendMode::Dma { cached_headers: true });
         }
@@ -299,18 +309,33 @@ impl TransposeEngine for DvTranspose<'_> {
             if self.rearm {
                 self.dv.gc_set_local(ctx, gc, self.chunk_words(&half, r0, r1));
             }
-            // The row range is one run of DV memory and one run of
-            // `local`, every element of which has been sent or stashed.
-            let mut at = r0 * new_row_len;
-            let address = half.region + (at * 2) as u32;
-            self.dv.lend_local(ctx, address, (r1 - r0) * new_row_len * 2, |run| {
-                let out = &mut local[at..at + run.len() / 2];
-                for (o, pair) in out.iter_mut().zip(run.chunks_exact(2)) {
-                    *o = Complex::new(f64::from_bits(pair[0]), f64::from_bits(pair[1]));
+            // The chunk's range is one run of DV memory: tile `src` holds
+            // `src`'s `rows` columns of each new row `r0..r1`, in row
+            // order. The copy out of it places every run of `rows` at
+            // `src`'s column offset of its new row; the cursor `(src,
+            // new_row, i)` carries over when a lent run ends mid-tile.
+            let (mut src, mut new_row, mut i) = (0, r0, 0);
+            let address = half.region + (2 * r0 * new_row_len) as u32;
+            self.dv.lend_local(ctx, address, 2 * (r1 - r0) * new_row_len, |mut run| {
+                while !run.is_empty() {
+                    let n = (rows - i).min(run.len() / 2);
+                    // Nobody writes my own tile.
+                    if src != me {
+                        let at = new_row * new_row_len + src * rows + i;
+                        for (o, pair) in local[at..at + n].iter_mut().zip(run.chunks_exact(2)) {
+                            *o = Complex::new(f64::from_bits(pair[0]), f64::from_bits(pair[1]));
+                        }
+                    }
+                    run = &run[2 * n..];
+                    i += n;
+                    if i == rows {
+                        (i, new_row) = (0, new_row + 1);
+                        if new_row == r1 {
+                            (new_row, src) = (r0, src + 1);
+                        }
+                    }
                 }
-                at += out.len();
             });
-            // Nobody writes my own columns of the region.
             for row in r0..r1 {
                 let mine = row * new_row_len + my_col_offset;
                 local[mine..mine + rows].copy_from_slice(&own[row * rows..(row + 1) * rows]);
@@ -481,6 +506,39 @@ mod tests {
             );
         }
         assert!(!moved, "virtual time or event trace moved; actual:\n{actual}");
+    }
+
+    /// Whether some DV-memory page boundary (`dv_vic::memory::PAGE_WORDS`
+    /// = 4096 words) inside the two receive regions of an `m × m`
+    /// transpose on `p` nodes falls inside a run of `m / p` elements, and
+    /// so ends a lent run mid-tile and mid-row. The regions start on a
+    /// page; chunks, tiles and runs all start at multiples of `m / p`
+    /// elements.
+    fn a_page_ends_mid_row(m: usize, p: usize) -> bool {
+        let page_elems = 4096 / 2;
+        let rows = m / p;
+        (1..).map(|k| k * page_elems).take_while(|&e| e < 2 * rows * m).any(|e| e % rows != 0)
+    }
+
+    #[test]
+    fn tiles_survive_page_boundaries_and_the_rearm() {
+        // Three transposes through one reusable engine: parity 0, parity 1
+        // (where the 72, 90 and 84 shapes' second regions cross a page
+        // mid-row; 90 and 84 also have unequal chunks), then parity 0
+        // again after its re-arm. The 40 and 48 shapes fit in one page.
+        let shapes = [(72usize, 3usize), (40, 5), (48, 6), (90, 5), (84, 6)];
+        assert_eq!(shapes.iter().filter(|&&(m, p)| a_page_ends_mid_row(m, p)).count(), 3);
+        for (m, p) in shapes {
+            DvCluster::from_spec(SimSpec::new(p)).run(move |dv, ctx| {
+                let mut eng = DvTranspose::new(dv, ctx, ComputeParams::default(), m * m / p);
+                let input = rect_input(dv.node(), m, m, p);
+                let t = eng.transpose(ctx, input.clone(), m, m);
+                assert_eq!(t, rect_transposed(dv.node(), m, m, p), "p={p} {m}x{m}");
+                let back = eng.transpose(ctx, t.clone(), m, m);
+                assert_eq!(back, input, "back p={p} {m}x{m}");
+                assert_eq!(eng.transpose(ctx, back, m, m), t, "re-armed p={p} {m}x{m}");
+            });
+        }
     }
 
     #[test]

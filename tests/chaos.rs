@@ -80,6 +80,19 @@ fn gups_is_exact_under_link_duplication() {
 }
 
 #[test]
+#[should_panic(expected = "nodes [1] never posted their counts")]
+fn a_peer_that_never_posts_ends_the_run() {
+    // A duplicated count post or barrier decrement (only surprise-FIFO
+    // words have a recovery layer) leaves node 1 short of its epoch close,
+    // and node 0's close used to poll for its post forever: more than 240
+    // s of host time. It now panics once nothing has been posted or
+    // received for a hundred query timeouts of virtual time.
+    let small =
+        GupsConfig { table_per_node: 1 << 8, updates_per_node: 1 << 10, bucket: 256, stream_offset: 0 };
+    gups_dv::run_spec(small, SimSpec::new(2).machine(chaos_machine("seed=5,dup=0.05")));
+}
+
+#[test]
 fn forced_drop_counters_agree_with_an_offline_replay() {
     let spec = "seed=21,fifodrop=0.03";
     let nodes = 4;
