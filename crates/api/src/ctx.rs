@@ -10,7 +10,7 @@ use dv_core::{NodeId, Word};
 use dv_sim::SimCtx;
 
 use crate::layout::{Layout, FAST_BARRIER_GC, QUERY_GC};
-use crate::op::{self, At};
+use crate::op::At;
 use crate::world::DvWorld;
 
 /// How packets cross the PCIe bus from host memory to the VIC.
@@ -375,7 +375,9 @@ impl DvCtx {
     /// so a poll costs only a local memory fence, not a PCIe round trip.
     pub fn peek_local(&self, ctx: &SimCtx, address: u32, n: usize) -> Vec<Word> {
         ctx.delay(STATUS_POLL);
-        self.world.status_words(self.node, address, n)
+        let mut out = vec![0; n];
+        self.world.status_words(self.node, address, &mut out);
+        out
     }
 
     // ------------------------------------------------------------------
@@ -434,16 +436,16 @@ impl DvCtx {
     /// The API's intrinsic whole-system barrier: hardware group-counter
     /// wave through the switch, nearly independent of node count
     /// (Figure 4, "Data Vortex"). The setup charge and the release wait
-    /// run as one kernel step: one thread handoff per call.
+    /// run in the kernel: one thread handoff per call.
     pub fn barrier(&self, ctx: &SimCtx) {
-        op::run(op::Barrier::new(self.at()), ctx);
+        self.run(ctx, At::barrier);
     }
 
     /// The in-house "FastBarrier" of Section V: all-to-all group-counter
     /// decrements on two alternating regular counters. Slightly more work
     /// per node (p−1 packets over PCIe) but no dependence on the reserved
-    /// hardware counters. The sends and the counter wait run as one kernel
-    /// step: one thread handoff per call.
+    /// hardware counters. The sends and the counter wait run in the
+    /// kernel: one thread handoff per call.
     pub fn fast_barrier(&self, ctx: &SimCtx) {
         let n = self.world.nodes();
         if n == 1 {
@@ -458,11 +460,6 @@ impl DvCtx {
             .filter(|&d| d != self.node)
             .map(|d| Packet::new(PacketHeader::dv_memory(self.node, d, self.layout().fast_barrier_sink, gc), 0))
             .collect();
-        op::run(op::FastBarrier::new(self.at(), gc, packets), ctx);
-    }
-
-    /// This node, for a call run as a kernel step.
-    pub(crate) fn at(&self) -> At {
-        At { world: Arc::clone(&self.world), node: self.node }
+        self.run(ctx, move |at| at.fast_barrier(gc, packets));
     }
 }

@@ -1,58 +1,69 @@
-//! DV's blocking calls that park more than once, run as kernel steps.
+//! DV's blocking calls that park more than once, run in the kernel.
 //!
 //! A call here — [`DvCtx::barrier`](crate::DvCtx::barrier),
 //! [`DvCtx::fast_barrier`](crate::DvCtx::fast_barrier), and the recovery
-//! layer's drain, epoch close, and post wait — is a [`Call`] executed by
-//! [`SimCtx::wait_in_kernel`]: the node's thread parks once, each later
-//! resume of the node runs the call on in kernel context, and the thread
-//! runs again only when the call returns or has words to hand the
-//! application (the epoch close's `deliver` runs on the thread, because a
-//! kernel's `deliver` charges virtual time). Each closing phase of BFS or
-//! GUPS is then one handoff per delivery instead of one per poll.
+//! layer's drain, acknowledgment round, epoch close, and post wait — is an
+//! `async fn` of [`At`], run by [`SimCtx::wait_in_kernel`]: the node's
+//! thread parks once, each later resume of the node polls the call on in
+//! kernel context, and the thread runs again only when the call returns or
+//! has words to hand the application (the epoch close's `deliver` runs on
+//! the thread, because a kernel's `deliver` charges virtual time). Each
+//! closing phase of BFS or GUPS is then one handoff per delivery instead of
+//! one per poll. A call's state travels in and out by value
+//! ([`ReliableFifo`], batches): the future is `'static`, so it borrows
+//! nothing from the parked thread.
 //!
 //! Between two resumes a call does exactly what the node's thread did
 //! between the same two parks, side effect for side effect: the same
 //! events in the same order, the same PCIe and port reservations, VIC
 //! reads, tracer spans and `api.*` metrics, and the same panics. Each
-//! blocked state is one dv-sim turn, re-run on every resume: a charged
-//! delay or transfer is a [`Kernel::until`], a condition wait a
-//! [`Kernel::turn`] — the turn [`SimCtx::wait_for`] loops over on the
-//! thread. `tests/dv_wait_traces.rs` pins the traces the thread-run calls
+//! blocked state is one dv-sim wait, re-run on every poll: a charged delay
+//! or transfer is a [`Proc::until`], a condition wait a [`Proc::turn`] —
+//! the turn [`SimCtx::wait_for`] loops over on the thread.
+//! `tests/dv_wait_traces.rs` pins the traces the thread-run calls
 //! produced.
 //!
 //! Waits that park once (`gc_wait_zero`, `fifo_recv_deadline`, `delay`,
-//! `wait_until`, a single send) stay on the thread: a step would save
-//! nothing there. They share with the steps the `DvWorld` helpers below,
-//! which do what a call does at one instant.
+//! `wait_until`, a single send) stay on the thread: running them in the
+//! kernel would save nothing. They share with the calls the `DvWorld`
+//! helpers below, which do what a call does at one instant.
 
+use std::future::Future;
 use std::sync::Arc;
 
 use dv_core::packet::{Packet, PacketHeader, PAYLOAD_BYTES, SCRATCH_GC};
 use dv_core::time::{self, Time};
 use dv_core::trace::State;
 use dv_core::{NodeId, Word};
-use dv_sim::{Call, Kernel, Pid, SimCtx, Waker};
+use dv_sim::{Kernel, Proc, SimCtx, Waker};
 
-use crate::ctx::{group_by_dest, SendMode, DMA_ENQUEUE, FIFO_POP, STATUS_POLL};
+use crate::ctx::{group_by_dest, DvCtx, SendMode, DMA_ENQUEUE, FIFO_POP, STATUS_POLL};
 use crate::layout::VERIFY_GC;
 use crate::reliable::{ReliableFifo, DRAIN_CHUNK, QUERY_TIMEOUT};
 use crate::world::DvWorld;
 
-/// Run `call` until it returns, the calling thread parked throughout;
-/// gives the call back with its output.
-pub(crate) fn run<C: Call>(call: C, ctx: &SimCtx) -> (C, C::Out) {
-    ctx.wait_in_kernel(call)
+/// The node a call runs for, and its process.
+pub(crate) struct At {
+    world: Arc<DvWorld>,
+    node: NodeId,
+    p: Proc,
 }
 
-/// The node a call runs for.
-pub(crate) struct At {
-    pub(crate) world: Arc<DvWorld>,
-    pub(crate) node: NodeId,
+impl DvCtx {
+    /// Run `call` for this node in the kernel, the thread parked until it
+    /// returns.
+    pub(crate) fn run<T, F>(&self, ctx: &SimCtx, call: impl FnOnce(At) -> F) -> T
+    where
+        T: Send + 'static,
+        F: Future<Output = T> + Send + 'static,
+    {
+        ctx.wait_in_kernel(call(At { world: Arc::clone(self.world()), node: self.node(), p: ctx.proc() }))
+    }
 }
 
 // ----------------------------------------------------------------------
 // What a DvCtx call does at one instant: shared by the thread-run calls
-// and the steps.
+// and the kernel-run ones.
 // ----------------------------------------------------------------------
 
 /// A packet send between its PCIe charge and its transmit.
@@ -158,415 +169,187 @@ impl DvWorld {
         }
     }
 
-    /// `n` words of `node`'s pushed status page at `address`.
-    pub(crate) fn status_words(&self, node: NodeId, address: u32, n: usize) -> Vec<Word> {
+    /// `out.len()` words of `node`'s pushed status page at `address`.
+    pub(crate) fn status_words(&self, node: NodeId, address: u32, out: &mut [Word]) {
         let page = self.layout.status_page_words;
         assert!(
-            (address as usize + n) <= page,
+            (address as usize + out.len()) <= page,
             "peek_local only covers the pushed status page (first {page} words)"
         );
-        let mut out = vec![0; n];
-        self.vics[node].lock().memory.read_range(address, &mut out);
-        out
+        self.vics[node].lock().memory.read_range(address, out);
     }
 }
 
 // ----------------------------------------------------------------------
-// Sub-steps: one blocking piece of a call each. `poll` returns `None`
-// while the piece is parked.
+// The calls, and the blocking pieces they are built from
 // ----------------------------------------------------------------------
 
-/// `send_packets`: the PCIe wait, then the transmit.
-struct SendStep(Option<Sending>);
+const CACHED_PIO: SendMode = SendMode::DirectWrite { cached_headers: true };
 
-impl SendStep {
-    fn start(at: &At, k: &Kernel, packets: &[Packet], mode: SendMode) -> Self {
-        Self(Some(at.world.start_send(k.now(), at.node, packets, mode)))
+impl At {
+    /// `send_packets`: the PCIe charge, then the transmit.
+    async fn send(&self, packets: &[Packet], mode: SendMode) {
+        let s = self.world.start_send(self.p.now(), self.node, packets, mode);
+        self.p.until_then(s.until, |k| self.world.finish_send(k, self.node, s)).await;
     }
 
-    fn poll(&mut self, at: &At, k: &mut Kernel, pid: Pid) -> Option<()> {
-        let until = self.0.as_ref().expect("a finished send is not polled").until;
-        if !k.until(pid, until) {
-            return None;
-        }
-        at.world.finish_send(k, at.node, self.0.take().expect("checked above"));
-        Some(())
+    /// `gc_wait_zero(gc, deadline)`: `true` on zero.
+    async fn gc_wait(&self, gc: u8, deadline: Option<Time>) -> bool {
+        let (world, node, t0) = (&self.world, self.node, self.p.now());
+        let ok = self.p.turn(deadline, || world.gc_zero(node, gc), |w| world.gc_register(node, gc, w)).await.is_some();
+        world.gc_waited(node, t0, self.p.now(), ok);
+        ok
     }
-}
 
-/// `gc_wait_zero(gc, deadline)`, begun at `t0`: `true` on zero.
-struct GcStep {
-    gc: u8,
-    deadline: Option<Time>,
-    t0: Time,
-}
-
-impl GcStep {
-    fn poll(&self, at: &At, k: &mut Kernel, pid: Pid) -> Option<bool> {
-        let (world, node, gc) = (&at.world, at.node, self.gc);
-        let ok = k.turn(pid, self.deadline, || world.gc_zero(node, gc), |w| world.gc_register(node, gc, w))?.is_some();
-        world.gc_waited(node, self.t0, k.now(), ok);
-        Some(ok)
+    /// `peek_local` into `out`: the status poll's charge, then the read;
+    /// returns the time of the read.
+    async fn peek(&self, address: u32, out: &mut [Word]) -> Time {
+        let now = self.p.delay(STATUS_POLL).await;
+        self.world.status_words(self.node, address, out);
+        now
     }
-}
 
-/// `peek_local`: the status poll's charge, from its first poll, then the
-/// read.
-#[derive(Default)]
-struct PeekStep {
-    until: Option<Time>,
-}
-
-impl PeekStep {
-    fn poll(&mut self, at: &At, k: &mut Kernel, pid: Pid, address: u32, n: usize) -> Option<Vec<Word>> {
-        let until = *self.until.get_or_insert(k.now() + STATUS_POLL);
-        k.until(pid, until).then(|| at.world.status_words(at.node, address, n))
-    }
-}
-
-/// The recovery layer's drain: each host transfer of up to
-/// [`DRAIN_CHUNK`] words, then their admission, until the FIFO is empty.
-#[derive(Default)]
-struct DrainStep {
-    /// The chunk in flight: where it starts in `out`, when its DMA ends.
-    chunk: Option<(usize, Time)>,
-}
-
-impl DrainStep {
-    fn poll(&mut self, at: &At, k: &mut Kernel, pid: Pid, rel: &mut ReliableFifo, out: &mut Vec<Word>) -> Option<()> {
-        loop {
-            if let Some((start, end)) = self.chunk {
-                if !k.until(pid, end) {
-                    return None;
-                }
-                self.chunk = None;
-                rel.admit_drained(&at.world, out, start);
-            }
-            let start = out.len();
-            match at.world.drain_start(k.now(), at.node, DRAIN_CHUNK, out) {
-                Some(end) => self.chunk = Some((start, end)),
-                None => return Some(()),
-            }
+    /// The recovery layer's drain: each host transfer of up to
+    /// [`DRAIN_CHUNK`] words, then their admission, until the FIFO is empty.
+    pub(crate) async fn drain(&self, rel: &mut ReliableFifo, out: &mut Vec<Word>) {
+        let mut start = out.len();
+        let mut chunk = self.world.drain_start(self.p.now(), self.node, DRAIN_CHUNK, out);
+        while let Some(end) = chunk {
+            chunk = self
+                .p
+                .until_then(end, |k| {
+                    rel.admit_drained(&self.world, out, start);
+                    start = out.len();
+                    self.world.drain_start(k.now(), self.node, DRAIN_CHUNK, out)
+                })
+                .await;
         }
     }
-}
 
-/// A blocking pop of the next *new* surprise word, or `None` once
-/// `within` has passed since its first poll; duplicates are discarded
-/// without satisfying it.
-struct RecvStep {
-    within: Time,
-    deadline: Option<Time>,
-    /// A popped word and the end of its pop charge.
-    popped: Option<(Time, Word)>,
-}
-
-impl RecvStep {
-    fn new(within: Time) -> Self {
-        Self { within, deadline: None, popped: None }
-    }
-
-    fn poll(&mut self, at: &At, k: &mut Kernel, pid: Pid, rel: &mut ReliableFifo) -> Option<Option<Word>> {
-        let deadline = *self.deadline.get_or_insert(k.now() + self.within);
+    /// A blocking pop of the next *new* surprise word, or `None` once
+    /// `deadline` has passed; duplicates are discarded without satisfying
+    /// it.
+    async fn recv(&self, rel: &mut ReliableFifo, deadline: Time) -> Option<Word> {
+        let (world, node) = (&self.world, self.node);
         loop {
-            if let Some((until, w)) = self.popped {
-                if !k.until(pid, until) {
-                    return None;
-                }
-                self.popped = None;
-                if rel.admit(&at.world, w) {
-                    rel.received += 1;
-                    return Some(Some(w));
-                }
-                rel.stats.dup_discarded += 1;
-                continue;
+            let (_, w) = self.p.turn(Some(deadline), || world.fifo_pop(node), |w| world.fifo_register(node, w)).await?;
+            self.p.delay(FIFO_POP).await;
+            if rel.admit(world, w) {
+                rel.received += 1;
+                return Some(w);
             }
-            let (world, node) = (&at.world, at.node);
-            let Some((_, w)) = k.turn(pid, Some(deadline), || world.fifo_pop(node), |w| world.fifo_register(node, w))?
-            else {
-                return Some(None);
-            };
-            self.popped = Some((k.now() + FIFO_POP, w));
+            rel.stats.dup_discarded += 1;
         }
     }
-}
 
-/// [`ReliableFifo::verify_epoch`]'s parallel acknowledgment round: preset
-/// [`VERIFY_GC`], query every destination at once, wait for the replies
-/// (or the timeout), and read them — or, on a timeout, drain our FIFO.
-/// It ends with the destinations this epoch sent to; the ones still short
-/// take the serial retransmission path on the thread.
-#[derive(Default)]
-struct AckStep {
-    dests: Vec<NodeId>,
-    wait: AckWait,
-}
+    /// [`ReliableFifo::verify_epoch`]'s parallel acknowledgment round:
+    /// preset [`VERIFY_GC`], query every destination this epoch sent to at
+    /// once, wait for the replies (or the timeout), and read them — or, on
+    /// a timeout, drain our FIFO into `sink`. The destinations still short
+    /// afterwards take the serial retransmission path on the thread.
+    pub(crate) async fn ack_round(&self, rel: &mut ReliableFifo, sink: &mut Vec<Word>) {
+        let (world, me, nodes) = (&self.world, rel.me, rel.nodes);
+        let replies = world.layout.verify_replies;
+        let dests = (0..nodes).filter(|&d| rel.wire_epoch[d] > 0).count();
+        if dests == 0 {
+            return;
+        }
+        self.p.delay(world.config.pcie.pio_write_latency).await;
+        self.p.with(|k| world.vics[me].lock().set_counter(k, VERIFY_GC, dests as u64));
+        // Stale replies of earlier rounds are monotonic-safe: an old count
+        // can only look like a shortfall, which the serial path then
+        // re-checks; late ones may drive VERIFY_GC negative, which the
+        // next preset overwrites.
+        let my_slot = world.layout.accepted + me as u32;
+        let queries: Vec<Packet> = (0..nodes)
+            .filter(|&d| rel.wire_epoch[d] > 0)
+            .map(|d| {
+                let ret = PacketHeader::dv_memory(d, me, replies + d as u32, VERIFY_GC);
+                Packet::new(PacketHeader::query(me, d, my_slot), ret.encode())
+            })
+            .collect();
+        rel.stats.ack_queries += dests as u64;
+        self.send(&queries, CACHED_PIO).await;
+        if !self.gc_wait(VERIFY_GC, Some(self.p.now() + QUERY_TIMEOUT)).await {
+            rel.stats.ack_query_timeouts += 1;
+            return self.drain(rel, sink).await;
+        }
+        self.p.until(world.read_end(self.p.now(), me, nodes)).await;
+        let mut d = 0;
+        world.vics[me].lock().memory.lend_range(replies, nodes, |run| {
+            for &hw in run {
+                if rel.wire_epoch[d] > 0 && hw == rel.hw_confirmed[d] + rel.wire_epoch[d] {
+                    rel.hw_confirmed[d] = hw;
+                    rel.wire_epoch[d] = 0;
+                }
+                d += 1;
+            }
+        });
+    }
 
-#[derive(Default)]
-enum AckWait {
-    #[default]
-    Start,
-    Preset(Time),
-    Query(SendStep),
-    Replies(GcStep),
-    Read(Time),
-    Drain(DrainStep),
-}
-
-impl AckStep {
-    fn poll(
-        &mut self,
-        at: &At,
-        k: &mut Kernel,
-        pid: Pid,
-        rel: &mut ReliableFifo,
-        sink: &mut Vec<Word>,
-    ) -> Option<Vec<NodeId>> {
-        let (me, nodes) = (rel.me, rel.nodes);
-        let replies = at.world.layout.verify_replies;
-        loop {
-            match &mut self.wait {
-                AckWait::Start => {
-                    self.dests = (0..nodes).filter(|&d| rel.wire_epoch[d] > 0).collect();
-                    if self.dests.is_empty() {
-                        return Some(Vec::new());
-                    }
-                    self.wait = AckWait::Preset(k.now() + at.world.config.pcie.pio_write_latency);
-                }
-                AckWait::Preset(until) => {
-                    if !k.until(pid, *until) {
-                        return None;
-                    }
-                    at.world.vics[me].lock().set_counter(k, VERIFY_GC, self.dests.len() as u64);
-                    // Stale replies of earlier rounds are monotonic-safe: an
-                    // old count can only look like a shortfall, which the
-                    // serial path then re-checks; late ones may drive
-                    // VERIFY_GC negative, which the next preset overwrites.
-                    let my_slot = at.world.layout.accepted + me as u32;
-                    let queries: Vec<Packet> = self
-                        .dests
-                        .iter()
-                        .map(|&d| {
-                            let ret = PacketHeader::dv_memory(d, me, replies + d as u32, VERIFY_GC);
-                            Packet::new(PacketHeader::query(me, d, my_slot), ret.encode())
-                        })
-                        .collect();
-                    rel.stats.ack_queries += queries.len() as u64;
-                    let mode = SendMode::DirectWrite { cached_headers: true };
-                    self.wait = AckWait::Query(SendStep::start(at, k, &queries, mode));
-                }
-                AckWait::Query(send) => {
-                    send.poll(at, k, pid)?;
-                    let deadline = Some(k.now() + QUERY_TIMEOUT);
-                    self.wait = AckWait::Replies(GcStep { gc: VERIFY_GC, deadline, t0: k.now() });
-                }
-                AckWait::Replies(gc) => {
-                    if gc.poll(at, k, pid)? {
-                        self.wait = AckWait::Read(at.world.read_end(k.now(), me, nodes));
-                    } else {
-                        rel.stats.ack_query_timeouts += 1;
-                        self.wait = AckWait::Drain(DrainStep::default());
-                    }
-                }
-                AckWait::Read(until) => {
-                    if !k.until(pid, *until) {
-                        return None;
-                    }
-                    let mut vals = Vec::with_capacity(nodes);
-                    at.world.vics[me].lock().memory.lend_range(replies, nodes, |run| vals.extend_from_slice(run));
-                    for &d in &self.dests {
-                        let hw = vals[d];
-                        if hw == rel.hw_confirmed[d] + rel.wire_epoch[d] {
-                            rel.hw_confirmed[d] = hw;
-                            rel.wire_epoch[d] = 0;
-                        }
-                    }
-                    return Some(std::mem::take(&mut self.dests));
-                }
-                AckWait::Drain(drain) => {
-                    drain.poll(at, k, pid, rel, sink)?;
-                    return Some(std::mem::take(&mut self.dests));
-                }
+    /// [`DvCtx::barrier`](crate::DvCtx::barrier): the setup charge, the
+    /// arrival, then the release — at the hardware wave's end for the last
+    /// arrival, at the epoch's change for the others.
+    pub(crate) async fn barrier(self) {
+        let (world, t0) = (&self.world, self.p.now());
+        self.p.until(t0 + world.config.dv.barrier_setup).await;
+        let arrived = self.p.with(|k| {
+            let mut b = world.barrier.lock();
+            b.count += 1;
+            if b.count < world.nodes() {
+                return Err(b.epoch);
+            }
+            b.count = 0;
+            b.epoch += 1;
+            let release_at = k.now() + world.config.dv.barrier_hw;
+            let ws = std::mem::take(&mut b.waiters);
+            drop(b);
+            k.call_at(release_at, move |k| ws.wake_all(k));
+            Ok(release_at)
+        });
+        match arrived {
+            Ok(release_at) => self.p.until(release_at).await,
+            Err(my_epoch) => {
+                let barrier = &world.barrier;
+                let released = || (barrier.lock().epoch != my_epoch).then_some(());
+                self.p.turn(None, released, |w| barrier.lock().waiters.register(w)).await;
             }
         }
+        self.p.with(|k| world.tracer.span(self.node, State::Barrier, t0, k.now()));
     }
-}
 
-// ----------------------------------------------------------------------
-// The calls
-// ----------------------------------------------------------------------
-
-/// [`DvCtx::barrier`](crate::DvCtx::barrier): the setup charge, the
-/// arrival, then the release — at the hardware wave's end for the last
-/// arrival, at the epoch's change for the others.
-pub(crate) struct Barrier {
-    at: At,
-    t0: Time,
-    wait: BarrierWait,
-}
-
-enum BarrierWait {
-    Start,
-    Setup(Time),
-    Release(Time),
-    Epoch(u64),
-}
-
-impl Barrier {
-    pub(crate) fn new(at: At) -> Self {
-        Self { at, t0: 0, wait: BarrierWait::Start }
-    }
-}
-
-impl Call for Barrier {
-    type Out = ();
-
-    fn step(&mut self, k: &mut Kernel, pid: Pid) -> Option<()> {
-        let at = &self.at;
-        loop {
-            self.wait = match self.wait {
-                BarrierWait::Start => {
-                    self.t0 = k.now();
-                    BarrierWait::Setup(k.now() + at.world.config.dv.barrier_setup)
-                }
-                BarrierWait::Setup(t) => {
-                    if !k.until(pid, t) {
-                        return None;
-                    }
-                    let mut b = at.world.barrier.lock();
-                    let my_epoch = b.epoch;
-                    b.count += 1;
-                    if b.count < at.world.nodes() {
-                        BarrierWait::Epoch(my_epoch)
-                    } else {
-                        b.count = 0;
-                        b.epoch += 1;
-                        let release_at = k.now() + at.world.config.dv.barrier_hw;
-                        let ws = std::mem::take(&mut b.waiters);
-                        drop(b);
-                        k.call_at(release_at, move |k| ws.wake_all(k));
-                        BarrierWait::Release(release_at)
-                    }
-                }
-                BarrierWait::Release(t) => {
-                    if !k.until(pid, t) {
-                        return None;
-                    }
-                    break;
-                }
-                BarrierWait::Epoch(my_epoch) => {
-                    let barrier = &at.world.barrier;
-                    k.turn(
-                        pid,
-                        None,
-                        || (barrier.lock().epoch != my_epoch).then_some(()),
-                        |w| barrier.lock().waiters.register(w),
-                    )?;
-                    break;
-                }
-            };
-        }
-        at.world.tracer.span(at.node, State::Barrier, self.t0, k.now());
-        Some(())
-    }
-}
-
-/// [`DvCtx::fast_barrier`](crate::DvCtx::fast_barrier) past its packet
-/// build: the sends, the wait for this parity's counter, its re-arm.
-pub(crate) struct FastBarrier {
-    at: At,
-    t0: Time,
-    gc: u8,
-    packets: Vec<Packet>,
-    wait: FastWait,
-}
-
-enum FastWait {
-    Start,
-    Send(SendStep),
-    Zero(GcStep),
-}
-
-impl FastBarrier {
-    pub(crate) fn new(at: At, gc: u8, packets: Vec<Packet>) -> Self {
-        Self { at, t0: 0, gc, packets, wait: FastWait::Start }
-    }
-}
-
-impl Call for FastBarrier {
-    type Out = ();
-
-    fn step(&mut self, k: &mut Kernel, pid: Pid) -> Option<()> {
-        let at = &self.at;
-        loop {
-            match &mut self.wait {
-                FastWait::Start => {
-                    self.t0 = k.now();
-                    let mode = SendMode::DirectWrite { cached_headers: true };
-                    self.wait = FastWait::Send(SendStep::start(at, k, &self.packets, mode));
-                }
-                FastWait::Send(send) => {
-                    send.poll(at, k, pid)?;
-                    self.wait = FastWait::Zero(GcStep { gc: self.gc, deadline: None, t0: k.now() });
-                }
-                FastWait::Zero(gc) => {
-                    let ok = gc.poll(at, k, pid)?;
-                    debug_assert!(ok, "fast barrier counter must reach zero");
-                    break;
-                }
-            }
-        }
+    /// [`DvCtx::fast_barrier`](crate::DvCtx::fast_barrier) past its packet
+    /// build: the sends, the wait for this parity's counter, its re-arm.
+    pub(crate) async fn fast_barrier(self, gc: u8, packets: Vec<Packet>) {
+        let t0 = self.p.now();
+        self.send(&packets, CACHED_PIO).await;
+        let ok = self.gc_wait(gc, None).await;
+        debug_assert!(ok, "fast barrier counter must reach zero");
         // Re-arm this parity for its next use (safe: nobody can re-enter
         // the same parity before every node passed the *other* one).
-        let rearm = (at.world.nodes() - 1) as u64;
-        at.world.vics[at.node].lock().set_counter(k, self.gc, rearm);
-        at.world.tracer.span(at.node, State::Barrier, self.t0, k.now());
-        Some(())
+        let rearm = (self.world.nodes() - 1) as u64;
+        self.p.with(|k| {
+            self.world.vics[self.node].lock().set_counter(k, gc, rearm);
+            self.world.tracer.span(self.node, State::Barrier, t0, k.now());
+        });
     }
-}
 
-/// [`ReliableFifo::drain_unique`]'s drain into `out`.
-pub(crate) struct Drain {
-    at: At,
-    pub(crate) rel: ReliableFifo,
-    pub(crate) out: Vec<Word>,
-    drain: DrainStep,
-}
-
-impl Drain {
-    pub(crate) fn new(at: At, rel: ReliableFifo, out: Vec<Word>) -> Self {
-        Self { at, rel, out, drain: DrainStep::default() }
-    }
-}
-
-impl Call for Drain {
-    type Out = ();
-
-    fn step(&mut self, k: &mut Kernel, pid: Pid) -> Option<()> {
-        self.drain.poll(&self.at, k, pid, &mut self.rel, &mut self.out)
-    }
-}
-
-/// [`ReliableFifo::verify_epoch`]'s acknowledgment round, drained words
-/// into `sink`; returns the destinations this epoch sent to.
-pub(crate) struct Verify {
-    at: At,
-    pub(crate) rel: ReliableFifo,
-    pub(crate) sink: Vec<Word>,
-    ack: AckStep,
-}
-
-impl Verify {
-    pub(crate) fn new(at: At, rel: ReliableFifo, sink: Vec<Word>) -> Self {
-        Self { at, rel, sink, ack: AckStep::default() }
-    }
-}
-
-impl Call for Verify {
-    type Out = Vec<NodeId>;
-
-    fn step(&mut self, k: &mut Kernel, pid: Pid) -> Option<Vec<NodeId>> {
-        self.ack.poll(&self.at, k, pid, &mut self.rel, &mut self.sink)
+    /// [`ReliableFifo::await_posts`]: poll a status-page block until every
+    /// peer has posted, discarding stray duplicates for 1 µs between polls.
+    pub(crate) async fn posts(&self, rel: &mut ReliableFifo, address: u32) -> Vec<Word> {
+        let (me, nodes) = (rel.me, rel.nodes);
+        let (mut progress, mut slots) = (Progress::default(), vec![0; nodes]);
+        loop {
+            let now = self.peek(address, &mut slots).await;
+            if (0..nodes).filter(|&s| s != me).all(|s| slots[s] != 0) {
+                return slots;
+            }
+            progress.note(now, me, &slots, rel.received);
+            // Anything buffered here is a retransmission duplicate: every
+            // new word was drained before the posts went out.
+            let stray = self.recv(rel, now + time::us(1)).await;
+            debug_assert!(stray.is_none(), "new word arrived after its epoch completed");
+        }
     }
 }
 
@@ -578,7 +361,7 @@ impl Call for Verify {
 /// and a run that would poll for it forever ends here instead.
 pub(crate) const POST_STALL: Time = 100 * QUERY_TIMEOUT;
 
-/// What a wait on the peers' posts ([`Close`], [`Posts`]) last saw move:
+/// What a wait on the peers' posts ([`Close`], [`At::posts`]) last saw move:
 /// how many peers had posted, how many new words were in, and since when.
 /// Watching it adds no event, so a run that never stalls is unchanged.
 #[derive(Default)]
@@ -591,7 +374,7 @@ impl Progress {
     /// # Panics
     /// When some peer has still not posted after [`POST_STALL`] without a
     /// new post or word, naming the peers that never posted.
-    fn poll(&mut self, now: Time, me: NodeId, posted: &[Word], received: u64) -> Time {
+    fn note(&mut self, now: Time, me: NodeId, posted: &[Word], received: u64) -> Time {
         let missing = || (0..posted.len()).filter(move |&s| s != me && posted[s] == 0);
         let seen = (posted.len() - 1 - missing().count(), received);
         let idle = match self.0 {
@@ -612,22 +395,23 @@ impl Progress {
     }
 }
 
-/// Where [`Close`] hands its node's thread the token.
-pub(crate) enum Closed {
-    /// Deliver [`Close::batch`] (never empty) and empty it, then run on.
-    Deliver,
-    /// These destinations are still short after the acknowledgment round:
-    /// retransmit on the thread (draining into [`Close::batch`]), close
-    /// the epoch log, then run on.
-    Shortfall(Vec<NodeId>),
-    /// The epoch is complete: the new words it received.
-    Done(u64),
+/// Where an epoch close hands its node's thread the token, and the thread
+/// hands the close back to the kernel.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Resume {
+    /// The flush and the acknowledgment round.
+    Start,
+    /// The count posts.
+    Post,
+    /// A drain before the next status poll.
+    Drain,
+    /// The next status poll.
+    Peek,
 }
 
 /// [`ReliableFifo::complete_epoch`]: the flush, the acknowledgment round,
 /// the count posts, then drain until every promised word is in.
 pub(crate) struct Close {
-    at: At,
     pub(crate) rel: ReliableFifo,
     /// The aggregator's buffered packets (emptied once sent).
     pub(crate) flush: Vec<Packet>,
@@ -636,166 +420,83 @@ pub(crate) struct Close {
     owed: Vec<u64>,
     /// Words for the thread to deliver.
     pub(crate) batch: Vec<Word>,
+    /// The peers' posts, as last polled.
+    posted: Vec<Word>,
     progress: Progress,
-    phase: Phase,
-}
-
-enum Phase {
-    Flush(Option<SendStep>),
-    Ack(AckStep),
-    /// Deliver what the acknowledgment round drained (the retransmission
-    /// path's too), then post.
-    Verified,
-    Post(SendStep),
-    Drain(DrainStep),
-    Peek(PeekStep),
-    Recv(RecvStep),
 }
 
 impl Close {
-    pub(crate) fn new(at: At, rel: ReliableFifo, flush: Vec<Packet>, mode: SendMode) -> Self {
+    pub(crate) fn new(rel: ReliableFifo, flush: Vec<Packet>, mode: SendMode) -> Self {
         let mut owed = vec![0u64; rel.nodes];
         for &d in &rel.epoch_dest {
             owed[usize::from(d)] += 1;
         }
-        Self { at, rel, flush, mode, owed, batch: Vec::new(), progress: Progress::default(), phase: Phase::Flush(None) }
+        let posted = vec![0; rel.nodes];
+        Self { rel, flush, mode, owed, batch: Vec::new(), posted, progress: Progress::default() }
     }
-}
 
-impl Call for Close {
-    type Out = Closed;
-
-    fn step(&mut self, k: &mut Kernel, pid: Pid) -> Option<Closed> {
-        let at = &self.at;
-        let rel = &mut self.rel;
+    /// Run the close on from `from` until the thread must retransmit (some
+    /// destination is still short after the acknowledgment round) or
+    /// deliver [`Close::batch`], then run it on from the point returned;
+    /// `None` once every promised word is in.
+    pub(crate) async fn run(&mut self, at: &At, from: Resume) -> Option<Resume> {
+        let (rel, batch, posted) = (&mut self.rel, &mut self.batch, &mut self.posted);
         let (me, nodes, slots) = (rel.me, rel.nodes, at.world.layout.epoch_counts);
         let peers = move || (0..nodes).filter(move |&s| s != me);
-        loop {
-            match &mut self.phase {
-                Phase::Flush(send) => {
-                    if send.is_none() && !self.flush.is_empty() {
-                        *send = Some(SendStep::start(at, k, &self.flush, self.mode));
-                        self.flush.clear();
-                    }
-                    if let Some(send) = send {
-                        send.poll(at, k, pid)?;
-                    }
-                    self.phase = Phase::Ack(AckStep::default());
-                }
-                Phase::Ack(ack) => {
-                    let dests = ack.poll(at, k, pid, rel, &mut self.batch)?;
-                    self.phase = Phase::Verified;
-                    if dests.iter().any(|&d| rel.wire_epoch[d] > 0) {
-                        return Some(Closed::Shortfall(dests));
-                    }
-                    rel.end_epoch();
-                }
-                Phase::Verified => {
-                    if !self.batch.is_empty() {
-                        // The thread delivers, then comes back here.
-                        return Some(Closed::Deliver);
-                    }
-                    let posts: Vec<Packet> = peers()
-                        .map(|d| {
-                            let header = PacketHeader::dv_memory(me, d, slots + me as u32, SCRATCH_GC);
-                            Packet::new(header, self.owed[d] + 1)
-                        })
-                        .collect();
-                    let mode = SendMode::DirectWrite { cached_headers: true };
-                    self.phase = if posts.is_empty() {
-                        Phase::Drain(DrainStep::default())
-                    } else {
-                        Phase::Post(SendStep::start(at, k, &posts, mode))
-                    };
-                }
-                Phase::Post(send) => {
-                    send.poll(at, k, pid)?;
-                    self.phase = Phase::Drain(DrainStep::default());
-                }
-                Phase::Drain(drain) => {
-                    drain.poll(at, k, pid, rel, &mut self.batch)?;
-                    self.phase = Phase::Peek(PeekStep::default());
-                    if !self.batch.is_empty() {
-                        return Some(Closed::Deliver);
-                    }
-                }
-                Phase::Peek(peek) => {
-                    let posted = peek.poll(at, k, pid, slots, nodes)?;
-                    let idle = self.progress.poll(k.now(), me, &posted, rel.received);
-                    if peers().all(|s| posted[s] != 0) {
-                        let expected: u64 = peers().map(|s| posted[s] - 1).sum();
-                        if rel.received == expected {
-                            return Some(Closed::Done(std::mem::take(&mut rel.received)));
-                        }
-                        debug_assert!(rel.received < expected, "received more than promised");
-                        assert!(
-                            idle < QUERY_TIMEOUT,
-                            "node {me}: received {received} of {expected} promised words and \
-                             nothing more arrives; a word was sent twice, but every word must \
-                             be unique across the run",
-                            received = rel.received,
-                        );
-                    }
-                    self.phase = Phase::Recv(RecvStep::new(time::us(2)));
-                }
-                Phase::Recv(recv) => {
-                    let word = recv.poll(at, k, pid, rel)?;
-                    self.phase = Phase::Drain(DrainStep::default());
-                    if let Some(w) = word {
-                        self.batch.push(w);
-                        return Some(Closed::Deliver);
-                    }
-                }
+        if from == Resume::Start {
+            if !self.flush.is_empty() {
+                at.send(&self.flush, self.mode).await;
+                self.flush.clear();
+            }
+            at.ack_round(rel, batch).await;
+            if rel.wire_epoch.iter().any(|&w| w > 0) {
+                return Some(Resume::Post);
+            }
+            rel.end_epoch();
+            if !batch.is_empty() {
+                return Some(Resume::Post);
             }
         }
-    }
-}
-
-/// [`ReliableFifo::await_posts`]: poll a status-page block until every
-/// peer has posted, discarding stray duplicates for 1 µs between polls.
-pub(crate) struct Posts {
-    at: At,
-    pub(crate) rel: ReliableFifo,
-    address: u32,
-    progress: Progress,
-    phase: PostsPhase,
-}
-
-enum PostsPhase {
-    Peek(PeekStep),
-    Recv(RecvStep),
-}
-
-impl Posts {
-    pub(crate) fn new(at: At, rel: ReliableFifo, address: u32) -> Self {
-        Self { at, rel, address, progress: Progress::default(), phase: PostsPhase::Peek(PeekStep::default()) }
-    }
-}
-
-impl Call for Posts {
-    type Out = Vec<Word>;
-
-    fn step(&mut self, k: &mut Kernel, pid: Pid) -> Option<Vec<Word>> {
-        let (at, rel) = (&self.at, &mut self.rel);
-        let (me, nodes) = (rel.me, rel.nodes);
+        if matches!(from, Resume::Start | Resume::Post) {
+            let posts: Vec<Packet> = peers()
+                .map(|d| {
+                    let header = PacketHeader::dv_memory(me, d, slots + me as u32, SCRATCH_GC);
+                    Packet::new(header, self.owed[d] + 1)
+                })
+                .collect();
+            if !posts.is_empty() {
+                at.send(&posts, CACHED_PIO).await;
+            }
+        }
+        let mut drain = from != Resume::Peek;
         loop {
-            self.phase = match &mut self.phase {
-                PostsPhase::Peek(peek) => {
-                    let slots = peek.poll(at, k, pid, self.address, nodes)?;
-                    if (0..nodes).filter(|&s| s != me).all(|s| slots[s] != 0) {
-                        return Some(slots);
-                    }
-                    self.progress.poll(k.now(), me, &slots, rel.received);
-                    PostsPhase::Recv(RecvStep::new(time::us(1)))
+            if drain {
+                at.drain(rel, batch).await;
+                if !batch.is_empty() {
+                    return Some(Resume::Peek);
                 }
-                PostsPhase::Recv(recv) => {
-                    // Anything buffered here is a retransmission duplicate:
-                    // every new word was drained before the posts went out.
-                    let stray = recv.poll(at, k, pid, rel)?;
-                    debug_assert!(stray.is_none(), "new word arrived after its epoch completed");
-                    PostsPhase::Peek(PeekStep::default())
+            }
+            drain = true;
+            let now = at.peek(slots, posted).await;
+            let idle = self.progress.note(now, me, posted, rel.received);
+            if peers().all(|s| posted[s] != 0) {
+                let expected: u64 = peers().map(|s| posted[s] - 1).sum();
+                if rel.received == expected {
+                    return None;
                 }
-            };
+                debug_assert!(rel.received < expected, "received more than promised");
+                assert!(
+                    idle < QUERY_TIMEOUT,
+                    "node {me}: received {received} of {expected} promised words and \
+                     nothing more arrives; a word was sent twice, but every word must \
+                     be unique across the run",
+                    received = rel.received,
+                );
+            }
+            if let Some(w) = at.recv(rel, now + time::us(2)).await {
+                batch.push(w);
+                return Some(Resume::Drain);
+            }
         }
     }
 }

@@ -50,8 +50,8 @@
 //! a phase on posted values alone (BFS's frontier sizes).
 //!
 //! The calls that park more than once — the drain, the acknowledgment
-//! round, the epoch close and the post wait — run as kernel steps
-//! (`crate::op`); the retransmission path stays on the node's thread.
+//! round, the epoch close and the post wait — run in the kernel as `async
+//! fn`s (`crate::op`); the retransmission path stays on the node's thread.
 
 use dv_core::packet::{Packet, PacketHeader, SCRATCH_GC};
 use dv_core::time::{self, Time};
@@ -60,7 +60,7 @@ use dv_sim::SimCtx;
 
 use crate::aggregate::Aggregator;
 use crate::ctx::{DvCtx, SendMode};
-use crate::op::{self, Close, Closed, Drain, Posts, Verify};
+use crate::op::{Close, Resume};
 use crate::world::DvWorld;
 
 /// Words per host transfer of a drain.
@@ -167,8 +167,8 @@ impl WordSet {
 
 /// Exactly-once word delivery over the lossy surprise FIFO.
 ///
-/// Its calls that park more than once run as kernel steps
-/// (`crate::op`), which take the endpoint along and give it back.
+/// Its calls that park more than once run in the kernel (`crate::op`),
+/// which take the endpoint along and give it back.
 #[derive(Default)]
 pub struct ReliableFifo {
     pub(crate) me: NodeId,
@@ -275,26 +275,28 @@ impl ReliableFifo {
 
     /// [`ReliableFifo::drain_unique`], appending to `out`: each
     /// [`DRAIN_CHUNK`]-word host transfer lands at the tail and is admitted
-    /// there. An empty FIFO costs nothing; a draining one is one kernel
-    /// step.
+    /// there. An empty FIFO costs nothing; a draining one is one call run
+    /// in the kernel.
     fn drain_into(&mut self, ctx: &SimCtx, dv: &DvCtx, out: &mut Vec<Word>) {
         let queued = dv.world().vics[self.me].lock().fifo.len();
         if queued == 0 {
             return;
         }
-        // A step runs on whichever thread dispatches, and allocates from
-        // that thread's malloc arena. The first transfer's buffers grow
-        // here instead, on the node's own thread, by what the thread-run
-        // drain grew them: scattered over every arena they put ≈ 1.5 MiB
-        // (5 %) on `dv_irregular`'s peak RSS.
+        // A kernel-run call runs on whichever thread dispatches, and
+        // allocates from that thread's malloc arena. The first transfer's
+        // buffers grow here instead, on the node's own thread, by what the
+        // thread-run drain grew them: scattered over every arena they put
+        // ≈ 1.5 MiB (5 %) on `dv_irregular`'s peak RSS.
         let first = queued.min(DRAIN_CHUNK);
         out.reserve(first);
         if !dv.world().fifo_repeats() {
             self.seen_in.words.reserve(first);
         }
-        let (drain, ()) = op::run(Drain::new(dv.at(), std::mem::take(self), std::mem::take(out)), ctx);
-        *self = drain.rel;
-        *out = drain.out;
+        let (mut rel, mut buf) = (std::mem::take(self), std::mem::take(out));
+        (*self, *out) = dv.run(ctx, move |at| async move {
+            at.drain(&mut rel, &mut buf).await;
+            (rel, buf)
+        });
     }
 
     /// Verify this epoch's sends to every destination, retransmitting
@@ -316,18 +318,19 @@ impl ReliableFifo {
     /// data path is persistently dead, which the fault plans used for
     /// chaos runs never produce.
     pub fn verify_epoch(&mut self, ctx: &SimCtx, dv: &DvCtx, sink: &mut Vec<Word>) {
-        let call = Verify::new(dv.at(), std::mem::take(self), std::mem::take(sink));
-        let (call, dests) = op::run(call, ctx);
-        *self = call.rel;
-        *sink = call.sink;
-        self.retransmit(ctx, dv, &dests, sink);
+        let (mut rel, mut buf) = (std::mem::take(self), std::mem::take(sink));
+        (*self, *sink) = dv.run(ctx, move |at| async move {
+            at.ack_round(&mut rel, &mut buf).await;
+            (rel, buf)
+        });
+        self.retransmit(ctx, dv, sink);
     }
 
     /// The serial path after the acknowledgment round: every destination
-    /// of `dests` whose count came back short (or unknown) is verified on
-    /// its own, then the epoch log closes.
-    fn retransmit(&mut self, ctx: &SimCtx, dv: &DvCtx, dests: &[NodeId], sink: &mut Vec<Word>) {
-        for &d in dests {
+    /// whose count came back short (or unknown) is verified on its own,
+    /// then the epoch log closes.
+    fn retransmit(&mut self, ctx: &SimCtx, dv: &DvCtx, sink: &mut Vec<Word>) {
+        for d in 0..self.nodes {
             if self.wire_epoch[d] > 0 {
                 self.verify_dest(ctx, dv, d, sink);
             }
@@ -473,10 +476,10 @@ impl ReliableFifo {
     /// retransmission in step 1, never as a hang in step 3. A caller that
     /// runs another epoch zeroes its own epoch counts and fences first.
     ///
-    /// The whole close runs as one kernel step (`crate::op`): the node's
-    /// thread runs again only to `deliver` — which may charge virtual time,
-    /// as GUPS's updates do — to retransmit after a shortfall, and to
-    /// return, not at each poll of step 3.
+    /// The close runs in the kernel (`crate::op`): the node's thread runs
+    /// again only to `deliver` — which may charge virtual time, as GUPS's
+    /// updates do — to retransmit after a shortfall, and to return, not at
+    /// each poll of step 3.
     ///
     /// # Panics
     /// Panics when every peer has posted but the count stays short of the
@@ -494,23 +497,24 @@ impl ReliableFifo {
         mut deliver: impl FnMut(&[Word]),
     ) -> u64 {
         let (flush, mode) = agg.take_batch();
-        let mut close = Close::new(dv.at(), std::mem::take(self), flush, mode);
-        loop {
-            let (mut next, out) = op::run(close, ctx);
-            match out {
-                Closed::Deliver => {
-                    // Freed, not kept: a parked node holds no drain buffer.
-                    deliver(&std::mem::take(&mut next.batch));
-                }
-                Closed::Shortfall(dests) => next.rel.retransmit(ctx, dv, &dests, &mut next.batch),
-                Closed::Done(received) => {
-                    *self = next.rel;
-                    agg.restore(next.flush);
-                    return received;
-                }
+        let mut close = Close::new(std::mem::take(self), flush, mode);
+        let mut from = Some(Resume::Start);
+        while let Some(on) = from {
+            (close, from) = dv.run(ctx, move |at| async move {
+                let next = close.run(&at, on).await;
+                (close, next)
+            });
+            if close.rel.wire_epoch.iter().any(|&w| w > 0) {
+                close.rel.retransmit(ctx, dv, &mut close.batch);
             }
-            close = next;
+            if !close.batch.is_empty() {
+                // Freed, not kept: a parked node holds no drain buffer.
+                deliver(&std::mem::take(&mut close.batch));
+            }
         }
+        *self = close.rel;
+        agg.restore(close.flush);
+        std::mem::take(&mut self.received)
     }
 
     /// Wait until every peer has posted into the status-page block at
@@ -524,8 +528,12 @@ impl ReliableFifo {
     /// Panics, naming the peers that never posted, when no new post has
     /// arrived for a hundred query timeouts of virtual time.
     pub fn await_posts(&mut self, ctx: &SimCtx, dv: &DvCtx, address: u32) -> Vec<Word> {
-        let (posts, slots) = op::run(Posts::new(dv.at(), std::mem::take(self), address), ctx);
-        *self = posts.rel;
+        let mut rel = std::mem::take(self);
+        let slots;
+        (*self, slots) = dv.run(ctx, move |at| async move {
+            let slots = at.posts(&mut rel, address).await;
+            (rel, slots)
+        });
         slots
     }
 

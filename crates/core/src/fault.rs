@@ -142,12 +142,16 @@ impl FaultPlan {
     /// | key | value | meaning |
     /// |---|---|---|
     /// | `seed` | u64 (decimal or `0x…`) | decision seed |
-    /// | `drop` | probability | per-packet link drop |
+    /// | `drop` | probability `< 1` | per-packet link drop |
     /// | `dup` | probability | per-packet link duplication |
     /// | `stall` | `prob:ns` | per-batch ejection stall + duration (≤ [`MAX_FAULT_DELAY_NS`]) |
     /// | `gcrace` | `prob:ns` | group-counter-set delay + duration (≤ [`MAX_FAULT_DELAY_NS`]) |
-    /// | `fifodrop` | probability | per-push forced FIFO overflow |
+    /// | `fifodrop` | probability `< 1` | per-push forced FIFO overflow |
     /// | `fifostorm` | `period:len` | drop `len` consecutive pushes every `period` (`1 <= period`, `len < period`) |
+    ///
+    /// `drop=1` would lose every packet and `fifodrop=1` every push, so no
+    /// run could finish: both are refused, as is a storm as long as its
+    /// period.
     ///
     /// Example: `seed=7,fifodrop=0.02,fifostorm=257:3,stall=0.01:500`.
     pub fn parse(spec: &str) -> Result<Self, String> {
@@ -158,7 +162,7 @@ impl FaultPlan {
                 .ok_or_else(|| format!("fault spec item {part:?} is not key=value"))?;
             match key {
                 "seed" => plan.seed = parse_u64(value)?,
-                "drop" => plan.link_drop = parse_prob(key, value)?,
+                "drop" => plan.link_drop = parse_loss(key, value, "packet")?,
                 "dup" => plan.link_dup = parse_prob(key, value)?,
                 "stall" => {
                     let (p, ns) = parse_prob_ns(key, value)?;
@@ -170,7 +174,7 @@ impl FaultPlan {
                     plan.gc_set_delay = p;
                     plan.gc_set_delay_time = ns;
                 }
-                "fifodrop" => plan.fifo_drop = parse_prob(key, value)?,
+                "fifodrop" => plan.fifo_drop = parse_loss(key, value, "push")?,
                 "fifostorm" => {
                     let (period, len) = value
                         .split_once(':')
@@ -231,6 +235,16 @@ fn parse_prob(key: &str, s: &str) -> Result<f64, String> {
     let p: f64 = s.trim().parse().map_err(|_| format!("bad probability {s:?} for {key}"))?;
     if !(0.0..=1.0).contains(&p) {
         return Err(format!("{key}={p} outside [0, 1]"));
+    }
+    Ok(p)
+}
+
+/// A loss rate: a probability below 1, since at 1 every `what` is lost and
+/// no run can finish.
+fn parse_loss(key: &str, s: &str, what: &str) -> Result<f64, String> {
+    let p = parse_prob(key, s)?;
+    if p >= 1.0 {
+        return Err(format!("{key} wants a probability below 1 ({key}=1 loses every {what}, so no run can finish), got {s:?}"));
     }
     Ok(p)
 }
@@ -323,6 +337,13 @@ mod tests {
             assert!(err.contains("period >= 1 and len < period"), "{storm}: {err}");
         }
         assert_eq!(FaultPlan::parse("fifostorm=4:3").unwrap().fifo_storm_len, 3);
+        // A loss rate of 1 loses everything; just below it is a plan.
+        for loss in ["drop=1", "fifodrop=1", "seed=1,drop=1.0", "fifodrop=1e0"] {
+            let err = FaultPlan::parse(loss).unwrap_err();
+            assert!(err.contains("probability below 1"), "{loss}: {err}");
+        }
+        assert_eq!(FaultPlan::parse("drop=0.999").unwrap().link_drop, 0.999);
+        assert_eq!(FaultPlan::parse("fifodrop=0.999").unwrap().fifo_drop, 0.999);
         assert!(FaultPlan::parse("stall=0.1:20000000000000000").is_err());
         assert!(FaultPlan::parse("gcrace=0.1:20000000000000000").is_err());
         // Fits virtual time, but a delivery time plus it would not.

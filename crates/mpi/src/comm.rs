@@ -24,9 +24,9 @@
 //! nobody posted for waits in the unexpected queue and wakes nobody.
 //!
 //! The blocking calls here (`isend`, `send`, `wait`, `recv`, `sendrecv`)
-//! and every collective run as plans of the one kernel-context op machine
-//! in `op`: the resumes above are committed as before, but they run
-//! that machine in the kernel, and the rank's thread runs again once per
+//! and every collective are `async fn`s of the rank (`op`), run in the
+//! kernel: the resumes above are committed as before, but each polls the
+//! call in kernel context, and the rank's thread runs again once per
 //! blocking call or collective, not once per resume.
 
 use std::collections::BTreeMap;
@@ -44,7 +44,6 @@ use dv_sim::{Kernel, Port, SimCtx, Waker};
 use crate::fabric::IbFabric;
 pub(crate) mod op;
 
-use op::{listed, Data, Instr, Op, Sink};
 use crate::payload::Payload;
 use crate::Tag;
 
@@ -289,35 +288,28 @@ impl Comm {
     /// call itself charges the send overhead (and, eager, the bounce
     /// copy).
     pub fn isend(&self, ctx: &SimCtx, dst: usize, tag: Tag, payload: Payload) -> Request {
-        let send = Instr::Send { dst, tag, data: Data::Take(0) };
-        let mut op = Op::new(self, vec![payload], listed([send])).run(ctx);
-        op.reqs.pop_back().unwrap_or(Request(None))
+        self.run(ctx, move |r| async move { r.isend(dst, tag, payload).await })
     }
 
     /// Blocking send (true `MPI_Send` semantics: a rendezvous send does
     /// not return until the receiver has posted the matching recv).
     pub fn send(&self, ctx: &SimCtx, dst: usize, tag: Tag, payload: Payload) {
-        let send = Instr::Send { dst, tag, data: Data::Take(0) };
-        Op::new(self, vec![payload], listed([send, Instr::WaitAll])).run(ctx);
+        self.run(ctx, move |r| async move { r.wait(r.isend(dst, tag, payload).await).await });
     }
 
     /// Wait for a request to complete.
     pub fn wait(&self, ctx: &SimCtx, req: Request) {
-        self.wait_all(ctx, vec![req]);
+        self.run(ctx, move |r| async move { r.wait(req).await });
     }
 
     /// Wait for all requests, in order.
     pub fn wait_all(&self, ctx: &SimCtx, reqs: Vec<Request>) {
-        let mut op = Op::new(self, Vec::new(), listed([Instr::WaitAll]));
-        op.reqs.extend(reqs);
-        op.run(ctx);
+        self.run(ctx, move |r| async move { r.wait_all(reqs).await });
     }
 
     /// Blocking receive with optional source/tag wildcards.
     pub fn recv(&self, ctx: &SimCtx, src: Option<usize>, tag: Option<Tag>) -> Envelope {
-        let recv = Instr::Recv { src, tag, sink: Sink::Keep };
-        let op = Op::new(self, Vec::new(), listed([recv])).run(ctx);
-        op.kept.expect("a receive keeps its envelope")
+        self.run(ctx, move |r| async move { r.recv(src, tag).await })
     }
 
     /// Convenience: blocking receive from a specific source and tag.
@@ -345,12 +337,11 @@ impl Comm {
         src: usize,
         recv_tag: Tag,
     ) -> Envelope {
-        let plan = [
-            Instr::Send { dst, tag: send_tag, data: Data::Take(0) },
-            Instr::Recv { src: Some(src), tag: Some(recv_tag), sink: Sink::Keep },
-            Instr::WaitAll,
-        ];
-        let op = Op::new(self, vec![payload], listed(plan)).run(ctx);
-        op.kept.expect("a receive keeps its envelope")
+        self.run(ctx, move |r| async move {
+            let req = r.isend(dst, send_tag, payload).await;
+            let env = r.recv(Some(src), Some(recv_tag)).await;
+            r.wait(req).await;
+            env
+        })
     }
 }

@@ -8,6 +8,8 @@
 use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::future::Future;
+use std::pin::Pin;
 
 use dv_core::time::Time;
 
@@ -48,51 +50,16 @@ pub struct TimerId(u32);
 
 type TimerHook = Box<dyn FnMut(&mut Kernel) + Send>;
 
-/// A blocking call run in the kernel (see
-/// [`SimCtx::wait_in_kernel`](crate::SimCtx::wait_in_kernel)): [`Call::step`]
-/// runs at the call and at each later resume of process `pid`, with the
-/// kernel locked, until it returns the call's output. Like a future's
-/// `poll`, a step that returns `None` has left a waker (one
-/// [`Kernel::turn`] or [`Kernel::until`] per blocked state) for the resume
-/// that runs it again.
-pub trait Call: Send + 'static {
-    /// What the call returns to the process's thread.
-    type Out: Send + 'static;
-
-    /// Run on until the call blocks (`None`) or returns.
-    fn step(&mut self, k: &mut Kernel, pid: Pid) -> Option<Self::Out>;
-}
-
-/// A parked [`Call`], type-erased: the call and, once it returned, its
-/// output. Its owner takes it back as `dyn Any` and downcasts.
-pub(crate) trait Step: Any + Send {
-    /// Run at one of the process's resumes; `true` once the call has
-    /// returned.
-    fn resume(&mut self, k: &mut Kernel, pid: Pid) -> bool;
-}
-
-impl<C: Call> Step for (C, Option<C::Out>) {
-    fn resume(&mut self, k: &mut Kernel, pid: Pid) -> bool {
-        self.1 = self.0.step(k, pid);
-        self.1.is_some()
-    }
-}
-
-/// Where a process's kernel step is.
-enum StepSlot {
-    /// The process waits in no step.
-    Empty,
-    /// Each resume of the process runs this step.
-    Waiting(Box<dyn Step>),
-    /// The step finished; its owner's thread takes the result.
-    Finished(Box<dyn Step>),
-}
+/// A blocking call's future, parked in the kernel while its process
+/// waits (see [`SimCtx::wait_in_kernel`](crate::SimCtx::wait_in_kernel)).
+pub(crate) type ParkedCall = Pin<Box<dyn Future<Output = ()> + Send>>;
 
 pub(crate) enum EventKind {
     Resume(Waker),
-    /// A valid resume of a process that waits in a kernel step: returned
-    /// by `pop_valid` in place of its `Resume`, never queued.
-    Step(Pid),
+    /// A valid resume of a process whose blocking call is parked in the
+    /// kernel, with the call taken out for the dispatcher to poll:
+    /// returned by `pop_valid` in place of its `Resume`, never queued.
+    Step(Pid, ParkedCall),
     Call(Box<dyn FnOnce(&mut Kernel) + Send>),
     Timer(TimerId),
     /// A *hop* (see [`Kernel::wake_after`]): committing it schedules
@@ -141,9 +108,9 @@ pub struct SchedStats {
     /// Processes registered with the kernel.
     pub processes: u64,
     /// Committed resumes that ran a process's thread — a grant, or the
-    /// self-resume fast path — rather than only a kernel step. Host-side
-    /// evidence of thread handoffs: never published, so no `sim.sched.*`
-    /// artifact depends on how a wait is executed.
+    /// self-resume fast path — rather than only a poll of its parked call.
+    /// Host-side evidence of thread handoffs: never published, so no
+    /// `sim.sched.*` artifact depends on how a wait is executed.
     pub thread_resumes: u64,
 }
 
@@ -159,8 +126,12 @@ pub struct Kernel {
     pub(crate) park_generation: Vec<u64>,
     pub(crate) proc_names: Vec<String>,
     timer_hooks: Vec<Option<TimerHook>>,
-    /// Each process's kernel step, if any.
-    steps: Vec<StepSlot>,
+    /// Each process's parked blocking call, if any.
+    calls: Vec<Option<ParkedCall>>,
+    /// Where kernel-run calls leave their output for their process's
+    /// thread: per output type, one boxed `Vec<Option<T>>` indexed by pid,
+    /// kept for every later call that returns a `T`.
+    outputs: Vec<Box<dyn Any + Send>>,
     /// Rolling hash of every committed event (see [`OrderAudit`]).
     audit: OrderAudit,
     stats: SchedStats,
@@ -180,7 +151,8 @@ impl Kernel {
             park_generation: Vec::new(),
             proc_names: Vec::new(),
             timer_hooks: Vec::new(),
-            steps: Vec::new(),
+            calls: Vec::new(),
+            outputs: Vec::new(),
             audit: OrderAudit::new(),
             stats: SchedStats::default(),
             #[cfg(test)]
@@ -338,44 +310,55 @@ impl Kernel {
         self.turn(pid, Some(t), || None::<()>, |_| {}).is_some()
     }
 
-    /// Leave the rest of `pid`'s blocking call to the kernel: `step` runs
-    /// at each of its resumes until it reports that it finished.
-    pub(crate) fn set_step(&mut self, pid: Pid, step: Box<dyn Step>) {
-        debug_assert!(matches!(self.steps[pid], StepSlot::Empty), "one kernel step at a time");
-        self.steps[pid] = StepSlot::Waiting(step);
+    /// Park `pid`'s blocking call: each later resume of `pid` hands it to
+    /// the dispatcher to poll.
+    pub(crate) fn park_call(&mut self, pid: Pid, call: ParkedCall) {
+        debug_assert!(self.calls[pid].is_none(), "one parked call at a time");
+        self.calls[pid] = Some(call);
     }
 
-    /// Run `pid`'s kernel step for a resume that `pop_valid` returned as
-    /// [`EventKind::Step`]; `true` when it finished, and the resume goes
-    /// on to the process's thread.
-    pub(crate) fn run_step(&mut self, pid: Pid) -> bool {
-        let StepSlot::Waiting(mut step) = std::mem::replace(&mut self.steps[pid], StepSlot::Empty)
-        else {
-            unreachable!("a Step event has a step to run")
-        };
-        let done = step.resume(self, pid);
-        self.steps[pid] = if done {
-            self.stats.thread_resumes += 1;
-            StepSlot::Finished(step)
-        } else {
-            StepSlot::Waiting(step)
-        };
-        done
+    /// Park `pid`'s call again after a poll at its resume left it pending:
+    /// that resume did not reach the process's thread after all.
+    pub(crate) fn repark_call(&mut self, pid: Pid, call: ParkedCall) {
+        self.stats.thread_resumes -= 1;
+        self.park_call(pid, call);
     }
 
-    /// Take `pid`'s finished step (its thread runs again).
-    pub(crate) fn take_finished_step(&mut self, pid: Pid) -> Box<dyn Any> {
-        match std::mem::replace(&mut self.steps[pid], StepSlot::Empty) {
-            StepSlot::Finished(step) => step,
-            _ => unreachable!("the thread runs again only once its step has finished"),
-        }
+    /// The output table of type `T`, made by the first call that returns
+    /// one.
+    fn outputs_of<T: Send + 'static>(&mut self) -> &mut Vec<Option<T>> {
+        let i = match self.outputs.iter().position(|b| b.is::<Vec<Option<T>>>()) {
+            Some(i) => i,
+            None => {
+                let procs = self.calls.len();
+                self.outputs.push(Box::new((0..procs).map(|_| None).collect::<Vec<Option<T>>>()));
+                self.outputs.len() - 1
+            }
+        };
+        self.outputs[i].downcast_mut().expect("found by its type")
+    }
+
+    /// Leave the output of `pid`'s completed call for its thread.
+    pub(crate) fn put_output<T: Send + 'static>(&mut self, pid: Pid, value: T) {
+        self.outputs_of()[pid] = Some(value);
+    }
+
+    /// Take the output of `pid`'s completed call.
+    pub(crate) fn take_output<T: Send + 'static>(&mut self, pid: Pid) -> T {
+        self.outputs_of()[pid].take().expect("a completed call left its output")
+    }
+
+    /// Take every parked call out, for a torn-down run to drop: their
+    /// futures hold the simulation alive.
+    pub(crate) fn take_calls(&mut self) -> Vec<Option<ParkedCall>> {
+        std::mem::take(&mut self.calls)
     }
 
     pub(crate) fn register_process(&mut self, name: String) -> Pid {
         let pid = self.park_generation.len();
         self.park_generation.push(0);
         self.proc_names.push(name);
-        self.steps.push(StepSlot::Empty);
+        self.calls.push(None);
         self.stats.processes += 1;
         pid
     }
@@ -383,9 +366,9 @@ impl Kernel {
     /// Pop the next *valid* event, advancing the clock. Stale resumes are
     /// discarded. For a valid resume, the target's park generation is
     /// advanced so any duplicate wakeups for the same park become stale;
-    /// it comes back as [`EventKind::Step`] when the target waits in a
-    /// kernel step. Hops are committed here and never returned: a valid one
-    /// pushes its resume and the loop moves on.
+    /// it comes back as [`EventKind::Step`], its call taken out, when the
+    /// target's blocking call is parked here. Hops are committed here and
+    /// never returned: a valid one pushes its resume and the loop moves on.
     pub(crate) fn pop_valid(&mut self) -> Option<(Time, EventKind)> {
         while let Some(ev) = self.queue.pop() {
             debug_assert!(ev.time >= self.now, "time went backwards");
@@ -398,10 +381,12 @@ impl Kernel {
                         self.stats.resumes += 1;
                         #[cfg(test)]
                         self.commits.push((ev.time, ev.seq, b'r'));
-                        if matches!(self.steps[w.pid], StepSlot::Waiting(_)) {
-                            return Some((ev.time, EventKind::Step(w.pid)));
-                        }
+                        // Counted as reaching the thread until a poll of
+                        // the call says otherwise (`repark_call`).
                         self.stats.thread_resumes += 1;
+                        if let Some(call) = self.calls[w.pid].take() {
+                            return Some((ev.time, EventKind::Step(w.pid, call)));
+                        }
                         return Some((ev.time, EventKind::Resume(w)));
                     }
                     // Stale wakeup: drop silently (but count it).
@@ -419,7 +404,7 @@ impl Kernel {
                         self.stats.stale_wakeups += 1;
                     }
                 }
-                EventKind::Step(_) => unreachable!("steps are never queued"),
+                EventKind::Step(..) => unreachable!("steps are never queued"),
                 kind @ (EventKind::Call(_) | EventKind::Timer(_)) => {
                     self.now = ev.time;
                     self.audit.record_call(ev.time, ev.seq);

@@ -35,19 +35,20 @@
 //!   schedules the final resume — same event order, one thread handoff less.
 //! * A resume may run in the kernel instead of on the process's thread: a
 //!   process blocked in [`SimCtx::wait_in_kernel`] left the rest of its
-//!   [`Call`] to the kernel, whose dispatcher runs the call's step inline at
-//!   each of its resumes until the call has returned. The resume is
+//!   blocking call, a future, to the kernel, whose dispatcher polls it
+//!   inline at each of its resumes until it has completed. The resume is
 //!   committed, hashed and counted as ever; only the thread handoff is
-//!   gone. mini-mpi runs every blocking call and collective this way, and
-//!   dv-api its barriers and the recovery layer's multi-park waits.
+//!   gone. mini-mpi runs every blocking call and collective as an `async
+//!   fn` this way, and dv-api its barriers and the recovery layer's
+//!   multi-park waits.
 //!
 //! ## Building blocks
 //!
 //! * [`Sim`] / [`SimCtx`] — the kernel and the per-process capability;
 //!   [`Kernel::turn`] is the one turn of every blocking wait, which
-//!   [`SimCtx::wait_for`] loops over on the thread and a [`Call`]'s step
-//!   runs once per blocked state in the kernel
-//!   ([`SimCtx::wait_in_kernel`]).
+//!   [`SimCtx::wait_for`] loops over on the thread and a kernel-run call
+//!   runs once per poll through its [`Proc`] ([`Proc::turn`],
+//!   [`Proc::until`]).
 //! * [`Port`] — a typed message queue in virtual time (the basis for NICs).
 //! * [`WaitSet`] — virtual-time condition variable.
 //! * [`Pipe`] — a FIFO bandwidth server (PCIe bus, NIC link, switch port).
@@ -68,8 +69,8 @@ mod spmd;
 mod sync;
 
 pub use audit::OrderAudit;
-pub use kernel::{Call, Kernel, Pid, SchedStats, TimerId, Waker};
-pub use sim::{Sim, SimCtx};
+pub use kernel::{Kernel, Pid, SchedStats, TimerId, Waker};
+pub use sim::{Proc, Sim, SimCtx};
 pub use sync::{JoinSlot, Pipe, Port, WaitSet};
 
 #[cfg(test)]

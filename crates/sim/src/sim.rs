@@ -21,13 +21,14 @@
 //!   issued with no lock held — neither `sim.kernel` nor `sim.registry`
 //!   nor a world lock — so the woken thread never queues behind the
 //!   thread that woke it.
-//! * A resume of a process that waits in a kernel step
-//!   ([`SimCtx::wait_in_kernel`]) does not grant anything: the driver runs
-//!   the step inline, under the kernel lock, and keeps driving. Only the
-//!   resume on which the step finishes grants the process's thread (or
-//!   returns `RunSelf` to it). Such a resume is popped, audited,
-//!   generation-bumped and counted like any other, so steps change which
-//!   thread does the work, never what is committed.
+//! * A resume of a process whose blocking call is parked in the kernel
+//!   ([`SimCtx::wait_in_kernel`]) does not grant anything: the driver
+//!   takes the call's future out in the lock it pops with, polls it with
+//!   no lock held, and keeps driving. Only the resume on which the future
+//!   completes grants the process's thread (or returns `RunSelf` to it).
+//!   Such a resume is popped, audited, generation-bumped and counted like
+//!   any other, so a parked call changes which thread does the work, never
+//!   what is committed.
 //! * The host thread drives until the first handoff, then sleeps until a
 //!   driver reports the run's outcome (every process finished, deadlock,
 //!   or a panic — a process's, or a kernel event's: kernel-context work
@@ -44,8 +45,11 @@
 //! [`OrderAudit`]: crate::audit::OrderAudit
 
 use std::any::Any;
+use std::future::{poll_fn, Future};
 use std::panic::{self, AssertUnwindSafe};
+use std::pin::Pin;
 use std::sync::{Arc, Condvar};
+use std::task::{Context, Poll};
 use std::thread::JoinHandle;
 
 use dv_core::metrics::MetricsRegistry;
@@ -53,7 +57,7 @@ use dv_core::sync::Mutex;
 
 use dv_core::time::Time;
 
-use crate::kernel::{Call, EventKind, Kernel, Pid, Waker};
+use crate::kernel::{EventKind, Kernel, ParkedCall, Pid, Waker};
 use crate::parker::Parker;
 
 /// Sentinel panic payload used to unwind parked processes at shutdown.
@@ -271,6 +275,10 @@ impl Sim {
         for h in handles {
             let _ = h.join();
         }
+        // A call still parked (a deadlocked run) holds the simulation
+        // alive through its process handle: drop it, outside the lock.
+        let calls = self.shared.kernel.lock().take_calls();
+        drop(calls);
     }
 }
 
@@ -314,16 +322,24 @@ enum Driven {
 /// resume hands the token to a process (or the queue drains). Exactly one
 /// thread runs this at a time — the token holder — which is what keeps the
 /// commit order, and therefore the audit hash, deterministic. A resume of
-/// a process that waits in a kernel step runs the step here, inline, and
-/// reaches the process's thread only when the step has finished.
+/// a process whose blocking call is parked polls the call here, inline,
+/// and reaches the process's thread only when the call has completed.
 ///
 /// Kernel-context work runs under `catch_unwind`: a panic in a `call_at`
 /// closure or a timer hook is reported as that kernel event's, and one in
-/// a step as its owner's, never as a panic of whichever process thread
-/// happened to be driving.
+/// a parked call as its owner's, never as a panic of whichever process
+/// thread happened to be driving.
 fn drive(shared: &Shared, self_pid: Option<Pid>) -> Driven {
+    // A call whose poll left it pending, parked again in the next lock.
+    let mut pending: Option<(Pid, ParkedCall)> = None;
     loop {
-        let next = shared.kernel.lock().pop_valid();
+        let next = {
+            let mut k = shared.kernel.lock();
+            if let Some((pid, call)) = pending.take() {
+                k.repark_call(pid, call);
+            }
+            k.pop_valid()
+        };
         // Virtual-time telemetry sampling: advance the registry's sampler
         // to the event we are about to dispatch, so a sample at boundary
         // `b` captures exactly the events committed before the first
@@ -358,10 +374,13 @@ fn drive(shared: &Shared, self_pid: Option<Pid>) -> Driven {
                 continue;
             }
             Some((_t, EventKind::Hop(..))) => unreachable!("pop_valid consumes hops"),
-            Some((_t, EventKind::Step(pid))) => {
-                match panic::catch_unwind(AssertUnwindSafe(|| shared.kernel.lock().run_step(pid))) {
-                    Ok(false) => continue,
-                    Ok(true) => pid,
+            Some((_t, EventKind::Step(pid, mut call))) => {
+                match panic::catch_unwind(AssertUnwindSafe(|| poll(call.as_mut()))) {
+                    Ok(Poll::Pending) => {
+                        pending = Some((pid, call));
+                        continue;
+                    }
+                    Ok(Poll::Ready(())) => pid,
                     Err(payload) => {
                         process_panicked(shared, pid, payload.as_ref());
                         return Driven::Ended;
@@ -388,6 +407,13 @@ fn drive(shared: &Shared, self_pid: Option<Pid>) -> Driven {
         target.grant();
         return Driven::HandedOff;
     }
+}
+
+/// Poll a blocking call's future. The no-op waker is enough: the call's
+/// wake is one of dv-sim's own wakers, which it left in the kernel (a
+/// [`Kernel::turn`] or an armed delay) before it returned `Pending`.
+fn poll(call: Pin<&mut (dyn Future<Output = ()> + Send)>) -> Poll<()> {
+    call.poll(&mut Context::from_waker(std::task::Waker::noop()))
 }
 
 /// Run a committed `Call` or timer event; `false` if it panicked, after
@@ -471,7 +497,7 @@ fn on_finished(ctx: &SimCtx) {
 }
 
 /// Process `pid` panicked (with a non-shutdown payload), on its thread or
-/// in its kernel step.
+/// in its parked call.
 fn process_panicked(shared: &Shared, pid: Pid, payload: &(dyn Any + Send)) {
     let name = shared.kernel.lock().proc_names[pid].clone();
     let msg = panic_message(payload);
@@ -548,32 +574,44 @@ impl SimCtx {
         }
     }
 
-    /// Finish a blocking call in the kernel instead of on this thread.
-    /// [`Call::step`] runs now, inline, and then at every later resume of
-    /// this process — each time with the kernel locked, in whichever thread
-    /// is dispatching — until it returns the call's output; only then does
-    /// this thread run again, and it gets the call back with the output. A
-    /// `None` from the first step parks the process, the call boxed once.
+    /// This process's handle for the futures it runs in the kernel.
+    pub fn proc(&self) -> Proc {
+        Proc { pid: self.pid, shared: Arc::clone(&self.shared) }
+    }
+
+    /// Run a blocking call in the kernel instead of on this thread: `call`
+    /// is polled now, and then at every later resume of this process — in
+    /// whichever thread is dispatching, with no lock held — until it
+    /// completes; only then does this thread run again, with the output.
+    /// The call is boxed once, pinned, before its first poll; one ready at
+    /// that poll returns without parking.
     ///
-    /// A resume that runs the step is popped, audited, generation-bumped
-    /// and counted exactly like one that grants the thread, so a step that
-    /// does what the thread would have done between the same two parks —
-    /// one [`Kernel::turn`] per blocked state, re-run after an early
-    /// wake-up — commits the same events in the same order, and saves one
-    /// thread handoff per resume. Like every kernel closure, a step must
-    /// not block. A panic in it is reported as this process's.
-    pub fn wait_in_kernel<C: Call>(&self, mut call: C) -> (C, C::Out) {
-        {
-            let mut k = self.shared.kernel.lock();
-            if let Some(out) = call.step(&mut k, self.pid) {
-                return (call, out);
-            }
-            k.set_step(self.pid, Box::new((call, None::<C::Out>)));
+    /// `call` reaches the kernel through a [`Proc`]: each operation takes
+    /// the kernel lock for itself, and each wait is one of its waits,
+    /// which return `Pending` only once a dv-sim waker is armed for the
+    /// resume that polls the call again. A resume that polls the
+    /// call is popped, audited, generation-bumped and counted exactly like
+    /// one that grants the thread, so a call that does what the thread
+    /// would have done between the same two parks — one turn per blocked
+    /// state, re-run after an early wake-up — commits the same events in
+    /// the same order, and saves one thread handoff per resume. Like every
+    /// kernel closure, a call must not block. A panic in it is reported as
+    /// this process's.
+    pub fn wait_in_kernel<F>(&self, call: F) -> F::Output
+    where
+        F: Future + Send + 'static,
+        F::Output: Send + 'static,
+    {
+        let p = self.proc();
+        let mut call: ParkedCall = Box::pin(async move {
+            let out = call.await;
+            p.with(|k| k.put_output(p.pid, out));
+        });
+        if poll(call.as_mut()).is_pending() {
+            self.with_kernel(|k| k.park_call(self.pid, call));
+            self.park();
         }
-        self.park();
-        let finished = self.shared.kernel.lock().take_finished_step(self.pid);
-        let (call, out) = *finished.downcast::<(C, Option<C::Out>)>().expect("a process's own call comes back");
-        (call, out.expect("a finished call holds its output"))
+        self.with_kernel(|k| k.take_output(self.pid))
     }
 
     /// Block until virtual time `t` (no-op if already past): a wait for a
@@ -598,5 +636,89 @@ impl SimCtx {
         // Re-check, as every blocking primitive does: a waker this process
         // left in some wait queue before calling may have fired first.
         self.wait_until(target);
+    }
+}
+
+/// A process inside a kernel-run call (see [`SimCtx::wait_in_kernel`]):
+/// what its future reaches the kernel through. Each method takes the
+/// kernel lock for itself (the run token keeps the dispatcher exclusive
+/// between two of them), so a call puts what it does at one instant into
+/// one [`Proc::with`] or [`Proc::until_then`] where it can. The waits
+/// return `Pending` only once a dv-sim waker for the process is armed,
+/// and run their turn again at each poll.
+#[derive(Clone)]
+pub struct Proc {
+    pid: Pid,
+    shared: Arc<Shared>,
+}
+
+impl Proc {
+    /// This process's id.
+    pub fn pid(&self) -> Pid {
+        self.pid
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> Time {
+        self.shared.kernel.lock().now()
+    }
+
+    /// Run a closure with the kernel locked (schedule events, fire wakers).
+    pub fn with<R>(&self, f: impl FnOnce(&mut Kernel) -> R) -> R {
+        f(&mut self.shared.kernel.lock())
+    }
+
+    /// Wait until the next resume of this process, whatever woke it: the
+    /// kernel-run [`SimCtx::park`]. The caller armed that resume.
+    pub async fn resumed(&self) {
+        let mut parked = false;
+        poll_fn(|_| if std::mem::replace(&mut parked, true) { Poll::Ready(()) } else { Poll::Pending }).await;
+    }
+
+    /// Wait until virtual time `t`: one [`Kernel::until`] per poll.
+    pub async fn until(&self, t: Time) {
+        self.until_then(t, |_| ()).await;
+    }
+
+    /// [`Proc::until`], then `then` in the lock of the turn that ended the
+    /// wait: what the call does at `t`, without a lock of its own.
+    pub async fn until_then<R>(&self, t: Time, then: impl FnOnce(&mut Kernel) -> R) -> R {
+        let mut then = Some(then);
+        poll_fn(|_| {
+            self.with(|k| match k.until(self.pid, t) {
+                true => Poll::Ready(then.take().expect("a ready wait is not polled again")(k)),
+                false => Poll::Pending,
+            })
+        })
+        .await
+    }
+
+    /// The kernel-run [`SimCtx::wait_for`]: one [`Kernel::turn`] per poll,
+    /// `ready` and `register` run with the kernel locked.
+    pub async fn turn<R>(
+        &self,
+        deadline: Option<Time>,
+        mut ready: impl FnMut() -> Option<R>,
+        mut register: impl FnMut(Waker),
+    ) -> Option<R> {
+        poll_fn(|_| match self.with(|k| k.turn(self.pid, deadline, &mut ready, &mut register)) {
+            Some(r) => Poll::Ready(r),
+            None => Poll::Pending,
+        })
+        .await
+    }
+
+    /// The kernel-run [`SimCtx::delay`]; returns the time it ended.
+    pub async fn delay(&self, d: Time) -> Time {
+        self.delay2(d, 0).await
+    }
+
+    /// The kernel-run [`SimCtx::delay2`]: the hop armed now, then a wait
+    /// until the delay ends; returns that time.
+    pub async fn delay2(&self, d1: Time, d2: Time) -> Time {
+        let (now, target) = self.with(|k| (k.now(), k.arm_delay(self.pid, d1, d2)));
+        let Some(target) = target else { return now };
+        self.resumed().await;
+        self.until_then(target, |k| k.now()).await
     }
 }

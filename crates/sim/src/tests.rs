@@ -1,5 +1,5 @@
-//! Engine tests that need the kernel's commit log: the hop and kernel-step
-//! order-exactness properties. Tests of the public API are in `tests/`.
+//! Engine tests that need the kernel's commit log: the hop and kernel-run
+//! call order-exactness properties. Tests of the public API are in `tests/`.
 
 use std::sync::Arc;
 
@@ -7,7 +7,7 @@ use dv_core::sync::Mutex;
 
 use dv_core::time::ns;
 
-use crate::{Call, JoinSlot, Kernel, Pid, Port, Sim, WaitSet};
+use crate::{JoinSlot, Port, Proc, Sim, WaitSet};
 
 /// One step of a random SPMD program (see `hops_are_order_exact`).
 #[derive(Clone, Copy)]
@@ -36,7 +36,8 @@ enum Mode {
     Split,
     /// On the process's thread, `Pair` as one `delay2`.
     Fused,
-    /// As one kernel step ([`KernelScript`]), `Pair` as `delay2`'s delay.
+    /// As one kernel-run call ([`kernel_script`]), `Pair` as `delay2`'s
+    /// delay.
     Kernel,
 }
 
@@ -57,9 +58,7 @@ fn run_programs(programs: &[Vec<Op>], mode: Mode) -> Run {
             (program.clone(), ports.clone(), signal.clone(), tickets.clone(), seen[me].clone());
         sim.spawn(format!("p{me}"), move |ctx| {
             if mode == Mode::Kernel {
-                let script =
-                    KernelScript { me, program, pc: 0, ports, signal, tickets, log: Vec::new(), blocked: None };
-                out.put(ctx.wait_in_kernel(script).0.log);
+                out.put(ctx.wait_in_kernel(kernel_script(ctx.proc(), me, program, ports, signal, tickets)));
                 return;
             }
             let mut log = Vec::new();
@@ -102,103 +101,61 @@ fn run_programs(programs: &[Vec<Op>], mode: Mode) -> Run {
     (seen.iter().map(|s| s.take().expect("process finished")).collect(), commits, hash, stats)
 }
 
-/// What a [`KernelScript`] waits for; each is one wait of the thread run.
-enum Blocked {
-    /// The end of a `delay` / `delay2`: re-armed when woken early.
-    Until(u64),
-    /// `recv_deadline`: a message, or the deadline.
-    Recv(u64),
-    /// `TimedWait`: any one resume.
-    Parked,
-}
-
-/// A program run as one kernel step: between two resumes it does what the
-/// `Fused` thread run does between the same two parks.
-struct KernelScript {
+/// A program run as one kernel-run call: between two resumes it does what
+/// the `Fused` thread run does between the same two parks.
+async fn kernel_script(
+    p: Proc,
     me: usize,
     program: Vec<Op>,
-    pc: usize,
     ports: Vec<Port<u64>>,
     signal: WaitSet,
     tickets: Arc<Mutex<u64>>,
-    log: Vec<Seen>,
-    blocked: Option<Blocked>,
-}
-
-impl Call for KernelScript {
-    type Out = ();
-
-    fn step(&mut self, k: &mut Kernel, pid: Pid) -> Option<()> {
-        if let Some(blocked) = self.blocked.take() {
-            let word = self.wait(k, pid, blocked)?;
-            self.logged(k, word);
-        }
-        while let Some(&op) = self.program.get(self.pc) {
-            self.pc += 1;
-            let word = match op {
-                Op::Delay(d) => self.delay(k, pid, d, 0),
-                Op::Pair(a, b) => self.delay(k, pid, a, b),
-                Op::Send { dst, after, word } => {
+) -> Vec<Seen> {
+    let mut log = Vec::new();
+    for op in program {
+        let word = match op {
+            Op::Delay(d) => {
+                p.delay2(d, 0).await;
+                0
+            }
+            Op::Pair(a, b) => {
+                p.delay2(a, b).await;
+                0
+            }
+            Op::Send { dst, after, word } => {
+                p.with(|k| {
                     let at = k.now() + after;
-                    self.ports[dst].deliver_at(k, at, word);
-                    Some(0)
-                }
-                Op::RecvDeadline(d) => {
-                    let deadline = k.now() + d;
-                    self.wait(k, pid, Blocked::Recv(deadline))
-                }
-                Op::Signal => {
-                    self.signal.wake_all(k);
-                    Some(0)
-                }
-                // The thread's bare register-arm-park, not a turn: a zero
-                // timeout still parks.
-                Op::TimedWait(d) => {
-                    let w = k.waker_for(pid);
-                    self.signal.register(w);
+                    ports[dst].deliver_at(k, at, word);
+                });
+                0
+            }
+            Op::RecvDeadline(d) => {
+                let (deadline, port) = (p.now() + d, &ports[me]);
+                let got = p.turn(Some(deadline), || port.try_recv(), |w| port.register(w)).await;
+                got.map_or(u64::MAX, |(_, word)| word)
+            }
+            Op::Signal => {
+                p.with(|k| signal.wake_all(k));
+                0
+            }
+            // The thread's bare register-arm-park, not a turn: a zero
+            // timeout still parks.
+            Op::TimedWait(d) => {
+                p.with(|k| {
+                    let w = k.waker_for(p.pid());
+                    signal.register(w);
                     k.wake_at(k.now() + d, w);
-                    self.blocked = Some(Blocked::Parked);
-                    None
-                }
-            }?;
-            self.logged(k, word);
-        }
-        Some(())
-    }
-}
-
-impl KernelScript {
-    /// `delay2(d1, d2)` up to its park (`None`), or `Some(0)` for a zero
-    /// delay.
-    fn delay(&mut self, k: &mut Kernel, pid: Pid, d1: u64, d2: u64) -> Option<u64> {
-        let Some(until) = k.arm_delay(pid, d1, d2) else { return Some(0) };
-        self.blocked = Some(Blocked::Until(until));
-        None
-    }
-
-    /// One turn of the wait `blocked`: the word it ends with (`u64::MAX`
-    /// for a receive at its deadline, 0 for the others), or `None` with
-    /// `blocked` kept for the next resume.
-    fn wait(&mut self, k: &mut Kernel, pid: Pid, blocked: Blocked) -> Option<u64> {
-        let port = &self.ports[self.me];
-        let word = match blocked {
-            Blocked::Until(t) => k.until(pid, t).then_some(0),
-            Blocked::Recv(deadline) => k
-                .turn(pid, Some(deadline), || port.try_recv(), |w| port.register(w))
-                .map(|got| got.map_or(u64::MAX, |(_, word)| word)),
-            Blocked::Parked => Some(0),
+                });
+                p.resumed().await;
+                0
+            }
         };
-        if word.is_none() {
-            self.blocked = Some(blocked);
-        }
-        word
-    }
-
-    fn logged(&mut self, k: &Kernel, word: u64) {
-        let mut next = self.tickets.lock();
+        let now = p.now();
+        let mut next = tickets.lock();
         *next += 1;
-        self.log.push((k.now(), word, *next));
+        log.push((now, word, *next));
     }
+    log
 }
 
 /// Seeded random programs for the order-exactness tests: delays drawn from
@@ -271,11 +228,11 @@ fn hops_are_order_exact() {
 /// The kernel-step contract: a wait that a process leaves to
 /// [`SimCtx::wait_in_kernel`](crate::SimCtx::wait_in_kernel) commits
 /// exactly what the same wait run on its thread commits. Over the seeded
-/// programs of `hops_are_order_exact`, each process run as one kernel step
-/// sees the same clock and the same turn after every step, and the kernel
-/// commits the same `(time, seq, kind)` list with the same trace hash and
-/// the same resume counts, as the thread run — while each thread runs at
-/// most twice (its start, and the step's end).
+/// programs of `hops_are_order_exact`, each process run as one kernel-run
+/// call sees the same clock and the same turn after every step, and the
+/// kernel commits the same `(time, seq, kind)` list with the same trace
+/// hash and the same resume counts, as the thread run — while each thread
+/// runs at most twice (its start, and the call's end).
 #[test]
 fn kernel_steps_are_order_exact() {
     for seed in 0..24u64 {

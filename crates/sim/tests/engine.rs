@@ -6,7 +6,7 @@ use std::sync::Arc;
 use dv_core::sync::Mutex;
 
 use dv_core::time::{ns, us};
-use dv_sim::{Call, JoinSlot, Kernel, Pid, Pipe, Port, Sim, WaitSet};
+use dv_sim::{JoinSlot, Pipe, Port, Proc, Sim, WaitSet};
 
 #[test]
 fn single_process_advances_time() {
@@ -318,39 +318,21 @@ fn port_handler_consumes_or_passes_on() {
     assert_eq!(got.take().unwrap(), ((us(1), 1), Some((us(5), 5)), Some((us(3), 3)), true));
 }
 
-/// A call that never returns.
-struct Never;
-
-impl Call for Never {
-    type Out = ();
-
-    fn step(&mut self, _: &mut Kernel, _: Pid) -> Option<()> {
-        None
-    }
-}
-
 /// A call that waits on `signal` and panics when resumed.
-struct BlowsUpWhenResumed {
-    first: bool,
-    signal: WaitSet,
+async fn blows_up_when_resumed(p: Proc, signal: WaitSet) {
+    p.with(|k| signal.register(k.waker_for(p.pid())));
+    p.resumed().await;
+    panic!("step blew up");
 }
 
-impl Call for BlowsUpWhenResumed {
-    type Out = ();
-
-    fn step(&mut self, k: &mut Kernel, pid: Pid) -> Option<()> {
-        assert!(std::mem::take(&mut self.first), "step blew up");
-        k.turn(pid, None, || None, |w| self.signal.register(w))?
-    }
-}
-
-/// A process parked in a kernel step that never finishes is named by the
+/// A process parked in a kernel-run call that never finishes is named by the
 /// deadlock report like any parked process.
 #[test]
 fn a_step_that_never_finishes_is_named_in_the_deadlock_report() {
     let sim = Sim::new();
     sim.spawn("stepping", |ctx| {
-        ctx.wait_in_kernel(Never);
+        // A call that never completes.
+        ctx.wait_in_kernel(std::future::pending::<()>());
     });
     sim.spawn("done", |ctx| ctx.delay(us(1)));
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
@@ -374,7 +356,7 @@ fn a_step_panic_is_blamed_on_the_steps_owner() {
     let signal = WaitSet::new();
     let ws = signal.clone();
     sim.spawn("owner", move |ctx| {
-        ctx.wait_in_kernel(BlowsUpWhenResumed { first: true, signal: ws });
+        ctx.wait_in_kernel(blows_up_when_resumed(ctx.proc(), ws));
     });
     sim.spawn("driver", move |ctx| {
         ctx.delay(us(1));
@@ -383,6 +365,32 @@ fn a_step_panic_is_blamed_on_the_steps_owner() {
         ctx.delay(us(1));
     });
     assert_eq!(panic_report(sim), "simulated process 'owner' panicked: step blew up");
+}
+
+/// A call ready at its first poll returns at once: it parks nothing, and
+/// the run commits exactly what it commits without the call.
+#[test]
+fn a_call_ready_at_its_first_poll_returns_without_parking() {
+    let run = |with_call: bool| {
+        let sim = Sim::new();
+        let stats = JoinSlot::new();
+        let out = stats.clone();
+        sim.spawn("caller", move |ctx| {
+            ctx.delay(us(1));
+            if with_call {
+                let p = ctx.proc();
+                assert_eq!(ctx.wait_in_kernel(async move { p.now() }), us(1));
+            }
+            ctx.delay(us(1));
+            out.put(ctx.with_kernel(|k| k.sched_stats()));
+        });
+        let (end, hash) = sim.run_hashed();
+        let s = stats.take().expect("the caller finished");
+        (end, hash, s.resumes, s.thread_resumes)
+    };
+    let without = run(false);
+    assert_eq!(run(true), without);
+    assert_eq!(without.2, without.3, "every resume reached the thread");
 }
 
 /// A panicking `call_at` closure or timer hook belongs to no process: it

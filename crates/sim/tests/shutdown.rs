@@ -7,21 +7,10 @@ use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dv_core::time::us;
-use dv_sim::{Call, Kernel, Pid, Port, Sim};
+use dv_sim::{Port, Sim};
 
 /// Panic-hook runs on the simulator's process threads.
 static PROCESS_PANICS: AtomicUsize = AtomicUsize::new(0);
-
-/// A call that never returns.
-struct Never;
-
-impl Call for Never {
-    type Out = ();
-
-    fn step(&mut self, _: &mut Kernel, _: Pid) -> Option<()> {
-        None
-    }
-}
 
 #[test]
 fn an_aborted_run_stops_its_parked_processes_without_panic_reports() {
@@ -36,7 +25,8 @@ fn an_aborted_run_stops_its_parked_processes_without_panic_reports() {
         let _ = port.recv(ctx);
     });
     sim.spawn("in-kernel", |ctx| {
-        ctx.wait_in_kernel(Never);
+        // A call that never completes.
+        ctx.wait_in_kernel(std::future::pending::<()>());
     });
     sim.spawn("done", |ctx| ctx.delay(us(1)));
     let err = panic::catch_unwind(panic::AssertUnwindSafe(|| sim.run())).expect_err("the run deadlocks");

@@ -53,10 +53,10 @@ const GRAPH: GraphConfig = GraphConfig { scale: 9, edgefactor: 8, seed: 29 };
 
 /// `(run, debug build, release build)`: allocations of one run.
 const PINS: [(&str, u64, u64); 4] = [
-    ("DV GUPS", 910, 904),
-    ("MPI GUPS", 503, 499),
-    ("DV BFS", 1854, 1850),
-    ("MPI BFS", 596, 592),
+    ("DV GUPS", 906, 900),
+    ("MPI GUPS", 492, 488),
+    ("DV BFS", 1783, 1779),
+    ("MPI BFS", 533, 529),
 ];
 
 /// Allocations made by every thread of the process inside `window`.
