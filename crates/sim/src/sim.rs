@@ -22,13 +22,13 @@
 //!   nor a world lock — so the woken thread never queues behind the
 //!   thread that woke it.
 //! * A resume of a process whose blocking call is parked in the kernel
-//!   ([`SimCtx::wait_in_kernel`]) does not grant anything: the driver
-//!   takes the call's future out in the lock it pops with, polls it with
-//!   no lock held, and keeps driving. Only the resume on which the future
-//!   completes grants the process's thread (or returns `RunSelf` to it).
-//!   Such a resume is popped, audited, generation-bumped and counted like
-//!   any other, so a parked call changes which thread does the work, never
-//!   what is committed.
+//!   ([`SimCtx::wait_in_kernel`]) does not grant anything: the
+//!   dispatching thread takes the call's future out in the lock it pops
+//!   with, polls it with no lock held, and keeps driving. Only the resume
+//!   on which the future completes grants the process's thread (or
+//!   returns `RunSelf` to it). Such a resume is popped, audited,
+//!   generation-bumped and counted like any other, so a parked call
+//!   changes which thread does the work, never what is committed.
 //! * The host thread drives until the first handoff, then sleeps until a
 //!   driver reports the run's outcome (every process finished, deadlock,
 //!   or a panic — a process's, or a kernel event's: kernel-context work
