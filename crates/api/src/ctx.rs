@@ -3,13 +3,12 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use dv_core::packet::{Packet, PacketHeader, PAYLOAD_BYTES};
+use dv_core::packet::{Packet, PacketHeader};
 use dv_core::time::{self, Time};
-use dv_core::trace::State;
 use dv_core::{NodeId, Word};
 use dv_sim::SimCtx;
 
-use crate::layout::{Layout, FAST_BARRIER_GC, QUERY_GC};
+use crate::layout::{Layout, FAST_BARRIER_GC};
 use crate::op::At;
 use crate::world::DvWorld;
 
@@ -57,29 +56,6 @@ pub struct Backpressure {
     pub credit: i64,
 }
 
-/// Stable counting sort of `items` into one exact-capacity batch per
-/// destination: ascending destination, input order within one — so the
-/// transmit sequence is deterministic by construction. `counts[d]` is
-/// the number of items bound for `d`.
-pub(crate) fn group_by_dest<T>(
-    mut counts: Vec<usize>,
-    items: impl Iterator<Item = T>,
-    dest_of: impl Fn(&T) -> NodeId,
-) -> Vec<(NodeId, Vec<T>)> {
-    let mut batches = Vec::with_capacity(counts.iter().filter(|&&c| c > 0).count());
-    for (dest, count) in counts.iter_mut().enumerate() {
-        if *count > 0 {
-            batches.push((dest, Vec::with_capacity(*count)));
-            // From here on the entry is the destination's batch index.
-            *count = batches.len() - 1;
-        }
-    }
-    for item in items {
-        batches[counts[dest_of(&item)]].1.push(item);
-    }
-    batches
-}
-
 /// One node's view of the Data Vortex system.
 pub struct DvCtx {
     world: Arc<DvWorld>,
@@ -120,12 +96,7 @@ impl DvCtx {
     /// Send a batch of packets (possibly to many destinations). Returns
     /// the estimated delivery time of the last packet.
     pub fn send_packets(&self, ctx: &SimCtx, packets: &[Packet], mode: SendMode) -> Time {
-        if packets.is_empty() {
-            return ctx.now();
-        }
-        let sending = self.world.start_send(ctx.now(), self.node, packets, mode);
-        ctx.wait_until(sending.until);
-        ctx.with_kernel(|k| self.world.finish_send(k, self.node, sending))
+        ctx.block_on(self.at(ctx).send(packets, mode))
     }
 
     /// Write `words` into `dest`'s DV memory starting at `address`; each
@@ -161,26 +132,7 @@ impl DvCtx {
         blocks: Vec<crate::world::BlockWrite>,
         mode: SendMode,
     ) -> Time {
-        let total_words: u64 = blocks.iter().map(|b| b.words.len() as u64).sum();
-        if total_words == 0 {
-            return ctx.now();
-        }
-        let t0 = ctx.now();
-        let (until, vic_ready) = self.world.charge_pcie(t0, self.node, total_words, mode);
-        ctx.wait_until(until);
-        let mut counts = vec![0; self.nodes()];
-        for b in &blocks {
-            counts[b.dest] += 1;
-        }
-        let groups = group_by_dest(counts, blocks.into_iter(), |b| b.dest);
-        let mut last = vic_ready;
-        ctx.with_kernel(|k| {
-            for (dst, batch) in groups {
-                last = last.max(self.world.transmit_blocks(k, self.node, dst, batch, vic_ready));
-            }
-        });
-        self.world.tracer.span(self.node, State::Send, t0, ctx.now());
-        last
+        ctx.block_on(self.at(ctx).write_blocks(blocks, mode))
     }
 
     /// Send `words` to `dest`'s surprise FIFO.
@@ -231,9 +183,7 @@ impl DvCtx {
 
     /// Preset one of this node's group counters (a PIO write).
     pub fn gc_set_local(&self, ctx: &SimCtx, gc: u8, expected: u64) {
-        ctx.delay(self.world.config.pcie.pio_write_latency);
-        let vic = Arc::clone(&self.world.vics[self.node]);
-        ctx.with_kernel(|k| vic.lock().set_counter(k, gc, expected));
+        ctx.block_on(self.at(ctx).gc_set(gc, expected));
     }
 
     /// Set a *remote* group counter with a control packet — subject to the
@@ -254,13 +204,7 @@ impl DvCtx {
     /// (if given). Returns `true` on zero, `false` on timeout — the
     /// timeout path is how real programs survive the set/decrement race.
     pub fn gc_wait_zero(&self, ctx: &SimCtx, gc: u8, deadline: Option<Time>) -> bool {
-        let t0 = ctx.now();
-        let (world, node) = (&self.world, self.node);
-        let ok = ctx
-            .wait_for(deadline, || world.gc_zero(node, gc), |w| world.gc_register(node, gc, w))
-            .is_some();
-        world.gc_waited(node, t0, ctx.now(), ok);
-        ok
+        ctx.block_on(self.at(ctx).gc_wait(gc, deadline))
     }
 
     // ------------------------------------------------------------------
@@ -290,7 +234,8 @@ impl DvCtx {
     }
 
     /// Blocking remote read: query `dest` and wait for the reply in our
-    /// own DV memory (uses [`QUERY_GC`] and [`Layout::query_reply`]).
+    /// own DV memory (uses [`QUERY_GC`](crate::layout::QUERY_GC) and
+    /// [`Layout::query_reply`]).
     pub fn read_word(&self, ctx: &SimCtx, dest: NodeId, remote_addr: u32) -> Word {
         self.read_word_deadline(ctx, dest, remote_addr, None)
             .expect("read_word without a deadline cannot time out")
@@ -299,7 +244,7 @@ impl DvCtx {
     /// [`DvCtx::read_word`] with a reply deadline: `None` on timeout —
     /// the query or its reply was lost (or is still in flight). Callers
     /// that retry must tolerate a *stale* reply from a timed-out attempt
-    /// landing later: each call re-arms [`QUERY_GC`] to 1 and reuses the
+    /// landing later: each call re-arms `QUERY_GC` to 1 and reuses the
     /// same reply slot, so a late reply can satisfy the next wait with the
     /// older value. Reads of monotonic counters (the recovery layer's
     /// accepted counts) are safe — a stale value is merely conservative —
@@ -311,24 +256,7 @@ impl DvCtx {
         remote_addr: u32,
         deadline: Option<Time>,
     ) -> Option<Word> {
-        let reply_addr = self.layout().query_reply;
-        self.gc_set_local(ctx, QUERY_GC, 1);
-        self.query_to(
-            ctx,
-            dest,
-            remote_addr,
-            self.node,
-            reply_addr,
-            QUERY_GC,
-            SendMode::DirectWrite { cached_headers: false },
-        );
-        if !self.gc_wait_zero(ctx, QUERY_GC, deadline) {
-            return None;
-        }
-        // Fetch the landed value across PCIe.
-        let (_, end) = self.world.pcie[self.node].pio_read(ctx.now(), 1);
-        ctx.wait_until(end);
-        Some(self.world.vics[self.node].lock().memory.read(reply_addr))
+        ctx.block_on(self.at(ctx).read_word(dest, remote_addr, deadline))
     }
 
     // ------------------------------------------------------------------
@@ -338,15 +266,7 @@ impl DvCtx {
     /// Host write into this node's own DV memory (PIO for small runs, DMA
     /// beyond 64 words).
     pub fn write_local(&self, ctx: &SimCtx, address: u32, words: &[Word]) {
-        let n = words.len() as u64;
-        let pcie = &self.world.pcie[self.node];
-        let end = if n <= 64 {
-            pcie.pio_send(ctx.now(), n, true).1
-        } else {
-            pcie.dma_to_vic(ctx.now(), n * PAYLOAD_BYTES).1
-        };
-        ctx.wait_until(end);
-        self.world.vics[self.node].lock().memory.write_range(address, words);
+        ctx.block_on(self.at(ctx).write_local(address, words));
     }
 
     /// Host read from this node's own DV memory. PIO reads are non-posted
@@ -363,8 +283,7 @@ impl DvCtx {
     /// page-contiguous runs of [`dv_vic::DvMemory::lend_range`]. `f` runs
     /// with this node's VIC held, so it must not block on `ctx`.
     pub fn lend_local(&self, ctx: &SimCtx, address: u32, n: usize, f: impl FnMut(&[Word])) {
-        ctx.wait_until(self.world.read_end(ctx.now(), self.node, n));
-        self.world.vics[self.node].lock().memory.lend_range(address, n, f);
+        ctx.block_on(self.at(ctx).lend(address, n, f));
     }
 
     /// Poll the host-side shadow of the VIC's *status page* (the first
@@ -374,9 +293,8 @@ impl DvCtx {
     /// state "without incurring the latency of an explicit PCIe read" —
     /// so a poll costs only a local memory fence, not a PCIe round trip.
     pub fn peek_local(&self, ctx: &SimCtx, address: u32, n: usize) -> Vec<Word> {
-        ctx.delay(STATUS_POLL);
         let mut out = vec![0; n];
-        self.world.status_words(self.node, address, &mut out);
+        ctx.block_on(self.at(ctx).peek(address, &mut out));
         out
     }
 
@@ -401,10 +319,7 @@ impl DvCtx {
     /// Blocking pop; with a deadline, `None` once it passes with the FIFO
     /// still empty (same contract as [`DvCtx::gc_wait_zero`]).
     pub fn fifo_recv_deadline(&self, ctx: &SimCtx, deadline: Option<Time>) -> Option<Word> {
-        let (world, node) = (&self.world, self.node);
-        let (_, w) = ctx.wait_for(deadline, || world.fifo_pop(node), |w| world.fifo_register(node, w))?;
-        ctx.delay(FIFO_POP);
-        Some(w)
+        ctx.block_on(self.at(ctx).pop(deadline))
     }
 
     /// Drain up to `max` buffered surprise packets in one host transfer
@@ -417,11 +332,7 @@ impl DvCtx {
 
     /// [`DvCtx::fifo_drain`] appending to `out`; returns the packets moved.
     pub fn fifo_drain_into(&self, ctx: &SimCtx, max: usize, out: &mut Vec<Word>) -> usize {
-        let start = out.len();
-        if let Some(end) = self.world.drain_start(ctx.now(), self.node, max, out) {
-            ctx.wait_until(end);
-        }
-        out.len() - start
+        ctx.block_on(self.at(ctx).drain_into(max, out))
     }
 
     /// Packets dropped by this node's FIFO due to overflow.

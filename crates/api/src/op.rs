@@ -1,32 +1,32 @@
-//! DV's blocking calls that park more than once, run in the kernel.
+//! DV's blocking calls: one `async fn` of [`At`] per wait.
 //!
-//! A call here — [`DvCtx::barrier`](crate::DvCtx::barrier),
+//! Every blocking [`DvCtx`] call is one future here, with one body. A
+//! call that parks once — a send, a counter preset or wait, a local read
+//! or write, a status poll, a FIFO pop or drain — runs on the node's
+//! thread, by [`SimCtx::block_on`]. The calls that park more than once —
+//! [`DvCtx::barrier`](crate::DvCtx::barrier),
 //! [`DvCtx::fast_barrier`](crate::DvCtx::fast_barrier), and the recovery
-//! layer's drain, acknowledgment round, epoch close, and post wait — is an
-//! `async fn` of [`At`], run by [`SimCtx::wait_in_kernel`]: the node's
-//! thread parks once, each later resume of the node polls the call on in
-//! kernel context, and the thread runs again only when the call returns or
-//! has words to hand the application (the epoch close's `deliver` runs on
-//! the thread, because a kernel's `deliver` charges virtual time). Each
-//! closing phase of BFS or GUPS is then one handoff per delivery instead of
-//! one per poll. A call's state travels in and out by value
+//! layer's drain, acknowledgment round, epoch close, and post wait — run in
+//! the kernel, by [`SimCtx::wait_in_kernel`]: the node's thread parks once,
+//! each later resume of the node polls the call on in kernel context, and
+//! the thread runs again only when the call returns or has words to hand
+//! the application (the epoch close's `deliver` runs on the thread,
+//! because a kernel's `deliver` charges virtual time). Each closing phase
+//! of BFS or GUPS is then one handoff per delivery instead of one per
+//! poll. A kernel-run call's state travels in and out by value
 //! ([`ReliableFifo`], batches): the future is `'static`, so it borrows
-//! nothing from the parked thread.
+//! nothing from the parked thread. The kernel-run calls await the same
+//! waits the thread runs (`ack_round` a [`At::gc_set`] and an
+//! [`At::lend`], [`At::recv`] an [`At::pop`]), so no wait has a second,
+//! thread-side copy.
 //!
-//! Between two resumes a call does exactly what the node's thread did
-//! between the same two parks, side effect for side effect: the same
-//! events in the same order, the same PCIe and port reservations, VIC
-//! reads, tracer spans and `api.*` metrics, and the same panics. Each
-//! blocked state is one dv-sim wait, re-run on every poll: a charged delay
-//! or transfer is a [`Proc::until`], a condition wait a [`Proc::turn`] —
-//! the turn [`SimCtx::wait_for`] loops over on the thread.
-//! `tests/dv_wait_traces.rs` pins the traces the thread-run calls
-//! produced.
-//!
-//! Waits that park once (`gc_wait_zero`, `fifo_recv_deadline`, `delay`,
-//! `wait_until`, a single send) stay on the thread: running them in the
-//! kernel would save nothing. They share with the calls the `DvWorld`
-//! helpers below, which do what a call does at one instant.
+//! Between two resumes a call does the same wherever it runs, side effect
+//! for side effect: the same events in the same order, the same PCIe and
+//! port reservations, VIC reads, tracer spans and `api.*` metrics, and the
+//! same panics. Each blocked state is one dv-sim wait, re-run on every
+//! poll: a charged delay or transfer is a [`Proc::until`], a condition
+//! wait a [`Proc::turn`]. `tests/dv_wait_traces.rs` pins the traces the
+//! thread-run calls produced before the kernel ran any.
 
 use std::future::Future;
 use std::sync::Arc;
@@ -35,12 +35,12 @@ use dv_core::packet::{Packet, PacketHeader, PAYLOAD_BYTES, SCRATCH_GC};
 use dv_core::time::{self, Time};
 use dv_core::trace::State;
 use dv_core::{NodeId, Word};
-use dv_sim::{Kernel, Proc, SimCtx, Waker};
+use dv_sim::{Kernel, Proc, SimCtx};
 
-use crate::ctx::{group_by_dest, DvCtx, SendMode, DMA_ENQUEUE, FIFO_POP, STATUS_POLL};
-use crate::layout::VERIFY_GC;
+use crate::ctx::{DvCtx, SendMode, DMA_ENQUEUE, FIFO_POP, STATUS_POLL};
+use crate::layout::{QUERY_GC, VERIFY_GC};
 use crate::reliable::{ReliableFifo, DRAIN_CHUNK, QUERY_TIMEOUT};
-use crate::world::DvWorld;
+use crate::world::{BlockWrite, DvWorld};
 
 /// The node a call runs for, and its process.
 pub(crate) struct At {
@@ -50,6 +50,11 @@ pub(crate) struct At {
 }
 
 impl DvCtx {
+    /// This node's calls, for `ctx` to run.
+    pub(crate) fn at(&self, ctx: &SimCtx) -> At {
+        At { world: Arc::clone(self.world()), node: self.node(), p: ctx.proc() }
+    }
+
     /// Run `call` for this node in the kernel, the thread parked until it
     /// returns.
     pub(crate) fn run<T, F>(&self, ctx: &SimCtx, call: impl FnOnce(At) -> F) -> T
@@ -57,172 +62,205 @@ impl DvCtx {
         T: Send + 'static,
         F: Future<Output = T> + Send + 'static,
     {
-        ctx.wait_in_kernel(call(At { world: Arc::clone(self.world()), node: self.node(), p: ctx.proc() }))
+        ctx.wait_in_kernel(call(self.at(ctx)))
     }
 }
 
-// ----------------------------------------------------------------------
-// What a DvCtx call does at one instant: shared by the thread-run calls
-// and the kernel-run ones.
-// ----------------------------------------------------------------------
-
-/// A packet send between its PCIe charge and its transmit.
-pub(crate) struct Sending {
-    t0: Time,
-    /// The sender waits until here (the PIO stores, or the DMA enqueue).
-    pub(crate) until: Time,
-    /// When the packets are ready at the VIC.
-    vic_ready: Time,
-    groups: Vec<(NodeId, Vec<Packet>)>,
+/// Stable counting sort of `items` into one exact-capacity batch per
+/// destination: ascending destination, input order within one — so the
+/// transmit sequence is deterministic by construction. `counts[d]` is
+/// the number of items bound for `d`.
+fn group_by_dest<T>(
+    mut counts: Vec<usize>,
+    items: impl Iterator<Item = T>,
+    dest_of: impl Fn(&T) -> NodeId,
+) -> Vec<(NodeId, Vec<T>)> {
+    let mut batches = Vec::with_capacity(counts.iter().filter(|&&c| c > 0).count());
+    for (dest, count) in counts.iter_mut().enumerate() {
+        if *count > 0 {
+            batches.push((dest, Vec::with_capacity(*count)));
+            // From here on the entry is the destination's batch index.
+            *count = batches.len() - 1;
+        }
+    }
+    for item in items {
+        batches[counts[dest_of(&item)]].1.push(item);
+    }
+    batches
 }
-
-impl DvWorld {
-    /// Charge `words` packet payloads crossing `node`'s PCIe bus at `now`:
-    /// `(until, vic_ready)`. Direct writes occupy the CPU for the whole
-    /// transfer; DMA returns after the descriptor enqueue and overlaps.
-    pub(crate) fn charge_pcie(&self, now: Time, node: NodeId, words: u64, mode: SendMode) -> (Time, Time) {
-        let pcie = &self.pcie[node];
-        match mode {
-            SendMode::DirectWrite { cached_headers } => {
-                let (_, end) = pcie.pio_send(now, words, cached_headers);
-                (end, end)
-            }
-            SendMode::Dma { cached_headers } => {
-                let bytes = words * if cached_headers { PAYLOAD_BYTES } else { 2 * PAYLOAD_BYTES };
-                let (_, end) = pcie.dma_to_vic(now, bytes);
-                (now + DMA_ENQUEUE, end)
-            }
-        }
-    }
-
-    /// `send_packets` up to its wait: the PCIe charge, and the packets
-    /// grouped by destination.
-    pub(crate) fn start_send(&self, now: Time, node: NodeId, packets: &[Packet], mode: SendMode) -> Sending {
-        let (until, vic_ready) = self.charge_pcie(now, node, packets.len() as u64, mode);
-        let mut counts = vec![0; self.nodes()];
-        for p in packets {
-            counts[p.header.dest] += 1;
-        }
-        let groups = group_by_dest(counts, packets.iter().copied(), |p| p.header.dest);
-        Sending { t0: now, until, vic_ready, groups }
-    }
-
-    /// The rest of `send_packets`: every batch transmitted, the send span;
-    /// returns the estimated delivery time of the last packet.
-    pub(crate) fn finish_send(self: &Arc<Self>, k: &mut Kernel, node: NodeId, s: Sending) -> Time {
-        let mut last = s.vic_ready;
-        for (dst, batch) in s.groups {
-            last = last.max(self.transmit(k, node, dst, batch, s.vic_ready));
-        }
-        self.tracer.span(node, State::Send, s.t0, k.now());
-        last
-    }
-
-    /// `gc_wait_zero`'s condition.
-    pub(crate) fn gc_zero(&self, node: NodeId, gc: u8) -> Option<()> {
-        self.vics[node].lock().counter(gc).is_zero().then_some(())
-    }
-
-    /// `gc_wait_zero`'s registration.
-    pub(crate) fn gc_register(&self, node: NodeId, gc: u8, w: Waker) {
-        self.vics[node].lock().counter(gc).waiters().register(w);
-    }
-
-    /// A `gc_wait_zero` that began at `t0` ended at `now`, on zero (`ok`) or
-    /// at its deadline: its wait span, and the timeout count.
-    pub(crate) fn gc_waited(&self, node: NodeId, t0: Time, now: Time, ok: bool) {
-        if now > t0 {
-            self.tracer.span(node, State::Wait, t0, now);
-        }
-        if !ok {
-            // Timeouts are how programs survive the set/decrement race, so
-            // they are a first-class health signal.
-            self.metrics.incr_labeled("api.gc.wait_timeouts", &[("node", (node as u64).into())], 1);
-        }
-    }
-
-    /// A surprise-FIFO pop's condition.
-    pub(crate) fn fifo_pop(&self, node: NodeId) -> Option<(Time, Word)> {
-        self.vics[node].lock().fifo.pop()
-    }
-
-    /// A surprise-FIFO pop's registration.
-    pub(crate) fn fifo_register(&self, node: NodeId, w: Waker) {
-        self.vics[node].lock().fifo.waiters().register(w);
-    }
-
-    /// Drain up to `max` surprise packets of `node` onto `out` at `now`:
-    /// when the host transfer of the words moved ends, `None` if none did.
-    pub(crate) fn drain_start(&self, now: Time, node: NodeId, max: usize, out: &mut Vec<Word>) -> Option<Time> {
-        let n = self.vics[node].lock().fifo.drain_into(max, out);
-        (n > 0).then(|| self.pcie[node].dma_from_vic(now, n as u64 * PAYLOAD_BYTES).1)
-    }
-
-    /// When a host read of `n` words of `node`'s DV memory, started at
-    /// `now`, ends: PIO for up to two words, the 8×-faster DMA beyond.
-    pub(crate) fn read_end(&self, now: Time, node: NodeId, n: usize) -> Time {
-        let pcie = &self.pcie[node];
-        if n <= 2 {
-            pcie.pio_read(now, n as u64).1
-        } else {
-            pcie.dma_from_vic(now, n as u64 * PAYLOAD_BYTES).1
-        }
-    }
-
-    /// `out.len()` words of `node`'s pushed status page at `address`.
-    pub(crate) fn status_words(&self, node: NodeId, address: u32, out: &mut [Word]) {
-        let page = self.layout.status_page_words;
-        assert!(
-            (address as usize + out.len()) <= page,
-            "peek_local only covers the pushed status page (first {page} words)"
-        );
-        self.vics[node].lock().memory.read_range(address, out);
-    }
-}
-
-// ----------------------------------------------------------------------
-// The calls, and the blocking pieces they are built from
-// ----------------------------------------------------------------------
 
 const CACHED_PIO: SendMode = SendMode::DirectWrite { cached_headers: true };
 
 impl At {
-    /// `send_packets`: the PCIe charge, then the transmit.
-    async fn send(&self, packets: &[Packet], mode: SendMode) {
-        let s = self.world.start_send(self.p.now(), self.node, packets, mode);
-        self.p.until_then(s.until, |k| self.world.finish_send(k, self.node, s)).await;
+    /// The PCIe charge for `words` payloads at `now` — direct writes hold
+    /// the CPU for the whole transfer, DMA returns after the descriptor
+    /// enqueue and overlaps — then each destination's batch handed to
+    /// `transmit` with the time it is ready at the VIC, and the send span;
+    /// returns the estimated delivery time of the last word.
+    async fn send_batches<T>(
+        &self,
+        words: u64,
+        mode: SendMode,
+        batches: Vec<(NodeId, Vec<T>)>,
+        transmit: impl Fn(&mut Kernel, NodeId, Vec<T>, Time) -> Time,
+    ) -> Time {
+        let (pcie, t0) = (&self.world.pcie[self.node], self.p.now());
+        let (until, vic_ready) = match mode {
+            SendMode::DirectWrite { cached_headers } => {
+                let end = pcie.pio_send(t0, words, cached_headers).1;
+                (end, end)
+            }
+            SendMode::Dma { cached_headers } => {
+                let bytes = words * if cached_headers { PAYLOAD_BYTES } else { 2 * PAYLOAD_BYTES };
+                (t0 + DMA_ENQUEUE, pcie.dma_to_vic(t0, bytes).1)
+            }
+        };
+        self.p
+            .until_then(until, |k| {
+                let mut last = vic_ready;
+                for (dst, batch) in batches {
+                    last = last.max(transmit(k, dst, batch, vic_ready));
+                }
+                self.world.tracer.span(self.node, State::Send, t0, k.now());
+                last
+            })
+            .await
     }
 
-    /// `gc_wait_zero(gc, deadline)`: `true` on zero.
-    async fn gc_wait(&self, gc: u8, deadline: Option<Time>) -> bool {
-        let (world, node, t0) = (&self.world, self.node, self.p.now());
-        let ok = self.p.turn(deadline, || world.gc_zero(node, gc), |w| world.gc_register(node, gc, w)).await.is_some();
-        world.gc_waited(node, t0, self.p.now(), ok);
+    /// [`DvCtx::send_packets`]: one packet per word.
+    pub(crate) async fn send(&self, packets: &[Packet], mode: SendMode) -> Time {
+        if packets.is_empty() {
+            return self.p.now();
+        }
+        let (world, node) = (&self.world, self.node);
+        let mut counts = vec![0; world.nodes()];
+        packets.iter().for_each(|p| counts[p.header.dest] += 1);
+        let batches = group_by_dest(counts, packets.iter().copied(), |p| p.header.dest);
+        let transmit = |k: &mut Kernel, dst, batch, ready| world.transmit(k, node, dst, batch, ready);
+        self.send_batches(packets.len() as u64, mode, batches, transmit).await
+    }
+
+    /// [`DvCtx::write_blocks`]: contiguous blocks, one PCIe charge for all.
+    pub(crate) async fn write_blocks(&self, blocks: Vec<BlockWrite>, mode: SendMode) -> Time {
+        let words: u64 = blocks.iter().map(|b| b.words.len() as u64).sum();
+        if words == 0 {
+            return self.p.now();
+        }
+        let (world, node) = (&self.world, self.node);
+        let mut counts = vec![0; world.nodes()];
+        blocks.iter().for_each(|b| counts[b.dest] += 1);
+        let batches = group_by_dest(counts, blocks.into_iter(), |b| b.dest);
+        let transmit = |k: &mut Kernel, dst, batch, ready| world.transmit_blocks(k, node, dst, batch, ready);
+        self.send_batches(words, mode, batches, transmit).await
+    }
+
+    /// [`DvCtx::gc_set_local`]: the PIO write's charge, then the preset.
+    pub(crate) async fn gc_set(&self, gc: u8, expected: u64) {
+        self.p.delay(self.world.config.pcie.pio_write_latency).await;
+        self.p.with(|k| self.world.vics[self.node].lock().set_counter(k, gc, expected));
+    }
+
+    /// [`DvCtx::gc_wait_zero`]: `true` on zero, `false` at the deadline;
+    /// the wait span, and the timeout count.
+    pub(crate) async fn gc_wait(&self, gc: u8, deadline: Option<Time>) -> bool {
+        let (vic, node, t0) = (&self.world.vics[self.node], self.node, self.p.now());
+        let zero = || vic.lock().counter(gc).is_zero().then_some(());
+        let ok = self.p.turn(deadline, zero, |w| vic.lock().counter(gc).waiters().register(w)).await.is_some();
+        let now = self.p.now();
+        if now > t0 {
+            self.world.tracer.span(node, State::Wait, t0, now);
+        }
+        if !ok {
+            // Timeouts are how programs survive the set/decrement race, so
+            // they are a first-class health signal.
+            self.world.metrics.incr_labeled("api.gc.wait_timeouts", &[("node", (node as u64).into())], 1);
+        }
         ok
     }
 
-    /// `peek_local` into `out`: the status poll's charge, then the read;
-    /// returns the time of the read.
-    async fn peek(&self, address: u32, out: &mut [Word]) -> Time {
+    /// [`DvCtx::read_word_deadline`]: preset [`QUERY_GC`], fire the query,
+    /// wait for the reply (or the deadline), then fetch it across PCIe.
+    pub(crate) async fn read_word(&self, dest: NodeId, remote_addr: u32, deadline: Option<Time>) -> Option<Word> {
+        let (me, reply_addr) = (self.node, self.world.layout.query_reply);
+        self.gc_set(QUERY_GC, 1).await;
+        let ret = PacketHeader::dv_memory(dest, me, reply_addr, QUERY_GC);
+        let query = Packet::new(PacketHeader::query(me, dest, remote_addr), ret.encode());
+        self.send(&[query], SendMode::DirectWrite { cached_headers: false }).await;
+        if !self.gc_wait(QUERY_GC, deadline).await {
+            return None;
+        }
+        let (_, end) = self.world.pcie[me].pio_read(self.p.now(), 1);
+        self.p.until(end).await;
+        Some(self.world.vics[me].lock().memory.read(reply_addr))
+    }
+
+    /// [`DvCtx::write_local`]: PIO for up to 64 words, DMA beyond, then
+    /// the write.
+    pub(crate) async fn write_local(&self, address: u32, words: &[Word]) {
+        let (n, pcie) = (words.len() as u64, &self.world.pcie[self.node]);
+        let end = if n <= 64 {
+            pcie.pio_send(self.p.now(), n, true).1
+        } else {
+            pcie.dma_to_vic(self.p.now(), n * PAYLOAD_BYTES).1
+        };
+        self.p.until(end).await;
+        self.world.vics[self.node].lock().memory.write_range(address, words);
+    }
+
+    /// [`DvCtx::lend_local`]: one host read of `n` words (PIO for up to
+    /// two, the 8×-faster DMA beyond), then `f` over them in place.
+    pub(crate) async fn lend(&self, address: u32, n: usize, f: impl FnMut(&[Word])) {
+        let pcie = &self.world.pcie[self.node];
+        let end = if n <= 2 {
+            pcie.pio_read(self.p.now(), n as u64).1
+        } else {
+            pcie.dma_from_vic(self.p.now(), n as u64 * PAYLOAD_BYTES).1
+        };
+        self.p.until(end).await;
+        self.world.vics[self.node].lock().memory.lend_range(address, n, f);
+    }
+
+    /// [`DvCtx::peek_local`] into `out`: the status poll's charge, then the
+    /// read; returns the time of the read.
+    pub(crate) async fn peek(&self, address: u32, out: &mut [Word]) -> Time {
         let now = self.p.delay(STATUS_POLL).await;
-        self.world.status_words(self.node, address, out);
+        let page = self.world.layout.status_page_words;
+        assert!(
+            (address as usize + out.len()) <= page,
+            "peek_local only covers the pushed status page (first {page} words)"
+        );
+        self.world.vics[self.node].lock().memory.read_range(address, out);
         now
+    }
+
+    /// [`DvCtx::fifo_recv_deadline`]: a blocking pop of one surprise word,
+    /// then its host charge; `None` once `deadline` passes first.
+    pub(crate) async fn pop(&self, deadline: Option<Time>) -> Option<Word> {
+        let vic = &self.world.vics[self.node];
+        let (_, w) = self.p.turn(deadline, || vic.lock().fifo.pop(), |w| vic.lock().fifo.waiters().register(w)).await?;
+        self.p.delay(FIFO_POP).await;
+        Some(w)
+    }
+
+    /// [`DvCtx::fifo_drain_into`]: move up to `max` surprise words onto
+    /// `out`, then wait out their host transfer; returns how many moved.
+    pub(crate) async fn drain_into(&self, max: usize, out: &mut Vec<Word>) -> usize {
+        let n = self.world.vics[self.node].lock().fifo.drain_into(max, out);
+        if n > 0 {
+            self.p.until(self.world.pcie[self.node].dma_from_vic(self.p.now(), n as u64 * PAYLOAD_BYTES).1).await;
+        }
+        n
     }
 
     /// The recovery layer's drain: each host transfer of up to
     /// [`DRAIN_CHUNK`] words, then their admission, until the FIFO is empty.
     pub(crate) async fn drain(&self, rel: &mut ReliableFifo, out: &mut Vec<Word>) {
-        let mut start = out.len();
-        let mut chunk = self.world.drain_start(self.p.now(), self.node, DRAIN_CHUNK, out);
-        while let Some(end) = chunk {
-            chunk = self
-                .p
-                .until_then(end, |k| {
-                    rel.admit_drained(&self.world, out, start);
-                    start = out.len();
-                    self.world.drain_start(k.now(), self.node, DRAIN_CHUNK, out)
-                })
-                .await;
+        loop {
+            let start = out.len();
+            if self.drain_into(DRAIN_CHUNK, out).await == 0 {
+                return;
+            }
+            rel.admit_drained(&self.world, out, start);
         }
     }
 
@@ -230,11 +268,9 @@ impl At {
     /// `deadline` has passed; duplicates are discarded without satisfying
     /// it.
     async fn recv(&self, rel: &mut ReliableFifo, deadline: Time) -> Option<Word> {
-        let (world, node) = (&self.world, self.node);
         loop {
-            let (_, w) = self.p.turn(Some(deadline), || world.fifo_pop(node), |w| world.fifo_register(node, w)).await?;
-            self.p.delay(FIFO_POP).await;
-            if rel.admit(world, w) {
+            let w = self.pop(Some(deadline)).await?;
+            if rel.admit(&self.world, w) {
                 rel.received += 1;
                 return Some(w);
             }
@@ -254,8 +290,7 @@ impl At {
         if dests == 0 {
             return;
         }
-        self.p.delay(world.config.pcie.pio_write_latency).await;
-        self.p.with(|k| world.vics[me].lock().set_counter(k, VERIFY_GC, dests as u64));
+        self.gc_set(VERIFY_GC, dests as u64).await;
         // Stale replies of earlier rounds are monotonic-safe: an old count
         // can only look like a shortfall, which the serial path then
         // re-checks; late ones may drive VERIFY_GC negative, which the
@@ -274,9 +309,8 @@ impl At {
             rel.stats.ack_query_timeouts += 1;
             return self.drain(rel, sink).await;
         }
-        self.p.until(world.read_end(self.p.now(), me, nodes)).await;
         let mut d = 0;
-        world.vics[me].lock().memory.lend_range(replies, nodes, |run| {
+        self.lend(replies, nodes, |run| {
             for &hw in run {
                 if rel.wire_epoch[d] > 0 && hw == rel.hw_confirmed[d] + rel.wire_epoch[d] {
                     rel.hw_confirmed[d] = hw;
@@ -284,7 +318,8 @@ impl At {
                 }
                 d += 1;
             }
-        });
+        })
+        .await;
     }
 
     /// [`DvCtx::barrier`](crate::DvCtx::barrier): the setup charge, the
@@ -444,10 +479,8 @@ impl Close {
         let (me, nodes, slots) = (rel.me, rel.nodes, at.world.layout.epoch_counts);
         let peers = move || (0..nodes).filter(move |&s| s != me);
         if from == Resume::Start {
-            if !self.flush.is_empty() {
-                at.send(&self.flush, self.mode).await;
-                self.flush.clear();
-            }
+            at.send(&self.flush, self.mode).await;
+            self.flush.clear();
             at.ack_round(rel, batch).await;
             if rel.wire_epoch.iter().any(|&w| w > 0) {
                 return Some(Resume::Post);
@@ -464,9 +497,7 @@ impl Close {
                     Packet::new(header, self.owed[d] + 1)
                 })
                 .collect();
-            if !posts.is_empty() {
-                at.send(&posts, CACHED_PIO).await;
-            }
+            at.send(&posts, CACHED_PIO).await;
         }
         let mut drain = from != Resume::Peek;
         loop {

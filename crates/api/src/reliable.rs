@@ -227,7 +227,7 @@ impl ReliableFifo {
         word: Word,
     ) {
         self.epoch_log.push(word);
-        self.epoch_dest.push(u16::try_from(dest).expect("node ids fit the header's 12 bits"));
+        self.epoch_dest.push(u16::try_from(dest).expect("node ids fit 16 bits: DvWorld caps a cluster at 4096 nodes"));
         self.wire_epoch[dest] += 1;
         self.stats.sent += 1;
         agg.push(ctx, dv, Packet::new(PacketHeader::fifo(self.me, dest, SCRATCH_GC), word));

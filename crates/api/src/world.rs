@@ -7,7 +7,7 @@ use dv_core::sync::Mutex;
 
 use dv_core::config::MachineConfig;
 use dv_core::metrics::MetricsRegistry;
-use dv_core::packet::{AddressSpace, Packet, PACKET_BYTES};
+use dv_core::packet::{AddressSpace, Packet, MAX_NODES, PACKET_BYTES};
 use dv_core::time::Time;
 use dv_core::trace::Tracer;
 use dv_core::{NodeId, Word};
@@ -76,6 +76,12 @@ impl DvWorld {
     pub fn from_spec(spec: &dv_core::spec::SimSpec) -> Arc<Self> {
         let nodes = spec.nodes;
         assert!(nodes >= 1);
+        // `PacketHeader::encode` masks node ids to the field's width in
+        // release builds: past it, replies would reach the wrong node.
+        assert!(
+            nodes <= MAX_NODES,
+            "{nodes} nodes exceed the packet header's 12-bit node field (at most {MAX_NODES})"
+        );
         let mut config = spec.machine.clone();
         // Grow the switch if the requested cluster exceeds its ports; a
         // zero-port switch never grows.

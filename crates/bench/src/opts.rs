@@ -2,8 +2,9 @@
 //!
 //! [`Opts::parse`] resolves the scenario against the front end's table
 //! and checks every flag against what that scenario takes, so a typo
-//! (`--quik`), a forgotten value (`--json` with no path) or a flag the
-//! scenario never reads (`fig4 --faults …`) is an error naming the
+//! (`--quik`), a forgotten value (`--json` with no path), a flag the
+//! scenario never reads (`fig4 --faults …`) or one given twice (the
+//! second `--faults` would replace the first plan) is an error naming the
 //! offender — not a silently different experiment. [`crate::Report`] and
 //! [`crate::Streamer`] take what they need from the parsed [`Opts`].
 
@@ -74,20 +75,25 @@ impl Opts {
             .find(|s| s.name == name)
             .ok_or_else(|| format!("unknown scenario {name:?}"))?;
         let mut opts = Opts::new(scenario.name);
+        let mut given: Vec<String> = Vec::new();
         while let Some(arg) = args.next() {
             let (flag, inline) = match arg.split_once('=') {
                 Some((flag, value)) => (flag, Some(value.to_string())),
                 None => (arg.as_str(), None),
             };
+            if !["--quick", "--json"].contains(&flag) && !scenario.flags.contains(&flag) {
+                return Err(format!("{name} takes no flag {flag:?}"));
+            }
+            if given.iter().any(|g| g == flag) {
+                return Err(format!("{flag} given twice"));
+            }
+            given.push(flag.to_string());
             if flag == "--quick" {
                 if inline.is_some() {
                     return Err("--quick takes no value".into());
                 }
                 opts.quick = true;
                 continue;
-            }
-            if flag != "--json" && !scenario.flags.contains(&flag) {
-                return Err(format!("{name} takes no flag {flag:?}"));
             }
             // A following `--flag` is the next flag, not this one's value
             // (`--stream -` stays valid: one dash), and an empty value

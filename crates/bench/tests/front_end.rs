@@ -60,6 +60,10 @@ fn parse_accepts_both_flag_forms_and_names_every_offender() {
         (&["study", "--stream-interval", "0"], "--stream-interval"),
         // 2^58 µs does not fit in u64 picoseconds: it must not wrap to 0 ps.
         (&["study", "--stream-interval", "288230376151711744"], "--stream-interval"),
+        // A second value must not silently replace the first.
+        (&["study", "--faults", "seed=7,fifodrop=0.02", "--faults=seed=1"], "--faults given twice"),
+        (&["study", "--json", "a", "--json", "b"], "--json given twice"),
+        (&["study", "--quick", "--quick"], "--quick given twice"),
     ] {
         let err = parse(args).expect_err("misuse must not parse");
         assert!(err.contains(offender), "{args:?}: {err:?} does not name {offender:?}");
@@ -90,6 +94,10 @@ fn misuse_exits_2_naming_the_problem_and_listing_the_scenarios() {
         (&["fig6", "--topo", "dv"], "fig6 takes no flag \"--topo\""),
         (&["fig4", "--faults", "seed=1"], "fig4 takes no flag \"--faults\""),
         (&["switch_study", "--topo", "fattree"], "switch_study takes no flag \"--topo\""),
+        // A flag given twice: the second plan would run fig6 fault-free,
+        // the second path would leave the first without its artifact.
+        (&["fig6", "--quick", "--faults", "seed=7,fifodrop=0.02", "--faults", "seed=1"], "--faults given twice"),
+        (&["fig6", "--quick", "--json", "a.json", "--json", "b.json"], "--json given twice"),
         // Not scenarios: `benchmark/` is the one perf harness.
         (&["perf_smoke", "--quick"], "unknown scenario \"perf_smoke\""),
         (&["net_smoke", "--quick"], "unknown scenario \"net_smoke\""),

@@ -36,6 +36,10 @@ pub const PACKET_BYTES: u64 = 16;
 /// Size in bytes of the payload alone.
 pub const PAYLOAD_BYTES: u64 = 8;
 
+/// Most VICs one cluster can address: the header's source and destination
+/// fields are 12 bits wide.
+pub const MAX_NODES: usize = 1 << NODE_BITS;
+
 const ADDR_BITS: u32 = 22;
 const GC_BITS: u32 = 6;
 const SPACE_BITS: u32 = 2;

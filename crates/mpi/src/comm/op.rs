@@ -13,8 +13,8 @@
 //! tracer records and metrics. So the commit order, every trace hash and
 //! every artifact are the same as if the rank's thread ran each step
 //! (`tests/collective_traces.rs` pins them). Each blocked state is one
-//! dv-sim wait, re-run on every poll — the turn [`SimCtx::wait_for`] loops
-//! over on the thread:
+//! dv-sim wait, re-run on every poll, as [`SimCtx::block_on`] runs it on
+//! the thread:
 //!
 //! * a charged delay (the send overhead and bounce copy, the receive
 //!   overhead) is a [`Proc::delay2`];

@@ -33,22 +33,24 @@
 //!   [`Kernel::wake_after`] / [`SimCtx::delay2`] put a *hop* in the queue
 //!   where the intermediate resume would have been, and committing the hop
 //!   schedules the final resume — same event order, one thread handoff less.
-//! * A resume may run in the kernel instead of on the process's thread: a
-//!   process blocked in [`SimCtx::wait_in_kernel`] left the rest of its
-//!   blocking call, a future, to the kernel, whose dispatcher polls it
-//!   inline at each of its resumes until it has completed. The resume is
-//!   committed, hashed and counted as ever; only the thread handoff is
-//!   gone. mini-mpi runs every blocking call and collective as an `async
-//!   fn` this way, and dv-api its barriers and the recovery layer's
-//!   multi-park waits.
+//! * Every blocking wait is a future over the process's [`Proc`]. On the
+//!   thread, [`SimCtx::block_on`] polls it and parks while it is pending.
+//!   A resume may instead run in the kernel: a process blocked in
+//!   [`SimCtx::wait_in_kernel`] left the rest of its blocking call to the
+//!   kernel, whose dispatcher polls it inline at each of its resumes until
+//!   it has completed. The resume is committed, hashed and counted as
+//!   ever; only the thread handoff is gone. mini-mpi runs every blocking
+//!   call and collective as an `async fn` this way, and dv-api its
+//!   barriers and the recovery layer's multi-park waits.
 //!
 //! ## Building blocks
 //!
 //! * [`Sim`] / [`SimCtx`] — the kernel and the per-process capability;
-//!   [`Kernel::turn`] is the one turn of every blocking wait, which
-//!   [`SimCtx::wait_for`] loops over on the thread and a kernel-run call
-//!   runs once per poll through its [`Proc`] ([`Proc::turn`],
-//!   [`Proc::until`]).
+//!   [`Kernel::turn`] is the one turn of every blocking wait, run once per
+//!   poll through the process's [`Proc`] ([`Proc::turn`],
+//!   [`Proc::until`], [`Proc::delay2`]), by [`SimCtx::block_on`] on the
+//!   thread ([`SimCtx::wait_for`], `wait_until`, `delay` are such calls)
+//!   or by [`SimCtx::wait_in_kernel`].
 //! * [`Port`] — a typed message queue in virtual time (the basis for NICs).
 //! * [`WaitSet`] — virtual-time condition variable.
 //! * [`Pipe`] — a FIFO bandwidth server (PCIe bus, NIC link, switch port).

@@ -12,6 +12,10 @@
 //! holds it is the **driver** and commits events from the kernel queue in
 //! `(time, seq)` order:
 //!
+//! * A process blocks in [`SimCtx::block_on`] (every thread-side wait is
+//!   one: a future over the process's [`Proc`], polled, then parked on
+//!   while pending) or in [`SimCtx::wait_in_kernel`]; those two are the
+//!   only callers of [`SimCtx::park`].
 //! * When a process parks, *its own thread* becomes the driver: it commits
 //!   `Call`/`Timer` events inline (zero context switches), and on a `Resume`
 //!   either keeps running (the resume targets itself — zero switches) or
@@ -47,7 +51,7 @@
 use std::any::Any;
 use std::future::{poll_fn, Future};
 use std::panic::{self, AssertUnwindSafe};
-use std::pin::Pin;
+use std::pin::{pin, Pin};
 use std::sync::{Arc, Condvar};
 use std::task::{Context, Poll};
 use std::thread::JoinHandle;
@@ -412,7 +416,7 @@ fn drive(shared: &Shared, self_pid: Option<Pid>) -> Driven {
 /// Poll a blocking call's future. The no-op waker is enough: the call's
 /// wake is one of dv-sim's own wakers, which it left in the kernel (a
 /// [`Kernel::turn`] or an armed delay) before it returned `Pending`.
-fn poll(call: Pin<&mut (dyn Future<Output = ()> + Send)>) -> Poll<()> {
+fn poll<F: Future + ?Sized>(call: Pin<&mut F>) -> Poll<F::Output> {
     call.poll(&mut Context::from_waker(std::task::Waker::noop()))
 }
 
@@ -461,7 +465,7 @@ fn spawn_inner(
             if thread_parker.wait().is_err() {
                 return; // simulation torn down before we started
             }
-            let ctx = SimCtx { pid, shared: thread_shared, parker: thread_parker };
+            let ctx = SimCtx { proc: Proc { pid, shared: thread_shared }, parker: thread_parker };
             let result = panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
             match result {
                 Ok(()) => on_finished(&ctx),
@@ -470,7 +474,7 @@ fn spawn_inner(
                         // Normal teardown of a parked process.
                         return;
                     }
-                    process_panicked(&ctx.shared, ctx.pid, payload.as_ref());
+                    process_panicked(&ctx.proc.shared, ctx.pid(), payload.as_ref());
                 }
             }
         })
@@ -485,14 +489,15 @@ fn spawn_inner(
 
 /// A process body returned normally.
 fn on_finished(ctx: &SimCtx) {
-    let live = ctx.shared.registry.lock().finish(ctx.pid);
+    let shared = &ctx.proc.shared;
+    let live = shared.registry.lock().finish(ctx.pid());
     if live == 0 {
         // All work done; events still queued are never committed.
-        ctx.shared.outcome.set(Outcome::Done);
+        shared.outcome.set(Outcome::Done);
     } else {
         // This thread holds the run token: keep driving until the token
         // moves on, then let the thread exit.
-        let _ = drive(&ctx.shared, None);
+        let _ = drive(shared, None);
     }
 }
 
@@ -508,32 +513,30 @@ fn process_panicked(shared: &Shared, pid: Pid, payload: &(dyn Any + Send)) {
 /// clock, advance time, park, and schedule events. One per process; not
 /// shareable across processes.
 pub struct SimCtx {
-    pid: Pid,
-    shared: Arc<Shared>,
+    proc: Proc,
     parker: Arc<Parker>,
 }
 
 impl SimCtx {
     /// This process's id.
     pub fn pid(&self) -> Pid {
-        self.pid
+        self.proc.pid
     }
 
     /// Current virtual time.
     pub fn now(&self) -> Time {
-        self.shared.kernel.lock().now()
+        self.proc.now()
     }
 
     /// Run a closure with the kernel locked (schedule events, fire wakers).
     pub fn with_kernel<R>(&self, f: impl FnOnce(&mut Kernel) -> R) -> R {
-        f(&mut self.shared.kernel.lock())
+        self.proc.with(f)
     }
 
     /// A waker for this process's *current* park generation (what
     /// [`SimCtx::wait_for`] hands its `register`).
     pub fn waker(&self) -> Waker {
-        let k = self.shared.kernel.lock();
-        k.waker_for(self.pid)
+        self.proc.with(|k| k.waker_for(self.pid()))
     }
 
     /// Park until any waker for the current generation fires. Spurious
@@ -544,7 +547,7 @@ impl SimCtx {
     /// the run token moves to another process (or comes straight back —
     /// the self-resume fast path, zero context switches).
     pub fn park(&self) {
-        match drive(&self.shared, Some(self.pid)) {
+        match drive(&self.proc.shared, Some(self.pid())) {
             Driven::RunSelf => {}
             Driven::HandedOff | Driven::Ended => {
                 if self.parker.wait().is_err() {
@@ -556,27 +559,39 @@ impl SimCtx {
         }
     }
 
-    /// The one check-and-park loop under every blocking wait: a
-    /// [`Kernel::turn`] (see there for the order it keeps), then a park,
-    /// until the turn returns. `ready` and `register` run with the kernel
-    /// locked.
-    pub fn wait_for<R>(
-        &self,
-        deadline: Option<Time>,
-        mut ready: impl FnMut() -> Option<R>,
-        mut register: impl FnMut(Waker),
-    ) -> Option<R> {
+    /// Run a blocking call on this thread: `call` is polled now, and again
+    /// after each park, until it completes. It is the thread-run twin of
+    /// [`SimCtx::wait_in_kernel`] over the same future: each of its waits
+    /// is a [`Proc`] wait, which returns `Pending` only once a dv-sim
+    /// waker for this process is armed, so a park always has a resume to
+    /// return from. The future is pinned on this stack; nothing is boxed.
+    pub fn block_on<F: Future>(&self, call: F) -> F::Output {
+        let mut call = pin!(call);
         loop {
-            if let Some(r) = self.with_kernel(|k| k.turn(self.pid, deadline, &mut ready, &mut register)) {
-                return r;
+            if let Poll::Ready(out) = poll(call.as_mut()) {
+                return out;
             }
             self.park();
         }
     }
 
-    /// This process's handle for the futures it runs in the kernel.
+    /// The one check-and-park wait under every condition a thread blocks
+    /// on: [`Proc::turn`] run by [`SimCtx::block_on`], a [`Kernel::turn`]
+    /// (see there for the order it keeps) per park. `ready` and `register`
+    /// run with the kernel locked.
+    pub fn wait_for<R>(
+        &self,
+        deadline: Option<Time>,
+        ready: impl FnMut() -> Option<R>,
+        register: impl FnMut(Waker),
+    ) -> Option<R> {
+        self.block_on(self.proc.turn(deadline, ready, register))
+    }
+
+    /// This process's handle for the futures it runs, on its thread
+    /// ([`SimCtx::block_on`]) or in the kernel.
     pub fn proc(&self) -> Proc {
-        Proc { pid: self.pid, shared: Arc::clone(&self.shared) }
+        self.proc.clone()
     }
 
     /// Run a blocking call in the kernel instead of on this thread: `call`
@@ -591,12 +606,10 @@ impl SimCtx {
     /// which return `Pending` only once a dv-sim waker is armed for the
     /// resume that polls the call again. A resume that polls the
     /// call is popped, audited, generation-bumped and counted exactly like
-    /// one that grants the thread, so a call that does what the thread
-    /// would have done between the same two parks — one turn per blocked
-    /// state, re-run after an early wake-up — commits the same events in
-    /// the same order, and saves one thread handoff per resume. Like every
-    /// kernel closure, a call must not block. A panic in it is reported as
-    /// this process's.
+    /// one that grants the thread, so the same future commits the same
+    /// events in the same order here as under [`SimCtx::block_on`], and
+    /// saves one thread handoff per resume. Like every kernel closure, a
+    /// call must not block. A panic in it is reported as this process's.
     pub fn wait_in_kernel<F>(&self, call: F) -> F::Output
     where
         F: Future + Send + 'static,
@@ -608,22 +621,22 @@ impl SimCtx {
             p.with(|k| k.put_output(p.pid, out));
         });
         if poll(call.as_mut()).is_pending() {
-            self.with_kernel(|k| k.park_call(self.pid, call));
+            self.with_kernel(|k| k.park_call(self.pid(), call));
             self.park();
         }
-        self.with_kernel(|k| k.take_output(self.pid))
+        self.with_kernel(|k| k.take_output(self.pid()))
     }
 
-    /// Block until virtual time `t` (no-op if already past): a wait for a
-    /// condition that never holds.
+    /// Block until virtual time `t` (no-op if already past): [`Proc::until`]
+    /// run by [`SimCtx::block_on`].
     pub fn wait_until(&self, t: Time) {
-        self.wait_for(Some(t), || None::<()>, |_| {});
+        self.block_on(self.proc.until(t));
     }
 
     /// Advance virtual time by `d` — the standard way to charge compute
     /// cost for work the process just (really) performed.
     pub fn delay(&self, d: Time) {
-        self.delay2(d, 0);
+        self.block_on(self.proc.delay(d));
     }
 
     /// `delay(d1); delay(d2)` for a process that does nothing in between,
@@ -631,21 +644,18 @@ impl SimCtx {
     /// (see [`Kernel::wake_after`]), so every other process observes the
     /// same event order, to the sequence number, as with the two calls.
     pub fn delay2(&self, d1: Time, d2: Time) {
-        let Some(target) = self.with_kernel(|k| k.arm_delay(self.pid, d1, d2)) else { return };
-        self.park();
-        // Re-check, as every blocking primitive does: a waker this process
-        // left in some wait queue before calling may have fired first.
-        self.wait_until(target);
+        self.block_on(self.proc.delay2(d1, d2));
     }
 }
 
-/// A process inside a kernel-run call (see [`SimCtx::wait_in_kernel`]):
-/// what its future reaches the kernel through. Each method takes the
-/// kernel lock for itself (the run token keeps the dispatcher exclusive
-/// between two of them), so a call puts what it does at one instant into
-/// one [`Proc::with`] or [`Proc::until_then`] where it can. The waits
-/// return `Pending` only once a dv-sim waker for the process is armed,
-/// and run their turn again at each poll.
+/// A process inside a blocking call, run on its thread
+/// ([`SimCtx::block_on`]) or in the kernel ([`SimCtx::wait_in_kernel`]):
+/// what the call's future reaches the kernel through. Each method takes
+/// the kernel lock for itself (the run token keeps the running thread
+/// exclusive between two of them), so a call puts what it does at one
+/// instant into one [`Proc::with`] or [`Proc::until_then`] where it can.
+/// The waits return `Pending` only once a dv-sim waker for the process is
+/// armed, and run their turn again at each poll.
 #[derive(Clone)]
 pub struct Proc {
     pid: Pid,
@@ -668,8 +678,8 @@ impl Proc {
         f(&mut self.shared.kernel.lock())
     }
 
-    /// Wait until the next resume of this process, whatever woke it: the
-    /// kernel-run [`SimCtx::park`]. The caller armed that resume.
+    /// Wait until the next resume of this process, whatever woke it: one
+    /// [`SimCtx::park`]. The caller armed that resume.
     pub async fn resumed(&self) {
         let mut parked = false;
         poll_fn(|_| if std::mem::replace(&mut parked, true) { Poll::Ready(()) } else { Poll::Pending }).await;
@@ -693,8 +703,8 @@ impl Proc {
         .await
     }
 
-    /// The kernel-run [`SimCtx::wait_for`]: one [`Kernel::turn`] per poll,
-    /// `ready` and `register` run with the kernel locked.
+    /// Wait for a condition: one [`Kernel::turn`] per poll, `ready` and
+    /// `register` run with the kernel locked.
     pub async fn turn<R>(
         &self,
         deadline: Option<Time>,
@@ -708,13 +718,14 @@ impl Proc {
         .await
     }
 
-    /// The kernel-run [`SimCtx::delay`]; returns the time it ended.
+    /// Advance virtual time by `d`; returns the time it ended.
     pub async fn delay(&self, d: Time) -> Time {
         self.delay2(d, 0).await
     }
 
-    /// The kernel-run [`SimCtx::delay2`]: the hop armed now, then a wait
-    /// until the delay ends; returns that time.
+    /// [`SimCtx::delay2`]: the hop armed now, then a wait until the delay
+    /// ends (re-checked: a waker the process left in some wait set may
+    /// resume it first); returns that time.
     pub async fn delay2(&self, d1: Time, d2: Time) -> Time {
         let (now, target) = self.with(|k| (k.now(), k.arm_delay(self.pid, d1, d2)));
         let Some(target) = target else { return now };

@@ -30,7 +30,7 @@ type Commits = Vec<(u64, u64, u8)>;
 type Seen = (u64, u64, u64);
 
 /// How `run_programs` executes each program.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 enum Mode {
     /// On the process's thread, `Pair` as two `delay`s.
     Split,
@@ -39,6 +39,9 @@ enum Mode {
     /// As one kernel-run call ([`kernel_script`]), `Pair` as `delay2`'s
     /// delay.
     Kernel,
+    /// [`kernel_script`] run on the process's thread by
+    /// [`SimCtx::block_on`](crate::SimCtx::block_on).
+    BlockOn,
 }
 
 /// What a run of `run_programs` returns: what every process saw after each
@@ -57,9 +60,12 @@ fn run_programs(programs: &[Vec<Op>], mode: Mode) -> Run {
         let (program, ports, signal, tickets, out) =
             (program.clone(), ports.clone(), signal.clone(), tickets.clone(), seen[me].clone());
         sim.spawn(format!("p{me}"), move |ctx| {
-            if mode == Mode::Kernel {
-                out.put(ctx.wait_in_kernel(kernel_script(ctx.proc(), me, program, ports, signal, tickets)));
-                return;
+            let script =
+                || kernel_script(ctx.proc(), me, program.clone(), ports.clone(), signal.clone(), tickets.clone());
+            match mode {
+                Mode::Kernel => return out.put(ctx.wait_in_kernel(script())),
+                Mode::BlockOn => return out.put(ctx.block_on(script())),
+                Mode::Split | Mode::Fused => {}
             }
             let mut log = Vec::new();
             for op in program {
@@ -101,8 +107,9 @@ fn run_programs(programs: &[Vec<Op>], mode: Mode) -> Run {
     (seen.iter().map(|s| s.take().expect("process finished")).collect(), commits, hash, stats)
 }
 
-/// A program run as one kernel-run call: between two resumes it does what
-/// the `Fused` thread run does between the same two parks.
+/// A program run as one blocking call, in the kernel or on the thread:
+/// between two resumes it does what the `Fused` thread run does between
+/// the same two parks.
 async fn kernel_script(
     p: Proc,
     me: usize,
@@ -232,21 +239,29 @@ fn hops_are_order_exact() {
 /// call sees the same clock and the same turn after every step, and the
 /// kernel commits the same `(time, seq, kind)` list with the same trace
 /// hash and the same resume counts, as the thread run — while each thread
-/// runs at most twice (its start, and the call's end).
+/// runs at most twice (its start, and the call's end). The same future
+/// run on the thread by [`SimCtx::block_on`](crate::SimCtx::block_on)
+/// commits the same too, with every resume reaching the thread.
 #[test]
 fn kernel_steps_are_order_exact() {
+    let counts = |s: crate::SchedStats| (s.resumes, s.calls, s.stale_wakeups, s.processes);
     for seed in 0..24u64 {
         let programs = random_programs(seed);
-        let (thread_seen, thread, thread_hash, thread_stats) = run_programs(&programs, Mode::Fused);
-        let (kernel_seen, kernel, kernel_hash, kernel_stats) = run_programs(&programs, Mode::Kernel);
-        assert_eq!(kernel_seen, thread_seen, "seed {seed}: a process saw a different clock or turn");
-        assert_eq!(kernel, thread, "seed {seed}: the commit log moved");
-        assert_eq!(kernel_hash, thread_hash, "seed {seed}");
-        let counts = |s: crate::SchedStats| (s.resumes, s.calls, s.stale_wakeups, s.processes);
-        assert_eq!(counts(kernel_stats), counts(thread_stats), "seed {seed}");
         let procs = programs.len() as u64;
+        let (thread_seen, thread, thread_hash, thread_stats) = run_programs(&programs, Mode::Fused);
         assert_eq!(thread_stats.thread_resumes, thread_stats.resumes, "seed {seed}");
-        assert!(kernel_stats.thread_resumes <= 2 * procs, "seed {seed}: {kernel_stats:?}");
+        for mode in [Mode::Kernel, Mode::BlockOn] {
+            let (seen, commits, hash, stats) = run_programs(&programs, mode);
+            assert_eq!(seen, thread_seen, "seed {seed}, {mode:?}: a process saw a different clock or turn");
+            assert_eq!(commits, thread, "seed {seed}, {mode:?}: the commit log moved");
+            assert_eq!(hash, thread_hash, "seed {seed}, {mode:?}");
+            assert_eq!(counts(stats), counts(thread_stats), "seed {seed}, {mode:?}");
+            if mode == Mode::Kernel {
+                assert!(stats.thread_resumes <= 2 * procs, "seed {seed}: {stats:?}");
+            } else {
+                assert_eq!(stats.thread_resumes, stats.resumes, "seed {seed}: {stats:?}");
+            }
+        }
     }
 }
 

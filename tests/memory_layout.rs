@@ -3,11 +3,12 @@
 //! blocks disjoint and inside the page, the bulk region past the page,
 //! the reply runs above both, and the kernel's counters clear of every
 //! reserved one. A bulk user or a kernel that does not fit stops with a
-//! panic naming the exhausted resource.
+//! panic naming the exhausted resource, and a cluster past the node field
+//! one naming the field.
 
 use datavortex::api::layout::{KERNEL_GCS, RESERVED_GCS};
-use datavortex::api::Layout;
-use datavortex::core::packet::{DV_MEMORY_WORDS, GROUP_COUNTERS};
+use datavortex::api::{DvWorld, Layout};
+use datavortex::core::packet::{DV_MEMORY_WORDS, GROUP_COUNTERS, MAX_NODES};
 use datavortex::core::spec::SimSpec;
 use datavortex::kernels::fft;
 use datavortex::vic::memory::PAGE_WORDS;
@@ -64,4 +65,11 @@ fn an_oversized_fft_names_dv_memory() {
     // Two receive regions of 2 words per point: 4·2^21 words per node,
     // twice the whole DV memory.
     fft::dv::run_spec(1 << 22, SimSpec::new(2), false);
+}
+
+#[test]
+#[should_panic(expected = "4097 nodes exceed the packet header's 12-bit node field")]
+fn a_cluster_past_the_header_node_field_is_refused() {
+    // Refused before any VIC is built: the header would wrap node 4096 to 0.
+    DvWorld::from_spec(&SimSpec::new(MAX_NODES + 1));
 }
