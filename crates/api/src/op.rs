@@ -6,8 +6,8 @@
 //! thread, by [`SimCtx::block_on`]. The calls that park more than once —
 //! [`DvCtx::barrier`](crate::DvCtx::barrier),
 //! [`DvCtx::fast_barrier`](crate::DvCtx::fast_barrier), and the recovery
-//! layer's drain, acknowledgment round, epoch close, and post wait — run in
-//! the kernel, by [`SimCtx::wait_in_kernel`]: the node's thread parks once,
+//! layer's drain, verification (acknowledgment round and retransmission),
+//! epoch close, and post wait — run in the kernel, by [`SimCtx::wait_in_kernel`]: the node's thread parks once,
 //! each later resume of the node polls the call on in kernel context, and
 //! the thread runs again only when the call returns or has words to hand
 //! the application (the epoch close's `deliver` runs on the thread,
@@ -17,8 +17,8 @@
 //! ([`ReliableFifo`], batches): the future is `'static`, so it borrows
 //! nothing from the parked thread. The kernel-run calls await the same
 //! waits the thread runs (`ack_round` a [`At::gc_set`] and an
-//! [`At::lend`], [`At::recv`] an [`At::pop`]), so no wait has a second,
-//! thread-side copy.
+//! [`At::lend`], `accepted` an [`At::read_word`], [`At::recv`] an
+//! [`At::pop`]), so no wait has a second, thread-side copy.
 //!
 //! Between two resumes a call does the same wherever it runs, side effect
 //! for side effect: the same events in the same order, the same PCIe and
@@ -39,7 +39,7 @@ use dv_sim::{Kernel, Proc, SimCtx};
 
 use crate::ctx::{DvCtx, SendMode, DMA_ENQUEUE, FIFO_POP, STATUS_POLL};
 use crate::layout::{QUERY_GC, VERIFY_GC};
-use crate::reliable::{ReliableFifo, DRAIN_CHUNK, QUERY_TIMEOUT};
+use crate::reliable::{ReliableFifo, DRAIN_CHUNK, MAX_ROUNDS, QUERY_TIMEOUT, QUERY_TRIES, WINDOW};
 use crate::world::{BlockWrite, DvWorld};
 
 /// The node a call runs for, and its process.
@@ -278,12 +278,25 @@ impl At {
         }
     }
 
-    /// [`ReliableFifo::verify_epoch`]'s parallel acknowledgment round:
-    /// preset [`VERIFY_GC`], query every destination this epoch sent to at
-    /// once, wait for the replies (or the timeout), and read them — or, on
-    /// a timeout, drain our FIFO into `sink`. The destinations still short
-    /// afterwards take the serial retransmission path on the thread.
-    pub(crate) async fn ack_round(&self, rel: &mut ReliableFifo, sink: &mut Vec<Word>) {
+    /// [`ReliableFifo::verify_epoch`]: the acknowledgment round, the
+    /// serial path for every destination whose count came back short (or
+    /// unknown), then the epoch log closes.
+    pub(crate) async fn verify(&self, rel: &mut ReliableFifo, sink: &mut Vec<Word>) {
+        self.ack_round(rel, sink).await;
+        for d in 0..rel.nodes {
+            if rel.wire_epoch[d] > 0 {
+                self.verify_dest(rel, d, sink).await;
+            }
+        }
+        rel.end_epoch();
+    }
+
+    /// The parallel acknowledgment round: preset [`VERIFY_GC`], query
+    /// every destination this epoch sent to at once, wait for the replies
+    /// (or the timeout), and read them — or, on a timeout, drain our FIFO
+    /// into `sink`. The destinations still short afterwards take
+    /// [`At::verify_dest`].
+    async fn ack_round(&self, rel: &mut ReliableFifo, sink: &mut Vec<Word>) {
         let (world, me, nodes) = (&self.world, rel.me, rel.nodes);
         let replies = world.layout.verify_replies;
         let dests = (0..nodes).filter(|&d| rel.wire_epoch[d] > 0).count();
@@ -320,6 +333,108 @@ impl At {
             }
         })
         .await;
+    }
+
+    /// One destination's serial verification. On a shortfall some of this
+    /// epoch's words never made the FIFO; which ones is unknowable from a
+    /// count, so its part of the epoch log is retransmitted in
+    /// stop-and-wait windows. A window whose accepted delta comes back
+    /// short (losses struck again) is split in half and each half
+    /// re-shipped and confirmed on its own — loss concentrates into
+    /// ever-smaller chunks, so the attempt budget is spent on the words
+    /// that actually keep dropping instead of on clean ones.
+    async fn verify_dest(&self, rel: &mut ReliableFifo, dest: NodeId, sink: &mut Vec<Word>) {
+        let (me, expected) = (rel.me, rel.hw_confirmed[dest] + rel.wire_epoch[dest]);
+        let mut hw = self.accepted(rel, dest, sink).await;
+        if hw < expected {
+            rel.stats.retx_rounds += 1;
+            // What we are about to resend may already sit in `dest`'s
+            // FIFO: from here on every receiver must check for repeats.
+            self.world.allow_fifo_repeats();
+            // This destination's words, in send order (the rare path:
+            // the shared epoch log is filtered only on a shortfall).
+            let sent = rel.epoch_log.iter().zip(&rel.epoch_dest);
+            let log: Vec<Word> = sent.filter(|&(_, &d)| usize::from(d) == dest).map(|(&w, _)| w).collect();
+            let windows = log.len().div_ceil(WINDOW) as u32;
+            // A dead data path shows up as *consecutive* attempts that
+            // accept nothing; splitting after a partial loss is normal
+            // progress and must not count against it. The total-attempt
+            // budget is a structural backstop only: binary splitting
+            // costs O(log window) attempts per actually-dropped word, so
+            // it scales with the log length, not the window count.
+            let mut budget = MAX_ROUNDS.saturating_mul(windows.max(1) + log.len() as u32);
+            let mut stalls = 0u32;
+            let mut work: Vec<Vec<Word>> = log.chunks(WINDOW).rev().map(|c| c.to_vec()).collect();
+            while let Some(mut chunk) = work.pop() {
+                assert!(
+                    budget > 0,
+                    "node {me}: retransmission budget exhausted toward node {dest} \
+                     (accepted {hw}, expected {expected}); the data path is dead",
+                );
+                budget -= 1;
+                rel.stats.retx_windows += 1;
+                rel.stats.retx_words += chunk.len() as u64;
+                let packets: Vec<Packet> =
+                    chunk.iter().map(|&w| Packet::new(PacketHeader::fifo(me, dest, SCRATCH_GC), w)).collect();
+                self.send(&packets, SendMode::Dma { cached_headers: true }).await;
+                let after = self.accepted(rel, dest, sink).await;
+                // Per-source counts and per-link ordering make the delta
+                // exact: it counts precisely this attempt's accepted
+                // pushes, nobody else's.
+                let delta = after - hw;
+                hw = after;
+                if delta == chunk.len() as u64 {
+                    stalls = 0;
+                    continue;
+                }
+                if delta == 0 {
+                    stalls += 1;
+                    assert!(
+                        stalls < MAX_ROUNDS,
+                        "node {me}: {stalls} consecutive retransmissions toward node \
+                         {dest} accepted nothing (at {hw}, expected {expected}); \
+                         the data path is dead",
+                    );
+                    // A wholly rejected window usually means the peer's
+                    // FIFO is at capacity (it is busy verifying its own
+                    // epoch). Back off — linearly, in free virtual time —
+                    // so its drain loop can make room before we re-offer.
+                    self.p.delay(time::us(100) * stalls as u64).await;
+                } else {
+                    stalls = 0;
+                }
+                if chunk.len() > 1 {
+                    work.push(chunk.split_off(chunk.len() / 2));
+                }
+                work.push(chunk);
+            }
+        }
+        rel.hw_confirmed[dest] = hw;
+        rel.wire_epoch[dest] = 0;
+    }
+
+    /// Read back our accepted-count slot at `dest` with timeout + bounded
+    /// retries. Stale replies from timed-out attempts are safe: the count
+    /// is monotonic, so an old value is merely conservative.
+    async fn accepted(&self, rel: &mut ReliableFifo, dest: NodeId, sink: &mut Vec<Word>) -> u64 {
+        let (me, addr) = (rel.me, self.world.layout.accepted + rel.me as u32);
+        for _ in 0..QUERY_TRIES {
+            // Drain our own FIFO on *every* attempt, not just timeouts:
+            // peers verify concurrently, and if every node only pushed
+            // retransmissions without popping, the finite FIFOs would
+            // fill to capacity and reject everything — a distributed
+            // livelock where all deltas come back short forever.
+            self.drain(rel, sink).await;
+            rel.stats.ack_queries += 1;
+            match self.read_word(dest, addr, Some(self.p.now() + QUERY_TIMEOUT)).await {
+                Some(v) => return v,
+                None => rel.stats.ack_query_timeouts += 1,
+            }
+        }
+        panic!(
+            "node {me}: accepted-count query to node {dest} timed out {QUERY_TRIES} times; \
+             the acknowledgment path is dead",
+        );
     }
 
     /// [`DvCtx::barrier`](crate::DvCtx::barrier): the setup charge, the
@@ -434,7 +549,7 @@ impl Progress {
 /// hands the close back to the kernel.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Resume {
-    /// The flush and the acknowledgment round.
+    /// The flush and the verification.
     Start,
     /// The count posts.
     Post,
@@ -444,8 +559,8 @@ pub(crate) enum Resume {
     Peek,
 }
 
-/// [`ReliableFifo::complete_epoch`]: the flush, the acknowledgment round,
-/// the count posts, then drain until every promised word is in.
+/// [`ReliableFifo::complete_epoch`]: the flush, the verification, the
+/// count posts, then drain until every promised word is in.
 pub(crate) struct Close {
     pub(crate) rel: ReliableFifo,
     /// The aggregator's buffered packets (emptied once sent).
@@ -470,10 +585,9 @@ impl Close {
         Self { rel, flush, mode, owed, batch: Vec::new(), posted, progress: Progress::default() }
     }
 
-    /// Run the close on from `from` until the thread must retransmit (some
-    /// destination is still short after the acknowledgment round) or
-    /// deliver [`Close::batch`], then run it on from the point returned;
-    /// `None` once every promised word is in.
+    /// Run the close on from `from` until the thread must deliver
+    /// [`Close::batch`], then run it on from the point returned; `None`
+    /// once every promised word is in.
     pub(crate) async fn run(&mut self, at: &At, from: Resume) -> Option<Resume> {
         let (rel, batch, posted) = (&mut self.rel, &mut self.batch, &mut self.posted);
         let (me, nodes, slots) = (rel.me, rel.nodes, at.world.layout.epoch_counts);
@@ -481,11 +595,7 @@ impl Close {
         if from == Resume::Start {
             at.send(&self.flush, self.mode).await;
             self.flush.clear();
-            at.ack_round(rel, batch).await;
-            if rel.wire_epoch.iter().any(|&w| w > 0) {
-                return Some(Resume::Post);
-            }
-            rel.end_epoch();
+            at.verify(rel, batch).await;
             if !batch.is_empty() {
                 return Some(Resume::Post);
             }

@@ -49,9 +49,10 @@
 //! tally of either. [`ReliableFifo::await_posts`] is the wait that closes
 //! a phase on posted values alone (BFS's frontier sizes).
 //!
-//! The calls that park more than once — the drain, the acknowledgment
-//! round, the epoch close and the post wait — run in the kernel as `async
-//! fn`s (`crate::op`); the retransmission path stays on the node's thread.
+//! The calls that park more than once — the drain, the verification
+//! (acknowledgment round and retransmission), the epoch close and the
+//! post wait — run in the kernel as `async fn`s (`crate::op`). This module
+//! keeps the endpoint's data and the thin public calls that hand it there.
 
 use dv_core::packet::{Packet, PacketHeader, SCRATCH_GC};
 use dv_core::time::{self, Time};
@@ -59,14 +60,14 @@ use dv_core::{NodeId, Word};
 use dv_sim::SimCtx;
 
 use crate::aggregate::Aggregator;
-use crate::ctx::{DvCtx, SendMode};
+use crate::ctx::DvCtx;
 use crate::op::{Close, Resume};
 use crate::world::DvWorld;
 
 /// Words per host transfer of a drain.
 pub(crate) const DRAIN_CHUNK: usize = 4096;
 /// Words per retransmission window (confirmed stop-and-wait).
-const WINDOW: usize = 64;
+pub(crate) const WINDOW: usize = 64;
 /// Deadline for one accepted-count query round trip. It must comfortably
 /// exceed the worst-case ejection backlog ahead of a reply (virtual-time
 /// waits are free): a too-short timeout makes retried queries consume
@@ -74,11 +75,11 @@ const WINDOW: usize = 64;
 /// the monotonic counts but burns retransmission budget.
 pub(crate) const QUERY_TIMEOUT: Time = time::ms(10);
 /// Query attempts before declaring the acknowledgment path dead.
-const QUERY_TRIES: u32 = 8;
+pub(crate) const QUERY_TRIES: u32 = 8;
 /// Retransmission attempt budget multiplier: a verification tolerates
 /// `MAX_ROUNDS ×` the initial window count of (re)attempts per
 /// destination before declaring the data path dead.
-const MAX_ROUNDS: u32 = 12;
+pub(crate) const MAX_ROUNDS: u32 = 12;
 
 /// Per-node counters of the recovery layer (folded into metrics by
 /// [`ReliableFifo::publish`]).
@@ -175,7 +176,7 @@ pub struct ReliableFifo {
     pub(crate) nodes: usize,
     /// The current epoch's words in send order: the retransmission log
     /// (cleared when the epoch verifies).
-    epoch_log: Vec<Word>,
+    pub(crate) epoch_log: Vec<Word>,
     /// Destination of each word of `epoch_log`, in step with it.
     pub(crate) epoch_dest: Vec<u16>,
     /// Words put on the wire toward each destination this epoch.
@@ -320,141 +321,9 @@ impl ReliableFifo {
     pub fn verify_epoch(&mut self, ctx: &SimCtx, dv: &DvCtx, sink: &mut Vec<Word>) {
         let (mut rel, mut buf) = (std::mem::take(self), std::mem::take(sink));
         (*self, *sink) = dv.run(ctx, move |at| async move {
-            at.ack_round(&mut rel, &mut buf).await;
+            at.verify(&mut rel, &mut buf).await;
             (rel, buf)
         });
-        self.retransmit(ctx, dv, sink);
-    }
-
-    /// The serial path after the acknowledgment round: every destination
-    /// whose count came back short (or unknown) is verified on its own,
-    /// then the epoch log closes.
-    fn retransmit(&mut self, ctx: &SimCtx, dv: &DvCtx, sink: &mut Vec<Word>) {
-        for d in 0..self.nodes {
-            if self.wire_epoch[d] > 0 {
-                self.verify_dest(ctx, dv, d, sink);
-            }
-        }
-        self.end_epoch();
-    }
-
-    fn verify_dest(&mut self, ctx: &SimCtx, dv: &DvCtx, dest: NodeId, sink: &mut Vec<Word>) {
-        let expected = self.hw_confirmed[dest] + self.wire_epoch[dest];
-        let mut hw = self.accepted(ctx, dv, dest, sink);
-        if hw < expected {
-            // Shortfall: some of this epoch's words never made the FIFO.
-            // Which ones is unknowable from a count, so retransmit the
-            // whole epoch log in stop-and-wait windows. A window whose
-            // accepted delta comes back short (losses struck again) is
-            // split in half and each half re-shipped/confirmed on its
-            // own — loss concentrates into ever-smaller chunks, so the
-            // attempt budget is spent on the words that actually keep
-            // dropping instead of on clean ones.
-            self.stats.retx_rounds += 1;
-            // What we are about to resend may already sit in `dest`'s
-            // FIFO: from here on every receiver must check for repeats.
-            dv.world().allow_fifo_repeats();
-            // This destination's words, in send order (the rare path:
-            // the shared epoch log is filtered only on a shortfall).
-            let log: Vec<Word> = self
-                .epoch_log
-                .iter()
-                .zip(&self.epoch_dest)
-                .filter(|&(_, &d)| usize::from(d) == dest)
-                .map(|(&w, _)| w)
-                .collect();
-            let windows = log.len().div_ceil(WINDOW) as u32;
-            // A dead data path shows up as *consecutive* attempts that
-            // accept nothing; splitting after a partial loss is normal
-            // progress and must not count against it. The total-attempt
-            // budget is a structural backstop only: binary splitting
-            // costs O(log window) attempts per actually-dropped word, so
-            // it scales with the log length, not the window count.
-            let mut budget =
-                MAX_ROUNDS.saturating_mul(windows.max(1) + log.len() as u32);
-            let mut stalls = 0u32;
-            let mut work: Vec<Vec<Word>> =
-                log.chunks(WINDOW).rev().map(|c| c.to_vec()).collect();
-            while let Some(chunk) = work.pop() {
-                assert!(
-                    budget > 0,
-                    "node {me}: retransmission budget exhausted toward node {dest} \
-                     (accepted {hw}, expected {expected}); the data path is dead",
-                    me = self.me,
-                );
-                budget -= 1;
-                self.stats.retx_windows += 1;
-                self.stats.retx_words += chunk.len() as u64;
-                let packets: Vec<Packet> = chunk
-                    .iter()
-                    .map(|&w| Packet::new(PacketHeader::fifo(self.me, dest, SCRATCH_GC), w))
-                    .collect();
-                dv.send_packets(ctx, &packets, SendMode::Dma { cached_headers: true });
-                let after = self.accepted(ctx, dv, dest, sink);
-                // Per-source counts and per-link ordering make the delta
-                // exact: it counts precisely this attempt's accepted
-                // pushes, nobody else's.
-                let delta = after - hw;
-                hw = after;
-                if delta == chunk.len() as u64 {
-                    stalls = 0;
-                    continue;
-                }
-                if delta == 0 {
-                    stalls += 1;
-                    assert!(
-                        stalls < MAX_ROUNDS,
-                        "node {me}: {stalls} consecutive retransmissions toward node \
-                         {dest} accepted nothing (at {hw}, expected {expected}); \
-                         the data path is dead",
-                        me = self.me,
-                    );
-                    // A wholly rejected window usually means the peer's
-                    // FIFO is at capacity (it is busy verifying its own
-                    // epoch). Back off — linearly, in free virtual time —
-                    // so its drain loop can make room before we re-offer.
-                    ctx.delay(time::us(100) * stalls as u64);
-                } else {
-                    stalls = 0;
-                }
-                if chunk.len() > 1 {
-                    let mid = chunk.len() / 2;
-                    work.push(chunk[mid..].to_vec());
-                    work.push(chunk[..mid].to_vec());
-                } else {
-                    work.push(chunk);
-                }
-            }
-        }
-        self.hw_confirmed[dest] = hw;
-        self.wire_epoch[dest] = 0;
-    }
-
-    /// Read back our accepted-count slot at `dest` with timeout + bounded
-    /// retries. Stale replies from timed-out attempts are safe: the count
-    /// is monotonic, so an old value is merely conservative.
-    fn accepted(&mut self, ctx: &SimCtx, dv: &DvCtx, dest: NodeId, sink: &mut Vec<Word>) -> u64 {
-        let addr = dv.layout().accepted + self.me as u32;
-        for _ in 0..QUERY_TRIES {
-            // Drain our own FIFO on *every* attempt, not just timeouts:
-            // peers verify concurrently, and if every node only pushed
-            // retransmissions without popping, the finite FIFOs would
-            // fill to capacity and reject everything — a distributed
-            // livelock where all deltas come back short forever.
-            self.drain_into(ctx, dv, sink);
-            self.stats.ack_queries += 1;
-            let deadline = ctx.now() + QUERY_TIMEOUT;
-            match dv.read_word_deadline(ctx, dest, addr, Some(deadline)) {
-                Some(v) => return v,
-                None => self.stats.ack_query_timeouts += 1,
-            }
-        }
-        panic!(
-            "node {me}: accepted-count query to node {dest} timed out {tries} times; \
-             the acknowledgment path is dead",
-            me = self.me,
-            tries = QUERY_TRIES,
-        );
     }
 
     /// Complete the current epoch with the sent-count handshake and return
@@ -476,10 +345,10 @@ impl ReliableFifo {
     /// retransmission in step 1, never as a hang in step 3. A caller that
     /// runs another epoch zeroes its own epoch counts and fences first.
     ///
-    /// The close runs in the kernel (`crate::op`): the node's thread runs
-    /// again only to `deliver` — which may charge virtual time, as GUPS's
-    /// updates do — to retransmit after a shortfall, and to return, not at
-    /// each poll of step 3.
+    /// The close runs in the kernel (`crate::op`), retransmission
+    /// included: the node's thread runs again only to `deliver` — which
+    /// may charge virtual time, as GUPS's updates do — and to return, not
+    /// at each poll of step 3 or each retransmitted window.
     ///
     /// # Panics
     /// Panics when every peer has posted but the count stays short of the
@@ -504,9 +373,6 @@ impl ReliableFifo {
                 let next = close.run(&at, on).await;
                 (close, next)
             });
-            if close.rel.wire_epoch.iter().any(|&w| w > 0) {
-                close.rel.retransmit(ctx, dv, &mut close.batch);
-            }
             if !close.batch.is_empty() {
                 // Freed, not kept: a parked node holds no drain buffer.
                 deliver(&std::mem::take(&mut close.batch));

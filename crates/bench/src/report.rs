@@ -19,6 +19,8 @@
 //! byte-identical files — CI can diff `BENCH_*.json` artifacts across
 //! commits the same way `tests/determinism.rs` compares trace hashes.
 
+use std::fs::File;
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -30,27 +32,36 @@ use crate::Opts;
 
 /// Collects a benchmark's tables, instrumented runs, and optional trace,
 /// printing tables to stdout as it goes; [`Report::finish`] writes the
-/// JSON artifact when `--json` was passed and reports the run's host
-/// wall-clock on stderr — never stdout or the artifact, which stay
-/// byte-reproducible.
+/// JSON artifact into the file [`Report::new`] created for `--json` and
+/// reports the run's host wall-clock on stderr — never stdout or the
+/// artifact, which stay byte-reproducible.
 pub struct Report {
     started: Instant,
     bench: &'static str,
     quick: bool,
-    json: Option<PathBuf>,
+    json: Option<(PathBuf, File)>,
     results: Vec<Json>,
     runs: Vec<Json>,
     trace: Option<String>,
 }
 
 impl Report {
-    /// Start the report of one `dv-bench` invocation.
+    /// Start the report of one `dv-bench` invocation, creating the
+    /// `--json` file now: a path that cannot be written exits 1 before
+    /// anything is simulated, as `--stream` does.
     pub fn new(opts: &Opts) -> Self {
+        let json = opts.json.as_ref().map(|path| match File::create(path) {
+            Ok(file) => (path.clone(), file),
+            Err(e) => {
+                eprintln!("failed to create {}: {e}", path.display());
+                std::process::exit(1);
+            }
+        });
         Self {
             started: Instant::now(),
             bench: opts.bench,
             quick: opts.quick,
-            json: opts.json.clone(),
+            json,
             results: Vec::new(),
             runs: Vec::new(),
             trace: None,
@@ -114,10 +125,9 @@ impl Report {
 
     /// Write the document if `--json <path>` was passed, then print the
     /// `wall: <s> s` line to stderr. Call last.
-    pub fn finish(self) {
-        if let Some(path) = &self.json {
-            let doc = self.to_json();
-            if let Err(e) = std::fs::write(path, doc.render_pretty()) {
+    pub fn finish(mut self) {
+        if let Some((path, mut file)) = self.json.take() {
+            if let Err(e) = file.write_all(self.to_json().render_pretty().as_bytes()) {
                 eprintln!("failed to write {}: {e}", path.display());
                 std::process::exit(1);
             }

@@ -98,6 +98,8 @@ fn misuse_exits_2_naming_the_problem_and_listing_the_scenarios() {
         // the second path would leave the first without its artifact.
         (&["fig6", "--quick", "--faults", "seed=7,fifodrop=0.02", "--faults", "seed=1"], "--faults given twice"),
         (&["fig6", "--quick", "--json", "a.json", "--json", "b.json"], "--json given twice"),
+        // So must a fault key given twice inside one plan.
+        (&["fig6", "--quick", "--faults", "seed=7,fifodrop=0.02,fifodrop=0"], "fault key \"fifodrop\" given twice"),
         // Not scenarios: `benchmark/` is the one perf harness.
         (&["perf_smoke", "--quick"], "unknown scenario \"perf_smoke\""),
         (&["net_smoke", "--quick"], "unknown scenario \"net_smoke\""),
@@ -109,6 +111,16 @@ fn misuse_exits_2_naming_the_problem_and_listing_the_scenarios() {
         assert!(stderr.contains(problem), "{args:?}: {stderr}");
         assert!(listed_scenarios(&stderr).iter().any(|s| s == "fig6"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn an_unwritable_json_path_fails_before_anything_runs() {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("no-such-dir/x.json");
+    let (code, stdout, stderr) = dv_bench(&["fig8", "--quick", "--json", path.to_str().expect("utf-8 path")]);
+    assert_eq!(code, Some(1), "{stderr}");
+    // A scenario prints each table as it finishes: none may have run.
+    assert!(stdout.is_empty(), "fig8 ran before failing: {stdout}");
+    assert!(stderr.contains("failed to create") && stderr.contains("no-such-dir"), "{stderr}");
 }
 
 #[test]

@@ -151,15 +151,19 @@ impl FaultPlan {
     ///
     /// `drop=1` would lose every packet and `fifodrop=1` every push, so no
     /// run could finish: both are refused, as is a storm as long as its
-    /// period.
+    /// period, and a key given twice (which value was meant is unknown).
     ///
     /// Example: `seed=7,fifodrop=0.02,fifostorm=257:3,stall=0.01:500`.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut plan = Self::default();
+        let (mut plan, mut keys) = (Self::default(), Vec::new());
         for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (key, value) = part
                 .split_once('=')
                 .ok_or_else(|| format!("fault spec item {part:?} is not key=value"))?;
+            if keys.contains(&key) {
+                return Err(format!("fault key {key:?} given twice"));
+            }
+            keys.push(key);
             match key {
                 "seed" => plan.seed = parse_u64(value)?,
                 "drop" => plan.link_drop = parse_loss(key, value, "packet")?,
@@ -352,6 +356,11 @@ mod tests {
         let cap = format!("stall=0.5:{MAX_FAULT_DELAY_NS}");
         assert_eq!(FaultPlan::parse(&cap).unwrap().eject_stall_time, MAX_FAULT_DELAY_NS * crate::time::NS);
         assert!(FaultPlan::parse(&format!("stall=0.5:{}", MAX_FAULT_DELAY_NS + 1)).is_err());
+        // A repeated key must not silently replace the first value.
+        for (spec, key) in [("seed=7,fifodrop=0.02,fifodrop=0", "\"fifodrop\""), ("seed=1, seed=1", "\"seed\"")] {
+            let err = FaultPlan::parse(spec).unwrap_err();
+            assert!(err.contains(key) && err.contains("given twice"), "{spec}: {err}");
+        }
         // Empty spec = default (inert) plan.
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
     }

@@ -16,6 +16,10 @@
 //!   seeded half of the calls begin with the node's waker left in a shared
 //!   wait set that other nodes fire: a node parked inside a call is then
 //!   resumed early and must re-check and re-arm exactly as before.
+//! * A second node program, skewed and woken early the same way, that
+//!   closes two epochs with `ReliableFifo::verify_epoch` alone under
+//!   forced FIFO drops, so every node count retransmits: `(elapsed, trace
+//!   hash, scheduler resumes, result digest)`.
 //!
 //! The pins were captured while every one of these waits ran on its
 //! node's thread; a change to how a wait is executed must leave every one
@@ -95,27 +99,28 @@ fn bfs_row(nodes: usize, plan: Option<&str>) -> (Time, u64, u64, u64) {
     (r.elapsed, fnv_of(tracer.dump().as_bytes()), metrics.snapshot().fnv_hash(), d.finish())
 }
 
+/// Before each call: a seeded 0, 0.5, 1 or 1.5 µs pause, then maybe
+/// leave this node's waker in `signal`, then maybe fire everybody's.
+fn between(ctx: &SimCtx, rng: &mut SplitMix64, signal: &WaitSet) {
+    ctx.delay(ns(rng.next_below(4) * 500));
+    if rng.next_below(2) == 0 {
+        signal.register(ctx.waker());
+    }
+    if rng.next_below(3) == 0 {
+        signal.wake_all_ctx(ctx);
+    }
+}
+
 /// One node's program; returns a digest of everything it received.
 fn program(dv: &DvCtx, ctx: &SimCtx, signal: &WaitSet) -> u64 {
     let (n, me) = (dv.nodes(), dv.node());
     let mut rng = SplitMix64::new(0xd7_3a17 ^ me as u64);
     let mut h = Fnv1a::default();
-    // Before each call: a seeded 0, 0.5, 1 or 1.5 µs pause, then maybe
-    // leave this node's waker in the wait set, then maybe fire everybody's.
-    let between = |ctx: &SimCtx, rng: &mut SplitMix64| {
-        ctx.delay(ns(rng.next_below(4) * 500));
-        if rng.next_below(2) == 0 {
-            signal.register(ctx.waker());
-        }
-        if rng.next_below(3) == 0 {
-            signal.wake_all_ctx(ctx);
-        }
-    };
 
     for _ in 0..3 {
-        between(ctx, &mut rng);
+        between(ctx, &mut rng, signal);
         dv.barrier(ctx);
-        between(ctx, &mut rng);
+        between(ctx, &mut rng, signal);
         dv.fast_barrier(ctx);
     }
 
@@ -131,15 +136,15 @@ fn program(dv: &DvCtx, ctx: &SimCtx, signal: &WaitSet) -> u64 {
                 next += 1;
                 rel.send(ctx, dv, &mut agg, dest, next);
             }
-            between(ctx, &mut rng);
+            between(ctx, &mut rng, signal);
             rel.drain_unique(ctx, dv).iter().for_each(|&w| h.word(w));
         }
-        between(ctx, &mut rng);
+        between(ctx, &mut rng, signal);
         let received = rel.complete_epoch(ctx, dv, &mut agg, |words| {
             words.iter().for_each(|&w| h.word(w));
         });
         h.word(received);
-        between(ctx, &mut rng);
+        between(ctx, &mut rng, signal);
         if epoch == 0 {
             // The next epoch starts from cleared posts, behind a fence.
             dv.write_local(ctx, dv.layout().epoch_counts, &vec![0; n]);
@@ -150,16 +155,16 @@ fn program(dv: &DvCtx, ctx: &SimCtx, signal: &WaitSet) -> u64 {
 
     // A remote read that times out (its reply lands after the deadline),
     // then one that does not.
-    between(ctx, &mut rng);
+    between(ctx, &mut rng, signal);
     let peer = (me + 1) % n;
     let addr = dv.layout().accepted + me as u32;
     // The deadline falls after the query is on the wire, before its reply.
     let late = dv.read_word_deadline(ctx, peer, addr, Some(ctx.now() + ns(400)));
     assert_eq!(late, None, "a 400 ns deadline cannot cover a query round trip");
-    between(ctx, &mut rng);
+    between(ctx, &mut rng, signal);
     dv.barrier(ctx);
     h.word(dv.read_word_deadline(ctx, peer, addr, Some(ctx.now() + us(500))).unwrap_or(u64::MAX));
-    between(ctx, &mut rng);
+    between(ctx, &mut rng, signal);
     dv.barrier(ctx);
     h.finish()
 }
@@ -175,6 +180,48 @@ fn program_row(nodes: usize, plan: Option<&str>) -> (Time, u64, u64, u64, u64) {
     let mut r = Fnv1a::default();
     report.result.iter().for_each(|&d| r.word(d));
     (report.elapsed, report.trace_hash, fnv_of(tracer.dump().as_bytes()), metrics.snapshot().fnv_hash(), r.finish())
+}
+
+/// Two epochs closed by `ReliableFifo::verify_epoch` alone, skewed and
+/// woken early as `program` is: flush, verify, fence, drain. Returns a
+/// digest of every word received and the node's retransmission rounds.
+fn verify_program(dv: &DvCtx, ctx: &SimCtx, signal: &WaitSet) -> (u64, u64) {
+    let (n, me) = (dv.nodes(), dv.node());
+    let mut rng = SplitMix64::new(0x5e_7e1f ^ me as u64);
+    let mut h = Fnv1a::default();
+    let mut rel = ReliableFifo::new(dv);
+    let mut agg = Aggregator::new(48);
+    let mut next = (me as u64) << 40;
+    for _ in 0..2 {
+        for _ in 0..100 + rng.next_below(100) {
+            let dest = (me + 1 + rng.next_below(n as u64 - 1) as usize) % n;
+            next += 1;
+            rel.send(ctx, dv, &mut agg, dest, next);
+        }
+        between(ctx, &mut rng, signal);
+        agg.flush(ctx, dv);
+        let mut words = Vec::new();
+        rel.verify_epoch(ctx, dv, &mut words);
+        // Every peer's words are in every FIFO once all have verified.
+        between(ctx, &mut rng, signal);
+        dv.barrier(ctx);
+        rel.drain_unique(ctx, dv).iter().chain(&words).for_each(|&w| h.word(w));
+    }
+    (h.finish(), rel.stats().retx_rounds)
+}
+
+/// `(elapsed, trace hash, scheduler resumes, result digest)` of
+/// `verify_program` under the forced-drop plan.
+fn verify_row(nodes: usize) -> (Time, u64, u64, u64) {
+    let tracer = Arc::new(Tracer::enabled());
+    let signal = WaitSet::new();
+    let spec = spec(nodes, PLANS[1], &tracer);
+    let report = DvCluster::from_spec(spec).run(move |dv, ctx| verify_program(dv, ctx, &signal));
+    let retx: u64 = report.result.iter().map(|r| r.1).sum();
+    assert!(retx > 0, "{nodes} nodes: the plan must force retransmission");
+    let mut r = Fnv1a::default();
+    report.result.iter().for_each(|&(d, _)| r.word(d));
+    (report.elapsed, report.trace_hash, report.snapshot.counter_total("sim.sched.resumes"), r.finish())
 }
 
 /// Compare a table of actual rows against its pins, naming what moved.
@@ -253,5 +300,19 @@ fn dv_bfs_keeps_its_pinned_trace() {
 #[test]
 fn barriers_epochs_and_timed_out_reads_keep_their_pinned_traces() {
     check("node program", NODES, &table(NODES, program_row), &PROGRAM_PINS);
+}
+
+/// `verify_program` at each node count, under `seed=7,fifodrop=0.02`.
+const VERIFY_PINS: [(Time, u64, u64, u64); 4] = [
+    (0x829b405, 0x05b424dadcf33553, 0x1d1, 0x172ceae8978bdcb7),
+    (0x66b973d, 0x7b8403342bf75877, 0x1c4, 0xb934a0e29a9300d9),
+    (0x4e182a6, 0x657f427f0e25fced, 0x2b3, 0x6ecae8c7c0e06907),
+    (0x5ddb61a, 0x4fb4b6038a016da2, 0xba2, 0xee4d0d2a422f916a),
+];
+
+#[test]
+fn verify_epoch_under_loss_keeps_its_pinned_trace() {
+    let actual = NODES.map(verify_row);
+    assert!(actual == VERIFY_PINS, "verify_epoch: traces moved; actual table:\n{actual:#x?}");
 }
 
