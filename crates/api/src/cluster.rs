@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use dv_core::spec::{RunReport, SimSpec};
 use dv_core::time::Time;
-use dv_sim::{Sim, SimCtx};
+use dv_sim::{Kernel, Sim, SimCtx};
 
 use crate::{ctx::DvCtx, layout::FAST_BARRIER_GC, world::DvWorld};
 
@@ -42,6 +42,8 @@ impl DvCluster {
     /// Run `body` on every node (one VIC each); per-node results come
     /// back in node order inside the [`RunReport`] of
     /// [`Sim::run_spmd`], after the VIC and PCIe counters are published.
+    /// The cluster's mutable state is installed in the run's kernel, on
+    /// this thread, before any node runs.
     pub fn run<T, F>(&self, body: F) -> RunReport<Vec<T>>
     where
         T: Send + 'static,
@@ -50,38 +52,34 @@ impl DvCluster {
         let spec = &self.spec;
         let sim = Sim::from_spec(spec);
         let world = DvWorld::from_spec(spec);
-        // Pre-arm the FastBarrier counters before any process runs, so the
-        // first fast_barrier call has no set/decrement race.
+        // Install the cluster's state on this thread, and pre-arm the
+        // FastBarrier counters before any process runs, so the first
+        // fast_barrier call has no set/decrement race.
         sim.with_kernel(|k| {
-            for vic in &world.vics {
-                let mut vic = vic.lock();
-                for &gc in &FAST_BARRIER_GC {
-                    vic.set_counter(k, gc, (spec.nodes - 1) as u64);
+            world.state(k, |st, k| {
+                for vic in &mut st.vics {
+                    for &gc in &FAST_BARRIER_GC {
+                        vic.set_counter(k, gc, (spec.nodes - 1) as u64);
+                    }
                 }
-            }
+            });
         });
-        let publish = |elapsed: Time| {
+        let publish = |k: &mut Kernel| {
             if !spec.metrics.is_enabled() {
                 return;
             }
-            for (node, vic) in world.vics.iter().enumerate() {
-                vic.lock().publish_metrics(&spec.metrics);
-                let pcie = &world.pcie[node];
-                if elapsed > 0 {
-                    let label = [("node", (node as u64).into())];
-                    let util = |busy: Time| (busy as f64 / elapsed as f64).min(1.0);
-                    spec.metrics.gauge_labeled(
-                        "pcie.to_vic_util",
-                        &label,
-                        util(pcie.to_vic_busy()),
-                    );
-                    spec.metrics.gauge_labeled(
-                        "pcie.from_vic_util",
-                        &label,
-                        util(pcie.from_vic_busy()),
-                    );
+            let elapsed = k.now();
+            world.state(k, |st, _| {
+                for (node, (vic, pcie)) in st.vics.iter_mut().zip(&st.pcie).enumerate() {
+                    vic.publish_metrics(&spec.metrics);
+                    if elapsed > 0 {
+                        let label = [("node", (node as u64).into())];
+                        let util = |busy: Time| (busy as f64 / elapsed as f64).min(1.0);
+                        spec.metrics.gauge_labeled("pcie.to_vic_util", &label, util(pcie.to_vic_busy()));
+                        spec.metrics.gauge_labeled("pcie.from_vic_util", &label, util(pcie.from_vic_busy()));
+                    }
                 }
-            }
+            });
         };
         sim.run_spmd(spec, "node", |node| DvCtx::new(Arc::clone(&world), node), body, publish)
     }
@@ -171,7 +169,7 @@ mod tests {
                 // the three decrements and erased them, so the counter is
                 // stuck at the preset value and never reaches zero.
                 ctx.delay(us(500));
-                assert_eq!(dv.gc_value(9), 3, "set must have erased the early decrements");
+                assert_eq!(dv.gc_value(ctx, 9), 3, "set must have erased the early decrements");
                 let deadline = ctx.now() + us(200);
                 dv.gc_wait_zero(ctx, 9, Some(deadline))
             }

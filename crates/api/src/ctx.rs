@@ -7,6 +7,7 @@ use dv_core::packet::{Packet, PacketHeader};
 use dv_core::time::{self, Time};
 use dv_core::{NodeId, Word};
 use dv_sim::SimCtx;
+use dv_vic::Vic;
 
 use crate::layout::{Layout, FAST_BARRIER_GC};
 use crate::op::At;
@@ -65,7 +66,7 @@ pub struct DvCtx {
 
 impl DvCtx {
     /// Create the handle for `node`.
-    pub fn new(world: Arc<DvWorld>, node: NodeId) -> Self {
+    pub(crate) fn new(world: Arc<DvWorld>, node: NodeId) -> Self {
         Self { world, node, fast_barrier_parity: Cell::new(0) }
     }
 
@@ -165,7 +166,7 @@ impl DvCtx {
         mode: SendMode,
     ) -> Result<Time, Backpressure> {
         ctx.delay(STATUS_POLL);
-        let credit = self.world.fifo_credit(dest);
+        let credit = self.at(ctx).with(|st, _| st.fifo_credit(dest));
         if credit < words.len() as i64 {
             self.world.metrics.incr_labeled(
                 "api.fifo.backpressure_rejects",
@@ -196,8 +197,8 @@ impl DvCtx {
     /// Current value of a local group counter (free: the VIC pushes
     /// zero-counter lists to host memory during idle PCIe cycles, so
     /// polling does not pay a PCIe read).
-    pub fn gc_value(&self, gc: u8) -> i64 {
-        self.world.vics[self.node].lock().counter(gc).value()
+    pub fn gc_value(&self, ctx: &SimCtx, gc: u8) -> i64 {
+        self.with_vic(ctx, |vic| vic.counter(gc).value())
     }
 
     /// Block until a local group counter reaches zero, or until `deadline`
@@ -281,7 +282,8 @@ impl DvCtx {
     /// [`DvCtx::read_local`] without the copy: one PCIe charge for all `n`
     /// words, then `f` sees them in place, in address order, in the
     /// page-contiguous runs of [`dv_vic::DvMemory::lend_range`]. `f` runs
-    /// with this node's VIC held, so it must not block on `ctx`.
+    /// in the kernel with this node's VIC taken out, so it must not block
+    /// on `ctx`.
     pub fn lend_local(&self, ctx: &SimCtx, address: u32, n: usize, f: impl FnMut(&[Word])) {
         ctx.block_on(self.at(ctx).lend(address, n, f));
     }
@@ -304,7 +306,7 @@ impl DvCtx {
 
     /// Non-blocking pop of one surprise packet.
     pub fn fifo_try_recv(&self, ctx: &SimCtx) -> Option<Word> {
-        let popped = self.world.vics[self.node].lock().fifo.pop();
+        let popped = self.with_vic(ctx, |vic| vic.fifo.pop());
         popped.map(|(_, w)| {
             ctx.delay(FIFO_POP);
             w
@@ -336,8 +338,14 @@ impl DvCtx {
     }
 
     /// Packets dropped by this node's FIFO due to overflow.
-    pub fn fifo_dropped(&self) -> u64 {
-        self.world.vics[self.node].lock().fifo.dropped()
+    pub fn fifo_dropped(&self, ctx: &SimCtx) -> u64 {
+        self.with_vic(ctx, |vic| vic.fifo.dropped())
+    }
+
+    /// Run `f` on this node's VIC, which the simulation kernel owns: a
+    /// look at hardware state that costs no virtual time.
+    pub fn with_vic<R>(&self, ctx: &SimCtx, f: impl FnOnce(&mut Vic) -> R) -> R {
+        self.at(ctx).vic(f)
     }
 
     // ------------------------------------------------------------------

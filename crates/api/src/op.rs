@@ -36,11 +36,12 @@ use dv_core::time::{self, Time};
 use dv_core::trace::State;
 use dv_core::{NodeId, Word};
 use dv_sim::{Kernel, Proc, SimCtx};
+use dv_vic::{PciePath, Vic};
 
 use crate::ctx::{DvCtx, SendMode, DMA_ENQUEUE, FIFO_POP, STATUS_POLL};
 use crate::layout::{QUERY_GC, VERIFY_GC};
 use crate::reliable::{ReliableFifo, DRAIN_CHUNK, MAX_ROUNDS, QUERY_TIMEOUT, QUERY_TRIES, WINDOW};
-use crate::world::{BlockWrite, DvWorld};
+use crate::world::{BlockWrite, DvState, DvWorld};
 
 /// The node a call runs for, and its process.
 pub(crate) struct At {
@@ -92,6 +93,26 @@ fn group_by_dest<T>(
 const CACHED_PIO: SendMode = SendMode::DirectWrite { cached_headers: true };
 
 impl At {
+    /// `f` on the cluster's kernel-owned state, in one [`Proc::with`].
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut DvState, &mut Kernel) -> R) -> R {
+        self.p.with(|k| self.world.state(k, f))
+    }
+
+    /// `f` on this node's VIC.
+    pub(crate) fn vic<R>(&self, f: impl FnOnce(&mut Vic) -> R) -> R {
+        self.with(|st, _| f(&mut st.vics[self.node]))
+    }
+
+    /// `f` on this node's PCIe path, at the current time.
+    fn pcie<R>(&self, f: impl FnOnce(&mut PciePath, Time) -> R) -> R {
+        self.with(|st, k| f(&mut st.pcie[self.node], k.now()))
+    }
+
+    /// Whether a surprise-FIFO word may arrive twice by now.
+    fn repeats(&self) -> bool {
+        self.with(|st, _| st.fifo_repeats)
+    }
+
     /// The PCIe charge for `words` payloads at `now` — direct writes hold
     /// the CPU for the whole transfer, DMA returns after the descriptor
     /// enqueue and overlaps — then each destination's batch handed to
@@ -102,27 +123,28 @@ impl At {
         words: u64,
         mode: SendMode,
         batches: Vec<(NodeId, Vec<T>)>,
-        transmit: impl Fn(&mut Kernel, NodeId, Vec<T>, Time) -> Time,
+        transmit: impl Fn(&mut DvState, &mut Kernel, NodeId, Vec<T>, Time) -> Time,
     ) -> Time {
-        let (pcie, t0) = (&self.world.pcie[self.node], self.p.now());
-        let (until, vic_ready) = match mode {
+        let (t0, (until, vic_ready)) = self.pcie(|pcie, t0| match mode {
             SendMode::DirectWrite { cached_headers } => {
                 let end = pcie.pio_send(t0, words, cached_headers).1;
-                (end, end)
+                (t0, (end, end))
             }
             SendMode::Dma { cached_headers } => {
                 let bytes = words * if cached_headers { PAYLOAD_BYTES } else { 2 * PAYLOAD_BYTES };
-                (t0 + DMA_ENQUEUE, pcie.dma_to_vic(t0, bytes).1)
+                (t0, (t0 + DMA_ENQUEUE, pcie.dma_to_vic(t0, bytes).1))
             }
-        };
+        });
         self.p
             .until_then(until, |k| {
-                let mut last = vic_ready;
-                for (dst, batch) in batches {
-                    last = last.max(transmit(k, dst, batch, vic_ready));
-                }
-                self.world.tracer.span(self.node, State::Send, t0, k.now());
-                last
+                self.world.state(k, |st, k| {
+                    let mut last = vic_ready;
+                    for (dst, batch) in batches {
+                        last = last.max(transmit(st, k, dst, batch, vic_ready));
+                    }
+                    self.world.tracer.span(self.node, State::Send, t0, k.now());
+                    last
+                })
             })
             .await
     }
@@ -132,11 +154,11 @@ impl At {
         if packets.is_empty() {
             return self.p.now();
         }
-        let (world, node) = (&self.world, self.node);
-        let mut counts = vec![0; world.nodes()];
+        let node = self.node;
+        let mut counts = vec![0; self.world.nodes()];
         packets.iter().for_each(|p| counts[p.header.dest] += 1);
         let batches = group_by_dest(counts, packets.iter().copied(), |p| p.header.dest);
-        let transmit = |k: &mut Kernel, dst, batch, ready| world.transmit(k, node, dst, batch, ready);
+        let transmit = |st: &mut DvState, k: &mut Kernel, dst, batch, ready| st.transmit(k, node, dst, batch, ready);
         self.send_batches(packets.len() as u64, mode, batches, transmit).await
     }
 
@@ -146,26 +168,27 @@ impl At {
         if words == 0 {
             return self.p.now();
         }
-        let (world, node) = (&self.world, self.node);
-        let mut counts = vec![0; world.nodes()];
+        let node = self.node;
+        let mut counts = vec![0; self.world.nodes()];
         blocks.iter().for_each(|b| counts[b.dest] += 1);
         let batches = group_by_dest(counts, blocks.into_iter(), |b| b.dest);
-        let transmit = |k: &mut Kernel, dst, batch, ready| world.transmit_blocks(k, node, dst, batch, ready);
+        let transmit =
+            |st: &mut DvState, k: &mut Kernel, dst, batch, ready| st.transmit_blocks(k, node, dst, batch, ready);
         self.send_batches(words, mode, batches, transmit).await
     }
 
     /// [`DvCtx::gc_set_local`]: the PIO write's charge, then the preset.
     pub(crate) async fn gc_set(&self, gc: u8, expected: u64) {
         self.p.delay(self.world.config.pcie.pio_write_latency).await;
-        self.p.with(|k| self.world.vics[self.node].lock().set_counter(k, gc, expected));
+        self.with(|st, k| st.vics[self.node].set_counter(k, gc, expected));
     }
 
     /// [`DvCtx::gc_wait_zero`]: `true` on zero, `false` at the deadline;
     /// the wait span, and the timeout count.
     pub(crate) async fn gc_wait(&self, gc: u8, deadline: Option<Time>) -> bool {
-        let (vic, node, t0) = (&self.world.vics[self.node], self.node, self.p.now());
-        let zero = || vic.lock().counter(gc).is_zero().then_some(());
-        let ok = self.p.turn(deadline, zero, |w| vic.lock().counter(gc).waiters().register(w)).await.is_some();
+        let (node, t0) = (self.node, self.p.now());
+        let zero = |st: &mut DvState| st.vics[node].counter(gc).is_zero().then_some(());
+        let ok = self.p.turn_in(deadline, zero, |st, w| st.vics[node].counter(gc).waiters().register(w)).await.is_some();
         let now = self.p.now();
         if now > t0 {
             self.world.tracer.span(node, State::Wait, t0, now);
@@ -189,35 +212,37 @@ impl At {
         if !self.gc_wait(QUERY_GC, deadline).await {
             return None;
         }
-        let (_, end) = self.world.pcie[me].pio_read(self.p.now(), 1);
-        self.p.until(end).await;
-        Some(self.world.vics[me].lock().memory.read(reply_addr))
+        self.p.until(self.pcie(|pcie, now| pcie.pio_read(now, 1).1)).await;
+        Some(self.vic(|vic| vic.memory.read(reply_addr)))
     }
 
     /// [`DvCtx::write_local`]: PIO for up to 64 words, DMA beyond, then
     /// the write.
     pub(crate) async fn write_local(&self, address: u32, words: &[Word]) {
-        let (n, pcie) = (words.len() as u64, &self.world.pcie[self.node]);
-        let end = if n <= 64 {
-            pcie.pio_send(self.p.now(), n, true).1
-        } else {
-            pcie.dma_to_vic(self.p.now(), n * PAYLOAD_BYTES).1
-        };
+        let n = words.len() as u64;
+        let end = self.pcie(|pcie, now| {
+            if n <= 64 {
+                pcie.pio_send(now, n, true).1
+            } else {
+                pcie.dma_to_vic(now, n * PAYLOAD_BYTES).1
+            }
+        });
         self.p.until(end).await;
-        self.world.vics[self.node].lock().memory.write_range(address, words);
+        self.vic(|vic| vic.memory.write_range(address, words));
     }
 
     /// [`DvCtx::lend_local`]: one host read of `n` words (PIO for up to
     /// two, the 8×-faster DMA beyond), then `f` over them in place.
     pub(crate) async fn lend(&self, address: u32, n: usize, f: impl FnMut(&[Word])) {
-        let pcie = &self.world.pcie[self.node];
-        let end = if n <= 2 {
-            pcie.pio_read(self.p.now(), n as u64).1
-        } else {
-            pcie.dma_from_vic(self.p.now(), n as u64 * PAYLOAD_BYTES).1
-        };
+        let end = self.pcie(|pcie, now| {
+            if n <= 2 {
+                pcie.pio_read(now, n as u64).1
+            } else {
+                pcie.dma_from_vic(now, n as u64 * PAYLOAD_BYTES).1
+            }
+        });
         self.p.until(end).await;
-        self.world.vics[self.node].lock().memory.lend_range(address, n, f);
+        self.vic(|vic| vic.memory.lend_range(address, n, f));
     }
 
     /// [`DvCtx::peek_local`] into `out`: the status poll's charge, then the
@@ -229,15 +254,16 @@ impl At {
             (address as usize + out.len()) <= page,
             "peek_local only covers the pushed status page (first {page} words)"
         );
-        self.world.vics[self.node].lock().memory.read_range(address, out);
+        self.vic(|vic| vic.memory.read_range(address, out));
         now
     }
 
     /// [`DvCtx::fifo_recv_deadline`]: a blocking pop of one surprise word,
     /// then its host charge; `None` once `deadline` passes first.
     pub(crate) async fn pop(&self, deadline: Option<Time>) -> Option<Word> {
-        let vic = &self.world.vics[self.node];
-        let (_, w) = self.p.turn(deadline, || vic.lock().fifo.pop(), |w| vic.lock().fifo.waiters().register(w)).await?;
+        let node = self.node;
+        let pop = |st: &mut DvState| st.vics[node].fifo.pop();
+        let (_, w) = self.p.turn_in(deadline, pop, |st, w| st.vics[node].fifo.waiters().register(w)).await?;
         self.p.delay(FIFO_POP).await;
         Some(w)
     }
@@ -245,9 +271,9 @@ impl At {
     /// [`DvCtx::fifo_drain_into`]: move up to `max` surprise words onto
     /// `out`, then wait out their host transfer; returns how many moved.
     pub(crate) async fn drain_into(&self, max: usize, out: &mut Vec<Word>) -> usize {
-        let n = self.world.vics[self.node].lock().fifo.drain_into(max, out);
+        let n = self.vic(|vic| vic.fifo.drain_into(max, out));
         if n > 0 {
-            self.p.until(self.world.pcie[self.node].dma_from_vic(self.p.now(), n as u64 * PAYLOAD_BYTES).1).await;
+            self.p.until(self.pcie(|pcie, now| pcie.dma_from_vic(now, n as u64 * PAYLOAD_BYTES).1)).await;
         }
         n
     }
@@ -260,7 +286,7 @@ impl At {
             if self.drain_into(DRAIN_CHUNK, out).await == 0 {
                 return;
             }
-            rel.admit_drained(&self.world, out, start);
+            rel.admit_drained(self.repeats(), out, start);
         }
     }
 
@@ -270,7 +296,7 @@ impl At {
     async fn recv(&self, rel: &mut ReliableFifo, deadline: Time) -> Option<Word> {
         loop {
             let w = self.pop(Some(deadline)).await?;
-            if rel.admit(&self.world, w) {
+            if rel.admit(self.repeats(), w) {
                 rel.received += 1;
                 return Some(w);
             }
@@ -350,7 +376,7 @@ impl At {
             rel.stats.retx_rounds += 1;
             // What we are about to resend may already sit in `dest`'s
             // FIFO: from here on every receiver must check for repeats.
-            self.world.allow_fifo_repeats();
+            self.with(|st, _| st.fifo_repeats = true);
             // This destination's words, in send order (the rare path:
             // the shared epoch log is filtered only on a shortfall).
             let sent = rel.epoch_log.iter().zip(&rel.epoch_dest);
@@ -369,7 +395,8 @@ impl At {
                 assert!(
                     budget > 0,
                     "node {me}: retransmission budget exhausted toward node {dest} \
-                     (accepted {hw}, expected {expected}); the data path is dead",
+                     (accepted {hw}, expected {expected}); the data path is dead{}",
+                    self.fifo_report(dest),
                 );
                 budget -= 1;
                 rel.stats.retx_windows += 1;
@@ -393,7 +420,8 @@ impl At {
                         stalls < MAX_ROUNDS,
                         "node {me}: {stalls} consecutive retransmissions toward node \
                          {dest} accepted nothing (at {hw}, expected {expected}); \
-                         the data path is dead",
+                         the data path is dead{}",
+                        self.fifo_report(dest),
                     );
                     // A wholly rejected window usually means the peer's
                     // FIFO is at capacity (it is busy verifying its own
@@ -411,6 +439,16 @@ impl At {
         }
         rel.hw_confirmed[dest] = hw;
         rel.wire_epoch[dest] = 0;
+    }
+
+    /// What a dead data path toward `dest` looks like at its end: the
+    /// peer's FIFO length, capacity and drop count, appended to the panic
+    /// (`assert!` formats it only on failure).
+    fn fifo_report(&self, dest: NodeId) -> String {
+        self.with(|st, _| {
+            let fifo = &st.vics[dest].fifo;
+            format!("; node {dest}'s FIFO holds {} of {} words, {} dropped", fifo.len(), fifo.capacity(), fifo.dropped())
+        })
     }
 
     /// Read back our accepted-count slot at `dest` with timeout + bounded
@@ -443,26 +481,23 @@ impl At {
     pub(crate) async fn barrier(self) {
         let (world, t0) = (&self.world, self.p.now());
         self.p.until(t0 + world.config.dv.barrier_setup).await;
-        let arrived = self.p.with(|k| {
-            let mut b = world.barrier.lock();
-            b.count += 1;
-            if b.count < world.nodes() {
-                return Err(b.epoch);
+        let arrived = self.with(|st, k| {
+            st.barrier_count += 1;
+            if st.barrier_count < world.nodes() {
+                return Err(st.barrier_epoch);
             }
-            b.count = 0;
-            b.epoch += 1;
+            st.barrier_count = 0;
+            st.barrier_epoch += 1;
             let release_at = k.now() + world.config.dv.barrier_hw;
-            let ws = std::mem::take(&mut b.waiters);
-            drop(b);
-            k.call_at(release_at, move |k| ws.wake_all(k));
+            let waiters = std::mem::take(&mut st.barrier_waiters);
+            k.call_at(release_at, move |k| waiters.into_iter().for_each(|w| k.wake(w)));
             Ok(release_at)
         });
         match arrived {
             Ok(release_at) => self.p.until(release_at).await,
             Err(my_epoch) => {
-                let barrier = &world.barrier;
-                let released = || (barrier.lock().epoch != my_epoch).then_some(());
-                self.p.turn(None, released, |w| barrier.lock().waiters.register(w)).await;
+                let released = |st: &mut DvState| (st.barrier_epoch != my_epoch).then_some(());
+                self.p.turn_in(None, released, |st, w| st.barrier_waiters.push(w)).await;
             }
         }
         self.p.with(|k| world.tracer.span(self.node, State::Barrier, t0, k.now()));
@@ -478,8 +513,8 @@ impl At {
         // Re-arm this parity for its next use (safe: nobody can re-enter
         // the same parity before every node passed the *other* one).
         let rearm = (self.world.nodes() - 1) as u64;
-        self.p.with(|k| {
-            self.world.vics[self.node].lock().set_counter(k, gc, rearm);
+        self.with(|st, k| {
+            st.vics[self.node].set_counter(k, gc, rearm);
             self.world.tracer.span(self.node, State::Barrier, t0, k.now());
         });
     }

@@ -30,8 +30,8 @@
 //!   and so can a link-duplication fault plan; the receiver keeps every
 //!   word of the run, so applications observe each logical word exactly
 //!   once. While no word can arrive twice that record is a plain log and
-//!   admission does no hashing. A set-once flag of the
-//!   [`DvWorld`], raised at construction under a `dup`
+//!   admission does no hashing. A set-once flag of the cluster's
+//!   kernel-owned state, raised at construction under a `dup`
 //!   plan or by the first retransmission anywhere, switches it over:
 //!   the next word admitted indexes the whole log, and every later one is
 //!   checked against it.
@@ -62,7 +62,6 @@ use dv_sim::SimCtx;
 use crate::aggregate::Aggregator;
 use crate::ctx::DvCtx;
 use crate::op::{Close, Resume};
-use crate::world::DvWorld;
 
 /// Words per host transfer of a drain.
 pub(crate) const DRAIN_CHUNK: usize = 4096;
@@ -235,9 +234,9 @@ impl ReliableFifo {
     }
 
     /// Record an inbound word; `false` if it is a duplicate. Hashes
-    /// nothing until the world says a word may arrive twice.
-    pub(crate) fn admit(&mut self, world: &DvWorld, word: Word) -> bool {
-        if world.fifo_repeats() {
+    /// nothing until a word may arrive twice (`repeats`).
+    pub(crate) fn admit(&mut self, repeats: bool, word: Word) -> bool {
+        if repeats {
             self.seen_in.insert(word)
         } else {
             self.seen_in.log(&[word]);
@@ -248,8 +247,8 @@ impl ReliableFifo {
     /// Admit the words a host transfer landed at `out[start..]`:
     /// deduplicated in place, or only logged while no word can arrive
     /// twice.
-    pub(crate) fn admit_drained(&mut self, world: &DvWorld, out: &mut Vec<Word>, start: usize) {
-        if !world.fifo_repeats() {
+    pub(crate) fn admit_drained(&mut self, repeats: bool, out: &mut Vec<Word>, start: usize) {
+        if !repeats {
             self.seen_in.log(&out[start..]);
             self.received += (out.len() - start) as u64;
             return;
@@ -279,7 +278,8 @@ impl ReliableFifo {
     /// there. An empty FIFO costs nothing; a draining one is one call run
     /// in the kernel.
     fn drain_into(&mut self, ctx: &SimCtx, dv: &DvCtx, out: &mut Vec<Word>) {
-        let queued = dv.world().vics[self.me].lock().fifo.len();
+        let me = self.me;
+        let (queued, repeats) = dv.at(ctx).with(|st, _| (st.vics[me].fifo.len(), st.fifo_repeats));
         if queued == 0 {
             return;
         }
@@ -290,7 +290,7 @@ impl ReliableFifo {
         // ≈ 1.5 MiB (5 %) on `dv_irregular`'s peak RSS.
         let first = queued.min(DRAIN_CHUNK);
         out.reserve(first);
-        if !dv.world().fifo_repeats() {
+        if !repeats {
             self.seen_in.words.reserve(first);
         }
         let (mut rel, mut buf) = (std::mem::take(self), std::mem::take(out));

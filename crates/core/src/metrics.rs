@@ -104,19 +104,6 @@ struct Inner {
     histograms: BTreeMap<Key, Log2Histogram>,
 }
 
-/// A component's interval-flush callback: invoked with the registry and
-/// the current virtual time just before each series sample is
-/// taken, so locally-accumulated counters (VIC stats, switch arenas) can
-/// be folded in incrementally. Hooks must be idempotent under repeated
-/// calls at the same state (flushing nothing new must record nothing).
-pub type FlushHook = Box<dyn Fn(&MetricsRegistry, Time) + Send>;
-
-#[derive(Default)]
-struct SamplerState {
-    series: Option<Timeseries>,
-    flush_hooks: Vec<FlushHook>,
-}
-
 /// The metrics sink shared by one simulated cluster run.
 ///
 /// Clusters thread an `Arc<MetricsRegistry>` through their worlds the
@@ -138,7 +125,8 @@ pub struct MetricsRegistry {
     /// a single relaxed atomic load (the same contract as the disabled
     /// recording path).
     next_sample_ps: AtomicU64,
-    sampler: Mutex<SamplerState>,
+    /// The attached series, if any.
+    sampler: Mutex<Option<Timeseries>>,
 }
 
 impl Default for MetricsRegistry {
@@ -153,7 +141,7 @@ impl MetricsRegistry {
             enabled: AtomicBool::new(enabled),
             inner: Mutex::new(Inner::default()),
             next_sample_ps: AtomicU64::new(u64::MAX),
-            sampler: Mutex::new_named("metrics.sampler", SamplerState::default()),
+            sampler: Mutex::new_named("metrics.sampler", None),
         }
     }
 
@@ -290,16 +278,15 @@ impl MetricsRegistry {
         assert!(interval_ps > 0, "sample interval must be positive");
         let series =
             Timeseries { interval_ps, prev: MetricsSnapshot::default(), next_seq: 0, sink: Box::new(sink) };
-        self.sampler.lock().series = Some(series);
+        *self.sampler.lock() = Some(series);
         self.next_sample_ps.store(interval_ps, Ordering::Relaxed);
     }
 
-    /// Register an interval-flush hook, run (in registration order) just
-    /// before every sample so components holding local accumulators can
-    /// fold their progress in. Hooks survive for the registry's lifetime;
-    /// components that may outlive a run should capture weak references.
-    pub fn register_flush(&self, hook: impl Fn(&MetricsRegistry, Time) + Send + 'static) {
-        self.sampler.lock().flush_hooks.push(Box::new(hook));
+    /// Whether [`MetricsRegistry::tick`] at `now` takes a sample: the
+    /// caller's cue to fold locally accumulated counters in first (the
+    /// scheduler flushes the kernel's states). One relaxed atomic load.
+    pub fn sample_due(&self, now: Time) -> bool {
+        now >= self.next_sample_ps.load(Ordering::Relaxed)
     }
 
     /// Advance the sampler to virtual time `now`, emitting one sample per
@@ -310,7 +297,7 @@ impl MetricsRegistry {
     /// cut, independent of host scheduling. With no series attached this
     /// is one relaxed atomic load.
     pub fn tick(&self, now: Time) {
-        if now < self.next_sample_ps.load(Ordering::Relaxed) {
+        if !self.sample_due(now) {
             return;
         }
         self.sample_at(now, false);
@@ -326,17 +313,11 @@ impl MetricsRegistry {
 
     fn sample_at(&self, now: Time, finishing: bool) {
         let mut sampler = self.sampler.lock();
-        if sampler.series.is_none() {
-            return;
-        }
-        for hook in &sampler.flush_hooks {
-            hook(self, now);
-        }
+        let Some(series) = sampler.as_mut() else { return };
         let snap = self.snapshot();
-        let series = sampler.series.as_mut().expect("checked above");
         if finishing {
             series.record(now, snap);
-            sampler.series = None;
+            *sampler = None;
             return;
         }
         let interval = series.interval_ps;
@@ -847,19 +828,25 @@ mod tests {
         assert_eq!(seen, expect);
     }
 
+    /// A flush run when `sample_due` says so lands in the sample `tick`
+    /// then takes, and only then.
     #[test]
-    fn flush_hooks_run_before_each_sample() {
+    fn a_flush_on_sample_due_lands_in_that_sample() {
         let m = MetricsRegistry::enabled();
+        assert!(!m.sample_due(0), "no series attached");
         let samples = attach_collecting(&m, 100);
-        m.register_flush(|reg, _now| reg.incr("hook.flushes", 1));
-        m.incr("w", 1);
-        m.tick(120);
-        m.incr("w", 1);
-        m.tick(220);
+        for t in [40, 120, 160, 220] {
+            m.incr("w", 1);
+            if m.sample_due(t) {
+                m.incr("flushes", 1);
+            }
+            m.tick(t);
+        }
         let samples = samples.lock().unwrap();
         assert_eq!(samples.len(), 2);
-        assert_eq!(samples[0].2.counter("hook.flushes", &[]), Some(1));
-        assert_eq!(samples[1].2.counter("hook.flushes", &[]), Some(1));
+        assert_eq!(samples[0].2.counter("flushes", &[]), Some(1));
+        assert_eq!(samples[1].2.counter("flushes", &[]), Some(1));
+        assert_eq!(samples[1].2.counter("w", &[]), Some(2));
     }
 
     #[test]

@@ -259,7 +259,7 @@ mod tests {
         let report = run_lint(&root).expect("scan must succeed");
         assert!(report.locks.cycles().is_empty(), "{:?}", report.locks.cycles());
         let names = report.locks.names();
-        for expected in ["sim.kernel", "sim.registry", "api.vic", "api.barrier", "mpi.pending"] {
+        for expected in ["sim.kernel", "sim.registry", "metrics.sampler"] {
             assert!(names.iter().any(|n| n == expected), "lock {expected} not found in {names:?}");
         }
     }

@@ -3,7 +3,7 @@
 use dv_core::spec::{RunReport, SimSpec};
 use dv_sim::{Sim, SimCtx};
 
-use crate::comm::{Comm, World};
+use crate::comm::{Comm, MpiState, World};
 
 /// Entry point for an MPI run: a [`SimSpec`] in, [`MpiCluster::run`]
 /// returns a [`RunReport`].
@@ -38,7 +38,10 @@ impl MpiCluster {
     {
         let spec = &self.spec;
         let world = World::from_spec(spec);
-        Sim::from_spec(spec).run_spmd(spec, "rank", |rank| world.comm(rank), body, |_| {})
+        let sim = Sim::from_spec(spec);
+        // The world's mutable half goes to the kernel, built on this thread.
+        sim.with_kernel(|k| k.install(MpiState::new(&world, spec.machine.ib.clone())));
+        sim.run_spmd(spec, "rank", |rank| world.comm(rank), body, |_| {})
     }
 }
 

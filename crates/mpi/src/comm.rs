@@ -28,18 +28,19 @@
 //! kernel: the resumes above are committed as before, but each polls the
 //! call in kernel context, and the rank's thread runs again once per
 //! blocking call or collective, not once per resume.
+//!
+//! The receive slots, the rendezvous requests and the fabric's pipes are
+//! an `MpiState` the simulation kernel owns (see
+//! [`dv_sim::KernelState`]): only the rank holding the run token, or a
+//! kernel event, touches them, so none has a lock of its own.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
-use dv_core::sync::Mutex;
-
-use dv_core::config::MpiParams;
+use dv_core::config::{IbParams, MpiParams};
 use dv_core::metrics::MetricsRegistry;
 use dv_core::time::{self, Time};
 use dv_core::trace::Tracer;
-use dv_sim::{Kernel, Port, SimCtx, Waker};
+use dv_sim::{Kernel, KernelState, Port, SimCtx, Waker};
 
 use crate::fabric::IbFabric;
 pub(crate) mod op;
@@ -62,9 +63,10 @@ pub struct Envelope {
 
 enum Wire {
     Eager(Envelope),
-    Rts { src: usize, tag: Tag, msg_id: u64 },
-    /// The payload of a rendezvous transfer; `done` is the sender's request.
-    Data { msg_id: u64, env: Envelope, done: Arc<Mutex<ReqState>> },
+    Rts { src: usize, tag: Tag, msg_id: usize },
+    /// The payload of a rendezvous transfer; `msg_id` is the sender's
+    /// request.
+    Data { msg_id: usize, env: Envelope },
 }
 
 impl Wire {
@@ -85,7 +87,7 @@ enum Posted {
     /// The first eager message or RTS from `(src, tag)`.
     Match { src: Option<usize>, tag: Option<Tag> },
     /// The data of the rendezvous transfer it already answered.
-    Data(u64),
+    Data(usize),
 }
 
 /// One rank's posted-receive slot: written by its `recv` when it blocks,
@@ -98,21 +100,27 @@ struct RecvSlot {
     delivered: Option<(Time, Envelope)>,
 }
 
+/// One rendezvous send, from its RTS until its sender's `wait` returns.
 #[derive(Default)]
 struct ReqState {
     done: bool,
     /// The owner, once it blocked in [`Comm::wait`].
     waiter: Option<Waker>,
+    /// The message, until the CTS releases it onto the fabric.
+    send: Option<PendingSend>,
 }
 
 /// Handle for a nonblocking send; complete it with [`Comm::wait`]. `None`
-/// is a request that was complete when it was made (every eager send).
-pub struct Request(Option<Arc<Mutex<ReqState>>>);
+/// is a request that was complete when it was made (every eager send);
+/// else the index of its entry in the world's request slab, which is also
+/// the rendezvous message's id. A request dropped without a `wait` keeps
+/// its entry until the run ends.
+pub struct Request(Option<usize>);
 
 impl Request {
     /// True once the operation completed.
-    pub fn is_done(&self) -> bool {
-        self.0.as_ref().is_none_or(|s| s.lock().done)
+    pub fn is_done(&self, ctx: &SimCtx) -> bool {
+        self.0.is_none_or(|id| ctx.with_kernel(|k| k.with_state(|st: &mut MpiState, _| st.reqs[id].done)))
     }
 }
 
@@ -121,104 +129,104 @@ struct PendingSend {
     dst: usize,
     env: Envelope,
     bytes: u64,
-    req: Arc<Mutex<ReqState>>,
 }
 
-/// Shared state of the MPI world (one per cluster run).
+/// What never changes in an MPI world (one per cluster run); its mutable
+/// half is the kernel-owned `MpiState`.
 pub struct World {
-    fabric: IbFabric,
     params: MpiParams,
     ports: Vec<Port<Wire>>,
-    slots: Vec<Mutex<RecvSlot>>,
-    pending: Mutex<BTreeMap<u64, PendingSend>>,
-    next_id: AtomicU64,
     tracer: Arc<Tracer>,
     metrics: Arc<MetricsRegistry>,
 }
 
-impl World {
-    /// Build the world described by a [`SimSpec`](dv_core::spec::SimSpec):
-    /// the InfiniBand fabric comes from `spec.machine.ib`, MPI tuning from
-    /// `spec.machine.mpi`, tracing and metrics from the spec's attachments.
-    /// Point-to-point traffic is recorded under `mpi.*` and collectives
-    /// under `mpi.coll.*` when the registry is enabled.
-    pub fn from_spec(spec: &dv_core::spec::SimSpec) -> Arc<Self> {
-        let fabric = IbFabric::new(spec.nodes, spec.machine.ib.clone());
-        let nodes = fabric.nodes();
-        // Each port's arrival hook needs the world it belongs to (a CTS
-        // ends in a delivery to that very port), hence the weak cycle.
-        Arc::new_cyclic(|world: &Weak<Self>| Self {
-            fabric,
-            params: spec.machine.mpi.clone(),
-            ports: (0..nodes)
-                .map(|rank| {
-                    let world = Weak::clone(world);
-                    Port::with_handler(move |k, _at, wire| match world.upgrade() {
-                        Some(world) => world.arrive(k, rank, wire),
-                        None => Some(wire),
-                    })
-                })
-                .collect(),
-            slots: (0..nodes)
-                .map(|_| Mutex::new_named("mpi.recv_slot", RecvSlot::default()))
-                .collect(),
-            pending: Mutex::new_named("mpi.pending", BTreeMap::new()),
-            next_id: AtomicU64::new(1),
-            tracer: Arc::clone(&spec.tracer),
-            metrics: Arc::clone(&spec.metrics),
+/// The mutable half of an MPI world, owned by the simulation kernel:
+/// installed by [`MpiCluster::run`](crate::MpiCluster::run) on its
+/// calling thread, reached only with `&mut Kernel`.
+pub(crate) struct MpiState {
+    world: Arc<World>,
+    fabric: IbFabric,
+    /// One posted-receive slot per rank.
+    slots: Vec<RecvSlot>,
+    /// Rendezvous requests by id, a slab: `free` lists the entries whose
+    /// `wait` returned, for the next rendezvous send to reuse.
+    reqs: Vec<ReqState>,
+    free: Vec<usize>,
+}
+
+impl KernelState for MpiState {}
+
+impl MpiState {
+    /// The state of `world`, on an `ib` fabric.
+    pub(crate) fn new(world: &Arc<World>, ib: IbParams) -> Self {
+        let nodes = world.ports.len();
+        Self {
+            world: Arc::clone(world),
+            fabric: IbFabric::new(nodes, ib),
+            slots: (0..nodes).map(|_| RecvSlot::default()).collect(),
+            reqs: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Hold `send` until its CTS; returns its request id.
+    fn post(&mut self, send: PendingSend) -> usize {
+        let req = ReqState { send: Some(send), ..ReqState::default() };
+        match self.free.pop() {
+            Some(id) => {
+                self.reqs[id] = req;
+                id
+            }
+            None => {
+                self.reqs.push(req);
+                self.reqs.len() - 1
+            }
+        }
+    }
+
+    /// `Some` once request `id` is done, its entry then freed for reuse.
+    fn complete(&mut self, id: usize) -> Option<()> {
+        self.reqs[id].done.then(|| {
+            self.reqs[id] = ReqState::default();
+            self.free.push(id);
         })
-    }
-
-    /// The fabric (for diagnostics).
-    pub fn fabric(&self) -> &IbFabric {
-        &self.fabric
-    }
-
-    /// Per-rank communicator.
-    pub fn comm(self: &Arc<Self>, rank: usize) -> Comm {
-        assert!(rank < self.ports.len());
-        Comm { world: Arc::clone(self), rank }
     }
 
     /// Arrival hook of `rank`'s port (kernel context): hand `wire` to the
     /// posted receive if it is the one that receive waits for, else leave
     /// it to the unexpected queue (`Some`), waking nobody.
-    fn arrive(self: &Arc<Self>, k: &mut Kernel, rank: usize, wire: Wire) -> Option<Wire> {
-        let done = {
-            let mut slot = self.slots[rank].lock();
-            let posted = slot.posted.take_if(|(posted, _)| match (posted, &wire) {
-                (Posted::Match { src, tag }, wire) => wire.matches(*src, *tag),
-                (Posted::Data(want), Wire::Data { msg_id, .. }) => want == msg_id,
-                (Posted::Data(_), _) => false,
-            });
-            let Some((_, waker)) = posted else {
-                assert!(!matches!(wire, Wire::Data { .. }), "rendezvous data nobody asked for");
-                return Some(wire);
-            };
-            let (env, done) = match wire {
-                Wire::Rts { msg_id, .. } => {
-                    slot.posted = Some((Posted::Data(msg_id), waker));
-                    // Answer one event later at this instant, where a
-                    // receiver woken by the RTS would run, so the CTS keeps
-                    // that place among same-time ties.
-                    let world = Arc::clone(self);
-                    k.call_at(k.now(), move |k| world.send_cts(k, msg_id));
-                    return None;
-                }
-                Wire::Eager(env) => (env, None),
-                Wire::Data { env, done, .. } => (env, Some(done)),
-            };
-            let overhead = self.params.overhead_recv;
-            slot.delivered = Some((k.now() + overhead, env));
-            // A hop, not `wake_at(now + overhead)`: order-exact with a
-            // receiver that wakes now and charges the overhead itself.
-            k.wake_after(k.now(), waker, overhead);
-            done
+    fn arrive(&mut self, k: &mut Kernel, rank: usize, wire: Wire) -> Option<Wire> {
+        let slot = &mut self.slots[rank];
+        let posted = slot.posted.take_if(|(posted, _)| match (posted, &wire) {
+            (Posted::Match { src, tag }, wire) => wire.matches(*src, *tag),
+            (Posted::Data(want), Wire::Data { msg_id, .. }) => want == msg_id,
+            (Posted::Data(_), _) => false,
+        });
+        let Some((_, waker)) = posted else {
+            assert!(!matches!(wire, Wire::Data { .. }), "rendezvous data nobody asked for");
+            return Some(wire);
         };
-        // The sender's MPI_Send returns when its buffer is free — when the
-        // data has fully left the sender.
-        if let Some(done) = done {
-            let mut req = done.lock();
+        let (env, done) = match wire {
+            Wire::Rts { msg_id, .. } => {
+                slot.posted = Some((Posted::Data(msg_id), waker));
+                // Answer one event later at this instant, where a
+                // receiver woken by the RTS would run, so the CTS keeps
+                // that place among same-time ties.
+                k.call_at(k.now(), move |k| k.with_state(|st: &mut MpiState, k| st.send_cts(k, msg_id)));
+                return None;
+            }
+            Wire::Eager(env) => (env, None),
+            Wire::Data { env, msg_id } => (env, Some(msg_id)),
+        };
+        let overhead = self.world.params.overhead_recv;
+        slot.delivered = Some((k.now() + overhead, env));
+        // A hop, not `wake_at(now + overhead)`: order-exact with a
+        // receiver that wakes now and charges the overhead itself.
+        k.wake_after(k.now(), waker, overhead);
+        // The sender's MPI_Send returns when its buffer is free — when
+        // the data has fully left the sender.
+        if let Some(id) = done {
+            let req = &mut self.reqs[id];
             req.done = true;
             if let Some(w) = req.waiter.take() {
                 k.wake(w);
@@ -230,24 +238,49 @@ impl World {
     /// Release a rendezvous transfer (kernel context): the CTS flies back
     /// to the sender's NIC, which then streams the data in registered
     /// chunks.
-    fn send_cts(self: &Arc<Self>, k: &mut Kernel, msg_id: u64) {
-        let world = Arc::clone(self);
+    fn send_cts(&self, k: &mut Kernel, msg_id: usize) {
         let at = k.now() + self.fabric.params().wire_latency;
         k.call_at(at, move |k| {
-            let Some(p) = world.pending.lock().remove(&msg_id) else {
-                panic!("CTS for unknown rendezvous message {msg_id}");
-            };
-            let params = &world.params;
-            // Pipeline inefficiency: the data streams at
-            // rndv_efficiency x link rate, plus the handshake.
-            let wire = time::transfer_time(p.bytes, world.fabric.params().link_gbps);
-            let slowdown = (wire as f64 * (1.0 / params.rndv_efficiency - 1.0)) as Time;
-            let extra = slowdown + params.rndv_handshake;
-            let arrival = world.fabric.transfer(k.now(), p.src, p.dst, p.bytes, extra);
-            world.tracer.message(p.src, p.dst, p.env.sent_at, arrival, p.bytes);
-            let data = Wire::Data { msg_id, env: p.env, done: p.req };
-            world.ports[p.dst].deliver_at(k, arrival, data);
+            k.with_state(|st: &mut MpiState, k| {
+                let Some(p) = st.reqs[msg_id].send.take() else {
+                    panic!("CTS for unknown rendezvous message {msg_id}");
+                };
+                let (world, params) = (&st.world, &st.world.params);
+                // Pipeline inefficiency: the data streams at
+                // rndv_efficiency x link rate, plus the handshake.
+                let wire = time::transfer_time(p.bytes, st.fabric.params().link_gbps);
+                let slowdown = (wire as f64 * (1.0 / params.rndv_efficiency - 1.0)) as Time;
+                let extra = slowdown + params.rndv_handshake;
+                let arrival = st.fabric.transfer(k.now(), p.src, p.dst, p.bytes, extra);
+                world.tracer.message(p.src, p.dst, p.env.sent_at, arrival, p.bytes);
+                world.ports[p.dst].deliver_at(k, arrival, Wire::Data { msg_id, env: p.env });
+            });
         });
+    }
+}
+
+impl World {
+    /// Build the world described by a [`SimSpec`](dv_core::spec::SimSpec):
+    /// one port per rank, MPI tuning from `spec.machine.mpi`, tracing and
+    /// metrics from the spec's attachments (the InfiniBand fabric, from
+    /// `spec.machine.ib`, is part of the kernel-owned state).
+    /// Point-to-point traffic is recorded under `mpi.*` and collectives
+    /// under `mpi.coll.*` when the registry is enabled.
+    pub fn from_spec(spec: &dv_core::spec::SimSpec) -> Arc<Self> {
+        // Each port's arrival hook matches in the kernel-owned state.
+        let arrive = |rank| move |k: &mut Kernel, _at, wire| k.with_state(|st: &mut MpiState, k| st.arrive(k, rank, wire));
+        Arc::new(Self {
+            params: spec.machine.mpi.clone(),
+            ports: (0..spec.nodes).map(|rank| Port::with_handler(arrive(rank))).collect(),
+            tracer: Arc::clone(&spec.tracer),
+            metrics: Arc::clone(&spec.metrics),
+        })
+    }
+
+    /// Per-rank communicator.
+    pub fn comm(self: &Arc<Self>, rank: usize) -> Comm {
+        assert!(rank < self.ports.len());
+        Comm { world: Arc::clone(self), rank }
     }
 }
 

@@ -23,15 +23,13 @@
 //! * a rendezvous `wait` is one that registers until the request is done.
 
 use std::future::Future;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use dv_core::sync::Mutex;
 use dv_core::time::{self, Time};
 use dv_core::trace::State;
 use dv_sim::{Kernel, Proc, SimCtx};
 
-use super::{Comm, Envelope, PendingSend, Posted, ReqState, Request, Wire, World};
+use super::{Comm, Envelope, MpiState, PendingSend, Posted, Request, Wire, World};
 use crate::payload::Payload;
 use crate::Tag;
 
@@ -71,11 +69,11 @@ impl Rank {
         if end.is_some() {
             self.p.resumed().await;
         }
-        self.p.until_then(end.unwrap_or(t0), |k| self.leave(k, t0, dst, tag, payload)).await
+        self.p.until_then(end.unwrap_or(t0), |k| k.with_state(|st, k| self.leave(st, k, t0, dst, tag, payload))).await
     }
 
     /// The rest of `isend`, at the end of its charge.
-    fn leave(&self, k: &mut Kernel, t0: Time, dst: usize, tag: Tag, payload: Payload) -> Request {
+    fn leave(&self, st: &mut MpiState, k: &mut Kernel, t0: Time, dst: usize, tag: Tag, payload: Payload) -> Request {
         let world = &self.world;
         let bytes = payload.len_bytes();
         let env_bytes = bytes + 64; // header/envelope on the wire
@@ -90,18 +88,15 @@ impl Rank {
         let sent_at = k.now();
         let env = Envelope { src: self.rank, tag, payload, sent_at };
         let req = if eager {
-            let arrival = world.fabric.transfer(sent_at, self.rank, dst, env_bytes, 0);
+            let arrival = st.fabric.transfer(sent_at, self.rank, dst, env_bytes, 0);
             world.ports[dst].deliver_at(k, arrival, Wire::Eager(env));
             world.tracer.message(self.rank, dst, sent_at, arrival, env_bytes);
             Request(None)
         } else {
-            let msg_id = world.next_id.fetch_add(1, Ordering::Relaxed);
-            let rts_arrival = world.fabric.transfer(sent_at, self.rank, dst, 64, 0);
+            let rts_arrival = st.fabric.transfer(sent_at, self.rank, dst, 64, 0);
+            let msg_id = st.post(PendingSend { src: self.rank, dst, env, bytes: env_bytes });
             world.ports[dst].deliver_at(k, rts_arrival, Wire::Rts { src: self.rank, tag, msg_id });
-            let req = Arc::new(Mutex::new(ReqState::default()));
-            let pending = PendingSend { src: self.rank, dst, env, bytes: env_bytes, req: Arc::clone(&req) };
-            world.pending.lock().insert(msg_id, pending);
-            Request(Some(req))
+            Request(Some(msg_id))
         };
         world.tracer.span(self.rank, State::Send, t0, k.now());
         req
@@ -112,11 +107,10 @@ impl Rank {
     /// (answering an RTS that was already waiting) that the arrival hook
     /// fills.
     pub(crate) async fn recv(&self, src: Option<usize>, tag: Option<Tag>) -> Envelope {
-        let (world, pid) = (&self.world, self.p.pid());
-        let slot = &world.slots[self.rank];
+        let (world, pid, rank) = (&self.world, self.p.pid(), self.rank);
         // When the receive began, and a match from the unexpected queue
         // with the end of its charge — or `None`, the receive posted.
-        let (t0, matched) = self.p.with(|k| {
+        let (t0, matched) = self.p.with(|k| k.with_state(|st: &mut MpiState, k| {
             let t0 = k.now();
             let rts = match world.ports[self.rank].take_first(|w| w.matches(src, tag)).map(|(_, w)| w) {
                 Some(Wire::Eager(env)) => {
@@ -130,12 +124,12 @@ impl Rank {
             // Nor is anything delivered before the park (`send_cts` only
             // schedules): the arrival hook resumes us.
             let posted = rts.map_or(Posted::Match { src, tag }, Posted::Data);
-            k.turn(pid, None, || None::<()>, |w| slot.lock().posted = Some((posted, w)));
+            k.turn(pid, None, || None::<()>, |w| st.slots[rank].posted = Some((posted, w)));
             if let Some(msg_id) = rts {
-                world.send_cts(k, msg_id);
+                st.send_cts(k, msg_id);
             }
             (t0, None)
-        });
+        }));
         let (ready, env) = match matched {
             Some((end, env)) => {
                 if end.is_some() {
@@ -146,12 +140,12 @@ impl Rank {
             None => {
                 self.p.resumed().await;
                 // Woken before the arrival: post afresh.
-                let repost = |w| {
-                    if let Some((_, waker)) = slot.lock().posted.as_mut() {
+                let repost = |st: &mut MpiState, w| {
+                    if let Some((_, waker)) = st.slots[rank].posted.as_mut() {
                         *waker = w;
                     }
                 };
-                let delivered = self.p.turn(None, || slot.lock().delivered.take(), repost).await;
+                let delivered = self.p.turn_in(None, |st| st.slots[rank].delivered.take(), repost).await;
                 delivered.expect("a wait without a deadline only returns a delivery")
             }
         };
@@ -163,10 +157,9 @@ impl Rank {
     /// `wait` on one request; an eager request was complete when it was
     /// made.
     pub(crate) async fn wait(&self, req: Request) {
-        let Some(state) = req.0 else { return };
+        let Some(id) = req.0 else { return };
         let t0 = self.p.now();
-        let done = || state.lock().done.then_some(());
-        self.p.turn(None, done, |w| state.lock().waiter = Some(w)).await;
+        self.p.turn_in(None, |st: &mut MpiState| st.complete(id), |st, w| st.reqs[id].waiter = Some(w)).await;
         let now = self.p.now();
         if now > t0 {
             self.world.tracer.span(self.rank, State::Wait, t0, now);

@@ -41,11 +41,6 @@ impl IbFabric {
         }
     }
 
-    /// Cluster size.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
     /// Fabric parameters.
     pub fn params(&self) -> &IbParams {
         &self.params
@@ -54,7 +49,7 @@ impl IbFabric {
     /// Move `bytes` from `src` to `dst` starting no earlier than `now`,
     /// with `extra_wire_time` added to the serialization (protocol chunk
     /// overheads). Returns the arrival time of the last byte at `dst`.
-    pub fn transfer(&self, now: Time, src: usize, dst: usize, bytes: u64, extra_wire_time: Time) -> Time {
+    pub fn transfer(&mut self, now: Time, src: usize, dst: usize, bytes: u64, extra_wire_time: Time) -> Time {
         debug_assert!(src < self.nodes && dst < self.nodes);
         if src == dst {
             // Loopback: shared-memory copy, no fabric involvement.
@@ -87,7 +82,7 @@ mod tests {
 
     #[test]
     fn single_transfer_is_latency_plus_serialization() {
-        let f = fabric(2);
+        let mut f = fabric(2);
         let bytes = 1 << 20;
         let arrival = f.transfer(0, 0, 1, bytes, 0);
         let expected_min = time::transfer_time(bytes, f.params().link_gbps) + f.params().wire_latency;
@@ -98,7 +93,7 @@ mod tests {
 
     #[test]
     fn small_message_latency_dominated_by_wire() {
-        let f = fabric(2);
+        let mut f = fabric(2);
         let arrival = f.transfer(0, 0, 1, 8, 0);
         assert!(arrival >= f.params().wire_latency);
         assert!(arrival < f.params().wire_latency + ns(100));
@@ -106,7 +101,7 @@ mod tests {
 
     #[test]
     fn sender_pipe_serializes_back_to_back_sends() {
-        let f = fabric(4);
+        let mut f = fabric(4);
         let a = f.transfer(0, 0, 1, 1 << 20, 0);
         let b = f.transfer(0, 0, 2, 1 << 20, 0);
         // Second message leaves after the first clears the sender NIC.
@@ -115,7 +110,7 @@ mod tests {
 
     #[test]
     fn receiver_hotspot_congests() {
-        let f = fabric(8);
+        let mut f = fabric(8);
         let mut last = 0;
         for src in 1..8 {
             last = last.max(f.transfer(0, src, 0, 1 << 20, 0));
@@ -130,7 +125,7 @@ mod tests {
     fn core_contention_grows_with_cluster_size() {
         // All-to-all style storm: every node sends to (i+1)%n at once.
         let storm = |n: usize| {
-            let f = fabric(n);
+            let mut f = fabric(n);
             let mut worst = 0;
             for i in 0..n {
                 for k in 0..4 {
@@ -148,7 +143,7 @@ mod tests {
 
     #[test]
     fn loopback_is_cheap_and_off_fabric() {
-        let f = fabric(2);
+        let mut f = fabric(2);
         let arrival = f.transfer(0, 1, 1, 1 << 20, 0);
         assert!(arrival < time::transfer_time(1 << 20, f.params().link_gbps));
         let (tx, rx, core) = f.busy(1);
@@ -157,7 +152,7 @@ mod tests {
 
     #[test]
     fn achieved_bandwidth_is_close_to_link_rate_when_uncontended() {
-        let f = fabric(2);
+        let mut f = fabric(2);
         let bytes = 64 << 20;
         let arrival = f.transfer(0, 0, 1, bytes, 0);
         let gbps = rate_gbps(bytes, arrival);

@@ -231,7 +231,7 @@ const SCENARIOS: &[Scenario] = &[
                 1 => {
                     let req = comm.isend(ctx, 2, 7, words(RNDV_WORDS));
                     ctx.delay(us(60));
-                    assert!(!req.is_done(), "nobody received the rendezvous message yet");
+                    assert!(!req.is_done(ctx), "nobody received the rendezvous message yet");
                     let late = ctx.now();
                     comm.wait(ctx, req);
                     assert!(ctx.now() > late);

@@ -44,7 +44,7 @@ impl OrderAudit {
     /// Absorb a committed resume: the scheduler is about to run process
     /// `pid` at `time` (generation disambiguates re-parks at equal times).
     #[inline]
-    pub fn record_resume(&mut self, time: Time, pid: usize, generation: u64) {
+    pub(crate) fn record_resume(&mut self, time: Time, pid: usize, generation: u64) {
         self.hash.word(TAG_RESUME);
         self.hash.word(time);
         self.hash.word(pid as u64);
@@ -54,7 +54,7 @@ impl OrderAudit {
 
     /// Absorb a committed kernel closure: event `seq` fires at `time`.
     #[inline]
-    pub fn record_call(&mut self, time: Time, seq: u64) {
+    pub(crate) fn record_call(&mut self, time: Time, seq: u64) {
         self.hash.word(TAG_CALL);
         self.hash.word(time);
         self.hash.word(seq);

@@ -1,16 +1,18 @@
-//! The event kernel: virtual clock, event queue, wakers, timers.
+//! The event kernel: virtual clock, event queue, wakers, timers, and the
+//! simulation state the layers above own through it.
 //!
 //! Pending events live in one binary heap keyed by `(time, seq)`, where
 //! `seq` is the insertion sequence number. The earliest key commits next,
 //! so the committed order — and therefore the [`OrderAudit`] trace hash —
 //! is a pure function of the order in which events were scheduled.
 
-use std::any::Any;
+use std::any::{type_name, Any, TypeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::future::Future;
 use std::pin::Pin;
 
+use dv_core::metrics::MetricsRegistry;
 use dv_core::time::Time;
 
 use crate::audit::OrderAudit;
@@ -46,9 +48,37 @@ impl Waker {
 /// stage their payloads in their own pooled buffers, so the per-message
 /// steady state allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerId(u32);
+pub(crate) struct TimerId(u32);
 
 type TimerHook = Box<dyn FnMut(&mut Kernel) + Send>;
+
+/// Simulation state the kernel owns for a layer above dv-sim: a cluster's
+/// VICs, pipes and barrier, an MPI world's receive slots and requests.
+/// The layer installs one value per type ([`Kernel::install`]) and reaches
+/// it only with `&mut Kernel` — inside [`Proc::with`](crate::Proc::with),
+/// a [`Kernel::turn`], or a kernel event — through
+/// [`Kernel::with_state`]. One process runs at a time, so the state needs
+/// no lock of its own.
+pub trait KernelState: Any + Send {
+    /// Fold what the state accumulated since its last flush into
+    /// `metrics`: run just before each interval sample of an attached
+    /// series, never otherwise. Nothing, by default.
+    fn flush(&mut self, _metrics: &MetricsRegistry) {}
+}
+
+/// One entry of the kernel's typed-state table.
+struct Slot {
+    ty: TypeId,
+    /// `None` while a [`Kernel::with_state`] closure has the state out.
+    state: Option<Box<dyn KernelState>>,
+}
+
+/// Where kernel-run calls leave their output for their process's thread:
+/// one per output type, indexed by pid, kept for every later call that
+/// returns a `T`.
+struct Outputs<T>(Vec<Option<T>>);
+
+impl<T: Send + 'static> KernelState for Outputs<T> {}
 
 /// A blocking call's future, parked in the kernel while its process
 /// waits (see [`SimCtx::wait_in_kernel`](crate::SimCtx::wait_in_kernel)).
@@ -114,9 +144,10 @@ pub struct SchedStats {
     pub thread_resumes: u64,
 }
 
-/// The discrete-event kernel: the virtual clock plus the pending-event
-/// queue. Shared behind a mutex; only one simulated process commits events
-/// at a time, so the lock is uncontended in steady state.
+/// The discrete-event kernel: the virtual clock, the pending-event queue,
+/// and the simulation state it owns ([`KernelState`]). Shared behind a
+/// mutex; only one simulated process commits events at a time, so the lock
+/// is uncontended in steady state.
 pub struct Kernel {
     now: Time,
     seq: u64,
@@ -128,10 +159,9 @@ pub struct Kernel {
     timer_hooks: Vec<Option<TimerHook>>,
     /// Each process's parked blocking call, if any.
     calls: Vec<Option<ParkedCall>>,
-    /// Where kernel-run calls leave their output for their process's
-    /// thread: per output type, one boxed `Vec<Option<T>>` indexed by pid,
-    /// kept for every later call that returns a `T`.
-    outputs: Vec<Box<dyn Any + Send>>,
+    /// The typed-state table: every [`KernelState`], the calls' output
+    /// tables among them, in install order.
+    states: Vec<Slot>,
     /// Rolling hash of every committed event (see [`OrderAudit`]).
     audit: OrderAudit,
     stats: SchedStats,
@@ -152,7 +182,7 @@ impl Kernel {
             proc_names: Vec::new(),
             timer_hooks: Vec::new(),
             calls: Vec::new(),
-            outputs: Vec::new(),
+            states: Vec::new(),
             audit: OrderAudit::new(),
             stats: SchedStats::default(),
             #[cfg(test)]
@@ -199,7 +229,7 @@ impl Kernel {
     /// re-run (with the kernel locked) each time a [`Kernel::timer_at`]
     /// event for this id commits. It must not block, and it observes the
     /// same ordering guarantees as [`Kernel::call_at`] closures.
-    pub fn register_timer(&mut self, hook: Box<dyn FnMut(&mut Kernel) + Send>) -> TimerId {
+    pub(crate) fn register_timer(&mut self, hook: Box<dyn FnMut(&mut Kernel) + Send>) -> TimerId {
         let id = TimerId(self.timer_hooks.len() as u32);
         self.timer_hooks.push(Some(hook));
         id
@@ -209,7 +239,7 @@ impl Kernel {
     /// (clamped to `now`). Commits exactly like a [`Kernel::call_at`]
     /// closure — same audit record, same `calls` counter — but allocates
     /// nothing.
-    pub fn timer_at(&mut self, at: Time, id: TimerId) {
+    pub(crate) fn timer_at(&mut self, at: Time, id: TimerId) {
         self.push(at, EventKind::Timer(id));
     }
 
@@ -289,14 +319,26 @@ impl Kernel {
         ready: impl FnOnce() -> Option<R>,
         register: impl FnOnce(Waker),
     ) -> Option<Option<R>> {
-        if let Some(r) = ready() {
+        self.turn_on(&mut (), pid, deadline, |_| ready(), |_, w| register(w))
+    }
+
+    /// The turn itself, with `ready` and `register` sharing `cx`.
+    pub(crate) fn turn_on<C, R>(
+        &mut self,
+        cx: &mut C,
+        pid: Pid,
+        deadline: Option<Time>,
+        ready: impl FnOnce(&mut C) -> Option<R>,
+        register: impl FnOnce(&mut C, Waker),
+    ) -> Option<Option<R>> {
+        if let Some(r) = ready(cx) {
             return Some(Some(r));
         }
         if deadline.is_some_and(|d| self.now >= d) {
             return Some(None);
         }
         let w = self.waker_for(pid);
-        register(w);
+        register(cx, w);
         if let Some(d) = deadline {
             self.wake_at(d, w);
         }
@@ -324,18 +366,60 @@ impl Kernel {
         self.park_call(pid, call);
     }
 
-    /// The output table of type `T`, made by the first call that returns
-    /// one.
+    fn slot<S: 'static>(&self) -> Option<usize> {
+        self.states.iter().position(|slot| slot.ty == TypeId::of::<S>())
+    }
+
+    /// Install `state`, the kernel's one value of its type, for
+    /// [`Kernel::with_state`] to reach.
+    ///
+    /// # Panics
+    /// If a state of this type is installed already.
+    pub fn install<S: KernelState>(&mut self, state: S) {
+        assert!(self.slot::<S>().is_none(), "a {} is installed in this kernel already", type_name::<S>());
+        self.states.push(Slot { ty: TypeId::of::<S>(), state: Some(Box::new(state)) });
+    }
+
+    /// Whether a state of type `S` is installed.
+    pub fn has_state<S: KernelState>(&self) -> bool {
+        self.slot::<S>().is_some()
+    }
+
+    /// Run `f` on the installed state of type `S`. The state is taken out
+    /// for the call and put back after it, so `f` gets the kernel too and
+    /// may schedule events and fire wakers.
+    ///
+    /// # Panics
+    /// If no `S` is installed, or if `f` (or something it calls) reaches
+    /// for the same `S` again.
+    pub fn with_state<S: KernelState, R>(&mut self, f: impl FnOnce(&mut S, &mut Kernel) -> R) -> R {
+        let i = self.slot::<S>().unwrap_or_else(|| panic!("no {} is installed in this kernel", type_name::<S>()));
+        let mut state =
+            self.states[i].state.take().unwrap_or_else(|| panic!("{} re-entered its own with_state", type_name::<S>()));
+        let out = f((state.as_mut() as &mut dyn Any).downcast_mut().expect("a slot holds its own type"), self);
+        self.states[i].state = Some(state);
+        out
+    }
+
+    /// Flush every installed state into `metrics`, in install order
+    /// ([`KernelState::flush`]).
+    pub(crate) fn flush_states(&mut self, metrics: &MetricsRegistry) {
+        for slot in &mut self.states {
+            slot.state.as_mut().expect("no state is out between events").flush(metrics);
+        }
+    }
+
+    /// The output table of type `T`, installed by the first call that
+    /// returns one.
     fn outputs_of<T: Send + 'static>(&mut self) -> &mut Vec<Option<T>> {
-        let i = match self.outputs.iter().position(|b| b.is::<Vec<Option<T>>>()) {
-            Some(i) => i,
-            None => {
-                let procs = self.calls.len();
-                self.outputs.push(Box::new((0..procs).map(|_| None).collect::<Vec<Option<T>>>()));
-                self.outputs.len() - 1
-            }
-        };
-        self.outputs[i].downcast_mut().expect("found by its type")
+        let i = self.slot::<Outputs<T>>().unwrap_or_else(|| {
+            let procs = self.calls.len();
+            self.install(Outputs::<T>((0..procs).map(|_| None).collect()));
+            self.states.len() - 1
+        });
+        let state = self.states[i].state.as_mut().expect("an output table is never taken out");
+        let outputs: &mut Outputs<T> = (state.as_mut() as &mut dyn Any).downcast_mut().expect("a slot holds its own type");
+        &mut outputs.0
     }
 
     /// Leave the output of `pid`'s completed call for its thread.

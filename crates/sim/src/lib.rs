@@ -71,7 +71,7 @@ mod spmd;
 mod sync;
 
 pub use audit::OrderAudit;
-pub use kernel::{Kernel, Pid, SchedStats, TimerId, Waker};
+pub use kernel::{Kernel, KernelState, Pid, SchedStats, Waker};
 pub use sim::{Proc, Sim, SimCtx};
 pub use sync::{JoinSlot, Pipe, Port, WaitSet};
 

@@ -61,7 +61,7 @@ use dv_core::sync::Mutex;
 
 use dv_core::time::Time;
 
-use crate::kernel::{EventKind, Kernel, ParkedCall, Pid, Waker};
+use crate::kernel::{EventKind, Kernel, KernelState, ParkedCall, Pid, Waker};
 use crate::parker::Parker;
 
 /// Sentinel panic payload used to unwind parked processes at shutdown.
@@ -246,6 +246,12 @@ impl Sim {
     ///
     /// [`OrderAudit`]: crate::audit::OrderAudit
     pub fn run_hashed(self) -> (Time, u64) {
+        self.run_to_end()
+    }
+
+    /// [`Sim::run_hashed`], keeping the kernel and the state it owns for
+    /// [`Sim::with_kernel`].
+    pub(crate) fn run_to_end(&self) -> (Time, u64) {
         // Drive until the first handoff (or straight to the end for runs
         // with no resumable process), then sleep until a driver reports.
         let _ = drive(&self.shared, None);
@@ -347,10 +353,14 @@ fn drive(shared: &Shared, self_pid: Option<Pid>) -> Driven {
         // Virtual-time telemetry sampling: advance the registry's sampler
         // to the event we are about to dispatch, so a sample at boundary
         // `b` captures exactly the events committed before the first
-        // dispatch at or after `b`. Deterministic by construction (keyed
-        // to the event sequence, never the host clock); one relaxed
-        // atomic load when no series is attached.
+        // dispatch at or after `b`; the kernel's states flush into the
+        // registry first. Deterministic by construction (keyed to the
+        // event sequence, never the host clock); two relaxed atomic loads
+        // when no series is attached.
         if let Some((t, _)) = &next {
+            if shared.metrics.sample_due(*t) {
+                shared.kernel.lock().flush_states(&shared.metrics);
+            }
             shared.metrics.tick(*t);
         }
         let pid = match next {
@@ -712,6 +722,23 @@ impl Proc {
         mut register: impl FnMut(Waker),
     ) -> Option<R> {
         poll_fn(|_| match self.with(|k| k.turn(self.pid, deadline, &mut ready, &mut register)) {
+            Some(r) => Poll::Ready(r),
+            None => Poll::Pending,
+        })
+        .await
+    }
+
+    /// [`Proc::turn`] on the kernel-owned `S`: one [`Kernel::turn`] per
+    /// poll, `ready` and `register` given the state (taken out as by
+    /// [`Kernel::with_state`]).
+    pub async fn turn_in<S: KernelState, R>(
+        &self,
+        deadline: Option<Time>,
+        mut ready: impl FnMut(&mut S) -> Option<R>,
+        mut register: impl FnMut(&mut S, Waker),
+    ) -> Option<R> {
+        let mut turn = |s: &mut S, k: &mut Kernel| k.turn_on(s, self.pid, deadline, &mut ready, &mut register);
+        poll_fn(|_| match self.with(|k| k.with_state(&mut turn)) {
             Some(r) => Poll::Ready(r),
             None => Poll::Pending,
         })

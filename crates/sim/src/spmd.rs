@@ -7,9 +7,8 @@ use std::sync::Arc;
 
 use dv_core::metrics::record_state_totals;
 use dv_core::spec::{RunReport, SimSpec};
-use dv_core::time::Time;
 
-use crate::{JoinSlot, Sim, SimCtx};
+use crate::{JoinSlot, Kernel, Sim, SimCtx};
 
 impl Sim {
     /// Fresh simulation publishing scheduler counters into the spec's
@@ -24,15 +23,15 @@ impl Sim {
     /// the event-trace hash (see [`crate::OrderAudit`]; identical specs
     /// and bodies must produce identical hashes — asserted by
     /// `tests/determinism.rs`), and a snapshot of the spec's metrics
-    /// registry. `publish(elapsed)` runs after the last event and before
-    /// the snapshot, for backend counters that are flushed at end of run.
+    /// registry. `publish` runs on the kernel after the last event and
+    /// before the snapshot, for the counters of the state it owns.
     pub fn run_spmd<C, T, F>(
         self,
         spec: &SimSpec,
         name: &str,
         node_ctx: impl Fn(usize) -> C,
         body: F,
-        publish: impl FnOnce(Time),
+        publish: impl FnOnce(&mut Kernel),
     ) -> RunReport<Vec<T>>
     where
         C: Send + 'static,
@@ -45,8 +44,8 @@ impl Sim {
             let (me, body, slot) = (node_ctx(node), Arc::clone(&body), slot.clone());
             self.spawn(format!("{name}{node}"), move |ctx| slot.put(body(&me, ctx)));
         }
-        let (elapsed, trace_hash) = self.run_hashed();
-        publish(elapsed);
+        let (elapsed, trace_hash) = self.run_to_end();
+        self.with_kernel(publish);
         record_state_totals(&spec.tracer, &spec.metrics);
         let result =
             slots.into_iter().map(|s| s.take().expect("node did not finish")).collect();

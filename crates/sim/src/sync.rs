@@ -251,65 +251,45 @@ impl<T: Send + 'static> Port<T> {
     }
 }
 
-struct PipeState {
-    free_at: Time,
-    gbps: f64,
-    busy: Time,
-}
-
-/// A FIFO bandwidth server: a shared link (PCIe bus, NIC port, switch
+/// A FIFO bandwidth server: a link (PCIe bus, NIC port, switch
 /// injection port) that serializes transfers at a fixed byte rate.
 ///
 /// `reserve` returns when the transfer *occupies* the link: callers decide
 /// whether to wait for the start (cut-through) or the end (store-and-
-/// forward) of their occupancy.
-#[derive(Clone)]
+/// forward) of their occupancy. A plain value: the state that holds it is
+/// kernel-owned ([`KernelState`](crate::KernelState)), so a reservation is
+/// a `&mut` call with no lock.
 pub struct Pipe {
-    state: Arc<Mutex<PipeState>>,
+    free_at: Time,
+    gbps: f64,
+    busy: Time,
 }
 
 impl Pipe {
     /// A pipe streaming at `gbps` gigabytes per second.
     pub fn new(gbps: f64) -> Self {
         assert!(gbps > 0.0);
-        Self { state: Arc::new(Mutex::new(PipeState { free_at: 0, gbps, busy: 0 })) }
+        Self { free_at: 0, gbps, busy: 0 }
     }
 
     /// Reserve the pipe for `bytes` starting no earlier than `now`;
     /// returns `(start, end)` of the occupancy in virtual time.
-    pub fn reserve(&self, now: Time, bytes: u64) -> (Time, Time) {
-        let mut s = self.state.lock();
-        let start = s.free_at.max(now);
-        let dur = time::transfer_time(bytes, s.gbps);
-        let end = start + dur;
-        s.free_at = end;
-        s.busy += dur;
-        (start, end)
+    pub fn reserve(&mut self, now: Time, bytes: u64) -> (Time, Time) {
+        self.reserve_duration(now, time::transfer_time(bytes, self.gbps))
     }
 
     /// Reserve with an explicit duration instead of a byte count.
-    pub fn reserve_duration(&self, now: Time, duration: Time) -> (Time, Time) {
-        let mut s = self.state.lock();
-        let start = s.free_at.max(now);
+    pub fn reserve_duration(&mut self, now: Time, duration: Time) -> (Time, Time) {
+        let start = self.free_at.max(now);
         let end = start + duration;
-        s.free_at = end;
-        s.busy += duration;
+        self.free_at = end;
+        self.busy += duration;
         (start, end)
-    }
-
-    /// The earliest time a new transfer could start.
-    pub fn free_at(&self) -> Time {
-        self.state.lock().free_at
     }
 
     /// Total busy time accumulated (for utilization reporting).
     pub fn busy_time(&self) -> Time {
-        self.state.lock().busy
-    }
-
-    /// The configured rate in GB/s.
-    pub fn gbps(&self) -> f64 {
-        self.state.lock().gbps
+        self.busy
     }
 }
 

@@ -152,7 +152,7 @@ fn waitset_wakes_all_waiters() {
 
 #[test]
 fn pipe_serializes_transfers() {
-    let pipe = Pipe::new(1.0); // 1 GB/s => 1000 bytes take 1000 ns
+    let mut pipe = Pipe::new(1.0); // 1 GB/s => 1000 bytes take 1000 ns
     let (s1, e1) = pipe.reserve(0, 1000);
     assert_eq!((s1, e1), (0, ns(1000)));
     // Second transfer queued behind the first even though requested at t=0.

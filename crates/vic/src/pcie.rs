@@ -18,7 +18,6 @@ use dv_core::time::{self, Time};
 use dv_sim::Pipe;
 
 /// The PCIe path of one VIC.
-#[derive(Clone)]
 pub struct PciePath {
     params: PcieParams,
     to_vic: Pipe,
@@ -42,7 +41,7 @@ impl PciePath {
     /// `cached_headers` the headers already sit in DV memory and only
     /// payloads cross the bus. Returns `(start, end)`: when the bus was
     /// granted and when the last byte arrived at the VIC.
-    pub fn pio_send(&self, now: Time, packets: u64, cached_headers: bool) -> (Time, Time) {
+    pub fn pio_send(&mut self, now: Time, packets: u64, cached_headers: bool) -> (Time, Time) {
         let per_packet = if cached_headers { PAYLOAD_BYTES } else { PACKET_BYTES };
         let wire = time::transfer_time(packets * per_packet, self.params.pio_gbps);
         let (start, end) = self.to_vic.reserve_duration(now, wire);
@@ -52,7 +51,7 @@ impl PciePath {
     /// Read `words` words from VIC space by programmed I/O (slow: each
     /// read is a non-posted PCIe round trip; the VIC's zero-counter push
     /// exists to avoid this).
-    pub fn pio_read(&self, now: Time, words: u64) -> (Time, Time) {
+    pub fn pio_read(&mut self, now: Time, words: u64) -> (Time, Time) {
         let wire = time::transfer_time(words * PAYLOAD_BYTES, self.params.pio_gbps);
         let (start, end) = self.from_vic.reserve_duration(now, wire);
         (start, end + self.params.pio_read_latency * words.min(8))
@@ -67,7 +66,7 @@ impl PciePath {
 
     /// DMA `bytes` from host memory into the VIC (descriptor setup +
     /// streaming). Returns `(start, end)` of VIC-side availability.
-    pub fn dma_to_vic(&self, now: Time, bytes: u64) -> (Time, Time) {
+    pub fn dma_to_vic(&mut self, now: Time, bytes: u64) -> (Time, Time) {
         let setup = self.params.dma_setup * self.dma_transactions(bytes);
         let wire = time::transfer_time(bytes, self.params.dma_to_vic_gbps);
         let (start, end) = self.to_vic.reserve_duration(now, setup + wire);
@@ -75,7 +74,7 @@ impl PciePath {
     }
 
     /// DMA `bytes` from the VIC into host memory.
-    pub fn dma_from_vic(&self, now: Time, bytes: u64) -> (Time, Time) {
+    pub fn dma_from_vic(&mut self, now: Time, bytes: u64) -> (Time, Time) {
         let setup = self.params.dma_setup * self.dma_transactions(bytes);
         let wire = time::transfer_time(bytes, self.params.dma_from_vic_gbps);
         let (start, end) = self.from_vic.reserve_duration(now, setup + wire);
@@ -104,9 +103,9 @@ mod tests {
 
     #[test]
     fn cached_headers_halve_pio_traffic() {
-        let p = path();
+        let mut p = path();
         let (_, e_uncached) = p.pio_send(0, 1000, false);
-        let p2 = path();
+        let mut p2 = path();
         let (_, e_cached) = p2.pio_send(0, 1000, true);
         // 16 B vs 8 B per packet at the same rate: ~2x.
         let ratio = e_uncached as f64 / e_cached as f64;
@@ -116,9 +115,9 @@ mod tests {
     #[test]
     fn dma_beats_pio_for_large_transfers() {
         let bytes = 1u64 << 20; // 1 MiB of payload
-        let p = path();
+        let mut p = path();
         let (_, pio_end) = p.pio_send(0, bytes / PAYLOAD_BYTES, true);
-        let p2 = path();
+        let mut p2 = path();
         let (_, dma_end) = p2.dma_to_vic(0, bytes);
         assert!(
             dma_end * 4 < pio_end,
@@ -130,9 +129,9 @@ mod tests {
     fn pio_beats_dma_for_tiny_transfers() {
         // DMA setup dominates small transfers; direct writes win — this is
         // why the runtime only switches to DMA for batched sends.
-        let p = path();
+        let mut p = path();
         let (_, pio_end) = p.pio_send(0, 1, false);
-        let p2 = path();
+        let mut p2 = path();
         let (_, dma_end) = p2.dma_to_vic(0, PACKET_BYTES);
         assert!(pio_end < dma_end, "pio {pio_end} dma {dma_end}");
     }
@@ -140,16 +139,16 @@ mod tests {
     #[test]
     fn dma_from_vic_is_faster_than_to_vic() {
         let bytes = 4u64 << 20;
-        let p = path();
+        let mut p = path();
         let (_, to_end) = p.dma_to_vic(0, bytes);
-        let p2 = path();
+        let mut p2 = path();
         let (_, from_end) = p2.dma_from_vic(0, bytes);
         assert!(from_end < to_end);
     }
 
     #[test]
     fn directions_are_independent_but_each_serializes() {
-        let p = path();
+        let mut p = path();
         let (_, a_end) = p.dma_to_vic(0, 1 << 20);
         // Same direction: queues behind.
         let (b_start, _) = p.dma_to_vic(0, 1 << 20);
@@ -170,7 +169,7 @@ mod tests {
 
     #[test]
     fn large_dma_throughput_approaches_configured_rate() {
-        let p = path();
+        let mut p = path();
         let bytes = 16u64 << 20;
         let (_, end) = p.dma_to_vic(0, bytes);
         let gbps = dv_core::time::rate_gbps(bytes, end);

@@ -254,11 +254,11 @@ fn delayed_group_counter_set_reproduces_the_section_iii_race() {
             } else {
                 // Decrements beat the delayed set…
                 ctx.delay(us(30));
-                let mid = dv.gc_value(11);
+                let mid = dv.gc_value(ctx, 11);
                 // …which then lands and overwrites them.
                 ctx.delay(us(120));
                 let done = dv.gc_wait_zero(ctx, 11, Some(ctx.now() + us(100)));
-                (done, mid, dv.gc_value(11))
+                (done, mid, dv.gc_value(ctx, 11))
             }
         })
         .result;

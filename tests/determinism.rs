@@ -285,16 +285,13 @@ fn trace_hash_distinguishes_different_workloads() {
 
 #[test]
 fn lock_order_conflicts_stay_in_the_audited_set() {
-    // Drive both stacks, then read the debug-mode lock-order audit.
-    // One inversion is known and benign: a VIC lock is held while
-    // registering a waker (which takes the kernel lock), and kernel-held
-    // Call closures also take VIC locks. It cannot deadlock because the
-    // scheduler runs exactly one simulated process at a time, so the two
-    // orders are never in flight concurrently.
+    // Drive both stacks, then read the debug-mode lock-order audit. No
+    // inversion is benign: the VICs, the barrier and mini-mpi's receive
+    // slots are kernel-owned state with no lock of their own, so nothing
+    // is locked under the kernel lock or takes it while held.
     let _ = dv_workload(4);
     let _ = mpi_workload(4);
-    let benign =
-        [("api.vic".to_string(), "sim.kernel".to_string())];
+    let benign: [(String, String); 0] = [];
     for conflict in lock_order_conflicts() {
         assert!(
             benign.contains(&conflict),

@@ -1,10 +1,12 @@
 //! Heap allocations per run, pinned exactly: DV and MPI GUPS, DV and MPI
-//! BFS at small test sizes, counted over the whole process by a global
+//! BFS at small test sizes, and an MPI FFT whose alltoall blocks take the
+//! rendezvous path, counted over the whole process by a global
 //! atomic counter — kernel-run calls and delivery closures allocate on
 //! whichever thread dispatches, so `tests/common`'s per-thread counter
 //! would miss them. A binary with `harness = false`: no libtest thread
-//! allocates inside a window, and the four runs always go in this order,
-//! so process-wide first-use allocations land in the same rows.
+//! allocates inside a window, and the runs always go in this order, so
+//! process-wide first-use allocations land in the same rows (the FFT row
+//! is last, so it moves none of the others).
 //!
 //! The counts are exact, not bounds. Debug builds pin their own column,
 //! because the lock-order audit of `dv_core::sync` allocates there. A
@@ -17,6 +19,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use datavortex::core::spec::SimSpec;
+use datavortex::kernels::fft;
 use datavortex::kernels::graph::{self, GraphConfig, VertexPart};
 use datavortex::kernels::gups::{self, GupsConfig};
 
@@ -51,12 +54,18 @@ const GUPS: GupsConfig =
 
 const GRAPH: GraphConfig = GraphConfig { scale: 9, edgefactor: 8, seed: 29 };
 
+/// FFT points: at 4 nodes each alltoall block is 2^16 / 16 complex points
+/// = 64 KiB, past the 12 KiB eager limit, so every exchange is a
+/// rendezvous send (24 per run).
+const FFT_POINTS: usize = 1 << 16;
+
 /// `(run, debug build, release build)`: allocations of one run.
-const PINS: [(&str, u64, u64); 4] = [
-    ("DV GUPS", 906, 900),
-    ("MPI GUPS", 492, 488),
-    ("DV BFS", 1783, 1779),
-    ("MPI BFS", 533, 529),
+const PINS: [(&str, u64, u64); 5] = [
+    ("DV GUPS", 884, 879),
+    ("MPI GUPS", 484, 480),
+    ("DV BFS", 1762, 1758),
+    ("MPI BFS", 525, 521),
+    ("MPI FFT", 209, 205),
 ];
 
 /// Allocations made by every thread of the process inside `window`.
@@ -76,14 +85,17 @@ fn main() -> ExitCode {
 
     let mut results = Vec::new();
     let mut parents = Vec::new();
+    let mut fft_flops = 0;
     let actual = [
         allocations_in(|| results.push(gups::dv::run_spec(GUPS, SimSpec::new(NODES)).checksum)),
         allocations_in(|| results.push(gups::mpi::run_spec(GUPS, SimSpec::new(NODES)).checksum)),
         allocations_in(|| parents.push(graph::dv::run_spec(&locals, GRAPH.vertices(), root, SimSpec::new(NODES)).parents)),
         allocations_in(|| parents.push(graph::mpi::run_spec(&locals, GRAPH.vertices(), root, SimSpec::new(NODES)).parents)),
+        allocations_in(|| fft_flops = fft::mpi::run_spec(FFT_POINTS, SimSpec::new(NODES), false).flops),
     ];
     assert_eq!(results[0], results[1], "DV and MPI GUPS disagree");
     parents.iter().for_each(|p| bfs_ok(p));
+    assert!(fft_flops > 0, "the FFT ran");
 
     let debug = cfg!(debug_assertions);
     let mut moved = 0;
@@ -97,6 +109,6 @@ fn main() -> ExitCode {
         println!("{moved} allocation pin(s) moved ({} build)", if debug { "debug" } else { "release" });
         return ExitCode::FAILURE;
     }
-    println!("event_alloc: 4 pins hold");
+    println!("event_alloc: {} pins hold", PINS.len());
     ExitCode::SUCCESS
 }

@@ -24,7 +24,7 @@ fn fifo_overflow_drops_packets_and_reports_them() {
             // The victim sleeps through the flood, then counts survivors.
             ctx.delay(us(500));
             let got = dv.fifo_drain(ctx, usize::MAX).len();
-            (got, dv.fifo_dropped())
+            (got, dv.fifo_dropped(ctx))
         }
     })
     .result;
@@ -44,7 +44,7 @@ fn fifo_survives_at_capacity_boundary() {
             0
         } else {
             ctx.delay(us(300));
-            assert_eq!(dv.fifo_dropped(), 0);
+            assert_eq!(dv.fifo_dropped(ctx), 0);
             dv.fifo_drain(ctx, usize::MAX).len()
         }
     })
@@ -62,7 +62,7 @@ fn counter_overshoot_never_reads_as_complete() {
             dv.barrier(ctx);
             ctx.delay(us(300));
             let ok = dv.gc_wait_zero(ctx, 11, Some(ctx.now() + us(100)));
-            (ok, dv.gc_value(11))
+            (ok, dv.gc_value(ctx, 11))
         } else {
             dv.barrier(ctx);
             dv.write_remote(ctx, 1, 0, &[1, 2, 3], 11, SendMode::DirectWrite { cached_headers: true });

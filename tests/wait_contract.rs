@@ -51,11 +51,10 @@ fn a_wait_past_its_deadline_succeeds_when_ready_and_otherwise_leaves_no_trace() 
         assert_eq!(turn, Some(None), "an unmet turn past its deadline expires");
         assert_eq!(ctx.now(), now, "an expired wait takes no virtual time");
         assert_eq!(trace(ctx), before, "an expired wait commits nothing");
-        {
-            let vic = dv.world().vics[me].lock();
+        dv.with_vic(ctx, |vic| {
             assert!(vic.counter(GC).waiters().is_empty(), "counter waker registered");
             assert!(vic.fifo.waiters().is_empty(), "FIFO waker registered");
-        }
+        });
         // Nor did it queue anything: the next commit is this delay's resume.
         ctx.delay(us(1));
         assert_eq!(trace(ctx), (before.0 + 1, before.1));
