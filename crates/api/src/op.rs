@@ -70,7 +70,8 @@ impl DvCtx {
 /// Stable counting sort of `items` into one exact-capacity batch per
 /// destination: ascending destination, input order within one — so the
 /// transmit sequence is deterministic by construction. `counts[d]` is
-/// the number of items bound for `d`.
+/// the number of items bound for `d`. (A packet send groups its packets
+/// into one shared buffer instead: [`DvState::send`].)
 fn group_by_dest<T>(
     mut counts: Vec<usize>,
     items: impl Iterator<Item = T>,
@@ -115,15 +116,14 @@ impl At {
 
     /// The PCIe charge for `words` payloads at `now` — direct writes hold
     /// the CPU for the whole transfer, DMA returns after the descriptor
-    /// enqueue and overlaps — then each destination's batch handed to
-    /// `transmit` with the time it is ready at the VIC, and the send span;
-    /// returns the estimated delivery time of the last word.
-    async fn send_batches<T>(
+    /// enqueue and overlaps — then `transmit` of the send's batches with
+    /// the time they are ready at the VIC, and the send span; returns the
+    /// estimated delivery time of the last word.
+    async fn send_batches(
         &self,
         words: u64,
         mode: SendMode,
-        batches: Vec<(NodeId, Vec<T>)>,
-        transmit: impl Fn(&mut DvState, &mut Kernel, NodeId, Vec<T>, Time) -> Time,
+        transmit: impl FnOnce(&mut DvState, &mut Kernel, Time) -> Time,
     ) -> Time {
         let (t0, (until, vic_ready)) = self.pcie(|pcie, t0| match mode {
             SendMode::DirectWrite { cached_headers } => {
@@ -138,10 +138,7 @@ impl At {
         self.p
             .until_then(until, |k| {
                 self.world.state(k, |st, k| {
-                    let mut last = vic_ready;
-                    for (dst, batch) in batches {
-                        last = last.max(transmit(st, k, dst, batch, vic_ready));
-                    }
+                    let last = transmit(st, k, vic_ready);
                     self.world.tracer.span(self.node, State::Send, t0, k.now());
                     last
                 })
@@ -155,11 +152,7 @@ impl At {
             return self.p.now();
         }
         let node = self.node;
-        let mut counts = vec![0; self.world.nodes()];
-        packets.iter().for_each(|p| counts[p.header.dest] += 1);
-        let batches = group_by_dest(counts, packets.iter().copied(), |p| p.header.dest);
-        let transmit = |st: &mut DvState, k: &mut Kernel, dst, batch, ready| st.transmit(k, node, dst, batch, ready);
-        self.send_batches(packets.len() as u64, mode, batches, transmit).await
+        self.send_batches(packets.len() as u64, mode, |st, k, ready| st.send(k, node, packets, ready)).await
     }
 
     /// [`DvCtx::write_blocks`]: contiguous blocks, one PCIe charge for all.
@@ -172,9 +165,11 @@ impl At {
         let mut counts = vec![0; self.world.nodes()];
         blocks.iter().for_each(|b| counts[b.dest] += 1);
         let batches = group_by_dest(counts, blocks.into_iter(), |b| b.dest);
-        let transmit =
-            |st: &mut DvState, k: &mut Kernel, dst, batch, ready| st.transmit_blocks(k, node, dst, batch, ready);
-        self.send_batches(words, mode, batches, transmit).await
+        self.send_batches(words, mode, |st, k, ready| {
+            let transmit = |last: Time, (dst, batch)| last.max(st.transmit_blocks(k, node, dst, batch, ready));
+            batches.into_iter().fold(ready, transmit)
+        })
+        .await
     }
 
     /// [`DvCtx::gc_set_local`]: the PIO write's charge, then the preset.
@@ -188,7 +183,7 @@ impl At {
     pub(crate) async fn gc_wait(&self, gc: u8, deadline: Option<Time>) -> bool {
         let (node, t0) = (self.node, self.p.now());
         let zero = |st: &mut DvState| st.vics[node].counter(gc).is_zero().then_some(());
-        let ok = self.p.turn_in(deadline, zero, |st, w| st.vics[node].counter(gc).waiters().register(w)).await.is_some();
+        let ok = self.p.turn_in(deadline, zero, |st, w| st.vics[node].watch_counter(gc, w)).await.is_some();
         let now = self.p.now();
         if now > t0 {
             self.world.tracer.span(node, State::Wait, t0, now);
@@ -263,7 +258,7 @@ impl At {
     pub(crate) async fn pop(&self, deadline: Option<Time>) -> Option<Word> {
         let node = self.node;
         let pop = |st: &mut DvState| st.vics[node].fifo.pop();
-        let (_, w) = self.p.turn_in(deadline, pop, |st, w| st.vics[node].fifo.waiters().register(w)).await?;
+        let (_, w) = self.p.turn_in(deadline, pop, |st, w| st.vics[node].fifo.register(w)).await?;
         self.p.delay(FIFO_POP).await;
         Some(w)
     }
@@ -490,7 +485,7 @@ impl At {
             st.barrier_epoch += 1;
             let release_at = k.now() + world.config.dv.barrier_hw;
             let waiters = std::mem::take(&mut st.barrier_waiters);
-            k.call_at(release_at, move |k| waiters.into_iter().for_each(|w| k.wake(w)));
+            st.release_barrier(k, release_at, waiters);
             Ok(release_at)
         });
         match arrived {

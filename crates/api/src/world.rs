@@ -67,6 +67,109 @@ pub(crate) struct DvState {
     /// under a link-duplication fault plan, else by the first
     /// retransmission. Never cleared.
     pub(crate) fifo_repeats: bool,
+    /// What each pending state event of this state does, by token.
+    flights: Slab<Flight>,
+    /// The buffers of the sends whose batches are still in flight.
+    bufs: Slab<SendBuf>,
+    /// Per-destination counts, then run ends, of the send being grouped
+    /// (all zero between sends).
+    counts: Vec<usize>,
+    /// Query replies of the batch being ejected (empty between events).
+    replies: Vec<Packet>,
+}
+
+/// What one state event of a [`DvState`] does when it commits.
+enum Flight {
+    /// A batch of `n` offered packets, `fifo_n` of them bound for the
+    /// surprise FIFO, leaves the switch at `dst`.
+    Batch { dst: NodeId, n: u64, fifo_n: i64, packets: Packets },
+    /// A block-path batch of `n` words leaves the switch at `dst`.
+    Blocks { dst: NodeId, n: u64, blocks: Vec<BlockWrite> },
+    /// A group-counter set the fault plan delayed lands at `dst`.
+    Set { dst: NodeId, pkt: Packet },
+    /// The hardware barrier's wave ends: its waiters are released.
+    Release(Vec<Waker>),
+}
+
+/// Where a batch's packets wait while it crosses the switch.
+enum Packets {
+    /// The run `start..end` of the shared buffer of send `buf`.
+    Shared { buf: u32, start: usize, end: usize },
+    /// A buffer of its own: a [`DvWorld::transmit`] caller's, or a batch
+    /// the fault plan reshaped.
+    Own(Vec<Packet>),
+    /// One packet, inline: a query reply, or a one-packet send.
+    One(Packet),
+}
+
+impl Packets {
+    /// The batch's packets, given the send buffers.
+    fn slice<'a>(&'a self, bufs: &'a Slab<SendBuf>) -> &'a [Packet] {
+        match self {
+            Packets::Shared { buf, start, end } => {
+                let buf = bufs.items[*buf as usize].as_ref().expect("a live send buffer");
+                &buf.packets[*start..*end]
+            }
+            Packets::Own(v) => v,
+            Packets::One(p) => std::slice::from_ref(p),
+        }
+    }
+}
+
+/// One send's packets, grouped by destination, shared by the send's
+/// batches until the last of them ejects.
+struct SendBuf {
+    packets: Vec<Packet>,
+    /// Batches still in flight.
+    batches: u32,
+}
+
+impl Slab<SendBuf> {
+    /// A batch is done with `packets`: the last batch of a send frees the
+    /// send's buffer.
+    fn release(&mut self, packets: &Packets) {
+        if let Packets::Shared { buf, .. } = *packets {
+            let shared = self.get_mut(buf);
+            shared.batches -= 1;
+            if shared.batches == 0 {
+                self.remove(buf);
+            }
+        }
+    }
+}
+
+/// Entries addressed by a `u32` index; a freed index is reused first.
+struct Slab<T> {
+    items: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Slab<T> {
+    fn new() -> Self {
+        Self { items: Vec::new(), free: Vec::new() }
+    }
+
+    fn insert(&mut self, item: T) -> u32 {
+        match self.free.pop() {
+            Some(i) => {
+                self.items[i as usize] = Some(item);
+                i
+            }
+            None => {
+                self.items.push(Some(item));
+                u32::try_from(self.items.len() - 1).expect("fewer than 2^32 entries live at once")
+            }
+        }
+    }
+
+    fn get_mut(&mut self, i: u32) -> &mut T {
+        self.items[i as usize].as_mut().expect("a live slab entry")
+    }
+
+    fn remove(&mut self, i: u32) -> T {
+        self.free.push(i);
+        self.items[i as usize].take().expect("a live slab entry")
+    }
 }
 
 impl DvWorld {
@@ -151,7 +254,7 @@ impl DvWorld {
         packets: Vec<Packet>,
         ready: Time,
     ) -> Time {
-        self.state(kernel, |st, k| st.transmit(k, src, dst, packets, ready))
+        self.state(kernel, |st, k| st.transmit(k, src, dst, Packets::Own(packets), ready))
     }
 
     /// Bulk-transmission fast path: a set of contiguous DV-memory block
@@ -187,6 +290,26 @@ impl DvWorld {
 }
 
 impl KernelState for DvState {
+    /// A batch, block batch or delayed set lands, or the barrier wave
+    /// ends: the [`Flight`] the token names.
+    fn fire(&mut self, k: &mut Kernel, token: u32) {
+        match self.flights.remove(token) {
+            Flight::Batch { dst, n, fifo_n, packets } => self.eject(k, dst, n, fifo_n, packets),
+            Flight::Blocks { dst, n, blocks } => {
+                self.in_flight -= n as i64;
+                for b in &blocks {
+                    self.vics[dst].deliver_block(k, b.address, &b.words, b.gc);
+                }
+            }
+            Flight::Set { dst, pkt } => {
+                let now = k.now();
+                let reply = self.vics[dst].deliver(k, now, pkt);
+                debug_assert!(reply.is_none(), "GroupCounterSet packets never reply");
+            }
+            Flight::Release(waiters) => waiters.into_iter().for_each(|w| k.wake(w)),
+        }
+    }
+
     /// Interval telemetry: the VIC counters accumulated since the
     /// previous flush plus the instantaneous gauges, so per-interval
     /// deltas carry FIFO depth, drops and switch load. The end-of-run
@@ -216,7 +339,63 @@ impl DvState {
             in_flight: 0,
             fifo_inflight: vec![0; nodes],
             fifo_repeats: config.faults.as_ref().is_some_and(|p| p.link_dup > 0.0),
+            flights: Slab::new(),
+            bufs: Slab::new(),
+            counts: vec![0; nodes],
+            replies: Vec::new(),
             world: Arc::clone(world),
+        }
+    }
+
+    /// Schedule `flight` for `at`, as one state event.
+    fn schedule(&mut self, k: &mut Kernel, at: Time, flight: Flight) {
+        let token = self.flights.insert(flight);
+        k.state_at::<DvState>(at, token);
+    }
+
+    /// Release the hardware barrier's `waiters` at `at`, when its wave
+    /// ends.
+    pub(crate) fn release_barrier(&mut self, k: &mut Kernel, at: Time, waiters: Vec<Waker>) {
+        self.schedule(k, at, Flight::Release(waiters));
+    }
+
+    /// One send of `src`'s `packets`, ready at its VIC at `ready`: the
+    /// packets are grouped by destination into one exact-size buffer — a
+    /// stable counting sort, ascending destination and input order within
+    /// one, so the transmit sequence is deterministic by construction —
+    /// and each destination's run is transmitted as one batch sharing
+    /// that buffer. Returns the delivery time of the last packet.
+    pub(crate) fn send(&mut self, k: &mut Kernel, src: NodeId, packets: &[Packet], ready: Time) -> Time {
+        match packets {
+            [] => ready,
+            &[pkt] => self.transmit(k, src, pkt.header.dest, Packets::One(pkt), ready),
+            _ => {
+                let counts = &mut self.counts;
+                packets.iter().for_each(|p| counts[p.header.dest] += 1);
+                let (mut start, mut batches) = (0, 0);
+                for c in counts.iter_mut() {
+                    batches += u32::from(*c > 0);
+                    (*c, start) = (start, start + *c);
+                }
+                // Placing each packet at its destination's cursor leaves
+                // `counts[d]` at the end of `d`'s run.
+                let mut grouped = vec![packets[0]; packets.len()];
+                for &p in packets {
+                    grouped[counts[p.header.dest]] = p;
+                    counts[p.header.dest] += 1;
+                }
+                let buf = self.bufs.insert(SendBuf { packets: grouped, batches });
+                let (mut last, mut start) = (ready, 0);
+                for dst in 0..self.counts.len() {
+                    let end = std::mem::take(&mut self.counts[dst]);
+                    if end > start {
+                        let run = Packets::Shared { buf, start, end };
+                        last = last.max(self.transmit(k, src, dst, run, ready));
+                        start = end;
+                    }
+                }
+                last
+            }
         }
     }
 
@@ -236,17 +415,10 @@ impl DvState {
         capacity - self.vics[dst].fifo.len() as i64 - self.fifo_inflight[dst]
     }
 
-    /// [`DvWorld::transmit`].
-    pub(crate) fn transmit(
-        &mut self,
-        kernel: &mut Kernel,
-        src: NodeId,
-        dst: NodeId,
-        packets: Vec<Packet>,
-        ready: Time,
-    ) -> Time {
-        debug_assert!(packets.iter().all(|p| p.header.dest == dst));
-        let n = packets.len() as u64;
+    /// [`DvWorld::transmit`] of a batch wherever its packets are.
+    fn transmit(&mut self, kernel: &mut Kernel, src: NodeId, dst: NodeId, packets: Packets, ready: Time) -> Time {
+        let n = packets.slice(&self.bufs).len() as u64;
+        debug_assert!(packets.slice(&self.bufs).iter().all(|p| p.header.dest == dst));
         if n == 0 {
             return ready;
         }
@@ -264,9 +436,9 @@ impl DvState {
                     world.metrics.incr("fault.eject.stall_ps", stall);
                 }
             }
-            let mut kept = Vec::with_capacity(packets.len());
+            let mut kept = Vec::with_capacity(n as usize);
             let (mut drops, mut dups, mut delayed_sets) = (0u64, 0u64, 0u64);
-            for pkt in packets {
+            for &pkt in packets.slice(&self.bufs) {
                 let f = inj.packet_fault(src, dst);
                 if f.drop {
                     drops += 1;
@@ -297,33 +469,24 @@ impl DvState {
                     world.metrics.incr("fault.gc.delayed_sets", delayed_sets);
                 }
             }
-            kept
+            self.bufs.release(&packets);
+            Packets::Own(kept)
         } else {
             packets
         };
 
         // Sender-side credit: surprise packets now committed to the wire
         // count against the destination FIFO until delivery resolves them.
-        let fifo_n = deliver
-            .iter()
-            .filter(|p| p.header.space == AddressSpace::SurpriseFifo)
-            .count() as i64;
+        let surprise = deliver.slice(&self.bufs).iter().filter(|p| p.header.space == AddressSpace::SurpriseFifo);
+        let fifo_n = surprise.count() as i64;
         self.fifo_inflight[dst] += fifo_n;
 
         // Load accounting: in the switch from injection until ejection.
         self.in_flight += n as i64;
         world.tracer.message(src, dst, inj_start, eject_end, n * PACKET_BYTES);
-        kernel.call_at(eject_end, move |k| {
-            k.with_state(|st: &mut DvState, k| st.eject(k, dst, n, fifo_n, &deliver));
-        });
+        self.schedule(kernel, eject_end, Flight::Batch { dst, n, fifo_n, packets: deliver });
         for (when, pkt) in delayed {
-            kernel.call_at(when, move |k| {
-                k.with_state(|st: &mut DvState, k| {
-                    let now = k.now();
-                    let reply = st.vics[dst].deliver(k, now, pkt);
-                    debug_assert!(reply.is_none(), "GroupCounterSet packets never reply");
-                });
-            });
+            self.schedule(kernel, when, Flight::Set { dst, pkt });
         }
         eject_end
     }
@@ -331,18 +494,20 @@ impl DvState {
     /// A batch of `n` offered packets leaves the switch at `dst` (kernel
     /// context): the load and credit it held are released, `packets` land
     /// in the VIC, and query replies — formed by the VIC itself, with no
-    /// host or PCIe involvement — re-enter the switch from `dst`.
-    fn eject(&mut self, k: &mut Kernel, dst: NodeId, n: u64, fifo_n: i64, packets: &[Packet]) {
+    /// host or PCIe involvement — re-enter the switch from `dst`, each
+    /// inline in its own batch.
+    fn eject(&mut self, k: &mut Kernel, dst: NodeId, n: u64, fifo_n: i64, packets: Packets) {
         self.in_flight -= n as i64;
         self.fifo_inflight[dst] -= fifo_n;
-        let mut replies: Vec<Packet> = Vec::new();
+        let mut replies = std::mem::take(&mut self.replies);
         let now = k.now();
-        self.vics[dst].deliver_batch(k, now, packets, &mut replies);
-        for reply in replies {
-            let rdst = reply.header.dest;
+        self.vics[dst].deliver_batch(k, now, packets.slice(&self.bufs), &mut replies);
+        self.bufs.release(&packets);
+        for reply in replies.drain(..) {
             let now = k.now();
-            self.transmit(k, dst, rdst, vec![reply], now);
+            self.transmit(k, dst, reply.header.dest, Packets::One(reply), now);
         }
+        self.replies = replies;
     }
 
     /// The network leg both transmit paths share: `n` one-word packets
@@ -378,14 +543,7 @@ impl DvState {
 
         self.in_flight += n as i64;
         self.world.tracer.message(src, dst, inj_start, eject_end, n * PACKET_BYTES);
-        kernel.call_at(eject_end, move |k| {
-            k.with_state(|st: &mut DvState, k| {
-                st.in_flight -= n as i64;
-                for b in &blocks {
-                    st.vics[dst].deliver_block(k, b.address, &b.words, b.gc);
-                }
-            });
-        });
+        self.schedule(kernel, eject_end, Flight::Blocks { dst, n, blocks });
         eject_end
     }
 }

@@ -154,7 +154,27 @@ pub(crate) struct MpiState {
     free: Vec<usize>,
 }
 
-impl KernelState for MpiState {}
+/// The two state events of a rendezvous handshake, the low bit of their
+/// token; the message id is the rest.
+const CTS_ANSWER: u32 = 0;
+const CTS_LANDS: u32 = 1;
+
+/// The token of rendezvous message `msg_id`'s event `kind`.
+fn cts_token(msg_id: usize, kind: u32) -> u32 {
+    u32::try_from(msg_id << 1).expect("fewer than 2^31 rendezvous sends in flight") | kind
+}
+
+impl KernelState for MpiState {
+    /// A rendezvous handshake's next step: the matched receive answers
+    /// the RTS, or the CTS reaches the sender's NIC.
+    fn fire(&mut self, k: &mut Kernel, token: u32) {
+        let msg_id = (token >> 1) as usize;
+        match token & 1 {
+            CTS_ANSWER => self.send_cts(k, msg_id),
+            _ => self.stream(k, msg_id),
+        }
+    }
+}
 
 impl MpiState {
     /// The state of `world`, on an `ib` fabric.
@@ -212,7 +232,7 @@ impl MpiState {
                 // Answer one event later at this instant, where a
                 // receiver woken by the RTS would run, so the CTS keeps
                 // that place among same-time ties.
-                k.call_at(k.now(), move |k| k.with_state(|st: &mut MpiState, k| st.send_cts(k, msg_id)));
+                k.state_at::<MpiState>(k.now(), cts_token(msg_id, CTS_ANSWER));
                 return None;
             }
             Wire::Eager(env) => (env, None),
@@ -236,26 +256,27 @@ impl MpiState {
     }
 
     /// Release a rendezvous transfer (kernel context): the CTS flies back
-    /// to the sender's NIC, which then streams the data in registered
-    /// chunks.
+    /// to the sender's NIC, which then streams the data ([`MpiState::stream`]).
     fn send_cts(&self, k: &mut Kernel, msg_id: usize) {
         let at = k.now() + self.fabric.params().wire_latency;
-        k.call_at(at, move |k| {
-            k.with_state(|st: &mut MpiState, k| {
-                let Some(p) = st.reqs[msg_id].send.take() else {
-                    panic!("CTS for unknown rendezvous message {msg_id}");
-                };
-                let (world, params) = (&st.world, &st.world.params);
-                // Pipeline inefficiency: the data streams at
-                // rndv_efficiency x link rate, plus the handshake.
-                let wire = time::transfer_time(p.bytes, st.fabric.params().link_gbps);
-                let slowdown = (wire as f64 * (1.0 / params.rndv_efficiency - 1.0)) as Time;
-                let extra = slowdown + params.rndv_handshake;
-                let arrival = st.fabric.transfer(k.now(), p.src, p.dst, p.bytes, extra);
-                world.tracer.message(p.src, p.dst, p.env.sent_at, arrival, p.bytes);
-                world.ports[p.dst].deliver_at(k, arrival, Wire::Data { msg_id, env: p.env });
-            });
-        });
+        k.state_at::<MpiState>(at, cts_token(msg_id, CTS_LANDS));
+    }
+
+    /// The CTS of rendezvous message `msg_id` reached the sender's NIC
+    /// (kernel context): the data streams in registered chunks.
+    fn stream(&mut self, k: &mut Kernel, msg_id: usize) {
+        let Some(p) = self.reqs[msg_id].send.take() else {
+            panic!("CTS for unknown rendezvous message {msg_id}");
+        };
+        let (world, params) = (&self.world, &self.world.params);
+        // Pipeline inefficiency: the data streams at
+        // rndv_efficiency x link rate, plus the handshake.
+        let wire = time::transfer_time(p.bytes, self.fabric.params().link_gbps);
+        let slowdown = (wire as f64 * (1.0 / params.rndv_efficiency - 1.0)) as Time;
+        let extra = slowdown + params.rndv_handshake;
+        let arrival = self.fabric.transfer(k.now(), p.src, p.dst, p.bytes, extra);
+        world.tracer.message(p.src, p.dst, p.env.sent_at, arrival, p.bytes);
+        world.ports[p.dst].deliver_at(k, arrival, Wire::Data { msg_id, env: p.env });
     }
 }
 

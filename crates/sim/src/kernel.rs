@@ -5,6 +5,15 @@
 //! `seq` is the insertion sequence number. The earliest key commits next,
 //! so the committed order — and therefore the [`OrderAudit`] trace hash —
 //! is a pure function of the order in which events were scheduled.
+//!
+//! Besides resumes, the kernel commits three kinds of kernel-side work,
+//! which hash and count alike: a boxed closure ([`Kernel::call_at`]), a
+//! pooled timer hook (`timer_at`), and a *state event*
+//! ([`Kernel::state_at`]) — a plain `(state, token)` pair that calls
+//! [`KernelState::fire`] on an installed state. A layer with a steady
+//! stream of kernel-side work (a cluster's packet deliveries) keeps what
+//! each event needs in its own state, keyed by the token, and schedules
+//! state events: nothing is boxed per event.
 
 use std::any::{type_name, Any, TypeId};
 use std::cmp::Ordering;
@@ -59,11 +68,27 @@ type TimerHook = Box<dyn FnMut(&mut Kernel) + Send>;
 /// a [`Kernel::turn`], or a kernel event — through
 /// [`Kernel::with_state`]. One process runs at a time, so the state needs
 /// no lock of its own.
+///
+/// A state may also schedule its own kernel events: [`Kernel::state_at`]
+/// queues a `token`, and when that event commits the kernel hands the
+/// token back to [`KernelState::fire`], with the state taken out as by
+/// [`Kernel::with_state`]. What the event is to do lives in the state,
+/// keyed by the token, so a state event boxes nothing.
 pub trait KernelState: Any + Send {
     /// Fold what the state accumulated since its last flush into
     /// `metrics`: run just before each interval sample of an attached
     /// series, never otherwise. Nothing, by default.
     fn flush(&mut self, _metrics: &MetricsRegistry) {}
+
+    /// Run the state event `token` that [`Kernel::state_at`] scheduled,
+    /// at its commit. Like a [`Kernel::call_at`] closure, it may schedule
+    /// events and fire wakers but must not block.
+    ///
+    /// # Panics
+    /// By default: a state that schedules no state events gets none.
+    fn fire(&mut self, _kernel: &mut Kernel, token: u32) {
+        panic!("{} schedules no state events, yet event {token} fired", type_name::<Self>());
+    }
 }
 
 /// One entry of the kernel's typed-state table.
@@ -92,6 +117,9 @@ pub(crate) enum EventKind {
     Step(Pid, ParkedCall),
     Call(Box<dyn FnOnce(&mut Kernel) + Send>),
     Timer(TimerId),
+    /// A state event (see [`Kernel::state_at`]): the typed-state slot
+    /// and the token its [`KernelState::fire`] gets.
+    State(u32, u32),
     /// A *hop* (see [`Kernel::wake_after`]): committing it schedules
     /// `Resume(waker)` this much later. Consumed inside `pop_valid`; the
     /// dispatchers never see one.
@@ -130,7 +158,8 @@ impl Ord for Event {
 pub struct SchedStats {
     /// Committed `Resume` events (process wakeups that actually ran).
     pub resumes: u64,
-    /// Committed `Call`, `Timer` and hop events (kernel-side work).
+    /// Committed `Call`, `Timer`, state and hop events (kernel-side
+    /// work).
     pub calls: u64,
     /// Resume and hop events discarded because their waker generation was
     /// stale.
@@ -166,7 +195,7 @@ pub struct Kernel {
     audit: OrderAudit,
     stats: SchedStats,
     /// Every commit as `(time, seq, kind)`, kind one of `b"rch"` (resume,
-    /// call/timer, hop) — the evidence the hop-exactness property test
+    /// call/timer/state event, hop) — the evidence the hop-exactness property test
     /// compares.
     #[cfg(test)]
     pub(crate) commits: Vec<(Time, u64, u8)>,
@@ -225,6 +254,46 @@ impl Kernel {
         self.push(at, EventKind::Call(Box::new(f)));
     }
 
+    /// Schedule a state event of the installed `S` at virtual time `at`
+    /// (clamped to `now`): when it commits, [`KernelState::fire`] runs on
+    /// that state with `token`. It commits exactly like a
+    /// [`Kernel::call_at`] closure — same audit record, same `calls`
+    /// counter, a panic reported as a kernel event's — but allocates
+    /// nothing. `S` may be out in a [`Kernel::with_state`] closure (the
+    /// usual caller) when this is called.
+    ///
+    /// # Panics
+    /// If no `S` is installed.
+    pub fn state_at<S: KernelState>(&mut self, at: Time, token: u32) {
+        let i = self.slot::<S>().unwrap_or_else(|| panic!("no {} is installed in this kernel", type_name::<S>()));
+        self.push(at, EventKind::State(i as u32, token));
+    }
+
+    /// Run committed kernel-side work that [`Kernel::pop_valid`] handed
+    /// out: a closure, a timer's hook, or a state event's
+    /// [`KernelState::fire`] on its state, taken out for the call as by
+    /// [`Kernel::with_state`].
+    pub(crate) fn run(&mut self, work: EventKind) {
+        match work {
+            EventKind::Call(f) => f(self),
+            EventKind::Timer(id) => {
+                if let Some(mut hook) = self.timer_hooks[id.0 as usize].take() {
+                    hook(self);
+                    self.timer_hooks[id.0 as usize] = Some(hook);
+                }
+            }
+            EventKind::State(i, token) => {
+                let i = i as usize;
+                let mut state = self.states[i].state.take().expect("no state is out between events");
+                state.fire(self, token);
+                self.states[i].state = Some(state);
+            }
+            EventKind::Resume(_) | EventKind::Step(..) | EventKind::Hop(..) => {
+                unreachable!("resumes, steps and hops are no kernel-side work")
+            }
+        }
+    }
+
     /// Register a pooled timer hook; returns its [`TimerId`]. The hook is
     /// re-run (with the kernel locked) each time a [`Kernel::timer_at`]
     /// event for this id commits. It must not block, and it observes the
@@ -241,14 +310,6 @@ impl Kernel {
     /// nothing.
     pub(crate) fn timer_at(&mut self, at: Time, id: TimerId) {
         self.push(at, EventKind::Timer(id));
-    }
-
-    pub(crate) fn take_timer_hook(&mut self, id: TimerId) -> Option<TimerHook> {
-        self.timer_hooks[id.0 as usize].take()
-    }
-
-    pub(crate) fn put_timer_hook(&mut self, id: TimerId, hook: TimerHook) {
-        self.timer_hooks[id.0 as usize] = Some(hook);
     }
 
     /// Fire a waker at virtual time `at` (clamped to `now`).
@@ -489,7 +550,7 @@ impl Kernel {
                     }
                 }
                 EventKind::Step(..) => unreachable!("steps are never queued"),
-                kind @ (EventKind::Call(_) | EventKind::Timer(_)) => {
+                kind @ (EventKind::Call(_) | EventKind::Timer(_) | EventKind::State(..)) => {
                     self.now = ev.time;
                     self.audit.record_call(ev.time, ev.seq);
                     self.stats.calls += 1;
@@ -515,8 +576,8 @@ mod tests {
             let order = order.clone();
             k.call_at(t, move |_| order.lock().push(tag));
         }
-        while let Some((_, EventKind::Call(f))) = k.pop_valid() {
-            f(&mut k);
+        while let Some((_, work)) = k.pop_valid() {
+            k.run(work);
         }
         // t=10 events in insertion order (1 before 2), then 30, then 50.
         assert_eq!(*order.lock(), vec![1, 2, 3, 0]);
@@ -615,11 +676,7 @@ mod tests {
         k.timer_at(30, id);
         for _ in 0..2 {
             match k.pop_valid() {
-                Some((_, EventKind::Timer(t))) => {
-                    let mut hook = k.take_timer_hook(t).expect("hook registered");
-                    hook(&mut k);
-                    k.put_timer_hook(t, hook);
-                }
+                Some((_, timer @ EventKind::Timer(_))) => k.run(timer),
                 other => panic!("expected timer, got {:?}", other.map(|(t, _)| t)),
             }
         }
@@ -634,14 +691,62 @@ mod tests {
     /// and merged their heads; one heap commits the same `(time, seq)` order.
     #[test]
     fn commit_order_matches_the_pinned_script() {
+        assert_eq!(pinned_script(|k, at| k.call_at(at, |_| {})), (0x9761_1c30_69b8_5c41, 61));
+    }
+
+    /// The pinned script with its closures replaced by state events: a
+    /// state event commits exactly like a closure.
+    #[test]
+    fn state_events_commit_like_the_pinned_script_calls() {
+        assert_eq!(pinned_script(|k, at| k.state_at::<Fired>(at, at as u32)), (0x9761_1c30_69b8_5c41, 61));
+    }
+
+    /// A state that records the tokens of its events.
+    #[derive(Default)]
+    struct Fired(Vec<(Time, u32)>);
+
+    impl KernelState for Fired {
+        fn fire(&mut self, kernel: &mut Kernel, token: u32) {
+            self.0.push((kernel.now(), token));
+        }
+    }
+
+    #[test]
+    fn state_events_fire_their_state_with_their_token() {
         let mut k = Kernel::new();
+        k.install(Fired::default());
+        k.state_at::<Fired>(30, 7);
+        k.state_at::<Fired>(10, 8);
+        k.call_at(10, |_| {});
+        let mut kinds = Vec::new();
+        while let Some((_, work)) = k.pop_valid() {
+            kinds.push(if matches!(work, EventKind::State(..)) { 's' } else { 'c' });
+            k.run(work);
+        }
+        assert_eq!(kinds, ['s', 'c', 's']);
+        assert_eq!(k.with_state(|f: &mut Fired, _| std::mem::take(&mut f.0)), [(10, 8), (30, 7)]);
+        assert_eq!(k.sched_stats().calls, 3, "state events count as calls");
+    }
+
+    #[test]
+    #[should_panic(expected = "no dv_sim::kernel::tests::Fired is installed in this kernel")]
+    fn a_state_event_for_an_uninstalled_state_panics_naming_it() {
+        Kernel::new().state_at::<Fired>(10, 0);
+    }
+
+    /// A seeded script of pushes and interleaved commits, `call` scheduling
+    /// the kernel-side events; returns the trace hash and how many events
+    /// the final drain committed.
+    fn pinned_script(call: impl Fn(&mut Kernel, Time)) -> (u64, usize) {
+        let mut k = Kernel::new();
+        k.install(Fired::default());
         let pids: Vec<Pid> = (0..8).map(|i| k.register_process(format!("p{i}"))).collect();
         let mut rng = dv_core::rng::SplitMix64::new(42);
         for step in 0..200u64 {
             let pid = pids[rng.next_below(8) as usize];
             let at = rng.next_below(1000);
             if step % 3 == 0 {
-                k.call_at(at, |_| {});
+                call(&mut k, at);
             } else {
                 let w = k.waker_for(pid);
                 k.wake_at(at, w);
@@ -656,6 +761,6 @@ mod tests {
         while k.pop_valid().is_some() {
             drained += 1;
         }
-        assert_eq!((k.trace_hash(), drained), (0x9761_1c30_69b8_5c41, 61));
+        (k.trace_hash(), drained)
     }
 }

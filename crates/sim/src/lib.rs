@@ -51,6 +51,10 @@
 //!   [`Proc::until`], [`Proc::delay2`]), by [`SimCtx::block_on`] on the
 //!   thread ([`SimCtx::wait_for`], `wait_until`, `delay` are such calls)
 //!   or by [`SimCtx::wait_in_kernel`].
+//! * [`KernelState`] — simulation state a layer above installs in the
+//!   kernel and reaches with `&mut Kernel`; [`Kernel::state_at`] schedules
+//!   its events by token, boxing nothing (dv-api's packet deliveries,
+//!   mini-mpi's rendezvous handshake).
 //! * [`Port`] — a typed message queue in virtual time (the basis for NICs).
 //! * [`WaitSet`] — virtual-time condition variable.
 //! * [`Pipe`] — a FIFO bandwidth server (PCIe bus, NIC link, switch port).

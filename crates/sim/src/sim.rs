@@ -17,7 +17,8 @@
 //!   while pending) or in [`SimCtx::wait_in_kernel`]; those two are the
 //!   only callers of [`SimCtx::park`].
 //! * When a process parks, *its own thread* becomes the driver: it commits
-//!   `Call`/`Timer` events inline (zero context switches), and on a `Resume`
+//!   `Call`, `Timer` and state events inline (zero context switches, in
+//!   the lock each was popped with), and on a `Resume`
 //!   either keeps running (the resume targets itself — zero switches) or
 //!   grants the target's [`Parker`] and goes passive (one futex wake and
 //!   one futex wait, versus the original central scheduler's two context
@@ -336,59 +337,39 @@ enum Driven {
 /// and reaches the process's thread only when the call has completed.
 ///
 /// Kernel-context work runs under `catch_unwind`: a panic in a `call_at`
-/// closure or a timer hook is reported as that kernel event's, and one in
-/// a parked call as its owner's, never as a panic of whichever process
-/// thread happened to be driving.
+/// closure, a timer hook or a state event is reported as that kernel
+/// event's, and one in a parked call as its owner's, never as a panic of
+/// whichever process thread happened to be driving.
 fn drive(shared: &Shared, self_pid: Option<Pid>) -> Driven {
     // A call whose poll left it pending, parked again in the next lock.
     let mut pending: Option<(Pid, ParkedCall)> = None;
     loop {
-        let next = {
-            let mut k = shared.kernel.lock();
-            if let Some((pid, call)) = pending.take() {
-                k.repark_call(pid, call);
-            }
-            k.pop_valid()
+        let mut k = shared.kernel.lock();
+        if let Some((pid, call)) = pending.take() {
+            k.repark_call(pid, call);
+        }
+        let Some((t, kind)) = k.pop_valid() else {
+            drop(k);
+            shared.outcome.set(deadlock_message(shared).map_or(Outcome::Done, Outcome::Abort));
+            return Driven::Ended;
         };
         // Virtual-time telemetry sampling: advance the registry's sampler
         // to the event we are about to dispatch, so a sample at boundary
         // `b` captures exactly the events committed before the first
         // dispatch at or after `b`; the kernel's states flush into the
         // registry first. Deterministic by construction (keyed to the
-        // event sequence, never the host clock); two relaxed atomic loads
-        // when no series is attached.
-        if let Some((t, _)) = &next {
-            if shared.metrics.sample_due(*t) {
-                shared.kernel.lock().flush_states(&shared.metrics);
-            }
-            shared.metrics.tick(*t);
+        // event sequence, never the host clock); one relaxed atomic load
+        // when no sample is due, and then the kernel-side work below runs
+        // in the lock it was popped with.
+        if shared.metrics.sample_due(t) {
+            k.flush_states(&shared.metrics);
+            drop(k);
+            shared.metrics.tick(t);
+            k = shared.kernel.lock();
         }
-        let pid = match next {
-            None => {
-                shared.outcome.set(deadlock_message(shared).map_or(Outcome::Done, Outcome::Abort));
-                return Driven::Ended;
-            }
-            Some((t, EventKind::Call(f))) => {
-                if !kernel_event(shared, t, || f(&mut shared.kernel.lock())) {
-                    return Driven::Ended;
-                }
-                continue;
-            }
-            Some((t, EventKind::Timer(id))) => {
-                let fired = kernel_event(shared, t, || {
-                    let mut k = shared.kernel.lock();
-                    if let Some(mut hook) = k.take_timer_hook(id) {
-                        hook(&mut k);
-                        k.put_timer_hook(id, hook);
-                    }
-                });
-                if !fired {
-                    return Driven::Ended;
-                }
-                continue;
-            }
-            Some((_t, EventKind::Hop(..))) => unreachable!("pop_valid consumes hops"),
-            Some((_t, EventKind::Step(pid, mut call))) => {
+        let pid = match kind {
+            EventKind::Step(pid, mut call) => {
+                drop(k);
                 match panic::catch_unwind(AssertUnwindSafe(|| poll(call.as_mut()))) {
                     Ok(Poll::Pending) => {
                         pending = Some((pid, call));
@@ -401,7 +382,16 @@ fn drive(shared: &Shared, self_pid: Option<Pid>) -> Driven {
                     }
                 }
             }
-            Some((_t, EventKind::Resume(w))) => w.pid(),
+            EventKind::Resume(w) => {
+                drop(k);
+                w.pid()
+            }
+            work => {
+                if !kernel_event(shared, t, || k.run(work)) {
+                    return Driven::Ended;
+                }
+                continue;
+            }
         };
         // Take the target's parker and drop the registry guard first:
         // the wake is issued with no lock held, or the woken thread
@@ -430,7 +420,7 @@ fn poll<F: Future + ?Sized>(call: Pin<&mut F>) -> Poll<F::Output> {
     call.poll(&mut Context::from_waker(std::task::Waker::noop()))
 }
 
-/// Run a committed `Call` or timer event; `false` if it panicked, after
+/// Run a committed `Call`, timer or state event; `false` if it panicked, after
 /// reporting the panic as the kernel event's, at its virtual time `t`.
 fn kernel_event(shared: &Shared, t: Time, run: impl FnOnce()) -> bool {
     match panic::catch_unwind(AssertUnwindSafe(run)) {

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use dv_core::sync::Mutex;
 
 use dv_core::time::{ns, us};
-use dv_sim::{JoinSlot, Pipe, Port, Proc, Sim, WaitSet};
+use dv_sim::{JoinSlot, Kernel, KernelState, Pipe, Port, Proc, Sim, WaitSet};
 
 #[test]
 fn single_process_advances_time() {
@@ -393,9 +393,18 @@ fn a_call_ready_at_its_first_poll_returns_without_parking() {
     assert_eq!(without.2, without.3, "every resume reached the thread");
 }
 
-/// A panicking `call_at` closure or timer hook belongs to no process: it
-/// is reported as a kernel event at its virtual time, not as a panic of
-/// the process whose thread was dispatching.
+/// A state whose events refuse their token.
+struct Refuses;
+
+impl KernelState for Refuses {
+    fn fire(&mut self, _kernel: &mut Kernel, token: u32) {
+        panic!("state refused {token}");
+    }
+}
+
+/// A panicking `call_at` closure, timer hook or state event belongs to no
+/// process: it is reported as a kernel event at its virtual time, not as a
+/// panic of the process whose thread was dispatching.
 #[test]
 fn kernel_event_panics_are_reported_as_kernel_events() {
     let sim = Sim::new();
@@ -412,4 +421,12 @@ fn kernel_event_panics_are_reported_as_kernel_events() {
         ctx.delay(us(5));
     });
     assert_eq!(panic_report(sim), "kernel event at 2000000 ps panicked: handler refused 7");
+
+    let sim = Sim::new();
+    sim.with_kernel(|k| k.install(Refuses));
+    sim.spawn("bystander", |ctx| {
+        ctx.with_kernel(|k| k.state_at::<Refuses>(us(4), 9));
+        ctx.delay(us(5));
+    });
+    assert_eq!(panic_report(sim), "kernel event at 4000000 ps panicked: state refused 9");
 }

@@ -12,7 +12,7 @@
 //! the counter never reaches zero — the waiting side times out, exactly as
 //! on the real hardware.
 
-use dv_sim::WaitSet;
+use dv_sim::{Kernel, Waker};
 
 /// One hardware group counter.
 #[derive(Default)]
@@ -20,7 +20,9 @@ pub struct GroupCounter {
     /// Signed so that decrement-before-set is observable (and wrong), as
     /// on the real VIC.
     value: i64,
-    waiters: WaitSet,
+    /// The processes parked on this counter: a plain list, since the VIC
+    /// that holds it is kernel-owned state.
+    waiters: Vec<Waker>,
 }
 
 impl GroupCounter {
@@ -35,8 +37,8 @@ impl GroupCounter {
         #[expect(clippy::cast_possible_wrap, reason = "a packet count, far below 2^63")]
         let expected = expected as i64;
         self.value = expected;
-        // A set to zero satisfies waiters immediately; handled by the
-        // caller waking through `waiters_if_zero`.
+        // A set to zero satisfies waiters immediately; the VIC wakes
+        // them (`wake_all`).
     }
 
     /// Decrement on packet arrival.
@@ -64,9 +66,21 @@ impl GroupCounter {
         self.value == 0
     }
 
-    /// The wait set of processes parked on this counter.
-    pub fn waiters(&self) -> &WaitSet {
+    /// The wakers of the processes parked on this counter (stale ones
+    /// included).
+    pub fn waiters(&self) -> &[Waker] {
         &self.waiters
+    }
+
+    /// Leave `waker` for the counter's next wake-up.
+    pub fn register(&mut self, waker: Waker) {
+        self.waiters.push(waker);
+    }
+
+    /// Wake every registered waiter at the kernel's current time, in
+    /// registration order.
+    pub fn wake_all(&mut self, kernel: &mut Kernel) {
+        self.waiters.drain(..).for_each(|w| kernel.wake(w));
     }
 }
 

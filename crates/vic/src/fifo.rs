@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 
 use dv_core::time::Time;
 use dv_core::Word;
-use dv_sim::WaitSet;
+use dv_sim::{Kernel, Waker};
 
 /// The network-addressable input FIFO of one VIC.
 pub struct SurpriseFifo {
@@ -19,14 +19,16 @@ pub struct SurpriseFifo {
     capacity: usize,
     dropped: u64,
     high_water: usize,
-    waiters: WaitSet,
+    /// The processes parked waiting for an arrival: a plain list, since
+    /// the VIC that holds the FIFO is kernel-owned state.
+    waiters: Vec<Waker>,
 }
 
 impl SurpriseFifo {
     /// FIFO with the given capacity in packets.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
-        Self { queue: VecDeque::new(), capacity, dropped: 0, high_water: 0, waiters: WaitSet::new() }
+        Self { queue: VecDeque::new(), capacity, dropped: 0, high_water: 0, waiters: Vec::new() }
     }
 
     /// Buffer an arriving payload; returns `false` (and counts a drop) on
@@ -88,9 +90,21 @@ impl SurpriseFifo {
         self.capacity
     }
 
-    /// Processes parked waiting for FIFO arrivals.
-    pub fn waiters(&self) -> &WaitSet {
+    /// The wakers of the processes parked waiting for FIFO arrivals
+    /// (stale ones included).
+    pub fn waiters(&self) -> &[Waker] {
         &self.waiters
+    }
+
+    /// Leave `waker` for the next arrival.
+    pub fn register(&mut self, waker: Waker) {
+        self.waiters.push(waker);
+    }
+
+    /// Wake every registered waiter at the kernel's current time, in
+    /// registration order.
+    pub fn wake_all(&mut self, kernel: &mut Kernel) {
+        self.waiters.drain(..).for_each(|w| kernel.wake(w));
     }
 }
 

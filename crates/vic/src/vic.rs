@@ -6,7 +6,7 @@ use dv_core::metrics::MetricsRegistry;
 use dv_core::packet::{AddressSpace, Packet, PacketHeader, GROUP_COUNTERS, SCRATCH_GC};
 use dv_core::time::Time;
 use dv_core::{NodeId, Word};
-use dv_sim::Kernel;
+use dv_sim::{Kernel, Waker};
 
 use crate::counters::GroupCounter;
 use crate::fifo::SurpriseFifo;
@@ -99,6 +99,12 @@ impl Vic {
         &self.counters[idx as usize]
     }
 
+    /// Leave `waker` for group counter `idx` to wake when it next reaches
+    /// zero.
+    pub fn watch_counter(&mut self, idx: u8, waker: Waker) {
+        self.counters[idx as usize].register(waker);
+    }
+
     /// This VIC's accumulated activity counters.
     pub fn stats(&self) -> VicStats {
         self.stats
@@ -153,7 +159,7 @@ impl Vic {
         let gc = &mut self.counters[idx as usize];
         Self::apply_set(&mut self.stats, gc, expected);
         if gc.is_zero() {
-            gc.waiters().wake_all(kernel);
+            gc.wake_all(kernel);
         }
     }
 
@@ -243,7 +249,7 @@ impl Vic {
                 let src = u32::try_from(pkt.header.src).expect("node ids fit the header's 12 bits");
                 *self.memory.word_mut(FIFO_RECV_BASE + src) += 1;
                 if !std::mem::replace(fifo_woken, true) {
-                    self.fifo.waiters().wake_all(kernel);
+                    self.fifo.wake_all(kernel);
                 }
             }
             AddressSpace::GroupCounterSet => {
@@ -251,7 +257,7 @@ impl Vic {
                 let gc = &mut self.counters[idx];
                 Self::apply_set(&mut self.stats, gc, pkt.payload);
                 if gc.is_zero() {
-                    gc.waiters().wake_all(kernel);
+                    gc.wake_all(kernel);
                 }
             }
             AddressSpace::Query => {
@@ -268,7 +274,7 @@ impl Vic {
             gc.decrement();
             self.stats.gc_decrements += 1;
             if gc.is_zero() {
-                gc.waiters().wake_all(kernel);
+                gc.wake_all(kernel);
             }
         }
         reply
@@ -286,7 +292,7 @@ impl Vic {
             gc.decrement_by(words.len() as u64);
             self.stats.gc_decrements += words.len() as u64;
             if gc.is_zero() {
-                gc.waiters().wake_all(kernel);
+                gc.wake_all(kernel);
             }
         }
     }

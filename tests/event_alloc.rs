@@ -1,7 +1,7 @@
 //! Heap allocations per run, pinned exactly: DV and MPI GUPS, DV and MPI
 //! BFS at small test sizes, and an MPI FFT whose alltoall blocks take the
 //! rendezvous path, counted over the whole process by a global
-//! atomic counter — kernel-run calls and delivery closures allocate on
+//! atomic counter — kernel-run calls and delivery events allocate on
 //! whichever thread dispatches, so `tests/common`'s per-thread counter
 //! would miss them. A binary with `harness = false`: no libtest thread
 //! allocates inside a window, and the runs always go in this order, so
@@ -61,11 +61,11 @@ const FFT_POINTS: usize = 1 << 16;
 
 /// `(run, debug build, release build)`: allocations of one run.
 const PINS: [(&str, u64, u64); 5] = [
-    ("DV GUPS", 884, 879),
+    ("DV GUPS", 363, 358),
     ("MPI GUPS", 484, 480),
-    ("DV BFS", 1762, 1758),
+    ("DV BFS", 769, 765),
     ("MPI BFS", 525, 521),
-    ("MPI FFT", 209, 205),
+    ("MPI FFT", 161, 157),
 ];
 
 /// Allocations made by every thread of the process inside `window`.

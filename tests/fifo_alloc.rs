@@ -48,9 +48,11 @@ fn warmed_send_and_flush_allocate_per_destination_not_per_packet() {
 
     let (allocated, _) = report.result[0];
     let dests = (NODES - 1) as u64;
-    // Per destination: its batch and its delivery event; per flush: the
-    // counting sort's two tables. The tree-based path this replaced made
-    // one allocation for every handful of words (173 here).
+    // The bound dates from a batch vector and a boxed delivery event per
+    // destination, plus the counting sort's two tables per flush; a send
+    // now shares one buffer across its batches and boxes no event. The
+    // tree-based path before made one allocation for every handful of
+    // words (173 here).
     assert!(
         allocated <= 4 * dests + 8,
         "{allocated} allocations for {WORDS} words to {dests} destinations"
