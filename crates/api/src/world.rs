@@ -9,7 +9,7 @@ use dv_core::packet::{AddressSpace, Packet, MAX_NODES, PACKET_BYTES};
 use dv_core::time::Time;
 use dv_core::trace::Tracer;
 use dv_core::{NodeId, Word};
-use dv_sim::{Kernel, KernelState, Pipe, Waker};
+use dv_sim::{Kernel, KernelState, Pipe, Slab, Waker};
 use dv_switch::{LinkFaultInjector, SwitchModel};
 use dv_vic::{PciePath, Vic};
 
@@ -106,12 +106,21 @@ impl Packets {
     /// The batch's packets, given the send buffers.
     fn slice<'a>(&'a self, bufs: &'a Slab<SendBuf>) -> &'a [Packet] {
         match self {
-            Packets::Shared { buf, start, end } => {
-                let buf = bufs.items[*buf as usize].as_ref().expect("a live send buffer");
-                &buf.packets[*start..*end]
-            }
+            Packets::Shared { buf, start, end } => &bufs.get(*buf).packets[*start..*end],
             Packets::Own(v) => v,
             Packets::One(p) => std::slice::from_ref(p),
+        }
+    }
+
+    /// The batch is done with its packets: the last batch of a send frees
+    /// the send's buffer.
+    fn release(&self, bufs: &mut Slab<SendBuf>) {
+        if let Packets::Shared { buf, .. } = *self {
+            let shared = bufs.get_mut(buf);
+            shared.batches -= 1;
+            if shared.batches == 0 {
+                bufs.remove(buf);
+            }
         }
     }
 }
@@ -122,54 +131,6 @@ struct SendBuf {
     packets: Vec<Packet>,
     /// Batches still in flight.
     batches: u32,
-}
-
-impl Slab<SendBuf> {
-    /// A batch is done with `packets`: the last batch of a send frees the
-    /// send's buffer.
-    fn release(&mut self, packets: &Packets) {
-        if let Packets::Shared { buf, .. } = *packets {
-            let shared = self.get_mut(buf);
-            shared.batches -= 1;
-            if shared.batches == 0 {
-                self.remove(buf);
-            }
-        }
-    }
-}
-
-/// Entries addressed by a `u32` index; a freed index is reused first.
-struct Slab<T> {
-    items: Vec<Option<T>>,
-    free: Vec<u32>,
-}
-
-impl<T> Slab<T> {
-    fn new() -> Self {
-        Self { items: Vec::new(), free: Vec::new() }
-    }
-
-    fn insert(&mut self, item: T) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                self.items[i as usize] = Some(item);
-                i
-            }
-            None => {
-                self.items.push(Some(item));
-                u32::try_from(self.items.len() - 1).expect("fewer than 2^32 entries live at once")
-            }
-        }
-    }
-
-    fn get_mut(&mut self, i: u32) -> &mut T {
-        self.items[i as usize].as_mut().expect("a live slab entry")
-    }
-
-    fn remove(&mut self, i: u32) -> T {
-        self.free.push(i);
-        self.items[i as usize].take().expect("a live slab entry")
-    }
 }
 
 impl DvWorld {
@@ -469,7 +430,7 @@ impl DvState {
                     world.metrics.incr("fault.gc.delayed_sets", delayed_sets);
                 }
             }
-            self.bufs.release(&packets);
+            packets.release(&mut self.bufs);
             Packets::Own(kept)
         } else {
             packets
@@ -502,7 +463,7 @@ impl DvState {
         let mut replies = std::mem::take(&mut self.replies);
         let now = k.now();
         self.vics[dst].deliver_batch(k, now, packets.slice(&self.bufs), &mut replies);
-        self.bufs.release(&packets);
+        packets.release(&mut self.bufs);
         for reply in replies.drain(..) {
             let now = k.now();
             self.transmit(k, dst, reply.header.dest, Packets::One(reply), now);

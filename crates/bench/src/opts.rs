@@ -120,6 +120,10 @@ impl Opts {
                 _ => unreachable!("{name} lists {flag}, which the front end does not parse"),
             }
         }
+        // Only a stream samples: the interval alone would be read by nothing.
+        if opts.stream.is_none() && given.iter().any(|g| g == "--stream-interval") {
+            return Err("--stream-interval needs --stream: without a stream nothing is sampled".into());
+        }
         Ok((scenario, opts))
     }
 }

@@ -39,6 +39,9 @@ fn parse_accepts_both_flag_forms_and_names_every_offender() {
     assert_eq!(inline.topo, Some(TopoKind::MinPath));
     assert_eq!(inline.stream.as_deref(), Some("-"));
     assert_eq!(inline.stream_interval, dv_core::time::us(5));
+    // The interval may come before its stream.
+    let late = parse(&["study", "--stream-interval", "5", "--stream", "-"]).expect("either order parses");
+    assert_eq!((late.stream.as_deref(), late.stream_interval), (Some("-"), dv_core::time::us(5)));
     assert_eq!(parse(&["plain"]), Ok(Opts::new("plain")));
     assert!(parse(&["study", "--faults", "seed=7,fifodrop=0.02"]).expect("plan parses").faults.is_some());
 
@@ -60,6 +63,8 @@ fn parse_accepts_both_flag_forms_and_names_every_offender() {
         (&["study", "--stream-interval", "0"], "--stream-interval"),
         // 2^58 µs does not fit in u64 picoseconds: it must not wrap to 0 ps.
         (&["study", "--stream-interval", "288230376151711744"], "--stream-interval"),
+        // An interval without a stream would be read by nothing.
+        (&["study", "--stream-interval", "5"], "--stream-interval needs --stream"),
         // A second value must not silently replace the first.
         (&["study", "--faults", "seed=7,fifodrop=0.02", "--faults=seed=1"], "--faults given twice"),
         (&["study", "--json", "a", "--json", "b"], "--json given twice"),
@@ -94,6 +99,7 @@ fn misuse_exits_2_naming_the_problem_and_listing_the_scenarios() {
         (&["fig6", "--topo", "dv"], "fig6 takes no flag \"--topo\""),
         (&["fig4", "--faults", "seed=1"], "fig4 takes no flag \"--faults\""),
         (&["switch_study", "--topo", "fattree"], "switch_study takes no flag \"--topo\""),
+        (&["fig3", "--quick", "--stream-interval", "5"], "--stream-interval needs --stream"),
         // A flag given twice: the second plan would run fig6 fault-free,
         // the second path would leave the first without its artifact.
         (&["fig6", "--quick", "--faults", "seed=7,fifodrop=0.02", "--faults", "seed=1"], "--faults given twice"),

@@ -18,10 +18,10 @@
 //!
 //! As in a real MPI library, matching happens where the message arrives,
 //! not in the receiving process: each rank has one *posted-receive* slot
-//! next to its unexpected queue, and the port's arrival hook (kernel
-//! context) hands a matching message straight to it. The receiver is
-//! resumed once per message, `overhead_recv` after the arrival; an arrival
-//! nobody posted for waits in the unexpected queue and wakes nobody.
+//! next to its unexpected queue, and the arrival (a kernel event) hands a
+//! matching message straight to it. The receiver is resumed once per
+//! message, `overhead_recv` after the arrival; an arrival nobody posted
+//! for waits in the unexpected queue and wakes nobody.
 //!
 //! The blocking calls here (`isend`, `send`, `wait`, `recv`, `sendrecv`)
 //! and every collective are `async fn`s of the rank (`op`), run in the
@@ -29,18 +29,22 @@
 //! call in kernel context, and the rank's thread runs again once per
 //! blocking call or collective, not once per resume.
 //!
-//! The receive slots, the rendezvous requests and the fabric's pipes are
-//! an `MpiState` the simulation kernel owns (see
-//! [`dv_sim::KernelState`]): only the rank holding the run token, or a
-//! kernel event, touches them, so none has a lock of its own.
+//! The receive slots with their unexpected queues, the messages in
+//! flight, the rendezvous requests and the fabric's pipes are an
+//! `MpiState` the simulation kernel owns (see [`dv_sim::KernelState`]):
+//! only the rank holding the run token, or a kernel event, touches them,
+//! so none has a lock of its own. A message's arrival and each step of a
+//! rendezvous handshake is a state event of it, keyed by a token into its
+//! table of flights.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dv_core::config::{IbParams, MpiParams};
 use dv_core::metrics::MetricsRegistry;
 use dv_core::time::{self, Time};
 use dv_core::trace::Tracer;
-use dv_sim::{Kernel, KernelState, Port, SimCtx, Waker};
+use dv_sim::{Kernel, KernelState, SimCtx, Slab, Waker};
 
 use crate::fabric::IbFabric;
 pub(crate) mod op;
@@ -63,10 +67,10 @@ pub struct Envelope {
 
 enum Wire {
     Eager(Envelope),
-    Rts { src: usize, tag: Tag, msg_id: usize },
+    Rts { src: usize, tag: Tag, msg_id: u32 },
     /// The payload of a rendezvous transfer; `msg_id` is the sender's
     /// request.
-    Data { msg_id: usize, env: Envelope },
+    Data { msg_id: u32, env: Envelope },
 }
 
 impl Wire {
@@ -87,17 +91,26 @@ enum Posted {
     /// The first eager message or RTS from `(src, tag)`.
     Match { src: Option<usize>, tag: Option<Tag> },
     /// The data of the rendezvous transfer it already answered.
-    Data(usize),
+    Data(u32),
 }
 
-/// One rank's posted-receive slot: written by its `recv` when it blocks,
-/// filled by the arrival hook. The unexpected queue beside it is the
-/// rank's `Port` queue.
+/// One rank's posted-receive slot, written by its `recv` when it blocks
+/// and filled by an arrival, and the unexpected queue beside it.
 #[derive(Default)]
 struct RecvSlot {
     posted: Option<(Posted, Waker)>,
     /// The matched message and when its receive completes.
     delivered: Option<(Time, Envelope)>,
+    /// Arrivals no receive was posted for, in arrival order.
+    unexpected: VecDeque<Wire>,
+}
+
+impl RecvSlot {
+    /// The earliest unexpected arrival `pred` accepts, taken out.
+    fn take_unexpected(&mut self, pred: impl FnMut(&Wire) -> bool) -> Option<Wire> {
+        let i = self.unexpected.iter().position(pred)?;
+        self.unexpected.remove(i)
+    }
 }
 
 /// One rendezvous send, from its RTS until its sender's `wait` returns.
@@ -115,12 +128,12 @@ struct ReqState {
 /// else the index of its entry in the world's request slab, which is also
 /// the rendezvous message's id. A request dropped without a `wait` keeps
 /// its entry until the run ends.
-pub struct Request(Option<usize>);
+pub struct Request(Option<u32>);
 
 impl Request {
     /// True once the operation completed.
     pub fn is_done(&self, ctx: &SimCtx) -> bool {
-        self.0.is_none_or(|id| ctx.with_kernel(|k| k.with_state(|st: &mut MpiState, _| st.reqs[id].done)))
+        self.0.is_none_or(|id| ctx.with_kernel(|k| k.with_state(|st: &mut MpiState, _| st.reqs.get(id).done)))
     }
 }
 
@@ -133,9 +146,9 @@ struct PendingSend {
 
 /// What never changes in an MPI world (one per cluster run); its mutable
 /// half is the kernel-owned `MpiState`.
-pub struct World {
+pub(crate) struct World {
     params: MpiParams,
-    ports: Vec<Port<Wire>>,
+    nodes: usize,
     tracer: Arc<Tracer>,
     metrics: Arc<MetricsRegistry>,
 }
@@ -146,32 +159,32 @@ pub struct World {
 pub(crate) struct MpiState {
     world: Arc<World>,
     fabric: IbFabric,
-    /// One posted-receive slot per rank.
+    /// One receive slot per rank.
     slots: Vec<RecvSlot>,
-    /// Rendezvous requests by id, a slab: `free` lists the entries whose
-    /// `wait` returned, for the next rendezvous send to reuse.
-    reqs: Vec<ReqState>,
-    free: Vec<usize>,
+    /// Rendezvous requests; a request's index is also its message's id.
+    /// An entry is freed when its `wait` returns.
+    reqs: Slab<ReqState>,
+    /// What each pending state event of this state does, by token.
+    flights: Slab<Flight>,
 }
 
-/// The two state events of a rendezvous handshake, the low bit of their
-/// token; the message id is the rest.
-const CTS_ANSWER: u32 = 0;
-const CTS_LANDS: u32 = 1;
-
-/// The token of rendezvous message `msg_id`'s event `kind`.
-fn cts_token(msg_id: usize, kind: u32) -> u32 {
-    u32::try_from(msg_id << 1).expect("fewer than 2^31 rendezvous sends in flight") | kind
+/// What one state event of an [`MpiState`] does when it commits.
+enum Flight {
+    /// A message lands at rank `dst`.
+    Arrive { dst: usize, wire: Wire },
+    /// The matched receive answers rendezvous message `msg_id`'s RTS.
+    Answer { msg_id: u32 },
+    /// The CTS of rendezvous message `msg_id` reaches the sender's NIC.
+    Cts { msg_id: u32 },
 }
 
 impl KernelState for MpiState {
-    /// A rendezvous handshake's next step: the matched receive answers
-    /// the RTS, or the CTS reaches the sender's NIC.
+    /// A message lands, or a rendezvous handshake takes its next step.
     fn fire(&mut self, k: &mut Kernel, token: u32) {
-        let msg_id = (token >> 1) as usize;
-        match token & 1 {
-            CTS_ANSWER => self.send_cts(k, msg_id),
-            _ => self.stream(k, msg_id),
+        match self.flights.remove(token) {
+            Flight::Arrive { dst, wire } => self.arrive(k, dst, wire),
+            Flight::Answer { msg_id } => self.send_cts(k, msg_id),
+            Flight::Cts { msg_id } => self.stream(k, msg_id),
         }
     }
 }
@@ -179,43 +192,26 @@ impl KernelState for MpiState {
 impl MpiState {
     /// The state of `world`, on an `ib` fabric.
     pub(crate) fn new(world: &Arc<World>, ib: IbParams) -> Self {
-        let nodes = world.ports.len();
+        let nodes = world.nodes;
         Self {
             world: Arc::clone(world),
             fabric: IbFabric::new(nodes, ib),
             slots: (0..nodes).map(|_| RecvSlot::default()).collect(),
-            reqs: Vec::new(),
-            free: Vec::new(),
+            reqs: Slab::new(),
+            flights: Slab::new(),
         }
     }
 
-    /// Hold `send` until its CTS; returns its request id.
-    fn post(&mut self, send: PendingSend) -> usize {
-        let req = ReqState { send: Some(send), ..ReqState::default() };
-        match self.free.pop() {
-            Some(id) => {
-                self.reqs[id] = req;
-                id
-            }
-            None => {
-                self.reqs.push(req);
-                self.reqs.len() - 1
-            }
-        }
+    /// Schedule `flight` at `at`.
+    fn schedule(&mut self, k: &mut Kernel, at: Time, flight: Flight) {
+        let token = self.flights.insert(flight);
+        k.state_at::<MpiState>(at, token);
     }
 
-    /// `Some` once request `id` is done, its entry then freed for reuse.
-    fn complete(&mut self, id: usize) -> Option<()> {
-        self.reqs[id].done.then(|| {
-            self.reqs[id] = ReqState::default();
-            self.free.push(id);
-        })
-    }
-
-    /// Arrival hook of `rank`'s port (kernel context): hand `wire` to the
-    /// posted receive if it is the one that receive waits for, else leave
-    /// it to the unexpected queue (`Some`), waking nobody.
-    fn arrive(&mut self, k: &mut Kernel, rank: usize, wire: Wire) -> Option<Wire> {
+    /// `wire` lands at `rank` (kernel context): hand it to the posted
+    /// receive if it is the one that receive waits for, else leave it to
+    /// the unexpected queue, waking nobody.
+    fn arrive(&mut self, k: &mut Kernel, rank: usize, wire: Wire) {
         let slot = &mut self.slots[rank];
         let posted = slot.posted.take_if(|(posted, _)| match (posted, &wire) {
             (Posted::Match { src, tag }, wire) => wire.matches(*src, *tag),
@@ -224,7 +220,8 @@ impl MpiState {
         });
         let Some((_, waker)) = posted else {
             assert!(!matches!(wire, Wire::Data { .. }), "rendezvous data nobody asked for");
-            return Some(wire);
+            slot.unexpected.push_back(wire);
+            return;
         };
         let (env, done) = match wire {
             Wire::Rts { msg_id, .. } => {
@@ -232,8 +229,8 @@ impl MpiState {
                 // Answer one event later at this instant, where a
                 // receiver woken by the RTS would run, so the CTS keeps
                 // that place among same-time ties.
-                k.state_at::<MpiState>(k.now(), cts_token(msg_id, CTS_ANSWER));
-                return None;
+                self.schedule(k, k.now(), Flight::Answer { msg_id });
+                return;
             }
             Wire::Eager(env) => (env, None),
             Wire::Data { env, msg_id } => (env, Some(msg_id)),
@@ -246,61 +243,58 @@ impl MpiState {
         // The sender's MPI_Send returns when its buffer is free — when
         // the data has fully left the sender.
         if let Some(id) = done {
-            let req = &mut self.reqs[id];
+            let req = self.reqs.get_mut(id);
             req.done = true;
             if let Some(w) = req.waiter.take() {
                 k.wake(w);
             }
         }
-        None
     }
 
     /// Release a rendezvous transfer (kernel context): the CTS flies back
     /// to the sender's NIC, which then streams the data ([`MpiState::stream`]).
-    fn send_cts(&self, k: &mut Kernel, msg_id: usize) {
+    fn send_cts(&mut self, k: &mut Kernel, msg_id: u32) {
         let at = k.now() + self.fabric.params().wire_latency;
-        k.state_at::<MpiState>(at, cts_token(msg_id, CTS_LANDS));
+        self.schedule(k, at, Flight::Cts { msg_id });
     }
 
     /// The CTS of rendezvous message `msg_id` reached the sender's NIC
     /// (kernel context): the data streams in registered chunks.
-    fn stream(&mut self, k: &mut Kernel, msg_id: usize) {
-        let Some(p) = self.reqs[msg_id].send.take() else {
+    fn stream(&mut self, k: &mut Kernel, msg_id: u32) {
+        let Some(p) = self.reqs.get_mut(msg_id).send.take() else {
             panic!("CTS for unknown rendezvous message {msg_id}");
         };
-        let (world, params) = (&self.world, &self.world.params);
+        let params = &self.world.params;
         // Pipeline inefficiency: the data streams at
         // rndv_efficiency x link rate, plus the handshake.
         let wire = time::transfer_time(p.bytes, self.fabric.params().link_gbps);
         let slowdown = (wire as f64 * (1.0 / params.rndv_efficiency - 1.0)) as Time;
         let extra = slowdown + params.rndv_handshake;
         let arrival = self.fabric.transfer(k.now(), p.src, p.dst, p.bytes, extra);
-        world.tracer.message(p.src, p.dst, p.env.sent_at, arrival, p.bytes);
-        world.ports[p.dst].deliver_at(k, arrival, Wire::Data { msg_id, env: p.env });
+        self.world.tracer.message(p.src, p.dst, p.env.sent_at, arrival, p.bytes);
+        self.schedule(k, arrival, Flight::Arrive { dst: p.dst, wire: Wire::Data { msg_id, env: p.env } });
     }
 }
 
 impl World {
     /// Build the world described by a [`SimSpec`](dv_core::spec::SimSpec):
-    /// one port per rank, MPI tuning from `spec.machine.mpi`, tracing and
+    /// one rank per node, MPI tuning from `spec.machine.mpi`, tracing and
     /// metrics from the spec's attachments (the InfiniBand fabric, from
     /// `spec.machine.ib`, is part of the kernel-owned state).
     /// Point-to-point traffic is recorded under `mpi.*` and collectives
     /// under `mpi.coll.*` when the registry is enabled.
-    pub fn from_spec(spec: &dv_core::spec::SimSpec) -> Arc<Self> {
-        // Each port's arrival hook matches in the kernel-owned state.
-        let arrive = |rank| move |k: &mut Kernel, _at, wire| k.with_state(|st: &mut MpiState, k| st.arrive(k, rank, wire));
+    pub(crate) fn from_spec(spec: &dv_core::spec::SimSpec) -> Arc<Self> {
         Arc::new(Self {
             params: spec.machine.mpi.clone(),
-            ports: (0..spec.nodes).map(|rank| Port::with_handler(arrive(rank))).collect(),
+            nodes: spec.nodes,
             tracer: Arc::clone(&spec.tracer),
             metrics: Arc::clone(&spec.metrics),
         })
     }
 
     /// Per-rank communicator.
-    pub fn comm(self: &Arc<Self>, rank: usize) -> Comm {
-        assert!(rank < self.ports.len());
+    pub(crate) fn comm(self: &Arc<Self>, rank: usize) -> Comm {
+        assert!(rank < self.nodes);
         Comm { world: Arc::clone(self), rank }
     }
 }
@@ -319,7 +313,7 @@ impl Comm {
 
     /// Number of ranks.
     pub fn size(&self) -> usize {
-        self.world.ports.len()
+        self.world.nodes
     }
 
     /// The tracer attached to this world.
@@ -376,7 +370,8 @@ impl Comm {
     /// to run the CTS exchange.)
     pub fn try_recv(&self, ctx: &SimCtx, src: Option<usize>, tag: Option<Tag>) -> Option<Envelope> {
         let eager = |w: &Wire| matches!(w, Wire::Eager(_)) && w.matches(src, tag);
-        let Some((_, Wire::Eager(env))) = self.world.ports[self.rank].take_first(eager) else { return None };
+        let taken = ctx.with_kernel(|k| k.with_state(|st: &mut MpiState, _| st.slots[self.rank].take_unexpected(eager)));
+        let Some(Wire::Eager(env)) = taken else { return None };
         ctx.delay(self.world.params.overhead_recv);
         Some(env)
     }

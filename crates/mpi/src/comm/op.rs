@@ -19,7 +19,7 @@
 //! * a charged delay (the send overhead and bounce copy, the receive
 //!   overhead) is a [`Proc::delay2`];
 //! * a posted receive is a [`Proc::turn`] that re-posts the current waker
-//!   until the arrival hook has delivered;
+//!   until an arrival has delivered;
 //! * a rendezvous `wait` is one that registers until the request is done.
 
 use std::future::Future;
@@ -29,7 +29,7 @@ use dv_core::time::{self, Time};
 use dv_core::trace::State;
 use dv_sim::{Kernel, Proc, SimCtx};
 
-use super::{Comm, Envelope, MpiState, PendingSend, Posted, Request, Wire, World};
+use super::{Comm, Envelope, Flight, MpiState, PendingSend, Posted, ReqState, Request, Wire, World};
 use crate::payload::Payload;
 use crate::Tag;
 
@@ -55,7 +55,7 @@ impl Comm {
 impl Rank {
     /// Number of ranks.
     pub(crate) fn size(&self) -> usize {
-        self.world.ports.len()
+        self.world.nodes
     }
 
     /// `isend`: software overhead, then (eager) the bounce-buffer copy, as
@@ -89,13 +89,14 @@ impl Rank {
         let env = Envelope { src: self.rank, tag, payload, sent_at };
         let req = if eager {
             let arrival = st.fabric.transfer(sent_at, self.rank, dst, env_bytes, 0);
-            world.ports[dst].deliver_at(k, arrival, Wire::Eager(env));
+            st.schedule(k, arrival, Flight::Arrive { dst, wire: Wire::Eager(env) });
             world.tracer.message(self.rank, dst, sent_at, arrival, env_bytes);
             Request(None)
         } else {
             let rts_arrival = st.fabric.transfer(sent_at, self.rank, dst, 64, 0);
-            let msg_id = st.post(PendingSend { src: self.rank, dst, env, bytes: env_bytes });
-            world.ports[dst].deliver_at(k, rts_arrival, Wire::Rts { src: self.rank, tag, msg_id });
+            let send = PendingSend { src: self.rank, dst, env, bytes: env_bytes };
+            let msg_id = st.reqs.insert(ReqState { send: Some(send), ..ReqState::default() });
+            st.schedule(k, rts_arrival, Flight::Arrive { dst, wire: Wire::Rts { src: self.rank, tag, msg_id } });
             Request(Some(msg_id))
         };
         world.tracer.span(self.rank, State::Send, t0, k.now());
@@ -104,25 +105,24 @@ impl Rank {
 
     /// A blocking receive with optional wildcards: a match from the
     /// unexpected queue, then the receive overhead; or a posted receive
-    /// (answering an RTS that was already waiting) that the arrival hook
-    /// fills.
+    /// (answering an RTS that was already waiting) that an arrival fills.
     pub(crate) async fn recv(&self, src: Option<usize>, tag: Option<Tag>) -> Envelope {
         let (world, pid, rank) = (&self.world, self.p.pid(), self.rank);
         // When the receive began, and a match from the unexpected queue
         // with the end of its charge — or `None`, the receive posted.
         let (t0, matched) = self.p.with(|k| k.with_state(|st: &mut MpiState, k| {
             let t0 = k.now();
-            let rts = match world.ports[self.rank].take_first(|w| w.matches(src, tag)).map(|(_, w)| w) {
+            let rts = match st.slots[rank].take_unexpected(|w| w.matches(src, tag)) {
                 Some(Wire::Eager(env)) => {
                     return (t0, Some((k.arm_delay(pid, world.params.overhead_recv, 0), env)));
                 }
                 Some(Wire::Rts { msg_id, .. }) => Some(msg_id),
                 _ => None,
             };
-            // The arrival hook delivers only to a posted receive, so the
-            // first turn's condition cannot hold yet: it posts the waker.
-            // Nor is anything delivered before the park (`send_cts` only
-            // schedules): the arrival hook resumes us.
+            // An arrival delivers only to a posted receive, so the first
+            // turn's condition cannot hold yet: it posts the waker. Nor is
+            // anything delivered before the park (`send_cts` only
+            // schedules): an arrival resumes us.
             let posted = rts.map_or(Posted::Match { src, tag }, Posted::Data);
             k.turn(pid, None, || None::<()>, |w| st.slots[rank].posted = Some((posted, w)));
             if let Some(msg_id) = rts {
@@ -159,7 +159,9 @@ impl Rank {
     pub(crate) async fn wait(&self, req: Request) {
         let Some(id) = req.0 else { return };
         let t0 = self.p.now();
-        self.p.turn_in(None, |st: &mut MpiState| st.complete(id), |st, w| st.reqs[id].waiter = Some(w)).await;
+        // Done: the entry is freed for the next rendezvous send.
+        let done = |st: &mut MpiState| st.reqs.get(id).done.then(|| drop(st.reqs.remove(id)));
+        self.p.turn_in(None, done, |st, w| st.reqs.get_mut(id).waiter = Some(w)).await;
         let now = self.p.now();
         if now > t0 {
             self.world.tracer.span(self.rank, State::Wait, t0, now);

@@ -1,4 +1,4 @@
-//! The event kernel: virtual clock, event queue, wakers, timers, and the
+//! The event kernel: virtual clock, event queue, wakers, and the
 //! simulation state the layers above own through it.
 //!
 //! Pending events live in one binary heap keyed by `(time, seq)`, where
@@ -6,14 +6,14 @@
 //! so the committed order — and therefore the [`OrderAudit`] trace hash —
 //! is a pure function of the order in which events were scheduled.
 //!
-//! Besides resumes, the kernel commits three kinds of kernel-side work,
-//! which hash and count alike: a boxed closure ([`Kernel::call_at`]), a
-//! pooled timer hook (`timer_at`), and a *state event*
-//! ([`Kernel::state_at`]) — a plain `(state, token)` pair that calls
-//! [`KernelState::fire`] on an installed state. A layer with a steady
-//! stream of kernel-side work (a cluster's packet deliveries) keeps what
-//! each event needs in its own state, keyed by the token, and schedules
-//! state events: nothing is boxed per event.
+//! Besides resumes, the kernel commits two kinds of kernel-side work,
+//! which hash and count alike: a boxed closure ([`Kernel::call_at`]) and a
+//! *state event* ([`Kernel::state_at`]) — a plain `(state, token)` pair
+//! that calls [`KernelState::fire`] on an installed state. A layer with a
+//! steady stream of kernel-side work (a cluster's packet deliveries, an
+//! MPI world's messages) keeps what each event needs in its own state, in
+//! a [`Slab`] keyed by the token, and schedules state events: nothing is
+//! boxed per event.
 
 use std::any::{type_name, Any, TypeId};
 use std::cmp::Ordering;
@@ -48,19 +48,6 @@ impl Waker {
     }
 }
 
-/// Handle to a pooled timer hook (see [`Kernel::register_timer`]).
-///
-/// A timer is the allocation-free sibling of [`Kernel::call_at`]: the hook
-/// closure is boxed **once** at registration, and each [`Kernel::timer_at`]
-/// schedules a plain copyable event that re-runs it. Components with a
-/// steady stream of deliveries (ports, NIC engines) register one hook and
-/// stage their payloads in their own pooled buffers, so the per-message
-/// steady state allocates nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct TimerId(u32);
-
-type TimerHook = Box<dyn FnMut(&mut Kernel) + Send>;
-
 /// Simulation state the kernel owns for a layer above dv-sim: a cluster's
 /// VICs, pipes and barrier, an MPI world's receive slots and requests.
 /// The layer installs one value per type ([`Kernel::install`]) and reaches
@@ -73,7 +60,8 @@ type TimerHook = Box<dyn FnMut(&mut Kernel) + Send>;
 /// queues a `token`, and when that event commits the kernel hands the
 /// token back to [`KernelState::fire`], with the state taken out as by
 /// [`Kernel::with_state`]. What the event is to do lives in the state,
-/// keyed by the token, so a state event boxes nothing.
+/// keyed by the token (a [`Slab`] of pending work, say), so a state event
+/// boxes nothing.
 pub trait KernelState: Any + Send {
     /// Fold what the state accumulated since its last flush into
     /// `metrics`: run just before each interval sample of an attached
@@ -88,6 +76,78 @@ pub trait KernelState: Any + Send {
     /// By default: a state that schedules no state events gets none.
     fn fire(&mut self, _kernel: &mut Kernel, token: u32) {
         panic!("{} schedules no state events, yet event {token} fired", type_name::<Self>());
+    }
+}
+
+/// Entries addressed by a `u32` index — the token a [`Kernel::state_at`]
+/// event carries back to its [`KernelState::fire`]. The last index freed
+/// is the first reused, so a state's tokens are a pure function of the
+/// order of its inserts and removes.
+///
+/// ```
+/// let mut slab = dv_sim::Slab::new();
+/// let (a, b) = (slab.insert('a'), slab.insert('b'));
+/// assert_eq!(slab.remove(a), 'a');
+/// assert_eq!(slab.insert('c'), a, "the last index freed is reused first");
+/// assert_eq!((*slab.get(a), *slab.get(b)), ('c', 'b'));
+/// ```
+pub struct Slab<T> {
+    items: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Self { items: Vec::new(), free: Vec::new() }
+    }
+}
+
+impl<T> Slab<T> {
+    /// An empty slab.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Store `item`; returns its index.
+    pub fn insert(&mut self, item: T) -> u32 {
+        match self.free.pop() {
+            Some(i) => {
+                self.items[i as usize] = Some(item);
+                i
+            }
+            None => {
+                self.items.push(Some(item));
+                u32::try_from(self.items.len() - 1).expect("fewer than 2^32 entries live at once")
+            }
+        }
+    }
+
+    /// The live entry `i`.
+    ///
+    /// # Panics
+    /// If entry `i` was removed, or never inserted.
+    pub fn get(&self, i: u32) -> &T {
+        self.items[i as usize].as_ref().expect("a live slab entry")
+    }
+
+    /// The live entry `i`, mutably.
+    ///
+    /// # Panics
+    /// As [`Slab::get`].
+    pub fn get_mut(&mut self, i: u32) -> &mut T {
+        self.items[i as usize].as_mut().expect("a live slab entry")
+    }
+
+    /// Take entry `i` out, freeing its index for the next insert.
+    ///
+    /// # Panics
+    /// As [`Slab::get`].
+    pub fn remove(&mut self, i: u32) -> T {
+        // Freed first, so the entry moves straight out to the caller, not
+        // through a temporary held across the push (measurably slower on
+        // the DV delivery path).
+        self.free.push(i);
+        self.items[i as usize].take().expect("a live slab entry")
     }
 }
 
@@ -116,7 +176,6 @@ pub(crate) enum EventKind {
     /// returned by `pop_valid` in place of its `Resume`, never queued.
     Step(Pid, ParkedCall),
     Call(Box<dyn FnOnce(&mut Kernel) + Send>),
-    Timer(TimerId),
     /// A state event (see [`Kernel::state_at`]): the typed-state slot
     /// and the token its [`KernelState::fire`] gets.
     State(u32, u32),
@@ -158,8 +217,7 @@ impl Ord for Event {
 pub struct SchedStats {
     /// Committed `Resume` events (process wakeups that actually ran).
     pub resumes: u64,
-    /// Committed `Call`, `Timer`, state and hop events (kernel-side
-    /// work).
+    /// Committed `Call`, state and hop events (kernel-side work).
     pub calls: u64,
     /// Resume and hop events discarded because their waker generation was
     /// stale.
@@ -174,7 +232,9 @@ pub struct SchedStats {
 }
 
 /// The discrete-event kernel: the virtual clock, the pending-event queue,
-/// and the simulation state it owns ([`KernelState`]). Shared behind a
+/// and the simulation state it owns ([`KernelState`]). Besides resumes it
+/// commits two kinds of kernel-side work: [`Kernel::call_at`] closures
+/// and [`Kernel::state_at`] state events. Shared behind a
 /// mutex; only one simulated process commits events at a time, so the lock
 /// is uncontended in steady state.
 pub struct Kernel {
@@ -185,7 +245,6 @@ pub struct Kernel {
     /// waker's generation matches.
     pub(crate) park_generation: Vec<u64>,
     pub(crate) proc_names: Vec<String>,
-    timer_hooks: Vec<Option<TimerHook>>,
     /// Each process's parked blocking call, if any.
     calls: Vec<Option<ParkedCall>>,
     /// The typed-state table: every [`KernelState`], the calls' output
@@ -195,7 +254,7 @@ pub struct Kernel {
     audit: OrderAudit,
     stats: SchedStats,
     /// Every commit as `(time, seq, kind)`, kind one of `b"rch"` (resume,
-    /// call/timer/state event, hop) — the evidence the hop-exactness property test
+    /// call or state event, hop) — the evidence the hop-exactness property test
     /// compares.
     #[cfg(test)]
     pub(crate) commits: Vec<(Time, u64, u8)>,
@@ -209,7 +268,6 @@ impl Kernel {
             queue: BinaryHeap::new(),
             park_generation: Vec::new(),
             proc_names: Vec::new(),
-            timer_hooks: Vec::new(),
             calls: Vec::new(),
             states: Vec::new(),
             audit: OrderAudit::new(),
@@ -270,18 +328,12 @@ impl Kernel {
     }
 
     /// Run committed kernel-side work that [`Kernel::pop_valid`] handed
-    /// out: a closure, a timer's hook, or a state event's
+    /// out: a closure, or a state event's
     /// [`KernelState::fire`] on its state, taken out for the call as by
     /// [`Kernel::with_state`].
     pub(crate) fn run(&mut self, work: EventKind) {
         match work {
             EventKind::Call(f) => f(self),
-            EventKind::Timer(id) => {
-                if let Some(mut hook) = self.timer_hooks[id.0 as usize].take() {
-                    hook(self);
-                    self.timer_hooks[id.0 as usize] = Some(hook);
-                }
-            }
             EventKind::State(i, token) => {
                 let i = i as usize;
                 let mut state = self.states[i].state.take().expect("no state is out between events");
@@ -292,24 +344,6 @@ impl Kernel {
                 unreachable!("resumes, steps and hops are no kernel-side work")
             }
         }
-    }
-
-    /// Register a pooled timer hook; returns its [`TimerId`]. The hook is
-    /// re-run (with the kernel locked) each time a [`Kernel::timer_at`]
-    /// event for this id commits. It must not block, and it observes the
-    /// same ordering guarantees as [`Kernel::call_at`] closures.
-    pub(crate) fn register_timer(&mut self, hook: Box<dyn FnMut(&mut Kernel) + Send>) -> TimerId {
-        let id = TimerId(self.timer_hooks.len() as u32);
-        self.timer_hooks.push(Some(hook));
-        id
-    }
-
-    /// Schedule a firing of a registered timer at virtual time `at`
-    /// (clamped to `now`). Commits exactly like a [`Kernel::call_at`]
-    /// closure — same audit record, same `calls` counter — but allocates
-    /// nothing.
-    pub(crate) fn timer_at(&mut self, at: Time, id: TimerId) {
-        self.push(at, EventKind::Timer(id));
     }
 
     /// Fire a waker at virtual time `at` (clamped to `now`).
@@ -550,7 +584,7 @@ impl Kernel {
                     }
                 }
                 EventKind::Step(..) => unreachable!("steps are never queued"),
-                kind @ (EventKind::Call(_) | EventKind::Timer(_) | EventKind::State(..)) => {
+                kind @ (EventKind::Call(_) | EventKind::State(..)) => {
                     self.now = ev.time;
                     self.audit.record_call(ev.time, ev.seq);
                     self.stats.calls += 1;
@@ -664,25 +698,6 @@ mod tests {
         assert_ne!(w0, w1);
         k.wake_at(30, w1);
         assert!(matches!(k.pop_valid(), Some((30, EventKind::Resume(_)))));
-    }
-
-    #[test]
-    fn timers_commit_like_calls() {
-        let mut k = Kernel::new();
-        let fired = std::sync::Arc::new(dv_core::sync::Mutex::new(0u32));
-        let f2 = fired.clone();
-        let id = k.register_timer(Box::new(move |_| *f2.lock() += 1));
-        k.timer_at(10, id);
-        k.timer_at(30, id);
-        for _ in 0..2 {
-            match k.pop_valid() {
-                Some((_, timer @ EventKind::Timer(_))) => k.run(timer),
-                other => panic!("expected timer, got {:?}", other.map(|(t, _)| t)),
-            }
-        }
-        assert_eq!(*fired.lock(), 2);
-        assert_eq!(k.sched_stats().calls, 2, "timers count as calls");
-        assert_eq!(k.now(), 30);
     }
 
     /// A seeded script of pushes and interleaved commits, with stale wakers

@@ -53,9 +53,11 @@
 //!   or by [`SimCtx::wait_in_kernel`].
 //! * [`KernelState`] — simulation state a layer above installs in the
 //!   kernel and reaches with `&mut Kernel`; [`Kernel::state_at`] schedules
-//!   its events by token, boxing nothing (dv-api's packet deliveries,
-//!   mini-mpi's rendezvous handshake).
-//! * [`Port`] — a typed message queue in virtual time (the basis for NICs).
+//!   its events by token, boxing nothing, and a [`Slab`] keeps what each
+//!   token names (dv-api's packet deliveries, mini-mpi's messages).
+//! * [`Port`] — a typed message queue in virtual time, shared between
+//!   processes (tests and the benchmark harness's probes; its deliveries
+//!   are state events too).
 //! * [`WaitSet`] — virtual-time condition variable.
 //! * [`Pipe`] — a FIFO bandwidth server (PCIe bus, NIC link, switch port).
 //! * [`JoinSlot`] — collect a value from a finished process.
@@ -75,7 +77,7 @@ mod spmd;
 mod sync;
 
 pub use audit::OrderAudit;
-pub use kernel::{Kernel, KernelState, Pid, SchedStats, Waker};
+pub use kernel::{Kernel, KernelState, Pid, SchedStats, Slab, Waker};
 pub use sim::{Proc, Sim, SimCtx};
 pub use sync::{JoinSlot, Pipe, Port, WaitSet};
 

@@ -17,7 +17,7 @@
 //!   while pending) or in [`SimCtx::wait_in_kernel`]; those two are the
 //!   only callers of [`SimCtx::park`].
 //! * When a process parks, *its own thread* becomes the driver: it commits
-//!   `Call`, `Timer` and state events inline (zero context switches, in
+//!   `Call` and state events inline (zero context switches, in
 //!   the lock each was popped with), and on a `Resume`
 //!   either keeps running (the resume targets itself — zero switches) or
 //!   grants the target's [`Parker`] and goes passive (one futex wake and
@@ -337,7 +337,7 @@ enum Driven {
 /// and reaches the process's thread only when the call has completed.
 ///
 /// Kernel-context work runs under `catch_unwind`: a panic in a `call_at`
-/// closure, a timer hook or a state event is reported as that kernel
+/// closure or a state event is reported as that kernel
 /// event's, and one in a parked call as its owner's, never as a panic of
 /// whichever process thread happened to be driving.
 fn drive(shared: &Shared, self_pid: Option<Pid>) -> Driven {
@@ -420,7 +420,7 @@ fn poll<F: Future + ?Sized>(call: Pin<&mut F>) -> Poll<F::Output> {
     call.poll(&mut Context::from_waker(std::task::Waker::noop()))
 }
 
-/// Run a committed `Call`, timer or state event; `false` if it panicked, after
+/// Run a committed `Call` or state event; `false` if it panicked, after
 /// reporting the panic as the kernel event's, at its virtual time `t`.
 fn kernel_event(shared: &Shared, t: Time, run: impl FnOnce()) -> bool {
     match panic::catch_unwind(AssertUnwindSafe(run)) {

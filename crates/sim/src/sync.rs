@@ -7,7 +7,7 @@ use dv_core::sync::Mutex;
 
 use dv_core::time::{self, Time};
 
-use crate::kernel::{Kernel, TimerId, Waker};
+use crate::kernel::{Kernel, KernelState, Waker};
 use crate::sim::SimCtx;
 
 /// A virtual-time condition variable: a [`SimCtx::wait_for`] registers its
@@ -55,10 +55,10 @@ impl WaitSet {
 }
 
 /// A message staged for future delivery: invisible to receivers until its
-/// pooled timer event commits.
+/// delivery event commits.
 struct Staged<T> {
     /// Delivery time, already clamped to the kernel clock at staging time —
-    /// the same clamp the kernel applies when it enqueues the timer event,
+    /// the same clamp the kernel applies when it enqueues the delivery event,
     /// so heap order here matches commit order there exactly.
     at: Time,
     /// Per-port staging sequence; breaks delivery-time ties in send order,
@@ -85,28 +85,52 @@ impl<T> Ord for Staged<T> {
     }
 }
 
-/// See [`Port::with_handler`].
-type ArrivalHandler<T> = Box<dyn FnMut(&mut Kernel, Time, T) -> Option<T> + Send>;
-
 struct PortState<T> {
     queue: VecDeque<(Time, T)>,
     waiters: Vec<Waker>,
-    handler: Option<ArrivalHandler<T>>,
     /// Messages in flight, ordered by `(at, seq)`.
     staged: BinaryHeap<Staged<T>>,
     stage_seq: u64,
-    /// The port's pooled delivery timer, registered on first send. Every
-    /// delivery reuses it, so steady-state sends allocate nothing.
-    timer: Option<TimerId>,
+    /// The port's entry in its kernel's [`Ports`], made at its first send:
+    /// the token of each of its delivery events.
+    entry: Option<u32>,
 }
 
-/// A typed message queue in virtual time.
+/// The kernel-side half of every port that has sent: one entry per port,
+/// whose deliveries are state events of this state, keyed by the entry.
+#[derive(Default)]
+struct Ports(Vec<Arc<dyn Deliver>>);
+
+impl KernelState for Ports {
+    fn fire(&mut self, kernel: &mut Kernel, token: u32) {
+        self.0[token as usize].deliver(kernel);
+    }
+}
+
+/// A port's delivery commit, whatever its message type.
+trait Deliver: Send + Sync {
+    /// Make the earliest staged message visible and wake the waiters.
+    fn deliver(&self, kernel: &mut Kernel);
+}
+
+impl<T: Send> Deliver for Mutex<PortState<T>> {
+    fn deliver(&self, kernel: &mut Kernel) {
+        let mut s = self.lock();
+        let Some(staged) = s.staged.pop() else { return };
+        s.queue.push_back((kernel.now(), staged.msg));
+        for w in s.waiters.drain(..) {
+            kernel.wake(w);
+        }
+    }
+}
+
+/// A typed message queue in virtual time, shared by every clone.
 ///
 /// Senders deliver messages *at a future virtual time* (modeling link
 /// latency); receivers block until a message is visible. Messages become
-/// visible in delivery-time order (ties: send order), which the network
-/// models above this layer use to implement both in-order (MPI) and
-/// deliberately reordered (Data Vortex) delivery.
+/// visible in delivery-time order (ties: send order). The cluster models
+/// above keep their messages in their own [`KernelState`] instead; ports
+/// serve tests and the benchmark harness's probes.
 pub struct Port<T> {
     state: Arc<Mutex<PortState<T>>>,
 }
@@ -126,77 +150,49 @@ impl<T: Send + 'static> Default for Port<T> {
 impl<T: Send + 'static> Port<T> {
     /// New empty port.
     pub fn new() -> Self {
-        Self::build(None)
-    }
-
-    /// A port whose arrivals pass through `handler` first. It runs in
-    /// kernel context at the delivery commit, with the arrival time and the
-    /// message: `None` means it consumed the message (handed it to a posted
-    /// receive, say, and scheduled the wake-up itself); `Some(msg)` makes
-    /// `msg` visible in the queue as on a plain port. The port is locked
-    /// while the handler runs, so it must not call back into this port.
-    pub fn with_handler(
-        handler: impl FnMut(&mut Kernel, Time, T) -> Option<T> + Send + 'static,
-    ) -> Self {
-        Self::build(Some(Box::new(handler)))
-    }
-
-    fn build(handler: Option<ArrivalHandler<T>>) -> Self {
         Self {
             state: Arc::new(Mutex::new(PortState {
                 queue: VecDeque::new(),
                 waiters: Vec::new(),
-                handler,
                 staged: BinaryHeap::new(),
                 stage_seq: 0,
-                timer: None,
+                entry: None,
             })),
         }
     }
 
     /// Deliver `msg` at virtual time `at` (kernel context).
     ///
-    /// The message is *staged* (invisible) and a pooled per-port timer
-    /// event commits it at `at` — one copyable kernel event per message
-    /// instead of the boxed closure the engine used historically. The
-    /// timer commit hashes and counts exactly like the closure did, and
-    /// each firing makes exactly one staged message visible, so receiver
-    /// visibility between commits is unchanged.
+    /// The message is *staged* (invisible) and a state event of the
+    /// kernel's port table commits it at `at` — one plain kernel event per
+    /// message, which hashes and counts like a [`Kernel::call_at`]
+    /// closure. Each commit makes the port's earliest staged message
+    /// visible: its events commit in the staged heap's `(at, send order)`,
+    /// so that is the message this event was pushed for.
     pub fn deliver_at(&self, kernel: &mut Kernel, at: Time, msg: T) {
         // Clamp before staging with the same rule the kernel applies on
         // push, so the staged heap and the kernel queue agree on order.
         let at = at.max(kernel.now());
-        let timer = {
+        let entry = {
             let mut s = self.state.lock();
             let seq = s.stage_seq;
             s.stage_seq += 1;
             s.staged.push(Staged { at, seq, msg });
-            s.timer
+            s.entry
         };
-        let id = match timer {
-            Some(id) => id,
-            None => {
-                let state = Arc::clone(&self.state);
-                let id = kernel.register_timer(Box::new(move |k: &mut Kernel| {
-                    let mut s = state.lock();
-                    let Some(staged) = s.staged.pop() else { return };
-                    let arrived = k.now();
-                    let msg = match s.handler.as_mut() {
-                        Some(handler) => handler(k, arrived, staged.msg),
-                        None => Some(staged.msg),
-                    };
-                    if let Some(msg) = msg {
-                        s.queue.push_back((arrived, msg));
-                        for w in s.waiters.drain(..) {
-                            k.wake(w);
-                        }
-                    }
-                }));
-                self.state.lock().timer = Some(id);
-                id
+        let entry = entry.unwrap_or_else(|| {
+            if !kernel.has_state::<Ports>() {
+                kernel.install(Ports::default());
             }
-        };
-        kernel.timer_at(at, id);
+            let port: Arc<dyn Deliver> = self.state.clone();
+            let entry = kernel.with_state(|ports: &mut Ports, _| {
+                ports.0.push(port);
+                u32::try_from(ports.0.len() - 1).expect("fewer than 2^32 ports per kernel")
+            });
+            self.state.lock().entry = Some(entry);
+            entry
+        });
+        kernel.state_at::<Ports>(at, entry);
     }
 
     /// Deliver `msg` after `delay`, from process context.

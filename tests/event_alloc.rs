@@ -62,10 +62,10 @@ const FFT_POINTS: usize = 1 << 16;
 /// `(run, debug build, release build)`: allocations of one run.
 const PINS: [(&str, u64, u64); 5] = [
     ("DV GUPS", 363, 358),
-    ("MPI GUPS", 484, 480),
+    ("MPI GUPS", 468, 464),
     ("DV BFS", 769, 765),
-    ("MPI BFS", 525, 521),
-    ("MPI FFT", 161, 157),
+    ("MPI BFS", 509, 505),
+    ("MPI FFT", 145, 141),
 ];
 
 /// Allocations made by every thread of the process inside `window`.

@@ -94,50 +94,49 @@ fn faulted_workload(spec: SimSpec) -> (Time, u64, Vec<u64>) {
 }
 
 /// An engine-level workload built on hops: every process fuses its delays
-/// with `delay2`, and every message is consumed by a port arrival handler
-/// that wakes the receiver through `Kernel::wake_after` — the two ways
-/// mini-mpi uses them. Delays collide on purpose, so ties are everywhere.
+/// with `delay2`, and every message is a state event of a test
+/// `KernelState` that consumes it and wakes the receiver through
+/// `Kernel::wake_after` — the two ways mini-mpi uses them. Delays collide
+/// on purpose, so ties are everywhere.
 fn hop_workload() -> (Time, u64, Vec<Vec<Time>>) {
-    use datavortex::sim::{JoinSlot, Port, Sim, Waker};
+    use datavortex::sim::{JoinSlot, Kernel, KernelState, Sim, Waker};
     const PROCS: usize = 5;
+    /// Per process: its waker if it is parked, and how many messages beat it.
+    struct Parked(Vec<(Option<Waker>, u32)>);
+    impl KernelState for Parked {
+        /// A message lands at process `token`.
+        fn fire(&mut self, k: &mut Kernel, token: u32) {
+            let slot = &mut self.0[token as usize];
+            match slot.0.take() {
+                Some(w) => k.wake_after(k.now(), w, us(2)),
+                None => slot.1 += 1,
+            }
+        }
+    }
     let sim = Sim::new();
-    /// The receiver's waker if it is parked, and how many messages beat it.
-    type Parked = Arc<std::sync::Mutex<(Option<Waker>, u32)>>;
-    let parked: Vec<Parked> = (0..PROCS).map(|_| Parked::default()).collect();
-    let ports: Vec<Port<u64>> = parked
-        .iter()
-        .map(|slot| {
-            let slot = Arc::clone(slot);
-            Port::with_handler(move |k, at, _word| {
-                let mut slot = slot.lock().unwrap();
-                match slot.0.take() {
-                    Some(w) => k.wake_after(at, w, us(2)),
-                    None => slot.1 += 1,
-                }
-                None
-            })
-        })
-        .collect();
+    sim.with_kernel(|k| k.install(Parked(vec![(None, 0); PROCS])));
     let seen: Vec<JoinSlot<Vec<Time>>> = (0..PROCS).map(|_| JoinSlot::new()).collect();
-    for me in 0..PROCS {
-        let (ports, slot, out) = (ports.clone(), Arc::clone(&parked[me]), seen[me].clone());
+    for (me, out) in seen.iter().enumerate() {
+        let out = out.clone();
         sim.spawn(format!("p{me}"), move |ctx| {
             let mut at = Vec::new();
             for round in 0..6u64 {
                 ctx.delay2(us(1 + (me as u64 + round) % 2), us(1 + round % 3));
                 at.push(ctx.now());
-                ports[(me + 1) % PROCS].send_delayed(ctx, us(1 + round % 2), round);
-                let waker = ctx.waker();
-                let early = {
-                    let mut slot = slot.lock().unwrap();
-                    let early = slot.1 > 0;
-                    if early {
-                        slot.1 -= 1;
-                    } else {
-                        slot.0 = Some(waker);
-                    }
-                    early
-                };
+                let next = ((me + 1) % PROCS) as u32;
+                ctx.with_kernel(|k| k.state_at::<Parked>(k.now() + us(1 + round % 2), next));
+                let early = ctx.with_kernel(|k| {
+                    k.with_state(|parked: &mut Parked, k| {
+                        let slot = &mut parked.0[me];
+                        let early = slot.1 > 0;
+                        if early {
+                            slot.1 -= 1;
+                        } else {
+                            slot.0 = Some(k.waker_for(ctx.pid()));
+                        }
+                        early
+                    })
+                });
                 if early {
                     ctx.delay(us(2));
                 } else {

@@ -1,7 +1,8 @@
 //! The cooperative engine's steady-state hot loop must be allocation-free:
-//! a warmed `Port` send/recv cycle runs entirely on the pooled per-port
-//! timer, the warmed event heap, and the self-resume fast path
-//! (parking *is* dispatching — no scheduler thread, no context switch).
+//! a warmed `Port` send/recv cycle runs entirely on plain state events of
+//! the kernel's port table, the warmed event heap, and the self-resume
+//! fast path (parking *is* dispatching — no scheduler thread, no context
+//! switch).
 //! The per-thread counting allocator of `tests/common` wraps the system
 //! one; a measured window of thousands of deliveries must leave the
 //! counter untouched. So must a window of hops (`delay2`, `wake_after`):
@@ -25,8 +26,8 @@ fn steady_state_dispatch_never_allocates() {
     sim.spawn("pump", move |ctx| {
         let port: Port<u64> = Port::new();
 
-        // Warm-up: the first send registers the pooled timer and sizes the
-        // staging heap / mailbox; a few hundred cycles also warm the
+        // Warm-up: the first send enters the port in the kernel's port
+        // table and sizes the staging heap / mailbox; a few hundred cycles also warm the
         // event heap past its high-water mark.
         for i in 0..512u64 {
             port.send_delayed(ctx, us(1), i);
@@ -34,7 +35,7 @@ fn steady_state_dispatch_never_allocates() {
             assert_eq!(got, i);
         }
 
-        // Measured window: every cycle is a pooled timer commit riding the
+        // Measured window: every cycle is a state-event commit riding the
         // self-resume fast path. Nothing may allocate.
         let start = ctx.now();
         let allocated = allocations_in(|| {
