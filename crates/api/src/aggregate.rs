@@ -8,7 +8,9 @@
 //!
 //! `Aggregator` buffers packets and flushes them as one [`SendMode::Dma`]
 //! batch when the buffer fills (or on demand). GUPS and BFS on the Data
-//! Vortex are built directly on this.
+//! Vortex are built directly on this: [`Aggregator::queue`] buffers a
+//! packet synchronously and says when the buffer is full, and only then
+//! does a body run in the kernel await [`At::flush`](crate::At::flush).
 
 use dv_core::packet::Packet;
 use dv_core::time::Time;
@@ -38,34 +40,29 @@ impl Aggregator {
         Self { buf: Vec::with_capacity(threshold), threshold, mode, flushes: 0, packets: 0 }
     }
 
+    /// Buffer a packet; `true` once the buffer is full, when the caller
+    /// flushes it ([`At::flush`](crate::At::flush)).
+    pub fn queue(&mut self, pkt: Packet) -> bool {
+        self.buf.push(pkt);
+        self.buf.len() >= self.threshold
+    }
+
     /// Queue a packet; flushes automatically when the buffer fills.
     /// Returns the delivery estimate when a flush happened.
     pub fn push(&mut self, ctx: &SimCtx, dv: &DvCtx, pkt: Packet) -> Option<Time> {
-        self.buf.push(pkt);
-        if self.buf.len() >= self.threshold {
-            Some(self.flush(ctx, dv))
-        } else {
-            None
-        }
+        self.queue(pkt).then(|| self.flush(ctx, dv))
     }
 
     /// Flush everything buffered; returns the delivery estimate of the
-    /// last packet (or now, when empty).
+    /// last packet (or now, when empty). The body is
+    /// [`At::flush`](crate::At::flush).
     pub fn flush(&mut self, ctx: &SimCtx, dv: &DvCtx) -> Time {
-        if self.buf.is_empty() {
-            return ctx.now();
-        }
-        self.flushes += 1;
-        self.packets += self.buf.len() as u64;
-        let delivered = dv.send_packets(ctx, &self.buf, self.mode);
-        self.buf.clear();
-        delivered
+        ctx.block_on(dv.at(ctx).flush(self))
     }
 
-    /// What [`Aggregator::flush`] would send, for a caller that sends it
-    /// itself: the buffered packets (counted as a flush when there are
-    /// any) and the send mode. [`Aggregator::restore`] gives the buffer
-    /// back, emptied.
+    /// What a flush sends, for the caller that sends it: the buffered
+    /// packets (counted as a flush when there are any) and the send mode.
+    /// [`Aggregator::restore`] gives the buffer back, emptied.
     pub(crate) fn take_batch(&mut self) -> (Vec<Packet>, SendMode) {
         if !self.buf.is_empty() {
             self.flushes += 1;

@@ -1,6 +1,5 @@
 //! The per-node Data Vortex API handle.
 
-use std::cell::Cell;
 use std::sync::Arc;
 
 use dv_core::packet::{Packet, PacketHeader};
@@ -9,8 +8,7 @@ use dv_core::{NodeId, Word};
 use dv_sim::SimCtx;
 use dv_vic::Vic;
 
-use crate::layout::{Layout, FAST_BARRIER_GC};
-use crate::op::At;
+use crate::layout::Layout;
 use crate::world::DvWorld;
 
 /// How packets cross the PCIe bus from host memory to the VIC.
@@ -61,13 +59,12 @@ pub struct Backpressure {
 pub struct DvCtx {
     world: Arc<DvWorld>,
     node: NodeId,
-    fast_barrier_parity: Cell<usize>,
 }
 
 impl DvCtx {
     /// Create the handle for `node`.
     pub(crate) fn new(world: Arc<DvWorld>, node: NodeId) -> Self {
-        Self { world, node, fast_barrier_parity: Cell::new(0) }
+        Self { world, node }
     }
 
     /// This node's id.
@@ -307,10 +304,7 @@ impl DvCtx {
     /// Non-blocking pop of one surprise packet.
     pub fn fifo_try_recv(&self, ctx: &SimCtx) -> Option<Word> {
         let popped = self.with_vic(ctx, |vic| vic.fifo.pop());
-        popped.map(|(_, w)| {
-            ctx.delay(FIFO_POP);
-            w
-        })
+        popped.inspect(|_| ctx.delay(FIFO_POP))
     }
 
     /// Blocking pop of one surprise packet.
@@ -355,30 +349,21 @@ impl DvCtx {
     /// The API's intrinsic whole-system barrier: hardware group-counter
     /// wave through the switch, nearly independent of node count
     /// (Figure 4, "Data Vortex"). The setup charge and the release wait
-    /// run in the kernel: one thread handoff per call.
+    /// run in the kernel ([`At::barrier`](crate::At::barrier)): one thread
+    /// handoff per call.
     pub fn barrier(&self, ctx: &SimCtx) {
-        self.run(ctx, At::barrier);
+        self.run(ctx, |at| async move { at.barrier().await });
     }
 
     /// The in-house "FastBarrier" of Section V: all-to-all group-counter
     /// decrements on two alternating regular counters. Slightly more work
     /// per node (p−1 packets over PCIe) but no dependence on the reserved
     /// hardware counters. The sends and the counter wait run in the
-    /// kernel: one thread handoff per call.
+    /// kernel ([`At::fast_barrier`](crate::At::fast_barrier)): one thread
+    /// handoff per call, none in a one-node cluster.
     pub fn fast_barrier(&self, ctx: &SimCtx) {
-        let n = self.world.nodes();
-        if n == 1 {
-            return;
+        if self.world.nodes() > 1 {
+            self.run(ctx, |at| async move { at.fast_barrier().await });
         }
-        let parity = self.fast_barrier_parity.get();
-        self.fast_barrier_parity.set(parity ^ 1);
-        let gc = FAST_BARRIER_GC[parity];
-        // Signal everyone (including the local counter via self-send —
-        // the API explicitly supports sending to your own VIC).
-        let packets: Vec<Packet> = (0..n)
-            .filter(|&d| d != self.node)
-            .map(|d| Packet::new(PacketHeader::dv_memory(self.node, d, self.layout().fast_barrier_sink, gc), 0))
-            .collect();
-        self.run(ctx, move |at| at.fast_barrier(gc, packets));
     }
 }

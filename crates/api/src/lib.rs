@@ -40,7 +40,7 @@ pub mod cluster;
 pub mod coll;
 pub mod ctx;
 pub mod layout;
-mod op;
+pub mod op;
 pub mod reliable;
 pub mod world;
 
@@ -48,5 +48,6 @@ pub use aggregate::Aggregator;
 pub use cluster::DvCluster;
 pub use ctx::{Backpressure, DvCtx, SendMode};
 pub use layout::Layout;
+pub use op::{At, EpochClose};
 pub use reliable::ReliableFifo;
 pub use world::DvWorld;

@@ -1,32 +1,47 @@
 //! DV's blocking calls: one `async fn` of [`At`] per wait.
 //!
-//! Every blocking [`DvCtx`] call is one future here, with one body. A
-//! call that parks once — a send, a counter preset or wait, a local read
-//! or write, a status poll, a FIFO pop or drain — runs on the node's
-//! thread, by [`SimCtx::block_on`]. The calls that park more than once —
-//! [`DvCtx::barrier`](crate::DvCtx::barrier),
-//! [`DvCtx::fast_barrier`](crate::DvCtx::fast_barrier), and the recovery
-//! layer's drain, verification (acknowledgment round and retransmission),
-//! epoch close, and post wait — run in the kernel, by [`SimCtx::wait_in_kernel`]: the node's thread parks once,
-//! each later resume of the node polls the call on in kernel context, and
-//! the thread runs again only when the call returns or has words to hand
-//! the application (the epoch close's `deliver` runs on the thread,
-//! because a kernel's `deliver` charges virtual time). Each closing phase
-//! of BFS or GUPS is then one handoff per delivery instead of one per
-//! poll. A kernel-run call's state travels in and out by value
-//! ([`ReliableFifo`], batches): the future is `'static`, so it borrows
-//! nothing from the parked thread. The kernel-run calls await the same
-//! waits the thread runs (`ack_round` a [`At::gc_set`] and an
-//! [`At::lend`], `accepted` an [`At::read_word`], [`At::recv`] an
-//! [`At::pop`]), so no wait has a second, thread-side copy.
+//! [`At`] is the async face of [`DvCtx`]: every blocking `DvCtx` call is
+//! one future here, with one body, and the blocking call is a thin door
+//! onto it. The calls run in one of three places:
+//!
+//! * **On the node's thread**, by [`SimCtx::block_on`]: a call that parks
+//!   once — a send, a counter preset or wait, a local read or write, a
+//!   status poll, a FIFO pop or drain, an aggregator flush.
+//! * **In the kernel, one call at a time**, by [`DvCtx::run`]: the calls
+//!   that park more than once — [`DvCtx::barrier`](crate::DvCtx::barrier),
+//!   [`DvCtx::fast_barrier`](crate::DvCtx::fast_barrier), and the
+//!   recovery layer's drain, verification (acknowledgment round and
+//!   retransmission), epoch close ([`EpochClose`]) and post wait. The
+//!   node's thread parks once, each later resume of the node polls the
+//!   call on in kernel context, and the thread runs again only when the
+//!   call returns (the blocking epoch close returns once per run of words
+//!   it hands `deliver`).
+//! * **In the kernel, as a whole body.** A kernel may hand
+//!   [`DvCtx::run`] the whole rest of a node's program as one `async`
+//!   block over `At` — DV GUPS and BFS do — so every wait of it, single
+//!   parks included, is polled in kernel context, and the node's thread
+//!   runs only to build the inputs and to take the result.
+//!
+//! A kernel-run call's state travels in by value ([`ReliableFifo`],
+//! [`Aggregator`], batches) and out as its output: the future is
+//! `'static`, so it borrows nothing from the parked thread. It allocates
+//! from the malloc arena of whichever thread dispatches it, so what it
+//! will grow is reserved on the node's thread first
+//! ([`ReliableFifo::reserve`]). The kernel-run calls await the same waits
+//! the thread runs (`ack_round` a `gc_set` and a `lend`, `accepted` a
+//! `read_word`, `recv` a `pop`), so no wait has a second, thread-side
+//! copy.
 //!
 //! Between two resumes a call does the same wherever it runs, side effect
 //! for side effect: the same events in the same order, the same PCIe and
 //! port reservations, VIC reads, tracer spans and `api.*` metrics, and the
 //! same panics. Each blocked state is one dv-sim wait, re-run on every
 //! poll: a charged delay or transfer is a [`Proc::until`], a condition
-//! wait a [`Proc::turn`]. `tests/dv_wait_traces.rs` pins the traces the
-//! thread-run calls produced before the kernel ran any.
+//! wait a [`Proc::turn`]. A resume that polls a kernel-run call is
+//! committed exactly like one that grants a thread, so where a call runs
+//! changes only `SchedStats::thread_resumes`. `tests/dv_wait_traces.rs`
+//! pins the traces the thread-run calls produced before the kernel ran
+//! any.
 
 use std::future::Future;
 use std::sync::Arc;
@@ -38,13 +53,15 @@ use dv_core::{NodeId, Word};
 use dv_sim::{Kernel, Proc, SimCtx};
 use dv_vic::{PciePath, Vic};
 
+use crate::aggregate::Aggregator;
 use crate::ctx::{DvCtx, SendMode, DMA_ENQUEUE, FIFO_POP, STATUS_POLL};
-use crate::layout::{QUERY_GC, VERIFY_GC};
+use crate::layout::{Layout, FAST_BARRIER_GC, QUERY_GC, VERIFY_GC};
 use crate::reliable::{ReliableFifo, DRAIN_CHUNK, MAX_ROUNDS, QUERY_TIMEOUT, QUERY_TRIES, WINDOW};
 use crate::world::{BlockWrite, DvState, DvWorld};
 
-/// The node a call runs for, and its process.
-pub(crate) struct At {
+/// One node's calls as futures: the node a call runs for, and its
+/// process. Built by [`DvCtx::run`], which hands it to the call.
+pub struct At {
     world: Arc<DvWorld>,
     node: NodeId,
     p: Proc,
@@ -57,8 +74,13 @@ impl DvCtx {
     }
 
     /// Run `call` for this node in the kernel, the thread parked until it
-    /// returns.
-    pub(crate) fn run<T, F>(&self, ctx: &SimCtx, call: impl FnOnce(At) -> F) -> T
+    /// returns: `call` is polled now, and then at every later resume of
+    /// this node, in whichever thread dispatches, until it completes (see
+    /// [`SimCtx::wait_in_kernel`]). It may be one blocking call or the
+    /// whole rest of the node's program. Whatever it will grow is best
+    /// reserved before this call, on the node's thread (the module doc's
+    /// allocation rule).
+    pub fn run<T, F>(&self, ctx: &SimCtx, call: impl FnOnce(At) -> F) -> T
     where
         T: Send + 'static,
         F: Future<Output = T> + Send + 'static,
@@ -94,6 +116,32 @@ fn group_by_dest<T>(
 const CACHED_PIO: SendMode = SendMode::DirectWrite { cached_headers: true };
 
 impl At {
+    /// This node's id.
+    pub fn node(&self) -> NodeId {
+        self.node
+    }
+
+    /// The shared world (for its tracer and metrics).
+    pub fn world(&self) -> &Arc<DvWorld> {
+        &self.world
+    }
+
+    /// Where this run's DV-memory blocks and group counters live.
+    pub fn layout(&self) -> &Layout {
+        &self.world.layout
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> Time {
+        self.p.now()
+    }
+
+    /// Advance virtual time by `d` — a compute charge; returns the time
+    /// it ended.
+    pub async fn delay(&self, d: Time) -> Time {
+        self.p.delay(d).await
+    }
+
     /// `f` on the cluster's kernel-owned state, in one [`Proc::with`].
     pub(crate) fn with<R>(&self, f: impl FnOnce(&mut DvState, &mut Kernel) -> R) -> R {
         self.p.with(|k| self.world.state(k, f))
@@ -146,8 +194,9 @@ impl At {
             .await
     }
 
-    /// [`DvCtx::send_packets`]: one packet per word.
-    pub(crate) async fn send(&self, packets: &[Packet], mode: SendMode) -> Time {
+    /// [`DvCtx::send_packets`]: one packet per word. Returns the estimated
+    /// delivery time of the last packet.
+    pub async fn send(&self, packets: &[Packet], mode: SendMode) -> Time {
         if packets.is_empty() {
             return self.p.now();
         }
@@ -213,7 +262,7 @@ impl At {
 
     /// [`DvCtx::write_local`]: PIO for up to 64 words, DMA beyond, then
     /// the write.
-    pub(crate) async fn write_local(&self, address: u32, words: &[Word]) {
+    pub async fn write_local(&self, address: u32, words: &[Word]) {
         let n = words.len() as u64;
         let end = self.pcie(|pcie, now| {
             if n <= 64 {
@@ -258,7 +307,7 @@ impl At {
     pub(crate) async fn pop(&self, deadline: Option<Time>) -> Option<Word> {
         let node = self.node;
         let pop = |st: &mut DvState| st.vics[node].fifo.pop();
-        let (_, w) = self.p.turn_in(deadline, pop, |st, w| st.vics[node].fifo.register(w)).await?;
+        let w = self.p.turn_in(deadline, pop, |st, w| st.vics[node].fifo.register(w)).await?;
         self.p.delay(FIFO_POP).await;
         Some(w)
     }
@@ -273,9 +322,22 @@ impl At {
         n
     }
 
-    /// The recovery layer's drain: each host transfer of up to
-    /// [`DRAIN_CHUNK`] words, then their admission, until the FIFO is empty.
-    pub(crate) async fn drain(&self, rel: &mut ReliableFifo, out: &mut Vec<Word>) {
+    /// [`Aggregator::flush`]: everything `agg` buffered, as one send in its
+    /// mode; returns the delivery estimate of the last packet (or now,
+    /// when nothing is buffered). The buffer keeps its capacity.
+    pub async fn flush(&self, agg: &mut Aggregator) -> Time {
+        let (mut batch, mode) = agg.take_batch();
+        let last = self.send(&batch, mode).await;
+        batch.clear();
+        agg.restore(batch);
+        last
+    }
+
+    /// [`ReliableFifo::drain_unique`] onto `out`: each host transfer of up
+    /// to 4096 words lands at its tail and is admitted there
+    /// (duplicates removed), until the FIFO is empty. An empty FIFO costs
+    /// nothing.
+    pub async fn drain(&self, rel: &mut ReliableFifo, out: &mut Vec<Word>) {
         loop {
             let start = out.len();
             if self.drain_into(DRAIN_CHUNK, out).await == 0 {
@@ -473,7 +535,7 @@ impl At {
     /// [`DvCtx::barrier`](crate::DvCtx::barrier): the setup charge, the
     /// arrival, then the release — at the hardware wave's end for the last
     /// arrival, at the epoch's change for the others.
-    pub(crate) async fn barrier(self) {
+    pub async fn barrier(&self) {
         let (world, t0) = (&self.world, self.p.now());
         self.p.until(t0 + world.config.dv.barrier_setup).await;
         let arrived = self.with(|st, k| {
@@ -498,25 +560,42 @@ impl At {
         self.p.with(|k| world.tracer.span(self.node, State::Barrier, t0, k.now()));
     }
 
-    /// [`DvCtx::fast_barrier`](crate::DvCtx::fast_barrier) past its packet
-    /// build: the sends, the wait for this parity's counter, its re-arm.
-    pub(crate) async fn fast_barrier(self, gc: u8, packets: Vec<Packet>) {
+    /// [`DvCtx::fast_barrier`](crate::DvCtx::fast_barrier): flip this
+    /// node's parity, signal every peer's counter of that parity — the
+    /// local one is the peers' to decrement — wait for ours, and re-arm
+    /// it. A one-node cluster has nobody to wait for.
+    pub async fn fast_barrier(&self) {
+        let (node, n) = (self.node, self.world.nodes());
+        if n == 1 {
+            return;
+        }
+        let parity = self.with(|st, _| {
+            let parity = st.fast_barrier_parity[node];
+            st.fast_barrier_parity[node] = !parity;
+            parity
+        });
+        let (gc, sink) = (FAST_BARRIER_GC[usize::from(parity)], self.world.layout.fast_barrier_sink);
+        let packets: Vec<Packet> = (0..n)
+            .filter(|&d| d != node)
+            .map(|d| Packet::new(PacketHeader::dv_memory(node, d, sink, gc), 0))
+            .collect();
         let t0 = self.p.now();
         self.send(&packets, CACHED_PIO).await;
         let ok = self.gc_wait(gc, None).await;
         debug_assert!(ok, "fast barrier counter must reach zero");
         // Re-arm this parity for its next use (safe: nobody can re-enter
         // the same parity before every node passed the *other* one).
-        let rearm = (self.world.nodes() - 1) as u64;
+        let rearm = (n - 1) as u64;
         self.with(|st, k| {
-            st.vics[self.node].set_counter(k, gc, rearm);
-            self.world.tracer.span(self.node, State::Barrier, t0, k.now());
+            st.vics[node].set_counter(k, gc, rearm);
+            self.world.tracer.span(node, State::Barrier, t0, k.now());
         });
     }
 
     /// [`ReliableFifo::await_posts`]: poll a status-page block until every
-    /// peer has posted, discarding stray duplicates for 1 µs between polls.
-    pub(crate) async fn posts(&self, rel: &mut ReliableFifo, address: u32) -> Vec<Word> {
+    /// peer has posted, discarding stray duplicates for 1 µs between polls;
+    /// returns the block.
+    pub async fn await_posts(&self, rel: &mut ReliableFifo, address: u32) -> Vec<Word> {
         let (me, nodes) = (rel.me, rel.nodes);
         let (mut progress, mut slots) = (Progress::default(), vec![0; nodes]);
         loop {
@@ -541,9 +620,10 @@ impl At {
 /// and a run that would poll for it forever ends here instead.
 pub(crate) const POST_STALL: Time = 100 * QUERY_TIMEOUT;
 
-/// What a wait on the peers' posts ([`Close`], [`At::posts`]) last saw move:
-/// how many peers had posted, how many new words were in, and since when.
-/// Watching it adds no event, so a run that never stalls is unchanged.
+/// What a wait on the peers' posts ([`EpochClose`], [`At::await_posts`])
+/// last saw move: how many peers had posted, how many new words were in,
+/// and since when. Watching it adds no event, so a run that never stalls
+/// is unchanged.
 #[derive(Default)]
 struct Progress(Option<(usize, u64, Time)>);
 
@@ -575,10 +655,10 @@ impl Progress {
     }
 }
 
-/// Where an epoch close hands its node's thread the token, and the thread
-/// hands the close back to the kernel.
+/// Where an epoch close hands its node the words to deliver, and the node
+/// hands the close back.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Resume {
+enum Resume {
     /// The flush and the verification.
     Start,
     /// The count posts.
@@ -589,37 +669,66 @@ pub(crate) enum Resume {
     Peek,
 }
 
-/// [`ReliableFifo::complete_epoch`]: the flush, the verification, the
-/// count posts, then drain until every promised word is in.
-pub(crate) struct Close {
-    pub(crate) rel: ReliableFifo,
+/// [`ReliableFifo::complete_epoch`] as a loop the node drives: the flush,
+/// the verification, the count posts, then drain until every promised
+/// word is in. [`ReliableFifo::close_epoch`] opens it, each
+/// [`EpochClose::next`] runs it on to the next run of words to deliver,
+/// and [`EpochClose::finish`] gives the endpoint and the aggregator's
+/// buffer back. The blocking `complete_epoch` drives the same loop.
+pub struct EpochClose {
+    rel: ReliableFifo,
     /// The aggregator's buffered packets (emptied once sent).
-    pub(crate) flush: Vec<Packet>,
+    flush: Vec<Packet>,
     mode: SendMode,
     /// What each peer is owed this epoch.
     owed: Vec<u64>,
-    /// Words for the thread to deliver.
-    pub(crate) batch: Vec<Word>,
     /// The peers' posts, as last polled.
     posted: Vec<Word>,
     progress: Progress,
+    /// Where the next [`EpochClose::next`] runs on from; `None` once every
+    /// promised word is in.
+    from: Option<Resume>,
 }
 
-impl Close {
+impl EpochClose {
     pub(crate) fn new(rel: ReliableFifo, flush: Vec<Packet>, mode: SendMode) -> Self {
         let mut owed = vec![0u64; rel.nodes];
         for &d in &rel.epoch_dest {
             owed[usize::from(d)] += 1;
         }
         let posted = vec![0; rel.nodes];
-        Self { rel, flush, mode, owed, batch: Vec::new(), posted, progress: Progress::default() }
+        Self { rel, flush, mode, owed, posted, progress: Progress::default(), from: Some(Resume::Start) }
     }
 
-    /// Run the close on from `from` until the thread must deliver
-    /// [`Close::batch`], then run it on from the point returned; `None`
+    /// Run the close on until the node has words to deliver — they replace
+    /// `out`'s contents, in arrival order, never an empty run — or until
+    /// every promised word is in: then `false`, with `out` empty, and so
+    /// at every later call.
+    pub async fn next(&mut self, at: &At, out: &mut Vec<Word>) -> bool {
+        out.clear();
+        let Some(from) = self.from else { return false };
+        self.from = self.run(at, from, out).await;
+        self.from.is_some()
+    }
+
+    /// The endpoint back into `rel` and the emptied buffer back into
+    /// `agg`; returns the new words this node received in the epoch (the
+    /// count then restarts at zero).
+    ///
+    /// # Panics
+    /// Panics if the close has not run to its end.
+    pub fn finish(self, rel: &mut ReliableFifo, agg: &mut Aggregator) -> u64 {
+        assert!(self.from.is_none(), "finish before the close ran to its end");
+        *rel = self.rel;
+        agg.restore(self.flush);
+        std::mem::take(&mut rel.received)
+    }
+
+    /// Run the close on from `from` until the node must deliver `batch`
+    /// (empty on entry), then return the point to run on from; `None`
     /// once every promised word is in.
-    pub(crate) async fn run(&mut self, at: &At, from: Resume) -> Option<Resume> {
-        let (rel, batch, posted) = (&mut self.rel, &mut self.batch, &mut self.posted);
+    async fn run(&mut self, at: &At, from: Resume, batch: &mut Vec<Word>) -> Option<Resume> {
+        let (rel, posted) = (&mut self.rel, &mut self.posted);
         let (me, nodes, slots) = (rel.me, rel.nodes, at.world.layout.epoch_counts);
         let peers = move || (0..nodes).filter(move |&s| s != me);
         if from == Resume::Start {

@@ -51,8 +51,13 @@
 //!
 //! The calls that park more than once — the drain, the verification
 //! (acknowledgment round and retransmission), the epoch close and the
-//! post wait — run in the kernel as `async fn`s (`crate::op`). This module
-//! keeps the endpoint's data and the thin public calls that hand it there.
+//! post wait — run in the kernel as `async fn`s of [`At`](crate::At)
+//! ([`At::drain`](crate::At::drain), [`EpochClose`],
+//! [`At::await_posts`](crate::At::await_posts)), one body each. This
+//! module keeps the endpoint's data, the synchronous per-word call
+//! ([`ReliableFifo::queue`]), and the thin blocking calls that hand the
+//! endpoint to those bodies. A node program run in the kernel as a whole
+//! ([`DvCtx::run`]) awaits the bodies directly.
 
 use dv_core::packet::{Packet, PacketHeader, SCRATCH_GC};
 use dv_core::time::{self, Time};
@@ -61,7 +66,8 @@ use dv_sim::SimCtx;
 
 use crate::aggregate::Aggregator;
 use crate::ctx::DvCtx;
-use crate::op::{Close, Resume};
+use crate::op::EpochClose;
+use crate::world::DvWorld;
 
 /// Words per host transfer of a drain.
 pub(crate) const DRAIN_CHUNK: usize = 4096;
@@ -167,8 +173,8 @@ impl WordSet {
 
 /// Exactly-once word delivery over the lossy surprise FIFO.
 ///
-/// Its calls that park more than once run in the kernel (`crate::op`),
-/// which take the endpoint along and give it back.
+/// Its calls that park more than once run in the kernel
+/// ([`At`](crate::At)), which take the endpoint along and give it back.
 #[derive(Default)]
 pub struct ReliableFifo {
     pub(crate) me: NodeId,
@@ -213,24 +219,40 @@ impl ReliableFifo {
         self.stats
     }
 
-    /// Send one word to `dest`'s FIFO through `agg`, logging it for
-    /// recovery. The caller guarantees `word` is unique across the run:
-    /// nothing here checks it (a repeat surfaces as a stall that panics in
-    /// [`ReliableFifo::complete_epoch`]), so app-level duplicates such as
-    /// parallel edges must be skipped before this call.
-    pub fn send(
-        &mut self,
-        ctx: &SimCtx,
-        dv: &DvCtx,
-        agg: &mut Aggregator,
-        dest: NodeId,
-        word: Word,
-    ) {
+    /// Reserve room for `sends` more words in this epoch's send log and
+    /// `receives` more in the record of received words.
+    ///
+    /// This is the allocation rule of everything run in the kernel
+    /// ([`DvCtx::run`]): a kernel-run call allocates from the malloc arena
+    /// of whichever thread dispatches it, and growth scattered over every
+    /// node's arena shows on the peak RSS. So what a call will grow is
+    /// reserved on the node's thread, before the call.
+    pub fn reserve(&mut self, sends: usize, receives: usize) {
+        self.epoch_log.reserve(sends);
+        self.epoch_dest.reserve(sends);
+        self.seen_in.words.reserve(receives);
+    }
+
+    /// Log one word for `dest`'s FIFO for recovery and buffer its packet
+    /// in `agg`; `true` once `agg` is full, when the caller flushes it
+    /// ([`At::flush`](crate::At::flush)). The caller guarantees `word` is
+    /// unique across the run: nothing here checks it (a repeat surfaces as
+    /// a stall that panics in [`ReliableFifo::complete_epoch`]), so
+    /// app-level duplicates such as parallel edges must be skipped before
+    /// this call.
+    pub fn queue(&mut self, agg: &mut Aggregator, dest: NodeId, word: Word) -> bool {
         self.epoch_log.push(word);
         self.epoch_dest.push(u16::try_from(dest).expect("node ids fit 16 bits: DvWorld caps a cluster at 4096 nodes"));
         self.wire_epoch[dest] += 1;
         self.stats.sent += 1;
-        agg.push(ctx, dv, Packet::new(PacketHeader::fifo(self.me, dest, SCRATCH_GC), word));
+        agg.queue(Packet::new(PacketHeader::fifo(self.me, dest, SCRATCH_GC), word))
+    }
+
+    /// [`ReliableFifo::queue`], flushing `agg` when it fills.
+    pub fn send(&mut self, ctx: &SimCtx, dv: &DvCtx, agg: &mut Aggregator, dest: NodeId, word: Word) {
+        if self.queue(agg, dest, word) {
+            agg.flush(ctx, dv);
+        }
     }
 
     /// Record an inbound word; `false` if it is a duplicate. Hashes
@@ -273,21 +295,17 @@ impl ReliableFifo {
         out
     }
 
-    /// [`ReliableFifo::drain_unique`], appending to `out`: each
-    /// [`DRAIN_CHUNK`]-word host transfer lands at the tail and is admitted
-    /// there. An empty FIFO costs nothing; a draining one is one call run
-    /// in the kernel.
+    /// [`ReliableFifo::drain_unique`], appending to `out`:
+    /// [`At::drain`](crate::At::drain). An empty FIFO costs nothing; a
+    /// draining one is one call run in the kernel.
     fn drain_into(&mut self, ctx: &SimCtx, dv: &DvCtx, out: &mut Vec<Word>) {
         let me = self.me;
         let (queued, repeats) = dv.at(ctx).with(|st, _| (st.vics[me].fifo.len(), st.fifo_repeats));
         if queued == 0 {
             return;
         }
-        // A kernel-run call runs on whichever thread dispatches, and
-        // allocates from that thread's malloc arena. The first transfer's
-        // buffers grow here instead, on the node's own thread, by what the
-        // thread-run drain grew them: scattered over every arena they put
-        // ≈ 1.5 MiB (5 %) on `dv_irregular`'s peak RSS.
+        // The first transfer's buffers, reserved on the node's thread (the
+        // rule at `ReliableFifo::reserve`).
         let first = queued.min(DRAIN_CHUNK);
         out.reserve(first);
         if !repeats {
@@ -345,10 +363,12 @@ impl ReliableFifo {
     /// retransmission in step 1, never as a hang in step 3. A caller that
     /// runs another epoch zeroes its own epoch counts and fences first.
     ///
-    /// The close runs in the kernel (`crate::op`), retransmission
+    /// The close is [`EpochClose`], run in the kernel, retransmission
     /// included: the node's thread runs again only to `deliver` — which
     /// may charge virtual time, as GUPS's updates do — and to return, not
-    /// at each poll of step 3 or each retransmitted window.
+    /// at each poll of step 3 or each retransmitted window. A body run in
+    /// the kernel drives the same loop itself
+    /// ([`ReliableFifo::close_epoch`]).
     ///
     /// # Panics
     /// Panics when every peer has posted but the count stays short of the
@@ -365,22 +385,30 @@ impl ReliableFifo {
         agg: &mut Aggregator,
         mut deliver: impl FnMut(&[Word]),
     ) -> u64 {
-        let (flush, mode) = agg.take_batch();
-        let mut close = Close::new(std::mem::take(self), flush, mode);
-        let mut from = Some(Resume::Start);
-        while let Some(on) = from {
-            (close, from) = dv.run(ctx, move |at| async move {
-                let next = close.run(&at, on).await;
-                (close, next)
+        let mut close = self.close_epoch(agg);
+        loop {
+            let (words, more);
+            (close, words, more) = dv.run(ctx, move |at| async move {
+                // Freed after each run, not kept: a parked node holds no
+                // drain buffer.
+                let mut words = Vec::new();
+                let more = close.next(&at, &mut words).await;
+                (close, words, more)
             });
-            if !close.batch.is_empty() {
-                // Freed, not kept: a parked node holds no drain buffer.
-                deliver(&std::mem::take(&mut close.batch));
+            if !more {
+                return close.finish(self, agg);
             }
+            deliver(&words);
         }
-        *self = close.rel;
-        agg.restore(close.flush);
-        std::mem::take(&mut self.received)
+    }
+
+    /// Open the close of the current epoch for a caller that drives it
+    /// ([`EpochClose::next`] until `false`, then [`EpochClose::finish`]),
+    /// as [`ReliableFifo::complete_epoch`] does: the endpoint and `agg`'s
+    /// buffered packets move into the close until it finishes.
+    pub fn close_epoch(&mut self, agg: &mut Aggregator) -> EpochClose {
+        let (flush, mode) = agg.take_batch();
+        EpochClose::new(std::mem::take(self), flush, mode)
     }
 
     /// Wait until every peer has posted into the status-page block at
@@ -389,6 +417,7 @@ impl ReliableFifo {
     /// retransmission duplicates of an epoch already complete, and are
     /// discarded: the wait that ends a BFS level on the peers' frontier
     /// sizes, after [`ReliableFifo::complete_epoch`] drained every new word.
+    /// The body is [`At::await_posts`](crate::At::await_posts).
     ///
     /// # Panics
     /// Panics, naming the peers that never posted, when no new post has
@@ -397,7 +426,7 @@ impl ReliableFifo {
         let mut rel = std::mem::take(self);
         let slots;
         (*self, slots) = dv.run(ctx, move |at| async move {
-            let slots = at.posts(&mut rel, address).await;
+            let slots = at.await_posts(&mut rel, address).await;
             (rel, slots)
         });
         slots
@@ -417,8 +446,8 @@ impl ReliableFifo {
 
     /// Fold this endpoint's counters into the world metrics registry as
     /// `api.fifo.*`, labeled with the node id.
-    pub fn publish(&self, dv: &DvCtx) {
-        let m = &dv.world().metrics;
+    pub fn publish(&self, world: &DvWorld) {
+        let m = &world.metrics;
         if !m.is_enabled() {
             return;
         }

@@ -57,6 +57,8 @@ pub(crate) struct DvState {
     pub(crate) barrier_epoch: u64,
     pub(crate) barrier_count: usize,
     pub(crate) barrier_waiters: Vec<Waker>,
+    /// Which of its two counters each node's next FastBarrier uses.
+    pub(crate) fast_barrier_parity: Vec<bool>,
     /// Packets currently inside the switch (for the load-dependent
     /// deflection penalty).
     in_flight: i64,
@@ -297,6 +299,7 @@ impl DvState {
             barrier_epoch: 0,
             barrier_count: 0,
             barrier_waiters: Vec::new(),
+            fast_barrier_parity: vec![false; nodes],
             in_flight: 0,
             fifo_inflight: vec![0; nodes],
             fifo_repeats: config.faults.as_ref().is_some_and(|p| p.link_dup > 0.0),
@@ -461,8 +464,7 @@ impl DvState {
         self.in_flight -= n as i64;
         self.fifo_inflight[dst] -= fifo_n;
         let mut replies = std::mem::take(&mut self.replies);
-        let now = k.now();
-        self.vics[dst].deliver_batch(k, now, packets.slice(&self.bufs), &mut replies);
+        self.vics[dst].deliver_batch(k, packets.slice(&self.bufs), &mut replies);
         packets.release(&mut self.bufs);
         for reply in replies.drain(..) {
             let now = k.now();

@@ -8,11 +8,16 @@
 //!
 //! Remote visits are single FIFO packets `(vertex, parent)`; termination
 //! uses all-to-all frontier-count posts, awaited with
-//! [`ReliableFifo::await_posts`].
+//! [`dv_api::At::await_posts`].
+//!
+//! Each node's thread builds its state and reserves what the levels grow,
+//! then runs the whole search as one body in the simulator's kernel
+//! ([`DvCtx::run`]): between its start and its result the thread never
+//! runs, however many times the node waits.
 //!
 //! Visits ride the `dv-api` recovery layer ([`ReliableFifo`]), one epoch
 //! per BFS level, and a level completes with the DV-memory sent-count
-//! protocol of [`ReliableFifo::complete_epoch`]: visits lost to FIFO
+//! protocol of [`ReliableFifo::close_epoch`]: visits lost to FIFO
 //! overflow (or an injected fault plan) are retransmitted against the
 //! hardware accepted counts *before* the sent counts are posted, so
 //! levels complete exactly. The layer needs every word unique across the
@@ -23,11 +28,14 @@
 
 use std::sync::Arc;
 
+use dv_core::config::ComputeParams;
 use dv_core::spec::SimSpec;
 use dv_core::packet::{Packet, PacketHeader, SCRATCH_GC};
-use dv_api::{Aggregator, DvCluster, ReliableFifo, SendMode};
+use dv_core::Word;
+use dv_api::{Aggregator, DvCluster, DvCtx, ReliableFifo, SendMode};
+use dv_sim::SimCtx;
 
-use crate::util::{charge_edges, pack2, unpack2};
+use crate::util::{pack2, spend_edges, unpack2};
 
 use super::mpi::BfsRunResult;
 use super::{Csr, VertexPart};
@@ -84,95 +92,7 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
     let locals: Arc<Vec<Csr>> = Arc::new(locals.to_vec());
     let compute = spec.machine.compute.clone();
     let cluster = DvCluster::from_spec(spec);
-    let report = cluster.run(move |dv, ctx| {
-        let me = dv.node();
-        let p = dv.nodes();
-        let (counts, sizes) = (dv.layout().epoch_counts, dv.layout().frontier_sizes);
-        let compute = compute.clone();
-        let csr = &locals[me];
-        let mut st = LevelState { parents: vec![-1i64; csr.vertices()], next: Vec::new(), applied: 0 };
-        let mut scanned = 0u64;
-        let mut frontier: Vec<u32> = Vec::new();
-        if part.owner(root) == me {
-            st.parents[part.local(root)] = root as i64;
-            frontier.push(root);
-        }
-        let mut rel = ReliableFifo::new(dv);
-        let (mut keys, mut repeat) = (Vec::new(), Vec::new());
-        dv.barrier(ctx);
-
-        loop {
-            // --- scan + stream remote visits ---------------------------
-            let mut agg = Aggregator::new(AGG);
-            let mut since_drain = 0usize;
-            for &u in &frontier {
-                let row = csr.neighbors(part.local(u) as u32);
-                mark_repeats(row, &mut keys, &mut repeat);
-                for (&v, &again) in row.iter().zip(&repeat) {
-                    scanned += 1;
-                    let owner = part.owner(v);
-                    if owner == me {
-                        let lv = part.local(v);
-                        st.applied += 1;
-                        if st.parents[lv] < 0 {
-                            st.parents[lv] = u as i64;
-                            st.next.push(v);
-                        }
-                    } else if !again {
-                        // A parallel edge's repeat is scanned but not
-                        // sent: words must be unique across the run.
-                        rel.send(ctx, dv, &mut agg, owner, pack2(v, u));
-                    }
-                    since_drain += 1;
-                    if since_drain >= AGG / 2 {
-                        // Charge the scan work incrementally so virtual
-                        // time advances *between* drains — a lump charge
-                        // at level end would leave the FIFO unserviced
-                        // while peers flood it.
-                        charge_edges(ctx, &compute, since_drain as u64);
-                        since_drain = 0;
-                        apply_visits(&part, me, &mut st, &rel.drain_unique(ctx, dv));
-                    }
-                }
-            }
-            charge_edges(ctx, &compute, frontier.len() as u64 + since_drain as u64);
-            apply_visits(&part, me, &mut st, &rel.drain_unique(ctx, dv));
-
-            // --- verify, post sent counts, drain every promised visit ----
-            let received = rel.complete_epoch(ctx, dv, &mut agg, |words| {
-                apply_visits(&part, me, &mut st, words)
-            });
-            charge_edges(ctx, &compute, received);
-
-            // --- agree on termination -----------------------------------
-            let fs_posts: Vec<Packet> = (0..p)
-                .filter(|&d| d != me)
-                .map(|d| {
-                    Packet::new(
-                        PacketHeader::dv_memory(me, d, sizes + me as u32, SCRATCH_GC),
-                        st.next.len() as u64 + 1,
-                    )
-                })
-                .collect();
-            dv.send_packets(ctx, &fs_posts, SendMode::DirectWrite { cached_headers: true });
-            let slots = rel.await_posts(ctx, dv, sizes);
-            let total_next = (0..p)
-                .map(|s| if s == me { st.next.len() as u64 } else { slots[s] - 1 })
-                .sum::<u64>();
-
-            // --- reset level slots, then fence ---------------------------
-            dv.write_local(ctx, counts, &vec![0u64; p]);
-            dv.write_local(ctx, sizes, &vec![0u64; p]);
-            dv.fast_barrier(ctx);
-
-            frontier = std::mem::take(&mut st.next);
-            if total_next == 0 {
-                break;
-            }
-        }
-        rel.publish(dv);
-        (scanned, st.parents)
-    });
+    let report = cluster.run(move |dv, ctx| node(dv, ctx, Arc::clone(&locals), root, &compute));
 
     let (elapsed, results) = (report.elapsed, report.result);
     let edges_scanned: u64 = results.iter().map(|(s, _)| s).sum();
@@ -186,6 +106,120 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
         }
     }
     BfsRunResult { root, edges_scanned, elapsed, parents }
+}
+
+/// One node's BFS: its thread builds the inputs and reserves what the
+/// levels will grow, then hands the whole search to the kernel as one body
+/// (see `dv_api::op`), and takes back the edges scanned here and the
+/// local parents.
+fn node(dv: &DvCtx, ctx: &SimCtx, locals: Arc<Vec<Csr>>, root: u32, compute: &ComputeParams) -> (u64, Vec<i64>) {
+    let (me, p) = (dv.node(), dv.nodes());
+    let part = VertexPart { nodes: p };
+    let (counts, sizes) = (dv.layout().epoch_counts, dv.layout().frontier_sizes);
+    let compute = compute.clone();
+    let csr = &locals[me];
+    let vertices = csr.vertices();
+    // Reserved on this thread (`ReliableFifo::reserve`): a vertex joins a
+    // frontier once, so a node sends at most its entries and, the graph
+    // being undirected, receives about as many over the run.
+    let entries = csr.targets.len();
+    let widest = csr.offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+    let mut st = LevelState { parents: vec![-1i64; vertices], next: Vec::with_capacity(vertices), applied: 0 };
+    let mut frontier: Vec<u32> = Vec::with_capacity(vertices);
+    if part.owner(root) == me {
+        st.parents[part.local(root)] = root as i64;
+        frontier.push(root);
+    }
+    let mut rel = ReliableFifo::new(dv);
+    rel.reserve(entries, entries);
+    let mut agg = Aggregator::new(AGG);
+    let (mut keys, mut repeat) = (Vec::with_capacity(widest), Vec::with_capacity(widest));
+    let mut words: Vec<Word> = Vec::with_capacity(AGG);
+    let mut fs_posts: Vec<Packet> = Vec::with_capacity(p);
+    let zeros = vec![0u64; p];
+
+    dv.run(ctx, move |at| async move {
+        let csr = &locals[me];
+        let mut scanned = 0u64;
+        at.barrier().await;
+        loop {
+            // --- scan + stream remote visits ---------------------------
+            let mut since_drain = 0usize;
+            for &u in &frontier {
+                let row = csr.neighbors(part.local(u) as u32);
+                mark_repeats(row, &mut keys, &mut repeat);
+                for (&v, &again) in row.iter().zip(&repeat) {
+                    scanned += 1;
+                    // A local visit applies at once. A remote one is
+                    // queued, but a parallel edge's repeat (`again`) is
+                    // scanned and not sent: words must be unique across
+                    // the run.
+                    let owner = part.owner(v);
+                    if owner == me {
+                        let lv = part.local(v);
+                        st.applied += 1;
+                        if st.parents[lv] < 0 {
+                            st.parents[lv] = u as i64;
+                            st.next.push(v);
+                        }
+                    } else if !again && rel.queue(&mut agg, owner, pack2(v, u)) {
+                        at.flush(&mut agg).await;
+                    }
+                    since_drain += 1;
+                    if since_drain >= AGG / 2 {
+                        // Charge the scan work incrementally so virtual
+                        // time advances *between* drains — a lump charge
+                        // at level end would leave the FIFO unserviced
+                        // while peers flood it.
+                        spend_edges(&at, &compute, since_drain as u64).await;
+                        since_drain = 0;
+                        at.drain(&mut rel, &mut words).await;
+                        apply_visits(&part, me, &mut st, &words);
+                        words.clear();
+                    }
+                }
+            }
+            spend_edges(&at, &compute, frontier.len() as u64 + since_drain as u64).await;
+            at.drain(&mut rel, &mut words).await;
+            apply_visits(&part, me, &mut st, &words);
+            words.clear();
+
+            // --- verify, post sent counts, drain every promised visit ----
+            let mut close = rel.close_epoch(&mut agg);
+            while close.next(&at, &mut words).await {
+                apply_visits(&part, me, &mut st, &words);
+            }
+            let received = close.finish(&mut rel, &mut agg);
+            spend_edges(&at, &compute, received).await;
+
+            // --- agree on termination -----------------------------------
+            fs_posts.clear();
+            fs_posts.extend((0..p).filter(|&d| d != me).map(|d| {
+                Packet::new(
+                    PacketHeader::dv_memory(me, d, sizes + me as u32, SCRATCH_GC),
+                    st.next.len() as u64 + 1,
+                )
+            }));
+            at.send(&fs_posts, SendMode::DirectWrite { cached_headers: true }).await;
+            let slots = at.await_posts(&mut rel, sizes).await;
+            let total_next = (0..p)
+                .map(|s| if s == me { st.next.len() as u64 } else { slots[s] - 1 })
+                .sum::<u64>();
+
+            // --- reset level slots, then fence ---------------------------
+            at.write_local(counts, &zeros).await;
+            at.write_local(sizes, &zeros).await;
+            at.fast_barrier().await;
+
+            std::mem::swap(&mut frontier, &mut st.next);
+            st.next.clear();
+            if total_next == 0 {
+                break;
+            }
+        }
+        rel.publish(at.world());
+        (scanned, st.parents)
+    })
 }
 
 #[cfg(test)]
@@ -246,6 +280,29 @@ mod tests {
         assert_eq!(r.edges_scanned, 2 * edges.len() as u64, "every entry is scanned");
         let sent = metrics.snapshot().counter_total("api.fifo.reliable_sent");
         assert_eq!(sent, remote.len() as u64);
+    }
+
+    #[test]
+    fn a_node_reaches_its_thread_only_to_start_and_to_return() {
+        // The whole search is one kernel-run body: every wait of every
+        // level — scan charges, flushes, drains, the epoch close, the
+        // frontier-size posts, the slot resets, the fence — is polled in
+        // the kernel.
+        const NODES: usize = 32;
+        let (_, csr, locals) = setup(NODES);
+        let root = pick_roots(&csr, 1, 3)[0];
+        let locals = Arc::new(locals);
+        let spec = SimSpec::new(NODES);
+        let compute = spec.machine.compute.clone();
+        let report = DvCluster::from_spec(spec).run(move |dv, ctx| {
+            let (scanned, _) = node(dv, ctx, Arc::clone(&locals), root, &compute);
+            // The last node to read sees every node's handoffs.
+            (scanned, ctx.with_kernel(|k| k.sched_stats()))
+        });
+        assert!(report.result.iter().map(|r| r.0).sum::<u64>() > 0, "the search ran");
+        let stats = report.result.iter().map(|r| r.1).max_by_key(|s| s.thread_resumes).expect("32 nodes");
+        assert_eq!(stats.thread_resumes, 2 * NODES as u64, "{stats:?}");
+        assert!(stats.resumes > 20 * stats.thread_resumes, "the body waits in the kernel: {stats:?}");
     }
 
     #[test]

@@ -58,10 +58,19 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
             parents[part.local(root)] = root as i64;
             frontier.push(root);
         }
+        let mut sizes = vec![0usize; p];
         comm.barrier(ctx);
 
         loop {
-            let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); p];
+            // Each remote owner's bucket allocated once, at its size.
+            sizes.fill(0);
+            for &u in &frontier {
+                for &v in locals[me].neighbors(part.local(u) as u32) {
+                    sizes[part.owner(v)] += 1;
+                }
+            }
+            sizes[me] = 0;
+            let mut buckets: Vec<Vec<u64>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
             let mut next: Vec<u32> = Vec::new();
             for &u in &frontier {
                 let lu = part.local(u);

@@ -6,8 +6,14 @@
 //! packets — to *any* mix of destinations — ride one PCIe DMA batch
 //! ("aggregation at source"); the switch routes them without congesting.
 //! The run is one epoch of the `dv-api` recovery layer ([`ReliableFifo`]),
-//! closed by [`ReliableFifo::complete_epoch`]: the per-peer sent counts
-//! written into DV memory, the coordination idiom Section III describes.
+//! closed by its epoch close ([`ReliableFifo::close_epoch`]): the
+//! per-peer sent counts written into DV memory, the coordination idiom
+//! Section III describes.
+//!
+//! Each node's thread builds its table, stream and endpoint, then runs
+//! the whole kernel as one body in the simulator's kernel
+//! ([`DvCtx::run`]): between its start and its result the thread never
+//! runs, however many times the node waits.
 //!
 //! Updates lost to FIFO overflow (or an injected fault plan) are detected
 //! against the VIC's hardware accepted counts and retransmitted before
@@ -17,32 +23,27 @@
 //! and never repeat within a run), which the layer's exactly-once dedup
 //! relies on.
 
+use dv_core::config::ComputeParams;
 use dv_core::spec::SimSpec;
+use dv_core::trace::State;
 use dv_core::Word;
-use dv_api::{Aggregator, DvCluster, ReliableFifo, SendMode};
+use dv_api::{Aggregator, At, DvCluster, DvCtx, ReliableFifo, SendMode};
 use dv_sim::SimCtx;
 
-use crate::util::{charge, charge_updates, BlockDist};
+use crate::util::{spend, spend_updates, BlockDist};
 
 use super::{locate, GupsConfig, GupsResult};
 
 /// Random-number generation rate (values/s).
 const GEN_RATE: f64 = 600e6;
 
-fn apply_updates(
-    ctx: &SimCtx,
-    words: &[Word],
-    dist: &BlockDist,
-    me: usize,
-    table: &mut [u64],
-    compute: &dv_core::config::ComputeParams,
-) {
+async fn apply_updates(at: &At, words: &[Word], dist: &BlockDist, table: &mut [u64], compute: &ComputeParams) {
     for &ran in words {
         let (owner, idx) = locate(dist, ran);
-        debug_assert_eq!(owner, me, "update routed to the wrong node");
+        debug_assert_eq!(owner, at.node(), "update routed to the wrong node");
         table[idx] ^= ran;
     }
-    charge_updates(ctx, compute, words.len() as u64);
+    spend_updates(at, compute, words.len() as u64).await;
 }
 
 /// Run GUPS on the cluster described by `spec` — machine config, tracing,
@@ -60,27 +61,43 @@ pub fn run_ablate(cfg: GupsConfig, spec: SimSpec, aggregate: bool) -> GupsResult
     let dist = BlockDist::new(cfg.global_words(nodes), nodes);
     let compute = spec.machine.compute.clone();
     let cluster = DvCluster::from_spec(spec);
-    let report = cluster.run(move |dv, ctx| {
-        let me = dv.node();
-        let compute = compute.clone();
-        let my_start = dist.start(me) as u64;
-        let mut table: Vec<u64> = (my_start..my_start + dist.count(me) as u64).collect();
-        let mut stream = cfg.stream_for(me);
-        let mut applied = 0u64;
-        // The 1024-access HPCC buffering cap applies to the aggregator.
-        let threshold = if aggregate { cfg.bucket } else { 1 };
-        let mode = if aggregate {
-            SendMode::Dma { cached_headers: true }
-        } else {
-            SendMode::DirectWrite { cached_headers: false }
-        };
-        let mut agg = Aggregator::with_mode(threshold, mode);
-        let mut rel = ReliableFifo::new(dv);
+    let report = cluster.run(move |dv, ctx| node(dv, ctx, cfg, dist, &compute, aggregate));
 
-        dv.barrier(ctx);
+    let total_updates: u64 = report.result.iter().map(|(a, _)| a).sum();
+    let checksum = report.result.iter().fold(0u64, |a, (_, c)| a ^ c);
+    GupsResult { nodes, total_updates, elapsed: report.elapsed, checksum }
+}
+
+/// One node's GUPS: its thread builds the inputs, then hands the whole run
+/// to the kernel as one body (see `dv_api::op`), and takes back the
+/// updates applied here and the XOR of the final local table.
+fn node(dv: &DvCtx, ctx: &SimCtx, cfg: GupsConfig, dist: BlockDist, compute: &ComputeParams, aggregate: bool) -> (u64, u64) {
+    let me = dv.node();
+    let compute = compute.clone();
+    let my_start = dist.start(me) as u64;
+    let mut table: Vec<u64> = (my_start..my_start + dist.count(me) as u64).collect();
+    let mut stream = cfg.stream_for(me);
+    // The 1024-access HPCC buffering cap applies to the aggregator.
+    let threshold = if aggregate { cfg.bucket } else { 1 };
+    let mode = if aggregate {
+        SendMode::Dma { cached_headers: true }
+    } else {
+        SendMode::DirectWrite { cached_headers: false }
+    };
+    let mut agg = Aggregator::with_mode(threshold, mode);
+    let mut rel = ReliableFifo::new(dv);
+    // Reserved on this thread (`ReliableFifo::reserve`): a node sends at
+    // most its own updates and receives about as many, and between two
+    // drains at most the two buckets the pacing lets fly.
+    rel.reserve(cfg.updates_per_node, cfg.updates_per_node);
+    let mut words: Vec<Word> = Vec::with_capacity(2 * cfg.bucket);
+
+    dv.run(ctx, move |at| async move {
+        let mut applied = 0u64;
+        at.barrier().await;
         let rounds = cfg.updates_per_node.div_ceil(cfg.bucket);
         for round in 0..rounds {
-            let round_start = ctx.now();
+            let round_start = at.now();
             let batch = cfg.bucket.min(cfg.updates_per_node - round * cfg.bucket);
             let mut local_count = 0u64;
             for _ in 0..batch {
@@ -90,40 +107,41 @@ pub fn run_ablate(cfg: GupsConfig, spec: SimSpec, aggregate: bool) -> GupsResult
                     table[idx] ^= ran;
                     local_count += 1;
                     applied += 1;
-                } else {
-                    rel.send(ctx, dv, &mut agg, owner, ran);
+                } else if rel.queue(&mut agg, owner, ran) {
+                    at.flush(&mut agg).await;
                 }
             }
-            charge(ctx, batch as u64, GEN_RATE);
-            charge_updates(ctx, &compute, local_count);
+            spend(&at, batch as u64, GEN_RATE).await;
+            spend_updates(&at, &compute, local_count).await;
             // Interleave draining so nobody's FIFO backs up.
-            apply_updates(ctx, &rel.drain_unique(ctx, dv), &dist, me, &mut table, &compute);
-            dv.world().tracer.span(me, dv_core::trace::State::Compute, round_start, ctx.now());
+            at.drain(&mut rel, &mut words).await;
+            apply_updates(&at, &words, &dist, &mut table, &compute).await;
+            words.clear();
+            at.world().tracer.span(me, State::Compute, round_start, at.now());
             // Coarse pacing: bound sender/receiver skew so the surprise
             // FIFO (capacity "thousands of messages") rarely overflows.
             // A skew window of 2 buckets keeps worst-case in-flight
             // traffic near 2×1024 packets, well under the FIFO capacity;
             // the recovery layer repairs whatever still slips through.
             if (round + 1) % 2 == 0 {
-                agg.flush(ctx, dv);
-                dv.fast_barrier(ctx);
-                apply_updates(ctx, &rel.drain_unique(ctx, dv), &dist, me, &mut table, &compute);
+                at.flush(&mut agg).await;
+                at.fast_barrier().await;
+                at.drain(&mut rel, &mut words).await;
+                apply_updates(&at, &words, &dist, &mut table, &compute).await;
+                words.clear();
             }
         }
         // Retransmit whatever the FIFOs dropped, post the per-peer sent
         // counts, and apply updates until every promised one arrived.
-        applied += rel.complete_epoch(ctx, dv, &mut agg, |words| {
-            apply_updates(ctx, words, &dist, me, &mut table, &compute)
-        });
-        rel.publish(dv);
-        dv.fast_barrier(ctx);
-        let checksum = table.iter().fold(0u64, |a, &b| a ^ b);
-        (applied, checksum)
-    });
-
-    let total_updates: u64 = report.result.iter().map(|(a, _)| a).sum();
-    let checksum = report.result.iter().fold(0u64, |a, (_, c)| a ^ c);
-    GupsResult { nodes, total_updates, elapsed: report.elapsed, checksum }
+        let mut close = rel.close_epoch(&mut agg);
+        while close.next(&at, &mut words).await {
+            apply_updates(&at, &words, &dist, &mut table, &compute).await;
+        }
+        applied += close.finish(&mut rel, &mut agg);
+        rel.publish(at.world());
+        at.fast_barrier().await;
+        (applied, table.iter().fold(0u64, |a, &b| a ^ b))
+    })
 }
 
 #[cfg(test)]
@@ -140,6 +158,26 @@ mod tests {
             assert_eq!(r.checksum, expect, "nodes={nodes}");
             assert_eq!(r.total_updates, (cfg.updates_per_node * nodes) as u64);
         }
+    }
+
+    #[test]
+    fn a_node_reaches_its_thread_only_to_start_and_to_return() {
+        // The whole run is one kernel-run body: every wait between the
+        // start and the result — compute charges, flushes, drains,
+        // barriers, the epoch close — is polled in the kernel.
+        const NODES: usize = 32;
+        let cfg = GupsConfig::test_small();
+        let dist = BlockDist::new(cfg.global_words(NODES), NODES);
+        let spec = SimSpec::new(NODES);
+        let compute = spec.machine.compute.clone();
+        let report = DvCluster::from_spec(spec).run(move |dv, ctx| {
+            node(dv, ctx, cfg, dist, &compute, true);
+            // The last node to read sees every node's handoffs.
+            ctx.with_kernel(|k| k.sched_stats())
+        });
+        let stats = report.result.iter().max_by_key(|s| s.thread_resumes).expect("32 nodes");
+        assert_eq!(stats.thread_resumes, 2 * NODES as u64, "{stats:?}");
+        assert!(stats.resumes > 20 * stats.thread_resumes, "the body waits in the kernel: {stats:?}");
     }
 
     #[test]

@@ -32,18 +32,20 @@ pub fn run_spec(cfg: GupsConfig, spec: SimSpec) -> GupsResult {
             (my_start..my_start + dist.count(me) as u64).collect();
         let mut stream = cfg.stream_for(me);
         let mut applied = 0u64;
+        let (mut drawn, mut sizes) = (Vec::with_capacity(cfg.bucket), vec![0usize; p]);
 
         comm.barrier(ctx);
         let rounds = cfg.updates_per_node.div_ceil(cfg.bucket);
         for round in 0..rounds {
             let batch = cfg.bucket.min(cfg.updates_per_node - round * cfg.bucket);
-            // Generate and bucket by owner (≤1024 buffered: HPCC rule).
-            let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); p];
-            for _ in 0..batch {
-                let ran = stream.next_u64();
-                let (owner, _) = locate(&dist, ran);
-                buckets[owner].push(ran);
-            }
+            // Generate and bucket by owner (≤1024 buffered: HPCC rule),
+            // each bucket allocated once, at its size.
+            drawn.clear();
+            drawn.extend((0..batch).map(|_| stream.next_u64()));
+            sizes.fill(0);
+            drawn.iter().for_each(|&ran| sizes[locate(&dist, ran).0] += 1);
+            let mut buckets: Vec<Vec<u64>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+            drawn.iter().for_each(|&ran| buckets[locate(&dist, ran).0].push(ran));
             charge(ctx, batch as u64, GEN_RATE);
 
             // Apply the local bucket.

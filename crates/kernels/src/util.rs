@@ -1,16 +1,43 @@
 //! Shared helpers: compute-time charging, data distribution, packing.
 
+use dv_api::At;
 use dv_core::config::ComputeParams;
-use dv_core::time::secs_f64;
+use dv_core::time::{secs_f64, Time};
 use dv_sim::SimCtx;
+
+/// The virtual time `ops` operations take at `rate_per_sec`; `None` for
+/// no operations, which are not charged at all.
+fn cost(ops: u64, rate_per_sec: f64) -> Option<Time> {
+    if ops == 0 {
+        return None;
+    }
+    debug_assert!(rate_per_sec > 0.0);
+    Some(secs_f64(ops as f64 / rate_per_sec))
+}
 
 /// Charge virtual time for `ops` operations at `rate_per_sec`.
 pub fn charge(ctx: &SimCtx, ops: u64, rate_per_sec: f64) {
-    if ops == 0 {
-        return;
+    if let Some(d) = cost(ops, rate_per_sec) {
+        ctx.delay(d);
     }
-    debug_assert!(rate_per_sec > 0.0);
-    ctx.delay(secs_f64(ops as f64 / rate_per_sec));
+}
+
+/// [`charge`] in a node body run in the kernel
+/// ([`dv_api::DvCtx::run`]): the same delay, awaited.
+pub async fn spend(at: &At, ops: u64, rate_per_sec: f64) {
+    if let Some(d) = cost(ops, rate_per_sec) {
+        at.delay(d).await;
+    }
+}
+
+/// [`charge_updates`], awaited ([`spend`]).
+pub async fn spend_updates(at: &At, compute: &ComputeParams, updates: u64) {
+    spend(at, updates, compute.local_update_mups * 1e6).await;
+}
+
+/// [`charge_edges`], awaited ([`spend`]).
+pub async fn spend_edges(at: &At, compute: &ComputeParams, edges: u64) {
+    spend(at, edges, compute.edge_scan_meps * 1e6).await;
 }
 
 /// Charge for floating-point work at the node's FFT rate (GFLOP/s).

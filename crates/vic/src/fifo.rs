@@ -9,13 +9,12 @@
 
 use std::collections::VecDeque;
 
-use dv_core::time::Time;
 use dv_core::Word;
 use dv_sim::{Kernel, Waker};
 
 /// The network-addressable input FIFO of one VIC.
 pub struct SurpriseFifo {
-    queue: VecDeque<(Time, Word)>,
+    queue: VecDeque<Word>,
     capacity: usize,
     dropped: u64,
     high_water: usize,
@@ -34,12 +33,12 @@ impl SurpriseFifo {
     /// Buffer an arriving payload; returns `false` (and counts a drop) on
     /// overflow. The real hardware has finite SRAM for the FIFO; software
     /// that outruns the background drain loses packets.
-    pub fn push(&mut self, at: Time, payload: Word) -> bool {
+    pub fn push(&mut self, payload: Word) -> bool {
         if self.queue.len() >= self.capacity {
             self.dropped += 1;
             return false;
         }
-        self.queue.push_back((at, payload));
+        self.queue.push_back(payload);
         self.high_water = self.high_water.max(self.queue.len());
         true
     }
@@ -52,8 +51,8 @@ impl SurpriseFifo {
         self.dropped += 1;
     }
 
-    /// Pop the oldest buffered packet.
-    pub fn pop(&mut self) -> Option<(Time, Word)> {
+    /// Pop the oldest buffered payload.
+    pub fn pop(&mut self) -> Option<Word> {
         self.queue.pop_front()
     }
 
@@ -61,7 +60,7 @@ impl SurpriseFifo {
     /// `out`, in arrival order; returns how many moved.
     pub fn drain_into(&mut self, max: usize, out: &mut Vec<Word>) -> usize {
         let n = max.min(self.queue.len());
-        out.extend(self.queue.drain(..n).map(|(_, w)| w));
+        out.extend(self.queue.drain(..n));
         n
     }
 
@@ -115,42 +114,42 @@ mod tests {
     #[test]
     fn fifo_preserves_arrival_order() {
         let mut f = SurpriseFifo::new(10);
-        assert!(f.push(1, 100));
-        assert!(f.push(2, 200));
-        assert!(f.push(3, 300));
-        assert_eq!(f.pop(), Some((1, 100)));
-        assert_eq!(f.pop(), Some((2, 200)));
-        assert_eq!(f.pop(), Some((3, 300)));
+        assert!(f.push(100));
+        assert!(f.push(200));
+        assert!(f.push(300));
+        assert_eq!(f.pop(), Some(100));
+        assert_eq!(f.pop(), Some(200));
+        assert_eq!(f.pop(), Some(300));
         assert_eq!(f.pop(), None);
     }
 
     #[test]
     fn overflow_drops_and_counts() {
         let mut f = SurpriseFifo::new(2);
-        assert!(f.push(1, 1));
-        assert!(f.push(2, 2));
-        assert!(!f.push(3, 3));
+        assert!(f.push(1));
+        assert!(f.push(2));
+        assert!(!f.push(3));
         assert_eq!(f.dropped(), 1);
         assert_eq!(f.len(), 2);
         // Draining makes room again.
         f.pop();
-        assert!(f.push(4, 4));
+        assert!(f.push(4));
     }
 
     #[test]
     fn high_water_tracks_deepest_fill() {
         let mut f = SurpriseFifo::new(8);
-        f.push(1, 1);
-        f.push(2, 2);
-        f.push(3, 3);
+        f.push(1);
+        f.push(2);
+        f.push(3);
         assert_eq!(f.high_water(), 3);
         f.pop();
         f.pop();
         assert_eq!(f.high_water(), 3, "draining must not lower the mark");
-        f.push(4, 4);
+        f.push(4);
         assert_eq!(f.high_water(), 3);
-        for i in 0..5 {
-            f.push(10 + i, 0);
+        for _ in 0..5 {
+            f.push(0);
         }
         assert_eq!(f.high_water(), 7);
     }
@@ -160,8 +159,8 @@ mod tests {
         // Two values to the same VIC coexist (the whole point vs a
         // DV-memory slot where the second write destroys the first).
         let mut f = SurpriseFifo::new(8);
-        f.push(1, 42);
-        f.push(1, 42);
+        f.push(42);
+        f.push(42);
         assert_eq!(f.len(), 2);
     }
 }

@@ -189,8 +189,11 @@ impl Vic {
     /// decrement times out — a detectable loss — instead of completing
     /// with data silently missing. The only traces it leaves are the drop
     /// counters ([`VicStats::fifo_drops`], [`SurpriseFifo::dropped`]).
-    pub fn deliver(&mut self, kernel: &mut Kernel, at: Time, pkt: Packet) -> Option<Packet> {
-        self.deliver_one(kernel, at, pkt, &mut false)
+    ///
+    /// The arrival time `_at` is the kernel's clock; nothing the VIC holds
+    /// records it.
+    pub fn deliver(&mut self, kernel: &mut Kernel, _at: Time, pkt: Packet) -> Option<Packet> {
+        self.deliver_one(kernel, pkt, &mut false)
     }
 
     /// Apply a batch that arrived together, as [`Vic::deliver`] would one
@@ -198,26 +201,14 @@ impl Vic {
     /// waiters are woken on the batch's first accepted push only: the
     /// caller holds this VIC for the whole batch, so nobody can register
     /// between pushes and every later wake would find the list empty.
-    pub fn deliver_batch(
-        &mut self,
-        kernel: &mut Kernel,
-        at: Time,
-        packets: &[Packet],
-        replies: &mut Vec<Packet>,
-    ) {
+    pub fn deliver_batch(&mut self, kernel: &mut Kernel, packets: &[Packet], replies: &mut Vec<Packet>) {
         let mut fifo_woken = false;
         for &pkt in packets {
-            replies.extend(self.deliver_one(kernel, at, pkt, &mut fifo_woken));
+            replies.extend(self.deliver_one(kernel, pkt, &mut fifo_woken));
         }
     }
 
-    fn deliver_one(
-        &mut self,
-        kernel: &mut Kernel,
-        at: Time,
-        pkt: Packet,
-        fifo_woken: &mut bool,
-    ) -> Option<Packet> {
+    fn deliver_one(&mut self, kernel: &mut Kernel, pkt: Packet, fifo_woken: &mut bool) -> Option<Packet> {
         debug_assert_eq!(pkt.header.dest, self.node, "packet routed to the wrong VIC");
         let mut reply = None;
         match pkt.header.space {
@@ -236,7 +227,7 @@ impl Vic {
                     self.stats.fifo_forced_drops += 1;
                     false
                 } else {
-                    self.fifo.push(at, pkt.payload)
+                    self.fifo.push(pkt.payload)
                 };
                 if !accepted {
                     self.stats.fifo_drops += 1;
@@ -329,8 +320,8 @@ mod tests {
             let h = PacketHeader::fifo(1, 3, SCRATCH_GC);
             vic.deliver(k, 7, Packet::new(h, 123));
             vic.deliver(k, 9, Packet::new(h, 456));
-            assert_eq!(vic.fifo.pop(), Some((7, 123)));
-            assert_eq!(vic.fifo.pop(), Some((9, 456)));
+            assert_eq!(vic.fifo.pop(), Some(123));
+            assert_eq!(vic.fifo.pop(), Some(456));
         });
     }
 

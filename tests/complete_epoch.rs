@@ -69,7 +69,7 @@ fn each_epoch_returns_exactly_the_words_addressed_to_the_node() {
             delivered.sort_unstable();
             epochs.push((received, delivered));
         }
-        rel.publish(dv);
+        rel.publish(dv.world());
         epochs
     });
 

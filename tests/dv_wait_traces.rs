@@ -151,7 +151,7 @@ fn program(dv: &DvCtx, ctx: &SimCtx, signal: &WaitSet) -> u64 {
             dv.fast_barrier(ctx);
         }
     }
-    rel.publish(dv);
+    rel.publish(dv.world());
 
     // A remote read that times out (its reply lands after the deadline),
     // then one that does not.

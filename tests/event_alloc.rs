@@ -61,10 +61,10 @@ const FFT_POINTS: usize = 1 << 16;
 
 /// `(run, debug build, release build)`: allocations of one run.
 const PINS: [(&str, u64, u64); 5] = [
-    ("DV GUPS", 363, 358),
-    ("MPI GUPS", 468, 464),
-    ("DV BFS", 769, 765),
-    ("MPI BFS", 509, 505),
+    ("DV GUPS", 255, 250),
+    ("MPI GUPS", 224, 220),
+    ("DV BFS", 435, 431),
+    ("MPI BFS", 340, 336),
     ("MPI FFT", 145, 141),
 ];
 
