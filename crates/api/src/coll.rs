@@ -15,19 +15,26 @@
 //! the next round.
 
 use crate::ctx::{DvCtx, SendMode};
+use crate::op::At;
 use dv_core::packet::{Packet, PacketHeader, SCRATCH_GC};
 use dv_core::time::us;
 use dv_sim::SimCtx;
 
-/// All-reduce a single f64 by summation. `epoch_fence` must be true on
-/// every node or none (collective call discipline, like MPI).
+/// All-reduce a single f64 by summation: [`allreduce_sum`] run in the
+/// kernel ([`DvCtx::run`]), one thread handoff. Every node calls it the
+/// same number of times (collective call discipline, like MPI).
 pub fn allreduce_sum_f64(dv: &DvCtx, ctx: &SimCtx, x: f64) -> f64 {
-    let me = dv.node();
-    let p = dv.nodes();
+    dv.run(ctx, move |at| async move { allreduce_sum(&at, x).await })
+}
+
+/// [`allreduce_sum_f64`] for a node body run in the kernel.
+pub async fn allreduce_sum(at: &At, x: f64) -> f64 {
+    let me = at.node();
+    let p = at.world().nodes();
     if p == 1 {
         return x;
     }
-    let scratch = dv.layout().reduce_scratch;
+    let scratch = at.layout().reduce_scratch;
 
     // Everyone posts (value, flag) into every peer's region — an
     // all-to-all broadcast of one word; each node then sums locally.
@@ -41,15 +48,16 @@ pub fn allreduce_sum_f64(dv: &DvCtx, ctx: &SimCtx, x: f64) -> f64 {
         ));
         packets.push(Packet::new(PacketHeader::dv_memory(me, d, base + 1, SCRATCH_GC), 1));
     }
-    dv.send_packets(ctx, &packets, SendMode::DirectWrite { cached_headers: true });
+    at.send(&packets, SendMode::DirectWrite { cached_headers: true }).await;
 
     // Poll the pushed status page until all peers' flags are set.
     let mut sum = x;
     let mut seen = vec![false; p];
     seen[me] = true;
     let mut remaining = p - 1;
+    let mut region = vec![0; 2 * p];
     while remaining > 0 {
-        let region = dv.peek_local(ctx, scratch, 2 * p);
+        at.peek(scratch, &mut region).await;
         for s in 0..p {
             if !seen[s] && region[2 * s + 1] != 0 {
                 seen[s] = true;
@@ -59,13 +67,14 @@ pub fn allreduce_sum_f64(dv: &DvCtx, ctx: &SimCtx, x: f64) -> f64 {
         }
         if remaining > 0 {
             // Nothing new yet; yield a little virtual time.
-            ctx.delay(us(1));
+            at.delay(us(1)).await;
         }
     }
 
     // Clear our region locally and fence the epoch.
-    dv.write_local(ctx, scratch, &vec![0u64; 2 * p]);
-    dv.fast_barrier(ctx);
+    region.fill(0);
+    at.write_local(scratch, &region).await;
+    at.fast_barrier().await;
     sum
 }
 

@@ -18,7 +18,7 @@
 //!   it hands `deliver`).
 //! * **In the kernel, as a whole body.** A kernel may hand
 //!   [`DvCtx::run`] the whole rest of a node's program as one `async`
-//!   block over `At` — DV GUPS and BFS do — so every wait of it, single
+//!   block over `At` — DV GUPS, BFS and heat do — so every wait of it, single
 //!   parks included, is polled in kernel context, and the node's thread
 //!   runs only to build the inputs and to take the result.
 //!
@@ -56,7 +56,7 @@ use dv_vic::{PciePath, Vic};
 use crate::aggregate::Aggregator;
 use crate::ctx::{DvCtx, SendMode, DMA_ENQUEUE, FIFO_POP, STATUS_POLL};
 use crate::layout::{Layout, FAST_BARRIER_GC, QUERY_GC, VERIFY_GC};
-use crate::reliable::{ReliableFifo, DRAIN_CHUNK, MAX_ROUNDS, QUERY_TIMEOUT, QUERY_TRIES, WINDOW};
+use crate::reliable::{ReliableFifo, Scratch, DRAIN_CHUNK, MAX_ROUNDS, QUERY_TIMEOUT, QUERY_TRIES, WINDOW};
 use crate::world::{BlockWrite, DvState, DvWorld};
 
 /// One node's calls as futures: the node a call runs for, and its
@@ -205,7 +205,7 @@ impl At {
     }
 
     /// [`DvCtx::write_blocks`]: contiguous blocks, one PCIe charge for all.
-    pub(crate) async fn write_blocks(&self, blocks: Vec<BlockWrite>, mode: SendMode) -> Time {
+    pub async fn write_blocks(&self, blocks: Vec<BlockWrite>, mode: SendMode) -> Time {
         let words: u64 = blocks.iter().map(|b| b.words.len() as u64).sum();
         if words == 0 {
             return self.p.now();
@@ -222,14 +222,14 @@ impl At {
     }
 
     /// [`DvCtx::gc_set_local`]: the PIO write's charge, then the preset.
-    pub(crate) async fn gc_set(&self, gc: u8, expected: u64) {
+    pub async fn gc_set(&self, gc: u8, expected: u64) {
         self.p.delay(self.world.config.pcie.pio_write_latency).await;
         self.with(|st, k| st.vics[self.node].set_counter(k, gc, expected));
     }
 
     /// [`DvCtx::gc_wait_zero`]: `true` on zero, `false` at the deadline;
     /// the wait span, and the timeout count.
-    pub(crate) async fn gc_wait(&self, gc: u8, deadline: Option<Time>) -> bool {
+    pub async fn gc_wait(&self, gc: u8, deadline: Option<Time>) -> bool {
         let (node, t0) = (self.node, self.p.now());
         let zero = |st: &mut DvState| st.vics[node].counter(gc).is_zero().then_some(());
         let ok = self.p.turn_in(deadline, zero, |st, w| st.vics[node].watch_counter(gc, w)).await.is_some();
@@ -277,7 +277,7 @@ impl At {
 
     /// [`DvCtx::lend_local`]: one host read of `n` words (PIO for up to
     /// two, the 8×-faster DMA beyond), then `f` over them in place.
-    pub(crate) async fn lend(&self, address: u32, n: usize, f: impl FnMut(&[Word])) {
+    pub async fn lend(&self, address: u32, n: usize, f: impl FnMut(&[Word])) {
         let end = self.pcie(|pcie, now| {
             if n <= 2 {
                 pcie.pio_read(now, n as u64).1
@@ -594,14 +594,16 @@ impl At {
 
     /// [`ReliableFifo::await_posts`]: poll a status-page block until every
     /// peer has posted, discarding stray duplicates for 1 µs between polls;
-    /// returns the block.
-    pub async fn await_posts(&self, rel: &mut ReliableFifo, address: u32) -> Vec<Word> {
+    /// returns the block, polled into the endpoint's scratch.
+    pub async fn await_posts<'r>(&self, rel: &'r mut ReliableFifo, address: u32) -> &'r [Word] {
         let (me, nodes) = (rel.me, rel.nodes);
-        let (mut progress, mut slots) = (Progress::default(), vec![0; nodes]);
+        let (mut progress, mut slots) = (Progress::default(), std::mem::take(&mut rel.scratch.posted));
+        slots.resize(nodes, 0);
         loop {
             let now = self.peek(address, &mut slots).await;
             if (0..nodes).filter(|&s| s != me).all(|s| slots[s] != 0) {
-                return slots;
+                rel.scratch.posted = slots;
+                return &rel.scratch.posted;
             }
             progress.note(now, me, &slots, rel.received);
             // Anything buffered here is a retransmission duplicate: every
@@ -680,10 +682,8 @@ pub struct EpochClose {
     /// The aggregator's buffered packets (emptied once sent).
     flush: Vec<Packet>,
     mode: SendMode,
-    /// What each peer is owed this epoch.
-    owed: Vec<u64>,
-    /// The peers' posts, as last polled.
-    posted: Vec<Word>,
+    /// The endpoint's scratch, back in [`EpochClose::finish`].
+    scratch: Scratch,
     progress: Progress,
     /// Where the next [`EpochClose::next`] runs on from; `None` once every
     /// promised word is in.
@@ -691,13 +691,15 @@ pub struct EpochClose {
 }
 
 impl EpochClose {
-    pub(crate) fn new(rel: ReliableFifo, flush: Vec<Packet>, mode: SendMode) -> Self {
-        let mut owed = vec![0u64; rel.nodes];
+    pub(crate) fn new(mut rel: ReliableFifo, flush: Vec<Packet>, mode: SendMode) -> Self {
+        let mut scratch = std::mem::take(&mut rel.scratch);
+        scratch.owed.clear();
+        scratch.owed.resize(rel.nodes, 0);
         for &d in &rel.epoch_dest {
-            owed[usize::from(d)] += 1;
+            scratch.owed[usize::from(d)] += 1;
         }
-        let posted = vec![0; rel.nodes];
-        Self { rel, flush, mode, owed, posted, progress: Progress::default(), from: Some(Resume::Start) }
+        scratch.posted.resize(rel.nodes, 0);
+        Self { rel, flush, mode, scratch, progress: Progress::default(), from: Some(Resume::Start) }
     }
 
     /// Run the close on until the node has words to deliver — they replace
@@ -720,6 +722,7 @@ impl EpochClose {
     pub fn finish(self, rel: &mut ReliableFifo, agg: &mut Aggregator) -> u64 {
         assert!(self.from.is_none(), "finish before the close ran to its end");
         *rel = self.rel;
+        rel.scratch = self.scratch;
         agg.restore(self.flush);
         std::mem::take(&mut rel.received)
     }
@@ -728,7 +731,7 @@ impl EpochClose {
     /// (empty on entry), then return the point to run on from; `None`
     /// once every promised word is in.
     async fn run(&mut self, at: &At, from: Resume, batch: &mut Vec<Word>) -> Option<Resume> {
-        let (rel, posted) = (&mut self.rel, &mut self.posted);
+        let (rel, Scratch { owed, posted, posts }) = (&mut self.rel, &mut self.scratch);
         let (me, nodes, slots) = (rel.me, rel.nodes, at.world.layout.epoch_counts);
         let peers = move || (0..nodes).filter(move |&s| s != me);
         if from == Resume::Start {
@@ -740,13 +743,12 @@ impl EpochClose {
             }
         }
         if matches!(from, Resume::Start | Resume::Post) {
-            let posts: Vec<Packet> = peers()
-                .map(|d| {
-                    let header = PacketHeader::dv_memory(me, d, slots + me as u32, SCRATCH_GC);
-                    Packet::new(header, self.owed[d] + 1)
-                })
-                .collect();
-            at.send(&posts, CACHED_PIO).await;
+            posts.clear();
+            posts.extend(peers().map(|d| {
+                let header = PacketHeader::dv_memory(me, d, slots + me as u32, SCRATCH_GC);
+                Packet::new(header, owed[d] + 1)
+            }));
+            at.send(posts, CACHED_PIO).await;
         }
         let mut drain = from != Resume::Peek;
         loop {

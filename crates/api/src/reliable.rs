@@ -195,6 +195,21 @@ pub struct ReliableFifo {
     /// New words handed out this epoch by the drain and receive calls.
     pub(crate) received: u64,
     pub(crate) stats: ReliableStats,
+    pub(crate) scratch: Scratch,
+}
+
+/// An endpoint's scratch for an epoch close ([`EpochClose`]) and a post
+/// wait, sized to the cluster on the node's thread
+/// ([`ReliableFifo::new`]): a close run in the kernel allocates none of it
+/// (the allocation rule at [`ReliableFifo::reserve`]).
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// What each peer is owed this epoch.
+    pub(crate) owed: Vec<u64>,
+    /// The peers' posts, as last polled.
+    pub(crate) posted: Vec<Word>,
+    /// The count posts a close sends.
+    pub(crate) posts: Vec<Packet>,
 }
 
 impl ReliableFifo {
@@ -211,6 +226,7 @@ impl ReliableFifo {
             seen_in: WordSet::default(),
             received: 0,
             stats: ReliableStats::default(),
+            scratch: Scratch { owed: vec![0; nodes], posted: vec![0; nodes], posts: Vec::with_capacity(nodes) },
         }
     }
 
@@ -424,12 +440,11 @@ impl ReliableFifo {
     /// arrived for a hundred query timeouts of virtual time.
     pub fn await_posts(&mut self, ctx: &SimCtx, dv: &DvCtx, address: u32) -> Vec<Word> {
         let mut rel = std::mem::take(self);
-        let slots;
-        (*self, slots) = dv.run(ctx, move |at| async move {
-            let slots = at.await_posts(&mut rel, address).await;
-            (rel, slots)
+        *self = dv.run(ctx, move |at| async move {
+            at.await_posts(&mut rel, address).await;
+            rel
         });
-        slots
+        self.scratch.posted.clone()
     }
 
     /// Close the current epoch: the retransmission log resets; the inbound

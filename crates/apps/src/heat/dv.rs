@@ -9,11 +9,13 @@
 //! tracked by one group counter per step parity, and the global-heat
 //! diagnostic uses the DV-memory collective instead of an MPI allreduce.
 
-use dv_api::world::BlockWrite;
-use dv_api::SendMode;
 use dv_api::coll as dvcoll;
+use dv_api::world::BlockWrite;
+use dv_api::{DvCluster, DvCtx, SendMode};
+use dv_core::config::ComputeParams;
 use dv_core::spec::SimSpec;
-use dv_kernels::util::{charge, charge_mem_bytes};
+use dv_kernels::util::{spend, spend_mem_bytes};
+use dv_sim::SimCtx;
 
 use super::mpi::HeatRunResult;
 use super::{Face, HeatConfig, LocalBlock};
@@ -29,88 +31,89 @@ fn max_face(cfg: &HeatConfig) -> u32 {
 pub fn run_spec(cfg: HeatConfig, spec: SimSpec) -> HeatRunResult {
     assert_eq!(spec.nodes, cfg.nodes(), "spec.nodes must match the grid");
     let compute = spec.machine.compute.clone();
-    let cluster = dv_api::DvCluster::from_spec(spec);
-    let report = cluster.run(move |dv, ctx| {
-        let me = dv.node();
-        // Parity-major ghost faces: each parity's six face regions are
-        // contiguous so the receiver drains a step's ghosts in **one** DMA
-        // read. One group counter per parity.
-        let faces = dv.layout().bulk(12 * max_face(&cfg) as usize);
-        let face_region = |f: Face, parity: usize| faces + (parity * 6 + f.index()) as u32 * max_face(&cfg);
-        let halo_gc = dv.layout().kernel_gcs(2).start;
-        let mut block = LocalBlock::new(&cfg, me);
-        let c = block.coords;
-        let neighbor = |f: Face| {
-            let o = f.offset();
-            cfg.node_at((c.0 as isize + o.0, c.1 as isize + o.1, c.2 as isize + o.2))
-        };
-        // Expected halo words per step = sum of present-neighbor faces.
-        let expected: u64 = Face::ALL
-            .iter()
-            .filter(|&&f| neighbor(f).is_some())
-            .map(|&f| block.face_len(f) as u64)
-            .sum();
-        dv.gc_set_local(ctx, halo_gc, expected);
-        dv.gc_set_local(ctx, halo_gc + 1, expected);
-        dv.barrier(ctx);
+    let report = DvCluster::from_spec(spec).run(move |dv, ctx| node(dv, ctx, cfg, &compute));
+    let (elapsed, results) = (report.elapsed, report.result);
+    let last_heat = results[0].1;
+    HeatRunResult { elapsed, fields: results.into_iter().map(|(f, _)| f).collect(), last_heat }
+}
+
+/// One node's solver: its thread builds the block and reserves the ghost
+/// buffer, then hands every step to the kernel as one body
+/// ([`DvCtx::run`]), and takes back the interior and the last global heat.
+fn node(dv: &DvCtx, ctx: &SimCtx, cfg: HeatConfig, compute: &ComputeParams) -> (Vec<f64>, f64) {
+    let compute = compute.clone();
+    // Parity-major ghost faces: each parity's six face regions are
+    // contiguous so the receiver drains a step's ghosts in **one** DMA
+    // read. One group counter per parity.
+    let max_face = max_face(&cfg);
+    let faces = dv.layout().bulk(12 * max_face as usize);
+    let face_region = move |f: Face, parity: usize| faces + (parity * 6 + f.index()) as u32 * max_face;
+    let halo_gc = dv.layout().kernel_gcs(2).start;
+    let mut block = LocalBlock::new(&cfg, dv.node());
+    let c = block.coords;
+    let neighbor = move |f: Face| {
+        let o = f.offset();
+        cfg.node_at((c.0 as isize + o.0, c.1 as isize + o.1, c.2 as isize + o.2))
+    };
+    // Expected halo words per step = sum of present-neighbor faces.
+    let expected: u64 = Face::ALL
+        .iter()
+        .filter(|&&f| neighbor(f).is_some())
+        .map(|&f| block.face_len(f) as u64)
+        .sum();
+    let ghost_words = 6 * max_face as usize;
+    let mut region = Vec::with_capacity(ghost_words);
+
+    dv.run(ctx, move |at| async move {
+        at.gc_set(halo_gc, expected).await;
+        at.gc_set(halo_gc + 1, expected).await;
+        at.barrier().await;
         let mut last_heat = 0.0;
-        let ghost_words = 6 * max_face(&cfg) as usize;
-        let mut region = Vec::with_capacity(ghost_words);
 
         for step in 0..cfg.steps {
             let parity = step % 2;
             let gc = halo_gc + parity as u8;
             // One DMA batch carrying all six outgoing faces.
-            let mut blocks = Vec::new();
+            let mut blocks = Vec::with_capacity(6);
             for f in Face::ALL {
                 if let Some(n) = neighbor(f) {
-                    let face = block.gather_face(f);
-                    charge_mem_bytes(ctx, &compute, 8 * face.len() as u64);
-                    blocks.push(BlockWrite {
-                        dest: n,
-                        // It lands in the neighbor's ghost region for the
-                        // opposite face.
-                        address: face_region(f.opposite(), parity),
-                        gc,
-                        words: face.iter().map(|v| v.to_bits()).collect(),
-                    });
+                    let words: Vec<u64> = block.face(f).map(f64::to_bits).collect();
+                    spend_mem_bytes(&at, &compute, 8 * words.len() as u64).await;
+                    // It lands in the neighbor's ghost region for the
+                    // opposite face.
+                    blocks.push(BlockWrite { dest: n, address: face_region(f.opposite(), parity), gc, words });
                 }
             }
-            dv.write_blocks(ctx, blocks, SendMode::Dma { cached_headers: true });
+            at.write_blocks(blocks, SendMode::Dma { cached_headers: true }).await;
 
             // Wait for my halos, re-arm the parity, pull ghosts to host.
-            let ok = dv.gc_wait_zero(ctx, gc, None);
+            let ok = at.gc_wait(gc, None).await;
             assert!(ok, "halo exchange never completed");
-            dv.gc_set_local(ctx, gc, expected);
+            at.gc_set(gc, expected).await;
             // One DMA drains all six ghost planes (parity-major layout).
             // A plane may straddle the lent runs, so they are gathered
             // first, into the buffer every step reuses.
             region.clear();
-            dv.lend_local(ctx, face_region(Face::Xm, parity), ghost_words, |run| {
-                region.extend_from_slice(run)
-            });
+            at.lend(face_region(Face::Xm, parity), ghost_words, |run| region.extend_from_slice(run)).await;
             for f in Face::ALL {
                 if neighbor(f).is_some() {
-                    let off = (f.index() as u32 * max_face(&cfg)) as usize;
+                    let off = (f.index() as u32 * max_face) as usize;
                     let words = &region[off..off + block.face_len(f)];
-                    charge_mem_bytes(ctx, &compute, 8 * words.len() as u64);
+                    spend_mem_bytes(&at, &compute, 8 * words.len() as u64).await;
                     block.set_ghost(f, words.iter().map(|&w| f64::from_bits(w)));
                 }
             }
 
             block.step(cfg.r);
-            charge(ctx, block.cells() as u64, compute.stencil_mcups * 1e6);
+            spend(&at, block.cells() as u64, compute.stencil_mcups * 1e6).await;
 
             if (step + 1) % cfg.report_every == 0 {
-                last_heat = dvcoll::allreduce_sum_f64(dv, ctx, block.local_heat());
+                last_heat = dvcoll::allreduce_sum(&at, block.local_heat()).await;
             }
         }
-        dv.fast_barrier(ctx);
+        at.fast_barrier().await;
         (block.interior(), last_heat)
-    });
-    let (elapsed, results) = (report.elapsed, report.result);
-    let last_heat = results[0].1;
-    HeatRunResult { elapsed, fields: results.into_iter().map(|(f, _)| f).collect(), last_heat }
+    })
 }
 
 #[cfg(test)]
@@ -128,6 +131,25 @@ mod tests {
             serial.step();
         }
         assert_eq!(assemble(&cfg, &r.fields), serial.u);
+    }
+
+    #[test]
+    fn a_node_reaches_its_thread_only_to_start_and_to_return() {
+        // Every step — the face writes, the counter wait and re-arm, the
+        // ghost read, compute charges, the heat allreduce — is one
+        // kernel-run body.
+        const NODES: usize = 32;
+        let cfg = HeatConfig { n: (16, 16, 16), grid: (4, 4, 2), r: 0.1, steps: 4, report_every: 2, halo: Halo::Face };
+        let spec = SimSpec::new(NODES);
+        let compute = spec.machine.compute.clone();
+        let report = DvCluster::from_spec(spec).run(move |dv, ctx| {
+            node(dv, ctx, cfg, &compute);
+            // The last node to read sees every node's handoffs.
+            ctx.with_kernel(|k| k.sched_stats())
+        });
+        let stats = report.result.iter().max_by_key(|s| s.thread_resumes).expect("32 nodes");
+        assert_eq!(stats.thread_resumes, 2 * NODES as u64, "{stats:?}");
+        assert!(stats.resumes > 20 * stats.thread_resumes, "the body waits in the kernel: {stats:?}");
     }
 
     #[test]

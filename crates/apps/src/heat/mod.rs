@@ -226,6 +226,8 @@ pub struct LocalBlock {
     pub u: Vec<f64>,
     /// This node's grid coordinates.
     pub coords: (usize, usize, usize),
+    /// The field a step writes, swapped with `u` after it.
+    next: Vec<f64>,
 }
 
 impl LocalBlock {
@@ -235,7 +237,8 @@ impl LocalBlock {
         let coords = cfg.coords(node);
         let (gx, gy, gz) = (coords.0 * nxl, coords.1 * nyl, coords.2 * nzl);
         let (nx, ny, nz) = cfg.n;
-        let mut block = Self { dims: (nxl, nyl, nzl), u: vec![0.0; (nxl + 2) * (nyl + 2) * (nzl + 2)], coords };
+        let cells = (nxl + 2) * (nyl + 2) * (nzl + 2);
+        let mut block = Self { dims: (nxl, nyl, nzl), u: vec![0.0; cells], coords, next: vec![0.0; cells] };
         for k in 0..nzl {
             for j in 0..nyl {
                 for i in 0..nxl {
@@ -286,7 +289,7 @@ impl LocalBlock {
         }
     }
 
-    fn face_coords(&self, f: Face, ghost: bool) -> impl Iterator<Item = (isize, isize, isize)> + '_ {
+    fn face_coords(&self, f: Face, ghost: bool) -> impl Iterator<Item = (isize, isize, isize)> {
         let (nxl, nyl, nzl) = self.dims;
         let fixed = |interior_lo: isize, interior_hi: isize| if ghost {
             if matches!(f, Face::Xm | Face::Ym | Face::Zm) { interior_lo - 1 } else { interior_hi + 1 }
@@ -312,17 +315,16 @@ impl LocalBlock {
         })
     }
 
-    /// Copy my boundary plane adjacent to face `f` (what the neighbor in
-    /// that direction needs as its ghost).
-    pub fn gather_face(&self, f: Face) -> Vec<f64> {
-        self.face_coords(f, false).map(|(i, j, k)| self.u[self.idx(i, j, k)]).collect()
+    /// My boundary plane adjacent to face `f` (what the neighbor in that
+    /// direction needs as its ghost), in line order.
+    pub fn face(&self, f: Face) -> impl Iterator<Item = f64> + '_ {
+        self.face_coords(f, false).map(|(i, j, k)| self.u[self.idx(i, j, k)])
     }
 
     /// Fill the ghost plane of face `f`.
     pub fn set_ghost(&mut self, f: Face, data: impl ExactSizeIterator<Item = f64>) {
         debug_assert_eq!(data.len(), self.face_len(f));
-        let coords: Vec<_> = self.face_coords(f, true).collect();
-        for (c, v) in coords.into_iter().zip(data) {
+        for (c, v) in self.face_coords(f, true).zip(data) {
             let idx = self.idx(c.0, c.1, c.2);
             self.u[idx] = v;
         }
@@ -331,7 +333,8 @@ impl LocalBlock {
     /// One stencil step over the interior (ghosts must be current).
     pub fn step(&mut self, r: f64) {
         let (nxl, nyl, nzl) = self.dims;
-        let mut next = self.u.clone();
+        let mut next = std::mem::take(&mut self.next);
+        next.copy_from_slice(&self.u);
         for k in 0..nzl as isize {
             for j in 0..nyl as isize {
                 for i in 0..nxl as isize {
@@ -348,7 +351,7 @@ impl LocalBlock {
                 }
             }
         }
-        self.u = next;
+        self.next = std::mem::replace(&mut self.u, next);
     }
 
     /// Interior cell count.
@@ -432,7 +435,7 @@ mod tests {
         let cfg = HeatConfig { n: (4, 6, 8), grid: (1, 1, 1), r: 0.1, steps: 0, report_every: 1, halo: Halo::Line };
         let mut b = LocalBlock::new(&cfg, 0);
         for f in Face::ALL {
-            let face = b.gather_face(f);
+            let face: Vec<f64> = b.face(f).collect();
             assert_eq!(face.len(), b.face_len(f));
             // Setting a ghost then reading it back through idx works.
             let marked: Vec<f64> = (0..face.len()).map(|i| 1000.0 + i as f64).collect();

@@ -1,9 +1,11 @@
 //! Heat equation over MPI: six halo messages per node per step.
 
+use dv_core::config::ComputeParams;
 use dv_core::spec::SimSpec;
 use dv_core::time::Time;
-use dv_kernels::util::{charge, charge_mem_bytes};
-use mini_mpi::{MpiCluster, Payload, ReduceOp};
+use dv_kernels::util::{spend, spend_mem_bytes};
+use dv_sim::SimCtx;
+use mini_mpi::{Comm, MpiCluster, Payload, ReduceOp};
 
 use super::{Face, Halo, HeatConfig, LocalBlock};
 
@@ -30,17 +32,37 @@ pub fn run(cfg: HeatConfig) -> HeatRunResult {
 pub fn run_spec(cfg: HeatConfig, spec: SimSpec) -> HeatRunResult {
     assert_eq!(spec.nodes, cfg.nodes(), "spec.nodes must match the grid");
     let compute = spec.machine.compute.clone();
-    let report = MpiCluster::from_spec(spec).run(move |comm, ctx| {
-        let me = comm.rank();
-        let mut block = LocalBlock::new(&cfg, me);
-        let c = block.coords;
-        let neighbor = |f: Face| {
-            let o = f.offset();
-            cfg.node_at((c.0 as isize + o.0, c.1 as isize + o.1, c.2 as isize + o.2))
-        };
-        let mut last_heat = 0.0;
-        comm.barrier(ctx);
+    let report = MpiCluster::from_spec(spec).run(move |comm, ctx| rank(comm, ctx, cfg, &compute));
+    let (elapsed, results) = (report.elapsed, report.result);
+    let last_heat = results[0].1;
+    HeatRunResult { elapsed, fields: results.into_iter().map(|(f, _)| f).collect(), last_heat }
+}
 
+/// One rank's solver: its thread builds the block and reserves the halo
+/// buffers, then hands every step to the kernel as one body
+/// ([`Comm::run`]), and takes back the interior and the last global heat.
+fn rank(comm: &Comm, ctx: &SimCtx, cfg: HeatConfig, compute: &ComputeParams) -> (Vec<f64>, f64) {
+    let compute = compute.clone();
+    let mut block = LocalBlock::new(&cfg, comm.rank());
+    let c = block.coords;
+    let neighbor = move |f: Face| {
+        let o = f.offset();
+        cfg.node_at((c.0 as isize + o.0, c.1 as isize + o.1, c.2 as isize + o.2))
+    };
+    // A step's halo messages (one per face, or one per line), reserved on
+    // this thread: each step sends from the buffers the previous one
+    // received, and assembles a ghost plane in `ghost`.
+    let lines = Face::ALL.map(|f| if cfg.halo == Halo::Line { block.face_lines(f) } else { 1 });
+    let msg_len = Face::ALL.map(|f| block.face_len(f) / lines[f.index()]);
+    let msgs: usize = Face::ALL.into_iter().filter(|&f| neighbor(f).is_some()).map(|f| lines[f.index()]).sum();
+    let widest = msg_len.into_iter().max().unwrap_or(0);
+    let mut spare: Vec<Vec<f64>> = (0..msgs).map(|_| Vec::with_capacity(widest)).collect();
+    let mut reqs = Vec::with_capacity(msgs);
+    let mut ghost = Vec::with_capacity(Face::ALL.into_iter().map(|f| block.face_len(f)).max().unwrap_or(0));
+
+    comm.run(ctx, move |r| async move {
+        let mut last_heat = 0.0;
+        r.barrier().await;
         for step in 0..cfg.steps {
             let face_tag = |f: Face, line: usize| ((step * 8 + f.index()) * 4096 + line) as u64;
             match cfg.halo {
@@ -50,86 +72,72 @@ pub fn run_spec(cfg: HeatConfig, spec: SimSpec) -> HeatRunResult {
                     for f in Face::ALL {
                         let mut req = None;
                         if let Some(n) = neighbor(f) {
-                            let face = block.gather_face(f);
-                            charge_mem_bytes(ctx, &compute, 8 * face.len() as u64);
-                            req = Some(comm.isend(ctx, n, face_tag(f, 0), Payload::F64(face)));
+                            let mut face = spare.pop().unwrap_or_default();
+                            face.clear();
+                            face.extend(block.face(f));
+                            spend_mem_bytes(&r, &compute, 8 * face.len() as u64).await;
+                            req = Some(r.isend(n, face_tag(f, 0), Payload::F64(face)).await);
                         }
                         // In shift f every rank receives the ghost for the
                         // opposite face from its opposite neighbor.
                         let of = f.opposite();
                         if let Some(n) = neighbor(of) {
-                            let data =
-                                comm.recv_from(ctx, n, face_tag(f, 0)).payload.into_f64();
-                            charge_mem_bytes(ctx, &compute, 8 * data.len() as u64);
-                            block.set_ghost(of, data.into_iter());
+                            let data = r.recv_from(n, face_tag(f, 0)).await.payload.into_f64();
+                            spend_mem_bytes(&r, &compute, 8 * data.len() as u64).await;
+                            block.set_ghost(of, data.iter().copied());
+                            spare.push(data);
                         }
-                        if let Some(r) = req {
-                            comm.wait(ctx, r);
+                        if let Some(req) = req {
+                            r.wait(req).await;
                         }
                     }
                 }
                 // Post everything up front, then drain: the overlapped
                 // variants (per face, or the paper's per-line messages).
                 Halo::FaceOverlapped | Halo::Line => {
-                    let mut reqs = Vec::new();
                     for f in Face::ALL {
                         if let Some(n) = neighbor(f) {
-                            let face = block.gather_face(f);
-                            charge_mem_bytes(ctx, &compute, 8 * face.len() as u64);
-                            if cfg.halo == Halo::FaceOverlapped {
-                                reqs.push(comm.isend(ctx, n, face_tag(f, 0), Payload::F64(face)));
-                            } else {
-                                let ll = block.line_len(f);
-                                for (line, chunk) in face.chunks(ll).enumerate() {
-                                    reqs.push(comm.isend(
-                                        ctx,
-                                        n,
-                                        face_tag(f, line),
-                                        Payload::F64(chunk.to_vec()),
-                                    ));
-                                }
+                            ghost.clear();
+                            ghost.extend(block.face(f));
+                            spend_mem_bytes(&r, &compute, 8 * ghost.len() as u64).await;
+                            for (line, chunk) in ghost.chunks(msg_len[f.index()]).enumerate() {
+                                let mut data = spare.pop().unwrap_or_default();
+                                data.clear();
+                                data.extend_from_slice(chunk);
+                                reqs.push(r.isend(n, face_tag(f, line), Payload::F64(data)).await);
                             }
                         }
                     }
                     for f in Face::ALL {
                         if let Some(n) = neighbor(f) {
                             let of = f.opposite();
-                            let data = if cfg.halo == Halo::FaceOverlapped {
-                                comm.recv_from(ctx, n, face_tag(of, 0)).payload.into_f64()
-                            } else {
-                                let mut buf = Vec::with_capacity(block.face_len(f));
-                                for line in 0..block.face_lines(f) {
-                                    buf.extend(
-                                        comm.recv_from(ctx, n, face_tag(of, line))
-                                            .payload
-                                            .into_f64(),
-                                    );
-                                }
-                                buf
-                            };
-                            charge_mem_bytes(ctx, &compute, 8 * data.len() as u64);
-                            block.set_ghost(f, data.into_iter());
+                            ghost.clear();
+                            for line in 0..lines[f.index()] {
+                                let data = r.recv_from(n, face_tag(of, line)).await.payload.into_f64();
+                                ghost.extend_from_slice(&data);
+                                spare.push(data);
+                            }
+                            spend_mem_bytes(&r, &compute, 8 * ghost.len() as u64).await;
+                            block.set_ghost(f, ghost.iter().copied());
                         }
                     }
-                    comm.wait_all(ctx, reqs);
+                    for req in reqs.drain(..) {
+                        r.wait(req).await;
+                    }
                 }
             }
 
             block.step(cfg.r);
-            charge(ctx, block.cells() as u64, compute.stencil_mcups * 1e6);
+            spend(&r, block.cells() as u64, compute.stencil_mcups * 1e6).await;
 
             if (step + 1) % cfg.report_every == 0 {
-                last_heat = comm
-                    .allreduce(ctx, ReduceOp::Sum, Payload::F64(vec![block.local_heat()]))
-                    .into_f64()[0];
+                let heat = r.allreduce(ReduceOp::Sum, Payload::F64(vec![block.local_heat()])).await;
+                last_heat = heat.into_f64()[0];
             }
         }
-        comm.barrier(ctx);
+        r.barrier().await;
         (block.interior(), last_heat)
-    });
-    let (elapsed, results) = (report.elapsed, report.result);
-    let last_heat = results[0].1;
-    HeatRunResult { elapsed, fields: results.into_iter().map(|(f, _)| f).collect(), last_heat }
+    })
 }
 
 /// Assemble per-node interiors into the global `[z][y][x]` field.
@@ -167,6 +175,26 @@ mod tests {
         assert_eq!(assemble(&cfg, &r.fields), serial.u);
         let serial_heat = serial.total_heat();
         assert!((r.last_heat - serial_heat).abs() < 1e-9 * serial_heat.abs().max(1.0));
+    }
+
+    #[test]
+    fn a_rank_reaches_its_thread_only_to_start_and_to_return() {
+        // Every step — halo sends and receives, compute charges, the heat
+        // allreduce — is one kernel-run body, in each halo variant.
+        const NODES: usize = 32;
+        for halo in [Halo::Face, Halo::FaceOverlapped, Halo::Line] {
+            let cfg = HeatConfig { n: (16, 16, 16), grid: (4, 4, 2), r: 0.1, steps: 4, report_every: 2, halo };
+            let spec = SimSpec::new(NODES);
+            let compute = spec.machine.compute.clone();
+            let report = MpiCluster::from_spec(spec).run(move |comm, ctx| {
+                rank(comm, ctx, cfg, &compute);
+                // The last rank to read sees every rank's handoffs.
+                ctx.with_kernel(|k| k.sched_stats())
+            });
+            let stats = report.result.iter().max_by_key(|s| s.thread_resumes).expect("32 ranks");
+            assert_eq!(stats.thread_resumes, 2 * NODES as u64, "{halo:?}: {stats:?}");
+            assert!(stats.resumes > 20 * stats.thread_resumes, "{halo:?}: the body waits in the kernel: {stats:?}");
+        }
     }
 
     #[test]

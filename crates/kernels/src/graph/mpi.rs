@@ -6,14 +6,20 @@
 //! termination with an allreduce. Destination aggregation works — but
 //! every level pays p−1 messages plus two collectives, and the power-law
 //! frontiers keep most buckets small: the message-rate wall of Figure 8.
+//!
+//! Each rank's thread builds its state and buckets, then runs the whole
+//! search as one body in the simulator's kernel ([`Comm::run`]): between
+//! its start and its result the thread never runs.
 
 use std::sync::Arc;
 
+use dv_core::config::ComputeParams;
 use dv_core::spec::SimSpec;
 use dv_core::time::{as_secs_f64, Time};
-use mini_mpi::{MpiCluster, Payload, ReduceOp};
+use dv_sim::SimCtx;
+use mini_mpi::{Comm, MpiCluster, Payload, ReduceOp};
 
-use crate::util::{charge_edges, pack2, unpack2};
+use crate::util::{pack2, spend_edges, unpack2};
 
 use super::{Csr, VertexPart};
 
@@ -46,77 +52,7 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
     let part = VertexPart { nodes };
     let locals: Arc<Vec<Csr>> = Arc::new(locals.to_vec());
     let compute = spec.machine.compute.clone();
-    let report = MpiCluster::from_spec(spec).run(move |comm, ctx| {
-        let me = comm.rank();
-        let p = comm.size();
-        let compute = compute.clone();
-        let csr = &locals[me];
-        let mut parents = vec![-1i64; csr.vertices()];
-        let mut scanned = 0u64;
-        let mut frontier: Vec<u32> = Vec::new();
-        if part.owner(root) == me {
-            parents[part.local(root)] = root as i64;
-            frontier.push(root);
-        }
-        let mut sizes = vec![0usize; p];
-        comm.barrier(ctx);
-
-        loop {
-            // Each remote owner's bucket allocated once, at its size.
-            sizes.fill(0);
-            for &u in &frontier {
-                for &v in locals[me].neighbors(part.local(u) as u32) {
-                    sizes[part.owner(v)] += 1;
-                }
-            }
-            sizes[me] = 0;
-            let mut buckets: Vec<Vec<u64>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
-            let mut next: Vec<u32> = Vec::new();
-            for &u in &frontier {
-                let lu = part.local(u);
-                for &v in locals[me].neighbors(lu as u32) {
-                    scanned += 1;
-                    let owner = part.owner(v);
-                    if owner == me {
-                        let lv = part.local(v);
-                        if parents[lv] < 0 {
-                            parents[lv] = u as i64;
-                            next.push(v);
-                        }
-                    } else {
-                        buckets[owner].push(pack2(v, u));
-                    }
-                }
-            }
-            charge_edges(ctx, &compute, frontier.len() as u64 + buckets.iter().map(|b| b.len() as u64).sum::<u64>());
-
-            let incoming = comm.alltoall(ctx, buckets.into_iter().map(Payload::U64).collect());
-            let mut applied = 0u64;
-            for block in incoming {
-                for w in block.into_u64() {
-                    let (v, u) = unpack2(w);
-                    debug_assert_eq!(part.owner(v), me);
-                    let lv = part.local(v);
-                    applied += 1;
-                    if parents[lv] < 0 {
-                        parents[lv] = u as i64;
-                        next.push(v);
-                    }
-                }
-            }
-            charge_edges(ctx, &compute, applied);
-
-            let total_next = comm
-                .allreduce(ctx, ReduceOp::Sum, Payload::U64(vec![next.len() as u64]))
-                .into_u64()[0];
-            frontier = next;
-            if total_next == 0 {
-                break;
-            }
-        }
-        comm.barrier(ctx);
-        (scanned, parents)
-    });
+    let report = MpiCluster::from_spec(spec).run(move |comm, ctx| rank(comm, ctx, Arc::clone(&locals), root, &compute));
 
     let (elapsed, results) = (report.elapsed, report.result);
     let edges_scanned: u64 = results.iter().map(|(s, _)| s).sum();
@@ -130,6 +66,87 @@ pub fn run_spec(locals: &[Csr], n: usize, root: u32, spec: SimSpec) -> BfsRunRes
         }
     }
     BfsRunResult { root, edges_scanned, elapsed, parents }
+}
+
+/// One rank's BFS: its thread builds its state and reserves what the
+/// levels grow, then hands the whole search to the kernel as one body
+/// ([`Comm::run`]), and takes back the edges scanned here and the local
+/// parents.
+fn rank(comm: &Comm, ctx: &SimCtx, locals: Arc<Vec<Csr>>, root: u32, compute: &ComputeParams) -> (u64, Vec<i64>) {
+    let (me, p) = (comm.rank(), comm.size());
+    let part = VertexPart { nodes: p };
+    let compute = compute.clone();
+    let csr = &locals[me];
+    let vertices = csr.vertices();
+    let mut parents = vec![-1i64; vertices];
+    // A vertex joins a frontier once, so its row is scanned once: a
+    // level's bucket for an owner holds at most the row entries it owns,
+    // and a frontier at most the local vertices. Reserved on this thread;
+    // the blocks a level receives are the next level's buckets.
+    let mut owned = vec![0usize; p];
+    csr.targets.iter().for_each(|&v| owned[part.owner(v)] += 1);
+    owned[me] = 0;
+    let mut buckets: Vec<Vec<u64>> = owned.iter().map(|&n| Vec::with_capacity(n)).collect();
+    let mut blocks: Vec<Payload> = Vec::with_capacity(p);
+    let (mut frontier, mut next) = (Vec::with_capacity(vertices), Vec::with_capacity(vertices));
+    if part.owner(root) == me {
+        parents[part.local(root)] = root as i64;
+        frontier.push(root);
+    }
+
+    comm.run(ctx, move |r| async move {
+        let csr = &locals[me];
+        let mut scanned = 0u64;
+        r.barrier().await;
+        loop {
+            for &u in &frontier {
+                for &v in csr.neighbors(part.local(u) as u32) {
+                    scanned += 1;
+                    let owner = part.owner(v);
+                    if owner == me {
+                        let lv = part.local(v);
+                        if parents[lv] < 0 {
+                            parents[lv] = u as i64;
+                            next.push(v);
+                        }
+                    } else {
+                        buckets[owner].push(pack2(v, u));
+                    }
+                }
+            }
+            let sent: u64 = buckets.iter().map(|b| b.len() as u64).sum();
+            spend_edges(&r, &compute, frontier.len() as u64 + sent).await;
+
+            blocks.extend(buckets.iter_mut().map(|b| Payload::U64(std::mem::take(b))));
+            blocks = r.alltoall(blocks).await;
+            let mut applied = 0u64;
+            for (src, block) in blocks.drain(..).enumerate() {
+                let mut words = block.into_u64();
+                for &w in &words {
+                    let (v, u) = unpack2(w);
+                    debug_assert_eq!(part.owner(v), me);
+                    let lv = part.local(v);
+                    applied += 1;
+                    if parents[lv] < 0 {
+                        parents[lv] = u as i64;
+                        next.push(v);
+                    }
+                }
+                words.clear();
+                buckets[src] = words;
+            }
+            spend_edges(&r, &compute, applied).await;
+
+            let total_next = r.allreduce(ReduceOp::Sum, Payload::U64(vec![next.len() as u64])).await.into_u64()[0];
+            std::mem::swap(&mut frontier, &mut next);
+            next.clear();
+            if total_next == 0 {
+                break;
+            }
+        }
+        r.barrier().await;
+        (scanned, parents)
+    })
 }
 
 #[cfg(test)]
@@ -148,5 +165,28 @@ mod tests {
             validate_bfs(&csr, root, &r.parents).expect("invalid BFS tree");
             assert!(r.teps() > 0.0);
         }
+    }
+
+    #[test]
+    fn a_rank_reaches_its_thread_only_to_start_and_to_return() {
+        // The whole search is one kernel-run body: every wait of every
+        // level — scan charges, the alltoall, the termination allreduce,
+        // the fences — is polled in the kernel.
+        const NODES: usize = 32;
+        let cfg = GraphConfig::test_small();
+        let csr = Csr::build(cfg.vertices(), &kronecker_edges(&cfg));
+        let root = pick_roots(&csr, 1, 1)[0];
+        let locals = Arc::new(partition_csr(&csr, VertexPart { nodes: NODES }));
+        let spec = SimSpec::new(NODES);
+        let compute = spec.machine.compute.clone();
+        let report = MpiCluster::from_spec(spec).run(move |comm, ctx| {
+            let (scanned, _) = rank(comm, ctx, Arc::clone(&locals), root, &compute);
+            // The last rank to read sees every rank's handoffs.
+            (scanned, ctx.with_kernel(|k| k.sched_stats()))
+        });
+        assert!(report.result.iter().map(|r| r.0).sum::<u64>() > 0, "the search ran");
+        let stats = report.result.iter().map(|r| r.1).max_by_key(|s| s.thread_resumes).expect("32 ranks");
+        assert_eq!(stats.thread_resumes, 2 * NODES as u64, "{stats:?}");
+        assert!(stats.resumes > 20 * stats.thread_resumes, "the body waits in the kernel: {stats:?}");
     }
 }

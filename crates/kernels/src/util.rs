@@ -1,9 +1,13 @@
-//! Shared helpers: compute-time charging, data distribution, packing.
+//! Shared helpers: compute-time charging (on the thread, or awaited in a
+//! body run in the kernel), data distribution, packing.
+
+use std::future::Future;
 
 use dv_api::At;
 use dv_core::config::ComputeParams;
 use dv_core::time::{secs_f64, Time};
 use dv_sim::SimCtx;
+use mini_mpi::Rank;
 
 /// The virtual time `ops` operations take at `rate_per_sec`; `None` for
 /// no operations, which are not charged at all.
@@ -22,37 +26,52 @@ pub fn charge(ctx: &SimCtx, ops: u64, rate_per_sec: f64) {
     }
 }
 
-/// [`charge`] in a node body run in the kernel
-/// ([`dv_api::DvCtx::run`]): the same delay, awaited.
-pub async fn spend(at: &At, ops: u64, rate_per_sec: f64) {
-    if let Some(d) = cost(ops, rate_per_sec) {
-        at.delay(d).await;
+/// What a body run in the kernel charges its compute through: a DV node's
+/// [`At`] ([`dv_api::DvCtx::run`]) or an MPI rank's [`Rank`]
+/// ([`mini_mpi::Comm::run`]).
+pub trait Delay {
+    /// Advance virtual time by `d`; returns the time it ended.
+    fn delay(&self, d: Time) -> impl Future<Output = Time> + Send;
+}
+
+impl Delay for At {
+    fn delay(&self, d: Time) -> impl Future<Output = Time> + Send {
+        At::delay(self, d)
     }
 }
 
-/// [`charge_updates`], awaited ([`spend`]).
-pub async fn spend_updates(at: &At, compute: &ComputeParams, updates: u64) {
-    spend(at, updates, compute.local_update_mups * 1e6).await;
+impl Delay for Rank {
+    fn delay(&self, d: Time) -> impl Future<Output = Time> + Send {
+        Rank::delay(self, d)
+    }
 }
 
-/// [`charge_edges`], awaited ([`spend`]).
-pub async fn spend_edges(at: &At, compute: &ComputeParams, edges: u64) {
-    spend(at, edges, compute.edge_scan_meps * 1e6).await;
+/// [`charge`] in a body run in the kernel: the same delay, awaited.
+pub async fn spend(on: &impl Delay, ops: u64, rate_per_sec: f64) {
+    if let Some(d) = cost(ops, rate_per_sec) {
+        on.delay(d).await;
+    }
+}
+
+/// Spend time on random 8-byte read-modify-writes (MUPS).
+pub async fn spend_updates(on: &impl Delay, compute: &ComputeParams, updates: u64) {
+    spend(on, updates, compute.local_update_mups * 1e6).await;
+}
+
+/// Spend time on CSR edge scans (MEPS).
+pub async fn spend_edges(on: &impl Delay, compute: &ComputeParams, edges: u64) {
+    spend(on, edges, compute.edge_scan_meps * 1e6).await;
+}
+
+/// Spend time streaming `bytes` through host memory
+/// ([`charge_mem_bytes`], awaited).
+pub async fn spend_mem_bytes(on: &impl Delay, compute: &ComputeParams, bytes: u64) {
+    spend(on, bytes, compute.mem_gbps * 1e9).await;
 }
 
 /// Charge for floating-point work at the node's FFT rate (GFLOP/s).
 pub fn charge_flops(ctx: &SimCtx, compute: &ComputeParams, flops: u64) {
     charge(ctx, flops, compute.flops_gflops * 1e9);
-}
-
-/// Charge for random 8-byte read-modify-writes (MUPS).
-pub fn charge_updates(ctx: &SimCtx, compute: &ComputeParams, updates: u64) {
-    charge(ctx, updates, compute.local_update_mups * 1e6);
-}
-
-/// Charge for CSR edge scans (MEPS).
-pub fn charge_edges(ctx: &SimCtx, compute: &ComputeParams, edges: u64) {
-    charge(ctx, edges, compute.edge_scan_meps * 1e6);
 }
 
 /// Charge for streaming `bytes` through host memory.
@@ -159,21 +178,21 @@ mod tests {
     }
 
     #[test]
-    fn charge_helpers_advance_time_proportionally() {
-        let sim = dv_sim::Sim::new();
-        let slot = dv_sim::JoinSlot::new();
-        let s2 = slot.clone();
-        sim.spawn("t", move |ctx| {
-            let cp = ComputeParams::default();
+    fn charges_advance_time_proportionally_on_the_thread_and_in_the_kernel() {
+        // The thread's `charge` and the kernel-run `spend` take the same
+        // time for the same work, and twice the work takes twice as long.
+        let report = mini_mpi::MpiCluster::from_spec(dv_core::spec::SimSpec::new(1)).run(|comm, ctx| {
+            let rate = ComputeParams::default().local_update_mups * 1e6;
             let t0 = ctx.now();
-            charge_updates(ctx, &cp, 1_000);
+            charge(ctx, 1_000, rate);
             let t1 = ctx.now();
-            charge_updates(ctx, &cp, 2_000);
-            let t2 = ctx.now();
-            s2.put((t1 - t0, t2 - t1));
+            comm.run(ctx, move |r| async move {
+                spend(&r, 2_000, rate).await;
+                spend(&r, 0, rate).await;
+            });
+            (t1 - t0, ctx.now() - t1)
         });
-        sim.run();
-        let (a, b) = slot.take().unwrap();
+        let (a, b) = report.result[0];
         assert!(a > 0);
         // 2x the updates ≈ 2x the time.
         let ratio = b as f64 / a as f64;

@@ -7,7 +7,7 @@
 //! the ⌈log₂ p⌉ rounds of the dissemination barrier are what makes the
 //! MPI barrier in Figure 4 grow with node count.
 //!
-//! Each collective is one `async fn` of the rank (`comm/op.rs`): a loop of
+//! Each collective is one `async fn` of [`Rank`] (`comm/op.rs`): a loop of
 //! `isend(..).await` / `recv(..).await` / `wait(..).await`, in the order
 //! the textbook algorithm issues them, run in the kernel as one blocking
 //! call. The rank's thread parks once per collective, and every
@@ -18,8 +18,7 @@
 use dv_core::trace::State;
 use dv_sim::SimCtx;
 
-use crate::comm::op::Rank;
-use crate::comm::Comm;
+use crate::comm::{Comm, Rank};
 use crate::payload::Payload;
 use crate::{Tag, RESERVED_TAG_BASE};
 
@@ -80,7 +79,7 @@ const COLLECTIVE: Option<State> = Some(State::Collective);
 impl Comm {
     /// Dissemination barrier: ⌈log₂ p⌉ rounds of pairwise token exchange.
     pub fn barrier(&self, ctx: &SimCtx) {
-        self.run(ctx, |r| async move { r.coll("barrier", Some(State::Barrier), r.barrier()).await });
+        self.run(ctx, |r| async move { r.barrier().await });
     }
 
     /// Binomial-tree broadcast from `root`.
@@ -98,10 +97,7 @@ impl Comm {
     /// Allreduce = reduce to 0 + broadcast (openmpi's default composition
     /// at these sizes), as one call.
     pub fn allreduce(&self, ctx: &SimCtx, op: ReduceOp, contribution: Payload) -> Payload {
-        self.run(ctx, move |r| async move {
-            let acc = r.coll("reduce", COLLECTIVE, r.reduce(0, op, contribution)).await;
-            r.coll("bcast", COLLECTIVE, r.bcast(0, acc)).await
-        })
+        self.run(ctx, move |r| async move { r.allreduce(op, contribution).await })
     }
 
     /// Gather all contributions at `root` (linear); `Some(vec)` on root,
@@ -125,7 +121,28 @@ impl Comm {
     /// the blocks received, indexed by source. Handles unequal block sizes
     /// (alltoallv) for free.
     pub fn alltoall(&self, ctx: &SimCtx, blocks: Vec<Payload>) -> Vec<Payload> {
-        self.run(ctx, move |r| async move { r.coll("alltoall", COLLECTIVE, r.alltoall(blocks)).await })
+        self.run(ctx, move |r| async move { r.alltoall(blocks).await })
+    }
+}
+
+/// The collectives a body run in the kernel calls, each recorded (a
+/// tracer span and the `mpi.coll.*` metrics) as its `Comm` door is.
+impl Rank {
+    /// [`Comm::barrier`].
+    pub async fn barrier(&self) {
+        self.coll("barrier", Some(State::Barrier), self.dissemination()).await;
+    }
+
+    /// [`Comm::allreduce`]: the reduce, then the bcast — two
+    /// `mpi.coll.calls` records.
+    pub async fn allreduce(&self, op: ReduceOp, contribution: Payload) -> Payload {
+        let acc = self.coll("reduce", COLLECTIVE, self.reduce(0, op, contribution)).await;
+        self.coll("bcast", COLLECTIVE, self.bcast(0, acc)).await
+    }
+
+    /// [`Comm::alltoall`].
+    pub async fn alltoall(&self, blocks: Vec<Payload>) -> Vec<Payload> {
+        self.coll("alltoall", COLLECTIVE, self.pairwise(blocks)).await
     }
 }
 
@@ -135,7 +152,7 @@ fn empty(n: usize) -> Vec<Payload> {
 }
 
 impl Rank {
-    async fn barrier(&self) {
+    async fn dissemination(&self) {
         let (n, me) = (self.size(), self.rank);
         for i in 0..n.next_power_of_two().trailing_zeros() {
             let (k, tag) = (1 << i, BARRIER_TAG + Tag::from(i));
@@ -231,7 +248,7 @@ impl Rank {
         blocks
     }
 
-    async fn alltoall(&self, mut blocks: Vec<Payload>) -> Vec<Payload> {
+    async fn pairwise(&self, mut blocks: Vec<Payload>) -> Vec<Payload> {
         let (n, me) = (self.size(), self.rank);
         assert_eq!(blocks.len(), n);
         let mut out = empty(n);

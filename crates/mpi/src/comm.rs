@@ -24,10 +24,11 @@
 //! for waits in the unexpected queue and wakes nobody.
 //!
 //! The blocking calls here (`isend`, `send`, `wait`, `recv`, `sendrecv`)
-//! and every collective are `async fn`s of the rank (`op`), run in the
-//! kernel: the resumes above are committed as before, but each polls the
-//! call in kernel context, and the rank's thread runs again once per
-//! blocking call or collective, not once per resume.
+//! and every collective are thin doors onto `async fn`s of [`Rank`], run
+//! in the kernel: the resumes above are committed as before, but each
+//! polls the call in kernel context, and the rank's thread runs again once
+//! per blocking call or collective, not once per resume — or once per
+//! program, when a kernel hands [`Comm::run`] its whole body.
 //!
 //! The receive slots with their unexpected queues, the messages in
 //! flight, the rendezvous requests and the fabric's pipes are an
@@ -47,7 +48,8 @@ use dv_core::trace::Tracer;
 use dv_sim::{Kernel, KernelState, SimCtx, Slab, Waker};
 
 use crate::fabric::IbFabric;
-pub(crate) mod op;
+mod op;
+pub use op::Rank;
 
 use crate::payload::Payload;
 use crate::Tag;

@@ -1,11 +1,26 @@
-//! The point-to-point engine: every blocking call runs in the kernel.
+//! [`Rank`]: the async face of [`Comm`], where every blocking call runs in
+//! the kernel.
 //!
-//! A blocking call — `isend`, `send`, `recv`, `wait`, `sendrecv`, and every
-//! collective — is an `async fn` of [`Rank`] run by
-//! [`SimCtx::wait_in_kernel`]: the calling thread parks once, each resume
-//! of the rank polls the call on in kernel context, and the thread runs
-//! again only when the whole call has returned. A 32-rank pairwise
-//! alltoall is one handoff per rank instead of two per peer.
+//! Every blocking call — `isend`, `send`, `recv`, `wait`, `sendrecv`, and
+//! every collective — is one `async fn` of [`Rank`] with one body, and the
+//! blocking `Comm` call is a thin door onto it: [`Comm::run`] hands the
+//! body to [`SimCtx::wait_in_kernel`], the calling thread parks once, each
+//! resume of the rank polls the call on in kernel context, and the thread
+//! runs again only when the whole call has returned. A 32-rank pairwise
+//! alltoall is one handoff per rank instead of two per peer. A kernel may
+//! also hand [`Comm::run`] the whole rest of a rank's program as one
+//! `async` block over `Rank` — MPI GUPS and BFS and the MPI heat solver
+//! do — so the rank's thread runs only to build the inputs and to take
+//! the result.
+//!
+//! A kernel-run call's state travels in by value and out as its output:
+//! the future is `'static`, so it borrows nothing from the parked thread.
+//! It allocates from the malloc arena of whichever thread dispatches it,
+//! and growth scattered over every rank's arena shows on the peak RSS. So
+//! what a body will grow is reserved on the rank's thread before the call,
+//! and a body that sends blocks round after round packs each round into
+//! the blocks the previous one received (MPI GUPS's and BFS's buckets,
+//! `MpiTranspose`'s `spare`).
 //!
 //! Between two resumes a call does exactly what a thread running the same
 //! calls would do between the same two parks, side effect for side effect:
@@ -17,7 +32,7 @@
 //! the thread:
 //!
 //! * a charged delay (the send overhead and bounce copy, the receive
-//!   overhead) is a [`Proc::delay2`];
+//!   overhead, a compute charge) is a [`Proc::delay2`] or [`Proc::delay`];
 //! * a posted receive is a [`Proc::turn`] that re-posts the current waker
 //!   until an arrival has delivered;
 //! * a rendezvous `wait` is one that registers until the request is done.
@@ -33,17 +48,23 @@ use super::{Comm, Envelope, Flight, MpiState, PendingSend, Posted, ReqState, Req
 use crate::payload::Payload;
 use crate::Tag;
 
-/// One rank inside a blocking call: what the call's future owns.
-pub(crate) struct Rank {
+/// One rank's calls as futures: the rank a call runs for, and its
+/// process. Built by [`Comm::run`], which hands it to the call.
+pub struct Rank {
     world: Arc<World>,
     pub(crate) rank: usize,
     p: Proc,
 }
 
 impl Comm {
-    /// Run `call` on this rank in the kernel, the thread parked until it
-    /// returns.
-    pub(crate) fn run<T, F>(&self, ctx: &SimCtx, call: impl FnOnce(Rank) -> F) -> T
+    /// Run `call` for this rank in the kernel, the thread parked until it
+    /// returns: `call` is polled now, and then at every later resume of
+    /// this rank, in whichever thread dispatches, until it completes (see
+    /// [`SimCtx::wait_in_kernel`]). It may be one blocking call or the
+    /// whole rest of the rank's program. Whatever it will grow is best
+    /// reserved before this call, on the rank's thread (the module doc's
+    /// allocation rule).
+    pub fn run<T, F>(&self, ctx: &SimCtx, call: impl FnOnce(Rank) -> F) -> T
     where
         T: Send + 'static,
         F: Future<Output = T> + Send + 'static,
@@ -53,15 +74,26 @@ impl Comm {
 }
 
 impl Rank {
+    /// This rank.
+    pub fn rank(&self) -> usize {
+        self.rank
+    }
+
     /// Number of ranks.
-    pub(crate) fn size(&self) -> usize {
+    pub fn size(&self) -> usize {
         self.world.nodes
     }
 
-    /// `isend`: software overhead, then (eager) the bounce-buffer copy, as
-    /// one charged delay; then the message leaves (eager: whole;
+    /// Advance virtual time by `d` — a compute charge; returns the time it
+    /// ended.
+    pub async fn delay(&self, d: Time) -> Time {
+        self.p.delay(d).await
+    }
+
+    /// [`Comm::isend`]: software overhead, then (eager) the bounce-buffer
+    /// copy, as one charged delay; then the message leaves (eager: whole;
     /// rendezvous: its RTS).
-    pub(crate) async fn isend(&self, dst: usize, tag: Tag, payload: Payload) -> Request {
+    pub async fn isend(&self, dst: usize, tag: Tag, payload: Payload) -> Request {
         let p = &self.world.params;
         let eager = payload.len_bytes() <= p.eager_limit;
         let copy = if eager { time::transfer_time(payload.len_bytes(), p.copy_gbps) } else { 0 };
@@ -103,10 +135,10 @@ impl Rank {
         req
     }
 
-    /// A blocking receive with optional wildcards: a match from the
+    /// [`Comm::recv`], with optional wildcards: a match from the
     /// unexpected queue, then the receive overhead; or a posted receive
     /// (answering an RTS that was already waiting) that an arrival fills.
-    pub(crate) async fn recv(&self, src: Option<usize>, tag: Option<Tag>) -> Envelope {
+    pub async fn recv(&self, src: Option<usize>, tag: Option<Tag>) -> Envelope {
         let (world, pid, rank) = (&self.world, self.p.pid(), self.rank);
         // When the receive began, and a match from the unexpected queue
         // with the end of its charge — or `None`, the receive posted.
@@ -154,9 +186,14 @@ impl Rank {
         env
     }
 
-    /// `wait` on one request; an eager request was complete when it was
-    /// made.
-    pub(crate) async fn wait(&self, req: Request) {
+    /// [`Comm::recv_from`]: a receive from a specific source and tag.
+    pub async fn recv_from(&self, src: usize, tag: Tag) -> Envelope {
+        self.recv(Some(src), Some(tag)).await
+    }
+
+    /// [`Comm::wait`] on one request; an eager request was complete when
+    /// it was made.
+    pub async fn wait(&self, req: Request) {
         let Some(id) = req.0 else { return };
         let t0 = self.p.now();
         // Done: the entry is freed for the next rendezvous send.
@@ -168,8 +205,8 @@ impl Rank {
         }
     }
 
-    /// `wait` on every request, oldest first.
-    pub(crate) async fn wait_all(&self, reqs: Vec<Request>) {
+    /// [`Comm::wait_all`]: `wait` on every request, oldest first.
+    pub async fn wait_all(&self, reqs: Vec<Request>) {
         for req in reqs {
             self.wait(req).await;
         }

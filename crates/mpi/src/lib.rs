@@ -22,10 +22,15 @@
 //! * [`cluster`] — an SPMD harness: run one closure per rank on the
 //!   simulated cluster and collect results.
 //!
-//! Every blocking call of [`comm`] and every collective of [`coll`] is an
-//! `async fn` of the rank (the private `comm::op`), a loop of
-//! point-to-point steps polled in kernel context: one thread handoff per
-//! call.
+//! [`Rank`] is [`Comm`]'s async face: every blocking call of [`comm`] and
+//! every collective of [`coll`] is an `async fn` of it, a loop of
+//! point-to-point steps polled in kernel context, and the blocking `Comm`
+//! call is a thin door onto it — one thread handoff per call.
+//! [`Comm::run`] runs any `async` block over a `Rank` the same way, up to
+//! a rank's whole program (one handoff to start, one to return). Such a
+//! body allocates in whichever thread dispatches it, so what it grows is
+//! reserved on the rank's thread before the call, and blocks received in
+//! one round are packed again in the next.
 //!
 //! Timing is virtual; payloads are real data (`Payload`), so algorithms
 //! built on this runtime compute real answers that tests can validate.
@@ -41,7 +46,7 @@ pub mod payload;
 
 pub use cluster::MpiCluster;
 pub use coll::ReduceOp;
-pub use comm::{Comm, Envelope, Request};
+pub use comm::{Comm, Envelope, Rank, Request};
 pub use fabric::IbFabric;
 pub use payload::Payload;
 

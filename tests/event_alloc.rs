@@ -62,9 +62,9 @@ const FFT_POINTS: usize = 1 << 16;
 /// `(run, debug build, release build)`: allocations of one run.
 const PINS: [(&str, u64, u64); 5] = [
     ("DV GUPS", 255, 250),
-    ("MPI GUPS", 224, 220),
-    ("DV BFS", 435, 431),
-    ("MPI BFS", 340, 336),
+    ("MPI GUPS", 130, 126),
+    ("DV BFS", 367, 363),
+    ("MPI BFS", 190, 186),
     ("MPI FFT", 145, 141),
 ];
 
